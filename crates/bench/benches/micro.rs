@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks of the distributed substrates: the four
 //! hash-table phases, k-mer analysis, the extraction hot loops (rolling
 //! minimizer, supermer grouping), both graph-traversal implementations,
-//! alignment and the Bloom/heavy-hitter structures. `cargo bench -p
-//! mhm_bench` runs them all.
+//! alignment, the Bloom/heavy-hitter structures and local assembly's
+//! mer-walk. `cargo bench -p mhm_bench` runs them all.
 
 use aligner::{align_reads, build_seed_index, AlignParams};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -13,6 +13,7 @@ use dbg::{
 use dht::{bulk_merge, DistBloom, DistMap, SpaceSaving};
 use kmers::{kmer_minimizer, Kmer, SupermerIter};
 use mgsim::{CommunityParams, ReadSimParams};
+use mhm_core::{LocalAssemblyParams, MerWalker};
 use pgas::Team;
 use seqio::Read;
 use std::sync::Arc;
@@ -92,20 +93,76 @@ fn bench_dht_phases(c: &mut Criterion) {
     });
 }
 
-fn bench_extraction_hot_loops(c: &mut Criterion) {
-    // A 100 kb pseudo-random sequence: long enough that the rolling-minimizer
-    // deque and the supermer run-grouping dominate, not setup.
-    let seq: Vec<u8> = {
-        let mut x = 0x9E3779B97F4A7C15u64;
-        (0..100_000)
-            .map(|_| {
+/// A pseudo-random `ACGT` sequence (xorshift; the benches need no `rand`).
+fn random_bases(len: usize, seed: u64) -> Vec<u8> {
+    let mut x = seed | 1;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            b"ACGT"[(x & 3) as usize]
+        })
+        .collect()
+}
+
+fn bench_space_saving_offer(c: &mut Criterion) {
+    // The shape of the stream k-mer analysis offers its sketch: nine keys in
+    // ten are seen once, the rest come from a small hot set, so at capacity
+    // almost every offer evicts the minimum counter.
+    let stream: Vec<u64> = {
+        let mut x = 0x2545F4914F6CDD1Du64;
+        (0..100_000u64)
+            .map(|i| {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
-                [b'A', b'C', b'G', b'T'][(x & 3) as usize]
+                if x.is_multiple_of(10) {
+                    x % 32
+                } else {
+                    1_000 + i
+                }
             })
             .collect()
     };
+    c.bench_function("space_saving/offer", |b| {
+        b.iter(|| {
+            let mut ss = SpaceSaving::new(64);
+            for &key in &stream {
+                ss.offer(key, 1);
+            }
+            ss.tracked()
+        })
+    });
+}
+
+fn bench_local_assembly(c: &mut Criterion) {
+    // A 100-base contig in the middle of a 500-base stretch covered ~30x by
+    // 150 error-free 100 bp reads: `extend_one` walks ~200 bases out of each
+    // end, 400 in all, at the default mer sizes.
+    let genome = random_bases(900, 0x9E3779B97F4A7C15);
+    let contig = &genome[400..500];
+    let pool: Vec<Vec<u8>> = (0..150)
+        .map(|i| {
+            let start = 200 + i * 400 / 149;
+            genome[start..start + 100].to_vec()
+        })
+        .collect();
+    let mut walker = MerWalker::new(&LocalAssemblyParams::default());
+    let extended = walker.extend_one(contig, &pool);
+    assert!(
+        extended.len() >= 490 && genome.windows(extended.len()).any(|w| w == extended),
+        "the bench pool no longer carries the walk to both ends"
+    );
+    c.bench_function("local_assembly/extend_one", |b| {
+        b.iter(|| walker.extend_one(contig, &pool).len())
+    });
+}
+
+fn bench_extraction_hot_loops(c: &mut Criterion) {
+    // A 100 kb pseudo-random sequence: long enough that the rolling-minimizer
+    // deque and the supermer run-grouping dominate, not setup.
+    let seq = random_bases(100_000, 0x9E3779B97F4A7C15);
     c.bench_function("kmers/rolling_minimizer_100kb", |b| {
         // The streaming path: one O(len) pass maintains every window's
         // canonical minimizer through the monotonic deque.
@@ -324,6 +381,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_dht_phases, bench_extraction_hot_loops, bench_compute_kernels, bench_read_store, bench_pipeline_stages
+    targets = bench_dht_phases, bench_space_saving_offer, bench_local_assembly, bench_extraction_hot_loops, bench_compute_kernels, bench_read_store, bench_pipeline_stages
 }
 criterion_main!(benches);

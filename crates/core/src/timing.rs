@@ -5,7 +5,8 @@ use std::time::Instant;
 
 /// Accumulates per-stage wall-clock seconds and communication statistics for
 /// one rank. The pipeline reduces these across ranks at the end (max for
-/// time — the slowest rank defines the stage — and sum for communication).
+/// time — the slowest rank defines the stage — sum for communication counts,
+/// max for the two running-peak gauges; see [`StageTimings::reduce`]).
 #[derive(Debug, Clone, Default)]
 pub struct StageTimings {
     stages: Vec<(String, f64, StatsSnapshot)>,
@@ -54,14 +55,22 @@ impl StageTimings {
         self.stages.iter().map(|(_, t, _)| *t).sum()
     }
 
-    /// Collective: reduces the per-rank timings into `(stage, max seconds,
-    /// summed stats)` rows, identical on every rank. Stage sets must match
-    /// across ranks (they do: the pipeline is SPMD).
+    /// Collective: reduces the per-rank timings into `(stage, seconds,
+    /// stats)` rows, identical on every rank. Stage sets must match across
+    /// ranks (they do: the pipeline is SPMD). Per field:
+    ///
+    /// * seconds — **max**: the slowest rank defines the stage;
+    /// * `contig_bytes_resident`, `read_bytes_resident` — **max**: each is a
+    ///   per-rank running peak (a stage's delta is how far that rank's peak
+    ///   rose during it), and memory is provisioned per rank, so the row
+    ///   holds the largest rise on any rank;
+    /// * every other counter — **sum**: events and bytes, counted once on the
+    ///   rank that caused them.
     pub fn reduce(&self, ctx: &Ctx) -> Vec<(String, f64, StatsSnapshot)> {
         let mut out = Vec::with_capacity(self.stages.len());
         for (name, secs, stats) in &self.stages {
             let max_secs = ctx.allreduce_max_f64(*secs);
-            let sum = StatsSnapshot {
+            let reduced = StatsSnapshot {
                 msgs_sent: ctx.allreduce_sum_u64(stats.msgs_sent),
                 bytes_sent: ctx.allreduce_sum_u64(stats.bytes_sent),
                 on_node_bytes: ctx.allreduce_sum_u64(stats.on_node_bytes),
@@ -80,12 +89,12 @@ impl StageTimings {
                 supermer_bytes: ctx.allreduce_sum_u64(stats.supermer_bytes),
                 traversal_rounds: ctx.allreduce_sum_u64(stats.traversal_rounds),
                 stitch_bytes: ctx.allreduce_sum_u64(stats.stitch_bytes),
-                contig_bytes_resident: ctx.allreduce_sum_u64(stats.contig_bytes_resident),
+                contig_bytes_resident: ctx.allreduce_max_u64(stats.contig_bytes_resident),
                 contig_fetch_bytes: ctx.allreduce_sum_u64(stats.contig_fetch_bytes),
-                read_bytes_resident: ctx.allreduce_sum_u64(stats.read_bytes_resident),
+                read_bytes_resident: ctx.allreduce_max_u64(stats.read_bytes_resident),
                 read_fetch_bytes: ctx.allreduce_sum_u64(stats.read_fetch_bytes),
             };
-            out.push((name.clone(), max_secs, sum));
+            out.push((name.clone(), max_secs, reduced));
         }
         out
     }
@@ -116,7 +125,7 @@ mod tests {
     }
 
     #[test]
-    fn reduce_takes_max_time_and_sums_stats() {
+    fn reduce_takes_max_time_sums_counts_and_maxes_peaks() {
         let team = Team::single_node(2);
         let reduced = team.run(|ctx| {
             let mut t = StageTimings::new();
@@ -126,6 +135,9 @@ mod tests {
                 }
                 // One remote-ish access per rank.
                 ctx.record_access((ctx.rank() + 1) % ctx.ranks());
+                // Each rank's resident peak rises by a different amount.
+                ctx.record_contig_resident(1000 * (ctx.rank() + 1));
+                ctx.record_read_resident(700 - 200 * ctx.rank());
             });
             t.reduce(ctx)
         });
@@ -135,6 +147,11 @@ mod tests {
             assert_eq!(name, "phase");
             assert!(*secs >= 0.02, "max across ranks should include the sleep");
             assert_eq!(stats.local_ops + stats.remote_ops, 2);
+            assert_eq!(
+                stats.contig_bytes_resident, 2000,
+                "peak of rank 1, not 3000"
+            );
+            assert_eq!(stats.read_bytes_resident, 700, "peak of rank 0, not 1200");
         }
     }
 }
