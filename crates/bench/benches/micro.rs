@@ -13,7 +13,7 @@ use dbg::{
 use dht::{bulk_merge, DistBloom, DistMap, SpaceSaving};
 use kmers::{kmer_minimizer, Kmer, SupermerIter};
 use mgsim::{CommunityParams, ReadSimParams};
-use mhm_core::{LocalAssemblyParams, MerWalker};
+use mhm_core::{extend_one, LocalAssemblyParams};
 use pgas::Team;
 use seqio::Read;
 use std::sync::Arc;
@@ -148,14 +148,14 @@ fn bench_local_assembly(c: &mut Criterion) {
             genome[start..start + 100].to_vec()
         })
         .collect();
-    let mut walker = MerWalker::new(&LocalAssemblyParams::default());
-    let extended = walker.extend_one(contig, &pool);
+    let params = LocalAssemblyParams::default();
+    let extended = extend_one(contig, &pool, &params);
     assert!(
         extended.len() >= 490 && genome.windows(extended.len()).any(|w| w == extended),
         "the bench pool no longer carries the walk to both ends"
     );
     c.bench_function("local_assembly/extend_one", |b| {
-        b.iter(|| walker.extend_one(contig, &pool).len())
+        b.iter(|| extend_one(contig, &pool, &params).len())
     });
 }
 

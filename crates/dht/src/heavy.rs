@@ -7,38 +7,16 @@
 //! specially (their counts are accumulated locally and combined once).
 //! [`SpaceSaving`] is the classic counter-based summary used for this purpose:
 //! it never misses a key whose true frequency exceeds `N / capacity`.
-//!
-//! A k-mer stream is dominated by keys seen once, so at capacity almost every
-//! offer evicts the minimum counter. The counters therefore sit in slots
-//! ordered by an indexed binary min-heap: finding and replacing the minimum
-//! costs O(log capacity), not a scan of every counter.
 
 use crate::fxhash::FxHashMap;
 use std::hash::Hash;
-
-/// One tracked key.
-#[derive(Debug, Clone)]
-struct Counter<K> {
-    key: K,
-    count: u64,
-    /// How much of `count` may belong to keys evicted from this slot.
-    error: u64,
-}
 
 /// A Space-Saving (Metwally et al.) top-k frequency sketch.
 #[derive(Debug, Clone)]
 pub struct SpaceSaving<K> {
     capacity: usize,
-    /// The counters; a key keeps its slot until it is evicted, and the key
-    /// that evicts it takes the slot over.
-    slots: Vec<Counter<K>>,
-    /// key -> slot
-    slot_of: FxHashMap<K, usize>,
-    /// Slots as a binary min-heap on `(count, slot)`: a total order, so which
-    /// counter is the minimum does not depend on how the heap got there.
-    heap: Vec<usize>,
-    /// slot -> position in `heap`
-    heap_pos: Vec<usize>,
+    /// key -> (count, overestimation error)
+    counters: FxHashMap<K, (u64, u64)>,
     total: u64,
 }
 
@@ -51,10 +29,7 @@ impl<K: Hash + Eq + Clone> SpaceSaving<K> {
         assert!(capacity > 0, "capacity must be positive");
         SpaceSaving {
             capacity,
-            slots: Vec::new(),
-            slot_of: FxHashMap::default(),
-            heap: Vec::new(),
-            heap_pos: Vec::new(),
+            counters: FxHashMap::default(),
             total: 0,
         }
     }
@@ -66,65 +41,52 @@ impl<K: Hash + Eq + Clone> SpaceSaving<K> {
 
     /// Number of tracked keys (≤ capacity).
     pub fn tracked(&self) -> usize {
-        self.slots.len()
+        self.counters.len()
     }
 
     /// Offers one occurrence of `key` with the given weight.
     pub fn offer(&mut self, key: K, weight: u64) {
         self.total += weight;
-        if let Some(&slot) = self.slot_of.get(&key) {
-            self.slots[slot].count += weight;
-            self.sift_down(self.heap_pos[slot]);
+        if let Some(entry) = self.counters.get_mut(&key) {
+            entry.0 += weight;
             return;
         }
-        if self.slots.len() < self.capacity {
-            self.push_slot(Counter {
-                key,
-                count: weight,
-                error: 0,
-            });
+        if self.counters.len() < self.capacity {
+            self.counters.insert(key, (weight, 0));
             return;
         }
-        // Evict the minimum counter and take over its count as error bound;
-        // among equal counts the lowest slot goes.
-        let slot = self.heap[0];
-        let evicted = &mut self.slots[slot];
-        let min_count = evicted.count;
-        self.slot_of.remove(&evicted.key);
-        *evicted = Counter {
-            key: key.clone(),
-            count: min_count + weight,
-            error: min_count,
-        };
-        self.slot_of.insert(key, slot);
-        self.sift_down(0);
+        // Evict the minimum counter and take over its count as error bound.
+        let (min_key, min_count) = self
+            .counters
+            .iter()
+            .min_by_key(|(_, &(c, _))| c)
+            .map(|(k, &(c, _))| (k.clone(), c))
+            // lint: allow(unwrap): this branch only runs when len == capacity > 0
+            .expect("sketch is non-empty at capacity");
+        self.counters.remove(&min_key);
+        self.counters.insert(key, (min_count + weight, min_count));
     }
 
     /// Merges another sketch into this one (used to combine per-rank sketches).
     pub fn merge(&mut self, other: &SpaceSaving<K>) {
-        for theirs in &other.slots {
-            match self.slot_of.get(&theirs.key) {
-                Some(&slot) => {
-                    self.slots[slot].count += theirs.count;
-                    self.slots[slot].error += theirs.error;
+        for (k, &(count, err)) in &other.counters {
+            match self.counters.get_mut(k) {
+                Some(entry) => {
+                    entry.0 += count;
+                    entry.1 += err;
                 }
                 None => {
-                    self.slot_of.insert(theirs.key.clone(), self.slots.len());
-                    self.slots.push(theirs.clone());
+                    self.counters.insert(k.clone(), (count, err));
                 }
             }
         }
         self.total += other.total;
-        // Re-trim to capacity by dropping the smallest counters (among equal
-        // counts the later slots), then re-seat what is left.
-        let mut merged = std::mem::take(&mut self.slots);
-        merged.sort_by_key(|c| std::cmp::Reverse(c.count));
-        merged.truncate(self.capacity);
-        self.slot_of.clear();
-        self.heap.clear();
-        self.heap_pos.clear();
-        for counter in merged {
-            self.push_slot(counter);
+        // Re-trim to capacity by dropping the smallest counters.
+        if self.counters.len() > self.capacity {
+            let mut entries: Vec<(K, (u64, u64))> = self.counters.drain().collect();
+            entries.sort_by_key(|e| std::cmp::Reverse(e.1 .0));
+            entries.truncate(self.capacity);
+            self.counters = entries.into_iter().collect();
         }
     }
 
@@ -132,10 +94,10 @@ impl<K: Hash + Eq + Clone> SpaceSaving<K> {
     /// meets `threshold`, sorted by estimated count descending.
     pub fn heavy_hitters(&self, threshold: u64) -> Vec<(K, u64)> {
         let mut out: Vec<(K, u64)> = self
-            .slots
+            .counters
             .iter()
-            .filter(|c| c.count.saturating_sub(c.error) >= threshold)
-            .map(|c| (c.key.clone(), c.count))
+            .filter(|(_, &(c, e))| c.saturating_sub(e) >= threshold)
+            .map(|(k, &(c, _))| (k.clone(), c))
             .collect();
         out.sort_by_key(|e| std::cmp::Reverse(e.1));
         out
@@ -143,60 +105,7 @@ impl<K: Hash + Eq + Clone> SpaceSaving<K> {
 
     /// The estimated count of a key (0 if untracked).
     pub fn estimate(&self, key: &K) -> u64 {
-        self.slot_of
-            .get(key)
-            .map_or(0, |&slot| self.slots[slot].count)
-    }
-
-    /// Seats a counter for an untracked key in a new slot.
-    fn push_slot(&mut self, counter: Counter<K>) {
-        let slot = self.slots.len();
-        self.slot_of.insert(counter.key.clone(), slot);
-        self.slots.push(counter);
-        self.heap_pos.push(self.heap.len());
-        self.heap.push(slot);
-        self.sift_up(self.heap.len() - 1);
-    }
-
-    /// Heap order of a slot.
-    fn rank(&self, slot: usize) -> (u64, usize) {
-        (self.slots[slot].count, slot)
-    }
-
-    fn swap_heap(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.heap_pos[self.heap[a]] = a;
-        self.heap_pos[self.heap[b]] = b;
-    }
-
-    fn sift_up(&mut self, mut pos: usize) {
-        while pos > 0 {
-            let parent = (pos - 1) / 2;
-            if self.rank(self.heap[parent]) <= self.rank(self.heap[pos]) {
-                break;
-            }
-            self.swap_heap(parent, pos);
-            pos = parent;
-        }
-    }
-
-    /// Restores heap order after the counter at `pos` grew.
-    fn sift_down(&mut self, mut pos: usize) {
-        loop {
-            let mut least = pos;
-            for child in [2 * pos + 1, 2 * pos + 2] {
-                if child < self.heap.len()
-                    && self.rank(self.heap[child]) < self.rank(self.heap[least])
-                {
-                    least = child;
-                }
-            }
-            if least == pos {
-                return;
-            }
-            self.swap_heap(pos, least);
-            pos = least;
-        }
+        self.counters.get(key).map(|&(c, _)| c).unwrap_or(0)
     }
 }
 
@@ -291,14 +200,14 @@ mod tests {
             let n: u64 = exact.values().sum();
             assert_eq!(ss.total(), n);
             assert_eq!(ss.tracked(), capacity);
-            for counter in &ss.slots {
-                let truth = exact[&counter.key];
-                assert!(counter.count >= truth, "estimate under the true count");
+            for (key, &(count, error)) in &ss.counters {
+                let truth = exact[key];
+                assert!(count >= truth, "estimate under the true count");
                 assert!(
-                    counter.count - counter.error <= truth,
+                    count - error <= truth,
                     "guaranteed count over the true count"
                 );
-                assert_eq!(ss.estimate(&counter.key), counter.count);
+                assert_eq!(ss.estimate(key), count);
             }
             for (key, &truth) in &exact {
                 if truth > n / capacity as u64 {
@@ -308,34 +217,7 @@ mod tests {
                     );
                 }
             }
-            // The heap's root is the minimum counter, lowest slot first.
-            let min = (0..capacity).map(|slot| ss.rank(slot)).min().unwrap();
-            assert_eq!(ss.rank(ss.heap[0]), min);
         }
-    }
-
-    #[test]
-    fn merged_sketch_keeps_the_largest_counters_and_stays_usable() {
-        let mut a = SpaceSaving::new(4);
-        let mut b = SpaceSaving::new(4);
-        for (key, n) in [(1u32, 50), (2, 40), (3, 5), (4, 4)] {
-            a.offer(key, n);
-        }
-        for (key, n) in [(1u32, 10), (5, 30), (6, 5), (7, 1)] {
-            b.offer(key, n);
-        }
-        a.merge(&b);
-        assert_eq!(a.tracked(), 4);
-        assert_eq!(a.total(), 145);
-        // 3 and 6 tie at 5: the receiving sketch's own key stays.
-        let mut kept: Vec<(u32, u64)> = a.heavy_hitters(0);
-        kept.sort_unstable();
-        assert_eq!(kept, vec![(1, 60), (2, 40), (3, 5), (5, 30)]);
-        // Offers after a merge evict the merged minimum.
-        a.offer(9, 1);
-        assert_eq!(a.estimate(&3), 0);
-        assert_eq!(a.estimate(&9), 6);
-        assert_eq!(a.tracked(), 4);
     }
 
     #[test]
