@@ -13,7 +13,7 @@ use dbg::{
 use dht::{bulk_merge, DistBloom, DistMap, SpaceSaving};
 use kmers::{kmer_minimizer, Kmer, SupermerIter};
 use mgsim::{CommunityParams, ReadSimParams};
-use mhm_core::{extend_one, LocalAssemblyParams};
+use mhm_core::{LocalAssemblyParams, MerWalker};
 use pgas::Team;
 use seqio::Read;
 use std::sync::Arc;
@@ -138,8 +138,8 @@ fn bench_space_saving_offer(c: &mut Criterion) {
 
 fn bench_local_assembly(c: &mut Criterion) {
     // A 100-base contig in the middle of a 500-base stretch covered ~30x by
-    // 150 error-free 100 bp reads: `extend_one` walks ~200 bases out of each
-    // end, 400 in all, at the default mer sizes.
+    // 150 error-free 100 bp reads: `extend_one` indexes the pool and walks
+    // ~200 bases out of each end, 400 in all, at the default mer sizes.
     let genome = random_bases(900, 0x9E3779B97F4A7C15);
     let contig = &genome[400..500];
     let pool: Vec<Vec<u8>> = (0..150)
@@ -148,14 +148,14 @@ fn bench_local_assembly(c: &mut Criterion) {
             genome[start..start + 100].to_vec()
         })
         .collect();
-    let params = LocalAssemblyParams::default();
-    let extended = extend_one(contig, &pool, &params);
+    let mut walker = MerWalker::new(&LocalAssemblyParams::default());
+    let extended = walker.extend_one(contig, &pool);
     assert!(
         extended.len() >= 490 && genome.windows(extended.len()).any(|w| w == extended),
         "the bench pool no longer carries the walk to both ends"
     );
     c.bench_function("local_assembly/extend_one", |b| {
-        b.iter(|| extend_one(contig, &pool, &params).len())
+        b.iter(|| walker.extend_one(contig, &pool).len())
     });
 }
 

@@ -161,8 +161,9 @@ impl Default for AssemblyConfig {
 
 impl AssemblyConfig {
     /// Checks the cross-field invariants that would otherwise surface as
-    /// obscure panics deep inside the pipeline (an empty k schedule, a read
-    /// block that splits pairs, a zero-rank node). Called by
+    /// obscure panics or hangs deep inside the pipeline (an empty k schedule,
+    /// a read block that splits pairs, a zero-rank node, a mer-walk schedule
+    /// that cannot move). Called by
     /// [`crate::MetaHipMer::new`], so a bad configuration fails at
     /// construction with a message naming the field, not mid-assembly.
     pub fn validate(&self) -> Result<(), String> {
@@ -197,6 +198,31 @@ impl AssemblyConfig {
                  node), got 0"
                     .to_string(),
             );
+        }
+        let local = &self.local;
+        if local.shift == 0 {
+            return Err(
+                "local.shift must be >= 1, got 0 (a mer-walk could never leave a dead end or fork)"
+                    .to_string(),
+            );
+        }
+        if local.block_size == 0 {
+            return Err(
+                "local.block_size must be >= 1, got 0 (contigs are dealt to ranks in blocks of it)"
+                    .to_string(),
+            );
+        }
+        if local.min_mer == 0 || local.min_mer > local.mer_size {
+            return Err(format!(
+                "local.min_mer must be in 1..=local.mer_size ({}), got {}",
+                local.mer_size, local.min_mer
+            ));
+        }
+        if local.mer_size > local.max_mer {
+            return Err(format!(
+                "local.max_mer must be >= local.mer_size ({}), got {}",
+                local.mer_size, local.max_mer
+            ));
         }
         Ok(())
     }
@@ -370,6 +396,11 @@ mod tests {
     fn validate_accepts_the_defaults_and_names_the_broken_field() {
         assert_eq!(AssemblyConfig::default().validate(), Ok(()));
         assert_eq!(AssemblyConfig::small_test().validate(), Ok(()));
+        let local = |edit: fn(&mut LocalAssemblyParams)| {
+            let mut cfg = AssemblyConfig::default();
+            edit(&mut cfg.local);
+            cfg
+        };
         let cases = [
             (
                 AssemblyConfig {
@@ -414,6 +445,11 @@ mod tests {
                 },
                 "ranks_per_node",
             ),
+            (local(|l| l.shift = 0), "local.shift"),
+            (local(|l| l.block_size = 0), "local.block_size"),
+            (local(|l| l.min_mer = 0), "local.min_mer"),
+            (local(|l| l.min_mer = l.mer_size + 1), "local.min_mer"),
+            (local(|l| l.max_mer = l.mer_size - 1), "local.max_mer"),
         ];
         for (cfg, needle) in cases {
             let err = cfg.validate().expect_err(needle);

@@ -33,6 +33,6 @@ pub mod pipeline;
 pub mod timing;
 
 pub use config::AssemblyConfig;
-pub use local_assembly::{extend_contigs_locally, extend_one, LocalAssemblyParams};
+pub use local_assembly::{extend_contigs_locally, LocalAssemblyParams, MerWalker};
 pub use pipeline::{AssemblyOutput, MetaHipMer};
 pub use timing::StageTimings;

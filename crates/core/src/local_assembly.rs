@@ -4,13 +4,35 @@
 //! For every contig, the reads that align near its ends (plus mates of
 //! aligned reads that themselves did not align, projected outward by the
 //! library insert size) are gathered into a local pool. The contig end is then
-//! extended base by base: at each step the pool is scanned for reads whose
-//! last `m` assembled bases occur in them, and the bases observed immediately
-//! after form votes. A unanimous-enough vote extends the contig; a conflicted
+//! extended base by base: at each step the pool reads containing the last `m`
+//! assembled bases are looked up, and the bases observed immediately after
+//! form votes. A unanimous-enough vote extends the contig; a conflicted
 //! vote *upshifts* the mer size `m` (more context disambiguates repeats); no
 //! votes *downshift* it (less context rescues thin coverage). The walk
 //! terminates when it encounters a fork after downshifting or a dead end after
 //! upshifting, as in the paper.
+//!
+//! The paper "stores the reads of a contig in a hash table"; here that is the
+//! seed index of a [`MerWalker`], built once per contig pool. Every position
+//! of every pool read is filed under the `s`-base seed starting there
+//! (`s = min(8, min_mer, mer_size)`, a direct-addressed table of 4^s bucket
+//! heads with the hits chained behind them), so a vote round packs the first
+//! `s` bases of the context, walks one bucket and compares the full `m` raw
+//! bytes at each hit. Three properties keep it to one index per pool:
+//!
+//! * `s` is no longer than the smallest mer the shift schedule reaches, so
+//!   the same index answers every mer size;
+//! * a read window equals the reverse complement of a context exactly when
+//!   its own reverse complement equals the context, so the left walk looks
+//!   up the reverse complement of its context in the same index and votes
+//!   the complement of the base *before* each hit — no pool is ever
+//!   reverse-complemented;
+//! * the seed code is two bits of the *raw* byte, so `N` and lower case merely
+//!   share a bucket with some base and are told apart by the comparison.
+//!
+//! The index is scratch owned by the walker (256 KiB of heads plus 12 bytes
+//! per pool base of the largest pool seen), cleared bucket by bucket between
+//! contigs; a contig costs time linear in its pool bases plus bases walked.
 //!
 //! Because the cost of a walk is unpredictable, contigs are dealt to ranks in
 //! blocks through the shared atomic counter of [`pgas::DynamicBlocks`].
@@ -20,7 +42,7 @@ use dbg::{ContigSet, ContigsRef};
 use dht::{bulk_merge, DistMap, FxHashMap, FxHashSet};
 use pgas::{Ctx, DynamicBlocks};
 use readstore::ReadsRef;
-use seqio::alphabet::revcomp;
+use seqio::alphabet::{complement, decode_base, encode_base, revcomp};
 use seqio::{ReadId, ReadLibrary};
 use std::sync::Arc;
 
@@ -157,6 +179,7 @@ pub fn extend_contigs_locally_ref(
     // read per contig.
     let blocks = ctx.share(|| DynamicBlocks::new(contigs.num_contigs(), params.block_size));
     let mut reader = contigs.store().map(|s| s.reader(ctx));
+    let mut walker = MerWalker::new(params);
     let mut extended_local: Vec<(u64, Vec<u8>, f64)> = Vec::new();
     let mut processed = 0usize;
     let mut first = true;
@@ -193,7 +216,7 @@ pub fn extend_contigs_locally_ref(
                 (ContigsRef::Store(_), None) => unreachable!("store sources fetch blocks"),
             };
             let depth = contigs.depth_of(id).expect("contig exists");
-            let new_seq = extend_one(seq, &pool, params);
+            let new_seq = walker.extend_one(seq, &pool);
             extended_local.push((id, new_seq, depth));
         }
     }
@@ -274,101 +297,242 @@ fn oriented_seq(seq: &[u8], forward: bool) -> Vec<u8> {
     }
 }
 
-/// Extends one contig sequence at both ends using its read pool (reads in
-/// contig orientation).
-pub fn extend_one(contig_seq: &[u8], pool: &[Vec<u8>], params: &LocalAssemblyParams) -> Vec<u8> {
-    if pool.is_empty() {
-        return contig_seq.to_vec();
-    }
-    // Right (tail) extension on the forward strand, then left extension done as
-    // a right extension of the reverse complement.
-    let mut seq = contig_seq.to_vec();
-    let right = walk_extension(&seq, pool, params);
-    seq.extend_from_slice(&right);
-    let mut rc = revcomp(&seq);
-    let rc_pool: Vec<Vec<u8>> = pool.iter().map(|r| revcomp(r)).collect();
-    let left = walk_extension(&rc, &rc_pool, params);
-    rc.extend_from_slice(&left);
-    revcomp(&rc)
+/// Longest seed the index keys on: 4^8 direct-addressed buckets (256 KiB).
+const MAX_SEED_LEN: usize = 8;
+
+/// Two bits of a raw byte that tell `A`, `C`, `G` and `T` apart. Every other
+/// byte (`N`, lower case, ...) shares a code with one of them, which only
+/// costs a failed comparison: hits are verified on their raw bytes.
+#[inline]
+fn seed_code(b: u8) -> usize {
+    ((b >> 1) & 3) as usize
 }
 
-/// Mer-walks rightwards from the end of `seq`, returning the appended bases.
-fn walk_extension(seq: &[u8], pool: &[Vec<u8>], params: &LocalAssemblyParams) -> Vec<u8> {
-    let mut added: Vec<u8> = Vec::new();
-    let mut mer = params.mer_size;
-    let mut shifted_up = false;
-    let mut shifted_down = false;
-    while added.len() < params.max_extension {
-        // Current context: the last `mer` bases of the assembled sequence.
-        let ctx_len = seq.len() + added.len();
-        if ctx_len < mer {
-            break;
+/// Which end of the contig a walk extends.
+#[derive(Debug, Clone, Copy)]
+enum Direction {
+    Right,
+    Left,
+}
+
+/// One indexed occurrence of a seed, chained to the previous one of its bucket.
+#[derive(Debug, Clone, Copy)]
+struct SeedHit {
+    /// Index + 1 of the next hit in the bucket; 0 ends the chain.
+    next: u32,
+    read: u32,
+    pos: u32,
+}
+
+/// The seed index of one contig's read pool: every position of every read,
+/// filed under the packed [`seed_code`]s of the `seed_len` bytes starting
+/// there.
+#[derive(Debug)]
+struct PoolIndex {
+    seed_len: usize,
+    /// Per bucket, index + 1 of its most recent hit; 0 if empty.
+    heads: Vec<u32>,
+    hits: Vec<SeedHit>,
+    /// Buckets in use, so that re-indexing clears only those.
+    used: Vec<u32>,
+}
+
+impl PoolIndex {
+    fn new(seed_len: usize) -> Self {
+        PoolIndex {
+            seed_len,
+            heads: vec![0; 1 << (2 * seed_len)],
+            hits: Vec::new(),
+            used: Vec::new(),
         }
-        let mut context: Vec<u8> = Vec::with_capacity(mer);
-        if added.len() >= mer {
-            context.extend_from_slice(&added[added.len() - mer..]);
-        } else {
-            let need_from_seq = mer - added.len();
-            context.extend_from_slice(&seq[seq.len() - need_from_seq..]);
-            context.extend_from_slice(&added);
+    }
+
+    /// Replaces the indexed pool.
+    fn index(&mut self, pool: &[Vec<u8>]) {
+        for bucket in self.used.drain(..) {
+            self.heads[bucket as usize] = 0;
         }
-        // Vote on the next base.
+        self.hits.clear();
+        let bases: usize = pool.iter().map(Vec::len).sum();
+        assert!(
+            pool.len() < u32::MAX as usize && bases < u32::MAX as usize,
+            "read pool of {bases} bases exceeds the index's 32-bit positions"
+        );
+        let mask = self.heads.len() - 1;
+        for (r, read) in pool.iter().enumerate() {
+            let mut key = 0usize;
+            for (i, &b) in read.iter().enumerate() {
+                key = (key << 2 | seed_code(b)) & mask;
+                if i + 1 < self.seed_len {
+                    continue;
+                }
+                let head = &mut self.heads[key];
+                if *head == 0 {
+                    self.used.push(key as u32);
+                }
+                self.hits.push(SeedHit {
+                    next: *head,
+                    read: r as u32,
+                    pos: (i + 1 - self.seed_len) as u32,
+                });
+                *head = self.hits.len() as u32;
+            }
+        }
+    }
+
+    /// Votes on the base that follows the context of a walk, indexed by its
+    /// 2-bit code in walk orientation. `needle` is the context as it reads in
+    /// the pool's orientation: the context itself for a right walk, its
+    /// reverse complement for a left walk. Every occurrence of `needle` in a
+    /// pool read votes the base after it (right), or the complement of the
+    /// base before it (left).
+    fn votes(&self, pool: &[Vec<u8>], needle: &[u8], direction: Direction) -> [usize; 4] {
         let mut votes = [0usize; 4];
-        for read in pool {
-            if read.len() <= mer {
+        let mer = needle.len();
+        if mer < self.seed_len {
+            // Only the empty context is shorter than a seed (a seed is at
+            // most the smallest mer size a walk reaches); it matches nothing.
+            return votes;
+        }
+        let key = needle[..self.seed_len]
+            .iter()
+            .fold(0usize, |key, &b| key << 2 | seed_code(b));
+        let mut at = self.heads[key];
+        while at != 0 {
+            let hit = self.hits[at as usize - 1];
+            at = hit.next;
+            let read = &pool[hit.read as usize];
+            let pos = hit.pos as usize;
+            if read.get(pos..pos + mer) != Some(needle) {
                 continue;
             }
-            let mut start = 0usize;
-            while let Some(pos) = find_sub(&read[start..], &context) {
-                let abs = start + pos;
-                if abs + mer < read.len() {
-                    if let Some(code) = seqio::alphabet::encode_base(read[abs + mer]) {
-                        votes[code as usize] += 1;
-                    }
-                }
-                start = abs + 1;
-                if start >= read.len() {
-                    break;
-                }
+            let voter = match direction {
+                Direction::Right => read.get(pos + mer).copied(),
+                Direction::Left => pos.checked_sub(1).map(|before| complement(read[before])),
+            };
+            if let Some(code) = voter.and_then(encode_base) {
+                votes[code as usize] += 1;
             }
         }
-        let total: usize = votes.iter().sum();
-        let (best, best_votes) = votes
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &v)| v)
-            .map(|(i, &v)| (i, v))
-            .expect("four vote slots");
-        let contradictions = total - best_votes;
-        if total == 0 {
-            // Dead end: downshift, or stop if we already upshifted / hit bottom.
-            if shifted_up || mer <= params.min_mer {
-                break;
-            }
-            mer = mer.saturating_sub(params.shift).max(params.min_mer);
-            shifted_down = true;
-            continue;
-        }
-        if best_votes >= params.min_votes && contradictions <= params.max_contradictions {
-            added.push(seqio::alphabet::decode_base(best as u8));
-            continue;
-        }
-        // Fork: upshift, or stop if we already downshifted / hit the ceiling.
-        if shifted_down || mer >= params.max_mer {
-            break;
-        }
-        mer = (mer + params.shift).min(params.max_mer);
-        shifted_up = true;
+        votes
     }
-    added
 }
 
-/// Naive substring search (pools and contexts are tiny).
-fn find_sub(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    if needle.is_empty() || haystack.len() < needle.len() {
-        return None;
+/// Extends contigs from their read pools, one contig at a time. Owns the
+/// seed index and the context buffers, all reused from contig to contig.
+#[derive(Debug)]
+pub struct MerWalker {
+    params: LocalAssemblyParams,
+    index: PoolIndex,
+    /// The bases a walk sees, in walk orientation: the contig's last bases
+    /// followed by the bases added so far.
+    context: Vec<u8>,
+    /// Reverse complement of the current context of a left walk.
+    needle: Vec<u8>,
+}
+
+impl MerWalker {
+    /// A walker for the given parameters.
+    pub fn new(params: &LocalAssemblyParams) -> Self {
+        let seed_len = MAX_SEED_LEN.min(params.min_mer).min(params.mer_size).max(1);
+        MerWalker {
+            params: *params,
+            index: PoolIndex::new(seed_len),
+            context: Vec::new(),
+            needle: Vec::new(),
+        }
     }
-    haystack.windows(needle.len()).position(|w| w == needle)
+
+    /// Extends one contig sequence at both ends using its read pool (reads
+    /// in contig orientation).
+    pub fn extend_one(&mut self, contig_seq: &[u8], pool: &[Vec<u8>]) -> Vec<u8> {
+        if pool.is_empty() {
+            return contig_seq.to_vec();
+        }
+        self.index.index(pool);
+        // A walk never looks further back than the largest mer it can reach.
+        let reach = self.params.mer_size.max(self.params.max_mer);
+        let mut seq = contig_seq.to_vec();
+        // Right (tail) extension on the forward strand ...
+        self.context.clear();
+        self.context
+            .extend_from_slice(&seq[seq.len().saturating_sub(reach)..]);
+        let seeded = self.context.len();
+        self.walk(pool, Direction::Right);
+        seq.extend_from_slice(&self.context[seeded..]);
+        // ... then the left extension as a right extension of the reverse
+        // complement (of the contig *with* its new tail, which matters when
+        // the contig is shorter than a mer).
+        self.context.clear();
+        self.context.extend(
+            seq[..reach.min(seq.len())]
+                .iter()
+                .rev()
+                .map(|&b| complement(b)),
+        );
+        let seeded = self.context.len();
+        self.walk(pool, Direction::Left);
+        let added = &self.context[seeded..];
+        let mut out = Vec::with_capacity(added.len() + seq.len());
+        out.extend(added.iter().rev().map(|&b| complement(b)));
+        out.extend_from_slice(&seq);
+        out
+    }
+
+    /// Mer-walks from the end of `self.context`, appending the new bases to
+    /// it.
+    fn walk(&mut self, pool: &[Vec<u8>], direction: Direction) {
+        let params = self.params;
+        let seeded = self.context.len();
+        let mut mer = params.mer_size;
+        let mut shifted_up = false;
+        let mut shifted_down = false;
+        while self.context.len() - seeded < params.max_extension {
+            // Current context: the last `mer` bases of the assembled sequence.
+            let Some(from) = self.context.len().checked_sub(mer) else {
+                break;
+            };
+            let context = &self.context[from..];
+            let needle = match direction {
+                Direction::Right => context,
+                Direction::Left => {
+                    self.needle.clear();
+                    self.needle
+                        .extend(context.iter().rev().map(|&b| complement(b)));
+                    &self.needle
+                }
+            };
+            let votes = self.index.votes(pool, needle, direction);
+            let total: usize = votes.iter().sum();
+            let (best, best_votes) = votes
+                .iter()
+                .enumerate()
+                .max_by_key(|&(_, &v)| v)
+                .map(|(i, &v)| (i, v))
+                .expect("four vote slots");
+            let contradictions = total - best_votes;
+            if total == 0 {
+                // Dead end: downshift, or stop if we already upshifted / hit
+                // bottom (a zero shift would retry the same mer forever).
+                if shifted_up || mer <= params.min_mer || params.shift == 0 {
+                    break;
+                }
+                mer = mer.saturating_sub(params.shift).max(params.min_mer);
+                shifted_down = true;
+                continue;
+            }
+            if best_votes >= params.min_votes && contradictions <= params.max_contradictions {
+                self.context.push(decode_base(best as u8));
+                continue;
+            }
+            // Fork: upshift, or stop if we already downshifted / hit the ceiling.
+            if shifted_down || mer >= params.max_mer || params.shift == 0 {
+                break;
+            }
+            mer = mer.saturating_add(params.shift).min(params.max_mer);
+            shifted_up = true;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -388,6 +552,365 @@ mod tests {
                 b"ACGT"[(state % 4) as usize]
             })
             .collect()
+    }
+
+    /// The substring-scan voter the seed index replaced, kept as the
+    /// reference the index is checked against: every occurrence of `context`
+    /// in a pool read votes the base after it.
+    fn oracle_votes(pool: &[Vec<u8>], context: &[u8]) -> [usize; 4] {
+        let mer = context.len();
+        let mut votes = [0usize; 4];
+        for read in pool {
+            if read.len() <= mer {
+                continue;
+            }
+            let mut start = 0usize;
+            while let Some(pos) = find_sub(&read[start..], context) {
+                let abs = start + pos;
+                if abs + mer < read.len() {
+                    if let Some(code) = encode_base(read[abs + mer]) {
+                        votes[code as usize] += 1;
+                    }
+                }
+                start = abs + 1;
+                if start >= read.len() {
+                    break;
+                }
+            }
+        }
+        votes
+    }
+
+    /// Naive substring search.
+    fn find_sub(haystack: &[u8], needle: &[u8]) -> Option<usize> {
+        if needle.is_empty() || haystack.len() < needle.len() {
+            return None;
+        }
+        haystack.windows(needle.len()).position(|w| w == needle)
+    }
+
+    /// The reference right walk: allocates its context and scans the pool on
+    /// every step. (Needs `shift > 0` to terminate.)
+    fn oracle_walk(seq: &[u8], pool: &[Vec<u8>], params: &LocalAssemblyParams) -> Vec<u8> {
+        let mut added: Vec<u8> = Vec::new();
+        let mut mer = params.mer_size;
+        let mut shifted_up = false;
+        let mut shifted_down = false;
+        while added.len() < params.max_extension {
+            if seq.len() + added.len() < mer {
+                break;
+            }
+            let mut context: Vec<u8> = Vec::with_capacity(mer);
+            if added.len() >= mer {
+                context.extend_from_slice(&added[added.len() - mer..]);
+            } else {
+                context.extend_from_slice(&seq[seq.len() - (mer - added.len())..]);
+                context.extend_from_slice(&added);
+            }
+            let votes = oracle_votes(pool, &context);
+            let total: usize = votes.iter().sum();
+            let (best, best_votes) = votes
+                .iter()
+                .enumerate()
+                .max_by_key(|&(_, &v)| v)
+                .map(|(i, &v)| (i, v))
+                .unwrap();
+            if total == 0 {
+                if shifted_up || mer <= params.min_mer {
+                    break;
+                }
+                mer = mer.saturating_sub(params.shift).max(params.min_mer);
+                shifted_down = true;
+                continue;
+            }
+            if best_votes >= params.min_votes && total - best_votes <= params.max_contradictions {
+                added.push(decode_base(best as u8));
+                continue;
+            }
+            if shifted_down || mer >= params.max_mer {
+                break;
+            }
+            mer = (mer + params.shift).min(params.max_mer);
+            shifted_up = true;
+        }
+        added
+    }
+
+    /// The reference `extend_one`: the left walk is a right walk over
+    /// reverse-complemented copies of the contig and of every pool read.
+    fn oracle_extend_one(
+        contig_seq: &[u8],
+        pool: &[Vec<u8>],
+        params: &LocalAssemblyParams,
+    ) -> Vec<u8> {
+        if pool.is_empty() {
+            return contig_seq.to_vec();
+        }
+        let mut seq = contig_seq.to_vec();
+        let right = oracle_walk(&seq, pool, params);
+        seq.extend_from_slice(&right);
+        let mut rc = revcomp(&seq);
+        let rc_pool: Vec<Vec<u8>> = pool.iter().map(|r| revcomp(r)).collect();
+        let left = oracle_walk(&rc, &rc_pool, params);
+        rc.extend_from_slice(&left);
+        revcomp(&rc)
+    }
+
+    /// The indexed right walk on its own, with the oracle's signature.
+    fn walk_extension(seq: &[u8], pool: &[Vec<u8>], params: &LocalAssemblyParams) -> Vec<u8> {
+        let mut walker = MerWalker::new(params);
+        walker.index.index(pool);
+        walker.context.extend_from_slice(seq);
+        walker.walk(pool, Direction::Right);
+        walker.context[seq.len()..].to_vec()
+    }
+
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// A ~400-base reference with homopolymer runs (self-overlapping matches)
+    /// and a two-copy repeat, and a pool of reads drawn from it: substitution
+    /// errors, `N`s, lower-case stretches, reads shorter than a seed or no
+    /// longer than a mer, exact duplicates.
+    fn messy_pool(seed: u64) -> (Vec<u8>, Vec<Vec<u8>>) {
+        let mut rng = XorShift(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
+        let mut reference = genome(120, seed);
+        reference.extend(std::iter::repeat_n(b'A', 20 + rng.below(30)));
+        let repeat = genome(45, seed + 1000);
+        reference.extend_from_slice(&repeat);
+        reference.extend(std::iter::repeat_n(b'G', 10 + rng.below(10)));
+        reference.extend_from_slice(&genome(60, seed + 2000));
+        reference.extend_from_slice(&repeat);
+        reference.extend_from_slice(&genome(80, seed + 3000));
+        let mut pool: Vec<Vec<u8>> = Vec::new();
+        for _ in 0..120 {
+            let len = match rng.below(10) {
+                0 => 1 + rng.below(12),
+                1 => 12 + rng.below(25),
+                _ => 40 + rng.below(50),
+            };
+            let start = rng.below(reference.len() - len + 1);
+            let mut read = reference[start..start + len].to_vec();
+            for b in read.iter_mut() {
+                match rng.below(100) {
+                    0 => *b = b"ACGT"[rng.below(4)],
+                    1 => *b = b'N',
+                    _ => {}
+                }
+            }
+            if rng.below(8) == 0 {
+                let from = rng.below(read.len());
+                let to = (from + 1 + rng.below(10)).min(read.len());
+                read[from..to].make_ascii_lowercase();
+            }
+            if rng.below(6) == 0 {
+                pool.push(read.clone());
+            }
+            pool.push(read);
+        }
+        (reference, pool)
+    }
+
+    /// The defaults; a schedule whose smallest mer is shorter than
+    /// [`MAX_SEED_LEN`] and whose shift does not divide its range; one where
+    /// ties between vote counts decide; and two that `validate` refuses but
+    /// a direct caller can pass: `mer_size > max_mer` and `mer_size < min_mer`.
+    fn param_sets() -> Vec<LocalAssemblyParams> {
+        vec![
+            LocalAssemblyParams::default(),
+            LocalAssemblyParams {
+                mer_size: 7,
+                shift: 2,
+                min_mer: 3,
+                max_mer: 12,
+                ..Default::default()
+            },
+            LocalAssemblyParams {
+                min_votes: 1,
+                max_contradictions: 3,
+                max_extension: 60,
+                ..Default::default()
+            },
+            LocalAssemblyParams {
+                mer_size: 40,
+                max_mer: 36,
+                ..Default::default()
+            },
+            LocalAssemblyParams {
+                mer_size: 6,
+                shift: 3,
+                min_mer: 10,
+                max_mer: 16,
+                ..Default::default()
+            },
+        ]
+    }
+
+    #[test]
+    fn indexed_votes_equal_scanned_votes_in_both_directions() {
+        let mut voted = [0usize; 2];
+        for seed in 1..=6u64 {
+            let (reference, pool) = messy_pool(seed);
+            let rc_pool: Vec<Vec<u8>> = pool.iter().map(|r| revcomp(r)).collect();
+            let rc_reference = revcomp(&reference);
+            let mut rng = XorShift(seed ^ 0xABCDEF);
+            for params in param_sets() {
+                let mut walker = MerWalker::new(&params);
+                walker.index.index(&pool);
+                // Every mer size the shift schedule can reach, and the ones
+                // between them.
+                let smallest = params.min_mer.min(params.mer_size);
+                let largest = params.max_mer.max(params.mer_size);
+                for mer in smallest..=largest {
+                    // Contexts cut from the reference, from reads (with their
+                    // `N`s and lower case) and from both reverse complements.
+                    let mut contexts: Vec<Vec<u8>> = Vec::new();
+                    for _ in 0..40 {
+                        let source: &[u8] = match rng.below(4) {
+                            0 => &reference,
+                            1 => &rc_reference,
+                            2 => &pool[rng.below(pool.len())],
+                            _ => &rc_pool[rng.below(pool.len())],
+                        };
+                        if source.len() >= mer {
+                            let at = rng.below(source.len() - mer + 1);
+                            contexts.push(source[at..at + mer].to_vec());
+                        }
+                    }
+                    contexts.push(vec![b'A'; mer]);
+                    contexts.push(vec![b'N'; mer]);
+                    for context in &contexts {
+                        let right = oracle_votes(&pool, context);
+                        assert_eq!(
+                            walker.index.votes(&pool, context, Direction::Right),
+                            right,
+                            "right votes, seed {seed}, mer {mer}"
+                        );
+                        let left = oracle_votes(&rc_pool, context);
+                        assert_eq!(
+                            walker
+                                .index
+                                .votes(&pool, &revcomp(context), Direction::Left),
+                            left,
+                            "left votes, seed {seed}, mer {mer}"
+                        );
+                        voted[0] += usize::from(right != [0; 4]);
+                        voted[1] += usize::from(left != [0; 4]);
+                    }
+                }
+            }
+        }
+        assert!(
+            voted.iter().all(|&n| n > 1000),
+            "contexts that drew votes (right, left): {voted:?}"
+        );
+    }
+
+    #[test]
+    fn extend_one_equals_the_scanning_reference() {
+        let mut extended = 0usize;
+        for seed in 1..=8u64 {
+            let (reference, pool) = messy_pool(seed);
+            let mut contigs: Vec<Vec<u8>> = vec![
+                reference[100..260].to_vec(),
+                reference[30..130].to_vec(),
+                reference[200..215].to_vec(), // shorter than the default mer
+                Vec::new(),
+                revcomp(&reference[100..260]),
+            ];
+            let mut with_n = reference[60..200].to_vec();
+            with_n[5] = b'N';
+            with_n[130] = b'n';
+            contigs.push(with_n);
+            for params in param_sets() {
+                // One walker for all contigs, each pool indexed after a
+                // larger one: nothing may leak through the reused scratch.
+                let mut walker = MerWalker::new(&params);
+                for contig in &contigs {
+                    for pool in [&pool[..], &pool[..pool.len() / 3], &[]] {
+                        let got = walker.extend_one(contig, pool);
+                        assert_eq!(
+                            got,
+                            oracle_extend_one(contig, pool, &params),
+                            "seed {seed}, contig of {} bases, {params:?}",
+                            contig.len()
+                        );
+                        extended += usize::from(got.len() > contig.len());
+                    }
+                }
+            }
+        }
+        assert!(extended > 50, "only {extended} walks extended anything");
+    }
+
+    #[test]
+    fn reindexing_leaves_no_hit_of_the_previous_pool() {
+        let (_, big) = messy_pool(3);
+        let small = vec![genome(70, 77), genome(12, 78), b"ACGTN".to_vec()];
+        let mut walker = MerWalker::new(&LocalAssemblyParams::default());
+        walker.index.index(&big);
+        walker.index.index(&small);
+        assert_eq!(
+            walker.index.hits.len(),
+            small
+                .iter()
+                .map(|r| (r.len() + 1).saturating_sub(walker.index.seed_len))
+                .sum::<usize>()
+        );
+        let live = walker.index.heads.iter().filter(|&&h| h != 0).count();
+        assert_eq!(live, walker.index.used.len());
+        // Contexts of the first pool find nothing, in either direction ...
+        for read in big.iter().filter(|r| r.len() > 19) {
+            let context = &read[..19];
+            assert_eq!(oracle_votes(&small, context), [0; 4], "pools overlap");
+            for direction in [Direction::Right, Direction::Left] {
+                assert_eq!(walker.index.votes(&small, context, direction), [0; 4]);
+            }
+        }
+        // ... and the second pool's own still vote.
+        let context = &small[0][10..29];
+        let votes = walker.index.votes(&small, context, Direction::Right);
+        assert_eq!(votes, oracle_votes(&small, context));
+        assert_eq!(votes.iter().sum::<usize>(), 1);
+    }
+
+    #[test]
+    fn a_zero_shift_walk_returns() {
+        let g = genome(300, 5);
+        let params = LocalAssemblyParams {
+            shift: 0,
+            ..Default::default()
+        };
+        // Dead end at the initial mer: the tail runs out of reads.
+        let pool: Vec<Vec<u8>> = (150..230)
+            .step_by(7)
+            .map(|i| g[i..i + 60].to_vec())
+            .collect();
+        let added = walk_extension(&g[..200], &pool, &params);
+        assert!(!added.is_empty() && g[200..].starts_with(&added));
+        // Fork at the initial mer: two well-covered continuations.
+        let mut other = g[..140].to_vec();
+        other.extend_from_slice(&genome(60, 99));
+        let mut pool = Vec::new();
+        for i in (100..140).step_by(5) {
+            pool.push(g[i..i + 50].to_vec());
+            pool.push(other[i..i + 50].to_vec());
+        }
+        let mut walker = MerWalker::new(&params);
+        let out = walker.extend_one(&g[60..120], &pool);
+        assert!(out.len() < 60 + 30, "walk crossed a fork: {}", out.len());
     }
 
     #[test]

@@ -6,6 +6,9 @@
 //! simple best-of-N timing instead of criterion's statistical analysis. Good
 //! enough for the relative comparisons the micro-benches are read for, and it
 //! keeps `cargo bench` runnable without crates.io access.
+//!
+//! As with criterion, a positional argument selects the benchmarks whose id
+//! contains it: `cargo bench -p mhm_bench --bench micro -- local_assembly`.
 
 use std::time::{Duration, Instant};
 
@@ -58,12 +61,23 @@ impl Bencher {
 /// The harness entry object.
 pub struct Criterion {
     sample_size: usize,
+    /// Only benchmarks whose id contains this run.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        Criterion { sample_size: 10 }
+        Criterion {
+            sample_size: 10,
+            filter: None,
+        }
     }
+}
+
+/// The first positional argument; `-`-prefixed flags (cargo itself passes
+/// `--bench`) are ignored.
+fn filter_from_args(mut args: impl Iterator<Item = String>) -> Option<String> {
+    args.find(|arg| !arg.starts_with('-'))
 }
 
 impl Criterion {
@@ -73,8 +87,17 @@ impl Criterion {
         self
     }
 
+    /// Runs only the benchmarks whose id contains `filter`.
+    pub fn with_filter(mut self, filter: impl Into<String>) -> Self {
+        self.filter = Some(filter.into());
+        self
+    }
+
     /// Runs one benchmark and prints min/median/max of the recorded runs.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, mut f: F) -> &mut Self {
+        if matches!(&self.filter, Some(filter) if !id.contains(filter.as_str())) {
+            return self;
+        }
         let mut b = Bencher {
             samples: self.sample_size,
             results: Vec::new(),
@@ -98,9 +121,13 @@ impl Criterion {
         self
     }
 
-    /// Criterion's CLI/config hook; a no-op here.
+    /// Criterion's CLI hook: takes the benchmark filter from the command
+    /// line. [`criterion_group!`] calls it on every group's config.
     pub fn configure_from_args(self) -> Self {
-        self
+        match filter_from_args(std::env::args().skip(1)) {
+            Some(filter) => self.with_filter(filter),
+            None => self,
+        }
     }
 }
 
@@ -110,7 +137,7 @@ impl Criterion {
 macro_rules! criterion_group {
     (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut criterion = $config;
+            let mut criterion = $config.configure_from_args();
             $( $target(&mut criterion); )+
         }
     };
@@ -143,6 +170,22 @@ mod tests {
         let mut runs = 0;
         c.bench_function("noop", |b| b.iter(|| runs += 1));
         assert_eq!(runs, 3);
+    }
+
+    #[test]
+    fn a_positional_argument_filters_benchmarks_by_substring() {
+        let args = |list: &[&str]| filter_from_args(list.iter().map(|a| a.to_string()));
+        assert_eq!(args(&["--bench"]), None);
+        assert_eq!(
+            args(&["--bench", "local_assembly", "other"]).as_deref(),
+            Some("local_assembly")
+        );
+        let mut c = Criterion::default().sample_size(2).with_filter("assembly/");
+        let mut ran = Vec::new();
+        for id in ["local_assembly/extend_one", "space_saving/offer"] {
+            c.bench_function(id, |b| b.iter(|| ran.push(id)));
+        }
+        assert_eq!(ran, vec!["local_assembly/extend_one"; 2]);
     }
 
     #[test]
