@@ -303,16 +303,12 @@ fn bench_pipeline_stages(c: &mut Criterion) {
             })
         })
     });
-    // Both traversal implementations over the same graph: the segment
-    // compactor (default) and the per-hop ablation baseline, so hot-loop
-    // regressions in either show up without running the full pipeline.
-    for (name, segment) in [
-        ("dbg/traversal_segment_k21", true),
-        ("dbg/traversal_perhop_k21", false),
-    ] {
+    // The contig traversal alone over a prebuilt counts table, so hot-loop
+    // regressions in it show up without running the full pipeline.
+    {
         let reads = reads.clone();
         let team = Arc::clone(&team);
-        c.bench_function(name, move |b| {
+        c.bench_function("dbg/traversal_segment_k21", move |b| {
             b.iter_batched(
                 || {
                     team.run(|ctx| {
@@ -334,16 +330,7 @@ fn bench_pipeline_stages(c: &mut Criterion) {
                             &analysis.counts,
                             ThresholdPolicy::metahipmer_default(),
                         );
-                        traverse_contigs(
-                            ctx,
-                            &graph,
-                            21,
-                            &TraversalParams {
-                                use_segment_traversal: segment,
-                                ..Default::default()
-                            },
-                        )
-                        .len()
+                        traverse_contigs(ctx, &graph, 21, &TraversalParams::default()).len()
                     })
                 },
                 BatchSize::LargeInput,

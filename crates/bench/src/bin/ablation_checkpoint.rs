@@ -35,25 +35,11 @@
 //! seconds per resume rank count, checkpoint size on disk) so the
 //! fault-tolerance cost trajectory accumulates across commits.
 
-use mhm_bench::{fmt, print_table, scaled_eval_params};
+use mhm_bench::{fmt, print_table, scaffold_digest, scaled_eval_params};
 use mhm_core::{checkpoint, AssemblyConfig, MetaHipMer};
 use pgas::{FaultPlan, Team};
 use std::io::Write;
 use std::path::Path;
-
-/// FNV-1a digest over the sorted scaffold sequences.
-fn scaffold_digest(seqs: &[Vec<u8>]) -> u64 {
-    let mut sorted: Vec<&Vec<u8>> = seqs.iter().collect();
-    sorted.sort();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for s in sorted {
-        for &b in s.iter().chain(&[0xFFu8]) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
-}
 
 /// Total bytes of every file under a committed checkpoint directory.
 fn dir_bytes(dir: &Path) -> u64 {

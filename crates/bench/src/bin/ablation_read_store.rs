@@ -31,27 +31,13 @@
 //! CI drift guard on that file's contents.
 
 use baselines::{Assembler, MetaHipMerAssembler};
-use mhm_bench::{fmt, print_table, scaled_eval_params, team};
+use mhm_bench::{fmt, print_table, scaffold_digest, scaled_eval_params, team};
 use mhm_core::AssemblyConfig;
 use std::io::Write;
 
 /// Per-rank reader cache bound used for the run (small enough that the
 /// shard, not the cache, dominates residency at every rank count).
 const CACHE_BYTES: usize = 32 << 10;
-
-/// FNV-1a digest over the sorted scaffold sequences.
-fn scaffold_digest(seqs: &[Vec<u8>]) -> u64 {
-    let mut sorted: Vec<&Vec<u8>> = seqs.iter().collect();
-    sorted.sort();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for s in sorted {
-        for &b in s.iter().chain(&[0xFFu8]) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
-}
 
 fn run() {
     let ds = mgsim::mg64_sim(mgsim::Mg64Scale::Tiny, 20260809);

@@ -25,7 +25,7 @@
 use baselines::{Assembler, MetaHipMerAssembler};
 use kmers::kernels;
 use kmers::Kmer;
-use mhm_bench::{fmt, print_table, scaled_eval_params, team};
+use mhm_bench::{fmt, print_table, scaffold_digest, scaled_eval_params, team};
 use mhm_core::AssemblyConfig;
 use std::hint::black_box;
 use std::io::Write;
@@ -85,20 +85,6 @@ fn bench_kernel(name: &'static str, floor: f64, mut work: impl FnMut() -> u64) -
         fast_s,
         floor,
     }
-}
-
-/// FNV-1a digest over the sorted scaffold sequences.
-fn scaffold_digest(seqs: &[Vec<u8>]) -> u64 {
-    let mut sorted: Vec<&Vec<u8>> = seqs.iter().collect();
-    sorted.sort();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for s in sorted {
-        for &b in s.iter().chain(&[0xFFu8]) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
 }
 
 fn run() {

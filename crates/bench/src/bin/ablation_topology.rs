@@ -25,25 +25,10 @@
 //! against drift in the off-node message ratio.
 
 use baselines::{Assembler, MetaHipMerAssembler};
-use mhm_bench::{fmt, print_table, scaled_eval_params};
+use mhm_bench::{fmt, print_table, scaffold_digest, scaled_eval_params};
 use mhm_core::AssemblyConfig;
 use pgas::StatsSnapshot;
 use std::io::Write;
-
-/// FNV-1a digest over the sorted scaffold sequences: a compact fingerprint
-/// of byte-identity for the JSON snapshot.
-fn scaffold_digest(seqs: &[Vec<u8>]) -> u64 {
-    let mut sorted: Vec<&Vec<u8>> = seqs.iter().collect();
-    sorted.sort();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for s in sorted {
-        for &b in s.iter().chain(&[0xFFu8]) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
-}
 
 struct Run {
     ranks: usize,

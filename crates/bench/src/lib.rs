@@ -126,6 +126,22 @@ pub fn fmt(v: f64, digits: usize) -> String {
     format!("{v:.digits$}")
 }
 
+/// FNV-1a digest over the sorted scaffold sequences (each closed by a `0xFF`
+/// separator): the compact fingerprint of byte-identity the harnesses
+/// compare across runs and write into their JSON snapshots.
+pub fn scaffold_digest(seqs: &[Vec<u8>]) -> u64 {
+    let mut sorted: Vec<&Vec<u8>> = seqs.iter().collect();
+    sorted.sort();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for s in sorted {
+        for &b in s.iter().chain(&[0xFFu8]) {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    h
+}
+
 /// Runs a harness body and computes the exit code it earned: `0` when it
 /// completed cleanly, `1` when it panicked **or** when any thread panicked
 /// with an unclaimed payload while it ran. The second clause is the
@@ -195,6 +211,23 @@ mod tests {
     #[test]
     fn scale_defaults_to_one() {
         assert!(scale() >= 1);
+    }
+
+    #[test]
+    fn scaffold_digest_ignores_order_but_not_content_or_boundaries() {
+        let (a, b) = (b"ACGT".to_vec(), b"GG".to_vec());
+        // The empty set is the FNV offset basis.
+        assert_eq!(scaffold_digest(&[]), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(
+            scaffold_digest(&[a.clone(), b.clone()]),
+            scaffold_digest(&[b.clone(), a.clone()])
+        );
+        assert_ne!(scaffold_digest(&[a.clone(), b]), scaffold_digest(&[a]));
+        // Where one scaffold ends and the next begins is part of the digest.
+        assert_ne!(
+            scaffold_digest(&[b"ACGTGG".to_vec()]),
+            scaffold_digest(&[b"ACGT".to_vec(), b"GG".to_vec()])
+        );
     }
 
     #[test]

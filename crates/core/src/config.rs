@@ -18,23 +18,11 @@ pub struct AssemblyConfig {
     pub k_step: usize,
     /// Minimum k-mer count ε.
     pub min_kmer_count: u32,
-    /// Use the Bloom-filter pre-pass during k-mer analysis.
+    /// Use Bloom-filter admission during k-mer analysis.
     pub use_bloom: bool,
-    /// Route k-mer analysis by supermers to minimizer-owned shards (one
-    /// extraction pass, one packed shipment per owner). `false` selects the
-    /// per-k-mer baseline — same counts table (for `min_kmer_count >= 2`),
-    /// byte-identical assembly, far more k-mer-analysis wire bytes — used by
-    /// the `ablation_supermer` harness.
-    pub use_supermers: bool,
     /// Minimizer length m for supermer routing (clamped to each iteration's
     /// k and to `kmers::MAX_MINIMIZER_LEN`).
     pub minimizer_len: usize,
-    /// Generate contigs with the segment-compaction + stitching traversal
-    /// (owner-local in-memory compaction, then aggregated pointer-jumping
-    /// stitch rounds). `false` selects the per-hop walker — one fine-grained
-    /// lookup per k-mer per walk, byte-identical contigs — used by the
-    /// `ablation_traversal` harness as the baseline.
-    pub use_segment_traversal: bool,
     /// Serve contig sequences from the sharded `dbg::ContigStore` (2-bit
     /// packed, owner-rank sharded, read through per-rank byte-bounded caches
     /// with aggregated window fetches) instead of replicating the full
@@ -44,10 +32,6 @@ pub struct AssemblyConfig {
     pub use_distributed_contigs: bool,
     /// Per-rank bound (packed bytes) of each contig reader's software cache.
     pub contig_cache_bytes: usize,
-    /// Assign contigs to owner ranks longest-first onto the least-loaded rank
-    /// (bounding every rank's shard by total/ranks + one contig) instead of
-    /// hashing contig ids.
-    pub balanced_contig_partition: bool,
     /// Serve read sequences from the sharded `readstore::ReadStore` (2-bit
     /// packed with run-length-encoded qualities, block-sharded by owner rank,
     /// streamed through per-rank byte-bounded caches) instead of replicating
@@ -125,12 +109,9 @@ impl Default for AssemblyConfig {
             k_step: 22,
             min_kmer_count: 2,
             use_bloom: true,
-            use_supermers: true,
             minimizer_len: 15,
-            use_segment_traversal: true,
             use_distributed_contigs: true,
             contig_cache_bytes: 1 << 20,
-            balanced_contig_partition: true,
             use_distributed_reads: true,
             read_cache_bytes: 1 << 20,
             read_block_reads: 64,
@@ -161,9 +142,10 @@ impl Default for AssemblyConfig {
 
 impl AssemblyConfig {
     /// Checks the cross-field invariants that would otherwise surface as
-    /// obscure panics or hangs deep inside the pipeline (an empty k schedule,
-    /// a read block that splits pairs, a zero-rank node, a mer-walk schedule
-    /// that cannot move). Called by
+    /// obscure panics or hangs deep inside the pipeline (an empty k schedule
+    /// or one past the packed k-mer width, a zero count cutoff, an unusable
+    /// seed length, a read block that splits pairs, a zero-rank node, a
+    /// mer-walk schedule that cannot move). Called by
     /// [`crate::MetaHipMer::new`], so a bad configuration fails at
     /// construction with a message naming the field, not mid-assembly.
     pub fn validate(&self) -> Result<(), String> {
@@ -183,6 +165,26 @@ impl AssemblyConfig {
             return Err(format!(
                 "k schedule is non-increasing: k_max {} < k_min {} leaves no iterations to run",
                 self.k_max, self.k_min
+            ));
+        }
+        let last_k = self.k_max - (self.k_max - self.k_min) % self.k_step;
+        if last_k > dbg::MAX_K {
+            return Err(format!(
+                "k_max {} schedules k = {last_k}, past the largest supported k ({})",
+                self.k_max,
+                dbg::MAX_K
+            ));
+        }
+        if self.min_kmer_count == 0 {
+            return Err(
+                "min_kmer_count must be >= 1, got 0 (a k-mer is counted at least once)".to_string(),
+            );
+        }
+        let seed_len = self.align.seed_len;
+        if seed_len < 3 || seed_len.is_multiple_of(2) || seed_len > dbg::MAX_K {
+            return Err(format!(
+                "align.seed_len must be odd and in 3..={}, got {seed_len}",
+                dbg::MAX_K
             ));
         }
         if self.read_block_reads == 0 || !self.read_block_reads.is_multiple_of(2) {
@@ -265,7 +267,6 @@ impl AssemblyConfig {
             k,
             min_count: self.min_kmer_count,
             use_bloom: self.use_bloom,
-            use_supermers: self.use_supermers,
             minimizer_len: self.minimizer_len,
             ..Default::default()
         }
@@ -275,7 +276,6 @@ impl AssemblyConfig {
     pub fn traversal_params(&self) -> TraversalParams {
         TraversalParams {
             min_contig_len: self.min_contig_len,
-            use_segment_traversal: self.use_segment_traversal,
         }
     }
 
@@ -299,7 +299,6 @@ impl AssemblyConfig {
     pub fn contig_store_params(&self) -> dbg::ContigStoreParams {
         dbg::ContigStoreParams {
             cache_bytes: self.contig_cache_bytes,
-            balanced: self.balanced_contig_partition,
             ..Default::default()
         }
     }
@@ -396,9 +395,21 @@ mod tests {
     fn validate_accepts_the_defaults_and_names_the_broken_field() {
         assert_eq!(AssemblyConfig::default().validate(), Ok(()));
         assert_eq!(AssemblyConfig::small_test().validate(), Ok(()));
+        // A k_max between schedule points is fine while the last k fits.
+        let slack = AssemblyConfig {
+            k_max: 130,
+            ..Default::default()
+        };
+        assert_eq!(slack.k_values().last(), Some(&109));
+        assert_eq!(slack.validate(), Ok(()));
         let local = |edit: fn(&mut LocalAssemblyParams)| {
             let mut cfg = AssemblyConfig::default();
             edit(&mut cfg.local);
+            cfg
+        };
+        let seed_len = |seed_len: usize| {
+            let mut cfg = AssemblyConfig::small_test();
+            cfg.align.seed_len = seed_len;
             cfg
         };
         let cases = [
@@ -424,6 +435,26 @@ mod tests {
                 },
                 "non-increasing",
             ),
+            (
+                // 21, 99, 177: the third k does not fit a packed k-mer.
+                AssemblyConfig {
+                    k_min: 21,
+                    k_step: 78,
+                    k_max: 177,
+                    ..Default::default()
+                },
+                "k_max",
+            ),
+            (
+                AssemblyConfig {
+                    min_kmer_count: 0,
+                    ..AssemblyConfig::small_test()
+                },
+                "min_kmer_count",
+            ),
+            (seed_len(16), "align.seed_len"),
+            (seed_len(1), "align.seed_len"),
+            (seed_len(dbg::MAX_K + 2), "align.seed_len"),
             (
                 AssemblyConfig {
                     read_block_reads: 63,
@@ -527,7 +558,6 @@ mod tests {
         let cfg = AssemblyConfig {
             min_kmer_count: 3,
             use_bloom: false,
-            use_supermers: false,
             minimizer_len: 11,
             ..Default::default()
         };
@@ -535,10 +565,8 @@ mod tests {
         assert_eq!(p.k, 31);
         assert_eq!(p.min_count, 3);
         assert!(!p.use_bloom);
-        assert!(!p.use_supermers);
         assert_eq!(p.minimizer_len, 11);
         let default_params = AssemblyConfig::default().analysis_params(21);
-        assert!(default_params.use_supermers);
         assert_eq!(default_params.effective_minimizer_len(), 15);
     }
 }

@@ -1,6 +1,6 @@
 //! Per-stage wall-clock and communication accounting.
 
-use pgas::{Ctx, StatsSnapshot};
+use pgas::{Ctx, Reduction, StatsSnapshot};
 use std::time::Instant;
 
 /// Accumulates per-stage wall-clock seconds and communication statistics for
@@ -60,40 +60,21 @@ impl StageTimings {
     /// ranks (they do: the pipeline is SPMD). Per field:
     ///
     /// * seconds — **max**: the slowest rank defines the stage;
-    /// * `contig_bytes_resident`, `read_bytes_resident` — **max**: each is a
-    ///   per-rank running peak (a stage's delta is how far that rank's peak
-    ///   rose during it), and memory is provisioned per rank, so the row
-    ///   holds the largest rise on any rank;
-    /// * every other counter — **sum**: events and bytes, counted once on the
-    ///   rank that caused them.
+    /// * counters declared [`Reduction::Max`] (`contig_bytes_resident`,
+    ///   `read_bytes_resident`) — **max**: each is a per-rank running peak (a
+    ///   stage's delta is how far that rank's peak rose during it), and
+    ///   memory is provisioned per rank, so the row holds the largest rise on
+    ///   any rank;
+    /// * counters declared [`Reduction::Sum`] (all others) — **sum**: events
+    ///   and bytes, counted once on the rank that caused them.
     pub fn reduce(&self, ctx: &Ctx) -> Vec<(String, f64, StatsSnapshot)> {
         let mut out = Vec::with_capacity(self.stages.len());
         for (name, secs, stats) in &self.stages {
             let max_secs = ctx.allreduce_max_f64(*secs);
-            let reduced = StatsSnapshot {
-                msgs_sent: ctx.allreduce_sum_u64(stats.msgs_sent),
-                bytes_sent: ctx.allreduce_sum_u64(stats.bytes_sent),
-                on_node_bytes: ctx.allreduce_sum_u64(stats.on_node_bytes),
-                off_node_bytes: ctx.allreduce_sum_u64(stats.off_node_bytes),
-                on_node_msgs: ctx.allreduce_sum_u64(stats.on_node_msgs),
-                off_node_msgs: ctx.allreduce_sum_u64(stats.off_node_msgs),
-                remote_ops: ctx.allreduce_sum_u64(stats.remote_ops),
-                local_ops: ctx.allreduce_sum_u64(stats.local_ops),
-                atomic_ops: ctx.allreduce_sum_u64(stats.atomic_ops),
-                cache_hits: ctx.allreduce_sum_u64(stats.cache_hits),
-                cache_misses: ctx.allreduce_sum_u64(stats.cache_misses),
-                steals: ctx.allreduce_sum_u64(stats.steals),
-                rpc_round_trips: ctx.allreduce_sum_u64(stats.rpc_round_trips),
-                rpc_resp_bytes: ctx.allreduce_sum_u64(stats.rpc_resp_bytes),
-                cache_evictions: ctx.allreduce_sum_u64(stats.cache_evictions),
-                supermer_bytes: ctx.allreduce_sum_u64(stats.supermer_bytes),
-                traversal_rounds: ctx.allreduce_sum_u64(stats.traversal_rounds),
-                stitch_bytes: ctx.allreduce_sum_u64(stats.stitch_bytes),
-                contig_bytes_resident: ctx.allreduce_max_u64(stats.contig_bytes_resident),
-                contig_fetch_bytes: ctx.allreduce_sum_u64(stats.contig_fetch_bytes),
-                read_bytes_resident: ctx.allreduce_max_u64(stats.read_bytes_resident),
-                read_fetch_bytes: ctx.allreduce_sum_u64(stats.read_fetch_bytes),
-            };
+            let reduced = stats.map_counters(|kind, v| match kind {
+                Reduction::Sum => ctx.allreduce_sum_u64(v),
+                Reduction::Max => ctx.allreduce_max_u64(v),
+            });
             out.push((name.clone(), max_secs, reduced));
         }
         out

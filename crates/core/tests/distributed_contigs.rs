@@ -1,8 +1,7 @@
 //! Rank-count invariance of the distributed contig store: with
-//! `use_distributed_contigs` on (under either owner-assignment strategy) the
-//! assembly must be byte-identical to the replicated baseline at every rank
-//! count, while the per-rank resident contig bytes drop to a shard plus a
-//! bounded cache.
+//! `use_distributed_contigs` on the assembly must be byte-identical to the
+//! replicated baseline at every rank count, while the per-rank resident
+//! contig bytes drop to a shard plus a bounded cache.
 
 use mhm_core::{AssemblyConfig, MetaHipMer};
 use pgas::Team;
@@ -44,7 +43,7 @@ fn assemble(cfg: AssemblyConfig, ranks: usize, lib: &ReadLibrary, rrna: &[u8]) -
 }
 
 #[test]
-fn distributed_contigs_are_rank_count_invariant_under_both_partitioners() {
+fn distributed_contigs_are_rank_count_invariant() {
     let (lib, rrna) = dataset(20260729);
     let baseline_cfg = AssemblyConfig {
         use_distributed_contigs: false,
@@ -59,22 +58,17 @@ fn distributed_contigs_are_rank_count_invariant_under_both_partitioners() {
             replicated, baseline,
             "replicated baseline not rank-invariant at {ranks} ranks"
         );
-        // Distributed store, size-balanced and hash owner assignment.
-        for balanced in [true, false] {
-            let cfg = AssemblyConfig {
-                use_distributed_contigs: true,
-                balanced_contig_partition: balanced,
-                // Small cache so eviction/refetch paths run in-test.
-                contig_cache_bytes: 4 << 10,
-                ..AssemblyConfig::small_test()
-            };
-            let distributed = assemble(cfg, ranks, &lib, &rrna);
-            assert_eq!(
-                distributed, baseline,
-                "distributed contigs changed the assembly \
-                 (ranks={ranks}, balanced={balanced})"
-            );
-        }
+        let cfg = AssemblyConfig {
+            use_distributed_contigs: true,
+            // Small cache so eviction/refetch paths run in-test.
+            contig_cache_bytes: 4 << 10,
+            ..AssemblyConfig::small_test()
+        };
+        let distributed = assemble(cfg, ranks, &lib, &rrna);
+        assert_eq!(
+            distributed, baseline,
+            "distributed contigs changed the assembly at {ranks} ranks"
+        );
     }
 }
 

@@ -5,9 +5,8 @@
 //! with aggregated messages. Owners count in their local shard of a
 //! distributed hash table. Three refinements from the paper are reproduced:
 //!
-//! * **supermer routing** (the default): instead of shipping every canonical
-//!   k-mer as a ~32-byte packed struct — twice, once for the Bloom pass and
-//!   once for counting — each read is decomposed once into *supermers*
+//! * **supermer routing**: instead of shipping every canonical k-mer as a
+//!   ~32-byte packed struct, each read is decomposed once into *supermers*
 //!   (maximal runs of consecutive k-mers sharing a canonical minimizer, see
 //!   [`kmers::minimizer`]) which travel as packed 2-bit sequence with a
 //!   quality/extension sidecar, ~(s+k−1)/4 bytes per s k-mers. The counts
@@ -19,33 +18,28 @@
 //!   only once it has (probably) been seen at least twice, so singleton error
 //!   k-mers never survive into the table downstream stages consume. (Unlike
 //!   the real UPC implementation, this reproduction keeps counting *exact*:
-//!   the per-k-mer path counts everything and filters afterwards, and the
-//!   supermer path parks first sightings in a side map until a second
-//!   occurrence arrives — so admission here shapes the communication and the
-//!   result, not the peak memory.) The filter is sized from an all-reduced
-//!   global k-mer estimate so shards stay correctly provisioned however
-//!   unevenly the reads are distributed;
+//!   first sightings are parked in a side map until a second occurrence
+//!   arrives — so admission here shapes the result, not the peak memory.)
+//!   The filter is sized from an all-reduced global k-mer estimate so shards
+//!   stay correctly provisioned however unevenly the reads are distributed;
 //! * a **streaming heavy-hitter sketch** identifies k-mers with enormous
 //!   counts (ubiquitous in metagenomes because of highly abundant organisms)
 //!   so callers can inspect/treat them specially; the counting itself remains
 //!   exact. Per-rank sketches are combined with a deterministic binomial-tree
 //!   reduction rather than funnelling every sketch to rank 0.
 //!
-//! Setting [`KmerAnalysisParams::use_supermers`] to `false` selects the
-//! legacy per-k-mer path (hash partitioning, separate Bloom round trip,
-//! per-k-mer counting exchange). With `min_count >= 2` both paths produce an
-//! identical counts table — the `ablation_supermer` harness relies on this to
-//! measure the wire-byte saving with byte-identical assemblies. (With
-//! `min_count == 1` *and* the Bloom pre-pass enabled, the set of admitted
-//! singletons depends on Bloom false positives, which differ between the two
-//! partitionings.)
+//! With `min_count >= 2` the counts table is exactly what a serial count over
+//! [`kmers::kmers_with_exts_iter`] filtered at `min_count` gives, at any rank
+//! count — the `supermer_equivalence` test holds it to that. (With
+//! `min_count == 1` *and* Bloom admission enabled, the set of admitted
+//! singletons depends on Bloom false positives.)
 
 use dht::{DistBloom, DistMap, FxHashMap, Partitioner, SpaceSaving};
 use kmers::minimizer::{
     encode_supermer, expand_supermer, kmer_minimizer, minimizer_shard, SupermerBlobIter,
     SupermerIter, MAX_MINIMIZER_LEN,
 };
-use kmers::{kmers_with_exts_iter, Kmer, KmerCounts};
+use kmers::{Kmer, KmerCounts};
 use pgas::{BlobAggregator, Ctx};
 use seqio::{Read, ReadSource};
 use std::sync::Arc;
@@ -95,18 +89,13 @@ pub struct KmerAnalysisParams {
     pub min_count: u32,
     /// Phred threshold above which an extension base counts as high quality.
     pub hq_threshold: u8,
-    /// Whether to run the Bloom-filter admission (as a separate pre-pass in
-    /// the per-k-mer path, folded into the receive side in the supermer path).
+    /// Whether to run the Bloom-filter admission on the receive side.
     pub use_bloom: bool,
     /// Capacity of the per-rank heavy-hitter sketch (0 disables it).
     pub heavy_hitter_capacity: usize,
-    /// Aggregation batch size for the all-to-all exchanges (items for the
-    /// per-k-mer path; multiplied by the packed k-mer size to obtain the
-    /// supermer path's byte batch).
+    /// Aggregation batch size of the supermer exchange, in packed k-mers
+    /// (multiplied by the packed k-mer size to obtain the byte batch).
     pub batch: usize,
-    /// Route supermers to minimizer-owned shards (single exchange) instead of
-    /// individual k-mers to hash-owned shards (Bloom + counting exchanges).
-    pub use_supermers: bool,
     /// Minimizer length m for supermer routing; clamped to
     /// `min(k, `[`MAX_MINIMIZER_LEN`]`)`.
     pub minimizer_len: usize,
@@ -121,7 +110,6 @@ impl Default for KmerAnalysisParams {
             use_bloom: true,
             heavy_hitter_capacity: 64,
             batch: 4096,
-            use_supermers: true,
             minimizer_len: 15,
         }
     }
@@ -155,11 +143,13 @@ pub fn kmer_analysis(ctx: &Ctx, reads: &[Read], params: &KmerAnalysisParams) -> 
 /// Runs k-mer analysis over a streaming [`ReadSource`] — the distributed
 /// read store's ingest path, where this rank's reads are unpacked one at a
 /// time from owned packed blocks instead of living in a replicated slice.
-/// Collective: every rank must call with its own source. The result is
-/// independent of how reads are distributed over ranks (counts are global
-/// sums and Bloom admission triggers on the second occurrence wherever it
-/// arrives), which is what keeps distributed-read assemblies byte-identical
-/// to the replicated baseline.
+/// Collective: every rank must call with its own source. One extraction pass
+/// per read, one aggregated supermer shipment per owner, and all per-k-mer
+/// work (Bloom admission, exact counting, heavy-hitter sketching) on the
+/// receive side. The result is independent of how reads are distributed over
+/// ranks (counts are global sums and Bloom admission triggers on the second
+/// occurrence wherever it arrives), which is what keeps distributed-read
+/// assemblies byte-identical to the replicated baseline.
 pub fn kmer_analysis_from(
     ctx: &Ctx,
     source: &mut dyn ReadSource,
@@ -171,32 +161,6 @@ pub fn kmer_analysis_from(
         "k must be odd so canonical k-mers are unambiguous"
     );
     assert!(params.min_count >= 1);
-    if params.use_supermers {
-        supermer_analysis(ctx, source, params)
-    } else {
-        per_kmer_analysis(ctx, source, params)
-    }
-}
-
-/// Shares a Bloom filter sized from the *global* k-mer estimate: every rank
-/// contributes its local estimate to an all-reduce, and each of the `ranks`
-/// shards is provisioned for an equal split of the total. Sizing from one
-/// rank's local estimate (as the seed did) under-provisions every shard when
-/// reads are unevenly distributed, inflating the false-positive rate.
-fn shared_bloom(ctx: &Ctx, local_estimate: usize) -> Arc<DistBloom> {
-    let global = ctx.allreduce_sum_u64(local_estimate as u64) as usize;
-    let expected_per_shard = global / ctx.ranks() + 16;
-    ctx.share(|| DistBloom::new(ctx.ranks(), expected_per_shard * 2, 0.01))
-}
-
-/// The supermer-routed single-pass analysis: one extraction pass per read,
-/// one aggregated shipment per owner, and all per-k-mer work (Bloom
-/// admission, exact counting, heavy-hitter sketching) on the receive side.
-fn supermer_analysis(
-    ctx: &Ctx,
-    source: &mut dyn ReadSource,
-    params: &KmerAnalysisParams,
-) -> KmerAnalysis {
     let k = params.k;
     let m = params.effective_minimizer_len();
     let ranks = ctx.ranks();
@@ -207,8 +171,6 @@ fn supermer_analysis(
         .then(|| shared_bloom(ctx, source.estimate_kmers(k)));
 
     // --- Send side: one streaming supermer pass over this rank's reads ------
-    // The byte batch matches the per-k-mer path's message size (batch items of
-    // a packed k-mer each) so message counts stay comparable across modes.
     let batch_bytes = params
         .batch
         .saturating_mul(std::mem::size_of::<Kmer>())
@@ -232,8 +194,7 @@ fn supermer_analysis(
     // they join the table when (if) a second occurrence arrives, so admitted
     // k-mers keep their exact count including the first observation.
     // Whatever is still parked at the end of the stream (singletons, bar
-    // Bloom false positives) is dropped, mirroring the per-k-mer path's
-    // retain-by-admission.
+    // Bloom false positives) is dropped.
     let mut parked: FxHashMap<Kmer, KmerCounts> = FxHashMap::default();
     let rank = ctx.rank();
     for blob in &blobs {
@@ -283,83 +244,15 @@ fn supermer_analysis(
     }
 }
 
-/// The legacy per-k-mer analysis: a Bloom admission exchange, a heavy-hitter
-/// pass and a counting exchange, each re-extracting the reads. Kept (behind
-/// `use_supermers = false`) as the measurable baseline of the supermer
-/// ablation.
-fn per_kmer_analysis(
-    ctx: &Ctx,
-    source: &mut dyn ReadSource,
-    params: &KmerAnalysisParams,
-) -> KmerAnalysis {
-    let counts: KmerCountsMap = DistMap::shared(ctx);
-
-    // --- Optional pass 1: Bloom admission ------------------------------------
-    // The admission set lives on the owner rank: a k-mer is admitted once the
-    // Bloom filter has seen it before, i.e. from its second occurrence on.
-    let admitted: Option<Arc<DistMap<Kmer, ()>>> = if params.use_bloom {
-        let bloom = shared_bloom(ctx, source.estimate_kmers(params.k));
-        let admitted: Arc<DistMap<Kmer, ()>> = DistMap::shared(ctx);
-        let mut agg: pgas::Aggregator<Kmer> = pgas::Aggregator::new(ctx, params.batch);
-        source.for_each_read(&mut |read| {
-            for obs in kmers_with_exts_iter(&read.seq, &read.qual, params.k, params.hq_threshold) {
-                agg.push(counts.owner_of(&obs.kmer), obs.kmer);
-            }
-        });
-        let mine = agg.finish();
-        for kmer in mine {
-            if bloom.insert_and_check(ctx, &kmer) {
-                admitted.upsert(ctx, kmer, || (), |_| {});
-            }
-        }
-        ctx.barrier();
-        Some(admitted)
-    } else {
-        None
-    };
-
-    // --- Heavy-hitter sketch over the local stream ---------------------------
-    let heavy_hitters = if params.heavy_hitter_capacity > 0 {
-        let mut sketch: SpaceSaving<Kmer> = SpaceSaving::new(params.heavy_hitter_capacity);
-        source.for_each_read(&mut |read| {
-            for obs in kmers_with_exts_iter(&read.seq, &read.qual, params.k, params.hq_threshold) {
-                sketch.offer(obs.kmer, 1);
-            }
-        });
-        merge_heavy_hitters(ctx, sketch, params)
-    } else {
-        Vec::new()
-    };
-
-    // --- Pass 2: exact counting with extensions ------------------------------
-    // `dht::bulk_merge` inlined around the streaming source (the callback
-    // contract cannot hand it a by-value iterator without buffering reads).
-    let mut agg: pgas::Aggregator<(Kmer, KmerCounts)> = pgas::Aggregator::new(ctx, params.batch);
-    source.for_each_read(&mut |read| {
-        for obs in kmers_with_exts_iter(&read.seq, &read.qual, params.k, params.hq_threshold) {
-            let mut c = KmerCounts::default();
-            c.observe(obs.exts);
-            agg.push(counts.owner_of(&obs.kmer), (obs.kmer, c));
-        }
-    });
-    let mine = agg.finish();
-    counts.apply_local_batch(ctx, mine, |v| v, |a, b| a.merge(&b));
-    ctx.barrier();
-
-    // --- Filtering: Bloom admission and the ε depth cutoff -------------------
-    if let Some(admitted) = &admitted {
-        counts.retain_local(ctx, |k, _| {
-            // `contains` on a key this rank owns is a purely local check.
-            admitted.contains(ctx, k)
-        });
-    }
-    counts.retain_local(ctx, |_, v| v.count >= params.min_count);
-    ctx.barrier();
-
-    KmerAnalysis {
-        counts,
-        heavy_hitters,
-    }
+/// Shares a Bloom filter sized from the *global* k-mer estimate: every rank
+/// contributes its local estimate to an all-reduce, and each of the `ranks`
+/// shards is provisioned for an equal split of the total. Sizing from one
+/// rank's local estimate (as the seed did) under-provisions every shard when
+/// reads are unevenly distributed, inflating the false-positive rate.
+fn shared_bloom(ctx: &Ctx, local_estimate: usize) -> Arc<DistBloom> {
+    let global = ctx.allreduce_sum_u64(local_estimate as u64) as usize;
+    let expected_per_shard = global / ctx.ranks() + 16;
+    ctx.share(|| DistBloom::new(ctx.ranks(), expected_per_shard * 2, 0.01))
 }
 
 /// Combines the per-rank sketches with a deterministic binomial-tree
@@ -421,45 +314,32 @@ mod tests {
         &reads[range]
     }
 
-    /// Every analysis test runs both routing modes.
-    fn both_modes(base: KmerAnalysisParams) -> [KmerAnalysisParams; 2] {
-        let mut supermer = base.clone();
-        supermer.use_supermers = true;
-        let mut per_kmer = base;
-        per_kmer.use_supermers = false;
-        [supermer, per_kmer]
-    }
-
     #[test]
     fn counts_match_naive_counting() {
         // 3 identical reads: every k-mer appears 3 times.
         let reads = reads_from(&["ACGTACGGTTCAGGCA"; 3]);
         let team = Team::single_node(2);
         let k = 7;
-        for params in both_modes(KmerAnalysisParams {
+        let params = KmerAnalysisParams {
             k,
             min_count: 2,
             use_bloom: false,
             ..Default::default()
-        }) {
-            let reads = &reads;
-            let params = &params;
-            let out = team.run(move |ctx| {
-                let mine = my_slice(ctx, reads);
-                let res = kmer_analysis(ctx, mine, params);
-                ctx.barrier();
-                (res.counts.len(), {
-                    let mut all = Vec::new();
-                    res.counts.for_each_local(ctx, |_, v| all.push(v.count));
-                    all
-                })
-            });
-            let expected_kmers = 16 - k + 1;
-            assert_eq!(out[0].0, expected_kmers);
-            let counts: Vec<u32> = out.iter().flat_map(|(_, c)| c.clone()).collect();
-            assert_eq!(counts.len(), expected_kmers);
-            assert!(counts.iter().all(|&c| c == 3));
-        }
+        };
+        let out = team.run(|ctx| {
+            let res = kmer_analysis(ctx, my_slice(ctx, &reads), &params);
+            ctx.barrier();
+            (res.counts.len(), {
+                let mut all = Vec::new();
+                res.counts.for_each_local(ctx, |_, v| all.push(v.count));
+                all
+            })
+        });
+        let expected_kmers = 16 - k + 1;
+        assert_eq!(out[0].0, expected_kmers);
+        let counts: Vec<u32> = out.iter().flat_map(|(_, c)| c.clone()).collect();
+        assert_eq!(counts.len(), expected_kmers);
+        assert!(counts.iter().all(|&c| c == 3));
     }
 
     #[test]
@@ -469,83 +349,73 @@ mod tests {
         let mut reads = reads_from(&["ACGTACGGTTCAGGCAT", "ACGTACGGTTCAGGCAT"]);
         reads.extend(reads_from(&["GGGGGCCCCCAAAAATTTTT"]));
         let team = Team::single_node(2);
-        for params in both_modes(KmerAnalysisParams {
+        let params = KmerAnalysisParams {
             k: 9,
             min_count: 2,
             use_bloom: false,
             ..Default::default()
-        }) {
-            let reads = &reads;
-            let params = &params;
-            let total = team.run(move |ctx| {
-                let mine = my_slice(ctx, reads);
-                let res = kmer_analysis(ctx, mine, params);
-                ctx.barrier();
-                res.counts.len()
-            });
-            // The duplicated read contributes 17-9+1 = 9 distinct canonical
-            // k-mers. Two of the singleton read's windows happen to be
-            // canonical pairs of each other (GGGGGCCCC/GGGGCCCCC and
-            // AAAAATTTT/AAAATTTTT), so those two canonical k-mers reach count
-            // 2 within a single read and survive the ε filter as well.
-            assert_eq!(total[0], 9 + 2);
-        }
+        };
+        let total = team.run(|ctx| {
+            let res = kmer_analysis(ctx, my_slice(ctx, &reads), &params);
+            ctx.barrier();
+            res.counts.len()
+        });
+        // The duplicated read contributes 17-9+1 = 9 distinct canonical
+        // k-mers. Two of the singleton read's windows happen to be
+        // canonical pairs of each other (GGGGGCCCC/GGGGCCCCC and
+        // AAAAATTTT/AAAATTTTT), so those two canonical k-mers reach count
+        // 2 within a single read and survive the ε filter as well.
+        assert_eq!(total[0], 9 + 2);
     }
 
     #[test]
-    fn bloom_prepass_gives_same_result_as_exact_for_repeated_kmers() {
+    fn bloom_admission_gives_same_result_as_exact_for_repeated_kmers() {
         let reads = reads_from(&["ACGTACGGTTCAGGCATTACG"; 4]);
         let team = Team::single_node(3);
-        for use_supermers in [true, false] {
-            let run = |use_bloom: bool| {
-                let reads = &reads;
-                team.run(move |ctx| {
-                    let params = KmerAnalysisParams {
-                        k: 11,
-                        min_count: 2,
-                        use_bloom,
-                        use_supermers,
-                        ..Default::default()
-                    };
-                    let res = kmer_analysis(ctx, my_slice(ctx, reads), &params);
-                    ctx.barrier();
-                    res.counts.len()
-                })[0]
-            };
-            let (with_bloom, without_bloom) = (run(true), run(false));
-            assert_eq!(with_bloom, without_bloom);
-            assert_eq!(with_bloom, 21 - 11 + 1);
-        }
+        let run = |use_bloom: bool| {
+            let reads = &reads;
+            team.run(move |ctx| {
+                let params = KmerAnalysisParams {
+                    k: 11,
+                    min_count: 2,
+                    use_bloom,
+                    ..Default::default()
+                };
+                let res = kmer_analysis(ctx, my_slice(ctx, reads), &params);
+                ctx.barrier();
+                res.counts.len()
+            })[0]
+        };
+        let (with_bloom, without_bloom) = (run(true), run(false));
+        assert_eq!(with_bloom, without_bloom);
+        assert_eq!(with_bloom, 21 - 11 + 1);
     }
 
     #[test]
     fn extensions_recorded_for_interior_kmers() {
         let reads = reads_from(&["AAACCCGGGTTTACG"; 2]);
         let team = Team::single_node(1);
-        for params in both_modes(KmerAnalysisParams {
+        let params = KmerAnalysisParams {
             k: 5,
             min_count: 2,
             use_bloom: false,
             ..Default::default()
-        }) {
-            let reads = &reads;
-            let params = &params;
-            team.run(move |ctx| {
-                let res = kmer_analysis(ctx, reads, params);
-                // Interior k-mer CCCGG; its reverse complement CCGGG also
-                // occurs in the read, so the canonical entry is observed twice
-                // per read.
-                let km: Kmer = "CCCGG".parse().unwrap();
-                let (canon, _) = km.canonical();
-                let entry = res
-                    .counts
-                    .get_cloned(ctx, &canon)
-                    .expect("interior k-mer present");
-                assert_eq!(entry.count, 4);
-                assert!(entry.left.total() > 0);
-                assert!(entry.right.total() > 0);
-            });
-        }
+        };
+        team.run(|ctx| {
+            let res = kmer_analysis(ctx, &reads, &params);
+            // Interior k-mer CCCGG; its reverse complement CCGGG also
+            // occurs in the read, so the canonical entry is observed twice
+            // per read.
+            let km: Kmer = "CCCGG".parse().unwrap();
+            let (canon, _) = km.canonical();
+            let entry = res
+                .counts
+                .get_cloned(ctx, &canon)
+                .expect("interior k-mer present");
+            assert_eq!(entry.count, 4);
+            assert!(entry.left.total() > 0);
+            assert!(entry.right.total() > 0);
+        });
     }
 
     #[test]
@@ -560,75 +430,32 @@ mod tests {
             .map(|(i, s)| Read::with_uniform_quality(format!("r{i}"), s.as_bytes(), 35))
             .collect();
         let team = Team::single_node(2);
-        for params in both_modes(KmerAnalysisParams {
+        let params = KmerAnalysisParams {
             k: 15,
             min_count: 2,
             use_bloom: false,
             heavy_hitter_capacity: 8,
             ..Default::default()
-        }) {
-            let reads = &reads;
-            let params = &params;
-            let hh = team.run(move |ctx| {
-                let res = kmer_analysis(ctx, my_slice(ctx, reads), params);
-                ctx.barrier();
-                res.heavy_hitters
-            });
-            let poly_a: Kmer = "AAAAAAAAAAAAAAA".parse().unwrap();
-            for rank_hh in &hh {
-                assert!(
-                    rank_hh.iter().any(|(k, _)| *k == poly_a),
-                    "poly-A heavy hitter not reported: {rank_hh:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn supermer_and_per_kmer_tables_are_identical_with_bloom() {
-        // Bloom on, ε = 2: admission is deterministic for every surviving
-        // k-mer, so the two routing modes must agree exactly — including
-        // counts and extension tallies.
-        let reads = reads_from(&[
-            "ACGTACGGTTCAGGCATTACGGATCCAGTT",
-            "ACGTACGGTTCAGGCATTACGGATCCAGTT",
-            "TTGACCGGATNACCAGGTTCCAGGAACCTT",
-            "TTGACCGGATAACCAGGTTCCAGGAACCTT",
-            "GGGGGCCCCCAAAAATTTTTGGGGGCCCCC",
-        ]);
-        let collect = |use_supermers: bool| {
-            let team = Team::single_node(3);
-            let reads = &reads;
-            let mut all: Vec<(Kmer, KmerCounts)> = team
-                .run(move |ctx| {
-                    let params = KmerAnalysisParams {
-                        k: 11,
-                        min_count: 2,
-                        use_bloom: true,
-                        use_supermers,
-                        ..Default::default()
-                    };
-                    let res = kmer_analysis(ctx, my_slice(ctx, reads), &params);
-                    ctx.barrier();
-                    res.counts.local_entries(ctx)
-                })
-                .into_iter()
-                .flatten()
-                .collect();
-            all.sort_by_key(|a| a.0);
-            all
         };
-        let supermer = collect(true);
-        let per_kmer = collect(false);
-        assert!(!supermer.is_empty());
-        assert_eq!(supermer, per_kmer);
+        let hh = team.run(|ctx| {
+            let res = kmer_analysis(ctx, my_slice(ctx, &reads), &params);
+            ctx.barrier();
+            res.heavy_hitters
+        });
+        let poly_a: Kmer = "AAAAAAAAAAAAAAA".parse().unwrap();
+        for rank_hh in &hh {
+            assert!(
+                rank_hh.iter().any(|(k, _)| *k == poly_a),
+                "poly-A heavy hitter not reported: {rank_hh:?}"
+            );
+        }
     }
 
     #[test]
     fn heavy_hitter_list_is_rank_count_invariant() {
         // Capacity comfortably above the distinct-k-mer count keeps every
         // per-rank sketch exact, so the tree reduction must give the same
-        // list on 1–8 ranks, in both routing modes.
+        // list on 1–8 ranks.
         let mut seqs = vec!["ACGGTCAGGTTCAAGGACTTACGGTACCAGT".to_string(); 6];
         seqs.extend(vec!["TTTTTTTTTTTTTTTTTTTTTTTTT".to_string(); 9]);
         let reads: Vec<Read> = seqs
@@ -636,70 +463,32 @@ mod tests {
             .enumerate()
             .map(|(i, s)| Read::with_uniform_quality(format!("r{i}"), s.as_bytes(), 35))
             .collect();
-        for use_supermers in [true, false] {
-            let mut lists: Vec<Vec<(Kmer, u64)>> = Vec::new();
-            for ranks in 1..=8usize {
-                let team = Team::single_node(ranks);
-                let reads = &reads;
-                let hh = team.run(move |ctx| {
-                    let params = KmerAnalysisParams {
-                        k: 15,
-                        min_count: 1,
-                        use_bloom: false,
-                        heavy_hitter_capacity: 256,
-                        use_supermers,
-                        ..Default::default()
-                    };
-                    let res = kmer_analysis(ctx, my_slice(ctx, reads), &params);
-                    ctx.barrier();
-                    res.heavy_hitters
-                });
-                // Identical on every rank…
-                for rank_hh in &hh[1..] {
-                    assert_eq!(rank_hh, &hh[0]);
-                }
-                assert!(!hh[0].is_empty(), "expected at least the poly-T hitter");
-                lists.push(hh.into_iter().next().unwrap());
-            }
-            // …and identical across rank counts.
-            for list in &lists[1..] {
-                assert_eq!(list, &lists[0], "use_supermers={use_supermers}");
-            }
-        }
-    }
-
-    #[test]
-    fn supermer_mode_ships_fewer_bytes() {
-        let seq: String = (0..400)
-            .map(|i| ['A', 'C', 'G', 'T'][((i * 2654435761usize) >> 5) % 4])
-            .collect();
-        let reads = reads_from(&[seq.as_str(); 6]);
-        let bytes_for = |use_supermers: bool| {
-            let team = Team::single_node(4);
-            let reads = &reads;
-            team.run(move |ctx| {
-                let params = KmerAnalysisParams {
-                    k: 21,
-                    min_count: 2,
-                    use_bloom: true,
-                    use_supermers,
-                    ..Default::default()
-                };
-                let _ = kmer_analysis(ctx, my_slice(ctx, reads), &params);
-            });
-            team.stats_total()
+        let params = KmerAnalysisParams {
+            k: 15,
+            min_count: 1,
+            use_bloom: false,
+            heavy_hitter_capacity: 256,
+            ..Default::default()
         };
-        let supermer = bytes_for(true);
-        let per_kmer = bytes_for(false);
-        assert!(
-            supermer.bytes_sent * 4 < per_kmer.bytes_sent,
-            "supermer routing must cut k-mer analysis bytes >=4x: {} vs {}",
-            supermer.bytes_sent,
-            per_kmer.bytes_sent
-        );
-        assert!(supermer.supermer_bytes > 0);
-        assert!(supermer.supermer_bytes <= supermer.bytes_sent);
-        assert_eq!(per_kmer.supermer_bytes, 0);
+        let mut lists: Vec<Vec<(Kmer, u64)>> = Vec::new();
+        for ranks in 1..=8usize {
+            let team = Team::single_node(ranks);
+            let hh = team.run(|ctx| {
+                let res = kmer_analysis(ctx, my_slice(ctx, &reads), &params);
+                ctx.barrier();
+                res.heavy_hitters
+            });
+            // Identical on every rank…
+            for rank_hh in &hh[1..] {
+                assert_eq!(rank_hh, &hh[0]);
+            }
+            assert!(!hh[0].is_empty(), "expected at least the poly-T hitter");
+            lists.push(hh.into_iter().next().unwrap());
+        }
+        // …and identical across rank counts.
+        for list in &lists[1..] {
+            assert_eq!(list, &lists[0]);
+        }
     }
 
     #[test]

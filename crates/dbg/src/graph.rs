@@ -323,7 +323,7 @@ mod tests {
             // The k-mer ending just before the final base: "TCAAGGAC" + ...
             let target: Kmer = "GTTCAAGGACT"[0..11].parse().unwrap(); // GTTCAAGGACT
             let (canon, _) = target.canonical();
-            assert!(res.counts.contains(ctx, &canon));
+            assert!(res.counts.get_cloned(ctx, &canon).is_some());
 
             let global = build_graph(ctx, &res.counts, ThresholdPolicy::Global { thq: 2 });
             let dynamic = build_graph(

@@ -11,8 +11,8 @@
 //!    table, reducing extension counts to `[ACGT]/F/X` codes under either the
 //!    HipMer global threshold or the MetaHipMer depth-dependent threshold
 //!    `thq = max(t_base, e·d)` (§II-C);
-//! 3. [`traversal`] — the **parallel contig traversal** that claims vertices
-//!    with atomics and emits contigs (§II-C/D);
+//! 3. [`traversal`] — the **parallel contig traversal**: owner-local segment
+//!    compaction, then aggregated stitching rounds across ranks (§II-C/D);
 //! 4. [`bubble`] — **bubble merging and hair removal** on the contig graph
 //!    (§II-D);
 //! 5. [`pruning`] — the **iterative graph pruning** of Algorithm 2 (§II-E);
@@ -28,6 +28,8 @@ pub mod bubble;
 pub mod contig_graph;
 pub mod graph;
 pub mod merge;
+#[cfg(test)]
+mod per_hop;
 pub mod pruning;
 mod segment;
 pub mod store;
@@ -46,3 +48,6 @@ pub use pruning::{prune_iteratively, PruningParams, PruningReport};
 pub use store::{ContigMeta, ContigReader, ContigStore, ContigStoreParams, ContigsRef, PackedSeq};
 pub use traversal::{traverse_contigs, TraversalParams};
 pub use types::{Contig, ContigId, ContigSet};
+
+/// The largest k (and alignment seed length) a packed k-mer can hold.
+pub use kmers::MAX_K;

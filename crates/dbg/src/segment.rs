@@ -1,9 +1,10 @@
 //! Owner-local segment compaction + cross-rank stitching: the aggregated
 //! contig-generation algorithm behind [`crate::traversal::traverse_contigs`].
 //!
-//! The per-hop walker (kept as the ablation baseline) pays one fine-grained
-//! remote lookup per k-mer per walk. This module replaces it with a two-level
-//! algorithm whose communication is *aggregated exchange rounds* instead:
+//! The paper's §II-D per-hop walker (kept as the test-only reference,
+//! `per_hop.rs`) pays one fine-grained remote lookup per k-mer per walk. This
+//! module replaces it with a two-level algorithm whose communication is
+//! *aggregated exchange rounds* instead:
 //!
 //! * **Level 1 — local compaction.** Each rank opens a
 //!   [`dht::DistMap::local_view`] over its own shard of the graph (one lock
@@ -24,7 +25,7 @@
 //!   [`pgas::Ctx::exchange_map`] double each segment's known distance to its
 //!   chain head every round, so any chain of `m` segments resolves in
 //!   `O(log m)` aggregated rounds. The byte volume of those rounds is kept
-//!   under the per-hop baseline by three measures the bench snapshots
+//!   under the per-hop walker's by three measures the bench snapshots
 //!   forced:
 //!   - **Only still-unresolved chains probe**, and between probe rounds each
 //!     rank *compresses owner-local sub-chains in memory* (chase targets on
@@ -59,8 +60,7 @@
 //!
 //! Both rules need each (vertex, orientation) pair to appear at most once per
 //! directed chain, which holds for odd k (no k-mer equals its own reverse
-//! complement); [`crate::traversal::traverse_contigs`] falls back to the
-//! per-hop walker for even k.
+//! complement); [`crate::traversal::traverse_contigs`] refuses even k.
 
 use crate::graph::{orient, KmerVertex, OrientedVertex};
 use crate::traversal::{eligible, push_contig, TraversalParams};

@@ -13,8 +13,8 @@
 //!   exception list for non-ACGT bytes, sliceable by window without unpacking
 //!   the whole contig;
 //! * [`ContigStore`] — contig id → [`PackedSeq`], sharded over the ranks by a
-//!   [`dht::DistMap`] (size-balanced owner table by default, so no rank holds
-//!   more than its fair share plus one contig), plus a small *replicated*
+//!   [`dht::DistMap`] (size-balanced owner table, so no rank holds more than
+//!   its fair share plus one contig), plus a small *replicated*
 //!   per-contig metadata table (length and depth — O(#contigs), not
 //!   O(bases)) that answers the geometry queries every stage makes;
 //! * [`ContigReader`] — a per-rank read-through view with a byte-bounded FIFO
@@ -57,10 +57,6 @@ pub struct ContigStoreParams {
     pub cache_bytes: usize,
     /// Per-owner request batch handed to the aggregated lookup layer.
     pub batch: usize,
-    /// Assign contigs to owners longest-first onto the least-loaded rank
-    /// (guaranteeing owned bytes <= total/ranks + one contig) instead of
-    /// hashing ids.
-    pub balanced: bool,
 }
 
 impl Default for ContigStoreParams {
@@ -68,25 +64,33 @@ impl Default for ContigStoreParams {
         ContigStoreParams {
             cache_bytes: 1 << 20,
             batch: 1024,
-            balanced: true,
         }
     }
 }
 
-/// Size-balanced owner table: contigs are dealt longest-first to the rank
-/// with the least packed bytes so far (ties to the lowest rank). Deterministic
-/// given the set, so every rank computes the same table.
-fn balanced_owners(set: &ContigSet, ranks: usize) -> Vec<u32> {
-    // Contig ids are assigned longest-first by `ContigSet::from_sequences`,
-    // so iterating in id order is the greedy longest-first order.
-    balanced_owners_from_lens(set.contigs.iter().map(|c| c.len() as u32), ranks)
+/// The sharded table under the size-balanced owner assignment of
+/// [`balanced_owners_from_lens`] — the one way [`ContigStore::build`] and
+/// [`ContigStore::restore`] construct their map. Collective.
+fn balanced_map(
+    ctx: &Ctx,
+    lens: impl IntoIterator<Item = u32>,
+) -> Arc<DistMap<ContigId, PackedSeq>> {
+    let ranks = ctx.ranks();
+    ctx.share(|| {
+        let owners = balanced_owners_from_lens(lens, ranks);
+        DistMap::with_partitioner(ranks, Arc::new(TablePartitioner::new(owners)))
+    })
 }
 
-/// The owner-table computation behind [`ContigStore`]'s balanced partition,
-/// keyed only by contig lengths in id order. Exposed so a checkpoint restore
-/// on a *different* rank count can recompute, from the replicated metadata
-/// alone, exactly the table `ContigStore::build` would have produced there —
-/// the property elastic resume's byte-identical guarantee rests on.
+/// Size-balanced owner table, keyed only by contig lengths in id order:
+/// contigs are dealt to the rank with the least packed bytes so far (ties to
+/// the lowest rank). `ContigSet::from_sequences` assigns ids longest-first,
+/// so id order is the greedy longest-first order that bounds every shard by
+/// total/ranks + one contig. Deterministic given the lengths, so every rank
+/// computes the same table. Exposed so a checkpoint restore on a *different*
+/// rank count can recompute, from the replicated metadata alone, exactly the
+/// table `ContigStore::build` would have produced there — the property
+/// elastic resume's byte-identical guarantee rests on.
 pub fn balanced_owners_from_lens(lens: impl IntoIterator<Item = u32>, ranks: usize) -> Vec<u32> {
     let mut owners = Vec::new();
     let mut load = vec![0usize; ranks];
@@ -115,17 +119,7 @@ impl ContigStore {
     /// owned packed bytes in the residency accounting. Callers in
     /// distributed mode drop the replicated set right after this returns.
     pub fn build(ctx: &Ctx, set: &ContigSet, params: &ContigStoreParams) -> Arc<ContigStore> {
-        let ranks = ctx.ranks();
-        let map: Arc<DistMap<ContigId, PackedSeq>> = if params.balanced {
-            ctx.share(|| {
-                DistMap::with_partitioner(
-                    ranks,
-                    Arc::new(TablePartitioner::new(balanced_owners(set, ranks))),
-                )
-            })
-        } else {
-            DistMap::shared(ctx)
-        };
+        let map = balanced_map(ctx, set.contigs.iter().map(|c| c.len() as u32));
         let mine: Vec<(ContigId, PackedSeq)> = set
             .contigs
             .iter()
@@ -170,20 +164,7 @@ impl ContigStore {
         params: &ContigStoreParams,
         entries: Vec<(ContigId, PackedSeq)>,
     ) -> Arc<ContigStore> {
-        let ranks = ctx.ranks();
-        let map: Arc<DistMap<ContigId, PackedSeq>> = if params.balanced {
-            let lens = meta.iter().map(|m| m.len).collect::<Vec<u32>>();
-            ctx.share(|| {
-                DistMap::with_partitioner(
-                    ranks,
-                    Arc::new(TablePartitioner::new(balanced_owners_from_lens(
-                        lens, ranks,
-                    ))),
-                )
-            })
-        } else {
-            DistMap::shared(ctx)
-        };
+        let map = balanced_map(ctx, meta.iter().map(|m| m.len));
         dht::bulk_merge(ctx, &map, entries, params.batch, |a, b| *a = b);
         let store = ctx.share(|| ContigStore {
             map: Arc::clone(&map),
@@ -533,7 +514,8 @@ mod tests {
                 .collect(),
         );
         for ranks in [1usize, 2, 3, 5, 8] {
-            let owners = balanced_owners(&set, ranks);
+            let owners =
+                balanced_owners_from_lens(set.contigs.iter().map(|c| c.len() as u32), ranks);
             let mut load = vec![0usize; ranks];
             let mut max_item = 0usize;
             for c in &set.contigs {
@@ -558,43 +540,40 @@ mod tests {
                 .map(|i| (seq(60 + i * 13, 100 + i as u64), 2.0))
                 .collect(),
         );
-        for balanced in [false, true] {
-            for ranks in [1usize, 3, 4] {
-                let team = Team::single_node(ranks);
-                let set2 = set.clone();
-                team.run(|ctx| {
-                    let store = ContigStore::build(
-                        ctx,
-                        &set2,
-                        &ContigStoreParams {
-                            cache_bytes: 1 << 16,
-                            balanced,
-                            ..Default::default()
-                        },
-                    );
-                    assert_eq!(store.num_contigs(), set2.len());
-                    assert_eq!(store.total_bases(), set2.total_bases());
-                    let mut reader = store.reader(ctx);
-                    let ids: Vec<ContigId> = (0..set2.len() as u64).chain([999, 3, 3]).collect();
-                    let got = reader.get_many(ctx, &ids);
-                    for (id, p) in ids.iter().zip(&got) {
-                        match set2.get(*id) {
-                            Some(c) => assert_eq!(p.as_ref().unwrap().unpack(), c.seq),
-                            None => assert!(p.is_none()),
-                        }
+        for ranks in [1usize, 3, 4] {
+            let team = Team::single_node(ranks);
+            let set2 = set.clone();
+            team.run(|ctx| {
+                let store = ContigStore::build(
+                    ctx,
+                    &set2,
+                    &ContigStoreParams {
+                        cache_bytes: 1 << 16,
+                        ..Default::default()
+                    },
+                );
+                assert_eq!(store.num_contigs(), set2.len());
+                assert_eq!(store.total_bases(), set2.total_bases());
+                let mut reader = store.reader(ctx);
+                let ids: Vec<ContigId> = (0..set2.len() as u64).chain([999, 3, 3]).collect();
+                let got = reader.get_many(ctx, &ids);
+                for (id, p) in ids.iter().zip(&got) {
+                    match set2.get(*id) {
+                        Some(c) => assert_eq!(p.as_ref().unwrap().unpack(), c.seq),
+                        None => assert!(p.is_none()),
                     }
-                    let one = reader.get_many_onesided(ctx, &ids);
-                    assert_eq!(one, got);
-                    for id in &ids {
-                        let expect = set2.get(*id).map(|c| PackedSeq::from_bytes(&c.seq));
-                        assert_eq!(reader.get(ctx, *id), expect);
-                    }
-                    ctx.barrier();
-                    // Materialise reproduces the original set exactly.
-                    let back = store.materialize(ctx);
-                    assert_eq!(back, set2);
-                });
-            }
+                }
+                let one = reader.get_many_onesided(ctx, &ids);
+                assert_eq!(one, got);
+                for id in &ids {
+                    let expect = set2.get(*id).map(|c| PackedSeq::from_bytes(&c.seq));
+                    assert_eq!(reader.get(ctx, *id), expect);
+                }
+                ctx.barrier();
+                // Materialise reproduces the original set exactly.
+                let back = store.materialize(ctx);
+                assert_eq!(back, set2);
+            });
         }
     }
 
@@ -677,7 +656,6 @@ mod tests {
                 &set,
                 &ContigStoreParams {
                     cache_bytes,
-                    balanced: true,
                     ..Default::default()
                 },
             );

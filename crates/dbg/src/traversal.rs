@@ -1,67 +1,34 @@
 //! Parallel de Bruijn graph traversal: turning UU k-mer paths into contigs.
 //!
 //! Contigs are maximal paths of k-mers that have a unique high-quality
-//! extension on both sides (§II-C). Two interchangeable, byte-identical
-//! implementations live here:
+//! extension on both sides (§II-C). [`traverse_contigs`] generates them by
+//! **segment compaction + stitching** (the `segment` module): each rank first
+//! compacts its *owned* shard entirely in memory through a direct
+//! [`dht::DistMap::local_view`], emitting maximal owner-local segments, then
+//! segments are stitched across ranks with one aggregated
+//! predecessor-resolution round plus `O(log chains)` pointer-jumping rounds
+//! over [`pgas::Ctx::exchange_map`] and a final aggregated segment-shipping
+//! exchange. Communication is `O(owner crossings)` aggregated messages, not
+//! the `O(contig length)` fine-grained lookups of the paper's §II-D walker.
 //!
-//! * **Segment compaction + stitching** (default; the `segment` module) — each
-//!   rank first compacts its *owned* shard entirely in memory through a
-//!   direct [`dht::DistMap::local_view`], emitting maximal owner-local
-//!   segments, then segments are stitched across ranks with one aggregated
-//!   predecessor-resolution round plus `O(log chains)` pointer-jumping
-//!   rounds over [`pgas::Ctx::exchange_map`] and a final aggregated
-//!   segment-shipping exchange. Communication is `O(owner crossings)`
-//!   aggregated messages instead of `O(contig length)` fine-grained lookups.
-//! * **Per-hop walking** (`use_segment_traversal = false`, the ablation
-//!   baseline) — the paper's §II-D structure: every rank scans the UU k-mers
-//!   it owns and walks rightwards from *path left-ends* (UU k-mers whose
-//!   left neighbour is absent, not UU, or disagrees), one `lookup_oriented`
-//!   per hop. Each maximal path is discovered from both of its ends; the
-//!   walker whose starting end has the lexicographically smaller canonical
-//!   k-mer emits the contig. Vertices are claimed `used` — the paper's
-//!   atomic claim writes — in aggregated batches through
-//!   [`dht::DistMap::update_many`] (not one round trip per claim), and
-//!   k-mers never touched by a path walk lie on cycles, walked in a second
-//!   phase with the cycle's minimal canonical k-mer designating the emitter.
-//!
-//! Ownership of each path is decided *deterministically* in both modes, so
-//! the contig set is identical for any rank count (which both simplifies
-//! testing and removes the need for the paper's serial clean-up of aborted
-//! speculative traversals) and identical between the two modes — the
-//! equivalence the `traversal_equivalence` integration test and the
-//! `ablation_traversal` harness enforce.
+//! Ownership of each path is decided *deterministically*, so the contig set
+//! is identical for any rank count (which both simplifies testing and removes
+//! the need for the paper's serial clean-up of aborted speculative
+//! traversals). The §II-D per-hop walker survives as the test-only reference
+//! the unit tests hold the segment traversal to, hairpins and Möbius cycles
+//! included; it is not compiled into the library.
 
-use crate::graph::{lookup_oriented, KmerGraph, KmerVertex};
+use crate::graph::KmerGraph;
 use crate::types::ContigSet;
-use dht::DistMap;
-use kmers::{Ext, Kmer};
+use kmers::Ext;
 use pgas::Ctx;
 
-/// Per-owner batch size for the aggregated `used`-claim writes of the
-/// per-hop walker.
-const CLAIM_BATCH: usize = 4096;
-
 /// Parameters of the traversal.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct TraversalParams {
     /// Minimum contig length (in bases) to emit. Contigs shorter than this are
     /// dropped immediately.
     pub min_contig_len: usize,
-    /// Use the segment-compaction + stitching traversal (default). `false`
-    /// selects the per-hop walker — same contigs, one fine-grained lookup per
-    /// k-mer per walk — used as the `ablation_traversal` baseline. Even k
-    /// (where a k-mer can be its own reverse complement) always uses the
-    /// per-hop walker; the pipeline only ever runs odd k.
-    pub use_segment_traversal: bool,
-}
-
-impl Default for TraversalParams {
-    fn default() -> Self {
-        TraversalParams {
-            min_contig_len: 0,
-            use_segment_traversal: true,
-        }
-    }
 }
 
 /// True if the vertex may be part of a contig: fork vertices (an `F` on either
@@ -71,196 +38,30 @@ pub(crate) fn eligible(left: Ext, right: Ext) -> bool {
     left != Ext::Fork && right != Ext::Fork
 }
 
-/// Claims a batch of vertices as `used` (idempotent; the aggregated form of
-/// the paper's §II-D atomic claim writes). Collective.
-fn claim_used(ctx: &Ctx, graph: &DistMap<Kmer, KmerVertex>, keys: &[Kmer]) {
-    graph.update_many(ctx, keys, CLAIM_BATCH, |_, v| {
-        if let Some(v) = v {
-            v.used = true;
-        }
-    });
-}
-
-/// True if `kmer` (in walk orientation) is an eligible vertex whose left
-/// neighbour does *not* continue the path — i.e. it is the left end of a
-/// maximal path.
-fn is_left_path_end(ctx: &Ctx, graph: &DistMap<Kmer, KmerVertex>, kmer: &Kmer) -> bool {
-    let v = match lookup_oriented(ctx, graph, kmer) {
-        Some(v) if eligible(v.left, v.right) => v,
-        _ => return false,
-    };
-    let Ext::Base(c) = v.left else { return true };
-    let left_kmer = kmer.extended_left(c);
-    match lookup_oriented(ctx, graph, &left_kmer) {
-        None => true,
-        Some(lv) => {
-            if !eligible(lv.left, lv.right) {
-                // The left neighbour is a fork: the path starts here.
-                true
-            } else {
-                // The left neighbour is on a path; ours only continues from it
-                // if its right extension points back at us.
-                match lv.right {
-                    Ext::Base(rc) => left_kmer.extended_right(rc) != *kmer,
-                    _ => true,
-                }
-            }
-        }
-    }
-}
-
-/// The outcome of a rightward walk.
-struct Walk {
-    bases: Vec<u8>,
-    depth_sum: f64,
-    vcount: usize,
-    /// Canonical form of the final k-mer of the walk.
-    last_canonical: Kmer,
-    /// Canonical k-mers visited, in walk order.
-    visited: Vec<Kmer>,
-}
-
-/// Walks right from `start`, appending bases while the next vertex is UU and
-/// agrees with the walk. Stops when the walk returns to `start` (cycle). The
-/// visited vertices are *not* claimed here; the caller batches the claims.
-fn walk_right(ctx: &Ctx, graph: &DistMap<Kmer, KmerVertex>, start: Kmer, limit: usize) -> Walk {
-    let mut bases = start.to_bytes();
-    let mut visited = Vec::new();
-    let mut current = start;
-    let v0 = lookup_oriented(ctx, graph, &current).expect("start vertex exists");
-    let mut depth_sum = v0.count as f64;
-    let mut vcount = 1usize;
-    visited.push(v0.canonical);
-    let mut right = v0.right;
-    let mut last_canonical = v0.canonical;
-    let mut steps = 0usize;
-    while let Ext::Base(c) = right {
-        steps += 1;
-        if steps > limit {
-            break;
-        }
-        let next = current.extended_right(c);
-        if next == start {
-            // Closed the cycle.
-            break;
-        }
-        let nv = match lookup_oriented(ctx, graph, &next) {
-            Some(nv) => nv,
-            None => break,
-        };
-        if !eligible(nv.left, nv.right) {
-            break;
-        }
-        // The next vertex must agree that its left neighbour is `current`.
-        match nv.left {
-            Ext::Base(lc) if next.extended_left(lc) == current => {}
-            _ => break,
-        }
-        bases.push(seqio::alphabet::decode_base(c));
-        depth_sum += nv.count as f64;
-        vcount += 1;
-        visited.push(nv.canonical);
-        last_canonical = nv.canonical;
-        current = next;
-        right = nv.right;
-    }
-    Walk {
-        bases,
-        depth_sum,
-        vcount,
-        last_canonical,
-        visited,
-    }
-}
-
-/// The per-hop baseline: one aggregated-claim batch per phase, one
-/// fine-grained lookup per hop. Returns this rank's emitted contigs.
-fn per_hop_contigs(
-    ctx: &Ctx,
-    graph: &DistMap<Kmer, KmerVertex>,
-    params: &TraversalParams,
-) -> Vec<(Vec<u8>, f64)> {
-    // A safety bound on walk length: a walk visits each (vertex, orientation)
-    // pair at most once, and Möbius-shaped structures (a walk crossing a
-    // palindromic junction into its own reverse complement) legitimately
-    // visit both orientations — so the bound is twice the vertex count.
-    let limit = 2 * graph.len() + 2;
-
-    let mut local: Vec<(Vec<u8>, f64)> = Vec::new();
-
-    // ---- Phase 1: maximal paths, walked from their left ends ----------------
-    let seeds: Vec<Kmer> = {
-        let mut s = Vec::new();
-        graph.for_each_local(ctx, |kmer, v| {
-            if eligible(v.left, v.right) {
-                s.push(*kmer);
-            }
-        });
-        s
-    };
-    let mut claims: Vec<Kmer> = Vec::new();
-    for seed in &seeds {
-        // The seed is stored canonically; a path end may present itself in
-        // either orientation, so test both (at most one walk per seed).
-        for oriented in [*seed, seed.revcomp()] {
-            if is_left_path_end(ctx, graph, &oriented) {
-                let walk = walk_right(ctx, graph, oriented, limit);
-                claims.extend_from_slice(&walk.visited);
-                // The path is discovered from both ends; the end with the
-                // smaller canonical k-mer is the designated emitter.
-                if *seed <= walk.last_canonical {
-                    push_contig(&mut local, walk.bases, walk.depth_sum, walk.vcount, params);
-                }
-                break;
-            }
-        }
-    }
-    // The claims of the whole phase travel in aggregated batches — not one
-    // round trip per vertex — and phase 2 only reads them after the barrier.
-    claim_used(ctx, graph, &claims);
-    ctx.barrier();
-
-    // ---- Phase 2: cycles (eligible vertices untouched by any path walk) -----
-    let leftovers: Vec<Kmer> = {
-        let mut s = Vec::new();
-        graph.for_each_local(ctx, |kmer, v| {
-            if eligible(v.left, v.right) && !v.used {
-                s.push(*kmer);
-            }
-        });
-        s
-    };
-    let mut claims: Vec<Kmer> = Vec::new();
-    for seed in leftovers {
-        // Every rank walks every cycle seed it owns; only the walk started at
-        // the cycle's minimal k-mer emits.
-        let walk = walk_right(ctx, graph, seed, limit);
-        claims.extend_from_slice(&walk.visited);
-        let min = walk.visited.iter().min().copied().unwrap_or(seed);
-        if seed == min {
-            push_contig(&mut local, walk.bases, walk.depth_sum, walk.vcount, params);
-        }
-    }
-    claim_used(ctx, graph, &claims);
-    ctx.barrier();
-    local
-}
-
-/// Traverses the graph and returns the contig set (identical on every rank
-/// and for either traversal implementation). Collective.
+/// Traverses the graph and returns the contig set (identical on every rank).
+/// Collective.
+///
+/// # Panics
+/// Panics if `k` is even: an even-length k-mer can be its own reverse
+/// complement, which the emitter rules of the traversal exclude.
 pub fn traverse_contigs(
     ctx: &Ctx,
     graph: &KmerGraph,
     k: usize,
     params: &TraversalParams,
 ) -> ContigSet {
-    let local = if params.use_segment_traversal && k % 2 == 1 {
-        crate::segment::segment_contigs(ctx, graph, k, params)
-    } else {
-        per_hop_contigs(ctx, graph, params)
-    };
+    assert!(
+        k % 2 == 1,
+        "traverse_contigs needs an odd k (an even-length k-mer can be its own reverse \
+         complement), got k = {k}"
+    );
+    let local = crate::segment::segment_contigs(ctx, graph, k, params);
+    share_contig_set(ctx, k, local)
+}
 
-    // ---- Gather to a deterministic, shared contig set ------------------------
+/// Gathers every rank's emitted contigs into one deterministic set shared by
+/// all ranks. Collective.
+pub(crate) fn share_contig_set(ctx: &Ctx, k: usize, local: Vec<(Vec<u8>, f64)>) -> ContigSet {
     let mut outgoing: Vec<Vec<(Vec<u8>, f64)>> = vec![Vec::new(); ctx.ranks()];
     outgoing[0] = local;
     let gathered = ctx.exchange(outgoing);
@@ -295,9 +96,25 @@ mod tests {
     use super::*;
     use crate::analysis::{kmer_analysis, KmerAnalysisParams};
     use crate::graph::{build_graph, ThresholdPolicy};
+    use crate::per_hop::per_hop_contig_set;
     use pgas::Team;
     use seqio::alphabet::revcomp;
     use seqio::Read;
+
+    /// The traversal under test (`segment`) or its reference walker.
+    fn traverse(
+        ctx: &Ctx,
+        graph: &KmerGraph,
+        k: usize,
+        params: &TraversalParams,
+        segment: bool,
+    ) -> ContigSet {
+        if segment {
+            traverse_contigs(ctx, graph, k, params)
+        } else {
+            per_hop_contig_set(ctx, graph, k, params)
+        }
+    }
 
     fn assemble_with(seqs: &[&str], k: usize, ranks: usize, segment: bool) -> ContigSet {
         let reads: Vec<Read> = seqs
@@ -318,15 +135,7 @@ mod tests {
             };
             let res = kmer_analysis(ctx, &reads[range], &params);
             let graph = build_graph(ctx, &res.counts, ThresholdPolicy::metahipmer_default());
-            traverse_contigs(
-                ctx,
-                &graph,
-                k,
-                &TraversalParams {
-                    use_segment_traversal: segment,
-                    ..Default::default()
-                },
-            )
+            traverse(ctx, &graph, k, &TraversalParams::default(), segment)
         });
         for s in &sets[1..] {
             assert_eq!(s, &sets[0], "contig set must be identical on every rank");
@@ -334,13 +143,14 @@ mod tests {
         sets[0].clone()
     }
 
-    /// Runs both traversal implementations, asserts they agree, returns one.
+    /// Runs the traversal and its reference walker, asserts they agree,
+    /// returns the traversal's set.
     fn assemble(seqs: &[&str], k: usize, ranks: usize) -> ContigSet {
         let seg = assemble_with(seqs, k, ranks, true);
         let hop = assemble_with(seqs, k, ranks, false);
         assert_eq!(
             seg, hop,
-            "segment traversal must match the per-hop baseline"
+            "segment traversal must match the per-hop reference"
         );
         seg
     }
@@ -436,15 +246,10 @@ mod tests {
                 };
                 let res = kmer_analysis(ctx, &reads, &params);
                 let graph = build_graph(ctx, &res.counts, ThresholdPolicy::metahipmer_default());
-                traverse_contigs(
-                    ctx,
-                    &graph,
-                    15,
-                    &TraversalParams {
-                        min_contig_len: 1000,
-                        use_segment_traversal: segment,
-                    },
-                )
+                let params = TraversalParams {
+                    min_contig_len: 1000,
+                };
+                traverse(ctx, &graph, 15, &params, segment)
             });
             assert!(sets[0].is_empty());
         }
@@ -452,8 +257,8 @@ mod tests {
 
     #[test]
     fn segment_traversal_claims_all_eligible_vertices() {
-        // Both implementations must leave the same graph state behind: every
-        // eligible vertex claimed.
+        // The traversal must leave the graph state its reference walker
+        // leaves behind: every eligible vertex claimed.
         let seq = "ACGGTCAGGTTCAAGGACTTACGGACCATGGCATTACGGATACCAGGATCCAGATCACCAGT";
         let reads: Vec<Read> = (0..3)
             .map(|i| Read::with_uniform_quality(format!("r{i}"), seq.as_bytes(), 35))
@@ -469,15 +274,7 @@ mod tests {
                 };
                 let res = kmer_analysis(ctx, &reads, &params);
                 let graph = build_graph(ctx, &res.counts, ThresholdPolicy::metahipmer_default());
-                traverse_contigs(
-                    ctx,
-                    &graph,
-                    15,
-                    &TraversalParams {
-                        use_segment_traversal: segment,
-                        ..Default::default()
-                    },
-                );
+                traverse(ctx, &graph, 15, &TraversalParams::default(), segment);
                 graph.for_each_local(ctx, |_, v| {
                     if eligible(v.left, v.right) {
                         assert!(v.used, "eligible vertex left unclaimed");
@@ -485,5 +282,14 @@ mod tests {
                 });
             });
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "got k = 12")]
+    fn traverse_contigs_on_even_k_fails_naming_k() {
+        Team::single_node(1).run(|ctx| {
+            let graph: KmerGraph = dht::DistMap::shared(ctx);
+            traverse_contigs(ctx, &graph, 12, &TraversalParams::default())
+        });
     }
 }

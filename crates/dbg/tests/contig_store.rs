@@ -1,7 +1,7 @@
 //! Property tests for the distributed contig store: window fetches must equal
 //! direct slicing of the replicated sequences for arbitrary (id, start, len)
 //! triples — including out-of-range ids, starts and lengths — at every rank
-//! count and under both owner-assignment strategies.
+//! count.
 
 use dbg::{ContigSet, ContigStore, ContigStoreParams, ContigsRef, PackedSeq};
 use pgas::Team;
@@ -42,59 +42,56 @@ fn random_set(seed: u64, contigs: usize) -> ContigSet {
 #[test]
 fn window_fetches_equal_direct_slicing_for_random_triples() {
     let set = random_set(20260729, 25);
-    for balanced in [false, true] {
-        for ranks in [1usize, 2, 5, 8] {
-            let set2 = set.clone();
-            let team = Team::single_node(ranks);
-            team.run(|ctx| {
-                let store = ContigStore::build(
-                    ctx,
-                    &set2,
-                    &ContigStoreParams {
-                        cache_bytes: 2048, // small: force evictions mid-test
-                        balanced,
-                        ..Default::default()
-                    },
-                );
-                let mut reader = store.reader(ctx);
-                // Different random triples on every rank.
-                let mut rng = Rng(0x9E37 + ctx.rank() as u64 * 77 + ranks as u64);
-                for round in 0..40 {
-                    // A batch of ids, some unknown; every rank keeps calling
-                    // the collective the same number of times.
-                    let ids: Vec<u64> = (0..8)
-                        .map(|_| rng.next() % (set2.len() as u64 + 4))
-                        .collect();
-                    let fetched = if round % 2 == 0 {
-                        reader.get_many(ctx, &ids)
-                    } else {
-                        reader.get_many_onesided(ctx, &ids)
-                    };
-                    for (id, packed) in ids.iter().zip(fetched) {
-                        match set2.get(*id) {
-                            None => assert!(packed.is_none(), "unknown id {id} yielded bytes"),
-                            Some(contig) => {
-                                let packed = packed.expect("known id");
-                                let n = contig.seq.len();
-                                assert_eq!(packed.len(), n);
-                                for _ in 0..4 {
-                                    let start = (rng.next() % (n as u64 + 20)) as usize;
-                                    let wlen = (rng.next() % (n as u64 + 20)) as usize;
-                                    let lo = start.min(n);
-                                    let hi = start.saturating_add(wlen).min(n).max(lo);
-                                    assert_eq!(
-                                        packed.window(start, wlen),
-                                        &contig.seq[lo..hi],
-                                        "id={id} start={start} len={wlen}"
-                                    );
-                                }
+    for ranks in [1usize, 2, 5, 8] {
+        let set2 = set.clone();
+        let team = Team::single_node(ranks);
+        team.run(|ctx| {
+            let store = ContigStore::build(
+                ctx,
+                &set2,
+                &ContigStoreParams {
+                    cache_bytes: 2048, // small: force evictions mid-test
+                    ..Default::default()
+                },
+            );
+            let mut reader = store.reader(ctx);
+            // Different random triples on every rank.
+            let mut rng = Rng(0x9E37 + ctx.rank() as u64 * 77 + ranks as u64);
+            for round in 0..40 {
+                // A batch of ids, some unknown; every rank keeps calling
+                // the collective the same number of times.
+                let ids: Vec<u64> = (0..8)
+                    .map(|_| rng.next() % (set2.len() as u64 + 4))
+                    .collect();
+                let fetched = if round % 2 == 0 {
+                    reader.get_many(ctx, &ids)
+                } else {
+                    reader.get_many_onesided(ctx, &ids)
+                };
+                for (id, packed) in ids.iter().zip(fetched) {
+                    match set2.get(*id) {
+                        None => assert!(packed.is_none(), "unknown id {id} yielded bytes"),
+                        Some(contig) => {
+                            let packed = packed.expect("known id");
+                            let n = contig.seq.len();
+                            assert_eq!(packed.len(), n);
+                            for _ in 0..4 {
+                                let start = (rng.next() % (n as u64 + 20)) as usize;
+                                let wlen = (rng.next() % (n as u64 + 20)) as usize;
+                                let lo = start.min(n);
+                                let hi = start.saturating_add(wlen).min(n).max(lo);
+                                assert_eq!(
+                                    packed.window(start, wlen),
+                                    &contig.seq[lo..hi],
+                                    "id={id} start={start} len={wlen}"
+                                );
                             }
                         }
                     }
                 }
-                ctx.barrier();
-            });
-        }
+            }
+            ctx.barrier();
+        });
     }
 }
 

@@ -1,12 +1,13 @@
 //! Property test of the supermer-routed single-pass k-mer analysis: over
 //! randomised reads (with sequencing errors, ambiguous bases and mixed base
 //! qualities), team widths of 1–8 ranks, and both Bloom settings, the
-//! minimizer-partitioned supermer path must produce a counts table —
-//! keys, occurrence counts *and* per-side extension tallies — identical to
-//! the per-k-mer baseline's.
+//! minimizer-partitioned analysis must produce a counts table — keys,
+//! occurrence counts *and* per-side extension tallies — identical to a
+//! serial count over `kmers::kmers_with_exts_iter`.
 
 use dbg::{kmer_analysis, KmerAnalysisParams};
-use kmers::{Kmer, KmerCounts};
+use dht::FxHashMap;
+use kmers::{kmers_with_exts_iter, Kmer, KmerCounts};
 use pgas::{Ctx, Team};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -55,8 +56,25 @@ fn run_table(reads: &[Read], ranks: usize, params: &KmerAnalysisParams) -> Vec<(
     all
 }
 
+/// The reference: every canonical k-mer observation of every read counted
+/// serially, then cut at `min_count`, sorted by key.
+fn naive_table(reads: &[Read], params: &KmerAnalysisParams) -> Vec<(Kmer, KmerCounts)> {
+    let mut table: FxHashMap<Kmer, KmerCounts> = FxHashMap::default();
+    for read in reads {
+        for obs in kmers_with_exts_iter(&read.seq, &read.qual, params.k, params.hq_threshold) {
+            table.entry(obs.kmer).or_default().observe(obs.exts);
+        }
+    }
+    let mut all: Vec<(Kmer, KmerCounts)> = table
+        .into_iter()
+        .filter(|(_, c)| c.count >= params.min_count)
+        .collect();
+    all.sort_by_key(|a| a.0);
+    all
+}
+
 #[test]
-fn supermer_routing_matches_per_kmer_baseline_on_randomised_reads() {
+fn supermer_analysis_matches_naive_counting_on_randomised_reads() {
     let mut rng = StdRng::seed_from_u64(20260728);
     for trial in 0..6 {
         let genomes: Vec<Vec<u8>> = (0..2)
@@ -70,8 +88,8 @@ fn supermer_routing_matches_per_kmer_baseline_on_randomised_reads() {
         let reads = random_reads(&mut rng, &genomes, n_reads);
         let k = *[7usize, 11, 17, 21].get(rng.gen_range(0..4)).unwrap();
         let m = rng.gen_range(3..=k.min(19));
-        // With the Bloom pre-pass, admission is only deterministic for
-        // k-mers seen at least twice, so pair it with ε >= 2.
+        // With Bloom admission, the table is only deterministic for k-mers
+        // seen at least twice, so pair it with ε >= 2.
         let use_bloom = rng.gen_range(0..2) == 0;
         let min_count = if use_bloom {
             2
@@ -87,26 +105,41 @@ fn supermer_routing_matches_per_kmer_baseline_on_randomised_reads() {
             batch: *[1usize, 7, 4096].get(rng.gen_range(0..3)).unwrap(),
             ..Default::default()
         };
-        let mut supermer = params.clone();
-        supermer.use_supermers = true;
-        let mut per_kmer = params.clone();
-        per_kmer.use_supermers = false;
-
-        // The per-k-mer baseline on one rank is the reference.
-        let reference = run_table(&reads, 1, &per_kmer);
+        let reference = naive_table(&reads, &params);
+        assert!(!reference.is_empty(), "trial {trial}: nothing survived ε");
         for ranks in 1..=8usize {
-            let got = run_table(&reads, ranks, &supermer);
+            let got = run_table(&reads, ranks, &params);
             assert_eq!(
                 got, reference,
                 "supermer table diverged: trial={trial} ranks={ranks} k={k} m={m} \
                  bloom={use_bloom} eps={min_count}"
             );
         }
-        // And the baseline itself must be rank-count invariant too.
-        let baseline_4 = run_table(&reads, 4, &per_kmer);
-        assert_eq!(
-            baseline_4, reference,
-            "baseline not rank-invariant: trial={trial}"
-        );
     }
+}
+
+#[test]
+fn bloom_admission_keeps_exact_counts_on_palindromes_and_ambiguous_bases() {
+    // Bloom on, ε = 2: admission is deterministic for every surviving k-mer,
+    // including the first observation parked before the second arrived.
+    let reads: Vec<Read> = [
+        "ACGTACGGTTCAGGCATTACGGATCCAGTT",
+        "ACGTACGGTTCAGGCATTACGGATCCAGTT",
+        "TTGACCGGATNACCAGGTTCCAGGAACCTT",
+        "TTGACCGGATAACCAGGTTCCAGGAACCTT",
+        "GGGGGCCCCCAAAAATTTTTGGGGGCCCCC",
+    ]
+    .iter()
+    .enumerate()
+    .map(|(i, s)| Read::with_uniform_quality(format!("r{i}"), s.as_bytes(), 35))
+    .collect();
+    let params = KmerAnalysisParams {
+        k: 11,
+        min_count: 2,
+        use_bloom: true,
+        ..Default::default()
+    };
+    let reference = naive_table(&reads, &params);
+    assert!(!reference.is_empty());
+    assert_eq!(run_table(&reads, 3, &params), reference);
 }

@@ -116,13 +116,6 @@ where
         self.shards[owner].subs[sub].lock().insert(key, value)
     }
 
-    /// True if the key is present. Fine-grained global read.
-    pub fn contains(&self, ctx: &Ctx, key: &K) -> bool {
-        let (owner, sub) = self.slot(key);
-        ctx.record_access(owner);
-        self.shards[owner].subs[sub].lock().contains_key(key)
-    }
-
     /// Clones the value for a key, if present. Fine-grained global read.
     pub fn get_cloned(&self, ctx: &Ctx, key: &K) -> Option<V>
     where
@@ -529,9 +522,8 @@ mod tests {
             // Every rank can read every key.
             for i in 0..100u64 {
                 assert_eq!(map.get_cloned(ctx, &i), Some(format!("v{i}")));
-                assert!(map.contains(ctx, &i));
             }
-            assert!(!map.contains(ctx, &1000));
+            assert_eq!(map.get_cloned(ctx, &1000), None);
             ctx.barrier();
             if ctx.rank() == 0 {
                 assert_eq!(map.len(), 100);
@@ -539,7 +531,7 @@ mod tests {
                 assert_eq!(map.remove(ctx, &7), None);
             }
             ctx.barrier();
-            assert!(!map.contains(ctx, &7));
+            assert_eq!(map.get_cloned(ctx, &7), None);
         });
     }
 

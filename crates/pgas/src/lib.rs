@@ -39,7 +39,7 @@ pub mod work;
 
 pub use conformance::{OpKind, OpRecord};
 pub use exchange::{Aggregator, AllToAll, Blob, BlobAggregator, RpcAggregator};
-pub use stats::{CommStats, StatsSnapshot};
+pub use stats::{CommStats, Reduction, StatsSnapshot};
 pub use team::{
     install_panic_accounting, unexpected_panics, Ctx, FaultPlan, LocalPhaseGuard, RankFault,
     SlotLease, Team,

@@ -8,231 +8,155 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Atomic per-rank counters. Padded to a cache line to avoid false sharing
-/// between ranks that update their own counters concurrently.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-pub struct CommStats {
+/// How a counter's per-rank values combine into one team-wide figure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reduction {
+    /// Events and bytes, counted once on the rank that caused them.
+    Sum,
+    /// A per-rank running peak; memory is provisioned per rank, so the
+    /// team-wide figure is the largest rank's.
+    Max,
+}
+
+/// Generates [`CommStats`], [`StatsSnapshot`] and every per-counter list over
+/// them from the one table at the bottom of this macro's invocation:
+/// `doc, name: Sum | Max`. Adding a counter is adding a row.
+macro_rules! counters {
+    ($( $(#[$doc:meta])* $name:ident: $kind:ident, )*) => {
+        /// Atomic per-rank counters. Padded to a cache line to avoid false
+        /// sharing between ranks that update their own counters concurrently.
+        #[derive(Debug, Default)]
+        #[repr(align(128))]
+        pub struct CommStats {
+            $( $(#[$doc])* pub $name: AtomicU64, )*
+        }
+
+        impl CommStats {
+            /// Resets every counter to zero.
+            pub fn reset(&self) {
+                $( self.$name.store(0, Ordering::Relaxed); )*
+            }
+
+            /// Takes a plain-value snapshot of the counters.
+            pub fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot {
+                    $( $name: self.$name.load(Ordering::Relaxed), )*
+                }
+            }
+
+            /// Overwrites every counter with the snapshot's value.
+            #[cfg(test)]
+            fn store(&self, values: &StatsSnapshot) {
+                $( self.$name.store(values.$name, Ordering::Relaxed); )*
+            }
+        }
+
+        /// A plain-value copy of [`CommStats`], summable across ranks.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $( $(#[$doc])* pub $name: u64, )*
+        }
+
+        impl StatsSnapshot {
+            /// Element-wise sum of two snapshots. (Summing the per-rank
+            /// residency peaks gives the team-wide resident total: each
+            /// rank's peak is its own shard + cache.)
+            pub fn add(&self, other: &StatsSnapshot) -> StatsSnapshot {
+                StatsSnapshot {
+                    $( $name: self.$name + other.$name, )*
+                }
+            }
+
+            /// Difference (`self - other`), saturating at zero; used to
+            /// measure a phase by snapshotting before and after. (A
+            /// running-max gauge only grows between resets, so its delta is
+            /// how much the peak rose during the phase.)
+            pub fn delta_from(&self, before: &StatsSnapshot) -> StatsSnapshot {
+                StatsSnapshot {
+                    $( $name: self.$name.saturating_sub(before.$name), )*
+                }
+            }
+
+            /// A snapshot with `f(kind, value)` in place of every counter,
+            /// called in declaration order with the counter's [`Reduction`] —
+            /// how a cross-rank reduction learns which counters sum and which
+            /// take the maximum.
+            pub fn map_counters(&self, mut f: impl FnMut(Reduction, u64) -> u64) -> StatsSnapshot {
+                StatsSnapshot {
+                    $( $name: f(Reduction::$kind, self.$name), )*
+                }
+            }
+        }
+    };
+}
+
+counters! {
     /// Aggregated messages sent (one per flushed batch).
-    pub msgs_sent: AtomicU64,
+    msgs_sent: Sum,
     /// Payload bytes across all sent messages.
-    pub bytes_sent: AtomicU64,
+    bytes_sent: Sum,
     /// Payload bytes of messages whose destination rank shares the sender's
     /// simulated node (shared-memory transfers; a subset of `bytes_sent`).
-    pub on_node_bytes: AtomicU64,
+    on_node_bytes: Sum,
     /// Payload bytes of messages that crossed a node boundary (interconnect
     /// transfers; `on_node_bytes + off_node_bytes == bytes_sent`).
-    pub off_node_bytes: AtomicU64,
+    off_node_bytes: Sum,
     /// Aggregated messages whose destination shares the sender's node
     /// (`on_node_msgs + off_node_msgs == msgs_sent`).
-    pub on_node_msgs: AtomicU64,
+    on_node_msgs: Sum,
     /// Aggregated messages that crossed a node boundary — the interconnect
     /// injection count the two-level exchange reduces.
-    pub off_node_msgs: AtomicU64,
+    off_node_msgs: Sum,
     /// Fine-grained operations that targeted data owned by a rank on another
     /// simulated node.
-    pub remote_ops: AtomicU64,
+    remote_ops: Sum,
     /// Fine-grained operations that stayed within the simulated node.
-    pub local_ops: AtomicU64,
+    local_ops: Sum,
     /// Global atomic operations (compare-and-swap, fetch-add on shared state).
-    pub atomic_ops: AtomicU64,
+    atomic_ops: Sum,
     /// Software-cache hits (read-only phase of the distributed hash tables).
-    pub cache_hits: AtomicU64,
+    cache_hits: Sum,
     /// Software-cache misses.
-    pub cache_misses: AtomicU64,
+    cache_misses: Sum,
     /// Work blocks obtained through the dynamic work-stealing counter beyond
     /// the rank's initial block.
-    pub steals: AtomicU64,
+    steals: Sum,
     /// Completed aggregated request–response round trips (batched lookups).
-    pub rpc_round_trips: AtomicU64,
+    rpc_round_trips: Sum,
     /// Payload bytes of the response legs of aggregated request–response
     /// exchanges (a subset of `bytes_sent`, recorded on the serving rank).
-    pub rpc_resp_bytes: AtomicU64,
+    rpc_resp_bytes: Sum,
     /// Software-cache evictions (entries displaced by the capacity bound).
-    pub cache_evictions: AtomicU64,
+    cache_evictions: Sum,
     /// Payload bytes of packed supermer records shipped by supermer-routed
     /// k-mer analysis (a subset of `bytes_sent`, recorded on the sender).
-    pub supermer_bytes: AtomicU64,
+    supermer_bytes: Sum,
     /// Collective endpoint-exchange rounds performed by the segment-stitching
     /// contig traversal (pred resolution + pointer-jumping + assembly).
     /// Recorded on rank 0 only, so a summed snapshot reads as "rounds".
-    pub traversal_rounds: AtomicU64,
+    traversal_rounds: Sum,
     /// Payload bytes of segment-stitching exchanges during traversal (a
     /// subset of `bytes_sent`, recorded on the sender).
-    pub stitch_bytes: AtomicU64,
+    stitch_bytes: Sum,
     /// Peak contig bytes resident on this rank: the owned shard of the
     /// distributed contig store plus the rank's reader cache (packed bytes),
     /// or the full replicated `ContigSet` (raw bytes) when the distributed
     /// store is disabled. Updated with a running max, not a sum.
-    pub contig_bytes_resident: AtomicU64,
+    contig_bytes_resident: Max,
     /// Packed contig bytes fetched from remote shards of the distributed
     /// contig store (cache-miss fills; a measure of contig read traffic).
-    pub contig_fetch_bytes: AtomicU64,
+    contig_fetch_bytes: Sum,
     /// Peak read bytes resident on this rank: the owned shard of the
     /// distributed read store plus the rank's reader cache (packed bytes), or
     /// the full replicated `ReadLibrary` (raw seq+qual bytes) when the
     /// distributed store is disabled. Updated with a running max, not a sum.
-    pub read_bytes_resident: AtomicU64,
+    read_bytes_resident: Max,
     /// Packed read-block bytes fetched from remote shards of the distributed
     /// read store (cache-miss fills; a measure of read fetch traffic).
-    pub read_fetch_bytes: AtomicU64,
-}
-
-impl CommStats {
-    /// Resets every counter to zero.
-    pub fn reset(&self) {
-        self.msgs_sent.store(0, Ordering::Relaxed);
-        self.bytes_sent.store(0, Ordering::Relaxed);
-        self.on_node_bytes.store(0, Ordering::Relaxed);
-        self.off_node_bytes.store(0, Ordering::Relaxed);
-        self.on_node_msgs.store(0, Ordering::Relaxed);
-        self.off_node_msgs.store(0, Ordering::Relaxed);
-        self.remote_ops.store(0, Ordering::Relaxed);
-        self.local_ops.store(0, Ordering::Relaxed);
-        self.atomic_ops.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.cache_misses.store(0, Ordering::Relaxed);
-        self.steals.store(0, Ordering::Relaxed);
-        self.rpc_round_trips.store(0, Ordering::Relaxed);
-        self.rpc_resp_bytes.store(0, Ordering::Relaxed);
-        self.cache_evictions.store(0, Ordering::Relaxed);
-        self.supermer_bytes.store(0, Ordering::Relaxed);
-        self.traversal_rounds.store(0, Ordering::Relaxed);
-        self.stitch_bytes.store(0, Ordering::Relaxed);
-        self.contig_bytes_resident.store(0, Ordering::Relaxed);
-        self.contig_fetch_bytes.store(0, Ordering::Relaxed);
-        self.read_bytes_resident.store(0, Ordering::Relaxed);
-        self.read_fetch_bytes.store(0, Ordering::Relaxed);
-    }
-
-    /// Takes a plain-value snapshot of the counters.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            msgs_sent: self.msgs_sent.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            on_node_bytes: self.on_node_bytes.load(Ordering::Relaxed),
-            off_node_bytes: self.off_node_bytes.load(Ordering::Relaxed),
-            on_node_msgs: self.on_node_msgs.load(Ordering::Relaxed),
-            off_node_msgs: self.off_node_msgs.load(Ordering::Relaxed),
-            remote_ops: self.remote_ops.load(Ordering::Relaxed),
-            local_ops: self.local_ops.load(Ordering::Relaxed),
-            atomic_ops: self.atomic_ops.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            rpc_round_trips: self.rpc_round_trips.load(Ordering::Relaxed),
-            rpc_resp_bytes: self.rpc_resp_bytes.load(Ordering::Relaxed),
-            cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
-            supermer_bytes: self.supermer_bytes.load(Ordering::Relaxed),
-            traversal_rounds: self.traversal_rounds.load(Ordering::Relaxed),
-            stitch_bytes: self.stitch_bytes.load(Ordering::Relaxed),
-            contig_bytes_resident: self.contig_bytes_resident.load(Ordering::Relaxed),
-            contig_fetch_bytes: self.contig_fetch_bytes.load(Ordering::Relaxed),
-            read_bytes_resident: self.read_bytes_resident.load(Ordering::Relaxed),
-            read_fetch_bytes: self.read_fetch_bytes.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A plain-value copy of [`CommStats`], summable across ranks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    pub msgs_sent: u64,
-    pub bytes_sent: u64,
-    pub on_node_bytes: u64,
-    pub off_node_bytes: u64,
-    pub on_node_msgs: u64,
-    pub off_node_msgs: u64,
-    pub remote_ops: u64,
-    pub local_ops: u64,
-    pub atomic_ops: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub steals: u64,
-    pub rpc_round_trips: u64,
-    pub rpc_resp_bytes: u64,
-    pub cache_evictions: u64,
-    pub supermer_bytes: u64,
-    pub traversal_rounds: u64,
-    pub stitch_bytes: u64,
-    pub contig_bytes_resident: u64,
-    pub contig_fetch_bytes: u64,
-    pub read_bytes_resident: u64,
-    pub read_fetch_bytes: u64,
+    read_fetch_bytes: Sum,
 }
 
 impl StatsSnapshot {
-    /// Element-wise sum of two snapshots.
-    pub fn add(&self, other: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            msgs_sent: self.msgs_sent + other.msgs_sent,
-            bytes_sent: self.bytes_sent + other.bytes_sent,
-            on_node_bytes: self.on_node_bytes + other.on_node_bytes,
-            off_node_bytes: self.off_node_bytes + other.off_node_bytes,
-            on_node_msgs: self.on_node_msgs + other.on_node_msgs,
-            off_node_msgs: self.off_node_msgs + other.off_node_msgs,
-            remote_ops: self.remote_ops + other.remote_ops,
-            local_ops: self.local_ops + other.local_ops,
-            atomic_ops: self.atomic_ops + other.atomic_ops,
-            cache_hits: self.cache_hits + other.cache_hits,
-            cache_misses: self.cache_misses + other.cache_misses,
-            steals: self.steals + other.steals,
-            rpc_round_trips: self.rpc_round_trips + other.rpc_round_trips,
-            rpc_resp_bytes: self.rpc_resp_bytes + other.rpc_resp_bytes,
-            cache_evictions: self.cache_evictions + other.cache_evictions,
-            supermer_bytes: self.supermer_bytes + other.supermer_bytes,
-            traversal_rounds: self.traversal_rounds + other.traversal_rounds,
-            stitch_bytes: self.stitch_bytes + other.stitch_bytes,
-            // Summing per-rank residency peaks gives the team-wide resident
-            // total (each rank's peak is its own shard + cache).
-            contig_bytes_resident: self.contig_bytes_resident + other.contig_bytes_resident,
-            contig_fetch_bytes: self.contig_fetch_bytes + other.contig_fetch_bytes,
-            read_bytes_resident: self.read_bytes_resident + other.read_bytes_resident,
-            read_fetch_bytes: self.read_fetch_bytes + other.read_fetch_bytes,
-        }
-    }
-
-    /// Difference (`self - other`), saturating at zero; used to measure a
-    /// phase by snapshotting before and after.
-    pub fn delta_from(&self, before: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            msgs_sent: self.msgs_sent.saturating_sub(before.msgs_sent),
-            bytes_sent: self.bytes_sent.saturating_sub(before.bytes_sent),
-            on_node_bytes: self.on_node_bytes.saturating_sub(before.on_node_bytes),
-            off_node_bytes: self.off_node_bytes.saturating_sub(before.off_node_bytes),
-            on_node_msgs: self.on_node_msgs.saturating_sub(before.on_node_msgs),
-            off_node_msgs: self.off_node_msgs.saturating_sub(before.off_node_msgs),
-            remote_ops: self.remote_ops.saturating_sub(before.remote_ops),
-            local_ops: self.local_ops.saturating_sub(before.local_ops),
-            atomic_ops: self.atomic_ops.saturating_sub(before.atomic_ops),
-            cache_hits: self.cache_hits.saturating_sub(before.cache_hits),
-            cache_misses: self.cache_misses.saturating_sub(before.cache_misses),
-            steals: self.steals.saturating_sub(before.steals),
-            rpc_round_trips: self.rpc_round_trips.saturating_sub(before.rpc_round_trips),
-            rpc_resp_bytes: self.rpc_resp_bytes.saturating_sub(before.rpc_resp_bytes),
-            cache_evictions: self.cache_evictions.saturating_sub(before.cache_evictions),
-            supermer_bytes: self.supermer_bytes.saturating_sub(before.supermer_bytes),
-            traversal_rounds: self
-                .traversal_rounds
-                .saturating_sub(before.traversal_rounds),
-            stitch_bytes: self.stitch_bytes.saturating_sub(before.stitch_bytes),
-            // A running-max gauge only grows between resets, so the delta is
-            // how much the peak rose during the phase.
-            contig_bytes_resident: self
-                .contig_bytes_resident
-                .saturating_sub(before.contig_bytes_resident),
-            contig_fetch_bytes: self
-                .contig_fetch_bytes
-                .saturating_sub(before.contig_fetch_bytes),
-            read_bytes_resident: self
-                .read_bytes_resident
-                .saturating_sub(before.read_bytes_resident),
-            read_fetch_bytes: self
-                .read_fetch_bytes
-                .saturating_sub(before.read_fetch_bytes),
-        }
-    }
-
     /// Total fine-grained (per-key) global accesses, local and remote. The
     /// quantity the lookup-aggregation ablation compares against `msgs_sent`.
     pub fn fine_grained_ops(&self) -> u64 {
@@ -291,49 +215,46 @@ pub fn load_balance_ratio(per_rank_work: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
-    #[test]
-    fn snapshot_and_reset() {
-        let s = CommStats::default();
-        s.msgs_sent.fetch_add(3, Ordering::Relaxed);
-        s.bytes_sent.fetch_add(100, Ordering::Relaxed);
-        let snap = s.snapshot();
-        assert_eq!(snap.msgs_sent, 3);
-        assert_eq!(snap.bytes_sent, 100);
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
+    /// A snapshot holding a distinct non-zero value in every counter, and
+    /// how many counters there are.
+    fn distinct() -> (StatsSnapshot, u64) {
+        let mut n = 0;
+        let snap = StatsSnapshot::default().map_counters(|_, zero| {
+            assert_eq!(zero, 0);
+            n += 1;
+            n
+        });
+        (snap, n)
     }
 
     #[test]
-    fn add_and_delta() {
-        let a = StatsSnapshot {
-            msgs_sent: 1,
-            bytes_sent: 10,
-            on_node_bytes: 4,
-            off_node_bytes: 6,
-            on_node_msgs: 1,
-            off_node_msgs: 0,
-            remote_ops: 2,
-            local_ops: 3,
-            atomic_ops: 4,
-            cache_hits: 5,
-            cache_misses: 6,
-            steals: 7,
-            rpc_round_trips: 8,
-            rpc_resp_bytes: 9,
-            cache_evictions: 10,
-            supermer_bytes: 11,
-            traversal_rounds: 12,
-            stitch_bytes: 13,
-            contig_bytes_resident: 14,
-            contig_fetch_bytes: 15,
-            read_bytes_resident: 16,
-            read_fetch_bytes: 17,
+    fn every_counter_round_trips_through_snapshot_add_delta_and_reset() {
+        let (a, n) = distinct();
+        assert!(n >= 22, "the table lost counters: {n}");
+        let stats = CommStats::default();
+        stats.store(&a);
+        assert_eq!(stats.snapshot(), a);
+        let doubled = a.add(&a);
+        assert_eq!(doubled, a.map_counters(|_, v| 2 * v));
+        assert_eq!(doubled.delta_from(&a), a);
+        assert_eq!(a.delta_from(&doubled), StatsSnapshot::default());
+        stats.reset();
+        assert_eq!(stats.snapshot(), StatsSnapshot::default());
+    }
+
+    #[test]
+    fn the_running_peaks_reduce_by_max_and_everything_else_by_sum() {
+        let (a, _) = distinct();
+        let maxed = a.map_counters(|kind, v| match kind {
+            Reduction::Sum => 0,
+            Reduction::Max => v,
+        });
+        let peaks = StatsSnapshot {
+            contig_bytes_resident: a.contig_bytes_resident,
+            read_bytes_resident: a.read_bytes_resident,
+            ..Default::default()
         };
-        let b = a.add(&a);
-        assert_eq!(b.msgs_sent, 2);
-        assert_eq!(b.steals, 14);
-        let d = b.delta_from(&a);
-        assert_eq!(d, a);
+        assert_eq!(maxed, peaks);
     }
 
     #[test]

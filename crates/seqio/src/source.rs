@@ -11,10 +11,9 @@ use crate::read::{Read, ReadId, ReadLibrary};
 
 /// A multi-pass stream of this rank's reads.
 ///
-/// `for_each_read` may be called several times (the per-k-mer analysis
-/// baseline makes up to three passes); every call must replay the same reads
-/// in the same order. Implementations backed by packed storage materialise at
-/// most a bounded window of unpacked reads at a time.
+/// `for_each_read` may be called several times; every call must replay the
+/// same reads in the same order. Implementations backed by packed storage
+/// materialise at most a bounded window of unpacked reads at a time.
 pub trait ReadSource {
     /// Calls `f` once per read, in stream order.
     fn for_each_read(&mut self, f: &mut dyn FnMut(&Read));

@@ -159,8 +159,14 @@ fn perturb(site: &str) {
 mod tests {
     use super::*;
 
+    /// `ENABLED` and `STATE` are process-global and `cargo test` runs tests on
+    /// parallel threads: every test that touches them holds this for its
+    /// whole body, or one test's `disable()` lands mid-loop in the other.
+    static GLOBAL_SCHEDULE: Mutex<()> = Mutex::new(());
+
     #[test]
     fn disabled_yield_points_are_free_and_fire_nothing() {
+        let _serial = GLOBAL_SCHEDULE.lock().unwrap_or_else(|e| e.into_inner());
         disable();
         for _ in 0..1_000 {
             yield_point("test::site");
@@ -170,6 +176,7 @@ mod tests {
 
     #[test]
     fn budget_bounds_the_number_of_perturbations() {
+        let _serial = GLOBAL_SCHEDULE.lock().unwrap_or_else(|e| e.into_inner());
         enable(Config {
             seed: 42,
             max_perturbations: 8,
