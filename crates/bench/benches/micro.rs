@@ -296,7 +296,6 @@ fn bench_pipeline_stages(c: &mut Criterion) {
                 let range = ctx.block_range(reads.len());
                 let params = KmerAnalysisParams {
                     k: 21,
-                    use_bloom: false,
                     ..Default::default()
                 };
                 kmer_analysis(ctx, &reads[range], &params).counts.len()
@@ -315,7 +314,6 @@ fn bench_pipeline_stages(c: &mut Criterion) {
                         let range = ctx.block_range(reads.len());
                         let params = KmerAnalysisParams {
                             k: 21,
-                            use_bloom: false,
                             ..Default::default()
                         };
                         kmer_analysis(ctx, &reads[range], &params)

@@ -18,8 +18,6 @@ pub struct AssemblyConfig {
     pub k_step: usize,
     /// Minimum k-mer count ε.
     pub min_kmer_count: u32,
-    /// Use Bloom-filter admission during k-mer analysis.
-    pub use_bloom: bool,
     /// Minimizer length m for supermer routing (clamped to each iteration's
     /// k and to `kmers::MAX_MINIMIZER_LEN`).
     pub minimizer_len: usize,
@@ -108,7 +106,6 @@ impl Default for AssemblyConfig {
             k_max: 43,
             k_step: 22,
             min_kmer_count: 2,
-            use_bloom: true,
             minimizer_len: 15,
             use_distributed_contigs: true,
             contig_cache_bytes: 1 << 20,
@@ -266,7 +263,6 @@ impl AssemblyConfig {
         KmerAnalysisParams {
             k,
             min_count: self.min_kmer_count,
-            use_bloom: self.use_bloom,
             minimizer_len: self.minimizer_len,
             ..Default::default()
         }
@@ -336,7 +332,6 @@ impl AssemblyConfig {
             k_min: 21,
             k_max: 33,
             k_step: 12,
-            use_bloom: false,
             ..Default::default()
         };
         cfg.scaffold.links.min_splint_support = 2;
@@ -557,14 +552,12 @@ mod tests {
     fn analysis_params_inherit_config() {
         let cfg = AssemblyConfig {
             min_kmer_count: 3,
-            use_bloom: false,
             minimizer_len: 11,
             ..Default::default()
         };
         let p = cfg.analysis_params(31);
         assert_eq!(p.k, 31);
         assert_eq!(p.min_count, 3);
-        assert!(!p.use_bloom);
         assert_eq!(p.minimizer_len, 11);
         let default_params = AssemblyConfig::default().analysis_params(21);
         assert_eq!(default_params.effective_minimizer_len(), 15);

@@ -3,7 +3,7 @@
 //! Every rank processes its slice of the reads, extracts canonical k-mers with
 //! their left/right extension observations, and routes them to owner ranks
 //! with aggregated messages. Owners count in their local shard of a
-//! distributed hash table. Three refinements from the paper are reproduced:
+//! distributed hash table. Two refinements from the paper are reproduced:
 //!
 //! * **supermer routing**: instead of shipping every canonical k-mer as a
 //!   ~32-byte packed struct, each read is decomposed once into *supermers*
@@ -11,30 +11,29 @@
 //!   [`kmers::minimizer`]) which travel as packed 2-bit sequence with a
 //!   quality/extension sidecar, ~(s+k−1)/4 bytes per s k-mers. The counts
 //!   table is partitioned by minimizer ([`MinimizerPartitioner`]), so every
-//!   occurrence of a k-mer arrives at its owner and Bloom admission, exact
-//!   counting and heavy-hitter sketching all happen on the receive side of a
-//!   *single* exchange;
-//! * **Bloom-filter admission** admits a k-mer into the final counting table
-//!   only once it has (probably) been seen at least twice, so singleton error
-//!   k-mers never survive into the table downstream stages consume. (Unlike
-//!   the real UPC implementation, this reproduction keeps counting *exact*:
-//!   first sightings are parked in a side map until a second occurrence
-//!   arrives — so admission here shapes the result, not the peak memory.)
-//!   The filter is sized from an all-reduced global k-mer estimate so shards
-//!   stay correctly provisioned however unevenly the reads are distributed;
+//!   occurrence of a k-mer arrives at its owner and exact counting and
+//!   heavy-hitter sketching both happen on the receive side of a *single*
+//!   exchange;
 //! * a **streaming heavy-hitter sketch** identifies k-mers with enormous
 //!   counts (ubiquitous in metagenomes because of highly abundant organisms)
 //!   so callers can inspect/treat them specially; the counting itself remains
 //!   exact. Per-rank sketches are combined with a deterministic binomial-tree
 //!   reduction rather than funnelling every sketch to rank 0.
 //!
-//! With `min_count >= 2` the counts table is exactly what a serial count over
-//! [`kmers::kmers_with_exts_iter`] filtered at `min_count` gives, at any rank
-//! count — the `supermer_equivalence` test holds it to that. (With
-//! `min_count == 1` *and* Bloom admission enabled, the set of admitted
-//! singletons depends on Bloom false positives.)
+//! The paper's third refinement, **Bloom-filter admission** (a k-mer enters
+//! the table only once it has probably been seen twice, so singleton error
+//! k-mers never take table space), is *not* reproduced: counting here is
+//! exact, so every observation goes straight into the table and singletons
+//! leave at the ε cut, after which the shard gives their capacity back
+//! ([`DistMap::retain_local`]). A filter that really bounds peak memory has
+//! to change counts and is a quality-gated roadmap item.
+//!
+//! The counts table is exactly what a serial count over
+//! [`kmers::kmers_with_exts_iter`] filtered at `min_count` gives, for every
+//! `min_count >= 1` and at any rank count — the `supermer_equivalence` test
+//! holds it to that.
 
-use dht::{DistBloom, DistMap, FxHashMap, Partitioner, SpaceSaving};
+use dht::{DistMap, Partitioner, SpaceSaving};
 use kmers::minimizer::{
     encode_supermer, expand_supermer, kmer_minimizer, minimizer_shard, SupermerBlobIter,
     SupermerIter, MAX_MINIMIZER_LEN,
@@ -89,8 +88,6 @@ pub struct KmerAnalysisParams {
     pub min_count: u32,
     /// Phred threshold above which an extension base counts as high quality.
     pub hq_threshold: u8,
-    /// Whether to run the Bloom-filter admission on the receive side.
-    pub use_bloom: bool,
     /// Capacity of the per-rank heavy-hitter sketch (0 disables it).
     pub heavy_hitter_capacity: usize,
     /// Aggregation batch size of the supermer exchange, in packed k-mers
@@ -107,7 +104,6 @@ impl Default for KmerAnalysisParams {
             k: 21,
             min_count: 2,
             hq_threshold: 20,
-            use_bloom: true,
             heavy_hitter_capacity: 64,
             batch: 4096,
             minimizer_len: 15,
@@ -145,11 +141,10 @@ pub fn kmer_analysis(ctx: &Ctx, reads: &[Read], params: &KmerAnalysisParams) -> 
 /// time from owned packed blocks instead of living in a replicated slice.
 /// Collective: every rank must call with its own source. One extraction pass
 /// per read, one aggregated supermer shipment per owner, and all per-k-mer
-/// work (Bloom admission, exact counting, heavy-hitter sketching) on the
-/// receive side. The result is independent of how reads are distributed over
-/// ranks (counts are global sums and Bloom admission triggers on the second
-/// occurrence wherever it arrives), which is what keeps distributed-read
-/// assemblies byte-identical to the replicated baseline.
+/// work (exact counting, heavy-hitter sketching) on the receive side, cut at
+/// `min_count` once the stream ends. The result is independent of how reads
+/// are distributed over ranks (counts are global sums), which is what keeps
+/// distributed-read assemblies byte-identical to the replicated baseline.
 pub fn kmer_analysis_from(
     ctx: &Ctx,
     source: &mut dyn ReadSource,
@@ -166,9 +161,6 @@ pub fn kmer_analysis_from(
     let ranks = ctx.ranks();
     let counts: KmerCountsMap =
         ctx.share(|| DistMap::with_partitioner(ranks, Arc::new(MinimizerPartitioner::new(m))));
-    let bloom = params
-        .use_bloom
-        .then(|| shared_bloom(ctx, source.estimate_kmers(k)));
 
     // --- Send side: one streaming supermer pass over this rank's reads ------
     let batch_bytes = params
@@ -187,47 +179,22 @@ pub fn kmer_analysis_from(
     });
     let blobs = agg.finish();
 
-    // --- Receive side: expansion, admission, counting, sketching ------------
+    // --- Receive side: expansion, counting, sketching -----------------------
     let mut sketch = (params.heavy_hitter_capacity > 0)
         .then(|| SpaceSaving::<Kmer>::new(params.heavy_hitter_capacity));
-    // First sightings not yet admitted by the Bloom filter are parked here;
-    // they join the table when (if) a second occurrence arrives, so admitted
-    // k-mers keep their exact count including the first observation.
-    // Whatever is still parked at the end of the stream (singletons, bar
-    // Bloom false positives) is dropped.
-    let mut parked: FxHashMap<Kmer, KmerCounts> = FxHashMap::default();
-    let rank = ctx.rank();
     for blob in &blobs {
         for record in SupermerBlobIter::new(blob) {
             expand_supermer(&record, k, |obs| {
-                debug_assert_eq!(counts.owner_of(&obs.kmer), rank, "misrouted supermer");
+                debug_assert_eq!(counts.owner_of(&obs.kmer), ctx.rank(), "misrouted supermer");
                 if let Some(s) = sketch.as_mut() {
                     s.offer(obs.kmer, 1);
                 }
                 let mut c = KmerCounts::default();
                 c.observe(obs.exts);
-                match &bloom {
-                    Some(bloom) => {
-                        if bloom.insert_and_check_shard(rank, &obs.kmer) {
-                            // Seen before (or a false positive): admitted.
-                            if let Some(mut held) = parked.remove(&obs.kmer) {
-                                held.merge(&c);
-                                c = held;
-                            }
-                            counts.merge_local(ctx, obs.kmer, c, |a, b| a.merge(&b));
-                        } else {
-                            parked
-                                .entry(obs.kmer)
-                                .and_modify(|held| held.merge(&c))
-                                .or_insert(c);
-                        }
-                    }
-                    None => counts.merge_local(ctx, obs.kmer, c, |a, b| a.merge(&b)),
-                }
+                counts.merge_local(ctx, obs.kmer, c, |a, b| a.merge(&b));
             });
         }
     }
-    drop(parked);
     ctx.barrier();
 
     let heavy_hitters = match sketch {
@@ -244,22 +211,11 @@ pub fn kmer_analysis_from(
     }
 }
 
-/// Shares a Bloom filter sized from the *global* k-mer estimate: every rank
-/// contributes its local estimate to an all-reduce, and each of the `ranks`
-/// shards is provisioned for an equal split of the total. Sizing from one
-/// rank's local estimate (as the seed did) under-provisions every shard when
-/// reads are unevenly distributed, inflating the false-positive rate.
-fn shared_bloom(ctx: &Ctx, local_estimate: usize) -> Arc<DistBloom> {
-    let global = ctx.allreduce_sum_u64(local_estimate as u64) as usize;
-    let expected_per_shard = global / ctx.ranks() + 16;
-    ctx.share(|| DistBloom::new(ctx.ranks(), expected_per_shard * 2, 0.01))
-}
-
 /// Combines the per-rank sketches with a deterministic binomial-tree
 /// reduction — round `2^i` merges rank `q·2^(i+1) + 2^i` into rank
 /// `q·2^(i+1)` — and broadcasts from rank 0 the heavy hitters whose
 /// estimated count is at least `min_count × 64` (a scale-free proxy for
-/// "orders of magnitude more frequent than the admission cutoff"). Each round
+/// "orders of magnitude more frequent than the ε cutoff"). Each round
 /// every receiving rank merges at most one sketch, so no rank ever funnels
 /// all `P` sketches the way the old gather-on-rank-0 scheme did, and the
 /// merge order (hence the resulting list) is independent of thread timing.
@@ -323,7 +279,6 @@ mod tests {
         let params = KmerAnalysisParams {
             k,
             min_count: 2,
-            use_bloom: false,
             ..Default::default()
         };
         let out = team.run(|ctx| {
@@ -352,7 +307,6 @@ mod tests {
         let params = KmerAnalysisParams {
             k: 9,
             min_count: 2,
-            use_bloom: false,
             ..Default::default()
         };
         let total = team.run(|ctx| {
@@ -369,26 +323,31 @@ mod tests {
     }
 
     #[test]
-    fn bloom_admission_gives_same_result_as_exact_for_repeated_kmers() {
-        let reads = reads_from(&["ACGTACGGTTCAGGCATTACG"; 4]);
-        let team = Team::single_node(3);
-        let run = |use_bloom: bool| {
-            let reads = &reads;
-            team.run(move |ctx| {
+    fn no_kmers_gives_an_empty_table_on_every_rank() {
+        // An empty community, and k above every read length: no supermer is
+        // ever shipped, so every rank must still get through the exchange,
+        // the sketch reduction and the ε cut with nothing to show for it.
+        let inputs = [
+            Vec::new(),
+            reads_from(&["ACGTACGT", "TTGACCA", "G", "ACGTTGCATGCATGCAAGTCA"]),
+        ];
+        for reads in &inputs {
+            for ranks in 1..=3usize {
                 let params = KmerAnalysisParams {
-                    k: 11,
-                    min_count: 2,
-                    use_bloom,
+                    k: 23,
+                    min_count: 1,
                     ..Default::default()
                 };
-                let res = kmer_analysis(ctx, my_slice(ctx, reads), &params);
-                ctx.barrier();
-                res.counts.len()
-            })[0]
-        };
-        let (with_bloom, without_bloom) = (run(true), run(false));
-        assert_eq!(with_bloom, without_bloom);
-        assert_eq!(with_bloom, 21 - 11 + 1);
+                let out = Team::single_node(ranks).run(|ctx| {
+                    let res = kmer_analysis(ctx, my_slice(ctx, reads), &params);
+                    (res.counts.len(), res.heavy_hitters)
+                });
+                for (len, hh) in out {
+                    assert_eq!(len, 0, "{ranks} ranks");
+                    assert!(hh.is_empty(), "{ranks} ranks: {hh:?}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -398,7 +357,6 @@ mod tests {
         let params = KmerAnalysisParams {
             k: 5,
             min_count: 2,
-            use_bloom: false,
             ..Default::default()
         };
         team.run(|ctx| {
@@ -433,7 +391,6 @@ mod tests {
         let params = KmerAnalysisParams {
             k: 15,
             min_count: 2,
-            use_bloom: false,
             heavy_hitter_capacity: 8,
             ..Default::default()
         };
@@ -466,7 +423,6 @@ mod tests {
         let params = KmerAnalysisParams {
             k: 15,
             min_count: 1,
-            use_bloom: false,
             heavy_hitter_capacity: 256,
             ..Default::default()
         };

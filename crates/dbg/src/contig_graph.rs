@@ -264,7 +264,6 @@ mod tests {
             let params = KmerAnalysisParams {
                 k: 15,
                 min_count: 2,
-                use_bloom: false,
                 ..Default::default()
             };
             let res = kmer_analysis(ctx, &reads[range], &params);
@@ -333,7 +332,6 @@ mod tests {
             let params = KmerAnalysisParams {
                 k: 15,
                 min_count: 2,
-                use_bloom: false,
                 ..Default::default()
             };
             let res = kmer_analysis(ctx, &reads[range], &params);
@@ -369,7 +367,6 @@ mod tests {
             let params = KmerAnalysisParams {
                 k: 15,
                 min_count: 2,
-                use_bloom: false,
                 ..Default::default()
             };
             let res = kmer_analysis(ctx, &reads[range], &params);

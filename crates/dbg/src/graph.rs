@@ -210,7 +210,6 @@ mod tests {
             let params = KmerAnalysisParams {
                 k: 11,
                 min_count: 2,
-                use_bloom: false,
                 ..Default::default()
             };
             let res = kmer_analysis(ctx, &reads[range], &params);
@@ -246,7 +245,6 @@ mod tests {
             let params = KmerAnalysisParams {
                 k: 7,
                 min_count: 2,
-                use_bloom: false,
                 ..Default::default()
             };
             let res = kmer_analysis(ctx, &reads, &params);
@@ -277,7 +275,6 @@ mod tests {
             let params = KmerAnalysisParams {
                 k: 9,
                 min_count: 2,
-                use_bloom: false,
                 ..Default::default()
             };
             let res = kmer_analysis(ctx, &reads, &params);
@@ -316,7 +313,6 @@ mod tests {
             let params = KmerAnalysisParams {
                 k: 11,
                 min_count: 2,
-                use_bloom: false,
                 ..Default::default()
             };
             let res = kmer_analysis(ctx, &reads, &params);

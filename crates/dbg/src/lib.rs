@@ -3,9 +3,9 @@
 //! This crate implements stages 1–4 (and 8) of MetaHipMer's iterative contig
 //! generation (Figure 1 of the paper):
 //!
-//! 1. [`analysis`] — **k-mer analysis** with distributed histograms, a
-//!    distributed Bloom filter to keep singleton (mostly erroneous) k-mers out
-//!    of the tables, streaming heavy-hitter detection and high-quality
+//! 1. [`analysis`] — **k-mer analysis**: exact counting into one
+//!    minimizer-partitioned table, an ε cut that drops singleton (mostly
+//!    erroneous) k-mers, streaming heavy-hitter detection and high-quality
 //!    extension counting (§II-B);
 //! 2. [`graph`] — construction of the **distributed de Bruijn graph** hash
 //!    table, reducing extension counts to `[ACGT]/F/X` codes under either the

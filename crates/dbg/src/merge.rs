@@ -120,7 +120,6 @@ mod tests {
             let params = KmerAnalysisParams {
                 k: 21,
                 min_count: 2,
-                use_bloom: false,
                 ..Default::default()
             };
             let res = kmer_analysis(ctx, &reads[range], &params);

@@ -333,7 +333,6 @@ mod tests {
             let params = KmerAnalysisParams {
                 k,
                 min_count: 2,
-                use_bloom: false,
                 minimizer_len: 7,
                 ..Default::default()
             };
@@ -377,7 +376,6 @@ mod tests {
             let params = KmerAnalysisParams {
                 k: 11,
                 min_count: 2,
-                use_bloom: false,
                 ..Default::default()
             };
             for ranks in [1usize, 2, 4] {

@@ -159,7 +159,6 @@ mod tests {
             let aparams = KmerAnalysisParams {
                 k,
                 min_count: 2,
-                use_bloom: false,
                 ..Default::default()
             };
             let res = kmer_analysis(ctx, &reads[range], &aparams);

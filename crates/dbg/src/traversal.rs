@@ -130,7 +130,6 @@ mod tests {
             let params = KmerAnalysisParams {
                 k,
                 min_count: 2,
-                use_bloom: false,
                 ..Default::default()
             };
             let res = kmer_analysis(ctx, &reads[range], &params);
@@ -241,7 +240,6 @@ mod tests {
                 let params = KmerAnalysisParams {
                     k: 15,
                     min_count: 2,
-                    use_bloom: false,
                     ..Default::default()
                 };
                 let res = kmer_analysis(ctx, &reads, &params);
@@ -269,7 +267,6 @@ mod tests {
                 let params = KmerAnalysisParams {
                     k: 15,
                     min_count: 2,
-                    use_bloom: false,
                     ..Default::default()
                 };
                 let res = kmer_analysis(ctx, &reads, &params);

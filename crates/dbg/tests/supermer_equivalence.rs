@@ -1,6 +1,6 @@
 //! Property test of the supermer-routed single-pass k-mer analysis: over
 //! randomised reads (with sequencing errors, ambiguous bases and mixed base
-//! qualities), team widths of 1–8 ranks, and both Bloom settings, the
+//! qualities), team widths of 1–8 ranks, and ε from 1 to 3, the
 //! minimizer-partitioned analysis must produce a counts table — keys,
 //! occurrence counts *and* per-side extension tallies — identical to a
 //! serial count over `kmers::kmers_with_exts_iter`.
@@ -88,18 +88,9 @@ fn supermer_analysis_matches_naive_counting_on_randomised_reads() {
         let reads = random_reads(&mut rng, &genomes, n_reads);
         let k = *[7usize, 11, 17, 21].get(rng.gen_range(0..4)).unwrap();
         let m = rng.gen_range(3..=k.min(19));
-        // With Bloom admission, the table is only deterministic for k-mers
-        // seen at least twice, so pair it with ε >= 2.
-        let use_bloom = rng.gen_range(0..2) == 0;
-        let min_count = if use_bloom {
-            2
-        } else {
-            rng.gen_range(1..=3u32)
-        };
         let params = KmerAnalysisParams {
             k,
-            min_count,
-            use_bloom,
+            min_count: rng.gen_range(1..=3u32),
             minimizer_len: m,
             heavy_hitter_capacity: 16,
             batch: *[1usize, 7, 4096].get(rng.gen_range(0..3)).unwrap(),
@@ -111,17 +102,17 @@ fn supermer_analysis_matches_naive_counting_on_randomised_reads() {
             let got = run_table(&reads, ranks, &params);
             assert_eq!(
                 got, reference,
-                "supermer table diverged: trial={trial} ranks={ranks} k={k} m={m} \
-                 bloom={use_bloom} eps={min_count}"
+                "supermer table diverged: trial={trial} ranks={ranks} k={k} m={m} eps={}",
+                params.min_count
             );
         }
     }
 }
 
 #[test]
-fn bloom_admission_keeps_exact_counts_on_palindromes_and_ambiguous_bases() {
-    // Bloom on, ε = 2: admission is deterministic for every surviving k-mer,
-    // including the first observation parked before the second arrived.
+fn counts_stay_exact_on_palindromes_and_ambiguous_bases() {
+    // Reverse-complement pairs inside one read, an `N` that splits a read,
+    // and a duplicated read: every surviving count includes each observation.
     let reads: Vec<Read> = [
         "ACGTACGGTTCAGGCATTACGGATCCAGTT",
         "ACGTACGGTTCAGGCATTACGGATCCAGTT",
@@ -136,7 +127,6 @@ fn bloom_admission_keeps_exact_counts_on_palindromes_and_ambiguous_bases() {
     let params = KmerAnalysisParams {
         k: 11,
         min_count: 2,
-        use_bloom: true,
         ..Default::default()
     };
     let reference = naive_table(&reads, &params);

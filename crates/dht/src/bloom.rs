@@ -5,8 +5,14 @@
 //! this with a distributed Bloom filter: a k-mer is only inserted into the
 //! counting table once the filter reports it has (probably) been seen before,
 //! so the vast majority of error k-mers (which appear exactly once) never take
-//! up table space. The filter is partitioned by the same owner hashing as the
-//! tables, so the "have I seen this before" check happens on the owner rank.
+//! up table space.
+//!
+//! **No pipeline stage uses this filter.** K-mer analysis here counts exactly
+//! and drops singletons at the ε cut (see `dbg::analysis`), so admission
+//! changed nothing and was removed. The type is kept only because the
+//! performance ledger's `dht.bloom_insert_mitems_s` probe names
+//! [`DistBloom::new`] and [`DistBloom::insert_and_check`]; once that probe is
+//! dropped (ROADMAP item 2) this module can go.
 
 use crate::fxhash::fx_hash_one;
 use pgas::Ctx;
@@ -62,22 +68,12 @@ impl DistBloom {
     }
 
     /// Inserts a key and returns whether it was (probably) present before —
-    /// the "second occurrence" signal used to admit k-mers into the counting
-    /// table. Atomic with respect to concurrent inserts.
+    /// the "second occurrence" signal the paper uses to admit k-mers into the
+    /// counting table. Atomic with respect to concurrent inserts.
     pub fn insert_and_check<K: Hash>(&self, ctx: &Ctx, key: &K) -> bool {
         let owner = self.owner_of(key);
         ctx.record_access(owner);
-        self.insert_and_check_shard(owner, key)
-    }
-
-    /// [`DistBloom::insert_and_check`] against an explicitly chosen shard,
-    /// without traffic accounting. This is the owner-side half of routed
-    /// phases: when the caller has already shipped the key to its owner rank
-    /// (e.g. supermer-routed k-mer analysis, where ownership follows the
-    /// minimizer rather than the filter's own hash), the owner checks its
-    /// local shard directly.
-    pub fn insert_and_check_shard<K: Hash>(&self, shard_idx: usize, key: &K) -> bool {
-        let shard = &self.shards[shard_idx];
+        let shard = &self.shards[owner];
         let mut all_set = true;
         for bit in self.probes(key) {
             let word = bit / 64;

@@ -356,7 +356,10 @@ where
     }
 
     /// Keeps only the local entries satisfying the predicate; returns how many
-    /// were removed.
+    /// were removed. Each sub-shard then gives its spare capacity back: the
+    /// one caller is k-mer analysis' ε cut, which removes most of the table
+    /// (the singleton error k-mers) while the shard lives on for the whole k
+    /// iteration, and a hash map keeps its high-water capacity otherwise.
     pub fn retain_local(&self, ctx: &Ctx, mut f: impl FnMut(&K, &mut V) -> bool) -> usize {
         let mut removed = 0usize;
         for sub in &self.shards[ctx.rank()].subs {
@@ -364,8 +367,19 @@ where
             let before = guard.len();
             guard.retain(|k, v| f(k, v));
             removed += before - guard.len();
+            guard.shrink_to_fit();
         }
         removed
+    }
+
+    /// Entry capacity allocated across the calling rank's sub-shards.
+    #[cfg(test)]
+    fn local_capacity(&self, ctx: &Ctx) -> usize {
+        self.shards[ctx.rank()]
+            .subs
+            .iter()
+            .map(|sub| sub.lock().capacity())
+            .sum()
     }
 
     /// Clones every entry owned by the calling rank into a vector.
@@ -765,6 +779,28 @@ mod tests {
             if ctx.rank() == 0 {
                 assert!(map.is_empty());
             }
+        });
+    }
+
+    #[test]
+    fn retain_local_releases_the_capacity_of_what_it_removed() {
+        let team = Team::single_node(1);
+        team.run(|ctx| {
+            let map: Arc<DistMap<u64, u64>> = DistMap::shared(ctx);
+            for k in 0..10_000u64 {
+                map.merge_local(ctx, k, k, |a, b| *a += b);
+            }
+            let full = map.local_capacity(ctx);
+            assert!(full >= 10_000);
+            assert_eq!(map.retain_local(ctx, |k, _| k % 100 == 0), 9_900);
+            // A hash map rounds capacity up per sub-shard, so allow a small
+            // multiple of the survivors — far below the 10 k it held.
+            let kept = map.local_capacity(ctx);
+            assert!(kept < full / 10, "capacity {full} -> {kept}");
+            for k in (0..10_000u64).step_by(100) {
+                assert_eq!(map.get_cloned(ctx, &k), Some(k));
+            }
+            assert_eq!(map.local_len(ctx), 100);
         });
     }
 

@@ -26,11 +26,13 @@
 //! counts table by minimizer — can choose owners while every consumer keeps
 //! working unchanged through [`DistMap::owner_of`].
 //!
-//! plus the auxiliary distributed structures the pipeline needs: a partitioned
-//! Bloom filter ([`DistBloom`]), a distributed counting histogram
-//! ([`DistHistogram`]) and a streaming heavy-hitter sketch
-//! ([`SpaceSaving`]) used by k-mer analysis to survive the extremely skewed
-//! k-mer frequency distributions of metagenomes.
+//! plus the auxiliary distributed structures: a
+//! distributed counting histogram ([`DistHistogram`]) and a streaming
+//! heavy-hitter sketch ([`SpaceSaving`]) used by k-mer analysis to survive
+//! the extremely skewed k-mer frequency distributions of metagenomes. The
+//! partitioned Bloom filter ([`DistBloom`]) is used by no pipeline stage; it
+//! stays only because the performance ledger's `dht.bloom_insert_mitems_s`
+//! probe names `DistBloom::new`/`insert_and_check`.
 
 pub mod bloom;
 pub mod cache;

@@ -14,8 +14,8 @@
 //!
 //! * very uneven species abundance (log-normal), driving the dynamic
 //!   extension-threshold logic and the iterative multi-k contig generation;
-//! * sequencing errors at a configurable rate, driving Bloom-filter k-mer
-//!   admission, hair removal and graph pruning;
+//! * sequencing errors at a configurable rate, driving the ε cut on k-mer
+//!   counts, hair removal and graph pruning;
 //! * intra-genome repeats, driving repeat suspension during scaffolding;
 //! * strain variants (SNP-divergent genome copies), driving bubble merging;
 //! * a conserved rRNA-like operon shared (with small divergence) by every

@@ -810,19 +810,6 @@ impl seqio::ReadSource for OwnedReads<'_, '_, '_> {
             }
         }
     }
-
-    fn estimate_kmers(&self, k: usize) -> usize {
-        let mut total = 0usize;
-        for b in self.store.owned_block_ids(self.ctx) {
-            let first = b as usize * self.store.block_reads;
-            let end = (first + self.store.block_reads).min(self.store.num_reads());
-            total += self.store.lens[first..end]
-                .iter()
-                .map(|&l| (l as usize).saturating_sub(k - 1))
-                .sum::<usize>();
-        }
-        total
-    }
 }
 
 /// How a pipeline stage accesses reads: a replicated [`ReadLibrary`] (the
@@ -1150,14 +1137,6 @@ mod tests {
                     },
                 );
                 let mut source = store.owned_reads(ctx);
-                assert_eq!(
-                    source.estimate_kmers(21),
-                    source
-                        .ids()
-                        .iter()
-                        .map(|&id| lib2.read(id).len().saturating_sub(20))
-                        .sum::<usize>()
-                );
                 let mut seqs: Vec<Vec<u8>> = Vec::new();
                 source.for_each_read(&mut |r| seqs.push(r.seq.clone()));
                 // Replay is identical (multi-pass contract).

@@ -17,11 +17,6 @@ use crate::read::{Read, ReadId, ReadLibrary};
 pub trait ReadSource {
     /// Calls `f` once per read, in stream order.
     fn for_each_read(&mut self, f: &mut dyn FnMut(&Read));
-
-    /// Sum over the stream of `len.saturating_sub(k - 1)`: the number of
-    /// k-mer windows this rank will contribute (Bloom-filter sizing). Must
-    /// not require unpacking sequence bytes where length metadata exists.
-    fn estimate_kmers(&self, k: usize) -> usize;
 }
 
 /// The replicated baseline: a slice of reads already in memory.
@@ -30,10 +25,6 @@ impl ReadSource for &[Read] {
         for read in self.iter() {
             f(read);
         }
-    }
-
-    fn estimate_kmers(&self, k: usize) -> usize {
-        self.iter().map(|r| r.seq.len().saturating_sub(k - 1)).sum()
     }
 }
 
@@ -56,13 +47,6 @@ impl ReadSource for LibraryReads<'_> {
             f(self.lib.read(id));
         }
     }
-
-    fn estimate_kmers(&self, k: usize) -> usize {
-        self.ids
-            .iter()
-            .map(|&id| self.lib.read(id).len().saturating_sub(k - 1))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -83,7 +67,7 @@ mod tests {
     }
 
     #[test]
-    fn slice_source_streams_in_order_and_estimates() {
+    fn slice_source_streams_in_order() {
         let lib = lib();
         let mut src: &[Read] = &lib.reads;
         let mut seen = Vec::new();
@@ -93,8 +77,6 @@ mod tests {
         let mut again = Vec::new();
         src.for_each_read(&mut |r| again.push(r.name.clone()));
         assert_eq!(again, seen);
-        // Windows per read: 4 + 4 for the first pair, the short pair adds 0.
-        assert_eq!(src.estimate_kmers(5), 8);
     }
 
     #[test]
@@ -105,7 +87,5 @@ mod tests {
         let mut seen = Vec::new();
         src.for_each_read(&mut |r| seen.push(r.name.clone()));
         assert_eq!(seen, ["b/1", "b/2", "a/1"]);
-        // Windows per streamed id: 2 ("b/1") + 0 ("b/2") + 6 ("a/1").
-        assert_eq!(src.estimate_kmers(3), 8);
     }
 }
