@@ -15,10 +15,14 @@
 //!   heavy-hitter sketching both happen on the receive side of a *single*
 //!   exchange;
 //! * a **streaming heavy-hitter sketch** identifies k-mers with enormous
-//!   counts (ubiquitous in metagenomes because of highly abundant organisms)
-//!   so callers can inspect/treat them specially; the counting itself remains
-//!   exact. Per-rank sketches are combined with a deterministic binomial-tree
-//!   reduction rather than funnelling every sketch to rank 0.
+//!   counts (ubiquitous in metagenomes because of highly abundant organisms);
+//!   the counting itself remains exact. Per-rank sketches are combined with a
+//!   deterministic binomial-tree reduction rather than funnelling every
+//!   sketch to rank 0. The paper *acts* on the list (ubiquitous k-mers are
+//!   combined at the sender so their owner is no hot spot); here nothing
+//!   does yet — [`KmerAnalysis::heavy_hitters`] has no consumer outside this
+//!   module's tests, and ROADMAP item 1 carries the decision to wire it that
+//!   way or stop offering.
 //!
 //! The paper's third refinement, **Bloom-filter admission** (a k-mer enters
 //! the table only once it has probably been seen twice, so singleton error
@@ -211,6 +215,14 @@ pub fn kmer_analysis_from(
     }
 }
 
+/// A sketch on the wire: its total, then its counters, as plain records —
+/// so the exchange accounts for what moves and not for a struct header.
+#[derive(Clone)]
+enum SketchRecord {
+    Total(u64),
+    Counter { key: Kmer, count: u64, error: u64 },
+}
+
 /// Combines the per-rank sketches with a deterministic binomial-tree
 /// reduction — round `2^i` merges rank `q·2^(i+1) + 2^i` into rank
 /// `q·2^(i+1)` — and broadcasts from rank 0 the heavy hitters whose
@@ -227,16 +239,28 @@ fn merge_heavy_hitters(
     let mut acc = sketch;
     let mut stride = 1usize;
     while stride < ctx.ranks() {
-        let mut outgoing: Vec<Vec<SpaceSaving<Kmer>>> = vec![Vec::new(); ctx.ranks()];
+        let mut outgoing: Vec<Vec<SketchRecord>> = vec![Vec::new(); ctx.ranks()];
         let rank = ctx.rank();
         if rank % (2 * stride) == stride {
             // This rank's subtree is fully merged; hand it to the parent.
             let done = std::mem::replace(&mut acc, SpaceSaving::new(1));
-            outgoing[rank - stride] = vec![done];
+            outgoing[rank - stride] = std::iter::once(SketchRecord::Total(done.total()))
+                .chain(
+                    done.counters()
+                        .map(|(key, count, error)| SketchRecord::Counter { key, count, error }),
+                )
+                .collect();
         }
-        for other in ctx.exchange(outgoing) {
-            acc.merge(&other);
+        // At most one sketch arrives per round.
+        let mut total = 0;
+        let mut counters = Vec::new();
+        for record in ctx.exchange(outgoing) {
+            match record {
+                SketchRecord::Total(t) => total += t,
+                SketchRecord::Counter { key, count, error } => counters.push((key, count, error)),
+            }
         }
+        acc.merge_counters(counters, total);
         stride *= 2;
     }
     let merged: Vec<(Kmer, u64)> = if ctx.rank() == 0 {
