@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks of the distributed substrates: the four
 //! hash-table phases, k-mer analysis, the extraction hot loops (rolling
 //! minimizer, supermer grouping), both graph-traversal implementations,
-//! alignment, the Bloom/heavy-hitter structures and local assembly's
-//! mer-walk. `cargo bench -p mhm_bench` runs them all.
+//! alignment, the Bloom filter and local assembly's mer-walk.
+//! `cargo bench -p mhm_bench` runs them all.
 
 use aligner::{align_reads, build_seed_index, AlignParams};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -10,8 +10,8 @@ use dbg::{
     build_graph, kmer_analysis, traverse_contigs, KmerAnalysisParams, ThresholdPolicy,
     TraversalParams,
 };
-use dht::{bulk_merge, DistBloom, DistMap, SpaceSaving};
-use kmers::{kmer_minimizer, Kmer, SupermerIter};
+use dht::{bulk_merge, DistBloom, DistMap, FxHashMap};
+use kmers::{kmer_minimizer, kmers_with_exts_iter, Kmer, KmerCounts, SupermerIter};
 use mgsim::{CommunityParams, ReadSimParams};
 use mhm_core::{LocalAssemblyParams, MerWalker};
 use pgas::Team;
@@ -95,51 +95,6 @@ fn random_bases(len: usize, seed: u64) -> Vec<u8> {
             b"ACGT"[(x & 3) as usize]
         })
         .collect()
-}
-
-fn bench_space_saving_offer(c: &mut Criterion) {
-    // The shape of the stream k-mer analysis offers its sketch: nine keys in
-    // ten are seen once, the rest come from a small hot set, so at capacity
-    // almost every offer evicts the minimum counter.
-    let stream: Vec<u64> = {
-        let mut x = 0x2545F4914F6CDD1Du64;
-        (0..100_000u64)
-            .map(|i| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                if x.is_multiple_of(10) {
-                    x % 32
-                } else {
-                    1_000 + i
-                }
-            })
-            .collect()
-    };
-    let sketch_of_stream = || {
-        let mut ss = SpaceSaving::new(64);
-        for &key in &stream {
-            ss.offer(key, 1);
-        }
-        ss
-    };
-    // No hot key reaches the 1/64 share that would pin it in the sketch, so
-    // which of them end up tracked is the eviction order's business; what
-    // must hold is the bookkeeping: a full sketch whose counts add up to the
-    // stream, and no tracked hot key estimated under its true count.
-    let ss = sketch_of_stream();
-    assert_eq!(ss.tracked(), 64);
-    assert_eq!(ss.total(), stream.len() as u64);
-    let counted: u64 = ss.counters().map(|(_, count, _)| count).sum();
-    assert_eq!(counted, ss.total());
-    for hot in 0..32 {
-        let truth = stream.iter().filter(|&&key| key == hot).count() as u64;
-        let estimate = ss.estimate(&hot);
-        assert!(estimate == 0 || estimate >= truth, "key {hot}");
-    }
-    c.bench_function("space_saving/offer", |b| {
-        b.iter(|| sketch_of_stream().tracked())
-    });
 }
 
 fn bench_local_assembly(c: &mut Criterion) {
@@ -296,14 +251,35 @@ fn bench_read_store(c: &mut Criterion) {
 fn bench_pipeline_stages(c: &mut Criterion) {
     let (reads, contigs) = dataset();
     let team = Team::single_node(4);
+    let params = KmerAnalysisParams {
+        k: 21,
+        ..Default::default()
+    };
+    // The table is the serial count of the bench reads cut at ε, and nothing
+    // else was ever inserted into it.
+    let mut serial: FxHashMap<Kmer, KmerCounts> = FxHashMap::default();
+    for read in &reads {
+        for obs in kmers_with_exts_iter(&read.seq, &read.qual, params.k, params.hq_threshold) {
+            serial.entry(obs.kmer).or_default().observe(obs.exts);
+        }
+    }
+    serial.retain(|_, tally| tally.count >= params.min_count);
+    let table: FxHashMap<Kmer, KmerCounts> = team
+        .run(|ctx| {
+            let range = ctx.block_range(reads.len());
+            kmer_analysis(ctx, &reads[range], &params)
+                .counts
+                .local_entries(ctx)
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+    assert!(table == serial, "the counts table is not the serial count");
+    assert_eq!(team.stats_total().kmer_table_inserts, serial.len() as u64);
     c.bench_function("dbg/kmer_analysis_k21", |b| {
         b.iter(|| {
             team.run(|ctx| {
                 let range = ctx.block_range(reads.len());
-                let params = KmerAnalysisParams {
-                    k: 21,
-                    ..Default::default()
-                };
                 kmer_analysis(ctx, &reads[range], &params).counts.len()
             })
         })
@@ -318,10 +294,6 @@ fn bench_pipeline_stages(c: &mut Criterion) {
                 || {
                     team.run(|ctx| {
                         let range = ctx.block_range(reads.len());
-                        let params = KmerAnalysisParams {
-                            k: 21,
-                            ..Default::default()
-                        };
                         kmer_analysis(ctx, &reads[range], &params)
                     })
                     .pop()
@@ -372,6 +344,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_dht_phases, bench_space_saving_offer, bench_local_assembly, bench_extraction_hot_loops, bench_compute_kernels, bench_read_store, bench_pipeline_stages
+    targets = bench_dht_phases, bench_local_assembly, bench_extraction_hot_loops, bench_compute_kernels, bench_read_store, bench_pipeline_stages
 }
 criterion_main!(benches);

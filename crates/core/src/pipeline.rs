@@ -679,11 +679,14 @@ mod tests {
             "too many misassemblies: {}",
             report.misassemblies
         );
-        // Stage accounting covers the whole pipeline, and every k-mer-analysis
-        // byte on the wire is supermer payload or its framing.
+        // Stage accounting covers the whole pipeline, every k-mer-analysis
+        // byte on the wire is supermer payload or its framing, and the stage
+        // says what it counted and how little of it it kept.
         let analysis = out.stage_stats("kmer_analysis");
         assert!(analysis.supermer_bytes > 0);
         assert!(analysis.supermer_bytes <= analysis.bytes_sent);
+        assert!(analysis.kmer_table_inserts > 0);
+        assert!(analysis.kmer_table_inserts < analysis.kmer_observations);
         assert!(out.stage_seconds("kmer_analysis") > 0.0);
         assert!(out.stage_seconds("alignment") > 0.0);
         assert!(out.stage_seconds("scaffolding") > 0.0);

@@ -1,23 +1,94 @@
-//! Degenerate but legal configurations (ROADMAP item 6): caches of zero bytes
-//! and minimizer lengths outside `1..=min(k, MAX_MINIMIZER_LEN)` must
-//! assemble what the default configuration assembles — no panic, no rank
-//! left waiting in a collective.
+//! Degenerate but legal configurations and inputs (ROADMAP item 6): caches of
+//! zero bytes, minimizer lengths outside `1..=min(k, MAX_MINIMIZER_LEN)`,
+//! lookup batches of one, two-read blocks and a partial last node must
+//! assemble what the default configuration assembles, and libraries with
+//! fewer reads than ranks must finish — no panic, no rank left waiting in a
+//! collective.
 
 use mhm_core::{AssemblyConfig, MetaHipMer};
 use pgas::Team;
+use seqio::ReadLibrary;
+use std::sync::mpsc;
+use std::time::Duration;
+
+/// The first `pairs` read pairs of the shared test community.
+fn first_pairs(pairs: usize) -> (ReadLibrary, Vec<u8>) {
+    let data = mgsim::presets::weak_scaling_dataset(3, 20261001);
+    let mut library = data.library;
+    assert!(library.paired && library.num_pairs() >= pairs);
+    library.reads.truncate(2 * pairs);
+    (library, data.rrna_consensus)
+}
+
+/// Sorted scaffolds of one assembly on `ranks` ranks under `cfg`'s topology.
+fn assemble(cfg: AssemblyConfig, ranks: usize, library: &ReadLibrary, rrna: &[u8]) -> Vec<Vec<u8>> {
+    let team = Team::new(cfg.topology(ranks));
+    let mut seqs = MetaHipMer::new(cfg)
+        .try_assemble(&team, library, Some(rrna))
+        .expect("every rank returns Ok")
+        .sequences();
+    seqs.sort();
+    seqs
+}
+
+#[test]
+fn fewer_reads_than_ranks_still_finishes_on_every_rank() {
+    // (pairs, ranks, scaffolds expected): nothing to assemble from at most
+    // two pairs, and 200 pairs leave most of eight ranks' stages empty.
+    for (pairs, ranks, assembles) in [
+        (0, 3, false),
+        (1, 1, false),
+        (1, 4, false),
+        (2, 8, false),
+        (200, 8, true),
+    ] {
+        // A rank stuck in a collective would hang the suite, so the team
+        // runs on a thread of its own under a watchdog.
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || {
+            let (library, rrna) = first_pairs(pairs);
+            let seqs = assemble(AssemblyConfig::small_test(), ranks, &library, &rrna);
+            let _ = done.send(seqs);
+        });
+        let seqs = finished
+            .recv_timeout(Duration::from_secs(300))
+            .unwrap_or_else(|e| panic!("{pairs} pairs on {ranks} ranks: {e}"));
+        assert_eq!(
+            !seqs.is_empty(),
+            assembles,
+            "{pairs} pairs on {ranks} ranks"
+        );
+    }
+}
+
+#[test]
+fn unit_batches_tiny_blocks_and_a_partial_node_assemble_the_default_scaffolds() {
+    let (library, rrna) = first_pairs(2_000);
+    let default = assemble(AssemblyConfig::small_test(), 2, &library, &rrna);
+    assert!(!default.is_empty(), "default produced no scaffolds");
+    type Tweak = fn(AssemblyConfig) -> AssemblyConfig;
+    let degenerate: [(&str, usize, Tweak); 3] = [
+        ("lookup_batch = 1", 2, |cfg| cfg.with_lookup_batch(1)),
+        ("ranks_per_node = 2 on 3 ranks", 3, |mut cfg| {
+            cfg.ranks_per_node = 2;
+            cfg
+        }),
+        ("read_block_reads = 2", 2, |mut cfg| {
+            cfg.read_block_reads = 2;
+            cfg
+        }),
+    ];
+    for (what, ranks, tweak) in degenerate {
+        let got = assemble(tweak(AssemblyConfig::small_test()), ranks, &library, &rrna);
+        assert!(got == default, "{what} changed the assembly");
+    }
+}
 
 #[test]
 fn zero_byte_caches_and_clamped_minimizers_assemble_the_default_scaffolds() {
     let data = mgsim::presets::weak_scaling_dataset(3, 20261001);
-    let assemble = |cfg: AssemblyConfig| {
-        let team = Team::single_node(2);
-        let mut seqs = MetaHipMer::new(cfg)
-            .assemble(&team, &data.library, Some(&data.rrna_consensus))
-            .sequences();
-        seqs.sort();
-        seqs
-    };
-    let default = assemble(AssemblyConfig::small_test());
+    let on_two_ranks = |cfg| assemble(cfg, 2, &data.library, &data.rrna_consensus);
+    let default = on_two_ranks(AssemblyConfig::small_test());
     assert!(!default.is_empty(), "default produced no scaffolds");
     type Tweak = fn(&mut AssemblyConfig);
     let degenerate: [(&str, Tweak); 4] = [
@@ -29,6 +100,6 @@ fn zero_byte_caches_and_clamped_minimizers_assemble_the_default_scaffolds() {
     for (what, set) in degenerate {
         let mut cfg = AssemblyConfig::small_test();
         set(&mut cfg);
-        assert!(assemble(cfg) == default, "{what} changed the assembly");
+        assert!(on_two_ranks(cfg) == default, "{what} changed the assembly");
     }
 }

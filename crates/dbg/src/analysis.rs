@@ -2,8 +2,9 @@
 //!
 //! Every rank processes its slice of the reads, extracts canonical k-mers with
 //! their left/right extension observations, and routes them to owner ranks
-//! with aggregated messages. Owners count in their local shard of a
-//! distributed hash table. Two refinements from the paper are reproduced:
+//! with aggregated messages. Owners count what they receive and keep the
+//! k-mers that reach ε in their local shard of a distributed hash table. Two
+//! refinements carry the stage:
 //!
 //! * **supermer routing**: instead of shipping every canonical k-mer as a
 //!   ~32-byte packed struct, each read is decomposed once into *supermers*
@@ -11,41 +12,55 @@
 //!   [`kmers::minimizer`]) which travel as packed 2-bit sequence with a
 //!   quality/extension sidecar, ~(s+k−1)/4 bytes per s k-mers. The counts
 //!   table is partitioned by minimizer ([`MinimizerPartitioner`]), so every
-//!   occurrence of a k-mer arrives at its owner and exact counting and
-//!   heavy-hitter sketching both happen on the receive side of a *single*
-//!   exchange;
-//! * a **streaming heavy-hitter sketch** identifies k-mers with enormous
-//!   counts (ubiquitous in metagenomes because of highly abundant organisms);
-//!   the counting itself remains exact. Per-rank sketches are combined with a
-//!   deterministic binomial-tree reduction rather than funnelling every
-//!   sketch to rank 0. The paper *acts* on the list (ubiquitous k-mers are
-//!   combined at the sender so their owner is no hot spot); here nothing
-//!   does yet — [`KmerAnalysis::heavy_hitters`] has no consumer outside this
-//!   module's tests, and ROADMAP item 1 carries the decision to wire it that
-//!   way or stop offering.
+//!   occurrence of a k-mer arrives at its owner in a *single* exchange;
+//! * **minimizer-binned counting**: every occurrence of a canonical k-mer,
+//!   anywhere in the input, has the same minimizer, so the received records
+//!   fall into *bins* by minimizer whose counts are final. The owner counts
+//!   one bin at a time in a small scratch table that stays in cache, moves
+//!   the k-mers that reached ε into its shard — one insert per surviving
+//!   k-mer, none for the rest — and reuses the scratch for the next bin (the
+//!   disk-bin scheme of KMC 2, with memory in the role of the disk). Bins
+//!   span blobs, which is why `agg.finish()` materialising everything a rank
+//!   receives before the first record is counted is a requirement here, not
+//!   an oversight.
 //!
-//! The paper's third refinement, **Bloom-filter admission** (a k-mer enters
-//! the table only once it has probably been seen twice, so singleton error
-//! k-mers never take table space), is *not* reproduced: counting here is
-//! exact, so every observation goes straight into the table and singletons
-//! leave at the ε cut, after which the shard gives their capacity back
-//! ([`DistMap::retain_local`]). A filter that really bounds peak memory has
-//! to change counts and is a quality-gated roadmap item.
+//! This gives the paper's **Bloom-filter admission** its purpose without its
+//! mechanism: the filter exists so that singleton error k-mers — most of the
+//! distinct k-mers of a metagenome — never take table space, at the price of
+//! a probabilistic first sighting. Here counting is exact *and* no k-mer
+//! below ε ever enters a shard; the garbage lives only as long as its bin.
+//!
+//! The paper's **heavy hitters** (k-mers of highly abundant organisms, which
+//! it detects with a streaming sketch and combines at the sender so their
+//! owner is no hot spot) need no special treatment either. Supermers already
+//! carry a run of a hot k-mer's occurrences in a quarter byte each, and on
+//! the owner a hot k-mer is the *cheapest* one to count: every further
+//! observation hits the same scratch entry, in L1. An estimate of what the
+//! exact per-bin counts already say would have no reader.
 //!
 //! The counts table is exactly what a serial count over
 //! [`kmers::kmers_with_exts_iter`] filtered at `min_count` gives, for every
-//! `min_count >= 1` and at any rank count — the `supermer_equivalence` test
-//! holds it to that.
+//! `min_count >= 1`, at any rank count and whatever the number of bins — the
+//! `supermer_equivalence` test holds it to that.
 
-use dht::{DistMap, Partitioner, SpaceSaving};
+use dht::{DistMap, FxHashMap, Partitioner};
 use kmers::minimizer::{
-    encode_supermer, expand_supermer, kmer_minimizer, minimizer_shard, SupermerBlobIter,
-    SupermerIter, MAX_MINIMIZER_LEN,
+    encode_supermer, expand_supermer, kmer_minimizer, minimizer_shard, mix_minimizer,
+    SupermerBlobIter, SupermerIter, MAX_MINIMIZER_LEN,
 };
 use kmers::{Kmer, KmerCounts};
 use pgas::{BlobAggregator, Ctx};
 use seqio::{Read, ReadSource};
 use std::sync::Arc;
+
+/// K-mer observations one counting bin is sized for. A bin's distinct k-mers
+/// are at most its observations, so the scratch table of a typical bin holds
+/// a few thousand ~100-byte entries — inside the L2 cache, where the one
+/// table all observations used to probe was DRAM-bound. The bin count follows
+/// from the received volume. Run time measured within noise of this from a
+/// quarter to sixteen times the value; one bin for everything is as slow as
+/// the unbinned table was — the gain is locality, not the missing inserts.
+const BIN_OBSERVATIONS: usize = 4096;
 
 /// The distributed k-mer → counts table produced by analysis.
 pub type KmerCountsMap = Arc<DistMap<Kmer, KmerCounts>>;
@@ -92,8 +107,6 @@ pub struct KmerAnalysisParams {
     pub min_count: u32,
     /// Phred threshold above which an extension base counts as high quality.
     pub hq_threshold: u8,
-    /// Capacity of the per-rank heavy-hitter sketch (0 disables it).
-    pub heavy_hitter_capacity: usize,
     /// Aggregation batch size of the supermer exchange, in packed k-mers
     /// (multiplied by the packed k-mer size to obtain the byte batch).
     pub batch: usize,
@@ -108,7 +121,6 @@ impl Default for KmerAnalysisParams {
             k: 21,
             min_count: 2,
             hq_threshold: 20,
-            heavy_hitter_capacity: 64,
             batch: 4096,
             minimizer_len: 15,
         }
@@ -127,9 +139,6 @@ impl KmerAnalysisParams {
 pub struct KmerAnalysis {
     /// Distributed table of canonical k-mers that passed the ε filter.
     pub counts: KmerCountsMap,
-    /// Heavy hitters detected by the streaming sketch, with estimated counts
-    /// (same list on every rank).
-    pub heavy_hitters: Vec<(Kmer, u64)>,
 }
 
 /// Runs k-mer analysis over this rank's slice of the reads. Collective: every
@@ -145,10 +154,11 @@ pub fn kmer_analysis(ctx: &Ctx, reads: &[Read], params: &KmerAnalysisParams) -> 
 /// time from owned packed blocks instead of living in a replicated slice.
 /// Collective: every rank must call with its own source. One extraction pass
 /// per read, one aggregated supermer shipment per owner, and all per-k-mer
-/// work (exact counting, heavy-hitter sketching) on the receive side, cut at
-/// `min_count` once the stream ends. The result is independent of how reads
-/// are distributed over ranks (counts are global sums), which is what keeps
-/// distributed-read assemblies byte-identical to the replicated baseline.
+/// work on the receive side, where each minimizer bin is counted exactly and
+/// cut at `min_count` before anything enters the table. The result is
+/// independent of how reads are distributed over ranks (counts are global
+/// sums), which is what keeps distributed-read assemblies byte-identical to
+/// the replicated baseline.
 pub fn kmer_analysis_from(
     ctx: &Ctx,
     source: &mut dyn ReadSource,
@@ -183,96 +193,95 @@ pub fn kmer_analysis_from(
     });
     let blobs = agg.finish();
 
-    // --- Receive side: expansion, counting, sketching -----------------------
-    let mut sketch = (params.heavy_hitter_capacity > 0)
-        .then(|| SpaceSaving::<Kmer>::new(params.heavy_hitter_capacity));
-    for blob in &blobs {
-        for record in SupermerBlobIter::new(blob) {
+    count_binned(ctx, &blobs, &counts, params, BIN_OBSERVATIONS);
+    ctx.barrier();
+
+    KmerAnalysis { counts }
+}
+
+/// The bin of a minimizer among `bins`. Taken from the upper half of the
+/// mixed value: [`minimizer_shard`] spends the same value modulo `ranks`, and
+/// every minimizer a rank receives agrees in that residue, so bits that
+/// depended on it would leave most bins empty.
+fn minimizer_bin(minimizer: u64, bins: usize) -> usize {
+    (((mix_minimizer(minimizer) >> 32) * bins as u64) >> 32) as usize
+}
+
+/// The receive side: counts the supermer records of `blobs` (everything this
+/// rank was sent) one minimizer bin at a time, and inserts the k-mers that
+/// reach `params.min_count` into this rank's shard of `counts`. The number of
+/// bins is the received volume over `bin_observations`; the table does not
+/// depend on it.
+fn count_binned(
+    ctx: &Ctx,
+    blobs: &[Vec<u8>],
+    counts: &DistMap<Kmer, KmerCounts>,
+    params: &KmerAnalysisParams,
+    bin_observations: usize,
+) {
+    let k = params.k;
+    let m = params.effective_minimizer_len();
+
+    // Frame every record once: the minimizer of its first window (which all
+    // its windows share) and where it starts.
+    let mut framed: Vec<(u64, u32, u32)> = Vec::new();
+    let mut observations = 0usize;
+    for (blob_idx, blob) in blobs.iter().enumerate() {
+        let blob_idx = u32::try_from(blob_idx).expect("fewer than 2^32 received blobs");
+        let mut records = SupermerBlobIter::new(blob);
+        loop {
+            let offset = u32::try_from(records.offset()).expect("a blob is shorter than 4 GiB");
+            let Some(record) = records.next() else { break };
+            let minimizer = kmer_minimizer(&record.first_kmer(k), m);
+            observations += record.len - k + 1;
+            framed.push((minimizer, blob_idx, offset));
+        }
+    }
+
+    // Counting sort of the record positions by bin; `starts[b]..starts[b + 1]`
+    // is bin b's range of `order`.
+    let bins = observations.div_ceil(bin_observations).max(1);
+    let mut starts = vec![0usize; bins + 1];
+    for &(minimizer, ..) in &framed {
+        starts[minimizer_bin(minimizer, bins) + 1] += 1;
+    }
+    for b in 0..bins {
+        starts[b + 1] += starts[b];
+    }
+    let mut order = vec![(0u32, 0u32); framed.len()];
+    let mut next = starts.clone();
+    for (minimizer, blob_idx, offset) in framed {
+        let slot = &mut next[minimizer_bin(minimizer, bins)];
+        order[*slot] = (blob_idx, offset);
+        *slot += 1;
+    }
+
+    let mut scratch: FxHashMap<Kmer, KmerCounts> = FxHashMap::default();
+    for bin in starts.windows(2) {
+        let mut observed = 0u64;
+        for &(blob_idx, offset) in &order[bin[0]..bin[1]] {
+            let record = SupermerBlobIter::new(&blobs[blob_idx as usize][offset as usize..])
+                .next()
+                .expect("framed above");
             expand_supermer(&record, k, |obs| {
                 debug_assert_eq!(counts.owner_of(&obs.kmer), ctx.rank(), "misrouted supermer");
-                if let Some(s) = sketch.as_mut() {
-                    s.offer(obs.kmer, 1);
-                }
-                let mut c = KmerCounts::default();
-                c.observe(obs.exts);
-                counts.merge_local(ctx, obs.kmer, c, |a, b| a.merge(&b));
+                observed += 1;
+                scratch.entry(obs.kmer).or_default().observe(obs.exts);
             });
         }
-    }
-    ctx.barrier();
-
-    let heavy_hitters = match sketch {
-        Some(s) => merge_heavy_hitters(ctx, s, params),
-        None => Vec::new(),
-    };
-
-    counts.retain_local(ctx, |_, v| v.count >= params.min_count);
-    ctx.barrier();
-
-    KmerAnalysis {
-        counts,
-        heavy_hitters,
-    }
-}
-
-/// A sketch on the wire: its total, then its counters, as plain records —
-/// so the exchange accounts for what moves and not for a struct header.
-#[derive(Clone)]
-enum SketchRecord {
-    Total(u64),
-    Counter { key: Kmer, count: u64, error: u64 },
-}
-
-/// Combines the per-rank sketches with a deterministic binomial-tree
-/// reduction — round `2^i` merges rank `q·2^(i+1) + 2^i` into rank
-/// `q·2^(i+1)` — and broadcasts from rank 0 the heavy hitters whose
-/// estimated count is at least `min_count × 64` (a scale-free proxy for
-/// "orders of magnitude more frequent than the ε cutoff"). Each round
-/// every receiving rank merges at most one sketch, so no rank ever funnels
-/// all `P` sketches the way the old gather-on-rank-0 scheme did, and the
-/// merge order (hence the resulting list) is independent of thread timing.
-fn merge_heavy_hitters(
-    ctx: &Ctx,
-    sketch: SpaceSaving<Kmer>,
-    params: &KmerAnalysisParams,
-) -> Vec<(Kmer, u64)> {
-    let mut acc = sketch;
-    let mut stride = 1usize;
-    while stride < ctx.ranks() {
-        let mut outgoing: Vec<Vec<SketchRecord>> = vec![Vec::new(); ctx.ranks()];
-        let rank = ctx.rank();
-        if rank % (2 * stride) == stride {
-            // This rank's subtree is fully merged; hand it to the parent.
-            let done = std::mem::replace(&mut acc, SpaceSaving::new(1));
-            outgoing[rank - stride] = std::iter::once(SketchRecord::Total(done.total()))
-                .chain(
-                    done.counters()
-                        .map(|(key, count, error)| SketchRecord::Counter { key, count, error }),
-                )
-                .collect();
-        }
-        // At most one sketch arrives per round.
-        let mut total = 0;
-        let mut counters = Vec::new();
-        for record in ctx.exchange(outgoing) {
-            match record {
-                SketchRecord::Total(t) => total += t,
-                SketchRecord::Counter { key, count, error } => counters.push((key, count, error)),
+        // The bin's counts are final: its survivors enter the table, the
+        // rest never do.
+        let mut inserted = 0u64;
+        for (kmer, tally) in scratch.drain() {
+            if tally.count >= params.min_count {
+                let previous = counts.insert_local(ctx, kmer, tally);
+                debug_assert!(previous.is_none(), "one k-mer counted in two bins");
+                inserted += 1;
             }
         }
-        acc.merge_counters(counters, total);
-        stride *= 2;
+        ctx.record_kmer_observations(observed);
+        ctx.record_kmer_table_inserts(inserted);
     }
-    let merged: Vec<(Kmer, u64)> = if ctx.rank() == 0 {
-        let mut hh = acc.heavy_hitters(params.min_count as u64 * 64);
-        // `heavy_hitters` sorts by estimate only; break ties by key so the
-        // list is a pure function of the merged sketch.
-        hh.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        hh
-    } else {
-        Vec::new()
-    };
-    ctx.broadcast(|| merged)
 }
 
 #[cfg(test)]
@@ -349,8 +358,8 @@ mod tests {
     #[test]
     fn no_kmers_gives_an_empty_table_on_every_rank() {
         // An empty community, and k above every read length: no supermer is
-        // ever shipped, so every rank must still get through the exchange,
-        // the sketch reduction and the ε cut with nothing to show for it.
+        // ever shipped, so every rank must still get through the exchange and
+        // its one empty bin with nothing to show for it.
         let inputs = [
             Vec::new(),
             reads_from(&["ACGTACGT", "TTGACCA", "G", "ACGTTGCATGCATGCAAGTCA"]),
@@ -363,12 +372,12 @@ mod tests {
                     ..Default::default()
                 };
                 let out = Team::single_node(ranks).run(|ctx| {
-                    let res = kmer_analysis(ctx, my_slice(ctx, reads), &params);
-                    (res.counts.len(), res.heavy_hitters)
+                    kmer_analysis(ctx, my_slice(ctx, reads), &params)
+                        .counts
+                        .len()
                 });
-                for (len, hh) in out {
+                for len in out {
                     assert_eq!(len, 0, "{ranks} ranks");
-                    assert!(hh.is_empty(), "{ranks} ranks: {hh:?}");
                 }
             }
         }
@@ -400,75 +409,183 @@ mod tests {
         });
     }
 
-    #[test]
-    fn heavy_hitters_surface_dominant_kmer() {
-        // A single k-mer repeated a huge number of times (a homopolymer run)
-        // among diverse reads.
-        let mut seqs: Vec<String> = vec!["A".repeat(40); 50];
-        seqs.push("ACGGTCAGGTTCAAGGACT".to_string());
-        let reads: Vec<Read> = seqs
-            .iter()
+    /// Pseudo-random bases (an LCG, so the tests need no seed plumbing).
+    fn random_bases(len: usize, mut state: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                b"ACGT"[(state >> 33) as usize % 4]
+            })
+            .collect()
+    }
+
+    /// Overlapping reads off one pseudo-random genome, both strands, some
+    /// split by an `N`: the same canonical k-mers reached through different
+    /// reads, orientations and supermer boundaries.
+    fn overlapping_reads() -> Vec<Read> {
+        let genome = random_bases(400, 18);
+        let mut seqs: Vec<Vec<u8>> = Vec::new();
+        for (i, start) in (0..genome.len() - 90).step_by(13).enumerate() {
+            let mut seq = genome[start..start + 90 - i % 7].to_vec();
+            if i % 3 == 1 {
+                seq = seqio::alphabet::revcomp(&seq);
+            }
+            if i % 4 == 2 {
+                seq[40 + i % 11] = b'N';
+            }
+            seqs.push(seq);
+        }
+        seqs.iter()
             .enumerate()
-            .map(|(i, s)| Read::with_uniform_quality(format!("r{i}"), s.as_bytes(), 35))
+            .map(|(i, s)| Read::with_uniform_quality(format!("r{i}"), s, 10 + (i % 30) as u8))
+            .collect()
+    }
+
+    /// The reference: every observation of every read counted serially, cut
+    /// at `min_count`, sorted by key.
+    fn serial_table(reads: &[Read], params: &KmerAnalysisParams) -> Vec<(Kmer, KmerCounts)> {
+        let mut table: FxHashMap<Kmer, KmerCounts> = FxHashMap::default();
+        for read in reads {
+            for obs in
+                kmers::kmers_with_exts_iter(&read.seq, &read.qual, params.k, params.hq_threshold)
+            {
+                table.entry(obs.kmer).or_default().observe(obs.exts);
+            }
+        }
+        let mut all: Vec<_> = table
+            .into_iter()
+            .filter(|(_, c)| c.count >= params.min_count)
             .collect();
-        let team = Team::single_node(2);
-        let params = KmerAnalysisParams {
-            k: 15,
-            min_count: 2,
-            heavy_hitter_capacity: 8,
-            ..Default::default()
-        };
-        let hh = team.run(|ctx| {
-            let res = kmer_analysis(ctx, my_slice(ctx, &reads), &params);
-            ctx.barrier();
-            res.heavy_hitters
-        });
-        let poly_a: Kmer = "AAAAAAAAAAAAAAA".parse().unwrap();
-        for rank_hh in &hh {
-            assert!(
-                rank_hh.iter().any(|(k, _)| *k == poly_a),
-                "poly-A heavy hitter not reported: {rank_hh:?}"
-            );
+        all.sort_by_key(|e| e.0);
+        all
+    }
+
+    /// The whole table of a `ranks`-rank analysis, sorted by key, and the
+    /// team's summed counters.
+    fn team_table(
+        reads: &[Read],
+        ranks: usize,
+        params: &KmerAnalysisParams,
+    ) -> (Vec<(Kmer, KmerCounts)>, pgas::StatsSnapshot) {
+        let team = Team::single_node(ranks);
+        let mut all: Vec<_> = team
+            .run(|ctx| {
+                kmer_analysis(ctx, my_slice(ctx, reads), params)
+                    .counts
+                    .local_entries(ctx)
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        all.sort_by_key(|e| e.0);
+        (all, team.stats_total())
+    }
+
+    #[test]
+    fn one_dominant_minimizer_is_still_exact() {
+        // Hundreds of poly-A reads: one minimizer, hence one bin (on one
+        // rank), holds almost every observation, far above the bin budget.
+        let mut reads = reads_from(&[&*"A".repeat(60); 300]);
+        reads.extend(overlapping_reads());
+        for min_count in 1..=3 {
+            let params = KmerAnalysisParams {
+                min_count,
+                ..Default::default()
+            };
+            let expect = serial_table(&reads, &params);
+            let poly_a = expect
+                .iter()
+                .find(|(kmer, _)| kmer.to_string() == "A".repeat(21));
+            assert_eq!(poly_a.expect("poly-A survives").1.count, 300 * 40);
+            for ranks in 1..=4 {
+                let (got, _) = team_table(&reads, ranks, &params);
+                assert_eq!(got, expect, "ε={min_count}, {ranks} ranks");
+            }
         }
     }
 
     #[test]
-    fn heavy_hitter_list_is_rank_count_invariant() {
-        // Capacity comfortably above the distinct-k-mer count keeps every
-        // per-rank sketch exact, so the tree reduction must give the same
-        // list on 1–8 ranks.
-        let mut seqs = vec!["ACGGTCAGGTTCAAGGACTTACGGTACCAGT".to_string(); 6];
-        seqs.extend(vec!["TTTTTTTTTTTTTTTTTTTTTTTTT".to_string(); 9]);
-        let reads: Vec<Read> = seqs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| Read::with_uniform_quality(format!("r{i}"), s.as_bytes(), 35))
-            .collect();
+    fn only_survivors_are_inserted() {
+        let mut reads = overlapping_reads();
+        reads.extend(reads_from(&["ACGTNACGT", "GATTACA"]));
+        for k in [11, 21] {
+            let windows: usize = reads
+                .iter()
+                .map(|r| kmers::kmer_positions(&r.seq, k).len())
+                .sum();
+            for min_count in 1..=3 {
+                let params = KmerAnalysisParams {
+                    k,
+                    min_count,
+                    ..Default::default()
+                };
+                for ranks in 1..=4 {
+                    let (table, stats) = team_table(&reads, ranks, &params);
+                    let what = format!("k={k} ε={min_count}, {ranks} ranks");
+                    assert_eq!(stats.kmer_observations, windows as u64, "{what}");
+                    assert_eq!(stats.kmer_table_inserts, table.len() as u64, "{what}");
+                    assert!(table.iter().all(|(_, c)| c.count >= min_count), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bin_of_a_kmer_does_not_depend_on_the_record_it_arrived_in() {
+        let (k, m, bins) = (21, 9, 64);
+        let mut bin_of: FxHashMap<Kmer, usize> = FxHashMap::default();
+        let mut revisits = 0;
+        for read in overlapping_reads() {
+            let mut blob = Vec::new();
+            for sm in SupermerIter::new(&read.seq, k, m) {
+                encode_supermer(&mut blob, &read.seq, &read.qual, 20, &sm);
+            }
+            for record in SupermerBlobIter::new(&blob) {
+                // What `count_binned` files the whole record under…
+                let bin = minimizer_bin(kmer_minimizer(&record.first_kmer(k), m), bins);
+                expand_supermer(&record, k, |obs| {
+                    // …is the bin of each of its k-mers, whichever record,
+                    // read or strand delivers them.
+                    assert_eq!(minimizer_bin(kmer_minimizer(&obs.kmer, m), bins), bin);
+                    revisits += usize::from(bin_of.insert(obs.kmer, bin).is_some());
+                });
+            }
+        }
+        assert!(revisits > bin_of.len(), "the reads were meant to overlap");
+        let used: dht::FxHashSet<usize> = bin_of.values().copied().collect();
+        assert!(used.len() > bins / 2, "only {} bins used", used.len());
+    }
+
+    #[test]
+    fn the_table_is_the_same_whatever_the_bin_count() {
+        let reads = overlapping_reads();
         let params = KmerAnalysisParams {
-            k: 15,
-            min_count: 1,
-            heavy_hitter_capacity: 256,
+            k: 17,
+            min_count: 2,
+            minimizer_len: 7,
             ..Default::default()
         };
-        let mut lists: Vec<Vec<(Kmer, u64)>> = Vec::new();
-        for ranks in 1..=8usize {
-            let team = Team::single_node(ranks);
-            let hh = team.run(|ctx| {
-                let res = kmer_analysis(ctx, my_slice(ctx, &reads), &params);
-                ctx.barrier();
-                res.heavy_hitters
-            });
-            // Identical on every rank…
-            for rank_hh in &hh[1..] {
-                assert_eq!(rank_hh, &hh[0]);
+        let expect = serial_table(&reads, &params);
+        // Everything one rank receives, spread over three blobs so that bins
+        // span blobs.
+        let mut blobs = vec![Vec::new(); 3];
+        for (i, read) in reads.iter().enumerate() {
+            for sm in SupermerIter::new(&read.seq, params.k, 7) {
+                encode_supermer(&mut blobs[i % 3], &read.seq, &read.qual, 20, &sm);
             }
-            assert!(!hh[0].is_empty(), "expected at least the poly-T hitter");
-            lists.push(hh.into_iter().next().unwrap());
         }
-        // …and identical across rank counts.
-        for list in &lists[1..] {
-            assert_eq!(list, &lists[0]);
-        }
+        Team::single_node(1).run(|ctx| {
+            // One observation per bin … one bin for everything.
+            for bin_observations in [1, 50, 1000, usize::MAX] {
+                let counts = DistMap::with_partitioner(1, Arc::new(MinimizerPartitioner::new(7)));
+                count_binned(ctx, &blobs, &counts, &params, bin_observations);
+                let mut got = counts.local_entries(ctx);
+                got.sort_by_key(|e| e.0);
+                assert_eq!(got, expect, "{bin_observations} observations per bin");
+            }
+        });
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! This crate implements stages 1–4 (and 8) of MetaHipMer's iterative contig
 //! generation (Figure 1 of the paper):
 //!
-//! 1. [`analysis`] — **k-mer analysis**: exact counting into one
-//!    minimizer-partitioned table, an ε cut that drops singleton (mostly
-//!    erroneous) k-mers, streaming heavy-hitter detection and high-quality
-//!    extension counting (§II-B);
+//! 1. [`analysis`] — **k-mer analysis**: exact counting, one in-cache
+//!    minimizer bin at a time, into one minimizer-partitioned table that
+//!    singleton (mostly erroneous) k-mers below the ε cut never enter, with
+//!    high-quality extension counting (§II-B);
 //! 2. [`graph`] — construction of the **distributed de Bruijn graph** hash
 //!    table, reducing extension counts to `[ACGT]/F/X` codes under either the
 //!    HipMer global threshold or the MetaHipMer depth-dependent threshold

@@ -92,7 +92,6 @@ fn supermer_analysis_matches_naive_counting_on_randomised_reads() {
             k,
             min_count: rng.gen_range(1..=3u32),
             minimizer_len: m,
-            heavy_hitter_capacity: 16,
             batch: *[1usize, 7, 4096].get(rng.gen_range(0..3)).unwrap(),
             ..Default::default()
         };

@@ -355,33 +355,6 @@ where
         out
     }
 
-    /// Keeps only the local entries satisfying the predicate; returns how many
-    /// were removed. Each sub-shard then gives its spare capacity back: the
-    /// one caller is k-mer analysis' ε cut, which removes most of the table
-    /// (the singleton error k-mers) while the shard lives on for the whole k
-    /// iteration, and a hash map keeps its high-water capacity otherwise.
-    pub fn retain_local(&self, ctx: &Ctx, mut f: impl FnMut(&K, &mut V) -> bool) -> usize {
-        let mut removed = 0usize;
-        for sub in &self.shards[ctx.rank()].subs {
-            let mut guard = sub.lock();
-            let before = guard.len();
-            guard.retain(|k, v| f(k, v));
-            removed += before - guard.len();
-            guard.shrink_to_fit();
-        }
-        removed
-    }
-
-    /// Entry capacity allocated across the calling rank's sub-shards.
-    #[cfg(test)]
-    fn local_capacity(&self, ctx: &Ctx) -> usize {
-        self.shards[ctx.rank()]
-            .subs
-            .iter()
-            .map(|sub| sub.lock().capacity())
-            .sum()
-    }
-
     /// Clones every entry owned by the calling rank into a vector.
     pub fn local_entries(&self, ctx: &Ctx) -> Vec<(K, V)>
     where
@@ -403,24 +376,20 @@ where
             .sum()
     }
 
-    /// Merges one `(key, value)` known to be owned by the calling rank into
-    /// its local shard — the streaming receive side of a routed exchange
-    /// (e.g. owner-side supermer expansion). No traffic is recorded: the
-    /// shipment that delivered the key was already accounted by its exchange.
-    pub fn merge_local(&self, ctx: &Ctx, key: K, value: V, merge: impl FnOnce(&mut V, V)) {
+    /// Inserts one `(key, value)` known to be owned by the calling rank into
+    /// its local shard, returning the previous value if any — the receive
+    /// side of a routed exchange that has already combined what it received
+    /// (k-mer analysis inserts each surviving k-mer once). No traffic is
+    /// recorded: the shipment that delivered the key was already accounted by
+    /// its exchange.
+    pub fn insert_local(&self, ctx: &Ctx, key: K, value: V) -> Option<V> {
         debug_assert_eq!(
             self.owner_of(&key),
             ctx.rank(),
-            "merge_local on a key this rank does not own"
+            "insert_local on a key this rank does not own"
         );
         let sub = sub_of(&key);
-        let mut guard = self.shards[ctx.rank()].subs[sub].lock();
-        match guard.get_mut(&key) {
-            Some(existing) => merge(existing, value),
-            None => {
-                guard.insert(key, value);
-            }
-        }
+        self.shards[ctx.rank()].subs[sub].lock().insert(key, value)
     }
 
     /// Applies a batch of `(key, value)` items that are already known to be
@@ -759,48 +728,32 @@ mod tests {
     }
 
     #[test]
-    fn retain_and_drain_local() {
+    fn insert_and_drain_local() {
         let team = Team::single_node(3);
         team.run(|ctx| {
             let map: Arc<DistMap<u64, u64>> = DistMap::shared(ctx);
-            bulk_merge(ctx, &map, (0..90u64).map(|k| (k, k)), 8, |a, b| *a += b);
-            let removed = map.retain_local(ctx, |_, v| *v % 2 == 0);
+            // Every rank inserts the keys it owns, without any traffic.
+            ctx.stats().reset();
+            for k in (0..90u64).filter(|k| map.owner_of(k) == ctx.rank()) {
+                assert_eq!(map.insert_local(ctx, k, k), None);
+            }
+            if map.owner_of(&1000) == ctx.rank() {
+                assert_eq!(map.insert_local(ctx, 1000, 7), None);
+                assert_eq!(map.insert_local(ctx, 1000, 8), Some(7));
+            }
+            assert_eq!(ctx.stats().snapshot(), pgas::StatsSnapshot::default());
             ctx.barrier();
-            let total_removed = ctx.allreduce_sum_u64(removed as u64);
-            assert_eq!(total_removed, 45);
-            if ctx.rank() == 0 {
-                assert_eq!(map.len(), 45);
+            for k in 0..90u64 {
+                assert_eq!(map.get_cloned(ctx, &k), Some(k));
             }
             ctx.barrier();
             let drained = map.drain_local(ctx);
             let total_drained = ctx.allreduce_sum_u64(drained.len() as u64);
-            assert_eq!(total_drained, 45);
+            assert_eq!(total_drained, 90 + 1);
             ctx.barrier();
             if ctx.rank() == 0 {
                 assert!(map.is_empty());
             }
-        });
-    }
-
-    #[test]
-    fn retain_local_releases_the_capacity_of_what_it_removed() {
-        let team = Team::single_node(1);
-        team.run(|ctx| {
-            let map: Arc<DistMap<u64, u64>> = DistMap::shared(ctx);
-            for k in 0..10_000u64 {
-                map.merge_local(ctx, k, k, |a, b| *a += b);
-            }
-            let full = map.local_capacity(ctx);
-            assert!(full >= 10_000);
-            assert_eq!(map.retain_local(ctx, |k, _| k % 100 == 0), 9_900);
-            // A hash map rounds capacity up per sub-shard, so allow a small
-            // multiple of the survivors — far below the 10 k it held.
-            let kept = map.local_capacity(ctx);
-            assert!(kept < full / 10, "capacity {full} -> {kept}");
-            for k in (0..10_000u64).step_by(100) {
-                assert_eq!(map.get_cloned(ctx, &k), Some(k));
-            }
-            assert_eq!(map.local_len(ctx), 100);
         });
     }
 

@@ -26,19 +26,16 @@
 //! counts table by minimizer — can choose owners while every consumer keeps
 //! working unchanged through [`DistMap::owner_of`].
 //!
-//! plus the auxiliary distributed structures: a
-//! distributed counting histogram ([`DistHistogram`]) and a streaming
-//! heavy-hitter sketch ([`SpaceSaving`]) used by k-mer analysis to survive
-//! the extremely skewed k-mer frequency distributions of metagenomes. The
-//! partitioned Bloom filter ([`DistBloom`]) is used by no pipeline stage; it
-//! stays only because the performance ledger's `dht.bloom_insert_mitems_s`
-//! probe names `DistBloom::new`/`insert_and_check`.
+//! One auxiliary distributed structure rides along, a distributed counting
+//! histogram ([`DistHistogram`]). The partitioned Bloom filter
+//! ([`DistBloom`]) is used by no pipeline stage; it stays only because the
+//! performance ledger's `dht.bloom_insert_mitems_s` probe names
+//! `DistBloom::new`/`insert_and_check`.
 
 pub mod bloom;
 pub mod cache;
 pub mod dist_map;
 pub mod fxhash;
-pub mod heavy;
 pub mod histogram;
 pub mod partition;
 
@@ -46,6 +43,5 @@ pub use bloom::DistBloom;
 pub use cache::{CachedView, SoftwareCache};
 pub use dist_map::{bulk_merge, DistMap, LocalShardView};
 pub use fxhash::{fx_hash_one, FxHashMap, FxHashSet, FxHasher};
-pub use heavy::SpaceSaving;
 pub use histogram::DistHistogram;
 pub use partition::{HashPartitioner, Partitioner, TablePartitioner};

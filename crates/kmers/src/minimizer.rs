@@ -440,6 +440,16 @@ impl SupermerRecord<'_> {
     pub fn hq_at(&self, i: usize) -> bool {
         self.hq[i / 8] & (1 << (i % 8)) != 0
     }
+
+    /// The record's first k-mer window, in read orientation. The wire's
+    /// packed layout is the k-mer word layout, so this is a straight copy +
+    /// mask instead of k `set_code` calls. Every window of a supermer shares
+    /// its minimizer, so [`kmer_minimizer`] of this one is the record's.
+    #[inline]
+    pub fn first_kmer(&self, k: usize) -> Kmer {
+        assert!(self.len >= k, "supermer shorter than k");
+        Kmer::from_packed(self.packed, k)
+    }
 }
 
 /// Frames [`SupermerRecord`]s out of one aggregated wire blob.
@@ -452,6 +462,12 @@ impl<'a> SupermerBlobIter<'a> {
     /// Iterates the records of `buf` (a concatenation of encoded supermers).
     pub fn new(buf: &'a [u8]) -> Self {
         SupermerBlobIter { buf, off: 0 }
+    }
+
+    /// Byte offset in `buf` of the record the next [`Iterator::next`] call
+    /// frames; `SupermerBlobIter::new(&buf[offset..])` resumes there.
+    pub fn offset(&self) -> usize {
+        self.off
     }
 }
 
@@ -494,10 +510,7 @@ pub fn expand_supermer(
     k: usize,
     mut emit: impl FnMut(CanonicalKmerExt),
 ) {
-    assert!(record.len >= k, "supermer shorter than k");
-    // The wire's packed layout is the k-mer word layout, so the first window
-    // is a straight copy + mask instead of k `set_code` calls.
-    let mut km = Kmer::from_packed(record.packed, k);
+    let mut km = record.first_kmer(k);
     let windows = record.len - k + 1;
     for w in 0..windows {
         if w > 0 {

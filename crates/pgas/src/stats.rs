@@ -131,6 +131,12 @@ counters! {
     /// Payload bytes of packed supermer records shipped by supermer-routed
     /// k-mer analysis (a subset of `bytes_sent`, recorded on the sender).
     supermer_bytes: Sum,
+    /// Canonical k-mer observations (one per k-mer window of a received
+    /// supermer) counted by k-mer analysis, recorded on the owning rank.
+    kmer_observations: Sum,
+    /// Entries k-mer analysis inserted into its shard of the counts table:
+    /// one per k-mer that reached the ε cut-off, none for the rest.
+    kmer_table_inserts: Sum,
     /// Collective endpoint-exchange rounds performed by the segment-stitching
     /// contig traversal (pred resolution + pointer-jumping + assembly).
     /// Recorded on rank 0 only, so a summed snapshot reads as "rounds".

@@ -669,6 +669,24 @@ impl<'t> Ctx<'t> {
             .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
+    /// Records `n` canonical k-mer observations counted by k-mer analysis on
+    /// this rank (one per k-mer window of a received supermer).
+    #[inline]
+    pub fn record_kmer_observations(&self, n: u64) {
+        self.stats()
+            .kmer_observations
+            .fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Records `n` entries inserted into this rank's shard of the k-mer
+    /// counts table.
+    #[inline]
+    pub fn record_kmer_table_inserts(&self, n: u64) {
+        self.stats()
+            .kmer_table_inserts
+            .fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Records one collective endpoint-exchange round of the segment-stitching
     /// traversal. Call on rank 0 only, so that a team-summed snapshot reads
     /// directly as "number of stitch rounds".

@@ -182,7 +182,7 @@ mod tests {
         );
         let mut c = Criterion::default().sample_size(2).with_filter("assembly/");
         let mut ran = Vec::new();
-        for id in ["local_assembly/extend_one", "space_saving/offer"] {
+        for id in ["local_assembly/extend_one", "dbg/kmer_analysis_k21"] {
             c.bench_function(id, |b| b.iter(|| ran.push(id)));
         }
         assert_eq!(ran, vec!["local_assembly/extend_one"; 2]);
