@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the distributed substrates: the four
 //! hash-table phases, k-mer analysis, the extraction hot loops (rolling
 //! minimizer, supermer grouping), both graph-traversal implementations,
-//! alignment, the Bloom filter and local assembly's mer-walk.
+//! alignment, the Bloom filter, local assembly's mer-walk and rRNA
+//! classification.
 //! `cargo bench -p mhm_bench` runs them all.
 
 use aligner::{align_reads, build_seed_index, AlignParams};
@@ -15,6 +16,7 @@ use kmers::{kmer_minimizer, kmers_with_exts_iter, Kmer, KmerCounts, SupermerIter
 use mgsim::{CommunityParams, ReadSimParams};
 use mhm_core::{LocalAssemblyParams, MerWalker};
 use pgas::Team;
+use rrna_hmm::RrnaDetector;
 use seqio::Read;
 use std::sync::Arc;
 
@@ -337,6 +339,58 @@ fn bench_pipeline_stages(c: &mut Criterion) {
     });
 }
 
+fn bench_rrna_hmm(c: &mut Criterion) {
+    // What scaffolding asks of the detector: ~100 kb of unrelated contigs of
+    // 150-10,000 bases against a 400-base profile, three of them carrying a
+    // copy of the consensus (3%, 10% and 25% diverged; the 10% one on the
+    // reverse strand). Only the first two are rRNA by the default threshold.
+    let consensus = random_bases(400, 0xD1B54A32D192ED03);
+    let detector = RrnaDetector::from_consensus(&consensus);
+    let mut x = 0x2545F4914F6CDD1Du64;
+    let mut next = move |n: u64| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x % n
+    };
+    let mut contigs: Vec<Vec<u8>> = Vec::new();
+    while contigs.iter().map(Vec::len).sum::<usize>() < 100_000 {
+        let len = 150 + next(9_851) as usize;
+        contigs.push(random_bases(len, next(u64::MAX)));
+    }
+    let planted = [(1usize, 3u64, false), (4, 10, true), (7, 25, false)];
+    for (slot, percent, reverse) in planted {
+        let mut copy = consensus.clone();
+        for base in &mut copy {
+            if next(100) < percent {
+                *base = match *base {
+                    b'A' => b'C',
+                    b'C' => b'G',
+                    b'G' => b'T',
+                    _ => b'A',
+                };
+            }
+        }
+        if reverse {
+            copy = seqio::alphabet::revcomp(&copy);
+        }
+        let at = contigs[slot].len() / 2;
+        contigs[slot].splice(at..at, copy);
+    }
+    for (slot, contig) in contigs.iter().enumerate() {
+        let hit = detector.is_hit(contig);
+        assert_eq!(
+            hit,
+            detector.score(contig) >= detector.threshold,
+            "contig {slot}: the filtered decision is not the exact one"
+        );
+        assert_eq!(hit, slot == 1 || slot == 4, "contig {slot}");
+    }
+    c.bench_function("rrna_hmm/is_hit_100kb", |b| {
+        b.iter(|| contigs.iter().filter(|c| detector.is_hit(c)).count())
+    });
+}
+
 fn config() -> Criterion {
     Criterion::default().sample_size(10)
 }
@@ -344,6 +398,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_dht_phases, bench_local_assembly, bench_extraction_hot_loops, bench_compute_kernels, bench_read_store, bench_pipeline_stages
+    targets = bench_dht_phases, bench_local_assembly, bench_extraction_hot_loops, bench_compute_kernels, bench_read_store, bench_pipeline_stages, bench_rrna_hmm
 }
 criterion_main!(benches);

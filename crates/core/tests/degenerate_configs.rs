@@ -1,9 +1,10 @@
 //! Degenerate but legal configurations and inputs (ROADMAP item 6): caches of
 //! zero bytes, minimizer lengths outside `1..=min(k, MAX_MINIMIZER_LEN)`,
 //! lookup batches of one, two-read blocks and a partial last node must
-//! assemble what the default configuration assembles, and libraries with
-//! fewer reads than ranks must finish — no panic, no rank left waiting in a
-//! collective.
+//! assemble what the default configuration assembles, libraries with fewer
+//! reads than ranks must finish — no panic, no rank left waiting in a
+//! collective — and an rRNA consensus that carries no signal (all `N`) or
+//! hardly any (three bases) must classify, not divide by zero.
 
 use mhm_core::{AssemblyConfig, MetaHipMer};
 use pgas::Team;
@@ -21,10 +22,15 @@ fn first_pairs(pairs: usize) -> (ReadLibrary, Vec<u8>) {
 }
 
 /// Sorted scaffolds of one assembly on `ranks` ranks under `cfg`'s topology.
-fn assemble(cfg: AssemblyConfig, ranks: usize, library: &ReadLibrary, rrna: &[u8]) -> Vec<Vec<u8>> {
+fn assemble(
+    cfg: AssemblyConfig,
+    ranks: usize,
+    library: &ReadLibrary,
+    rrna: Option<&[u8]>,
+) -> Vec<Vec<u8>> {
     let team = Team::new(cfg.topology(ranks));
     let mut seqs = MetaHipMer::new(cfg)
-        .try_assemble(&team, library, Some(rrna))
+        .try_assemble(&team, library, rrna)
         .expect("every rank returns Ok")
         .sequences();
     seqs.sort();
@@ -47,7 +53,7 @@ fn fewer_reads_than_ranks_still_finishes_on_every_rank() {
         let (done, finished) = mpsc::channel();
         std::thread::spawn(move || {
             let (library, rrna) = first_pairs(pairs);
-            let seqs = assemble(AssemblyConfig::small_test(), ranks, &library, &rrna);
+            let seqs = assemble(AssemblyConfig::small_test(), ranks, &library, Some(&rrna));
             let _ = done.send(seqs);
         });
         let seqs = finished
@@ -64,7 +70,7 @@ fn fewer_reads_than_ranks_still_finishes_on_every_rank() {
 #[test]
 fn unit_batches_tiny_blocks_and_a_partial_node_assemble_the_default_scaffolds() {
     let (library, rrna) = first_pairs(2_000);
-    let default = assemble(AssemblyConfig::small_test(), 2, &library, &rrna);
+    let default = assemble(AssemblyConfig::small_test(), 2, &library, Some(&rrna));
     assert!(!default.is_empty(), "default produced no scaffolds");
     type Tweak = fn(AssemblyConfig) -> AssemblyConfig;
     let degenerate: [(&str, usize, Tweak); 3] = [
@@ -79,7 +85,12 @@ fn unit_batches_tiny_blocks_and_a_partial_node_assemble_the_default_scaffolds() 
         }),
     ];
     for (what, ranks, tweak) in degenerate {
-        let got = assemble(tweak(AssemblyConfig::small_test()), ranks, &library, &rrna);
+        let got = assemble(
+            tweak(AssemblyConfig::small_test()),
+            ranks,
+            &library,
+            Some(&rrna),
+        );
         assert!(got == default, "{what} changed the assembly");
     }
 }
@@ -87,7 +98,7 @@ fn unit_batches_tiny_blocks_and_a_partial_node_assemble_the_default_scaffolds() 
 #[test]
 fn zero_byte_caches_and_clamped_minimizers_assemble_the_default_scaffolds() {
     let data = mgsim::presets::weak_scaling_dataset(3, 20261001);
-    let on_two_ranks = |cfg| assemble(cfg, 2, &data.library, &data.rrna_consensus);
+    let on_two_ranks = |cfg| assemble(cfg, 2, &data.library, Some(&data.rrna_consensus));
     let default = on_two_ranks(AssemblyConfig::small_test());
     assert!(!default.is_empty(), "default produced no scaffolds");
     type Tweak = fn(&mut AssemblyConfig);
@@ -102,4 +113,24 @@ fn zero_byte_caches_and_clamped_minimizers_assemble_the_default_scaffolds() {
         set(&mut cfg);
         assert!(on_two_ranks(cfg) == default, "{what} changed the assembly");
     }
+}
+
+#[test]
+fn rrna_consensi_without_signal_classify_without_panicking() {
+    let (library, _) = first_pairs(2_000);
+    let on = |ranks, rrna| assemble(AssemblyConfig::small_test(), ranks, &library, rrna);
+    // All `N`: every emission is at background odds, so the profile has no
+    // scale for its 16-bit bound, every contig scores 0 and none is a hit.
+    let undetected = on(2, None);
+    assert!(!undetected.is_empty(), "no scaffolds without a detector");
+    assert!(
+        on(2, Some(&[b'N'; 300])) == undetected,
+        "an all-N consensus changed the assembly"
+    );
+    // Three bases: nearly every contig holds the consensus, so nearly every
+    // contig is a hit, at any rank count.
+    assert!(
+        on(1, Some(b"ACG")) == on(2, Some(b"ACG")),
+        "a 3-base consensus assembles differently on 1 and 2 ranks"
+    );
 }

@@ -160,6 +160,13 @@ counters! {
     /// Packed read-block bytes fetched from remote shards of the distributed
     /// read store (cache-miss fills; a measure of read fetch traffic).
     read_fetch_bytes: Sum,
+    /// Dynamic-programming cells (2 strands × profile length × contig length)
+    /// the rRNA detector's 16-bit upper-bound pass filled during scaffold
+    /// traversal, counted once per classified contig.
+    hmm_bound_cells: Sum,
+    /// Cells its exact pass filled: the contigs the bound could not reject
+    /// (all classified contigs when the filter stands aside).
+    hmm_exact_cells: Sum,
 }
 
 impl StatsSnapshot {

@@ -747,6 +747,15 @@ impl<'t> Ctx<'t> {
             .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
+    /// Records the dynamic-programming cells one rRNA classification filled
+    /// in its 16-bit upper-bound pass and in its exact pass.
+    #[inline]
+    pub fn record_hmm_cells(&self, bound: u64, exact: u64) {
+        let stats = self.stats();
+        stats.hmm_bound_cells.fetch_add(bound, Ordering::Relaxed);
+        stats.hmm_exact_cells.fetch_add(exact, Ordering::Relaxed);
+    }
+
     /// Records `n` software-cache hits on this rank.
     #[inline]
     pub fn record_cache_hits(&self, n: u64) {

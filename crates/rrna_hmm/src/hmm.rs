@@ -1,4 +1,62 @@
 //! A small profile hidden Markov model with local Viterbi scoring.
+//!
+//! # One kernel, column-major
+//!
+//! The kernel, `viterbi`, walks the sequence in its outer loop and the
+//! profile in its inner loops, over three `L + 1`-long columns (match,
+//! insert, delete) that stay in L1 whatever the contig's length. The layout
+//! is chosen for the dependency structure, not the footprint: row-major,
+//! every cell's insert state waits for its left neighbour's — one
+//! `add → max` chain through the whole matrix — and that chain, not
+//! arithmetic or memory, was the cost.
+//! Column-major, M and I of a column read only the previous column, so they
+//! are straight-line loops over contiguous slices that the compiler
+//! vectorises; emissions are transposed once into `emit[base][row]` so that
+//! a column reads one contiguous vector of them.
+//!
+//! # The live-cell rule
+//!
+//! The delete state `D[r] = max(M[r-1] + open, D[r-1] + extend)` is the one
+//! chain left inside a column. It is cut by an observation about the whole
+//! recurrence: *a state value ≤ 0 never reaches the score, and non-positive
+//! values are interchangeable*.
+//!
+//! 1. Every transition is the logarithm of a probability, so it is ≤ 0, and
+//!    a value v ≤ 0 offers its successors v + t ≤ 0.
+//! 2. A match state restarts from `max(·, 0)` and the score is the largest
+//!    *positive* match value, so an offer ≤ 0 decides neither; an insert or
+//!    delete state fed only offers ≤ 0 is itself ≤ 0 and, by (1), as inert.
+//! 3. By induction over the cells, replacing values ≤ 0 by other values ≤ 0
+//!    leaves every positive value — hence the score — bit-identical.
+//!
+//! So the kernel computes `D[r] = M[r-1] + open` for the whole column as a
+//! vector pass and runs the `D[r-1] + extend` extension only through the
+//! 16-row chunks that hold a *live* cell — one whose offer `D + extend` is
+//! positive, which takes four consensus matches in a row: about one chunk in
+//! sixteen on unrelated sequence.
+//!
+//! # Run twice: an admissible 16-bit bound in front of the exact pass
+//!
+//! The kernel is generic over its score type and instantiated twice from the
+//! same source. In `f64`, with the profile's log-odds, it is the exact score.
+//! In `i16`, every emission and transition is multiplied by
+//! `scale = ⌊30000 / (max emission × L)⌋` and rounded **up**, and addition
+//! saturates. `+` and `max` are monotone, so by induction over the cells the
+//! `i16` value of every state is ≥ `scale ×` its `f64` value (no true value
+//! exceeds `scale × max emission × L ≤ 30000`, so saturating high loses
+//! nothing, and saturating low rounds −∞ up): an upper bound on the score at
+//! eight cells per SSE2 instruction. [`RrnaDetector::classify`] runs the
+//! bound first and the exact pass only on the sequences it cannot reject,
+//! which changes no decision. The filter stands aside — exact pass only —
+//! when `scale` would be < 1 (L ≳ 22,000; a profile without a positive
+//! emission has no scale at all) or the quantised threshold falls outside
+//! `1..=i16::MAX`.
+//!
+//! The precedent is HMMER3's acceleration pipeline (Eddy, "Accelerated
+//! profile HMM searches", PLoS Comput Biol 2011): reduced-precision integer
+//! SIMD filters in front of the full-precision recurrence, on the integer
+//! SIMD dynamic programming of Farrar (Bioinformatics 2007). HMMER's filters
+//! are heuristic; this one is admissible, so it never loses a hit.
 
 use seqio::alphabet::encode_base;
 
@@ -9,10 +67,61 @@ const BACKGROUND: f64 = 0.25;
 /// codes 0..=3 of `encode_base`.
 const NOT_A_BASE: u8 = 4;
 
-/// Log-odds (in nats) of a match state's emission probabilities against the
-/// background.
-fn log_odds(probs: [f64; 4]) -> [f64; 4] {
-    probs.map(|p| (p / BACKGROUND).ln())
+/// Rows of a column whose delete-state extension is skipped or run as one.
+const CHUNK: usize = 16;
+
+/// A score type of the Viterbi kernel: log-odds in nats (`f64`), or the same
+/// multiplied by the profile's scale and rounded up (`i16`).
+trait Score: Copy + PartialOrd {
+    const ZERO: Self;
+    /// log 0, "no path": stays the minimum under `plus` of anything ≤ 0.
+    const NEG_INF: Self;
+    fn plus(self, other: Self) -> Self;
+}
+
+impl Score for f64 {
+    const ZERO: Self = 0.0;
+    const NEG_INF: Self = f64::NEG_INFINITY;
+    #[inline(always)]
+    fn plus(self, other: Self) -> Self {
+        self + other
+    }
+}
+
+impl Score for i16 {
+    const ZERO: Self = 0;
+    const NEG_INF: Self = i16::MIN;
+    #[inline(always)]
+    fn plus(self, other: Self) -> Self {
+        self.saturating_add(other)
+    }
+}
+
+/// `max` as one compare-and-select (`maxpd` / `pmaxsw`): no score is ever
+/// NaN (nothing is +∞) or −0.0, so this is `f64::max` without the NaN care.
+#[inline(always)]
+fn max<S: Score>(a: S, b: S) -> S {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
+
+/// What the kernel reads of a profile, in one score type.
+#[derive(Debug, Clone)]
+struct Scores<S> {
+    /// Emission log-odds of the match states against the background,
+    /// transposed: `emit[base][position]`.
+    emit: [Vec<S>; 4],
+    /// log(P) of staying on the match path (M→M).
+    mm: S,
+    /// log(P) of opening an insertion or deletion (M→I, M→D).
+    open: S,
+    /// log(P) of extending an insertion or deletion (I→I, D→D).
+    extend: S,
+    /// log(P) of closing an insertion or deletion back to match.
+    close: S,
 }
 
 /// A profile HMM over a consensus of length L: match states M_1..M_L with
@@ -20,20 +129,93 @@ fn log_odds(probs: [f64; 4]) -> [f64; 4] {
 /// with shared transition probabilities (a light-weight Plan7 architecture).
 #[derive(Debug, Clone)]
 pub struct ProfileHmm {
-    /// Emission log-odds of each match state against the background,
-    /// indexed `[position][base]`.
-    match_log_odds: Vec<[f64; 4]>,
-    /// log(P) of staying on the match path (M→M).
-    log_mm: f64,
-    /// log(P) of opening an insertion or deletion (M→I, M→D).
-    log_open: f64,
-    /// log(P) of extending an insertion or deletion (I→I, D→D).
-    log_extend: f64,
-    /// log(P) of closing an insertion or deletion back to match.
-    log_close: f64,
+    /// The profile's log-odds: what [`ProfileHmm::score`] scores with.
+    exact: Scores<f64>,
+    /// `(scale, ⌈scale × exact⌉)`, the upper-bound copy of the profile (see
+    /// the module docs); `None` when the profile has no scale ≥ 1.
+    bound: Option<(f64, Scores<i16>)>,
+}
+
+/// Emission probabilities of a consensus's match states: the consensus base
+/// with probability `1 - mismatch_prob`, the rest spread evenly over the
+/// three alternatives; a non-base is a background column.
+fn consensus_probs(consensus: &[u8], mismatch_prob: f64) -> Vec<[f64; 4]> {
+    consensus
+        .iter()
+        .map(|&b| {
+            let mut probs = [mismatch_prob / 3.0; 4];
+            match encode_base(b) {
+                Some(code) => probs[code as usize] = 1.0 - mismatch_prob,
+                None => probs = [0.25; 4],
+            }
+            probs
+        })
+        .collect()
+}
+
+/// Emission probabilities as the per-column base frequencies of a consensus
+/// (weighted 2) and examples of the same length, with a pseudocount of 1.
+fn example_probs(consensus: &[u8], examples: &[Vec<u8>]) -> Vec<[f64; 4]> {
+    let l = consensus.len();
+    let mut counts = vec![[1.0f64; 4]; l];
+    for (i, &b) in consensus.iter().enumerate() {
+        if let Some(code) = encode_base(b) {
+            counts[i][code as usize] += 2.0;
+        }
+    }
+    for ex in examples {
+        for (i, &b) in ex.iter().enumerate().take(l) {
+            if let Some(code) = encode_base(b) {
+                counts[i][code as usize] += 1.0;
+            }
+        }
+    }
+    for c in &mut counts {
+        let total: f64 = c.iter().sum();
+        *c = c.map(|count| count / total);
+    }
+    counts
 }
 
 impl ProfileHmm {
+    /// The profile of the given match-state emission probabilities and gap
+    /// model, in both score types.
+    fn new(match_probs: &[[f64; 4]], indel_open: f64, indel_extend: f64) -> Self {
+        assert!(!match_probs.is_empty(), "consensus must be non-empty");
+        assert!((0.0..0.5).contains(&indel_open) && indel_open > 0.0);
+        assert!((0.0..1.0).contains(&indel_extend) && indel_extend > 0.0);
+        let exact = Scores {
+            emit: std::array::from_fn(|base| {
+                let odds = match_probs.iter().map(|p| (p[base] / BACKGROUND).ln());
+                odds.collect()
+            }),
+            mm: (1.0 - 2.0 * indel_open).ln(),
+            open: indel_open.ln(),
+            extend: indel_extend.ln(),
+            close: (1.0 - indel_extend).ln(),
+        };
+        // No path visits a match state twice and transitions only subtract,
+        // so no score exceeds `max_emit × L`: scaled, that is ≤ 30000.
+        let max_emit = exact.emit.iter().flatten().fold(0.0, |a, &e| max(a, e));
+        let scale = (30000.0 / (max_emit * match_probs.len() as f64)).floor();
+        // The cast saturates: −∞, or anything below `i16::MIN`, rounds up to it.
+        let up = |x: f64| (scale * x).ceil() as i16;
+        let bound = (scale >= 1.0 && scale.is_finite()).then(|| {
+            let scores = Scores {
+                emit: exact
+                    .emit
+                    .each_ref()
+                    .map(|e| e.iter().map(|&x| up(x)).collect()),
+                mm: up(exact.mm),
+                open: up(exact.open),
+                extend: up(exact.extend),
+                close: up(exact.close),
+            };
+            (scale, scores)
+        });
+        ProfileHmm { exact, bound }
+    }
+
     /// Builds a profile from a consensus sequence.
     ///
     /// `mismatch_prob` is the probability of observing a non-consensus base at
@@ -45,28 +227,9 @@ impl ProfileHmm {
         indel_open: f64,
         indel_extend: f64,
     ) -> Self {
-        assert!(!consensus.is_empty(), "consensus must be non-empty");
         assert!((0.0..0.75).contains(&mismatch_prob));
-        assert!((0.0..0.5).contains(&indel_open) && indel_open > 0.0);
-        assert!((0.0..1.0).contains(&indel_extend) && indel_extend > 0.0);
-        let match_log_odds = consensus
-            .iter()
-            .map(|&b| {
-                let mut probs = [mismatch_prob / 3.0; 4];
-                match encode_base(b) {
-                    Some(code) => probs[code as usize] = 1.0 - mismatch_prob,
-                    None => probs = [0.25; 4],
-                }
-                log_odds(probs)
-            })
-            .collect();
-        ProfileHmm {
-            match_log_odds,
-            log_mm: (1.0 - 2.0 * indel_open).ln(),
-            log_open: indel_open.ln(),
-            log_extend: indel_extend.ln(),
-            log_close: (1.0 - indel_extend).ln(),
-        }
+        let probs = consensus_probs(consensus, mismatch_prob);
+        ProfileHmm::new(&probs, indel_open, indel_extend)
     }
 
     /// Builds a profile from a consensus plus example sequences of the same
@@ -79,106 +242,24 @@ impl ProfileHmm {
         indel_open: f64,
         indel_extend: f64,
     ) -> Self {
-        let mut hmm = ProfileHmm::from_consensus(consensus, 0.05, indel_open, indel_extend);
-        let l = consensus.len();
-        let mut counts = vec![[1.0f64; 4]; l]; // +1 pseudocount
-        for (i, &b) in consensus.iter().enumerate() {
-            if let Some(code) = encode_base(b) {
-                counts[i][code as usize] += 2.0; // consensus weighted
-            }
-        }
-        for ex in examples {
-            for (i, &b) in ex.iter().enumerate().take(l) {
-                if let Some(code) = encode_base(b) {
-                    counts[i][code as usize] += 1.0;
-                }
-            }
-        }
-        for (i, c) in counts.iter().enumerate() {
-            let total: f64 = c.iter().sum();
-            hmm.match_log_odds[i] = log_odds(c.map(|count| count / total));
-        }
-        hmm
+        let probs = example_probs(consensus, examples);
+        ProfileHmm::new(&probs, indel_open, indel_extend)
     }
 
     /// Profile length (number of match states).
     pub fn len(&self) -> usize {
-        self.match_log_odds.len()
+        self.exact.emit[0].len()
     }
 
     /// True if the profile has no match states (never constructible via the
     /// public constructors, which reject empty consensi).
     pub fn is_empty(&self) -> bool {
-        self.match_log_odds.is_empty()
-    }
-
-    /// Best local-alignment Viterbi log-odds score (in nats) of the profile
-    /// against an encoded sequence, on the given strand only. `rows` is
-    /// scratch of `codes.len() + 1` cells per row.
-    fn score_strand(&self, codes: &[u8], rows: &mut DpRows) -> f64 {
-        let n = codes.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let neg = f64::NEG_INFINITY;
-        // DP over profile positions (rows) and sequence positions (columns),
-        // local in the sequence (free start/end) and in the profile ends.
-        let DpRows { prev, cur } = rows;
-        prev.m.fill(0.0); // score of best path ending in M_0 (virtual begin) = 0 anywhere
-        prev.i.fill(neg);
-        prev.d.fill(neg);
-        let mut best = 0.0f64;
-        for emit in &self.match_log_odds {
-            cur.m[0] = neg;
-            cur.i[0] = neg;
-            cur.d[0] = neg;
-            for col in 1..=n {
-                let base = codes[col - 1];
-                if base == NOT_A_BASE {
-                    cur.m[col] = neg;
-                    cur.i[col] = neg;
-                    cur.d[col] = neg;
-                    continue;
-                }
-                let from_m = prev.m[col - 1] + self.log_mm;
-                let from_i = prev.i[col - 1] + self.log_close;
-                let from_d = prev.d[col - 1] + self.log_close;
-                cur.m[col] = emit[base as usize] + from_m.max(from_i).max(from_d).max(0.0);
-                // Insert state of this row: consumes a sequence base, stays on the row.
-                let i_open = cur.m[col - 1].max(prev.m[col - 1]) + self.log_open;
-                let i_ext = cur.i[col - 1] + self.log_extend;
-                cur.i[col] = i_open.max(i_ext); // insertions emit at background odds = 0
-
-                // Delete state: consumes a profile row, not a sequence base.
-                let d_open = prev.m[col] + self.log_open;
-                let d_ext = prev.d[col] + self.log_extend;
-                cur.d[col] = d_open.max(d_ext);
-                if cur.m[col] > best {
-                    best = cur.m[col];
-                }
-            }
-            std::mem::swap(prev, cur);
-        }
-        best
+        self.len() == 0
     }
 
     /// Best local log-odds score over both strands, in nats.
     pub fn score(&self, seq: &[u8]) -> f64 {
-        let mut codes: Vec<u8> = seq
-            .iter()
-            .map(|&b| encode_base(b).unwrap_or(NOT_A_BASE))
-            .collect();
-        let mut rows = DpRows::new(codes.len() + 1);
-        let fwd = self.score_strand(&codes, &mut rows);
-        // Reverse complement in code space: 3 - code swaps A/T and C/G.
-        codes.reverse();
-        for code in &mut codes {
-            if *code != NOT_A_BASE {
-                *code = 3 - *code;
-            }
-        }
-        let rev = self.score_strand(&codes, &mut rows);
-        fwd.max(rev)
+        both_strands(&self.exact, &encode(seq))
     }
 
     /// Score normalised per profile position (nats per consensus base), which
@@ -188,34 +269,134 @@ impl ProfileHmm {
     }
 }
 
-/// One DP row: the match, insert and delete scores of every column.
-#[derive(Debug)]
-struct DpRow {
-    m: Vec<f64>,
-    i: Vec<f64>,
-    d: Vec<f64>,
+/// The 2-bit codes of a sequence's bases, `NOT_A_BASE` for anything else.
+fn encode(seq: &[u8]) -> Vec<u8> {
+    seq.iter()
+        .map(|&b| encode_base(b).unwrap_or(NOT_A_BASE))
+        .collect()
 }
 
-/// The two rows the Viterbi recurrence needs, swapped after each profile
-/// position.
-#[derive(Debug)]
-struct DpRows {
-    prev: DpRow,
-    cur: DpRow,
+/// The best of [`viterbi`] over both strands of an encoded sequence.
+fn both_strands<S: Score>(scores: &Scores<S>, codes: &[u8]) -> S {
+    let fwd = viterbi(scores, codes.iter().copied());
+    // Reverse complement in code space: 3 - code swaps A/T and C/G.
+    let rev = viterbi(
+        scores,
+        codes.iter().rev().map(|&code| match code {
+            NOT_A_BASE => NOT_A_BASE,
+            base => 3 - base,
+        }),
+    );
+    max(fwd, rev)
 }
 
-impl DpRows {
-    fn new(cells: usize) -> Self {
-        let row = || DpRow {
-            m: vec![0.0; cells],
-            i: vec![0.0; cells],
-            d: vec![0.0; cells],
-        };
-        DpRows {
-            prev: row(),
-            cur: row(),
+/// The match, insert and delete scores of one sequence position at every
+/// profile position; index 0 is the virtual begin state.
+struct Column<S> {
+    m: Vec<S>,
+    i: Vec<S>,
+    d: Vec<S>,
+}
+
+impl<S: Score> Column<S> {
+    /// The column before the first base: only the begin state is reachable
+    /// (the best path ending in M_0 scores 0 anywhere).
+    fn begin(len: usize) -> Self {
+        let mut m = vec![S::NEG_INF; len + 1];
+        m[0] = S::ZERO;
+        let gap = vec![S::NEG_INF; len + 1];
+        Column {
+            m,
+            i: gap.clone(),
+            d: gap,
         }
     }
+}
+
+/// Best local-alignment Viterbi score of the profile against a sequence of
+/// base codes: local in the sequence (free start/end) and in the profile
+/// ends. Column-major; the module docs give the layout and the live-cell
+/// rule the delete-state pass relies on.
+fn viterbi<S: Score>(scores: &Scores<S>, codes: impl Iterator<Item = u8>) -> S {
+    let l = scores.emit[0].len();
+    let (mut prev, mut cur) = (Column::begin(l), Column::begin(l));
+    // The best match score of every row so far: a lane-wise running maximum,
+    // reduced once at the end (a scalar `best` would chain every cell).
+    let mut best = vec![S::ZERO; l];
+    for code in codes {
+        if code == NOT_A_BASE {
+            // No state emits a non-base: only the begin state survives one.
+            cur.m[1..].fill(S::NEG_INF);
+            cur.i.fill(S::NEG_INF);
+            cur.d.fill(S::NEG_INF);
+            std::mem::swap(&mut prev, &mut cur);
+            continue;
+        }
+        // (Every slice cut to a length the compiler can see is `l` or `l + 1`,
+        // so that the loops below carry no bounds checks.)
+        let emit = &scores.emit[code as usize][..l];
+        let best = &mut best[..l];
+        let (pm, pi, pd) = (&prev.m[..=l], &prev.i[..=l], &prev.d[..=l]);
+        let (m, i, d) = (&mut cur.m[..=l], &mut cur.i[..=l], &mut cur.d[..=l]);
+        // M and I read the previous column only. (`max(I, D) + close` is
+        // `max(I + close, D + close)` to the bit: rounding is monotone.)
+        for r in 0..l {
+            let from_m = pm[r].plus(scores.mm);
+            let from_gap = max(pi[r], pd[r]).plus(scores.close);
+            m[r + 1] = emit[r].plus(max(max(from_m, from_gap), S::ZERO));
+            // An insertion consumes a base and stays on its row; it emits at
+            // background odds = 0.
+            let i_open = max(pm[r + 1], pm[r]).plus(scores.open);
+            i[r + 1] = max(i_open, pi[r + 1].plus(scores.extend));
+            best[r] = max(best[r], m[r + 1]);
+        }
+        // A deletion consumes a profile row, not a base: opened from this
+        // column's M everywhere at once, then extended — the one chain down
+        // a column — only through the chunks with a live cell, one that
+        // offers the row below a positive value.
+        let extend = |chunk: &mut [S], mut above: S| {
+            for d in chunk {
+                let offer = above.plus(scores.extend);
+                if offer > S::ZERO {
+                    *d = max(*d, offer);
+                }
+                above = *d;
+            }
+            above
+        };
+        let (m_chunks, m_rest) = m[..l].as_chunks::<CHUNK>();
+        let (d_chunks, d_rest) = d[1..].as_chunks_mut::<CHUNK>();
+        let mut above = S::NEG_INF; // D of the row above, or any other dead value
+        for (d, m) in d_chunks.iter_mut().zip(m_chunks) {
+            let mut live = above.plus(scores.extend) > S::ZERO;
+            for (d, &m) in d.iter_mut().zip(m) {
+                *d = m.plus(scores.open);
+                live |= d.plus(scores.extend) > S::ZERO;
+            }
+            if live {
+                above = extend(d, above);
+            }
+        }
+        for (d, &m) in d_rest.iter_mut().zip(m_rest) {
+            *d = m.plus(scores.open);
+        }
+        extend(d_rest, above);
+        std::mem::swap(&mut prev, &mut cur);
+    }
+    best.into_iter().fold(S::ZERO, max)
+}
+
+/// What one [`RrnaDetector::classify`] call decided, and the dynamic-
+/// programming cells (2 strands × profile length × sequence length) it
+/// filled to decide it — deterministic work counts for the caller's stats.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RrnaCall {
+    /// True if the sequence contains an rRNA-like region.
+    pub hit: bool,
+    /// Cells of the 16-bit upper-bound pass (0 if the filter stood aside).
+    pub bound_cells: u64,
+    /// Cells of the exact pass (0 if the bound rejected the sequence).
+    pub exact_cells: u64,
 }
 
 /// A thresholded rRNA-region detector used by the scaffolder.
@@ -246,7 +427,34 @@ impl RrnaDetector {
 
     /// True if the sequence contains an rRNA-like region.
     pub fn is_hit(&self, seq: &[u8]) -> bool {
-        seq.len() >= self.min_len && self.score(seq) >= self.threshold
+        self.classify(seq).hit
+    }
+
+    /// Decides `len ≥ min_len && score ≥ threshold`, running the exact pass
+    /// only if the 16-bit upper bound on the score reaches the threshold.
+    pub fn classify(&self, seq: &[u8]) -> RrnaCall {
+        let mut call = RrnaCall::default();
+        if seq.len() < self.min_len {
+            return call;
+        }
+        let codes = encode(seq);
+        let l = self.hmm.len();
+        let cells = 2 * (l * codes.len()) as u64;
+        if let Some((scale, bound)) = &self.hmm.bound {
+            // One unit of slack for the f64 rounding of `scale × x` and of
+            // the exact sums. A quantised threshold ≤ 0 rejects nothing (the
+            // bound is ≥ 0) and one above `i16::MAX`, or NaN, is not one.
+            let needed = (scale * self.threshold * l as f64).floor() - 1.0;
+            if (1.0..=f64::from(i16::MAX)).contains(&needed) {
+                call.bound_cells = cells;
+                if f64::from(both_strands(bound, &codes)) < needed {
+                    return call;
+                }
+            }
+        }
+        call.exact_cells = cells;
+        call.hit = both_strands(&self.hmm.exact, &codes) / l as f64 >= self.threshold;
+        call
     }
 }
 
@@ -257,20 +465,21 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use seqio::alphabet::revcomp;
 
-    /// The scoring recurrence as first written — one `ln` per cell, fresh
-    /// rows per profile position, the raw sequence — which `score_strand`
-    /// must reproduce to the bit.
-    fn reference_score_forward(match_emit: &[[f64; 4]], hmm: &ProfileHmm, seq: &[u8]) -> f64 {
+    /// The scoring recurrence as first written — row-major, one `ln` per
+    /// cell, fresh rows per profile position, the raw sequence, every delete
+    /// state extended — which [`viterbi`] in `f64` must reproduce to the bit.
+    fn reference_score_forward(match_probs: &[[f64; 4]], hmm: &ProfileHmm, seq: &[u8]) -> f64 {
         let n = seq.len();
         if n == 0 {
             return 0.0;
         }
+        let gaps = &hmm.exact;
         let neg = f64::NEG_INFINITY;
         let mut m_prev = vec![0.0f64; n + 1];
         let mut i_prev = vec![neg; n + 1];
         let mut d_prev = vec![neg; n + 1];
         let mut best = 0.0f64;
-        for emit_probs in match_emit {
+        for emit_probs in match_probs {
             let mut m_cur = vec![neg; n + 1];
             let mut i_cur = vec![neg; n + 1];
             let mut d_cur = vec![neg; n + 1];
@@ -279,15 +488,15 @@ mod tests {
                     continue;
                 };
                 let emit = (emit_probs[base as usize] / BACKGROUND).ln();
-                let from_m = m_prev[col - 1] + hmm.log_mm;
-                let from_i = i_prev[col - 1] + hmm.log_close;
-                let from_d = d_prev[col - 1] + hmm.log_close;
+                let from_m = m_prev[col - 1] + gaps.mm;
+                let from_i = i_prev[col - 1] + gaps.close;
+                let from_d = d_prev[col - 1] + gaps.close;
                 m_cur[col] = emit + from_m.max(from_i).max(from_d).max(0.0);
-                let i_open = m_cur[col - 1].max(m_prev[col - 1]) + hmm.log_open;
-                let i_ext = i_cur[col - 1] + hmm.log_extend;
+                let i_open = m_cur[col - 1].max(m_prev[col - 1]) + gaps.open;
+                let i_ext = i_cur[col - 1] + gaps.extend;
                 i_cur[col] = i_open.max(i_ext);
-                let d_open = m_prev[col] + hmm.log_open;
-                let d_ext = d_prev[col] + hmm.log_extend;
+                let d_open = m_prev[col] + gaps.open;
+                let d_ext = d_prev[col] + gaps.extend;
                 d_cur[col] = d_open.max(d_ext);
                 if m_cur[col] > best {
                     best = m_cur[col];
@@ -300,59 +509,259 @@ mod tests {
         best
     }
 
-    /// Emission probabilities of `from_consensus`, as the reference takes them.
-    fn consensus_emissions(consensus: &[u8], mismatch_prob: f64) -> Vec<[f64; 4]> {
-        consensus
-            .iter()
-            .map(|&b| {
-                let mut probs = [mismatch_prob / 3.0; 4];
-                match encode_base(b) {
-                    Some(code) => probs[code as usize] = 1.0 - mismatch_prob,
-                    None => probs = [0.25; 4],
-                }
-                probs
-            })
-            .collect()
+    /// `copy` with `len` bases removed at `at` (clamped to its end).
+    fn delete(copy: &[u8], at: usize, len: usize) -> Vec<u8> {
+        [&copy[..at], &copy[(at + len).min(copy.len())..]].concat()
+    }
+
+    /// `copy` with `len` random bases inserted at `at`.
+    fn insert(rng: &mut StdRng, copy: &[u8], at: usize, len: usize) -> Vec<u8> {
+        [&copy[..at], &random_seq(rng, len), &copy[at..]].concat()
+    }
+
+    /// Sequences shaped like what the kernel can get wrong against a profile
+    /// of this consensus: nothing, non-bases, unrelated sequence, and copies
+    /// (0%, 3% and 15% substituted) bare, embedded, with 1-, 5- and 40-base
+    /// deletions and insertions (the delete chain crossing chunk boundaries,
+    /// the insert chain), with `N` runs at either end and a lower-case
+    /// stretch — each on both strands.
+    fn variants(rng: &mut StdRng, consensus: &[u8]) -> Vec<Vec<u8>> {
+        let l = consensus.len();
+        let mut seqs: Vec<Vec<u8>> = vec![Vec::new(), b"A".to_vec(), b"NNNN".to_vec()];
+        for len in [30, l, 2 * l + 50] {
+            seqs.push(random_seq(rng, len));
+        }
+        for rate in [0.0, 0.03, 0.15] {
+            let copy = mutate(rng, consensus, rate);
+            seqs.push([random_seq(rng, 70), copy.clone(), random_seq(rng, 50)].concat());
+            for gap in [1, 5, 40] {
+                seqs.push(delete(&copy, l / 3, gap));
+                seqs.push(insert(rng, &copy, l / 3, gap));
+            }
+            let mut ragged = copy.clone();
+            let ends = l.min(4);
+            ragged[..ends].fill(b'N');
+            ragged[l - ends..].fill(b'N');
+            ragged[l / 2..l / 2 + l / 5].make_ascii_lowercase();
+            seqs.extend([copy, ragged]);
+        }
+        let strands: Vec<Vec<u8>> = seqs.iter().map(|s| revcomp(s)).collect();
+        seqs.extend(strands);
+        seqs
     }
 
     #[test]
     fn scores_are_bit_identical_to_the_reference_recurrence() {
         let mut rng = StdRng::seed_from_u64(11);
-        let mut consensus = random_seq(&mut rng, 120);
-        consensus[40] = b'N';
-        let hmm = ProfileHmm::from_consensus(&consensus, 0.05, 0.02, 0.3);
-        let emissions = consensus_emissions(&consensus, 0.05);
-        let mut seqs: Vec<Vec<u8>> = vec![Vec::new(), b"A".to_vec(), b"NNNN".to_vec()];
-        for len in [30, 120, 300] {
-            seqs.push(random_seq(&mut rng, len));
+        // Profile lengths around the vector widths and the chunk, a consensus
+        // with a non-base, and a trained profile.
+        let mut profiles: Vec<(Vec<u8>, Vec<[f64; 4]>)> = Vec::new();
+        for len in [1, 2, 15, 16, 17, 120, 401] {
+            let mut consensus = random_seq(&mut rng, len);
+            if len == 120 {
+                consensus[40] = b'N';
+            }
+            let probs = consensus_probs(&consensus, 0.05);
+            profiles.push((consensus, probs));
         }
-        for rate in [0.0, 0.03, 0.15] {
-            let copy = mutate(&mut rng, &consensus, rate);
-            let mut embedded = random_seq(&mut rng, 70);
-            embedded.extend_from_slice(&copy);
-            embedded.extend_from_slice(&random_seq(&mut rng, 50));
-            // A deletion, a run of `N`s and a lower-case stretch.
-            let mut ragged = copy[..50].to_vec();
-            ragged.extend_from_slice(&copy[58..]);
-            ragged[20..24].fill(b'N');
-            ragged[70..90].make_ascii_lowercase();
-            seqs.extend([copy, embedded, ragged]);
-        }
-        let strands: Vec<Vec<u8>> = seqs.iter().map(|s| revcomp(s)).collect();
-        seqs.extend(strands);
+        let consensus = random_seq(&mut rng, 90);
+        let examples: Vec<Vec<u8>> = (0..5).map(|_| mutate(&mut rng, &consensus, 0.08)).collect();
+        let probs = example_probs(&consensus, &examples);
+        profiles.push((consensus, probs));
+
         let mut positive = 0;
-        for seq in &seqs {
-            let fwd = reference_score_forward(&emissions, &hmm, seq);
-            let rev = reference_score_forward(&emissions, &hmm, &revcomp(seq));
-            // `==` on purpose: the table holds the same expression per cell.
-            assert!(
-                hmm.score(seq) == fwd.max(rev),
-                "score of {} bases",
-                seq.len()
-            );
-            positive += usize::from(fwd.max(rev) > 10.0);
+        for (consensus, probs) in &profiles {
+            let hmm = ProfileHmm::new(probs, 0.02, 0.3);
+            for seq in variants(&mut rng, consensus) {
+                let fwd = reference_score_forward(probs, &hmm, &seq);
+                let rev = reference_score_forward(probs, &hmm, &revcomp(&seq));
+                // `==` on purpose: every positive cell holds the same expression.
+                assert!(
+                    hmm.score(&seq) == fwd.max(rev),
+                    "{} bases against {} states",
+                    seq.len(),
+                    consensus.len()
+                );
+                positive += usize::from(fwd.max(rev) > 10.0);
+            }
         }
-        assert!(positive >= 18, "only {positive} sequences scored");
+        assert!(positive >= 200, "only {positive} sequences scored");
+    }
+
+    /// Seeded detectors with the sequences to try on each: the [`variants`]
+    /// of twenty profiles of 60-98 states (from a consensus, or trained) and,
+    /// on those and two long profiles, partial copies that score around the
+    /// threshold. Sized for a debug build: ~45 M cells a pass.
+    fn corpus() -> Vec<(RrnaDetector, Vec<Vec<u8>>)> {
+        let mut rng = StdRng::seed_from_u64(20261001);
+        let lens = (0..20).map(|i| 60 + 2 * i).chain([400, 1500]);
+        lens.enumerate()
+            .map(|(p, l)| {
+                let consensus = random_seq(&mut rng, l);
+                let hmm = if p % 3 == 2 {
+                    let examples: Vec<Vec<u8>> =
+                        (0..4).map(|_| mutate(&mut rng, &consensus, 0.06)).collect();
+                    ProfileHmm::from_examples(&consensus, &examples, 0.02, 0.3)
+                } else {
+                    ProfileHmm::from_consensus(&consensus, 0.05, 0.02, 0.3)
+                };
+                let (mut seqs, partials) = match l {
+                    ..400 => (variants(&mut rng, &consensus), 34),
+                    400 => (Vec::new(), 12),
+                    _ => (Vec::new(), 4),
+                };
+                // A third of the consensus scores about 0.4 nats per state.
+                for _ in 0..partials {
+                    let part = rng.gen_range(l / 4..=2 * l / 5);
+                    let at = rng.gen_range(0..=l - part);
+                    let rate = rng.gen_range(0.0..0.04);
+                    let copy = mutate(&mut rng, &consensus[at..at + part], rate);
+                    let flank = random_seq(&mut rng, 40);
+                    let seq = [&flank[..], &copy[..], &flank[..]].concat();
+                    seqs.push(if rng.gen() { revcomp(&seq) } else { seq });
+                }
+                let detector = RrnaDetector {
+                    hmm,
+                    threshold: 0.4,
+                    min_len: l / 4,
+                };
+                (detector, seqs)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_i16_bound_is_never_below_the_exact_score() {
+        let (mut cases, mut near) = (0, 0);
+        for (detector, seqs) in corpus() {
+            let hmm = &detector.hmm;
+            let (scale, bound) = hmm.bound.as_ref().expect("a scale ≥ 1 exists");
+            for seq in &seqs {
+                let score = hmm.score(seq);
+                let upper = f64::from(both_strands(bound, &encode(seq)));
+                assert!(
+                    upper >= scale * score,
+                    "bound {upper} < {scale} × {score}: {} bases against {} states",
+                    seq.len(),
+                    hmm.len()
+                );
+                cases += 1;
+                let per_state = score / hmm.len() as f64;
+                near += usize::from((0.36..=0.44).contains(&per_state));
+            }
+        }
+        assert!(cases >= 2000 && near >= 100, "{cases} cases, {near} near");
+
+        // And the bound is tight enough to be a filter: unrelated sequence is
+        // rejected without the exact pass.
+        let mut rng = StdRng::seed_from_u64(12);
+        let detector = RrnaDetector::from_consensus(&random_seq(&mut rng, 400));
+        let call = detector.classify(&random_seq(&mut rng, 10_000));
+        assert_eq!((call.hit, call.exact_cells), (false, 0));
+        assert_eq!(call.bound_cells, 2 * 400 * 10_000);
+    }
+
+    /// What `is_hit` decided before there was a filter.
+    fn unfiltered_decision(detector: &RrnaDetector, seq: &[u8]) -> bool {
+        seq.len() >= detector.min_len && detector.hmm.normalized_score(seq) >= detector.threshold
+    }
+
+    #[test]
+    fn is_hit_equals_the_unfiltered_decision() {
+        let mut hits = 0;
+        for (detector, seqs) in corpus() {
+            for seq in &seqs {
+                let unfiltered = unfiltered_decision(&detector, seq);
+                assert_eq!(detector.is_hit(seq), unfiltered, "{} bases", seq.len());
+                hits += usize::from(unfiltered);
+            }
+        }
+        assert!(hits >= 500, "only {hits} hits");
+    }
+
+    #[test]
+    fn classify_reports_the_cells_of_each_pass() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let consensus = random_seq(&mut rng, 200);
+        let detector = RrnaDetector::from_consensus(&consensus);
+        let cells = |len: u64| 2 * 200 * len;
+        let call = |hit, bound_cells, exact_cells| RrnaCall {
+            hit,
+            bound_cells,
+            exact_cells,
+        };
+        let copy = mutate(&mut rng, &consensus, 0.05);
+        assert_eq!(detector.classify(&copy), call(true, cells(200), cells(200)));
+        let unrelated = random_seq(&mut rng, 300);
+        assert_eq!(detector.classify(&unrelated), call(false, cells(300), 0));
+        assert_eq!(detector.classify(&consensus[..20]), call(false, 0, 0));
+    }
+
+    #[test]
+    fn degenerate_profiles_answer_exactly() {
+        let mut rng = StdRng::seed_from_u64(14);
+        let unrelated = random_seq(&mut rng, 300);
+        let same_as_unfiltered = |detector: &RrnaDetector, seq: &[u8]| {
+            let unfiltered = unfiltered_decision(detector, seq);
+            assert_eq!(detector.is_hit(seq), unfiltered);
+            unfiltered
+        };
+
+        // An all-`N` consensus emits everything at background odds: there is
+        // no positive emission to scale, every score is 0, nothing hits.
+        let mut blank = RrnaDetector::from_consensus(&[b'N'; 50]);
+        assert!(blank.hmm.bound.is_none());
+        assert_eq!(blank.score(&unrelated), 0.0);
+        let call = blank.classify(&unrelated);
+        assert_eq!((call.hit, call.bound_cells), (false, 0));
+        assert_eq!(call.exact_cells, 2 * 50 * 300);
+        // A threshold ≤ 0 calls everything long enough a hit (scores are
+        // ≥ 0); the bound, which cannot reject, is not run. NaN calls nothing.
+        for (threshold, hit) in [(0.0, true), (-1.0, true), (f64::NAN, false)] {
+            blank.threshold = threshold;
+            assert_eq!(blank.is_hit(&unrelated), hit);
+            let mut detector = RrnaDetector::from_consensus(&unrelated[..100]);
+            detector.threshold = threshold;
+            let call = detector.classify(&unrelated);
+            assert_eq!((call.hit, call.bound_cells), (hit, 0));
+            assert!(!detector.is_hit(&unrelated[..10]), "shorter than min_len");
+        }
+
+        // No mismatches allowed: a mismatch emits −∞ (`i16::MIN` in the
+        // bound), never NaN.
+        let consensus = random_seq(&mut rng, 80);
+        let strict = RrnaDetector {
+            hmm: ProfileHmm::from_consensus(&consensus, 0.0, 0.02, 0.3),
+            threshold: 0.4,
+            min_len: 20,
+        };
+        assert!(same_as_unfiltered(&strict, &consensus));
+        assert!(same_as_unfiltered(&strict, &revcomp(&consensus)));
+        assert!(same_as_unfiltered(&strict, &delete(&consensus, 30, 5)));
+        same_as_unfiltered(&strict, &mutate(&mut rng, &consensus, 0.2));
+        assert!(!same_as_unfiltered(&strict, &unrelated));
+        assert!(strict.score(&unrelated) >= 0.0);
+
+        // Three states: the scale is in the thousands and the gap
+        // transitions sit near `i16::MIN`; `min_len` is 0.
+        let tiny = RrnaDetector::from_consensus(b"ACG");
+        assert!(same_as_unfiltered(&tiny, b"ACG"));
+        assert!(same_as_unfiltered(&tiny, b"TTCGTAA"));
+        assert!(!same_as_unfiltered(&tiny, b""));
+        assert!(!same_as_unfiltered(&tiny, b"NN"));
+        for len in [1, 7, 40] {
+            same_as_unfiltered(&tiny, &random_seq(&mut rng, len));
+        }
+
+        // Too long for a scale ≥ 1: the filter stands aside and the exact
+        // pass still finds a slice of the consensus.
+        let consensus = random_seq(&mut rng, 25_000);
+        let mut long = RrnaDetector::from_consensus(&consensus);
+        assert!(long.hmm.bound.is_none());
+        (long.threshold, long.min_len) = (0.01, 100);
+        let call = long.classify(&consensus[9_000..9_400]);
+        assert_eq!((call.hit, call.bound_cells), (true, 0));
+        assert_eq!(call.exact_cells, 2 * 25_000 * 400);
     }
 
     fn random_seq(rng: &mut StdRng, len: usize) -> Vec<u8> {

@@ -229,19 +229,27 @@ pub fn traverse_contig_graph_ref(
     rrna: Option<&RrnaDetector>,
     params: &ScaffoldTraversalParams,
 ) -> Vec<Scaffold> {
-    // rRNA classification of contigs.
+    // rRNA classification of contigs. Its work counters read "once per
+    // contig": every rank classifies a replicated set, rank 0 reports it.
+    let is_hit = |detector: &RrnaDetector, seq: &[u8], report: bool| {
+        let call = detector.classify(seq);
+        if report {
+            ctx.record_hmm_cells(call.bound_cells, call.exact_cells);
+        }
+        call.hit
+    };
     let rrna_hits: HashSet<ContigId> = match (rrna, contigs) {
         (Some(detector), ContigsRef::Local(set)) => set
             .contigs
             .iter()
-            .filter(|c| c.len() >= params.rrna_min_len && detector.is_hit(&c.seq))
+            .filter(|c| c.len() >= params.rrna_min_len && is_hit(detector, &c.seq, ctx.rank() == 0))
             .map(|c| c.id)
             .collect(),
         (Some(detector), ContigsRef::Store(store)) => {
             // Owner-local scan of this rank's shard, then allgather the ids.
             let mut local_hits: Vec<ContigId> = Vec::new();
             store.map().for_each_local(ctx, |id, packed| {
-                if packed.len() >= params.rrna_min_len && detector.is_hit(&packed.unpack()) {
+                if packed.len() >= params.rrna_min_len && is_hit(detector, &packed.unpack(), true) {
                     local_hits.push(*id);
                 }
             });
