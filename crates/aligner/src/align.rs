@@ -1,25 +1,17 @@
 //! Seed-and-extend alignment of reads onto contigs.
 //!
-//! Seed lookups against the distributed seed index come in two flavours,
-//! selected by [`AlignParams::lookup_batch`]:
-//!
-//! * **aggregated** (`lookup_batch > 1`, the default): the seeds of a whole
-//!   block of reads are gathered, cache hits are served locally, and every
-//!   miss of the block travels to its owner rank in one aggregated
-//!   request–response round trip ([`dht::CachedView`]) — the paper's batched
-//!   lookups (use case 3 of §II-A). This path is **collective**: every rank
-//!   must call [`align_reads`] in the same phase, even with no reads.
-//! * **fine-grained** (`lookup_batch <= 1`): one synchronous index probe per
-//!   seed through the software cache, the unaggregated baseline the
-//!   `ablation_batched_lookup` harness measures against.
-//!
-//! Both paths feed identical seed results into identical voting and
-//! verification code, so the alignments — and the assembly built from them —
-//! are byte-identical.
+//! Seed lookups against the distributed seed index are aggregated: the seeds
+//! of a whole block of reads are gathered, cache hits are served locally, and
+//! every miss of the block travels to its owner rank in one aggregated
+//! request–response round trip ([`dht::CachedView`]) — the paper's batched
+//! lookups (use case 3 of §II-A). Alignment is therefore **collective**:
+//! every rank must call [`align_reads`] in the same phase, even with no
+//! reads. [`AlignParams::lookup_batch`] sizes the blocks and the messages;
+//! the alignments — and the assembly built from them — do not depend on it.
 
 use crate::seed_index::{SeedHit, SeedIndex};
 use dbg::{ContigId, ContigSet, ContigsRef, PackedSeq};
-use dht::{CachedView, FxHashMap, SoftwareCache};
+use dht::{CachedView, FxHashMap};
 use kmers::Kmer;
 use pgas::Ctx;
 use seqio::alphabet::revcomp;
@@ -40,10 +32,9 @@ pub struct AlignParams {
     pub min_identity: f64,
     /// Capacity of the per-rank software seed cache (entries).
     pub cache_capacity: usize,
-    /// Aggregated-lookup batch size: roughly how many seed lookups are
-    /// resolved per request–response round trip (and at most how many travel
-    /// in one message to an owner). `1` disables aggregation and probes the
-    /// index one seed at a time.
+    /// Aggregated-lookup batch size (> 0): roughly how many seed lookups are
+    /// resolved per request–response round trip, and at most how many travel
+    /// in one message to an owner.
     pub lookup_batch: usize,
 }
 
@@ -151,15 +142,15 @@ pub fn align_reads<R: std::borrow::Borrow<Read>>(
 /// Aligns the reads `(read_id, read)` of this rank against either a
 /// replicated contig set or the distributed contig store.
 ///
-/// With the default aggregated lookups (`lookup_batch > 1`) this is a
-/// **collective**: every rank must call it in the same phase (an empty read
-/// set is fine) because the seed misses of each read block are fetched
-/// through a collective request–response exchange — and, with a distributed
-/// contig store, so are the contig windows named by the block's surviving
-/// candidates. With `lookup_batch <= 1` it degenerates to the fine-grained,
-/// communication-per-seed (and per-candidate-contig) baseline.
+/// **Collective**: every rank must call it in the same phase (an empty read
+/// set is fine). Reads are processed in blocks whose seeds are resolved
+/// together — cache hits locally, all misses of the block in one
+/// request–response round trip — and, against a distributed store, the contig
+/// windows named by the block's surviving candidates are fetched in a second
+/// aggregated round. Ranks with fewer reads keep participating in the
+/// remaining rounds with empty batches.
 ///
-/// The alignments are byte-identical across all four combinations: seed
+/// The alignments are byte-identical whichever contig source is used: seed
 /// voting never touches sequence bytes, and verification reads exactly the
 /// candidate windows whichever transport delivered them.
 ///
@@ -167,66 +158,6 @@ pub fn align_reads<R: std::borrow::Borrow<Read>>(
 /// on-demand read-store stream unpacks), so neither the replicated baseline
 /// nor the distributed read store has to clone sequences to align them.
 pub fn align_reads_ref<R: std::borrow::Borrow<Read>>(
-    ctx: &Ctx,
-    reads: impl IntoIterator<Item = (ReadId, R)>,
-    contigs: ContigsRef<'_>,
-    index: &SeedIndex,
-    params: &AlignParams,
-) -> AlignmentSet {
-    if params.lookup_batch > 1 {
-        align_reads_batched(ctx, reads, contigs, index, params)
-    } else {
-        align_reads_fine_grained(ctx, reads, contigs, index, params)
-    }
-}
-
-/// The unaggregated baseline: one synchronous index probe per seed and one
-/// fine-grained contig fetch per candidate, through the per-rank software
-/// caches.
-fn align_reads_fine_grained<R: std::borrow::Borrow<Read>>(
-    ctx: &Ctx,
-    reads: impl IntoIterator<Item = (ReadId, R)>,
-    contigs: ContigsRef<'_>,
-    index: &SeedIndex,
-    params: &AlignParams,
-) -> AlignmentSet {
-    let mut cache: SoftwareCache<Kmer, Vec<SeedHit>> = SoftwareCache::new(params.cache_capacity);
-    let mut reader = contigs.store().map(|s| s.reader(ctx));
-    let mut out = AlignmentSet::default();
-    for (read_id, read) in reads {
-        let read = read.borrow();
-        let seeds = collect_seeds(&read.seq, index.seed_len, params.stride);
-        let hits: Vec<Option<Vec<SeedHit>>> = seeds
-            .iter()
-            .map(|s| cache.get(ctx, &index.map, &s.canon))
-            .collect();
-        let candidates = vote_candidates(&read.seq, index.seed_len, &seeds, &hits);
-        match contigs {
-            ContigsRef::Local(set) => {
-                verify_candidates_local(read_id, read, set, params, candidates, &mut out)
-            }
-            ContigsRef::Store(_) => {
-                let reader = reader.as_mut().expect("reader exists for store sources");
-                let mut fetched: FxHashMap<ContigId, Option<PackedSeq>> = FxHashMap::default();
-                for cand in candidates.iter().take(params.max_candidates) {
-                    fetched
-                        .entry(cand.contig)
-                        .or_insert_with(|| reader.get(ctx, cand.contig));
-                }
-                verify_candidates_fetched(read_id, read, &fetched, params, candidates, &mut out);
-            }
-        }
-    }
-    out
-}
-
-/// The aggregated path: reads are processed in blocks whose seeds are
-/// resolved together — cache hits locally, all misses of the block in one
-/// request–response round trip — and, against a distributed store, the
-/// contig windows named by the block's surviving candidates are fetched in a
-/// second aggregated round. Collective; ranks with fewer reads keep
-/// participating in the remaining rounds with empty batches.
-fn align_reads_batched<R: std::borrow::Borrow<Read>>(
     ctx: &Ctx,
     reads: impl IntoIterator<Item = (ReadId, R)>,
     contigs: ContigsRef<'_>,
@@ -249,7 +180,7 @@ fn align_reads_batched<R: std::borrow::Borrow<Read>>(
                 break;
             };
             let lo = seeds.len();
-            collect_seeds_into(
+            collect_seeds(
                 &read.borrow().seq,
                 index.seed_len,
                 params.stride,
@@ -334,15 +265,8 @@ struct Seed {
     offset: usize,
 }
 
-/// Samples the seeds of a read at the configured stride (identical for the
-/// fine-grained and the aggregated lookup paths).
-fn collect_seeds(seq: &[u8], slen: usize, stride: usize) -> Vec<Seed> {
-    let mut seeds = Vec::new();
-    collect_seeds_into(seq, slen, stride, &mut seeds);
-    seeds
-}
-
-fn collect_seeds_into(seq: &[u8], slen: usize, stride: usize, seeds: &mut Vec<Seed>) {
+/// Appends the seeds of a read, sampled at the configured stride.
+fn collect_seeds(seq: &[u8], slen: usize, stride: usize, seeds: &mut Vec<Seed>) {
     if seq.len() < slen {
         return;
     }
@@ -684,67 +608,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_lookups_match_fine_grained_and_cut_traffic() {
-        let contigs = contigs_of(&[GENOME]);
-        let team = Team::single_node(2);
-        team.run(|ctx| {
-            let index = build_seed_index(ctx, &contigs, 15);
-            ctx.barrier();
-            let reads: Vec<(ReadId, Read)> = (0..30)
-                .map(|i| {
-                    let lo = (i * 2) % 40;
-                    (
-                        i as ReadId,
-                        Read::with_uniform_quality(
-                            format!("r{i}"),
-                            &GENOME.as_bytes()[lo..lo + 50],
-                            35,
-                        ),
-                    )
-                })
-                .collect();
-            ctx.barrier();
-            ctx.stats().reset();
-            let fine = align_reads(
-                ctx,
-                reads.clone(),
-                &contigs,
-                &index,
-                &AlignParams {
-                    lookup_batch: 1,
-                    ..params()
-                },
-            );
-            let fine_stats = ctx.stats().snapshot();
-            ctx.barrier();
-            ctx.stats().reset();
-            let batched = align_reads(
-                ctx,
-                reads,
-                &contigs,
-                &index,
-                &AlignParams {
-                    lookup_batch: 4096,
-                    ..params()
-                },
-            );
-            let batched_stats = ctx.stats().snapshot();
-            assert_eq!(
-                fine.alignments, batched.alignments,
-                "aggregation must not change the alignments"
-            );
-            // The fine path pays one global access per seed; the batched path
-            // pays a handful of aggregated messages.
-            assert!(
-                batched_stats.msgs_sent + batched_stats.fine_grained_ops()
-                    < fine_stats.fine_grained_ops(),
-                "batched traffic not lower: fine={fine_stats:?} batched={batched_stats:?}"
-            );
-            assert!(batched_stats.rpc_round_trips >= 1);
-        });
-    }
-
-    #[test]
     fn n_bases_never_count_as_matches_even_against_n() {
         // A contig whose middle is an N run (e.g. an earlier gap fill), and a
         // low-quality read whose tail is also Ns over the same region: the
@@ -782,7 +645,7 @@ mod tests {
     }
 
     #[test]
-    fn distributed_store_alignments_match_replicated_in_both_lookup_modes() {
+    fn distributed_store_alignments_match_replicated_at_either_batch_size() {
         let contigs = contigs_of(&[&GENOME[..50], &GENOME[40..]]);
         for ranks in [1usize, 3] {
             let team = Team::single_node(ranks);

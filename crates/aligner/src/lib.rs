@@ -10,8 +10,8 @@
 //!   update-only aggregated phase, lookups are a read-only phase served
 //!   through a per-rank [`dht::CachedView`]: cache hits are answered locally
 //!   and all misses of a read block travel to their owner ranks in one
-//!   aggregated request–response round trip (the paper's batched lookups;
-//!   a fine-grained per-seed mode remains as the ablation baseline);
+//!   aggregated request–response round trip (the paper's batched lookups —
+//!   the only lookup path there is);
 //! * [`align`] — seed lookup, candidate voting by diagonal, and ungapped
 //!   extension/verification producing [`align::Alignment`] records (our
 //!   simulated reads contain substitutions but no indels, so ungapped

@@ -141,8 +141,8 @@ impl AssemblyConfig {
     /// Checks the cross-field invariants that would otherwise surface as
     /// obscure panics or hangs deep inside the pipeline (an empty k schedule
     /// or one past the packed k-mer width, a zero count cutoff, an unusable
-    /// seed length, a read block that splits pairs, a zero-rank node, a
-    /// mer-walk schedule that cannot move). Called by
+    /// seed length, an empty lookup batch, a read block that splits pairs, a
+    /// zero-rank node, a mer-walk schedule that cannot move). Called by
     /// [`crate::MetaHipMer::new`], so a bad configuration fails at
     /// construction with a message naming the field, not mid-assembly.
     pub fn validate(&self) -> Result<(), String> {
@@ -183,6 +183,18 @@ impl AssemblyConfig {
                 "align.seed_len must be odd and in 3..={}, got {seed_len}",
                 dbg::MAX_K
             ));
+        }
+        for (field, batch) in [
+            ("align.lookup_batch", self.align.lookup_batch),
+            ("bubble.lookup_batch", self.bubble.lookup_batch),
+            ("prune.lookup_batch", self.prune.lookup_batch),
+        ] {
+            if batch == 0 {
+                return Err(format!(
+                    "{field} must be >= 1, got 0 (it is how many lookups one aggregated message \
+                     carries)"
+                ));
+            }
         }
         if self.read_block_reads == 0 || !self.read_block_reads.is_multiple_of(2) {
             return Err(format!(
@@ -308,19 +320,17 @@ impl AssemblyConfig {
         }
     }
 
-    /// Sets the aggregated-lookup batch size on every stage that reads the
-    /// distributed tables remotely: alignment seed lookups, contig-graph
-    /// anchor lookups during bubble merging and pruning, and local-assembly
-    /// pool fetches. `1` disables lookup aggregation everywhere (the
-    /// fine-grained, communication-per-key baseline of the
-    /// `ablation_batched_lookup` harness); the result of an assembly is
-    /// byte-identical either way.
+    /// Sets the aggregated-lookup batch size on every stage that takes one:
+    /// alignment seed lookups and the contig-graph anchor lookups behind
+    /// bubble merging and pruning. It is a size, not a mode — every remote
+    /// table read is aggregated and cached whatever the value, `1` merely
+    /// puts one key in each message — and the result of an assembly is
+    /// byte-identical for every value.
     pub fn with_lookup_batch(mut self, batch: usize) -> Self {
         assert!(batch > 0, "lookup batch must be positive");
         self.align.lookup_batch = batch;
         self.bubble.lookup_batch = batch;
         self.prune.lookup_batch = batch;
-        self.local.lookup_batch = batch;
         self
     }
 
@@ -407,6 +417,11 @@ mod tests {
             cfg.align.seed_len = seed_len;
             cfg
         };
+        let edited = |edit: fn(&mut AssemblyConfig)| {
+            let mut cfg = AssemblyConfig::default();
+            edit(&mut cfg);
+            cfg
+        };
         let cases = [
             (
                 AssemblyConfig {
@@ -450,6 +465,18 @@ mod tests {
             (seed_len(16), "align.seed_len"),
             (seed_len(1), "align.seed_len"),
             (seed_len(dbg::MAX_K + 2), "align.seed_len"),
+            (
+                edited(|cfg| cfg.align.lookup_batch = 0),
+                "align.lookup_batch",
+            ),
+            (
+                edited(|cfg| cfg.bubble.lookup_batch = 0),
+                "bubble.lookup_batch",
+            ),
+            (
+                edited(|cfg| cfg.prune.lookup_batch = 0),
+                "prune.lookup_batch",
+            ),
             (
                 AssemblyConfig {
                     read_block_reads: 63,
@@ -508,7 +535,6 @@ mod tests {
         assert_eq!(cfg.align.lookup_batch, 64);
         assert_eq!(cfg.bubble.lookup_batch, 64);
         assert_eq!(cfg.prune.lookup_batch, 64);
-        assert_eq!(cfg.local.lookup_batch, 64);
         let fine = AssemblyConfig::default().with_lookup_batch(1);
         assert_eq!(fine.align.lookup_batch, 1);
     }

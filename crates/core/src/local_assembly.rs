@@ -66,12 +66,10 @@ pub struct LocalAssemblyParams {
     /// Reads whose alignment ends within this distance of a contig end (or
     /// whose projected mate lands beyond it) join the end's read pool.
     pub end_window: usize,
-    /// Work-stealing block size (contigs per grab).
+    /// Work-stealing block size (contigs per grab): a grabbed block's read
+    /// pools and contig sequences are fetched in one aggregated message pair
+    /// per owner.
     pub block_size: usize,
-    /// Aggregated-lookup batch size for pool-table fetches: `> 1` fetches a
-    /// grabbed block's pools in one aggregated message pair per owner instead
-    /// of one fine-grained read per contig; `1` keeps the per-contig reads.
-    pub lookup_batch: usize,
 }
 
 impl Default for LocalAssemblyParams {
@@ -86,7 +84,6 @@ impl Default for LocalAssemblyParams {
             max_extension: 400,
             end_window: 150,
             block_size: 16,
-            lookup_batch: 4096,
         }
     }
 }
@@ -140,7 +137,7 @@ pub fn extend_contigs_locally_ref(
         ReadsRef::Local(_) => FxHashMap::default(),
         ReadsRef::Store(store) => {
             let ids: Vec<ReadId> = entries.iter().map(|&(_, id, _)| id).collect();
-            store.reader(ctx).fetch_reads(ctx, &ids, false)
+            store.fetch_reads(ctx, &ids)
         }
     };
     let seq_of = |id: ReadId| -> &[u8] {
@@ -175,8 +172,7 @@ pub fn extend_contigs_locally_ref(
     // grabbed block's read pools — and, with a distributed contig store, its
     // contig sequences — are fetched with one *one-sided* aggregated batch
     // per block (the steal loop cannot reach a collective in lockstep, so the
-    // two-sided `get_many` is not usable here) instead of one fine-grained
-    // read per contig.
+    // two-sided `get_many` is not usable here).
     let blocks = ctx.share(|| DynamicBlocks::new(contigs.num_contigs(), params.block_size));
     let mut reader = contigs.store().map(|s| s.reader(ctx));
     let mut walker = MerWalker::new(params);
@@ -188,20 +184,10 @@ pub fn extend_contigs_locally_ref(
         // Contig ids are dense (`ContigSet::from_sequences` numbers them
         // 0..n in order), so the block range is the id range.
         let ids: Vec<u64> = range.clone().map(|idx| idx as u64).collect();
-        let pools: Vec<Option<Vec<Vec<u8>>>> = if params.lookup_batch > 1 {
-            pool_table.get_many_onesided(ctx, &ids)
-        } else {
-            ids.iter()
-                .map(|id| pool_table.get_cloned(ctx, id))
-                .collect()
-        };
+        let pools = pool_table.get_many_onesided(ctx, &ids);
         let block_seqs: Option<Vec<Vec<u8>>> = reader.as_mut().map(|reader| {
-            let fetched = if params.lookup_batch > 1 {
-                reader.get_many_onesided(ctx, &ids)
-            } else {
-                ids.iter().map(|id| reader.get(ctx, *id)).collect()
-            };
-            fetched
+            reader
+                .get_many_onesided(ctx, &ids)
                 .into_iter()
                 .map(|p| p.expect("contig present in store").unpack())
                 .collect()

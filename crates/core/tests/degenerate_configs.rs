@@ -2,9 +2,10 @@
 //! zero bytes, minimizer lengths outside `1..=min(k, MAX_MINIMIZER_LEN)`,
 //! lookup batches of one, two-read blocks and a partial last node must
 //! assemble what the default configuration assembles, libraries with fewer
-//! reads than ranks must finish — no panic, no rank left waiting in a
-//! collective — and an rRNA consensus that carries no signal (all `N`) or
-//! hardly any (three bases) must classify, not divide by zero.
+//! reads than ranks — or fewer final contigs than ranks — must finish — no
+//! panic, no rank left waiting in a collective — and an rRNA consensus that
+//! carries no signal (all `N`) or hardly any (three bases) must classify, not
+//! divide by zero.
 
 use mhm_core::{AssemblyConfig, MetaHipMer};
 use pgas::Team;
@@ -37,6 +38,21 @@ fn assemble(
     seqs
 }
 
+/// Runs `assembly` on a thread of its own and waits five minutes for it: a
+/// rank stuck in a collective would otherwise hang the suite.
+fn under_watchdog<T: Send + 'static>(
+    what: String,
+    assembly: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (done, finished) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(assembly());
+    });
+    finished
+        .recv_timeout(Duration::from_secs(300))
+        .unwrap_or_else(|e| panic!("{what}: {e}"))
+}
+
 #[test]
 fn fewer_reads_than_ranks_still_finishes_on_every_rank() {
     // (pairs, ranks, scaffolds expected): nothing to assemble from at most
@@ -48,23 +64,60 @@ fn fewer_reads_than_ranks_still_finishes_on_every_rank() {
         (2, 8, false),
         (200, 8, true),
     ] {
-        // A rank stuck in a collective would hang the suite, so the team
-        // runs on a thread of its own under a watchdog.
-        let (done, finished) = mpsc::channel();
-        std::thread::spawn(move || {
+        let seqs = under_watchdog(format!("{pairs} pairs on {ranks} ranks"), move || {
             let (library, rrna) = first_pairs(pairs);
-            let seqs = assemble(AssemblyConfig::small_test(), ranks, &library, Some(&rrna));
-            let _ = done.send(seqs);
+            assemble(AssemblyConfig::small_test(), ranks, &library, Some(&rrna))
         });
-        let seqs = finished
-            .recv_timeout(Duration::from_secs(300))
-            .unwrap_or_else(|e| panic!("{pairs} pairs on {ranks} ranks: {e}"));
         assert_eq!(
             !seqs.is_empty(),
             assembles,
             "{pairs} pairs on {ranks} ranks"
         );
     }
+}
+
+#[test]
+fn fewer_final_contigs_than_ranks_assemble_the_one_rank_scaffolds() {
+    // One short error-free genome: the final contig set is smaller than the
+    // team, so the size-balanced contig store leaves most of eight ranks with
+    // no contig to own while they still align, walk and scaffold.
+    let (refs, rrna) = mgsim::generate_community(&mgsim::CommunityParams {
+        num_taxa: 1,
+        genome_len_range: (3_000, 3_000),
+        repeats_per_genome: 0,
+        seed: 20261003,
+        ..Default::default()
+    });
+    let params = mgsim::ReadSimParams {
+        error_rate: 0.0,
+        seed: 20261004,
+        ..Default::default()
+    }
+    .with_target_coverage(&refs, 30.0);
+    let library = mgsim::simulate_reads(&refs, &params);
+    let run = |ranks: usize| {
+        let (library, rrna) = (library.clone(), rrna.clone());
+        under_watchdog(format!("one short genome on {ranks} ranks"), move || {
+            let cfg = AssemblyConfig::small_test();
+            let team = Team::new(cfg.topology(ranks));
+            let out = MetaHipMer::new(cfg)
+                .try_assemble(&team, &library, Some(&rrna))
+                .expect("every rank returns Ok");
+            let mut seqs = out.sequences();
+            seqs.sort();
+            (out.contigs.len(), seqs)
+        })
+    };
+    let (contigs, one_rank) = run(1);
+    assert!(
+        (1..8).contains(&contigs),
+        "{contigs} final contigs do not undercut 8 ranks"
+    );
+    assert!(!one_rank.is_empty(), "the genome assembled into nothing");
+    assert!(
+        run(8) == (contigs, one_rank),
+        "8 ranks changed the assembly"
+    );
 }
 
 #[test]

@@ -32,8 +32,8 @@ pub struct BubbleParams {
     pub len_tolerance: f64,
     /// Remove dead-end dangling contigs ("hair") shorter than `2k`.
     pub remove_hair: bool,
-    /// Aggregation batch size for the anchor lookups behind the contig graph
-    /// (`1` falls back to fine-grained per-contig reads).
+    /// Aggregation batch size for the anchor lookups behind the contig
+    /// graph: at most this many (> 0) travel in one message to an owner.
     pub lookup_batch: usize,
 }
 

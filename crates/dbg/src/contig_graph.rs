@@ -8,7 +8,7 @@
 //! graph. The anchor index is a distributed hash table keyed by anchor k-mer,
 //! exactly the "bubble-contig graph" construction of §II-D.
 
-use crate::graph::{lookup_oriented, lookup_oriented_many, KmerGraph, OrientedVertex};
+use crate::graph::{lookup_oriented_many, KmerGraph, OrientedVertex};
 use crate::types::{ContigId, ContigSet};
 use dht::{bulk_merge, DistMap};
 use kmers::{Ext, Kmer};
@@ -65,25 +65,6 @@ impl ContigAdjacency {
     }
 }
 
-/// Computes the end anchors of one contig from the k-mer graph with
-/// fine-grained lookups (the unaggregated baseline; the batched path in
-/// [`build_adjacency`] must produce exactly the same anchors).
-fn contig_ends(ctx: &Ctx, graph: &KmerGraph, seq: &[u8], k: usize) -> ContigEnds {
-    if seq.len() < k {
-        return ContigEnds::default();
-    }
-    let first = Kmer::from_bytes(&seq[..k]);
-    let last = Kmer::from_bytes(&seq[seq.len() - k..]);
-    let left_anchor =
-        first.and_then(|f| lookup_oriented(ctx, graph, &f).and_then(|v| left_anchor_of(&f, &v)));
-    let right_anchor =
-        last.and_then(|l| lookup_oriented(ctx, graph, &l).and_then(|v| right_anchor_of(&l, &v)));
-    ContigEnds {
-        left_anchor,
-        right_anchor,
-    }
-}
-
 fn left_anchor_of(first: &Kmer, v: &OrientedVertex) -> Option<Kmer> {
     match v.left {
         Ext::Base(c) => Some(first.extended_left(c).canonical().0),
@@ -102,10 +83,9 @@ fn right_anchor_of(last: &Kmer, v: &OrientedVertex) -> Option<Kmer> {
 /// that has a query, the index of that query and the end k-mer itself.
 type EndQuerySlots = (ContigId, Option<(usize, Kmer)>, Option<(usize, Kmer)>);
 
-/// Batched anchor computation: the end k-mers of the rank's whole contig
-/// block are resolved in one aggregated round trip instead of two
-/// fine-grained graph reads per contig.
-fn batched_ends(
+/// Anchor computation: the end k-mers of the rank's whole contig block are
+/// resolved in one aggregated round trip.
+fn block_ends(
     ctx: &Ctx,
     graph: &KmerGraph,
     contigs: &ContigSet,
@@ -154,12 +134,9 @@ fn batched_ends(
 
 /// Collectively builds anchors and adjacency for a contig set.
 ///
-/// `lookup_batch` controls how the anchor k-mers are read from the graph: a
-/// value greater than one resolves the rank's whole block in a single
-/// aggregated request–response round trip of messages of (at most) that many
-/// lookups; `1` (or `0`) falls back to per-contig fine-grained reads, the
-/// unaggregated baseline the ablation harness measures against. Both paths
-/// produce identical adjacency.
+/// The anchor k-mers of the rank's whole block are read from the graph in a
+/// single aggregated request–response round trip of messages of at most
+/// `lookup_batch` (> 0) lookups; the adjacency does not depend on the size.
 pub fn build_adjacency(
     ctx: &Ctx,
     contigs: &ContigSet,
@@ -170,16 +147,7 @@ pub fn build_adjacency(
     let my_range = ctx.block_range(n);
 
     // --- Anchors for this rank's block of contigs ----------------------------
-    let my_ends: Vec<(ContigId, ContigEnds)> = if lookup_batch > 1 {
-        batched_ends(ctx, graph, contigs, my_range, lookup_batch)
-    } else {
-        my_range
-            .map(|idx| {
-                let c = &contigs.contigs[idx];
-                (c.id, contig_ends(ctx, graph, &c.seq, contigs.k))
-            })
-            .collect()
-    };
+    let my_ends = block_ends(ctx, graph, contigs, my_range, lookup_batch);
 
     // --- Distributed anchor index: anchor k-mer -> [(contig, side)] ----------
     let index: Arc<DistMap<Kmer, Vec<(ContigId, Side)>>> = DistMap::shared(ctx);
@@ -241,10 +209,28 @@ pub fn build_adjacency(
 mod tests {
     use super::*;
     use crate::analysis::{kmer_analysis, KmerAnalysisParams};
-    use crate::graph::{build_graph, ThresholdPolicy};
+    use crate::graph::{build_graph, lookup_oriented, ThresholdPolicy};
     use crate::traversal::{traverse_contigs, TraversalParams};
     use pgas::Team;
     use seqio::Read;
+
+    /// The end anchors of one contig from two per-key graph reads: the oracle
+    /// the aggregated lookup in [`build_adjacency`] must agree with.
+    fn contig_ends(ctx: &Ctx, graph: &KmerGraph, seq: &[u8], k: usize) -> ContigEnds {
+        if seq.len() < k {
+            return ContigEnds::default();
+        }
+        let first = Kmer::from_bytes(&seq[..k]);
+        let last = Kmer::from_bytes(&seq[seq.len() - k..]);
+        let left_anchor = first
+            .and_then(|f| lookup_oriented(ctx, graph, &f).and_then(|v| left_anchor_of(&f, &v)));
+        let right_anchor = last
+            .and_then(|l| lookup_oriented(ctx, graph, &l).and_then(|v| right_anchor_of(&l, &v)));
+        ContigEnds {
+            left_anchor,
+            right_anchor,
+        }
+    }
 
     /// Build a forked structure (two sequences sharing a middle segment) and
     /// return (contigs, adjacency) for inspection.
@@ -337,11 +323,20 @@ mod tests {
             let res = kmer_analysis(ctx, &reads[range], &params);
             let graph = build_graph(ctx, &res.counts, ThresholdPolicy::metahipmer_default());
             let contigs = traverse_contigs(ctx, &graph, 15, &TraversalParams::default());
-            let fine = build_adjacency(ctx, &contigs, &graph, 1);
+            let fine_ends: Vec<ContigEnds> = contigs
+                .contigs
+                .iter()
+                .map(|c| contig_ends(ctx, &graph, &c.seq, contigs.k))
+                .collect();
+            assert!(fine_ends
+                .iter()
+                .any(|e| e.left_anchor.is_some() || e.right_anchor.is_some()));
+            let one = build_adjacency(ctx, &contigs, &graph, 1);
+            assert_eq!(one.ends, fine_ends);
             for batch in [2usize, 3, 4096] {
                 let batched = build_adjacency(ctx, &contigs, &graph, batch);
-                assert_eq!(batched.ends, fine.ends, "batch={batch}");
-                assert_eq!(batched.neighbors, fine.neighbors, "batch={batch}");
+                assert_eq!(batched.ends, fine_ends, "batch={batch}");
+                assert_eq!(batched.neighbors, one.neighbors, "batch={batch}");
             }
         });
     }

@@ -24,8 +24,8 @@ pub struct PruningParams {
     /// Hard cap on the number of iterations (safety net; the geometric
     /// schedule normally terminates long before this).
     pub max_rounds: usize,
-    /// Aggregation batch size for the anchor lookups behind the contig graph
-    /// (`1` falls back to fine-grained per-contig reads).
+    /// Aggregation batch size for the anchor lookups behind the contig
+    /// graph: at most this many (> 0) travel in one message to an owner.
     pub lookup_batch: usize,
 }
 

@@ -17,11 +17,11 @@
 //!   its fair share plus one contig), plus a small *replicated*
 //!   per-contig metadata table (length and depth — O(#contigs), not
 //!   O(bases)) that answers the geometry queries every stage makes;
-//! * [`ContigReader`] — a per-rank read-through view with a byte-bounded FIFO
-//!   [`dht::SoftwareCache`]; batch fetches fill all misses through
-//!   [`dht::DistMap::get_many`] on collective paths and
-//!   [`dht::DistMap::get_many_onesided`] inside dynamically scheduled
-//!   (work-stealing) loops;
+//! * [`ContigReader`] — a rank's read-through view of the store: the typed
+//!   face of a byte-weighted, foreign-only [`dht::CachedView`], whose one
+//!   miss-fill loop fetches through [`dht::DistMap::get_many`] on collective
+//!   paths and [`dht::DistMap::get_many_onesided`] inside dynamically
+//!   scheduled (work-stealing) loops;
 //! * [`ContigsRef`] — the handle consumers take: either a replicated
 //!   [`ContigSet`] (the ablation baseline) or a [`ContigStore`].
 //!
@@ -32,7 +32,7 @@
 //! harness asserts the `total/ranks + cache bound` memory ceiling on.
 
 use crate::types::{Contig, ContigId, ContigSet};
-use dht::{DistMap, FxHashMap, SoftwareCache, TablePartitioner};
+use dht::{CachedView, DistMap, Residency, TablePartitioner};
 use pgas::Ctx;
 use std::sync::Arc;
 
@@ -234,11 +234,17 @@ impl ContigStore {
 
     /// Creates this rank's cached read-through view.
     pub fn reader(&self, ctx: &Ctx) -> ContigReader<'_> {
-        ContigReader {
-            store: self,
-            cache: SoftwareCache::new_weighted(self.cache_bytes, |v: &PackedSeq| v.packed_bytes()),
-            owned_bytes: self.owned_packed_bytes(ctx),
-        }
+        CachedView::new_weighted(
+            &self.map,
+            self.cache_bytes,
+            self.batch,
+            PackedSeq::packed_bytes,
+            Residency {
+                owned: self.owned_packed_bytes(ctx),
+                record_fetched: |ctx, bytes| ctx.record_contig_fetch_bytes(bytes),
+                record_resident: |ctx, bytes| ctx.record_contig_resident(bytes),
+            },
+        )
     }
 
     /// Collectively regathers the full replicated [`ContigSet`] (rank 0
@@ -273,128 +279,15 @@ impl ContigStore {
 }
 
 /// A per-rank cached read-through view of a [`ContigStore`]: lookups are
-/// served from a byte-bounded FIFO cache of packed contigs when possible, and
-/// the misses of a batch travel to their owners in one aggregated round.
-/// Create one per phase with [`ContigStore::reader`]; it is not shared
-/// between ranks.
-pub struct ContigReader<'s> {
-    store: &'s ContigStore,
-    cache: SoftwareCache<ContigId, PackedSeq>,
-    owned_bytes: usize,
-}
-
-impl ContigReader<'_> {
-    /// The store this reader serves from.
-    pub fn store(&self) -> &ContigStore {
-        self.store
-    }
-
-    /// Resident bytes of this reader's rank right now: owned shard plus the
-    /// reader cache, packed.
-    pub fn resident_bytes(&self) -> usize {
-        self.owned_bytes + self.cache.resident_weight()
-    }
-
-    /// Drops every cached foreign contig (capacity and eviction accounting
-    /// are untouched). Used after restore-time verification reads so a
-    /// resumed run starts with the same cold cache a fresh build would.
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
-    }
-
-    /// **Collective** batched fetch: cache hits are served locally and every
-    /// distinct miss of the batch travels in one aggregated request–response
-    /// round through [`DistMap::get_many`]. Returns packed sequences in id
-    /// order (duplicates and unknown ids are fine). Every rank must call this
-    /// in the same phase, even with an empty `ids` slice.
-    pub fn get_many(&mut self, ctx: &Ctx, ids: &[ContigId]) -> Vec<Option<PackedSeq>> {
-        self.get_many_with(ctx, ids, false)
-    }
-
-    /// One-sided batched fetch for dynamically scheduled loops (work
-    /// stealing) that cannot reach a collective in lockstep: misses are read
-    /// through [`DistMap::get_many_onesided`]. Not collective.
-    pub fn get_many_onesided(&mut self, ctx: &Ctx, ids: &[ContigId]) -> Vec<Option<PackedSeq>> {
-        self.get_many_with(ctx, ids, true)
-    }
-
-    fn get_many_with(
-        &mut self,
-        ctx: &Ctx,
-        ids: &[ContigId],
-        onesided: bool,
-    ) -> Vec<Option<PackedSeq>> {
-        let mut misses: Vec<ContigId> = Vec::new();
-        let mut miss_index: FxHashMap<ContigId, usize> = FxHashMap::default();
-        // Ok(value) = served from cache; Err(i) = misses[i].
-        let mut resolved: Vec<Result<Option<PackedSeq>, usize>> = Vec::with_capacity(ids.len());
-        let mut hits = 0u64;
-        for id in ids {
-            if let Some(cached) = self.cache.peek(id) {
-                hits += 1;
-                resolved.push(Ok(cached.clone()));
-            } else if let Some(&i) = miss_index.get(id) {
-                hits += 1; // duplicate of an in-flight fetch
-                resolved.push(Err(i));
-            } else {
-                let i = misses.len();
-                miss_index.insert(*id, i);
-                misses.push(*id);
-                resolved.push(Err(i));
-            }
-        }
-        ctx.record_cache_hits(hits);
-        ctx.record_cache_misses(misses.len() as u64);
-        let fetched = if onesided {
-            self.store.map.get_many_onesided(ctx, &misses)
-        } else {
-            self.store.map.get_many(ctx, &misses, self.store.batch)
-        };
-        // Only *foreign* contigs go through the cache and the fetch-byte
-        // accounting: ids this rank owns are answered from its own shard
-        // with no wire traffic, and caching them would both waste the
-        // byte-bounded cache on data already resident and double-count
-        // those bytes in `resident_bytes`.
-        let mut fetched_bytes = 0usize;
-        for (id, value) in misses.iter().zip(&fetched) {
-            if self.store.map.owner_of(id) == ctx.rank() {
-                continue;
-            }
-            if let Some(p) = value {
-                fetched_bytes += p.packed_bytes();
-            }
-            self.cache.insert(ctx, *id, value.clone());
-        }
-        ctx.record_contig_fetch_bytes(fetched_bytes);
-        ctx.record_contig_resident(self.resident_bytes());
-        resolved
-            .into_iter()
-            .map(|r| match r {
-                Ok(v) => v,
-                Err(i) => fetched[i].clone(),
-            })
-            .collect()
-    }
-
-    /// Fine-grained single fetch through the cache (not collective): the
-    /// per-key baseline the aggregated paths are measured against.
-    pub fn get(&mut self, ctx: &Ctx, id: ContigId) -> Option<PackedSeq> {
-        if let Some(cached) = self.cache.peek(&id) {
-            ctx.record_cache_hits(1);
-            return cached.clone();
-        }
-        ctx.record_cache_misses(1);
-        let fetched = self.store.map.get_cloned(ctx, &id);
-        if self.store.map.owner_of(&id) != ctx.rank() {
-            if let Some(p) = &fetched {
-                ctx.record_contig_fetch_bytes(p.packed_bytes());
-            }
-            self.cache.insert(ctx, id, fetched.clone());
-            ctx.record_contig_resident(self.resident_bytes());
-        }
-        fetched
-    }
-}
+/// served from a byte-bounded FIFO cache of packed *foreign* contigs when
+/// possible, and the misses of a batch travel to their owners in one
+/// aggregated round — collectively through [`CachedView::get_many`], or
+/// one-sided through [`CachedView::get_many_onesided`] inside work-stealing
+/// loops. Each fill adds the foreign bytes it moved to
+/// `CommStats::contig_fetch_bytes` and raises the rank's resident peak
+/// ([`CachedView::resident_bytes`]: owned shard plus cache, packed). Create
+/// one per phase with [`ContigStore::reader`]; it is not shared between ranks.
+pub type ContigReader<'s> = CachedView<'s, ContigId, PackedSeq>;
 
 /// How a pipeline stage accesses contig sequences: a replicated [`ContigSet`]
 /// (the baseline, O(total) bytes on every rank) or the sharded
@@ -563,12 +456,10 @@ mod tests {
                         None => assert!(p.is_none()),
                     }
                 }
+                // Cold again, so the one-sided fill fetches rather than hits.
+                reader.clear_cache();
                 let one = reader.get_many_onesided(ctx, &ids);
                 assert_eq!(one, got);
-                for id in &ids {
-                    let expect = set2.get(*id).map(|c| PackedSeq::from_bytes(&c.seq));
-                    assert_eq!(reader.get(ctx, *id), expect);
-                }
                 ctx.barrier();
                 // Materialise reproduces the original set exactly.
                 let back = store.materialize(ctx);

@@ -1,8 +1,10 @@
 //! Property tests for the distributed contig store: window fetches must equal
 //! direct slicing of the replicated sequences for arbitrary (id, start, len)
 //! triples — including out-of-range ids, starts and lengths — at every rank
-//! count.
+//! count, and a team larger than the contig set must leave the surplus ranks
+//! owning nothing yet reading everything.
 
+use dbg::store::balanced_owners_from_lens;
 use dbg::{ContigSet, ContigStore, ContigStoreParams, ContigsRef, PackedSeq};
 use pgas::Team;
 
@@ -93,6 +95,46 @@ fn window_fetches_equal_direct_slicing_for_random_triples() {
             ctx.barrier();
         });
     }
+}
+
+#[test]
+fn more_ranks_than_contigs_leaves_five_of_eight_ranks_empty_handed_but_reading() {
+    let set = random_set(20261003, 3);
+    let ranks = 8usize;
+    // The greedy deal hands the three contigs to the three least-loaded
+    // ranks — 0, 1, 2 — so exactly ranks 3..8 own nothing.
+    let owners = balanced_owners_from_lens(set.contigs.iter().map(|c| c.len() as u32), ranks);
+    assert_eq!(owners, vec![0, 1, 2]);
+    let packed: Vec<PackedSeq> = set
+        .contigs
+        .iter()
+        .map(|c| PackedSeq::from_bytes(&c.seq))
+        .collect();
+    let total: usize = packed.iter().map(|p| p.packed_bytes()).sum();
+    let team = Team::single_node(ranks);
+    team.run(|ctx| {
+        ctx.stats().reset();
+        let store = ContigStore::build(ctx, &set, &ContigStoreParams::default());
+        let owned = store.owned_packed_bytes(ctx);
+        match owners.iter().position(|&o| o as usize == ctx.rank()) {
+            Some(id) => assert_eq!(owned, packed[id].packed_bytes()),
+            None => assert_eq!(owned, 0, "rank {} owns nothing", ctx.rank()),
+        }
+        // Every rank reads all three contigs exactly, through both fills.
+        let expect: Vec<Option<PackedSeq>> = packed.iter().cloned().map(Some).collect();
+        let mut reader = store.reader(ctx);
+        assert_eq!(reader.get_many(ctx, &[0, 1, 2]), expect);
+        reader.clear_cache();
+        assert_eq!(reader.get_many_onesided(ctx, &[0, 1, 2]), expect);
+        // What a rank does not own it fetched once per fill and now caches;
+        // on an empty-handed rank that is all there is.
+        let stats = ctx.stats().snapshot();
+        assert_eq!(stats.contig_fetch_bytes as usize, 2 * (total - owned));
+        assert_eq!(reader.cache().resident_weight(), total - owned);
+        assert_eq!(reader.resident_bytes(), total);
+        assert_eq!(stats.contig_bytes_resident as usize, total);
+        ctx.barrier();
+    });
 }
 
 #[test]

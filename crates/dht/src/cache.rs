@@ -14,11 +14,30 @@
 //!   reads processed one after another — so insertion order approximates
 //!   recency without per-access bookkeeping); evictions are counted in
 //!   `CommStats::cache_evictions`.
-//! * [`CachedView`] — a cache coupled to its backing [`DistMap`]: lookups are
-//!   served from the cache when possible and **all misses of a batch are
-//!   fetched in one aggregated request–response round trip** through
-//!   [`DistMap::get_many`], the merAligner pattern of buffering seed requests
-//!   per owner and receiving batched responses.
+//! * [`CachedView`] — a cache coupled to its backing [`DistMap`], and the one
+//!   way a pipeline stage reads a remote table: lookups are served from the
+//!   cache when possible and **all distinct misses of a batch are fetched in
+//!   one aggregated round**, the merAligner pattern of buffering requests per
+//!   owner and receiving batched responses.
+//!
+//! A view has two *fills* and one *admission rule*, and nothing else varies:
+//!
+//! * [`CachedView::get_many`] fetches the misses through the collective
+//!   [`DistMap::get_many`]; [`CachedView::get_many_onesided`] fetches them
+//!   through [`DistMap::get_many_onesided`], for dynamically scheduled loops
+//!   (work stealing, per-rank streams) that cannot reach a collective in
+//!   lockstep. The classify → fetch → admit → resolve loop around the fetch
+//!   is the same code.
+//! * The admission rule is fixed by the constructor. [`CachedView::new`]
+//!   (the seed index) bounds the cache by entry count and admits every
+//!   fetched key, *owner-local ones included*: on one rank every seed is
+//!   owner-local, and a cache hit is several times cheaper than a probe of
+//!   the sharded table behind its locks. [`CachedView::new_weighted`] (the
+//!   contig and read stores) bounds the cache by the values' weight and
+//!   admits *foreign* keys only: an owned block is already resident in the
+//!   rank's shard, so caching it would spend the byte budget on a second
+//!   copy and count those bytes twice in the residency figure the view
+//!   reports through its [`Residency`].
 
 use crate::dist_map::DistMap;
 use crate::fxhash::FxHashMap;
@@ -29,7 +48,7 @@ use std::hash::Hash;
 /// The weight function of a weighted [`SoftwareCache`].
 type Weigher<V> = Box<dyn Fn(&V) -> usize + Send + Sync>;
 
-/// A per-rank, bounded, read-through cache over a [`DistMap`].
+/// A per-rank, bounded cache of [`DistMap`] lookups.
 ///
 /// Negative results (key absent) are cached too — repeated lookups of absent
 /// seeds are common when reads carry sequencing errors.
@@ -97,7 +116,10 @@ where
         self.weight
     }
 
-    fn weight_of(&self, value: &Option<V>) -> usize {
+    /// The weight `value` has as an entry of this cache: the weigher's figure
+    /// for a present value (at least 1), 1 for an absence or without a
+    /// weigher.
+    pub fn weight_of(&self, value: &Option<V>) -> usize {
         match (value, &self.weigher) {
             (Some(v), Some(w)) => w(v).max(1),
             _ => 1,
@@ -174,33 +196,35 @@ where
             }
         }
     }
-
-    /// Looks up `key`, serving from the cache when possible and falling back
-    /// to the distributed map on a miss. Hit/miss counts are recorded in the
-    /// rank's statistics; only misses touch the distributed map (and therefore
-    /// only misses generate remote traffic). This is the fine-grained path;
-    /// batched phases go through [`CachedView::get_many`].
-    pub fn get(&mut self, ctx: &Ctx, map: &DistMap<K, V>, key: &K) -> Option<V> {
-        mhm_sched::yield_point("dht::cache::get");
-        if let Some(cached) = self.peek(key) {
-            ctx.record_cache_hits(1);
-            return cached.clone();
-        }
-        ctx.record_cache_misses(1);
-        let fetched = map.get_cloned(ctx, key);
-        self.insert(ctx, key.clone(), fetched.clone());
-        fetched
-    }
 }
 
-/// A read-only view of a [`DistMap`] through a [`SoftwareCache`] that fills
-/// **all** cache misses of a batch in a single aggregated request–response
-/// round trip.
+/// Where a weight-bounded [`CachedView`] accounts for what it moves and
+/// holds: the counter pair of the store it reads (`record_contig_*` or
+/// `record_read_*` on [`Ctx`]) and the bytes the rank holds besides the
+/// cache.
+#[derive(Clone, Copy)]
+pub struct Residency {
+    /// Weight resident on this rank outside the cache — its owned shard.
+    pub owned: usize,
+    /// Adds the weight of the foreign values one fill fetched.
+    pub record_fetched: fn(&Ctx, usize),
+    /// Raises the rank's resident peak to `owned` plus the cache's weight.
+    pub record_resident: fn(&Ctx, usize),
+}
+
+/// A per-rank read-only view of a [`DistMap`] through a [`SoftwareCache`]
+/// that fills **all** cache misses of a batch in a single aggregated round.
+/// Create one per phase; it is not shared between ranks. See the module
+/// documentation for the two fills and the admission rule.
 pub struct CachedView<'m, K, V> {
     map: &'m DistMap<K, V>,
     cache: SoftwareCache<K, V>,
     /// Per-owner request batch size handed to the RPC layer.
     batch: usize,
+    /// `None`: every fetched key is admitted ([`CachedView::new`]). `Some`:
+    /// foreign keys only, and each fill is reported here
+    /// ([`CachedView::new_weighted`]).
+    residency: Option<Residency>,
 }
 
 impl<'m, K, V> CachedView<'m, K, V>
@@ -208,14 +232,35 @@ where
     K: Hash + Eq + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
 {
-    /// Creates a view with a cache of `capacity` entries, batching requests
-    /// into aggregated messages of at most `batch` lookups per owner.
+    /// Creates a view with a cache of `capacity` entries that admits every
+    /// fetched key, batching requests into aggregated messages of at most
+    /// `batch` lookups per owner.
     pub fn new(map: &'m DistMap<K, V>, capacity: usize, batch: usize) -> Self {
         assert!(batch > 0, "batch size must be positive");
         CachedView {
             map,
             cache: SoftwareCache::new(capacity),
             batch,
+            residency: None,
+        }
+    }
+
+    /// Creates a view whose cache is bounded to `capacity` units of
+    /// `weigher`'s weight and admits foreign keys only; every fill reports
+    /// the weight it fetched and the rank's resident weight to `residency`.
+    pub fn new_weighted(
+        map: &'m DistMap<K, V>,
+        capacity: usize,
+        batch: usize,
+        weigher: impl Fn(&V) -> usize + Send + Sync + 'static,
+        residency: Residency,
+    ) -> Self {
+        assert!(batch > 0, "batch size must be positive");
+        CachedView {
+            map,
+            cache: SoftwareCache::new_weighted(capacity, weigher),
+            batch,
+            residency: Some(residency),
         }
     }
 
@@ -224,20 +269,49 @@ where
         &self.cache
     }
 
-    /// Fine-grained single lookup through the cache (not collective).
-    pub fn get(&mut self, ctx: &Ctx, key: &K) -> Option<V> {
-        self.cache.get(ctx, self.map, key)
+    /// Weight resident on this view's rank right now: the cache plus, for a
+    /// weighted view, the owned shard its [`Residency`] names.
+    pub fn resident_bytes(&self) -> usize {
+        self.residency.map_or(0, |r| r.owned) + self.cache.resident_weight()
     }
 
-    /// Collective batched lookup: serves cache hits locally, fetches every
-    /// distinct miss of the batch in **one** aggregated round trip through
-    /// [`DistMap::get_many`], and returns the results in key order. Duplicate
-    /// keys within the batch cost one fetch (and count as hits beyond the
-    /// first occurrence, matching what the sequential fine-grained path would
-    /// record). Every rank must call this in the same phase; an empty `keys`
-    /// slice still participates in the collective.
+    /// Drops every cached entry (capacity and eviction accounting are
+    /// untouched), returning the view to the cold state it was created in.
+    /// Used after restore-time verification reads so a resumed run starts
+    /// with the same cold cache a fresh build would.
+    pub fn clear_cache(&mut self) {
+        self.cache.clear();
+    }
+
+    /// **Collective** batched lookup: serves cache hits locally, fetches
+    /// every distinct miss of the batch in **one** aggregated round trip
+    /// through [`DistMap::get_many`], and returns the results in key order.
+    /// Duplicate keys within the batch cost one fetch (and count as hits
+    /// beyond the first occurrence); absent keys are fine. Every rank must
+    /// call this in the same phase; an empty `keys` slice still participates
+    /// in the collective.
     pub fn get_many(&mut self, ctx: &Ctx, keys: &[K]) -> Vec<Option<V>> {
-        // Pass 1: classify each key as cached or to-be-fetched.
+        let batch = self.batch;
+        self.get_many_with(ctx, keys, |map, misses| map.get_many(ctx, misses, batch))
+    }
+
+    /// One-sided batched lookup for dynamically scheduled loops (work
+    /// stealing, per-rank streams) that cannot reach a collective in
+    /// lockstep: like [`CachedView::get_many`], but the misses are read
+    /// through [`DistMap::get_many_onesided`]. Not collective.
+    pub fn get_many_onesided(&mut self, ctx: &Ctx, keys: &[K]) -> Vec<Option<V>> {
+        self.get_many_with(ctx, keys, |map, misses| map.get_many_onesided(ctx, misses))
+    }
+
+    /// The one miss-fill loop: classify each key as cached or to be fetched,
+    /// `fetch` the distinct misses, admit what the view's rule allows, and
+    /// resolve every key from the cache or the fetch.
+    fn get_many_with(
+        &mut self,
+        ctx: &Ctx,
+        keys: &[K],
+        fetch: impl FnOnce(&DistMap<K, V>, &[K]) -> Vec<Option<V>>,
+    ) -> Vec<Option<V>> {
         let mut misses: Vec<K> = Vec::new();
         let mut miss_index: FxHashMap<K, usize> = FxHashMap::default();
         // Ok(value) = served from cache; Err(i) = misses[i].
@@ -259,10 +333,26 @@ where
         }
         ctx.record_cache_hits(hits);
         ctx.record_cache_misses(misses.len() as u64);
-        // One aggregated round trip for every miss (collective!).
-        let fetched = self.map.get_many(ctx, &misses, self.batch);
+        let fetched = fetch(self.map, &misses);
+        // Under foreign-only admission, keys this rank owns — answered from
+        // its own shard with no wire traffic — stay out of the cache and out
+        // of the fetched weight.
+        let foreign_only = self.residency.is_some();
+        let mut fetched_weight = 0usize;
         for (key, value) in misses.iter().zip(&fetched) {
+            if foreign_only {
+                if self.map.owner_of(key) == ctx.rank() {
+                    continue;
+                }
+                if value.is_some() {
+                    fetched_weight += self.cache.weight_of(value);
+                }
+            }
             self.cache.insert(ctx, key.clone(), value.clone());
+        }
+        if let Some(residency) = self.residency {
+            (residency.record_fetched)(ctx, fetched_weight);
+            (residency.record_resident)(ctx, self.resident_bytes());
         }
         resolved
             .into_iter()
@@ -280,65 +370,10 @@ mod tests {
     use pgas::Team;
     use std::sync::Arc;
 
-    #[test]
-    fn repeated_lookups_hit_cache() {
-        let team = Team::single_node(2);
-        team.run(|ctx| {
-            let map: Arc<DistMap<u64, u64>> = DistMap::shared(ctx);
-            if ctx.rank() == 0 {
-                for i in 0..10u64 {
-                    map.insert(ctx, i, i * i);
-                }
-            }
-            ctx.barrier();
-            team_reset_guard(ctx);
-            let mut cache = SoftwareCache::new(1024);
-            for _round in 0..5 {
-                for i in 0..10u64 {
-                    assert_eq!(cache.get(ctx, &map, &i), Some(i * i));
-                }
-            }
-            let stats = ctx.stats().snapshot();
-            assert_eq!(stats.cache_misses, 10);
-            assert_eq!(stats.cache_hits, 40);
-        });
-    }
-
     // Helper: clear only this rank's counters so assertions are per-rank.
     fn team_reset_guard(ctx: &pgas::Ctx) {
         ctx.stats().reset();
         ctx.barrier();
-    }
-
-    #[test]
-    fn negative_results_cached() {
-        let team = Team::single_node(1);
-        team.run(|ctx| {
-            let map: Arc<DistMap<u64, u64>> = DistMap::shared(ctx);
-            let mut cache = SoftwareCache::new(16);
-            assert_eq!(cache.get(ctx, &map, &42), None);
-            assert_eq!(cache.get(ctx, &map, &42), None);
-            let stats = ctx.stats().snapshot();
-            assert_eq!(stats.cache_misses, 1);
-            assert_eq!(stats.cache_hits, 1);
-        });
-    }
-
-    #[test]
-    fn zero_capacity_disables_caching() {
-        let team = Team::single_node(1);
-        team.run(|ctx| {
-            let map: Arc<DistMap<u64, u64>> = DistMap::shared(ctx);
-            map.insert(ctx, 1, 2);
-            ctx.stats().reset();
-            let mut cache = SoftwareCache::new(0);
-            for _ in 0..3 {
-                assert_eq!(cache.get(ctx, &map, &1), Some(2));
-            }
-            assert_eq!(ctx.stats().snapshot().cache_hits, 0);
-            assert_eq!(ctx.stats().snapshot().cache_misses, 3);
-            assert!(cache.is_empty());
-        });
     }
 
     #[test]
@@ -350,11 +385,12 @@ mod tests {
                 map.insert(ctx, i, i);
             }
             ctx.stats().reset();
-            let mut cache = SoftwareCache::new(10);
+            let mut view = CachedView::new(&map, 10, 16);
             for i in 0..100u64 {
-                cache.get(ctx, &map, &i);
-                assert!(cache.len() <= 10, "capacity bound violated at {i}");
+                assert_eq!(view.get_many(ctx, &[i]), vec![Some(i)]);
+                assert!(view.cache().len() <= 10, "capacity bound violated at {i}");
             }
+            let cache = view.cache();
             assert_eq!(cache.len(), 10);
             // FIFO: the ten most recent keys survive, the oldest are gone.
             for i in 90..100u64 {
@@ -530,19 +566,138 @@ mod tests {
         });
     }
 
-    #[test]
-    fn cached_view_fine_grained_fallback_matches_map() {
-        let team = Team::single_node(2);
-        team.run(|ctx| {
-            let map: Arc<DistMap<u64, u64>> = DistMap::shared(ctx);
-            if ctx.rank() == 0 {
-                map.insert(ctx, 7, 70);
+    /// Keys below this hold `3 * key` in [`check_view`]'s table; the rest are
+    /// absent.
+    const PRESENT: u64 = 200;
+    /// Bytes the weighted views of [`check_view`] pretend their rank owns.
+    const OWNED: usize = 1000;
+
+    fn weigh(v: &u64) -> usize {
+        (*v % 5) as usize + 1
+    }
+
+    /// Reads four batches through one view — `weighted` means byte-bounded
+    /// and foreign-only — and checks every value, counter and bound against
+    /// per-key reads of the table.
+    fn check_view(ctx: &Ctx, what: &str, weighted: bool, capacity: usize, onesided: bool) {
+        let map: Arc<DistMap<u64, u64>> = DistMap::shared(ctx);
+        if ctx.rank() == 0 {
+            for k in 0..PRESENT {
+                map.insert(ctx, k, k * 3);
             }
-            ctx.barrier();
-            let mut view = CachedView::new(&map, 8, 4);
-            assert_eq!(view.get(ctx, &7), Some(70));
-            assert_eq!(view.get(ctx, &8), None);
-            assert_eq!(view.cache().len(), 2);
-        });
+        }
+        ctx.barrier();
+        ctx.stats().reset();
+        let residency = Residency {
+            owned: OWNED,
+            record_fetched: |ctx, n| ctx.record_contig_fetch_bytes(n),
+            record_resident: |ctx, n| ctx.record_contig_resident(n),
+        };
+        let mut view = if weighted {
+            CachedView::new_weighted(&map, capacity, 7, weigh, residency)
+        } else {
+            CachedView::new(&map, capacity, 7)
+        };
+        let read = |view: &mut CachedView<u64, u64>, keys: &[u64]| {
+            let before = ctx.stats().snapshot();
+            let got = if onesided {
+                view.get_many_onesided(ctx, keys)
+            } else {
+                view.get_many(ctx, keys)
+            };
+            let after = ctx.stats().snapshot();
+            (
+                got,
+                after.cache_hits - before.cache_hits,
+                after.cache_misses - before.cache_misses,
+                (after.contig_fetch_bytes - before.contig_fetch_bytes) as usize,
+            )
+        };
+        let is_mine = |k: &u64| map.owner_of(k) == ctx.rank();
+        let mut peak = 0usize;
+        for round in 0..4u64 {
+            let at = format!("{what}, {} ranks, round {round}", ctx.ranks());
+            // ~70 distinct keys a round, several times what either capacity
+            // holds: duplicates inside the batch, keys past the table's end,
+            // and a different set on every rank.
+            let start = round * 45 + ctx.rank() as u64 * 11;
+            let keys: Vec<u64> = (0..100u64)
+                .map(|i| (start + i % 70) % (PRESENT + 30))
+                .chain([PRESENT + 500, start % PRESENT])
+                .collect();
+            let oracle: Vec<Option<u64>> = keys.iter().map(|k| map.get_cloned(ctx, k)).collect();
+            let mut missing: Vec<u64> = keys.clone();
+            missing.retain(|k| view.cache().peek(k).is_none());
+            missing.sort_unstable();
+            missing.dedup();
+            let (got, hits, misses, fetched) = read(&mut view, &keys);
+            assert_eq!(got, oracle, "{at}");
+            assert_eq!(
+                misses,
+                missing.len() as u64,
+                "{at}: a duplicate costs one fetch"
+            );
+            assert_eq!(hits, (keys.len() - missing.len()) as u64, "{at}");
+            let resident = view.cache().resident_weight();
+            assert!(resident <= capacity, "{at}: {resident} over the bound");
+            peak = peak.max(resident);
+            if weighted {
+                let foreign: usize = missing
+                    .iter()
+                    .filter(|k| !is_mine(k) && **k < PRESENT)
+                    .map(|k| weigh(&(k * 3)))
+                    .sum();
+                assert_eq!(fetched, foreign, "{at}: fetched weight");
+                assert_eq!(view.resident_bytes(), OWNED + resident, "{at}");
+                let owned_resident = (0..PRESENT + 30)
+                    .filter(|k| is_mine(k) && view.cache().peek(k).is_some())
+                    .count();
+                assert_eq!(owned_resident, 0, "{at}: an owned key is cached");
+            }
+        }
+        if weighted {
+            let recorded = ctx.stats().snapshot().contig_bytes_resident as usize;
+            assert!(
+                (OWNED + peak..=OWNED + capacity).contains(&recorded),
+                "{what}"
+            );
+        }
+        // Absences are cached like values: the second read of an absent key
+        // the view admits is a hit.
+        let admits = capacity > 0 && !(weighted && ctx.ranks() == 1);
+        let absent = (PRESENT + 1000..)
+            .find(|k| !(admits && weighted && is_mine(k)))
+            .expect("some absent key is foreign");
+        assert_eq!(read(&mut view, &[absent]), (vec![None], 0, 1, 0), "{what}");
+        let again = (vec![None], u64::from(admits), u64::from(!admits), 0);
+        assert_eq!(read(&mut view, &[absent]), again, "{what}: absence cached");
+    }
+
+    #[test]
+    fn every_view_matches_a_per_key_oracle() {
+        // (what, byte-weighted and foreign-only, capacity, one-sided fill)
+        let cases = [
+            (
+                "entries, admits owned, collective: seed index",
+                false,
+                16,
+                false,
+            ),
+            (
+                "weighted, foreign-only, collective: stores",
+                true,
+                40,
+                false,
+            ),
+            ("weighted, foreign-only, one-sided: stores", true, 40, true),
+            ("capacity 0", false, 0, false),
+            ("weighted capacity 0, one-sided", true, 0, true),
+        ];
+        for ranks in 1..=4usize {
+            for (what, weighted, capacity, onesided) in cases {
+                Team::single_node(ranks)
+                    .run(|ctx| check_view(ctx, what, weighted, capacity, onesided));
+            }
+        }
     }
 }

@@ -263,6 +263,37 @@ fn poison_propagation_multi_kill(_seed: u64) -> Result<(), String> {
     }
 }
 
+/// The table both `CachedView` scenarios read: key `k < keys` holds
+/// `3k + 1`, every other key is absent. Collective.
+fn view_table(ctx: &pgas::Ctx, keys: u64) -> std::sync::Arc<dht::DistMap<u64, u64>> {
+    let map = dht::DistMap::<u64, u64>::shared(ctx);
+    let mine: Vec<(u64, u64)> = (0..keys)
+        .filter(|k| k % ctx.ranks() as u64 == ctx.rank() as u64)
+        .map(|k| (k, k * 3 + 1))
+        .collect();
+    dht::bulk_merge(ctx, &map, mine, 16, |slot, v| *slot = v);
+    map
+}
+
+/// `Err` naming the first of `keys` whose read in `got` is not what
+/// [`view_table`] holds for it.
+fn check_view_read(
+    ctx: &pgas::Ctx,
+    label: &str,
+    table_keys: u64,
+    keys: &[u64],
+    got: &[Option<u64>],
+) -> Result<(), String> {
+    let want = |k: u64| (k < table_keys).then_some(k * 3 + 1);
+    match keys.iter().zip(got).find(|(k, v)| want(**k) != **v) {
+        None => Ok(()),
+        Some(bad) => Err(format!(
+            "rank {}: {label} read diverges from the table at {bad:?}",
+            ctx.rank()
+        )),
+    }
+}
+
 /// Cached reads agree with the authoritative table under perturbation: a
 /// `CachedView`'s miss path (aggregated remote fetch), its hit/evict path
 /// (the cache is far smaller than the key set) and the table's own bulk
@@ -272,32 +303,59 @@ fn cached_view_consistency(_seed: u64) -> Result<(), String> {
     const KEYS: u64 = 192;
     let team = Team::new(Topology::new(RANKS, 2));
     let results = team.run(|ctx| {
-        let map = dht::DistMap::<u64, u64>::shared(ctx);
-        let mine: Vec<(u64, u64)> = (0..KEYS)
-            .filter(|k| k % ctx.ranks() as u64 == ctx.rank() as u64)
-            .map(|k| (k, k * 3 + 1))
-            .collect();
-        dht::bulk_merge(ctx, &map, mine, 16, |slot, v| *slot = v);
+        let map = view_table(ctx, KEYS);
         let keys: Vec<u64> = (0..KEYS).collect();
-        let want: Vec<Option<u64>> = keys.iter().map(|&k| Some(k * 3 + 1)).collect();
         let mut view = dht::CachedView::new(&map, 64, 16);
         let cold = view.get_many(ctx, &keys);
         let warm = view.get_many(ctx, &keys);
         ctx.barrier();
         let direct = map.get_many(ctx, &keys, 16);
-        for (label, got) in [("cold", &cold), ("warm", &warm), ("direct", &direct)] {
-            if *got != want {
-                let bad = keys.iter().zip(got.iter()).find(|(k, v)| {
-                    let k = **k as usize;
-                    want[k] != **v
-                });
-                return Err(format!(
-                    "rank {}: {label} read diverges from the table at {bad:?}",
-                    ctx.rank()
-                ));
+        check_view_read(ctx, "cold", KEYS, &keys, &cold)?;
+        check_view_read(ctx, "warm", KEYS, &keys, &warm)?;
+        check_view_read(ctx, "direct", KEYS, &keys, &direct)
+    });
+    results.into_iter().collect::<Result<Vec<()>, _>>()?;
+    Ok(())
+}
+
+/// The one-sided, weighted, foreign-only fill — the loop both the contig and
+/// the read store readers run — in the work-stealing shape: every rank issues
+/// a *different* number of fills with no collective between them, against a
+/// table far larger than the cache, over windows that overlap its own earlier
+/// ones (hits, evictions, refetches), repeat keys inside a batch and run past
+/// the table's end (absences). Every read must equal the table.
+fn cached_view_onesided_fill(_seed: u64) -> Result<(), String> {
+    const RANKS: usize = 4;
+    const KEYS: u64 = 512;
+    /// At 8 bytes a value the cache holds 24 of the 512 values.
+    const CACHE_BYTES: usize = 192;
+    let team = Team::new(Topology::new(RANKS, 2));
+    let results = team.run(|ctx| {
+        let map = view_table(ctx, KEYS);
+        let mut view = dht::CachedView::new_weighted(
+            &map,
+            CACHE_BYTES,
+            16,
+            |_: &u64| 8,
+            dht::Residency {
+                owned: 0,
+                record_fetched: |ctx, bytes| ctx.record_contig_fetch_bytes(bytes),
+                record_resident: |ctx, bytes| ctx.record_contig_resident(bytes),
+            },
+        );
+        let mut verdict = Ok(());
+        for fill in 0..5 + 4 * ctx.rank() as u64 {
+            let start = fill * 29 + ctx.rank() as u64 * 131;
+            let keys: Vec<u64> = (0..48).map(|i| (start + i % 40) % (KEYS + 16)).collect();
+            let got = view.get_many_onesided(ctx, &keys);
+            verdict = verdict.and(check_view_read(ctx, "one-sided", KEYS, &keys, &got));
+            if view.cache().resident_weight() > CACHE_BYTES {
+                verdict = verdict.and(Err(format!("rank {}: cache over its bound", ctx.rank())));
             }
         }
-        Ok(())
+        // The table is dropped only after the slowest rank's last probe.
+        ctx.barrier();
+        verdict
     });
     results.into_iter().collect::<Result<Vec<()>, _>>()?;
     Ok(())
@@ -316,6 +374,7 @@ pub const SCENARIOS: &[(&str, ScenarioFn)] = &[
         poison_propagation_multi_kill,
     ),
     ("cached_view_consistency", cached_view_consistency),
+    ("cached_view_onesided_fill", cached_view_onesided_fill),
 ];
 
 /// Runs every scenario once at `seed` and returns all verdicts.

@@ -21,10 +21,11 @@
 //!   [`seqio::FastqBlockIter`]: each rank scans the input in bounded chunks
 //!   and packs only the blocks it owns, so the full record set is never
 //!   materialised anywhere;
-//! * [`ReadReader`] — a per-rank read-through view with a byte-bounded FIFO
-//!   [`dht::SoftwareCache`]; collective batch fills via
-//!   [`dht::DistMap::get_many`] and one-sided fills via
-//!   [`dht::DistMap::get_many_onesided`] for dynamically scheduled loops;
+//! * [`ReadReader`] — a rank's read-through view of the block table: the
+//!   typed face of a byte-weighted, foreign-only [`dht::CachedView`], whose
+//!   one miss-fill loop fetches collectively via [`dht::DistMap::get_many`]
+//!   or one-sided via [`dht::DistMap::get_many_onesided`] for dynamically
+//!   scheduled loops;
 //! * [`ReadStream`] — an in-order `(ReadId, Read)` iterator that unpacks one
 //!   block at a time (the alignment ingest path), fetching foreign blocks
 //!   one-sided so per-rank progress never has to line up collectively;
@@ -39,7 +40,7 @@
 //! `CommStats::read_fetch_bytes`, which is what the `ablation_read_store`
 //! harness asserts the `total/ranks + cache bound` memory ceiling on.
 
-use dht::{DistMap, FxHashMap, SoftwareCache};
+use dht::{CachedView, DistMap, FxHashMap, Residency};
 use kmers::PackedSeq;
 use pgas::Ctx;
 use seqio::{FastqBlockIter, PairOrientation, Read, ReadId, ReadLibrary};
@@ -533,13 +534,40 @@ impl ReadStore {
 
     /// Creates this rank's cached read-through view.
     pub fn reader(&self, ctx: &Ctx) -> ReadReader<'_> {
-        ReadReader {
-            store: self,
-            cache: SoftwareCache::new_weighted(self.cache_bytes, |v: &PackedReadBlock| {
-                v.packed_bytes()
-            }),
-            owned_bytes: self.owned_packed_bytes(ctx),
+        CachedView::new_weighted(
+            &self.map,
+            self.cache_bytes,
+            self.batch,
+            PackedReadBlock::packed_bytes,
+            Residency {
+                owned: self.owned_packed_bytes(ctx),
+                record_fetched: |ctx, bytes| ctx.record_read_fetch_bytes(bytes),
+                record_resident: |ctx, bytes| ctx.record_read_resident(bytes),
+            },
+        )
+    }
+
+    /// **Collectively** fetches (and unpacks) the reads named by `ids`
+    /// through a fresh [`ReadReader`], one block fetch per distinct block.
+    /// Every rank must call, even with no ids. Ids absent from the store are
+    /// absent from the result.
+    pub fn fetch_reads(&self, ctx: &Ctx, ids: &[ReadId]) -> FxHashMap<ReadId, Read> {
+        let mut blocks: Vec<BlockId> = ids.iter().map(|&id| self.block_of(id)).collect();
+        blocks.sort_unstable();
+        blocks.dedup();
+        let fetched = self.reader(ctx).get_many(ctx, &blocks);
+        let by_block: FxHashMap<BlockId, PackedReadBlock> = blocks
+            .into_iter()
+            .zip(fetched)
+            .filter_map(|(b, v)| v.map(|v| (b, v)))
+            .collect();
+        let mut out = FxHashMap::default();
+        for &id in ids {
+            if let Some(read) = by_block.get(&self.block_of(id)).and_then(|blk| blk.get(id)) {
+                out.entry(id).or_insert_with(|| read.unpack());
+            }
         }
+        out
     }
 
     /// A [`seqio::ReadSource`] over the calling rank's owned blocks: streams
@@ -560,6 +588,7 @@ impl ReadStore {
     ) -> ReadStream<'s, 'c, 't> {
         ReadStream {
             ctx,
+            store: self,
             reader: self.reader(ctx),
             ids: ids.into_iter(),
             current: None,
@@ -599,144 +628,16 @@ impl ReadStore {
     }
 }
 
-/// A per-rank cached read-through view of a [`ReadStore`]: block lookups are
-/// served from a byte-bounded FIFO cache when possible, and the misses of a
-/// batch travel to their owners in one aggregated round. Create one per
-/// phase with [`ReadStore::reader`]; it is not shared between ranks.
-pub struct ReadReader<'s> {
-    store: &'s ReadStore,
-    cache: SoftwareCache<BlockId, PackedReadBlock>,
-    owned_bytes: usize,
-}
-
-impl ReadReader<'_> {
-    /// The store this reader serves from.
-    pub fn store(&self) -> &ReadStore {
-        self.store
-    }
-
-    /// Resident bytes of this reader's rank right now: owned shard plus the
-    /// reader cache, packed.
-    pub fn resident_bytes(&self) -> usize {
-        self.owned_bytes + self.cache.resident_weight()
-    }
-
-    /// Drops every cached foreign block (capacity and eviction accounting
-    /// are untouched), returning the reader to the cold state a fresh
-    /// [`ReadStore::reader`] starts in.
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
-    }
-
-    /// **Collective** batched block fetch: cache hits are served locally and
-    /// every distinct miss travels in one aggregated request–response round
-    /// through [`DistMap::get_many`]. Every rank must call this in the same
-    /// phase, even with an empty `ids` slice.
-    pub fn get_many(&mut self, ctx: &Ctx, ids: &[BlockId]) -> Vec<Option<PackedReadBlock>> {
-        self.get_many_with(ctx, ids, false)
-    }
-
-    /// One-sided batched block fetch for dynamically scheduled loops (work
-    /// stealing, per-rank streams) that cannot reach a collective in
-    /// lockstep. Not collective.
-    pub fn get_many_onesided(
-        &mut self,
-        ctx: &Ctx,
-        ids: &[BlockId],
-    ) -> Vec<Option<PackedReadBlock>> {
-        self.get_many_with(ctx, ids, true)
-    }
-
-    fn get_many_with(
-        &mut self,
-        ctx: &Ctx,
-        ids: &[BlockId],
-        onesided: bool,
-    ) -> Vec<Option<PackedReadBlock>> {
-        let mut misses: Vec<BlockId> = Vec::new();
-        let mut miss_index: FxHashMap<BlockId, usize> = FxHashMap::default();
-        // Ok(value) = served from cache; Err(i) = misses[i].
-        let mut resolved: Vec<Result<Option<PackedReadBlock>, usize>> =
-            Vec::with_capacity(ids.len());
-        let mut hits = 0u64;
-        for id in ids {
-            if let Some(cached) = self.cache.peek(id) {
-                hits += 1;
-                resolved.push(Ok(cached.clone()));
-            } else if let Some(&i) = miss_index.get(id) {
-                hits += 1; // duplicate of an in-flight fetch
-                resolved.push(Err(i));
-            } else {
-                let i = misses.len();
-                miss_index.insert(*id, i);
-                misses.push(*id);
-                resolved.push(Err(i));
-            }
-        }
-        ctx.record_cache_hits(hits);
-        ctx.record_cache_misses(misses.len() as u64);
-        let fetched = if onesided {
-            self.store.map.get_many_onesided(ctx, &misses)
-        } else {
-            self.store.map.get_many(ctx, &misses, self.store.batch)
-        };
-        // Only *foreign* blocks go through the cache and the fetch-byte
-        // accounting: ids this rank owns are answered from its own shard
-        // with no wire traffic, and caching them would both waste the
-        // byte-bounded cache on data already resident and double-count
-        // those bytes in `resident_bytes`.
-        let mut fetched_bytes = 0usize;
-        for (id, value) in misses.iter().zip(&fetched) {
-            if self.store.map.owner_of(id) == ctx.rank() {
-                continue;
-            }
-            if let Some(p) = value {
-                fetched_bytes += p.packed_bytes();
-            }
-            self.cache.insert(ctx, *id, value.clone());
-        }
-        ctx.record_read_fetch_bytes(fetched_bytes);
-        ctx.record_read_resident(self.resident_bytes());
-        resolved
-            .into_iter()
-            .map(|r| match r {
-                Ok(v) => v,
-                Err(i) => fetched[i].clone(),
-            })
-            .collect()
-    }
-
-    /// Fetches (and unpacks) the reads named by `ids`, deduplicating the
-    /// underlying block fetches. Collective when `onesided` is false (every
-    /// rank must call, even with no ids); one-sided otherwise. Ids absent
-    /// from the store are absent from the result.
-    pub fn fetch_reads(
-        &mut self,
-        ctx: &Ctx,
-        ids: &[ReadId],
-        onesided: bool,
-    ) -> FxHashMap<ReadId, Read> {
-        let mut blocks: Vec<BlockId> = ids.iter().map(|&id| self.store.block_of(id)).collect();
-        blocks.sort_unstable();
-        blocks.dedup();
-        let fetched = self.get_many_with(ctx, &blocks, onesided);
-        let by_block: FxHashMap<BlockId, PackedReadBlock> = blocks
-            .into_iter()
-            .zip(fetched)
-            .filter_map(|(b, v)| v.map(|v| (b, v)))
-            .collect();
-        let mut out = FxHashMap::default();
-        for &id in ids {
-            if let Some(read) = by_block
-                .get(&self.store.block_of(id))
-                .and_then(|blk| blk.get(id))
-            {
-                out.entry(id).or_insert_with(|| read.unpack());
-            }
-        }
-        out
-    }
-}
+/// A per-rank cached read-through view of a [`ReadStore`]'s block table:
+/// lookups are served from a byte-bounded FIFO cache of *foreign* blocks when
+/// possible, and the misses of a batch travel to their owners in one
+/// aggregated round — collectively through [`CachedView::get_many`], or
+/// one-sided through [`CachedView::get_many_onesided`] inside dynamically
+/// scheduled loops. Each fill adds the foreign bytes it moved to
+/// `CommStats::read_fetch_bytes` and raises the rank's resident peak
+/// ([`CachedView::resident_bytes`]: owned shard plus cache, packed). Create
+/// one per phase with [`ReadStore::reader`]; it is not shared between ranks.
+pub type ReadReader<'s> = CachedView<'s, BlockId, PackedReadBlock>;
 
 /// An in-order `(ReadId, Read)` iterator over a list of read ids, unpacking
 /// one block at a time. Foreign blocks are fetched one-sided through a
@@ -744,6 +645,7 @@ impl ReadReader<'_> {
 /// loops) and cached; ascending id lists touch each block once.
 pub struct ReadStream<'s, 'c, 't> {
     ctx: &'c Ctx<'t>,
+    store: &'s ReadStore,
     reader: ReadReader<'s>,
     ids: std::vec::IntoIter<ReadId>,
     current: Option<(BlockId, PackedReadBlock)>,
@@ -754,7 +656,7 @@ impl Iterator for ReadStream<'_, '_, '_> {
 
     fn next(&mut self) -> Option<Self::Item> {
         let id = self.ids.next()?;
-        let b = self.reader.store.block_of(id);
+        let b = self.store.block_of(id);
         if self.current.as_ref().map(|(cb, _)| *cb) != Some(b) {
             let block = self
                 .reader
@@ -1041,15 +943,14 @@ mod tests {
                     assert_eq!(store.mate_of(id), Some(id ^ 1));
                 }
                 // Collective bulk fetch of every read, including misses.
-                let mut reader = store.reader(ctx);
                 let ids: Vec<ReadId> = (0..lib2.num_reads() as ReadId).collect();
-                let got = reader.fetch_reads(ctx, &ids, false);
+                let got = store.fetch_reads(ctx, &ids);
                 assert_eq!(got.len(), ids.len());
                 for (id, read) in lib2.iter() {
                     assert_eq!(got[&id].seq, read.seq);
                     assert_eq!(got[&id].qual, read.qual);
                 }
-                assert!(reader.fetch_reads(ctx, &[99999], true).is_empty());
+                assert!(store.fetch_reads(ctx, &[99999]).is_empty());
                 // One-sided stream over this rank's share, in order.
                 let share = ctx.block_range(lib2.num_reads());
                 let my_ids: Vec<ReadId> = (share.start as ReadId..share.end as ReadId).collect();
@@ -1236,10 +1137,9 @@ mod tests {
                     batch: 64,
                 },
             );
-            let mut reader = store.reader(ctx);
             let ids: Vec<ReadId> = (0..lib.num_reads() as ReadId).collect();
-            let _ = reader.fetch_reads(ctx, &ids, false);
-            let _ = reader.fetch_reads(ctx, &ids, true);
+            let _ = store.fetch_reads(ctx, &ids);
+            assert_eq!(store.stream(ctx, ids.clone()).count(), ids.len());
             ctx.barrier();
             let peak = ctx.stats().snapshot().read_bytes_resident as usize;
             // Hash partitioning over many small blocks is balanced to within

@@ -42,11 +42,10 @@ fn assembly_identical_for_one_two_and_four_ranks() {
 
 #[test]
 fn lookup_batching_on_or_off_yields_identical_scaffolds() {
-    // The aggregated request–response lookups are a pure communication
-    // optimisation: the same seed must produce byte-identical scaffolds with
-    // batching disabled (batch size 1, fine-grained reads), with a small
-    // batch, and with the default large batch — with local assembly on, so
-    // the one-sided pool-fetch batching is exercised too.
+    // The lookup batch is a size, not a mode: the same seed must produce
+    // byte-identical scaffolds with one key per aggregated message (batch
+    // size 1), with a small batch, and with the default large batch — every
+    // one through the same aggregated, cached read path.
     let (refs, consensus) = mgsim::generate_community(&mgsim::CommunityParams {
         num_taxa: 2,
         genome_len_range: (4_000, 5_000),
