@@ -1,21 +1,40 @@
 //! Seed-and-extend alignment of reads onto contigs.
 //!
-//! Seed lookups against the distributed seed index are aggregated: the seeds
-//! of a whole block of reads are gathered, cache hits are served locally, and
-//! every miss of the block travels to its owner rank in one aggregated
-//! request–response round trip ([`dht::CachedView`]) — the paper's batched
-//! lookups (use case 3 of §II-A). Alignment is therefore **collective**:
-//! every rank must call [`align_reads`] in the same phase, even with no
-//! reads. [`AlignParams::lookup_batch`] sizes the blocks and the messages;
-//! the alignments — and the assembly built from them — do not depend on it.
+//! Reads are processed in blocks, and a block is three flat passes over
+//! arrays that live across blocks — nothing is allocated per read (what is
+//! left is per verified candidate: the contig window a distributed store
+//! unpacks for it):
+//!
+//! 1. **Seeds.** Each read is packed to 2 bits once and its seeds are cut out
+//!    of the packing. A seed this rank owns resolves *by reference* to its
+//!    run in the rank's [`SeedIndex`] shard and never enters a cache (on one
+//!    rank that is every seed, on *p* ranks one in *p*). The seeds other
+//!    ranks own are resolved together through a [`dht::CachedView`] over the
+//!    index: cache hits locally, every miss of the block to its owner in one
+//!    aggregated request–response round trip — the paper's batched lookups
+//!    (use case 3 of §II-A) in front of merAligner's software cache, which
+//!    holds only what crossed a rank boundary.
+//! 2. **Votes.** A read's hits become `(contig, offset, strand)` placements
+//!    in a reused list; sorting it and counting runs ranks the candidates.
+//! 3. **Verification.** The best candidates are compared, ungapped, against
+//!    their contig windows (fetched in a second aggregated round from a
+//!    distributed store); the read is reverse-complemented only if a reverse
+//!    candidate is reached.
+//!
+//! Alignment is therefore **collective**: every rank must call
+//! [`align_reads`] in the same phase, even with no reads.
+//! [`AlignParams::lookup_batch`] sizes the blocks and the messages; the
+//! alignments — and the assembly built from them — depend neither on it nor
+//! on the cache capacity or the rank count.
 
-use crate::seed_index::{SeedHit, SeedIndex};
+use crate::seed_index::{RemoteHits, SeedHit, SeedIndex};
 use dbg::{ContigId, ContigSet, ContigsRef, PackedSeq};
-use dht::{CachedView, FxHashMap};
+use dht::{CachedView, FxHashMap, FxHashSet};
 use kmers::Kmer;
 use pgas::Ctx;
-use seqio::alphabet::revcomp;
+use seqio::alphabet::revcomp_in_place;
 use seqio::{Read, ReadId};
+use std::ops::Range;
 
 /// Parameters of the aligner.
 #[derive(Debug, Clone, Copy)]
@@ -30,7 +49,9 @@ pub struct AlignParams {
     pub min_aligned_len: usize,
     /// Minimum fraction of matching bases within the aligned region.
     pub min_identity: f64,
-    /// Capacity of the per-rank software seed cache (entries).
+    /// Capacity of the per-rank software seed cache, in entries: seeds owned
+    /// by *other* ranks (a rank's own seeds are read from its shard by
+    /// reference and are never cached). 0 disables caching.
     pub cache_capacity: usize,
     /// Aggregated-lookup batch size (> 0): roughly how many seed lookups are
     /// resolved per request–response round trip, and at most how many travel
@@ -143,8 +164,8 @@ pub fn align_reads<R: std::borrow::Borrow<Read>>(
 /// replicated contig set or the distributed contig store.
 ///
 /// **Collective**: every rank must call it in the same phase (an empty read
-/// set is fine). Reads are processed in blocks whose seeds are resolved
-/// together — cache hits locally, all misses of the block in one
+/// set is fine). Reads are processed in blocks whose foreign seeds are
+/// resolved together — cache hits locally, all misses of the block in one
 /// request–response round trip — and, against a distributed store, the contig
 /// windows named by the block's surviving candidates are fetched in a second
 /// aggregated round. Ranks with fewer reads keep participating in the
@@ -165,28 +186,50 @@ pub fn align_reads_ref<R: std::borrow::Borrow<Read>>(
     params: &AlignParams,
 ) -> AlignmentSet {
     let mut reads = reads.into_iter();
-    let mut view: CachedView<Kmer, Vec<SeedHit>> =
-        CachedView::new(&index.map, params.cache_capacity, params.lookup_batch);
+    let mut view: CachedView<Kmer, RemoteHits, SeedIndex> =
+        CachedView::over(index, params.cache_capacity, params.lookup_batch);
     let mut reader = contigs.store().map(|s| s.reader(ctx));
     let mut out = AlignmentSet::default();
+    // Everything below lives across blocks and is only ever cleared.
+    let mut block: Vec<(ReadId, R)> = Vec::new();
+    let mut cutter = SeedCutter::default();
+    let mut seeds: Vec<Seed> = Vec::new();
+    let mut foreign: Vec<Kmer> = Vec::new();
+    // Per read of the block: its seeds, then (after voting) its candidates.
+    let mut seed_spans: Vec<Range<usize>> = Vec::new();
+    let mut cand_spans: Vec<Range<usize>> = Vec::new();
+    let mut candidates: Vec<Candidate> = Vec::new();
+    let mut votes = Votes::default();
+    let mut revcomp_buf: Vec<u8> = Vec::new();
     loop {
         // Pull one block of reads from the stream: enough to fill roughly one
         // batch of seed lookups. Only the current block is held in memory.
-        let mut block: Vec<(ReadId, R)> = Vec::new();
-        let mut seeds: Vec<Seed> = Vec::new();
-        let mut spans: Vec<(usize, usize)> = Vec::new();
+        block.clear();
+        seeds.clear();
+        foreign.clear();
+        seed_spans.clear();
         while seeds.len() < params.lookup_batch {
             let Some((read_id, read)) = reads.next() else {
                 break;
             };
             let lo = seeds.len();
-            collect_seeds(
+            cutter.cut(
                 &read.borrow().seq,
                 index.seed_len,
                 params.stride,
-                &mut seeds,
+                |canon, read_rc, offset| {
+                    let hits = index.lookup(&canon).map_err(|_owner| {
+                        foreign.push(canon);
+                        foreign.len() - 1
+                    });
+                    seeds.push(Seed {
+                        read_rc,
+                        offset,
+                        hits,
+                    });
+                },
             );
-            spans.push((lo, seeds.len()));
+            seed_spans.push(lo..seeds.len());
             block.push((read_id, read));
         }
         // Everyone must agree to stop; a rank that is done keeps serving the
@@ -194,224 +237,268 @@ pub fn align_reads_ref<R: std::borrow::Borrow<Read>>(
         if !ctx.allreduce_any(!block.is_empty()) {
             break;
         }
-        let keys: Vec<Kmer> = seeds.iter().map(|s| s.canon).collect();
-        let resolved = view.get_many(ctx, &keys);
-        let candidates: Vec<Vec<Candidate>> = block
-            .iter()
-            .zip(&spans)
-            .map(|((_, read), &(lo, hi))| {
-                vote_candidates(
-                    &read.borrow().seq,
-                    index.seed_len,
-                    &seeds[lo..hi],
-                    &resolved[lo..hi],
-                )
-            })
-            .collect();
-        match contigs {
-            ContigsRef::Local(set) => {
-                for ((read_id, read), cands) in block.iter().zip(candidates) {
-                    verify_candidates_local(*read_id, read.borrow(), set, params, cands, &mut out);
-                }
-            }
+        let fetched = view.get_many(ctx, &foreign);
+        candidates.clear();
+        cand_spans.clear();
+        let mut hits_returned = 0u64;
+        for ((_, read), span) in block.iter().zip(&seed_spans) {
+            let lo = candidates.len();
+            hits_returned += votes.rank(
+                read.borrow().seq.len(),
+                index.seed_len,
+                seeds[span.clone()]
+                    .iter()
+                    .map(|seed| (seed, seed.hits_among(&fetched))),
+                params.max_candidates,
+                &mut candidates,
+            );
+            cand_spans.push(lo..candidates.len());
+        }
+        let windows = match contigs {
+            ContigsRef::Local(set) => Windows::Replicated(set),
             ContigsRef::Store(_) => {
                 // One aggregated fetch for every contig named by a surviving
                 // candidate anywhere in the block (collective — ranks with an
                 // empty block fetch an empty id set).
                 let reader = reader.as_mut().expect("reader exists for store sources");
-                let mut ids: Vec<ContigId> = Vec::new();
-                let mut seen: FxHashMap<ContigId, usize> = FxHashMap::default();
-                for cands in &candidates {
-                    for cand in cands.iter().take(params.max_candidates) {
-                        seen.entry(cand.contig).or_insert_with(|| {
-                            ids.push(cand.contig);
-                            ids.len() - 1
-                        });
-                    }
-                }
+                let mut seen: FxHashSet<ContigId> = FxHashSet::default();
+                let ids: Vec<ContigId> = candidates
+                    .iter()
+                    .map(|c| c.contig)
+                    .filter(|id| seen.insert(*id))
+                    .collect();
                 let values = reader.get_many(ctx, &ids);
-                let fetched: FxHashMap<ContigId, Option<PackedSeq>> =
-                    ids.into_iter().zip(values).collect();
-                for ((read_id, read), cands) in block.iter().zip(candidates) {
-                    verify_candidates_fetched(
-                        *read_id,
-                        read.borrow(),
-                        &fetched,
-                        params,
-                        cands,
-                        &mut out,
-                    );
-                }
+                Windows::Fetched(ids.into_iter().zip(values).collect())
             }
+        };
+        let mut verified = 0u64;
+        for ((read_id, read), span) in block.iter().zip(&cand_spans) {
+            verified += verify_candidates(
+                *read_id,
+                &read.borrow().seq,
+                params,
+                &candidates[span.clone()],
+                &windows,
+                &mut revcomp_buf,
+                &mut out,
+            );
         }
+        ctx.record_alignment_block(
+            seeds.len() as u64,
+            foreign.len() as u64,
+            hits_returned,
+            verified,
+        );
     }
     out
 }
 
-/// Candidate placement of a read on a contig.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Candidate placement of a read on a contig. The field order is the
+/// tie-break order among equally voted candidates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[cfg_attr(test, derive(Hash))]
 struct Candidate {
     contig: ContigId,
-    forward: bool,
     contig_offset: i64,
+    forward: bool,
 }
 
-/// One sampled seed of a read: its canonical k-mer, whether canonicalisation
-/// reverse-complemented it, and its offset in the read.
-#[derive(Debug, Clone, Copy)]
-struct Seed {
-    canon: Kmer,
+/// One sampled seed of a read: whether canonicalisation reverse-complemented
+/// it, its offset in the read, and its hits — borrowed from this rank's shard
+/// of the index, or the block's `i`-th foreign lookup.
+struct Seed<'i> {
     read_rc: bool,
     offset: usize,
+    hits: Result<&'i [SeedHit], usize>,
 }
 
-/// Appends the seeds of a read, sampled at the configured stride.
-fn collect_seeds(seq: &[u8], slen: usize, stride: usize, seeds: &mut Vec<Seed>) {
-    if seq.len() < slen {
-        return;
-    }
-    let mut offset = 0usize;
-    while offset + slen <= seq.len() {
-        if let Some(seed) = Kmer::from_bytes(&seq[offset..offset + slen]) {
-            let (canon, read_rc) = seed.canonical();
-            seeds.push(Seed {
-                canon,
-                read_rc,
-                offset,
-            });
+impl<'i> Seed<'i> {
+    /// The seed's hits, given the answers to the block's foreign lookups.
+    fn hits_among(&self, fetched: &'i [Option<RemoteHits>]) -> &'i [SeedHit] {
+        match self.hits {
+            Ok(owned) => owned,
+            Err(i) => fetched[i].as_ref().map_or(&[], RemoteHits::as_slice),
         }
-        offset += stride.max(1);
     }
 }
 
-/// Turns one read's resolved seed hits into the sorted candidate list
-/// (best-voted first, deterministic tie-break). `hits[i]` is the index answer
-/// for `seeds[i]`; `slen` is the seed length the seeds were sampled with (the
-/// index's, not the params'). Voting never touches contig sequence bytes, so
-/// it is shared verbatim by the replicated and distributed-store paths.
-fn vote_candidates(
-    seq: &[u8],
-    slen: usize,
-    seeds: &[Seed],
-    hits: &[Option<Vec<SeedHit>>],
-) -> Vec<Candidate> {
-    let mut votes: FxHashMap<Candidate, usize> = FxHashMap::default();
-    for (seed, hit_list) in seeds.iter().zip(hits) {
-        let Some(hit_list) = hit_list else { continue };
-        for hit in hit_list {
-            // forward placement: the read (as given) matches the contig
-            // strand iff the seed orientations agree.
-            let forward = hit.forward != seed.read_rc;
-            let contig_offset = if forward {
-                hit.pos as i64 - seed.offset as i64
-            } else {
-                // The reverse-complemented read aligns forward; in the
-                // oriented (rc) read the seed starts at
-                // len - slen - offset.
-                hit.pos as i64 - (seq.len() - slen - seed.offset) as i64
-            };
-            let cand = Candidate {
-                contig: hit.contig,
-                forward,
-                contig_offset,
-            };
-            *votes.entry(cand).or_insert(0) += 1;
+/// Cuts a read's seeds out of one 2-bit packing of it.
+#[derive(Default)]
+struct SeedCutter {
+    packed: Vec<u8>,
+    /// Positions of the read's non-ACGT bytes, ascending.
+    invalid: Vec<usize>,
+}
+
+impl SeedCutter {
+    /// Calls `emit(canonical seed, was reverse-complemented, offset)` for
+    /// the seed at every `stride`-th offset of `seq`, skipping the windows
+    /// that hold a non-ACGT byte.
+    fn cut(
+        &mut self,
+        seq: &[u8],
+        slen: usize,
+        stride: usize,
+        mut emit: impl FnMut(Kmer, bool, usize),
+    ) {
+        if seq.len() < slen {
+            return;
+        }
+        let (packed, invalid) = (&mut self.packed, &mut self.invalid);
+        packed.clear();
+        packed.resize(seq.len().div_ceil(4), 0);
+        invalid.clear();
+        kmers::kernels::pack_ascii(seq, packed, |at, _| invalid.push(at));
+        let mut next_invalid = 0usize;
+        for offset in (0..=seq.len() - slen).step_by(stride) {
+            while invalid.get(next_invalid).is_some_and(|&at| at < offset) {
+                next_invalid += 1;
+            }
+            if invalid
+                .get(next_invalid)
+                .is_some_and(|&at| at < offset + slen)
+            {
+                continue;
+            }
+            let (canon, read_rc) = Kmer::from_packed(packed, offset, slen).canonical();
+            emit(canon, read_rc, offset);
         }
     }
-    let mut candidates: Vec<(Candidate, usize)> = votes.into_iter().collect();
-    candidates.sort_by(|a, b| {
-        b.1.cmp(&a.1).then_with(|| {
-            (a.0.contig, a.0.contig_offset, a.0.forward).cmp(&(
-                b.0.contig,
-                b.0.contig_offset,
-                b.0.forward,
-            ))
-        })
-    });
-    candidates.into_iter().map(|(c, _)| c).collect()
+}
+
+/// Ranks one read's candidate placements by seed votes.
+#[derive(Default)]
+struct Votes {
+    /// One placement per (seed, hit) of the read.
+    placements: Vec<Candidate>,
+    /// `(votes, placement)` per distinct placement.
+    tally: Vec<(usize, Candidate)>,
+}
+
+impl Votes {
+    /// Appends the read's `max_candidates` best-voted placements to `out` —
+    /// most votes first, ties by `(contig, contig_offset, forward)` — and
+    /// returns how many hits voted. `slen` is the seed length the seeds were
+    /// sampled with (the index's, not the params'). Voting never touches
+    /// contig sequence bytes, so it is shared verbatim by the replicated and
+    /// distributed-store paths.
+    fn rank<'a>(
+        &mut self,
+        read_len: usize,
+        slen: usize,
+        seeds: impl Iterator<Item = (&'a Seed<'a>, &'a [SeedHit])>,
+        max_candidates: usize,
+        out: &mut Vec<Candidate>,
+    ) -> u64 {
+        self.placements.clear();
+        for (seed, hits) in seeds {
+            for hit in hits {
+                // forward placement: the read (as given) matches the contig
+                // strand iff the seed orientations agree.
+                let forward = hit.forward != seed.read_rc;
+                let contig_offset = if forward {
+                    hit.pos as i64 - seed.offset as i64
+                } else {
+                    // The reverse-complemented read aligns forward; in the
+                    // oriented (rc) read the seed starts at
+                    // len - slen - offset.
+                    hit.pos as i64 - (read_len - slen - seed.offset) as i64
+                };
+                self.placements.push(Candidate {
+                    contig: hit.contig,
+                    contig_offset,
+                    forward,
+                });
+            }
+        }
+        self.placements.sort_unstable();
+        self.tally.clear();
+        for &placement in &self.placements {
+            match self.tally.last_mut() {
+                Some((votes, last)) if *last == placement => *votes += 1,
+                _ => self.tally.push((1, placement)),
+            }
+        }
+        // Distinct placements, so the order is total and an unstable sort
+        // deterministic.
+        self.tally
+            .sort_unstable_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+        out.extend(self.tally.iter().take(max_candidates).map(|&(_, c)| c));
+        self.placements.len() as u64
+    }
 }
 
 /// A contig window handed to verification: the bytes, the contig coordinate
 /// the window starts at, and the full contig length.
 type ContigWindow<'a> = (std::borrow::Cow<'a, [u8]>, i64, usize);
 
-/// Verifies the top candidates of one read against a replicated contig set
-/// (windows borrow the stored sequences; nothing is copied).
-fn verify_candidates_local(
-    read_id: ReadId,
-    read: &Read,
-    contigs: &ContigSet,
-    params: &AlignParams,
-    candidates: Vec<Candidate>,
-    out: &mut AlignmentSet,
-) {
-    verify_candidates(read_id, read, params, candidates, out, |id, _, _| {
-        contigs
-            .get(id)
-            .map(|c| (std::borrow::Cow::Borrowed(c.seq.as_slice()), 0, c.len()))
-    });
+/// Where verification reads contig bases from.
+enum Windows<'a> {
+    /// The replicated set: windows borrow the stored sequences.
+    Replicated(&'a ContigSet),
+    /// The packed contigs one block fetched from the distributed store.
+    Fetched(FxHashMap<ContigId, Option<PackedSeq>>),
 }
 
-/// Verifies the top candidates of one read against pre-fetched packed
-/// contigs, unpacking only the window each placement can touch.
-fn verify_candidates_fetched(
-    read_id: ReadId,
-    read: &Read,
-    fetched: &FxHashMap<ContigId, Option<PackedSeq>>,
-    params: &AlignParams,
-    candidates: Vec<Candidate>,
-    out: &mut AlignmentSet,
-) {
-    verify_candidates(
-        read_id,
-        read,
-        params,
-        candidates,
-        out,
-        |id, offset, rlen| {
-            let packed = fetched.get(&id).and_then(|p| p.as_ref())?;
-            let start = offset.max(0) as usize;
-            let end = (offset + rlen as i64).max(0) as usize;
-            let window = packed.window(start, end.saturating_sub(start));
-            Some((std::borrow::Cow::Owned(window), start as i64, packed.len()))
-        },
-    );
-}
-
-/// Shared verification loop: report at most one placement per contig per
-/// read (the best-voted one), accept if long and identical enough.
-/// `window_of(contig, offset, read_len)` yields the contig window covering
-/// the placement `[offset, offset + read_len)` (clamped), or `None` for an
-/// unknown contig.
-fn verify_candidates<'a>(
-    read_id: ReadId,
-    read: &Read,
-    params: &AlignParams,
-    candidates: Vec<Candidate>,
-    out: &mut AlignmentSet,
-    mut window_of: impl FnMut(ContigId, i64, usize) -> Option<ContigWindow<'a>>,
-) {
-    if candidates.is_empty() {
-        return;
+impl Windows<'_> {
+    /// The contig window covering the placement `[offset, offset + read_len)`
+    /// (clamped), or `None` for an unknown contig.
+    fn covering(&self, contig: ContigId, offset: i64, read_len: usize) -> Option<ContigWindow<'_>> {
+        match self {
+            Windows::Replicated(set) => set
+                .get(contig)
+                .map(|c| (std::borrow::Cow::Borrowed(c.seq.as_slice()), 0, c.len())),
+            Windows::Fetched(fetched) => {
+                // Unpack only the window the placement can touch.
+                let packed = fetched.get(&contig).and_then(|p| p.as_ref())?;
+                let start = offset.max(0) as usize;
+                let end = (offset + read_len as i64).max(0) as usize;
+                let window = packed.window(start, end.saturating_sub(start));
+                Some((std::borrow::Cow::Owned(window), start as i64, packed.len()))
+            }
+        }
     }
-    let seq = &read.seq;
-    let oriented_fwd = seq.clone();
-    let oriented_rev = revcomp(seq);
-    let mut reported_contigs: Vec<ContigId> = Vec::new();
-    for cand in candidates.into_iter().take(params.max_candidates) {
-        if reported_contigs.contains(&cand.contig) {
+}
+
+/// Verifies one read's candidates (already cut to `max_candidates`, best
+/// first): report at most one placement per contig per read (the best-voted
+/// one), accept if long and identical enough. The read is reverse-complemented
+/// into `revcomp_buf` if and when a reverse candidate is reached. Returns the
+/// number of windows compared.
+fn verify_candidates(
+    read_id: ReadId,
+    seq: &[u8],
+    params: &AlignParams,
+    candidates: &[Candidate],
+    windows: &Windows<'_>,
+    revcomp_buf: &mut Vec<u8>,
+    out: &mut AlignmentSet,
+) -> u64 {
+    let first_of_read = out.alignments.len();
+    let mut have_revcomp = false;
+    let mut compared = 0u64;
+    for cand in candidates {
+        let reported = &out.alignments[first_of_read..];
+        if reported.iter().any(|a| a.contig == cand.contig) {
             continue;
         }
         let Some((window, window_start, contig_len)) =
-            window_of(cand.contig, cand.contig_offset, seq.len())
+            windows.covering(cand.contig, cand.contig_offset, seq.len())
         else {
             continue;
         };
         let oriented: &[u8] = if cand.forward {
-            &oriented_fwd
+            seq
         } else {
-            &oriented_rev
+            if !have_revcomp {
+                revcomp_buf.clear();
+                revcomp_buf.extend_from_slice(seq);
+                revcomp_in_place(revcomp_buf);
+                have_revcomp = true;
+            }
+            revcomp_buf
         };
+        compared += 1;
         let (aligned_len, matches) = verify_window(
             oriented,
             &window,
@@ -422,7 +509,6 @@ fn verify_candidates<'a>(
         if aligned_len >= params.min_aligned_len
             && matches as f64 >= params.min_identity * aligned_len as f64
         {
-            reported_contigs.push(cand.contig);
             out.alignments.push(Alignment {
                 read_id,
                 contig: cand.contig,
@@ -433,6 +519,7 @@ fn verify_candidates<'a>(
             });
         }
     }
+    compared
 }
 
 /// Counts aligned/matching bases of `oriented_read` placed at `offset` on a
@@ -467,8 +554,9 @@ fn verify_window(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seed_index::{build_seed_index, build_seed_index_ref};
+    use crate::seed_index::{build_seed_index, build_seed_index_ref, serial_index};
     use pgas::Team;
+    use seqio::alphabet::revcomp;
 
     const GENOME: &str = "ACGGTCAGGTTCAAGGACTTACGGACCATGGCATTACGGATACCAGGATCCAGATCACCAGTTTGACCGATTACAGGACCGATACCGATTAGGACCAGT";
 
@@ -488,13 +576,389 @@ mod tests {
         }
     }
 
+    /// A small deterministic generator for the randomised tests.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn bases(&mut self, len: usize) -> Vec<u8> {
+            (0..len).map(|_| b"ACGT"[self.below(4)]).collect()
+        }
+    }
+
+    // --- the code this module replaced, kept as oracles ----------------------
+
+    /// The per-offset seed sampler: one `Kmer::from_bytes` per window.
+    fn collect_seeds_oracle(seq: &[u8], slen: usize, stride: usize) -> Vec<(Kmer, bool, usize)> {
+        let mut seeds = Vec::new();
+        let mut offset = 0usize;
+        while offset + slen <= seq.len() {
+            if let Some(seed) = Kmer::from_bytes(&seq[offset..offset + slen]) {
+                let (canon, read_rc) = seed.canonical();
+                seeds.push((canon, read_rc, offset));
+            }
+            offset += stride;
+        }
+        seeds
+    }
+
+    /// Voting through a hash map per read; returns *every* candidate, best
+    /// first.
+    fn vote_candidates_oracle(
+        read_len: usize,
+        slen: usize,
+        seeds: &[(bool, usize)],
+        hits: &[&[SeedHit]],
+    ) -> Vec<Candidate> {
+        let mut votes: FxHashMap<Candidate, usize> = FxHashMap::default();
+        for (&(read_rc, offset), hit_list) in seeds.iter().zip(hits) {
+            for hit in *hit_list {
+                let forward = hit.forward != read_rc;
+                let contig_offset = if forward {
+                    hit.pos as i64 - offset as i64
+                } else {
+                    hit.pos as i64 - (read_len - slen - offset) as i64
+                };
+                let cand = Candidate {
+                    contig: hit.contig,
+                    forward,
+                    contig_offset,
+                };
+                *votes.entry(cand).or_insert(0) += 1;
+            }
+        }
+        let mut candidates: Vec<(Candidate, usize)> = votes.into_iter().collect();
+        candidates.sort_by(|a, b| {
+            b.1.cmp(&a.1).then_with(|| {
+                (a.0.contig, a.0.contig_offset, a.0.forward).cmp(&(
+                    b.0.contig,
+                    b.0.contig_offset,
+                    b.0.forward,
+                ))
+            })
+        });
+        candidates.into_iter().map(|(c, _)| c).collect()
+    }
+
+    /// The read loop as it was, without its transport: per-offset seeds, a
+    /// serial index, hash-map votes, both orientations of the read
+    /// materialised up front.
+    fn align_reads_oracle(
+        reads: &[(ReadId, Read)],
+        contigs: &ContigSet,
+        slen: usize,
+        params: &AlignParams,
+    ) -> Vec<Alignment> {
+        let index = serial_index(contigs, slen);
+        let mut out = Vec::new();
+        for (read_id, read) in reads {
+            let seq = &read.seq;
+            let seeds = collect_seeds_oracle(seq, slen, params.stride);
+            let hits: Vec<&[SeedHit]> = seeds
+                .iter()
+                .map(|(canon, _, _)| index.get(canon).map_or(&[][..], Vec::as_slice))
+                .collect();
+            let placed: Vec<(bool, usize)> = seeds.iter().map(|&(_, rc, at)| (rc, at)).collect();
+            let candidates = vote_candidates_oracle(seq.len(), slen, &placed, &hits);
+            if candidates.is_empty() {
+                continue;
+            }
+            let oriented_fwd = seq.clone();
+            let oriented_rev = revcomp(seq);
+            let mut reported_contigs: Vec<ContigId> = Vec::new();
+            for cand in candidates.into_iter().take(params.max_candidates) {
+                if reported_contigs.contains(&cand.contig) {
+                    continue;
+                }
+                let Some(contig) = contigs.get(cand.contig) else {
+                    continue;
+                };
+                let oriented = if cand.forward {
+                    &oriented_fwd
+                } else {
+                    &oriented_rev
+                };
+                let (aligned_len, matches) = verify_window(
+                    oriented,
+                    &contig.seq,
+                    0,
+                    contig.len() as i64,
+                    cand.contig_offset,
+                );
+                if aligned_len >= params.min_aligned_len
+                    && matches as f64 >= params.min_identity * aligned_len as f64
+                {
+                    reported_contigs.push(cand.contig);
+                    out.push(Alignment {
+                        read_id: *read_id,
+                        contig: cand.contig,
+                        forward: cand.forward,
+                        contig_offset: cand.contig_offset,
+                        aligned_len,
+                        matches,
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    // --- the three rewritten pieces against them -----------------------------
+
+    #[test]
+    fn packed_window_seeds_equal_per_offset_from_bytes() {
+        let mut rng = Rng(0x5EED_0001);
+        let mut cutter = SeedCutter::default();
+        let mut with_seeds = 0usize;
+        for len in 0..=300usize {
+            let mut seq = rng.bases(len);
+            // Plant Ns: none, a few singles, or a run — the mix changes with
+            // the length so every seed length meets every kind.
+            for _ in 0..[0, 1, 3, 0][len % 4] {
+                let at = rng.below(len.max(1)).min(len.saturating_sub(1));
+                if len > 0 {
+                    seq[at] = b'N';
+                }
+            }
+            if len % 7 == 3 {
+                let at = rng.below(len);
+                for b in &mut seq[at..(at + 9).min(len)] {
+                    *b = b'N';
+                }
+            }
+            for stride in 1..=9usize {
+                for slen in [3usize, 15, 21, 31, 33, 127] {
+                    let mut got = Vec::new();
+                    cutter.cut(&seq, slen, stride, |canon, rc, at| {
+                        got.push((canon, rc, at))
+                    });
+                    let expected = collect_seeds_oracle(&seq, slen, stride);
+                    assert_eq!(got, expected, "len={len} stride={stride} slen={slen}");
+                    with_seeds += usize::from(!got.is_empty());
+                }
+            }
+        }
+        assert!(with_seeds > 8000, "test setup: most cases yield seeds");
+    }
+
+    #[test]
+    fn sorted_run_votes_equal_the_hash_map_votes() {
+        let mut rng = Rng(0xB0A7_0002);
+        let mut votes = Votes::default();
+        for case in 0..400usize {
+            let read_len = 40 + rng.below(200);
+            let slen = [15usize, 21, 33][case % 3];
+            // Few contigs and positions on a coarse grid: many placements
+            // coincide (votes pile up, ties between placements are common),
+            // and seeds carry 0..=5 hits each.
+            let seeds: Vec<Seed> = (0..rng.below(30))
+                .map(|_| Seed {
+                    read_rc: rng.below(2) == 0,
+                    offset: 7 * rng.below((read_len - slen) / 7 + 1),
+                    hits: Err(0),
+                })
+                .collect();
+            let hits: Vec<Vec<SeedHit>> = seeds
+                .iter()
+                .map(|seed| {
+                    (0..rng.below(6))
+                        .map(|_| SeedHit {
+                            contig: rng.below(3) as ContigId,
+                            pos: (seed.offset + 7 * rng.below(4)) as u32,
+                            forward: rng.below(2) == 0,
+                        })
+                        .collect()
+                })
+                .collect();
+            let placed: Vec<(bool, usize)> = seeds.iter().map(|s| (s.read_rc, s.offset)).collect();
+            let hit_slices: Vec<&[SeedHit]> = hits.iter().map(Vec::as_slice).collect();
+            let expected = vote_candidates_oracle(read_len, slen, &placed, &hit_slices);
+            for max_candidates in [1usize, 4, 1000] {
+                let mut got = vec![];
+                let voted = votes.rank(
+                    read_len,
+                    slen,
+                    seeds.iter().zip(hit_slices.iter().copied()),
+                    max_candidates,
+                    &mut got,
+                );
+                assert_eq!(voted as usize, hits.iter().map(Vec::len).sum::<usize>());
+                let keep = expected.len().min(max_candidates);
+                assert_eq!(got, expected[..keep], "case {case}, top {max_candidates}");
+            }
+        }
+    }
+
+    /// Contigs cut from one hidden genome with a planted repeat, a tandem
+    /// repeat and an N run; reads drawn across the contig ends (overhangs),
+    /// from both strands, with substitutions and N runs, some longer than
+    /// `MAX_K`, some unrelated.
+    fn hard_case() -> (ContigSet, Vec<(ReadId, Read)>) {
+        let mut rng = Rng(0xA119_0003);
+        let mut genome = rng.bases(1500);
+        let repeat = genome[100..190].to_vec();
+        genome[700..790].copy_from_slice(&repeat);
+        genome[1250..1340].copy_from_slice(&repeat);
+        let unit = genome[400..419].to_vec();
+        for copy in 1..12 {
+            genome[400 + 19 * copy..419 + 19 * copy].copy_from_slice(&unit);
+        }
+        for b in &mut genome[950..962] {
+            *b = b'N';
+        }
+        let contigs = ContigSet::from_sequences(
+            21,
+            [0..520, 560..1100, 1130..1500]
+                .into_iter()
+                .map(|r| (genome[r].to_vec(), 10.0))
+                .collect(),
+        );
+        let reads = (0..90u64)
+            .map(|i| {
+                let len = [36, 60, 100, 150, 210][rng.below(5)];
+                let mut seq = if i % 15 == 14 {
+                    rng.bases(len)
+                } else {
+                    let at = rng.below(genome.len() - len);
+                    genome[at..at + len].to_vec()
+                };
+                for _ in 0..rng.below(4) {
+                    let at = rng.below(len);
+                    seq[at] = b"ACGT"[rng.below(4)];
+                }
+                if i % 6 == 0 {
+                    let at = rng.below(len);
+                    for b in &mut seq[at..(at + 5).min(len)] {
+                        *b = b'N';
+                    }
+                }
+                if i % 2 == 1 {
+                    seq = revcomp(&seq);
+                }
+                (i, Read::with_uniform_quality(format!("r{i}"), &seq, 35))
+            })
+            .collect();
+        (contigs, reads)
+    }
+
+    #[test]
+    fn alignments_equal_the_replaced_loop_at_every_rank_count_batch_and_cache() {
+        let (contigs, reads) = hard_case();
+        let base = AlignParams {
+            seed_len: 15,
+            stride: 4,
+            min_aligned_len: 20,
+            min_identity: 0.8,
+            ..Default::default()
+        };
+        let expected = align_reads_oracle(&reads, &contigs, 15, &base);
+        assert!(expected.len() > 60, "test setup: most reads align");
+        assert!(expected.iter().any(|a| !a.forward));
+        assert!(expected.iter().any(|a| a.contig_offset < 0));
+        assert!(expected.iter().any(|a| a.matches < a.aligned_len));
+        let by_read = |set: &[Alignment], id: ReadId| -> Vec<Alignment> {
+            set.iter().filter(|a| a.read_id == id).copied().collect()
+        };
+        for ranks in 1..=4usize {
+            Team::single_node(ranks).run(|ctx| {
+                let store = dbg::ContigStore::build(
+                    ctx,
+                    &contigs,
+                    &dbg::ContigStoreParams {
+                        cache_bytes: 128, // force evictions and refetches
+                        ..Default::default()
+                    },
+                );
+                let from_store = build_seed_index_ref(ctx, ContigsRef::Store(&store), 15);
+                let from_set = build_seed_index(ctx, &contigs, 15);
+                // Deal the reads unevenly; the alignments of a read do not
+                // depend on which rank aligns it.
+                let mine: Vec<(ReadId, Read)> = reads
+                    .iter()
+                    .filter(|(id, _)| (*id as usize * 7 / 5) % ctx.ranks() == ctx.rank())
+                    .cloned()
+                    .collect();
+                let expected_mine: Vec<Alignment> = mine
+                    .iter()
+                    .flat_map(|(id, _)| by_read(&expected, *id))
+                    .collect();
+                for lookup_batch in [1usize, 4, 4096] {
+                    for cache_capacity in [0usize, 8, 65_536] {
+                        let p = AlignParams {
+                            lookup_batch,
+                            cache_capacity,
+                            ..base
+                        };
+                        let at =
+                            format!("{ranks} ranks, batch {lookup_batch}, cache {cache_capacity}");
+                        let local = align_reads(ctx, mine.clone(), &contigs, &from_set, &p);
+                        assert_eq!(local.alignments, expected_mine, "replicated, {at}");
+                        let dist = align_reads_ref(
+                            ctx,
+                            mine.iter().map(|(id, read)| (*id, read)),
+                            ContigsRef::Store(&store),
+                            &from_store,
+                            &p,
+                        );
+                        assert_eq!(dist.alignments, expected_mine, "store, {at}");
+                    }
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn work_counters_do_not_depend_on_the_rank_count() {
+        let (contigs, reads) = hard_case();
+        let counted: Vec<[u64; 4]> = [1usize, 2, 4]
+            .into_iter()
+            .map(|ranks| {
+                let team = Team::single_node(ranks);
+                team.run(|ctx| {
+                    let index = build_seed_index(ctx, &contigs, 15);
+                    let mine: Vec<&(ReadId, Read)> = reads
+                        .iter()
+                        .filter(|(id, _)| *id as usize % ctx.ranks() == ctx.rank())
+                        .collect();
+                    let mine = mine.into_iter().map(|(id, read)| (*id, read));
+                    align_reads(ctx, mine, &contigs, &index, &params());
+                });
+                let total = team.stats_total();
+                [
+                    total.seed_lookups,
+                    total.seed_hits,
+                    total.align_candidates_verified,
+                    total.seed_lookups_remote,
+                ]
+            })
+            .collect();
+        let [lookups, hits, verified, remote] = counted[0];
+        assert!(lookups > 1000 && hits > lookups / 2 && verified > 60);
+        assert_eq!(remote, 0, "one rank owns every seed");
+        for (at, c) in counted.iter().enumerate().skip(1) {
+            assert_eq!(c[..3], counted[0][..3], "rank count #{at}");
+            assert!(c[3] > 0 && c[3] < lookups, "some seeds are foreign: {c:?}");
+        }
+    }
+
+    // --- behaviour ------------------------------------------------------------
+
     #[test]
     fn perfect_read_aligns_at_correct_position() {
         let contigs = contigs_of(&[GENOME]);
         let team = Team::single_node(2);
         team.run(|ctx| {
             let index = build_seed_index(ctx, &contigs, 15);
-            ctx.barrier();
             let read = Read::with_uniform_quality("r0", &GENOME.as_bytes()[30..80], 35);
             let set = align_reads(ctx, vec![(0u64, read)], &contigs, &index, &params());
             assert_eq!(set.alignments.len(), 1);
@@ -582,29 +1046,50 @@ mod tests {
     }
 
     #[test]
-    fn cache_reuse_reduces_misses_for_similar_reads() {
+    fn cache_serves_repeated_foreign_seeds_and_never_sees_owned_ones() {
         let contigs = contigs_of(&[GENOME]);
-        let team = Team::single_node(1);
-        team.run(|ctx| {
-            let index = build_seed_index(ctx, &contigs, 15);
-            ctx.stats().reset();
-            // Many reads from the same region: their seeds overlap heavily.
-            let reads: Vec<(ReadId, Read)> = (0..20)
-                .map(|i| {
-                    (
-                        i as ReadId,
-                        Read::with_uniform_quality(format!("r{i}"), &GENOME.as_bytes()[20..70], 35),
-                    )
-                })
-                .collect();
-            let set = align_reads(ctx, reads, &contigs, &index, &params());
-            assert_eq!(set.alignments.len(), 20);
-            let stats = ctx.stats().snapshot();
-            assert!(
-                stats.cache_hits > stats.cache_misses,
-                "expected cache reuse: {stats:?}"
-            );
-        });
+        // Many reads from the same region: their seeds overlap heavily.
+        let reads: Vec<(ReadId, Read)> = (0..20)
+            .map(|i| {
+                (
+                    i as ReadId,
+                    Read::with_uniform_quality(format!("r{i}"), &GENOME.as_bytes()[20..70], 35),
+                )
+            })
+            .collect();
+        for ranks in [1usize, 2, 3] {
+            Team::single_node(ranks).run(|ctx| {
+                let index = build_seed_index(ctx, &contigs, 15);
+                ctx.stats().reset();
+                // Every rank aligns all twenty reads, two per block.
+                let p = AlignParams {
+                    lookup_batch: 16,
+                    ..params()
+                };
+                let set = align_reads(ctx, reads.clone(), &contigs, &index, &p);
+                assert_eq!(set.alignments.len(), 20);
+                let stats = ctx.stats().snapshot();
+                assert_eq!(stats.seed_lookups, 20 * 9);
+                if ranks == 1 {
+                    assert_eq!((stats.cache_hits, stats.cache_misses), (0, 0), "{stats:?}");
+                    assert_eq!(stats.seed_lookups_remote, 0);
+                    return;
+                }
+                // Each distinct foreign seed is fetched once — by the first
+                // block that needs it — and every later lookup is a hit.
+                assert_eq!(
+                    stats.cache_hits + stats.cache_misses,
+                    stats.seed_lookups_remote
+                );
+                assert_eq!(stats.cache_misses * 20, stats.seed_lookups_remote);
+                let foreign = ctx.allreduce_sum_u64(stats.cache_misses);
+                assert_eq!(
+                    foreign,
+                    9 * (ranks as u64 - 1),
+                    "nine seeds, each foreign to all but its owner"
+                );
+            });
+        }
     }
 
     #[test]
@@ -642,67 +1127,6 @@ mod tests {
                 "N positions must not count as matches"
             );
         });
-    }
-
-    #[test]
-    fn distributed_store_alignments_match_replicated_at_either_batch_size() {
-        let contigs = contigs_of(&[&GENOME[..50], &GENOME[40..]]);
-        for ranks in [1usize, 3] {
-            let team = Team::single_node(ranks);
-            let contigs2 = contigs.clone();
-            team.run(|ctx| {
-                let store = dbg::ContigStore::build(
-                    ctx,
-                    &contigs2,
-                    &dbg::ContigStoreParams {
-                        cache_bytes: 128, // force evictions and refetches
-                        ..Default::default()
-                    },
-                );
-                let index = build_seed_index_ref(ctx, ContigsRef::Store(&store), 15);
-                let index_local = build_seed_index(ctx, &contigs2, 15);
-                ctx.barrier();
-                let my_reads: Vec<(ReadId, Read)> = (0..24)
-                    .filter(|i| i % ctx.ranks() == ctx.rank())
-                    .map(|i| {
-                        let lo = (i * 3) % 45;
-                        (
-                            i as ReadId,
-                            Read::with_uniform_quality(
-                                format!("r{i}"),
-                                &GENOME.as_bytes()[lo..lo + 50],
-                                35,
-                            ),
-                        )
-                    })
-                    .collect();
-                for lookup_batch in [1usize, 4096] {
-                    let p = AlignParams {
-                        lookup_batch,
-                        ..params()
-                    };
-                    let local = align_reads_ref(
-                        ctx,
-                        my_reads.clone(),
-                        ContigsRef::Local(&contigs2),
-                        &index_local,
-                        &p,
-                    );
-                    let dist = align_reads_ref(
-                        ctx,
-                        my_reads.clone(),
-                        ContigsRef::Store(&store),
-                        &index,
-                        &p,
-                    );
-                    assert_eq!(
-                        local.alignments, dist.alignments,
-                        "store alignments diverged (ranks={ranks}, batch={lookup_batch})"
-                    );
-                }
-                ctx.barrier();
-            });
-        }
     }
 
     #[test]

@@ -5,17 +5,21 @@
 //! aligner built on the same hash-table machinery as the rest of the
 //! pipeline. This crate reproduces its structure:
 //!
-//! * [`seed_index`] — a distributed hash table mapping canonical seed k-mers
-//!   of the contigs to their positions (the "seed index"); construction is an
-//!   update-only aggregated phase, lookups are a read-only phase served
-//!   through a per-rank [`dht::CachedView`]: cache hits are answered locally
-//!   and all misses of a read block travel to their owner ranks in one
-//!   aggregated request–response round trip (the paper's batched lookups —
-//!   the only lookup path there is);
-//! * [`align`] — seed lookup, candidate voting by diagonal, and ungapped
-//!   extension/verification producing [`align::Alignment`] records (our
-//!   simulated reads contain substitutions but no indels, so ungapped
-//!   verification loses nothing; see DESIGN.md);
+//! * [`seed_index`] — the seed index, canonical seed k-mers of the contigs →
+//!   their positions, in its two phases: *built* once per contig set by an
+//!   update-only aggregated exchange of fixed-size `(seed, hit)` records that
+//!   each owner groups into flat arrays, then *read*, immutably — every rank
+//!   keeps only its own shard, hands out its own seeds' hits by reference,
+//!   and answers other ranks' batched lookups inside the RPC handler;
+//! * [`align`] — per block of reads, three flat passes over reused arrays:
+//!   seeds cut from one 2-bit packing of each read (owned seeds resolved by
+//!   reference, foreign seeds through one [`dht::CachedView`] over the index:
+//!   cache hits locally, all misses of the block to their owners in one
+//!   aggregated request–response round trip — the paper's batched lookups,
+//!   the only lookup path there is), candidate voting by diagonal as a sort
+//!   and a run-length count, and ungapped extension/verification producing
+//!   [`align::Alignment`] records (our simulated reads contain substitutions
+//!   but no indels, so ungapped verification loses nothing; see DESIGN.md);
 //! * [`localize`] — the read-localisation optimisation of §II-I: after the
 //!   first round of alignments, read pairs are reassigned to the rank
 //!   `contig mod P` of the contig they aligned to, so subsequent alignment
@@ -27,4 +31,4 @@ pub mod seed_index;
 
 pub use align::{align_reads, align_reads_ref, AlignParams, Alignment, AlignmentSet};
 pub use localize::{localize_pairs, ReadDistribution};
-pub use seed_index::{build_seed_index, build_seed_index_ref, SeedHit, SeedIndex};
+pub use seed_index::{build_seed_index, build_seed_index_ref, RemoteHits, SeedHit, SeedIndex};

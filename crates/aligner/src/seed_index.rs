@@ -1,9 +1,34 @@
-//! The distributed seed index over a contig set.
+//! The distributed seed index over a contig set: built once, then only read.
+//!
+//! merAligner's observation (Georganas et al., IPDPS '15; the paper's §II-F)
+//! is that the seed index has two separate phases, and this module is shaped
+//! by them:
+//!
+//! * **Build** ([`build_seed_index_ref`]) — a global update-only phase. Every
+//!   rank cuts the seeds of the contigs it indexes and ships one fixed-size
+//!   `(seed, hit)` record per contig position to the seed's owner through a
+//!   [`pgas::Aggregator`]. The owner then groups what it received *once* into
+//!   three flat arrays — `keys`, `offsets`, `hits` — behind an open-addressed
+//!   slot table, sorting each seed's run by `(contig, pos)` and capping it at
+//!   [`SeedIndex::MAX_HITS_PER_SEED`].
+//! * **Read** — the index is immutable. A rank holds **only its own shard**:
+//!   a seed it owns resolves to `&[SeedHit]` straight out of `hits`
+//!   ([`SeedIndex::lookup`]); a seed another rank owns is probed *on the
+//!   owner*, inside the handler of the collective batched lookup
+//!   ([`dht::ReadTable::get_many`]), and travels back as a [`RemoteHits`].
+//!   There is no shared table, no lock and no allocation per seed.
+//!
+//! The cap keeps the 32 *smallest* hits of a seed, not the first 32 to
+//! arrive, and a sorted run's prefix does not depend on the order the records
+//! came in. The index content is therefore the same for every rank count and
+//! for both contig sources (which index different contig subsets per rank) —
+//! a property of one sort, where a table merged incrementally would have to
+//! maintain it on every arrival.
 
 use dbg::{ContigId, ContigSet, ContigsRef};
-use dht::{bulk_merge, DistMap};
+use dht::fx_hash_one;
 use kmers::{kmer_positions, Kmer};
-use pgas::Ctx;
+use pgas::{Aggregator, Ctx, RpcAggregator};
 use std::sync::Arc;
 
 /// One occurrence of a seed k-mer in a contig.
@@ -18,18 +43,206 @@ pub struct SeedHit {
     pub forward: bool,
 }
 
-/// The distributed seed index: canonical seed k-mer → occurrences.
-/// Seeds occurring more than [`SeedIndex::MAX_HITS_PER_SEED`] times are
-/// truncated (they are repetitive and carry no placement information), the
-/// same defence merAligner uses against high-frequency seeds.
+/// The hit list of a seed as it crosses a rank boundary and sits in the
+/// requester's software cache. Most seeds occur once or twice, so up to two
+/// hits travel inline; longer lists are shared. Cloning never allocates.
+#[derive(Debug, Clone)]
+pub enum RemoteHits {
+    /// `hits[..len]`, `len` in `1..=2`.
+    Inline { len: u8, hits: [SeedHit; 2] },
+    /// Three or more hits.
+    Shared(Arc<[SeedHit]>),
+}
+
+impl RemoteHits {
+    /// Wraps a non-empty hit list; `None` for an empty one (an absent seed).
+    fn of(hits: &[SeedHit]) -> Option<Self> {
+        match *hits {
+            [] => None,
+            [a] => Some(RemoteHits::Inline {
+                len: 1,
+                hits: [a, a],
+            }),
+            [a, b] => Some(RemoteHits::Inline {
+                len: 2,
+                hits: [a, b],
+            }),
+            _ => Some(RemoteHits::Shared(hits.into())),
+        }
+    }
+
+    /// The hits, sorted by `(contig, pos)`.
+    pub fn as_slice(&self) -> &[SeedHit] {
+        match self {
+            RemoteHits::Inline { len, hits } => &hits[..*len as usize],
+            RemoteHits::Shared(hits) => hits,
+        }
+    }
+}
+
+/// The owner rank of the seed with this [`fx_hash_one`] value — the
+/// assignment [`dht::HashPartitioner`] makes.
+fn owner_of_hash(hash: u64, ranks: usize) -> usize {
+    (hash % ranks as u64) as usize
+}
+
+/// One rank's shard of the seed index: canonical seed k-mer → occurrences,
+/// for the seeds this rank owns. Seeds occurring more than
+/// [`SeedIndex::MAX_HITS_PER_SEED`] times are truncated (they are repetitive
+/// and carry no placement information), the same defence merAligner uses
+/// against high-frequency seeds. See the module documentation for the layout.
 pub struct SeedIndex {
-    pub map: Arc<DistMap<Kmer, Vec<SeedHit>>>,
+    /// The seed length the index was built with.
     pub seed_len: usize,
+    rank: usize,
+    ranks: usize,
+    /// Open-addressed, linearly probed: `1 + index into keys`, 0 = empty.
+    /// A power-of-two length at most half full, addressed by the hash's top
+    /// `64 - slot_shift` bits (the owner is taken from its low bits).
+    slots: Vec<u32>,
+    slot_shift: u32,
+    keys: Vec<Kmer>,
+    /// The hits of `keys[i]` are `hits[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+    hits: Vec<SeedHit>,
 }
 
 impl SeedIndex {
     /// Hits beyond this per seed are dropped.
     pub const MAX_HITS_PER_SEED: usize = 32;
+
+    /// The owner rank of a seed.
+    pub fn owner_of(&self, seed: &Kmer) -> usize {
+        owner_of_hash(fx_hash_one(seed), self.ranks)
+    }
+
+    /// The hits of a seed this rank owns, by reference into its shard and
+    /// sorted by `(contig, pos)` (empty if the seed occurs in no contig) — or
+    /// `Err(owner)` for a seed another rank owns. One hash decides both.
+    pub fn lookup(&self, seed: &Kmer) -> Result<&[SeedHit], usize> {
+        let hash = fx_hash_one(seed);
+        let owner = owner_of_hash(hash, self.ranks);
+        if owner != self.rank {
+            return Err(owner);
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = self.slot_of(hash);
+        loop {
+            match self.slots[slot] {
+                0 => return Ok(&[]),
+                at => {
+                    let i = at as usize - 1;
+                    if self.keys[i] == *seed {
+                        let run = self.offsets[i] as usize..self.offsets[i + 1] as usize;
+                        return Ok(&self.hits[run]);
+                    }
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Every seed of this rank's shard with its hits (unordered).
+    pub fn local_entries(&self) -> impl Iterator<Item = (&Kmer, &[SeedHit])> {
+        self.keys
+            .iter()
+            .zip(self.offsets.windows(2))
+            .map(|(key, w)| (key, &self.hits[w[0] as usize..w[1] as usize]))
+    }
+
+    fn slot_of(&self, hash: u64) -> usize {
+        (hash >> self.slot_shift) as usize
+    }
+
+    /// Groups the records this rank received into its shard.
+    fn from_records(ctx: &Ctx, seed_len: usize, records: Vec<(Kmer, SeedHit)>) -> SeedIndex {
+        assert!(
+            records.len() < u32::MAX as usize / 2,
+            "seed index shard of {} records overflows its 32-bit offsets",
+            records.len()
+        );
+        let capacity = (2 * records.len()).next_power_of_two().max(2);
+        let mut index = SeedIndex {
+            seed_len,
+            rank: ctx.rank(),
+            ranks: ctx.ranks(),
+            slots: vec![0; capacity],
+            slot_shift: 64 - capacity.trailing_zeros(),
+            keys: Vec::new(),
+            offsets: Vec::new(),
+            hits: Vec::new(),
+        };
+        // Pass 1: name each record's key and count the records per key.
+        let mask = capacity - 1;
+        let mut key_of: Vec<u32> = Vec::with_capacity(records.len());
+        let mut counts: Vec<u32> = Vec::new();
+        for (seed, _) in &records {
+            let mut slot = index.slot_of(fx_hash_one(seed));
+            let i = loop {
+                match index.slots[slot] {
+                    0 => {
+                        index.keys.push(*seed);
+                        counts.push(0);
+                        index.slots[slot] = index.keys.len() as u32;
+                        break index.keys.len() - 1;
+                    }
+                    at if index.keys[at as usize - 1] == *seed => break at as usize - 1,
+                    _ => slot = (slot + 1) & mask,
+                }
+            };
+            counts[i] += 1;
+            key_of.push(i as u32);
+        }
+        // Pass 2: scatter the hits into one run per key.
+        let mut next: Vec<u32> = Vec::with_capacity(counts.len());
+        let mut total = 0u32;
+        for &count in &counts {
+            next.push(total);
+            total += count;
+        }
+        let mut hits: Vec<SeedHit> = match records.first() {
+            Some(&(_, filler)) => vec![filler; records.len()],
+            None => Vec::new(),
+        };
+        for ((_, hit), &key) in records.iter().zip(&key_of) {
+            hits[next[key as usize] as usize] = *hit;
+            next[key as usize] += 1;
+        }
+        drop(records);
+        // Pass 3: sort each run, keep its smallest hits, close the gaps.
+        index.offsets.reserve_exact(counts.len() + 1);
+        index.offsets.push(0);
+        let (mut lo, mut kept) = (0usize, 0usize);
+        for &count in &counts {
+            let hi = lo + count as usize;
+            hits[lo..hi].sort_unstable_by_key(|h| (h.contig, h.pos));
+            let keep = (hi - lo).min(SeedIndex::MAX_HITS_PER_SEED);
+            hits.copy_within(lo..lo + keep, kept);
+            kept += keep;
+            index.offsets.push(kept as u32);
+            lo = hi;
+        }
+        hits.truncate(kept);
+        index.hits = hits;
+        index.hits.shrink_to_fit();
+        index
+    }
+}
+
+impl dht::ReadTable<Kmer, RemoteHits> for SeedIndex {
+    fn owner_of(&self, seed: &Kmer) -> usize {
+        SeedIndex::owner_of(self, seed)
+    }
+
+    /// Every rank's requests are answered by the owner's own
+    /// [`SeedIndex::lookup`], run inside the RPC handler.
+    fn get_many(&self, ctx: &Ctx, seeds: &[Kmer], batch: usize) -> Vec<Option<RemoteHits>> {
+        let mut rpc: RpcAggregator<Kmer, Option<RemoteHits>> = RpcAggregator::new(ctx, batch);
+        for seed in seeds {
+            rpc.push(self.owner_of(seed), *seed);
+        }
+        rpc.finish(|seed| RemoteHits::of(self.lookup(&seed).unwrap_or_default()))
+    }
 }
 
 /// Collectively builds the seed index for a replicated contig set.
@@ -37,79 +250,81 @@ pub fn build_seed_index(ctx: &Ctx, contigs: &ContigSet, seed_len: usize) -> Seed
     build_seed_index_ref(ctx, ContigsRef::Local(contigs), seed_len)
 }
 
-/// Extracts the seed items of one contig sequence.
-fn seed_items(id: ContigId, seq: &[u8], seed_len: usize) -> Vec<(Kmer, Vec<SeedHit>)> {
-    kmer_positions(seq, seed_len)
-        .into_iter()
-        .map(|(pos, km)| {
-            let (canon, was_rc) = km.canonical();
-            (
-                canon,
-                vec![SeedHit {
-                    contig: id,
-                    pos: pos as u32,
-                    forward: !was_rc,
-                }],
-            )
-        })
-        .collect()
-}
-
-/// Merges a batch of arriving hits into a hit list kept **sorted by
-/// `(contig, pos)` and capped** at [`SeedIndex::MAX_HITS_PER_SEED`]. Keeping
-/// the smallest hits under the cap (instead of the first arrivals) makes the
-/// index content independent of arrival order — and therefore identical
-/// across rank counts and across the replicated/distributed contig sources,
-/// which index different contig subsets per rank.
-fn merge_hits(a: &mut Vec<SeedHit>, mut b: Vec<SeedHit>) {
-    a.append(&mut b);
-    a.sort_unstable_by_key(|h| (h.contig, h.pos));
-    a.truncate(SeedIndex::MAX_HITS_PER_SEED);
-}
-
-/// Collectively builds the seed index for a contig source.
+/// Collectively builds the seed index for a contig source; every rank gets
+/// its own shard.
 ///
 /// With a replicated set every rank indexes a block of the contigs; with a
 /// distributed [`dbg::ContigStore`] every rank indexes exactly the contigs it
 /// owns (an owner-local read pass — no sequence ever travels for indexing).
-/// Either way the hit lists are merged on the owner ranks with aggregated
-/// messages (global update-only phase) into the same deterministic index.
+/// Either way one record per contig position reaches the seed's owner in
+/// aggregated messages (global update-only phase), and the owners group them
+/// into the same deterministic index.
 pub fn build_seed_index_ref(ctx: &Ctx, contigs: ContigsRef<'_>, seed_len: usize) -> SeedIndex {
     assert!(
-        seed_len >= 3 && seed_len % 2 == 1,
-        "seed length must be odd and >= 3"
+        seed_len >= 3 && seed_len % 2 == 1 && seed_len <= kmers::MAX_K,
+        "seed length must be odd and in 3..={}, got {seed_len}",
+        kmers::MAX_K
     );
-    let map: Arc<DistMap<Kmer, Vec<SeedHit>>> = DistMap::shared(ctx);
+    let mut agg: Aggregator<(Kmer, SeedHit)> = Aggregator::new(ctx, 4096);
+    let mut ship = |contig: ContigId, seq: &[u8]| {
+        for (pos, seed) in kmer_positions(seq, seed_len) {
+            let (canon, was_rc) = seed.canonical();
+            let hit = SeedHit {
+                contig,
+                pos: pos as u32,
+                forward: !was_rc,
+            };
+            agg.push(
+                owner_of_hash(fx_hash_one(&canon), ctx.ranks()),
+                (canon, hit),
+            );
+        }
+    };
     match contigs {
         ContigsRef::Local(set) => {
-            let my_range = ctx.block_range(set.len());
-            let items = set.contigs[my_range]
-                .iter()
-                .flat_map(|c| seed_items(c.id, &c.seq, seed_len));
-            bulk_merge(ctx, &map, items, 4096, merge_hits);
+            for c in &set.contigs[ctx.block_range(set.len())] {
+                ship(c.id, &c.seq);
+            }
         }
-        ContigsRef::Store(store) => {
-            // Unpack this rank's owned contigs once (O(shard) bytes), then
-            // stream the per-position items lazily into the aggregated
-            // exchange exactly like the replicated arm — buffering one item
-            // per base here would transiently dwarf the packed shard the
-            // store exists to bound.
-            let mut owned: Vec<(ContigId, Vec<u8>)> = Vec::new();
-            store
-                .map()
-                .for_each_local(ctx, |id, packed| owned.push((*id, packed.unpack())));
-            let items = owned
-                .iter()
-                .flat_map(|(id, seq)| seed_items(*id, seq, seed_len));
-            bulk_merge(ctx, &map, items, 4096, merge_hits);
+        // One owned contig is unpacked at a time: the records stream into the
+        // exchange, and the shard never exists unpacked as a whole.
+        ContigsRef::Store(store) => store
+            .map()
+            .for_each_local(ctx, |id, packed| ship(*id, &packed.unpack())),
+    }
+    SeedIndex::from_records(ctx, seed_len, agg.finish())
+}
+
+/// The serial oracle of the index content: every position of every contig,
+/// each seed's hits sorted and truncated the way the incrementally merged
+/// table this index replaced kept them.
+#[cfg(test)]
+pub(crate) fn serial_index(
+    contigs: &ContigSet,
+    seed_len: usize,
+) -> std::collections::BTreeMap<Kmer, Vec<SeedHit>> {
+    let mut map: std::collections::BTreeMap<Kmer, Vec<SeedHit>> = Default::default();
+    for c in &contigs.contigs {
+        for (pos, km) in kmer_positions(&c.seq, seed_len) {
+            let (canon, was_rc) = km.canonical();
+            map.entry(canon).or_default().push(SeedHit {
+                contig: c.id,
+                pos: pos as u32,
+                forward: !was_rc,
+            });
         }
     }
-    SeedIndex { map, seed_len }
+    for hits in map.values_mut() {
+        hits.sort_unstable_by_key(|h| (h.contig, h.pos));
+        hits.truncate(SeedIndex::MAX_HITS_PER_SEED);
+    }
+    map
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dht::ReadTable;
     use pgas::Team;
 
     fn contig_set(seqs: &[&str], k: usize) -> ContigSet {
@@ -131,9 +346,7 @@ mod tests {
         let team = Team::single_node(3);
         let totals = team.run(|ctx| {
             let index = build_seed_index(ctx, &contigs, 15);
-            ctx.barrier();
-            let mut hits = 0usize;
-            index.map.for_each_local(ctx, |_, v| hits += v.len());
+            let hits: usize = index.local_entries().map(|(_, v)| v.len()).sum();
             ctx.allreduce_sum_u64(hits as u64)
         });
         // Each 30-base contig contributes 16 seed positions.
@@ -147,37 +360,126 @@ mod tests {
         let team = Team::single_node(2);
         team.run(|ctx| {
             let index = build_seed_index(ctx, &contigs, 15);
-            ctx.barrier();
             // Look up the seed at position 5 of the contig (in storage
             // orientation the contig may be reverse-complemented).
             let stored = &contigs.contigs[0].seq;
             let seed = Kmer::from_bytes(&stored[5..20]).unwrap();
             let (canon, was_rc) = seed.canonical();
-            let hits = index.map.get_cloned(ctx, &canon).expect("seed present");
-            assert_eq!(hits.len(), 1);
-            assert_eq!(hits[0].contig, 0);
-            assert_eq!(hits[0].pos, 5);
-            assert_eq!(hits[0].forward, !was_rc);
+            let expected = [SeedHit {
+                contig: 0,
+                pos: 5,
+                forward: !was_rc,
+            }];
+            // Every rank sees it through the collective lookup; the owner
+            // also by reference, everyone else not at all.
+            let got = index.get_many(ctx, &[canon], 16);
+            assert_eq!(got[0].as_ref().expect("seed present").as_slice(), expected);
+            let owner = index.owner_of(&canon);
+            if owner == ctx.rank() {
+                assert_eq!(index.lookup(&canon), Ok(&expected[..]));
+            } else {
+                assert_eq!(index.lookup(&canon), Err(owner));
+            }
         });
     }
 
+    /// The index content as a sorted list, gathered from every rank's shard.
+    fn gathered(ctx: &Ctx, index: &SeedIndex) -> Vec<(Kmer, Vec<SeedHit>)> {
+        let mine: Vec<(Kmer, Vec<SeedHit>)> = index
+            .local_entries()
+            .map(|(k, v)| (*k, v.to_vec()))
+            .collect();
+        for (seed, _) in &mine {
+            assert_eq!(
+                index.owner_of(seed),
+                ctx.rank(),
+                "a foreign seed in the shard"
+            );
+        }
+        let mut all = ctx.exchange((0..ctx.ranks()).map(|_| mine.clone()).collect());
+        all.sort_by_key(|e| e.0);
+        all
+    }
+
+    fn oracle(contigs: &ContigSet, seed_len: usize) -> Vec<(Kmer, Vec<SeedHit>)> {
+        serial_index(contigs, seed_len).into_iter().collect()
+    }
+
     #[test]
-    fn repetitive_seeds_are_capped() {
-        // A single contig consisting of a tandem repeat: the same seed occurs
-        // many times and must be truncated at the cap.
+    fn index_content_equals_the_serial_oracle_on_every_rank_count_and_source() {
+        // Shared stretches between contigs (multi-hit seeds across contigs),
+        // an N run, a contig shorter than a seed and a tandem repeat far past
+        // the cap.
+        let unit = "ACGGTCAGGTTCAAGGACT";
+        let shared = "TTGACCGATTACAGGACCGATACCGATTAGGACCAGT";
+        let repeat = unit.repeat(40);
+        let with_n = format!("{shared}NNNN{unit}GATTACA{shared}");
+        let seqs = [
+            repeat.as_str(),
+            with_n.as_str(),
+            "ACGT",
+            &format!("CCATG{shared}GGCATTACGGATACCAGGATC"),
+            &format!("{unit}{unit}TTTTGACA"),
+        ];
+        let contigs = contig_set(&seqs, 15);
+        let expected = oracle(&contigs, 15);
+        assert!(
+            expected
+                .iter()
+                .any(|(_, v)| v.len() == SeedIndex::MAX_HITS_PER_SEED),
+            "test setup: some seed reaches the cap"
+        );
+        for ranks in [1usize, 2, 3, 5] {
+            let per_rank = Team::single_node(ranks).run(|ctx| {
+                let store = dbg::ContigStore::build(ctx, &contigs, &Default::default());
+                let from_store = build_seed_index_ref(ctx, ContigsRef::Store(&store), 15);
+                let from_set = build_seed_index(ctx, &contigs, 15);
+                (gathered(ctx, &from_store), gathered(ctx, &from_set))
+            });
+            for (from_store, from_set) in per_rank {
+                assert_eq!(from_store, expected, "store source, {ranks} ranks");
+                assert_eq!(from_set, expected, "replicated source, {ranks} ranks");
+            }
+        }
+    }
+
+    #[test]
+    fn repetitive_seeds_are_capped_at_the_smallest_positions() {
+        // A single contig consisting of a tandem repeat: every seed occurs 40
+        // times (39 for the last few) and keeps its 32 leftmost positions,
+        // whatever order the records arrived in.
         let unit = "ACGGTCAGGTTCAAGGACT";
         let repeat: String = unit.repeat(40);
         let contigs = contig_set(&[&repeat], 15);
         let team = Team::single_node(2);
-        let max_hits = team.run(|ctx| {
+        team.run(|ctx| {
             let index = build_seed_index(ctx, &contigs, 15);
-            ctx.barrier();
-            let mut max = 0usize;
-            index.map.for_each_local(ctx, |_, v| max = max.max(v.len()));
-            ctx.allreduce_max_u64(max as u64)
+            for (seed, hits) in index.local_entries() {
+                assert_eq!(hits.len(), SeedIndex::MAX_HITS_PER_SEED, "{seed}");
+                let first = hits[0].pos;
+                assert!((first as usize) < unit.len(), "{seed}: leftmost copy kept");
+                for (i, hit) in hits.iter().enumerate() {
+                    assert_eq!(hit.pos as usize, first as usize + i * unit.len(), "{seed}");
+                }
+            }
+            let seeds = ctx.allreduce_sum_u64(index.local_entries().count() as u64);
+            assert_eq!(seeds as usize, unit.len(), "one seed per repeat phase");
         });
-        assert!(max_hits[0] as usize <= SeedIndex::MAX_HITS_PER_SEED);
-        assert!(max_hits[0] >= 2, "repeat seeds should still be present");
+    }
+
+    #[test]
+    fn remote_hits_round_trip_every_length() {
+        let hit = |pos| SeedHit {
+            contig: 7,
+            pos,
+            forward: pos % 2 == 0,
+        };
+        assert!(RemoteHits::of(&[]).is_none());
+        for len in 1..=5u32 {
+            let hits: Vec<SeedHit> = (0..len).map(hit).collect();
+            let remote = RemoteHits::of(&hits).expect("non-empty");
+            assert_eq!(remote.clone().as_slice(), hits);
+        }
     }
 
     #[test]

@@ -18,8 +18,19 @@
 //! * at 8 ranks / 2 ranks-per-node, every aggregated pipeline stage moves at
 //!   least `ranks_per_node/2`× fewer off-node bytes under hierarchical
 //!   routing (the payload never grows — bytes are equal, so the factor-1
-//!   bound holds stage by stage), and the total off-node *message* count
-//!   drops at least 2×.
+//!   bound holds stage by stage) and never more off-node messages;
+//! * over the stages whose off-node messages *all* come from aggregated
+//!   collectives, the off-node message count drops at least 2×.
+//!
+//! The 2× is asserted over those stages and not over the run, because node
+//! leaders can only combine what passes a collective point. Three stages
+//! ([`ONE_SIDED_STAGES`]) also issue one-sided gets — a rank fetching a
+//! read-store block, or a stolen contig's reads, whenever *it* needs them —
+//! and a point-to-point get has no moment at which a leader could gather it
+//! with its neighbours'. Since k-mer analysis shrank to ~100 messages those
+//! gets are most of what crosses the interconnect (the read stream alone is
+//! 6,686 of alignment's 8,508 two-level messages, the same 6,686 as flat), so
+//! the whole-run ratio measures the mix of stages, not the routing.
 //!
 //! The measured splits are written to `BENCH_topology.json` so CI can guard
 //! against drift in the off-node message ratio.
@@ -29,6 +40,11 @@ use mhm_bench::{fmt, print_table, scaffold_digest, scaled_eval_params};
 use mhm_core::AssemblyConfig;
 use pgas::StatsSnapshot;
 use std::io::Write;
+
+/// Stages that read the distributed read store by one-sided block stream
+/// (`local_assembly` also fetches stolen contigs that way): their off-node
+/// messages are only partly routable, so they are held to "never grows".
+const ONE_SIDED_STAGES: [&str; 3] = ["alignment", "local_assembly", "scaffolding"];
 
 struct Run {
     ranks: usize,
@@ -95,18 +111,56 @@ fn run() {
             .expect("run present")
     };
     let (flat, hier) = (find(8, 2, false), find(8, 2, true));
+    let staged: Vec<(&str, &StatsSnapshot, &StatsSnapshot)> = flat
+        .stages
+        .iter()
+        .map(|(name, fs)| {
+            let hs = &hier
+                .stages
+                .iter()
+                .find(|(n, _)| n == name)
+                .expect("stage sets match")
+                .1;
+            (name.as_str(), fs, hs)
+        })
+        .collect();
+    // The table first, so a failing assert below carries its numbers.
+    let stage_rows: Vec<Vec<String>> = staged
+        .iter()
+        .map(|(name, fs, hs)| {
+            let routing = if ONE_SIDED_STAGES.contains(name) {
+                "partly (one-sided gets)"
+            } else {
+                "all"
+            };
+            vec![
+                name.to_string(),
+                routing.to_string(),
+                fs.off_node_msgs.to_string(),
+                hs.off_node_msgs.to_string(),
+                fs.off_node_bytes.to_string(),
+                hs.off_node_bytes.to_string(),
+            ]
+        })
+        .collect();
+    print_table(
+        "8 ranks / 2 per node, per stage: flat -> two-level",
+        &[
+            "Stage",
+            "Routed",
+            "Off msgs flat",
+            "Off msgs 2-level",
+            "Off bytes flat",
+            "Off bytes 2-level",
+        ],
+        &stage_rows,
+    );
     let rpn_factor = 1.0; // ranks_per_node / 2 at rpn = 2
-    for (name, fs) in &flat.stages {
-        let hs = &hier
-            .stages
-            .iter()
-            .find(|(n, _)| n == name)
-            .expect("stage sets match")
-            .1;
+    for (name, fs, hs) in &staged {
         if fs.off_node_msgs == 0 {
             continue; // nothing aggregated crossed the interconnect here
         }
-        if name == "local_assembly" {
+        if *name == "local_assembly" {
             // Dynamic work stealing races ranks on a shared grab counter, so
             // *which* rank fetches a contig block — and therefore whether the
             // one-sided read crosses the node boundary — varies run to run.
@@ -128,11 +182,19 @@ fn run() {
             hs.off_node_msgs
         );
     }
-    let msg_ratio = flat.totals.off_node_msgs as f64 / (hier.totals.off_node_msgs as f64).max(1.0);
+    let (routed_flat, routed_hier) = staged
+        .iter()
+        .filter(|(name, _, _)| !ONE_SIDED_STAGES.contains(name))
+        .fold((0u64, 0u64), |(flat, hier), (_, fs, hs)| {
+            (flat + fs.off_node_msgs, hier + hs.off_node_msgs)
+        });
+    let routed_ratio = routed_flat as f64 / (routed_hier as f64).max(1.0);
     assert!(
-        msg_ratio >= 2.0,
-        "expected >= 2x fewer off-node messages overall at 8 ranks / 2 rpn, got {msg_ratio:.2}x"
+        routed_ratio >= 2.0,
+        "expected >= 2x fewer off-node messages over the fully routed stages at 8 ranks / \
+         2 rpn, got {routed_ratio:.2}x ({routed_flat} -> {routed_hier})"
     );
+    let msg_ratio = flat.totals.off_node_msgs as f64 / (hier.totals.off_node_msgs as f64).max(1.0);
     // Byte neutrality: node-leader routing repackages off-node traffic but
     // never grows it. Summed over the deterministic stages (work stealing
     // excluded, as above) the off-node payload must be *identical* in both
@@ -156,7 +218,8 @@ fn run() {
         "total off-node bytes diverged beyond stealing jitter: flat={ft} hier={ht}"
     );
     println!(
-        "8 ranks / 2 rpn: off-node messages {} -> {} ({msg_ratio:.1}x), \
+        "8 ranks / 2 rpn: off-node messages {routed_flat} -> {routed_hier} ({routed_ratio:.1}x) \
+         over the fully routed stages, {} -> {} ({msg_ratio:.2}x) over the run; \
          off-node bytes unchanged at {} (deterministic stages)",
         flat.totals.off_node_msgs,
         hier.totals.off_node_msgs,
@@ -209,7 +272,8 @@ fn run() {
 
     let snapshot = format!(
         "{{\n  \"bench\": \"ablation_topology\",\n  \"dataset\": \"mg64_tiny\",\n  \
-         \"off_msg_ratio\": {msg_ratio:.2},\n  \"runs\": [\n{}\n  ]\n}}\n",
+         \"routed_off_msg_ratio\": {routed_ratio:.2},\n  \"off_msg_ratio\": {msg_ratio:.2},\n  \
+         \"runs\": [\n{}\n  ]\n}}\n",
         snapshots.join(",\n")
     );
     let path = "BENCH_topology.json";

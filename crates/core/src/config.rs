@@ -196,6 +196,27 @@ impl AssemblyConfig {
                 ));
             }
         }
+        if self.align.stride == 0 {
+            return Err(
+                "align.stride must be >= 1, got 0 (it is the distance between the seeds sampled \
+                 from a read)"
+                    .to_string(),
+            );
+        }
+        if self.align.max_candidates == 0 {
+            return Err(
+                "align.max_candidates must be >= 1, got 0 (no placement would be verified, so \
+                 no read would align)"
+                    .to_string(),
+            );
+        }
+        let min_identity = self.align.min_identity;
+        if !(min_identity > 0.0 && min_identity <= 1.0) {
+            return Err(format!(
+                "align.min_identity must be in (0, 1], got {min_identity} (above 1 no read can \
+                 align)"
+            ));
+        }
         if self.read_block_reads == 0 || !self.read_block_reads.is_multiple_of(2) {
             return Err(format!(
                 "read_block_reads must be even and positive so paired mates always share a \
@@ -407,6 +428,15 @@ mod tests {
         };
         assert_eq!(slack.k_values().last(), Some(&109));
         assert_eq!(slack.validate(), Ok(()));
+        // No seed cache is a legal configuration (`baselines::RayMetaLike`).
+        let uncached = AssemblyConfig {
+            align: AlignParams {
+                cache_capacity: 0,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        assert_eq!(uncached.validate(), Ok(()));
         let local = |edit: fn(&mut LocalAssemblyParams)| {
             let mut cfg = AssemblyConfig::default();
             edit(&mut cfg.local);
@@ -468,6 +498,23 @@ mod tests {
             (
                 edited(|cfg| cfg.align.lookup_batch = 0),
                 "align.lookup_batch",
+            ),
+            (edited(|cfg| cfg.align.stride = 0), "align.stride"),
+            (
+                edited(|cfg| cfg.align.max_candidates = 0),
+                "align.max_candidates",
+            ),
+            (
+                edited(|cfg| cfg.align.min_identity = 0.0),
+                "align.min_identity",
+            ),
+            (
+                edited(|cfg| cfg.align.min_identity = 1.01),
+                "align.min_identity",
+            ),
+            (
+                edited(|cfg| cfg.align.min_identity = f64::NAN),
+                "align.min_identity",
             ),
             (
                 edited(|cfg| cfg.bubble.lookup_batch = 0),

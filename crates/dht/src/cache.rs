@@ -14,30 +14,38 @@
 //!   reads processed one after another — so insertion order approximates
 //!   recency without per-access bookkeeping); evictions are counted in
 //!   `CommStats::cache_evictions`.
-//! * [`CachedView`] — a cache coupled to its backing [`DistMap`], and the one
+//! * [`CachedView`] — a cache coupled to the table it fills from, and the one
 //!   way a pipeline stage reads a remote table: lookups are served from the
 //!   cache when possible and **all distinct misses of a batch are fetched in
 //!   one aggregated round**, the merAligner pattern of buffering requests per
 //!   owner and receiving batched responses.
 //!
-//! A view has two *fills* and one *admission rule*, and nothing else varies:
+//! A view has two *fills*, one *admission rule* and one *table*, and nothing
+//! else varies:
 //!
-//! * [`CachedView::get_many`] fetches the misses through the collective
-//!   [`DistMap::get_many`]; [`CachedView::get_many_onesided`] fetches them
-//!   through [`DistMap::get_many_onesided`], for dynamically scheduled loops
-//!   (work stealing, per-rank streams) that cannot reach a collective in
-//!   lockstep. The classify → fetch → admit → resolve loop around the fetch
-//!   is the same code.
+//! * [`CachedView::get_many`] fetches the misses through the table's
+//!   collective [`ReadTable::get_many`]; [`CachedView::get_many_onesided`]
+//!   fetches them through [`DistMap::get_many_onesided`], for dynamically
+//!   scheduled loops (work stealing, per-rank streams) that cannot reach a
+//!   collective in lockstep. The classify → fetch → admit → resolve loop
+//!   around the fetch is the same code.
 //! * The admission rule is fixed by the constructor. [`CachedView::new`]
-//!   (the seed index) bounds the cache by entry count and admits every
-//!   fetched key, *owner-local ones included*: on one rank every seed is
-//!   owner-local, and a cache hit is several times cheaper than a probe of
-//!   the sharded table behind its locks. [`CachedView::new_weighted`] (the
-//!   contig and read stores) bounds the cache by the values' weight and
-//!   admits *foreign* keys only: an owned block is already resident in the
-//!   rank's shard, so caching it would spend the byte budget on a second
-//!   copy and count those bytes twice in the residency figure the view
-//!   reports through its [`Residency`].
+//!   and [`CachedView::over`] bound the cache by entry count and admit every
+//!   fetched key. (The seed index reads through `over`; its cache holds
+//!   foreign seeds only because the aligner resolves the seeds its rank owns
+//!   from its shard by reference and hands the view what is left.)
+//!   [`CachedView::new_weighted`] (the contig and read stores) bounds the
+//!   cache by the values' weight and admits *foreign* keys only: an owned
+//!   block is already resident in the rank's shard, so caching it would spend
+//!   the byte budget on a second copy and count those bytes twice in the
+//!   residency figure the view reports through its [`Residency`].
+//! * The table is anything that implements [`ReadTable`]: who owns a key,
+//!   and a collective batched fetch. [`DistMap`] is the default (and the only
+//!   one with a one-sided fill); the aligner's flat seed index is the other.
+//!   The view is generic over it so that a table with its own layout — one
+//!   shard per rank, probed on the owner inside the RPC handler, answering
+//!   with a value that is not what it stores — reads through this loop
+//!   instead of growing a miss-fill loop and a cache of its own.
 
 use crate::dist_map::DistMap;
 use crate::fxhash::FxHashMap;
@@ -212,18 +220,44 @@ pub struct Residency {
     pub record_resident: fn(&Ctx, usize),
 }
 
-/// A per-rank read-only view of a [`DistMap`] through a [`SoftwareCache`]
-/// that fills **all** cache misses of a batch in a single aggregated round.
-/// Create one per phase; it is not shared between ranks. See the module
-/// documentation for the two fills and the admission rule.
-pub struct CachedView<'m, K, V> {
-    map: &'m DistMap<K, V>,
+/// A read-only distributed table a [`CachedView`] can fill from.
+pub trait ReadTable<K, V> {
+    /// The owner rank of a key (deterministic across ranks).
+    fn owner_of(&self, key: &K) -> usize;
+
+    /// **Collective** batched read: the values of `keys`, in key order,
+    /// fetched from their owners in aggregated messages of at most `batch`
+    /// requests. Duplicates and absent keys are fine; an empty `keys` slice
+    /// still participates.
+    fn get_many(&self, ctx: &Ctx, keys: &[K], batch: usize) -> Vec<Option<V>>;
+}
+
+impl<K, V> ReadTable<K, V> for DistMap<K, V>
+where
+    K: Hash + Eq + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+{
+    fn owner_of(&self, key: &K) -> usize {
+        DistMap::owner_of(self, key)
+    }
+
+    fn get_many(&self, ctx: &Ctx, keys: &[K], batch: usize) -> Vec<Option<V>> {
+        DistMap::get_many(self, ctx, keys, batch)
+    }
+}
+
+/// A per-rank read-only view of a distributed table through a
+/// [`SoftwareCache`] that fills **all** cache misses of a batch in a single
+/// aggregated round. Create one per phase; it is not shared between ranks.
+/// See the module documentation for the fills, the admission rule and the
+/// table parameter.
+pub struct CachedView<'m, K, V, T = DistMap<K, V>> {
+    map: &'m T,
     cache: SoftwareCache<K, V>,
     /// Per-owner request batch size handed to the RPC layer.
     batch: usize,
-    /// `None`: every fetched key is admitted ([`CachedView::new`]). `Some`:
-    /// foreign keys only, and each fill is reported here
-    /// ([`CachedView::new_weighted`]).
+    /// `None`: every fetched key is admitted. `Some`: foreign keys only, and
+    /// each fill is reported here ([`CachedView::new_weighted`]).
     residency: Option<Residency>,
 }
 
@@ -236,13 +270,7 @@ where
     /// fetched key, batching requests into aggregated messages of at most
     /// `batch` lookups per owner.
     pub fn new(map: &'m DistMap<K, V>, capacity: usize, batch: usize) -> Self {
-        assert!(batch > 0, "batch size must be positive");
-        CachedView {
-            map,
-            cache: SoftwareCache::new(capacity),
-            batch,
-            residency: None,
-        }
+        CachedView::over(map, capacity, batch)
     }
 
     /// Creates a view whose cache is bounded to `capacity` units of
@@ -255,12 +283,37 @@ where
         weigher: impl Fn(&V) -> usize + Send + Sync + 'static,
         residency: Residency,
     ) -> Self {
+        CachedView {
+            cache: SoftwareCache::new_weighted(capacity, weigher),
+            residency: Some(residency),
+            ..CachedView::over(map, capacity, batch)
+        }
+    }
+
+    /// One-sided batched lookup for dynamically scheduled loops (work
+    /// stealing, per-rank streams) that cannot reach a collective in
+    /// lockstep: like [`CachedView::get_many`], but the misses are read
+    /// through [`DistMap::get_many_onesided`]. Not collective.
+    pub fn get_many_onesided(&mut self, ctx: &Ctx, keys: &[K]) -> Vec<Option<V>> {
+        self.get_many_with(ctx, keys, |map, misses| map.get_many_onesided(ctx, misses))
+    }
+}
+
+impl<'m, K, V, T> CachedView<'m, K, V, T>
+where
+    K: Hash + Eq + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    T: ReadTable<K, V>,
+{
+    /// [`CachedView::new`] over any [`ReadTable`]. (A constructor of its own
+    /// because `new` names `DistMap`, so that an `&Arc<DistMap>` coerces.)
+    pub fn over(table: &'m T, capacity: usize, batch: usize) -> Self {
         assert!(batch > 0, "batch size must be positive");
         CachedView {
-            map,
-            cache: SoftwareCache::new_weighted(capacity, weigher),
+            map: table,
+            cache: SoftwareCache::new(capacity),
             batch,
-            residency: Some(residency),
+            residency: None,
         }
     }
 
@@ -285,7 +338,7 @@ where
 
     /// **Collective** batched lookup: serves cache hits locally, fetches
     /// every distinct miss of the batch in **one** aggregated round trip
-    /// through [`DistMap::get_many`], and returns the results in key order.
+    /// through [`ReadTable::get_many`], and returns the results in key order.
     /// Duplicate keys within the batch cost one fetch (and count as hits
     /// beyond the first occurrence); absent keys are fine. Every rank must
     /// call this in the same phase; an empty `keys` slice still participates
@@ -295,14 +348,6 @@ where
         self.get_many_with(ctx, keys, |map, misses| map.get_many(ctx, misses, batch))
     }
 
-    /// One-sided batched lookup for dynamically scheduled loops (work
-    /// stealing, per-rank streams) that cannot reach a collective in
-    /// lockstep: like [`CachedView::get_many`], but the misses are read
-    /// through [`DistMap::get_many_onesided`]. Not collective.
-    pub fn get_many_onesided(&mut self, ctx: &Ctx, keys: &[K]) -> Vec<Option<V>> {
-        self.get_many_with(ctx, keys, |map, misses| map.get_many_onesided(ctx, misses))
-    }
-
     /// The one miss-fill loop: classify each key as cached or to be fetched,
     /// `fetch` the distinct misses, admit what the view's rule allows, and
     /// resolve every key from the cache or the fetch.
@@ -310,7 +355,7 @@ where
         &mut self,
         ctx: &Ctx,
         keys: &[K],
-        fetch: impl FnOnce(&DistMap<K, V>, &[K]) -> Vec<Option<V>>,
+        fetch: impl FnOnce(&T, &[K]) -> Vec<Option<V>>,
     ) -> Vec<Option<V>> {
         let mut misses: Vec<K> = Vec::new();
         let mut miss_index: FxHashMap<K, usize> = FxHashMap::default();
@@ -677,12 +722,7 @@ mod tests {
     fn every_view_matches_a_per_key_oracle() {
         // (what, byte-weighted and foreign-only, capacity, one-sided fill)
         let cases = [
-            (
-                "entries, admits owned, collective: seed index",
-                false,
-                16,
-                false,
-            ),
+            ("entries, admits every key, collective", false, 16, false),
             (
                 "weighted, foreign-only, collective: stores",
                 true,

@@ -40,7 +40,7 @@ pub mod histogram;
 pub mod partition;
 
 pub use bloom::DistBloom;
-pub use cache::{CachedView, Residency, SoftwareCache};
+pub use cache::{CachedView, ReadTable, Residency, SoftwareCache};
 pub use dist_map::{bulk_merge, DistMap, LocalShardView};
 pub use fxhash::{fx_hash_one, FxHashMap, FxHashSet, FxHasher};
 pub use histogram::DistHistogram;

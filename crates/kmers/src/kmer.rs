@@ -49,27 +49,46 @@ impl Kmer {
         })
     }
 
-    /// Builds a k-mer from the first `k` bases of a little-endian 2-bit
+    /// Builds a k-mer from bases `start..start + k` of a little-endian 2-bit
     /// packed stream (base `i` in bits `2*(i%4)` of byte `i/4`). This is the
     /// exact in-memory layout of `words`, shared with `dbg::PackedSeq` data
-    /// and the supermer wire records, so the conversion is a copy plus mask.
+    /// and the supermer wire records, so the conversion is a five-word load
+    /// (`2k` bits plus up to 6 bits of in-byte offset), a shift and a mask —
+    /// which is what lets a caller pack a sequence once and cut every window
+    /// out of the packing.
     ///
     /// # Panics
-    /// Panics if `k == 0`, `k > MAX_K`, or `data` holds fewer than
-    /// `k.div_ceil(4)` bytes.
-    pub fn from_packed(data: &[u8], k: usize) -> Self {
+    /// Panics if `k == 0`, `k > MAX_K`, or `data` ends before base
+    /// `start + k`.
+    pub fn from_packed(data: &[u8], start: usize, k: usize) -> Self {
         assert!(k > 0 && k <= MAX_K, "k must be in 1..={MAX_K}, got {k}");
-        let nbytes = k.div_ceil(4);
+        let byte = start / 4;
+        let end = (start + k).div_ceil(4);
         assert!(
-            data.len() >= nbytes,
-            "packed stream holds {} bytes, k={k} needs {nbytes}",
-            data.len()
+            data.len() >= end,
+            "packed stream holds {} bytes, bases {start}..{} need {end}",
+            data.len(),
+            start + k
         );
-        let mut bytes = [0u8; 32];
-        bytes[..nbytes].copy_from_slice(&data[..nbytes]);
+        let bytes: [u8; 40] = match data.get(byte..byte + 40) {
+            Some(full) => full.try_into().expect("40-byte slice"),
+            None => {
+                let mut padded = [0u8; 40];
+                padded[..data.len() - byte].copy_from_slice(&data[byte..]);
+                padded
+            }
+        };
+        let mut loaded = [0u64; 5];
+        for (i, w) in loaded.iter_mut().enumerate() {
+            *w = u64::from_le_bytes(bytes[i * 8..(i + 1) * 8].try_into().expect("8-byte chunk"));
+        }
+        let shift = 2 * (start % 4);
         let mut words = [0u64; 4];
         for (i, w) in words.iter_mut().enumerate() {
-            *w = u64::from_le_bytes(bytes[i * 8..(i + 1) * 8].try_into().expect("8-byte chunk"));
+            *w = loaded[i] >> shift;
+            if shift > 0 {
+                *w |= loaded[i + 1] << (64 - shift);
+            }
         }
         let mut km = Kmer { words, k: k as u16 };
         km.mask_to_k();
@@ -437,22 +456,42 @@ mod tests {
     }
 
     #[test]
-    fn from_packed_matches_from_bytes() {
-        let s: Vec<u8> = (0..100).map(|i| b"ACGT"[(i * 5 + 2) % 4]).collect();
-        for k in [1usize, 3, 4, 31, 32, 33, 64, 65, 96, 100] {
-            let km = Kmer::from_bytes(&s[..k]).unwrap();
-            let packed = km.packed_le_bytes();
-            assert_eq!(Kmer::from_packed(&packed, k), km, "k={k}");
-            // Garbage beyond the k-th base must be masked away.
-            let mut noisy = packed;
-            for b in noisy.iter_mut().skip(k.div_ceil(4)) {
-                *b = 0xFF;
+    fn from_packed_matches_from_bytes_at_every_offset_and_k() {
+        // 4 in-byte offsets x every k, at a start deep enough that both the
+        // 40-byte fast load and the zero-padded tail are exercised, in a
+        // stream whose other bases are all `T` (all-ones bits) so anything
+        // the shift or the mask lets through shows.
+        let s: Vec<u8> = (0..MAX_K + 3)
+            .map(|i| b"ACGT"[(i * 5 + i / 7 + 2) % 4])
+            .collect();
+        for lead in 0..8usize {
+            for k in 1..=MAX_K {
+                for trail in [0usize, 200] {
+                    let mut seq = vec![b'T'; lead];
+                    seq.extend_from_slice(&s[..k]);
+                    seq.resize(lead + k + trail, b'T');
+                    let mut packed = vec![0u8; seq.len().div_ceil(4)];
+                    kernels::pack_ascii(&seq, &mut packed, |_, _| unreachable!());
+                    if trail == 0 && (lead + k) % 4 != 0 {
+                        // Garbage in the last byte beyond the final base.
+                        *packed.last_mut().unwrap() |= 0xFF << (2 * ((lead + k) % 4));
+                    }
+                    assert_eq!(
+                        Kmer::from_packed(&packed, lead, k),
+                        Kmer::from_bytes(&s[..k]).unwrap(),
+                        "start={lead} k={k} trail={trail}"
+                    );
+                }
             }
-            if k % 4 != 0 {
-                noisy[k / 4] |= 0xFF << (2 * (k % 4));
-            }
-            assert_eq!(Kmer::from_packed(&noisy, k), km, "masked k={k}");
         }
+        let km = Kmer::from_bytes(&s[..100]).unwrap();
+        assert_eq!(Kmer::from_packed(&km.packed_le_bytes(), 0, 100), km);
+    }
+
+    #[test]
+    #[should_panic(expected = "packed stream holds")]
+    fn from_packed_rejects_a_window_past_the_end() {
+        let _ = Kmer::from_packed(&[0u8; 8], 30, 3);
     }
 
     #[test]

@@ -448,7 +448,7 @@ impl SupermerRecord<'_> {
     #[inline]
     pub fn first_kmer(&self, k: usize) -> Kmer {
         assert!(self.len >= k, "supermer shorter than k");
-        Kmer::from_packed(self.packed, k)
+        Kmer::from_packed(self.packed, 0, k)
     }
 }
 

@@ -3,8 +3,10 @@
 //! Every scenario in this crate is a small SPMD program with a property that
 //! must hold under *any* thread interleaving: mailbox reuse stays
 //! linearizable, back-to-back aggregators never alias each other's leases,
-//! a killed rank's poison reaches every survivor (nobody deadlocks), and
-//! cached reads agree with the authoritative table. The harness runs each
+//! a killed rank's poison reaches every survivor (nobody deadlocks), cached
+//! reads agree with the authoritative table, and the alignment collective
+//! gives the one-rank answer when some ranks run out of reads long before
+//! others. The harness runs each
 //! scenario with the [`mhm_sched`] shim enabled, which injects seeded
 //! yields and micro-sleeps at the runtime's `yield_point` call sites —
 //! barrier entry/exit, mailbox deposit/drain, cache probes — so
@@ -361,6 +363,83 @@ fn cached_view_onesided_fill(_seed: u64) -> Result<(), String> {
     Ok(())
 }
 
+/// The alignment collective with uneven ranks: one rank holds no reads at
+/// all and the others hold very different numbers of read blocks, so most
+/// block rounds — the stop vote, the foreign-seed fetch, the contig fetch —
+/// run with some ranks long done and serving empty batches. The seed index is
+/// built from the contig store. Every rank's alignments must equal what one
+/// rank computes for the same reads.
+fn alignment_uneven_ranks(_seed: u64) -> Result<(), String> {
+    const RANKS: usize = 4;
+    const READS: usize = 64;
+    const READ_LEN: usize = 60;
+    // One xorshift stream makes the contigs; the reads are windows of them.
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut base = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        b"ACGT"[(state % 4) as usize]
+    };
+    let genome: Vec<u8> = (0..1200).map(|_| base()).collect();
+    let contigs = dbg::ContigSet::from_sequences(
+        21,
+        genome.chunks(300).map(|c| (c.to_vec(), 10.0)).collect(),
+    );
+    let reads: Vec<(seqio::ReadId, seqio::Read)> = (0..READS)
+        .map(|i| {
+            let at = (i * 37) % (genome.len() - READ_LEN);
+            let mut seq = genome[at..at + READ_LEN].to_vec();
+            if i % 3 == 0 {
+                seq = seqio::alphabet::revcomp(&seq);
+            }
+            let read = seqio::Read::with_uniform_quality(format!("r{i}"), &seq, 35);
+            (i as seqio::ReadId, read)
+        })
+        .collect();
+    // Two reads fill a block of 16 lookups: rank 2 runs ~20 rounds, rank 0 none.
+    let params = aligner::AlignParams {
+        seed_len: 15,
+        stride: 6,
+        min_aligned_len: 20,
+        cache_capacity: 8,
+        lookup_batch: 16,
+        ..Default::default()
+    };
+    let align = |ctx: &pgas::Ctx, mine: Vec<(seqio::ReadId, seqio::Read)>| {
+        let store = dbg::ContigStore::build(ctx, &contigs, &Default::default());
+        let contigs = dbg::ContigsRef::Store(&store);
+        let index = aligner::build_seed_index_ref(ctx, contigs, params.seed_len);
+        let set = aligner::align_reads_ref(ctx, mine, contigs, &index, &params);
+        // The store is dropped only after the slowest rank's last fetch.
+        ctx.barrier();
+        set.alignments
+    };
+    let serial = Team::single_node(1)
+        .run(|ctx| align(ctx, reads.clone()))
+        .remove(0);
+    if serial.len() < READS {
+        return Err(format!("only {} of {READS} reads aligned", serial.len()));
+    }
+    let owner = |id: seqio::ReadId| [2, 1, 2, 3, 2, 2, 3, 2][id as usize % 8];
+    let team = Team::new(Topology::new(RANKS, 2));
+    let per_rank = team.run(|ctx| {
+        let mine = reads.iter().filter(|(id, _)| owner(*id) == ctx.rank());
+        align(ctx, mine.cloned().collect())
+    });
+    for (rank, got) in per_rank.iter().enumerate() {
+        let want: Vec<_> = serial.iter().filter(|a| owner(a.read_id) == rank).collect();
+        if got.iter().ne(want.iter().copied()) {
+            return Err(format!(
+                "rank {rank}: {} alignments diverge from the 1-rank answer's {}",
+                got.len(),
+                want.len()
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// A scenario body: takes the perturbation seed, returns the verdict.
 pub type ScenarioFn = fn(u64) -> Result<(), String>;
 
@@ -375,6 +454,7 @@ pub const SCENARIOS: &[(&str, ScenarioFn)] = &[
     ),
     ("cached_view_consistency", cached_view_consistency),
     ("cached_view_onesided_fill", cached_view_onesided_fill),
+    ("alignment_uneven_ranks", alignment_uneven_ranks),
 ];
 
 /// Runs every scenario once at `seed` and returns all verdicts.

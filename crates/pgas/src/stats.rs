@@ -167,6 +167,16 @@ counters! {
     /// Cells its exact pass filled: the contigs the bound could not reject
     /// (all classified contigs when the filter stands aside).
     hmm_exact_cells: Sum,
+    /// Seed lookups alignment resolved against the seed index (one per
+    /// sampled read seed), recorded once per read block on the aligning rank.
+    seed_lookups: Sum,
+    /// The subset of `seed_lookups` whose seed another rank owns — the ones
+    /// that go through the software cache and, on a miss, over the wire.
+    seed_lookups_remote: Sum,
+    /// Seed hits (contig positions) those lookups returned.
+    seed_hits: Sum,
+    /// Candidate placements alignment compared against a contig window.
+    align_candidates_verified: Sum,
 }
 
 impl StatsSnapshot {
@@ -243,7 +253,7 @@ mod tests {
     #[test]
     fn every_counter_round_trips_through_snapshot_add_delta_and_reset() {
         let (a, n) = distinct();
-        assert!(n >= 22, "the table lost counters: {n}");
+        assert!(n >= 30, "the table lost counters: {n}");
         let stats = CommStats::default();
         stats.store(&a);
         assert_eq!(stats.snapshot(), a);

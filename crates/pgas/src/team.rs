@@ -756,6 +756,22 @@ impl<'t> Ctx<'t> {
         stats.hmm_exact_cells.fetch_add(exact, Ordering::Relaxed);
     }
 
+    /// Records one read block of alignment work: the seed lookups it
+    /// resolved, how many of them another rank owns, the hits they returned
+    /// and the candidate placements verified against contig windows.
+    #[inline]
+    pub fn record_alignment_block(&self, lookups: u64, remote: u64, hits: u64, verified: u64) {
+        let stats = self.stats();
+        stats.seed_lookups.fetch_add(lookups, Ordering::Relaxed);
+        stats
+            .seed_lookups_remote
+            .fetch_add(remote, Ordering::Relaxed);
+        stats.seed_hits.fetch_add(hits, Ordering::Relaxed);
+        stats
+            .align_candidates_verified
+            .fetch_add(verified, Ordering::Relaxed);
+    }
+
     /// Records `n` software-cache hits on this rank.
     #[inline]
     pub fn record_cache_hits(&self, n: u64) {
