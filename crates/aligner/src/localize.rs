@@ -95,7 +95,6 @@ pub fn localize_pairs(
     num_pairs: usize,
     local_alignments: &[Alignment],
 ) -> ReadDistribution {
-    let ranks = ctx.ranks();
     // For every locally known pair, pick the contig of the best alignment of
     // either mate (deterministic: highest matches, ties to lower contig id).
     let mut best: std::collections::HashMap<u64, (usize, u64)> = std::collections::HashMap::new();
@@ -114,21 +113,16 @@ pub fn localize_pairs(
         .collect();
 
     // Gather all assignments on rank 0 and build the full distribution.
-    let mut outgoing: Vec<Vec<(u64, u64)>> = vec![Vec::new(); ranks];
-    outgoing[0] = assignments;
-    let gathered = ctx.exchange(outgoing);
-    let dist = if ctx.rank() == 0 {
+    let gathered = ctx.gather(assignments);
+    ctx.broadcast(|| {
         let mut targets = vec![u64::MAX; num_pairs];
         for (pair, contig) in gathered {
             if (pair as usize) < num_pairs {
                 targets[pair as usize] = contig;
             }
         }
-        ReadDistribution::from_targets(targets, ranks)
-    } else {
-        ReadDistribution::default()
-    };
-    ctx.broadcast(|| dist)
+        ReadDistribution::from_targets(targets, ctx.ranks())
+    })
 }
 
 #[cfg(test)]

@@ -20,9 +20,6 @@
 //! the retired baselines' frozen numbers, and the scaffolds are
 //! byte-identical at every rank count. The measured numbers are written to
 //! `BENCH_traversal.json` so the perf trajectory accumulates across commits.
-//!
-//! It also carries the conformance-checking budget: <5% wall-clock at 4
-//! ranks.
 
 use baselines::{Assembler, MetaHipMerAssembler};
 use mhm_bench::{print_table, scaffold_digest, scaled_eval_params, team};
@@ -134,39 +131,9 @@ fn run() {
         "scaffolds must be byte-identical at every rank count, got digests {digests:016x?}"
     );
 
-    // ---- Conformance-checking overhead guard --------------------------------
-    // The collective-conformance checker must stay cheap enough to leave on
-    // in every debug/test run: budget <5% wall-clock on a 4-rank assembly
-    // (plus a small absolute slack — these runs finish in well under a
-    // second, where scheduler noise dwarfs percentages). Min-of-repeats on
-    // both sides cancels warm-up effects.
-    let timed_run = |conformance: bool| {
-        let team = team(4);
-        team.set_conformance_checking(conformance);
-        let start = std::time::Instant::now();
-        let out = assembler.assemble(&team, &ds.library, Some(&ds.rrna_consensus));
-        let secs = start.elapsed().as_secs_f64();
-        assert!(!out.sequences().is_empty());
-        secs
-    };
-    const REPS: usize = 3;
-    let off = (0..REPS).map(|_| timed_run(false)).fold(f64::MAX, f64::min);
-    let on = (0..REPS).map(|_| timed_run(true)).fold(f64::MAX, f64::min);
-    let overhead_pct = (on / off - 1.0) * 100.0;
-    println!(
-        "Conformance checking at 4 ranks: off {off:.3}s, on {on:.3}s ({overhead_pct:+.1}% \
-         wall-clock)"
-    );
-    assert!(
-        on <= off * 1.05 + 0.050,
-        "conformance checking costs more than 5% wall-clock at 4 ranks: \
-         off {off:.3}s vs on {on:.3}s ({overhead_pct:+.1}%)"
-    );
-
     // ---- Snapshot for the perf trajectory -----------------------------------
     let snapshot = format!(
         "{{\n  \"bench\": \"ablation_traversal\",\n  \"dataset\": \"mg64_tiny\",\n  \
-         \"conformance_overhead_pct\": {overhead_pct:.2},\n  \
          \"runs\": [\n{}\n  ]\n}}\n",
         snapshots.join(",\n")
     );

@@ -679,15 +679,10 @@ pub fn commit(ctx: &Ctx, dir: &Path, mut manifest: Manifest, shard: &ShardData) 
     // itself is a collective, but it runs after the stamps were read, so the
     // stamps describe the application's schedule up to this commit.
     let (ops, digest) = ctx.team().conformance_stamp(ctx.rank());
-    let mut outgoing: Vec<Vec<(u64, u64, u64)>> = vec![Vec::new(); ctx.ranks()];
-    outgoing[0].push((ctx.rank() as u64, ops, digest));
-    let gathered = ctx.exchange(outgoing);
+    let mut stamps = ctx.gather(vec![(ctx.rank() as u64, ops, digest)]);
     if ctx.rank() == 0 {
-        let mut stamps: Vec<(u64, u64, u64)> = gathered;
         stamps.sort_unstable_by_key(|&(rank, _, _)| rank);
         manifest.conformance = stamps.into_iter().map(|(_, o, d)| (o, d)).collect();
-    }
-    if ctx.rank() == 0 {
         if stage.exists() {
             fs::remove_dir_all(&stage)
                 .unwrap_or_else(|e| panic!("checkpoint: clear stale staging dir: {e}"));

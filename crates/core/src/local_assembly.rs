@@ -161,7 +161,6 @@ pub fn extend_contigs_locally_ref(
     // contigs, and extracts the reads relevant to each contig to local
     // storage." (§II-G). The pool table is a distributed hash table populated
     // with the usual aggregated update-only phase.
-    let ranks = ctx.ranks();
     let pool_table: Arc<DistMap<u64, Vec<Vec<u8>>>> = DistMap::shared(ctx);
     bulk_merge(ctx, &pool_table, pools, 1024, |a, mut b| a.append(&mut b));
 
@@ -209,21 +208,12 @@ pub fn extend_contigs_locally_ref(
     ctx.barrier();
 
     // ---- Gather the extended contigs into a new deterministic set ------------
-    let mut out: Vec<Vec<(u64, Vec<u8>, f64)>> = vec![Vec::new(); ranks];
-    out[0] = extended_local;
-    let gathered = ctx.exchange(out);
-    let set = if ctx.rank() == 0 {
-        ContigSet::from_sequences(
-            contigs.k(),
-            gathered
-                .into_iter()
-                .map(|(_, seq, depth)| (seq, depth))
-                .collect(),
-        )
-    } else {
-        ContigSet::new(contigs.k())
-    };
-    (ctx.broadcast(|| set), processed)
+    let gathered = ctx.gather(extended_local);
+    let set = ctx.broadcast(|| {
+        let seqs = gathered.into_iter().map(|(_, seq, depth)| (seq, depth));
+        ContigSet::from_sequences(contigs.k(), seqs.collect())
+    });
+    (set, processed)
 }
 
 /// Decides pool membership from metadata only. Each entry is one pool push:

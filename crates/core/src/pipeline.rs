@@ -451,19 +451,14 @@ impl MetaHipMer {
         let stages = timings.reduce(ctx);
         let total_seconds = ctx.allreduce_max_f64(start.elapsed().as_secs_f64());
         let work_per_rank = {
-            let mut outgoing: Vec<Vec<(usize, usize)>> = vec![Vec::new(); ctx.ranks()];
-            outgoing[0] = vec![(ctx.rank(), local_work)];
-            let gathered = ctx.exchange(outgoing);
-            let per_rank = if ctx.rank() == 0 {
+            let gathered = ctx.gather(vec![(ctx.rank(), local_work)]);
+            ctx.broadcast(|| {
                 let mut v = vec![0usize; ctx.ranks()];
                 for (r, w) in gathered {
                     v[r] = w;
                 }
                 v
-            } else {
-                Vec::new()
-            };
-            ctx.broadcast(|| per_rank)
+            })
         };
         AssemblyOutput {
             scaffolds,

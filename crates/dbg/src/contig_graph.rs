@@ -177,14 +177,9 @@ pub fn build_adjacency(
     });
 
     // --- Gather ends and pairs on rank 0, broadcast the result ----------------
-    let mut ends_out: Vec<Vec<(ContigId, ContigEnds)>> = vec![Vec::new(); ctx.ranks()];
-    ends_out[0] = my_ends;
-    let all_ends = ctx.exchange(ends_out);
-    let mut pairs_out: Vec<Vec<(ContigId, ContigId)>> = vec![Vec::new(); ctx.ranks()];
-    pairs_out[0] = my_pairs;
-    let all_pairs = ctx.exchange(pairs_out);
-
-    let adjacency = if ctx.rank() == 0 {
+    let all_ends = ctx.gather(my_ends);
+    let all_pairs = ctx.gather(my_pairs);
+    ctx.broadcast(|| {
         let mut ends = vec![ContigEnds::default(); n];
         for (id, e) in all_ends {
             ends[id as usize] = e;
@@ -199,10 +194,7 @@ pub fn build_adjacency(
             ns.dedup();
         }
         ContigAdjacency { ends, neighbors }
-    } else {
-        ContigAdjacency::default()
-    };
-    (*ctx.share(|| adjacency)).clone()
+    })
 }
 
 #[cfg(test)]

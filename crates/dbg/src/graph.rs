@@ -102,25 +102,13 @@ pub fn build_graph(ctx: &Ctx, counts: &KmerCountsMap, policy: ThresholdPolicy) -
     graph
 }
 
-/// Looks up a k-mer *in the orientation the caller is walking in*: the k-mer
-/// is canonicalised for the table lookup and, if the canonical form is the
-/// reverse complement, the left/right extensions are swapped and complemented
-/// so they are expressed in the caller's orientation.
-pub fn lookup_oriented(
-    ctx: &Ctx,
-    graph: &DistMap<Kmer, KmerVertex>,
-    kmer: &Kmer,
-) -> Option<OrientedVertex> {
-    let (canon, was_rc) = kmer.canonical();
-    let v = graph.get_cloned(ctx, &canon)?;
-    Some(orient(v, canon, was_rc))
-}
-
-/// Batched, collective counterpart of [`lookup_oriented`]: canonicalises
-/// every queried k-mer, resolves all of them in a single aggregated
-/// request–response round trip ([`DistMap::get_many`]), and re-orients each
-/// result into its caller's walk orientation. Every rank must call this in
-/// the same phase (an empty `kmers` slice still participates); `batch` is the
+/// Looks up k-mers *in the orientation the caller is walking in*:
+/// canonicalises every queried k-mer, resolves all of them in a single
+/// aggregated request–response round trip ([`DistMap::get_many`]), and
+/// re-orients each result into its caller's walk orientation (if the
+/// canonical form is the reverse complement, the left/right extensions are
+/// swapped and complemented). Collective: every rank must call this in the
+/// same phase (an empty `kmers` slice still participates); `batch` is the
 /// per-owner aggregation size of the underlying messages.
 pub fn lookup_oriented_many(
     ctx: &Ctx,
@@ -174,6 +162,23 @@ pub(crate) fn orient(v: KmerVertex, canonical: Kmer, was_rc: bool) -> OrientedVe
             used: v.used,
         }
     }
+}
+
+/// Looks up one k-mer *in the orientation the caller is walking in*: the
+/// k-mer is canonicalised for the table lookup and, if the canonical form is
+/// the reverse complement, the left/right extensions are swapped and
+/// complemented so they are expressed in the caller's orientation. One
+/// message per key, so only tests use it: the per-hop walker oracle and the
+/// oracles of [`lookup_oriented_many`], which every stage reads through.
+#[cfg(test)]
+pub(crate) fn lookup_oriented(
+    ctx: &Ctx,
+    graph: &DistMap<Kmer, KmerVertex>,
+    kmer: &Kmer,
+) -> Option<OrientedVertex> {
+    let (canon, was_rc) = kmer.canonical();
+    let v = graph.get_cloned(ctx, &canon)?;
+    Some(orient(v, canon, was_rc))
 }
 
 #[cfg(test)]

@@ -87,15 +87,8 @@ pub fn prune_iteratively(
         }
         let pruned_any = ctx.allreduce_any(!my_removals.is_empty());
         // Share removals so every rank updates the same alive mask.
-        let mut outgoing: Vec<Vec<ContigId>> = vec![Vec::new(); ctx.ranks()];
-        outgoing[0] = my_removals;
-        let gathered = ctx.exchange(outgoing);
-        let all_removals: Vec<ContigId> = if ctx.rank() == 0 {
-            gathered
-        } else {
-            Vec::new()
-        };
-        let all_removals = ctx.broadcast(|| all_removals);
+        let gathered = ctx.gather(my_removals);
+        let all_removals = ctx.broadcast(|| gathered);
         for id in &all_removals {
             if alive[*id as usize] {
                 alive[*id as usize] = false;

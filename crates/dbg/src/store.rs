@@ -251,14 +251,11 @@ impl ContigStore {
     /// collects the owned shards, orders by id, broadcast). Used to
     /// materialise the pipeline's final output; the hot paths never call it.
     pub fn materialize(&self, ctx: &Ctx) -> ContigSet {
-        let mut outgoing: Vec<Vec<(ContigId, Vec<u8>)>> = vec![Vec::new(); ctx.ranks()];
         let mut local: Vec<(ContigId, Vec<u8>)> = Vec::new();
         self.map
             .for_each_local(ctx, |id, v| local.push((*id, v.unpack())));
-        outgoing[0] = local;
-        let gathered = ctx.exchange(outgoing);
-        let set = if ctx.rank() == 0 {
-            let mut gathered = gathered;
+        let mut gathered = ctx.gather(local);
+        ctx.broadcast(|| {
             gathered.sort_by_key(|(id, _)| *id);
             ContigSet {
                 contigs: gathered
@@ -271,10 +268,7 @@ impl ContigStore {
                     .collect(),
                 k: self.k,
             }
-        } else {
-            ContigSet::new(self.k)
-        };
-        ctx.broadcast(|| set)
+        })
     }
 }
 

@@ -62,15 +62,8 @@ pub fn traverse_contigs(
 /// Gathers every rank's emitted contigs into one deterministic set shared by
 /// all ranks. Collective.
 pub(crate) fn share_contig_set(ctx: &Ctx, k: usize, local: Vec<(Vec<u8>, f64)>) -> ContigSet {
-    let mut outgoing: Vec<Vec<(Vec<u8>, f64)>> = vec![Vec::new(); ctx.ranks()];
-    outgoing[0] = local;
-    let gathered = ctx.exchange(outgoing);
-    let set = if ctx.rank() == 0 {
-        ContigSet::from_sequences(k, gathered)
-    } else {
-        ContigSet::new(k)
-    };
-    ctx.broadcast(|| set)
+    let gathered = ctx.gather(local);
+    ctx.broadcast(|| ContigSet::from_sequences(k, gathered))
 }
 
 pub(crate) fn push_contig(

@@ -3,8 +3,9 @@
 //! Every scenario in this crate is a small SPMD program with a property that
 //! must hold under *any* thread interleaving: mailbox reuse stays
 //! linearizable, back-to-back aggregators never alias each other's leases,
-//! a killed rank's poison reaches every survivor (nobody deadlocks), cached
-//! reads agree with the authoritative table, and the alignment collective
+//! live collectives that share a mailbox type (blobs and `Vec<u8>` items)
+//! never see each other's deposits, a killed rank's poison reaches every
+//! survivor (nobody deadlocks), cached reads agree with the authoritative table, and the alignment collective
 //! gives the one-rank answer when some ranks run out of reads long before
 //! others. The harness runs each
 //! scenario with the [`mhm_sched`] shim enabled, which injects seeded
@@ -208,6 +209,92 @@ fn aggregator_slot_reuse(_seed: u64) -> Result<(), String> {
             }
         }
         Ok(())
+    });
+    results.into_iter().collect::<Result<Vec<()>, _>>()?;
+    Ok(())
+}
+
+/// Every `[tag, phase, dest, src, i]` record in `got` must carry `tag` and
+/// `phase`, be addressed to this rank, and the `(src, i)` pairs must be exactly
+/// the sorted `want` — each once.
+fn check_records(
+    ctx: &pgas::Ctx,
+    (face, tag): (&str, u8),
+    phase: u8,
+    got: &[u8],
+    want: &[(u8, u8)],
+) -> Result<(), String> {
+    let mut seen = Vec::new();
+    for rec in got.chunks(5) {
+        if rec.len() != 5 || rec[0] != tag || rec[1] != phase || rec[2] as usize != ctx.rank() {
+            return Err(format!(
+                "rank {} phase {phase}: {face} delivered a foreign or stale record {rec:?}",
+                ctx.rank()
+            ));
+        }
+        seen.push((rec[3], rec[4]));
+    }
+    seen.sort_unstable();
+    if seen != want {
+        return Err(format!(
+            "rank {} phase {phase}: {face} delivered {seen:?}, expected each of {want:?} once",
+            ctx.rank()
+        ));
+    }
+    Ok(())
+}
+
+/// Same-typed collectives live together under two-level routing: a
+/// `BlobAggregator` ships `Vec<u8>` blobs through the same pooled mailbox type
+/// as an `Aggregator<Vec<u8>>` and a `Ctx::exchange::<Vec<u8>>`, and only
+/// lease indices keep two live ones apart. Both aggregators push interleaved,
+/// finish in alternating orders, and an exchange runs between phases; every
+/// record must reach its owner exactly once, with no cross-talk.
+fn same_typed_collectives(_seed: u64) -> Result<(), String> {
+    const RANKS: usize = 4;
+    const ITEMS: usize = 24;
+    let team = Team::new(Topology::new(RANKS, 2));
+    team.set_hierarchical_exchange(true);
+    let results = team.run(|ctx| {
+        let (r, n) = (ctx.rank(), ctx.ranks());
+        let rec = |tag: u8, phase: u8, dest: usize, i: usize| {
+            vec![tag, phase, dest as u8, r as u8, i as u8]
+        };
+        // Item `i` of rank `src` goes to `(i + src) % n`; the exchange sends
+        // item 0 to everyone.
+        let senders: Vec<(u8, u8)> = (0..n as u8).map(|src| (src, 0)).collect();
+        let want: Vec<(u8, u8)> = (0..n)
+            .flat_map(|src| {
+                (0..ITEMS)
+                    .filter(move |i| (i + src) % n == r)
+                    .map(move |i| (src as u8, i as u8))
+            })
+            .collect();
+        for phase in 0u8..4 {
+            let mut blobs = pgas::BlobAggregator::new(ctx, 8);
+            let mut items = pgas::Aggregator::<Vec<u8>>::new(ctx, 3);
+            for i in 0..ITEMS {
+                let dest = (i + r) % n;
+                blobs.push_record(dest, &rec(b'B', phase, dest, i));
+                items.push(dest, rec(b'A', phase, dest, i));
+            }
+            let (got_blobs, got_items) = if phase % 2 == 0 {
+                let blobs = blobs.finish();
+                (blobs, items.finish())
+            } else {
+                let items = items.finish();
+                (blobs.finish(), items)
+            };
+            let exchanged =
+                ctx.exchange((0..n).map(|dest| vec![rec(b'X', phase, dest, 0)]).collect());
+            let blob = ("BlobAggregator", b'B');
+            check_records(ctx, blob, phase, &got_blobs.concat(), &want)?;
+            let item = ("Aggregator<Vec<u8>>", b'A');
+            check_records(ctx, item, phase, &got_items.concat(), &want)?;
+            let exchange = ("exchange::<Vec<u8>>", b'X');
+            check_records(ctx, exchange, phase, &exchanged.concat(), &senders)?;
+        }
+        Ok::<(), String>(())
     });
     results.into_iter().collect::<Result<Vec<()>, _>>()?;
     Ok(())
@@ -447,6 +534,7 @@ pub type ScenarioFn = fn(u64) -> Result<(), String>;
 pub const SCENARIOS: &[(&str, ScenarioFn)] = &[
     ("mailbox_linearizability", mailbox_linearizability),
     ("aggregator_slot_reuse", aggregator_slot_reuse),
+    ("same_typed_collectives", same_typed_collectives),
     ("poison_propagation", poison_propagation),
     (
         "poison_propagation_multi_kill",

@@ -1,38 +1,30 @@
-//! All-to-all exchange, aggregated one-sided message buffers, and the
-//! aggregated request–response (RPC) layer.
+//! The aggregated transport: one routed lane and the five faces built on it.
 //!
 //! The dominant communication pattern in MetaHipMer is "every rank produces
 //! items destined for owner ranks determined by a hash, buffers them, and
-//! ships them in large aggregated messages" (use case 1 of §II-A). The
-//! [`Aggregator`] reproduces that pattern: items are buffered per destination
-//! and flushed either when a buffer fills (modelling the asynchronous
-//! aggregated stores) or at the end of the phase; the receiving rank drains
-//! its inbox after a barrier.
+//! ships them in large aggregated messages" (use case 1 of §II-A), and the
+//! paper aggregates *lookups* the same way (use case 3): requests are buffered
+//! per owner, shipped in large messages, answered from the owner's shard, and
+//! the responses travel back in a second aggregated all-to-all.
 //!
-//! The paper aggregates *lookups* the same way (use case 3): ranks buffer
-//! hash-table requests per owner, ship them in large messages, the owners
-//! answer from their local shards, and the responses travel back in a second
-//! aggregated all-to-all. [`RpcAggregator`] (and the [`Ctx::exchange_map`]
-//! convenience built on it) reproduces that request–response round trip; the
-//! request legs are accounted like any aggregated message, the response legs
-//! additionally feed `CommStats::rpc_resp_bytes`, and every completed round
-//! trip bumps `CommStats::rpc_round_trips`.
+//! Every byte of that traffic ships through one private `Lane<T>`: a leased
+//! mailbox array plus, under two-level routing, a node-leader router.
+//! `Lane::send` is the only place that picks the routed or the direct path and
+//! the only place that accounts a message; `Lane::collect` delivers the routed
+//! batches, waits at a barrier and drains the calling rank's inbox. The five
+//! faces differ only in how they buffer and what a batch is worth in bytes:
 //!
-//! # Mailbox reuse
+//! | face | buffering | accounted bytes per batch | trailing barrier |
+//! |------|-----------|---------------------------|------------------|
+//! | [`Ctx::exchange`] (and [`Ctx::gather`]) | one caller-built batch per rank | `len * size_of::<T>()` | yes |
+//! | [`Aggregator`] | per destination, `batch` items | `len * size_of::<T>()` | yes |
+//! | [`BlobAggregator`] | per destination, `batch_bytes` bytes | the blob's length | yes |
+//! | [`RpcAggregator`] requests | per owner, `batch` requests | `len * size_of` of the envelope | no |
+//! | [`RpcAggregator`] replies | one batch per requester | the same, also into `rpc_resp_bytes` | no |
 //!
-//! The mailbox arrays behind all of these collectives are kept in per-team
-//! [leased reusable slots](crate::team::Team::reusable_slot), so repeated
-//! phases do not pay for a fresh shared allocation plus a serialising `share`
-//! round each time; collectives of the same item type that are live at the
-//! same time lease *distinct* pooled instances, so they cannot alias. The
-//! invariant that makes reuse across phases sound: **between an inbox drain
-//! and any later phase's first deposit into the same mailbox there is always
-//! a barrier every rank participates in.** Concretely, the trailing barrier
-//! in [`Aggregator::finish`] and in [`Ctx::exchange`] is *not* redundant —
-//! without it a fast rank could start the next phase and deposit items into
-//! an inbox its owner has not yet drained, and the owner's late drain would
-//! swallow them. (`RpcAggregator::finish` needs no trailing barrier; see the
-//! reasoning where its drains happen.)
+//! [`Ctx::exchange_map`] is a request–response round trip through
+//! [`RpcAggregator`]; every completed round trip bumps
+//! `CommStats::rpc_round_trips`.
 //!
 //! # Two-level (node-leader) routing
 //!
@@ -42,8 +34,8 @@
 //! remote *rank*, the ranks of a node combine their traffic so that only one
 //! message per remote *node* crosses the interconnect. When
 //! [`Team::set_hierarchical_exchange`](crate::team::Team::set_hierarchical_exchange)
-//! is on, every aggregated collective in this module routes its off-node
-//! batches through a node-leader router (`NodeRouter`):
+//! is on, a lane routes its off-node batches through a node-leader router
+//! (`NodeRouter`):
 //!
 //! 1. **gather** — a rank's flushed batch for an off-node destination is
 //!    deposited at its own node leader (accounted as an on-node message,
@@ -62,60 +54,37 @@
 //! is the off-node *message* count, which drops by up to a factor of
 //! `ranks_per_node` per direction. The extra gather/scatter legs appear,
 //! correctly, as additional on-node traffic.
-//!
-//! The router's two barriers slot into the mailbox-reuse protocol above: the
-//! gather inbox is drained by leaders strictly between the router's two
-//! barriers, the ship inbox strictly between the second router barrier and
-//! the caller's own pre-drain barrier, and no rank can reach a later phase's
-//! first deposit without passing the caller's phase-final barrier — so every
-//! drain is still separated from the next phase's deposits by a barrier all
-//! ranks participate in.
 
 use crate::conformance::OpKind;
 use crate::team::{Ctx, SlotLease};
 use parking_lot::Mutex;
+use std::mem::size_of_val;
 use std::panic::Location;
 
-/// Shared mailboxes for a typed all-to-all exchange.
-pub struct AllToAll<T: Send> {
+/// One inbox per rank: the shared mailbox array behind a lane.
+struct AllToAll<T: Send> {
     inboxes: Vec<Mutex<Vec<T>>>,
 }
 
 impl<T: Send> AllToAll<T> {
-    /// Creates mailboxes for `ranks` ranks.
-    pub fn new(ranks: usize) -> Self {
+    fn new(ranks: usize) -> Self {
         AllToAll {
             inboxes: (0..ranks).map(|_| Mutex::new(Vec::new())).collect(),
         }
     }
 
-    /// Deposits a batch of items into `dest`'s inbox, recording one aggregated
-    /// message in the caller's statistics.
-    pub fn send_batch(&self, ctx: &Ctx, dest: usize, mut items: Vec<T>) {
-        if items.is_empty() {
-            return;
-        }
-        ctx.record_message(dest, items.len() * std::mem::size_of::<T>());
+    /// Appends `items` to `dest`'s inbox. No accounting: the caller records
+    /// the message (or, for the router, each of its legs).
+    fn deposit(&self, dest: usize, mut items: Vec<T>) {
         mhm_sched::yield_point("pgas::mailbox::deposit");
         self.inboxes[dest].lock().append(&mut items);
     }
 
-    /// Drains and returns the calling rank's inbox. Call only after a barrier
-    /// that guarantees all senders have flushed.
-    pub fn take_inbox(&self, ctx: &Ctx) -> Vec<T> {
+    /// Drains the calling rank's inbox. Call only after a barrier that
+    /// guarantees every sender has deposited.
+    fn take_inbox(&self, ctx: &Ctx) -> Vec<T> {
         mhm_sched::yield_point("pgas::mailbox::drain");
         std::mem::take(&mut *self.inboxes[ctx.rank()].lock())
-    }
-
-    /// Raw deposit into `dest`'s inbox with **no** accounting: the two-level
-    /// router records each transport leg itself, so the final hand-off must
-    /// not be double-counted.
-    fn deposit(&self, dest: usize, mut items: Vec<T>) {
-        if items.is_empty() {
-            return;
-        }
-        mhm_sched::yield_point("pgas::mailbox::deposit_raw");
-        self.inboxes[dest].lock().append(&mut items);
     }
 }
 
@@ -124,17 +93,16 @@ impl<T: Send> AllToAll<T> {
 struct NodePacket<T> {
     /// Final owner rank.
     dest: u32,
-    /// Accounted payload bytes of `items`: exact blob length for byte
-    /// records, `len * size_of::<T>()` for fixed-size items — exactly what
-    /// the flat path would have recorded for the same batch.
+    /// Accounted payload bytes of `items`, exactly what the flat path would
+    /// have recorded for the same batch.
     bytes: usize,
     items: Vec<T>,
 }
 
-/// The two-level router behind every aggregated collective when hierarchical
-/// exchange is enabled: gather at the source node's leader, ship one combined
-/// message per destination node, scatter on-node to the final owners. See the
-/// module docs for the protocol and its barrier/reuse reasoning.
+/// The two-level router of a lane when hierarchical exchange is enabled:
+/// gather at the source node's leader, ship one combined message per
+/// destination node, scatter on-node to the final owners. See the module docs
+/// for the protocol.
 struct NodeRouter<T: Send + Sync + 'static> {
     gather: SlotLease<AllToAll<NodePacket<T>>>,
     ship: SlotLease<AllToAll<NodePacket<T>>>,
@@ -148,36 +116,23 @@ impl<T: Send + Sync + 'static> NodeRouter<T> {
         }
     }
 
-    /// Routes one flushed batch for the **off-node** rank `dest` into the
-    /// two-level path: the packet is deposited at this node's leader, as an
-    /// on-node message unless this rank *is* the leader.
+    /// Routes one batch for the **off-node** rank `dest`: the packet is
+    /// deposited at this node's leader, as an on-node message unless this
+    /// rank *is* the leader.
     fn send_remote(&self, ctx: &Ctx, dest: usize, items: Vec<T>, bytes: usize) {
-        if items.is_empty() {
-            return;
-        }
-        debug_assert!(
-            !ctx.topology().same_node(ctx.rank(), dest),
-            "on-node batches take the direct path"
-        );
         let leader = ctx.topology().leader_of(ctx.rank());
         if leader != ctx.rank() {
             ctx.record_message(leader, bytes);
         }
-        self.gather.deposit(
-            leader,
-            vec![NodePacket {
-                dest: dest as u32,
-                bytes,
-                items,
-            }],
-        );
+        let dest = dest as u32;
+        self.gather
+            .deposit(leader, vec![NodePacket { dest, bytes, items }]);
     }
 
     /// Collective: completes the gather → ship → scatter protocol, leaving
-    /// every routed batch in the final owner's inbox of `direct`. The caller
-    /// must follow with its ordinary pre-drain barrier (which doubles as the
-    /// publication point for the scattered items); no trailing barrier is
-    /// needed here — see the module docs.
+    /// every routed batch in the final owner's inbox of `direct`. The lane's
+    /// pre-drain barrier that follows is the publication point for the
+    /// scattered items.
     #[track_caller]
     fn deliver(self, ctx: &Ctx, direct: &AllToAll<T>) {
         let topo = ctx.topology();
@@ -215,21 +170,120 @@ impl<T: Send + Sync + 'static> NodeRouter<T> {
     }
 }
 
+/// The one transport path: a leased mailbox array and, when the team routes
+/// through node leaders on a multi-node topology, the router in front of it.
+///
+/// # Mailbox reuse
+///
+/// The mailbox arrays are [leased](SlotLease) from per-team pools, so
+/// repeated phases do not pay for a fresh shared allocation plus a
+/// serialising `share` round each time; lanes of the same item type that are
+/// live at the same time lease *distinct* pooled instances (lease indices),
+/// so they cannot alias. The invariant that makes reuse across phases sound:
+/// **between an inbox drain and any later phase's first deposit into the same
+/// mailbox there is always a barrier every rank participates in.**
+///
+/// [`Ctx::exchange`], [`Aggregator::finish`] and [`BlobAggregator::finish`]
+/// keep it with a trailing barrier after [`Lane::collect`]: without it a fast
+/// rank could start the next phase and deposit into an inbox its owner has
+/// not yet drained, and the owner's late drain would swallow those items.
+/// [`RpcAggregator::finish`] needs none: its request drain happens before the
+/// reply leg's pre-drain barrier, which no rank passes until every rank has
+/// drained its requests; and its replies are only ever sent between a
+/// phase's first and last barrier, so no next-phase reply can reach an inbox
+/// whose drain is still pending. The router's two barriers fit the same
+/// protocol: the gather inbox is drained by leaders strictly between them, and
+/// the ship inbox strictly between the second and the lane's pre-drain
+/// barrier.
+struct Lane<T: Send + Sync + 'static> {
+    mailbox: SlotLease<AllToAll<T>>,
+    router: Option<NodeRouter<T>>,
+}
+
+impl<T: Send + Sync + 'static> Lane<T> {
+    fn new(ctx: &Ctx) -> Self {
+        // Single-node teams never route: every destination is on-node, and
+        // the router's extra barriers would buy nothing.
+        let routed = ctx.hierarchical_exchange() && ctx.topology().nodes() > 1;
+        Lane {
+            mailbox: ctx.mailboxes(),
+            router: routed.then(|| NodeRouter::new(ctx)),
+        }
+    }
+
+    /// Ships one batch to `dest`, accounted as one message of `bytes` payload
+    /// bytes (per leg, when routed). An empty batch sends nothing.
+    fn send(&self, ctx: &Ctx, dest: usize, items: Vec<T>, bytes: usize) {
+        if items.is_empty() {
+            return;
+        }
+        match &self.router {
+            Some(router) if !ctx.topology().same_node(ctx.rank(), dest) => {
+                router.send_remote(ctx, dest, items, bytes);
+            }
+            _ => {
+                ctx.record_message(dest, bytes);
+                self.mailbox.deposit(dest, items);
+            }
+        }
+    }
+
+    /// Collective: delivers the routed batches, waits until every rank has
+    /// sent, and returns everything destined for the calling rank (in
+    /// unspecified order across senders).
+    #[track_caller]
+    fn collect(&mut self, ctx: &Ctx) -> Vec<T> {
+        if let Some(router) = self.router.take() {
+            router.deliver(ctx, &self.mailbox);
+        }
+        ctx.barrier();
+        self.mailbox.take_inbox(ctx)
+    }
+}
+
+/// The aggregators' leak check: a face dropped without `finish()` returns its
+/// mailbox leases to the pool with deposits in flight, and the next phase
+/// that reuses them would receive those deposits. Under conformance checking
+/// the drop panics, naming the face and where it was created.
+struct FinishCheck {
+    face: &'static str,
+    created: &'static Location<'static>,
+    armed: bool,
+}
+
+impl FinishCheck {
+    #[track_caller]
+    fn new(ctx: &Ctx, face: &'static str) -> Self {
+        FinishCheck {
+            face,
+            created: Location::caller(),
+            armed: ctx.team().conformance_checking(),
+        }
+    }
+
+    fn finished(&mut self) {
+        self.armed = false;
+    }
+}
+
+impl Drop for FinishCheck {
+    fn drop(&mut self) {
+        if self.armed && !std::thread::panicking() {
+            panic!(
+                "{} created @ {} dropped without finish(): its mailbox leases return to the \
+                 pool with deposits in flight, corrupting the next phase that reuses them",
+                self.face, self.created
+            );
+        }
+    }
+}
+
 impl<'t> Ctx<'t> {
-    /// Leases the team's reusable mailbox array for item type `T` (see the
-    /// module docs for the reuse protocol).
+    /// Leases the team's reusable mailbox array for item type `T` (see
+    /// [`Lane`] for the reuse protocol).
     fn mailboxes<T: Send + Sync + 'static>(&self) -> SlotLease<AllToAll<T>> {
         let ranks = self.ranks();
         self.team().reusable_slot(|| AllToAll::<T>::new(ranks))
-    }
-
-    /// True when aggregated sends should take the node-leader path: the team
-    /// flag is on *and* the topology actually has more than one node. On a
-    /// single node every destination is local, the router could never carry a
-    /// packet, and its extra barriers would buy nothing — so single-node
-    /// teams behave identically in both modes.
-    fn node_routing(&self) -> bool {
-        self.hierarchical_exchange() && self.topology().nodes() > 1
     }
 
     /// Collective all-to-all exchange: `outgoing[d]` is the batch destined for
@@ -251,27 +305,32 @@ impl<'t> Ctx<'t> {
             std::any::type_name::<T>(),
             std::mem::size_of::<T>(),
         );
-        let a2a: SlotLease<AllToAll<T>> = self.mailboxes();
-        let router = self.node_routing().then(|| NodeRouter::new(self));
+        let mut lane = Lane::new(self);
         for (dest, batch) in outgoing.into_iter().enumerate() {
-            match &router {
-                Some(r) if !self.topology().same_node(self.rank(), dest) => {
-                    let bytes = batch.len() * std::mem::size_of::<T>();
-                    r.send_remote(self, dest, batch, bytes);
-                }
-                _ => a2a.send_batch(self, dest, batch),
-            }
+            let bytes = size_of_val(batch.as_slice());
+            lane.send(self, dest, batch, bytes);
         }
-        if let Some(r) = router {
-            r.deliver(self, &a2a);
-        }
-        self.barrier();
-        let mine = a2a.take_inbox(self);
-        // Mailboxes are reused across phases: nobody may leave before every
-        // rank has drained, or the next phase's sends could be swallowed by
-        // this phase's drain.
+        let mine = lane.collect(self);
+        // Required for mailbox reuse; see `Lane`.
         self.barrier();
         mine
+    }
+
+    /// Collective gather onto rank 0: rank 0 receives every rank's `mine`
+    /// (its own included), concatenated in unspecified order; every other
+    /// rank receives an empty `Vec`. It is [`Ctx::exchange`] with only the
+    /// batch for rank 0 filled — the same messages, bytes and barriers. The
+    /// usual shape is "gather, build on rank 0, broadcast":
+    /// `let all = ctx.gather(local); ctx.broadcast(|| build(all))`, since
+    /// [`Ctx::broadcast`] runs its closure on rank 0 only.
+    #[track_caller]
+    pub fn gather<T>(&self, mine: Vec<T>) -> Vec<T>
+    where
+        T: Send + Sync + 'static,
+    {
+        let mut outgoing = vec![mine];
+        outgoing.resize_with(self.ranks(), Vec::new);
+        self.exchange(outgoing)
     }
 
     /// Collective batched request–response exchange: routes every
@@ -311,12 +370,10 @@ impl<'t> Ctx<'t> {
 /// ranks must construct and finish the aggregator in the same phase.
 pub struct Aggregator<'c, 't, T: Send + Sync + 'static> {
     ctx: &'c Ctx<'t>,
-    a2a: SlotLease<AllToAll<T>>,
-    router: Option<NodeRouter<T>>,
+    lane: Lane<T>,
     bufs: Vec<Vec<T>>,
     batch: usize,
-    created: &'static Location<'static>,
-    finished: bool,
+    check: FinishCheck,
 }
 
 impl<'c, 't, T: Send + Sync + 'static> Aggregator<'c, 't, T> {
@@ -325,28 +382,14 @@ impl<'c, 't, T: Send + Sync + 'static> Aggregator<'c, 't, T> {
     #[track_caller]
     pub fn new(ctx: &'c Ctx<'t>, batch: usize) -> Self {
         assert!(batch > 0, "batch size must be positive");
-        let a2a = ctx.mailboxes();
-        let router = ctx.node_routing().then(|| NodeRouter::new(ctx));
         Aggregator {
             ctx,
-            a2a,
-            router,
+            lane: Lane::new(ctx),
             bufs: (0..ctx.ranks())
                 .map(|_| Vec::with_capacity(batch))
                 .collect(),
             batch,
-            created: Location::caller(),
-            finished: false,
-        }
-    }
-
-    fn send(&self, dest: usize, batch: Vec<T>) {
-        match &self.router {
-            Some(r) if !self.ctx.topology().same_node(self.ctx.rank(), dest) => {
-                let bytes = batch.len() * std::mem::size_of::<T>();
-                r.send_remote(self.ctx, dest, batch, bytes);
-            }
-            _ => self.a2a.send_batch(self.ctx, dest, batch),
+            check: FinishCheck::new(ctx, "Aggregator"),
         }
     }
 
@@ -356,17 +399,8 @@ impl<'c, 't, T: Send + Sync + 'static> Aggregator<'c, 't, T> {
         self.bufs[dest].push(item);
         if self.bufs[dest].len() >= self.batch {
             let full = std::mem::replace(&mut self.bufs[dest], Vec::with_capacity(self.batch));
-            self.send(dest, full);
-        }
-    }
-
-    /// Flushes every partially filled buffer without finishing the phase.
-    pub fn flush(&mut self) {
-        for dest in 0..self.bufs.len() {
-            if !self.bufs[dest].is_empty() {
-                let full = std::mem::take(&mut self.bufs[dest]);
-                self.send(dest, full);
-            }
+            let bytes = size_of_val(full.as_slice());
+            self.lane.send(self.ctx, dest, full, bytes);
         }
     }
 
@@ -374,56 +408,22 @@ impl<'c, 't, T: Send + Sync + 'static> Aggregator<'c, 't, T> {
     /// calling rank. Collective.
     #[track_caller]
     pub fn finish(mut self) -> Vec<T> {
-        self.finished = true;
+        self.check.finished();
         self.ctx.record_collective(
             OpKind::AggFinish,
             Location::caller(),
             std::any::type_name::<T>(),
             std::mem::size_of::<T>(),
         );
-        self.flush();
-        if let Some(router) = self.router.take() {
-            router.deliver(self.ctx, &self.a2a);
+        for (dest, buf) in self.bufs.iter_mut().enumerate() {
+            let rest = std::mem::take(buf);
+            let bytes = size_of_val(rest.as_slice());
+            self.lane.send(self.ctx, dest, rest, bytes);
         }
-        self.ctx.barrier();
-        let mine = self.a2a.take_inbox(self.ctx);
-        // Required for mailbox reuse; see the module docs.
+        let mine = self.lane.collect(self.ctx);
+        // Required for mailbox reuse; see `Lane`.
         self.ctx.barrier();
         mine
-    }
-}
-
-impl<'c, 't, T: Send + Sync + 'static> Drop for Aggregator<'c, 't, T> {
-    fn drop(&mut self) {
-        if !self.finished && !std::thread::panicking() && self.ctx.team().conformance_checking() {
-            panic!(
-                "Aggregator created @ {} dropped without finish(): the mailbox lease \
-                 returns to the pool with deposits in flight, corrupting the next \
-                 phase that reuses it",
-                self.created
-            );
-        }
-    }
-}
-
-/// A flushed byte-buffer batch travelling through a [`BlobAggregator`]
-/// exchange. A newtype (rather than a bare `Vec<u8>`) so the reusable
-/// mailbox slot cannot alias an ordinary `AllToAll<Vec<u8>>` and so the
-/// item-count-based accounting of [`AllToAll::send_batch`] can be bypassed
-/// in favour of exact byte accounting.
-pub struct Blob(pub Vec<u8>);
-
-impl AllToAll<Blob> {
-    /// Deposits one pre-serialised blob into `dest`'s inbox, recording one
-    /// aggregated message of exactly `blob.len()` payload bytes (the generic
-    /// [`AllToAll::send_batch`] would count `size_of::<Blob>()` per item,
-    /// which is meaningless for variable-length records).
-    fn send_blob(&self, ctx: &Ctx, dest: usize, blob: Vec<u8>) {
-        if blob.is_empty() {
-            return;
-        }
-        ctx.record_message(dest, blob.len());
-        self.inboxes[dest].lock().push(Blob(blob));
     }
 }
 
@@ -443,12 +443,10 @@ impl AllToAll<Blob> {
 /// must construct and finish the aggregator in the same phase.
 pub struct BlobAggregator<'c, 't> {
     ctx: &'c Ctx<'t>,
-    a2a: SlotLease<AllToAll<Blob>>,
-    router: Option<NodeRouter<Blob>>,
+    lane: Lane<Vec<u8>>,
     bufs: Vec<Vec<u8>>,
     batch_bytes: usize,
-    created: &'static Location<'static>,
-    finished: bool,
+    check: FinishCheck,
 }
 
 impl<'c, 't> BlobAggregator<'c, 't> {
@@ -457,36 +455,30 @@ impl<'c, 't> BlobAggregator<'c, 't> {
     #[track_caller]
     pub fn new(ctx: &'c Ctx<'t>, batch_bytes: usize) -> Self {
         assert!(batch_bytes > 0, "batch size must be positive");
-        let a2a = ctx.mailboxes();
-        let router = ctx.node_routing().then(|| NodeRouter::new(ctx));
         BlobAggregator {
             ctx,
-            a2a,
-            router,
+            lane: Lane::new(ctx),
             bufs: (0..ctx.ranks()).map(|_| Vec::new()).collect(),
             batch_bytes,
-            created: Location::caller(),
-            finished: false,
+            check: FinishCheck::new(ctx, "BlobAggregator"),
         }
     }
 
-    fn send(&self, dest: usize, blob: Vec<u8>) {
-        if blob.is_empty() {
-            return;
-        }
-        match &self.router {
-            Some(r) if !self.ctx.topology().same_node(self.ctx.rank(), dest) => {
-                let bytes = blob.len();
-                r.send_remote(self.ctx, dest, vec![Blob(blob)], bytes);
-            }
-            _ => self.a2a.send_blob(self.ctx, dest, blob),
+    /// Ships `dest`'s buffer as one blob of exactly its length in bytes.
+    fn flush(&mut self, dest: usize) {
+        let blob = std::mem::take(&mut self.bufs[dest]);
+        if !blob.is_empty() {
+            let bytes = blob.len();
+            self.lane.send(self.ctx, dest, vec![blob], bytes);
         }
     }
 
     /// Appends one whole record to `dest`'s buffer.
     pub fn push_record(&mut self, dest: usize, record: &[u8]) {
         self.bufs[dest].extend_from_slice(record);
-        self.maybe_flush(dest);
+        if self.bufs[dest].len() >= self.batch_bytes {
+            self.flush(dest);
+        }
     }
 
     /// Serialises one record directly into `dest`'s buffer (saving the copy
@@ -494,51 +486,26 @@ impl<'c, 't> BlobAggregator<'c, 't> {
     /// records and returns its byte count, which is passed through.
     pub fn push_with(&mut self, dest: usize, write: impl FnOnce(&mut Vec<u8>) -> usize) -> usize {
         let written = write(&mut self.bufs[dest]);
-        self.maybe_flush(dest);
-        written
-    }
-
-    fn maybe_flush(&mut self, dest: usize) {
         if self.bufs[dest].len() >= self.batch_bytes {
-            let full = std::mem::take(&mut self.bufs[dest]);
-            self.send(dest, full);
+            self.flush(dest);
         }
+        written
     }
 
     /// Flushes the remaining buffers, synchronises, and returns the blobs
     /// destined for the calling rank. Collective.
     #[track_caller]
     pub fn finish(mut self) -> Vec<Vec<u8>> {
-        self.finished = true;
+        self.check.finished();
         self.ctx
             .record_collective(OpKind::BlobFinish, Location::caller(), "bytes", 1);
         for dest in 0..self.bufs.len() {
-            if !self.bufs[dest].is_empty() {
-                let full = std::mem::take(&mut self.bufs[dest]);
-                self.send(dest, full);
-            }
+            self.flush(dest);
         }
-        if let Some(router) = self.router.take() {
-            router.deliver(self.ctx, &self.a2a);
-        }
+        let mine = self.lane.collect(self.ctx);
+        // Required for mailbox reuse; see `Lane`.
         self.ctx.barrier();
-        let mine = self.a2a.take_inbox(self.ctx);
-        // Required for mailbox reuse; see the module docs.
-        self.ctx.barrier();
-        mine.into_iter().map(|Blob(b)| b).collect()
-    }
-}
-
-impl<'c, 't> Drop for BlobAggregator<'c, 't> {
-    fn drop(&mut self) {
-        if !self.finished && !std::thread::panicking() && self.ctx.team().conformance_checking() {
-            panic!(
-                "BlobAggregator created @ {} dropped without finish(): the mailbox \
-                 lease returns to the pool with deposits in flight, corrupting the \
-                 next phase that reuses it",
-                self.created
-            );
-        }
+        mine
     }
 }
 
@@ -577,15 +544,12 @@ where
     Resp: Send + Sync + 'static,
 {
     ctx: &'c Ctx<'t>,
-    requests: SlotLease<AllToAll<RpcRequest<Req>>>,
-    replies: SlotLease<AllToAll<RpcReply<Resp>>>,
-    req_router: Option<NodeRouter<RpcRequest<Req>>>,
-    reply_router: Option<NodeRouter<RpcReply<Resp>>>,
+    requests: Lane<RpcRequest<Req>>,
+    replies: Lane<RpcReply<Resp>>,
     bufs: Vec<Vec<RpcRequest<Req>>>,
     batch: usize,
     next_seq: u32,
-    created: &'static Location<'static>,
-    finished: bool,
+    check: FinishCheck,
 }
 
 impl<'c, 't, Req, Resp> RpcAggregator<'c, 't, Req, Resp>
@@ -598,42 +562,15 @@ where
     #[track_caller]
     pub fn new(ctx: &'c Ctx<'t>, batch: usize) -> Self {
         assert!(batch > 0, "batch size must be positive");
-        let requests = ctx.mailboxes();
-        let replies = ctx.mailboxes();
-        let hier = ctx.node_routing();
         RpcAggregator {
             ctx,
-            requests,
-            replies,
-            req_router: hier.then(|| NodeRouter::new(ctx)),
-            reply_router: hier.then(|| NodeRouter::new(ctx)),
+            requests: Lane::new(ctx),
+            replies: Lane::new(ctx),
             bufs: (0..ctx.ranks()).map(|_| Vec::new()).collect(),
             batch,
             next_seq: 0,
-            created: Location::caller(),
-            finished: false,
+            check: FinishCheck::new(ctx, "RpcAggregator"),
         }
-    }
-
-    fn send_requests(&self, dest: usize, batch: Vec<RpcRequest<Req>>) {
-        match &self.req_router {
-            Some(r) if !self.ctx.topology().same_node(self.ctx.rank(), dest) => {
-                let bytes = batch.len() * std::mem::size_of::<RpcRequest<Req>>();
-                r.send_remote(self.ctx, dest, batch, bytes);
-            }
-            _ => self.requests.send_batch(self.ctx, dest, batch),
-        }
-    }
-
-    /// Number of requests pushed so far (and therefore of responses
-    /// [`RpcAggregator::finish`] will return).
-    pub fn len(&self) -> usize {
-        self.next_seq as usize
-    }
-
-    /// True if no request has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.next_seq == 0
     }
 
     /// Buffers one request for the owner rank `dest`, flushing that
@@ -653,7 +590,8 @@ where
         self.bufs[dest].push(envelope);
         if self.bufs[dest].len() >= self.batch {
             let full = std::mem::take(&mut self.bufs[dest]);
-            self.send_requests(dest, full);
+            let bytes = size_of_val(full.as_slice());
+            self.requests.send(self.ctx, dest, full, bytes);
         }
     }
 
@@ -664,85 +602,40 @@ where
     #[track_caller]
     pub fn finish(mut self, mut handler: impl FnMut(Req) -> Resp) -> Vec<Resp> {
         let ctx = self.ctx;
-        self.finished = true;
+        self.check.finished();
         ctx.record_collective(
             OpKind::RpcFinish,
             Location::caller(),
             std::any::type_name::<(Req, Resp)>(),
             std::mem::size_of::<Req>(),
         );
-        for dest in 0..self.bufs.len() {
-            if !self.bufs[dest].is_empty() {
-                let full = std::mem::take(&mut self.bufs[dest]);
-                self.send_requests(dest, full);
-            }
+        for (dest, buf) in self.bufs.iter_mut().enumerate() {
+            let rest = std::mem::take(buf);
+            let bytes = size_of_val(rest.as_slice());
+            self.requests.send(ctx, dest, rest, bytes);
         }
-        if let Some(router) = self.req_router.take() {
-            router.deliver(ctx, &self.requests);
-        }
-        ctx.barrier();
         // Owner side: answer every request received, grouped per requester so
-        // each requester gets one aggregated response message. This request
-        // drain is safe against the *next* phase's eagerly flushed pushes
-        // (push sends before any barrier of its own phase!) because a rank
-        // can only reach the next phase after passing this phase's second
-        // barrier below, which in turn requires every rank to have completed
-        // this drain.
-        let mine = self.requests.take_inbox(ctx);
+        // each requester gets one aggregated response message.
         let mut replies: Vec<Vec<RpcReply<Resp>>> = (0..ctx.ranks()).map(|_| Vec::new()).collect();
-        for RpcRequest { origin, seq, req } in mine {
+        for RpcRequest { origin, seq, req } in self.requests.collect(ctx) {
             replies[origin as usize].push(RpcReply {
                 seq,
                 resp: handler(req),
             });
         }
         for (dest, batch) in replies.into_iter().enumerate() {
-            if !batch.is_empty() {
-                // The owner produced the response payload either way, so
-                // `rpc_resp_bytes` is identical in flat and hierarchical mode.
-                let bytes = batch.len() * std::mem::size_of::<RpcReply<Resp>>();
-                ctx.record_rpc_response_bytes(bytes);
-                match &self.reply_router {
-                    Some(r) if !ctx.topology().same_node(ctx.rank(), dest) => {
-                        r.send_remote(ctx, dest, batch, bytes);
-                    }
-                    _ => self.replies.send_batch(ctx, dest, batch),
-                }
-            }
+            // The owner produced the response payload either way, so
+            // `rpc_resp_bytes` is identical in flat and hierarchical mode.
+            let bytes = size_of_val(batch.as_slice());
+            ctx.record_rpc_response_bytes(bytes);
+            self.replies.send(ctx, dest, batch, bytes);
         }
-        if let Some(router) = self.reply_router.take() {
-            router.deliver(ctx, &self.replies);
-        }
-        ctx.barrier();
-        let mut mine = self.replies.take_inbox(ctx);
+        let mut mine = self.replies.collect(ctx);
         mine.sort_unstable_by_key(|r| r.seq);
         debug_assert_eq!(mine.len(), self.next_seq as usize, "lost RPC responses");
         ctx.record_rpc_round_trip();
-        // No trailing barrier is needed after this reply drain. Replies —
-        // unlike requests — are only ever sent between a phase's first and
-        // second barriers, and no rank can reach the next phase's first
-        // barrier until *every* rank reaches it, i.e. until every rank has
-        // finished this phase entirely, including this drain. So next-phase
-        // replies cannot land in an inbox that still has this phase's drain
-        // pending.
+        // No trailing barrier; see `Lane`.
         mine.into_iter().map(|r| r.resp).collect()
-    }
-}
-
-impl<'c, 't, Req, Resp> Drop for RpcAggregator<'c, 't, Req, Resp>
-where
-    Req: Send + Sync + 'static,
-    Resp: Send + Sync + 'static,
-{
-    fn drop(&mut self) {
-        if !self.finished && !std::thread::panicking() && self.ctx.team().conformance_checking() {
-            panic!(
-                "RpcAggregator created @ {} dropped without finish(): the mailbox \
-                 leases return to the pool with requests in flight, corrupting the \
-                 next phase that reuses them",
-                self.created
-            );
-        }
     }
 }
 
@@ -775,6 +668,19 @@ mod tests {
         let received = team.run(|ctx| ctx.exchange::<u64>(vec![vec![]; ctx.ranks()]));
         assert!(received.iter().all(|v| v.is_empty()));
         assert_eq!(team.stats_total().msgs_sent, 0);
+    }
+
+    #[test]
+    fn gather_collects_every_rank_on_rank_zero_only() {
+        let team = Team::new(Topology::new(5, 2));
+        team.set_hierarchical_exchange(true);
+        let received = team.run(|ctx| {
+            let mut got = ctx.gather(vec![ctx.rank() as u32; ctx.rank() + 1]);
+            got.sort_unstable();
+            got
+        });
+        assert_eq!(received[0], [0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4]);
+        assert!(received[1..].iter().all(Vec::is_empty));
     }
 
     #[test]
@@ -961,7 +867,6 @@ mod tests {
             for &(dest, req) in &reqs {
                 rpc.push(dest, req);
             }
-            assert_eq!(rpc.len(), reqs.len());
             // Owner answers with `1000 * owner_rank + req`.
             let rank = ctx.rank() as u64;
             let resps = rpc.finish(|req| 1000 * rank + req);
@@ -1218,6 +1123,17 @@ mod tests {
             // Seeded violation: the phase ends without finish(), so the
             // mailbox lease would return to the pool with deposits in flight.
             drop(agg);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "RpcAggregator created @")]
+    fn rpc_dropped_without_finish_names_its_face() {
+        let team = Team::single_node(2);
+        team.set_conformance_checking(true);
+        team.run(|ctx| {
+            let mut rpc: RpcAggregator<u64, u64> = RpcAggregator::new(ctx, 4);
+            rpc.push(0, 1);
         });
     }
 

@@ -9,15 +9,17 @@
 //!   vs off-node traffic can be distinguished, exactly the quantity the
 //!   paper's read-localisation optimisation targets);
 //! * a [`Team`] runs an SPMD closure on one OS thread per rank and provides
-//!   the collectives the pipeline needs: barrier, broadcast/share, all-reduce
-//!   and an aggregated all-to-all [`exchange::Aggregator`] that models UPC's
-//!   "aggregated, asynchronous one-sided messages";
-//! * an aggregated request–response layer, [`exchange::RpcAggregator`] /
-//!   [`Ctx::exchange_map`], that buffers typed *lookup* requests per owner
-//!   rank, ships them in large messages, applies an owner-side handler and
-//!   routes the responses back in a second aggregated all-to-all — the
-//!   batched-gets side of the paper's communication optimisation (use case 3
-//!   of §II-A), with round trips and response bytes accounted;
+//!   the collectives the pipeline needs: barrier, broadcast/share and
+//!   all-reduce;
+//! * one aggregated transport ([`exchange`]): every exchange ships through a
+//!   single routed lane (direct deposit, or node-leader routing on a
+//!   multi-node topology) behind five faces — [`Ctx::exchange`] and its
+//!   gather-to-rank-0 form [`Ctx::gather`]; [`Aggregator`], UPC's
+//!   "aggregated, asynchronous one-sided messages" (use case 1 of §II-A);
+//!   [`BlobAggregator`] for variable-length byte records; and the request
+//!   and reply legs of [`RpcAggregator`] / [`Ctx::exchange_map`], the
+//!   batched-gets side of the paper's communication optimisation (use
+//!   case 3), with round trips and response bytes accounted;
 //! * per-rank [`stats::CommStats`] account for every simulated remote access,
 //!   message, atomic and software-cache hit so experiments can report
 //!   communication volumes alongside wall-clock times;
@@ -38,11 +40,10 @@ pub mod topology;
 pub mod work;
 
 pub use conformance::{OpKind, OpRecord};
-pub use exchange::{Aggregator, AllToAll, Blob, BlobAggregator, RpcAggregator};
+pub use exchange::{Aggregator, BlobAggregator, RpcAggregator};
 pub use stats::{CommStats, Reduction, StatsSnapshot};
 pub use team::{
-    install_panic_accounting, unexpected_panics, Ctx, FaultPlan, LocalPhaseGuard, RankFault,
-    SlotLease, Team,
+    install_panic_accounting, unexpected_panics, Ctx, FaultPlan, LocalPhaseGuard, RankFault, Team,
 };
 pub use topology::Topology;
 pub use work::DynamicBlocks;

@@ -235,7 +235,7 @@ thread_local! {
 /// the shared value; dropping the lease returns the instance to the pool for
 /// the rank's next acquisition. Not `Send`: the lease must be dropped on the
 /// rank thread that acquired it (which SPMD code does naturally).
-pub struct SlotLease<T: Send + Sync + 'static> {
+pub(crate) struct SlotLease<T: Send + Sync + 'static> {
     value: Arc<T>,
     index: usize,
     _not_send: std::marker::PhantomData<*const ()>,
@@ -308,7 +308,7 @@ impl Team {
     /// agrees on the instance. The caller must leave the value in a neutral
     /// state when its collective phase ends, since the same instance is
     /// handed out again for the next phase.
-    pub fn reusable_slot<T, F>(&self, make: F) -> SlotLease<T>
+    pub(crate) fn reusable_slot<T, F>(&self, make: F) -> SlotLease<T>
     where
         T: Send + Sync + 'static,
         F: FnOnce() -> T,

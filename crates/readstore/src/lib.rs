@@ -601,14 +601,11 @@ impl ReadStore {
     /// names. Tests and ablation baselines only; the hot paths never call
     /// it.
     pub fn materialize(&self, ctx: &Ctx) -> ReadLibrary {
-        let mut outgoing: Vec<Vec<(BlockId, PackedReadBlock)>> = vec![Vec::new(); ctx.ranks()];
         let mut local: Vec<(BlockId, PackedReadBlock)> = Vec::new();
         self.map
             .for_each_local(ctx, |id, v| local.push((*id, v.clone())));
-        outgoing[0] = local;
-        let gathered = ctx.exchange(outgoing);
-        let lib = if ctx.rank() == 0 {
-            let mut gathered = gathered;
+        let mut gathered = ctx.gather(local);
+        ctx.broadcast(|| {
             gathered.sort_by_key(|(id, _)| *id);
             ReadLibrary {
                 name: self.name.clone(),
@@ -621,10 +618,7 @@ impl ReadStore {
                 insert_sd: self.insert_sd,
                 orientation: self.orientation,
             }
-        } else {
-            ReadLibrary::new_unpaired("")
-        };
-        ctx.broadcast(|| lib)
+        })
     }
 }
 
@@ -1053,9 +1047,7 @@ mod tests {
                         .collect::<Vec<_>>()
                 );
                 // Union over ranks covers the library exactly once.
-                let mut outgoing: Vec<Vec<ReadId>> = vec![Vec::new(); ctx.ranks()];
-                outgoing[0] = source.ids();
-                let mut all = ctx.exchange(outgoing);
+                let mut all = ctx.gather(source.ids());
                 if ctx.rank() == 0 {
                     all.sort_unstable();
                     assert_eq!(all, (0..lib2.num_reads() as ReadId).collect::<Vec<_>>());

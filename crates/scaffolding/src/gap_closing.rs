@@ -294,17 +294,11 @@ pub fn close_gaps_ref(
         my_done.push(scaffold);
     }
     // Gather the finished scaffolds and the report.
-    let mut outgoing: Vec<Vec<Scaffold>> = vec![Vec::new(); ctx.ranks()];
-    outgoing[0] = my_done;
-    let gathered = ctx.exchange(outgoing);
-    let set = if ctx.rank() == 0 {
-        let mut scaffolds = gathered;
+    let mut scaffolds = ctx.gather(my_done);
+    let set = ctx.broadcast(|| {
         scaffolds.sort_by_key(|s| s.id);
         ScaffoldSet { scaffolds }
-    } else {
-        ScaffoldSet::default()
-    };
-    let set = (*ctx.share(|| set)).clone();
+    });
     let report = GapClosingReport {
         gaps_total: ctx.allreduce_sum_u64(local_report.gaps_total as u64) as usize,
         closed_by_suspended: ctx.allreduce_sum_u64(local_report.closed_by_suspended as u64)

@@ -357,20 +357,14 @@ pub fn build_links_ref(
             surviving.push((*k, *d));
         }
     });
-    let mut outgoing: Vec<Vec<(LinkKey, LinkData)>> = vec![Vec::new(); ctx.ranks()];
-    outgoing[0] = surviving;
-    let gathered = ctx.exchange(outgoing);
-    let set = if ctx.rank() == 0 {
-        let mut links = gathered;
+    let mut links = ctx.gather(surviving);
+    ctx.broadcast(|| {
         links.sort_by_key(|(k, _)| *k);
         LinkSet {
             links,
             insert_size: insert,
         }
-    } else {
-        LinkSet::default()
-    };
-    (*ctx.share(|| set)).clone()
+    })
 }
 
 #[cfg(test)]

@@ -61,10 +61,8 @@ pub fn connected_components(
             }
         }
         let changed_local = !updates.is_empty();
-        let mut outgoing: Vec<Vec<(ContigId, ContigId)>> = vec![Vec::new(); ctx.ranks()];
-        outgoing[0] = updates;
-        let gathered = ctx.exchange(outgoing);
-        let new_labels = if ctx.rank() == 0 {
+        let gathered = ctx.gather(updates);
+        labels = ctx.broadcast(|| {
             let mut l = labels.clone();
             for (node, label) in gathered {
                 if label < l[node as usize] {
@@ -80,10 +78,7 @@ pub fn connected_components(
                 l[i] = root;
             }
             l
-        } else {
-            Vec::new()
-        };
-        labels = ctx.broadcast(|| new_labels);
+        });
         if !ctx.allreduce_any(changed_local) {
             break;
         }
@@ -350,11 +345,8 @@ pub fn traverse_contig_graph_ref(
     }
 
     // Gather on rank 0, order deterministically, broadcast.
-    let mut outgoing: Vec<Vec<Vec<ScaffoldEntry>>> = vec![Vec::new(); ctx.ranks()];
-    outgoing[0] = local_scaffolds;
-    let gathered = ctx.exchange(outgoing);
-    let result = if ctx.rank() == 0 {
-        let mut all = gathered;
+    let mut all = ctx.gather(local_scaffolds);
+    ctx.broadcast(|| {
         all.sort_by_key(|entries| entries.first().map(|e| e.contig).unwrap_or(u64::MAX));
         all.into_iter()
             .enumerate()
@@ -364,10 +356,7 @@ pub fn traverse_contig_graph_ref(
                 seq: Vec::new(),
             })
             .collect::<Vec<_>>()
-    } else {
-        Vec::new()
-    };
-    ctx.broadcast(|| result)
+    })
 }
 
 #[cfg(test)]

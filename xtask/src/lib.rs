@@ -19,8 +19,8 @@
 //!    panic inside a collective, which the whole team experiences as a
 //!    poisoned barrier. Sites that are provably infallible carry a
 //!    `// lint: allow(unwrap): <why>` escape on the same or previous line.
-//! 5. **untagged-collective** — every collective entry point in
-//!    `crates/pgas` must be `#[track_caller]`: the conformance checker's
+//! 5. **untagged-collective** — every collective in `crates/pgas`, public
+//!    or private, must be `#[track_caller]`: the conformance checker's
 //!    diagnostics (and the aggregator leak-detector) report
 //!    `Location::caller()`, so an untagged collective would report the
 //!    runtime's own source line instead of the user's call site.
@@ -87,9 +87,11 @@ fn has_escape(raw_lines: &[&str], idx: usize, rule: &str) -> bool {
     raw_lines[idx].contains(&tag) || (idx > 0 && raw_lines[idx - 1].contains(&tag))
 }
 
-/// Collective entry points in `crates/pgas` that must be `#[track_caller]`
-/// (rule 5). `finish` covers all three aggregator flavours; `deliver` is
-/// the node-leader hop that forwards the user's call site.
+/// Collectives in `crates/pgas` that must be `#[track_caller]` (rule 5),
+/// public or not. `finish` covers all three aggregator flavours; `collect`
+/// (the lane's drain), `deliver` (the node-leader hop) and the reduction
+/// helpers are private but forward the user's call site to every barrier
+/// inside them.
 const COLLECTIVE_FNS: &[&str] = &[
     "barrier",
     "share",
@@ -99,12 +101,13 @@ const COLLECTIVE_FNS: &[&str] = &[
     "allreduce_min_u64",
     "allreduce_sum_f64",
     "allreduce_max_f64",
-    "allreduce_min_f64",
     "allreduce_any",
     "reduce_u64_with",
     "reduce_f64_with",
     "exchange",
     "exchange_map",
+    "gather",
+    "collect",
     "deliver",
     "finish",
 ];
@@ -250,8 +253,9 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
             });
         }
 
-        // Rule 5: collective entry points in pgas carry #[track_caller].
-        if in_pgas && code.contains("pub fn ") {
+        // Rule 5: collectives in pgas, private ones included, carry
+        // #[track_caller].
+        if in_pgas && code.contains("fn ") {
             for name in COLLECTIVE_FNS {
                 if defines_fn(code, name) && !has_escape(&raw_lines, idx, "untagged") {
                     let tagged = raw_lines[idx.saturating_sub(6)..idx]
@@ -410,6 +414,29 @@ mod tests {
         assert_eq!(rules("crates/pgas/src/team.rs", prefix), [] as [&str; 0]);
         // Outside pgas the rule does not apply.
         assert_eq!(rules("crates/core/src/x.rs", untagged), [] as [&str; 0]);
+    }
+
+    #[test]
+    fn untagged_private_collectives_in_pgas_are_flagged() {
+        let private = "impl Ctx<'_> {\n    fn reduce_u64_with(&self, v: u64) -> u64 {\n    }\n}\n";
+        let f = lint_source("crates/pgas/src/team.rs", private);
+        assert_eq!(f.len(), 1);
+        assert!(f[0].message.contains("`reduce_u64_with`"));
+        let lane =
+            "impl<T> Lane<T> {\n    fn collect(&mut self, ctx: &Ctx) -> Vec<T> {\n    }\n}\n";
+        assert_eq!(
+            rules("crates/pgas/src/exchange.rs", lane),
+            ["untagged-collective"]
+        );
+        let tagged = "impl<T> Lane<T> {\n\
+                          #[track_caller]\n\
+                          fn collect(&mut self, ctx: &Ctx) -> Vec<T> {\n\
+                          }\n\
+                      }\n";
+        assert_eq!(
+            rules("crates/pgas/src/exchange.rs", tagged),
+            [] as [&str; 0]
+        );
     }
 
     #[test]
