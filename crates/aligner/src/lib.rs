@@ -18,8 +18,9 @@
 //!   aggregated request–response round trip — the paper's batched lookups,
 //!   the only lookup path there is), candidate voting by diagonal as a sort
 //!   and a run-length count, and ungapped extension/verification producing
-//!   [`align::Alignment`] records (our simulated reads contain substitutions
-//!   but no indels, so ungapped verification loses nothing; see DESIGN.md);
+//!   [`align::Alignment`] records (`mgsim`'s reads carry substitution errors
+//!   only, like WGSim's default model, so ungapped verification loses
+//!   nothing);
 //! * [`localize`] — the read-localisation optimisation of §II-I: after the
 //!   first round of alignments, read pairs are reassigned to the rank
 //!   `contig mod P` of the contig they aligned to, so subsequent alignment

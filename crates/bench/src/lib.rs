@@ -1,20 +1,22 @@
 //! Shared experiment-harness utilities.
 //!
-//! Every table and figure of the paper's evaluation section has a matching
-//! binary in `src/bin/` (see DESIGN.md §3 for the index); this library holds
-//! the pieces they share: dataset construction, timed assembly runs over a
-//! sweep of rank counts, and table formatting. Absolute numbers differ from
-//! the paper (laptop-scale simulated data instead of Cori + SRA datasets); the
-//! harnesses reproduce the *shape* of each result, and EXPERIMENTS.md records
-//! the comparison.
+//! Every table and figure of the paper's evaluation section, and every
+//! ablation guard, is one row of the experiment runner (`src/main.rs`; the
+//! README's "Experiment harnesses" section lists them). This library holds
+//! what the rows share: the dataset registry ([`datasets`]), one timed
+//! assembly run and the digest-checked sweep over rank counts and variants,
+//! snapshot writing and table formatting. Absolute numbers differ from the
+//! paper (laptop-scale simulated data instead of Cori + SRA datasets); the
+//! rows reproduce the *shape* of each result.
 
-use asm_metrics::{evaluate, AssemblyReport, EvalParams};
-use baselines::Assembler;
-use mgsim::SimDataset;
-use mhm_core::AssemblyOutput;
-use pgas::{Team, Topology};
-use std::sync::Arc;
-use std::time::Instant;
+pub mod datasets;
+
+use asm_metrics::EvalParams;
+use datasets::Dataset;
+use mhm_core::{AssemblyConfig, AssemblyOutput, MetaHipMer};
+use pgas::StatsSnapshot;
+use std::fmt::Debug;
+use std::io::Write;
 
 /// Scale factor for harness runs, read from `MHM_SCALE` (1 = default small).
 /// Larger values enlarge the simulated datasets proportionally.
@@ -26,75 +28,73 @@ pub fn scale() -> usize {
         .max(1)
 }
 
-/// Ranks per simulated node for harness runs, read from `MHM_RANKS_PER_NODE`
-/// (0 = default = all ranks on one node, the historical harness behaviour).
-pub fn ranks_per_node() -> usize {
-    std::env::var("MHM_RANKS_PER_NODE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
-/// The topology for a harness run over `ranks` ranks, honouring
-/// [`ranks_per_node`]: `0` keeps everything on one node, any other value
-/// groups ranks that many to a node (the last node may be partial).
-pub fn topology(ranks: usize) -> Topology {
-    match ranks_per_node() {
-        0 => Topology::single_node(ranks),
-        rpn => Topology::new(ranks, rpn),
-    }
-}
-
-/// A team over [`topology`], so every harness exercises the node structure
-/// requested by the environment instead of hard-wiring a single node.
-pub fn team(ranks: usize) -> Arc<Team> {
-    Team::new(topology(ranks))
-}
-
-/// Rank counts to sweep for scaling experiments, bounded by the machine's
-/// available parallelism.
-pub fn rank_sweep(max: usize) -> Vec<usize> {
-    let hw = std::thread::available_parallelism()
+/// The machine's available parallelism capped at `max` ranks.
+pub fn ranks_up_to(max: usize) -> usize {
+    std::thread::available_parallelism()
         .map(|n| n.get())
-        .unwrap_or(4);
-    let mut out = Vec::new();
-    let mut r = 1;
-    while r <= max.min(hw.max(2)) {
-        out.push(r);
-        r *= 2;
-    }
-    out
+        .unwrap_or(4)
+        .min(max)
 }
 
-/// One timed assembly run.
-pub struct RunResult {
-    pub assembler: String,
+/// Rank counts to sweep for scaling experiments: powers of two up to `max`,
+/// bounded by the machine's available parallelism (but always reaching 2).
+pub fn rank_sweep(max: usize) -> Vec<usize> {
+    let top = max.min(ranks_up_to(usize::MAX).max(2));
+    std::iter::successors(Some(1), |r| Some(r * 2))
+        .take_while(|&r| r <= top)
+        .collect()
+}
+
+/// One assembly of a dataset.
+pub struct Run {
     pub ranks: usize,
-    pub seconds: f64,
     pub output: AssemblyOutput,
-    pub report: AssemblyReport,
+    /// Each rank's communication counters over the whole run.
+    pub per_rank: Vec<StatsSnapshot>,
+    /// [`scaffold_digest`] of the output.
+    pub digest: u64,
 }
 
-/// Runs one assembler on one dataset with the given number of ranks and
-/// evaluates the result against the dataset's references.
-pub fn run_assembler(
-    assembler: &dyn Assembler,
-    dataset: &SimDataset,
-    ranks: usize,
-    eval: &EvalParams,
-) -> RunResult {
-    let team = team(ranks);
-    let start = Instant::now();
-    let output = assembler.assemble(&team, &dataset.library, Some(&dataset.rrna_consensus));
-    let seconds = start.elapsed().as_secs_f64();
-    let report = evaluate(&output.sequences(), &dataset.refs, eval);
-    RunResult {
-        assembler: assembler.name().to_string(),
-        ranks,
-        seconds,
-        output,
-        report,
+impl Run {
+    /// The per-rank counters summed over the team.
+    pub fn total(&self) -> StatsSnapshot {
+        self.per_rank
+            .iter()
+            .fold(StatsSnapshot::default(), |acc, s| acc.add(s))
     }
+}
+
+/// Assembles `ds` once per `(ranks, variant)` point with the configuration
+/// `setup(variant)` returns, keeping every run, and panics unless all of them
+/// assembled byte-identical scaffolds. `setup` runs just before its point's
+/// assembly, so it may also switch process state the variant stands for
+/// (the SIMD dispatch mode). Prints the one assembly's evaluation.
+pub fn sweep<V: Copy + Debug>(
+    ds: &Dataset,
+    points: impl IntoIterator<Item = (usize, V)>,
+    setup: impl Fn(V) -> AssemblyConfig,
+) -> Vec<(V, Run)> {
+    let runs: Vec<(V, Run)> = points
+        .into_iter()
+        .map(|(ranks, variant)| (variant, ds.run(&MetaHipMer::new(setup(variant)), ranks)))
+        .collect();
+    let (first_variant, first) = &runs[0];
+    for (variant, run) in &runs {
+        assert_eq!(
+            run.digest, first.digest,
+            "scaffolds at {} ranks, {variant:?} differ from those at {} ranks, {first_variant:?}",
+            run.ranks, first.ranks
+        );
+    }
+    println!(
+        "{}: digest {:016x} identical across all {} runs ({} scaffolds), {}",
+        ds.name,
+        first.digest,
+        runs.len(),
+        first.output.scaffolds.len(),
+        ds.evaluate(&first.output).summary_line()
+    );
+    runs
 }
 
 /// Evaluation parameters scaled to the simulated communities (thresholds are
@@ -108,16 +108,58 @@ pub fn scaled_eval_params() -> EvalParams {
     }
 }
 
-/// Prints a Markdown-style table.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n## {title}\n");
-    println!("| {} |", header.join(" | "));
-    println!(
-        "|{}|",
-        header.iter().map(|_| "---").collect::<Vec<_>>().join("|")
+/// One row of results: `(column, value)` pairs in column order. The same
+/// record prints as a table row ([`print_table`]) and, where its values are
+/// rendered JSON (text quoted), goes into a snapshot ([`json_records`]).
+pub type Record = Vec<(&'static str, String)>;
+
+/// Writes a `BENCH_*.json` snapshot: `bench` (the row), the dataset's
+/// registry name, then `fields` in order. A write failure is reported, not
+/// fatal.
+pub fn write_snapshot(path: &str, bench: &str, ds: &Dataset, fields: Record) {
+    let mut json = format!(
+        "{{\n  \"bench\": \"{bench}\",\n  \"dataset\": \"{}\"",
+        ds.name
     );
-    for row in rows {
-        println!("| {} |", row.join(" | "));
+    for (key, value) in fields {
+        json.push_str(&format!(",\n  \"{key}\": {value}"));
+    }
+    json.push_str("\n}\n");
+    match std::fs::File::create(path).and_then(|mut f| f.write_all(json.as_bytes())) {
+        Ok(()) => println!("Wrote {path}"),
+        Err(e) => eprintln!("Could not write {path}: {e}"),
+    }
+}
+
+/// Records as a JSON array of objects, one per line, indented to sit inside
+/// a [`write_snapshot`] field.
+pub fn json_records(records: &[Record]) -> String {
+    let lines: Vec<String> = records
+        .iter()
+        .map(|record| {
+            let fields: Vec<String> = record
+                .iter()
+                .map(|(k, v)| format!("\"{k}\": {v}"))
+                .collect();
+            format!("    {{{}}}", fields.join(", "))
+        })
+        .collect();
+    format!("[\n{}\n  ]", lines.join(",\n"))
+}
+
+/// Prints records as a Markdown table headed by their columns, JSON quotes
+/// stripped.
+pub fn print_table(title: &str, records: &[Record]) {
+    println!("\n## {title}\n");
+    let Some(first) = records.first() else {
+        return;
+    };
+    let header: Vec<&str> = first.iter().map(|(column, _)| *column).collect();
+    println!("| {} |", header.join(" | "));
+    println!("|{}|", vec!["---"; header.len()].join("|"));
+    for record in records {
+        let cells: Vec<&str> = record.iter().map(|(_, v)| v.trim_matches('"')).collect();
+        println!("| {} |", cells.join(" | "));
     }
 }
 
@@ -164,12 +206,6 @@ pub fn harness_exit_code(body: impl FnOnce()) -> i32 {
     } else {
         0
     }
-}
-
-/// Entry point wrapper for the `ablation_*`/figure binaries: runs `body`
-/// via [`harness_exit_code`] and exits with the earned code.
-pub fn run_harness(body: impl FnOnce()) -> ! {
-    std::process::exit(harness_exit_code(body))
 }
 
 /// Parallel efficiency of a timing series relative to its first entry.
@@ -233,6 +269,18 @@ mod tests {
     #[test]
     fn fmt_helper() {
         assert_eq!(fmt(1.23456, 2), "1.23");
+    }
+
+    #[test]
+    fn records_render_as_json_objects_in_column_order() {
+        let records = vec![
+            vec![("ranks", "1".to_string()), ("digest", "\"ab\"".to_string())],
+            vec![("ranks", "2".to_string()), ("digest", "\"cd\"".to_string())],
+        ];
+        assert_eq!(
+            json_records(&records),
+            "[\n    {\"ranks\": 1, \"digest\": \"ab\"},\n    {\"ranks\": 2, \"digest\": \"cd\"}\n  ]"
+        );
     }
 
     /// The three cases run sequentially inside one test because the masked

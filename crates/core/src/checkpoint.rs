@@ -1,5 +1,5 @@
-//! Checkpoint/restart of the cross-iteration pipeline state (ROADMAP item:
-//! fault tolerance with elastic resume).
+//! Checkpoint/restart of the cross-iteration pipeline state: fault tolerance
+//! with elastic resume.
 //!
 //! At the end of every non-final k iteration, [`crate::MetaHipMer`] can
 //! serialise everything the next iteration needs — the current contig set

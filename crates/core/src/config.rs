@@ -26,7 +26,7 @@ pub struct AssemblyConfig {
     /// with aggregated window fetches) instead of replicating the full
     /// `ContigSet` on every rank. `false` keeps the replicated baseline —
     /// byte-identical scaffolds, O(total assembly size) contig bytes per rank
-    /// — used by the `ablation_contig_store` harness.
+    /// — the `ablation_contig_store` row of `mhm_bench` compares the two.
     pub use_distributed_contigs: bool,
     /// Per-rank bound (packed bytes) of each contig reader's software cache.
     pub contig_cache_bytes: usize,
@@ -35,7 +35,7 @@ pub struct AssemblyConfig {
     /// streamed through per-rank byte-bounded caches) instead of replicating
     /// the full `ReadLibrary` on every rank. `false` keeps the replicated
     /// baseline — byte-identical scaffolds, O(total input) read bytes per
-    /// rank — used by the `ablation_read_store` harness.
+    /// rank — the `ablation_read_store` row of `mhm_bench` compares the two.
     pub use_distributed_reads: bool,
     /// Per-rank bound (packed bytes) of each read reader's software cache.
     pub read_cache_bytes: usize,
@@ -56,7 +56,8 @@ pub struct AssemblyConfig {
     /// on-node): up to `ranks_per_node`× fewer off-node messages per
     /// direction, byte-identical assembly. `false` keeps the flat
     /// rank-to-rank all-to-all — the ablation baseline of the
-    /// `ablation_topology` harness. No effect on a single-node topology.
+    /// `ablation_topology` row of `mhm_bench`. No effect on a single-node
+    /// topology.
     pub use_hierarchical_exchange: bool,
     /// Extension-threshold policy (dynamic for MetaHipMer, global for HipMer).
     pub threshold: ThresholdPolicy,
@@ -428,7 +429,8 @@ mod tests {
         };
         assert_eq!(slack.k_values().last(), Some(&109));
         assert_eq!(slack.validate(), Ok(()));
-        // No seed cache is a legal configuration (`baselines::RayMetaLike`).
+        // No seed cache is a legal configuration (`degenerate_configs.rs`
+        // assembles with it).
         let uncached = AssemblyConfig {
             align: AlignParams {
                 cache_capacity: 0,

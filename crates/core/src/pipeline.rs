@@ -471,7 +471,7 @@ impl MetaHipMer {
 
     /// **Collective**: exports this rank's slice of the cross-iteration
     /// state and commits checkpoint `ckpt_<next_iter>` atomically. Sharded
-    /// holders export their owned table entries; the replicated baselines
+    /// holders export their owned table entries; the replicated holders
     /// export this rank's block slice (reads are not checkpointed at all in
     /// replicated mode — they are the caller's input).
     #[allow(clippy::too_many_arguments)]
@@ -810,6 +810,21 @@ mod tests {
             hs.off_node_msgs,
             fs.off_node_msgs
         );
+    }
+
+    #[test]
+    fn without_scaffolding_every_contig_is_its_own_gap_free_scaffold() {
+        let (_refs, library, consensus) = small_dataset(53);
+        let cfg = AssemblyConfig {
+            scaffolding: false,
+            ..AssemblyConfig::small_test()
+        };
+        let out = MetaHipMer::new(cfg).assemble(&Team::single_node(2), &library, Some(&consensus));
+        assert!(!out.scaffolds.is_empty(), "no contigs emitted");
+        for scaffold in &out.scaffolds.scaffolds {
+            assert_eq!(scaffold.entries.len(), 1, "a scaffold joined contigs");
+            assert!(!scaffold.seq.contains(&b'N'), "a scaffold has a gap");
+        }
     }
 
     #[test]

@@ -144,7 +144,7 @@ fn kill_after_iteration_then_elastic_resume_is_byte_identical() {
 }
 
 #[test]
-fn resume_covers_the_replicated_baselines_too() {
+fn resume_covers_the_replicated_holders_too() {
     // The checkpoint subsystem must also cover the non-sharded (replicated)
     // holders: contig entries are re-gathered on every rank, reads come from
     // the caller's input instead of shard files.

@@ -1,4 +1,4 @@
-//! Degenerate but legal configurations and inputs (ROADMAP item 6): caches of
+//! Degenerate but legal configurations and inputs (ROADMAP [robust]): caches of
 //! zero bytes, minimizer lengths outside `1..=min(k, MAX_MINIMIZER_LEN)`,
 //! lookup batches of one, two-read blocks and a partial last node must
 //! assemble what the default configuration assembles, libraries with fewer
@@ -54,25 +54,69 @@ fn under_watchdog<T: Send + 'static>(
 }
 
 #[test]
-fn fewer_reads_than_ranks_still_finishes_on_every_rank() {
-    // (pairs, ranks, scaffolds expected): nothing to assemble from at most
-    // two pairs, and 200 pairs leave most of eight ranks' stages empty.
-    for (pairs, ranks, assembles) in [
-        (0, 3, false),
-        (1, 1, false),
-        (1, 4, false),
-        (2, 8, false),
-        (200, 8, true),
-    ] {
-        let seqs = under_watchdog(format!("{pairs} pairs on {ranks} ranks"), move || {
+fn fewer_reads_than_ranks_and_stripped_down_configs_still_finish_on_every_rank() {
+    type Tweak = fn(&mut AssemblyConfig);
+    // (what, pairs, ranks, tweak, scaffolds expected): nothing to assemble
+    // from at most two pairs, and 200 pairs leave most of eight ranks' stages
+    // empty. Then the single-k, global-threshold, uncapped-bubble,
+    // single-link and contigs-only shapes of the pipeline, which must still
+    // assemble something.
+    let cases: [(&str, usize, usize, Tweak, bool); 10] = [
+        ("default", 0, 3, |_| {}, false),
+        ("default", 1, 1, |_| {}, false),
+        ("default", 1, 4, |_| {}, false),
+        ("default", 2, 8, |_| {}, false),
+        ("default", 200, 8, |_| {}, true),
+        ("k_min = k_max", 2_000, 2, |cfg| cfg.k_min = cfg.k_max, true),
+        (
+            "global thq = 1",
+            2_000,
+            2,
+            |cfg| cfg.threshold = dbg::ThresholdPolicy::Global { thq: 1 },
+            true,
+        ),
+        (
+            "long bubbles, len_tolerance = 0.1",
+            2_000,
+            2,
+            |cfg| {
+                cfg.bubble.merge_long_bubbles = true;
+                cfg.bubble.len_tolerance = 0.1;
+            },
+            true,
+        ),
+        (
+            "splint, span and link support 1",
+            2_000,
+            2,
+            |cfg| {
+                cfg.scaffold.links.min_splint_support = 1;
+                cfg.scaffold.links.min_span_support = 1;
+                cfg.scaffold.traversal.min_link_support = 1;
+            },
+            true,
+        ),
+        (
+            "no scaffolding, local assembly or localisation",
+            2_000,
+            2,
+            |cfg| {
+                cfg.scaffolding = false;
+                cfg.local_assembly = false;
+                cfg.read_localization = false;
+            },
+            true,
+        ),
+    ];
+    for (what, pairs, ranks, tweak, assembles) in cases {
+        let case = format!("{what}: {pairs} pairs on {ranks} ranks");
+        let seqs = under_watchdog(case.clone(), move || {
             let (library, rrna) = first_pairs(pairs);
-            assemble(AssemblyConfig::small_test(), ranks, &library, Some(&rrna))
+            let mut cfg = AssemblyConfig::small_test();
+            tweak(&mut cfg);
+            assemble(cfg, ranks, &library, Some(&rrna))
         });
-        assert_eq!(
-            !seqs.is_empty(),
-            assembles,
-            "{pairs} pairs on {ranks} ranks"
-        );
+        assert_eq!(!seqs.is_empty(), assembles, "{case}");
     }
 }
 
@@ -155,9 +199,12 @@ fn zero_byte_caches_and_clamped_minimizers_assemble_the_default_scaffolds() {
     let default = on_two_ranks(AssemblyConfig::small_test());
     assert!(!default.is_empty(), "default produced no scaffolds");
     type Tweak = fn(&mut AssemblyConfig);
-    let degenerate: [(&str, Tweak); 4] = [
+    let degenerate: [(&str, Tweak); 5] = [
         ("contig_cache_bytes = 0", |cfg| cfg.contig_cache_bytes = 0),
         ("read_cache_bytes = 0", |cfg| cfg.read_cache_bytes = 0),
+        ("align.cache_capacity = 0", |cfg| {
+            cfg.align.cache_capacity = 0
+        }),
         ("minimizer_len = 0", |cfg| cfg.minimizer_len = 0),
         ("minimizer_len = 99", |cfg| cfg.minimizer_len = 99),
     ];

@@ -12,7 +12,7 @@
 //! changed nothing and was removed. The type is kept only because the
 //! performance ledger's `dht.bloom_insert_mitems_s` probe names
 //! [`DistBloom::new`] and [`DistBloom::insert_and_check`]; once that probe is
-//! dropped (ROADMAP item 2) this module can go.
+//! dropped (ROADMAP [bench]) this module can go.
 
 use crate::fxhash::fx_hash_one;
 use pgas::Ctx;

@@ -6,8 +6,9 @@
 //! Illumina-like paired-end reads with the WGSim read simulator. This crate
 //! reimplements that tool (and the WGSim read model it wraps) and additionally
 //! uses it to stand in for the paper's real datasets (MG64, Twitchell
-//! Wetlands), which are terabyte-scale SRA downloads — see DESIGN.md for the
-//! substitution rationale.
+//! Wetlands), which are terabyte-scale SRA downloads: the presets keep each
+//! dataset's shape (taxa, abundance skew, strains, coverage regime) at a
+//! size one machine assembles in seconds to minutes.
 //!
 //! The simulator deliberately plants every genomic feature the MetaHipMer
 //! algorithms are designed around:

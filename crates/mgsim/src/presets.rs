@@ -2,14 +2,15 @@
 //!
 //! | Preset | Paper dataset | Purpose |
 //! |---|---|---|
-//! | [`mg64_sim`] | MG64 (64-genome synthetic community, SRA SRX200676) | Quality comparison (Table I, Figure 6), read-localisation study (Figure 3), Ray Meta comparison |
+//! | [`mg64_sim`] | MG64 (64-genome synthetic community, SRA SRX200676) | `Small`/`Standard`: quality comparison (Table I); `Tiny`: read-localisation study (Figure 3) and every ablation guard |
 //! | [`wetlands_sim`] | Twitchell Wetlands (7.5 G reads) subsets | Strong scaling (Figures 4–5), grand-challenge full-vs-subset comparison |
 //! | [`weak_scaling_dataset`] | MGSim weak-scaling series (5/10/20/40 taxa) | Table II |
 //! | [`two_species_skewed`] | — (design ablation) | Dynamic vs global extension-threshold ablation |
 //!
 //! Genome lengths and read counts are scaled down by roughly 10³–10⁴× compared
 //! to the real datasets so every experiment completes in seconds to minutes on
-//! one machine; EXPERIMENTS.md records the exact sizes used for each figure.
+//! one machine. `mhm_bench`'s dataset registry (`crates/bench/src/datasets.rs`)
+//! names the exact preset, scale and seed each experiment row runs on.
 
 use crate::community::{generate_community, CommunityParams};
 use crate::reads::{simulate_reads, ReadSimParams};

@@ -598,8 +598,8 @@ impl ReadStore {
     /// Collectively regathers the full replicated [`ReadLibrary`] (rank 0
     /// collects the owned shards, orders by id, broadcast). Read names are
     /// gone — they were dropped at pack time — so the result carries empty
-    /// names. Tests and ablation baselines only; the hot paths never call
-    /// it.
+    /// names. Tests and the replicated-holder ablations only; the hot paths
+    /// never call it.
     pub fn materialize(&self, ctx: &Ctx) -> ReadLibrary {
         let mut local: Vec<(BlockId, PackedReadBlock)> = Vec::new();
         self.map

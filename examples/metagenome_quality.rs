@@ -1,12 +1,11 @@
 //! Assemble the MG64-substitute community (the paper's quality benchmark) and
-//! compare MetaHipMer against the HipMer single-genome baseline — the
+//! compare MetaHipMer against its HipMer single-genome mode — the
 //! experiment that motivates metagenome-specific assembly (Table I, bottom
 //! row).
 //!
 //! Run with `cargo run --release --example metagenome_quality`.
 
-use baselines::{Assembler, HipMerLike, MetaHipMerAssembler};
-use mhm_core::AssemblyConfig;
+use mhm_core::{AssemblyConfig, MetaHipMer};
 use pgas::Team;
 
 fn main() {
@@ -22,19 +21,15 @@ fn main() {
         length_thresholds: vec![1_000, 2_500, 5_000],
         ..Default::default()
     };
-    for assembler in [
-        Box::new(MetaHipMerAssembler {
-            config: AssemblyConfig::default(),
-        }) as Box<dyn Assembler>,
-        Box::new(HipMerLike {
-            config: AssemblyConfig::default(),
-        }),
+    for (name, assembler) in [
+        ("MetaHipMer", MetaHipMer::new(AssemblyConfig::default())),
+        ("HipMer", MetaHipMer::hipmer_mode(AssemblyConfig::default())),
     ] {
         let out = assembler.assemble(&team, &dataset.library, Some(&dataset.rrna_consensus));
         let report = asm_metrics::evaluate(&out.sequences(), &dataset.refs, &eval);
         println!(
             "{:<12} scaffolds={:<4} N50={:<6} genome-fraction={:>5.1}%  misassemblies={}  rRNA={}/{}",
-            assembler.name(),
+            name,
             out.scaffolds.len(),
             out.scaffolds.n50(),
             100.0 * report.genome_fraction,

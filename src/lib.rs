@@ -13,14 +13,12 @@
 //!   MGSim / WGSim);
 //! * [`mod@dbg`] / [`aligner`] / [`scaffolding`] / [`rrna_hmm`] — the pipeline
 //!   stages as reusable libraries;
-//! * [`baselines`] — the comparator assemblers of Table I;
 //! * [`asm_metrics`] — the metaQUAST-substitute quality evaluation.
 //!
 //! See `examples/quickstart.rs` for the three-line end-to-end use.
 
 pub use aligner;
 pub use asm_metrics;
-pub use baselines;
 pub use dbg;
 pub use dht;
 pub use kmers;

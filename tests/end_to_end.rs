@@ -121,24 +121,25 @@ fn read_localization_improves_cache_hit_rate_without_changing_the_assembly() {
 }
 
 #[test]
-fn baselines_rank_in_the_expected_order_on_uneven_coverage() {
-    use baselines::{Assembler, HipMerLike, MetaHipMerAssembler};
+fn metahipmer_covers_at_least_what_hipmer_mode_covers_on_uneven_coverage() {
     // A strongly skewed two-species community (the §II-C scenario).
     let ds = mgsim::two_species_skewed(2029);
     let team = Team::single_node(2);
     let eval = eval_params();
-    let mhm = MetaHipMerAssembler {
-        config: AssemblyConfig::small_test(),
-    }
-    .assemble(&team, &ds.library, Some(&ds.rrna_consensus));
-    let hip = HipMerLike {
-        config: AssemblyConfig::small_test(),
-    }
-    .assemble(&team, &ds.library, Some(&ds.rrna_consensus));
+    let mhm = MetaHipMer::new(AssemblyConfig::small_test()).assemble(
+        &team,
+        &ds.library,
+        Some(&ds.rrna_consensus),
+    );
+    let hip = MetaHipMer::hipmer_mode(AssemblyConfig::small_test()).assemble(
+        &team,
+        &ds.library,
+        Some(&ds.rrna_consensus),
+    );
     let mhm_report = evaluate(&mhm.sequences(), &ds.refs, &eval);
     let hip_report = evaluate(&hip.sequences(), &ds.refs, &eval);
     // Within anchoring noise at this tiny scale; the full-size comparison is
-    // made by the Table I harness.
+    // made by the runner's `table1_quality` row.
     assert!(
         mhm_report.genome_fraction >= hip_report.genome_fraction - 0.03,
         "MetaHipMer ({:.3}) must cover at least as much as HipMer ({:.3})",
