@@ -12,7 +12,7 @@ use dbg::{
     TraversalParams,
 };
 use dht::{bulk_merge, DistBloom, DistMap, FxHashMap};
-use kmers::{kmer_minimizer, kmers_with_exts_iter, Kmer, KmerCounts, SupermerIter};
+use kmers::{cut_supermers, kmer_minimizer, kmers_with_exts_iter, Kmer, KmerCounts, SupermerIter};
 use mgsim::{CommunityParams, ReadSimParams};
 use mhm_core::{LocalAssemblyParams, MerWalker};
 use pgas::Team;
@@ -123,12 +123,12 @@ fn bench_local_assembly(c: &mut Criterion) {
 }
 
 fn bench_extraction_hot_loops(c: &mut Criterion) {
-    // A 100 kb pseudo-random sequence: long enough that the rolling-minimizer
-    // deque and the supermer run-grouping dominate, not setup.
+    // A 100 kb pseudo-random sequence: long enough that the rolling minimum
+    // and the supermer run-grouping dominate, not setup.
     let seq = random_bases(100_000, 0x9E3779B97F4A7C15);
     c.bench_function("kmers/rolling_minimizer_100kb", |b| {
-        // The streaming path: one O(len) pass maintains every window's
-        // canonical minimizer through the monotonic deque.
+        // The ASCII adapter: one packing of the read, then one O(len) pass
+        // that keeps every window's canonical minimizer in a rescanned ring.
         b.iter(|| {
             SupermerIter::new(&seq, 21, 15)
                 .map(|s| s.minimizer)
@@ -147,6 +147,22 @@ fn bench_extraction_hot_loops(c: &mut Criterion) {
             SupermerIter::new(&seq, 21, 15)
                 .map(|s| s.kmers)
                 .sum::<usize>()
+        })
+    });
+    // The k-mer analysis path: the cut straight from a packing, as the read
+    // store holds it, with nothing to pack first.
+    let packed = dbg::PackedSeq::from_bytes(&seq);
+    let mut cut = Vec::new();
+    cut_supermers(&packed.view(), 21, 15, |sm| cut.push(sm));
+    assert!(
+        cut == SupermerIter::new(&seq, 21, 15).collect::<Vec<_>>(),
+        "the packed cut and the ASCII adapter disagree"
+    );
+    c.bench_function("kmers/supermer_cut_packed_100kb", |b| {
+        b.iter(|| {
+            let mut kmers = 0usize;
+            cut_supermers(&packed.view(), 21, 15, |sm| kmers += sm.kmers);
+            kmers
         })
     });
 }

@@ -10,19 +10,24 @@
 //!   ~32-byte packed struct, each read is decomposed once into *supermers*
 //!   (maximal runs of consecutive k-mers sharing a canonical minimizer, see
 //!   [`kmers::minimizer`]) which travel as packed 2-bit sequence with a
-//!   quality/extension sidecar, ~(s+k−1)/4 bytes per s k-mers. The counts
-//!   table is partitioned by minimizer ([`MinimizerPartitioner`]), so every
-//!   occurrence of a k-mer arrives at its owner in a *single* exchange;
+//!   quality/extension sidecar, ~(s+k−1)/4 bytes per s k-mers. The reads
+//!   arrive 2-bit packed ([`seqio::PackedReadView`], the read store's own
+//!   bytes); supermers are cut from the codes and each record is a bit copy
+//!   of its span of the read, so the send side never touches ASCII. The
+//!   counts table is partitioned by minimizer ([`MinimizerPartitioner`]), so
+//!   every occurrence of a k-mer arrives at its owner in a *single*
+//!   exchange;
 //! * **minimizer-binned counting**: every occurrence of a canonical k-mer,
 //!   anywhere in the input, has the same minimizer, so the received records
-//!   fall into *bins* by minimizer whose counts are final. The owner counts
-//!   one bin at a time in a small scratch table that stays in cache, moves
-//!   the k-mers that reached ε into its shard — one insert per surviving
-//!   k-mer, none for the rest — and reuses the scratch for the next bin (the
-//!   disk-bin scheme of KMC 2, with memory in the role of the disk). Bins
-//!   span blobs, which is why `agg.finish()` materialising everything a rank
-//!   receives before the first record is counted is a requirement here, not
-//!   an oversight.
+//!   fall into *bins* by minimizer whose counts are final. Each record
+//!   carries its minimizer's bin tag, so the owner files records into bins
+//!   without recomputing a minimizer, counts one bin at a time in a small
+//!   scratch table that stays in cache, moves the k-mers that reached ε into
+//!   its shard — one insert per surviving k-mer, none for the rest — and
+//!   reuses the scratch for the next bin (the disk-bin scheme of KMC 2, with
+//!   memory in the role of the disk). Bins span blobs, which is why
+//!   `agg.finish()` materialising everything a rank receives before the
+//!   first record is counted is a requirement here, not an oversight.
 //!
 //! This gives the paper's **Bloom-filter admission** its purpose without its
 //! mechanism: the filter exists so that singleton error k-mers — most of the
@@ -45,8 +50,8 @@
 
 use dht::{DistMap, FxHashMap, Partitioner};
 use kmers::minimizer::{
-    encode_supermer, expand_supermer, kmer_minimizer, minimizer_shard, mix_minimizer,
-    SupermerBlobIter, SupermerIter, MAX_MINIMIZER_LEN,
+    cut_supermers, encode_packed_supermer, expand_supermer, kmer_minimizer, minimizer_shard,
+    supermer_wire_bytes, SupermerBlobIter, MAX_MINIMIZER_LEN,
 };
 use kmers::{Kmer, KmerCounts};
 use pgas::{BlobAggregator, Ctx};
@@ -57,10 +62,16 @@ use std::sync::Arc;
 /// are at most its observations, so the scratch table of a typical bin holds
 /// a few thousand ~100-byte entries — inside the L2 cache, where the one
 /// table all observations used to probe was DRAM-bound. The bin count follows
-/// from the received volume. Run time measured within noise of this from a
-/// quarter to sixteen times the value; one bin for everything is as slow as
-/// the unbinned table was — the gain is locality, not the missing inserts.
+/// from the received volume, up to [`TAGS`]. Run time measured within noise
+/// of this from a quarter to sixteen times the value; one bin for everything
+/// is as slow as the unbinned table was — the gain is locality, not the
+/// missing inserts.
 const BIN_OBSERVATIONS: usize = 4096;
+
+/// Distinct wire tags ([`kmers::minimizer_tag`] is one byte), hence the most
+/// bins a rank can count in: at [`BIN_OBSERVATIONS`] that is ~1M observations
+/// received per rank before bins grow past their budget.
+const TAGS: usize = 256;
 
 /// The distributed k-mer → counts table produced by analysis.
 pub type KmerCountsMap = Arc<DistMap<Kmer, KmerCounts>>;
@@ -150,8 +161,8 @@ pub fn kmer_analysis(ctx: &Ctx, reads: &[Read], params: &KmerAnalysisParams) -> 
 }
 
 /// Runs k-mer analysis over a streaming [`ReadSource`] — the distributed
-/// read store's ingest path, where this rank's reads are unpacked one at a
-/// time from owned packed blocks instead of living in a replicated slice.
+/// read store's ingest path, where this rank's reads are read as 2-bit views
+/// of its owned packed blocks instead of living in a replicated slice.
 /// Collective: every rank must call with its own source. One extraction pass
 /// per read, one aggregated supermer shipment per owner, and all per-k-mer
 /// work on the receive side, where each minimizer bin is counted exactly and
@@ -182,87 +193,82 @@ pub fn kmer_analysis_from(
         .saturating_mul(std::mem::size_of::<Kmer>())
         .max(64);
     let mut agg = BlobAggregator::new(ctx, batch_bytes);
+    let mut hq = Vec::new();
     source.for_each_read(&mut |read| {
-        for sm in SupermerIter::new(&read.seq, k, m) {
+        read.hq_mask(params.hq_threshold, &mut hq);
+        cut_supermers(&read, k, m, |sm| {
             let dest = minimizer_shard(sm.minimizer, ranks);
-            let wrote = agg.push_with(dest, |buf| {
-                encode_supermer(buf, &read.seq, &read.qual, params.hq_threshold, &sm)
-            });
+            let wrote = agg.push_with(dest, |buf| encode_packed_supermer(buf, &read, &hq, &sm));
             ctx.record_supermer_bytes(wrote);
-        }
+        });
     });
     let blobs = agg.finish();
 
-    count_binned(ctx, &blobs, &counts, params, BIN_OBSERVATIONS);
+    count_binned(ctx, blobs, &counts, params, BIN_OBSERVATIONS);
     ctx.barrier();
 
     KmerAnalysis { counts }
 }
 
-/// The bin of a minimizer among `bins`. Taken from the upper half of the
-/// mixed value: [`minimizer_shard`] spends the same value modulo `ranks`, and
-/// every minimizer a rank receives agrees in that residue, so bits that
-/// depended on it would leave most bins empty.
-fn minimizer_bin(minimizer: u64, bins: usize) -> usize {
-    (((mix_minimizer(minimizer) >> 32) * bins as u64) >> 32) as usize
+/// The bin of a record's [`kmers::minimizer_tag`] among `bins` (at most
+/// [`TAGS`]): bins are runs of consecutive tags.
+fn tag_bin(tag: u8, bins: usize) -> usize {
+    (tag as usize * bins) / TAGS
 }
 
 /// The receive side: counts the supermer records of `blobs` (everything this
 /// rank was sent) one minimizer bin at a time, and inserts the k-mers that
 /// reach `params.min_count` into this rank's shard of `counts`. The number of
-/// bins is the received volume over `bin_observations`; the table does not
-/// depend on it.
+/// bins is the received volume over `bin_observations`, capped at [`TAGS`];
+/// the table does not depend on it.
 fn count_binned(
     ctx: &Ctx,
-    blobs: &[Vec<u8>],
+    blobs: Vec<Vec<u8>>,
     counts: &DistMap<Kmer, KmerCounts>,
     params: &KmerAnalysisParams,
     bin_observations: usize,
 ) {
     let k = params.k;
-    let m = params.effective_minimizer_len();
 
-    // Frame every record once: the minimizer of its first window (which all
-    // its windows share) and where it starts.
-    let mut framed: Vec<(u64, u32, u32)> = Vec::new();
+    // One framing pass: the bytes each tag's records take, and the volume.
+    let mut starts = [0usize; TAGS + 1];
     let mut observations = 0usize;
-    for (blob_idx, blob) in blobs.iter().enumerate() {
-        let blob_idx = u32::try_from(blob_idx).expect("fewer than 2^32 received blobs");
-        let mut records = SupermerBlobIter::new(blob);
+    for record in blobs.iter().flat_map(|blob| SupermerBlobIter::new(blob)) {
+        starts[record.tag as usize + 1] += supermer_wire_bytes(record.len);
+        observations += record.len - k + 1;
+    }
+    for t in 0..TAGS {
+        starts[t + 1] += starts[t];
+    }
+    // Every record moves to its tag's run of one buffer, which orders the
+    // records by bin too, so each bin is read front to back; each blob is
+    // freed once it has been moved.
+    let mut sorted = vec![0u8; starts[TAGS]];
+    let mut next = starts;
+    for blob in blobs {
+        let mut records = SupermerBlobIter::new(&blob);
         loop {
-            let offset = u32::try_from(records.offset()).expect("a blob is shorter than 4 GiB");
+            let from = records.offset();
             let Some(record) = records.next() else { break };
-            let minimizer = kmer_minimizer(&record.first_kmer(k), m);
-            observations += record.len - k + 1;
-            framed.push((minimizer, blob_idx, offset));
+            let bytes = &blob[from..records.offset()];
+            let to = &mut next[record.tag as usize];
+            sorted[*to..*to + bytes.len()].copy_from_slice(bytes);
+            *to += bytes.len();
         }
     }
 
-    // Counting sort of the record positions by bin; `starts[b]..starts[b + 1]`
-    // is bin b's range of `order`.
-    let bins = observations.div_ceil(bin_observations).max(1);
-    let mut starts = vec![0usize; bins + 1];
-    for &(minimizer, ..) in &framed {
-        starts[minimizer_bin(minimizer, bins) + 1] += 1;
-    }
-    for b in 0..bins {
-        starts[b + 1] += starts[b];
-    }
-    let mut order = vec![(0u32, 0u32); framed.len()];
-    let mut next = starts.clone();
-    for (minimizer, blob_idx, offset) in framed {
-        let slot = &mut next[minimizer_bin(minimizer, bins)];
-        order[*slot] = (blob_idx, offset);
-        *slot += 1;
+    let bins = observations.div_ceil(bin_observations).clamp(1, TAGS);
+    // Bin b ends where its last tag does.
+    let mut bin_ends = vec![0usize; bins];
+    for tag in 0..TAGS {
+        bin_ends[tag_bin(tag as u8, bins)] = starts[tag + 1];
     }
 
     let mut scratch: FxHashMap<Kmer, KmerCounts> = FxHashMap::default();
-    for bin in starts.windows(2) {
+    let mut bin_start = 0;
+    for bin_end in bin_ends {
         let mut observed = 0u64;
-        for &(blob_idx, offset) in &order[bin[0]..bin[1]] {
-            let record = SupermerBlobIter::new(&blobs[blob_idx as usize][offset as usize..])
-                .next()
-                .expect("framed above");
+        for record in SupermerBlobIter::new(&sorted[bin_start..bin_end]) {
             expand_supermer(&record, k, |obs| {
                 debug_assert_eq!(counts.owner_of(&obs.kmer), ctx.rank(), "misrouted supermer");
                 observed += 1;
@@ -281,6 +287,7 @@ fn count_binned(
         }
         ctx.record_kmer_observations(observed);
         ctx.record_kmer_table_inserts(inserted);
+        bin_start = bin_end;
     }
 }
 
@@ -532,24 +539,38 @@ mod tests {
         }
     }
 
+    /// The wire records the send side makes of one read.
+    fn records_of(read: &Read, k: usize, m: usize) -> Vec<u8> {
+        let mut packer = seqio::ReadPacker::default();
+        let view = packer.pack(&read.seq, &read.qual);
+        let mut hq = Vec::new();
+        view.hq_mask(20, &mut hq);
+        let mut blob = Vec::new();
+        cut_supermers(&view, k, m, |sm| {
+            encode_packed_supermer(&mut blob, &view, &hq, &sm);
+        });
+        blob
+    }
+
     #[test]
     fn bin_of_a_kmer_does_not_depend_on_the_record_it_arrived_in() {
         let (k, m, bins) = (21, 9, 64);
         let mut bin_of: FxHashMap<Kmer, usize> = FxHashMap::default();
         let mut revisits = 0;
         for read in overlapping_reads() {
-            let mut blob = Vec::new();
-            for sm in SupermerIter::new(&read.seq, k, m) {
-                encode_supermer(&mut blob, &read.seq, &read.qual, 20, &sm);
-            }
-            for record in SupermerBlobIter::new(&blob) {
-                // What `count_binned` files the whole record under…
-                let bin = minimizer_bin(kmer_minimizer(&record.first_kmer(k), m), bins);
+            for record in SupermerBlobIter::new(&records_of(&read, k, m)) {
+                // What `count_binned` files the whole record under, read off
+                // its tag…
+                let bin = tag_bin(record.tag, bins);
                 expand_supermer(&record, k, |obs| {
                     // …is the bin of each of its k-mers, whichever record,
                     // read or strand delivers them.
-                    assert_eq!(minimizer_bin(kmer_minimizer(&obs.kmer, m), bins), bin);
-                    revisits += usize::from(bin_of.insert(obs.kmer, bin).is_some());
+                    let tag = kmers::minimizer_tag(kmer_minimizer(&obs.kmer, m));
+                    assert_eq!(tag_bin(tag, bins), bin);
+                    if let Some(before) = bin_of.insert(obs.kmer, bin) {
+                        assert_eq!(before, bin);
+                        revisits += 1;
+                    }
                 });
             }
         }
@@ -572,15 +593,13 @@ mod tests {
         // span blobs.
         let mut blobs = vec![Vec::new(); 3];
         for (i, read) in reads.iter().enumerate() {
-            for sm in SupermerIter::new(&read.seq, params.k, 7) {
-                encode_supermer(&mut blobs[i % 3], &read.seq, &read.qual, 20, &sm);
-            }
+            blobs[i % 3].extend(records_of(read, params.k, 7));
         }
         Team::single_node(1).run(|ctx| {
-            // One observation per bin … one bin for everything.
+            // As many bins as tags … one bin for everything.
             for bin_observations in [1, 50, 1000, usize::MAX] {
                 let counts = DistMap::with_partitioner(1, Arc::new(MinimizerPartitioner::new(7)));
-                count_binned(ctx, &blobs, &counts, &params, bin_observations);
+                count_binned(ctx, blobs.clone(), &counts, &params, bin_observations);
                 let mut got = counts.local_entries(ctx);
                 got.sort_by_key(|e| e.0);
                 assert_eq!(got, expect, "{bin_observations} observations per bin");

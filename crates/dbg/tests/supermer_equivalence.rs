@@ -3,15 +3,17 @@
 //! qualities), team widths of 1–8 ranks, and ε from 1 to 3, the
 //! minimizer-partitioned analysis must produce a counts table — keys,
 //! occurrence counts *and* per-side extension tallies — identical to a
-//! serial count over `kmers::kmers_with_exts_iter`.
+//! serial count over `kmers::kmers_with_exts_iter`, whether the reads come
+//! as an ASCII slice or as the packed views of a distributed read store.
 
-use dbg::{kmer_analysis, KmerAnalysisParams};
+use dbg::{kmer_analysis, kmer_analysis_from, KmerAnalysisParams};
 use dht::FxHashMap;
 use kmers::{kmers_with_exts_iter, Kmer, KmerCounts};
 use pgas::{Ctx, Team};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use seqio::Read;
+use readstore::{ReadStore, ReadStoreParams};
+use seqio::{Read, ReadLibrary};
 
 /// A random read: mostly sampled from a couple of shared "genomes" (so many
 /// k-mers recur and survive ε=2), with point errors, occasional Ns and a mix
@@ -46,6 +48,34 @@ fn run_table(reads: &[Read], ranks: usize, params: &KmerAnalysisParams) -> Vec<(
         .run(move |ctx: &Ctx| {
             let range = ctx.block_range(reads.len());
             let res = kmer_analysis(ctx, &reads[range], params);
+            ctx.barrier();
+            res.counts.local_entries(ctx)
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+    all.sort_by_key(|a| a.0);
+    all
+}
+
+/// The same, with the reads packed into a [`ReadStore`] of small blocks and
+/// each rank analysing its owned blocks' packed views.
+fn run_table_from_store(
+    reads: &[Read],
+    ranks: usize,
+    params: &KmerAnalysisParams,
+) -> Vec<(Kmer, KmerCounts)> {
+    let mut library = ReadLibrary::new_unpaired("store");
+    library.reads = reads.to_vec();
+    let store_params = ReadStoreParams {
+        block_reads: 5,
+        ..Default::default()
+    };
+    let team = Team::single_node(ranks);
+    let mut all: Vec<(Kmer, KmerCounts)> = team
+        .run(|ctx: &Ctx| {
+            let store = ReadStore::build(ctx, &library, &store_params);
+            let res = kmer_analysis_from(ctx, &mut store.owned_reads(ctx), params);
             ctx.barrier();
             res.counts.local_entries(ctx)
         })
@@ -103,6 +133,42 @@ fn supermer_analysis_matches_naive_counting_on_randomised_reads() {
                 got, reference,
                 "supermer table diverged: trial={trial} ranks={ranks} k={k} m={m} eps={}",
                 params.min_count
+            );
+        }
+    }
+}
+
+#[test]
+fn a_read_store_source_gives_the_table_a_read_slice_gives() {
+    let mut rng = StdRng::seed_from_u64(20261015);
+    let genomes: Vec<Vec<u8>> = (0..2)
+        .map(|_| {
+            (0..600)
+                .map(|_| [b'A', b'C', b'G', b'T'][rng.gen_range(0..4)])
+                .collect()
+        })
+        .collect();
+    let mut reads = random_reads(&mut rng, &genomes, 90);
+    // Reads the store must carry through untouched: empty, all-`N`, shorter
+    // than k, and long quality runs.
+    reads.push(Read::new("empty", b"", b""));
+    reads.push(Read::with_uniform_quality("all-n", &[b'N'; 40], 30));
+    reads.push(Read::with_uniform_quality("short", b"ACGTACG", 30));
+    reads.push(Read::with_uniform_quality("long", &genomes[0][..600], 38));
+    for (k, m) in [(21usize, 15usize), (31, 7), (43, 15)] {
+        let params = KmerAnalysisParams {
+            k,
+            min_count: 2,
+            minimizer_len: m,
+            ..Default::default()
+        };
+        let reference = run_table(&reads, 1, &params);
+        assert_eq!(reference, naive_table(&reads, &params), "k={k}");
+        for ranks in 1..=8usize {
+            assert_eq!(
+                run_table_from_store(&reads, ranks, &params),
+                reference,
+                "store source diverged: ranks={ranks} k={k} m={m}"
             );
         }
     }

@@ -316,6 +316,71 @@ impl Kmer {
     }
 }
 
+/// A k-mer and its reverse complement rolled along a sequence together: one
+/// reverse complement to start, then a few word shifts per base, and one
+/// comparison to pick the canonical strand. `N` is the number of words k
+/// needs (`k.div_ceil(32)`), so a k ≤ 32 rolls in single registers. Pure word
+/// arithmetic, like [`kernels::shift_right_bases`]: it has no scalar twin.
+#[derive(Clone, Copy)]
+pub(crate) struct StrandPair<const N: usize> {
+    fwd: [u64; N],
+    rc: [u64; N],
+    k: u16,
+    /// Bit offset of base k−1 within word N−1.
+    top: u32,
+}
+
+impl<const N: usize> StrandPair<N> {
+    /// Starts at `first`, whose k must need exactly `N` words.
+    pub(crate) fn new(first: &Kmer) -> Self {
+        debug_assert_eq!(first.k().div_ceil(32), N);
+        let rc = first.revcomp();
+        StrandPair {
+            fwd: std::array::from_fn(|i| first.words[i]),
+            rc: std::array::from_fn(|i| rc.words[i]),
+            k: first.k,
+            top: (2 * (first.k() - 1) % 64) as u32,
+        }
+    }
+
+    /// Slides one base right: `code` enters the forward k-mer at its right
+    /// end and, complemented, the reverse complement at its left end.
+    #[inline]
+    pub(crate) fn push(&mut self, code: u8) {
+        for i in 0..N {
+            let carry = if i + 1 < N { self.fwd[i + 1] << 62 } else { 0 };
+            self.fwd[i] = (self.fwd[i] >> 2) | carry;
+        }
+        self.fwd[N - 1] |= (code as u64) << self.top;
+        for i in (0..N).rev() {
+            let carry = if i > 0 { self.rc[i - 1] >> 62 } else { 0 };
+            self.rc[i] = (self.rc[i] << 2) | carry;
+        }
+        self.rc[0] |= (3 - code) as u64;
+        self.rc[N - 1] &= u64::MAX >> (62 - self.top);
+    }
+
+    /// The canonical k-mer — the lexicographically smaller strand — and
+    /// whether it is the reverse complement (the rule of
+    /// [`Kmer::canonical`]).
+    #[inline]
+    pub(crate) fn canonical(&self) -> (Kmer, bool) {
+        let was_rc = self
+            .fwd
+            .iter()
+            .zip(&self.rc)
+            .find(|(f, r)| f != r)
+            .is_some_and(|(&f, &r)| {
+                let sh = (f ^ r).trailing_zeros() & !1;
+                (r >> sh) & 3 < (f >> sh) & 3
+            });
+        let winner = if was_rc { &self.rc } else { &self.fwd };
+        let mut words = [0u64; 4];
+        words[..N].copy_from_slice(winner);
+        (Kmer { words, k: self.k }, was_rc)
+    }
+}
+
 impl PartialOrd for Kmer {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))

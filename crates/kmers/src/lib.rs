@@ -14,9 +14,9 @@
 //! * [`extract`] — iterators that slide a window over reads/contigs and emit
 //!   canonical k-mers together with their observed extensions and quality
 //!   categories;
-//! * [`minimizer`] — canonical m-mer minimizers, the streaming supermer
-//!   iterator and the packed supermer wire codec that k-mer analysis uses to
-//!   ship whole runs of overlapping k-mers in ~(s+k−1)/4 bytes instead of
+//! * [`minimizer`] — canonical m-mer minimizers, the supermer cutter over
+//!   2-bit reads and the packed supermer wire codec that k-mer analysis uses
+//!   to ship whole runs of overlapping k-mers in ~(s+k−1)/4 bytes instead of
 //!   ~32 bytes per k-mer;
 //! * [`kernels`] — the word-parallel/SIMD compute kernels behind the hot
 //!   loops of all of the above (reverse complement, canonical comparison and
@@ -37,7 +37,8 @@ pub use extract::{
 };
 pub use kmer::{Kmer, MAX_K};
 pub use minimizer::{
-    encode_supermer, expand_supermer, kmer_minimizer, minimizer_shard, supermer_wire_bytes,
-    supermers, Supermer, SupermerBlobIter, SupermerIter, SupermerRecord, MAX_MINIMIZER_LEN,
+    cut_supermers, encode_packed_supermer, encode_supermer, expand_supermer, kmer_minimizer,
+    minimizer_shard, minimizer_tag, supermer_wire_bytes, supermers, Supermer, SupermerBlobIter,
+    SupermerIter, SupermerRecord, MAX_MINIMIZER_LEN,
 };
 pub use packed_seq::PackedSeq;

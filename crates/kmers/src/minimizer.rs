@@ -15,21 +15,30 @@
 //! *every* occurrence of a canonical k-mer to the same destination: the owner
 //! can count locally without any further communication.
 //!
-//! The pieces, in pipeline order:
+//! Reads arrive 2-bit packed ([`seqio::PackedReadView`], the read store's own
+//! bytes), and nothing on the way to the counts table goes back to ASCII —
+//! the super-k-mer layout of KMC 3. The pieces, in pipeline order:
 //!
-//! * [`SupermerIter`] — streaming iterator over the supermers of one read
-//!   (window minimizers are computed with a monotonic deque, O(1) amortised
-//!   per base);
-//! * [`encode_supermer`] — appends one supermer's wire record to a byte
-//!   buffer (the per-owner aggregation buffers of the exchange);
+//! * [`cut_supermers`] — cuts one read's supermers from its codes: a rolling
+//!   canonical m-mer and a window minimum kept in a ring of the last k−m+1
+//!   m-mer values, rescanned only when the minimum leaves the window (O(1)
+//!   amortised per base);
+//! * [`encode_packed_supermer`] — appends one supermer's wire record to a
+//!   byte buffer (the per-owner aggregation buffers of the exchange): a
+//!   shifted copy of the read's packed bits and of its high-quality mask,
+//!   and the minimizer's bin tag ([`minimizer_tag`]);
 //! * [`SupermerBlobIter`] / [`expand_supermer`] — the receive side: frames
 //!   records out of an aggregated blob and expands each back into exactly the
 //!   [`CanonicalKmerExt`] observations the per-k-mer extraction
-//!   ([`crate::extract::kmers_with_exts_iter`]) would have produced;
+//!   ([`crate::extract::kmers_with_exts_iter`]) would have produced, rolling
+//!   the forward and the reverse-complement k-mer in lockstep;
 //! * [`kmer_minimizer`] / [`minimizer_shard`] — the canonical minimizer of a
 //!   single (canonical) k-mer and its deterministic shard assignment, used by
 //!   the minimizer-based `dht` partitioner so that table ownership agrees
 //!   with supermer routing.
+//!
+//! [`SupermerIter`] and [`encode_supermer`] are the same cut and the same
+//! record for a caller holding an ASCII read.
 //!
 //! Minimizer length is capped at [`MAX_MINIMIZER_LEN`] so an m-mer fits one
 //! `u64` (2 bits per base, base 0 in the high bits so that integer order
@@ -38,19 +47,24 @@
 use crate::ext::ExtPair;
 use crate::extract::CanonicalKmerExt;
 use crate::kernels;
-use crate::kmer::Kmer;
-use mhm_simd::{encode_codes, find_non_acgt};
+use crate::kmer::{Kmer, StrandPair, MAX_K};
+use crate::packed_seq::PackedSeq;
 use seqio::alphabet::encode_base;
-use std::collections::VecDeque;
+use seqio::PackedReadView;
+use std::ops::Range;
 
 /// Largest supported minimizer length: 31 bases pack into 62 bits of a `u64`.
 pub const MAX_MINIMIZER_LEN: usize = 31;
 
 /// Largest supermer length in bases: the wire record stores the length in a
-/// `u16`. [`SupermerIter`] splits longer same-minimizer runs (possible in
+/// `u16`. [`cut_supermers`] splits longer same-minimizer runs (possible in
 /// pathological homopolymer stretches of very long reads) into consecutive
 /// supermers, which expand to identical observations.
 pub const MAX_SUPERMER_BASES: usize = u16::MAX as usize;
+
+/// Slots of the cutter's ring of m-mer values: a power of two above the
+/// largest window, k − m + 1 ≤ [`MAX_K`].
+const RING: usize = MAX_K + 1;
 
 /// Mixes a packed minimizer value into a well-spread 64-bit hash
 /// (splitmix64 finaliser). Exposed so that routing (sender side) and the
@@ -68,6 +82,16 @@ pub fn mix_minimizer(value: u64) -> u64 {
 pub fn minimizer_shard(value: u64, ranks: usize) -> usize {
     debug_assert!(ranks > 0);
     (mix_minimizer(value) % ranks as u64) as usize
+}
+
+/// The bin tag a wire record carries: the top eight bits of the mixed
+/// minimizer. [`minimizer_shard`] spends the same mixed value modulo the rank
+/// count, and every record a rank receives agrees in that residue, so the tag
+/// takes the high bits, which the residue does not fix. The receiver bins
+/// records by tag without recomputing a minimizer.
+#[inline]
+pub fn minimizer_tag(value: u64) -> u8 {
+    (mix_minimizer(value) >> 56) as u8
 }
 
 /// Packed-m-mer helper: rolls a forward value (base 0 in the high bits, so
@@ -91,11 +115,7 @@ impl MmerRoller {
         );
         MmerRoller {
             m,
-            mask: if 2 * m == 64 {
-                u64::MAX
-            } else {
-                (1u64 << (2 * m)) - 1
-            },
+            mask: (1u64 << (2 * m)) - 1,
             fwd: 0,
             rc: 0,
             filled: 0,
@@ -116,7 +136,7 @@ impl MmerRoller {
 /// The canonical minimizer value of a single k-mer: the minimum canonical
 /// m-mer value over its k−m+1 windows. Strand-invariant, so it can be
 /// computed on the canonical key and still agree with the read-orientation
-/// routing of [`SupermerIter`].
+/// routing of [`cut_supermers`].
 ///
 /// # Panics
 /// Panics if `m` is 0, larger than [`MAX_MINIMIZER_LEN`], or larger than the
@@ -160,170 +180,122 @@ pub struct Supermer {
     pub minimizer: u64,
 }
 
-/// Streaming supermer iterator over one read. Yields the same k-mer windows
-/// as [`crate::extract::kmer_positions`] (windows containing non-ACGT bases
-/// are skipped), grouped into maximal same-minimizer runs. Window minimizers
-/// are maintained with a monotonic deque, so the whole read is processed in
-/// O(len) time and O(k) transient space.
-pub struct SupermerIter<'a> {
-    seq: &'a [u8],
+/// Cuts the supermers of one packed read and calls `emit` with each, in read
+/// order. The windows are those of [`crate::extract::kmer_positions`]
+/// (windows holding an exception are skipped), grouped into maximal
+/// same-minimizer runs of at most [`MAX_SUPERMER_BASES`] bases. O(len)
+/// amortised time; no allocation.
+///
+/// # Panics
+/// Panics unless `1 <= m <= k <= MAX_K` and `m <= MAX_MINIMIZER_LEN`.
+pub fn cut_supermers(
+    read: &PackedReadView<'_>,
     k: usize,
     m: usize,
-    /// Next read position to scan for the current ambiguity-free stretch.
-    cursor: usize,
-    /// Start of the current ambiguity-free stretch (the origin of `codes`).
-    stretch_start: usize,
-    /// Exclusive end of the current ambiguity-free stretch (cursor..stretch_end
-    /// is all-ACGT once a stretch is entered).
-    stretch_end: usize,
-    /// Bulk-encoded 2-bit codes of the current stretch, one byte per base
-    /// (`codes[i]` is read position `stretch_start + i`), filled once per
-    /// stretch by the vectorised encoder.
-    codes: Vec<u8>,
-    /// Next k-mer window position to emit within the stretch.
-    window: usize,
-    /// Monotonic deque of `(m-window position, canonical value)`, values
-    /// non-decreasing front to back.
-    deque: VecDeque<(usize, u64)>,
-    roller: MmerRoller,
-    /// Lookahead: the next window's `(position, minimizer)` when the previous
-    /// [`Iterator::next`] call already computed it to detect its run's end.
-    pending: Option<(usize, u64)>,
+    mut emit: impl FnMut(Supermer),
+) {
+    assert!(
+        (1..=MAX_K).contains(&k),
+        "k must be in 1..={MAX_K}, got {k}"
+    );
+    assert!(m >= 1 && m <= k, "minimizer length must be in 1..=k");
+    let mut ring = [0u64; RING];
+    let mut stretch_start = 0usize;
+    let exceptions = read.exceptions.iter().map(|&(pos, _)| pos as usize);
+    for stretch_end in exceptions.chain(std::iter::once(read.len)) {
+        if stretch_end >= stretch_start + k {
+            cut_stretch(read, stretch_start..stretch_end, k, m, &mut ring, &mut emit);
+        }
+        stretch_start = stretch_end + 1;
+    }
 }
 
-impl<'a> SupermerIter<'a> {
-    /// Creates the iterator. `m` must be in `1..=min(k, MAX_MINIMIZER_LEN)`.
-    pub fn new(seq: &'a [u8], k: usize, m: usize) -> Self {
-        assert!(k >= 1, "k must be positive");
-        assert!(m >= 1 && m <= k, "minimizer length must be in 1..=k");
-        SupermerIter {
-            seq,
-            k,
-            m,
-            cursor: 0,
-            stretch_start: 0,
-            stretch_end: 0,
-            codes: Vec::new(),
-            window: 0,
-            deque: VecDeque::new(),
-            roller: MmerRoller::new(m),
-            pending: None,
+/// Cuts one ambiguity-free stretch of at least `k` bases. `ring[p % RING]`
+/// holds the canonical value of the m-mer at `p` for the current window's
+/// k−m+1 m-mers; `min` is the smallest of them and `min_pos` the rightmost
+/// position holding it, so the ring is rescanned only once that position
+/// leaves the window.
+fn cut_stretch(
+    read: &PackedReadView<'_>,
+    stretch: Range<usize>,
+    k: usize,
+    m: usize,
+    ring: &mut [u64; RING],
+    emit: &mut impl FnMut(Supermer),
+) {
+    let max_kmers = MAX_SUPERMER_BASES.saturating_sub(k - 1).max(1);
+    let mut roller = MmerRoller::new(m);
+    let (mut min, mut min_pos) = (u64::MAX, 0usize);
+    let mut run: Option<Supermer> = None;
+    for pos in stretch.clone() {
+        let Some(value) = roller.push(read.code_at(pos)) else {
+            continue;
+        };
+        let mpos = pos + 1 - m;
+        ring[mpos % RING] = value;
+        if value <= min {
+            (min, min_pos) = (value, mpos);
         }
-    }
-
-    /// Advances to the next ambiguity-free stretch of at least k bases.
-    /// Returns false when the read is exhausted. The stretch boundary is
-    /// located with the vectorised non-ACGT probe and its bases are
-    /// bulk-translated to 2-bit codes in one pass, so the per-base work of
-    /// the scan loop reduces to a table-free byte load.
-    fn enter_stretch(&mut self) -> bool {
-        let n = self.seq.len();
-        loop {
-            // Skip invalid bases (invalid runs are rare and short).
-            while self.cursor < n && encode_base(self.seq[self.cursor]).is_none() {
-                self.cursor += 1;
-            }
-            if self.cursor + self.k > n {
-                return false;
-            }
-            let start = self.cursor;
-            let end = match find_non_acgt(&self.seq[start..]) {
-                Some(i) => start + i,
-                None => n,
-            };
-            if end - start >= self.k {
-                self.stretch_start = start;
-                self.stretch_end = end;
-                self.codes.clear();
-                self.codes.resize(end - start, 0);
-                encode_codes(&self.seq[start..end], &mut self.codes);
-                self.window = start;
-                self.deque.clear();
-                self.roller = MmerRoller::new(self.m);
-                // Prime the roller up to (but excluding) the first window's
-                // final base; `window_minimizer` pushes exactly that one.
-                for pos in start..start + self.k - 1 {
-                    self.push_mmer(pos);
+        if pos + 1 < stretch.start + k {
+            continue;
+        }
+        let window = pos + 1 - k;
+        if min_pos < window {
+            min = u64::MAX;
+            for p in window..=mpos {
+                if ring[p % RING] <= min {
+                    (min, min_pos) = (ring[p % RING], p);
                 }
-                return true;
             }
-            self.cursor = end;
+        }
+        match &mut run {
+            Some(sm) if sm.minimizer == min && sm.kmers < max_kmers => {
+                sm.kmers += 1;
+                sm.len += 1;
+            }
+            _ => {
+                let next = Supermer {
+                    start: window,
+                    len: k,
+                    kmers: 1,
+                    minimizer: min,
+                };
+                if let Some(done) = run.replace(next) {
+                    emit(done);
+                }
+            }
         }
     }
-
-    /// Feeds base at `pos` into the roller; when an m-window completes, pushes
-    /// its canonical value onto the monotonic deque.
-    fn push_mmer(&mut self, pos: usize) {
-        let code = self.codes[pos - self.stretch_start];
-        if let Some(value) = self.roller.push(code) {
-            let mpos = pos + 1 - self.m;
-            while matches!(self.deque.back(), Some(&(_, v)) if v >= value) {
-                self.deque.pop_back();
-            }
-            self.deque.push_back((mpos, value));
-        }
-    }
-
-    /// The minimizer of the k-mer window starting at `w`: minimum canonical
-    /// m-mer over m-window positions `w ..= w+k-m`.
-    fn window_minimizer(&mut self, w: usize) -> u64 {
-        // Complete the window's last m-mer (ending at w+k-1).
-        self.push_mmer(w + self.k - 1);
-        while matches!(self.deque.front(), Some(&(p, _)) if p < w) {
-            self.deque.pop_front();
-        }
-        self.deque.front().expect("window has at least one m-mer").1
+    if let Some(done) = run {
+        emit(done);
     }
 }
 
-impl Iterator for SupermerIter<'_> {
+/// The supermers of an ASCII read, collected: packs `seq` (non-ACGT bytes
+/// become exceptions) and runs [`cut_supermers`] over the packing.
+pub fn supermers(seq: &[u8], k: usize, m: usize) -> Vec<Supermer> {
+    let mut out = Vec::new();
+    cut_supermers(&PackedSeq::from_bytes(seq).view(), k, m, |sm| out.push(sm));
+    out
+}
+
+/// Iterator over the supermers of an ASCII read ([`supermers`]), for callers
+/// that hold ASCII; k-mer analysis cuts from the read store's packing.
+pub struct SupermerIter(std::vec::IntoIter<Supermer>);
+
+impl SupermerIter {
+    /// Cuts `seq`. `m` must be in `1..=min(k, MAX_MINIMIZER_LEN)`.
+    pub fn new(seq: &[u8], k: usize, m: usize) -> Self {
+        SupermerIter(supermers(seq, k, m).into_iter())
+    }
+}
+
+impl Iterator for SupermerIter {
     type Item = Supermer;
 
     fn next(&mut self) -> Option<Supermer> {
-        // First window of this supermer: either the lookahead left over from
-        // the previous call, or a freshly computed one (entering the next
-        // ambiguity-free stretch if the current one is exhausted).
-        let (start, minimizer) = match self.pending.take() {
-            Some(pm) => pm,
-            None => {
-                if self.window + self.k > self.stretch_end {
-                    self.cursor = self.stretch_end.max(self.cursor);
-                    if !self.enter_stretch() {
-                        return None;
-                    }
-                }
-                let w = self.window;
-                (w, self.window_minimizer(w))
-            }
-        };
-        // Cap the run so the supermer's base length always fits the u16 wire
-        // header; an oversize same-minimizer run (a pathological homopolymer
-        // stretch) is split into back-to-back supermers, which expand to the
-        // same observations and route to the same owner.
-        let max_kmers = MAX_SUPERMER_BASES.saturating_sub(self.k - 1).max(1);
-        let mut kmers = 1usize;
-        while kmers < max_kmers && start + kmers + self.k <= self.stretch_end {
-            let next_w = start + kmers;
-            let next_min = self.window_minimizer(next_w);
-            if next_min != minimizer {
-                self.pending = Some((next_w, next_min));
-                break;
-            }
-            kmers += 1;
-        }
-        self.window = start + kmers;
-        Some(Supermer {
-            start,
-            len: kmers + self.k - 1,
-            kmers,
-            minimizer,
-        })
+        self.0.next()
     }
-}
-
-/// Convenience: all supermers of a read, collected.
-pub fn supermers(seq: &[u8], k: usize, m: usize) -> Vec<Supermer> {
-    SupermerIter::new(seq, k, m).collect()
 }
 
 // --- Wire format -----------------------------------------------------------
@@ -331,16 +303,18 @@ pub fn supermers(seq: &[u8], k: usize, m: usize) -> Vec<Supermer> {
 // One record, appended to a per-owner byte buffer:
 //
 //   [len lo] [len hi]                u16 length L in bases
-//   [flags]                          bit0 has-left, bit1 left-hq,
-//                                    bit2 has-right, bit3 right-hq
-//   [bounds]                         bits 0-1 left base code, bits 2-3 right
+//   [ends]                           bit0 has-left, bit1 left-hq,
+//                                    bit2 has-right, bit3 right-hq,
+//                                    bits 4-5 left base code, bits 6-7 right
+//   [tag]                            minimizer_tag of the shared minimizer
 //   [ceil(L/4) packed 2-bit bases]   base i in bits 2*(i%4) of byte i/4
 //   [ceil(L/8) hq bits]              base i high-quality in bit i%8 of byte i/8
 //
 // The boundary bases are the read bases immediately before/after the supermer
 // (absent at read ends and next to ambiguous bases), so the receive side can
 // reconstruct the first window's left extension and the last window's right
-// extension; interior extensions are implicit in the packed sequence.
+// extension; interior extensions are implicit in the packed sequence. Bits
+// past L in the last packed byte and the last hq byte are zero.
 
 /// Number of wire bytes one supermer of `len` bases occupies.
 #[inline]
@@ -348,10 +322,86 @@ pub fn supermer_wire_bytes(len: usize) -> usize {
     4 + len.div_ceil(4) + len.div_ceil(8)
 }
 
-/// Appends the wire record of `sm` (a supermer of `seq`) to `out`, returning
-/// the number of bytes written. `qual` must be empty (all bases high quality)
-/// or as long as `seq`; `hq_threshold` is applied on the sender so the
-/// receive side never needs the Phred scores themselves.
+/// Appends the record header of `sm` with the given boundary bases
+/// (`(code, high quality)`), then its zeroed body, and returns the body split
+/// into the packed bases and the hq bits.
+fn push_record<'o>(
+    out: &'o mut Vec<u8>,
+    sm: &Supermer,
+    left: Option<(u8, bool)>,
+    right: Option<(u8, bool)>,
+) -> (&'o mut [u8], &'o mut [u8]) {
+    assert!(
+        sm.len <= MAX_SUPERMER_BASES,
+        "supermer too long for the wire"
+    );
+    let mut ends = 0u8;
+    if let Some((code, hq)) = left {
+        ends |= 1 | (u8::from(hq) << 1) | (code << 4);
+    }
+    if let Some((code, hq)) = right {
+        ends |= (1 << 2) | (u8::from(hq) << 3) | (code << 6);
+    }
+    out.extend_from_slice(&(sm.len as u16).to_le_bytes());
+    out.push(ends);
+    out.push(minimizer_tag(sm.minimizer));
+    let base = out.len();
+    out.resize(base + sm.len.div_ceil(4) + sm.len.div_ceil(8), 0);
+    out[base..].split_at_mut(sm.len.div_ceil(4))
+}
+
+/// Copies bits `from..from + n` of the little-endian bit stream `src` to the
+/// start of `dst` (`n.div_ceil(8)` bytes) and zeroes `dst`'s bits past `n`:
+/// eight bytes per step with one unaligned load and a shift.
+fn copy_bits(src: &[u8], from: usize, n: usize, dst: &mut [u8]) {
+    debug_assert_eq!(dst.len(), n.div_ceil(8));
+    let (src, shift) = (&src[from / 8..], from % 8);
+    let mut j = 0;
+    while j + 8 < src.len() && j + 8 <= dst.len() {
+        let word = u64::from_le_bytes(src[j..j + 8].try_into().expect("8-byte chunk"));
+        let carry = (u64::from(src[j + 8]) << 1) << (63 - shift);
+        dst[j..j + 8].copy_from_slice(&((word >> shift) | carry).to_le_bytes());
+        j += 8;
+    }
+    for (i, d) in dst.iter_mut().enumerate().skip(j) {
+        let carry = src
+            .get(i + 1)
+            .map_or(0, |&b| (u16::from(b) << 8 >> shift) as u8);
+        *d = (src[i] >> shift) | carry;
+    }
+    if !n.is_multiple_of(8) {
+        *dst.last_mut().expect("n > 0") &= (1u8 << (n % 8)) - 1;
+    }
+}
+
+/// Appends the wire record of `sm`, a supermer [`cut_supermers`] cut from
+/// `read`, to `out` and returns the number of bytes written. `hq` is the
+/// read's high-quality mask ([`PackedReadView::hq_mask`]), so the receive
+/// side never needs the Phred scores themselves. The bases and the mask are
+/// bit copies of the read's, shifted to the record's first base.
+pub fn encode_packed_supermer(
+    out: &mut Vec<u8>,
+    read: &PackedReadView<'_>,
+    hq: &[u8],
+    sm: &Supermer,
+) -> usize {
+    let before = out.len();
+    let boundary = |i: Option<usize>| {
+        i.filter(|&i| read.is_acgt(i))
+            .map(|i| (read.code_at(i), (hq[i / 8] >> (i % 8)) & 1 == 1))
+    };
+    let left = boundary(sm.start.checked_sub(1));
+    let right = boundary(Some(sm.start + sm.len));
+    let (packed, hq_bits) = push_record(out, sm, left, right);
+    copy_bits(read.codes, 2 * sm.start, 2 * sm.len, packed);
+    copy_bits(hq, sm.start, sm.len, hq_bits);
+    out.len() - before
+}
+
+/// The ASCII form of [`encode_packed_supermer`]: appends the wire record of
+/// `sm` (a supermer of `seq`) to `out`, returning the number of bytes
+/// written. `qual` must be empty (all bases high quality) or as long as
+/// `seq`; a base is high quality when its score is at least `hq_threshold`.
 pub fn encode_supermer(
     out: &mut Vec<u8>,
     seq: &[u8],
@@ -363,10 +413,6 @@ pub fn encode_supermer(
         qual.is_empty() || qual.len() == seq.len(),
         "quality must be empty or match sequence length"
     );
-    assert!(
-        sm.len <= u16::MAX as usize,
-        "supermer too long for the wire"
-    );
     let before = out.len();
     let hq_at = |i: usize| qual.is_empty() || qual[i] >= hq_threshold;
     let boundary = |i: Option<usize>| -> Option<(u8, bool)> {
@@ -375,41 +421,12 @@ pub fn encode_supermer(
     };
     let left = boundary(sm.start.checked_sub(1));
     let right = boundary(Some(sm.start + sm.len));
-
-    out.extend_from_slice(&(sm.len as u16).to_le_bytes());
-    let mut flags = 0u8;
-    let mut bounds = 0u8;
-    if let Some((c, hq)) = left {
-        flags |= 1 | (u8::from(hq) << 1);
-        bounds |= c;
-    }
-    if let Some((c, hq)) = right {
-        flags |= (1 << 2) | (u8::from(hq) << 3);
-        bounds |= c << 2;
-    }
-    out.push(flags);
-    out.push(bounds);
-
-    let base = out.len();
-    out.resize(base + sm.len.div_ceil(4) + sm.len.div_ceil(8), 0);
-    let (packed, hq_bits) = out[base..].split_at_mut(sm.len.div_ceil(4));
+    let (packed, hq_bits) = push_record(out, sm, left, right);
     kernels::pack_ascii(&seq[sm.start..sm.start + sm.len], packed, |_, b| {
         panic!("supermer bases are unambiguous, got {:?}", b as char)
     });
-    if qual.is_empty() {
-        // All bases high quality: whole bytes of ones, tail bits masked.
-        hq_bits.fill(0xFF);
-        if !sm.len.is_multiple_of(8) {
-            *hq_bits.last_mut().expect("len > 0") = (1u8 << (sm.len % 8)) - 1;
-        }
-    } else {
-        for (i, hb) in hq_bits.iter_mut().enumerate() {
-            let mut bits = 0u8;
-            for j in 0..8.min(sm.len - i * 8) {
-                bits |= u8::from(qual[sm.start + i * 8 + j] >= hq_threshold) << j;
-            }
-            *hb = bits;
-        }
+    for i in 0..sm.len {
+        hq_bits[i / 8] |= u8::from(hq_at(sm.start + i)) << (i % 8);
     }
     out.len() - before
 }
@@ -423,6 +440,8 @@ pub struct SupermerRecord<'a> {
     pub left: Option<(u8, bool)>,
     /// Right boundary base, if present.
     pub right: Option<(u8, bool)>,
+    /// [`minimizer_tag`] of the minimizer all of the record's k-mers share.
+    pub tag: u8,
     packed: &'a [u8],
     hq: &'a [u8],
 }
@@ -449,6 +468,23 @@ impl SupermerRecord<'_> {
     pub fn first_kmer(&self, k: usize) -> Kmer {
         assert!(self.len >= k, "supermer shorter than k");
         Kmer::from_packed(self.packed, 0, k)
+    }
+
+    /// The extensions of the window at `w`: the bases either side of it,
+    /// from the record or, at its ends, from the boundary bases.
+    #[inline]
+    fn exts_at(&self, w: usize, k: usize) -> ExtPair {
+        let left = if w > 0 {
+            Some((self.code_at(w - 1), self.hq_at(w - 1)))
+        } else {
+            self.left
+        };
+        let right = if w + k < self.len {
+            Some((self.code_at(w + k), self.hq_at(w + k)))
+        } else {
+            self.right
+        };
+        ExtPair { left, right }
     }
 }
 
@@ -481,8 +517,7 @@ impl<'a> Iterator for SupermerBlobIter<'a> {
         let rest = &self.buf[self.off..];
         assert!(rest.len() >= 4, "truncated supermer record header");
         let len = u16::from_le_bytes([rest[0], rest[1]]) as usize;
-        let flags = rest[2];
-        let bounds = rest[3];
+        let ends = rest[2];
         let packed_len = len.div_ceil(4);
         let hq_len = len.div_ceil(8);
         assert!(
@@ -491,8 +526,9 @@ impl<'a> Iterator for SupermerBlobIter<'a> {
         );
         let record = SupermerRecord {
             len,
-            left: (flags & 1 != 0).then_some((bounds & 0b11, flags & 0b10 != 0)),
-            right: (flags & 0b100 != 0).then_some(((bounds >> 2) & 0b11, flags & 0b1000 != 0)),
+            left: (ends & 1 != 0).then_some(((ends >> 4) & 0b11, ends & 0b10 != 0)),
+            right: (ends & 0b100 != 0).then_some((ends >> 6, ends & 0b1000 != 0)),
+            tag: rest[3],
             packed: &rest[4..4 + packed_len],
             hq: &rest[4 + packed_len..4 + packed_len + hq_len],
         };
@@ -504,32 +540,35 @@ impl<'a> Iterator for SupermerBlobIter<'a> {
 /// Expands one supermer record into the canonical k-mer observations it
 /// encodes, calling `emit` once per window — exactly the observations
 /// [`crate::extract::kmers_with_exts_iter`] produces for the covered windows
-/// of the original read.
-pub fn expand_supermer(
+/// of the original read. The forward k-mer and its reverse complement roll
+/// along the record together, so the record costs one reverse complement,
+/// not one per window, and each window's canonical form is one comparison.
+pub fn expand_supermer(record: &SupermerRecord<'_>, k: usize, emit: impl FnMut(CanonicalKmerExt)) {
+    match k.div_ceil(32) {
+        1 => expand_words::<1>(record, k, emit),
+        2 => expand_words::<2>(record, k, emit),
+        3 => expand_words::<3>(record, k, emit),
+        _ => expand_words::<4>(record, k, emit),
+    }
+}
+
+/// [`expand_supermer`] for a k of `N` words.
+fn expand_words<const N: usize>(
     record: &SupermerRecord<'_>,
     k: usize,
     mut emit: impl FnMut(CanonicalKmerExt),
 ) {
-    let mut km = record.first_kmer(k);
-    let windows = record.len - k + 1;
-    for w in 0..windows {
+    let mut pair = StrandPair::<N>::new(&record.first_kmer(k));
+    for w in 0..=record.len - k {
         if w > 0 {
-            km = km.extended_right(record.code_at(w + k - 1));
+            pair.push(record.code_at(w + k - 1));
         }
-        let left = if w > 0 {
-            Some((record.code_at(w - 1), record.hq_at(w - 1)))
-        } else {
-            record.left
-        };
-        let right = if w + k < record.len {
-            Some((record.code_at(w + k), record.hq_at(w + k)))
-        } else {
-            record.right
-        };
-        let exts = ExtPair { left, right };
-        let (canon, was_rc) = km.canonical();
-        let exts = if was_rc { exts.revcomp() } else { exts };
-        emit(CanonicalKmerExt { kmer: canon, exts });
+        let exts = record.exts_at(w, k);
+        let (kmer, was_rc) = pair.canonical();
+        emit(CanonicalKmerExt {
+            kmer,
+            exts: if was_rc { exts.revcomp() } else { exts },
+        });
     }
 }
 
@@ -537,6 +576,154 @@ pub fn expand_supermer(
 mod tests {
     use super::*;
     use crate::extract::{kmer_positions, kmers_with_exts};
+    use seqio::ReadPacker;
+
+    /// The supermers of `seq` by definition: every window's minimizer
+    /// recomputed from scratch, consecutive windows with equal minimizers
+    /// grouped, runs capped at [`MAX_SUPERMER_BASES`].
+    fn oracle_supermers(seq: &[u8], k: usize, m: usize) -> Vec<Supermer> {
+        let max_kmers = MAX_SUPERMER_BASES - (k - 1);
+        let mut out: Vec<Supermer> = Vec::new();
+        for (pos, km) in kmer_positions(seq, k) {
+            let minimizer = kmer_minimizer(&km, m);
+            match out.last_mut() {
+                Some(sm)
+                    if sm.start + sm.kmers == pos
+                        && sm.minimizer == minimizer
+                        && sm.kmers < max_kmers =>
+                {
+                    sm.kmers += 1;
+                    sm.len += 1;
+                }
+                _ => out.push(Supermer {
+                    start: pos,
+                    len: k,
+                    kmers: 1,
+                    minimizer,
+                }),
+            }
+        }
+        out
+    }
+
+    /// The expansion this module shipped before the rolling one: a fresh
+    /// canonical form, hence a reverse complement, in every window.
+    fn expand_per_window(record: &SupermerRecord<'_>, k: usize) -> Vec<CanonicalKmerExt> {
+        let mut km = record.first_kmer(k);
+        (0..=record.len - k)
+            .map(|w| {
+                if w > 0 {
+                    km = km.extended_right(record.code_at(w + k - 1));
+                }
+                let (kmer, was_rc) = km.canonical();
+                let exts = record.exts_at(w, k);
+                CanonicalKmerExt {
+                    kmer,
+                    exts: if was_rc { exts.revcomp() } else { exts },
+                }
+            })
+            .collect()
+    }
+
+    /// Pseudo-random bases (an LCG).
+    fn random_bases(len: usize, mut state: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                b"ACGT"[(state >> 33) as usize % 4]
+            })
+            .collect()
+    }
+
+    /// Everything the packed path makes of `(seq, qual)` equals what the
+    /// ASCII oracles make of it: the cut, the wire bytes, and the expansion.
+    fn check_packed_equals_ascii(seq: &[u8], qual: &[u8], k: usize, m: usize) {
+        let what = format!("len={} k={k} m={m}", seq.len());
+        let threshold = 20;
+        let mut packer = ReadPacker::default();
+        let read = packer.pack(seq, qual);
+        // The store's packing (`PackedSeq`) and the slice sources' agree.
+        let store = PackedSeq::from_bytes(seq);
+        assert_eq!(
+            (read.codes, read.exceptions),
+            (store.view().codes, store.view().exceptions),
+            "{what}"
+        );
+        let mut cut = Vec::new();
+        cut_supermers(&read, k, m, |sm| cut.push(sm));
+        assert_eq!(cut, oracle_supermers(seq, k, m), "{what}");
+
+        let mut hq = Vec::new();
+        read.hq_mask(threshold, &mut hq);
+        let (mut packed_blob, mut ascii_blob) = (Vec::new(), Vec::new());
+        for sm in &cut {
+            let wrote = encode_packed_supermer(&mut packed_blob, &read, &hq, sm);
+            assert_eq!(wrote, supermer_wire_bytes(sm.len), "{what}");
+            encode_supermer(&mut ascii_blob, seq, qual, threshold, sm);
+        }
+        assert_eq!(packed_blob, ascii_blob, "wire bytes, {what}");
+
+        let mut rolled = Vec::new();
+        let mut per_window = Vec::new();
+        for (record, sm) in SupermerBlobIter::new(&packed_blob).zip(&cut) {
+            assert_eq!(record.tag, minimizer_tag(sm.minimizer), "{what}");
+            let first = record.first_kmer(k);
+            assert_eq!(kmer_minimizer(&first, m), sm.minimizer, "{what}");
+            expand_supermer(&record, k, |obs| rolled.push(obs));
+            per_window.extend(expand_per_window(&record, k));
+        }
+        assert_eq!(rolled, per_window, "{what}");
+        assert_eq!(rolled, kmers_with_exts(seq, qual, k, threshold), "{what}");
+    }
+
+    #[test]
+    fn packed_cut_wire_and_expansion_equal_the_ascii_oracles() {
+        let ks = [3usize, 21, 31, 33, 43, 63, 65, 127];
+        let ms = [1usize, 7, 15, 31];
+        // N runs at both ends and next to each other, a non-N exception
+        // beside an N, and lower-case bases.
+        let mut noisy = b"NNN".to_vec();
+        noisy.extend(random_bases(260, 1));
+        noisy.extend(b"NNxN");
+        noisy.extend(random_bases(140, 2).to_ascii_lowercase());
+        noisy.push(b'N');
+        noisy.extend(random_bases(90, 3));
+        noisy.extend(b"NN");
+        // Quality runs longer than 255 and runs straddling the threshold.
+        let qual: Vec<u8> = (0..noisy.len())
+            .map(|i| match i {
+                0..=299 => 35,
+                300..=330 => [19, 20, 21][i % 3],
+                _ if i % 40 < 3 => 20,
+                _ => 19,
+            })
+            .collect();
+        for &k in &ks {
+            for &m in ms.iter().filter(|&&m| m <= k) {
+                check_packed_equals_ascii(&noisy, &qual, k, m);
+                check_packed_equals_ascii(&noisy, &[], k, m);
+                for len in [0, k - 1, k, k + 1] {
+                    let seq = random_bases(len, (k * 31 + m) as u64);
+                    let qual: Vec<u8> = (0..len).map(|i| 10 + (i % 23) as u8).collect();
+                    check_packed_equals_ascii(&seq, &qual, k, m);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_70kb_homopolymer_splits_at_the_wire_limit_on_both_paths() {
+        let seq = vec![b'A'; 70_000];
+        let qual: Vec<u8> = (0..seq.len()).map(|i| [35, 5][i / 300 % 2]).collect();
+        for (k, m) in [(21, 15), (127, 31)] {
+            check_packed_equals_ascii(&seq, &qual, k, m);
+            let cut = supermers(&seq, k, m);
+            assert_eq!(cut.len(), 2, "k={k}");
+            assert_eq!(cut[0].len, MAX_SUPERMER_BASES);
+        }
+    }
 
     #[test]
     fn supermers_tile_the_kmer_windows_exactly() {
@@ -591,54 +778,6 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_reproduces_per_kmer_observations() {
-        let seq = b"ACGGTTACGGATNCCGATTACAGGCATTACAGGTCCGATCAG";
-        let qual: Vec<u8> = (0..seq.len()).map(|i| 10 + ((i * 7) % 35) as u8).collect();
-        for (k, m) in [(7usize, 3usize), (9, 5), (13, 13)] {
-            let mut blob = Vec::new();
-            for sm in SupermerIter::new(seq, k, m) {
-                encode_supermer(&mut blob, seq, &qual, 20, &sm);
-            }
-            let mut decoded = Vec::new();
-            for rec in SupermerBlobIter::new(&blob) {
-                expand_supermer(&rec, k, |obs| decoded.push(obs));
-            }
-            let expect = kmers_with_exts(seq, &qual, k, 20);
-            assert_eq!(decoded, expect, "k={k} m={m}");
-        }
-    }
-
-    #[test]
-    fn roundtrip_with_empty_quality() {
-        let seq = b"ACGGTTACGGATCCGATTACAGG";
-        let (k, m) = (9usize, 5usize);
-        let mut blob = Vec::new();
-        for sm in SupermerIter::new(seq, k, m) {
-            encode_supermer(&mut blob, seq, &[], 20, &sm);
-        }
-        let mut decoded = Vec::new();
-        for rec in SupermerBlobIter::new(&blob) {
-            expand_supermer(&rec, k, |obs| decoded.push(obs));
-        }
-        assert_eq!(decoded, kmers_with_exts(seq, &[], k, 20));
-    }
-
-    #[test]
-    fn wire_bytes_match_encoding() {
-        let seq = b"ACGGTTACGGATCCGATTACAGG";
-        let (k, m) = (11usize, 7usize);
-        let mut blob = Vec::new();
-        for sm in SupermerIter::new(seq, k, m) {
-            let wrote = encode_supermer(&mut blob, seq, &[], 20, &sm);
-            assert_eq!(wrote, supermer_wire_bytes(sm.len));
-        }
-        assert_eq!(
-            SupermerBlobIter::new(&blob).count(),
-            supermers(seq, k, m).len()
-        );
-    }
-
-    #[test]
     fn supermers_compress_long_reads() {
         // On a homopolymer-free pseudo-random read the average supermer covers
         // several k-mers, so the wire bytes undercut 32 bytes/k-mer by a lot.
@@ -687,6 +826,22 @@ mod tests {
             });
         }
         assert_eq!(decoded, seq.len() - k + 1);
+    }
+
+    #[test]
+    fn copy_bits_shifts_any_span_to_the_start() {
+        let src: Vec<u8> = (0..40u32).map(|i| (i * 37 + 11) as u8).collect();
+        let bit = |buf: &[u8], i: usize| (buf[i / 8] >> (i % 8)) & 1;
+        for from in 0..24 {
+            for n in 1..=200usize {
+                let mut dst = vec![0xA5; n.div_ceil(8)];
+                copy_bits(&src, from, n, &mut dst);
+                for i in 0..dst.len() * 8 {
+                    let want = if i < n { bit(&src, from + i) } else { 0 };
+                    assert_eq!(bit(&dst, i), want, "from={from} n={n} bit {i}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! lives here — below both — because packing and unpacking go through the
 //! word-parallel/SIMD-dispatch kernels of this crate.
 
+use seqio::PackedReadView;
+
 /// A 2-bit-packed DNA sequence with an exception list for rare non-ACGT
 /// bytes, so packing is lossless for any input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,6 +81,17 @@ impl PackedSeq {
     /// files). Round-trips through [`PackedSeq::from_parts`].
     pub fn to_parts(&self) -> (usize, &[u8], &[(u32, u8)]) {
         (self.len as usize, &self.data, &self.exceptions)
+    }
+
+    /// The sequence as a [`PackedReadView`] with no quality runs (every base
+    /// high quality) — the same bytes, borrowed.
+    pub fn view(&self) -> PackedReadView<'_> {
+        PackedReadView {
+            len: self.len as usize,
+            codes: &self.data,
+            exceptions: &self.exceptions,
+            qual_runs: &[],
+        }
     }
 
     /// Rebuilds a sequence from the raw representation produced by

@@ -15,7 +15,7 @@
 //!   boundaries respected), the unit of sharding and transfer;
 //! * [`ReadStore`] — block id → [`PackedReadBlock`], sharded over the ranks
 //!   by a [`dht::DistMap`], plus a replicated O(#reads) length table that
-//!   answers every geometry query (read length, mate id, k-mer estimates)
+//!   answers every geometry query (read length, mate id, total bases)
 //!   without touching sequence bytes;
 //! * [`ReadStore::ingest_fastq`] — streaming ingestion through
 //!   [`seqio::FastqBlockIter`]: each rank scans the input in bounded chunks
@@ -30,7 +30,8 @@
 //!   block at a time (the alignment ingest path), fetching foreign blocks
 //!   one-sided so per-rank progress never has to line up collectively;
 //! * [`OwnedReads`] — a [`seqio::ReadSource`] over the calling rank's owned
-//!   blocks (the k-mer analysis ingest path);
+//!   blocks that hands out each read's packed bytes as they lie (the k-mer
+//!   analysis ingest path);
 //! * [`ReadsRef`] — the handle consumers take: either a replicated
 //!   [`ReadLibrary`] (the ablation baseline) or a [`ReadStore`].
 //!
@@ -43,7 +44,7 @@
 use dht::{CachedView, DistMap, FxHashMap, Residency};
 use kmers::PackedSeq;
 use pgas::Ctx;
-use seqio::{FastqBlockIter, PairOrientation, Read, ReadId, ReadLibrary};
+use seqio::{FastqBlockIter, PackedReadView, PairOrientation, Read, ReadId, ReadLibrary};
 use std::sync::Arc;
 
 /// Identifier of a packed read block: `read_id / block_reads`.
@@ -93,12 +94,7 @@ impl PackedRead {
     pub fn from_read(read: &Read) -> Self {
         debug_assert_eq!(read.seq.len(), read.qual.len());
         let mut qual_runs: Vec<(u8, u8)> = Vec::new();
-        for &q in &read.qual {
-            match qual_runs.last_mut() {
-                Some((lq, run)) if *lq == q && *run < u8::MAX => *run += 1,
-                _ => qual_runs.push((q, 1)),
-            }
-        }
+        seqio::push_quality_runs(&read.qual, &mut qual_runs);
         PackedRead {
             seq: PackedSeq::from_bytes(&read.seq),
             qual_runs,
@@ -123,6 +119,14 @@ impl PackedRead {
     /// Unpacks the sequence bytes only.
     pub fn unpack_seq(&self) -> Vec<u8> {
         self.seq.unpack()
+    }
+
+    /// The read's codes, exceptions and quality runs, borrowed as they lie.
+    pub fn view(&self) -> PackedReadView<'_> {
+        PackedReadView {
+            qual_runs: &self.qual_runs,
+            ..self.seq.view()
+        }
     }
 
     /// The raw representation — packed sequence plus quality runs — for
@@ -191,8 +195,8 @@ impl PackedReadBlock {
 pub struct ReadStore {
     map: Arc<DistMap<BlockId, PackedReadBlock>>,
     /// Replicated per-read lengths — O(#reads) and cheap next to sequence
-    /// bytes; answers geometry queries (scaffold link spans, k-mer
-    /// estimates) with zero communication.
+    /// bytes; answers geometry queries (scaffold link spans, total bases)
+    /// with zero communication.
     lens: Vec<u32>,
     name: String,
     paired: bool,
@@ -571,8 +575,9 @@ impl ReadStore {
     }
 
     /// A [`seqio::ReadSource`] over the calling rank's owned blocks: streams
-    /// each owned read exactly once, in id order, unpacking one read at a
-    /// time. This is how k-mer analysis consumes the store.
+    /// a [`PackedReadView`] of each owned read exactly once, in id order,
+    /// without unpacking anything. This is how k-mer analysis consumes the
+    /// store.
     pub fn owned_reads<'s, 'c, 't>(&'s self, ctx: &'c Ctx<'t>) -> OwnedReads<'s, 'c, 't> {
         OwnedReads { store: self, ctx }
     }
@@ -670,11 +675,10 @@ impl Iterator for ReadStream<'_, '_, '_> {
 }
 
 /// A [`seqio::ReadSource`] over the calling rank's owned blocks: every pass
-/// replays the same reads in ascending id order, unpacking one read at a
-/// time. K-mer estimates come from the replicated length table without
-/// touching sequence bytes. Owner-local: iteration holds this rank's shard
-/// locks, so it must not overlap foreign fetches into this rank's read shard
-/// (the k-mer analysis phase never does).
+/// replays the same reads in ascending id order, each as a
+/// [`PackedReadView`] of the shard's own bytes. Owner-local: iteration holds
+/// this rank's shard locks, so it must not overlap foreign fetches into this
+/// rank's read shard (the k-mer analysis phase never does).
 pub struct OwnedReads<'s, 'c, 't> {
     store: &'s ReadStore,
     ctx: &'c Ctx<'t>,
@@ -694,14 +698,13 @@ impl OwnedReads<'_, '_, '_> {
 }
 
 impl seqio::ReadSource for OwnedReads<'_, '_, '_> {
-    fn for_each_read(&mut self, f: &mut dyn FnMut(&Read)) {
+    fn for_each_read(&mut self, f: &mut dyn FnMut(PackedReadView<'_>)) {
         let owned = self.store.owned_block_ids(self.ctx);
         let view = self.store.map.local_view(self.ctx);
         for b in owned {
             if let Some(block) = view.get(&b) {
                 for packed in &block.reads {
-                    let read = packed.unpack();
-                    f(&read);
+                    f(packed.view());
                 }
             }
         }
@@ -1031,19 +1034,26 @@ mod tests {
                         ..Default::default()
                     },
                 );
+                let owned = |r: PackedReadView<'_>| {
+                    (
+                        r.codes.to_vec(),
+                        r.exceptions.to_vec(),
+                        r.qual_runs.to_vec(),
+                    )
+                };
                 let mut source = store.owned_reads(ctx);
-                let mut seqs: Vec<Vec<u8>> = Vec::new();
-                source.for_each_read(&mut |r| seqs.push(r.seq.clone()));
+                let mut views = Vec::new();
+                source.for_each_read(&mut |r| views.push(owned(r)));
                 // Replay is identical (multi-pass contract).
-                let mut again: Vec<Vec<u8>> = Vec::new();
-                source.for_each_read(&mut |r| again.push(r.seq.clone()));
-                assert_eq!(seqs, again);
+                let mut again = Vec::new();
+                source.for_each_read(&mut |r| again.push(owned(r)));
+                assert_eq!(views, again);
                 assert_eq!(
-                    seqs,
+                    views,
                     source
                         .ids()
                         .iter()
-                        .map(|&id| lib2.read(id).seq.clone())
+                        .map(|&id| owned(PackedRead::from_read(lib2.read(id)).view()))
                         .collect::<Vec<_>>()
                 );
                 // Union over ranks covers the library exactly once.

@@ -12,15 +12,18 @@
 //!   quality-evaluation crate;
 //! * [`qc`] — light-weight quality trimming (the BBtools pre-processing step of
 //!   the paper is outside the evaluated pipeline; this is only used by tests
-//!   and examples that want slightly dirty data).
+//!   and examples that want slightly dirty data);
+//! * [`packed`] / [`source`] — the borrowed 2-bit view of a read and the
+//!   streaming [`ReadSource`] of such views that k-mer analysis consumes.
 //!
 //! Sequences are stored as ASCII bytes (`Vec<u8>` of `ACGTN`), which keeps the
-//! formats trivially round-trippable and lets the k-mer layer do its own 2-bit
-//! packing.
+//! formats trivially round-trippable; [`PackedReadView`] is the one 2-bit
+//! layout the packed stores and the k-mer layer share.
 
 pub mod alphabet;
 pub mod fasta;
 pub mod fastq;
+pub mod packed;
 pub mod qc;
 pub mod read;
 pub mod reference;
@@ -31,6 +34,7 @@ pub use alphabet::{
 };
 pub use fasta::{parse_fasta, write_fasta, FastaRecord};
 pub use fastq::{parse_fastq, write_fastq, FastqBlockIter, FastqError, FastqRecord};
+pub use packed::{push_quality_runs, PackedReadView, ReadPacker};
 pub use read::{PairOrientation, Read, ReadId, ReadLibrary, ReadPair};
 pub use reference::{ReferenceGenome, ReferenceSet};
 pub use source::{LibraryReads, ReadSource};
