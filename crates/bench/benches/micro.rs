@@ -12,7 +12,9 @@ use dbg::{
     TraversalParams,
 };
 use dht::{bulk_merge, DistBloom, DistMap, FxHashMap};
-use kmers::{cut_supermers, kmer_minimizer, kmers_with_exts_iter, Kmer, KmerCounts, SupermerIter};
+use kmers::{
+    cut_supermers, kmer_minimizer, kmers_with_exts_iter, Ext, Kmer, KmerCounts, SupermerIter,
+};
 use mgsim::{CommunityParams, ReadSimParams};
 use mhm_core::{LocalAssemblyParams, MerWalker};
 use pgas::Team;
@@ -303,8 +305,35 @@ fn bench_pipeline_stages(c: &mut Criterion) {
         })
     });
     // The contig traversal alone over a prebuilt counts table, so hot-loop
-    // regressions in it show up without running the full pipeline.
+    // regressions in it show up without running the full pipeline. The set-up
+    // holds the 4-rank contig set to the 1-rank one and checks that the
+    // traversal claims exactly the eligible (fork-free) vertices.
     {
+        let traverse_checked = |team: &Arc<Team>| {
+            team.run(|ctx| {
+                let range = ctx.block_range(reads.len());
+                let analysis = kmer_analysis(ctx, &reads[range], &params);
+                let graph =
+                    build_graph(ctx, &analysis.counts, ThresholdPolicy::metahipmer_default());
+                let set = traverse_contigs(ctx, &graph, 21, &TraversalParams::default());
+                graph.for_each_local(ctx, |kmer, v| {
+                    let eligible = v.left != Ext::Fork && v.right != Ext::Fork;
+                    assert_eq!(v.used, eligible, "{kmer}: claim differs from eligibility");
+                });
+                set
+            })
+            .pop()
+            .unwrap()
+        };
+        let one = traverse_checked(&Team::single_node(1));
+        assert!(
+            !one.is_empty(),
+            "the traversal bench graph yields no contigs"
+        );
+        assert!(
+            traverse_checked(&team) == one,
+            "the 4-rank contig set differs from the 1-rank one"
+        );
         let reads = reads.clone();
         let team = Arc::clone(&team);
         c.bench_function("dbg/traversal_segment_k21", move |b| {

@@ -212,19 +212,20 @@ pub(crate) fn per_hop_contig_set(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     //! Equivalence of the segment traversal and the walker: over randomised
     //! cycle-heavy and palindrome-adjacent graphs and team widths of 1–8
     //! ranks, [`traverse_contigs`] must emit exactly the walker's contig set.
 
     use super::*;
     use crate::analysis::{kmer_analysis, KmerAnalysisParams};
-    use crate::graph::{build_graph, ThresholdPolicy};
+    use crate::graph::{build_graph, flip_ext, ThresholdPolicy};
     use crate::traversal::traverse_contigs;
+    use dht::FxHashSet;
     use pgas::Team;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use seqio::alphabet::revcomp;
+    use seqio::alphabet::{encode_base, revcomp};
     use seqio::Read;
 
     fn random_seq(rng: &mut StdRng, len: usize) -> Vec<u8> {
@@ -238,7 +239,7 @@ mod tests {
     /// share a repeat (forks), hairpins (a stretch followed by its own reverse
     /// complement) and exact even-length palindromes — the "palindrome-adjacent"
     /// structures where orientation bookkeeping is easiest to get wrong.
-    fn stress_reads(rng: &mut StdRng, k: usize) -> Vec<Read> {
+    pub(crate) fn stress_reads(rng: &mut StdRng, k: usize) -> Vec<Read> {
         let mut templates: Vec<Vec<u8>> = Vec::new();
         // Linear sequences with a shared repeat to plant forks.
         let repeat = random_seq(rng, 2 * k);
@@ -298,22 +299,126 @@ mod tests {
         reads
     }
 
+    /// One lasso of [`lasso_vertices`]: the oriented vertex `s` where its loop
+    /// re-enters the run, and the canonical keys of the run's eligible
+    /// vertices.
+    pub(crate) struct Lasso {
+        pub(crate) s: Kmer,
+        pub(crate) run: Vec<Kmer>,
+    }
+
+    /// The vertices of `count` disjoint lassos x → s → a₁ → … → aₘ: every
+    /// step is mutual, and aₘ's only right extension leads back into s,
+    /// whose left extension names x. A depth-scaled contradiction budget
+    /// builds this shape when the aₘ → s count fits inside s's budget. Every
+    /// second x is a fork, which makes s a path end. The k-mers are random, so
+    /// s is stored forward in some lassos and reverse-complemented in others.
+    pub(crate) fn lasso_vertices(
+        rng: &mut StdRng,
+        k: usize,
+        count: usize,
+    ) -> (Vec<(Kmer, KmerVertex)>, Vec<Lasso>) {
+        let code = |b: u8| encode_base(b).expect("ACGT");
+        let (mut verts, mut lassos) = (Vec::new(), Vec::new());
+        let mut keys: FxHashSet<Kmer> = FxHashSet::default();
+        while lassos.len() < count {
+            let n = rng.gen_range(3..8);
+            let circle = random_seq(rng, n);
+            let at = |i: usize| circle[i % n];
+            let kmer_of = |bases: Vec<u8>| Kmer::from_bytes(&bases).expect("ACGT k-mer");
+            let kmer_at = |i: usize| kmer_of((i..i + k).map(at).collect());
+            let b = loop {
+                let b = random_seq(rng, 1)[0];
+                if b != circle[n - 1] {
+                    break b;
+                }
+            };
+            let x = kmer_of(std::iter::once(b).chain((0..k - 1).map(at)).collect());
+            let x_left = if lassos.len() % 2 == 0 {
+                Ext::None
+            } else {
+                Ext::Fork
+            };
+            // Oriented (k-mer, left, right): x, then s = a₀, a₁, …, aₘ.
+            let mut run = vec![(x, x_left, code(at(k - 1)))];
+            run.extend((0..n).map(|i| {
+                let left = if i == 0 { b } else { at(i + n - 1) };
+                (kmer_at(i), Ext::Base(code(left)), code(at(i + k)))
+            }));
+            let canon: Vec<Kmer> = run.iter().map(|(kmer, ..)| kmer.canonical().0).collect();
+            let fresh: FxHashSet<Kmer> = canon.iter().copied().collect();
+            if fresh.len() < canon.len() || !keys.is_disjoint(&fresh) {
+                continue; // a repeated k-mer would join lassos or fold one
+            }
+            keys.extend(fresh);
+            for (kmer, left, right) in &run {
+                let (key, was_rc) = kmer.canonical();
+                let right = Ext::Base(*right);
+                let (left, right) = if was_rc {
+                    (flip_ext(right), flip_ext(*left))
+                } else {
+                    (*left, right)
+                };
+                let count = rng.gen_range(3..30);
+                verts.push((
+                    key,
+                    KmerVertex {
+                        count,
+                        left,
+                        right,
+                        used: false,
+                    },
+                ));
+            }
+            lassos.push(Lasso {
+                s: run[1].0,
+                run: canon[usize::from(x_left == Ext::Fork)..].to_vec(),
+            });
+        }
+        (verts, lassos)
+    }
+
+    /// A graph holding exactly `verts`, each inserted by its owner.
+    pub(crate) fn graph_of(ctx: &Ctx, verts: &[(Kmer, KmerVertex)]) -> KmerGraph {
+        let graph: KmerGraph = DistMap::shared(ctx);
+        let mine: Vec<(Kmer, KmerVertex)> = verts
+            .iter()
+            .filter(|(key, _)| graph.owner_of(key) == ctx.rank())
+            .copied()
+            .collect();
+        graph.apply_local_batch(ctx, mine, |v| v, |slot, v| *slot = v);
+        ctx.barrier();
+        graph
+    }
+
     fn run_traversal(
         reads: &[Read],
         ranks: usize,
         params: &KmerAnalysisParams,
         segment: bool,
     ) -> ContigSet {
-        let team = Team::single_node(ranks);
-        let sets = team.run(|ctx| {
+        run_on(ranks, params.k, segment, |ctx| {
             let range = ctx.block_range(reads.len());
             let res = kmer_analysis(ctx, &reads[range], params);
-            let graph = build_graph(ctx, &res.counts, ThresholdPolicy::metahipmer_default());
+            build_graph(ctx, &res.counts, ThresholdPolicy::metahipmer_default())
+        })
+    }
+
+    /// Traverses the graph `graph` builds on every rank of a `ranks`-wide
+    /// team, with the segment traversal or the walker.
+    fn run_on(
+        ranks: usize,
+        k: usize,
+        segment: bool,
+        graph: impl Fn(&Ctx) -> KmerGraph + Sync,
+    ) -> ContigSet {
+        let sets = Team::single_node(ranks).run(|ctx| {
+            let graph = graph(ctx);
             let traversal = TraversalParams::default();
             if segment {
-                traverse_contigs(ctx, &graph, params.k, &traversal)
+                traverse_contigs(ctx, &graph, k, &traversal)
             } else {
-                per_hop_contig_set(ctx, &graph, params.k, &traversal)
+                per_hop_contig_set(ctx, &graph, k, &traversal)
             }
         });
         for s in &sets[1..] {
@@ -352,6 +457,24 @@ mod tests {
                     seg, reference,
                     "trial {trial}: segment traversal diverged from per-hop (k={k} ranks={ranks})"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn segment_traversal_matches_per_hop_on_lasso_graphs() {
+        let mut rng = StdRng::seed_from_u64(20261016);
+        for k in [11usize, 15, 21] {
+            let (verts, lassos) = lasso_vertices(&mut rng, k, 40);
+            let reference = run_on(1, k, false, |ctx| graph_of(ctx, &verts));
+            // Each lasso is one path, whichever of its vertices a scan meets
+            // first.
+            assert_eq!(reference.len(), lassos.len(), "k={k}");
+            for ranks in [1usize, 2, 3, 5, 8] {
+                for segment in [false, true] {
+                    let set = run_on(ranks, k, segment, |ctx| graph_of(ctx, &verts));
+                    assert_eq!(set, reference, "k={k} ranks={ranks} segment={segment}");
+                }
             }
         }
     }

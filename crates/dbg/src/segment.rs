@@ -9,14 +9,21 @@
 //! * **Level 1 — local compaction.** Each rank opens a
 //!   [`dht::DistMap::local_view`] over its own shard of the graph (one lock
 //!   acquisition for the whole phase, zero `Ctx` traffic) and walks UU runs
-//!   entirely in memory. Every maximal run of vertices that are (a) owned by
-//!   this rank and (b) mutually-agreeing unique extensions of each other is
-//!   emitted as one *segment*: its bases, its oriented endpoint k-mers, and
-//!   the unresolved neighbour k-mer dangling off each end that is owned by
-//!   another rank. A path that never crosses an ownership boundary therefore
-//!   finishes here, and fully-local cycles are emitted here too. Each
-//!   undirected run is discovered once per direction (two mirror segments),
-//!   exactly as the per-hop walker discovers every path from both ends.
+//!   entirely in memory. A *run* is a maximal chain of vertices that are (a)
+//!   owned by this rank and (b) mutually-agreeing unique extensions of each
+//!   other. Each undirected run is walked **once**, from whichever of its
+//!   vertices the shard scan meets first: right from that vertex, and right
+//!   from its reverse complement (the left walk). The walks claim every
+//!   vertex they step onto (the shard's own `used` flag is the visited mark,
+//!   so no side table exists), and the two stops give both *mirror
+//!   segments* of the run, one per direction — the pair the per-hop walker
+//!   finds by walking every path from both ends. A segment carries its bases
+//!   and, at each end, either a terminal or the unresolved neighbour k-mer
+//!   owned by another rank. A self-mirror hairpin (a run ending on the
+//!   reverse complement of its first vertex) is one segment. A path that
+//!   never crosses an ownership boundary finishes here, and a right walk
+//!   that steps mutually back into its start is a fully-local cycle,
+//!   emitted here too.
 //! * **Level 2 — stitching.** Segments of one direction form a linked list
 //!   across ranks. One aggregated request–response round resolves every
 //!   segment's predecessor (by asking the dangling left-neighbour's owner
@@ -64,10 +71,10 @@
 
 use crate::graph::{orient, KmerVertex, OrientedVertex};
 use crate::traversal::{eligible, push_contig, TraversalParams};
-use dht::{DistMap, FxHashMap, FxHashSet};
+use dht::{DistMap, FxHashMap};
 use kmers::{Ext, Kmer};
 use pgas::{Aggregator, Ctx};
-use seqio::alphabet::{decode_base, encode_base};
+use seqio::alphabet::{decode_base, encode_base, revcomp};
 
 /// Per-owner batch size of the stitching request–response rounds.
 const STITCH_BATCH: usize = 4096;
@@ -151,6 +158,22 @@ enum LeftBoundary {
     Pending { nbr: Kmer, agree: u8 },
 }
 
+impl LeftBoundary {
+    /// The left boundary of the segment that starts on the reverse complement
+    /// of `end.last`: the opposite walk's stop, seen from the other strand. A
+    /// remote stop is pending; a dead end or an absent, ineligible or
+    /// non-mutual vertex is terminal.
+    fn facing(end: &WalkEnd) -> Self {
+        match end.right_code {
+            Some(c) if end.right_remote => LeftBoundary::Pending {
+                nbr: end.last.extended_right(c).revcomp(),
+                agree: 3 - end.last.first_code(),
+            },
+            _ => LeftBoundary::Terminal,
+        }
+    }
+}
+
 /// One owner-local maximal run, in a fixed walk direction. (The endpoint
 /// k-mers are not stored: the last vertex is the `by_last` index key, and
 /// everything else the stitcher ships is derivable from `bases`.)
@@ -216,14 +239,14 @@ impl AsmRecord {
     }
 }
 
-/// Recomputes, from a segment's bases alone, what [`walk_local`] tracked
-/// while building it: the minimal canonical vertex, whether it was visited
-/// in canonical orientation, and its vertex index within the segment. Only
-/// the cycle emitter needs this triple, so it is derived at the assembly
-/// site instead of shipped with every record. The update rule must match
-/// [`walk_local`]'s exactly (first occurrence wins, upgraded only by a
-/// canonical-orientation visit of the same vertex) for byte-identity with
-/// the per-hop walker's cycle seeds.
+/// The minimal canonical vertex of a walk's bases, whether it is visited in
+/// canonical orientation, and its vertex index within the walk: the first
+/// occurrence wins, upgraded only by a canonical-orientation visit of the
+/// same vertex. A cycle is emitted from that vertex in canonical orientation
+/// (the per-hop walker's cycle seed), so only the cycle emitters need this
+/// triple: Level 1's for fully-local cycles, and the assembly site's, which
+/// recomputes it from the shipped bases instead of shipping it with every
+/// record.
 fn segment_min(bases: &[u8], k: usize) -> (Kmer, bool, u32) {
     let mut kmer = Kmer::from_bytes(&bases[..k]).expect("segment bases start with a k-mer");
     let (canon, was_rc) = kmer.canonical();
@@ -241,143 +264,195 @@ fn segment_min(bases: &[u8], k: usize) -> (Kmer, bool, u32) {
     (min_vertex, min_is_canonical, min_offset)
 }
 
-/// A borrowed, zero-traffic view of this rank's own graph shard.
+/// This rank's own graph shard, borrowed for Level 1: zero traffic, and the
+/// walks claim each vertex in place.
 struct LocalGraph<'a> {
     view: dht::LocalShardView<'a, Kmer, KmerVertex>,
     graph: &'a DistMap<Kmer, KmerVertex>,
     rank: usize,
+    /// Safety bound on a walk's steps: every local (vertex, orientation)
+    /// pair once.
+    limit: usize,
 }
 
-enum Probe {
-    /// The vertex (if it exists) is owned by another rank.
-    Remote,
-    /// Owned here, but not in the graph.
-    Absent,
-    /// Owned here, in the probe orientation.
-    Present { v: OrientedVertex },
-}
-
-impl LocalGraph<'_> {
-    fn probe(&self, kmer: &Kmer) -> Probe {
-        let (canon, was_rc) = kmer.canonical();
-        if self.graph.owner_of(&canon) != self.rank {
-            return Probe::Remote;
-        }
-        match self.view.get(&canon) {
-            None => Probe::Absent,
-            Some(v) => Probe::Present {
-                v: orient(*v, canon, was_rc),
-            },
-        }
-    }
-}
-
-/// The outcome of one in-memory walk over the local shard.
-struct LocalWalk {
-    bases: Vec<u8>,
-    depth_sum: u64,
-    vcount: u32,
-    /// Canonical forms of the visited vertices, in walk order.
-    visited: Vec<Kmer>,
+/// Where one walk stopped.
+struct WalkEnd {
     last: Kmer,
+    /// The right-extension base code of `last` (`None` when that side is a
+    /// dead end).
     right_code: Option<u8>,
+    /// True when `right_code` points at a vertex owned by another rank.
     right_remote: bool,
-    /// The walk returned to its start (a fully-local cycle).
+    depth_sum: u64,
+    /// The walk returned to its start: a fully-local cycle.
     closed: bool,
 }
 
-/// Walks right from `start` while the next vertex is local, eligible and
-/// mutually agreeing — the same continuation rule as the per-hop walker, with
-/// remote ownership as an additional stop (it becomes a segment boundary).
-fn walk_local(lg: &LocalGraph, start: Kmer, v0: &OrientedVertex, limit: usize) -> LocalWalk {
-    let mut w = LocalWalk {
-        bases: start.to_bytes(),
-        depth_sum: v0.count as u64,
-        vcount: 1,
-        visited: vec![v0.canonical],
-        last: start,
-        right_code: None,
-        right_remote: false,
-        closed: false,
-    };
-    let mut current = start;
-    let mut right = v0.right;
-    let mut steps = 0usize;
-    while let Ext::Base(c) = right {
-        steps += 1;
-        if steps > limit {
-            break;
-        }
-        let next = current.extended_right(c);
-        if next == start {
-            w.closed = true;
-            break;
-        }
-        match lg.probe(&next) {
-            Probe::Remote => {
-                w.right_code = Some(c);
-                w.right_remote = true;
+impl LocalGraph<'_> {
+    /// Walks right from `start` (eligible, oriented as `v0`) while the next
+    /// vertex is local, eligible and mutually agreeing: the per-hop walker's
+    /// continuation rule, with remote ownership as an extra stop (a segment
+    /// boundary). Writes the walk's bases into `bases` and claims every
+    /// vertex it steps onto. Only a mutual step back into `start` itself
+    /// closes the walk; it runs on through `start`'s reverse complement, as
+    /// a self-mirror hairpin does.
+    fn walk(&mut self, start: Kmer, v0: &OrientedVertex, bases: &mut Vec<u8>) -> WalkEnd {
+        bases.clear();
+        bases.extend((0..start.k()).map(|i| start.base_at(i)));
+        let mut end = WalkEnd {
+            last: start,
+            right_code: None,
+            right_remote: false,
+            depth_sum: v0.count as u64,
+            closed: false,
+        };
+        let mut right = v0.right;
+        let mut steps = 0usize;
+        while let Ext::Base(c) = right {
+            steps += 1;
+            if steps > self.limit {
+                // Unreachable: the mutual check makes every vertex's local
+                // predecessor unique, so a walk stops or closes at its start.
+                debug_assert!(
+                    false,
+                    "walk from {start} (k = {}) ran past its {}-step bound",
+                    start.k(),
+                    self.limit
+                );
                 break;
             }
-            Probe::Absent => {
-                w.right_code = Some(c);
+            let next = end.last.extended_right(c);
+            // The view holds only keys this rank owns, so a hit needs no
+            // owner test; `owner_of` (a minimizer roll under the counts
+            // table's partitioner) runs only on a miss.
+            let (canon, was_rc) = next.canonical();
+            let Some(slot) = self.view.get_mut(&canon) else {
+                end.right_code = Some(c);
+                end.right_remote = self.graph.owner_of(&canon) != self.rank;
+                break;
+            };
+            let nv = orient(*slot, canon, was_rc);
+            // The next vertex must agree that its left neighbour is `last`
+            // (the per-hop walker's mutual check, as a base-code comparison).
+            if !eligible(nv.left, nv.right) || nv.left != Ext::Base(end.last.first_code()) {
+                end.right_code = Some(c);
                 break;
             }
-            Probe::Present { v: nv, .. } => {
-                if !eligible(nv.left, nv.right) {
-                    w.right_code = Some(c);
-                    break;
-                }
-                // The next vertex must agree that its left neighbour is
-                // `current` (same mutual check as the per-hop walker, reduced
-                // to a base-code comparison).
-                match nv.left {
-                    Ext::Base(lc) if lc == current.first_code() => {}
-                    _ => {
-                        w.right_code = Some(c);
-                        break;
-                    }
-                }
-                w.bases.push(decode_base(c));
-                w.depth_sum += nv.count as u64;
-                w.vcount += 1;
-                w.visited.push(nv.canonical);
-                w.last = next;
-                current = next;
-                right = nv.right;
+            // Only a mutual step closes a cycle: a lasso, whose loop enters
+            // `start` against its left extension, stopped just above.
+            if next == start {
+                end.closed = true;
+                break;
             }
+            slot.used = true;
+            bases.push(decode_base(c));
+            end.depth_sum += nv.count as u64;
+            end.last = next;
+            right = nv.right;
         }
+        end
     }
-    w
 }
 
-/// Decides whether `kmer` (oriented, eligible) starts a local segment, i.e.
-/// whether its left neighbour does *not* continue the path locally. Mirrors
-/// the per-hop walker's `is_left_path_end`, with "owned by another rank" as
-/// the extra, stitch-resolved case.
-fn left_boundary(lg: &LocalGraph, kmer: &Kmer, v: &OrientedVertex) -> Option<LeftBoundary> {
-    let Ext::Base(lc) = v.left else {
-        return Some(LeftBoundary::Terminal);
+/// Level 1: compacts this rank's shard into segments, indexed by their last
+/// vertex, and emits its fully-local cycles into `local`. Zero traffic. Every
+/// eligible vertex of the shard ends up claimed, and only those.
+fn compact_local(
+    ctx: &Ctx,
+    graph: &DistMap<Kmer, KmerVertex>,
+    params: &TraversalParams,
+    local: &mut Vec<(Vec<u8>, f64)>,
+) -> (Vec<Segment>, FxHashMap<Kmer, u32>) {
+    let mut segs: Vec<Segment> = Vec::new();
+    let mut by_last: FxHashMap<Kmer, u32> = FxHashMap::default();
+    let view = graph.local_view(ctx);
+    let mut lg = LocalGraph {
+        limit: 2 * view.len() + 2,
+        view,
+        graph,
+        rank: ctx.rank(),
     };
-    let nbr = kmer.extended_left(lc);
-    match lg.probe(&nbr) {
-        Probe::Remote => Some(LeftBoundary::Pending {
-            nbr,
-            agree: kmer.last_code(),
-        }),
-        Probe::Absent => Some(LeftBoundary::Terminal),
-        Probe::Present { v: lv, .. } => {
-            if !eligible(lv.left, lv.right) {
-                return Some(LeftBoundary::Terminal);
+    let (mut right, mut left, mut starts) = (Vec::new(), Vec::new(), Vec::new());
+    for sub in 0..lg.view.sub_shards() {
+        // The walks claim vertices in every sub-shard, this one included, so
+        // the unclaimed starts are snapshotted one sub-shard at a time and
+        // re-checked before each walk. A claim seen before the first walk
+        // would be left over from an earlier traversal of the graph.
+        starts.clear();
+        for (key, v) in lg.view.sub_shard(sub) {
+            debug_assert!(sub > 0 || !v.used, "{key} was claimed before the traversal");
+            if eligible(v.left, v.right) && !v.used {
+                starts.push(*key);
             }
-            match lv.right {
-                // The neighbour's right extension leads back into us: the
-                // path continues locally, so we are mid-segment here.
-                Ext::Base(rc) if rc == kmer.last_code() => None,
-                _ => Some(LeftBoundary::Terminal),
+        }
+        for key in &starts {
+            let v = match lg.view.get_mut(key) {
+                Some(slot) if !slot.used => {
+                    slot.used = true;
+                    *slot
+                }
+                _ => continue,
+            };
+            let r = lg.walk(*key, &orient(v, *key, false), &mut right);
+            if r.closed {
+                push_local_cycle(local, &right, key.k(), r.depth_sum, params);
+                continue;
+            }
+            let l = lg.walk(key.revcomp(), &orient(v, *key, true), &mut left);
+            debug_assert!(!l.closed, "the left walk closes only if the right one does");
+            // The run reads revcomp(L) ++ R[k..] left to right, and its
+            // mirror is the reverse complement. Both walks ending on one
+            // oriented vertex make a self-mirror hairpin: one segment.
+            let k = key.k();
+            let depth_sum = l.depth_sum + r.depth_sum - v.count as u64;
+            let mut bases = revcomp(&left);
+            bases.extend_from_slice(&right[k..]);
+            by_last.insert(r.last, segs.len() as u32);
+            segs.push(Segment {
+                left: LeftBoundary::facing(&l),
+                right_code: r.right_code,
+                right_remote: r.right_remote,
+                bases,
+                depth_sum,
+            });
+            if l.last != r.last {
+                let mut bases = revcomp(&right);
+                bases.extend_from_slice(&left[k..]);
+                by_last.insert(l.last, segs.len() as u32);
+                segs.push(Segment {
+                    left: LeftBoundary::facing(&r),
+                    right_code: l.right_code,
+                    right_remote: l.right_remote,
+                    bases,
+                    depth_sum,
+                });
             }
         }
     }
+    (segs, by_last)
+}
+
+/// Emits a fully-local cycle, walked as `bases` (its `n` vertices unrolled
+/// into n + k − 1 bases), from its minimal canonical vertex in canonical
+/// orientation: the contig the per-hop walker emits from that vertex's seed.
+fn push_local_cycle(
+    local: &mut Vec<(Vec<u8>, f64)>,
+    bases: &[u8],
+    k: usize,
+    depth_sum: u64,
+    params: &TraversalParams,
+) {
+    let n = bases.len() + 1 - k;
+    let (_, canonical, p) = segment_min(bases, k);
+    // Base i of the rotation at s is base (s + i) of the cycle. If the walk
+    // met the minimum only as its reverse complement, the contig runs the
+    // other way: the rotation that ends on that visit, reverse-complemented.
+    let s = p as usize + usize::from(!canonical);
+    let mut out: Vec<u8> = (0..n + k - 1).map(|i| bases[(s + i) % n]).collect();
+    if !canonical {
+        out = revcomp(&out);
+    }
+    push_contig(local, out, depth_sum as f64, n, params);
 }
 
 /// Runs the segment-compaction traversal and returns this rank's emitted
@@ -390,79 +465,9 @@ pub(crate) fn segment_contigs(
 ) -> Vec<(Vec<u8>, f64)> {
     let rank = ctx.rank();
     let mut local: Vec<(Vec<u8>, f64)> = Vec::new();
-    let mut segs: Vec<Segment> = Vec::new();
-    let mut by_last: FxHashMap<Kmer, u32> = FxHashMap::default();
-
     // ---- Level 1: owner-local compaction (zero communication) --------------
-    {
-        let lg = LocalGraph {
-            view: graph.local_view(ctx),
-            graph,
-            rank,
-        };
-        // Same safety bound as the per-hop walker: at most every local
-        // (vertex, orientation) pair once.
-        let limit = 2 * lg.view.len() + 2;
-        let mut covered: FxHashSet<Kmer> = FxHashSet::default();
-        // Iterate the locked view directly (`iter` and `probe` both take
-        // shared borrows), so the shard is never copied.
-        for (key, v) in lg.view.iter() {
-            if !eligible(v.left, v.right) {
-                continue;
-            }
-            for was_rc in [false, true] {
-                let okmer = if was_rc { key.revcomp() } else { *key };
-                if was_rc && okmer == *key {
-                    continue; // palindromic vertex (even k only): one orientation
-                }
-                let ov = orient(*v, *key, was_rc);
-                let Some(left) = left_boundary(&lg, &okmer, &ov) else {
-                    continue;
-                };
-                let w = walk_local(&lg, okmer, &ov, limit);
-                debug_assert!(!w.closed, "a segment start cannot close a cycle");
-                covered.extend(w.visited.iter().copied());
-                let idx = segs.len() as u32;
-                by_last.insert(w.last, idx);
-                segs.push(Segment {
-                    left,
-                    right_code: w.right_code,
-                    right_remote: w.right_remote,
-                    bases: w.bases,
-                    depth_sum: w.depth_sum,
-                });
-            }
-        }
-        // Eligible vertices no segment reached sit on fully-local cycles
-        // (any boundary — terminal or remote — would have started a segment
-        // somewhere on their chain). Emit each cycle from its minimal
-        // canonical vertex, in canonical orientation, like the per-hop
-        // walker's cycle phase.
-        let mut cycle_seen: FxHashSet<Kmer> = FxHashSet::default();
-        for (key, v) in lg.view.iter() {
-            if !eligible(v.left, v.right) || covered.contains(key) || cycle_seen.contains(key) {
-                continue;
-            }
-            let ov = orient(*v, *key, false);
-            let w = walk_local(&lg, *key, &ov, limit);
-            debug_assert!(w.closed, "uncovered vertices must lie on local cycles");
-            cycle_seen.extend(w.visited.iter().copied());
-            let min = w.visited.iter().min().copied().unwrap_or(*key);
-            let wmin = if min == *key {
-                w
-            } else {
-                let mv = *lg.view.get(&min).expect("cycle vertex is owned locally");
-                walk_local(&lg, min, &orient(mv, min, false), limit)
-            };
-            push_contig(
-                &mut local,
-                wmin.bases,
-                wmin.depth_sum as f64,
-                wmin.vcount as usize,
-                params,
-            );
-        }
-    } // shard view dropped before any cross-rank phase
+    // The shard view is dropped inside, before any cross-rank phase.
+    let (segs, by_last) = compact_local(ctx, graph, params, &mut local);
 
     // ---- Level 2a: one aggregated round resolves every predecessor ---------
     let me = |idx: usize| SegId {
@@ -800,14 +805,318 @@ pub(crate) fn segment_contigs(
         push_contig(&mut local, out, depth_sum as f64, total, params);
     }
 
-    // The per-hop walker leaves every eligible vertex claimed (each lies on
-    // exactly one path or cycle, and every path is walked end to end from
-    // both ends); replicate that final graph state with a local pass.
-    graph.for_each_local_mut(ctx, |_, v| {
-        if eligible(v.left, v.right) {
-            v.used = true;
-        }
-    });
     ctx.barrier();
     local
+}
+
+#[cfg(test)]
+mod tests {
+    //! Level 1 against the discovery it replaced: every eligible vertex
+    //! probed as a segment start in both orientations, every run walked from
+    //! both of its ends, and fully-local cycles found as the eligible vertices
+    //! no segment covered. Equal segments (bases, left boundary, right code,
+    //! remote flag, depth) pin the stitch traffic, which the contig-level
+    //! per-hop oracle cannot see. The graphs are the per-hop tests' stress
+    //! reads and hand-built lassos, whose loop re-enters the run at a
+    //! vertex against its left extension.
+
+    use super::*;
+    use crate::analysis::{kmer_analysis, KmerAnalysisParams};
+    use crate::graph::{build_graph, ThresholdPolicy};
+    use crate::per_hop::tests::{graph_of, lasso_vertices, stress_reads};
+    use dht::FxHashSet;
+    use pgas::Team;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The replaced probe: owner test first, then the shard.
+    enum Probe {
+        Remote,
+        Absent,
+        Present(OrientedVertex),
+    }
+
+    fn probe(lg: &LocalGraph, kmer: &Kmer) -> Probe {
+        let (canon, was_rc) = kmer.canonical();
+        if lg.graph.owner_of(&canon) != lg.rank {
+            return Probe::Remote;
+        }
+        match lg.view.get(&canon) {
+            None => Probe::Absent,
+            Some(v) => Probe::Present(orient(*v, canon, was_rc)),
+        }
+    }
+
+    struct OracleWalk {
+        bases: Vec<u8>,
+        depth_sum: u64,
+        vcount: usize,
+        visited: Vec<Kmer>,
+        last: Kmer,
+        right_code: Option<u8>,
+        right_remote: bool,
+        closed: bool,
+    }
+
+    fn walk_local(lg: &LocalGraph, start: Kmer, v0: &OrientedVertex) -> OracleWalk {
+        let mut w = OracleWalk {
+            bases: start.to_bytes(),
+            depth_sum: v0.count as u64,
+            vcount: 1,
+            visited: vec![v0.canonical],
+            last: start,
+            right_code: None,
+            right_remote: false,
+            closed: false,
+        };
+        let mut right = v0.right;
+        let mut steps = 0usize;
+        while let Ext::Base(c) = right {
+            steps += 1;
+            if steps > lg.limit {
+                break;
+            }
+            let next = w.last.extended_right(c);
+            let nv = match probe(lg, &next) {
+                Probe::Present(nv)
+                    if eligible(nv.left, nv.right) && nv.left == Ext::Base(w.last.first_code()) =>
+                {
+                    nv
+                }
+                stop => {
+                    w.right_code = Some(c);
+                    w.right_remote = matches!(stop, Probe::Remote);
+                    break;
+                }
+            };
+            // Mutual check first, as in the new walk: the replaced walk
+            // closed on any step into `start`, which misread a lasso (a
+            // loop re-entering the run at a segment start) as a cycle.
+            if next == start {
+                w.closed = true;
+                break;
+            }
+            w.bases.push(decode_base(c));
+            w.depth_sum += nv.count as u64;
+            w.vcount += 1;
+            w.visited.push(nv.canonical);
+            w.last = next;
+            right = nv.right;
+        }
+        w
+    }
+
+    /// `None` when `kmer`'s left neighbour continues its run locally.
+    fn left_boundary(lg: &LocalGraph, kmer: &Kmer, v: &OrientedVertex) -> Option<LeftBoundary> {
+        let Ext::Base(lc) = v.left else {
+            return Some(LeftBoundary::Terminal);
+        };
+        let nbr = kmer.extended_left(lc);
+        match probe(lg, &nbr) {
+            Probe::Remote => Some(LeftBoundary::Pending {
+                nbr,
+                agree: kmer.last_code(),
+            }),
+            Probe::Present(lv)
+                if eligible(lv.left, lv.right) && lv.right == Ext::Base(kmer.last_code()) =>
+            {
+                None
+            }
+            _ => Some(LeftBoundary::Terminal),
+        }
+    }
+
+    /// The replaced Level 1; reads the shard and claims nothing.
+    fn oracle_compact(
+        ctx: &Ctx,
+        graph: &DistMap<Kmer, KmerVertex>,
+        params: &TraversalParams,
+    ) -> (Vec<Segment>, Vec<(Vec<u8>, f64)>) {
+        let view = graph.local_view(ctx);
+        let lg = LocalGraph {
+            limit: 2 * view.len() + 2,
+            view,
+            graph,
+            rank: ctx.rank(),
+        };
+        let (mut segs, mut cycles) = (Vec::new(), Vec::new());
+        let shard = || (0..lg.view.sub_shards()).flat_map(|s| lg.view.sub_shard(s));
+        let mut covered: FxHashSet<Kmer> = FxHashSet::default();
+        for (key, v) in shard() {
+            if !eligible(v.left, v.right) {
+                continue;
+            }
+            for okmer in [*key, key.revcomp()] {
+                let ov = orient(*v, *key, okmer != *key);
+                let Some(left) = left_boundary(&lg, &okmer, &ov) else {
+                    continue;
+                };
+                let w = walk_local(&lg, okmer, &ov);
+                assert!(!w.closed, "a segment start cannot close a cycle");
+                covered.extend(w.visited.iter().copied());
+                segs.push(Segment {
+                    left,
+                    right_code: w.right_code,
+                    right_remote: w.right_remote,
+                    bases: w.bases,
+                    depth_sum: w.depth_sum,
+                });
+            }
+        }
+        let mut cycle_seen: FxHashSet<Kmer> = FxHashSet::default();
+        for (key, v) in shard() {
+            if !eligible(v.left, v.right) || covered.contains(key) || cycle_seen.contains(key) {
+                continue;
+            }
+            let w = walk_local(&lg, *key, &orient(*v, *key, false));
+            assert!(w.closed, "uncovered vertices must lie on local cycles");
+            cycle_seen.extend(w.visited.iter().copied());
+            let min = *w.visited.iter().min().expect("a walk visits its start");
+            let mv = *lg.view.get(&min).expect("cycle vertex is owned locally");
+            let w = walk_local(&lg, min, &orient(mv, min, false));
+            push_contig(&mut cycles, w.bases, w.depth_sum as f64, w.vcount, params);
+        }
+        (segs, cycles)
+    }
+
+    type SegKey = (Vec<u8>, Option<(Kmer, u8)>, Option<u8>, bool, u64);
+
+    fn sorted_keys(segs: &[Segment]) -> Vec<SegKey> {
+        let mut keys: Vec<SegKey> = segs
+            .iter()
+            .map(|s| {
+                let left = match s.left {
+                    LeftBoundary::Terminal => None,
+                    LeftBoundary::Pending { nbr, agree } => Some((nbr, agree)),
+                };
+                (
+                    s.bases.clone(),
+                    left,
+                    s.right_code,
+                    s.right_remote,
+                    s.depth_sum,
+                )
+            })
+            .collect();
+        keys.sort();
+        keys
+    }
+
+    fn sorted_contigs(contigs: &[(Vec<u8>, f64)]) -> Vec<(Vec<u8>, u64)> {
+        let mut out: Vec<(Vec<u8>, u64)> = contigs
+            .iter()
+            .map(|(bases, depth)| (bases.clone(), depth.to_bits()))
+            .collect();
+        out.sort();
+        out
+    }
+
+    /// Holds this rank's Level 1 to the oracle on `graph` and returns its
+    /// (self-mirror segments, pending boundaries, local cycles) counts.
+    fn check_level1(ctx: &Ctx, graph: &DistMap<Kmer, KmerVertex>, k: usize) -> (u64, u64, u64) {
+        let traversal = TraversalParams::default();
+        let (want_segs, want_cycles) = oracle_compact(ctx, graph, &traversal);
+        let mut cycles = Vec::new();
+        let (segs, by_last) = compact_local(ctx, graph, &traversal, &mut cycles);
+        let at = format!("k={k} ranks={} rank={}", ctx.ranks(), ctx.rank());
+        assert_eq!(sorted_keys(&segs), sorted_keys(&want_segs), "{at}");
+        assert_eq!(
+            sorted_contigs(&cycles),
+            sorted_contigs(&want_cycles),
+            "{at}"
+        );
+        assert_eq!(by_last.len(), segs.len(), "{at}");
+        for (i, s) in segs.iter().enumerate() {
+            let last = Kmer::from_bytes(&s.bases[s.bases.len() - k..]);
+            assert_eq!(by_last.get(&last.unwrap()), Some(&(i as u32)), "{at}");
+        }
+        let mirrors = segs.iter().filter(|s| s.bases == revcomp(&s.bases));
+        let pending = segs
+            .iter()
+            .filter(|s| matches!(s.left, LeftBoundary::Pending { .. }));
+        (
+            mirrors.count() as u64,
+            pending.count() as u64,
+            cycles.len() as u64,
+        )
+    }
+
+    #[test]
+    fn level1_matches_two_orientation_discovery_on_stress_graphs() {
+        let mut rng = StdRng::seed_from_u64(20261015);
+        // (self-mirror segments, pending boundaries, local cycles) seen over
+        // the whole test: each hard case must actually occur.
+        let mut seen = (0u64, 0u64, 0u64);
+        for k in [11usize, 15, 21] {
+            for _ in 0..2 {
+                let reads = stress_reads(&mut rng, k);
+                let params = KmerAnalysisParams {
+                    k,
+                    min_count: 2,
+                    minimizer_len: 7,
+                    ..Default::default()
+                };
+                for ranks in [1usize, 2, 3, 5, 8] {
+                    let per_rank = Team::single_node(ranks).run(|ctx| {
+                        let range = ctx.block_range(reads.len());
+                        let res = kmer_analysis(ctx, &reads[range], &params);
+                        let graph =
+                            build_graph(ctx, &res.counts, ThresholdPolicy::metahipmer_default());
+                        check_level1(ctx, &graph, k)
+                    });
+                    for (m, p, c) in per_rank {
+                        seen = (seen.0 + m, seen.1 + p, seen.2 + c);
+                    }
+                }
+            }
+        }
+        assert!(seen.0 > 0, "no self-mirror hairpin segment: {seen:?}");
+        assert!(seen.1 > 0, "no pending (cross-rank) boundary: {seen:?}");
+        assert!(seen.2 > 0, "no fully-local cycle: {seen:?}");
+    }
+
+    #[test]
+    fn level1_matches_two_orientation_discovery_on_lasso_graphs() {
+        let mut rng = StdRng::seed_from_u64(20261016);
+        // Lassos whose re-entry vertex s the 1-rank scan meets before the
+        // rest of its run, with s stored forward and reverse-complemented:
+        // the starts whose walk can step back into s against its left side.
+        // Across ranks, x and s often have different owners, which gives s's
+        // segment a pending left boundary.
+        let (mut reentry_first, mut pending) = ([0u64; 2], 0u64);
+        for k in [11usize, 15, 21] {
+            let (verts, lassos) = lasso_vertices(&mut rng, k, 60);
+            for ranks in [1usize, 2, 3, 5, 8] {
+                let per_rank = Team::single_node(ranks).run(|ctx| {
+                    let graph = graph_of(ctx, &verts);
+                    let mut first = [0u64; 2];
+                    if ctx.ranks() == 1 {
+                        let view = graph.local_view(ctx);
+                        let scan: FxHashMap<Kmer, usize> = (0..view.sub_shards())
+                            .flat_map(|s| view.sub_shard(s))
+                            .enumerate()
+                            .map(|(i, (key, _))| (*key, i))
+                            .collect();
+                        for lasso in &lassos {
+                            let (s, was_rc) = lasso.s.canonical();
+                            if lasso.run.iter().all(|v| scan[&s] <= scan[v]) {
+                                first[usize::from(was_rc)] += 1;
+                            }
+                        }
+                    }
+                    (first, check_level1(ctx, &graph, k).1)
+                });
+                for (first, p) in per_rank {
+                    reentry_first[0] += first[0];
+                    reentry_first[1] += first[1];
+                    pending += p;
+                }
+            }
+        }
+        assert!(
+            reentry_first.iter().all(|&n| n > 0),
+            "no lasso scanned from s first, forward and reverse: {reentry_first:?}"
+        );
+        assert!(pending > 0, "no pending boundary on the lasso graphs");
+    }
 }

@@ -39,7 +39,9 @@ pub(crate) fn eligible(left: Ext, right: Ext) -> bool {
 }
 
 /// Traverses the graph and returns the contig set (identical on every rank).
-/// Collective.
+/// Collective. The traversal claims every eligible vertex `used`, and takes a
+/// claimed vertex as already walked, so it expects a graph whose claims are
+/// all clear, as [`crate::graph::build_graph`] leaves them.
 ///
 /// # Panics
 /// Panics if `k` is even: an even-length k-mer can be its own reverse
@@ -249,28 +251,49 @@ mod tests {
     #[test]
     fn segment_traversal_claims_all_eligible_vertices() {
         // The traversal must leave the graph state its reference walker
-        // leaves behind: every eligible vertex claimed.
-        let seq = "ACGGTCAGGTTCAAGGACTTACGGACCATGGCATTACGGATACCAGGATCCAGATCACCAGT";
-        let reads: Vec<Read> = (0..3)
-            .map(|i| Read::with_uniform_quality(format!("r{i}"), seq.as_bytes(), 35))
+        // leaves behind: every eligible vertex claimed, every fork vertex
+        // unclaimed. Two sequences sharing a middle plant the forks; a
+        // circle adds a fully-local cycle at one rank.
+        let common = "GGCATTACGGATACCAGGATCCAG";
+        let a = format!("ACGGTCAGGTTCAAGGACT{common}TACCGGTTAACCGGTATTC");
+        let b = format!("TTTTGAGGCCACAAAATTT{common}CTCTCGAGAGAGGCGCGAT");
+        let circle = "ACGGTCAGGTTCAAGGACTTACGGACCATGGCATTACGGATACCA";
+        let doubled = format!("{circle}{circle}");
+        let mut seqs: Vec<&str> = vec![&a, &b];
+        seqs.extend((0..circle.len()).map(|i| &doubled[i..i + 30]));
+        let reads: Vec<Read> = seqs
+            .iter()
+            .cycle()
+            .take(seqs.len() * 3)
+            .enumerate()
+            .map(|(i, s)| Read::with_uniform_quality(format!("r{i}"), s.as_bytes(), 35))
             .collect();
         for segment in [true, false] {
-            let team = Team::single_node(2);
-            team.run(|ctx| {
-                let params = KmerAnalysisParams {
-                    k: 15,
-                    min_count: 2,
-                    ..Default::default()
-                };
-                let res = kmer_analysis(ctx, &reads, &params);
-                let graph = build_graph(ctx, &res.counts, ThresholdPolicy::metahipmer_default());
-                traverse(ctx, &graph, 15, &TraversalParams::default(), segment);
-                graph.for_each_local(ctx, |_, v| {
-                    if eligible(v.left, v.right) {
-                        assert!(v.used, "eligible vertex left unclaimed");
-                    }
+            for ranks in [1usize, 2, 3] {
+                let counts = Team::single_node(ranks).run(|ctx| {
+                    let params = KmerAnalysisParams {
+                        k: 15,
+                        min_count: 2,
+                        ..Default::default()
+                    };
+                    let range = ctx.block_range(reads.len());
+                    let res = kmer_analysis(ctx, &reads[range], &params);
+                    let graph =
+                        build_graph(ctx, &res.counts, ThresholdPolicy::metahipmer_default());
+                    traverse(ctx, &graph, 15, &TraversalParams::default(), segment);
+                    let mut forks = 0u64;
+                    graph.for_each_local(ctx, |kmer, v| {
+                        let ok = eligible(v.left, v.right);
+                        assert_eq!(v.used, ok, "{kmer} (eligible: {ok}) has used = {}", v.used);
+                        forks += u64::from(!ok);
+                    });
+                    ctx.allreduce_sum_u64(forks)
                 });
-            });
+                assert!(
+                    counts[0] > 0,
+                    "the graph has no fork vertex to leave unclaimed"
+                );
+            }
         }
     }
 

@@ -311,11 +311,15 @@ where
 
     /// A direct, random-access view of the calling rank's own shard: locks
     /// every sub-shard once and holds the guards for the view's lifetime, so
-    /// repeated [`LocalShardView::get`] probes pay neither `Ctx` accounting
-    /// nor per-access mutex churn. This is the keyed complement of
-    /// [`DistMap::for_each_local`] (use case 4), built for owner-local graph
-    /// algorithms such as the segment-compaction traversal that chase keys
-    /// around their own shard millions of times.
+    /// repeated [`LocalShardView::get`] / [`LocalShardView::get_mut`] probes
+    /// pay neither `Ctx` accounting nor per-access mutex churn. This is the
+    /// keyed, mutable complement of [`DistMap::for_each_local`] (use case 4),
+    /// built for owner-local graph algorithms such as the segment-compaction
+    /// traversal, which chases keys around its own shard and claims each
+    /// vertex in place as it walks it. A caller that mutates while scanning
+    /// snapshots one sub-shard at a time ([`LocalShardView::sub_shard`]).
+    /// Mutations are plain writes to the owner's table, visible to every
+    /// access path once the view drops.
     ///
     /// Only sound under the usual owner-local pattern: barrier, then every
     /// rank touches exclusively its own shard. While the view is alive, any
@@ -334,15 +338,6 @@ where
                 .map(|m| m.lock())
                 .collect(),
             _phase: phase,
-        }
-    }
-
-    /// Mutable owner-local visit.
-    pub fn for_each_local_mut(&self, ctx: &Ctx, mut f: impl FnMut(&K, &mut V)) {
-        for sub in &self.shards[ctx.rank()].subs {
-            for (k, v) in sub.lock().iter_mut() {
-                f(k, v);
-            }
         }
     }
 
@@ -436,15 +431,30 @@ where
         self.subs[sub_of(key)].get(key)
     }
 
+    /// Mutable access to a key's value in the viewed shard, under the same
+    /// ownership caveat as [`LocalShardView::get`].
+    #[inline]
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.subs[sub_of(key)].get_mut(key)
+    }
+
     /// True if the viewed shard holds the key.
     #[inline]
     pub fn contains(&self, key: &K) -> bool {
         self.get(key).is_some()
     }
 
-    /// Iterates over every entry of the viewed shard (unordered).
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.subs.iter().flat_map(|m| m.iter())
+    /// Number of sub-shards (lock stripes) the view holds.
+    pub fn sub_shards(&self) -> usize {
+        self.subs.len()
+    }
+
+    /// Iterates over the entries of sub-shard `i` only (unordered). A caller
+    /// that mutates through [`LocalShardView::get_mut`] while scanning
+    /// snapshots the keys it needs one sub-shard at a time, so the snapshot
+    /// never exceeds 1/16 of the shard.
+    pub fn sub_shard(&self, i: usize) -> impl Iterator<Item = (&K, &V)> {
+        self.subs[i].iter()
     }
 
     /// Number of entries in the viewed shard.
@@ -782,6 +792,58 @@ mod tests {
                 // local_view phase holds its shard.
                 let keys: Vec<u64> = (0..64).collect();
                 let _ = map.get_many_onesided(ctx, &keys);
+            }
+        });
+    }
+
+    #[test]
+    fn view_mutations_persist_and_the_mutable_view_still_blocks_one_sided_probes() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let team = Team::single_node(2);
+        team.set_conformance_checking(true);
+        team.run(|ctx| {
+            let map: Arc<DistMap<u64, u64>> = DistMap::shared(ctx);
+            bulk_merge(ctx, &map, (0..64u64).map(|k| (k, k)), 8, |a, b| *a += b);
+            let held = ctx.share(|| AtomicBool::new(false));
+            let view = if ctx.rank() == 0 {
+                let mut view = map.local_view(ctx);
+                // Snapshot one sub-shard at a time, then write through the
+                // view, the pattern the segment traversal's claims follow.
+                let mut seen = 0;
+                for s in 0..view.sub_shards() {
+                    let keys: Vec<u64> = view.sub_shard(s).map(|(k, _)| *k).collect();
+                    for k in keys {
+                        *view.get_mut(&k).expect("snapshotted key is present") += 1000;
+                        seen += 1;
+                    }
+                }
+                assert_eq!(seen, view.len());
+                assert_eq!(view.get_mut(&500), None);
+                held.store(true, Ordering::SeqCst);
+                Some(view)
+            } else {
+                while !held.load(Ordering::SeqCst) {
+                    std::hint::spin_loop();
+                }
+                let keys: Vec<u64> = (0..64).collect();
+                let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    map.get_many_onesided(ctx, &keys)
+                }))
+                .expect_err("a one-sided probe must be refused while the view lives");
+                let msg = refused
+                    .downcast_ref::<String>()
+                    .expect("the refusal carries a formatted message");
+                assert!(msg.contains("local_view phase holds it"), "{msg}");
+                None
+            };
+            // Rank 0 ends the phase only after rank 1's probe was refused.
+            ctx.barrier();
+            drop(view);
+            ctx.barrier();
+            // Both ranks merged (k, k) once; rank 0's writes sit on top.
+            for k in 0..64u64 {
+                let bump = if map.owner_of(&k) == 0 { 1000 } else { 0 };
+                assert_eq!(map.get_cloned(ctx, &k), Some(2 * k + bump), "key {k}");
             }
         });
     }
