@@ -1,25 +1,36 @@
 //! Seed-and-extend alignment of reads onto contigs.
 //!
-//! Reads are processed in blocks, and a block is three flat passes over
-//! arrays that live across blocks — nothing is allocated per read (what is
-//! left is per verified candidate: the contig window a distributed store
-//! unpacks for it):
+//! Reads and contigs stay 2-bit packed from the store to the verdict: a read
+//! arrives as a [`PackedReadView`] (the read store's bytes as they lie; an
+//! ASCII read is packed once into a reused [`ReadPacker`], case folded with
+//! its non-ACGT bytes as exceptions, the store's own packing). Reads are
+//! processed in blocks, and a block is a few flat passes over arrays that
+//! live across blocks — nothing is allocated per read:
 //!
-//! 1. **Seeds.** Each read is packed to 2 bits once and its seeds are cut out
-//!    of the packing. A seed this rank owns resolves *by reference* to its
-//!    run in the rank's [`SeedIndex`] shard and never enters a cache (on one
-//!    rank that is every seed, on *p* ranks one in *p*). The seeds other
-//!    ranks own are resolved together through a [`dht::CachedView`] over the
-//!    index: cache hits locally, every miss of the block to its owner in one
-//!    aggregated request–response round trip — the paper's batched lookups
-//!    (use case 3 of §II-A) in front of merAligner's software cache, which
-//!    holds only what crossed a rank boundary.
-//! 2. **Votes.** A read's hits become `(contig, offset, strand)` placements
-//!    in a reused list; sorting it and counting runs ranks the candidates.
-//! 3. **Verification.** The best candidates are compared, ungapped, against
-//!    their contig windows (fetched in a second aggregated round from a
-//!    distributed store); the read is reverse-complemented only if a reverse
-//!    candidate is reached.
+//! 1. **Cut.** Every read's seeds are cut straight from its packed words
+//!    ([`kmers::packed::for_each_canonical`]: one word load, shift and mask
+//!    per seed up to 32 bases, the canonical strand by one XOR) into one flat
+//!    array, until the block holds [`AlignParams::lookup_batch`] seeds.
+//! 2. **Resolve.** One tight loop then looks every seed of the block up, so
+//!    the probes' cache misses overlap instead of queueing behind the cutter.
+//!    A seed this rank owns resolves *by reference* to its run in the rank's
+//!    [`SeedIndex`] shard and never enters a cache (on one rank that is every
+//!    seed, on *p* ranks one in *p*). The seeds other ranks own are resolved
+//!    together through a [`dht::CachedView`] over the index: cache hits
+//!    locally, every miss of the block to its owner in one aggregated
+//!    request–response round trip — the paper's batched lookups (use case 3
+//!    of §II-A) in front of merAligner's software cache, which holds only
+//!    what crossed a rank boundary.
+//! 3. **Votes.** A read's hits become one `u128` key per placement, ordered
+//!    as `(contig, offset, strand)`; sorting the keys and counting runs ranks
+//!    the candidates.
+//! 4. **Verification.** The best candidates are compared, ungapped, against
+//!    their contig windows on the packed codes: XOR and popcount over 32
+//!    bases at a time, corrected at the exceptions of either side. Contigs
+//!    come from the replicated set (each window packed into a reused buffer)
+//!    or from a second aggregated round against the distributed store, read
+//!    in place; the read's reverse complement is derived on its codes only if
+//!    a reverse candidate is reached.
 //!
 //! Alignment is therefore **collective**: every rank must call
 //! [`align_reads`] in the same phase, even with no reads.
@@ -29,11 +40,13 @@
 
 use crate::seed_index::{RemoteHits, SeedHit, SeedIndex};
 use dbg::{ContigId, ContigSet, ContigsRef, PackedSeq};
-use dht::{CachedView, FxHashMap, FxHashSet};
+use dht::{CachedView, FxHashMap, LocalShardView};
+use kmers::kernels::pack_ascii;
+use kmers::packed::{for_each_canonical, load_bases, revcomp_codes};
 use kmers::Kmer;
 use pgas::Ctx;
-use seqio::alphabet::revcomp_in_place;
-use seqio::{Read, ReadId};
+use seqio::alphabet::{complement, decode_base};
+use seqio::{AsPackedRead, PackedReadView, ReadId, ReadPacker};
 use std::ops::Range;
 
 /// Parameters of the aligner.
@@ -150,7 +163,7 @@ impl AlignmentSet {
 /// Aligns the reads `(read_id, read)` of this rank against a replicated
 /// contig set using the shared seed index. Returns this rank's alignments.
 /// See [`align_reads_ref`] for the collectivity contract.
-pub fn align_reads<R: std::borrow::Borrow<Read>>(
+pub fn align_reads<R: AsPackedRead>(
     ctx: &Ctx,
     reads: impl IntoIterator<Item = (ReadId, R)>,
     contigs: &ContigSet,
@@ -175,10 +188,11 @@ pub fn align_reads<R: std::borrow::Borrow<Read>>(
 /// voting never touches sequence bytes, and verification reads exactly the
 /// candidate windows whichever transport delivered them.
 ///
-/// Reads arrive as any borrowable form (`Read`, `&Read`, or the values an
-/// on-demand read-store stream unpacks), so neither the replicated baseline
-/// nor the distributed read store has to clone sequences to align them.
-pub fn align_reads_ref<R: std::borrow::Borrow<Read>>(
+/// Reads arrive as anything [`AsPackedRead`]: the handles a read-store
+/// stream yields (read in place), or `Read` / `&Read` (packed once into a
+/// reused buffer), so neither the distributed read store nor the replicated
+/// baseline copies a sequence to align it.
+pub fn align_reads_ref<R: AsPackedRead>(
     ctx: &Ctx,
     reads: impl IntoIterator<Item = (ReadId, R)>,
     contigs: ContigsRef<'_>,
@@ -192,44 +206,50 @@ pub fn align_reads_ref<R: std::borrow::Borrow<Read>>(
     let mut out = AlignmentSet::default();
     // Everything below lives across blocks and is only ever cleared.
     let mut block: Vec<(ReadId, R)> = Vec::new();
-    let mut cutter = SeedCutter::default();
+    let mut packer = ReadPacker::default();
+    let mut cut: Vec<CutSeed> = Vec::new();
     let mut seeds: Vec<Seed> = Vec::new();
     let mut foreign: Vec<Kmer> = Vec::new();
-    // Per read of the block: its seeds, then (after voting) its candidates.
+    // Per read of the block: its length, its seeds, then (after voting) its
+    // candidates.
+    let mut read_lens: Vec<usize> = Vec::new();
     let mut seed_spans: Vec<Range<usize>> = Vec::new();
     let mut cand_spans: Vec<Range<usize>> = Vec::new();
     let mut candidates: Vec<Candidate> = Vec::new();
     let mut votes = Votes::default();
-    let mut revcomp_buf: Vec<u8> = Vec::new();
+    // The block's distinct candidate contigs in first-seen order, and each
+    // one's slot in that order.
+    let mut contig_ids: Vec<ContigId> = Vec::new();
+    let mut contig_slots: FxHashMap<ContigId, usize> = FxHashMap::default();
+    let mut verifier = Verifier::default();
     loop {
-        // Pull one block of reads from the stream: enough to fill roughly one
-        // batch of seed lookups. Only the current block is held in memory.
+        // Pass 1: pull one block of reads from the stream — enough to fill
+        // roughly one batch of seed lookups — and cut their seeds. Only the
+        // current block is held in memory.
         block.clear();
-        seeds.clear();
-        foreign.clear();
+        cut.clear();
+        read_lens.clear();
         seed_spans.clear();
-        while seeds.len() < params.lookup_batch {
+        while cut.len() < params.lookup_batch {
             let Some((read_id, read)) = reads.next() else {
                 break;
             };
-            let lo = seeds.len();
-            cutter.cut(
-                &read.borrow().seq,
+            let lo = cut.len();
+            let packed = read.packed(&mut packer);
+            for_each_canonical(
+                &packed,
                 index.seed_len,
                 params.stride,
-                |canon, read_rc, offset| {
-                    let hits = index.lookup(&canon).map_err(|_owner| {
-                        foreign.push(canon);
-                        foreign.len() - 1
-                    });
-                    seeds.push(Seed {
+                |kmer, read_rc, offset| {
+                    cut.push(CutSeed {
+                        kmer,
                         read_rc,
                         offset,
-                        hits,
-                    });
+                    })
                 },
             );
-            seed_spans.push(lo..seeds.len());
+            read_lens.push(packed.len);
+            seed_spans.push(lo..cut.len());
             block.push((read_id, read));
         }
         // Everyone must agree to stop; a rank that is done keeps serving the
@@ -237,14 +257,26 @@ pub fn align_reads_ref<R: std::borrow::Borrow<Read>>(
         if !ctx.allreduce_any(!block.is_empty()) {
             break;
         }
+        // Pass 2: resolve the whole block's seeds in one tight loop; the
+        // foreign ones keep their cut order.
+        seeds.clear();
+        foreign.clear();
+        seeds.extend(cut.iter().map(|seed| Seed {
+            read_rc: seed.read_rc,
+            offset: seed.offset,
+            hits: index.lookup(&seed.kmer).map_err(|_owner| {
+                foreign.push(seed.kmer);
+                foreign.len() - 1
+            }),
+        }));
         let fetched = view.get_many(ctx, &foreign);
         candidates.clear();
         cand_spans.clear();
         let mut hits_returned = 0u64;
-        for ((_, read), span) in block.iter().zip(&seed_spans) {
+        for (span, &read_len) in seed_spans.iter().zip(&read_lens) {
             let lo = candidates.len();
             hits_returned += votes.rank(
-                read.borrow().seq.len(),
+                read_len,
                 index.seed_len,
                 seeds[span.clone()]
                     .iter()
@@ -256,33 +288,46 @@ pub fn align_reads_ref<R: std::borrow::Borrow<Read>>(
         }
         let windows = match contigs {
             ContigsRef::Local(set) => Windows::Replicated(set),
-            ContigsRef::Store(_) => {
+            ContigsRef::Store(store) => {
                 // One aggregated fetch for every contig named by a surviving
                 // candidate anywhere in the block (collective — ranks with an
-                // empty block fetch an empty id set).
+                // empty block fetch an empty id set). The contigs this rank
+                // owns are read in place from its shard, whose locks are held
+                // until the block is verified.
                 let reader = reader.as_mut().expect("reader exists for store sources");
-                let mut seen: FxHashSet<ContigId> = FxHashSet::default();
-                let ids: Vec<ContigId> = candidates
-                    .iter()
-                    .map(|c| c.contig)
-                    .filter(|id| seen.insert(*id))
-                    .collect();
-                let values = reader.get_many(ctx, &ids);
-                Windows::Fetched(ids.into_iter().zip(values).collect())
+                contig_ids.clear();
+                contig_slots.clear();
+                for cand in &candidates {
+                    contig_slots.entry(cand.contig).or_insert_with(|| {
+                        contig_ids.push(cand.contig);
+                        contig_ids.len() - 1
+                    });
+                }
+                let values = reader.get_many_foreign(ctx, &contig_ids);
+                let owned = store.map().local_view(ctx);
+                Windows::Fetched {
+                    slots: &contig_slots,
+                    values,
+                    owned,
+                }
             }
         };
         let mut verified = 0u64;
         for ((read_id, read), span) in block.iter().zip(&cand_spans) {
-            verified += verify_candidates(
+            if span.is_empty() {
+                continue;
+            }
+            verified += verifier.verify_candidates(
                 *read_id,
-                &read.borrow().seq,
+                &read.packed(&mut packer),
                 params,
                 &candidates[span.clone()],
                 &windows,
-                &mut revcomp_buf,
                 &mut out,
             );
         }
+        // Releases the shard before the next collective.
+        drop(windows);
         ctx.record_alignment_block(
             seeds.len() as u64,
             foreign.len() as u64,
@@ -303,7 +348,40 @@ struct Candidate {
     forward: bool,
 }
 
-/// One sampled seed of a read: whether canonicalisation reverse-complemented
+/// Added to a placement's contig offset (|offset| < 2³², since read and
+/// contig positions are 32-bit) so that it sorts as an unsigned number.
+const OFFSET_BIAS: i64 = 1 << 40;
+
+impl Candidate {
+    /// The placement as one integer with `Candidate`'s order:
+    /// `contig << 64 | (offset + 2⁴⁰) << 1 | forward`.
+    #[inline]
+    fn key(contig: ContigId, contig_offset: i64, forward: bool) -> u128 {
+        debug_assert!(contig_offset.unsigned_abs() < OFFSET_BIAS as u64);
+        (u128::from(contig) << 64)
+            | (((contig_offset + OFFSET_BIAS) as u128) << 1)
+            | u128::from(forward)
+    }
+
+    /// The placement a [`Candidate::key`] encodes.
+    fn of_key(key: u128) -> Candidate {
+        Candidate {
+            contig: (key >> 64) as ContigId,
+            contig_offset: ((key as u64) >> 1) as i64 - OFFSET_BIAS,
+            forward: key & 1 == 1,
+        }
+    }
+}
+
+/// One seed as the cutter emits it: the canonical k-mer, whether that is the
+/// read's reverse complement, and the seed's offset in the read.
+struct CutSeed {
+    kmer: Kmer,
+    read_rc: bool,
+    offset: usize,
+}
+
+/// One resolved seed of a read: whether canonicalisation reverse-complemented
 /// it, its offset in the read, and its hits — borrowed from this rank's shard
 /// of the index, or the block's `i`-th foreign lookup.
 struct Seed<'i> {
@@ -322,57 +400,13 @@ impl<'i> Seed<'i> {
     }
 }
 
-/// Cuts a read's seeds out of one 2-bit packing of it.
-#[derive(Default)]
-struct SeedCutter {
-    packed: Vec<u8>,
-    /// Positions of the read's non-ACGT bytes, ascending.
-    invalid: Vec<usize>,
-}
-
-impl SeedCutter {
-    /// Calls `emit(canonical seed, was reverse-complemented, offset)` for
-    /// the seed at every `stride`-th offset of `seq`, skipping the windows
-    /// that hold a non-ACGT byte.
-    fn cut(
-        &mut self,
-        seq: &[u8],
-        slen: usize,
-        stride: usize,
-        mut emit: impl FnMut(Kmer, bool, usize),
-    ) {
-        if seq.len() < slen {
-            return;
-        }
-        let (packed, invalid) = (&mut self.packed, &mut self.invalid);
-        packed.clear();
-        packed.resize(seq.len().div_ceil(4), 0);
-        invalid.clear();
-        kmers::kernels::pack_ascii(seq, packed, |at, _| invalid.push(at));
-        let mut next_invalid = 0usize;
-        for offset in (0..=seq.len() - slen).step_by(stride) {
-            while invalid.get(next_invalid).is_some_and(|&at| at < offset) {
-                next_invalid += 1;
-            }
-            if invalid
-                .get(next_invalid)
-                .is_some_and(|&at| at < offset + slen)
-            {
-                continue;
-            }
-            let (canon, read_rc) = Kmer::from_packed(packed, offset, slen).canonical();
-            emit(canon, read_rc, offset);
-        }
-    }
-}
-
 /// Ranks one read's candidate placements by seed votes.
 #[derive(Default)]
 struct Votes {
-    /// One placement per (seed, hit) of the read.
-    placements: Vec<Candidate>,
-    /// `(votes, placement)` per distinct placement.
-    tally: Vec<(usize, Candidate)>,
+    /// One [`Candidate::key`] per (seed, hit) of the read.
+    placements: Vec<u128>,
+    /// `(votes, key)` per distinct placement.
+    tally: Vec<(u32, u128)>,
 }
 
 impl Votes {
@@ -392,171 +426,273 @@ impl Votes {
     ) -> u64 {
         self.placements.clear();
         for (seed, hits) in seeds {
+            // The seed's start in the reverse-complemented read.
+            let rc_offset = (read_len - slen - seed.offset) as i64;
             for hit in hits {
                 // forward placement: the read (as given) matches the contig
                 // strand iff the seed orientations agree.
                 let forward = hit.forward != seed.read_rc;
-                let contig_offset = if forward {
-                    hit.pos as i64 - seed.offset as i64
+                let seed_at = if forward {
+                    seed.offset as i64
                 } else {
-                    // The reverse-complemented read aligns forward; in the
-                    // oriented (rc) read the seed starts at
-                    // len - slen - offset.
-                    hit.pos as i64 - (read_len - slen - seed.offset) as i64
+                    rc_offset
                 };
-                self.placements.push(Candidate {
-                    contig: hit.contig,
-                    contig_offset,
+                self.placements.push(Candidate::key(
+                    hit.contig,
+                    hit.pos as i64 - seed_at,
                     forward,
-                });
+                ));
             }
         }
         self.placements.sort_unstable();
         self.tally.clear();
-        for &placement in &self.placements {
+        for &key in &self.placements {
             match self.tally.last_mut() {
-                Some((votes, last)) if *last == placement => *votes += 1,
-                _ => self.tally.push((1, placement)),
+                Some((votes, last)) if *last == key => *votes += 1,
+                _ => self.tally.push((1, key)),
             }
         }
-        // Distinct placements, so the order is total and an unstable sort
-        // deterministic.
-        self.tally
-            .sort_unstable_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-        out.extend(self.tally.iter().take(max_candidates).map(|&(_, c)| c));
+        // Distinct keys, so the order is total and unstable selection and
+        // sorting are deterministic.
+        let best_first = |a: &(u32, u128), b: &(u32, u128)| b.0.cmp(&a.0).then(a.1.cmp(&b.1));
+        if max_candidates > 0 && self.tally.len() > max_candidates {
+            self.tally
+                .select_nth_unstable_by(max_candidates - 1, best_first);
+            self.tally.truncate(max_candidates);
+        }
+        self.tally.sort_unstable_by(best_first);
+        out.extend(
+            self.tally
+                .iter()
+                .take(max_candidates)
+                .map(|&(_, key)| Candidate::of_key(key)),
+        );
         self.placements.len() as u64
     }
 }
 
-/// A contig window handed to verification: the bytes, the contig coordinate
-/// the window starts at, and the full contig length.
-type ContigWindow<'a> = (std::borrow::Cow<'a, [u8]>, i64, usize);
-
 /// Where verification reads contig bases from.
 enum Windows<'a> {
-    /// The replicated set: windows borrow the stored sequences.
+    /// The replicated set: each window is packed from the stored bytes.
     Replicated(&'a ContigSet),
-    /// The packed contigs one block fetched from the distributed store.
-    Fetched(FxHashMap<ContigId, Option<PackedSeq>>),
+    /// The distributed store: the packed contigs one block fetched from
+    /// other ranks, `values[slots[contig]]`, and this rank's own shard.
+    Fetched {
+        slots: &'a FxHashMap<ContigId, usize>,
+        values: Vec<Option<PackedSeq>>,
+        owned: LocalShardView<'a, ContigId, PackedSeq>,
+    },
 }
 
-impl Windows<'_> {
-    /// The contig window covering the placement `[offset, offset + read_len)`
-    /// (clamped), or `None` for an unknown contig.
-    fn covering(&self, contig: ContigId, offset: i64, read_len: usize) -> Option<ContigWindow<'_>> {
-        match self {
-            Windows::Replicated(set) => set
-                .get(contig)
-                .map(|c| (std::borrow::Cow::Borrowed(c.seq.as_slice()), 0, c.len())),
-            Windows::Fetched(fetched) => {
-                // Unpack only the window the placement can touch.
-                let packed = fetched.get(&contig).and_then(|p| p.as_ref())?;
-                let start = offset.max(0) as usize;
-                let end = (offset + read_len as i64).max(0) as usize;
-                let window = packed.window(start, end.saturating_sub(start));
-                Some((std::borrow::Cow::Owned(window), start as i64, packed.len()))
+/// The buffers verification reuses from read to read: the current read's
+/// reverse complement and one packed window of a replicated contig.
+#[derive(Default)]
+struct Verifier {
+    rc_codes: Vec<u8>,
+    rc_exceptions: Vec<(u32, u8)>,
+    window_codes: Vec<u8>,
+    window_exceptions: Vec<(u32, u8)>,
+}
+
+impl Verifier {
+    /// Verifies one read's candidates (already cut to `max_candidates`, best
+    /// first): report at most one placement per contig per read (the
+    /// best-voted one), accept if long and identical enough. The read is
+    /// reverse-complemented, on its codes, if and when a reverse candidate is
+    /// reached. Returns the number of windows compared.
+    fn verify_candidates(
+        &mut self,
+        read_id: ReadId,
+        read: &PackedReadView<'_>,
+        params: &AlignParams,
+        candidates: &[Candidate],
+        windows: &Windows<'_>,
+        out: &mut AlignmentSet,
+    ) -> u64 {
+        let Verifier {
+            rc_codes,
+            rc_exceptions,
+            window_codes,
+            window_exceptions,
+        } = self;
+        let first_of_read = out.alignments.len();
+        let mut have_revcomp = false;
+        let mut compared = 0u64;
+        for cand in candidates {
+            let reported = &out.alignments[first_of_read..];
+            if reported.iter().any(|a| a.contig == cand.contig) {
+                continue;
+            }
+            let (contig, window_start, contig_len) = match windows {
+                Windows::Replicated(set) => {
+                    let Some(c) = set.get(cand.contig) else {
+                        continue;
+                    };
+                    // Pack only the window the placement can touch.
+                    let start = cand.contig_offset.clamp(0, c.len() as i64) as usize;
+                    let end =
+                        (cand.contig_offset + read.len as i64).clamp(start as i64, c.len() as i64);
+                    let bases = &c.seq[start..end as usize];
+                    window_codes.clear();
+                    window_codes.resize(bases.len().div_ceil(4), 0);
+                    window_exceptions.clear();
+                    pack_ascii(bases, window_codes, |at, b| {
+                        window_exceptions.push((at as u32, b))
+                    });
+                    let packed = PackedReadView {
+                        len: bases.len(),
+                        codes: window_codes,
+                        exceptions: window_exceptions,
+                        qual_runs: &[],
+                    };
+                    (packed, start as i64, c.len())
+                }
+                Windows::Fetched {
+                    slots,
+                    values,
+                    owned,
+                } => {
+                    let fetched = slots.get(&cand.contig).and_then(|&i| values[i].as_ref());
+                    let Some(packed) = fetched.or_else(|| owned.get(&cand.contig)) else {
+                        continue;
+                    };
+                    (packed.view(), 0, packed.len())
+                }
+            };
+            let oriented = if cand.forward {
+                *read
+            } else {
+                if !have_revcomp {
+                    revcomp_codes(read.codes, read.len, rc_codes);
+                    rc_exceptions.clear();
+                    rc_exceptions.extend(
+                        read.exceptions
+                            .iter()
+                            .rev()
+                            .map(|&(pos, b)| (read.len as u32 - 1 - pos, complement(b))),
+                    );
+                    have_revcomp = true;
+                }
+                PackedReadView {
+                    len: read.len,
+                    codes: rc_codes,
+                    exceptions: rc_exceptions,
+                    qual_runs: &[],
+                }
+            };
+            compared += 1;
+            let (aligned_len, matches) = verify_packed(
+                &oriented,
+                &contig,
+                window_start,
+                contig_len as i64,
+                cand.contig_offset,
+            );
+            if aligned_len >= params.min_aligned_len
+                && matches as f64 >= params.min_identity * aligned_len as f64
+            {
+                out.alignments.push(Alignment {
+                    read_id,
+                    contig: cand.contig,
+                    forward: cand.forward,
+                    contig_offset: cand.contig_offset,
+                    aligned_len,
+                    matches,
+                });
             }
         }
+        compared
     }
 }
 
-/// Verifies one read's candidates (already cut to `max_candidates`, best
-/// first): report at most one placement per contig per read (the best-voted
-/// one), accept if long and identical enough. The read is reverse-complemented
-/// into `revcomp_buf` if and when a reverse candidate is reached. Returns the
-/// number of windows compared.
-fn verify_candidates(
-    read_id: ReadId,
-    seq: &[u8],
-    params: &AlignParams,
-    candidates: &[Candidate],
-    windows: &Windows<'_>,
-    revcomp_buf: &mut Vec<u8>,
-    out: &mut AlignmentSet,
-) -> u64 {
-    let first_of_read = out.alignments.len();
-    let mut have_revcomp = false;
-    let mut compared = 0u64;
-    for cand in candidates {
-        let reported = &out.alignments[first_of_read..];
-        if reported.iter().any(|a| a.contig == cand.contig) {
-            continue;
-        }
-        let Some((window, window_start, contig_len)) =
-            windows.covering(cand.contig, cand.contig_offset, seq.len())
-        else {
-            continue;
-        };
-        let oriented: &[u8] = if cand.forward {
-            seq
-        } else {
-            if !have_revcomp {
-                revcomp_buf.clear();
-                revcomp_buf.extend_from_slice(seq);
-                revcomp_in_place(revcomp_buf);
-                have_revcomp = true;
-            }
-            revcomp_buf
-        };
-        compared += 1;
-        let (aligned_len, matches) = verify_window(
-            oriented,
-            &window,
-            window_start,
-            contig_len as i64,
-            cand.contig_offset,
-        );
-        if aligned_len >= params.min_aligned_len
-            && matches as f64 >= params.min_identity * aligned_len as f64
-        {
-            out.alignments.push(Alignment {
-                read_id,
-                contig: cand.contig,
-                forward: cand.forward,
-                contig_offset: cand.contig_offset,
-                aligned_len,
-                matches,
-            });
-        }
-    }
-    compared
-}
-
-/// Counts aligned/matching bases of `oriented_read` placed at `offset` on a
-/// contig of length `contig_len`, reading contig bases from `window` (which
-/// starts at contig coordinate `window_start` and must cover the overlap).
-/// Ungapped. An `N` never counts as a match — not even against another `N`:
-/// ambiguous bases carry no evidence, and letting `N` runs in low-quality
-/// read tails "match" contig `N`s would manufacture identity.
-fn verify_window(
-    oriented_read: &[u8],
-    window: &[u8],
+/// Counts aligned/matching bases of the packed `oriented_read` placed at
+/// `offset` on a contig of length `contig_len`, reading contig bases from the
+/// packed `window` (which starts at contig coordinate `window_start` and must
+/// cover the overlap). Ungapped. An `N` never counts as a match — not even
+/// against another `N`: ambiguous bases carry no evidence, and letting `N`
+/// runs in low-quality read tails "match" contig `N`s would manufacture
+/// identity.
+///
+/// The count equals `match_count_except(window, read, b'N')` on the unpacked
+/// bytes: equal codes are counted 32 bases per XOR and popcount, and each
+/// position that is an exception on either side is then corrected to whether
+/// its raw bytes are equal and not `N`.
+fn verify_packed(
+    oriented_read: &PackedReadView<'_>,
+    window: &PackedReadView<'_>,
     window_start: i64,
     contig_len: i64,
     offset: i64,
 ) -> (usize, usize) {
-    let read_len = oriented_read.len() as i64;
     let start = offset.max(0);
-    let end = (offset + read_len).min(contig_len);
+    let end = (offset + oriented_read.len as i64).min(contig_len);
     if end <= start {
         return (0, 0);
     }
-    // Both sides of the overlap are contiguous slices, so the per-base loop
-    // reduces to the vectorised equal-and-not-N byte count. (A byte equal to
-    // an excluded `N` implies both are `N`, so excluding on one side only is
-    // exact.)
-    let contig = &window[(start - window_start) as usize..(end - window_start) as usize];
-    let read = &oriented_read[(start - offset) as usize..(end - offset) as usize];
-    let matches = mhm_simd::match_count_except(contig, read, b'N');
-    ((end - start) as usize, matches)
+    let n = (end - start) as usize;
+    let at_read = (start - offset) as usize;
+    let at_window = (start - window_start) as usize;
+    let mut matches = 0usize;
+    for i in (0..n).step_by(32) {
+        let x =
+            load_bases(oriented_read.codes, at_read + i) ^ load_bases(window.codes, at_window + i);
+        // One bit per base, set where both bits of the codes agree.
+        let mut eq = !(x | (x >> 1)) & 0x5555_5555_5555_5555;
+        if n - i < 32 {
+            eq &= (1u64 << (2 * (n - i))) - 1;
+        }
+        matches += eq.count_ones() as usize;
+    }
+    // Exceptions of both sides, as overlap positions; a position that is one
+    // on both sides is corrected once.
+    let mut read_ex = exceptions_in(oriented_read.exceptions, at_read, n).peekable();
+    let mut window_ex = exceptions_in(window.exceptions, at_window, n).peekable();
+    loop {
+        let t = match (read_ex.peek(), window_ex.peek()) {
+            (None, None) => break,
+            (Some(&(a, _)), None) => a,
+            (None, Some(&(b, _))) => b,
+            (Some(&(a, _)), Some(&(b, _))) => a.min(b),
+        };
+        let (read_code, window_code) = (
+            oriented_read.code_at(at_read + t),
+            window.code_at(at_window + t),
+        );
+        let read_byte = read_ex
+            .next_if(|&(p, _)| p == t)
+            .map_or(decode_base(read_code), |(_, b)| b);
+        let window_byte = window_ex
+            .next_if(|&(p, _)| p == t)
+            .map_or(decode_base(window_code), |(_, b)| b);
+        let counted = read_code == window_code;
+        let is_match = read_byte == window_byte && read_byte != b'N';
+        matches = matches + usize::from(is_match) - usize::from(counted);
+    }
+    (n, matches)
+}
+
+/// The exceptions at positions `from..from + n`, as `(position - from, byte)`.
+fn exceptions_in(
+    exceptions: &[(u32, u8)],
+    from: usize,
+    n: usize,
+) -> impl Iterator<Item = (usize, u8)> + '_ {
+    let lo = exceptions.partition_point(|&(pos, _)| (pos as usize) < from);
+    exceptions[lo..]
+        .iter()
+        .map(move |&(pos, b)| (pos as usize - from, b))
+        .take_while(move |&(t, _)| t < n)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::seed_index::{build_seed_index, build_seed_index_ref, serial_index};
+    use dht::DistMap;
     use pgas::Team;
-    use seqio::alphabet::revcomp;
+    use readstore::{PackedRead, ReadStore, ReadStoreParams};
+    use seqio::alphabet::{revcomp, revcomp_in_place};
+    use seqio::{Read, ReadLibrary};
 
     const GENOME: &str = "ACGGTCAGGTTCAAGGACTTACGGACCATGGCATTACGGATACCAGGATCCAGATCACCAGTTTGACCGATTACAGGACCGATACCGATTAGGACCAGT";
 
@@ -597,6 +733,29 @@ mod tests {
     }
 
     // --- the code this module replaced, kept as oracles ----------------------
+
+    /// Verification on unpacked bytes: the vectorised equal-and-not-N byte
+    /// count over the overlap of `oriented_read` placed at `offset` on a
+    /// contig of length `contig_len`, read from `window` (which starts at
+    /// contig coordinate `window_start`).
+    fn verify_window(
+        oriented_read: &[u8],
+        window: &[u8],
+        window_start: i64,
+        contig_len: i64,
+        offset: i64,
+    ) -> (usize, usize) {
+        let read_len = oriented_read.len() as i64;
+        let start = offset.max(0);
+        let end = (offset + read_len).min(contig_len);
+        if end <= start {
+            return (0, 0);
+        }
+        let contig = &window[(start - window_start) as usize..(end - window_start) as usize];
+        let read = &oriented_read[(start - offset) as usize..(end - offset) as usize];
+        let matches = mhm_simd::match_count_except(contig, read, b'N');
+        ((end - start) as usize, matches)
+    }
 
     /// The per-offset seed sampler: one `Kmer::from_bytes` per window.
     fn collect_seeds_oracle(seq: &[u8], slen: usize, stride: usize) -> Vec<(Kmer, bool, usize)> {
@@ -718,7 +877,7 @@ mod tests {
     #[test]
     fn packed_window_seeds_equal_per_offset_from_bytes() {
         let mut rng = Rng(0x5EED_0001);
-        let mut cutter = SeedCutter::default();
+        let mut packer = ReadPacker::default();
         let mut with_seeds = 0usize;
         for len in 0..=300usize {
             let mut seq = rng.bases(len);
@@ -736,25 +895,51 @@ mod tests {
                     *b = b'N';
                 }
             }
+            // Lower case is folded and other bytes are exceptions, by every
+            // packer and by the per-offset oracle alike.
+            if len % 5 == 1 {
+                let at = rng.below(len);
+                seq[at] = [b'a', b'c', b'g', b't', b'R', b'x'][rng.below(6)];
+            }
+            // Two packings of one read: the ASCII adapter's reused buffers,
+            // and a read-store block's own bytes (word loads near the end run
+            // past the last code byte of both).
+            let stored = PackedRead::from_read(&Read {
+                name: String::new(),
+                seq: seq.clone(),
+                qual: vec![30; len],
+            });
             for stride in 1..=9usize {
-                for slen in [3usize, 15, 21, 31, 33, 127] {
-                    let mut got = Vec::new();
-                    cutter.cut(&seq, slen, stride, |canon, rc, at| {
-                        got.push((canon, rc, at))
-                    });
+                for slen in [3usize, 15, 21, 27, 28, 29, 31, 33, 127] {
                     let expected = collect_seeds_oracle(&seq, slen, stride);
-                    assert_eq!(got, expected, "len={len} stride={stride} slen={slen}");
-                    with_seeds += usize::from(!got.is_empty());
+                    let mut from_packer = Vec::new();
+                    for_each_canonical(&packer.pack(&seq, &[]), slen, stride, |k, rc, at| {
+                        from_packer.push((k, rc, at))
+                    });
+                    assert_eq!(
+                        from_packer, expected,
+                        "packer: len={len} stride={stride} slen={slen}"
+                    );
+                    let mut from_store = Vec::new();
+                    for_each_canonical(&stored.view(), slen, stride, |k, rc, at| {
+                        from_store.push((k, rc, at))
+                    });
+                    assert_eq!(
+                        from_store, expected,
+                        "store: len={len} stride={stride} slen={slen}"
+                    );
+                    with_seeds += usize::from(!expected.is_empty());
                 }
             }
         }
-        assert!(with_seeds > 8000, "test setup: most cases yield seeds");
+        assert!(with_seeds > 12_000, "test setup: most cases yield seeds");
     }
 
     #[test]
     fn sorted_run_votes_equal_the_hash_map_votes() {
         let mut rng = Rng(0xB0A7_0002);
         let mut votes = Votes::default();
+        let (mut negative, mut wide) = (0usize, 0usize);
         for case in 0..400usize {
             let read_len = 40 + rng.below(200);
             let slen = [15usize, 21, 33][case % 3];
@@ -768,13 +953,17 @@ mod tests {
                     hits: Err(0),
                 })
                 .collect();
+            // Contig ids past 32 bits, and hits left of the seed's offset in
+            // the read: placements with negative offsets.
+            let contig_ids: [ContigId; 3] = [0, 1 << 32, u64::MAX - 1];
             let hits: Vec<Vec<SeedHit>> = seeds
                 .iter()
                 .map(|seed| {
                     (0..rng.below(6))
                         .map(|_| SeedHit {
-                            contig: rng.below(3) as ContigId,
-                            pos: (seed.offset + 7 * rng.below(4)) as u32,
+                            contig: contig_ids[rng.below(3)],
+                            pos: (seed.offset + 7 * rng.below(4)).saturating_sub(7 * rng.below(3))
+                                as u32,
                             forward: rng.below(2) == 0,
                         })
                         .collect()
@@ -783,7 +972,12 @@ mod tests {
             let placed: Vec<(bool, usize)> = seeds.iter().map(|s| (s.read_rc, s.offset)).collect();
             let hit_slices: Vec<&[SeedHit]> = hits.iter().map(Vec::as_slice).collect();
             let expected = vote_candidates_oracle(read_len, slen, &placed, &hit_slices);
-            for max_candidates in [1usize, 4, 1000] {
+            negative += expected.iter().filter(|c| c.contig_offset < 0).count();
+            wide += expected
+                .iter()
+                .filter(|c| c.contig > u32::MAX as u64)
+                .count();
+            for max_candidates in [0usize, 1, 4, 1000] {
                 let mut got = vec![];
                 let voted = votes.rank(
                     read_len,
@@ -797,6 +991,116 @@ mod tests {
                 assert_eq!(got, expected[..keep], "case {case}, top {max_candidates}");
             }
         }
+        assert!(
+            negative > 100 && wide > 1000,
+            "test setup: {negative} / {wide}"
+        );
+    }
+
+    /// Random bases in either case, with `N` runs and single IUPAC codes or
+    /// stray bytes planted.
+    fn noisy(rng: &mut Rng, len: usize) -> Vec<u8> {
+        let mut seq = rng.bases(len);
+        for b in &mut seq {
+            if rng.below(8) == 0 {
+                *b = b.to_ascii_lowercase();
+            }
+        }
+        for _ in 0..rng.below(3) {
+            let at = rng.below(len);
+            let run = 1 + rng.below(12);
+            for b in &mut seq[at..(at + run).min(len)] {
+                *b = b'N';
+            }
+        }
+        for _ in 0..rng.below(3) {
+            seq[rng.below(len)] = [b'R', b'Y', b'x', b'n', b'-'][rng.below(5)];
+        }
+        seq
+    }
+
+    #[test]
+    fn verify_packed_equals_match_count_except() {
+        let everything = AlignParams {
+            min_aligned_len: 0,
+            min_identity: 0.0,
+            ..Default::default()
+        };
+        Team::single_node(1).run(|ctx| {
+            let mut rng = Rng(0x7E21_F1ED);
+            let mut verifier = Verifier::default();
+            let mut packer = ReadPacker::default();
+            let (mut corrected, mut clamped_left, mut clamped_right) = (0usize, 0usize, 0usize);
+            for case in 0..1500usize {
+                let contig_len = 1 + rng.below(300);
+                let read_len = 1 + rng.below(160);
+                let contigs =
+                    ContigSet::from_sequences(21, vec![(noisy(&mut rng, contig_len), 1.0)]);
+                let stored = &contigs.contigs[0].seq;
+                let contig = PackedSeq::from_bytes(stored);
+                let read_bytes = noisy(&mut rng, read_len);
+                let read = packer.pack(&read_bytes, &[]);
+                // Placements overhanging either end, inside, and disjoint.
+                let offset = rng.below(contig_len + read_len + 20) as i64 - read_len as i64 - 10;
+                clamped_left += usize::from(offset < 0);
+                clamped_right += usize::from(offset + read_len as i64 > contig_len as i64);
+                corrected += read.exceptions.len() + contig.view().exceptions.len();
+                // The store's two sources: a contig another rank sent, and
+                // one read in place from this rank's shard.
+                let slots: FxHashMap<ContigId, usize> = [(0, 0)].into_iter().collect();
+                let sent: DistMap<ContigId, PackedSeq> = DistMap::new(1);
+                let shard: DistMap<ContigId, PackedSeq> = DistMap::new(1);
+                shard.insert(ctx, 0, contig.clone());
+                let sources = [
+                    Windows::Replicated(&contigs),
+                    Windows::Fetched {
+                        slots: &slots,
+                        values: vec![Some(contig.clone())],
+                        owned: sent.local_view(ctx),
+                    },
+                    Windows::Fetched {
+                        slots: &slots,
+                        values: vec![None],
+                        owned: shard.local_view(ctx),
+                    },
+                ];
+                for forward in [true, false] {
+                    // The oracle: both sides unpacked from their packings, the
+                    // read reverse-complemented in place.
+                    let mut oriented = PackedSeq::from_bytes(&read_bytes).unpack();
+                    if !forward {
+                        revcomp_in_place(&mut oriented);
+                    }
+                    let unpacked = contig.unpack();
+                    let expected =
+                        verify_window(&oriented, &unpacked, 0, contig_len as i64, offset);
+                    let candidate = [Candidate {
+                        contig: 0,
+                        contig_offset: offset,
+                        forward,
+                    }];
+                    for windows in &sources {
+                        let mut out = AlignmentSet::default();
+                        let compared = verifier.verify_candidates(
+                            7,
+                            &read,
+                            &everything,
+                            &candidate,
+                            windows,
+                            &mut out,
+                        );
+                        assert_eq!(compared, 1);
+                        let a = out.alignments[0];
+                        assert_eq!(
+                            (a.aligned_len, a.matches),
+                            expected,
+                            "case {case}, forward {forward}, offset {offset}"
+                        );
+                    }
+                }
+            }
+            assert!(corrected > 1500 && clamped_left > 300 && clamped_right > 300);
+        });
     }
 
     /// Contigs cut from one hidden genome with a planted repeat, a tandem
@@ -862,6 +1166,10 @@ mod tests {
             ..Default::default()
         };
         let expected = align_reads_oracle(&reads, &contigs, 15, &base);
+        let mut library = ReadLibrary::new_unpaired("hard");
+        for (_, read) in &reads {
+            library.push_read(read.clone());
+        }
         assert!(expected.len() > 60, "test setup: most reads align");
         assert!(expected.iter().any(|a| !a.forward));
         assert!(expected.iter().any(|a| a.contig_offset < 0));
@@ -881,6 +1189,15 @@ mod tests {
                 );
                 let from_store = build_seed_index_ref(ctx, ContigsRef::Store(&store), 15);
                 let from_set = build_seed_index(ctx, &contigs, 15);
+                let read_store = ReadStore::build(
+                    ctx,
+                    &library,
+                    &ReadStoreParams {
+                        block_reads: 7,
+                        cache_bytes: 512,
+                        batch: 16,
+                    },
+                );
                 // Deal the reads unevenly; the alignments of a read do not
                 // depend on which rank aligns it.
                 let mine: Vec<(ReadId, Read)> = reads
@@ -888,6 +1205,7 @@ mod tests {
                     .filter(|(id, _)| (*id as usize * 7 / 5) % ctx.ranks() == ctx.rank())
                     .cloned()
                     .collect();
+                let mine_ids: Vec<ReadId> = mine.iter().map(|(id, _)| *id).collect();
                 let expected_mine: Vec<Alignment> = mine
                     .iter()
                     .flat_map(|(id, _)| by_read(&expected, *id))
@@ -911,8 +1229,19 @@ mod tests {
                             &p,
                         );
                         assert_eq!(dist.alignments, expected_mine, "store, {at}");
+                        let streamed = align_reads_ref(
+                            ctx,
+                            read_store.stream(ctx, mine_ids.clone()),
+                            ContigsRef::Store(&store),
+                            &from_store,
+                            &p,
+                        );
+                        assert_eq!(streamed.alignments, expected_mine, "read stream, {at}");
                     }
                 }
+                // The stores are dropped only after the slowest rank's last
+                // one-sided fetch.
+                ctx.barrier();
             });
         }
     }

@@ -11,16 +11,17 @@
 //!   each owner groups into flat arrays, then *read*, immutably — every rank
 //!   keeps only its own shard, hands out its own seeds' hits by reference,
 //!   and answers other ranks' batched lookups inside the RPC handler;
-//! * [`align`] — per block of reads, three flat passes over reused arrays:
-//!   seeds cut from one 2-bit packing of each read (owned seeds resolved by
-//!   reference, foreign seeds through one [`dht::CachedView`] over the index:
-//!   cache hits locally, all misses of the block to their owners in one
-//!   aggregated request–response round trip — the paper's batched lookups,
-//!   the only lookup path there is), candidate voting by diagonal as a sort
-//!   and a run-length count, and ungapped extension/verification producing
-//!   [`align::Alignment`] records (`mgsim`'s reads carry substitution errors
-//!   only, like WGSim's default model, so ungapped verification loses
-//!   nothing);
+//! * [`align`] — per block of 2-bit reads, flat passes over reused arrays:
+//!   every seed of the block cut from the reads' packed words, then all of
+//!   them resolved in one loop (owned seeds by reference, foreign seeds
+//!   through one [`dht::CachedView`] over the index: cache hits locally, all
+//!   misses of the block to their owners in one aggregated request–response
+//!   round trip — the paper's batched lookups, the only lookup path there
+//!   is), candidate voting by diagonal as a sort of integer placement keys
+//!   and a run-length count, and ungapped verification on the packed codes
+//!   producing [`align::Alignment`] records (`mgsim`'s reads carry
+//!   substitution errors only, like WGSim's default model, so ungapped
+//!   verification loses nothing);
 //! * [`localize`] — the read-localisation optimisation of §II-I: after the
 //!   first round of alignments, read pairs are reassigned to the rank
 //!   `contig mod P` of the contig they aligned to, so subsequent alignment

@@ -5,9 +5,10 @@
 //! by them:
 //!
 //! * **Build** ([`build_seed_index_ref`]) — a global update-only phase. Every
-//!   rank cuts the seeds of the contigs it indexes and ships one fixed-size
-//!   `(seed, hit)` record per contig position to the seed's owner through a
-//!   [`pgas::Aggregator`]. The owner then groups what it received *once* into
+//!   rank cuts the seeds of the contigs it indexes straight from their 2-bit
+//!   codes ([`kmers::packed::for_each_canonical`] at stride 1) and ships one
+//!   fixed-size `(seed, hit)` record per contig position to the seed's owner
+//!   through a [`pgas::Aggregator`]. The owner then groups what it received *once* into
 //!   three flat arrays — `keys`, `offsets`, `hits` — behind an open-addressed
 //!   slot table, sorting each seed's run by `(contig, pos)` and capping it at
 //!   [`SeedIndex::MAX_HITS_PER_SEED`].
@@ -27,8 +28,10 @@
 
 use dbg::{ContigId, ContigSet, ContigsRef};
 use dht::fx_hash_one;
-use kmers::{kmer_positions, Kmer};
+use kmers::packed::for_each_canonical;
+use kmers::Kmer;
 use pgas::{Aggregator, Ctx, RpcAggregator};
+use seqio::{PackedReadView, ReadPacker};
 use std::sync::Arc;
 
 /// One occurrence of a seed k-mer in a contig.
@@ -253,10 +256,12 @@ pub fn build_seed_index(ctx: &Ctx, contigs: &ContigSet, seed_len: usize) -> Seed
 /// Collectively builds the seed index for a contig source; every rank gets
 /// its own shard.
 ///
-/// With a replicated set every rank indexes a block of the contigs; with a
-/// distributed [`dbg::ContigStore`] every rank indexes exactly the contigs it
-/// owns (an owner-local read pass — no sequence ever travels for indexing).
-/// Either way one record per contig position reaches the seed's owner in
+/// With a replicated set every rank indexes a block of the contigs, each
+/// packed in turn into one reused buffer; with a distributed
+/// [`dbg::ContigStore`] every rank indexes exactly the contigs it owns, read
+/// packed in place (an owner-local read pass — no sequence ever travels for
+/// indexing, and none is unpacked). Either way the seeds are cut from the
+/// 2-bit codes, one record per contig position reaches the seed's owner in
 /// aggregated messages (global update-only phase), and the owners group them
 /// into the same deterministic index.
 pub fn build_seed_index_ref(ctx: &Ctx, contigs: ContigsRef<'_>, seed_len: usize) -> SeedIndex {
@@ -266,9 +271,8 @@ pub fn build_seed_index_ref(ctx: &Ctx, contigs: ContigsRef<'_>, seed_len: usize)
         kmers::MAX_K
     );
     let mut agg: Aggregator<(Kmer, SeedHit)> = Aggregator::new(ctx, 4096);
-    let mut ship = |contig: ContigId, seq: &[u8]| {
-        for (pos, seed) in kmer_positions(seq, seed_len) {
-            let (canon, was_rc) = seed.canonical();
+    let mut ship = |contig: ContigId, seq: &PackedReadView<'_>| {
+        for_each_canonical(seq, seed_len, 1, |canon, was_rc, pos| {
             let hit = SeedHit {
                 contig,
                 pos: pos as u32,
@@ -278,19 +282,20 @@ pub fn build_seed_index_ref(ctx: &Ctx, contigs: ContigsRef<'_>, seed_len: usize)
                 owner_of_hash(fx_hash_one(&canon), ctx.ranks()),
                 (canon, hit),
             );
-        }
+        });
     };
     match contigs {
         ContigsRef::Local(set) => {
+            let mut packer = ReadPacker::default();
             for c in &set.contigs[ctx.block_range(set.len())] {
-                ship(c.id, &c.seq);
+                ship(c.id, &packer.pack(&c.seq, &[]));
             }
         }
-        // One owned contig is unpacked at a time: the records stream into the
-        // exchange, and the shard never exists unpacked as a whole.
+        // The records stream into the exchange straight from the shard's
+        // packed contigs.
         ContigsRef::Store(store) => store
             .map()
-            .for_each_local(ctx, |id, packed| ship(*id, &packed.unpack())),
+            .for_each_local(ctx, |id, packed| ship(*id, &packed.view())),
     }
     SeedIndex::from_records(ctx, seed_len, agg.finish())
 }
@@ -305,7 +310,7 @@ pub(crate) fn serial_index(
 ) -> std::collections::BTreeMap<Kmer, Vec<SeedHit>> {
     let mut map: std::collections::BTreeMap<Kmer, Vec<SeedHit>> = Default::default();
     for c in &contigs.contigs {
-        for (pos, km) in kmer_positions(&c.seq, seed_len) {
+        for (pos, km) in kmers::kmer_positions(&c.seq, seed_len) {
             let (canon, was_rc) = km.canonical();
             map.entry(canon).or_default().push(SeedHit {
                 contig: c.id,

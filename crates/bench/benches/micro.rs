@@ -5,7 +5,7 @@
 //! classification.
 //! `cargo bench -p mhm_bench` runs them all.
 
-use aligner::{align_reads, build_seed_index, AlignParams};
+use aligner::{align_reads, align_reads_ref, build_seed_index, build_seed_index_ref, AlignParams};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dbg::{
     build_graph, kmer_analysis, traverse_contigs, KmerAnalysisParams, ThresholdPolicy,
@@ -382,6 +382,58 @@ fn bench_pipeline_stages(c: &mut Criterion) {
             })
         })
     });
+    // The path the pipeline runs: the same reads streamed packed out of a
+    // `ReadStore`, contigs read from a `ContigStore`. The set-up checks it
+    // against the replicated arm at each rank count.
+    let library = {
+        let mut lib = seqio::ReadLibrary::new_unpaired("bench");
+        lib.reads = reads[..reads.len().min(2000)].to_vec();
+        lib
+    };
+    let params = AlignParams {
+        seed_len: 15,
+        ..Default::default()
+    };
+    let my_ids = |ctx: &pgas::Ctx| ctx.block_range(library.num_reads()).map(|i| i as u64);
+    let align_store = |ctx: &pgas::Ctx| {
+        let reads =
+            readstore::ReadStore::build(ctx, &library, &readstore::ReadStoreParams::default());
+        let store = dbg::ContigStore::build(ctx, &contigs, &Default::default());
+        let source = dbg::ContigsRef::Store(&store);
+        let index = build_seed_index_ref(ctx, source, params.seed_len);
+        ctx.barrier();
+        let set = align_reads_ref(
+            ctx,
+            reads.stream(ctx, my_ids(ctx).collect()),
+            source,
+            &index,
+            &params,
+        );
+        // The stores are dropped only after the slowest rank's last fetch.
+        ctx.barrier();
+        set.alignments
+    };
+    for (ranks, id) in [
+        (1usize, "aligner/align_store_2k_reads_1rank"),
+        (4, "aligner/align_store_2k_reads_4ranks"),
+    ] {
+        let team = Team::single_node(ranks);
+        let replicated = team.run(|ctx| {
+            let index = build_seed_index(ctx, &contigs, params.seed_len);
+            let mine = my_ids(ctx).map(|id| (id, &library.reads[id as usize]));
+            align_reads(ctx, mine, &contigs, &index, &params).alignments
+        });
+        assert!(
+            replicated.iter().map(Vec::len).sum::<usize>() > library.num_reads() / 2,
+            "set-up: most reads align"
+        );
+        assert_eq!(
+            team.run(align_store),
+            replicated,
+            "store path, {ranks} ranks"
+        );
+        c.bench_function(id, |b| b.iter(|| team.run(align_store).len()));
+    }
 }
 
 fn bench_rrna_hmm(c: &mut Criterion) {

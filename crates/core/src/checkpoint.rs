@@ -525,9 +525,9 @@ fn encode_shard(shard: &ShardData) -> Vec<(u32, Vec<u8>)> {
     srdb.u64(shard.read_blocks.len() as u64);
     for (block_id, block) in &shard.read_blocks {
         srdb.u64(*block_id);
-        srdb.u64(block.first_id);
-        srdb.u64(block.reads.len() as u64);
-        for read in &block.reads {
+        srdb.u64(block.first_id());
+        srdb.u64(block.reads().len() as u64);
+        for read in block.reads() {
             let (seq, qual_runs) = read.to_parts();
             encode_packed_seq(&mut srdb, seq);
             srdb.u64(qual_runs.len() as u64);
@@ -589,7 +589,7 @@ fn decode_shard(body: &[u8]) -> Result<ShardData, String> {
             }
             reads.push(PackedRead::from_parts(seq, qual_runs));
         }
-        read_blocks.push((block_id, PackedReadBlock { first_id, reads }));
+        read_blocks.push((block_id, PackedReadBlock::new(first_id, reads)));
     }
     d.done()?;
 
@@ -796,13 +796,7 @@ mod tests {
         let read = PackedRead::from_parts(PackedSeq::from_bytes(b"ACGT"), vec![(40, 3), (2, 1)]);
         ShardData {
             contigs: vec![(0, seq.clone()), (7, PackedSeq::from_bytes(b"TTT"))],
-            read_blocks: vec![(
-                3,
-                PackedReadBlock {
-                    first_id: 12,
-                    reads: vec![read.clone(), read],
-                },
-            )],
+            read_blocks: vec![(3, PackedReadBlock::new(12, vec![read.clone(), read]))],
         }
     }
 

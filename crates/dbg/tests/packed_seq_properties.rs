@@ -1,8 +1,7 @@
 //! Randomized round-trip properties of [`dbg::PackedSeq`] on top of the bulk
-//! pack/unpack kernels, including non-ACGT exception handling and clamped
-//! windows. CI runs this in both dispatch modes (`MHM_FORCE_SCALAR=1` and
-//! default), so the kernel and its scalar twin are both held to the same
-//! lossless contract.
+//! pack/unpack kernels, including non-ACGT exception handling. CI runs this
+//! in both dispatch modes (`MHM_FORCE_SCALAR=1` and default), so the kernel
+//! and its scalar twin are both held to the same lossless contract.
 
 use dbg::PackedSeq;
 use rand::{Rng, SeedableRng};
@@ -44,26 +43,13 @@ fn normalized(seq: &[u8]) -> Vec<u8> {
 }
 
 #[test]
-fn packed_seq_roundtrips_with_exceptions_and_clamped_windows() {
+fn packed_seq_roundtrips_with_exceptions() {
     let mut rng = StdRng::seed_from_u64(0xFACADE);
     for len in [0usize, 1, 3, 7, 8, 9, 40, 63, 64, 65, 500] {
         for _ in 0..10 {
             let seq = noisy_bases(&mut rng, len);
             let ps = PackedSeq::from_bytes(&seq);
-            let expect = normalized(&seq);
-            assert_eq!(ps.unpack(), expect, "len={len}");
-            // Clamped and interior windows, including past-the-end starts.
-            for _ in 0..8 {
-                let start = rng.gen_range(0..len + 3);
-                let wlen = rng.gen_range(0..len + 3);
-                let lo = start.min(len);
-                let hi = (start + wlen).min(len);
-                assert_eq!(
-                    ps.window(start, wlen),
-                    expect[lo..hi],
-                    "len={len} window={start}+{wlen}"
-                );
-            }
+            assert_eq!(ps.unpack(), normalized(&seq), "len={len}");
         }
     }
 }

@@ -259,6 +259,18 @@ pub struct CachedView<'m, K, V, T = DistMap<K, V>> {
     /// `None`: every fetched key is admitted. `Some`: foreign keys only, and
     /// each fill is reported here ([`CachedView::new_weighted`]).
     residency: Option<Residency>,
+    /// The miss-fill loop's bookkeeping, cleared and reused by every batch.
+    scratch: MissScratch<K>,
+}
+
+/// The distinct misses of one batch: the keys to fetch, each key's index
+/// among them, how many keys of the batch resolve to each, and the batch
+/// positions waiting for a fetched value.
+struct MissScratch<K> {
+    misses: Vec<K>,
+    index: FxHashMap<K, usize>,
+    uses: Vec<u32>,
+    pending: Vec<(usize, usize)>,
 }
 
 impl<'m, K, V> CachedView<'m, K, V>
@@ -290,6 +302,26 @@ where
         }
     }
 
+    /// **Collective** [`CachedView::get_many`] of a weighted, foreign-only
+    /// view for a caller that reads the keys its rank owns from its own shard
+    /// ([`DistMap::local_view`]): those come back `None`, never copied. Hits,
+    /// misses, traffic and residency are recorded exactly as by `get_many`
+    /// (an owned key is never admitted either way).
+    ///
+    /// # Panics
+    /// Panics on a view that admits every key, whose cache would keep the
+    /// `None`s.
+    pub fn get_many_foreign(&mut self, ctx: &Ctx, keys: &[K]) -> Vec<Option<V>> {
+        assert!(
+            self.residency.is_some(),
+            "get_many_foreign needs a foreign-only view"
+        );
+        let batch = self.batch;
+        self.get_many_with(ctx, keys, |map, misses| {
+            map.get_many_foreign(ctx, misses, batch)
+        })
+    }
+
     /// One-sided batched lookup for dynamically scheduled loops (work
     /// stealing, per-rank streams) that cannot reach a collective in
     /// lockstep: like [`CachedView::get_many`], but the misses are read
@@ -314,6 +346,12 @@ where
             cache: SoftwareCache::new(capacity),
             batch,
             residency: None,
+            scratch: MissScratch {
+                misses: Vec::new(),
+                index: FxHashMap::default(),
+                uses: Vec::new(),
+                pending: Vec::new(),
+            },
         }
     }
 
@@ -350,62 +388,90 @@ where
 
     /// The one miss-fill loop: classify each key as cached or to be fetched,
     /// `fetch` the distinct misses, admit what the view's rule allows, and
-    /// resolve every key from the cache or the fetch.
+    /// resolve every key from the cache or the fetch. A fetched value is
+    /// copied into the cache if admitted and into the result once per
+    /// duplicate of its key; its last use takes the fetched value itself.
     fn get_many_with(
         &mut self,
         ctx: &Ctx,
         keys: &[K],
         fetch: impl FnOnce(&T, &[K]) -> Vec<Option<V>>,
     ) -> Vec<Option<V>> {
-        let mut misses: Vec<K> = Vec::new();
-        let mut miss_index: FxHashMap<K, usize> = FxHashMap::default();
-        // Ok(value) = served from cache; Err(i) = misses[i].
-        let mut resolved: Vec<Result<Option<V>, usize>> = Vec::with_capacity(keys.len());
+        let CachedView {
+            map,
+            cache,
+            residency,
+            scratch,
+            ..
+        } = self;
+        let MissScratch {
+            misses,
+            index,
+            uses,
+            pending,
+        } = scratch;
+        misses.clear();
+        index.clear();
+        uses.clear();
+        pending.clear();
+        // Cache hits are resolved now; every other key waits in `pending`
+        // for the fetch of `misses[i]`.
+        let mut out: Vec<Option<V>> = Vec::with_capacity(keys.len());
         let mut hits = 0u64;
-        for key in keys {
-            if let Some(cached) = self.cache.peek(key) {
+        for (at, key) in keys.iter().enumerate() {
+            if let Some(cached) = cache.peek(key) {
                 hits += 1;
-                resolved.push(Ok(cached.clone()));
-            } else if let Some(&i) = miss_index.get(key) {
-                hits += 1; // duplicate of an in-flight fetch: no extra traffic
-                resolved.push(Err(i));
-            } else {
-                let i = misses.len();
-                miss_index.insert(key.clone(), i);
-                misses.push(key.clone());
-                resolved.push(Err(i));
+                out.push(cached.clone());
+                continue;
             }
+            let i = match index.get(key) {
+                Some(&i) => {
+                    hits += 1; // duplicate of an in-flight fetch: no extra traffic
+                    uses[i] += 1;
+                    i
+                }
+                None => {
+                    index.insert(key.clone(), misses.len());
+                    misses.push(key.clone());
+                    uses.push(1);
+                    misses.len() - 1
+                }
+            };
+            pending.push((at, i));
+            out.push(None);
         }
         ctx.record_cache_hits(hits);
         ctx.record_cache_misses(misses.len() as u64);
-        let fetched = fetch(self.map, &misses);
+        let mut fetched = fetch(map, misses);
         // Under foreign-only admission, keys this rank owns — answered from
         // its own shard with no wire traffic — stay out of the cache and out
         // of the fetched weight.
-        let foreign_only = self.residency.is_some();
+        let foreign_only = residency.is_some();
         let mut fetched_weight = 0usize;
         for (key, value) in misses.iter().zip(&fetched) {
             if foreign_only {
-                if self.map.owner_of(key) == ctx.rank() {
+                if map.owner_of(key) == ctx.rank() {
                     continue;
                 }
                 if value.is_some() {
-                    fetched_weight += self.cache.weight_of(value);
+                    fetched_weight += cache.weight_of(value);
                 }
             }
-            self.cache.insert(ctx, key.clone(), value.clone());
+            cache.insert(ctx, key.clone(), value.clone());
         }
-        if let Some(residency) = self.residency {
+        if let Some(residency) = residency {
             (residency.record_fetched)(ctx, fetched_weight);
-            (residency.record_resident)(ctx, self.resident_bytes());
+            (residency.record_resident)(ctx, residency.owned + cache.resident_weight());
         }
-        resolved
-            .into_iter()
-            .map(|r| match r {
-                Ok(v) => v,
-                Err(i) => fetched[i].clone(),
-            })
-            .collect()
+        for &(at, i) in pending.iter() {
+            uses[i] -= 1;
+            out[at] = if uses[i] == 0 {
+                fetched[i].take()
+            } else {
+                fetched[i].clone()
+            };
+        }
+        out
     }
 }
 
@@ -716,6 +782,108 @@ mod tests {
         assert_eq!(read(&mut view, &[absent]), (vec![None], 0, 1, 0), "{what}");
         let again = (vec![None], u64::from(admits), u64::from(!admits), 0);
         assert_eq!(read(&mut view, &[absent]), again, "{what}: absence cached");
+    }
+
+    /// A value that counts its clones on the cloning thread.
+    #[derive(Debug, PartialEq)]
+    struct Counted(u64);
+
+    thread_local! {
+        static CLONES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.with(|n| n.set(n.get() + 1));
+            Counted(self.0)
+        }
+    }
+
+    fn residency() -> Residency {
+        Residency {
+            owned: OWNED,
+            record_fetched: |ctx, n| ctx.record_contig_fetch_bytes(n),
+            record_resident: |ctx, n| ctx.record_contig_resident(n),
+        }
+    }
+
+    #[test]
+    fn a_fetched_value_is_copied_into_the_cache_and_once_per_duplicate() {
+        // Rank 0 reads one-sided, so every probe clones on its own thread.
+        Team::single_node(2).run(|ctx| {
+            let map: Arc<DistMap<u64, Counted>> = DistMap::shared(ctx);
+            if ctx.rank() == 0 {
+                for k in 0..40u64 {
+                    map.insert(ctx, k, Counted(k));
+                }
+            }
+            ctx.barrier();
+            if ctx.rank() == 0 {
+                let foreign: Vec<u64> = (0..40).filter(|k| map.owner_of(k) == 1).collect();
+                let owned = (0..40)
+                    .find(|k| map.owner_of(k) == 0)
+                    .expect("an owned key");
+                let mut view =
+                    CachedView::new_weighted(&map, 1000, 16, |_: &Counted| 1, residency());
+                let cached = foreign[2];
+                view.get_many_onesided(ctx, &[cached]);
+                let (f0, f1) = (foreign[0], foreign[1]);
+                let keys = [f0, f1, f0, cached, owned, f0, owned];
+                let before = (CLONES.with(|n| n.get()), ctx.stats().snapshot());
+                let got = view.get_many_onesided(ctx, &keys);
+                let clones = CLONES.with(|n| n.get()) - before.0;
+                let stats = ctx.stats().snapshot().delta_from(&before.1);
+                let values: Vec<u64> = got.iter().map(|v| v.as_ref().expect("present").0).collect();
+                assert_eq!(values, keys);
+                assert_eq!((stats.cache_hits, stats.cache_misses), (4, 3));
+                // One probe per distinct miss (f0, f1, owned), one copy into
+                // the cache per admitted one (f0, f1: the owned key stays
+                // out), one per duplicate beyond a key's last use (f0 twice,
+                // owned once) and one per cache hit.
+                assert_eq!(clones, 3 + 2 + 3 + 1);
+            }
+            ctx.barrier();
+        });
+    }
+
+    #[test]
+    fn get_many_foreign_records_what_get_many_does_and_copies_no_owned_value() {
+        for ranks in 1..=3usize {
+            Team::single_node(ranks).run(|ctx| {
+                let map: Arc<DistMap<u64, u64>> = DistMap::shared(ctx);
+                if ctx.rank() == 0 {
+                    for k in 0..PRESENT {
+                        map.insert(ctx, k, k * 3);
+                    }
+                }
+                ctx.barrier();
+                let keys: Vec<u64> = (0..120u64)
+                    .map(|i| (i * 7 + ctx.rank() as u64) % (PRESENT + 20))
+                    .collect();
+                let read = |foreign_only: bool| {
+                    ctx.barrier();
+                    ctx.stats().reset();
+                    ctx.barrier();
+                    let mut view = CachedView::new_weighted(&map, 40, 7, weigh, residency());
+                    let mut got = Vec::new();
+                    for batch in keys.chunks(30) {
+                        got.extend(if foreign_only {
+                            view.get_many_foreign(ctx, batch)
+                        } else {
+                            view.get_many(ctx, batch)
+                        });
+                    }
+                    (got, ctx.stats().snapshot())
+                };
+                let (all, all_stats) = read(false);
+                let (foreign, foreign_stats) = read(true);
+                assert_eq!(foreign_stats, all_stats, "{ranks} ranks");
+                for ((key, a), f) in keys.iter().zip(&all).zip(&foreign) {
+                    let mine = map.owner_of(key) == ctx.rank();
+                    assert_eq!(*f, if mine { None } else { *a }, "key {key}");
+                }
+            });
+        }
     }
 
     #[test]

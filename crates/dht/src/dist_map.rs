@@ -154,6 +154,28 @@ where
         rpc.finish(|key| self.probe(&key))
     }
 
+    /// [`DistMap::get_many`] for a caller that reads the keys it owns from
+    /// its own shard ([`DistMap::local_view`]): those come back `None`,
+    /// without a copy of the value. Every message and byte is what `get_many`
+    /// records — the transport accounts a response by its type's size, not
+    /// its content. Collective.
+    pub fn get_many_foreign(&self, ctx: &Ctx, keys: &[K], batch: usize) -> Vec<Option<V>>
+    where
+        V: Clone,
+    {
+        let mut rpc: RpcAggregator<K, Option<V>> = RpcAggregator::new(ctx, batch);
+        for key in keys {
+            rpc.push(self.owner_of(key), key.clone());
+        }
+        rpc.finish_by_origin(|origin, key| {
+            if origin == ctx.rank() {
+                None
+            } else {
+                self.probe(&key)
+            }
+        })
+    }
+
     /// Collective batched membership test; the `contains` analogue of
     /// [`DistMap::get_many`].
     pub fn contains_many(&self, ctx: &Ctx, keys: &[K], batch: usize) -> Vec<bool> {

@@ -47,7 +47,7 @@ static DECODE_LUT: [[u8; 4]; 256] = {
 
 /// Reverses the 32 2-bit groups of a word: pair swap, nibble swap, byte swap.
 #[inline]
-fn rev2_u64(x: u64) -> u64 {
+pub(crate) fn rev2_u64(x: u64) -> u64 {
     let x = ((x & 0x3333_3333_3333_3333) << 2) | ((x >> 2) & 0x3333_3333_3333_3333);
     let x = ((x & 0x0F0F_0F0F_0F0F_0F0F) << 4) | ((x >> 4) & 0x0F0F_0F0F_0F0F_0F0F);
     x.swap_bytes()
@@ -287,7 +287,7 @@ pub fn pack_ascii(seq: &[u8], data: &mut [u8], on_invalid: impl FnMut(usize, u8)
 // --- packed byte stream -> ASCII -------------------------------------------
 
 /// Scalar oracle for [`unpack_ascii`]: per-base shift/mask/[`decode_base`],
-/// the pre-kernel `PackedSeq::window` loop.
+/// the pre-kernel `PackedSeq::unpack` loop.
 pub fn unpack_ascii_scalar(data: &[u8], start: usize, end: usize, out: &mut Vec<u8>) {
     debug_assert!(start <= end && data.len() * 4 >= end);
     for i in start..end {

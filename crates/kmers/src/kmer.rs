@@ -95,6 +95,17 @@ impl Kmer {
         km
     }
 
+    /// The k-mer whose `k ≤ 32` bases are the low `2k` bits of `word` (the
+    /// bits above them must be zero).
+    #[inline]
+    pub(crate) fn from_word(word: u64, k: usize) -> Self {
+        debug_assert!(k <= 32 && (k == 32 || word >> (2 * k) == 0));
+        Kmer {
+            words: [word, 0, 0, 0],
+            k: k as u16,
+        }
+    }
+
     /// The k of this k-mer.
     #[inline]
     pub fn k(&self) -> usize {

@@ -18,6 +18,8 @@
 //!   2-bit reads and the packed supermer wire codec that k-mer analysis uses
 //!   to ship whole runs of overlapping k-mers in ~(s+k−1)/4 bytes instead of
 //!   ~32 bytes per k-mer;
+//! * [`packed`] — word loads, reverse complements and strided canonical
+//!   k-mer cuts straight from 2-bit packed sequences (the aligner's seeds);
 //! * [`kernels`] — the word-parallel/SIMD compute kernels behind the hot
 //!   loops of all of the above (reverse complement, canonical comparison and
 //!   the bulk ASCII↔2-bit codecs), runtime-dispatched via [`mhm_simd`] with
@@ -28,6 +30,7 @@ pub mod extract;
 pub mod kernels;
 pub mod kmer;
 pub mod minimizer;
+pub mod packed;
 pub mod packed_seq;
 
 pub use ext::{Ext, ExtCounts, ExtPair, KmerCounts};

@@ -52,28 +52,14 @@ impl PackedSeq {
         self.data.len() + self.exceptions.len() * std::mem::size_of::<(u32, u8)>() + 4
     }
 
-    /// Unpacks the window `[start, start + len)`, clamped to the sequence
-    /// bounds: a start at or past the end yields an empty vector, and a
-    /// window reaching past the end is truncated. Equals
-    /// `&seq[start.min(n)..(start + len).min(n)]` on the raw sequence.
-    pub fn window(&self, start: usize, len: usize) -> Vec<u8> {
-        let n = self.len();
-        let start = start.min(n);
-        let end = start.saturating_add(len).min(n);
-        let mut out = Vec::with_capacity(end - start);
-        crate::kernels::unpack_ascii(&self.data, start, end, &mut out);
-        for &(pos, b) in &self.exceptions {
-            let pos = pos as usize;
-            if pos >= start && pos < end {
-                out[pos - start] = b;
-            }
-        }
-        out
-    }
-
     /// Unpacks the whole sequence.
     pub fn unpack(&self) -> Vec<u8> {
-        self.window(0, self.len())
+        let mut out = Vec::with_capacity(self.len());
+        crate::kernels::unpack_ascii(&self.data, 0, self.len(), &mut out);
+        for &(pos, b) in &self.exceptions {
+            out[pos as usize] = b;
+        }
+        out
     }
 
     /// The raw representation — `(length in bases, 2-bit code bytes,
@@ -137,22 +123,13 @@ mod tests {
     }
 
     #[test]
-    fn packed_seq_roundtrips_and_windows_clamp() {
+    fn packed_seq_roundtrips() {
         for len in [0usize, 1, 3, 4, 5, 63, 64, 257] {
             let s = seq(len, len as u64 + 1);
             let p = PackedSeq::from_bytes(&s);
             assert_eq!(p.len(), len);
             assert_eq!(p.unpack(), s);
             assert!(p.packed_bytes() <= len / 4 + 1 + 16 + 8 * len / 16);
-            // Random windows, including out-of-range starts and lengths.
-            let mut state = 7u64 + len as u64;
-            for _ in 0..50 {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let start = (state >> 33) as usize % (len + 10);
-                let wlen = (state >> 13) as usize % (len + 10);
-                let expect = &s[start.min(len)..(start + wlen).min(len).max(start.min(len))];
-                assert_eq!(p.window(start, wlen), expect, "len={len} {start}+{wlen}");
-            }
         }
     }
 

@@ -73,11 +73,17 @@ impl<T: Send> AllToAll<T> {
         }
     }
 
-    /// Appends `items` to `dest`'s inbox. No accounting: the caller records
-    /// the message (or, for the router, each of its legs).
+    /// Appends `items` to `dest`'s inbox; the first batch into an empty inbox
+    /// becomes the inbox, uncopied. No accounting: the caller records the
+    /// message (or, for the router, each of its legs).
     fn deposit(&self, dest: usize, mut items: Vec<T>) {
         mhm_sched::yield_point("pgas::mailbox::deposit");
-        self.inboxes[dest].lock().append(&mut items);
+        let mut inbox = self.inboxes[dest].lock();
+        if inbox.is_empty() {
+            *inbox = items;
+        } else {
+            inbox.append(&mut items);
+        }
     }
 
     /// Drains the calling rank's inbox. Call only after a barrier that
@@ -600,7 +606,15 @@ where
     /// ships the answers back in per-requester aggregated messages, and
     /// returns this rank's responses **in request push order**. Collective.
     #[track_caller]
-    pub fn finish(mut self, mut handler: impl FnMut(Req) -> Resp) -> Vec<Resp> {
+    pub fn finish(self, mut handler: impl FnMut(Req) -> Resp) -> Vec<Resp> {
+        self.finish_by_origin(|_, req| handler(req))
+    }
+
+    /// [`RpcAggregator::finish`] with a handler that is also told which rank
+    /// sent each request (this rank itself for the requests it owns).
+    /// Collective.
+    #[track_caller]
+    pub fn finish_by_origin(mut self, mut handler: impl FnMut(usize, Req) -> Resp) -> Vec<Resp> {
         let ctx = self.ctx;
         self.check.finished();
         ctx.record_collective(
@@ -620,7 +634,7 @@ where
         for RpcRequest { origin, seq, req } in self.requests.collect(ctx) {
             replies[origin as usize].push(RpcReply {
                 seq,
-                resp: handler(req),
+                resp: handler(origin as usize, req),
             });
         }
         for (dest, batch) in replies.into_iter().enumerate() {

@@ -26,9 +26,11 @@
 //!   one miss-fill loop fetches collectively via [`dht::DistMap::get_many`]
 //!   or one-sided via [`dht::DistMap::get_many_onesided`] for dynamically
 //!   scheduled loops;
-//! * [`ReadStream`] — an in-order `(ReadId, Read)` iterator that unpacks one
-//!   block at a time (the alignment ingest path), fetching foreign blocks
-//!   one-sided so per-rank progress never has to line up collectively;
+//! * [`ReadStream`] — an in-order `(ReadId, StreamedRead)` iterator (the
+//!   alignment ingest path) that hands out each read as a shared handle on
+//!   its block — the packed bytes as they lie, never unpacked or copied —
+//!   fetching foreign blocks one-sided so per-rank progress never has to line
+//!   up collectively;
 //! * [`OwnedReads`] — a [`seqio::ReadSource`] over the calling rank's owned
 //!   blocks that hands out each read's packed bytes as they lie (the k-mer
 //!   analysis ingest path);
@@ -168,18 +170,48 @@ impl PackedRead {
 
 /// A run of up to `block_reads` consecutive reads starting at `first_id`:
 /// the unit of sharding, transfer and caching.
+///
+/// The reads are shared, so a clone — a fetch out of the shard, a cache
+/// admission, a [`ReadStream`] handle — is a reference-count bump, not a copy
+/// of the block. The footprint is computed once, at construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedReadBlock {
-    /// Read id of `reads[0]`.
-    pub first_id: ReadId,
-    /// The packed reads, in id order.
-    pub reads: Vec<PackedRead>,
+    first_id: ReadId,
+    reads: Arc<[PackedRead]>,
+    packed_bytes: usize,
 }
 
+// The transport accounts a value it moves by its `size_of`, so the block keeps
+// the size of its former `(first_id, Vec<PackedRead>)` layout and every
+// recorded byte stays what it was.
+const _: () = assert!(
+    std::mem::size_of::<PackedReadBlock>() == std::mem::size_of::<(ReadId, Vec<PackedRead>)>()
+);
+
 impl PackedReadBlock {
+    /// A block of `reads` whose first read has id `first_id`.
+    pub fn new(first_id: ReadId, reads: Vec<PackedRead>) -> Self {
+        let packed_bytes = 8 + reads.iter().map(PackedRead::packed_bytes).sum::<usize>();
+        PackedReadBlock {
+            first_id,
+            reads: reads.into(),
+            packed_bytes,
+        }
+    }
+
+    /// Read id of `reads()[0]`.
+    pub fn first_id(&self) -> ReadId {
+        self.first_id
+    }
+
+    /// The packed reads, in id order.
+    pub fn reads(&self) -> &[PackedRead] {
+        &self.reads
+    }
+
     /// Packed footprint in bytes.
     pub fn packed_bytes(&self) -> usize {
-        8 + self.reads.iter().map(|r| r.packed_bytes()).sum::<usize>()
+        self.packed_bytes
     }
 
     /// The packed read with the given id, if it falls in this block.
@@ -258,16 +290,11 @@ impl ReadStore {
             }
             let first = b as usize * block_reads;
             let end = (first + block_reads).min(library.reads.len());
-            mine.push((
-                b,
-                PackedReadBlock {
-                    first_id: first as ReadId,
-                    reads: library.reads[first..end]
-                        .iter()
-                        .map(PackedRead::from_read)
-                        .collect(),
-                },
-            ));
+            let reads = library.reads[first..end]
+                .iter()
+                .map(PackedRead::from_read)
+                .collect();
+            mine.push((b, PackedReadBlock::new(first as ReadId, reads)));
         }
         map.apply_local_batch(ctx, mine, |v| v, |a, b| *a = b);
         ctx.barrier();
@@ -321,13 +348,8 @@ impl ReadStore {
         let flush =
             |mine: &mut Vec<(BlockId, PackedReadBlock)>, cur: &mut Vec<PackedRead>, b: BlockId| {
                 if !cur.is_empty() {
-                    mine.push((
-                        b,
-                        PackedReadBlock {
-                            first_id: b * block_reads as u64,
-                            reads: std::mem::take(cur),
-                        },
-                    ));
+                    let first_id = b * block_reads as u64;
+                    mine.push((b, PackedReadBlock::new(first_id, std::mem::take(cur))));
                 }
             };
         for chunk in FastqBlockIter::new(text, INGEST_CHUNK_BYTES, paired) {
@@ -582,10 +604,11 @@ impl ReadStore {
         OwnedReads { store: self, ctx }
     }
 
-    /// An in-order `(ReadId, Read)` stream over `ids` that fetches foreign
-    /// blocks one-sided and keeps at most one unpacked block live. This is
-    /// how alignment consumes the store; one-sided fetches mean per-rank
-    /// progress never has to line up collectively.
+    /// An in-order `(ReadId, StreamedRead)` stream over `ids` that fetches
+    /// foreign blocks one-sided and hands out each read as a handle on its
+    /// shared block: nothing is unpacked, and nothing is copied or allocated
+    /// per read. This is how alignment consumes the store; one-sided fetches
+    /// mean per-rank progress never has to line up collectively.
     pub fn stream<'s, 'c, 't>(
         &'s self,
         ctx: &'c Ctx<'t>,
@@ -638,10 +661,11 @@ impl ReadStore {
 /// one per phase with [`ReadStore::reader`]; it is not shared between ranks.
 pub type ReadReader<'s> = CachedView<'s, BlockId, PackedReadBlock>;
 
-/// An in-order `(ReadId, Read)` iterator over a list of read ids, unpacking
-/// one block at a time. Foreign blocks are fetched one-sided through a
-/// [`ReadReader`] (so the stream composes with per-rank, non-collective
-/// loops) and cached; ascending id lists touch each block once.
+/// An in-order `(ReadId, StreamedRead)` iterator over a list of read ids,
+/// one block fetch per change of block. Foreign blocks are fetched one-sided
+/// through a [`ReadReader`] (so the stream composes with per-rank,
+/// non-collective loops) and cached; ascending id lists touch each block
+/// once.
 pub struct ReadStream<'s, 'c, 't> {
     ctx: &'c Ctx<'t>,
     store: &'s ReadStore,
@@ -650,8 +674,45 @@ pub struct ReadStream<'s, 'c, 't> {
     current: Option<(BlockId, PackedReadBlock)>,
 }
 
+/// One read of a [`ReadStream`]: a shared handle on its block and its index
+/// there. Creating one is a reference-count bump; the bases are read in place
+/// through [`StreamedRead::view`].
+#[derive(Debug, Clone)]
+pub struct StreamedRead {
+    reads: Arc<[PackedRead]>,
+    index: usize,
+}
+
+impl StreamedRead {
+    /// The packed read.
+    pub fn packed_read(&self) -> &PackedRead {
+        &self.reads[self.index]
+    }
+
+    /// Read length in bases.
+    pub fn len(&self) -> usize {
+        self.packed_read().len()
+    }
+
+    /// True if the read holds no bases.
+    pub fn is_empty(&self) -> bool {
+        self.packed_read().is_empty()
+    }
+
+    /// The read's codes, exceptions and quality runs, borrowed from the block.
+    pub fn view(&self) -> PackedReadView<'_> {
+        self.packed_read().view()
+    }
+}
+
+impl seqio::AsPackedRead for StreamedRead {
+    fn packed<'a>(&'a self, _: &'a mut seqio::ReadPacker) -> PackedReadView<'a> {
+        self.view()
+    }
+}
+
 impl Iterator for ReadStream<'_, '_, '_> {
-    type Item = (ReadId, Read);
+    type Item = (ReadId, StreamedRead);
 
     fn next(&mut self) -> Option<Self::Item> {
         let id = self.ids.next()?;
@@ -666,10 +727,15 @@ impl Iterator for ReadStream<'_, '_, '_> {
             self.current = Some((b, block));
         }
         let (_, block) = self.current.as_ref().unwrap();
-        let read = block
-            .get(id)
-            .unwrap_or_else(|| panic!("read {id} missing from block {b}"))
-            .unpack();
+        let index = id - block.first_id;
+        assert!(
+            index < block.reads.len() as u64,
+            "read {id} missing from block {b}"
+        );
+        let read = StreamedRead {
+            reads: Arc::clone(&block.reads),
+            index: index as usize,
+        };
         Some((id, read))
     }
 }
@@ -703,7 +769,7 @@ impl seqio::ReadSource for OwnedReads<'_, '_, '_> {
         let view = self.store.map.local_view(self.ctx);
         for b in owned {
             if let Some(block) = view.get(&b) {
-                for packed in &block.reads {
+                for packed in block.reads.iter() {
                     f(packed.view());
                 }
             }
@@ -951,12 +1017,16 @@ mod tests {
                 // One-sided stream over this rank's share, in order.
                 let share = ctx.block_range(lib2.num_reads());
                 let my_ids: Vec<ReadId> = (share.start as ReadId..share.end as ReadId).collect();
-                let streamed: Vec<(ReadId, Read)> = store.stream(ctx, my_ids.clone()).collect();
+                let streamed: Vec<(ReadId, StreamedRead)> =
+                    store.stream(ctx, my_ids.clone()).collect();
                 assert_eq!(streamed.len(), my_ids.len());
                 for ((id, read), want) in streamed.iter().zip(&my_ids) {
                     assert_eq!(id, want);
-                    assert_eq!(read.seq, lib2.read(*want).seq);
-                    assert_eq!(read.qual, lib2.read(*want).qual);
+                    assert_eq!(read.len(), lib2.read(*want).len());
+                    let unpacked = read.packed_read().unpack();
+                    assert_eq!(unpacked.seq, lib2.read(*want).seq);
+                    assert_eq!(unpacked.qual, lib2.read(*want).qual);
+                    assert_eq!(read.view(), read.packed_read().view());
                 }
                 ctx.barrier();
                 // Materialise reproduces the library minus names.

@@ -18,7 +18,7 @@ pub fn is_valid_base(b: u8) -> bool {
 /// Encodes a base into its 2-bit code. Returns `None` for `N` or any other
 /// non-ACGT byte (lower-case input is accepted and normalised).
 #[inline]
-pub fn encode_base(b: u8) -> Option<u8> {
+pub const fn encode_base(b: u8) -> Option<u8> {
     match b {
         b'A' | b'a' => Some(0),
         b'C' | b'c' => Some(1),

@@ -34,7 +34,7 @@ pub use alphabet::{
 };
 pub use fasta::{parse_fasta, write_fasta, FastaRecord};
 pub use fastq::{parse_fastq, write_fastq, FastqBlockIter, FastqError, FastqRecord};
-pub use packed::{push_quality_runs, PackedReadView, ReadPacker};
+pub use packed::{push_quality_runs, AsPackedRead, PackedReadView, ReadPacker};
 pub use read::{PairOrientation, Read, ReadId, ReadLibrary, ReadPair};
 pub use reference::{ReferenceGenome, ReferenceSet};
 pub use source::{LibraryReads, ReadSource};

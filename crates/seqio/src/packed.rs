@@ -97,6 +97,43 @@ pub fn push_quality_runs(qual: &[u8], runs: &mut Vec<(u8, u8)>) {
     }
 }
 
+/// A read a 2-bit consumer can see as a [`PackedReadView`] of its bases (no
+/// quality runs): a packed read lends its own bytes, an ASCII [`crate::Read`]
+/// packs itself into the caller's reused [`ReadPacker`] — case folded, every
+/// other non-ACGT byte kept as an exception, the read store's packing.
+pub trait AsPackedRead {
+    /// The read's bases as 2-bit codes and exceptions.
+    fn packed<'a>(&'a self, packer: &'a mut ReadPacker) -> PackedReadView<'a>;
+}
+
+impl AsPackedRead for crate::Read {
+    fn packed<'a>(&'a self, packer: &'a mut ReadPacker) -> PackedReadView<'a> {
+        packer.pack(&self.seq, &[])
+    }
+}
+
+impl<T: AsPackedRead + ?Sized> AsPackedRead for &T {
+    fn packed<'a>(&'a self, packer: &'a mut ReadPacker) -> PackedReadView<'a> {
+        (**self).packed(packer)
+    }
+}
+
+/// [`CODE_OF`]'s mark for a byte that is not an upper- or lower-case A/C/G/T.
+const NOT_ACGT: u8 = 4;
+
+/// [`encode_base`] as a table: every byte's 2-bit code, or [`NOT_ACGT`].
+static CODE_OF: [u8; 256] = {
+    let mut table = [NOT_ACGT; 256];
+    let mut b = 0;
+    while b < 256 {
+        if let Some(code) = encode_base(b as u8) {
+            table[b] = code;
+        }
+        b += 1;
+    }
+    table
+};
+
 /// Packs ASCII reads into [`PackedReadView`]s, reusing its buffers from one
 /// read to the next.
 #[derive(Debug, Default)]
@@ -118,10 +155,12 @@ impl ReadPacker {
         self.codes.clear();
         self.codes.resize(seq.len().div_ceil(4), 0);
         self.exceptions.clear();
-        for (i, &b) in seq.iter().enumerate() {
-            match encode_base(b) {
-                Some(code) => self.codes[i / 4] |= code << (2 * (i % 4)),
-                None => self.exceptions.push((i as u32, b)),
+        for (at, (bases, byte)) in seq.chunks(4).zip(&mut self.codes).enumerate() {
+            for (j, &b) in bases.iter().enumerate() {
+                match CODE_OF[b as usize] {
+                    NOT_ACGT => self.exceptions.push(((4 * at + j) as u32, b)),
+                    code => *byte |= code << (2 * j),
+                }
             }
         }
         self.qual_runs.clear();
