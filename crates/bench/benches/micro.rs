@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the distributed substrates: the four
-//! hash-table phases, k-mer analysis, the extraction hot loops (rolling
-//! minimizer, supermer grouping), both graph-traversal implementations,
+//! hash-table phases, k-mer analysis, contig k-mer injection, the extraction
+//! hot loops (rolling minimizer, supermer grouping), the graph traversal,
 //! alignment, the Bloom filter, local assembly's mer-walk and rRNA
 //! classification.
 //! `cargo bench -p mhm_bench` runs them all.
@@ -8,8 +8,8 @@
 use aligner::{align_reads, align_reads_ref, build_seed_index, build_seed_index_ref, AlignParams};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dbg::{
-    build_graph, kmer_analysis, traverse_contigs, KmerAnalysisParams, ThresholdPolicy,
-    TraversalParams,
+    build_graph, inject_contig_kmers_ref, kmer_analysis, traverse_contigs, KmerAnalysisParams,
+    ThresholdPolicy, TraversalParams,
 };
 use dht::{bulk_merge, DistBloom, DistMap, FxHashMap};
 use kmers::{
@@ -213,16 +213,6 @@ fn bench_compute_kernels(c: &mut Criterion) {
                 .sum::<u64>()
         })
     });
-
-    // The aligner's ungapped verification rule over a correlated pair.
-    let read_side: Vec<u8> = noisy
-        .iter()
-        .enumerate()
-        .map(|(i, &b)| if i % 7 == 0 { b'A' } else { b })
-        .collect();
-    c.bench_function("kernels/verify_match_count_1mb", |b| {
-        b.iter(|| mhm_simd::match_count_except(&noisy, &read_side, b'N'))
-    });
 }
 
 fn bench_read_store(c: &mut Criterion) {
@@ -268,6 +258,18 @@ fn bench_read_store(c: &mut Criterion) {
     });
 }
 
+/// The serial count of every k-mer observation of `reads`, cut at ε.
+fn serial_table(reads: &[Read], params: &KmerAnalysisParams) -> FxHashMap<Kmer, KmerCounts> {
+    let mut table: FxHashMap<Kmer, KmerCounts> = FxHashMap::default();
+    for read in reads {
+        for obs in kmers_with_exts_iter(&read.seq, &read.qual, params.k, params.hq_threshold) {
+            table.entry(obs.kmer).or_default().observe(obs.exts);
+        }
+    }
+    table.retain(|_, tally| tally.count >= params.min_count);
+    table
+}
+
 fn bench_pipeline_stages(c: &mut Criterion) {
     let (reads, contigs) = dataset();
     let team = Team::single_node(4);
@@ -277,13 +279,7 @@ fn bench_pipeline_stages(c: &mut Criterion) {
     };
     // The table is the serial count of the bench reads cut at ε, and nothing
     // else was ever inserted into it.
-    let mut serial: FxHashMap<Kmer, KmerCounts> = FxHashMap::default();
-    for read in &reads {
-        for obs in kmers_with_exts_iter(&read.seq, &read.qual, params.k, params.hq_threshold) {
-            serial.entry(obs.kmer).or_default().observe(obs.exts);
-        }
-    }
-    serial.retain(|_, tally| tally.count >= params.min_count);
+    let serial = serial_table(&reads, &params);
     let table: FxHashMap<Kmer, KmerCounts> = team
         .run(|ctx| {
             let range = ctx.block_range(reads.len());
@@ -356,6 +352,65 @@ fn bench_pipeline_stages(c: &mut Criterion) {
                         traverse_contigs(ctx, &graph, 21, &TraversalParams::default()).len()
                     })
                 },
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    // Contig k-mer injection alone, from a contig store into the k=43 table
+    // of the bench reads, at 4 ranks. The set-up holds the injected table to
+    // the serial one: the reads' count cut at ε, plus `weight` observations
+    // of every contig window.
+    {
+        let params = KmerAnalysisParams {
+            k: 43,
+            ..Default::default()
+        };
+        let weight = params.min_count;
+        let mut serial = serial_table(&reads, &params);
+        for contig in &contigs.contigs {
+            for obs in kmers_with_exts_iter(&contig.seq, &[], params.k, 0) {
+                let entry = serial.entry(obs.kmer).or_default();
+                for _ in 0..weight {
+                    entry.observe(obs.exts);
+                }
+            }
+        }
+        let prepare = |ctx: &pgas::Ctx| {
+            let range = ctx.block_range(reads.len());
+            let counts = kmer_analysis(ctx, &reads[range], &params).counts;
+            (
+                counts,
+                dbg::ContigStore::build(ctx, &contigs, &Default::default()),
+            )
+        };
+        let inject =
+            |ctx: &pgas::Ctx, (counts, store): &(dbg::KmerCountsMap, Arc<dbg::ContigStore>)| {
+                inject_contig_kmers_ref(
+                    ctx,
+                    counts,
+                    dbg::ContigsRef::Store(store),
+                    params.k,
+                    weight,
+                )
+            };
+        let table: FxHashMap<Kmer, KmerCounts> = team
+            .run(|ctx| {
+                let prepared = prepare(ctx);
+                inject(ctx, &prepared);
+                prepared.0.local_entries(ctx)
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        assert!(
+            table == serial,
+            "the injected table is not the serial count plus the contig windows"
+        );
+        let team = Arc::clone(&team);
+        c.bench_function("dbg/kmer_merging_k43", move |b| {
+            b.iter_batched(
+                || team.run(prepare).pop().unwrap(),
+                |prepared| team.run(|ctx| inject(ctx, &prepared)),
                 BatchSize::LargeInput,
             )
         });

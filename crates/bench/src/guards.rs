@@ -455,8 +455,8 @@ fn bench_kernel(name: &'static str, floor: f64, mut work: impl FnMut() -> u64) -
 ///
 /// Times each kernel against its twin (best of several trials on identical
 /// inputs) and assembles in both dispatch modes at 1 and 4 ranks. Fails
-/// unless the dispatched revcomp, bulk-encode, bulk-decode and verify kernels
-/// are each at least 2× their twins (canonical is reported only: its
+/// unless the dispatched revcomp, bulk-encode and bulk-decode kernels are
+/// each at least 2× their twins (canonical is reported only: its
 /// first-base early exit speeds the *scalar* mode too) and the scaffolds are
 /// byte-identical across dispatch modes — dispatch changes speed, never
 /// results. Snapshot: `BENCH_simd.json`.
@@ -476,12 +476,6 @@ pub fn simd() {
     kernels::pack_ascii(&seq, &mut packed, |_, _| {});
     let kmer_windows: Vec<Kmer> = (0..2_000)
         .map(|i| Kmer::from_bytes(&seq[i * 97..i * 97 + 95]).expect("clean bases"))
-        .collect();
-    // Correlated pair for the verify kernel: ~85% agreement plus N runs.
-    let read_side: Vec<u8> = noisy
-        .iter()
-        .enumerate()
-        .map(|(i, &b)| if i % 7 == 0 { b'A' } else { b })
         .collect();
 
     let kernel_records = vec![
@@ -522,14 +516,6 @@ pub fn simd() {
                 black_box(&out);
                 out[0] as u64
             }
-        }),
-        bench_kernel("verify_window_1mb", 2.0, || {
-            let mut sink = 0u64;
-            for _ in 0..8 {
-                sink = sink
-                    .wrapping_add(mhm_simd::match_count_except(&noisy, &read_side, b'N') as u64);
-            }
-            sink
         }),
     ];
     print_table(

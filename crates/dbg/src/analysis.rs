@@ -55,7 +55,8 @@ use kmers::minimizer::{
 };
 use kmers::{Kmer, KmerCounts};
 use pgas::{BlobAggregator, Ctx};
-use seqio::{Read, ReadSource};
+use seqio::{PackedReadView, Read, ReadSource};
+use std::any::Any;
 use std::sync::Arc;
 
 /// K-mer observations one counting bin is sized for. A bin's distinct k-mers
@@ -100,6 +101,17 @@ impl MinimizerPartitioner {
     /// The minimizer length.
     pub fn m(&self) -> usize {
         self.m
+    }
+
+    /// The partitioner of a counts table made by [`kmer_analysis_from`].
+    ///
+    /// # Panics
+    /// Panics if `counts` routes its keys with another partitioner.
+    pub(crate) fn of(counts: &DistMap<Kmer, KmerCounts>) -> MinimizerPartitioner {
+        let partitioner = counts.partitioner();
+        let any: &dyn Any = &*partitioner;
+        *any.downcast_ref()
+            .expect("a k-mer counts table is partitioned by minimizer")
     }
 }
 
@@ -187,27 +199,46 @@ pub fn kmer_analysis_from(
     let counts: KmerCountsMap =
         ctx.share(|| DistMap::with_partitioner(ranks, Arc::new(MinimizerPartitioner::new(m))));
 
-    // --- Send side: one streaming supermer pass over this rank's reads ------
-    let batch_bytes = params
-        .batch
-        .saturating_mul(std::mem::size_of::<Kmer>())
-        .max(64);
-    let mut agg = BlobAggregator::new(ctx, batch_bytes);
-    let mut hq = Vec::new();
-    source.for_each_read(&mut |read| {
-        read.hq_mask(params.hq_threshold, &mut hq);
-        cut_supermers(&read, k, m, |sm| {
-            let dest = minimizer_shard(sm.minimizer, ranks);
-            let wrote = agg.push_with(dest, |buf| encode_packed_supermer(buf, &read, &hq, &sm));
-            ctx.record_supermer_bytes(wrote);
-        });
-    });
-    let blobs = agg.finish();
-
+    let blobs = ship_supermers(
+        ctx,
+        |each| source.for_each_read(each),
+        k,
+        m,
+        params.hq_threshold,
+        params.batch,
+    );
     count_binned(ctx, blobs, &counts, params, BIN_OBSERVATIONS);
     ctx.barrier();
 
     KmerAnalysis { counts }
+}
+
+/// The send side of both supermer stages, k-mer analysis and contig k-mer
+/// injection ([`crate::merge`]): cuts every sequence `for_each_seq` hands out
+/// into supermers of `k`-mers under minimizer length `m`, ships each record
+/// to the shard of its minimizer in blobs of about `batch` packed k-mers, and
+/// returns the blobs this rank was sent. Collective.
+pub(crate) fn ship_supermers(
+    ctx: &Ctx,
+    for_each_seq: impl FnOnce(&mut dyn FnMut(PackedReadView<'_>)),
+    k: usize,
+    m: usize,
+    hq_threshold: u8,
+    batch: usize,
+) -> Vec<Vec<u8>> {
+    let ranks = ctx.ranks();
+    let batch_bytes = batch.saturating_mul(std::mem::size_of::<Kmer>()).max(64);
+    let mut agg = BlobAggregator::new(ctx, batch_bytes);
+    let mut hq = Vec::new();
+    for_each_seq(&mut |seq| {
+        seq.hq_mask(hq_threshold, &mut hq);
+        cut_supermers(&seq, k, m, |sm| {
+            let dest = minimizer_shard(sm.minimizer, ranks);
+            let wrote = agg.push_with(dest, |buf| encode_packed_supermer(buf, &seq, &hq, &sm));
+            ctx.record_supermer_bytes(wrote);
+        });
+    });
+    agg.finish()
 }
 
 /// The bin of a record's [`kmers::minimizer_tag`] among `bins` (at most

@@ -16,9 +16,10 @@
 //! 4. [`bubble`] — **bubble merging and hair removal** on the contig graph
 //!    (§II-D);
 //! 5. [`pruning`] — the **iterative graph pruning** of Algorithm 2 (§II-E);
-//! 6. [`merge`] — **k-mer set merging** across iterations: (k+s)-mers
-//!    extracted from the previous iteration's contigs are injected into the
-//!    next iteration's k-mer set as confident k-mers (§II-H).
+//! 6. [`merge`] — **k-mer set merging** across iterations: the previous
+//!    iteration's contigs are cut into (k+s)-mer supermers, shipped through
+//!    k-mer analysis's send loop and merged into the next iteration's k-mer
+//!    set as confident k-mers after its ε cut (§II-H).
 //!
 //! The shared [`types::Contig`] / [`types::ContigSet`] types produced here are
 //! consumed by the aligner, the scaffolder and the evaluation crates.
@@ -43,7 +44,7 @@ pub use analysis::{
 pub use bubble::{merge_bubbles_and_remove_hair, BubbleParams, BubbleReport};
 pub use contig_graph::ContigAdjacency;
 pub use graph::{build_graph, KmerGraph, KmerVertex, ThresholdPolicy};
-pub use merge::{inject_contig_kmers, inject_contig_kmers_ref};
+pub use merge::inject_contig_kmers_ref;
 pub use pruning::{prune_iteratively, PruningParams, PruningReport};
 pub use store::{ContigMeta, ContigReader, ContigStore, ContigStoreParams, ContigsRef, PackedSeq};
 pub use traversal::{traverse_contigs, TraversalParams};

@@ -5,41 +5,42 @@
 //! assembled confidently at the smaller k. MetaHipMer therefore extracts all
 //! (k+s)-mers from the previous iteration's contigs and injects them into the
 //! new k-mer set as error-free, high-quality-extension k-mers. Injection uses
-//! the same aggregated update-only hash-table phase as k-mer analysis, and
-//! duplicates (k-mers present in both sets) simply merge their counts.
+//! the same aggregated update-only phase as k-mer analysis: the contigs are
+//! cut into 2-bit supermers and shipped by minimizer through analysis's send
+//! loop, so every injected k-mer arrives at the rank that owns it in the
+//! counts table, and duplicates (k-mers present in both sets) simply merge
+//! their counts there.
 
-use crate::analysis::KmerCountsMap;
+use crate::analysis::{ship_supermers, KmerCountsMap, MinimizerPartitioner};
 use crate::store::ContigsRef;
-use crate::types::ContigSet;
-use dht::bulk_merge;
-use kmers::{kmers_with_exts_iter, KmerCounts};
+use kmers::minimizer::{expand_supermer, SupermerBlobIter};
+use kmers::KmerCounts;
 use pgas::Ctx;
-
-/// Collectively injects the (new_k)-mers of a replicated `contigs` set into
-/// `counts`.
-pub fn inject_contig_kmers(
-    ctx: &Ctx,
-    counts: &KmerCountsMap,
-    contigs: &ContigSet,
-    new_k: usize,
-    weight: u32,
-) -> usize {
-    inject_contig_kmers_ref(ctx, counts, ContigsRef::Local(contigs), new_k, weight)
-}
+use seqio::{PackedReadView, ReadPacker};
 
 /// Collectively injects the (new_k)-mers of the previous iteration's contigs
-/// into `counts`.
+/// into `counts`, a table made by [`crate::kmer_analysis_from`] at `new_k`,
+/// and returns the number of k-mer windows injected by the whole team.
 ///
-/// `weight` is the pseudo-count given to each injected k-mer occurrence; it
-/// must be at least the analysis ε so injected k-mers survive the depth
-/// filter. Extensions observed inside the contigs are recorded as high
-/// quality (contig bases are error-free by construction of the previous
-/// iteration).
+/// Every window of every contig adds `weight` observations of the k-mer with
+/// the extensions seen inside the contig, recorded as high quality (contig
+/// bases are error-free by construction of the previous iteration). The
+/// pipeline injects after analysis's ε cut, so the weight decides the depth
+/// an injected k-mer brings into graph construction, not whether it survives.
 ///
-/// With a replicated set every rank extracts from a block of the contigs;
-/// with the distributed store every rank extracts from the contigs it owns —
-/// an owner-local read pass. The merged counts are identical either way
-/// because the per-k-mer merge is commutative.
+/// With a replicated set every rank packs and cuts a block of the contigs;
+/// with the distributed store every rank cuts the contigs it owns in place —
+/// an owner-local read pass. The supermers are cut with the table's own
+/// minimizer length, so each lands on its k-mers' owner, which expands it
+/// into its shard. The merged counts are identical either way because the
+/// per-k-mer merge is commutative.
+///
+/// Both arms pack as the contig store does: lower case folds into its 2-bit
+/// code, every other byte but A/C/G/T becomes an exception, and windows
+/// holding an exception are skipped, as [`kmers::kmers_with_exts_iter`]
+/// skips them. Pipeline contigs are upper-case ACGT in any case: the
+/// traversal spells them from 2-bit k-mers, and local assembly extends them
+/// only with decoded 2-bit votes.
 pub fn inject_contig_kmers_ref(
     ctx: &Ctx,
     counts: &KmerCountsMap,
@@ -48,48 +49,37 @@ pub fn inject_contig_kmers_ref(
     weight: u32,
 ) -> usize {
     assert!(weight >= 1);
-    let mut injected = 0usize;
-    let observe = |obs: kmers::CanonicalKmerExt| {
-        let mut kc = KmerCounts::default();
-        for _ in 0..weight {
-            kc.observe(obs.exts);
-        }
-        (obs.kmer, kc)
-    };
-    match contigs {
+    let m = MinimizerPartitioner::of(counts).m().min(new_k);
+    let for_each_contig = |each: &mut dyn FnMut(PackedReadView<'_>)| match contigs {
         ContigsRef::Local(set) => {
-            let my_range = ctx.block_range(set.len());
-            // Streamed straight into the aggregated exchange: the
-            // allocation-free extraction iterator avoids both a per-contig
-            // Vec and the collected item list.
-            let items = set.contigs[my_range]
-                .iter()
-                .flat_map(|c| kmers_with_exts_iter(&c.seq, &[], new_k, 0))
-                .map(|obs| {
-                    injected += 1;
-                    observe(obs)
-                });
-            bulk_merge(ctx, counts, items, 4096, |a, b| a.merge(&b));
+            let mut packer = ReadPacker::default();
+            for contig in &set.contigs[ctx.block_range(set.len())] {
+                each(packer.pack(&contig.seq, &[]));
+            }
         }
-        ContigsRef::Store(store) => {
-            // Unpack this rank's owned contigs once (O(shard) bytes), then
-            // stream the extracted k-mers lazily into the aggregated
-            // exchange like the replicated arm — a collected per-k-mer item
-            // list would transiently dwarf the packed shard.
-            let mut owned: Vec<Vec<u8>> = Vec::new();
-            store
-                .map()
-                .for_each_local(ctx, |_, packed| owned.push(packed.unpack()));
-            let items = owned
-                .iter()
-                .flat_map(|seq| kmers_with_exts_iter(seq, &[], new_k, 0))
-                .map(|obs| {
-                    injected += 1;
-                    observe(obs)
-                });
-            bulk_merge(ctx, counts, items, 4096, |a, b| a.merge(&b));
+        ContigsRef::Store(store) => store
+            .map()
+            .for_each_local(ctx, |_, packed| each(packed.view())),
+    };
+    let blobs = ship_supermers(ctx, for_each_contig, new_k, m, 0, 4096);
+
+    let mut injected = 0usize;
+    for blob in blobs {
+        let mut items = Vec::new();
+        for record in SupermerBlobIter::new(&blob) {
+            expand_supermer(&record, new_k, |obs| {
+                debug_assert_eq!(counts.owner_of(&obs.kmer), ctx.rank(), "misrouted supermer");
+                let mut kc = KmerCounts::default();
+                for _ in 0..weight {
+                    kc.observe(obs.exts);
+                }
+                items.push((obs.kmer, kc));
+            });
         }
+        injected += items.len();
+        counts.apply_local_batch(ctx, items, |kc| kc, |a, b| a.merge(&b));
     }
+    ctx.barrier();
     ctx.allreduce_sum_u64(injected as u64) as usize
 }
 
@@ -98,11 +88,25 @@ mod tests {
     use super::*;
     use crate::analysis::{kmer_analysis, KmerAnalysisParams};
     use crate::graph::{build_graph, ThresholdPolicy};
+    use crate::store::ContigStore;
     use crate::traversal::{traverse_contigs, TraversalParams};
-    use dht::DistMap;
+    use crate::types::ContigSet;
+    use dht::{DistMap, FxHashMap};
+    use kmers::minimizer::MAX_SUPERMER_BASES;
+    use kmers::{kmers_with_exts_iter, Kmer};
     use pgas::Team;
     use seqio::Read;
     use std::sync::Arc;
+
+    /// An empty counts table of k-mer analysis's shape at `k`.
+    fn empty_table(ctx: &Ctx, k: usize) -> KmerCountsMap {
+        let m = KmerAnalysisParams {
+            k,
+            ..Default::default()
+        }
+        .effective_minimizer_len();
+        ctx.share(|| DistMap::with_partitioner(ctx.ranks(), Arc::new(MinimizerPartitioner::new(m))))
+    }
 
     #[test]
     fn injection_preserves_low_coverage_kmers_at_larger_k() {
@@ -128,9 +132,9 @@ mod tests {
             assert_eq!(contigs.len(), 1);
 
             // Fresh, empty counts table for k=31 ("nothing admitted").
-            let new_counts: Arc<DistMap<kmers::Kmer, KmerCounts>> = DistMap::shared(ctx);
-            let injected = inject_contig_kmers(ctx, &new_counts, &contigs, 31, 2);
-            ctx.barrier();
+            let new_counts = empty_table(ctx, 31);
+            let injected =
+                inject_contig_kmers_ref(ctx, &new_counts, ContigsRef::Local(&contigs), 31, 2);
             (injected, new_counts.len(), {
                 // Build a graph on the injected set: the sequence must
                 // re-assemble into the same single contig at k=31.
@@ -152,12 +156,181 @@ mod tests {
         let team = Team::single_node(1);
         team.run(|ctx| {
             let contigs = ContigSet::from_sequences(15, vec![(seq.as_bytes().to_vec(), 5.0)]);
-            let counts: Arc<DistMap<kmers::Kmer, KmerCounts>> = DistMap::shared(ctx);
-            inject_contig_kmers(ctx, &counts, &contigs, 15, 2);
-            inject_contig_kmers(ctx, &counts, &contigs, 15, 3);
+            let counts = empty_table(ctx, 15);
+            inject_contig_kmers_ref(ctx, &counts, ContigsRef::Local(&contigs), 15, 2);
+            inject_contig_kmers_ref(ctx, &counts, ContigsRef::Local(&contigs), 15, 3);
             // Every k-mer now has count 5 and there are no duplicates.
             assert_eq!(counts.len(), seq.len() - 15 + 1);
             counts.for_each_local(ctx, |_, v| assert_eq!(v.count, 5));
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "partitioned by minimizer")]
+    fn a_hash_partitioned_table_is_refused() {
+        Team::single_node(1).run(|ctx| {
+            let counts: KmerCountsMap = DistMap::shared(ctx);
+            let contigs = ContigSet::from_sequences(15, vec![(b"ACGT".repeat(10), 1.0)]);
+            inject_contig_kmers_ref(ctx, &counts, ContigsRef::Local(&contigs), 15, 1);
+        });
+    }
+
+    /// Pseudo-random bases (an LCG, so the tests need no seed plumbing).
+    fn random_bases(len: usize, mut state: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                b"ACGT"[(state >> 33) as usize % 4]
+            })
+            .collect()
+    }
+
+    /// The reference: analysis's table of `reads` (if any) as a serial count
+    /// cut at ε, then `weight` observations of every window of every contig
+    /// from the per-k-mer extraction; and the number of windows.
+    fn serial_injection(
+        reads: &[Read],
+        params: &KmerAnalysisParams,
+        contigs: &[Vec<u8>],
+        weight: u32,
+    ) -> (Vec<(Kmer, KmerCounts)>, usize) {
+        let mut table: FxHashMap<Kmer, KmerCounts> = FxHashMap::default();
+        for read in reads {
+            for obs in kmers_with_exts_iter(&read.seq, &read.qual, params.k, params.hq_threshold) {
+                table.entry(obs.kmer).or_default().observe(obs.exts);
+            }
+        }
+        table.retain(|_, c| c.count >= params.min_count);
+        let mut windows = 0;
+        for seq in contigs {
+            for obs in kmers_with_exts_iter(seq, &[], params.k, 0) {
+                let entry = table.entry(obs.kmer).or_default();
+                for _ in 0..weight {
+                    entry.observe(obs.exts);
+                }
+                windows += 1;
+            }
+        }
+        let mut all: Vec<_> = table.into_iter().collect();
+        all.sort_by_key(|e| e.0);
+        (all, windows)
+    }
+
+    /// Injects `seqs` with `weight` at `ranks` ranks, from a replicated set or
+    /// from a store, into an empty table or into analysis's table of `reads`,
+    /// and holds the table and the returned count to [`serial_injection`].
+    fn check_injection(
+        seqs: &[Vec<u8>],
+        reads: &[Read],
+        params: &KmerAnalysisParams,
+        weight: u32,
+        ranks: usize,
+        store: bool,
+    ) {
+        let (expect, windows) = serial_injection(reads, params, seqs, weight);
+        let set =
+            ContigSet::from_sequences(params.k, seqs.iter().map(|s| (s.clone(), 1.0)).collect());
+        let out = Team::single_node(ranks).run(|ctx| {
+            let counts = if reads.is_empty() {
+                empty_table(ctx, params.k)
+            } else {
+                kmer_analysis(ctx, &reads[ctx.block_range(reads.len())], params).counts
+            };
+            let injected = if store {
+                let store = ContigStore::build(ctx, &set, &Default::default());
+                let n = inject_contig_kmers_ref(
+                    ctx,
+                    &counts,
+                    ContigsRef::Store(&store),
+                    params.k,
+                    weight,
+                );
+                ctx.barrier();
+                n
+            } else {
+                inject_contig_kmers_ref(ctx, &counts, ContigsRef::Local(&set), params.k, weight)
+            };
+            (injected, counts.local_entries(ctx))
+        });
+        let what = format!(
+            "weight {weight}, {} reads, {ranks} ranks, store {store}",
+            reads.len()
+        );
+        let mut got = Vec::new();
+        for (injected, entries) in out {
+            assert_eq!(injected, windows, "{what}");
+            got.extend(entries);
+        }
+        got.sort_by_key(|e| e.0);
+        assert!(got == expect, "{what}: the table is not the serial one");
+    }
+
+    #[test]
+    fn injection_equals_the_per_kmer_extraction() {
+        let k = 33;
+        let genome = random_bases(2_000, 31);
+        // Upper-case ACGT and N, which is all a pipeline contig holds (and
+        // more): contigs shorter than k and exactly k, N singles and runs (at
+        // the ends, shorter and longer than k, a contig of nothing else), and
+        // overlapping pieces of one genome on both strands, so windows merge
+        // across contigs and with the reads.
+        let mut with_n = random_bases(600, 4);
+        with_n[0] = b'N';
+        with_n[100] = b'N';
+        with_n[200..210].fill(b'N');
+        with_n[300..300 + 2 * k].fill(b'N');
+        with_n[599] = b'N';
+        let mut seqs = vec![
+            random_bases(k - 1, 1),
+            random_bases(k, 2),
+            with_n,
+            b"N".repeat(2 * k),
+        ];
+        for i in 0..6 {
+            let piece = &genome[i * 250..i * 250 + 500];
+            seqs.push(if i % 2 == 1 {
+                seqio::alphabet::revcomp(piece)
+            } else {
+                piece.to_vec()
+            });
+        }
+        let reads: Vec<Read> = (0..40)
+            .map(|i| {
+                let start = i * 47;
+                Read::with_uniform_quality(format!("r{i}"), &genome[start..start + 100], 30)
+            })
+            .collect();
+        let params = KmerAnalysisParams {
+            k,
+            min_count: 2,
+            ..Default::default()
+        };
+        for weight in 1..=3 {
+            for reads in [&[][..], &reads] {
+                for ranks in 1..=4 {
+                    for store in [false, true] {
+                        check_injection(&seqs, reads, &params, weight, ranks, store);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn contigs_longer_than_a_wire_record_are_injected_whole() {
+        // A random contig and a poly-A one, each cut into several records
+        // (the poly-A one has a single minimizer throughout).
+        let seqs = vec![random_bases(70_000, 3), vec![b'A'; 70_000]];
+        assert!(seqs[0].len() > MAX_SUPERMER_BASES);
+        let params = KmerAnalysisParams {
+            k: 21,
+            ..Default::default()
+        };
+        for ranks in 1..=4 {
+            let weight = 1 + ranks as u32 % 3;
+            check_injection(&seqs, &[], &params, weight, ranks, ranks % 2 == 0);
+        }
     }
 }

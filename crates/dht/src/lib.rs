@@ -26,22 +26,18 @@
 //! counts table by minimizer — can choose owners while every consumer keeps
 //! working unchanged through [`DistMap::owner_of`].
 //!
-//! One auxiliary distributed structure rides along, a distributed counting
-//! histogram ([`DistHistogram`]). The partitioned Bloom filter
-//! ([`DistBloom`]) is used by no pipeline stage; it stays only because the
-//! performance ledger's `dht.bloom_insert_mitems_s` probe names
-//! `DistBloom::new`/`insert_and_check`.
+//! The partitioned Bloom filter ([`DistBloom`]) is used by no pipeline
+//! stage; it stays only because the performance ledger's
+//! `dht.bloom_insert_mitems_s` probe names `DistBloom::new`/`insert_and_check`.
 
 pub mod bloom;
 pub mod cache;
 pub mod dist_map;
 pub mod fxhash;
-pub mod histogram;
 pub mod partition;
 
 pub use bloom::DistBloom;
 pub use cache::{CachedView, ReadTable, Residency, SoftwareCache};
 pub use dist_map::{bulk_merge, DistMap, LocalShardView};
 pub use fxhash::{fx_hash_one, FxHashMap, FxHashSet, FxHasher};
-pub use histogram::DistHistogram;
 pub use partition::{HashPartitioner, Partitioner, TablePartitioner};

@@ -15,13 +15,17 @@
 //! Implementations must be **deterministic and identical on every rank**:
 //! ranks compute owners independently and the table is only consistent if
 //! they all agree. Sub-shard selection (lock striping within one owner) stays
-//! hash-based regardless of the partitioner.
+//! hash-based regardless of the partitioner. A partitioner is [`Any`], so a
+//! phase handed a table can recover the concrete partitioner it was built
+//! with (contig k-mer injection reads the minimizer length off the counts
+//! table's).
 
 use crate::fxhash::fx_hash_one;
+use std::any::Any;
 use std::hash::Hash;
 
 /// Deterministic key→owner assignment shared by all ranks of a team.
-pub trait Partitioner<K>: Send + Sync {
+pub trait Partitioner<K>: Any + Send + Sync {
     /// The owner rank of `key` among `ranks` ranks (must be `< ranks`).
     fn owner_of(&self, key: &K, ranks: usize) -> usize;
 

@@ -81,8 +81,9 @@ pub fn kmers_with_exts(
 
 /// Allocation-free streaming form of [`kmers_with_exts`]: yields the same
 /// observations in the same order, rolling the window forward base by base
-/// without materialising a per-read `Vec`. This is the extraction hot path
-/// used by k-mer analysis and contig k-mer injection.
+/// without materialising a per-read `Vec`. No pipeline stage extracts k-mers
+/// from ASCII: k-mer analysis and contig k-mer injection cut 2-bit supermers
+/// ([`crate::minimizer`]). This is the reference both are held to.
 pub fn kmers_with_exts_iter<'a>(
     seq: &'a [u8],
     qual: &'a [u8],

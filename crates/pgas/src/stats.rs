@@ -129,7 +129,8 @@ counters! {
     /// Software-cache evictions (entries displaced by the capacity bound).
     cache_evictions: Sum,
     /// Payload bytes of packed supermer records shipped by supermer-routed
-    /// k-mer analysis (a subset of `bytes_sent`, recorded on the sender).
+    /// k-mer analysis and contig k-mer injection (a subset of `bytes_sent`,
+    /// recorded on the sender).
     supermer_bytes: Sum,
     /// Canonical k-mer observations (one per k-mer window of a received
     /// supermer) counted by k-mer analysis, recorded on the owning rank.

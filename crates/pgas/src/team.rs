@@ -659,9 +659,9 @@ impl<'t> Ctx<'t> {
     }
 
     /// Records the payload of one packed supermer record shipped by
-    /// supermer-routed k-mer analysis (in addition to the ordinary
-    /// [`Ctx::record_message`] accounting done when the carrying blob is
-    /// flushed).
+    /// supermer-routed k-mer analysis or contig k-mer injection (in addition
+    /// to the ordinary [`Ctx::record_message`] accounting done when the
+    /// carrying blob is flushed).
     #[inline]
     pub fn record_supermer_bytes(&self, bytes: usize) {
         self.stats()

@@ -10,12 +10,11 @@
 //!   [`set_force_scalar`] from an ablation harness — pins every kernel to its
 //!   scalar twin, which is what CI uses to prove the fast paths are
 //!   bit-for-bit equivalent.
-//! * **Byte primitives.** The three operations the assembler's inner loops
-//!   reduce to: validating/locating non-ACGT bytes ([`find_non_acgt`]),
-//!   translating ASCII bases to 2-bit codes ([`encode_codes`]), and counting
-//!   matching bytes under the aligner's "`N` never matches" rule
-//!   ([`match_count_except`]). Higher-level kernels (packed k-mer arithmetic,
-//!   the 2-bit wire codecs) live in `kmers::kernels` and build on these.
+//! * **Byte primitives.** Validating/locating non-ACGT bytes
+//!   ([`find_non_acgt`]), plus the SWAR helpers the bulk 2-bit packer folds
+//!   eight bases with ([`valid_acgt_mask8`], [`encode8`]). Higher-level
+//!   kernels (packed k-mer arithmetic, the 2-bit wire codecs) live in
+//!   `kmers::kernels` and build on these.
 //!
 //! Every dispatched function has a `_scalar` twin that is part of the public
 //! API: the property tests use it as the oracle, and the `ablation_simd`
@@ -154,7 +153,8 @@ pub fn valid_acgt_mask8(w: u64) -> u8 {
 /// Per-byte 2-bit codes of 8 ASCII bases packed in a little-endian `u64`:
 /// `x = (b >> 1) & 3` maps A→0 C→1 G→3 T→2 case-insensitively, and
 /// `x ^ ((x >> 1) & 1)` swaps G/T into the canonical `A=0 C=1 G=2 T=3`
-/// coding. **Unchecked** — same caveat as [`encode_codes`].
+/// coding. **Unchecked**: bytes outside ACGT produce unspecified codes, so
+/// callers validate first ([`valid_acgt_mask8`], [`find_non_acgt`]).
 #[inline]
 pub fn encode8(w: u64) -> u64 {
     let x = (w >> 1) & splat(0x03);
@@ -242,84 +242,6 @@ mod x86 {
         }
         find_non_acgt_sse2(&seq[i..]).map(|j| i + j)
     }
-
-    /// # Safety
-    /// Caller must ensure SSE2 is available (x86_64 baseline).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn match_count_except_sse2(a: &[u8], b: &[u8], except: u8) -> usize {
-        let n = a.len();
-        let exc = _mm_set1_epi8(except as i8);
-        let mut count = 0usize;
-        let mut i = 0usize;
-        while i + 16 <= n {
-            let va = _mm_loadu_si128(a.as_ptr().add(i) as *const __m128i);
-            let vb = _mm_loadu_si128(b.as_ptr().add(i) as *const __m128i);
-            let eq = _mm_cmpeq_epi8(va, vb);
-            let is_exc = _mm_cmpeq_epi8(va, exc);
-            let hit = _mm_andnot_si128(is_exc, eq);
-            count += (_mm_movemask_epi8(hit) as u32).count_ones() as usize;
-            i += 16;
-        }
-        count + super::match_count_except_scalar(&a[i..], &b[i..], except)
-    }
-
-    /// # Safety
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn match_count_except_avx2(a: &[u8], b: &[u8], except: u8) -> usize {
-        let n = a.len();
-        let exc = _mm256_set1_epi8(except as i8);
-        let mut count = 0usize;
-        let mut i = 0usize;
-        while i + 32 <= n {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-            let vb = _mm256_loadu_si256(b.as_ptr().add(i) as *const __m256i);
-            let eq = _mm256_cmpeq_epi8(va, vb);
-            let is_exc = _mm256_cmpeq_epi8(va, exc);
-            let hit = _mm256_andnot_si256(is_exc, eq);
-            count += (_mm256_movemask_epi8(hit) as u32).count_ones() as usize;
-            i += 32;
-        }
-        count + match_count_except_sse2(&a[i..], &b[i..], except)
-    }
-
-    /// # Safety
-    /// Caller must ensure SSE2 is available (x86_64 baseline).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn encode_codes_sse2(seq: &[u8], out: &mut [u8]) {
-        let n = seq.len();
-        let mask3 = _mm_set1_epi8(0x03);
-        let mask1 = _mm_set1_epi8(0x01);
-        let mut i = 0usize;
-        while i + 16 <= n {
-            let v = _mm_loadu_si128(seq.as_ptr().add(i) as *const __m128i);
-            // x = (b >> 1) & 3 maps A→0 C→1 G→3 T→2 (case-insensitively);
-            // x ^ (x >> 1) swaps G/T into the A=0 C=1 G=2 T=3 coding.
-            let x = _mm_and_si128(_mm_srli_epi64(v, 1), mask3);
-            let code = _mm_xor_si128(x, _mm_and_si128(_mm_srli_epi64(x, 1), mask1));
-            _mm_storeu_si128(out.as_mut_ptr().add(i) as *mut __m128i, code);
-            i += 16;
-        }
-        super::encode_codes_scalar(&seq[i..], &mut out[i..]);
-    }
-
-    /// # Safety
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn encode_codes_avx2(seq: &[u8], out: &mut [u8]) {
-        let n = seq.len();
-        let mask3 = _mm256_set1_epi8(0x03);
-        let mask1 = _mm256_set1_epi8(0x01);
-        let mut i = 0usize;
-        while i + 32 <= n {
-            let v = _mm256_loadu_si256(seq.as_ptr().add(i) as *const __m256i);
-            let x = _mm256_and_si256(_mm256_srli_epi64(v, 1), mask3);
-            let code = _mm256_xor_si256(x, _mm256_and_si256(_mm256_srli_epi64(x, 1), mask1));
-            _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, code);
-            i += 32;
-        }
-        encode_codes_sse2(&seq[i..], &mut out[i..]);
-    }
 }
 
 /// Index of the first byte that is not an unambiguous A/C/G/T base
@@ -336,90 +258,6 @@ pub fn find_non_acgt(seq: &[u8]) -> Option<usize> {
         SimdLevel::Avx2 => unsafe { x86::find_non_acgt_avx2(seq) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => find_non_acgt_word(seq),
-    }
-}
-
-// --- encode_codes ----------------------------------------------------------
-
-/// Scalar twin of [`encode_codes`].
-pub fn encode_codes_scalar(seq: &[u8], out: &mut [u8]) {
-    assert_eq!(seq.len(), out.len());
-    for (b, o) in seq.iter().zip(out.iter_mut()) {
-        let x = (b >> 1) & 3;
-        *o = x ^ ((x >> 1) & 1);
-    }
-}
-
-fn encode_codes_word(seq: &[u8], out: &mut [u8]) {
-    assert_eq!(seq.len(), out.len());
-    let mut chunks = seq.chunks_exact(8);
-    let mut oi = 0usize;
-    for chunk in chunks.by_ref() {
-        let w = u64::from_le_bytes(chunk.try_into().expect("exact chunk"));
-        out[oi..oi + 8].copy_from_slice(&encode8(w).to_le_bytes());
-        oi += 8;
-    }
-    encode_codes_scalar(chunks.remainder(), &mut out[oi..]);
-}
-
-/// Translates ASCII bases into their 2-bit codes (`A=0 C=1 G=2 T=3`,
-/// case-insensitive), one output byte per input byte. **Unchecked**: bytes
-/// outside ACGT produce unspecified codes — validate with [`find_non_acgt`]
-/// first (the callers all operate on pre-validated stretches).
-pub fn encode_codes(seq: &[u8], out: &mut [u8]) {
-    match level() {
-        SimdLevel::Scalar => encode_codes_scalar(seq, out),
-        SimdLevel::Word => encode_codes_word(seq, out),
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { x86::encode_codes_sse2(seq, out) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::encode_codes_avx2(seq, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => encode_codes_word(seq, out),
-    }
-}
-
-// --- match_count_except ----------------------------------------------------
-
-/// Scalar twin of [`match_count_except`].
-pub fn match_count_except_scalar(a: &[u8], b: &[u8], except: u8) -> usize {
-    assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b)
-        .filter(|&(&x, &y)| x == y && x != except)
-        .count()
-}
-
-fn match_count_except_word(a: &[u8], b: &[u8], except: u8) -> usize {
-    assert_eq!(a.len(), b.len());
-    let exc = splat(except);
-    let mut count = 0usize;
-    let mut ca = a.chunks_exact(8);
-    let mut cb = b.chunks_exact(8);
-    for (xa, xb) in ca.by_ref().zip(cb.by_ref()) {
-        let wa = u64::from_le_bytes(xa.try_into().expect("exact chunk"));
-        let wb = u64::from_le_bytes(xb.try_into().expect("exact chunk"));
-        let eq = zero_high(wa ^ wb);
-        let not_exc = nonzero_high(wa ^ exc);
-        count += (eq & not_exc).count_ones() as usize;
-    }
-    count + match_count_except_scalar(ca.remainder(), cb.remainder(), except)
-}
-
-/// Counts positions where `a[i] == b[i]` and the byte is not `except` — the
-/// aligner's ungapped verification rule with `except = b'N'` (an `N` never
-/// matches, not even another `N`). Both slices must have the same length.
-pub fn match_count_except(a: &[u8], b: &[u8], except: u8) -> usize {
-    assert_eq!(a.len(), b.len());
-    match level() {
-        SimdLevel::Scalar => match_count_except_scalar(a, b, except),
-        SimdLevel::Word => match_count_except_word(a, b, except),
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { x86::match_count_except_sse2(a, b, except) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::match_count_except_avx2(a, b, except) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => match_count_except_word(a, b, except),
     }
 }
 
@@ -464,73 +302,6 @@ mod tests {
         }
         assert_eq!(find_non_acgt(b"ACGTacgt"), None);
         assert_eq!(find_non_acgt(b"ACGTNCGT"), Some(4));
-    }
-
-    #[test]
-    fn encode_codes_agrees_with_scalar_and_alphabet() {
-        for len in 0..70 {
-            let s: Vec<u8> = (0..len).map(|i| b"ACGTacgt"[(i * 13 + 5) % 8]).collect();
-            let mut expect = vec![0u8; len];
-            encode_codes_scalar(&s, &mut expect);
-            // The scalar twin must agree with the canonical mapping.
-            for (&b, &c) in s.iter().zip(&expect) {
-                let canonical = match b.to_ascii_uppercase() {
-                    b'A' => 0,
-                    b'C' => 1,
-                    b'G' => 2,
-                    _ => 3,
-                };
-                assert_eq!(c, canonical, "byte {b}");
-            }
-            let mut got = vec![0u8; len];
-            encode_codes_word(&s, &mut got);
-            assert_eq!(got, expect, "word len={len}");
-            let mut got2 = vec![0u8; len];
-            encode_codes(&s, &mut got2);
-            assert_eq!(got2, expect, "dispatch len={len}");
-            #[cfg(target_arch = "x86_64")]
-            unsafe {
-                let mut got3 = vec![0u8; len];
-                x86::encode_codes_sse2(&s, &mut got3);
-                assert_eq!(got3, expect, "sse2 len={len}");
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    let mut got4 = vec![0u8; len];
-                    x86::encode_codes_avx2(&s, &mut got4);
-                    assert_eq!(got4, expect, "avx2 len={len}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn match_count_agrees_with_scalar_including_n_rule() {
-        for len in 0..70 {
-            for seed in 1..6u64 {
-                let a = noisy_seq(len, seed * 31);
-                // Correlated second sequence: copy with sprinkled edits.
-                let mut b = a.clone();
-                let mut state = seed * 77 + 1;
-                for x in b.iter_mut() {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    if state % 5 == 0 {
-                        *x = b"ACGTN"[(state >> 33) as usize % 5];
-                    }
-                }
-                let expect = match_count_except_scalar(&a, &b, b'N');
-                assert_eq!(match_count_except_word(&a, &b, b'N'), expect, "word");
-                assert_eq!(match_count_except(&a, &b, b'N'), expect, "dispatch");
-                #[cfg(target_arch = "x86_64")]
-                unsafe {
-                    assert_eq!(x86::match_count_except_sse2(&a, &b, b'N'), expect, "sse2");
-                    if std::arch::is_x86_feature_detected!("avx2") {
-                        assert_eq!(x86::match_count_except_avx2(&a, &b, b'N'), expect, "avx2");
-                    }
-                }
-            }
-        }
-        // Ns never match, even aligned with each other.
-        assert_eq!(match_count_except(b"NNNN", b"NNNN", b'N'), 0);
-        assert_eq!(match_count_except(b"ANCA", b"ANCA", b'N'), 3);
     }
 
     #[test]
