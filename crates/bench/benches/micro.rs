@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks of the distributed substrates: the four
 //! hash-table phases, k-mer analysis, contig k-mer injection, the extraction
 //! hot loops (rolling minimizer, supermer grouping), the graph traversal,
-//! alignment, the Bloom filter, local assembly's mer-walk and rRNA
-//! classification.
+//! alignment, the Bloom filter, local assembly (one mer-walk, and the whole
+//! stage on store-backed pools) and rRNA classification.
 //! `cargo bench -p mhm_bench` runs them all.
 
 use aligner::{align_reads, align_reads_ref, build_seed_index, build_seed_index_ref, AlignParams};
@@ -16,13 +16,16 @@ use kmers::{
     cut_supermers, kmer_minimizer, kmers_with_exts_iter, Ext, Kmer, KmerCounts, SupermerIter,
 };
 use mgsim::{CommunityParams, ReadSimParams};
-use mhm_core::{LocalAssemblyParams, MerWalker};
+use mhm_core::local_assembly::extend_contigs_locally_ref;
+use mhm_core::{LocalAssemblyParams, MerWalker, PoolWriter};
 use pgas::Team;
+use readstore::{ReadStore, ReadStoreParams, ReadsRef};
 use rrna_hmm::RrnaDetector;
-use seqio::Read;
+use seqio::{Read, ReadPacker};
 use std::sync::Arc;
 
-fn dataset() -> (Vec<Read>, dbg::ContigSet) {
+/// The bench community: three 5–6 kb genomes and paired 100 bp reads at 12×.
+fn community() -> (seqio::ReferenceSet, seqio::ReadLibrary) {
     let (refs, _) = mgsim::generate_community(&CommunityParams {
         num_taxa: 3,
         genome_len_range: (5_000, 6_000),
@@ -38,6 +41,11 @@ fn dataset() -> (Vec<Read>, dbg::ContigSet) {
         }
         .with_target_coverage(&refs, 12.0),
     );
+    (refs, lib)
+}
+
+fn dataset() -> (Vec<Read>, dbg::ContigSet) {
+    let (refs, lib) = community();
     let contigs = dbg::ContigSet::from_sequences(
         31,
         refs.genomes.iter().map(|g| (g.seq.clone(), 10.0)).collect(),
@@ -107,12 +115,13 @@ fn bench_local_assembly(c: &mut Criterion) {
     // ~200 bases out of each end, 400 in all, at the default mer sizes.
     let genome = random_bases(900, 0x9E3779B97F4A7C15);
     let contig = &genome[400..500];
-    let pool: Vec<Vec<u8>> = (0..150)
-        .map(|i| {
-            let start = 200 + i * 400 / 149;
-            genome[start..start + 100].to_vec()
-        })
-        .collect();
+    let mut packer = ReadPacker::default();
+    let mut writer = PoolWriter::default();
+    for i in 0..150 {
+        let start = 200 + i * 400 / 149;
+        writer.push(&packer.pack(&genome[start..start + 100], &[]), true);
+    }
+    let pool = writer.finish();
     let mut walker = MerWalker::new(&LocalAssemblyParams::default());
     let extended = walker.extend_one(contig, &pool);
     assert!(
@@ -122,6 +131,57 @@ fn bench_local_assembly(c: &mut Criterion) {
     c.bench_function("local_assembly/extend_one", |b| {
         b.iter(|| walker.extend_one(contig, &pool).len())
     });
+
+    // The stage as the pipeline runs it: contigs cut from the bench community
+    // with unassembled flanks between them, each rank's share of the reads
+    // aligned to them, and the pools fetched from a `ReadStore`. The set-up
+    // checks it against the replicated arm at each rank count.
+    let (refs, library) = community();
+    let contigs = dbg::ContigSet::from_sequences(
+        31,
+        refs.genomes
+            .iter()
+            .flat_map(|g| g.seq.chunks(700).filter(|p| p.len() > 300))
+            .map(|piece| (piece[50..piece.len() - 50].to_vec(), 10.0))
+            .collect(),
+    );
+    let params = LocalAssemblyParams::default();
+    for (ranks, id) in [
+        (1usize, "local_assembly/store_pools_1rank"),
+        (4, "local_assembly/store_pools_4ranks"),
+    ] {
+        let team = Team::single_node(ranks);
+        let alignments = team.run(|ctx| {
+            let index = build_seed_index(ctx, &contigs, 21);
+            let mine = ctx
+                .block_range(library.num_reads())
+                .map(|i| (i as u64, &library.reads[i]));
+            align_reads(ctx, mine, &contigs, &index, &AlignParams::default())
+        });
+        let store = team
+            .run(|ctx| ReadStore::build(ctx, &library, &ReadStoreParams::default()))
+            .pop()
+            .expect("one store per rank");
+        let extend = |ctx: &pgas::Ctx, reads: ReadsRef<'_>| {
+            let source = dbg::ContigsRef::Local(&contigs);
+            extend_contigs_locally_ref(ctx, source, &alignments[ctx.rank()], reads, &params).0
+        };
+        let replicated = team.run(|ctx| extend(ctx, ReadsRef::Local(&library)));
+        let grown = replicated[0]
+            .contigs
+            .iter()
+            .filter(|c| !contigs.contigs.iter().any(|d| d.seq == c.seq))
+            .count();
+        assert!(grown * 2 > contigs.len(), "set-up: most contigs grow");
+        assert_eq!(
+            team.run(|ctx| extend(ctx, ReadsRef::Store(&store))),
+            replicated,
+            "store pools, {ranks} ranks"
+        );
+        c.bench_function(id, |b| {
+            b.iter(|| team.run(|ctx| extend(ctx, ReadsRef::Store(&store)).len()))
+        });
+    }
 }
 
 fn bench_extraction_hot_loops(c: &mut Criterion) {

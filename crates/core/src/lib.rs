@@ -33,6 +33,8 @@ pub mod pipeline;
 pub mod timing;
 
 pub use config::AssemblyConfig;
-pub use local_assembly::{extend_contigs_locally, LocalAssemblyParams, MerWalker};
+pub use local_assembly::{
+    extend_contigs_locally, LocalAssemblyParams, MerWalker, PackedPool, PoolWriter,
+};
 pub use pipeline::{AssemblyOutput, MetaHipMer};
 pub use timing::StageTimings;

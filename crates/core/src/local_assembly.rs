@@ -13,37 +13,49 @@
 //! upshifting, as in the paper.
 //!
 //! The paper "stores the reads of a contig in a hash table"; here that is the
-//! seed index of a [`MerWalker`], built once per contig pool. Every position
-//! of every pool read is filed under the `s`-base seed starting there
-//! (`s = min(8, min_mer, mer_size)`, a direct-addressed table of 4^s bucket
-//! heads with the hits chained behind them), so a vote round packs the first
-//! `s` bases of the context, walks one bucket and compares the full `m` raw
-//! bytes at each hit. Three properties keep it to one index per pool:
+//! seed index of a [`MerWalker`], built once per contig pool. A pool is one
+//! 2-bit packed buffer, a [`PackedPool`]: its members in contig orientation,
+//! written straight from the read store's packed blocks (a reverse member
+//! through a word-parallel reverse complement), and a one-bit gap mask over
+//! the same slots that marks the exceptions (`N`s) and the slots between
+//! members. Every slot whose `s`-base seed is gap-free is filed under that
+//! seed (`s = min(8, min_mer, mer_size)`, the codes rolled into a key; a
+//! direct-addressed table of 4^s bucket heads, of which a small pool uses
+//! only as many as it has slots, with the start slots chained behind them),
+//! so a vote round packs the context, walks one bucket and compares the full
+//! `m` codes at each hit, 32 bases per word. Three properties keep it
+//! to one index per pool:
 //!
 //! * `s` is no longer than the smallest mer the shift schedule reaches, so
 //!   the same index answers every mer size;
 //! * a read window equals the reverse complement of a context exactly when
 //!   its own reverse complement equals the context, so the left walk looks
 //!   up the reverse complement of its context in the same index and votes
-//!   the complement of the base *before* each hit — no pool is ever
-//!   reverse-complemented;
-//! * the seed code is two bits of the *raw* byte, so `N` and lower case merely
-//!   share a bucket with some base and are told apart by the comparison.
+//!   the complement of the base *before* each hit — the pool is written in
+//!   one orientation only;
+//! * a window or voter that holds a gap neither matches nor votes, so members
+//!   never run into one another and an `N` carries no evidence. Pool reads
+//!   are upper-case `ACGTN` (reads are normalised when they are made, and the
+//!   store folds case) and contexts are `ACGT` (traversal spells contigs from
+//!   2-bit k-mers, and votes decode to `ACGT`), so on them this is exactly a
+//!   comparison of the bytes.
 //!
-//! The index is scratch owned by the walker (256 KiB of heads plus 12 bytes
-//! per pool base of the largest pool seen), cleared bucket by bucket between
-//! contigs; a contig costs time linear in its pool bases plus bases walked.
+//! The index is scratch owned by the walker (256 KiB of heads plus a 4-byte
+//! chain link per slot of the largest pool seen), of which a contig clears
+//! only the heads its pool used; a contig costs time linear in its pool
+//! bases plus bases walked.
 //!
 //! Because the cost of a walk is unpredictable, contigs are dealt to ranks in
 //! blocks through the shared atomic counter of [`pgas::DynamicBlocks`].
 
 use aligner::AlignmentSet;
+use dbg::packed::{load_bases, revcomp_codes};
 use dbg::{ContigSet, ContigsRef};
-use dht::{bulk_merge, DistMap, FxHashMap, FxHashSet};
+use dht::{bulk_merge, DistMap, FxHashSet};
 use pgas::{Ctx, DynamicBlocks};
 use readstore::ReadsRef;
-use seqio::alphabet::{complement, decode_base, encode_base, revcomp};
-use seqio::{ReadId, ReadLibrary};
+use seqio::alphabet::{complement, decode_base};
+use seqio::{PackedReadView, ReadId, ReadLibrary, ReadPacker};
 use std::sync::Arc;
 
 /// Parameters of local assembly.
@@ -115,10 +127,12 @@ pub fn extend_contigs_locally(
 /// collective in lockstep — so the walks themselves stay communication-free.
 ///
 /// Against the distributed *read* store, pool membership is decided from the
-/// replicated length table alone; the sequences of pool members (aligned
-/// reads near contig ends plus their projected mates) are then fetched in one
-/// collective aggregated round before the steal loop starts, so the loop
-/// itself touches no read storage.
+/// replicated length table alone; the pool members (aligned reads near
+/// contig ends plus their projected mates) are then fetched in one collective
+/// aggregated round before the steal loop starts, as handles on their packed
+/// blocks, so the loop itself touches no read storage. Either way each pool
+/// is written as one [`PackedPool`], and no pool read is unpacked or
+/// allocated.
 pub fn extend_contigs_locally_ref(
     ctx: &Ctx,
     contigs: ContigsRef<'_>,
@@ -126,33 +140,43 @@ pub fn extend_contigs_locally_ref(
     reads: ReadsRef<'_>,
     params: &LocalAssemblyParams,
 ) -> (ContigSet, usize) {
-    let entries = pool_entries(contigs, alignments, reads, params);
+    let mut entries = pool_entries(contigs, alignments, reads, params);
+    // Grouped by contig. The order of a pool's members is immaterial: a
+    // vote is a count over the whole pool.
+    entries.sort_unstable_by_key(|&(contig, _, _)| contig);
 
-    // ---- Fetch pool member sequences, then build the pools ------------------
+    // ---- Fetch pool members, then write the pools ---------------------------
     // Distributed read store: one collective aggregated fetch for every pool
-    // member this rank named (block-deduplicated); the replicated baseline
-    // borrows straight from the library. Collective — every rank reaches this
+    // member this rank named (block-deduplicated), each handed out as a handle
+    // on its packed block; the replicated baseline packs each member from the
+    // library into one reused packer. Collective — every rank reaches this
     // point with its own (possibly empty) id set.
-    let fetched: FxHashMap<ReadId, seqio::Read> = match reads {
-        ReadsRef::Local(_) => FxHashMap::default(),
+    let fetched = match reads {
+        ReadsRef::Local(_) => Vec::new(),
         ReadsRef::Store(store) => {
             let ids: Vec<ReadId> = entries.iter().map(|&(_, id, _)| id).collect();
-            store.fetch_reads(ctx, &ids)
+            store.fetch_packed(ctx, &ids)
         }
     };
-    let seq_of = |id: ReadId| -> &[u8] {
-        match reads {
-            ReadsRef::Local(lib) => &lib.read(id).seq,
-            ReadsRef::Store(_) => &fetched.get(&id).expect("pool read fetched").seq,
+    let mut handles = fetched.iter();
+    let mut packer = ReadPacker::default();
+    let mut writer = PoolWriter::default();
+    let mut pools: Vec<(u64, PackedPool)> = Vec::new();
+    for members in entries.chunk_by(|a, b| a.0 == b.0) {
+        for &(_, id, forward) in members {
+            let read = match reads {
+                ReadsRef::Local(lib) => packer.pack(&lib.read(id).seq, &[]),
+                ReadsRef::Store(_) => handles
+                    .next()
+                    .and_then(Option::as_ref)
+                    .expect("pool read fetched")
+                    .view(),
+            };
+            writer.push(&read, forward);
         }
-    };
-    let mut pools: FxHashMap<u64, Vec<Vec<u8>>> = FxHashMap::default();
-    for &(contig, id, forward) in &entries {
-        pools
-            .entry(contig)
-            .or_default()
-            .push(oriented_seq(seq_of(id), forward));
+        pools.push((members[0].0, writer.finish()));
     }
+    drop(fetched);
     drop(entries);
 
     // ---- Store each contig's read pool in a global hash table ----------------
@@ -161,8 +185,8 @@ pub fn extend_contigs_locally_ref(
     // contigs, and extracts the reads relevant to each contig to local
     // storage." (§II-G). The pool table is a distributed hash table populated
     // with the usual aggregated update-only phase.
-    let pool_table: Arc<DistMap<u64, Vec<Vec<u8>>>> = DistMap::shared(ctx);
-    bulk_merge(ctx, &pool_table, pools, 1024, |a, mut b| a.append(&mut b));
+    let pool_table: Arc<DistMap<u64, PackedPool>> = DistMap::shared(ctx);
+    bulk_merge(ctx, &pool_table, pools, 1024, PackedPool::append);
 
     // ---- Walk contigs with dynamic work stealing ----------------------------
     // Once a contig's reads are extracted to local storage the walk itself
@@ -265,24 +289,147 @@ fn pool_entries(
     entries
 }
 
-fn oriented_seq(seq: &[u8], forward: bool) -> Vec<u8> {
-    if forward {
-        seq.to_vec()
-    } else {
-        revcomp(seq)
+/// One contig's read pool, 2-bit packed in one buffer: the members in contig
+/// orientation, one after another, each starting at a multiple of 8 slots
+/// and followed by at least one gap slot. The buffer holds the slots' codes
+/// (four per byte, the layout of [`dbg::PackedSeq`]) followed by their gap
+/// mask (eight per byte): a slot is a gap if it holds an exception (a
+/// non-`ACGT` base) or lies past the end of its member.
+///
+/// Pools travel through the pool table one value per contig, and the
+/// transport accounts a value by its `size_of`; a pool keeps the size of the
+/// `Vec<Vec<u8>>` of ASCII reads it replaced, so every recorded byte stays
+/// what it was.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PackedPool {
+    bytes: Vec<u8>,
+}
+
+const _: () = assert!(
+    std::mem::size_of::<PackedPool>() == std::mem::size_of::<Vec<Vec<u8>>>()
+        && std::mem::size_of::<Option<PackedPool>>() == std::mem::size_of::<Option<Vec<Vec<u8>>>>()
+);
+
+impl PackedPool {
+    /// True if the pool has no members.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// Number of slots (a multiple of 8): three bytes hold eight.
+    fn slots(&self) -> usize {
+        self.bytes.len() / 3 * 8
+    }
+
+    /// The codes and the gap mask of every slot.
+    fn parts(&self) -> (&[u8], &[u8]) {
+        self.bytes.split_at(self.slots() / 4)
+    }
+
+    /// Appends the members of `other` (the pool table's merge).
+    pub(crate) fn append(&mut self, other: PackedPool) {
+        let (codes, gaps) = other.parts();
+        let at = self.slots() / 4;
+        self.bytes.splice(at..at, codes.iter().copied());
+        self.bytes.extend_from_slice(gaps);
     }
 }
 
+/// Writes [`PackedPool`]s member by member, reusing its buffers from one pool
+/// to the next: a member is copied as packed codes, or reverse complemented
+/// word by word, and never unpacked.
+#[derive(Debug, Default)]
+pub struct PoolWriter {
+    codes: Vec<u8>,
+    gaps: Vec<u8>,
+    /// Reverse-complement scratch.
+    rc: Vec<u8>,
+}
+
+impl PoolWriter {
+    /// Appends `read` to the pool being written, as it is (`forward`) or
+    /// reverse complemented. Its exceptions become gaps.
+    pub fn push(&mut self, read: &PackedReadView<'_>, forward: bool) {
+        let len = read.len;
+        let code_bytes = len.div_ceil(4);
+        let slots = (len + 1).next_multiple_of(8);
+        let codes = if forward {
+            &read.codes[..code_bytes]
+        } else {
+            revcomp_codes(read.codes, len, &mut self.rc);
+            &self.rc[..code_bytes]
+        };
+        self.codes.extend_from_slice(codes);
+        self.codes
+            .resize(self.codes.len() + slots / 4 - code_bytes, 0);
+        // The slots past the read are gaps: from bit `len % 8` of its last
+        // byte on.
+        let from = self.gaps.len();
+        self.gaps.resize(from + slots / 8, 0xFF);
+        let gaps = &mut self.gaps[from..];
+        gaps[..len / 8].fill(0);
+        gaps[len / 8] = 0xFF << (len % 8);
+        for &(pos, _) in read.exceptions {
+            let pos = pos as usize;
+            let slot = if forward { pos } else { len - 1 - pos };
+            gaps[slot / 8] |= 1 << (slot % 8);
+        }
+    }
+
+    /// The pool written since the last call, in one allocation.
+    pub fn finish(&mut self) -> PackedPool {
+        let mut bytes = Vec::with_capacity(self.codes.len() + self.gaps.len());
+        bytes.extend_from_slice(&self.codes);
+        bytes.extend_from_slice(&self.gaps);
+        self.codes.clear();
+        self.gaps.clear();
+        PackedPool { bytes }
+    }
+}
+
+/// True if none of slots `from..from + n` of a gap mask is set; slots past
+/// the end of the mask read as clear.
+#[inline]
+fn gap_free(gaps: &[u8], from: usize, n: usize) -> bool {
+    let (mut at, end) = (from, from + n);
+    while at < end {
+        // At least 57 of the word's bits lie at or after `at`.
+        let take = (end - at).min(56);
+        if (word_at(gaps, at / 8) >> (at % 8)) & ((1u64 << take) - 1) != 0 {
+            return false;
+        }
+        at += take;
+    }
+    true
+}
+
+/// The eight bytes at `byte` as a little-endian word; bytes past the end read
+/// as 0.
+#[inline]
+fn word_at(bytes: &[u8], byte: usize) -> u64 {
+    match bytes.get(byte..byte + 8) {
+        Some(eight) => u64::from_le_bytes(eight.try_into().expect("eight-byte slice")),
+        None => {
+            let rest = bytes.get(byte..).unwrap_or_default();
+            let mut padded = [0u8; 8];
+            padded[..rest.len()].copy_from_slice(rest);
+            u64::from_le_bytes(padded)
+        }
+    }
+}
+
+/// The 2-bit code of an upper-case `A`, `C`, `G` or `T`; 4 for any other byte.
+static CONTEXT_CODE: [u8; 256] = {
+    let mut table = [4u8; 256];
+    table[b'A' as usize] = 0;
+    table[b'C' as usize] = 1;
+    table[b'G' as usize] = 2;
+    table[b'T' as usize] = 3;
+    table
+};
+
 /// Longest seed the index keys on: 4^8 direct-addressed buckets (256 KiB).
 const MAX_SEED_LEN: usize = 8;
-
-/// Two bits of a raw byte that tell `A`, `C`, `G` and `T` apart. Every other
-/// byte (`N`, lower case, ...) shares a code with one of them, which only
-/// costs a failed comparison: hits are verified on their raw bytes.
-#[inline]
-fn seed_code(b: u8) -> usize {
-    ((b >> 1) & 3) as usize
-}
 
 /// Which end of the contig a walk extends.
 #[derive(Debug, Clone, Copy)]
@@ -291,26 +438,28 @@ enum Direction {
     Left,
 }
 
-/// One indexed occurrence of a seed, chained to the previous one of its bucket.
-#[derive(Debug, Clone, Copy)]
-struct SeedHit {
-    /// Index + 1 of the next hit in the bucket; 0 ends the chain.
-    next: u32,
-    read: u32,
-    pos: u32,
-}
-
-/// The seed index of one contig's read pool: every position of every read,
-/// filed under the packed [`seed_code`]s of the `seed_len` bytes starting
-/// there.
+/// The seed index of one contig's read pool: every gap-free window of
+/// `seed_len` slots, filed under its codes (first base in the high bits, so
+/// the four seeds that can follow one share a cache line of heads) and
+/// chained by the slot it starts at.
+///
+/// A pool of fewer slots than there are seeds uses only as many buckets as
+/// the power of two at or above its slot count, addressed by the low bits of
+/// the key (the seed's last bases): a small pool's heads stay in cache and
+/// cost no more to clear than to fill. Seeds that share a bucket are told
+/// apart by the comparison every hit goes through anyway.
 #[derive(Debug)]
 struct PoolIndex {
     seed_len: usize,
-    /// Per bucket, index + 1 of its most recent hit; 0 if empty.
+    /// Per bucket, 1 + the start slot of its last seed; 0 if empty. 4^s long;
+    /// the first `buckets` are in use.
     heads: Vec<u32>,
-    hits: Vec<SeedHit>,
-    /// Buckets in use, so that re-indexing clears only those.
-    used: Vec<u32>,
+    /// Buckets of the indexed pool (a power of two).
+    buckets: usize,
+    /// Per start slot of a seed, 1 + the start slot of the previous seed of
+    /// its bucket; 0 ends the chain. Sized to the largest pool seen; a slot
+    /// no chain reaches is never read, so nothing is cleared.
+    next: Vec<u32>,
 }
 
 impl PoolIndex {
@@ -318,79 +467,178 @@ impl PoolIndex {
         PoolIndex {
             seed_len,
             heads: vec![0; 1 << (2 * seed_len)],
-            hits: Vec::new(),
-            used: Vec::new(),
+            buckets: 1,
+            next: Vec::new(),
         }
     }
 
     /// Replaces the indexed pool.
-    fn index(&mut self, pool: &[Vec<u8>]) {
-        for bucket in self.used.drain(..) {
-            self.heads[bucket as usize] = 0;
-        }
-        self.hits.clear();
-        let bases: usize = pool.iter().map(Vec::len).sum();
+    fn index(&mut self, pool: &PackedPool) {
+        self.heads[..self.buckets].fill(0);
+        let slots = pool.slots();
         assert!(
-            pool.len() < u32::MAX as usize && bases < u32::MAX as usize,
-            "read pool of {bases} bases exceeds the index's 32-bit positions"
+            slots < u32::MAX as usize,
+            "read pool of {slots} slots exceeds the index's 32-bit positions"
         );
-        let mask = self.heads.len() - 1;
-        for (r, read) in pool.iter().enumerate() {
-            let mut key = 0usize;
-            for (i, &b) in read.iter().enumerate() {
-                key = (key << 2 | seed_code(b)) & mask;
-                if i + 1 < self.seed_len {
+        self.buckets = slots.next_power_of_two().min(self.heads.len());
+        if self.next.len() < slots {
+            self.next.resize(slots, 0);
+        }
+        let (codes, gaps) = pool.parts();
+        let seed_len = self.seed_len;
+        let (heads, next) = (&mut self.heads[..self.buckets], &mut self.next[..slots]);
+        let key_mask = heads.len() - 1;
+        let mut key = 0usize;
+        // The first slot of the current gap-free run.
+        let mut run_start = 0usize;
+        let mut file = |key: usize, start: usize| {
+            let head = &mut heads[key];
+            next[start] = *head;
+            *head = start as u32 + 1;
+        };
+        for (g, &gap_bits) in gaps.iter().enumerate() {
+            let group = usize::from(codes[2 * g]) | usize::from(codes[2 * g + 1]) << 8;
+            if gap_bits == 0 && 8 * g + 1 >= run_start + seed_len {
+                // Every slot of the group ends a seed.
+                for j in 0..8 {
+                    key = (key << 2 | (group >> (2 * j) & 3)) & key_mask;
+                    file(key, 8 * g + j + 1 - seed_len);
+                }
+                continue;
+            }
+            for j in 0..8 {
+                let slot = 8 * g + j;
+                key = (key << 2 | (group >> (2 * j) & 3)) & key_mask;
+                if gap_bits >> j & 1 != 0 {
+                    run_start = slot + 1;
                     continue;
                 }
-                let head = &mut self.heads[key];
-                if *head == 0 {
-                    self.used.push(key as u32);
+                if slot + 1 >= run_start + seed_len {
+                    file(key, slot + 1 - seed_len);
                 }
-                self.hits.push(SeedHit {
-                    next: *head,
-                    read: r as u32,
-                    pos: (i + 1 - self.seed_len) as u32,
-                });
-                *head = self.hits.len() as u32;
             }
         }
     }
 
     /// Votes on the base that follows the context of a walk, indexed by its
-    /// 2-bit code in walk orientation. `needle` is the context as it reads in
-    /// the pool's orientation: the context itself for a right walk, its
-    /// reverse complement for a left walk. Every occurrence of `needle` in a
-    /// pool read votes the base after it (right), or the complement of the
-    /// base before it (left).
-    fn votes(&self, pool: &[Vec<u8>], needle: &[u8], direction: Direction) -> [usize; 4] {
+    /// 2-bit code in walk orientation. Every gap-free occurrence of the
+    /// needle's span in the pool — its context as it reads in the pool's
+    /// orientation, plus the voter slot beside it — votes the voter's base:
+    /// the base after the context (right), or the complement of the base
+    /// before it (left).
+    fn votes(&self, pool: &PackedPool, needle: &Needle) -> [usize; 4] {
         let mut votes = [0usize; 4];
-        let mer = needle.len();
-        if mer < self.seed_len {
+        if needle.span <= self.seed_len {
             // Only the empty context is shorter than a seed (a seed is at
             // most the smallest mer size a walk reaches); it matches nothing.
             return votes;
         }
-        let key = needle[..self.seed_len]
-            .iter()
-            .fold(0usize, |key, &b| key << 2 | seed_code(b));
-        let mut at = self.heads[key];
-        while at != 0 {
-            let hit = self.hits[at as usize - 1];
-            at = hit.next;
-            let read = &pool[hit.read as usize];
-            let pos = hit.pos as usize;
-            if read.get(pos..pos + mer) != Some(needle) {
-                continue;
+        let (codes, gaps) = pool.parts();
+        let first = needle.first;
+        let context = needle.words[0] >> (2 * first);
+        let seed =
+            (0..self.seed_len).fold(0, |key, i| key << 2 | (context >> (2 * i) & 3) as usize);
+        let key = seed & (self.buckets - 1);
+        let mut next = self.heads[key];
+        let (links, span) = (&self.next[..], needle.span);
+        if span <= 29 {
+            // One word from the span's first byte holds it whole.
+            let (want, mask) = (needle.words[0], needle.masks[0]);
+            let span_bits = (1u64 << span) - 1;
+            let (voter, complement) = (2 * needle.voter, needle.complement);
+            while next != 0 {
+                let at = next as usize - 1;
+                next = links[at];
+                let Some(start) = at.checked_sub(first) else {
+                    continue;
+                };
+                let word = word_at(codes, start / 4) >> (2 * (start % 4));
+                if (word ^ want) & mask != 0
+                    || (word_at(gaps, start / 8) >> (start % 8)) & span_bits != 0
+                {
+                    continue;
+                }
+                votes[((word >> voter ^ complement) & 3) as usize] += 1;
             }
-            let voter = match direction {
-                Direction::Right => read.get(pos + mer).copied(),
-                Direction::Left => pos.checked_sub(1).map(|before| complement(read[before])),
+            return votes;
+        }
+        while next != 0 {
+            let at = next as usize - 1;
+            next = links[at];
+            let Some(start) = at.checked_sub(first) else {
+                continue;
             };
-            if let Some(code) = voter.and_then(encode_base) {
-                votes[code as usize] += 1;
+            let equal = needle
+                .words
+                .iter()
+                .zip(&needle.masks)
+                .enumerate()
+                .all(|(w, (&want, &mask))| (load_bases(codes, start + 32 * w) ^ want) & mask == 0);
+            if equal && gap_free(gaps, start, span) {
+                let code = load_bases(codes, start + needle.voter);
+                votes[((code ^ needle.complement) & 3) as usize] += 1;
             }
         }
         votes
+    }
+}
+
+/// The context of a walk packed as the pool reads it, with the slot of its
+/// voter beside it: the `span` of slots every hit has to match.
+#[derive(Debug, Default)]
+struct Needle {
+    /// The span's codes, 32 slots per word, slot 0 in the low bits.
+    words: Vec<u64>,
+    /// Per word, the bits that must match: all but the voter's.
+    masks: Vec<u64>,
+    /// Context plus voter slots.
+    span: usize,
+    /// The voter's slot: after the context (right walk), or before it (left).
+    voter: usize,
+    /// The context's first slot: 0 (right walk), or 1, after the voter (left).
+    first: usize,
+    /// XOR that turns the voter's code into the voted one: 3 (complement)
+    /// for a left walk, 0 for a right one.
+    complement: u64,
+}
+
+impl Needle {
+    /// Packs `context` as it reads in the pool's orientation — itself for a
+    /// right walk, its reverse complement for a left one. Returns `false`,
+    /// with the needle unspecified, if the context holds a byte that is not an
+    /// upper-case `A`, `C`, `G` or `T`: such a context matches nothing.
+    fn pack(&mut self, context: &[u8], direction: Direction) -> bool {
+        let mer = context.len();
+        self.span = mer + 1;
+        let words = self.span.div_ceil(32);
+        self.words.clear();
+        self.words.resize(words, 0);
+        self.masks.clear();
+        self.masks.extend((0..words).map(|w| {
+            let slots = (self.span - 32 * w).min(32);
+            u64::MAX >> (64 - 2 * slots)
+        }));
+        (self.voter, self.first, self.complement) = match direction {
+            Direction::Right => (mer, 0, 0),
+            Direction::Left => (0, 1, 3),
+        };
+        self.masks[self.voter / 32] &= !(3u64 << (2 * (self.voter % 32)));
+        // Every code is 0..=3; a byte that is not an upper-case base sets bit 2.
+        let mut bad = 0u8;
+        let complement = self.complement;
+        let mut put = |slot: usize, b: u8| {
+            let code = CONTEXT_CODE[b as usize];
+            bad |= code;
+            self.words[slot / 32] |= (u64::from(code & 3) ^ complement) << (2 * (slot % 32));
+        };
+        match direction {
+            Direction::Right => context.iter().enumerate().for_each(|(i, &b)| put(i, b)),
+            Direction::Left => context
+                .iter()
+                .enumerate()
+                .for_each(|(i, &b)| put(mer - i, b)),
+        }
+        bad & 4 == 0
     }
 }
 
@@ -403,8 +651,8 @@ pub struct MerWalker {
     /// The bases a walk sees, in walk orientation: the contig's last bases
     /// followed by the bases added so far.
     context: Vec<u8>,
-    /// Reverse complement of the current context of a left walk.
-    needle: Vec<u8>,
+    /// The current context packed in the pool's orientation.
+    needle: Needle,
 }
 
 impl MerWalker {
@@ -415,13 +663,13 @@ impl MerWalker {
             params: *params,
             index: PoolIndex::new(seed_len),
             context: Vec::new(),
-            needle: Vec::new(),
+            needle: Needle::default(),
         }
     }
 
-    /// Extends one contig sequence at both ends using its read pool (reads
+    /// Extends one contig sequence at both ends using its read pool (members
     /// in contig orientation).
-    pub fn extend_one(&mut self, contig_seq: &[u8], pool: &[Vec<u8>]) -> Vec<u8> {
+    pub fn extend_one(&mut self, contig_seq: &[u8], pool: &PackedPool) -> Vec<u8> {
         if pool.is_empty() {
             return contig_seq.to_vec();
         }
@@ -457,7 +705,7 @@ impl MerWalker {
 
     /// Mer-walks from the end of `self.context`, appending the new bases to
     /// it.
-    fn walk(&mut self, pool: &[Vec<u8>], direction: Direction) {
+    fn walk(&mut self, pool: &PackedPool, direction: Direction) {
         let params = self.params;
         let seeded = self.context.len();
         let mut mer = params.mer_size;
@@ -468,17 +716,11 @@ impl MerWalker {
             let Some(from) = self.context.len().checked_sub(mer) else {
                 break;
             };
-            let context = &self.context[from..];
-            let needle = match direction {
-                Direction::Right => context,
-                Direction::Left => {
-                    self.needle.clear();
-                    self.needle
-                        .extend(context.iter().rev().map(|&b| complement(b)));
-                    &self.needle
-                }
+            let votes = if self.needle.pack(&self.context[from..], direction) {
+                self.index.votes(pool, &self.needle)
+            } else {
+                [0; 4]
             };
-            let votes = self.index.votes(pool, needle, direction);
             let total: usize = votes.iter().sum();
             let (best, best_votes) = votes
                 .iter()
@@ -516,6 +758,7 @@ mod tests {
     use super::*;
     use aligner::Alignment;
     use pgas::Team;
+    use seqio::alphabet::{encode_base, is_valid_base, normalize, revcomp};
     use seqio::Read;
 
     fn genome(len: usize, seed: u64) -> Vec<u8> {
@@ -532,10 +775,16 @@ mod tests {
 
     /// The substring-scan voter the seed index replaced, kept as the
     /// reference the index is checked against: every occurrence of `context`
-    /// in a pool read votes the base after it.
+    /// in a pool read votes the base after it. A context that holds anything
+    /// but upper-case `ACGT` votes nothing — the walker's rule, under which an
+    /// `N` carries no evidence; pipeline contexts are `ACGT`, so there the
+    /// line never fires.
     fn oracle_votes(pool: &[Vec<u8>], context: &[u8]) -> [usize; 4] {
         let mer = context.len();
         let mut votes = [0usize; 4];
+        if !context.iter().all(|&b| is_valid_base(b)) {
+            return votes;
+        }
         for read in pool {
             if read.len() <= mer {
                 continue;
@@ -632,12 +881,64 @@ mod tests {
         revcomp(&rc)
     }
 
+    /// A pool member as the store holds it: its bases as read, and whether
+    /// they are in contig orientation (`false`: their reverse complement is).
+    type Member = (Vec<u8>, bool);
+
+    /// The members in contig orientation as every pool read is: normalised
+    /// to upper-case `ACGTN` ([`seqio::Read::new`] normalises, the store
+    /// folds case). The oracle's pool.
+    fn oriented(members: &[Member]) -> Vec<Vec<u8>> {
+        members
+            .iter()
+            .map(|(read, forward)| {
+                let read = normalize(read);
+                if *forward {
+                    read
+                } else {
+                    revcomp(&read)
+                }
+            })
+            .collect()
+    }
+
+    /// The members packed as the pipeline writes them: each read packed
+    /// as it lies (lower case folded, anything else non-`ACGT` an exception)
+    /// and pushed with its orientation.
+    fn packed(members: &[Member]) -> PackedPool {
+        let mut packer = ReadPacker::default();
+        let mut writer = PoolWriter::default();
+        for (read, forward) in members {
+            writer.push(&packer.pack(read, &[]), *forward);
+        }
+        writer.finish()
+    }
+
+    /// Forward members of contig orientation.
+    fn forward(pool: &[Vec<u8>]) -> Vec<Member> {
+        pool.iter().map(|read| (read.clone(), true)).collect()
+    }
+
+    /// The index's votes on the `context` of a walk.
+    fn index_votes(
+        walker: &mut MerWalker,
+        pool: &PackedPool,
+        context: &[u8],
+        direction: Direction,
+    ) -> [usize; 4] {
+        if !walker.needle.pack(context, direction) {
+            return [0; 4];
+        }
+        walker.index.votes(pool, &walker.needle)
+    }
+
     /// The indexed right walk on its own, with the oracle's signature.
     fn walk_extension(seq: &[u8], pool: &[Vec<u8>], params: &LocalAssemblyParams) -> Vec<u8> {
+        let pool = packed(&forward(pool));
         let mut walker = MerWalker::new(params);
-        walker.index.index(pool);
+        walker.index.index(&pool);
         walker.context.extend_from_slice(seq);
-        walker.walk(pool, Direction::Right);
+        walker.walk(&pool, Direction::Right);
         walker.context[seq.len()..].to_vec()
     }
 
@@ -658,9 +959,10 @@ mod tests {
 
     /// A ~400-base reference with homopolymer runs (self-overlapping matches)
     /// and a two-copy repeat, and a pool of reads drawn from it: substitution
-    /// errors, `N`s, lower-case stretches, reads shorter than a seed or no
-    /// longer than a mer, exact duplicates.
-    fn messy_pool(seed: u64) -> (Vec<u8>, Vec<Vec<u8>>) {
+    /// errors, single `N`s and runs of them, lower-case stretches, reads
+    /// shorter than a seed or no longer than a mer, exact duplicates, and
+    /// about half the members held reverse complemented.
+    fn messy_pool(seed: u64) -> (Vec<u8>, Vec<Member>) {
         let mut rng = XorShift(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
         let mut reference = genome(120, seed);
         reference.extend(std::iter::repeat_n(b'A', 20 + rng.below(30)));
@@ -670,7 +972,7 @@ mod tests {
         reference.extend_from_slice(&genome(60, seed + 2000));
         reference.extend_from_slice(&repeat);
         reference.extend_from_slice(&genome(80, seed + 3000));
-        let mut pool: Vec<Vec<u8>> = Vec::new();
+        let mut pool: Vec<Member> = Vec::new();
         for _ in 0..120 {
             let len = match rng.below(10) {
                 0 => 1 + rng.below(12),
@@ -691,10 +993,20 @@ mod tests {
                 let to = (from + 1 + rng.below(10)).min(read.len());
                 read[from..to].make_ascii_lowercase();
             }
-            if rng.below(6) == 0 {
-                pool.push(read.clone());
+            if rng.below(10) == 0 {
+                let from = rng.below(read.len());
+                let to = (from + 2 + rng.below(5)).min(read.len());
+                read[from..to].fill(b'N');
             }
-            pool.push(read);
+            let member = if rng.below(2) == 0 {
+                (read, true)
+            } else {
+                (revcomp(&read), false)
+            };
+            if rng.below(6) == 0 {
+                pool.push(member.clone());
+            }
+            pool.push(member);
         }
         (reference, pool)
     }
@@ -737,21 +1049,28 @@ mod tests {
     #[test]
     fn indexed_votes_equal_scanned_votes_in_both_directions() {
         let mut voted = [0usize; 2];
+        let mut unvoted_n = 0usize;
         for seed in 1..=6u64 {
-            let (reference, pool) = messy_pool(seed);
+            let (reference, members) = messy_pool(seed);
+            let pool = oriented(&members);
+            let packed_pool = packed(&members);
+            // The pool table's merge writes the same buffer.
+            let mut halves = packed(&members[..members.len() / 2]);
+            halves.append(packed(&members[members.len() / 2..]));
+            assert_eq!(halves, packed_pool);
             let rc_pool: Vec<Vec<u8>> = pool.iter().map(|r| revcomp(r)).collect();
             let rc_reference = revcomp(&reference);
             let mut rng = XorShift(seed ^ 0xABCDEF);
             for params in param_sets() {
                 let mut walker = MerWalker::new(&params);
-                walker.index.index(&pool);
+                walker.index.index(&packed_pool);
                 // Every mer size the shift schedule can reach, and the ones
                 // between them.
                 let smallest = params.min_mer.min(params.mer_size);
                 let largest = params.max_mer.max(params.mer_size);
                 for mer in smallest..=largest {
                     // Contexts cut from the reference, from reads (with their
-                    // `N`s and lower case) and from both reverse complements.
+                    // `N`s) and from both reverse complements.
                     let mut contexts: Vec<Vec<u8>> = Vec::new();
                     for _ in 0..40 {
                         let source: &[u8] = match rng.below(4) {
@@ -770,20 +1089,19 @@ mod tests {
                     for context in &contexts {
                         let right = oracle_votes(&pool, context);
                         assert_eq!(
-                            walker.index.votes(&pool, context, Direction::Right),
+                            index_votes(&mut walker, &packed_pool, context, Direction::Right),
                             right,
                             "right votes, seed {seed}, mer {mer}"
                         );
                         let left = oracle_votes(&rc_pool, context);
                         assert_eq!(
-                            walker
-                                .index
-                                .votes(&pool, &revcomp(context), Direction::Left),
+                            index_votes(&mut walker, &packed_pool, context, Direction::Left),
                             left,
                             "left votes, seed {seed}, mer {mer}"
                         );
                         voted[0] += usize::from(right != [0; 4]);
                         voted[1] += usize::from(left != [0; 4]);
+                        unvoted_n += usize::from(context.contains(&b'N'));
                     }
                 }
             }
@@ -792,13 +1110,14 @@ mod tests {
             voted.iter().all(|&n| n > 1000),
             "contexts that drew votes (right, left): {voted:?}"
         );
+        assert!(unvoted_n > 100, "contexts holding an N: {unvoted_n}");
     }
 
     #[test]
     fn extend_one_equals_the_scanning_reference() {
         let mut extended = 0usize;
         for seed in 1..=8u64 {
-            let (reference, pool) = messy_pool(seed);
+            let (reference, members) = messy_pool(seed);
             let mut contigs: Vec<Vec<u8>> = vec![
                 reference[100..260].to_vec(),
                 reference[30..130].to_vec(),
@@ -810,16 +1129,20 @@ mod tests {
             with_n[5] = b'N';
             with_n[130] = b'n';
             contigs.push(with_n);
+            let third = members.len() / 3;
+            let pools = [&members[..], &members[..third], &[]];
+            let oracle_pools = pools.map(oriented);
+            let packed_pools = pools.map(packed);
             for params in param_sets() {
                 // One walker for all contigs, each pool indexed after a
                 // larger one: nothing may leak through the reused scratch.
                 let mut walker = MerWalker::new(&params);
                 for contig in &contigs {
-                    for pool in [&pool[..], &pool[..pool.len() / 3], &[]] {
+                    for (pool, oracle_pool) in packed_pools.iter().zip(&oracle_pools) {
                         let got = walker.extend_one(contig, pool);
                         assert_eq!(
                             got,
-                            oracle_extend_one(contig, pool, &params),
+                            oracle_extend_one(contig, oracle_pool, &params),
                             "seed {seed}, contig of {} bases, {params:?}",
                             contig.len()
                         );
@@ -833,33 +1156,149 @@ mod tests {
 
     #[test]
     fn reindexing_leaves_no_hit_of_the_previous_pool() {
-        let (_, big) = messy_pool(3);
+        let (_, big_members) = messy_pool(3);
+        let big = oriented(&big_members);
         let small = vec![genome(70, 77), genome(12, 78), b"ACGTN".to_vec()];
+        let small_pool = packed(&forward(&small));
         let mut walker = MerWalker::new(&LocalAssemblyParams::default());
-        walker.index.index(&big);
-        walker.index.index(&small);
-        assert_eq!(
-            walker.index.hits.len(),
-            small
-                .iter()
-                .map(|r| (r.len() + 1).saturating_sub(walker.index.seed_len))
-                .sum::<usize>()
-        );
-        let live = walker.index.heads.iter().filter(|&&h| h != 0).count();
-        assert_eq!(live, walker.index.used.len());
+        walker.index.index(&packed(&big_members));
+        walker.index.index(&small_pool);
+        // The chains hold exactly the second pool's seeds, each once.
+        let index = &walker.index;
+        assert!(index.heads[index.buckets..].iter().all(|&h| h == 0));
+        let mut seeds = Vec::new();
+        for &head in &index.heads[..index.buckets] {
+            let mut next = head;
+            while next != 0 {
+                seeds.push(next as usize - 1);
+                next = index.next[next as usize - 1];
+            }
+        }
+        seeds.sort_unstable();
+        let mut want = Vec::new();
+        let mut start = 0;
+        for read in &small {
+            let windows = (read.len() + 1).saturating_sub(index.seed_len);
+            want.extend(start..start + windows);
+            start += (read.len() + 1).next_multiple_of(8);
+        }
+        assert_eq!(seeds, want);
         // Contexts of the first pool find nothing, in either direction ...
         for read in big.iter().filter(|r| r.len() > 19) {
             let context = &read[..19];
             assert_eq!(oracle_votes(&small, context), [0; 4], "pools overlap");
             for direction in [Direction::Right, Direction::Left] {
-                assert_eq!(walker.index.votes(&small, context, direction), [0; 4]);
+                assert_eq!(
+                    index_votes(&mut walker, &small_pool, context, direction),
+                    [0; 4]
+                );
             }
         }
         // ... and the second pool's own still vote.
         let context = &small[0][10..29];
-        let votes = walker.index.votes(&small, context, Direction::Right);
+        let votes = index_votes(&mut walker, &small_pool, context, Direction::Right);
         assert_eq!(votes, oracle_votes(&small, context));
         assert_eq!(votes.iter().sum::<usize>(), 1);
+    }
+
+    /// A simulated two-genome community: paired reads with single `N`s and
+    /// runs of them, and contigs cut from the genomes with unassembled flanks
+    /// between them for the walks to extend into.
+    fn community() -> (ContigSet, ReadLibrary) {
+        let (refs, _) = mgsim::generate_community(&mgsim::CommunityParams {
+            num_taxa: 2,
+            genome_len_range: (3_000, 4_000),
+            seed: 5,
+            ..Default::default()
+        });
+        let mut library = mgsim::simulate_reads(
+            &refs,
+            &mgsim::ReadSimParams {
+                seed: 6,
+                ..Default::default()
+            }
+            .with_target_coverage(&refs, 10.0),
+        );
+        for (i, read) in library.reads.iter_mut().enumerate() {
+            let len = read.seq.len();
+            if i % 7 == 0 {
+                read.seq[i % len] = b'N';
+            }
+            if i % 23 == 0 {
+                let at = i % (len - 5);
+                read.seq[at..at + 4].fill(b'N');
+            }
+        }
+        let pieces = refs.genomes.iter().flat_map(|g| {
+            g.seq
+                .chunks(700)
+                .filter(|piece| piece.len() > 300)
+                .map(|piece| (piece[50..piece.len() - 50].to_vec(), 10.0))
+        });
+        (ContigSet::from_sequences(21, pieces.collect()), library)
+    }
+
+    #[test]
+    fn the_store_arm_equals_the_local_arm() {
+        let (contigs, library) = community();
+        for (block_reads, block_size) in [(4usize, 1usize), (64, 16)] {
+            let params = LocalAssemblyParams {
+                block_size,
+                ..Default::default()
+            };
+            let mut sets = Vec::new();
+            for ranks in 1..=4usize {
+                let out = Team::single_node(ranks).run(|ctx| {
+                    let index = aligner::build_seed_index(ctx, &contigs, 21);
+                    let mine = ctx
+                        .block_range(library.num_reads())
+                        .map(|i| (i as ReadId, &library.reads[i]));
+                    let alignments =
+                        aligner::align_reads(ctx, mine, &contigs, &index, &Default::default());
+                    let source = ContigsRef::Local(&contigs);
+                    let local = extend_contigs_locally_ref(
+                        ctx,
+                        source,
+                        &alignments,
+                        ReadsRef::Local(&library),
+                        &params,
+                    );
+                    let store = readstore::ReadStore::build(
+                        ctx,
+                        &library,
+                        &readstore::ReadStoreParams {
+                            block_reads,
+                            ..Default::default()
+                        },
+                    );
+                    let stored = extend_contigs_locally_ref(
+                        ctx,
+                        source,
+                        &alignments,
+                        ReadsRef::Store(&store),
+                        &params,
+                    );
+                    // The store is dropped only after the slowest rank's fetch.
+                    ctx.barrier();
+                    (local.0, stored.0)
+                });
+                for (local, stored) in out {
+                    assert_eq!(stored, local, "{ranks} ranks, blocks of {block_reads}");
+                    sets.push(local);
+                }
+            }
+            assert!(sets.iter().all(|set| *set == sets[0]));
+            let grown = sets[0]
+                .contigs
+                .iter()
+                .filter(|c| !contigs.contigs.iter().any(|d| d.seq == c.seq))
+                .count();
+            assert!(
+                grown * 2 > contigs.len(),
+                "set-up: {grown} of {} contigs grew",
+                contigs.len()
+            );
+        }
     }
 
     #[test]
@@ -885,7 +1324,7 @@ mod tests {
             pool.push(other[i..i + 50].to_vec());
         }
         let mut walker = MerWalker::new(&params);
-        let out = walker.extend_one(&g[60..120], &pool);
+        let out = walker.extend_one(&g[60..120], &packed(&forward(&pool)));
         assert!(out.len() < 60 + 30, "walk crossed a fork: {}", out.len());
     }
 

@@ -300,11 +300,19 @@ fn count_binned(
     for bin_end in bin_ends {
         let mut observed = 0u64;
         for record in SupermerBlobIter::new(&sorted[bin_start..bin_end]) {
-            expand_supermer(&record, k, |obs| {
-                debug_assert_eq!(counts.owner_of(&obs.kmer), ctx.rank(), "misrouted supermer");
-                observed += 1;
-                scratch.entry(obs.kmer).or_default().observe(obs.exts);
-            });
+            // Pinned into the window loop of `expand_supermer` (itself always
+            // inlined): left to the optimiser, whether it is inlined there
+            // turns on unrelated code, and is worth ~20% of the analysis.
+            expand_supermer(
+                &record,
+                k,
+                #[inline(always)]
+                |obs| {
+                    debug_assert_eq!(counts.owner_of(&obs.kmer), ctx.rank(), "misrouted supermer");
+                    observed += 1;
+                    scratch.entry(obs.kmer).or_default().observe(obs.exts);
+                },
+            );
         }
         // The bin's counts are final: its survivors enter the table, the
         // rest never do.

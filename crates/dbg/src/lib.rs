@@ -52,3 +52,6 @@ pub use types::{Contig, ContigId, ContigSet};
 
 /// The largest k (and alignment seed length) a packed k-mer can hold.
 pub use kmers::MAX_K;
+
+/// Word-level access to 2-bit packed sequences ([`PackedSeq`]'s code layout).
+pub use kmers::packed;

@@ -543,6 +543,12 @@ impl<'a> Iterator for SupermerBlobIter<'a> {
 /// of the original read. The forward k-mer and its reverse complement roll
 /// along the record together, so the record costs one reverse complement,
 /// not one per window, and each window's canonical form is one comparison.
+///
+/// Always inlined, with `expand_words`, so that the window loop lands in
+/// its caller, where an `emit` marked `#[inline(always)]` — the per-window
+/// counting of k-mer analysis — is inlined into it whatever else the
+/// caller's crate holds.
+#[inline(always)]
 pub fn expand_supermer(record: &SupermerRecord<'_>, k: usize, emit: impl FnMut(CanonicalKmerExt)) {
     match k.div_ceil(32) {
         1 => expand_words::<1>(record, k, emit),
@@ -553,6 +559,7 @@ pub fn expand_supermer(record: &SupermerRecord<'_>, k: usize, emit: impl FnMut(C
 }
 
 /// [`expand_supermer`] for a k of `N` words.
+#[inline(always)]
 fn expand_words<const N: usize>(
     record: &SupermerRecord<'_>,
     k: usize,

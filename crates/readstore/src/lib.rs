@@ -31,6 +31,9 @@
 //!   its block — the packed bytes as they lie, never unpacked or copied —
 //!   fetching foreign blocks one-sided so per-rank progress never has to line
 //!   up collectively;
+//! * [`ReadStore::fetch_packed`] — one collective round that fetches the
+//!   blocks of a list of reads and hands each read out the same way, as a
+//!   handle on its block (the local-assembly pool path);
 //! * [`OwnedReads`] — a [`seqio::ReadSource`] over the calling rank's owned
 //!   blocks that hands out each read's packed bytes as they lie (the k-mer
 //!   analysis ingest path);
@@ -573,11 +576,13 @@ impl ReadStore {
         )
     }
 
-    /// **Collectively** fetches (and unpacks) the reads named by `ids`
-    /// through a fresh [`ReadReader`], one block fetch per distinct block.
-    /// Every rank must call, even with no ids. Ids absent from the store are
-    /// absent from the result.
-    pub fn fetch_reads(&self, ctx: &Ctx, ids: &[ReadId]) -> FxHashMap<ReadId, Read> {
+    /// **Collectively** fetches the reads named by `ids` through a fresh
+    /// [`ReadReader`], one block fetch per distinct block, and hands out each
+    /// as a [`StreamedRead`] — a shared handle on its fetched block, nothing
+    /// unpacked or copied — in the order of `ids`, `None` for an id absent
+    /// from the store. Every rank must call, even with no ids. This is how
+    /// local assembly gathers its pool reads.
+    pub fn fetch_packed(&self, ctx: &Ctx, ids: &[ReadId]) -> Vec<Option<StreamedRead>> {
         let mut blocks: Vec<BlockId> = ids.iter().map(|&id| self.block_of(id)).collect();
         blocks.sort_unstable();
         blocks.dedup();
@@ -587,13 +592,16 @@ impl ReadStore {
             .zip(fetched)
             .filter_map(|(b, v)| v.map(|v| (b, v)))
             .collect();
-        let mut out = FxHashMap::default();
-        for &id in ids {
-            if let Some(read) = by_block.get(&self.block_of(id)).and_then(|blk| blk.get(id)) {
-                out.entry(id).or_insert_with(|| read.unpack());
-            }
-        }
-        out
+        ids.iter()
+            .map(|&id| {
+                let block = by_block.get(&self.block_of(id))?;
+                let index = (id - block.first_id) as usize;
+                (index < block.reads.len()).then(|| StreamedRead {
+                    reads: Arc::clone(&block.reads),
+                    index,
+                })
+            })
+            .collect()
     }
 
     /// A [`seqio::ReadSource`] over the calling rank's owned blocks: streams
@@ -674,9 +682,9 @@ pub struct ReadStream<'s, 'c, 't> {
     current: Option<(BlockId, PackedReadBlock)>,
 }
 
-/// One read of a [`ReadStream`]: a shared handle on its block and its index
-/// there. Creating one is a reference-count bump; the bases are read in place
-/// through [`StreamedRead::view`].
+/// One read of a [`ReadStream`] or of [`ReadStore::fetch_packed`]: a shared
+/// handle on its block and its index there. Creating one is a reference-count
+/// bump; the bases are read in place through [`StreamedRead::view`].
 #[derive(Debug, Clone)]
 pub struct StreamedRead {
     reads: Arc<[PackedRead]>,
@@ -1005,15 +1013,28 @@ mod tests {
                     assert_eq!(store.len_of(id), Some(read.len()));
                     assert_eq!(store.mate_of(id), Some(id ^ 1));
                 }
-                // Collective bulk fetch of every read, including misses.
-                let ids: Vec<ReadId> = (0..lib2.num_reads() as ReadId).collect();
-                let got = store.fetch_reads(ctx, &ids);
+                // Collective packed fetch of every read (twice over, in
+                // reverse), including misses: past the end of the last
+                // block, and in no block at all.
+                let ids: Vec<ReadId> = (0..lib2.num_reads() as ReadId + 2)
+                    .rev()
+                    .chain(0..lib2.num_reads() as ReadId)
+                    .chain([99_999])
+                    .collect();
+                let got = store.fetch_packed(ctx, &ids);
                 assert_eq!(got.len(), ids.len());
-                for (id, read) in lib2.iter() {
-                    assert_eq!(got[&id].seq, read.seq);
-                    assert_eq!(got[&id].qual, read.qual);
+                for (&id, read) in ids.iter().zip(&got) {
+                    let Some(want) = lib2.reads.get(id as usize) else {
+                        assert!(read.is_none(), "read {id} is not in the store");
+                        continue;
+                    };
+                    let read = read.as_ref().expect("stored read fetched");
+                    let unpacked = read.packed_read().unpack();
+                    assert_eq!(unpacked.seq, want.seq);
+                    assert_eq!(unpacked.qual, want.qual);
+                    assert_eq!(read.view(), PackedRead::from_read(want).view());
                 }
-                assert!(store.fetch_reads(ctx, &[99999]).is_empty());
+                assert!(store.fetch_packed(ctx, &[]).is_empty());
                 // One-sided stream over this rank's share, in order.
                 let share = ctx.block_range(lib2.num_reads());
                 let my_ids: Vec<ReadId> = (share.start as ReadId..share.end as ReadId).collect();
@@ -1210,7 +1231,7 @@ mod tests {
                 },
             );
             let ids: Vec<ReadId> = (0..lib.num_reads() as ReadId).collect();
-            let _ = store.fetch_reads(ctx, &ids);
+            assert!(store.fetch_packed(ctx, &ids).iter().all(Option::is_some));
             assert_eq!(store.stream(ctx, ids.clone()).count(), ids.len());
             ctx.barrier();
             let peak = ctx.stats().snapshot().read_bytes_resident as usize;
