@@ -33,7 +33,7 @@
 //!    a reverse candidate is reached.
 //!
 //! Alignment is therefore **collective**: every rank must call
-//! [`align_reads`] in the same phase, even with no reads.
+//! [`align_reads_ref`] in the same phase, even with no reads.
 //! [`AlignParams::lookup_batch`] sizes the blocks and the messages; the
 //! alignments — and the assembly built from them — depend neither on it nor
 //! on the cache capacity or the rank count.
@@ -44,7 +44,7 @@ use dht::{CachedView, FxHashMap, LocalShardView};
 use kmers::kernels::pack_ascii;
 use kmers::packed::{for_each_canonical, load_bases, revcomp_codes};
 use kmers::Kmer;
-use pgas::Ctx;
+use pgas::{Counter, Ctx};
 use seqio::alphabet::{complement, decode_base};
 use seqio::{AsPackedRead, PackedReadView, ReadId, ReadPacker};
 use std::ops::Range;
@@ -158,19 +158,6 @@ impl AlignmentSet {
         }
         map
     }
-}
-
-/// Aligns the reads `(read_id, read)` of this rank against a replicated
-/// contig set using the shared seed index. Returns this rank's alignments.
-/// See [`align_reads_ref`] for the collectivity contract.
-pub fn align_reads<R: AsPackedRead>(
-    ctx: &Ctx,
-    reads: impl IntoIterator<Item = (ReadId, R)>,
-    contigs: &ContigSet,
-    index: &SeedIndex,
-    params: &AlignParams,
-) -> AlignmentSet {
-    align_reads_ref(ctx, reads, ContigsRef::Local(contigs), index, params)
 }
 
 /// Aligns the reads `(read_id, read)` of this rank against either a
@@ -328,12 +315,10 @@ pub fn align_reads_ref<R: AsPackedRead>(
         }
         // Releases the shard before the next collective.
         drop(windows);
-        ctx.record_alignment_block(
-            seeds.len() as u64,
-            foreign.len() as u64,
-            hits_returned,
-            verified,
-        );
+        ctx.record(Counter::seed_lookups, seeds.len() as u64);
+        ctx.record(Counter::seed_lookups_remote, foreign.len() as u64);
+        ctx.record(Counter::seed_hits, hits_returned);
+        ctx.record(Counter::align_candidates_verified, verified);
     }
     out
 }
@@ -687,7 +672,7 @@ fn exceptions_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seed_index::{build_seed_index, build_seed_index_ref, serial_index};
+    use crate::seed_index::{build_seed_index_ref, serial_index};
     use dht::DistMap;
     use pgas::Team;
     use readstore::{PackedRead, ReadStore, ReadStoreParams};
@@ -1192,7 +1177,7 @@ mod tests {
                     },
                 );
                 let from_store = build_seed_index_ref(ctx, ContigsRef::Store(&store), 15);
-                let from_set = build_seed_index(ctx, &contigs, 15);
+                let from_set = build_seed_index_ref(ctx, (&contigs).into(), 15);
                 let read_store = ReadStore::build(
                     ctx,
                     &library,
@@ -1223,7 +1208,8 @@ mod tests {
                         };
                         let at =
                             format!("{ranks} ranks, batch {lookup_batch}, cache {cache_capacity}");
-                        let local = align_reads(ctx, mine.clone(), &contigs, &from_set, &p);
+                        let local =
+                            align_reads_ref(ctx, mine.clone(), (&contigs).into(), &from_set, &p);
                         assert_eq!(local.alignments, expected_mine, "replicated, {at}");
                         let dist = align_reads_ref(
                             ctx,
@@ -1258,13 +1244,13 @@ mod tests {
             .map(|ranks| {
                 let team = Team::single_node(ranks);
                 team.run(|ctx| {
-                    let index = build_seed_index(ctx, &contigs, 15);
+                    let index = build_seed_index_ref(ctx, (&contigs).into(), 15);
                     let mine: Vec<&(ReadId, Read)> = reads
                         .iter()
                         .filter(|(id, _)| *id as usize % ctx.ranks() == ctx.rank())
                         .collect();
                     let mine = mine.into_iter().map(|(id, read)| (*id, read));
-                    align_reads(ctx, mine, &contigs, &index, &params());
+                    align_reads_ref(ctx, mine, (&contigs).into(), &index, &params());
                 });
                 let total = team.stats_total();
                 [
@@ -1291,9 +1277,9 @@ mod tests {
         let contigs = contigs_of(&[GENOME]);
         let team = Team::single_node(2);
         team.run(|ctx| {
-            let index = build_seed_index(ctx, &contigs, 15);
+            let index = build_seed_index_ref(ctx, (&contigs).into(), 15);
             let read = Read::with_uniform_quality("r0", &GENOME.as_bytes()[30..80], 35);
-            let set = align_reads(ctx, vec![(0u64, read)], &contigs, &index, &params());
+            let set = align_reads_ref(ctx, [(0u64, read)], (&contigs).into(), &index, &params());
             assert_eq!(set.alignments.len(), 1);
             let a = &set.alignments[0];
             assert_eq!(a.contig, 0);
@@ -1310,10 +1296,10 @@ mod tests {
         let contigs = contigs_of(&[GENOME]);
         let team = Team::single_node(1);
         team.run(|ctx| {
-            let index = build_seed_index(ctx, &contigs, 15);
+            let index = build_seed_index_ref(ctx, (&contigs).into(), 15);
             let rc = revcomp(&GENOME.as_bytes()[20..70]);
             let read = Read::with_uniform_quality("r0", &rc, 35);
-            let set = align_reads(ctx, vec![(0u64, read)], &contigs, &index, &params());
+            let set = align_reads_ref(ctx, [(0u64, read)], (&contigs).into(), &index, &params());
             assert_eq!(set.alignments.len(), 1);
             let a = &set.alignments[0];
             assert!(!a.forward);
@@ -1328,12 +1314,12 @@ mod tests {
         let contigs = contigs_of(&[GENOME]);
         let team = Team::single_node(1);
         team.run(|ctx| {
-            let index = build_seed_index(ctx, &contigs, 15);
+            let index = build_seed_index_ref(ctx, (&contigs).into(), 15);
             let mut bases = GENOME.as_bytes()[10..90].to_vec();
             bases[40] = if bases[40] == b'A' { b'C' } else { b'A' };
             bases[60] = if bases[60] == b'G' { b'T' } else { b'G' };
             let read = Read::with_uniform_quality("r0", &bases, 35);
-            let set = align_reads(ctx, vec![(0u64, read)], &contigs, &index, &params());
+            let set = align_reads_ref(ctx, [(0u64, read)], (&contigs).into(), &index, &params());
             assert_eq!(set.alignments.len(), 1);
             let a = &set.alignments[0];
             assert_eq!(a.aligned_len, 80);
@@ -1351,9 +1337,9 @@ mod tests {
         let contigs = contigs_of(&[left, right]);
         let team = Team::single_node(1);
         team.run(|ctx| {
-            let index = build_seed_index(ctx, &contigs, 15);
+            let index = build_seed_index_ref(ctx, (&contigs).into(), 15);
             let read = Read::with_uniform_quality("r0", &GENOME.as_bytes()[26..76], 35);
-            let set = align_reads(ctx, vec![(0u64, read)], &contigs, &index, &params());
+            let set = align_reads_ref(ctx, [(0u64, read)], (&contigs).into(), &index, &params());
             assert_eq!(set.alignments.len(), 2, "got {:?}", set.alignments);
             let contigs_hit: Vec<ContigId> = set.alignments.iter().map(|a| a.contig).collect();
             assert!(contigs_hit.contains(&0));
@@ -1370,10 +1356,10 @@ mod tests {
         let contigs = contigs_of(&[GENOME]);
         let team = Team::single_node(1);
         team.run(|ctx| {
-            let index = build_seed_index(ctx, &contigs, 15);
+            let index = build_seed_index_ref(ctx, (&contigs).into(), 15);
             let read =
                 Read::with_uniform_quality("r0", b"TTTTTTTTTTGGGGGGGGGGCCCCCCCCCCAAAAAAAAAA", 35);
-            let set = align_reads(ctx, vec![(0u64, read)], &contigs, &index, &params());
+            let set = align_reads_ref(ctx, [(0u64, read)], (&contigs).into(), &index, &params());
             assert!(set.alignments.is_empty());
         });
     }
@@ -1392,14 +1378,14 @@ mod tests {
             .collect();
         for ranks in [1usize, 2, 3] {
             Team::single_node(ranks).run(|ctx| {
-                let index = build_seed_index(ctx, &contigs, 15);
+                let index = build_seed_index_ref(ctx, (&contigs).into(), 15);
                 ctx.stats().reset();
                 // Every rank aligns all twenty reads, two per block.
                 let p = AlignParams {
                     lookup_batch: 16,
                     ..params()
                 };
-                let set = align_reads(ctx, reads.clone(), &contigs, &index, &p);
+                let set = align_reads_ref(ctx, reads.clone(), (&contigs).into(), &index, &p);
                 assert_eq!(set.alignments.len(), 20);
                 let stats = ctx.stats().snapshot();
                 assert_eq!(stats.seed_lookups, 20 * 9);
@@ -1442,7 +1428,7 @@ mod tests {
         assert!(n_in_read >= 10, "test setup: read must contain the N run");
         let team = Team::single_node(1);
         team.run(|ctx| {
-            let index = build_seed_index(ctx, &contigs, 15);
+            let index = build_seed_index_ref(ctx, (&contigs).into(), 15);
             let read = Read::with_uniform_quality("r0", &read_bases, 35);
             // Drop the identity floor so the placement is reported and the
             // match count itself can be inspected.
@@ -1450,7 +1436,7 @@ mod tests {
                 min_identity: 0.5,
                 ..params()
             };
-            let set = align_reads(ctx, vec![(0u64, read)], &contigs, &index, &p);
+            let set = align_reads_ref(ctx, [(0u64, read)], (&contigs).into(), &index, &p);
             assert_eq!(set.alignments.len(), 1, "{:?}", set.alignments);
             let a = &set.alignments[0];
             assert_eq!(a.aligned_len, 50);

@@ -31,6 +31,6 @@ pub mod align;
 pub mod localize;
 pub mod seed_index;
 
-pub use align::{align_reads, align_reads_ref, AlignParams, Alignment, AlignmentSet};
+pub use align::{align_reads_ref, AlignParams, Alignment, AlignmentSet};
 pub use localize::{localize_pairs, ReadDistribution};
-pub use seed_index::{build_seed_index, build_seed_index_ref, RemoteHits, SeedHit, SeedIndex};
+pub use seed_index::{build_seed_index_ref, RemoteHits, SeedHit, SeedIndex};

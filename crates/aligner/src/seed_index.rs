@@ -26,7 +26,7 @@
 //! a property of one sort, where a table merged incrementally would have to
 //! maintain it on every arrival.
 
-use dbg::{ContigId, ContigSet, ContigsRef};
+use dbg::{ContigId, ContigsRef};
 use dht::fx_hash_one;
 use kmers::packed::for_each_canonical;
 use kmers::Kmer;
@@ -248,11 +248,6 @@ impl dht::ReadTable<Kmer, RemoteHits> for SeedIndex {
     }
 }
 
-/// Collectively builds the seed index for a replicated contig set.
-pub fn build_seed_index(ctx: &Ctx, contigs: &ContigSet, seed_len: usize) -> SeedIndex {
-    build_seed_index_ref(ctx, ContigsRef::Local(contigs), seed_len)
-}
-
 /// Collectively builds the seed index for a contig source; every rank gets
 /// its own shard.
 ///
@@ -305,7 +300,7 @@ pub fn build_seed_index_ref(ctx: &Ctx, contigs: ContigsRef<'_>, seed_len: usize)
 /// table this index replaced kept them.
 #[cfg(test)]
 pub(crate) fn serial_index(
-    contigs: &ContigSet,
+    contigs: &dbg::ContigSet,
     seed_len: usize,
 ) -> std::collections::BTreeMap<Kmer, Vec<SeedHit>> {
     let mut map: std::collections::BTreeMap<Kmer, Vec<SeedHit>> = Default::default();
@@ -329,6 +324,7 @@ pub(crate) fn serial_index(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbg::ContigSet;
     use dht::ReadTable;
     use pgas::Team;
 
@@ -350,7 +346,7 @@ mod tests {
         );
         let team = Team::single_node(3);
         let totals = team.run(|ctx| {
-            let index = build_seed_index(ctx, &contigs, 15);
+            let index = build_seed_index_ref(ctx, (&contigs).into(), 15);
             let hits: usize = index.local_entries().map(|(_, v)| v.len()).sum();
             ctx.allreduce_sum_u64(hits as u64)
         });
@@ -364,7 +360,7 @@ mod tests {
         let contigs = contig_set(&[seq], 15);
         let team = Team::single_node(2);
         team.run(|ctx| {
-            let index = build_seed_index(ctx, &contigs, 15);
+            let index = build_seed_index_ref(ctx, (&contigs).into(), 15);
             // Look up the seed at position 5 of the contig (in storage
             // orientation the contig may be reverse-complemented).
             let stored = &contigs.contigs[0].seq;
@@ -438,7 +434,7 @@ mod tests {
             let per_rank = Team::single_node(ranks).run(|ctx| {
                 let store = dbg::ContigStore::build(ctx, &contigs, &Default::default());
                 let from_store = build_seed_index_ref(ctx, ContigsRef::Store(&store), 15);
-                let from_set = build_seed_index(ctx, &contigs, 15);
+                let from_set = build_seed_index_ref(ctx, (&contigs).into(), 15);
                 (gathered(ctx, &from_store), gathered(ctx, &from_set))
             });
             for (from_store, from_set) in per_rank {
@@ -458,7 +454,7 @@ mod tests {
         let contigs = contig_set(&[&repeat], 15);
         let team = Team::single_node(2);
         team.run(|ctx| {
-            let index = build_seed_index(ctx, &contigs, 15);
+            let index = build_seed_index_ref(ctx, (&contigs).into(), 15);
             for (seed, hits) in index.local_entries() {
                 assert_eq!(hits.len(), SeedIndex::MAX_HITS_PER_SEED, "{seed}");
                 let first = hits[0].pos;
@@ -493,7 +489,7 @@ mod tests {
         let contigs = contig_set(&["ACGGTCAGGTTCAAGGACT"], 15);
         let team = Team::single_node(1);
         team.run(|ctx| {
-            let _ = build_seed_index(ctx, &contigs, 16);
+            let _ = build_seed_index_ref(ctx, (&contigs).into(), 16);
         });
     }
 }

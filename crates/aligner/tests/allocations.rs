@@ -4,7 +4,7 @@
 //! alignment of a read-store stream against the contig store makes. It is a
 //! test binary of its own because a `#[global_allocator]` is process-wide.
 
-use aligner::{align_reads, align_reads_ref, build_seed_index, build_seed_index_ref, AlignParams};
+use aligner::{align_reads_ref, build_seed_index_ref, AlignParams};
 use dbg::{ContigSet, ContigStore, ContigsRef};
 use pgas::Team;
 use readstore::{ReadStore, ReadStoreParams};
@@ -101,8 +101,14 @@ fn aligning_a_store_stream_allocates_less_than_once_per_eight_reads() {
     let team = Team::single_node(1);
     team.set_conformance_checking(false);
     team.run(|ctx| {
-        let replicated_index = build_seed_index(ctx, &contigs, params.seed_len);
-        let replicated = align_reads(ctx, library.iter(), &contigs, &replicated_index, &params);
+        let replicated_index = build_seed_index_ref(ctx, (&contigs).into(), params.seed_len);
+        let replicated = align_reads_ref(
+            ctx,
+            library.iter(),
+            (&contigs).into(),
+            &replicated_index,
+            &params,
+        );
         let reads = ReadStore::build(ctx, &library, &ReadStoreParams::default());
         let store = ContigStore::build(ctx, &contigs, &Default::default());
         let source = ContigsRef::Store(&store);

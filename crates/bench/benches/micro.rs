@@ -5,7 +5,7 @@
 //! stage on store-backed pools) and rRNA classification.
 //! `cargo bench -p mhm_bench` runs them all.
 
-use aligner::{align_reads, align_reads_ref, build_seed_index, build_seed_index_ref, AlignParams};
+use aligner::{align_reads_ref, build_seed_index_ref, AlignParams};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dbg::{
     build_graph, inject_contig_kmers_ref, kmer_analysis, traverse_contigs, KmerAnalysisParams,
@@ -152,11 +152,17 @@ fn bench_local_assembly(c: &mut Criterion) {
     ] {
         let team = Team::single_node(ranks);
         let alignments = team.run(|ctx| {
-            let index = build_seed_index(ctx, &contigs, 21);
+            let index = build_seed_index_ref(ctx, (&contigs).into(), 21);
             let mine = ctx
                 .block_range(library.num_reads())
                 .map(|i| (i as u64, &library.reads[i]));
-            align_reads(ctx, mine, &contigs, &index, &AlignParams::default())
+            align_reads_ref(
+                ctx,
+                mine,
+                (&contigs).into(),
+                &index,
+                &AlignParams::default(),
+            )
         });
         let store = team
             .run(|ctx| ReadStore::build(ctx, &library, &ReadStoreParams::default()))
@@ -478,14 +484,14 @@ fn bench_pipeline_stages(c: &mut Criterion) {
     c.bench_function("aligner/align_2k_reads", |b| {
         b.iter(|| {
             team.run(|ctx| {
-                let index = build_seed_index(ctx, &contigs, 15);
+                let index = build_seed_index_ref(ctx, (&contigs).into(), 15);
                 ctx.barrier();
                 let range = ctx.block_range(reads.len().min(2000));
                 let my = range.map(|i| (i as u64, reads[i].clone()));
-                align_reads(
+                align_reads_ref(
                     ctx,
                     my,
-                    &contigs,
+                    (&contigs).into(),
                     &index,
                     &AlignParams {
                         seed_len: 15,
@@ -534,9 +540,9 @@ fn bench_pipeline_stages(c: &mut Criterion) {
     ] {
         let team = Team::single_node(ranks);
         let replicated = team.run(|ctx| {
-            let index = build_seed_index(ctx, &contigs, params.seed_len);
+            let index = build_seed_index_ref(ctx, (&contigs).into(), params.seed_len);
             let mine = my_ids(ctx).map(|id| (id, &library.reads[id as usize]));
-            align_reads(ctx, mine, &contigs, &index, &params).alignments
+            align_reads_ref(ctx, mine, (&contigs).into(), &index, &params).alignments
         });
         assert!(
             replicated.iter().map(Vec::len).sum::<usize>() > library.num_reads() / 2,

@@ -3,7 +3,7 @@
 //! assert nothing beyond what [`sweep`] checks; absolute numbers are this
 //! host's, the shape is the paper's.
 
-use aligner::{align_reads, build_seed_index, AlignParams};
+use aligner::{align_reads_ref, build_seed_index_ref, AlignParams};
 use dbg::{ContigSet, ThresholdPolicy};
 use mhm_bench::datasets::{self, Dataset};
 use mhm_bench::{efficiency, fmt, print_table, rank_sweep, ranks_up_to, sweep, Record};
@@ -208,14 +208,14 @@ fn fraction_mapping_back(ds: &Dataset, assembly: &[Vec<u8>], ranks: usize) -> f6
     let mapped: u64 = AssemblyConfig::default()
         .team(ranks)
         .run(|ctx| {
-            let index = build_seed_index(ctx, &contigs, 15);
+            let index = build_seed_index_ref(ctx, (&contigs).into(), 15);
             ctx.barrier();
             let range = ctx.block_range(library.num_reads());
             let reads = range.map(|i| (i as u64, library.read(i as u64).clone()));
-            let aligned = align_reads(
+            let aligned = align_reads_ref(
                 ctx,
                 reads,
-                &contigs,
+                (&contigs).into(),
                 &index,
                 &AlignParams {
                     seed_len: 15,

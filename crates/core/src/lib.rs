@@ -34,7 +34,7 @@ pub mod timing;
 
 pub use config::AssemblyConfig;
 pub use local_assembly::{
-    extend_contigs_locally, LocalAssemblyParams, MerWalker, PackedPool, PoolWriter,
+    extend_contigs_locally_ref, LocalAssemblyParams, MerWalker, PackedPool, PoolWriter,
 };
 pub use pipeline::{AssemblyOutput, MetaHipMer};
 pub use timing::StageTimings;

@@ -55,7 +55,7 @@ use dht::{bulk_merge, DistMap, FxHashSet};
 use pgas::{Ctx, DynamicBlocks};
 use readstore::ReadsRef;
 use seqio::alphabet::{complement, decode_base};
-use seqio::{PackedReadView, ReadId, ReadLibrary, ReadPacker};
+use seqio::{PackedReadView, ReadId, ReadPacker};
 use std::sync::Arc;
 
 /// Parameters of local assembly.
@@ -98,23 +98,6 @@ impl Default for LocalAssemblyParams {
             block_size: 16,
         }
     }
-}
-
-/// Extends every contig of a replicated set at both ends. Collective.
-pub fn extend_contigs_locally(
-    ctx: &Ctx,
-    contigs: &ContigSet,
-    alignments: &AlignmentSet,
-    library: &ReadLibrary,
-    params: &LocalAssemblyParams,
-) -> (ContigSet, usize) {
-    extend_contigs_locally_ref(
-        ctx,
-        ContigsRef::Local(contigs),
-        alignments,
-        ReadsRef::Local(library),
-        params,
-    )
 }
 
 /// Extends every contig at both ends using locally gathered reads. Collective.
@@ -759,7 +742,7 @@ mod tests {
     use aligner::Alignment;
     use pgas::Team;
     use seqio::alphabet::{encode_base, is_valid_base, normalize, revcomp};
-    use seqio::Read;
+    use seqio::{Read, ReadLibrary};
 
     fn genome(len: usize, seed: u64) -> Vec<u8> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -1249,12 +1232,17 @@ mod tests {
             let mut sets = Vec::new();
             for ranks in 1..=4usize {
                 let out = Team::single_node(ranks).run(|ctx| {
-                    let index = aligner::build_seed_index(ctx, &contigs, 21);
+                    let index = aligner::build_seed_index_ref(ctx, (&contigs).into(), 21);
                     let mine = ctx
                         .block_range(library.num_reads())
                         .map(|i| (i as ReadId, &library.reads[i]));
-                    let alignments =
-                        aligner::align_reads(ctx, mine, &contigs, &index, &Default::default());
+                    let alignments = aligner::align_reads_ref(
+                        ctx,
+                        mine,
+                        (&contigs).into(),
+                        &index,
+                        &Default::default(),
+                    );
                     let source = ContigsRef::Local(&contigs);
                     let local = extend_contigs_locally_ref(
                         ctx,
@@ -1490,7 +1478,13 @@ mod tests {
                     .copied()
                     .collect(),
             };
-            extend_contigs_locally(ctx, &contigs, &mine, &lib2, &LocalAssemblyParams::default())
+            extend_contigs_locally_ref(
+                ctx,
+                (&contigs).into(),
+                &mine,
+                (&lib2).into(),
+                &LocalAssemblyParams::default(),
+            )
         });
         for (set, _) in &out[1..] {
             assert_eq!(set, &out[0].0);

@@ -12,7 +12,7 @@ use dbg::{
     prune_iteratively, traverse_contigs, ContigMeta, ContigSet, ContigStore, ContigsRef, PackedSeq,
     ThresholdPolicy,
 };
-use pgas::{Ctx, RankFault, StatsSnapshot, Team};
+use pgas::{Counter, Ctx, RankFault, StatsSnapshot, Team};
 use readstore::{ReadStore, ReadsRef};
 use rrna_hmm::RrnaDetector;
 use scaffolding::{scaffold_ref, Scaffold, ScaffoldEntry, ScaffoldSet};
@@ -41,7 +41,7 @@ impl ContigsHolder {
         } else {
             // The replicated baseline keeps every raw sequence byte resident
             // on every rank.
-            ctx.record_contig_resident(set.total_bases());
+            ctx.record(Counter::contig_bytes_resident, set.total_bases() as u64);
             ContigsHolder::Local(set)
         }
     }
@@ -91,7 +91,7 @@ impl<'a> ReadsHolder<'a> {
                 .iter()
                 .map(|r| r.seq.len() + r.qual.len() + r.name.len())
                 .sum();
-            ctx.record_read_resident(bytes);
+            ctx.record(Counter::read_bytes_resident, bytes as u64);
             ReadsHolder::Local(library)
         }
     }
@@ -586,7 +586,7 @@ impl MetaHipMer {
                 shard.contigs,
             );
             let set = store.materialize(ctx);
-            ctx.record_contig_resident(set.total_bases());
+            ctx.record(Counter::contig_bytes_resident, set.total_bases() as u64);
             ContigsHolder::Local(set)
         };
 

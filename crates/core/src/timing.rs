@@ -84,7 +84,7 @@ impl StageTimings {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgas::Team;
+    use pgas::{Counter, Team};
 
     #[test]
     fn time_accumulates_per_stage() {
@@ -117,8 +117,11 @@ mod tests {
                 // One remote-ish access per rank.
                 ctx.record_access((ctx.rank() + 1) % ctx.ranks());
                 // Each rank's resident peak rises by a different amount.
-                ctx.record_contig_resident(1000 * (ctx.rank() + 1));
-                ctx.record_read_resident(700 - 200 * ctx.rank());
+                ctx.record(
+                    Counter::contig_bytes_resident,
+                    1000 * (ctx.rank() as u64 + 1),
+                );
+                ctx.record(Counter::read_bytes_resident, 700 - 200 * ctx.rank() as u64);
             });
             t.reduce(ctx)
         });

@@ -5,7 +5,7 @@
 //! makes. It is a test binary of its own because a `#[global_allocator]` is
 //! process-wide.
 
-use aligner::{align_reads, build_seed_index, AlignParams};
+use aligner::{align_reads_ref, build_seed_index_ref, AlignParams};
 use dbg::{ContigSet, ContigsRef};
 use mhm_core::local_assembly::{extend_contigs_locally_ref, LocalAssemblyParams};
 use pgas::Team;
@@ -101,9 +101,15 @@ fn local_assembly_allocates_per_contig_not_per_pool_read() {
     let team = Team::single_node(1);
     team.set_conformance_checking(false);
     team.run(|ctx| {
-        let index = build_seed_index(ctx, &contigs, 21);
+        let index = build_seed_index_ref(ctx, (&contigs).into(), 21);
         let reads = (0..library.num_reads()).map(|i| (i as ReadId, &library.reads[i]));
-        let alignments = align_reads(ctx, reads, &contigs, &index, &AlignParams::default());
+        let alignments = align_reads_ref(
+            ctx,
+            reads,
+            (&contigs).into(),
+            &index,
+            &AlignParams::default(),
+        );
         let source = ContigsRef::Local(&contigs);
         let (replicated, _) = extend_contigs_locally_ref(
             ctx,

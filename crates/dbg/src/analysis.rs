@@ -54,7 +54,7 @@ use kmers::minimizer::{
     supermer_wire_bytes, SupermerBlobIter, MAX_MINIMIZER_LEN,
 };
 use kmers::{Kmer, KmerCounts};
-use pgas::{BlobAggregator, Ctx};
+use pgas::{BlobAggregator, Counter, Ctx};
 use seqio::{PackedReadView, Read, ReadSource};
 use std::any::Any;
 use std::sync::Arc;
@@ -235,7 +235,7 @@ pub(crate) fn ship_supermers(
         cut_supermers(&seq, k, m, |sm| {
             let dest = minimizer_shard(sm.minimizer, ranks);
             let wrote = agg.push_with(dest, |buf| encode_packed_supermer(buf, &seq, &hq, &sm));
-            ctx.record_supermer_bytes(wrote);
+            ctx.record(Counter::supermer_bytes, wrote as u64);
         });
     });
     agg.finish()
@@ -324,8 +324,8 @@ fn count_binned(
                 inserted += 1;
             }
         }
-        ctx.record_kmer_observations(observed);
-        ctx.record_kmer_table_inserts(inserted);
+        ctx.record(Counter::kmer_observations, observed);
+        ctx.record(Counter::kmer_table_inserts, inserted);
         bin_start = bin_end;
     }
 }

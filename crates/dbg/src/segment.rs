@@ -73,7 +73,7 @@ use crate::graph::{orient, KmerVertex, OrientedVertex};
 use crate::traversal::{eligible, push_contig, TraversalParams};
 use dht::{DistMap, FxHashMap};
 use kmers::{Ext, Kmer};
-use pgas::{Aggregator, Ctx};
+use pgas::{Aggregator, Counter, Ctx};
 use seqio::alphabet::{decode_base, encode_base, revcomp};
 
 /// Per-owner batch size of the stitching request–response rounds.
@@ -483,13 +483,14 @@ pub(crate) fn segment_contigs(
             debug_assert_ne!(dest, rank, "a pending neighbour is remote by construction");
             pending.push((i, dest as u32));
             reqs.push((dest, PredQuery { last: nbr, agree }));
-            ctx.record_stitch_bytes(
-                std::mem::size_of::<PredQuery>() + std::mem::size_of::<Option<u32>>(),
+            ctx.record(
+                Counter::stitch_bytes,
+                (std::mem::size_of::<PredQuery>() + std::mem::size_of::<Option<u32>>()) as u64,
             );
         }
     }
     if rank == 0 {
-        ctx.record_traversal_round();
+        ctx.record(Counter::traversal_rounds, 1);
     }
     let pred_resps = ctx.exchange_map(reqs, STITCH_BATCH, |q: PredQuery| -> Option<u32> {
         by_last.get(&q.last).copied().filter(|&i| {
@@ -557,7 +558,7 @@ pub(crate) fn segment_contigs(
         }
         rounds += 1;
         if rank == 0 {
-            ctx.record_traversal_round();
+            ctx.record(Counter::traversal_rounds, 1);
         }
         let jump_reqs: Vec<(usize, u32)> = chasing
             .iter()
@@ -565,7 +566,10 @@ pub(crate) fn segment_contigs(
                 let Link::Chase { to, .. } = links[i] else {
                     unreachable!()
                 };
-                ctx.record_stitch_bytes(std::mem::size_of::<u32>() + std::mem::size_of::<Link>());
+                ctx.record(
+                    Counter::stitch_bytes,
+                    (std::mem::size_of::<u32>() + std::mem::size_of::<Link>()) as u64,
+                );
                 (to.rank as usize, to.idx)
             })
             .collect();
@@ -619,7 +623,7 @@ pub(crate) fn segment_contigs(
             }
             rounds2 += 1;
             if rank == 0 {
-                ctx.record_traversal_round();
+                ctx.record(Counter::traversal_rounds, 1);
             }
             let reqs: Vec<(usize, u32)> = chasing
                 .iter()
@@ -627,8 +631,9 @@ pub(crate) fn segment_contigs(
                     let MiniLink::Chase { to, .. } = mini[&i] else {
                         unreachable!()
                     };
-                    ctx.record_stitch_bytes(
-                        std::mem::size_of::<u32>() + std::mem::size_of::<MiniLink>(),
+                    ctx.record(
+                        Counter::stitch_bytes,
+                        (std::mem::size_of::<u32>() + std::mem::size_of::<MiniLink>()) as u64,
                     );
                     (to.rank as usize, to.idx)
                 })
@@ -678,7 +683,7 @@ pub(crate) fn segment_contigs(
 
     // ---- Level 2c: ship every segment to its assembly site ------------------
     if rank == 0 {
-        ctx.record_traversal_round();
+        ctx.record(Counter::traversal_rounds, 1);
     }
     let mut agg: Aggregator<AsmRecord> = Aggregator::new(ctx, ASSEMBLE_BATCH);
     for (i, seg) in segs.into_iter().enumerate() {
@@ -701,7 +706,10 @@ pub(crate) fn segment_contigs(
             // assigned its cycle minimum.
             Link::Chase { .. } => unreachable!("stitch chase left unresolved"),
         };
-        ctx.record_stitch_bytes(seg.bases.len() + std::mem::size_of::<AsmRecord>());
+        ctx.record(
+            Counter::stitch_bytes,
+            (seg.bases.len() + std::mem::size_of::<AsmRecord>()) as u64,
+        );
         agg.push(
             dest,
             AsmRecord {

@@ -33,7 +33,7 @@
 
 use crate::types::{Contig, ContigId, ContigSet};
 use dht::{CachedView, DistMap, Residency, TablePartitioner};
-use pgas::Ctx;
+use pgas::{Counter, Ctx};
 use std::sync::Arc;
 
 // The packed representation is shared with the distributed read store, so it
@@ -142,7 +142,10 @@ impl ContigStore {
             cache_bytes: params.cache_bytes,
             batch: params.batch,
         });
-        ctx.record_contig_resident(store.owned_packed_bytes(ctx));
+        ctx.record(
+            Counter::contig_bytes_resident,
+            store.owned_packed_bytes(ctx) as u64,
+        );
         ctx.barrier();
         store
     }
@@ -189,7 +192,10 @@ impl ContigStore {
             );
         }
         reader.clear_cache();
-        ctx.record_contig_resident(store.owned_packed_bytes(ctx));
+        ctx.record(
+            Counter::contig_bytes_resident,
+            store.owned_packed_bytes(ctx) as u64,
+        );
         ctx.barrier();
         store
     }
@@ -241,8 +247,8 @@ impl ContigStore {
             PackedSeq::packed_bytes,
             Residency {
                 owned: self.owned_packed_bytes(ctx),
-                record_fetched: |ctx, bytes| ctx.record_contig_fetch_bytes(bytes),
-                record_resident: |ctx, bytes| ctx.record_contig_resident(bytes),
+                fetched: Counter::contig_fetch_bytes,
+                resident: Counter::contig_bytes_resident,
             },
         )
     }

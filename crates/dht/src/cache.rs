@@ -49,7 +49,7 @@
 
 use crate::dist_map::DistMap;
 use crate::fxhash::FxHashMap;
-use pgas::Ctx;
+use pgas::{Counter, Ctx};
 use std::collections::VecDeque;
 use std::hash::Hash;
 
@@ -197,7 +197,7 @@ where
                 Some(oldest) => {
                     if let Some(old) = self.entries.remove(&oldest) {
                         self.weight -= self.weight_of(&old);
-                        ctx.record_cache_eviction();
+                        ctx.record(Counter::cache_evictions, 1);
                     }
                 }
                 None => break,
@@ -207,17 +207,17 @@ where
 }
 
 /// Where a weight-bounded [`CachedView`] accounts for what it moves and
-/// holds: the counter pair of the store it reads (`record_contig_*` or
-/// `record_read_*` on [`Ctx`]) and the bytes the rank holds besides the
-/// cache.
+/// holds: the counter pair of the store it reads (`contig_*` or `read_*`)
+/// and the bytes the rank holds besides the cache.
 #[derive(Clone, Copy)]
 pub struct Residency {
     /// Weight resident on this rank outside the cache — its owned shard.
     pub owned: usize,
-    /// Adds the weight of the foreign values one fill fetched.
-    pub record_fetched: fn(&Ctx, usize),
-    /// Raises the rank's resident peak to `owned` plus the cache's weight.
-    pub record_resident: fn(&Ctx, usize),
+    /// The `Sum` counter each fill adds the weight of the foreign values it
+    /// fetched to.
+    pub fetched: Counter,
+    /// The `Max` counter each fill raises to `owned` plus the cache's weight.
+    pub resident: Counter,
 }
 
 /// A read-only distributed table a [`CachedView`] can fill from.
@@ -440,8 +440,8 @@ where
             pending.push((at, i));
             out.push(None);
         }
-        ctx.record_cache_hits(hits);
-        ctx.record_cache_misses(misses.len() as u64);
+        ctx.record(Counter::cache_hits, hits);
+        ctx.record(Counter::cache_misses, misses.len() as u64);
         let mut fetched = fetch(map, misses);
         // Under foreign-only admission, keys this rank owns — answered from
         // its own shard with no wire traffic — stay out of the cache and out
@@ -460,8 +460,9 @@ where
             cache.insert(ctx, key.clone(), value.clone());
         }
         if let Some(residency) = residency {
-            (residency.record_fetched)(ctx, fetched_weight);
-            (residency.record_resident)(ctx, residency.owned + cache.resident_weight());
+            ctx.record(residency.fetched, fetched_weight as u64);
+            let resident = residency.owned + cache.resident_weight();
+            ctx.record(residency.resident, resident as u64);
         }
         for &(at, i) in pending.iter() {
             uses[i] -= 1;
@@ -701,8 +702,8 @@ mod tests {
         ctx.stats().reset();
         let residency = Residency {
             owned: OWNED,
-            record_fetched: |ctx, n| ctx.record_contig_fetch_bytes(n),
-            record_resident: |ctx, n| ctx.record_contig_resident(n),
+            fetched: Counter::contig_fetch_bytes,
+            resident: Counter::contig_bytes_resident,
         };
         let mut view = if weighted {
             CachedView::new_weighted(&map, capacity, 7, weigh, residency)
@@ -802,8 +803,8 @@ mod tests {
     fn residency() -> Residency {
         Residency {
             owned: OWNED,
-            record_fetched: |ctx, n| ctx.record_contig_fetch_bytes(n),
-            record_resident: |ctx, n| ctx.record_contig_resident(n),
+            fetched: Counter::contig_fetch_bytes,
+            resident: Counter::contig_bytes_resident,
         }
     }
 

@@ -11,7 +11,7 @@
 use crate::fxhash::{fx_hash_one, FxHashMap};
 use crate::partition::{HashPartitioner, Partitioner};
 use parking_lot::Mutex;
-use pgas::{Aggregator, Ctx, RpcAggregator};
+use pgas::{Aggregator, Counter, Ctx, RpcAggregator};
 use std::hash::Hash;
 use std::sync::Arc;
 
@@ -176,19 +176,6 @@ where
         })
     }
 
-    /// Collective batched membership test; the `contains` analogue of
-    /// [`DistMap::get_many`].
-    pub fn contains_many(&self, ctx: &Ctx, keys: &[K], batch: usize) -> Vec<bool> {
-        let mut rpc: RpcAggregator<K, bool> = RpcAggregator::new(ctx, batch);
-        for key in keys {
-            rpc.push(self.owner_of(key), key.clone());
-        }
-        rpc.finish(|key| {
-            let (owner, sub) = self.slot(&key);
-            self.shards[owner].subs[sub].lock().contains_key(&key)
-        })
-    }
-
     /// Collective batched entry update: ships the keys to their owners in
     /// aggregated messages, runs `f` under the owning sub-shard's lock (the
     /// batched analogue of [`DistMap::update`]; one global atomic is recorded
@@ -209,7 +196,7 @@ where
             rpc.push(self.owner_of(key), key.clone());
         }
         rpc.finish(|key| {
-            ctx.record_atomic();
+            ctx.record(Counter::atomic_ops, 1);
             let (owner, sub) = self.slot(&key);
             let mut guard = self.shards[owner].subs[sub].lock();
             f(&key, guard.get_mut(&key))
@@ -256,7 +243,7 @@ where
             }
         }
         if !keys.is_empty() {
-            ctx.record_rpc_round_trip();
+            ctx.record(Counter::rpc_round_trips, 1);
         }
         out
     }
@@ -275,7 +262,7 @@ where
     pub fn update<R>(&self, ctx: &Ctx, key: &K, f: impl FnOnce(Option<&mut V>) -> R) -> R {
         let (owner, sub) = self.slot(key);
         ctx.record_access(owner);
-        ctx.record_atomic();
+        ctx.record(Counter::atomic_ops, 1);
         let mut guard = self.shards[owner].subs[sub].lock();
         f(guard.get_mut(key))
     }
@@ -301,7 +288,7 @@ where
     pub fn remove(&self, ctx: &Ctx, key: &K) -> Option<V> {
         let (owner, sub) = self.slot(key);
         ctx.record_access(owner);
-        ctx.record_atomic();
+        ctx.record(Counter::atomic_ops, 1);
         self.shards[owner].subs[sub].lock().remove(key)
     }
 
@@ -361,15 +348,6 @@ where
                 .collect(),
             _phase: phase,
         }
-    }
-
-    /// Removes and returns every entry owned by the calling rank.
-    pub fn drain_local(&self, ctx: &Ctx) -> Vec<(K, V)> {
-        let mut out = Vec::new();
-        for sub in &self.shards[ctx.rank()].subs {
-            out.extend(sub.lock().drain());
-        }
-        out
     }
 
     /// Clones every entry owned by the calling rank into a vector.
@@ -645,12 +623,6 @@ mod tests {
             let got = map.get_many(ctx, &keys, 8);
             let expect: Vec<Option<u64>> = keys.iter().map(|k| map.get_cloned(ctx, k)).collect();
             assert_eq!(got, expect);
-            let has = map.contains_many(ctx, &keys, 8);
-            assert_eq!(
-                has,
-                keys.iter().map(|k| *k < 100).collect::<Vec<_>>(),
-                "contains_many disagrees"
-            );
         });
     }
 
@@ -760,7 +732,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_and_drain_local() {
+    fn insert_local_is_traffic_free_and_visible_to_every_rank() {
         let team = Team::single_node(3);
         team.run(|ctx| {
             let map: Arc<DistMap<u64, u64>> = DistMap::shared(ctx);
@@ -777,14 +749,6 @@ mod tests {
             ctx.barrier();
             for k in 0..90u64 {
                 assert_eq!(map.get_cloned(ctx, &k), Some(k));
-            }
-            ctx.barrier();
-            let drained = map.drain_local(ctx);
-            let total_drained = ctx.allreduce_sum_u64(drained.len() as u64);
-            assert_eq!(total_drained, 90 + 1);
-            ctx.barrier();
-            if ctx.rank() == 0 {
-                assert!(map.is_empty());
             }
         });
     }

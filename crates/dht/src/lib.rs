@@ -8,8 +8,8 @@
 //! |---|---|
 //! | 1. Global update-only (commutative inserts, batched) | [`DistMap`] + [`bulk_merge`] (aggregated per-owner batches applied locally) |
 //! | 2. Global reads & writes (atomics instead of locks) | [`DistMap::update`] / [`DistMap::update_many`]-style entry mutation under fine-grained sharded locks, with atomic-op accounting |
-//! | 3. Global read-only with reuse | [`CachedView`] ([`SoftwareCache`] + batched miss fill) and the bulk read APIs [`DistMap::get_many`] / [`DistMap::contains_many`] over the `pgas` request–response layer |
-//! | 4. Local reads & writes after deterministic routing | [`bulk_merge`] / [`DistMap::for_each_local`] / [`DistMap::drain_local`] |
+//! | 3. Global read-only with reuse | [`CachedView`] ([`SoftwareCache`] + batched miss fill) and the bulk read API [`DistMap::get_many`] over the `pgas` request–response layer |
+//! | 4. Local reads & writes after deterministic routing | [`bulk_merge`] / [`DistMap::for_each_local`] / [`DistMap::insert_local`] |
 //!
 //! The read side mirrors the write side's aggregation: just as `bulk_merge`
 //! buffers inserts per owner and ships them in large messages, `get_many`

@@ -2,8 +2,8 @@
 //! randomised key sets, team widths (1–8 ranks) and batch sizes, a single
 //! collective [`DistMap::get_many`] must return exactly what a loop of
 //! fine-grained [`DistMap::get_cloned`] calls returns — including absent keys
-//! and duplicate requests — and [`DistMap::contains_many`] /
-//! [`DistMap::get_many_onesided`] must agree with it.
+//! and duplicate requests — and [`DistMap::get_many_onesided`] must agree
+//! with it.
 
 use dht::{bulk_merge, DistMap};
 use pgas::Team;
@@ -49,13 +49,6 @@ fn batched_reads_match_fine_grained_reads_on_randomised_workloads() {
             assert_eq!(
                 got, expect,
                 "get_many mismatch: trial={trial} ranks={ranks} batch={batch}"
-            );
-
-            let has = map.contains_many(ctx, queries, batch);
-            let expect_has: Vec<bool> = expect.iter().map(|v| v.is_some()).collect();
-            assert_eq!(
-                has, expect_has,
-                "contains_many mismatch: trial={trial} ranks={ranks} batch={batch}"
             );
 
             let onesided = map.get_many_onesided(ctx, queries);

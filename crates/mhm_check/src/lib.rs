@@ -28,7 +28,7 @@
 //! shim is process-wide state, and two scenarios perturbing each other
 //! would destroy the seed's meaning.
 
-use pgas::{FaultPlan, RankFault, Team, Topology};
+use pgas::{Counter, FaultPlan, RankFault, Team, Topology};
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc;
 use std::sync::Mutex;
@@ -428,8 +428,8 @@ fn cached_view_onesided_fill(_seed: u64) -> Result<(), String> {
             |_: &u64| 8,
             dht::Residency {
                 owned: 0,
-                record_fetched: |ctx, bytes| ctx.record_contig_fetch_bytes(bytes),
-                record_resident: |ctx, bytes| ctx.record_contig_resident(bytes),
+                fetched: Counter::contig_fetch_bytes,
+                resident: Counter::contig_bytes_resident,
             },
         );
         let mut verdict = Ok(());

@@ -56,6 +56,7 @@
 //! correctly, as additional on-node traffic.
 
 use crate::conformance::OpKind;
+use crate::stats::Counter;
 use crate::team::{Ctx, SlotLease};
 use parking_lot::Mutex;
 use std::mem::size_of_val;
@@ -641,13 +642,13 @@ where
             // The owner produced the response payload either way, so
             // `rpc_resp_bytes` is identical in flat and hierarchical mode.
             let bytes = size_of_val(batch.as_slice());
-            ctx.record_rpc_response_bytes(bytes);
+            ctx.record(Counter::rpc_resp_bytes, bytes as u64);
             self.replies.send(ctx, dest, batch, bytes);
         }
         let mut mine = self.replies.collect(ctx);
         mine.sort_unstable_by_key(|r| r.seq);
         debug_assert_eq!(mine.len(), self.next_seq as usize, "lost RPC responses");
-        ctx.record_rpc_round_trip();
+        ctx.record(Counter::rpc_round_trips, 1);
         // No trailing barrier; see `Lane`.
         mine.into_iter().map(|r| r.resp).collect()
     }

@@ -41,7 +41,7 @@ pub mod work;
 
 pub use conformance::{OpKind, OpRecord};
 pub use exchange::{Aggregator, BlobAggregator, RpcAggregator};
-pub use stats::{CommStats, Reduction, StatsSnapshot};
+pub use stats::{CommStats, Counter, Reduction, StatsSnapshot};
 pub use team::{
     install_panic_accounting, unexpected_panics, Ctx, FaultPlan, LocalPhaseGuard, RankFault, Team,
 };

@@ -5,24 +5,68 @@
 //! of §II-I (whose benefit is *fewer off-node seed lookups* and *better cache
 //! reuse*). Every simulated remote operation is therefore counted here, and the
 //! experiment harnesses report these counters next to the timings.
+//!
+//! A counter is one row of the `counters!` table below: its doc, its name
+//! and its [`Reduction`]. The row yields the [`CommStats`] cell, the
+//! [`StatsSnapshot`] field and the [`Counter`] key, and code records into it
+//! with [`Ctx::record`], which applies the row's reduction. The traffic
+//! counters split by topology or credited to a serving rank are written by
+//! [`Ctx::record_message`], [`Ctx::record_access`] and
+//! [`Ctx::record_rpc_response_from`].
 
+use crate::Ctx;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How a counter's per-rank values combine into one team-wide figure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Reduction {
-    /// Events and bytes, counted once on the rank that caused them.
+    /// Events and bytes, counted once on the rank that caused them:
+    /// [`Ctx::record`] adds.
     Sum,
     /// A per-rank running peak; memory is provisioned per rank, so the
-    /// team-wide figure is the largest rank's.
+    /// team-wide figure is the largest rank's: [`Ctx::record`] raises the
+    /// peak.
     Max,
 }
 
-/// Generates [`CommStats`], [`StatsSnapshot`] and every per-counter list over
-/// them from the one table at the bottom of this macro's invocation:
-/// `doc, name: Sum | Max`. Adding a counter is adding a row.
+impl Reduction {
+    /// Folds `value` into one rank's `cell`.
+    #[inline]
+    fn apply(self, cell: &AtomicU64, value: u64) {
+        match self {
+            Reduction::Sum => cell.fetch_add(value, Ordering::Relaxed),
+            Reduction::Max => cell.fetch_max(value, Ordering::Relaxed),
+        };
+    }
+}
+
+/// Generates [`CommStats`], [`StatsSnapshot`], the [`Counter`] keys,
+/// [`Ctx::record`] and every per-counter list over them from the one table at
+/// the bottom of this macro's invocation: `doc, name: Sum | Max`. Adding a
+/// counter is adding a row.
 macro_rules! counters {
     ($( $(#[$doc:meta])* $name:ident: $kind:ident, )*) => {
+        /// The key of one [`CommStats`] counter, named as its field: what
+        /// [`Ctx::record`] writes.
+        #[allow(non_camel_case_types)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Counter {
+            $( $(#[$doc])* $name, )*
+        }
+
+        impl Ctx<'_> {
+            /// Records `value` in this rank's `counter`, reduced as the
+            /// counter's row declares: added to a `Sum` row, raising the
+            /// running peak of a `Max` row.
+            #[inline]
+            pub fn record(&self, counter: Counter, value: u64) {
+                let stats = self.stats();
+                match counter {
+                    $( Counter::$name => Reduction::$kind.apply(&stats.$name, value), )*
+                }
+            }
+        }
+
         /// Atomic per-rank counters. Padded to a cache line to avoid false
         /// sharing between ranks that update their own counters concurrently.
         #[derive(Debug, Default)]
@@ -87,6 +131,12 @@ macro_rules! counters {
                 }
             }
         }
+
+        impl Counter {
+            /// Every key, in declaration order.
+            #[cfg(test)]
+            const ALL: &'static [Counter] = &[$( Counter::$name, )*];
+        }
     };
 }
 
@@ -148,7 +198,7 @@ counters! {
     /// Peak contig bytes resident on this rank: the owned shard of the
     /// distributed contig store plus the rank's reader cache (packed bytes),
     /// or the full replicated `ContigSet` (raw bytes) when the distributed
-    /// store is disabled. Updated with a running max, not a sum.
+    /// store is disabled.
     contig_bytes_resident: Max,
     /// Packed contig bytes fetched from remote shards of the distributed
     /// contig store (cache-miss fills; a measure of contig read traffic).
@@ -156,7 +206,7 @@ counters! {
     /// Peak read bytes resident on this rank: the owned shard of the
     /// distributed read store plus the rank's reader cache (packed bytes), or
     /// the full replicated `ReadLibrary` (raw seq+qual bytes) when the
-    /// distributed store is disabled. Updated with a running max, not a sum.
+    /// distributed store is disabled.
     read_bytes_resident: Max,
     /// Packed read-block bytes fetched from remote shards of the distributed
     /// read store (cache-miss fills; a measure of read fetch traffic).
@@ -279,6 +329,26 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(maxed, peaks);
+    }
+
+    #[test]
+    fn every_row_reduces_as_declared() {
+        let team = crate::Team::single_node(2);
+        team.run(|ctx| {
+            if ctx.rank() == 1 {
+                for &counter in Counter::ALL {
+                    ctx.record(counter, 5);
+                    ctx.record(counter, 3);
+                }
+            }
+        });
+        let expected = StatsSnapshot::default().map_counters(|kind, _| match kind {
+            Reduction::Sum => 8,
+            Reduction::Max => 5,
+        });
+        let per_rank = team.stats_per_rank();
+        assert_eq!(per_rank[1], expected);
+        assert_eq!(per_rank[0], StatsSnapshot::default());
     }
 
     #[test]

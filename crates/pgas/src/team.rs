@@ -615,22 +615,6 @@ impl<'t> Ctx<'t> {
         self.team.hierarchical_exchange()
     }
 
-    /// Records a global atomic operation.
-    #[inline]
-    pub fn record_atomic(&self) {
-        self.stats().atomic_ops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records the payload of a response leg of an aggregated
-    /// request–response exchange (in addition to the ordinary
-    /// [`Ctx::record_message`] accounting done by the send itself).
-    #[inline]
-    pub fn record_rpc_response_bytes(&self, bytes: usize) {
-        self.stats()
-            .rpc_resp_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
     /// Records the response leg of a *one-sided* aggregated read: the payload
     /// travels from `src` to this rank, but this rank's thread performs the
     /// transfer the owner's network interface would. The message (and its
@@ -650,144 +634,6 @@ impl<'t> Ctx<'t> {
             s.off_node_msgs.fetch_add(1, Ordering::Relaxed);
             s.remote_ops.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Records one completed aggregated request–response round trip.
-    #[inline]
-    pub fn record_rpc_round_trip(&self) {
-        self.stats().rpc_round_trips.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records the payload of one packed supermer record shipped by
-    /// supermer-routed k-mer analysis or contig k-mer injection (in addition
-    /// to the ordinary [`Ctx::record_message`] accounting done when the
-    /// carrying blob is flushed).
-    #[inline]
-    pub fn record_supermer_bytes(&self, bytes: usize) {
-        self.stats()
-            .supermer_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    /// Records `n` canonical k-mer observations counted by k-mer analysis on
-    /// this rank (one per k-mer window of a received supermer).
-    #[inline]
-    pub fn record_kmer_observations(&self, n: u64) {
-        self.stats()
-            .kmer_observations
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` entries inserted into this rank's shard of the k-mer
-    /// counts table.
-    #[inline]
-    pub fn record_kmer_table_inserts(&self, n: u64) {
-        self.stats()
-            .kmer_table_inserts
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one collective endpoint-exchange round of the segment-stitching
-    /// traversal. Call on rank 0 only, so that a team-summed snapshot reads
-    /// directly as "number of stitch rounds".
-    #[inline]
-    pub fn record_traversal_round(&self) {
-        self.stats()
-            .traversal_rounds
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records the payload of one segment-stitching exchange item (endpoint
-    /// query, pointer-jump probe or shipped segment record), in addition to
-    /// the ordinary aggregated-message accounting.
-    #[inline]
-    pub fn record_stitch_bytes(&self, bytes: usize) {
-        self.stats()
-            .stitch_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    /// Records the current contig bytes resident on this rank (owned shard of
-    /// the distributed contig store plus reader caches, or the replicated
-    /// `ContigSet` when the store is disabled). Keeps the running peak.
-    #[inline]
-    pub fn record_contig_resident(&self, bytes: usize) {
-        self.stats()
-            .contig_bytes_resident
-            .fetch_max(bytes as u64, Ordering::Relaxed);
-    }
-
-    /// Records packed contig bytes fetched from remote shards of the
-    /// distributed contig store (cache-miss fills), in addition to the
-    /// ordinary aggregated-message accounting.
-    #[inline]
-    pub fn record_contig_fetch_bytes(&self, bytes: usize) {
-        self.stats()
-            .contig_fetch_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    /// Records the current read bytes resident on this rank (owned shard of
-    /// the distributed read store plus reader caches, or the replicated
-    /// `ReadLibrary` when the store is disabled). Keeps the running peak.
-    #[inline]
-    pub fn record_read_resident(&self, bytes: usize) {
-        self.stats()
-            .read_bytes_resident
-            .fetch_max(bytes as u64, Ordering::Relaxed);
-    }
-
-    /// Records packed read-block bytes fetched from remote shards of the
-    /// distributed read store (cache-miss fills), in addition to the ordinary
-    /// aggregated-message accounting.
-    #[inline]
-    pub fn record_read_fetch_bytes(&self, bytes: usize) {
-        self.stats()
-            .read_fetch_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    /// Records the dynamic-programming cells one rRNA classification filled
-    /// in its 16-bit upper-bound pass and in its exact pass.
-    #[inline]
-    pub fn record_hmm_cells(&self, bound: u64, exact: u64) {
-        let stats = self.stats();
-        stats.hmm_bound_cells.fetch_add(bound, Ordering::Relaxed);
-        stats.hmm_exact_cells.fetch_add(exact, Ordering::Relaxed);
-    }
-
-    /// Records one read block of alignment work: the seed lookups it
-    /// resolved, how many of them another rank owns, the hits they returned
-    /// and the candidate placements verified against contig windows.
-    #[inline]
-    pub fn record_alignment_block(&self, lookups: u64, remote: u64, hits: u64, verified: u64) {
-        let stats = self.stats();
-        stats.seed_lookups.fetch_add(lookups, Ordering::Relaxed);
-        stats
-            .seed_lookups_remote
-            .fetch_add(remote, Ordering::Relaxed);
-        stats.seed_hits.fetch_add(hits, Ordering::Relaxed);
-        stats
-            .align_candidates_verified
-            .fetch_add(verified, Ordering::Relaxed);
-    }
-
-    /// Records `n` software-cache hits on this rank.
-    #[inline]
-    pub fn record_cache_hits(&self, n: u64) {
-        self.stats().cache_hits.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` software-cache misses on this rank.
-    #[inline]
-    pub fn record_cache_misses(&self, n: u64) {
-        self.stats().cache_misses.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one software-cache eviction on this rank.
-    #[inline]
-    pub fn record_cache_eviction(&self) {
-        self.stats().cache_evictions.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one collective entry for this rank: folds the descriptor into
@@ -972,12 +818,6 @@ impl<'t> Ctx<'t> {
         self.reduce_u64_with(value, u64::max)
     }
 
-    /// All-reduce min over u64 contributions. Collective.
-    #[track_caller]
-    pub fn allreduce_min_u64(&self, value: u64) -> u64 {
-        self.reduce_u64_with(value, u64::min)
-    }
-
     /// All-reduce logical OR over boolean contributions. Collective.
     /// This is the "was anything pruned this iteration" reduction of
     /// Algorithm 2.
@@ -1000,12 +840,6 @@ impl<'t> Ctx<'t> {
         }
         self.barrier();
         acc
-    }
-
-    /// All-reduce sum over f64 contributions. Collective.
-    #[track_caller]
-    pub fn allreduce_sum_f64(&self, value: f64) -> f64 {
-        self.reduce_f64_with(value, |a, b| a + b)
     }
 
     /// All-reduce max over f64 contributions. Collective.
@@ -1035,6 +869,7 @@ pub fn block_range_for(rank: usize, ranks: usize, total: usize) -> std::ops::Ran
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Counter;
 
     #[test]
     fn reusable_slots_reuse_sequentially_and_split_concurrently() {
@@ -1080,14 +915,10 @@ mod tests {
         assert!(sums.iter().all(|&s| s == 10));
         let maxs = team.run(|ctx| ctx.allreduce_max_u64(ctx.rank() as u64));
         assert!(maxs.iter().all(|&m| m == 3));
-        let mins = team.run(|ctx| ctx.allreduce_min_u64(ctx.rank() as u64 + 5));
-        assert!(mins.iter().all(|&m| m == 5));
         let anys = team.run(|ctx| ctx.allreduce_any(ctx.rank() == 2));
         assert!(anys.iter().all(|&b| b));
         let nones = team.run(|ctx| ctx.allreduce_any(false));
         assert!(nones.iter().all(|&b| !b));
-        let fsum = team.run(|ctx| ctx.allreduce_sum_f64(0.5 * (ctx.rank() as f64 + 1.0)));
-        assert!(fsum.iter().all(|&s| (s - 5.0).abs() < 1e-12));
         let fmax = team.run(|ctx| ctx.allreduce_max_f64(-(ctx.rank() as f64)));
         assert!(fmax.iter().all(|&m| (m - 0.0).abs() < 1e-12));
     }
@@ -1147,7 +978,7 @@ mod tests {
             for owner in 0..ctx.ranks() {
                 ctx.record_access(owner);
             }
-            ctx.record_atomic();
+            ctx.record(Counter::atomic_ops, 1);
         });
         let total = team.stats_total();
         // Each of 4 ranks: 2 local (same node incl. self), 2 remote.

@@ -5,6 +5,7 @@
 //! so MetaHipMer lets each processor grab blocks of work through a single
 //! global atomic counter. [`DynamicBlocks`] is that counter.
 
+use crate::stats::Counter;
 use crate::team::Ctx;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -38,13 +39,13 @@ impl DynamicBlocks {
     /// own"; subsequent grabs are counted as steals in the rank's statistics
     /// (`is_first` lets the caller tell the two apart).
     pub fn next_block(&self, ctx: &Ctx, is_first: bool) -> Option<Range<usize>> {
-        ctx.record_atomic();
+        ctx.record(Counter::atomic_ops, 1);
         let start = self.next.fetch_add(self.block, Ordering::Relaxed);
         if start >= self.total {
             return None;
         }
         if !is_first {
-            ctx.stats().steals.fetch_add(1, Ordering::Relaxed);
+            ctx.record(Counter::steals, 1);
         }
         Some(start..(start + self.block).min(self.total))
     }

@@ -48,7 +48,7 @@
 
 use dht::{CachedView, DistMap, FxHashMap, Residency};
 use kmers::PackedSeq;
-use pgas::Ctx;
+use pgas::{Counter, Ctx};
 use seqio::{FastqBlockIter, PackedReadView, PairOrientation, Read, ReadId, ReadLibrary};
 use std::sync::Arc;
 
@@ -321,7 +321,10 @@ impl ReadStore {
             cache_bytes: params.cache_bytes,
             batch: params.batch,
         });
-        ctx.record_read_resident(store.owned_packed_bytes(ctx));
+        ctx.record(
+            Counter::read_bytes_resident,
+            store.owned_packed_bytes(ctx) as u64,
+        );
         ctx.barrier();
         store
     }
@@ -392,7 +395,10 @@ impl ReadStore {
             cache_bytes: params.cache_bytes,
             batch: params.batch,
         });
-        ctx.record_read_resident(store.owned_packed_bytes(ctx));
+        ctx.record(
+            Counter::read_bytes_resident,
+            store.owned_packed_bytes(ctx) as u64,
+        );
         ctx.barrier();
         Ok(store)
     }
@@ -450,7 +456,10 @@ impl ReadStore {
             store.num_blocks(),
             "checkpoint restore lost read blocks"
         );
-        ctx.record_read_resident(store.owned_packed_bytes(ctx));
+        ctx.record(
+            Counter::read_bytes_resident,
+            store.owned_packed_bytes(ctx) as u64,
+        );
         ctx.barrier();
         store
     }
@@ -570,8 +579,8 @@ impl ReadStore {
             PackedReadBlock::packed_bytes,
             Residency {
                 owned: self.owned_packed_bytes(ctx),
-                record_fetched: |ctx, bytes| ctx.record_read_fetch_bytes(bytes),
-                record_resident: |ctx, bytes| ctx.record_read_resident(bytes),
+                fetched: Counter::read_fetch_bytes,
+                resident: Counter::read_bytes_resident,
             },
         )
     }

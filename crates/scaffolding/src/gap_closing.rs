@@ -19,7 +19,7 @@
 
 use crate::links::LinkSet;
 use crate::types::{Scaffold, ScaffoldSet};
-use dbg::{ContigId, ContigSet, ContigsRef};
+use dbg::{ContigId, ContigsRef};
 use dht::FxHashMap;
 use pgas::Ctx;
 use seqio::alphabet::revcomp;
@@ -229,17 +229,6 @@ fn close_scaffold(
     scaffold.seq = seq;
 }
 
-/// Collectively closes the gaps of all scaffolds of a replicated contig set.
-pub fn close_gaps(
-    ctx: &Ctx,
-    contigs: &ContigSet,
-    gapped: Vec<Scaffold>,
-    links: &LinkSet,
-    params: &GapClosingParams,
-) -> (ScaffoldSet, GapClosingReport) {
-    close_gaps_ref(ctx, ContigsRef::Local(contigs), gapped, links, params)
-}
-
 /// Collectively closes the gaps of all scaffolds and materialises their
 /// sequences. Scaffolds are dealt round-robin over ranks; the finished set is
 /// identical on every rank.
@@ -313,6 +302,7 @@ pub fn close_gaps_ref(
 mod tests {
     use super::*;
     use crate::types::ScaffoldEntry;
+    use dbg::ContigSet;
     use pgas::Team;
 
     fn contigs_from(seqs: &[&Vec<u8>]) -> ContigSet {
@@ -350,9 +340,9 @@ mod tests {
         let team = Team::single_node(2);
         let out = team.run(|ctx| {
             let links = LinkSet::default();
-            close_gaps(
+            close_gaps_ref(
                 ctx,
-                &contigs,
+                (&contigs).into(),
                 gapped.clone(),
                 &links,
                 &GapClosingParams::default(),
@@ -402,9 +392,9 @@ mod tests {
         let team = Team::single_node(1);
         let out = team.run(|ctx| {
             let links = LinkSet::default();
-            close_gaps(
+            close_gaps_ref(
                 ctx,
-                &contigs,
+                (&contigs).into(),
                 gapped.clone(),
                 &links,
                 &GapClosingParams::default(),
@@ -464,9 +454,9 @@ mod tests {
         let team = Team::single_node(1);
         let out = team.run(|ctx| {
             let links = LinkSet::default();
-            close_gaps(
+            close_gaps_ref(
                 ctx,
-                &contigs,
+                (&contigs).into(),
                 gapped.clone(),
                 &links,
                 &GapClosingParams::default(),
@@ -500,9 +490,9 @@ mod tests {
             let gapped2 = gapped.clone();
             let out = team.run(|ctx| {
                 let links = LinkSet::default();
-                close_gaps(
+                close_gaps_ref(
                     ctx,
-                    &contigs,
+                    (&contigs).into(),
                     gapped2.clone(),
                     &links,
                     &GapClosingParams::default(),

@@ -25,17 +25,16 @@ pub mod links;
 pub mod traversal;
 pub mod types;
 
-pub use gap_closing::{close_gaps, close_gaps_ref, GapClosingParams, GapClosingReport};
-pub use links::{build_links, build_links_ref, ContigEndRef, End, LinkData, LinkKey, LinkSet};
-pub use traversal::{traverse_contig_graph, traverse_contig_graph_ref, ScaffoldTraversalParams};
+pub use gap_closing::{close_gaps_ref, GapClosingParams, GapClosingReport};
+pub use links::{build_links_ref, ContigEndRef, End, LinkData, LinkKey, LinkSet};
+pub use traversal::{traverse_contig_graph_ref, ScaffoldTraversalParams};
 pub use types::{Scaffold, ScaffoldEntry, ScaffoldSet};
 
 use aligner::AlignmentSet;
-use dbg::{ContigSet, ContigsRef};
+use dbg::ContigsRef;
 use pgas::Ctx;
 use readstore::ReadsRef;
 use rrna_hmm::RrnaDetector;
-use seqio::ReadLibrary;
 
 /// End-to-end scaffolding parameters.
 #[derive(Debug, Clone, Default)]
@@ -43,25 +42,6 @@ pub struct ScaffoldParams {
     pub links: links::LinkParams,
     pub traversal: ScaffoldTraversalParams,
     pub gap_closing: GapClosingParams,
-}
-
-/// Runs the full scaffolding stage on a replicated contig set. Collective.
-pub fn scaffold(
-    ctx: &Ctx,
-    contigs: &ContigSet,
-    alignments: &AlignmentSet,
-    library: &ReadLibrary,
-    rrna: Option<&RrnaDetector>,
-    params: &ScaffoldParams,
-) -> (ScaffoldSet, GapClosingReport) {
-    scaffold_ref(
-        ctx,
-        ContigsRef::Local(contigs),
-        alignments,
-        ReadsRef::Local(library),
-        rrna,
-        params,
-    )
 }
 
 /// Runs the full scaffolding stage against either contig source. Collective.

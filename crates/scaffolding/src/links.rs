@@ -1,11 +1,10 @@
 //! Splint/span detection and contig-link aggregation (§III-B).
 
 use aligner::{Alignment, AlignmentSet};
-use dbg::{ContigId, ContigSet, ContigsRef};
+use dbg::{ContigId, ContigsRef};
 use dht::{bulk_merge, DistMap};
 use pgas::Ctx;
 use readstore::ReadsRef;
-use seqio::ReadLibrary;
 use std::sync::Arc;
 
 /// Which end of a contig (in its stored orientation) a link attaches to.
@@ -199,24 +198,6 @@ fn orient(a: &Alignment, contig_len: usize, read_len: usize) -> OrientedAlignmen
     }
 }
 
-/// Collectively builds the link set from this rank's alignments against a
-/// replicated contig set.
-pub fn build_links(
-    ctx: &Ctx,
-    contigs: &ContigSet,
-    alignments: &AlignmentSet,
-    library: &ReadLibrary,
-    params: &LinkParams,
-) -> LinkSet {
-    build_links_ref(
-        ctx,
-        ContigsRef::Local(contigs),
-        alignments,
-        ReadsRef::Local(library),
-        params,
-    )
-}
-
 /// Collectively builds the link set from this rank's alignments. Link
 /// geometry only needs contig and read *lengths*, which both contig sources
 /// and both read sources answer from replicated metadata — no sequence bytes
@@ -370,10 +351,11 @@ pub fn build_links_ref(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aligner::{align_reads, build_seed_index, AlignParams};
+    use aligner::{align_reads_ref, build_seed_index_ref, AlignParams};
+    use dbg::ContigSet;
     use pgas::Team;
     use seqio::alphabet::revcomp;
-    use seqio::Read;
+    use seqio::{Read, ReadLibrary};
 
     /// A deterministic pseudo-random genome (no external RNG needed here).
     fn genome(len: usize, seed: u64) -> Vec<u8> {
@@ -419,7 +401,7 @@ mod tests {
     }
 
     fn align_all(ctx: &pgas::Ctx, lib: &ReadLibrary, contigs: &ContigSet) -> AlignmentSet {
-        let index = build_seed_index(ctx, contigs, 15);
+        let index = build_seed_index_ref(ctx, contigs.into(), 15);
         ctx.barrier();
         let range = ctx.block_range(lib.num_pairs());
         let reads = range.flat_map(|p| {
@@ -428,10 +410,10 @@ mod tests {
                 (2 * p as u64 + 1, lib.read(2 * p as u64 + 1).clone()),
             ]
         });
-        align_reads(
+        align_reads_ref(
             ctx,
             reads,
-            contigs,
+            contigs.into(),
             &index,
             &AlignParams {
                 seed_len: 15,
@@ -450,7 +432,13 @@ mod tests {
         let team = Team::single_node(2);
         let sets = team.run(|ctx| {
             let alignments = align_all(ctx, &lib, &contigs);
-            build_links(ctx, &contigs, &alignments, &lib, &LinkParams::default())
+            build_links_ref(
+                ctx,
+                (&contigs).into(),
+                &alignments,
+                (&lib).into(),
+                &LinkParams::default(),
+            )
         });
         for s in &sets[1..] {
             assert_eq!(s.links, sets[0].links);
@@ -482,7 +470,13 @@ mod tests {
         let team = Team::single_node(2);
         let sets = team.run(|ctx| {
             let alignments = align_all(ctx, &lib, &contigs);
-            build_links(ctx, &contigs, &alignments, &lib, &LinkParams::default())
+            build_links_ref(
+                ctx,
+                (&contigs).into(),
+                &alignments,
+                (&lib).into(),
+                &LinkParams::default(),
+            )
         });
         let links = &sets[0];
         let span_links: u32 = links.links.iter().map(|(_, d)| d.spans).sum();
@@ -501,7 +495,13 @@ mod tests {
         let team = Team::single_node(1);
         let sets = team.run(|ctx| {
             let alignments = align_all(ctx, &lib, &contigs);
-            build_links(ctx, &contigs, &alignments, &lib, &LinkParams::default())
+            build_links_ref(
+                ctx,
+                (&contigs).into(),
+                &alignments,
+                (&lib).into(),
+                &LinkParams::default(),
+            )
         });
         assert!(
             sets[0].links.is_empty(),

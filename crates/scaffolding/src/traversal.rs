@@ -2,8 +2,8 @@
 
 use crate::links::{ContigEndRef, End, LinkData, LinkSet};
 use crate::types::{Scaffold, ScaffoldEntry};
-use dbg::{ContigId, ContigSet, ContigsRef};
-use pgas::Ctx;
+use dbg::{ContigId, ContigsRef};
+use pgas::{Counter, Ctx};
 use rrna_hmm::RrnaDetector;
 use std::collections::HashSet;
 
@@ -198,17 +198,6 @@ fn walk(
     out
 }
 
-/// Collectively traverses the contig graph of a replicated contig set.
-pub fn traverse_contig_graph(
-    ctx: &Ctx,
-    contigs: &ContigSet,
-    links: &LinkSet,
-    rrna: Option<&RrnaDetector>,
-    params: &ScaffoldTraversalParams,
-) -> Vec<Scaffold> {
-    traverse_contig_graph_ref(ctx, ContigsRef::Local(contigs), links, rrna, params)
-}
-
 /// Collectively traverses the contig graph and returns gapped scaffolds
 /// (entries only; sequences are materialised by gap closing). The result is
 /// identical on every rank.
@@ -229,7 +218,8 @@ pub fn traverse_contig_graph_ref(
     let is_hit = |detector: &RrnaDetector, seq: &[u8], report: bool| {
         let call = detector.classify(seq);
         if report {
-            ctx.record_hmm_cells(call.bound_cells, call.exact_cells);
+            ctx.record(Counter::hmm_bound_cells, call.bound_cells);
+            ctx.record(Counter::hmm_exact_cells, call.exact_cells);
         }
         call.hit
     };
@@ -363,6 +353,7 @@ pub fn traverse_contig_graph_ref(
 mod tests {
     use super::*;
     use crate::links::LinkKey;
+    use dbg::ContigSet;
     use pgas::Team;
 
     fn end(contig: ContigId, end: End) -> ContigEndRef {
@@ -428,9 +419,9 @@ mod tests {
         let links = chain_links(3, 3);
         let team = Team::single_node(2);
         let scaffolds = team.run(|ctx| {
-            traverse_contig_graph(
+            traverse_contig_graph_ref(
                 ctx,
-                &contigs,
+                (&contigs).into(),
                 &links,
                 None,
                 &ScaffoldTraversalParams::default(),
@@ -455,9 +446,9 @@ mod tests {
         let links = chain_links(3, 1); // below the min support of 2
         let team = Team::single_node(1);
         let scaffolds = team.run(|ctx| {
-            traverse_contig_graph(
+            traverse_contig_graph_ref(
                 ctx,
-                &contigs,
+                (&contigs).into(),
                 &links,
                 None,
                 &ScaffoldTraversalParams::default(),
@@ -492,9 +483,9 @@ mod tests {
         };
         let team = Team::single_node(2);
         let scaffolds = team.run(|ctx| {
-            traverse_contig_graph(
+            traverse_contig_graph_ref(
                 ctx,
-                &contigs,
+                (&contigs).into(),
                 &links,
                 None,
                 &ScaffoldTraversalParams::default(),
@@ -536,9 +527,9 @@ mod tests {
         for ranks in [1, 2, 4] {
             let team = Team::single_node(ranks);
             let scaffolds = team.run(|ctx| {
-                traverse_contig_graph(
+                traverse_contig_graph_ref(
                     ctx,
-                    &contigs,
+                    (&contigs).into(),
                     &links,
                     None,
                     &ScaffoldTraversalParams::default(),

@@ -12,8 +12,9 @@
 //!    mid-mutation. The runtime catches this dynamically; the lint catches
 //!    it before a test has to.
 //! 3. **stats-accessor** — `CommStats` counters outside `crates/pgas` are
-//!    read-only: incrementing through `.stats()` bypasses the accounting
-//!    accessors and silently skews the paper-facing traffic numbers.
+//!    read-only: writing through `.stats()` bypasses `Ctx::record`, which
+//!    applies each counter's declared reduction, and silently skews the
+//!    paper-facing traffic numbers.
 //! 4. **no-naked-unwrap** — `unwrap()`/`expect(` in `pgas`/`dht`
 //!    non-test code turns a data-dependent surprise into an unexplained
 //!    panic inside a collective, which the whole team experiences as a
@@ -98,8 +99,6 @@ const COLLECTIVE_FNS: &[&str] = &[
     "broadcast",
     "allreduce_sum_u64",
     "allreduce_max_u64",
-    "allreduce_min_u64",
-    "allreduce_sum_f64",
     "allreduce_max_f64",
     "allreduce_any",
     "reduce_u64_with",
@@ -215,10 +214,11 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
             }
         }
 
-        // Rule 3: CommStats counters are written through accessors only.
+        // Rule 3: CommStats counters are written through `Ctx::record` only.
         if !in_pgas {
             let writes = code.contains(".fetch_add(")
                 || code.contains(".fetch_sub(")
+                || code.contains(".fetch_max(")
                 || code.contains(".store(");
             if writes && !has_escape(&raw_lines, idx, "stats") {
                 let window_start = idx.saturating_sub(2);
@@ -230,8 +230,8 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
                         path: path.to_string(),
                         line: line_no,
                         rule: "stats-accessor",
-                        message: "CommStats counter written directly; use the Ctx recording \
-                                  accessors so traffic accounting stays consistent"
+                        message: "CommStats counter written directly; use `Ctx::record` so \
+                                  the counter's declared reduction is applied"
                             .to_string(),
                     });
                 }
@@ -375,6 +375,10 @@ mod tests {
                        ctx.stats().cache_hits.fetch_add(1, Ordering::Relaxed);\n\
                    }\n";
         assert_eq!(rules("crates/dht/src/cache.rs", src), ["stats-accessor"]);
+        let peak = "fn f(ctx: &Ctx) {\n\
+                        ctx.stats().contig_bytes_resident.fetch_max(9, Ordering::Relaxed);\n\
+                    }\n";
+        assert_eq!(rules("crates/dbg/src/store.rs", peak), ["stats-accessor"]);
         // pgas itself owns the counters.
         assert_eq!(rules("crates/pgas/src/team.rs", src), [] as [&str; 0]);
     }
