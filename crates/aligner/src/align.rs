@@ -114,18 +114,6 @@ impl Alignment {
             self.matches as f64 / self.aligned_len as f64
         }
     }
-
-    /// True if the oriented read extends past the left end (coordinate 0) of
-    /// the contig.
-    pub fn overhangs_left(&self) -> bool {
-        self.contig_offset < 0
-    }
-
-    /// True if the oriented read extends past the right end of a contig of the
-    /// given length.
-    pub fn overhangs_right(&self, contig_len: usize, read_len: usize) -> bool {
-        self.contig_offset + read_len as i64 > contig_len as i64
-    }
 }
 
 /// The alignments produced by one rank for the reads it processed.
@@ -1471,13 +1459,5 @@ mod tests {
         };
         assert_eq!(set.by_read()[&1].len(), 2);
         assert_eq!(set.best_per_read()[&1], a0);
-        assert!(!a1.overhangs_left());
-        assert!(Alignment {
-            contig_offset: -3,
-            ..a0
-        }
-        .overhangs_left());
-        assert!(a0.overhangs_right(40, 50));
-        assert!(!a0.overhangs_right(100, 50));
     }
 }

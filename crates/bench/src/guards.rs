@@ -1,9 +1,10 @@
 //! The guard rows of the experiment runner: each assembles `mg64_tiny`
-//! ([`datasets::mg64_tiny`]), exits non-zero unless its hard claims hold,
-//! and writes its `BENCH_*.json` snapshot. CI runs all of them
-//! (`mhm_bench -- guards`).
+//! ([`datasets::mg64_tiny`]) — except `ablation_simd`, which times the
+//! compute kernels on pseudo-random sequences — exits non-zero unless its
+//! hard claims hold, and writes its `BENCH_*.json` snapshot. CI runs all of
+//! them (`mhm_bench -- guards`).
 
-use kmers::{kernels, Kmer};
+use kmers::kernels;
 use mhm_bench::datasets;
 use mhm_bench::{fmt, json_records, print_table, sweep, write_snapshot, Record, Run};
 use mhm_core::{checkpoint, AssemblyConfig, MetaHipMer};
@@ -93,7 +94,7 @@ pub fn traversal() {
     write_snapshot(
         "BENCH_traversal.json",
         "ablation_traversal",
-        &ds,
+        &ds.name,
         vec![("runs", runs)],
     );
 }
@@ -219,7 +220,7 @@ fn store(store: &Store) {
     write_snapshot(
         store.file,
         store.row,
-        &ds,
+        &ds.name,
         vec![("runs", json_records(&records))],
     );
 }
@@ -391,7 +392,7 @@ pub fn topology() {
     write_snapshot(
         "BENCH_topology.json",
         "ablation_topology",
-        &ds,
+        &ds.name,
         vec![
             ("routed_off_msg_ratio", fmt(routed_ratio, 2)),
             ("off_msg_ratio", fmt(msg_ratio, 2)),
@@ -426,47 +427,59 @@ fn time_best(trials: usize, work: &mut dyn FnMut() -> u64) -> (f64, u64) {
     (best, sink)
 }
 
-/// Times `work` with the kernels pinned to scalar and then dispatched, and
-/// fails unless dispatch is at least `floor`× faster (0.0 = report only).
-fn bench_kernel(name: &'static str, floor: f64, mut work: impl FnMut() -> u64) -> Record {
+/// Times `work(false)` (the scalar twin) and then `work(true)` (the kernel)
+/// on identical inputs, best of several trials each, and fails unless both
+/// return the same value and the kernel is at least 2× faster.
+fn bench_kernel(name: &'static str, mut work: impl FnMut(bool) -> u64) -> Record {
     const TRIALS: usize = 7;
-    mhm_simd::set_force_scalar(true);
-    let (scalar_s, a) = time_best(TRIALS, &mut work);
-    mhm_simd::set_force_scalar(false);
-    let (fast_s, b) = time_best(TRIALS, &mut work);
-    black_box((a, b));
-    let ratio = scalar_s / fast_s;
+    const FLOOR: f64 = 2.0;
+    let (scalar_s, a) = time_best(TRIALS, &mut || work(false));
+    let (kernel_s, b) = time_best(TRIALS, &mut || work(true));
+    assert_eq!(a, b, "{name}: kernel and scalar twin disagree");
+    let ratio = scalar_s / kernel_s;
     assert!(
-        ratio >= floor,
-        "{name} speedup {ratio:.2}x below the {floor:.1}x floor \
-         (scalar {scalar_s:.4}s vs kernel {fast_s:.4}s)"
+        ratio >= FLOOR,
+        "{name} speedup {ratio:.2}x below the {FLOOR:.1}x floor \
+         (scalar {scalar_s:.4}s vs kernel {kernel_s:.4}s)"
     );
     vec![
         ("kernel", format!("\"{name}\"")),
         ("scalar_s", fmt(scalar_s, 6)),
-        ("kernel_s", fmt(fast_s, 6)),
+        ("kernel_s", fmt(kernel_s, 6)),
         ("speedup", fmt(ratio, 2)),
-        ("floor", fmt(floor, 1)),
+        ("floor", fmt(FLOOR, 1)),
     ]
+}
+
+/// Reverse complements every window 20 times with `revcomp`; a sum of the
+/// results' low words.
+fn revcomp_sum(
+    windows: &[[u64; 4]],
+    k: usize,
+    revcomp: impl Fn(&[u64; 4], usize) -> [u64; 4],
+) -> u64 {
+    let mut sink = 0u64;
+    for _ in 0..20 {
+        for w in windows {
+            sink = sink.wrapping_add(black_box(revcomp(w, k))[0]);
+        }
+    }
+    sink
 }
 
 /// `ablation_simd`: the word-parallel/SIMD compute kernels (`kmers::kernels`
 /// over `mhm_simd`) against their scalar twins.
 ///
-/// Times each kernel against its twin (best of several trials on identical
-/// inputs) and assembles in both dispatch modes at 1 and 4 ranks. Fails
-/// unless the dispatched revcomp, bulk-encode and bulk-decode kernels are
-/// each at least 2× their twins (canonical is reported only: its
-/// first-base early exit speeds the *scalar* mode too) and the scaffolds are
-/// byte-identical across dispatch modes — dispatch changes speed, never
-/// results. Snapshot: `BENCH_simd.json`.
+/// Times each kernel against its twin by direct call (best of several trials
+/// on identical pseudo-random inputs) and fails unless the revcomp,
+/// bulk-encode and bulk-decode kernels each agree with their twins and are
+/// at least 2× faster. Snapshot: `BENCH_simd.json`.
 pub fn simd() {
-    mhm_simd::set_force_scalar(false);
     let level = mhm_simd::level().name();
     println!("dispatch level: {level}");
 
-    // --- kernel micro-timings on identical inputs in both modes ------------
     const BASES: usize = 1 << 20;
+    const K: usize = 95;
     let seq = pseudo_seq(BASES, 0x5EED_CAFE);
     let mut noisy = seq.clone();
     for i in (0..BASES).step_by(997) {
@@ -474,86 +487,53 @@ pub fn simd() {
     }
     let mut packed = vec![0u8; BASES.div_ceil(4)];
     kernels::pack_ascii(&seq, &mut packed, |_, _| {});
-    let kmer_windows: Vec<Kmer> = (0..2_000)
-        .map(|i| Kmer::from_bytes(&seq[i * 97..i * 97 + 95]).expect("clean bases"))
+    let windows: Vec<[u64; 4]> = (0..2_000)
+        .map(|i| kernels::encode_words(&seq[i * 97..i * 97 + K]).expect("clean bases"))
         .collect();
+    let mut data = vec![0u8; BASES.div_ceil(4)];
+    let mut out = Vec::with_capacity(BASES);
 
-    let kernel_records = vec![
-        bench_kernel("revcomp_k95", 2.0, || {
-            let mut sink = 0u64;
-            for _ in 0..20 {
-                for km in &kmer_windows {
-                    sink = sink.wrapping_add(black_box(km.revcomp()).first_code() as u64);
-                }
+    let records = vec![
+        bench_kernel("revcomp_k95", |kernel| {
+            if kernel {
+                revcomp_sum(&windows, K, kernels::revcomp_words)
+            } else {
+                revcomp_sum(&windows, K, kernels::revcomp_words_scalar)
             }
-            sink
         }),
-        bench_kernel("canonical_k95", 0.0, || {
-            let mut sink = 0u64;
-            for _ in 0..20 {
-                for km in &kmer_windows {
-                    sink = sink.wrapping_add(black_box(km.canonical()).0.first_code() as u64);
-                }
-            }
-            sink
-        }),
-        bench_kernel("bulk_encode_1mb", 2.0, {
-            let mut data = vec![0u8; BASES.div_ceil(4)];
-            let noisy = noisy.clone();
-            move || {
-                data.fill(0);
-                let mut exceptions = 0u64;
+        bench_kernel("bulk_encode_1mb", |kernel| {
+            data.fill(0);
+            let mut exceptions = 0u64;
+            if kernel {
                 kernels::pack_ascii(&noisy, &mut data, |_, _| exceptions += 1);
-                black_box(&data);
-                data[0] as u64 + exceptions
+            } else {
+                kernels::pack_ascii_scalar(&noisy, &mut data, |_, _| exceptions += 1);
             }
+            black_box(&data);
+            data[0] as u64 + exceptions
         }),
-        bench_kernel("bulk_decode_1mb", 2.0, {
-            let mut out = Vec::with_capacity(BASES);
-            move || {
-                out.clear();
+        bench_kernel("bulk_decode_1mb", |kernel| {
+            out.clear();
+            if kernel {
                 kernels::unpack_ascii(&packed, 0, BASES, &mut out);
-                black_box(&out);
-                out[0] as u64
+            } else {
+                kernels::unpack_ascii_scalar(&packed, 0, BASES, &mut out);
             }
+            black_box(&out);
+            out[0] as u64
         }),
     ];
     print_table(
         &format!("Kernel vs scalar twin (dispatch level: {level})"),
-        &kernel_records,
+        &records,
     );
-
-    // --- end-to-end equality across dispatch modes -------------------------
-    let ds = datasets::mg64_tiny();
-    let points = [1usize, 4]
-        .into_iter()
-        .flat_map(|r| [(r, true), (r, false)]);
-    let runs = sweep(&ds, points, |force_scalar| {
-        mhm_simd::set_force_scalar(force_scalar);
-        AssemblyConfig::default()
-    });
-    mhm_simd::set_force_scalar(false);
-    let e2e_records: Vec<Record> = runs
-        .chunks(2)
-        .map(|pair| {
-            let (scalar, fast) = (&pair[0].1, &pair[1].1);
-            vec![
-                ("ranks", scalar.ranks.to_string()),
-                ("scalar_s", fmt(scalar.output.total_seconds, 2)),
-                ("kernel_s", fmt(fast.output.total_seconds, 2)),
-                ("scaffold_digest", digest_json(scalar.digest)),
-            ]
-        })
-        .collect();
-    print_table("End-to-end assembly across dispatch modes", &e2e_records);
     write_snapshot(
         "BENCH_simd.json",
         "ablation_simd",
-        &ds,
+        "pseudo_random_1mb",
         vec![
             ("dispatch_level", format!("\"{level}\"")),
-            ("kernels", json_records(&kernel_records)),
-            ("end_to_end", json_records(&e2e_records)),
+            ("kernels", json_records(&records)),
         ],
     );
 }
@@ -707,7 +687,7 @@ pub fn checkpoint() {
     write_snapshot(
         "BENCH_checkpoint.json",
         "ablation_checkpoint",
-        &ds,
+        &ds.name,
         vec![
             ("writer_ranks", WRITER_RANKS.to_string()),
             ("baseline_seconds", fmt(baseline.output.total_seconds, 4)),

@@ -66,9 +66,7 @@ impl Run {
 
 /// Assembles `ds` once per `(ranks, variant)` point with the configuration
 /// `setup(variant)` returns, keeping every run, and panics unless all of them
-/// assembled byte-identical scaffolds. `setup` runs just before its point's
-/// assembly, so it may also switch process state the variant stands for
-/// (the SIMD dispatch mode). Prints the one assembly's evaluation.
+/// assembled byte-identical scaffolds. Prints the one assembly's evaluation.
 pub fn sweep<V: Copy + Debug>(
     ds: &Dataset,
     points: impl IntoIterator<Item = (usize, V)>,
@@ -113,14 +111,11 @@ pub fn scaled_eval_params() -> EvalParams {
 /// rendered JSON (text quoted), goes into a snapshot ([`json_records`]).
 pub type Record = Vec<(&'static str, String)>;
 
-/// Writes a `BENCH_*.json` snapshot: `bench` (the row), the dataset's
-/// registry name, then `fields` in order. A write failure is reported, not
-/// fatal.
-pub fn write_snapshot(path: &str, bench: &str, ds: &Dataset, fields: Record) {
-    let mut json = format!(
-        "{{\n  \"bench\": \"{bench}\",\n  \"dataset\": \"{}\"",
-        ds.name
-    );
+/// Writes a `BENCH_*.json` snapshot: `bench` (the row), the `dataset`'s
+/// registry name (or what else the row ran on), then `fields` in order. A
+/// write failure is reported, not fatal.
+pub fn write_snapshot(path: &str, bench: &str, dataset: &str, fields: Record) {
+    let mut json = format!("{{\n  \"bench\": \"{bench}\",\n  \"dataset\": \"{dataset}\"");
     for (key, value) in fields {
         json.push_str(&format!(",\n  \"{key}\": {value}"));
     }

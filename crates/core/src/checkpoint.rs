@@ -706,21 +706,14 @@ pub fn commit(ctx: &Ctx, dir: &Path, mut manifest: Manifest, shard: &ShardData) 
                 .unwrap_or_else(|e| panic!("checkpoint: clear old checkpoint: {e}"));
         }
         fs::rename(&stage, &target).unwrap_or_else(|e| panic!("checkpoint: commit rename: {e}"));
-        expire_old_checkpoints(dir, keep_checkpoints());
+        expire_old_checkpoints(dir, KEEP_CHECKPOINTS);
     }
     ctx.barrier();
 }
 
-/// How many committed checkpoints [`commit`] retains, from `MHM_KEEP_CKPTS`
-/// (clamped to at least 1 — the checkpoint just committed is never its own
-/// sweep victim). Defaults to 3.
-pub fn keep_checkpoints() -> usize {
-    std::env::var("MHM_KEEP_CKPTS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(3)
-        .max(1)
-}
+/// How many committed checkpoints [`commit`] retains (at least 1 — the
+/// checkpoint just committed is never its own sweep victim).
+const KEEP_CHECKPOINTS: usize = 3;
 
 /// Removes stale checkpoint state from `dir`: every leftover staging
 /// directory (a torn write from a killed run — its iteration's commit either

@@ -36,11 +36,6 @@ impl StageTimings {
         out
     }
 
-    /// Stage names in first-recorded order.
-    pub fn stage_names(&self) -> Vec<String> {
-        self.stages.iter().map(|(n, _, _)| n.clone()).collect()
-    }
-
     /// Seconds recorded for a stage on this rank.
     pub fn seconds_of(&self, stage: &str) -> f64 {
         self.stages
@@ -98,7 +93,6 @@ mod tests {
             });
             t.time(ctx, "b", || ());
             assert!(t.seconds_of("a") > 0.0);
-            assert_eq!(t.stage_names(), vec!["a".to_string(), "b".to_string()]);
             assert!(t.total_seconds() >= t.seconds_of("a"));
             t.total_seconds()
         });

@@ -2,10 +2,6 @@
 //! across rank counts, torn/corrupt state is refused, and a run killed by an
 //! injected fault resumes — at a different rank count — to byte-identical
 //! final scaffolds.
-//!
-//! CI also re-runs this file under `MHM_FORCE_SCALAR=1`, so the packed
-//! sequence codec exercised by shard encode/decode is covered on both the
-//! word-parallel/SIMD and scalar kernel paths.
 
 use mhm_core::checkpoint::{self, Manifest, ShardData};
 use mhm_core::{AssemblyConfig, MetaHipMer};

@@ -61,14 +61,6 @@ pub struct KmerVertex {
     pub used: bool,
 }
 
-impl KmerVertex {
-    /// True if the vertex has a unique high-quality extension on both sides —
-    /// the "UU" k-mers that form contig interiors.
-    pub fn is_uu(&self) -> bool {
-        self.left.is_extendable() && self.right.is_extendable()
-    }
-}
-
 /// The distributed de Bruijn graph.
 pub type KmerGraph = Arc<DistMap<Kmer, KmerVertex>>;
 
@@ -223,7 +215,7 @@ mod tests {
             let mut total = 0usize;
             graph.for_each_local(ctx, |_, v| {
                 total += 1;
-                if v.is_uu() {
+                if v.left.is_extendable() && v.right.is_extendable() {
                     uu += 1;
                 }
             });

@@ -1,9 +1,9 @@
 //! Randomized round-trip properties of [`dbg::PackedSeq`] on top of the bulk
-//! pack/unpack kernels, including non-ACGT exception handling. CI runs this
-//! in both dispatch modes (`MHM_FORCE_SCALAR=1` and default), so the kernel
-//! and its scalar twin are both held to the same lossless contract.
+//! pack/unpack kernels, including non-ACGT exception handling, and the
+//! packing's agreement with the kernel's per-base scalar twin.
 
 use dbg::PackedSeq;
+use kmers::kernels;
 use rand::{Rng, SeedableRng};
 
 type StdRng = rand::rngs::StdRng;
@@ -55,15 +55,18 @@ fn packed_seq_roundtrips_with_exceptions() {
 }
 
 #[test]
-fn packing_is_identical_in_both_dispatch_modes() {
+fn packing_matches_the_scalar_twin() {
     let mut rng = StdRng::seed_from_u64(0x0DDC0DE);
     for len in [5usize, 33, 128, 301] {
         let seq = noisy_bases(&mut rng, len);
-        let fast = PackedSeq::from_bytes(&seq);
-        let was_forced = mhm_simd::force_scalar();
-        mhm_simd::set_force_scalar(true);
-        let scalar = PackedSeq::from_bytes(&seq);
-        mhm_simd::set_force_scalar(was_forced);
-        assert_eq!(fast, scalar, "len={len}");
+        let mut data = vec![0u8; len.div_ceil(4)];
+        let mut exceptions = Vec::new();
+        kernels::pack_ascii_scalar(&seq, &mut data, |i, b| exceptions.push((i as u32, b)));
+        let packed = PackedSeq::from_bytes(&seq);
+        assert_eq!(
+            packed.to_parts(),
+            (len, &data[..], &exceptions[..]),
+            "len={len}"
+        );
     }
 }

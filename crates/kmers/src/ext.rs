@@ -8,8 +8,6 @@
 //! extension, `F`ork when multiple extensions are supported, or e`X`tensionless
 //! when none is.
 
-use seqio::alphabet::decode_base;
-
 /// The reduced extension of a k-mer on one side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Ext {
@@ -22,15 +20,6 @@ pub enum Ext {
 }
 
 impl Ext {
-    /// The single-letter code used by HipMer/MetaHipMer logs: `ACGT`, `F`, `X`.
-    pub fn to_char(self) -> char {
-        match self {
-            Ext::Base(c) => decode_base(c) as char,
-            Ext::Fork => 'F',
-            Ext::None => 'X',
-        }
-    }
-
     /// True if this extension lets the traversal continue.
     pub fn is_extendable(self) -> bool {
         matches!(self, Ext::Base(_))
@@ -166,11 +155,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ext_chars() {
-        assert_eq!(Ext::Base(0).to_char(), 'A');
-        assert_eq!(Ext::Base(3).to_char(), 'T');
-        assert_eq!(Ext::Fork.to_char(), 'F');
-        assert_eq!(Ext::None.to_char(), 'X');
+    fn only_bases_are_extendable() {
         assert!(Ext::Base(2).is_extendable());
         assert!(!Ext::Fork.is_extendable());
         assert!(!Ext::None.is_extendable());

@@ -16,16 +16,17 @@
 //! * [`shift_right_bases`] — whole-value base shifts for suffix/prefix
 //!   derivation.
 //!
-//! Every kernel dispatches through [`mhm_simd::force_scalar`] and keeps its
-//! per-base scalar twin (`*_scalar`) in tree as the property-test oracle;
-//! `MHM_FORCE_SCALAR=1` pins the whole pipeline to the twins for ablation.
+//! Each operation has one body, which the pipeline calls directly (the byte
+//! scans inside pick their instruction set from [`mhm_simd::level`]), and a
+//! per-base scalar twin (`*_scalar`) kept in tree only as the property-test
+//! oracle and the `ablation_simd` timing baseline.
 //!
 //! Layout contract (shared with [`crate::kmer::Kmer`], `dbg::PackedSeq` and
 //! the supermer wire records): base `i` of a sequence occupies bits
 //! `2i..2i+2` of the little-endian 2-bit stream, i.e. bits `2(i%32)` of word
 //! `i/32`, or bits `2(i%4)` of byte `i/4`.
 
-use mhm_simd::{encode8, find_non_acgt, force_scalar, valid_acgt_mask8};
+use mhm_simd::{encode8, find_non_acgt, valid_acgt_mask8};
 use seqio::alphabet::{decode_base, encode_base};
 use std::cmp::Ordering;
 
@@ -103,7 +104,7 @@ pub fn revcomp_words_scalar(words: &[u64; 4], k: usize) -> [u64; 4] {
 /// `2k` bits — then shift them back down to bit 0. The complemented padding
 /// lands in the low bits and is shifted out exactly, so the result keeps the
 /// bits-beyond-`2k`-are-zero invariant.
-pub fn revcomp_words_word(words: &[u64; 4], k: usize) -> [u64; 4] {
+pub fn revcomp_words(words: &[u64; 4], k: usize) -> [u64; 4] {
     debug_assert!((1..=128).contains(&k));
     let rev = [
         rev2_u64(!words[3]),
@@ -112,16 +113,6 @@ pub fn revcomp_words_word(words: &[u64; 4], k: usize) -> [u64; 4] {
         rev2_u64(!words[0]),
     ];
     shr_bits(&rev, 2 * (128 - k))
-}
-
-/// Reverse complement kernel with runtime dispatch.
-#[inline]
-pub fn revcomp_words(words: &[u64; 4], k: usize) -> [u64; 4] {
-    if force_scalar() {
-        revcomp_words_scalar(words, k)
-    } else {
-        revcomp_words_word(words, k)
-    }
 }
 
 // --- lexicographic comparison ----------------------------------------------
@@ -139,11 +130,11 @@ pub fn lex_cmp_words_scalar(a: &[u64; 4], b: &[u64; 4], k: usize) -> Ordering {
     Ordering::Equal
 }
 
-/// Word-level lexicographic comparison of two equal-length 2-bit streams:
-/// base 0 lives in the least-significant bits, so the first differing base of
+/// Word-level lexicographic comparison of two equal-length 2-bit streams
+/// with zeroed padding: base 0 lives in the least-significant bits, so the first differing base of
 /// the first differing word is found with one XOR and a trailing-zeros count
 /// (rounded down to the 2-bit group boundary).
-pub fn lex_cmp_words_word(a: &[u64; 4], b: &[u64; 4]) -> Ordering {
+pub fn lex_cmp_words(a: &[u64; 4], b: &[u64; 4]) -> Ordering {
     for (&x, &y) in a.iter().zip(b) {
         if x != y {
             let sh = (x ^ y).trailing_zeros() & !1;
@@ -151,17 +142,6 @@ pub fn lex_cmp_words_word(a: &[u64; 4], b: &[u64; 4]) -> Ordering {
         }
     }
     Ordering::Equal
-}
-
-/// Lexicographic base comparison kernel with runtime dispatch. Both streams
-/// must hold `k` bases with zeroed padding.
-#[inline]
-pub fn lex_cmp_words(a: &[u64; 4], b: &[u64; 4], k: usize) -> Ordering {
-    if force_scalar() {
-        lex_cmp_words_scalar(a, b, k)
-    } else {
-        lex_cmp_words_word(a, b)
-    }
 }
 
 // --- ASCII -> k-mer words --------------------------------------------------
@@ -179,9 +159,9 @@ pub fn encode_words_scalar(seq: &[u8]) -> Option<[u64; 4]> {
     Some(words)
 }
 
-/// Bulk ASCII → 2-bit words: one vectorised validation sweep, then 8 bases
-/// per `u64` step. Returns `None` on any non-ACGT byte.
-pub fn encode_words_word(seq: &[u8]) -> Option<[u64; 4]> {
+/// Bulk ASCII → 2-bit words (`seq.len() <= 128`): one vectorised validation
+/// sweep, then 8 bases per `u64` step. Returns `None` on any non-ACGT byte.
+pub fn encode_words(seq: &[u8]) -> Option<[u64; 4]> {
     debug_assert!(seq.len() <= 128);
     if find_non_acgt(seq).is_some() {
         return None;
@@ -201,16 +181,6 @@ pub fn encode_words_word(seq: &[u8]) -> Option<[u64; 4]> {
         words[bit / 64] |= (code as u64) << (bit % 64);
     }
     Some(words)
-}
-
-/// ASCII → k-mer-words kernel with runtime dispatch (`seq.len() <= 128`).
-#[inline]
-pub fn encode_words(seq: &[u8]) -> Option<[u64; 4]> {
-    if force_scalar() {
-        encode_words_scalar(seq)
-    } else {
-        encode_words_word(seq)
-    }
 }
 
 // --- ASCII -> packed byte stream -------------------------------------------
@@ -235,8 +205,9 @@ pub fn pack_ascii_scalar(seq: &[u8], data: &mut [u8], mut on_invalid: impl FnMut
 
 /// Word-parallel ASCII → packed 2-bit stream (4 bases/byte): a vectorised
 /// validation probe picks between a check-free fast loop and a masked slow
-/// path that reports the exceptions.
-pub fn pack_ascii_word(seq: &[u8], data: &mut [u8], mut on_invalid: impl FnMut(usize, u8)) {
+/// path that reports the exceptions. `data` must be zeroed and sized for
+/// `seq`; invalid bytes are reported in position order.
+pub fn pack_ascii(seq: &[u8], data: &mut [u8], mut on_invalid: impl FnMut(usize, u8)) {
     debug_assert!(data.len() >= seq.len().div_ceil(4));
     let all_valid = find_non_acgt(seq).is_none();
     let mut chunks = seq.chunks_exact(8);
@@ -273,17 +244,6 @@ pub fn pack_ascii_word(seq: &[u8], data: &mut [u8], mut on_invalid: impl FnMut(u
     }
 }
 
-/// ASCII → packed-stream kernel with runtime dispatch. `data` must be zeroed
-/// and sized for `seq`; invalid bytes are reported in position order.
-#[inline]
-pub fn pack_ascii(seq: &[u8], data: &mut [u8], on_invalid: impl FnMut(usize, u8)) {
-    if force_scalar() {
-        pack_ascii_scalar(seq, data, on_invalid)
-    } else {
-        pack_ascii_word(seq, data, on_invalid)
-    }
-}
-
 // --- packed byte stream -> ASCII -------------------------------------------
 
 /// Scalar oracle for [`unpack_ascii`]: per-base shift/mask/[`decode_base`],
@@ -295,9 +255,10 @@ pub fn unpack_ascii_scalar(data: &[u8], start: usize, end: usize, out: &mut Vec<
     }
 }
 
-/// Bulk packed-stream → ASCII decode: 4 bases per 256-entry table lookup,
-/// with per-base handling only at the unaligned edges of the window.
-pub fn unpack_ascii_word(data: &[u8], start: usize, end: usize, out: &mut Vec<u8>) {
+/// Appends bases `start..end` of the little-endian 2-bit stream `data` to
+/// `out` as ASCII: 4 bases per 256-entry table lookup, with per-base
+/// handling only at the unaligned edges of the window.
+pub fn unpack_ascii(data: &[u8], start: usize, end: usize, out: &mut Vec<u8>) {
     debug_assert!(start <= end && data.len() * 4 >= end);
     out.reserve(end - start);
     let mut i = start;
@@ -315,22 +276,11 @@ pub fn unpack_ascii_word(data: &[u8], start: usize, end: usize, out: &mut Vec<u8
     }
 }
 
-/// Packed-stream decode kernel with runtime dispatch: appends bases
-/// `start..end` of the little-endian 2-bit stream `data` to `out` as ASCII.
-#[inline]
-pub fn unpack_ascii(data: &[u8], start: usize, end: usize, out: &mut Vec<u8>) {
-    if force_scalar() {
-        unpack_ascii_scalar(data, start, end, out)
-    } else {
-        unpack_ascii_word(data, start, end, out)
-    }
-}
-
 // --- base shifts -----------------------------------------------------------
 
 /// Drops the first `n` bases of a 2-bit stream (a whole-value right shift by
 /// `2n` bits), used by suffix derivation and window sliding. Pure word
-/// arithmetic in both dispatch modes — there is no cheaper scalar form.
+/// arithmetic, so it has no scalar twin.
 #[inline]
 pub fn shift_right_bases(words: &[u64; 4], n: usize) -> [u64; 4] {
     shr_bits(words, 2 * n)
@@ -357,20 +307,16 @@ mod tests {
     }
 
     #[test]
-    fn revcomp_word_matches_scalar_across_k() {
+    fn revcomp_matches_scalar_across_k() {
         for k in 1..=128 {
             let s = pseudo_seq(k, k as u64 * 31);
             let w = seq_words(&s);
-            assert_eq!(
-                revcomp_words_word(&w, k),
-                revcomp_words_scalar(&w, k),
-                "k={k}"
-            );
+            assert_eq!(revcomp_words(&w, k), revcomp_words_scalar(&w, k), "k={k}");
         }
     }
 
     #[test]
-    fn lex_cmp_word_matches_scalar() {
+    fn lex_cmp_matches_scalar() {
         for k in [1usize, 2, 31, 32, 33, 64, 65, 127, 128] {
             for seed in 0..20u64 {
                 let a = pseudo_seq(k, seed * 7 + 1);
@@ -381,7 +327,7 @@ mod tests {
                 }
                 let (wa, wb) = (seq_words(&a), seq_words(&b));
                 assert_eq!(
-                    lex_cmp_words_word(&wa, &wb),
+                    lex_cmp_words(&wa, &wb),
                     lex_cmp_words_scalar(&wa, &wb, k),
                     "k={k} seed={seed}"
                 );
@@ -393,10 +339,10 @@ mod tests {
     fn encode_words_variants_agree_and_reject() {
         for k in 1..=128 {
             let s = pseudo_seq(k, k as u64 + 5);
-            assert_eq!(encode_words_word(&s), encode_words_scalar(&s), "k={k}");
+            assert_eq!(encode_words(&s), encode_words_scalar(&s), "k={k}");
             let mut bad = s.clone();
             bad[k / 2] = b'N';
-            assert_eq!(encode_words_word(&bad), None);
+            assert_eq!(encode_words(&bad), None);
             assert_eq!(encode_words_scalar(&bad), None);
         }
     }
@@ -412,14 +358,14 @@ mod tests {
             let mut data_s = vec![0u8; len.div_ceil(4)];
             let mut exc_w = Vec::new();
             let mut exc_s = Vec::new();
-            pack_ascii_word(&s, &mut data_w, |i, b| exc_w.push((i, b)));
+            pack_ascii(&s, &mut data_w, |i, b| exc_w.push((i, b)));
             pack_ascii_scalar(&s, &mut data_s, |i, b| exc_s.push((i, b)));
             assert_eq!(data_w, data_s, "len={len}");
             assert_eq!(exc_w, exc_s, "len={len}");
             for (start, end) in [(0, len), (1.min(len), len), (len / 3, 2 * len / 3)] {
                 let mut out_w = Vec::new();
                 let mut out_s = Vec::new();
-                unpack_ascii_word(&data_w, start, end, &mut out_w);
+                unpack_ascii(&data_w, start, end, &mut out_w);
                 unpack_ascii_scalar(&data_s, start, end, &mut out_s);
                 assert_eq!(out_w, out_s, "len={len} window={start}..{end}");
             }

@@ -217,7 +217,7 @@ impl Kmer {
     /// Lexicographic comparison by base sequence (A < C < G < T).
     fn lex_cmp(&self, other: &Kmer) -> Ordering {
         debug_assert_eq!(self.k, other.k);
-        kernels::lex_cmp_words(&self.words, &other.words, self.k())
+        kernels::lex_cmp_words(&self.words, &other.words)
     }
 
     /// Compares the first base against the first base of the (unbuilt)

@@ -22,8 +22,8 @@
 //!   k-mer cuts straight from 2-bit packed sequences (the aligner's seeds);
 //! * [`kernels`] — the word-parallel/SIMD compute kernels behind the hot
 //!   loops of all of the above (reverse complement, canonical comparison and
-//!   the bulk ASCII↔2-bit codecs), runtime-dispatched via [`mhm_simd`] with
-//!   per-base scalar twins as property-test oracles.
+//!   the bulk ASCII↔2-bit codecs), one body each over the [`mhm_simd`] byte
+//!   scans, with per-base scalar twins as property-test oracles.
 
 pub mod ext;
 pub mod extract;

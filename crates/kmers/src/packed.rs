@@ -9,7 +9,7 @@
 //!   offset, skipping the windows that hold an exception. A k ≤ 32 is one
 //!   word load, a shift and a mask per window, with the reverse complement
 //!   from `rev2(!w) >> (64 − 2k)` and the strand picked by the trailing-zeros
-//!   rule of [`crate::kernels::lex_cmp_words_word`]; a longer k rolls a
+//!   rule of [`crate::kernels::lex_cmp_words`]; a longer k rolls a
 //!   forward/reverse pair along each run of windows at stride 1 and loads each
 //!   window with [`Kmer::from_packed`] otherwise.
 //!

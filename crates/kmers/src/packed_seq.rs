@@ -5,7 +5,7 @@
 //! stores: the contig store (`dbg::ContigStore`) packs assembled contigs with
 //! it, and the read store (`readstore::ReadStore`) packs read sequences. It
 //! lives here — below both — because packing and unpacking go through the
-//! word-parallel/SIMD-dispatch kernels of this crate.
+//! word-parallel/SIMD kernels of this crate.
 
 use seqio::PackedReadView;
 

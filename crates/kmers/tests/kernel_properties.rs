@@ -1,13 +1,12 @@
 //! Randomized scalar-vs-kernel equivalence properties.
 //!
 //! Every compute kernel keeps its per-base scalar twin in tree; these tests
-//! drive both sides with the same random inputs and require bit-for-bit
-//! agreement — across the word-boundary k values (32/64/96) where the packed
-//! arithmetic is easiest to get wrong, with non-ACGT exceptions sprinkled in,
-//! and in *both* dispatch modes (CI re-runs the suite under
-//! `MHM_FORCE_SCALAR=1`, which turns the dispatched side into the scalar twin
-//! and makes the comparisons trivially reflexive — the point of that run is
-//! that the higher-level codec roundtrips still hold).
+//! drive both sides with the same inputs and require bit-for-bit agreement —
+//! at every word-boundary k value in `BOUNDARY_KS` (32/64/96 and their
+//! neighbours, where the packed arithmetic is easiest to get wrong) and at
+//! random k, with non-ACGT exceptions sprinkled in. Kernels are pure
+//! functions, so twin equality on every input is what makes the pipeline's
+//! results independent of the instruction set the CPU offers.
 
 use kmers::kernels;
 use kmers::{
@@ -94,7 +93,7 @@ fn supermer_codec_is_bit_for_bit_stable_on_noisy_reads() {
         let qual: Vec<u8> = (0..len).map(|_| rng.gen_range(5..45u8)).collect();
         for (k, m) in [(21usize, 15usize), (13, 7)] {
             // The wire blob and its expansion must agree with the per-k-mer
-            // extraction oracle regardless of dispatch mode.
+            // extraction oracle.
             let mut blob = Vec::new();
             for sm in supermers(&seq, k, m) {
                 encode_supermer(&mut blob, &seq, &qual, 20, &sm);
@@ -104,19 +103,61 @@ fn supermer_codec_is_bit_for_bit_stable_on_noisy_reads() {
                 expand_supermer(&rec, k, |obs| decoded.push(obs));
             }
             assert_eq!(decoded, kmers_with_exts(&seq, &qual, k, 20), "k={k}");
-
-            // And the blob itself must be identical under forced-scalar
-            // dispatch: the wire format is part of the rank-to-rank protocol.
-            let was_forced = mhm_simd::force_scalar();
-            mhm_simd::set_force_scalar(true);
-            let mut blob_scalar = Vec::new();
-            for sm in supermers(&seq, k, m) {
-                encode_supermer(&mut blob_scalar, &seq, &qual, 20, &sm);
-            }
-            mhm_simd::set_force_scalar(was_forced);
-            assert_eq!(blob, blob_scalar, "wire bytes must not depend on dispatch");
         }
     }
+}
+
+/// Compares every kernel with its scalar twin on one `k`-base clean sequence
+/// and one noisy one, drawing the other operands from `rng`.
+fn assert_twins_agree(rng: &mut StdRng, k: usize) {
+    let seq = random_bases(rng, k);
+    let noisy = noisy_bases(rng, k);
+
+    // encode_words: agreement including the rejection cases.
+    assert_eq!(
+        kernels::encode_words(&seq),
+        kernels::encode_words_scalar(&seq),
+        "k={k}"
+    );
+    assert_eq!(
+        kernels::encode_words(&noisy),
+        kernels::encode_words_scalar(&noisy),
+        "k={k}"
+    );
+
+    let words = kernels::encode_words_scalar(&seq).expect("valid bases");
+    assert_eq!(
+        kernels::revcomp_words(&words, k),
+        kernels::revcomp_words_scalar(&words, k),
+        "k={k}"
+    );
+
+    let other = kernels::encode_words_scalar(&random_bases(rng, k)).expect("valid");
+    assert_eq!(
+        kernels::lex_cmp_words(&words, &other),
+        kernels::lex_cmp_words_scalar(&words, &other, k),
+        "k={k}"
+    );
+
+    // pack/unpack twins over the noisy sequence.
+    let mut data_w = vec![0u8; k.div_ceil(4)];
+    let mut data_s = vec![0u8; k.div_ceil(4)];
+    let mut exc_w = Vec::new();
+    let mut exc_s = Vec::new();
+    kernels::pack_ascii(&noisy, &mut data_w, |i, b| exc_w.push((i, b)));
+    kernels::pack_ascii_scalar(&noisy, &mut data_s, |i, b| exc_s.push((i, b)));
+    assert_eq!(data_w, data_s, "k={k}");
+    assert_eq!(exc_w, exc_s, "k={k}");
+    let (lo, hi) = {
+        let a = rng.gen_range(0..=k);
+        let b = rng.gen_range(0..=k);
+        (a.min(b), a.max(b))
+    };
+    let mut out_w = Vec::new();
+    let mut out_s = Vec::new();
+    kernels::unpack_ascii(&data_w, lo, hi, &mut out_w);
+    kernels::unpack_ascii_scalar(&data_s, lo, hi, &mut out_s);
+    assert_eq!(out_w, out_s, "k={k} window={lo}..{hi}");
 }
 
 #[test]
@@ -124,51 +165,12 @@ fn kernel_twins_agree_on_random_inputs() {
     let mut rng = StdRng::seed_from_u64(0x5EED);
     for _ in 0..200 {
         let k = rng.gen_range(1..=MAX_K);
-        let seq = random_bases(&mut rng, k);
-        let noisy = noisy_bases(&mut rng, k);
-
-        // encode_words: agreement including the rejection cases.
-        assert_eq!(
-            kernels::encode_words_word(&seq),
-            kernels::encode_words_scalar(&seq)
-        );
-        assert_eq!(
-            kernels::encode_words_word(&noisy),
-            kernels::encode_words_scalar(&noisy)
-        );
-
-        let words = kernels::encode_words_scalar(&seq).expect("valid bases");
-        assert_eq!(
-            kernels::revcomp_words_word(&words, k),
-            kernels::revcomp_words_scalar(&words, k),
-            "k={k}"
-        );
-
-        let other = kernels::encode_words_scalar(&random_bases(&mut rng, k)).expect("valid");
-        assert_eq!(
-            kernels::lex_cmp_words_word(&words, &other),
-            kernels::lex_cmp_words_scalar(&words, &other, k),
-            "k={k}"
-        );
-
-        // pack/unpack twins over the noisy sequence.
-        let mut data_w = vec![0u8; k.div_ceil(4)];
-        let mut data_s = vec![0u8; k.div_ceil(4)];
-        let mut exc_w = Vec::new();
-        let mut exc_s = Vec::new();
-        kernels::pack_ascii_word(&noisy, &mut data_w, |i, b| exc_w.push((i, b)));
-        kernels::pack_ascii_scalar(&noisy, &mut data_s, |i, b| exc_s.push((i, b)));
-        assert_eq!(data_w, data_s, "k={k}");
-        assert_eq!(exc_w, exc_s, "k={k}");
-        let (lo, hi) = {
-            let a = rng.gen_range(0..=k);
-            let b = rng.gen_range(0..=k);
-            (a.min(b), a.max(b))
-        };
-        let mut out_w = Vec::new();
-        let mut out_s = Vec::new();
-        kernels::unpack_ascii_word(&data_w, lo, hi, &mut out_w);
-        kernels::unpack_ascii_scalar(&data_s, lo, hi, &mut out_s);
-        assert_eq!(out_w, out_s, "k={k} window={lo}..{hi}");
+        assert_twins_agree(&mut rng, k);
+    }
+    // The word boundaries every time, not only when the draws hit them.
+    for &k in BOUNDARY_KS {
+        for _ in 0..20 {
+            assert_twins_agree(&mut rng, k);
+        }
     }
 }

@@ -121,11 +121,6 @@ impl PackedRead {
         self.seq.packed_bytes() + 2 * self.qual_runs.len()
     }
 
-    /// Unpacks the sequence bytes only.
-    pub fn unpack_seq(&self) -> Vec<u8> {
-        self.seq.unpack()
-    }
-
     /// The read's codes, exceptions and quality runs, borrowed as they lie.
     pub fn view(&self) -> PackedReadView<'_> {
         PackedReadView {
@@ -963,25 +958,18 @@ mod tests {
     }
 
     #[test]
-    fn packed_read_roundtrips_across_dispatch_modes() {
+    fn packed_read_roundtrips_at_word_boundaries() {
         // Word-boundary lengths (32/64/96 bases = 1/2/3 packed words) plus
-        // stragglers, with N runs and spiky quality strings, identical under
-        // both the SIMD and forced-scalar kernels.
+        // stragglers, with N runs and spiky quality strings.
         let lens = [0usize, 1, 31, 32, 33, 63, 64, 65, 96, 150];
-        for forced in [false, true] {
-            let was = mhm_simd::force_scalar();
-            mhm_simd::set_force_scalar(forced);
-            for (i, &len) in lens.iter().enumerate() {
-                let read = Read::new("name-dropped", &seq(len, i as u64), &qual(len, i as u64));
-                let packed = PackedRead::from_read(&read);
-                assert_eq!(packed.len(), len);
-                let back = packed.unpack();
-                assert_eq!(back.seq, read.seq, "len {len} forced {forced}");
-                assert_eq!(back.qual, read.qual, "len {len} forced {forced}");
-                assert!(back.name.is_empty());
-                assert_eq!(packed.unpack_seq(), read.seq);
-            }
-            mhm_simd::set_force_scalar(was);
+        for (i, &len) in lens.iter().enumerate() {
+            let read = Read::new("name-dropped", &seq(len, i as u64), &qual(len, i as u64));
+            let packed = PackedRead::from_read(&read);
+            assert_eq!(packed.len(), len);
+            let back = packed.unpack();
+            assert_eq!(back.seq, read.seq, "len {len}");
+            assert_eq!(back.qual, read.qual, "len {len}");
+            assert!(back.name.is_empty());
         }
     }
 

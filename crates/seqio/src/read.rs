@@ -65,23 +65,6 @@ impl Read {
     pub fn is_empty(&self) -> bool {
         self.seq.is_empty()
     }
-
-    /// Mean Phred quality of the read (0 for empty reads).
-    pub fn mean_quality(&self) -> f64 {
-        if self.qual.is_empty() {
-            return 0.0;
-        }
-        self.qual.iter().map(|&q| q as f64).sum::<f64>() / self.qual.len() as f64
-    }
-
-    /// Returns the reverse complement of this read (qualities reversed).
-    pub fn reverse_complement(&self) -> Read {
-        Read {
-            name: self.name.clone(),
-            seq: alphabet::revcomp(&self.seq),
-            qual: self.qual.iter().rev().copied().collect(),
-        }
-    }
 }
 
 /// A pair of mated reads.
@@ -195,53 +178,6 @@ impl ReadLibrary {
     pub fn pairs(&self) -> impl Iterator<Item = (&Read, &Read)> {
         self.reads.chunks_exact(2).map(|c| (&c[0], &c[1]))
     }
-
-    /// Splits the read ids of this library into `parts` contiguous, nearly
-    /// equal chunks that never split a pair. Used to assign reads to SPMD
-    /// ranks.
-    pub fn partition_ids(&self, parts: usize) -> Vec<std::ops::Range<ReadId>> {
-        assert!(parts > 0);
-        let unit = if self.paired { 2 } else { 1 };
-        let units = self.reads.len() / unit;
-        let mut out = Vec::with_capacity(parts);
-        let mut start = 0usize;
-        for p in 0..parts {
-            let count = units / parts + usize::from(p < units % parts);
-            let end = start + count * unit;
-            out.push(start as ReadId..end as ReadId);
-            start = end;
-        }
-        // Any trailing dangling read (odd count in "paired" library) goes to the
-        // last chunk so no read is lost.
-        if start < self.reads.len() {
-            if let Some(last) = out.last_mut() {
-                *last = last.start..self.reads.len() as ReadId;
-            }
-        }
-        out
-    }
-
-    /// Reorders reads according to `order` (a permutation of pair indices for
-    /// paired libraries, or read indices otherwise). This is the primitive used
-    /// by read localisation (§II-I of the paper).
-    pub fn reorder_pairs(&mut self, order: &[usize]) {
-        if self.paired {
-            assert_eq!(order.len(), self.num_pairs());
-            let mut new_reads = Vec::with_capacity(self.reads.len());
-            for &pi in order {
-                new_reads.push(self.reads[2 * pi].clone());
-                new_reads.push(self.reads[2 * pi + 1].clone());
-            }
-            self.reads = new_reads;
-        } else {
-            assert_eq!(order.len(), self.reads.len());
-            let mut new_reads = Vec::with_capacity(self.reads.len());
-            for &ri in order {
-                new_reads.push(self.reads[ri].clone());
-            }
-            self.reads = new_reads;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -267,22 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_quality() {
-        let r = Read::new("r1", b"ACGT", &[10, 20, 30, 40]);
-        assert!((r.mean_quality() - 25.0).abs() < 1e-12);
-        let empty = Read::new("e", b"", &[]);
-        assert_eq!(empty.mean_quality(), 0.0);
-    }
-
-    #[test]
-    fn reverse_complement_reverses_quals() {
-        let r = Read::new("r1", b"AACG", &[1, 2, 3, 4]);
-        let rc = r.reverse_complement();
-        assert_eq!(rc.seq, b"CGTT".to_vec());
-        assert_eq!(rc.qual, vec![4, 3, 2, 1]);
-    }
-
-    #[test]
     fn library_pairing_conventions() {
         let mut lib = ReadLibrary::new_paired("lib", 300, 30);
         lib.push_pair(mk_read("a/1", b"ACGT"), mk_read("a/2", b"TTTT"));
@@ -302,46 +222,5 @@ mod tests {
         lib.push_read(mk_read("a", b"ACGT"));
         assert_eq!(lib.mate_of(0), None);
         assert_eq!(lib.num_pairs(), 0);
-    }
-
-    #[test]
-    fn partition_never_splits_pairs() {
-        let mut lib = ReadLibrary::new_paired("lib", 300, 30);
-        for i in 0..7 {
-            lib.push_pair(
-                mk_read(&format!("{i}/1"), b"ACGT"),
-                mk_read(&format!("{i}/2"), b"ACGT"),
-            );
-        }
-        for parts in 1..6 {
-            let ranges = lib.partition_ids(parts);
-            assert_eq!(ranges.len(), parts);
-            let mut total = 0;
-            for r in &ranges {
-                assert_eq!((r.end - r.start) % 2, 0, "pair split across ranks");
-                total += r.end - r.start;
-            }
-            assert_eq!(total as usize, lib.num_reads());
-            // Ranges must be contiguous and ordered.
-            for w in ranges.windows(2) {
-                assert_eq!(w[0].end, w[1].start);
-            }
-        }
-    }
-
-    #[test]
-    fn reorder_pairs_keeps_mates_adjacent() {
-        let mut lib = ReadLibrary::new_paired("lib", 300, 30);
-        for i in 0..3 {
-            lib.push_pair(
-                mk_read(&format!("{i}/1"), b"AAAA"),
-                mk_read(&format!("{i}/2"), b"CCCC"),
-            );
-        }
-        lib.reorder_pairs(&[2, 0, 1]);
-        assert_eq!(lib.reads[0].name, "2/1");
-        assert_eq!(lib.reads[1].name, "2/2");
-        assert_eq!(lib.reads[2].name, "0/1");
-        assert_eq!(lib.reads[5].name, "1/2");
     }
 }

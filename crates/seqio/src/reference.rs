@@ -4,8 +4,6 @@
 //! crate (`asm_metrics`) anchors assemblies back onto them, mirroring how the
 //! paper evaluates MG64 against its 64 known reference genomes with metaQUAST.
 
-use crate::fasta::FastaRecord;
-
 /// A single reference genome with optional annotations of planted features.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReferenceGenome {
@@ -101,18 +99,6 @@ impl ReferenceSet {
             })
             .collect()
     }
-
-    /// Converts the set into FASTA records.
-    pub fn to_fasta(&self) -> Vec<FastaRecord> {
-        self.genomes
-            .iter()
-            .map(|g| FastaRecord {
-                id: g.name.clone(),
-                description: format!("abundance={:.6}", g.abundance),
-                seq: g.seq.clone(),
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -154,15 +140,6 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.total_bases(), 1500);
         assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn fasta_export_includes_all() {
-        let s = set();
-        let fa = s.to_fasta();
-        assert_eq!(fa.len(), 2);
-        assert_eq!(fa[0].id, "a");
-        assert_eq!(fa[1].seq.len(), 500);
     }
 
     #[test]

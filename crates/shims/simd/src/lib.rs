@@ -5,11 +5,8 @@
 //! The facade owns two things:
 //!
 //! * **Dispatch.** [`level`] detects the best available instruction set once
-//!   (AVX2 → SSE2 → word-parallel SWAR) and caches it. Setting
-//!   `MHM_FORCE_SCALAR=1` in the environment — or calling
-//!   [`set_force_scalar`] from an ablation harness — pins every kernel to its
-//!   scalar twin, which is what CI uses to prove the fast paths are
-//!   bit-for-bit equivalent.
+//!   (AVX2 → SSE2 → word-parallel SWAR) and caches it; every dispatched
+//!   function selects its body from that level alone.
 //! * **Byte primitives.** Validating/locating non-ACGT bytes
 //!   ([`find_non_acgt`]), plus the SWAR helpers the bulk 2-bit packer folds
 //!   eight bases with ([`valid_acgt_mask8`], [`encode8`]). Higher-level
@@ -21,14 +18,11 @@
 //! harness times the pair to produce the scalar-vs-kernel ratios in
 //! `BENCH_simd.json`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 /// The instruction set a dispatched kernel will use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdLevel {
-    /// Per-byte scalar loops (the oracle twins).
-    Scalar,
     /// Word-parallel SWAR on `u64` (8 bytes per step, any target).
     Word,
     /// SSE2 128-bit vectors (16 bytes per step; baseline on `x86_64`).
@@ -41,7 +35,6 @@ impl SimdLevel {
     /// Short human-readable name, used by benches and harness output.
     pub fn name(self) -> &'static str {
         match self {
-            SimdLevel::Scalar => "scalar",
             SimdLevel::Word => "word",
             SimdLevel::Sse2 => "sse2",
             SimdLevel::Avx2 => "avx2",
@@ -49,35 +42,10 @@ impl SimdLevel {
     }
 }
 
-/// `MHM_FORCE_SCALAR=1` pins every kernel to its scalar twin; initialised
-/// from the environment on first use, overridable by [`set_force_scalar`].
-fn force_flag() -> &'static AtomicBool {
-    static FORCE: OnceLock<AtomicBool> = OnceLock::new();
-    FORCE.get_or_init(|| {
-        let on = std::env::var("MHM_FORCE_SCALAR")
-            .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-            .unwrap_or(false);
-        AtomicBool::new(on)
-    })
-}
-
-/// True when kernels are pinned to their scalar twins (ablation mode).
+/// The best instruction set available on this machine, detected once; the
+/// level every dispatched kernel runs at.
 #[inline]
-pub fn force_scalar() -> bool {
-    force_flag().load(Ordering::Relaxed)
-}
-
-/// Overrides the `MHM_FORCE_SCALAR` environment setting at runtime. Used by
-/// the ablation harnesses and the equivalence tests to exercise both dispatch
-/// modes inside one process; kernels are pure functions of their inputs, so
-/// flipping this mid-run only changes speed, never results.
-pub fn set_force_scalar(on: bool) {
-    force_flag().store(on, Ordering::Relaxed);
-}
-
-/// The best instruction set available on this machine, detected once.
-/// [`level`] degrades it to [`SimdLevel::Scalar`] while ablation mode is on.
-fn detected_level() -> SimdLevel {
+pub fn level() -> SimdLevel {
     static DETECTED: OnceLock<SimdLevel> = OnceLock::new();
     *DETECTED.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
@@ -93,16 +61,6 @@ fn detected_level() -> SimdLevel {
         }
         SimdLevel::Word
     })
-}
-
-/// The dispatch level kernels run at right now.
-#[inline]
-pub fn level() -> SimdLevel {
-    if force_scalar() {
-        SimdLevel::Scalar
-    } else {
-        detected_level()
-    }
 }
 
 // --- SWAR helpers ----------------------------------------------------------
@@ -250,7 +208,6 @@ mod x86 {
 /// find their ambiguity boundaries without a per-byte match.
 pub fn find_non_acgt(seq: &[u8]) -> Option<usize> {
     match level() {
-        SimdLevel::Scalar => find_non_acgt_scalar(seq),
         SimdLevel::Word => find_non_acgt_word(seq),
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Sse2 => unsafe { x86::find_non_acgt_sse2(seq) },
@@ -319,15 +276,5 @@ mod tests {
         }
         assert_eq!(valid_acgt_mask8(u64::from_le_bytes(*b"ACGTacgt")), 0xFF);
         assert_eq!(valid_acgt_mask8(u64::from_le_bytes(*b"NNNNNNNN")), 0x00);
-    }
-
-    #[test]
-    fn force_scalar_pins_the_level() {
-        let before = force_scalar();
-        set_force_scalar(true);
-        assert_eq!(level(), SimdLevel::Scalar);
-        set_force_scalar(false);
-        assert_ne!(level(), SimdLevel::Scalar);
-        set_force_scalar(before);
     }
 }

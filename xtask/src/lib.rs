@@ -5,7 +5,8 @@
 //!
 //! 1. **simd-containment** — `std::arch` may appear only under
 //!    `crates/shims/simd`; everything else must go through the shim's safe
-//!    dispatch layer, so the scalar fallback stays the only portable path.
+//!    CPU-selected functions, so every target-specific body lives in one
+//!    place and the word-parallel body stays the portable path.
 //! 2. **local-view-phase** — while a `local_view` binding is live, no
 //!    communication may run: a collective (or one-sided bulk get) inside
 //!    the phase either deadlocks on the held shard locks or reads state
