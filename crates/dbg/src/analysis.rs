@@ -230,14 +230,16 @@ pub(crate) fn ship_supermers(
     let batch_bytes = batch.saturating_mul(std::mem::size_of::<Kmer>()).max(64);
     let mut agg = BlobAggregator::new(ctx, batch_bytes);
     let mut hq = Vec::new();
+    let mut wrote = 0u64;
     for_each_seq(&mut |seq| {
         seq.hq_mask(hq_threshold, &mut hq);
         cut_supermers(&seq, k, m, |sm| {
             let dest = minimizer_shard(sm.minimizer, ranks);
-            let wrote = agg.push_with(dest, |buf| encode_packed_supermer(buf, &seq, &hq, &sm));
-            ctx.record(Counter::supermer_bytes, wrote as u64);
+            let bytes = agg.push_with(dest, |buf| encode_packed_supermer(buf, &seq, &hq, &sm));
+            wrote += bytes as u64;
         });
     });
+    ctx.record(Counter::supermer_bytes, wrote);
     agg.finish()
 }
 

@@ -211,12 +211,14 @@ counters! {
     /// Packed read-block bytes fetched from remote shards of the distributed
     /// read store (cache-miss fills; a measure of read fetch traffic).
     read_fetch_bytes: Sum,
-    /// Dynamic-programming cells (2 strands × profile length × contig length)
-    /// the rRNA detector's 16-bit upper-bound pass filled during scaffold
-    /// traversal, counted once per classified contig.
+    /// Dynamic-programming cells (profile length × columns scanned, over the
+    /// strands scanned) the rRNA detector's 16-bit upper-bound pass filled
+    /// during scaffold traversal. A contig is classified only when the walk
+    /// reads its verdict at a fork, once, by the rank that walks its
+    /// component — so the team's sum does not depend on the rank count.
     hmm_bound_cells: Sum,
-    /// Cells its exact pass filled: the contigs the bound could not reject
-    /// (all classified contigs when the filter stands aside).
+    /// Cells its exact pass filled: on the strands the bound could not
+    /// reject (every strand scanned when the filter stands aside).
     hmm_exact_cells: Sum,
     /// Seed lookups alignment resolved against the seed index (one per
     /// sampled read seed), recorded once per read block on the aligning rank.

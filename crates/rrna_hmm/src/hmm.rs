@@ -45,12 +45,32 @@
 //! `i16` value of every state is ≥ `scale ×` its `f64` value (no true value
 //! exceeds `scale × max emission × L ≤ 30000`, so saturating high loses
 //! nothing, and saturating low rounds −∞ up): an upper bound on the score at
-//! eight cells per SSE2 instruction. [`RrnaDetector::classify`] runs the
-//! bound first and the exact pass only on the sequences it cannot reject,
-//! which changes no decision. The filter stands aside — exact pass only —
-//! when `scale` would be < 1 (L ≳ 22,000; a profile without a positive
-//! emission has no scale at all) or the quantised threshold falls outside
-//! `1..=i16::MAX`.
+//! eight cells per SSE2 instruction. The filter stands aside — exact pass
+//! only — when `scale` would be < 1 (L ≳ 22,000; a profile without a
+//! positive emission has no scale at all) or the quantised threshold falls
+//! outside `1..=i16::MAX`.
+//!
+//! [`RrnaDetector::classify`] decides one strand at a time: the forward
+//! strand's bound, its exact pass only if the bound reaches the quantised
+//! threshold, then — only if the forward strand missed — the same on the
+//! reverse strand. Each pass is given a stop value and ends at the first
+//! check of its running best (every `STOP_STRIDE` = 32 columns) that
+//! reaches it. None of this changes a decision:
+//!
+//! 1. The induction above runs over the cells of one strand's matrix, so
+//!    each strand's bound is ≥ `scale ×` that strand's exact score, and a
+//!    strand whose bound misses the quantised threshold misses the real one.
+//! 2. A running best never decreases, so a pass that stopped would have
+//!    ended at least as high.
+//! 3. The exact pass's stop value `s` satisfies `s / L ≥ threshold`, and
+//!    rounding is monotone, so a best that reaches it decides a hit; the
+//!    decision is `max(fwd, rev) / L ≥ threshold`, which is
+//!    `fwd / L ≥ threshold || rev / L ≥ threshold`.
+//!
+//! On unrelated sequence both strands' bounds run to the end; on a copy of
+//! the profile both passes stop within a stride of the column where the
+//! copy's score reaches the threshold, and after a forward-strand copy the
+//! reverse strand is never scanned.
 //!
 //! The precedent is HMMER3's acceleration pipeline (Eddy, "Accelerated
 //! profile HMM searches", PLoS Comput Biol 2011): reduced-precision integer
@@ -69,6 +89,11 @@ const NOT_A_BASE: u8 = 4;
 
 /// Rows of a column whose delete-state extension is skipped or run as one.
 const CHUNK: usize = 16;
+
+/// Columns between two checks of a pass's running best against its stop
+/// value: the check reduces `L` lanes, so it is amortised over this many
+/// columns of `L` cells each.
+const STOP_STRIDE: usize = 32;
 
 /// A score type of the Viterbi kernel: log-odds in nats (`f64`), or the same
 /// multiplied by the profile's scale and rounded up (`i16`).
@@ -276,17 +301,22 @@ fn encode(seq: &[u8]) -> Vec<u8> {
         .collect()
 }
 
-/// The best of [`viterbi`] over both strands of an encoded sequence.
-fn both_strands<S: Score>(scores: &Scores<S>, codes: &[u8]) -> S {
-    let fwd = viterbi(scores, codes.iter().copied());
-    // Reverse complement in code space: 3 - code swaps A/T and C/G.
-    let rev = viterbi(
-        scores,
-        codes.iter().rev().map(|&code| match code {
+/// The other strand of an encoded sequence: 3 - code swaps A/T and C/G.
+fn reverse_strand(codes: &[u8]) -> Vec<u8> {
+    codes
+        .iter()
+        .rev()
+        .map(|&code| match code {
             NOT_A_BASE => NOT_A_BASE,
             base => 3 - base,
-        }),
-    );
+        })
+        .collect()
+}
+
+/// The best of [`viterbi`] over both strands of an encoded sequence.
+fn both_strands<S: Score>(scores: &Scores<S>, codes: &[u8]) -> S {
+    let (fwd, _) = viterbi(scores, codes, None);
+    let (rev, _) = viterbi(scores, &reverse_strand(codes), None);
     max(fwd, rev)
 }
 
@@ -317,13 +347,24 @@ impl<S: Score> Column<S> {
 /// base codes: local in the sequence (free start/end) and in the profile
 /// ends. Column-major; the module docs give the layout and the live-cell
 /// rule the delete-state pass relies on.
-fn viterbi<S: Score>(scores: &Scores<S>, codes: impl Iterator<Item = u8>) -> S {
+///
+/// With a `stop` value the pass ends early, at a multiple of [`STOP_STRIDE`]
+/// columns, once the best score so far reaches it, and returns that best.
+/// Returns the score and the number of columns it filled.
+fn viterbi<S: Score>(scores: &Scores<S>, codes: &[u8], stop: Option<S>) -> (S, usize) {
     let l = scores.emit[0].len();
     let (mut prev, mut cur) = (Column::begin(l), Column::begin(l));
     // The best match score of every row so far: a lane-wise running maximum,
-    // reduced once at the end (a scalar `best` would chain every cell).
+    // reduced only every `STOP_STRIDE` columns against `stop` and once at the
+    // end (a scalar `best` would chain every cell).
     let mut best = vec![S::ZERO; l];
-    for code in codes {
+    for (column, &code) in codes.iter().enumerate() {
+        if let Some(stop) = stop.filter(|_| column % STOP_STRIDE == 0) {
+            let so_far = best.iter().copied().fold(S::ZERO, max);
+            if so_far >= stop {
+                return (so_far, column);
+            }
+        }
         if code == NOT_A_BASE {
             // No state emits a non-base: only the begin state survives one.
             cur.m[1..].fill(S::NEG_INF);
@@ -383,19 +424,20 @@ fn viterbi<S: Score>(scores: &Scores<S>, codes: impl Iterator<Item = u8>) -> S {
         extend(d_rest, above);
         std::mem::swap(&mut prev, &mut cur);
     }
-    best.into_iter().fold(S::ZERO, max)
+    (best.into_iter().fold(S::ZERO, max), codes.len())
 }
 
 /// What one [`RrnaDetector::classify`] call decided, and the dynamic-
-/// programming cells (2 strands × profile length × sequence length) it
-/// filled to decide it — deterministic work counts for the caller's stats.
+/// programming cells (profile length × columns, summed over the strands each
+/// pass scanned) it filled to decide it — deterministic work counts for the
+/// caller's stats, at most 2 × profile length × sequence length a pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RrnaCall {
     /// True if the sequence contains an rRNA-like region.
     pub hit: bool,
     /// Cells of the 16-bit upper-bound pass (0 if the filter stood aside).
     pub bound_cells: u64,
-    /// Cells of the exact pass (0 if the bound rejected the sequence).
+    /// Cells of the exact pass (0 if the bound rejected both strands).
     pub exact_cells: u64,
 }
 
@@ -430,30 +472,48 @@ impl RrnaDetector {
         self.classify(seq).hit
     }
 
-    /// Decides `len ≥ min_len && score ≥ threshold`, running the exact pass
-    /// only if the 16-bit upper bound on the score reaches the threshold.
+    /// Decides `len ≥ min_len && score / L ≥ threshold` one strand at a time
+    /// (the score is the better strand's): a strand's exact pass runs only if
+    /// its 16-bit upper bound reaches the threshold, each pass stops once its
+    /// best so far decides, and the reverse strand is not scored once the
+    /// forward one hits.
     pub fn classify(&self, seq: &[u8]) -> RrnaCall {
         let mut call = RrnaCall::default();
         if seq.len() < self.min_len {
             return call;
         }
-        let codes = encode(seq);
         let l = self.hmm.len();
-        let cells = 2 * (l * codes.len()) as u64;
-        if let Some((scale, bound)) = &self.hmm.bound {
-            // One unit of slack for the f64 rounding of `scale × x` and of
-            // the exact sums. A quantised threshold ≤ 0 rejects nothing (the
-            // bound is ≥ 0) and one above `i16::MAX`, or NaN, is not one.
+        // The bound's stop value, with one unit of slack for the f64 rounding
+        // of `scale × x` and of the exact sums. A quantised threshold ≤ 0
+        // rejects nothing (the bound is ≥ 0) and one above `i16::MAX`, or
+        // NaN, is not one.
+        let filter = self.hmm.bound.as_ref().and_then(|(scale, bound)| {
             let needed = (scale * self.threshold * l as f64).floor() - 1.0;
-            if (1.0..=f64::from(i16::MAX)).contains(&needed) {
-                call.bound_cells = cells;
-                if f64::from(both_strands(bound, &codes)) < needed {
-                    return call;
+            let quantised = (1.0..=f64::from(i16::MAX)).contains(&needed);
+            quantised.then_some((bound, needed as i16))
+        });
+        // The exact pass's stop value: a score s with s / L ≥ threshold, so
+        // any best that reaches it decides a hit (division rounds monotonely).
+        // A NaN threshold gives a NaN stop, which no score reaches.
+        let mut stop = self.threshold * l as f64;
+        while stop / (l as f64) < self.threshold {
+            stop = stop.next_up();
+        }
+        let mut strand_hits = |codes: &[u8]| {
+            if let Some((bound, needed)) = filter {
+                let (upper, columns) = viterbi(bound, codes, Some(needed));
+                call.bound_cells += (l * columns) as u64;
+                if upper < needed {
+                    return false;
                 }
             }
-        }
-        call.exact_cells = cells;
-        call.hit = both_strands(&self.hmm.exact, &codes) / l as f64 >= self.threshold;
+            let (score, columns) = viterbi(&self.hmm.exact, codes, Some(stop));
+            call.exact_cells += (l * columns) as u64;
+            score / l as f64 >= self.threshold
+        };
+        let codes = encode(seq);
+        let hit = strand_hits(&codes) || strand_hits(&reverse_strand(&codes));
+        call.hit = hit;
         call
     }
 }
@@ -684,17 +744,106 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         let consensus = random_seq(&mut rng, 200);
         let detector = RrnaDetector::from_consensus(&consensus);
-        let cells = |len: u64| 2 * 200 * len;
+        // Cells are the profile's 200 rows times the columns a pass filled.
+        let cells = |columns: u64| 200 * columns;
         let call = |hit, bound_cells, exact_cells| RrnaCall {
             hit,
             bound_cells,
             exact_cells,
         };
+        // A copy on the forward strand: each pass stops at the first check
+        // of its best (every 32 columns) after the copy has scored enough,
+        // and the reverse strand is never scanned.
         let copy = mutate(&mut rng, &consensus, 0.05);
-        assert_eq!(detector.classify(&copy), call(true, cells(200), cells(200)));
+        let forward = detector.classify(&copy);
+        assert_eq!(forward, call(true, cells(96), cells(96)));
+        // The same copy on the reverse strand: the forward strand is scanned
+        // to its end by the bound, then the reverse strand as above.
+        let reverse = detector.classify(&revcomp(&copy));
+        assert_eq!(reverse, call(true, cells(200 + 96), cells(96)));
+        // Unrelated sequence: the bound rejects both strands in full.
         let unrelated = random_seq(&mut rng, 300);
-        assert_eq!(detector.classify(&unrelated), call(false, cells(300), 0));
+        assert_eq!(detector.classify(&unrelated), call(false, cells(600), 0));
         assert_eq!(detector.classify(&consensus[..20]), call(false, 0, 0));
+    }
+
+    /// Sequences on which deciding strand by strand, and stopping a pass
+    /// once it decides, could part from the unfiltered decision: copies on
+    /// the reverse strand only, copies that end in the last stride of
+    /// columns (so only the final reduction sees them), and copies split by
+    /// `N` runs — whole, 12% diverged, and partial copies that score around
+    /// the threshold, against consensus, trained and mismatch-free profiles.
+    #[test]
+    fn per_strand_decisions_equal_the_unfiltered_decision() {
+        let mut rng = StdRng::seed_from_u64(15);
+        let (mut hits, mut misses, mut stopped) = (0, 0, 0);
+        for (p, l) in [60, 97, 200, 400].into_iter().enumerate() {
+            let consensus = random_seq(&mut rng, l);
+            let hmm = match p {
+                1 => {
+                    let examples: Vec<Vec<u8>> =
+                        (0..4).map(|_| mutate(&mut rng, &consensus, 0.06)).collect();
+                    ProfileHmm::from_examples(&consensus, &examples, 0.02, 0.3)
+                }
+                2 => ProfileHmm::from_consensus(&consensus, 0.0, 0.02, 0.3),
+                _ => ProfileHmm::from_consensus(&consensus, 0.05, 0.02, 0.3),
+            };
+            let detector = RrnaDetector {
+                hmm,
+                threshold: 0.4,
+                min_len: l / 4,
+            };
+            let mut copies = vec![consensus.clone(), mutate(&mut rng, &consensus, 0.12)];
+            for _ in 0..6 {
+                let part = rng.gen_range(l / 4..=2 * l / 5);
+                let at = rng.gen_range(0..=l - part);
+                copies.push(mutate(&mut rng, &consensus[at..at + part], 0.02));
+            }
+            let mut seqs: Vec<Vec<u8>> = Vec::new();
+            for copy in &copies {
+                // Reverse strand only.
+                let lead = random_seq(&mut rng, 45);
+                seqs.push(revcomp(&[&lead[..], copy].concat()));
+                // Ending 0..=33 bases before the end, after leads that put
+                // the sequence's length at every residue of the stride.
+                for tail in [0, 1, 5, 17, 31, 32, 33] {
+                    let lead = rng.gen_range(0..2 * STOP_STRIDE);
+                    let lead = random_seq(&mut rng, lead);
+                    let seq = [lead, copy.clone(), random_seq(&mut rng, tail)].concat();
+                    seqs.push(revcomp(&seq));
+                    seqs.push(seq);
+                }
+                // Split by `N` runs at a third and two thirds of the copy.
+                for run in [1, 4, 32, 100] {
+                    let (a, b) = (copy.len() / 3, 2 * copy.len() / 3);
+                    let ns = vec![b'N'; run];
+                    let seq = [&copy[..a], &ns, &copy[a..b], &ns, &copy[b..]].concat();
+                    seqs.push(revcomp(&seq));
+                    seqs.push(seq);
+                }
+            }
+            for seq in &seqs {
+                let unfiltered = unfiltered_decision(&detector, seq);
+                let call = detector.classify(seq);
+                assert_eq!(
+                    call.hit,
+                    unfiltered,
+                    "{} bases against {l} states",
+                    seq.len()
+                );
+                let full = 2 * (l * seq.len()) as u64;
+                assert!(call.bound_cells <= full && call.exact_cells <= full);
+                (hits, misses) = (
+                    hits + usize::from(unfiltered),
+                    misses + usize::from(!unfiltered),
+                );
+                stopped += usize::from(call.hit && call.exact_cells < full);
+            }
+        }
+        assert!(
+            hits >= 150 && misses >= 100 && stopped >= 100,
+            "{hits} hits, {misses} misses, {stopped} stopped"
+        );
     }
 
     #[test]
@@ -761,7 +910,9 @@ mod tests {
         (long.threshold, long.min_len) = (0.01, 100);
         let call = long.classify(&consensus[9_000..9_400]);
         assert_eq!((call.hit, call.bound_cells), (true, 0));
-        assert_eq!(call.exact_cells, 2 * 25_000 * 400);
+        // The forward strand's pass stops at the check after column 224 of
+        // 400; the reverse strand is not scanned.
+        assert_eq!(call.exact_cells, 25_000 * 224);
     }
 
     fn random_seq(rng: &mut StdRng, len: usize) -> Vec<u8> {

@@ -24,7 +24,8 @@
 //! a profile cannot be scaled into 16 bits (no positive emission, or longer
 //! than ~22,000 states) the filter stands aside. [`hmm`] has the layout, the
 //! rule that cuts the one dependency chain left in a column, and the proofs;
-//! [`RrnaDetector::classify`] reports the cells each pass filled.
+//! [`RrnaDetector::classify`] decides one strand at a time, stops each pass
+//! as soon as its best so far decides, and reports the cells it filled.
 
 pub mod hmm;
 

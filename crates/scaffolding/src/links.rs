@@ -130,22 +130,6 @@ pub struct LinkSet {
     pub insert_size: usize,
 }
 
-impl LinkSet {
-    /// All links touching the given contig end, with the far end and the data.
-    pub fn links_from(&self, from: ContigEndRef) -> Vec<(ContigEndRef, LinkData)> {
-        self.links
-            .iter()
-            .filter_map(|(k, d)| k.other(from).map(|o| (o, *d)))
-            .collect()
-    }
-
-    /// Looks up the link between two specific ends.
-    pub fn link_between(&self, x: ContigEndRef, y: ContigEndRef) -> Option<LinkData> {
-        let key = LinkKey::new(x, y);
-        self.links.iter().find(|(k, _)| *k == key).map(|(_, d)| *d)
-    }
-}
-
 /// In read coordinates: the aligned interval, plus which contig end the read
 /// runs toward as read coordinates increase and the contig bases remaining
 /// beyond the alignment in that direction (and the same for the entering

@@ -3,9 +3,10 @@
 use crate::links::{ContigEndRef, End, LinkData, LinkSet};
 use crate::types::{Scaffold, ScaffoldEntry};
 use dbg::{ContigId, ContigsRef};
+use dht::FxHashMap;
 use pgas::{Counter, Ctx};
 use rrna_hmm::RrnaDetector;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
 /// Parameters of the contig-graph traversal.
 #[derive(Debug, Clone, Copy)]
@@ -86,18 +87,144 @@ pub fn connected_components(
     labels
 }
 
+/// Every link at each contig end, in [`LinkSet`] order: one slice per end,
+/// so a walk step reads its own links instead of scanning all of them.
+struct Adjacency {
+    /// `far[start[e]..start[e + 1]]` are the links of end slot `e`.
+    start: Vec<usize>,
+    /// The far end and the data of each link, once per end it touches.
+    far: Vec<(ContigEndRef, LinkData)>,
+}
+
+impl Adjacency {
+    fn new(links: &LinkSet, num_contigs: usize) -> Self {
+        // A link between an end and itself is listed once.
+        let mut entries: Vec<(usize, ContigEndRef, LinkData)> = Vec::new();
+        for (k, d) in &links.links {
+            entries.push((Self::slot(k.a), k.b, *d));
+            if k.a != k.b {
+                entries.push((Self::slot(k.b), k.a, *d));
+            }
+        }
+        // Stable, so each end keeps its links in `LinkSet` order.
+        entries.sort_by_key(|&(slot, _, _)| slot);
+        let mut start = vec![0usize; 2 * num_contigs + 1];
+        for &(slot, _, _) in &entries {
+            start[slot + 1] += 1;
+        }
+        for e in 1..start.len() {
+            start[e] += start[e - 1];
+        }
+        let far = entries.into_iter().map(|(_, to, d)| (to, d)).collect();
+        Adjacency { start, far }
+    }
+
+    fn slot(end: ContigEndRef) -> usize {
+        2 * end.contig as usize + usize::from(end.end == End::Tail)
+    }
+
+    /// All links touching the given contig end, with the far end and the data.
+    fn links_from(&self, from: ContigEndRef) -> &[(ContigEndRef, LinkData)] {
+        let e = Self::slot(from);
+        &self.far[self.start[e]..self.start[e + 1]]
+    }
+
+    /// True if any link joins the two ends.
+    fn linked(&self, x: ContigEndRef, y: ContigEndRef) -> bool {
+        self.links_from(x).iter().any(|(other, _)| *other == y)
+    }
+}
+
+/// The rRNA verdicts one rank's walk reads, each decided when first asked
+/// for and remembered. A contig shorter than `rrna_min_len` is not a hit
+/// without a look at its sequence. A replicated set and a store's owned
+/// contigs are read in place; foreign ones are fetched one-sided
+/// ([`dht::DistMap::get_many_onesided`]: ranks walk different components,
+/// so no collective is reachable), with no cache. The rank that decides a
+/// verdict records its cells.
+struct RrnaVerdicts<'a> {
+    ctx: &'a Ctx<'a>,
+    contigs: ContigsRef<'a>,
+    detector: Option<&'a RrnaDetector>,
+    min_len: usize,
+    known: FxHashMap<ContigId, bool>,
+}
+
+impl RrnaVerdicts<'_> {
+    /// Decides every undecided contig of `ids`, fetching them in one call.
+    fn decide(&mut self, ids: &[ContigId]) {
+        let Some(detector) = self.detector else {
+            return;
+        };
+        let long_enough = |id| {
+            self.contigs
+                .len_of(id)
+                .is_some_and(|len| len >= self.min_len)
+        };
+        let mut ids: Vec<ContigId> = ids
+            .iter()
+            .copied()
+            .filter(|&id| long_enough(id) && !self.known.contains_key(&id))
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let RrnaVerdicts {
+            ctx,
+            known,
+            contigs,
+            ..
+        } = self;
+        let mut decide = |id: ContigId, seq: &[u8]| {
+            let call = detector.classify(seq);
+            ctx.record(Counter::hmm_bound_cells, call.bound_cells);
+            ctx.record(Counter::hmm_exact_cells, call.exact_cells);
+            known.insert(id, call.hit);
+        };
+        match contigs {
+            ContigsRef::Local(set) => {
+                for id in ids {
+                    decide(id, &set.get(id).expect("contig exists").seq);
+                }
+            }
+            ContigsRef::Store(store) => {
+                let map = store.map();
+                let (owned, foreign): (Vec<ContigId>, Vec<ContigId>) = ids
+                    .into_iter()
+                    .partition(|id| map.owner_of(id) == ctx.rank());
+                for id in owned {
+                    decide(
+                        id,
+                        &map.get_cloned(ctx, &id).expect("contig exists").unpack(),
+                    );
+                }
+                let fetched = map.get_many_onesided(ctx, &foreign);
+                for (id, packed) in foreign.into_iter().zip(fetched) {
+                    decide(id, &packed.expect("contig exists").unpack());
+                }
+            }
+        }
+    }
+
+    /// True if the contig contains an rRNA-like region.
+    fn is_hit(&mut self, id: ContigId) -> bool {
+        self.decide(&[id]);
+        self.known.get(&id).copied().unwrap_or(false)
+    }
+}
+
 /// One directed step choice out of a contig end.
 fn pick_next(
     from: ContigEndRef,
     contigs: ContigsRef<'_>,
-    links: &LinkSet,
+    links: &Adjacency,
     visited: &HashSet<ContigId>,
-    rrna_hits: &HashSet<ContigId>,
+    rrna: &mut RrnaVerdicts<'_>,
     params: &ScaffoldTraversalParams,
 ) -> Option<(ContigEndRef, LinkData, Option<ContigId>)> {
     let mut candidates: Vec<(ContigEndRef, LinkData)> = links
         .links_from(from)
-        .into_iter()
+        .iter()
+        .copied()
         .filter(|(other, d)| {
             d.support() >= params.min_link_support && !visited.contains(&other.contig)
         })
@@ -127,34 +254,41 @@ fn pick_next(
                     if i == j {
                         continue;
                     }
-                    if links.link_between(r_far, y).is_some() {
+                    if links.linked(r_far, y) {
                         return Some((y, yd, Some(r.contig)));
                     }
                 }
             }
-            // rRNA rule: if the current contig is an HMM hit, extend anyway,
-            // preferring a candidate that is also an HMM hit with similar depth.
-            if rrna_hits.contains(&from.contig) {
-                let my_depth = contigs.depth_of(from.contig).unwrap_or(0.0);
-                let mut best: Option<(ContigEndRef, LinkData, f64)> = None;
-                for (other, d) in &candidates {
+            // rRNA rule: if the current contig is an HMM hit, extend anyway
+            // to a candidate of similar depth, preferring one that is also a
+            // hit. Verdicts are read only where they decide the step: the
+            // current contig's if some candidate has a similar depth, then
+            // those candidates' (decided in one fetch).
+            let my_depth = contigs.depth_of(from.contig).unwrap_or(0.0);
+            let similar: Vec<(ContigEndRef, LinkData, f64)> = candidates
+                .iter()
+                .map(|&(other, d)| {
                     let od = contigs.depth_of(other.contig).unwrap_or(0.0);
                     let rel = if my_depth > 0.0 {
                         (od - my_depth).abs() / my_depth
                     } else {
                         f64::INFINITY
                     };
-                    let is_hit = rrna_hits.contains(&other.contig);
-                    let score = rel - if is_hit { 1.0 } else { 0.0 };
-                    if rel <= params.rrna_depth_tolerance
-                        && best.map(|(_, _, s)| score < s).unwrap_or(true)
-                    {
-                        best = Some((*other, *d, score));
+                    (other, d, rel)
+                })
+                .filter(|&(_, _, rel)| rel <= params.rrna_depth_tolerance)
+                .collect();
+            if !similar.is_empty() && rrna.is_hit(from.contig) {
+                let ids: Vec<ContigId> = similar.iter().map(|(other, _, _)| other.contig).collect();
+                rrna.decide(&ids);
+                let mut best: Option<(ContigEndRef, LinkData, f64)> = None;
+                for (other, d, rel) in similar {
+                    let score = rel - if rrna.is_hit(other.contig) { 1.0 } else { 0.0 };
+                    if best.map(|(_, _, s)| score < s).unwrap_or(true) {
+                        best = Some((other, d, score));
                     }
                 }
-                if let Some((other, d, _)) = best {
-                    return Some((other, d, None));
-                }
+                return best.map(|(other, d, _)| (other, d, None));
             }
             // Otherwise the end is not extendable.
             None
@@ -164,14 +298,13 @@ fn pick_next(
 
 /// Walks outward from one end of the seed, returning the chain of entries (not
 /// including the seed itself).
-#[allow(clippy::too_many_arguments)]
 fn walk(
     seed: ContigId,
     seed_exit: End,
     contigs: ContigsRef<'_>,
-    links: &LinkSet,
+    links: &Adjacency,
     visited: &mut HashSet<ContigId>,
-    rrna_hits: &HashSet<ContigId>,
+    rrna: &mut RrnaVerdicts<'_>,
     params: &ScaffoldTraversalParams,
 ) -> Vec<(ContigId, bool, i64, Option<ContigId>)> {
     let mut out = Vec::new();
@@ -180,7 +313,7 @@ fn walk(
         end: seed_exit,
     };
     while let Some((entered, data, suspended)) =
-        pick_next(current, contigs, links, visited, rrna_hits, params)
+        pick_next(current, contigs, links, visited, rrna, params)
     {
         if let Some(s) = suspended {
             visited.insert(s);
@@ -202,10 +335,13 @@ fn walk(
 /// (entries only; sequences are materialised by gap closing). The result is
 /// identical on every rank.
 ///
-/// The walk itself only consults contig lengths and depths (replicated
-/// metadata in both contig sources); the one sequence-reading step, rRNA
-/// classification, runs owner-locally over the distributed store's shards
-/// and allgathers the hit ids, so no contig bytes cross ranks here either.
+/// The walk consults contig lengths and depths (replicated metadata in both
+/// contig sources) and, at a fork, rRNA verdicts. A verdict is decided only
+/// when the walk reads it — the fork's own contig if a candidate has a
+/// similar depth, then, if that is a hit, those candidates — once, on the
+/// rank that walks the component. From a distributed store the foreign ones
+/// among those contigs are fetched one-sided; nothing else crosses ranks
+/// here but the components' labels and the gathered scaffolds.
 pub fn traverse_contig_graph_ref(
     ctx: &Ctx,
     contigs: ContigsRef<'_>,
@@ -213,38 +349,24 @@ pub fn traverse_contig_graph_ref(
     rrna: Option<&RrnaDetector>,
     params: &ScaffoldTraversalParams,
 ) -> Vec<Scaffold> {
-    // rRNA classification of contigs. Its work counters read "once per
-    // contig": every rank classifies a replicated set, rank 0 reports it.
-    let is_hit = |detector: &RrnaDetector, seq: &[u8], report: bool| {
-        let call = detector.classify(seq);
-        if report {
-            ctx.record(Counter::hmm_bound_cells, call.bound_cells);
-            ctx.record(Counter::hmm_exact_cells, call.exact_cells);
-        }
-        call.hit
+    let verdicts = RrnaVerdicts {
+        ctx,
+        contigs,
+        detector: rrna,
+        min_len: params.rrna_min_len,
+        known: FxHashMap::default(),
     };
-    let rrna_hits: HashSet<ContigId> = match (rrna, contigs) {
-        (Some(detector), ContigsRef::Local(set)) => set
-            .contigs
-            .iter()
-            .filter(|c| c.len() >= params.rrna_min_len && is_hit(detector, &c.seq, ctx.rank() == 0))
-            .map(|c| c.id)
-            .collect(),
-        (Some(detector), ContigsRef::Store(store)) => {
-            // Owner-local scan of this rank's shard, then allgather the ids.
-            let mut local_hits: Vec<ContigId> = Vec::new();
-            store.map().for_each_local(ctx, |id, packed| {
-                if packed.len() >= params.rrna_min_len && is_hit(detector, &packed.unpack(), true) {
-                    local_hits.push(*id);
-                }
-            });
-            let outgoing: Vec<Vec<ContigId>> =
-                (0..ctx.ranks()).map(|_| local_hits.clone()).collect();
-            ctx.exchange(outgoing).into_iter().collect()
-        }
-        (None, _) => HashSet::new(),
-    };
+    traverse(ctx, contigs, links, verdicts, params)
+}
 
+/// [`traverse_contig_graph_ref`] with the rRNA verdicts it starts from.
+fn traverse(
+    ctx: &Ctx,
+    contigs: ContigsRef<'_>,
+    links: &LinkSet,
+    mut rrna: RrnaVerdicts<'_>,
+    params: &ScaffoldTraversalParams,
+) -> Vec<Scaffold> {
     // Connected components over sufficiently supported links.
     let edges: Vec<(ContigId, ContigId)> = links
         .links
@@ -253,24 +375,24 @@ pub fn traverse_contig_graph_ref(
         .map(|(k, _)| (k.a.contig, k.b.contig))
         .collect();
     let labels = connected_components(ctx, contigs.num_contigs(), &edges);
+    let adjacency = Adjacency::new(links, contigs.num_contigs());
 
-    // Each rank traverses the components assigned to it (component mod ranks).
+    // Each rank traverses the components assigned to it (component mod
+    // ranks): the members of each, bucketed in one pass over the labels.
     let my_rank = ctx.rank() as u64;
     let ranks = ctx.ranks() as u64;
-    let mut my_components: Vec<ContigId> = labels
-        .iter()
-        .copied()
-        .collect::<HashSet<_>>()
-        .into_iter()
-        .filter(|c| c % ranks == my_rank)
-        .collect();
-    my_components.sort_unstable();
+    let mut my_components: BTreeMap<ContigId, Vec<ContigId>> = BTreeMap::new();
+    for (id, &label) in labels.iter().enumerate() {
+        if label % ranks == my_rank {
+            my_components.entry(label).or_default().push(id as ContigId);
+        }
+    }
 
     let mut local_scaffolds: Vec<Vec<ScaffoldEntry>> = Vec::new();
-    for comp in my_components {
+    for members in my_components.into_values() {
         // Contigs of this component, longest first (the traversal-seed order).
-        let mut members: Vec<(ContigId, usize)> = (0..contigs.num_contigs() as ContigId)
-            .filter(|id| labels[*id as usize] == comp)
+        let mut members: Vec<(ContigId, usize)> = members
+            .into_iter()
             .map(|id| (id, contigs.len_of(id).unwrap_or(0)))
             .collect();
         members.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -285,18 +407,18 @@ pub fn traverse_contig_graph_ref(
                 seed,
                 End::Tail,
                 contigs,
-                links,
+                &adjacency,
                 &mut visited,
-                &rrna_hits,
+                &mut rrna,
                 params,
             );
             let left = walk(
                 seed,
                 End::Head,
                 contigs,
-                links,
+                &adjacency,
                 &mut visited,
-                &rrna_hits,
+                &mut rrna,
                 params,
             );
             // Assemble the entry chain: reversed left part, seed, right part.
@@ -353,8 +475,10 @@ pub fn traverse_contig_graph_ref(
 mod tests {
     use super::*;
     use crate::links::LinkKey;
-    use dbg::ContigSet;
-    use pgas::Team;
+    use dbg::{ContigSet, ContigStore, ContigStoreParams};
+    use pgas::{StatsSnapshot, Team};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn end(contig: ContigId, end: End) -> ContigEndRef {
         ContigEndRef { contig, end }
@@ -538,6 +662,363 @@ mod tests {
             assert_eq!(scaffolds[0].len(), 2, "ranks={ranks}");
             for sc in &scaffolds[0] {
                 assert_eq!(sc.entries.len(), 2);
+            }
+        }
+    }
+
+    /// The two scans [`Adjacency`] replaced, as `LinkSet` methods had them.
+    fn links_from_by_scan(links: &LinkSet, from: ContigEndRef) -> Vec<(ContigEndRef, LinkData)> {
+        links
+            .links
+            .iter()
+            .filter_map(|(k, d)| k.other(from).map(|o| (o, *d)))
+            .collect()
+    }
+
+    fn linked_by_scan(links: &LinkSet, x: ContigEndRef, y: ContigEndRef) -> bool {
+        let key = LinkKey::new(x, y);
+        links.links.iter().any(|(k, _)| *k == key)
+    }
+
+    fn random_end(rng: &mut StdRng, contigs: usize) -> ContigEndRef {
+        let contig = rng.gen_range(0..contigs as ContigId);
+        end(contig, if rng.gen() { End::Head } else { End::Tail })
+    }
+
+    /// `count` random links among `contigs` contigs: supports 1-5 (so some
+    /// fall below the traversal's minimum of 2), a few links from an end to
+    /// itself or to the other end of its contig, a few repeated keys.
+    fn random_links(rng: &mut StdRng, contigs: usize, count: usize) -> LinkSet {
+        let mut links: Vec<(LinkKey, LinkData)> = Vec::new();
+        for _ in 0..count {
+            let x = random_end(rng, contigs);
+            let y = match rng.gen_range(0..20) {
+                0 => x,
+                1 => end(x.contig, x.end.opposite()),
+                2 if !links.is_empty() => links[rng.gen_range(0..links.len())].0.a,
+                _ => random_end(rng, contigs),
+            };
+            let support = rng.gen_range(1..=5);
+            links.push((
+                LinkKey::new(x, y),
+                LinkData {
+                    splints: support,
+                    spans: 0,
+                    gap_sum: rng.gen_range(-20..200) * support as i64,
+                },
+            ));
+        }
+        LinkSet {
+            links,
+            insert_size: 300,
+        }
+    }
+
+    #[test]
+    fn adjacency_lists_what_the_scans_found() {
+        let mut rng = StdRng::seed_from_u64(31);
+        for (contigs, count) in [(1, 0), (1, 3), (5, 12), (40, 90), (200, 150)] {
+            let links = random_links(&mut rng, contigs, count);
+            let adjacency = Adjacency::new(&links, contigs);
+            for id in 0..contigs as ContigId {
+                for x in [end(id, End::Head), end(id, End::Tail)] {
+                    assert_eq!(adjacency.links_from(x), links_from_by_scan(&links, x));
+                    for other in 0..contigs as ContigId {
+                        for y in [end(other, End::Head), end(other, End::Tail)] {
+                            assert_eq!(adjacency.linked(x, y), linked_by_scan(&links, x, y));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn random_seq(rng: &mut StdRng, len: usize) -> Vec<u8> {
+        (0..len).map(|_| b"ACGT"[rng.gen_range(0..4)]).collect()
+    }
+
+    /// `seq` with `rate` of its bases substituted.
+    fn mutate(rng: &mut StdRng, seq: &[u8], rate: f64) -> Vec<u8> {
+        let mut out = seq.to_vec();
+        for base in &mut out {
+            if rng.gen::<f64>() < rate {
+                *base = b"ACGT"
+                    [(b"ACGT".iter().position(|b| b == base).unwrap() + rng.gen_range(1..4)) % 4];
+            }
+        }
+        out
+    }
+
+    /// `len` bases with a copy of `consensus` planted in the middle.
+    fn with_copy(rng: &mut StdRng, consensus: &[u8], len: usize) -> Vec<u8> {
+        let flank = (len - consensus.len()) / 2;
+        let copy = mutate(rng, consensus, 0.03);
+        [
+            random_seq(rng, flank),
+            copy,
+            random_seq(rng, len - consensus.len() - flank),
+        ]
+        .concat()
+    }
+
+    /// Runs `traverse` on a team of `ranks` over the replicated set or a
+    /// store built from it, checks that every rank returned the same
+    /// scaffolds, and returns them with the team's counters.
+    fn run_on(
+        ranks: usize,
+        store: bool,
+        set: &ContigSet,
+        traverse: impl Fn(&Ctx, ContigsRef<'_>) -> Vec<Scaffold> + Send + Sync,
+    ) -> (Vec<Scaffold>, StatsSnapshot) {
+        let team = Team::single_node(ranks);
+        let out = team.run(|ctx| {
+            if store {
+                let store = ContigStore::build(ctx, set, &ContigStoreParams::default());
+                traverse(ctx, (&*store).into())
+            } else {
+                traverse(ctx, set.into())
+            }
+        });
+        for o in &out[1..] {
+            assert_eq!(o, &out[0], "{ranks} ranks disagree");
+        }
+        (out[0].clone(), team.stats_total())
+    }
+
+    fn order(scaffolds: &[Scaffold]) -> Vec<Vec<ContigId>> {
+        let ids = |s: &Scaffold| s.entries.iter().map(|e| e.contig).collect();
+        scaffolds.iter().map(ids).collect()
+    }
+
+    /// A fork at contig 0's tail, contig 0 at depth `depth` and carrying a
+    /// copy if `hit`: 1 is an rRNA copy at depth 11, 2 is not one, at depth
+    /// 10 and with more support (so it sorts first), 3 is a copy at depth 30.
+    fn fork(hit: bool, depth: f64) -> (ContigSet, LinkSet, RrnaDetector) {
+        let mut rng = StdRng::seed_from_u64(32);
+        let consensus = random_seq(&mut rng, 200);
+        let detector = RrnaDetector::from_consensus(&consensus);
+        let seqs = [
+            if hit {
+                with_copy(&mut rng, &consensus, 900)
+            } else {
+                random_seq(&mut rng, 900)
+            },
+            with_copy(&mut rng, &consensus, 800),
+            random_seq(&mut rng, 700),
+            with_copy(&mut rng, &consensus, 600),
+        ];
+        let depths = [depth, 11.0, 10.0, 30.0];
+        let set = ContigSet::from_sequences(21, seqs.into_iter().zip(depths).collect());
+        let lens: Vec<usize> = set.contigs.iter().map(|c| c.len()).collect();
+        assert_eq!(lens, [900, 800, 700, 600], "ids follow lengths");
+        let link = |to: ContigId, splints: u32| {
+            (
+                LinkKey::new(end(0, End::Tail), end(to, End::Head)),
+                LinkData {
+                    splints,
+                    spans: 0,
+                    gap_sum: 0,
+                },
+            )
+        };
+        let links = LinkSet {
+            links: vec![link(1, 3), link(2, 4), link(3, 3)],
+            insert_size: 300,
+        };
+        (set, links, detector)
+    }
+
+    /// The cells of classifying the given contigs.
+    fn cells_of(detector: &RrnaDetector, set: &ContigSet, ids: &[ContigId]) -> (u64, u64) {
+        ids.iter().fold((0, 0), |(bound, exact), &id| {
+            let call = detector.classify(&set.contigs[id as usize].seq);
+            (bound + call.bound_cells, exact + call.exact_cells)
+        })
+    }
+
+    #[test]
+    fn an_rrna_hit_at_a_fork_extends_to_the_similar_hit() {
+        let (set, links, detector) = fork(true, 10.0);
+        // Only the fork's contig and its candidates of similar depth are
+        // classified; 3 is too deep for its verdict to be read.
+        let (bound, exact) = cells_of(&detector, &set, &[0, 1, 2]);
+        let hit = |id: usize| detector.is_hit(&set.contigs[id].seq);
+        assert_eq!([hit(0), hit(1), hit(2), hit(3)], [true, true, false, true]);
+        for ranks in [1, 2] {
+            for store in [false, true] {
+                let (scaffolds, stats) = run_on(ranks, store, &set, |ctx, contigs| {
+                    let params = ScaffoldTraversalParams::default();
+                    traverse_contig_graph_ref(ctx, contigs, &links, Some(&detector), &params)
+                });
+                assert_eq!(order(&scaffolds), vec![vec![0, 1], vec![2], vec![3]]);
+                assert_eq!(
+                    (stats.hmm_bound_cells, stats.hmm_exact_cells),
+                    (bound, exact)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_fork_at_a_contig_that_is_not_an_rrna_hit_stops() {
+        // Only the fork's own contig is classified. At depth 100 no
+        // candidate is within the tolerance, so whatever contig 0 is, the
+        // fork stops without a verdict.
+        let (set, _, detector) = fork(false, 10.0);
+        let (bound, exact) = cells_of(&detector, &set, &[0]);
+        assert!(bound > 0 && !detector.is_hit(&set.contigs[0].seq));
+        for (hit, depth, cells) in [(false, 10.0, (bound, exact)), (true, 100.0, (0, 0))] {
+            let (set, links, detector) = fork(hit, depth);
+            for ranks in [1, 2] {
+                for store in [false, true] {
+                    let (scaffolds, stats) = run_on(ranks, store, &set, |ctx, contigs| {
+                        let params = ScaffoldTraversalParams::default();
+                        traverse_contig_graph_ref(ctx, contigs, &links, Some(&detector), &params)
+                    });
+                    assert_eq!(order(&scaffolds), vec![vec![0], vec![1], vec![2], vec![3]]);
+                    assert_eq!((stats.hmm_bound_cells, stats.hmm_exact_cells), cells);
+                }
+            }
+        }
+    }
+
+    /// The rRNA hits as the traversal used to find them, before it decided
+    /// verdicts on demand: every contig of at least `rrna_min_len` bases
+    /// classified up front — the replicated set on every rank, a store's
+    /// shards owner-locally with the hit ids allgathered.
+    fn classify_every_contig(
+        ctx: &Ctx,
+        contigs: ContigsRef<'_>,
+        detector: &RrnaDetector,
+        params: &ScaffoldTraversalParams,
+    ) -> HashSet<ContigId> {
+        match contigs {
+            ContigsRef::Local(set) => set
+                .contigs
+                .iter()
+                .filter(|c| c.len() >= params.rrna_min_len && detector.is_hit(&c.seq))
+                .map(|c| c.id)
+                .collect(),
+            ContigsRef::Store(store) => {
+                let mut local_hits: Vec<ContigId> = Vec::new();
+                store.map().for_each_local(ctx, |id, packed| {
+                    if packed.len() >= params.rrna_min_len && detector.is_hit(&packed.unpack()) {
+                        local_hits.push(*id);
+                    }
+                });
+                let outgoing: Vec<Vec<ContigId>> =
+                    (0..ctx.ranks()).map(|_| local_hits.clone()).collect();
+                ctx.exchange(outgoing).into_iter().collect()
+            }
+        }
+    }
+
+    /// The traversal walking on the verdicts [`classify_every_contig`]
+    /// found: every verdict it can read is known before it starts.
+    fn traverse_on_every_verdict(
+        ctx: &Ctx,
+        contigs: ContigsRef<'_>,
+        links: &LinkSet,
+        detector: &RrnaDetector,
+        params: &ScaffoldTraversalParams,
+    ) -> Vec<Scaffold> {
+        let hits = classify_every_contig(ctx, contigs, detector, params);
+        let known = (0..contigs.num_contigs() as ContigId)
+            .filter(|&id| {
+                contigs
+                    .len_of(id)
+                    .is_some_and(|len| len >= params.rrna_min_len)
+            })
+            .map(|id| (id, hits.contains(&id)))
+            .collect();
+        let verdicts = RrnaVerdicts {
+            ctx,
+            contigs,
+            detector: Some(detector),
+            min_len: params.rrna_min_len,
+            known,
+        };
+        traverse(ctx, contigs, links, verdicts, params)
+    }
+
+    /// 40 contigs of 100-700 bases (some short enough to be suspended, some
+    /// too short to classify), a third carrying a copy of the consensus and
+    /// a few a third of one (near the threshold), at depths 8-40 — with
+    /// links among them dense enough to make forks.
+    fn planted_graph(rng: &mut StdRng, consensus: &[u8]) -> (ContigSet, LinkSet) {
+        let seqs: Vec<(Vec<u8>, f64)> = (0..40)
+            .map(|_| {
+                let len = rng.gen_range(100..700);
+                let depth = [8.0, 10.0, 12.0, 20.0, 40.0][rng.gen_range(0..5)];
+                let third = consensus.len() / 3;
+                let seq = match rng.gen_range(0..6) {
+                    0 | 1 if len >= consensus.len() => with_copy(rng, consensus, len),
+                    2 => with_copy(rng, &consensus[third..2 * third], len),
+                    _ => random_seq(rng, len),
+                };
+                (seq, depth)
+            })
+            .collect();
+        let set = ContigSet::from_sequences(21, seqs);
+        let links = random_links(rng, set.len(), 70);
+        (set, links)
+    }
+
+    #[test]
+    fn verdicts_on_demand_give_the_scaffolds_of_classifying_every_contig() {
+        let mut rng = StdRng::seed_from_u64(33);
+        let consensus = random_seq(&mut rng, 120);
+        let detector = RrnaDetector::from_consensus(&consensus);
+        let params = ScaffoldTraversalParams::default();
+        let mut rule_decided = 0;
+        for _ in 0..10 {
+            let (set, links) = planted_graph(&mut rng, &consensus);
+            let (without, _) = run_on(1, false, &set, |ctx, contigs| {
+                traverse_contig_graph_ref(ctx, contigs, &links, None, &params)
+            });
+            let (expected, _) = run_on(1, false, &set, |ctx, contigs| {
+                traverse_on_every_verdict(ctx, contigs, &links, &detector, &params)
+            });
+            rule_decided += usize::from(expected != without);
+            let (from_store, _) = run_on(3, true, &set, |ctx, contigs| {
+                traverse_on_every_verdict(ctx, contigs, &links, &detector, &params)
+            });
+            assert_eq!(from_store, expected, "the oracle's two sources");
+            for ranks in 1..=4 {
+                for store in [false, true] {
+                    let (on_demand, _) = run_on(ranks, store, &set, |ctx, contigs| {
+                        traverse_contig_graph_ref(ctx, contigs, &links, Some(&detector), &params)
+                    });
+                    assert_eq!(on_demand, expected, "{ranks} ranks, store {store}");
+                }
+            }
+        }
+        assert!(
+            rule_decided >= 8,
+            "the rRNA rule changed only {rule_decided} graphs"
+        );
+    }
+
+    #[test]
+    fn hmm_cells_do_not_depend_on_the_rank_count() {
+        let mut rng = StdRng::seed_from_u64(34);
+        let consensus = random_seq(&mut rng, 120);
+        let detector = RrnaDetector::from_consensus(&consensus);
+        let params = ScaffoldTraversalParams::default();
+        for _ in 0..4 {
+            let (set, links) = planted_graph(&mut rng, &consensus);
+            let cells = |ranks, store| {
+                let (_, stats) = run_on(ranks, store, &set, |ctx, contigs| {
+                    traverse_contig_graph_ref(ctx, contigs, &links, Some(&detector), &params)
+                });
+                (stats.hmm_bound_cells, stats.hmm_exact_cells)
+            };
+            let one = cells(1, false);
+            assert!(one.0 > 0 && one.1 > 0, "{one:?}");
+            for ranks in [1, 2, 4] {
+                for store in [false, true] {
+                    assert_eq!(cells(ranks, store), one, "{ranks} ranks, store {store}");
+                }
             }
         }
     }
