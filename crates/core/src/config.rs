@@ -141,9 +141,10 @@ impl Default for AssemblyConfig {
 impl AssemblyConfig {
     /// Checks the cross-field invariants that would otherwise surface as
     /// obscure panics or hangs deep inside the pipeline (an empty k schedule
-    /// or one past the packed k-mer width, a zero count cutoff, an unusable
-    /// seed length, an empty lookup batch, a read block that splits pairs, a
-    /// zero-rank node, a mer-walk schedule that cannot move). Called by
+    /// or one past the packed k-mer width, an extension error rate under which
+    /// nothing forks, a zero count cutoff, an unusable seed length, an empty
+    /// lookup batch, a read block that splits pairs, a zero-rank node, a
+    /// mer-walk schedule that cannot move). Called by
     /// [`crate::MetaHipMer::new`], so a bad configuration fails at
     /// construction with a message naming the field, not mid-assembly.
     pub fn validate(&self) -> Result<(), String> {
@@ -172,6 +173,14 @@ impl AssemblyConfig {
                 self.k_max,
                 dbg::MAX_K
             ));
+        }
+        if let ThresholdPolicy::Dynamic { error_rate, .. } = self.threshold {
+            if !(0.0..1.0).contains(&error_rate) {
+                return Err(format!(
+                    "threshold.error_rate must be in [0, 1), got {error_rate} (from 1 up no \
+                     k-mer ever forks, so contigs would join across real branches)"
+                ));
+            }
         }
         if self.min_kmer_count == 0 {
             return Err(
@@ -493,6 +502,33 @@ mod tests {
                     ..AssemblyConfig::small_test()
                 },
                 "min_kmer_count",
+            ),
+            (
+                edited(|cfg| {
+                    cfg.threshold = ThresholdPolicy::Dynamic {
+                        t_base: 2,
+                        error_rate: 1.0,
+                    }
+                }),
+                "threshold.error_rate",
+            ),
+            (
+                edited(|cfg| {
+                    cfg.threshold = ThresholdPolicy::Dynamic {
+                        t_base: 2,
+                        error_rate: f64::NAN,
+                    }
+                }),
+                "threshold.error_rate",
+            ),
+            (
+                edited(|cfg| {
+                    cfg.threshold = ThresholdPolicy::Dynamic {
+                        t_base: 2,
+                        error_rate: -0.05,
+                    }
+                }),
+                "threshold.error_rate",
             ),
             (seed_len(16), "align.seed_len"),
             (seed_len(1), "align.seed_len"),

@@ -343,6 +343,8 @@ impl MetaHipMer {
                 }
                 ContigsHolder::wrap(ctx, cfg, current)
             });
+            // Nothing reads the k-mer table after this stage.
+            drop((analysis, graph));
 
             // --- 5. read-to-contig alignment ----------------------------------
             let alignments = timings.time(ctx, "alignment", || {

@@ -61,7 +61,7 @@ use std::sync::Arc;
 
 /// K-mer observations one counting bin is sized for. A bin's distinct k-mers
 /// are at most its observations, so the scratch table of a typical bin holds
-/// a few thousand ~100-byte entries — inside the L2 cache, where the one
+/// a few thousand 80-byte entries — inside the L2 cache, where the one
 /// table all observations used to probe was DRAM-bound. The bin count follows
 /// from the received volume, up to [`TAGS`]. Run time measured within noise
 /// of this from a quarter to sixteen times the value; one bin for everything
@@ -452,8 +452,8 @@ mod tests {
                 .get_cloned(ctx, &canon)
                 .expect("interior k-mer present");
             assert_eq!(entry.count, 4);
-            assert!(entry.left.total() > 0);
-            assert!(entry.right.total() > 0);
+            assert!(entry.left.total_hq() > 0);
+            assert!(entry.right.total_hq() > 0);
         });
     }
 

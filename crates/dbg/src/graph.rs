@@ -1,17 +1,17 @@
-//! The distributed de Bruijn graph hash table (§II-C).
+//! The distributed de Bruijn graph (§II-C).
 //!
 //! Vertices are canonical k-mers; edges are implicit in the per-side extension
 //! codes, exactly as in the UPC implementation ("a two-letter code
 //! `[ACGT][ACGT]` that indicates the unique bases that immediately precede and
-//! follow the k-mer"). The difference between HipMer and MetaHipMer lives in
-//! [`ThresholdPolicy`]: HipMer applies one global limit on contradicting
-//! extensions, MetaHipMer scales the limit with the k-mer's depth so that both
-//! very-high-coverage and very-low-coverage organisms keep their unique
-//! extensions.
+//! follow the k-mer"). As in the paper, the graph is the k-mer counts table
+//! itself, read through a [`ThresholdPolicy`]. The difference between HipMer
+//! and MetaHipMer lives in the policy: HipMer applies one global limit on
+//! contradicting extensions, MetaHipMer scales the limit with the k-mer's
+//! depth so that both very-high-coverage and very-low-coverage organisms
+//! keep their unique extensions.
 
 use crate::analysis::KmerCountsMap;
-use dht::DistMap;
-use kmers::{Ext, Kmer};
+use kmers::{Ext, Kmer, KmerCounts};
 use pgas::Ctx;
 use std::sync::Arc;
 
@@ -26,12 +26,13 @@ pub enum ThresholdPolicy {
 }
 
 impl ThresholdPolicy {
-    /// The contradiction budget for a k-mer of the given depth.
+    /// The contradiction budget for a k-mer of the given depth (the saturating
+    /// cast floors the product, and maps a negative or NaN one to 0).
     pub fn max_contradictions(&self, depth: u32) -> u32 {
         match *self {
             ThresholdPolicy::Global { thq } => thq,
             ThresholdPolicy::Dynamic { t_base, error_rate } => {
-                t_base.max((error_rate * depth as f64).floor() as u32)
+                t_base.max((error_rate * depth as f64) as u32)
             }
         }
     }
@@ -50,8 +51,8 @@ impl ThresholdPolicy {
     }
 }
 
-/// A de Bruijn graph vertex: depth, reduced extensions, and the traversal
-/// claim flag (`used`) manipulated with atomic-style entry updates.
+/// A de Bruijn graph vertex as readers see it: depth, reduced extensions,
+/// and the traversal claim flag (`used`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KmerVertex {
     pub count: u32,
@@ -61,56 +62,65 @@ pub struct KmerVertex {
     pub used: bool,
 }
 
-/// The distributed de Bruijn graph.
-pub type KmerGraph = Arc<DistMap<Kmer, KmerVertex>>;
+/// The distributed de Bruijn graph: a view of the k-mer counts table that
+/// reduces an entry's extension counts under the policy when its vertex is
+/// read. The traversal's claims live in the entries ([`KmerCounts::used`]).
+pub struct KmerGraph {
+    pub(crate) counts: KmerCountsMap,
+    pub(crate) policy: ThresholdPolicy,
+}
 
-/// Builds the graph from the k-mer counts table by reducing each side's
-/// extension counts under the given threshold policy. Collective. The counts
-/// table is left untouched (it is reused by later stages, e.g. pruning needs
-/// fork k-mers and §II-H merges new k-mers into it).
-pub fn build_graph(ctx: &Ctx, counts: &KmerCountsMap, policy: ThresholdPolicy) -> KmerGraph {
-    // The graph inherits the counts table's partitioner (hash by default,
-    // minimizer-based under supermer routing) so that both tables agree on
-    // ownership and the per-rank rebuild below stays purely local.
-    let graph: KmerGraph =
-        ctx.share(|| DistMap::with_partitioner(ctx.ranks(), counts.partitioner()));
-    let mut local: Vec<(Kmer, KmerVertex)> = Vec::new();
-    counts.for_each_local(ctx, |kmer, c| {
-        let budget = policy.max_contradictions(c.count);
-        local.push((
-            *kmer,
-            KmerVertex {
-                count: c.count,
-                left: c.left.reduce(budget),
-                right: c.right.reduce(budget),
-                used: false,
-            },
-        ));
-    });
-    // Keys keep the same owner in the new map (same partitioner, same rank
-    // count), so the insertion is purely local.
-    graph.apply_local_batch(ctx, local, |v| v, |slot, v| *slot = v);
-    ctx.barrier();
-    graph
+impl KmerGraph {
+    /// The vertex a counts entry reduces to under the graph's policy.
+    #[inline]
+    pub(crate) fn vertex(&self, c: &KmerCounts) -> KmerVertex {
+        let budget = self.policy.max_contradictions(c.count);
+        KmerVertex {
+            count: c.count,
+            left: c.left.reduce(budget),
+            right: c.right.reduce(budget),
+            used: c.used,
+        }
+    }
+
+    /// Visits every vertex owned by the calling rank, under the caveat of
+    /// [`dht::DistMap::for_each_local`].
+    pub fn for_each_local(&self, ctx: &Ctx, mut f: impl FnMut(&Kmer, KmerVertex)) {
+        self.counts
+            .for_each_local(ctx, |kmer, c| f(kmer, self.vertex(c)));
+    }
+}
+
+/// The de Bruijn graph of a k-mer counts table under the given threshold
+/// policy: a view sharing the table, so nothing is inserted, copied or sent.
+/// Traversal claims vertices in the table's entries, so traverse it once.
+pub fn build_graph(_ctx: &Ctx, counts: &KmerCountsMap, policy: ThresholdPolicy) -> KmerGraph {
+    KmerGraph {
+        counts: Arc::clone(counts),
+        policy,
+    }
 }
 
 /// Looks up k-mers *in the orientation the caller is walking in*:
 /// canonicalises every queried k-mer, resolves all of them in a single
-/// aggregated request–response round trip ([`DistMap::get_many`]), and
-/// re-orients each result into its caller's walk orientation (if the
-/// canonical form is the reverse complement, the left/right extensions are
-/// swapped and complemented). Collective: every rank must call this in the
-/// same phase (an empty `kmers` slice still participates); `batch` is the
-/// per-owner aggregation size of the underlying messages.
+/// aggregated request–response round trip in which each owner replies with
+/// the reduced vertex ([`dht::DistMap::get_many_with`]), and re-orients each
+/// result into its caller's walk orientation (if the canonical form is the
+/// reverse complement, the left/right extensions are swapped and
+/// complemented). Collective: every rank must call this in the same phase (an
+/// empty `kmers` slice still participates); `batch` is the per-owner
+/// aggregation size of the underlying messages.
 pub fn lookup_oriented_many(
     ctx: &Ctx,
-    graph: &DistMap<Kmer, KmerVertex>,
+    graph: &KmerGraph,
     kmers: &[Kmer],
     batch: usize,
 ) -> Vec<Option<OrientedVertex>> {
     let canon: Vec<(Kmer, bool)> = kmers.iter().map(|k| k.canonical()).collect();
     let keys: Vec<Kmer> = canon.iter().map(|&(c, _)| c).collect();
-    let fetched = graph.get_many(ctx, &keys, batch);
+    let fetched = graph
+        .counts
+        .get_many_with(ctx, &keys, batch, |c| graph.vertex(c));
     fetched
         .into_iter()
         .zip(canon)
@@ -126,7 +136,6 @@ pub struct OrientedVertex {
     pub count: u32,
     pub left: Ext,
     pub right: Ext,
-    pub used: bool,
 }
 
 pub(crate) fn flip_ext(e: Ext) -> Ext {
@@ -137,22 +146,16 @@ pub(crate) fn flip_ext(e: Ext) -> Ext {
 }
 
 pub(crate) fn orient(v: KmerVertex, canonical: Kmer, was_rc: bool) -> OrientedVertex {
-    if was_rc {
-        OrientedVertex {
-            canonical,
-            count: v.count,
-            left: flip_ext(v.right),
-            right: flip_ext(v.left),
-            used: v.used,
-        }
+    let (left, right) = if was_rc {
+        (flip_ext(v.right), flip_ext(v.left))
     } else {
-        OrientedVertex {
-            canonical,
-            count: v.count,
-            left: v.left,
-            right: v.right,
-            used: v.used,
-        }
+        (v.left, v.right)
+    };
+    OrientedVertex {
+        canonical,
+        count: v.count,
+        left,
+        right,
     }
 }
 
@@ -163,14 +166,10 @@ pub(crate) fn orient(v: KmerVertex, canonical: Kmer, was_rc: bool) -> OrientedVe
 /// message per key, so only tests use it: the per-hop walker oracle and the
 /// oracles of [`lookup_oriented_many`], which every stage reads through.
 #[cfg(test)]
-pub(crate) fn lookup_oriented(
-    ctx: &Ctx,
-    graph: &DistMap<Kmer, KmerVertex>,
-    kmer: &Kmer,
-) -> Option<OrientedVertex> {
+pub(crate) fn lookup_oriented(ctx: &Ctx, graph: &KmerGraph, kmer: &Kmer) -> Option<OrientedVertex> {
     let (canon, was_rc) = kmer.canonical();
-    let v = graph.get_cloned(ctx, &canon)?;
-    Some(orient(v, canon, was_rc))
+    let c = graph.counts.get_cloned(ctx, &canon)?;
+    Some(orient(graph.vertex(&c), canon, was_rc))
 }
 
 #[cfg(test)]

@@ -7,10 +7,10 @@
 //!    minimizer bin at a time, into one minimizer-partitioned table that
 //!    singleton (mostly erroneous) k-mers below the ε cut never enter, with
 //!    high-quality extension counting (§II-B);
-//! 2. [`graph`] — construction of the **distributed de Bruijn graph** hash
-//!    table, reducing extension counts to `[ACGT]/F/X` codes under either the
-//!    HipMer global threshold or the MetaHipMer depth-dependent threshold
-//!    `thq = max(t_base, e·d)` (§II-C);
+//! 2. [`graph`] — the **distributed de Bruijn graph**: the counts table read
+//!    through a view that reduces extension counts to `[ACGT]/F/X` codes under
+//!    either the HipMer global threshold or the MetaHipMer depth-dependent
+//!    threshold `thq = max(t_base, e·d)` (§II-C);
 //! 3. [`traversal`] — the **parallel contig traversal**: owner-local segment
 //!    compaction, then aggregated stitching rounds across ranks (§II-C/D);
 //! 4. [`bubble`] — **bubble merging and hair removal** on the contig graph

@@ -13,10 +13,9 @@
 //! Möbius cycles right, which is why it stays; it is compiled under
 //! `#[cfg(test)]` only, so no configuration can reach it.
 
-use crate::graph::{lookup_oriented, KmerGraph, KmerVertex};
+use crate::graph::{lookup_oriented, KmerGraph};
 use crate::traversal::{eligible, push_contig, share_contig_set, TraversalParams};
 use crate::types::ContigSet;
-use dht::DistMap;
 use kmers::{Ext, Kmer};
 use pgas::Ctx;
 
@@ -25,10 +24,10 @@ const CLAIM_BATCH: usize = 4096;
 
 /// Claims a batch of vertices as `used` (idempotent; the aggregated form of
 /// the paper's §II-D atomic claim writes). Collective.
-fn claim_used(ctx: &Ctx, graph: &DistMap<Kmer, KmerVertex>, keys: &[Kmer]) {
-    graph.update_many(ctx, keys, CLAIM_BATCH, |_, v| {
-        if let Some(v) = v {
-            v.used = true;
+fn claim_used(ctx: &Ctx, graph: &KmerGraph, keys: &[Kmer]) {
+    graph.counts.update_many(ctx, keys, CLAIM_BATCH, |_, c| {
+        if let Some(c) = c {
+            c.used = true;
         }
     });
 }
@@ -36,7 +35,7 @@ fn claim_used(ctx: &Ctx, graph: &DistMap<Kmer, KmerVertex>, keys: &[Kmer]) {
 /// True if `kmer` (in walk orientation) is an eligible vertex whose left
 /// neighbour does *not* continue the path — i.e. it is the left end of a
 /// maximal path.
-fn is_left_path_end(ctx: &Ctx, graph: &DistMap<Kmer, KmerVertex>, kmer: &Kmer) -> bool {
+fn is_left_path_end(ctx: &Ctx, graph: &KmerGraph, kmer: &Kmer) -> bool {
     let v = match lookup_oriented(ctx, graph, kmer) {
         Some(v) if eligible(v.left, v.right) => v,
         _ => return false,
@@ -75,7 +74,7 @@ struct Walk {
 /// Walks right from `start`, appending bases while the next vertex is UU and
 /// agrees with the walk. Stops when the walk returns to `start` (cycle). The
 /// visited vertices are *not* claimed here; the caller batches the claims.
-fn walk_right(ctx: &Ctx, graph: &DistMap<Kmer, KmerVertex>, start: Kmer, limit: usize) -> Walk {
+fn walk_right(ctx: &Ctx, graph: &KmerGraph, start: Kmer, limit: usize) -> Walk {
     let mut bases = start.to_bytes();
     let mut visited = Vec::new();
     let mut current = start;
@@ -127,16 +126,12 @@ fn walk_right(ctx: &Ctx, graph: &DistMap<Kmer, KmerVertex>, start: Kmer, limit: 
 
 /// The walk itself: one aggregated-claim batch per phase, one fine-grained
 /// lookup per hop. Returns this rank's emitted contigs.
-fn per_hop_contigs(
-    ctx: &Ctx,
-    graph: &DistMap<Kmer, KmerVertex>,
-    params: &TraversalParams,
-) -> Vec<(Vec<u8>, f64)> {
+fn per_hop_contigs(ctx: &Ctx, graph: &KmerGraph, params: &TraversalParams) -> Vec<(Vec<u8>, f64)> {
     // A safety bound on walk length: a walk visits each (vertex, orientation)
     // pair at most once, and Möbius-shaped structures (a walk crossing a
     // palindromic junction into its own reverse complement) legitimately
     // visit both orientations — so the bound is twice the vertex count.
-    let limit = 2 * graph.len() + 2;
+    let limit = 2 * graph.counts.len() + 2;
 
     let mut local: Vec<(Vec<u8>, f64)> = Vec::new();
 
@@ -218,10 +213,11 @@ pub(crate) mod tests {
     //! ranks, [`traverse_contigs`] must emit exactly the walker's contig set.
 
     use super::*;
-    use crate::analysis::{kmer_analysis, KmerAnalysisParams};
+    use crate::analysis::{kmer_analysis, KmerAnalysisParams, KmerCountsMap};
     use crate::graph::{build_graph, flip_ext, ThresholdPolicy};
     use crate::traversal::traverse_contigs;
-    use dht::FxHashSet;
+    use dht::{DistMap, FxHashSet};
+    use kmers::{ExtCounts, KmerCounts};
     use pgas::Team;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -307,17 +303,19 @@ pub(crate) mod tests {
         pub(crate) run: Vec<Kmer>,
     }
 
-    /// The vertices of `count` disjoint lassos x → s → a₁ → … → aₘ: every
-    /// step is mutual, and aₘ's only right extension leads back into s,
-    /// whose left extension names x. A depth-scaled contradiction budget
+    /// The counts entries of `count` disjoint lassos x → s → a₁ → … → aₘ:
+    /// every step is mutual, and aₘ's only right extension leads back into
+    /// s, whose left extension names x. A depth-scaled contradiction budget
     /// builds this shape when the aₘ → s count fits inside s's budget. Every
-    /// second x is a fork, which makes s a path end. The k-mers are random, so
-    /// s is stored forward in some lassos and reverse-complemented in others.
+    /// second x is a fork, which makes s a path end. The k-mers are random,
+    /// so s is stored forward in some lassos and reverse-complemented in
+    /// others. Each entry reduces to its intended extensions under
+    /// [`ThresholdPolicy::metahipmer_default`], the policy of [`graph_of`].
     pub(crate) fn lasso_vertices(
         rng: &mut StdRng,
         k: usize,
         count: usize,
-    ) -> (Vec<(Kmer, KmerVertex)>, Vec<Lasso>) {
+    ) -> (Vec<(Kmer, KmerCounts)>, Vec<Lasso>) {
         let code = |b: u8| encode_base(b).expect("ACGT");
         let (mut verts, mut lassos) = (Vec::new(), Vec::new());
         let mut keys: FxHashSet<Kmer> = FxHashSet::default();
@@ -359,10 +357,22 @@ pub(crate) mod tests {
                 } else {
                     (*left, right)
                 };
+                // Depths below 40 get a budget of 2, so `count` observations
+                // of one base reduce to that base, and of two to a fork.
                 let count = rng.gen_range(3..30);
+                let side = |ext: Ext| {
+                    let mut side = ExtCounts::default();
+                    match ext {
+                        Ext::Base(c) => side.hq[c as usize] = count,
+                        Ext::Fork => side.hq = [count, count, 0, 0],
+                        Ext::None => {}
+                    }
+                    side
+                };
+                let (left, right) = (side(left), side(right));
                 verts.push((
                     key,
-                    KmerVertex {
+                    KmerCounts {
                         count,
                         left,
                         right,
@@ -378,17 +388,18 @@ pub(crate) mod tests {
         (verts, lassos)
     }
 
-    /// A graph holding exactly `verts`, each inserted by its owner.
-    pub(crate) fn graph_of(ctx: &Ctx, verts: &[(Kmer, KmerVertex)]) -> KmerGraph {
-        let graph: KmerGraph = DistMap::shared(ctx);
-        let mine: Vec<(Kmer, KmerVertex)> = verts
+    /// The graph of a counts table holding exactly `verts`, each inserted
+    /// by its owner.
+    pub(crate) fn graph_of(ctx: &Ctx, verts: &[(Kmer, KmerCounts)]) -> KmerGraph {
+        let counts: KmerCountsMap = DistMap::shared(ctx);
+        let mine: Vec<(Kmer, KmerCounts)> = verts
             .iter()
-            .filter(|(key, _)| graph.owner_of(key) == ctx.rank())
+            .filter(|(key, _)| counts.owner_of(key) == ctx.rank())
             .copied()
             .collect();
-        graph.apply_local_batch(ctx, mine, |v| v, |slot, v| *slot = v);
+        counts.apply_local_batch(ctx, mine, |c| c, |slot, c| *slot = c);
         ctx.barrier();
-        graph
+        build_graph(ctx, &counts, ThresholdPolicy::metahipmer_default())
     }
 
     fn run_traversal(

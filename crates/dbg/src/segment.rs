@@ -7,19 +7,19 @@
 //! *aggregated exchange rounds* instead:
 //!
 //! * **Level 1 — local compaction.** Each rank opens a
-//!   [`dht::DistMap::local_view`] over its own shard of the graph (one lock
-//!   acquisition for the whole phase, zero `Ctx` traffic) and walks UU runs
-//!   entirely in memory. A *run* is a maximal chain of vertices that are (a)
-//!   owned by this rank and (b) mutually-agreeing unique extensions of each
-//!   other. Each undirected run is walked **once**, from whichever of its
-//!   vertices the shard scan meets first: right from that vertex, and right
-//!   from its reverse complement (the left walk). The walks claim every
-//!   vertex they step onto (the shard's own `used` flag is the visited mark,
-//!   so no side table exists), and the two stops give both *mirror
-//!   segments* of the run, one per direction — the pair the per-hop walker
-//!   finds by walking every path from both ends. A segment carries its bases
-//!   and, at each end, either a terminal or the unresolved neighbour k-mer
-//!   owned by another rank. A self-mirror hairpin (a run ending on the
+//!   [`dht::DistMap::local_view`] over its own shard of the counts table
+//!   (one lock acquisition for the whole phase, zero `Ctx` traffic) and
+//!   walks UU runs entirely in memory. A *run* is a maximal chain of
+//!   vertices that are (a) owned by this rank and (b) mutually-agreeing
+//!   unique extensions of each other. Each undirected run is walked **once**,
+//!   from whichever of its vertices the shard scan meets first: right from
+//!   that vertex, and right from its reverse complement (the left walk). The
+//!   walks claim every vertex they step onto (the entry's own `used` flag is
+//!   the visited mark, so no side table exists), and the two stops give both
+//!   *mirror segments* of the run, one per direction — the pair the per-hop
+//!   walker finds by walking every path from both ends. A segment carries its
+//!   bases and, at each end, either a terminal or the unresolved neighbour
+//!   k-mer owned by another rank. A self-mirror hairpin (a run ending on the
 //!   reverse complement of its first vertex) is one segment. A path that
 //!   never crosses an ownership boundary finishes here, and a right walk
 //!   that steps mutually back into its start is a fully-local cycle,
@@ -69,10 +69,10 @@
 //! directed chain, which holds for odd k (no k-mer equals its own reverse
 //! complement); [`crate::traversal::traverse_contigs`] refuses even k.
 
-use crate::graph::{orient, KmerVertex, OrientedVertex};
+use crate::graph::{orient, KmerGraph, OrientedVertex};
 use crate::traversal::{eligible, push_contig, TraversalParams};
-use dht::{DistMap, FxHashMap};
-use kmers::{Ext, Kmer};
+use dht::FxHashMap;
+use kmers::{Ext, Kmer, KmerCounts};
 use pgas::{Aggregator, Counter, Ctx};
 use seqio::alphabet::{decode_base, encode_base, revcomp};
 
@@ -264,11 +264,11 @@ fn segment_min(bases: &[u8], k: usize) -> (Kmer, bool, u32) {
     (min_vertex, min_is_canonical, min_offset)
 }
 
-/// This rank's own graph shard, borrowed for Level 1: zero traffic, and the
-/// walks claim each vertex in place.
+/// This rank's own shard of the counts table, borrowed for Level 1: zero
+/// traffic, and the walks claim each vertex in its entry.
 struct LocalGraph<'a> {
-    view: dht::LocalShardView<'a, Kmer, KmerVertex>,
-    graph: &'a DistMap<Kmer, KmerVertex>,
+    view: dht::LocalShardView<'a, Kmer, KmerCounts>,
+    graph: &'a KmerGraph,
     rank: usize,
     /// Safety bound on a walk's steps: every local (vertex, orientation)
     /// pair once.
@@ -328,10 +328,10 @@ impl LocalGraph<'_> {
             let (canon, was_rc) = next.canonical();
             let Some(slot) = self.view.get_mut(&canon) else {
                 end.right_code = Some(c);
-                end.right_remote = self.graph.owner_of(&canon) != self.rank;
+                end.right_remote = self.graph.counts.owner_of(&canon) != self.rank;
                 break;
             };
-            let nv = orient(*slot, canon, was_rc);
+            let nv = orient(self.graph.vertex(slot), canon, was_rc);
             // The next vertex must agree that its left neighbour is `last`
             // (the per-hop walker's mutual check, as a base-code comparison).
             if !eligible(nv.left, nv.right) || nv.left != Ext::Base(end.last.first_code()) {
@@ -359,13 +359,13 @@ impl LocalGraph<'_> {
 /// eligible vertex of the shard ends up claimed, and only those.
 fn compact_local(
     ctx: &Ctx,
-    graph: &DistMap<Kmer, KmerVertex>,
+    graph: &KmerGraph,
     params: &TraversalParams,
     local: &mut Vec<(Vec<u8>, f64)>,
 ) -> (Vec<Segment>, FxHashMap<Kmer, u32>) {
     let mut segs: Vec<Segment> = Vec::new();
     let mut by_last: FxHashMap<Kmer, u32> = FxHashMap::default();
-    let view = graph.local_view(ctx);
+    let view = graph.counts.local_view(ctx);
     let mut lg = LocalGraph {
         limit: 2 * view.len() + 2,
         view,
@@ -379,9 +379,10 @@ fn compact_local(
         // re-checked before each walk. A claim seen before the first walk
         // would be left over from an earlier traversal of the graph.
         starts.clear();
-        for (key, v) in lg.view.sub_shard(sub) {
-            debug_assert!(sub > 0 || !v.used, "{key} was claimed before the traversal");
-            if eligible(v.left, v.right) && !v.used {
+        for (key, c) in lg.view.sub_shard(sub) {
+            debug_assert!(sub > 0 || !c.used, "{key} was claimed before the traversal");
+            let v = lg.graph.vertex(c);
+            if !v.used && eligible(v.left, v.right) {
                 starts.push(*key);
             }
         }
@@ -389,7 +390,7 @@ fn compact_local(
             let v = match lg.view.get_mut(key) {
                 Some(slot) if !slot.used => {
                     slot.used = true;
-                    *slot
+                    lg.graph.vertex(slot)
                 }
                 _ => continue,
             };
@@ -459,7 +460,7 @@ fn push_local_cycle(
 /// contigs. Collective; byte-identical to the per-hop walker's output.
 pub(crate) fn segment_contigs(
     ctx: &Ctx,
-    graph: &DistMap<Kmer, KmerVertex>,
+    graph: &KmerGraph,
     k: usize,
     params: &TraversalParams,
 ) -> Vec<(Vec<u8>, f64)> {
@@ -479,7 +480,7 @@ pub(crate) fn segment_contigs(
     for (i, seg) in segs.iter().enumerate() {
         if let LeftBoundary::Pending { nbr, agree } = seg.left {
             let (canon, _) = nbr.canonical();
-            let dest = graph.owner_of(&canon);
+            let dest = graph.counts.owner_of(&canon);
             debug_assert_ne!(dest, rank, "a pending neighbour is remote by construction");
             pending.push((i, dest as u32));
             reqs.push((dest, PredQuery { last: nbr, agree }));
@@ -846,12 +847,12 @@ mod tests {
 
     fn probe(lg: &LocalGraph, kmer: &Kmer) -> Probe {
         let (canon, was_rc) = kmer.canonical();
-        if lg.graph.owner_of(&canon) != lg.rank {
+        if lg.graph.counts.owner_of(&canon) != lg.rank {
             return Probe::Remote;
         }
         match lg.view.get(&canon) {
             None => Probe::Absent,
-            Some(v) => Probe::Present(orient(*v, canon, was_rc)),
+            Some(c) => Probe::Present(orient(lg.graph.vertex(c), canon, was_rc)),
         }
     }
 
@@ -937,10 +938,10 @@ mod tests {
     /// The replaced Level 1; reads the shard and claims nothing.
     fn oracle_compact(
         ctx: &Ctx,
-        graph: &DistMap<Kmer, KmerVertex>,
+        graph: &KmerGraph,
         params: &TraversalParams,
     ) -> (Vec<Segment>, Vec<(Vec<u8>, f64)>) {
-        let view = graph.local_view(ctx);
+        let view = graph.counts.local_view(ctx);
         let lg = LocalGraph {
             limit: 2 * view.len() + 2,
             view,
@@ -950,12 +951,13 @@ mod tests {
         let (mut segs, mut cycles) = (Vec::new(), Vec::new());
         let shard = || (0..lg.view.sub_shards()).flat_map(|s| lg.view.sub_shard(s));
         let mut covered: FxHashSet<Kmer> = FxHashSet::default();
-        for (key, v) in shard() {
+        for (key, c) in shard() {
+            let v = graph.vertex(c);
             if !eligible(v.left, v.right) {
                 continue;
             }
             for okmer in [*key, key.revcomp()] {
-                let ov = orient(*v, *key, okmer != *key);
+                let ov = orient(v, *key, okmer != *key);
                 let Some(left) = left_boundary(&lg, &okmer, &ov) else {
                     continue;
                 };
@@ -972,15 +974,16 @@ mod tests {
             }
         }
         let mut cycle_seen: FxHashSet<Kmer> = FxHashSet::default();
-        for (key, v) in shard() {
+        for (key, c) in shard() {
+            let v = graph.vertex(c);
             if !eligible(v.left, v.right) || covered.contains(key) || cycle_seen.contains(key) {
                 continue;
             }
-            let w = walk_local(&lg, *key, &orient(*v, *key, false));
+            let w = walk_local(&lg, *key, &orient(v, *key, false));
             assert!(w.closed, "uncovered vertices must lie on local cycles");
             cycle_seen.extend(w.visited.iter().copied());
             let min = *w.visited.iter().min().expect("a walk visits its start");
-            let mv = *lg.view.get(&min).expect("cycle vertex is owned locally");
+            let mv = graph.vertex(lg.view.get(&min).expect("cycle vertex is owned locally"));
             let w = walk_local(&lg, min, &orient(mv, min, false));
             push_contig(&mut cycles, w.bases, w.depth_sum as f64, w.vcount, params);
         }
@@ -1021,7 +1024,7 @@ mod tests {
 
     /// Holds this rank's Level 1 to the oracle on `graph` and returns its
     /// (self-mirror segments, pending boundaries, local cycles) counts.
-    fn check_level1(ctx: &Ctx, graph: &DistMap<Kmer, KmerVertex>, k: usize) -> (u64, u64, u64) {
+    fn check_level1(ctx: &Ctx, graph: &KmerGraph, k: usize) -> (u64, u64, u64) {
         let traversal = TraversalParams::default();
         let (want_segs, want_cycles) = oracle_compact(ctx, graph, &traversal);
         let mut cycles = Vec::new();
@@ -1099,7 +1102,7 @@ mod tests {
                     let graph = graph_of(ctx, &verts);
                     let mut first = [0u64; 2];
                     if ctx.ranks() == 1 {
-                        let view = graph.local_view(ctx);
+                        let view = graph.counts.local_view(ctx);
                         let scan: FxHashMap<Kmer, usize> = (0..view.sub_shards())
                             .flat_map(|s| view.sub_shard(s))
                             .enumerate()

@@ -39,9 +39,9 @@ pub(crate) fn eligible(left: Ext, right: Ext) -> bool {
 }
 
 /// Traverses the graph and returns the contig set (identical on every rank).
-/// Collective. The traversal claims every eligible vertex `used`, and takes a
-/// claimed vertex as already walked, so it expects a graph whose claims are
-/// all clear, as [`crate::graph::build_graph`] leaves them.
+/// Collective. The traversal claims every eligible vertex `used` in its
+/// counts entry and takes a claimed vertex as already walked, so it needs a
+/// counts table whose claims are clear, as k-mer analysis leaves them.
 ///
 /// # Panics
 /// Panics if `k` is even: an even-length k-mer can be its own reverse
@@ -301,7 +301,11 @@ mod tests {
     #[should_panic(expected = "got k = 12")]
     fn traverse_contigs_on_even_k_fails_naming_k() {
         Team::single_node(1).run(|ctx| {
-            let graph: KmerGraph = dht::DistMap::shared(ctx);
+            let graph = build_graph(
+                ctx,
+                &dht::DistMap::shared(ctx),
+                ThresholdPolicy::metahipmer_default(),
+            );
             traverse_contigs(ctx, &graph, 12, &TraversalParams::default())
         });
     }

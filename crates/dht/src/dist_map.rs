@@ -81,9 +81,9 @@ where
         ctx.share(|| DistMap::new(ctx.ranks()))
     }
 
-    /// The partitioner this map routes keys with; a derived map (e.g. the de
-    /// Bruijn graph built from the counts table) passes it on so that both
-    /// tables agree on ownership and owner-local rebuilds stay local.
+    /// The partitioner this map routes keys with; a caller that routes its
+    /// own traffic to the map's owners reads it here (contig k-mer injection
+    /// cuts its supermers under the counts table's minimizer length).
     pub fn partitioner(&self) -> Arc<dyn Partitioner<K>> {
         Arc::clone(&self.partitioner)
     }
@@ -126,14 +126,11 @@ where
         self.shards[owner].subs[sub].lock().get(key).cloned()
     }
 
-    /// Shard probe without any traffic accounting: the owner-side half of the
-    /// batched lookups (the serving rank reads its own shard).
-    fn probe(&self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
+    /// Shard probe without any traffic accounting, answering with `f` of the
+    /// value: the owner-side half of the batched lookups.
+    fn probe<R>(&self, key: &K, f: impl FnOnce(&V) -> R) -> Option<R> {
         let (owner, sub) = self.slot(key);
-        self.shards[owner].subs[sub].lock().get(key).cloned()
+        self.shards[owner].subs[sub].lock().get(key).map(f)
     }
 
     /// Collective batched read (use case 3 of §II-A): every key's lookup is
@@ -147,11 +144,26 @@ where
     where
         V: Clone,
     {
-        let mut rpc: RpcAggregator<K, Option<V>> = RpcAggregator::new(ctx, batch);
+        self.get_many_with(ctx, keys, batch, V::clone)
+    }
+
+    /// [`DistMap::get_many`] whose owners reply with `f` of each value: the
+    /// responses travel, and are accounted, as `Option<R>`. Collective.
+    pub fn get_many_with<R>(
+        &self,
+        ctx: &Ctx,
+        keys: &[K],
+        batch: usize,
+        f: impl Fn(&V) -> R,
+    ) -> Vec<Option<R>>
+    where
+        R: Send + Sync + 'static,
+    {
+        let mut rpc: RpcAggregator<K, Option<R>> = RpcAggregator::new(ctx, batch);
         for key in keys {
             rpc.push(self.owner_of(key), key.clone());
         }
-        rpc.finish(|key| self.probe(&key))
+        rpc.finish(|key| self.probe(&key, &f))
     }
 
     /// [`DistMap::get_many`] for a caller that reads the keys it owns from
@@ -171,7 +183,7 @@ where
             if origin == ctx.rank() {
                 None
             } else {
-                self.probe(&key)
+                self.probe(&key, V::clone)
             }
         })
     }
@@ -229,10 +241,7 @@ where
                 ctx.check_one_sided_target(owner, self.phase_token());
             }
         }
-        let mut out = Vec::with_capacity(keys.len());
-        for key in keys {
-            out.push(self.probe(key));
-        }
+        let out = keys.iter().map(|key| self.probe(key, V::clone)).collect();
         for (owner, &count) in per_owner.iter().enumerate() {
             if count > 0 {
                 // Request leg: this rank sends the key batch to the owner.
@@ -438,12 +447,6 @@ where
         self.subs[sub_of(key)].get_mut(key)
     }
 
-    /// True if the viewed shard holds the key.
-    #[inline]
-    pub fn contains(&self, key: &K) -> bool {
-        self.get(key).is_some()
-    }
-
     /// Number of sub-shards (lock stripes) the view holds.
     pub fn sub_shards(&self) -> usize {
         self.subs.len()
@@ -623,7 +626,31 @@ mod tests {
             let got = map.get_many(ctx, &keys, 8);
             let expect: Vec<Option<u64>> = keys.iter().map(|k| map.get_cloned(ctx, k)).collect();
             assert_eq!(got, expect);
+            let odd = map.get_many_with(ctx, &keys, 8, |v| v % 2 == 1);
+            let expect: Vec<Option<bool>> = expect.iter().map(|v| v.map(|v| v % 2 == 1)).collect();
+            assert_eq!(odd, expect);
         });
+    }
+
+    #[test]
+    fn get_many_with_ships_the_projection_not_the_value() {
+        let bytes = |project: bool| {
+            let team = Team::single_node(3);
+            team.run(|ctx| {
+                let map: Arc<DistMap<u64, [u64; 8]>> = DistMap::shared(ctx);
+                bulk_merge(ctx, &map, (0..90u64).map(|k| (k, [k; 8])), 8, |a, b| {
+                    a[0] += b[0]
+                });
+                let keys: Vec<u64> = (0..90u64).collect();
+                if project {
+                    map.get_many_with(ctx, &keys, 8, |v| v[1] as u32);
+                } else {
+                    map.get_many(ctx, &keys, 8);
+                }
+            });
+            team.stats_total().bytes_sent
+        };
+        assert!(bytes(true) < bytes(false));
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! K-mer extensions and extension counters.
 //!
 //! K-mer analysis (§II-B of the paper) keeps, for every k-mer, a count of how
-//! often each base is observed immediately before (left) and after (right) the
-//! k-mer in the reads, split by whether the observing base call had high
-//! quality. The de Bruijn graph traversal then reduces these counts to an
-//! *extension code*: a concrete base when there is a single confident
-//! extension, `F`ork when multiple extensions are supported, or e`X`tensionless
-//! when none is.
+//! often each base is observed with high base-call quality immediately before
+//! (left) and after (right) the k-mer in the reads. The de Bruijn graph
+//! traversal then reduces these counts to an *extension code*: a concrete
+//! base when there is a single confident extension, `F`ork when multiple
+//! extensions are supported, or e`X`tensionless when none is.
 
 /// The reduced extension of a k-mer on one side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,18 +48,16 @@ impl ExtPair {
     }
 }
 
-/// Per-side extension counters (high-quality observations only are counted in
-/// `hq`; every observation is counted in `all`).
+/// Per-side extension counters: high-quality observations of each base (the
+/// only ones the reduction reads; a low-quality observation is not kept).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExtCounts {
     pub hq: [u32; 4],
-    pub all: [u32; 4],
 }
 
 impl ExtCounts {
     /// Records one observation.
     pub fn add(&mut self, code: u8, high_quality: bool) {
-        self.all[code as usize] = self.all[code as usize].saturating_add(1);
         if high_quality {
             self.hq[code as usize] = self.hq[code as usize].saturating_add(1);
         }
@@ -71,18 +68,12 @@ impl ExtCounts {
     pub fn merge(&mut self, other: &ExtCounts) {
         for i in 0..4 {
             self.hq[i] = self.hq[i].saturating_add(other.hq[i]);
-            self.all[i] = self.all[i].saturating_add(other.all[i]);
         }
     }
 
     /// Total high-quality observations.
     pub fn total_hq(&self) -> u32 {
         self.hq.iter().sum()
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> u32 {
-        self.all.iter().sum()
     }
 
     /// Reduces the counts to an extension code.
@@ -97,18 +88,9 @@ impl ExtCounts {
         if total == 0 {
             return Ext::None;
         }
-        let (best, best_count) = self
-            .hq
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &c)| c)
-            .map(|(i, &c)| (i as u8, c))
-            .expect("four elements");
-        let contradicting = total - best_count;
-        if best_count == 0 {
-            Ext::None
-        } else if contradicting <= max_contradictions {
-            Ext::Base(best)
+        let best = (0..4).max_by_key(|&i| self.hq[i]).expect("four elements");
+        if total - self.hq[best] <= max_contradictions {
+            Ext::Base(best as u8)
         } else {
             Ext::Fork
         }
@@ -116,13 +98,18 @@ impl ExtCounts {
 }
 
 /// The full per-k-mer record accumulated by k-mer analysis: an occurrence
-/// count plus left and right extension counters.
+/// count plus left and right extension counters. The counts table holding
+/// these records is also the de Bruijn graph, so the record carries the
+/// traversal's claim too.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KmerCounts {
     /// Number of (canonical) occurrences of the k-mer across the reads.
     pub count: u32,
     pub left: ExtCounts,
     pub right: ExtCounts,
+    /// Set by the contig traversal once the k-mer's vertex is claimed into a
+    /// contig; counting leaves it clear, and [`KmerCounts::merge`] ignores it.
+    pub used: bool,
 }
 
 impl KmerCounts {
@@ -142,11 +129,6 @@ impl KmerCounts {
         self.count = self.count.saturating_add(other.count);
         self.left.merge(&other.left);
         self.right.merge(&other.right);
-    }
-
-    /// The depth (occurrence count) of the k-mer.
-    pub fn depth(&self) -> u32 {
-        self.count
     }
 }
 
@@ -191,7 +173,6 @@ mod tests {
         c.add(0, false);
         c.add(1, false);
         assert_eq!(c.reduce(10), Ext::None);
-        assert_eq!(c.total(), 2);
         assert_eq!(c.total_hq(), 0);
     }
 
@@ -199,7 +180,7 @@ mod tests {
     fn merge_is_commutative() {
         let mut a = ExtCounts::default();
         a.add(0, true);
-        a.add(1, false);
+        a.add(1, true);
         let mut b = ExtCounts::default();
         b.add(0, true);
         b.add(3, true);
@@ -208,8 +189,7 @@ mod tests {
         let mut ba = b;
         ba.merge(&a);
         assert_eq!(ab, ba);
-        assert_eq!(ab.hq[0], 2);
-        assert_eq!(ab.all[1], 1);
+        assert_eq!(ab.hq, [2, 1, 0, 1]);
     }
 
     #[test]
@@ -240,6 +220,14 @@ mod tests {
         assert_eq!(k1.count, 2);
         assert_eq!(k1.left.hq[0], 2);
         assert_eq!(k1.right.hq[2], 1);
-        assert_eq!(k1.depth(), 2);
+    }
+
+    /// Every scratch and table entry is a `(Kmer, KmerCounts)`: a field added
+    /// here grows all of them.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn entry_layout_is_pinned() {
+        assert_eq!(std::mem::size_of::<KmerCounts>(), 40);
+        assert_eq!(std::mem::size_of::<(crate::Kmer, KmerCounts)>(), 80);
     }
 }
