@@ -8,9 +8,12 @@
 //! live across blocks — nothing is allocated per read:
 //!
 //! 1. **Cut.** Every read's seeds are cut straight from its packed words
-//!    ([`kmers::packed::for_each_canonical`]: one word load, shift and mask
-//!    per seed up to 32 bases, the canonical strand by one XOR) into one flat
-//!    array, until the block holds [`AlignParams::lookup_batch`] seeds.
+//!    ([`kmers::packed::for_each_canonical`]: one word load, shift and
+//!    mask per seed up to 32 bases, the canonical strand by one XOR) into one
+//!    flat array, until the block holds [`AlignParams::lookup_batch`] seeds.
+//!    A seed is an index key as wide as the seed length needs (one word up to
+//!    32 bases, two up to 64), so are the shard's probes and the requests
+//!    for foreign seeds.
 //! 2. **Resolve.** One tight loop then looks every seed of the block up, so
 //!    the probes' cache misses overlap instead of queueing behind the cutter.
 //!    A seed this rank owns resolves *by reference* to its run in the rank's
@@ -38,12 +41,12 @@
 //! alignments — and the assembly built from them — depend neither on it nor
 //! on the cache capacity or the rank count.
 
-use crate::seed_index::{RemoteHits, SeedHit, SeedIndex};
+use crate::seed_index::{with_seed_keys, RemoteHits, SeedHit, SeedIndex, SeedShard};
 use dbg::{ContigId, ContigSet, ContigsRef, PackedSeq};
 use dht::{CachedView, FxHashMap, LocalShardView};
 use kmers::kernels::pack_ascii;
 use kmers::packed::{for_each_canonical, load_bases, revcomp_codes};
-use kmers::Kmer;
+use kmers::KmerKey;
 use pgas::{Counter, Ctx};
 use seqio::alphabet::{complement, decode_base};
 use seqio::{AsPackedRead, PackedReadView, ReadId, ReadPacker};
@@ -174,17 +177,31 @@ pub fn align_reads_ref<R: AsPackedRead>(
     index: &SeedIndex,
     params: &AlignParams,
 ) -> AlignmentSet {
-    let mut reads = reads.into_iter();
-    let mut view: CachedView<Kmer, RemoteHits, SeedIndex> =
+    let reads = reads.into_iter();
+    let seed_len = index.seed_len;
+    with_seed_keys!(index, shard => align_keyed(ctx, reads, contigs, shard, seed_len, params))
+}
+
+/// [`align_reads_ref`] against an index shard keyed by `K`: the seeds are cut,
+/// probed and shipped at the key width.
+fn align_keyed<K: KmerKey, R: AsPackedRead>(
+    ctx: &Ctx,
+    mut reads: impl Iterator<Item = (ReadId, R)>,
+    contigs: ContigsRef<'_>,
+    index: &SeedShard<K>,
+    seed_len: usize,
+    params: &AlignParams,
+) -> AlignmentSet {
+    let mut view: CachedView<K, RemoteHits, SeedShard<K>> =
         CachedView::over(index, params.cache_capacity, params.lookup_batch);
     let mut reader = contigs.store().map(|s| s.reader(ctx));
     let mut out = AlignmentSet::default();
     // Everything below lives across blocks and is only ever cleared.
     let mut block: Vec<(ReadId, R)> = Vec::new();
     let mut packer = ReadPacker::default();
-    let mut cut: Vec<CutSeed> = Vec::new();
+    let mut cut: Vec<CutSeed<K>> = Vec::new();
     let mut seeds: Vec<Seed> = Vec::new();
-    let mut foreign: Vec<Kmer> = Vec::new();
+    let mut foreign: Vec<K> = Vec::new();
     // Per read of the block: its length, its seeds, then (after voting) its
     // candidates.
     let mut read_lens: Vec<usize> = Vec::new();
@@ -211,18 +228,13 @@ pub fn align_reads_ref<R: AsPackedRead>(
             };
             let lo = cut.len();
             let packed = read.packed(&mut packer);
-            for_each_canonical(
-                &packed,
-                index.seed_len,
-                params.stride,
-                |kmer, read_rc, offset| {
-                    cut.push(CutSeed {
-                        kmer,
-                        read_rc,
-                        offset,
-                    })
-                },
-            );
+            for_each_canonical::<K>(&packed, seed_len, params.stride, |kmer, read_rc, offset| {
+                cut.push(CutSeed {
+                    kmer,
+                    read_rc,
+                    offset,
+                })
+            });
             read_lens.push(packed.len);
             seed_spans.push(lo..cut.len());
             block.push((read_id, read));
@@ -252,7 +264,7 @@ pub fn align_reads_ref<R: AsPackedRead>(
             let lo = candidates.len();
             hits_returned += votes.rank(
                 read_len,
-                index.seed_len,
+                seed_len,
                 seeds[span.clone()]
                     .iter()
                     .map(|seed| (seed, seed.hits_among(&fetched))),
@@ -346,10 +358,11 @@ impl Candidate {
     }
 }
 
-/// One seed as the cutter emits it: the canonical k-mer, whether that is the
-/// read's reverse complement, and the seed's offset in the read.
-struct CutSeed {
-    kmer: Kmer,
+/// One seed as the cutter emits it: the canonical k-mer as an index key,
+/// whether that is the read's reverse complement, and the seed's offset in
+/// the read.
+struct CutSeed<K> {
+    kmer: K,
     read_rc: bool,
     offset: usize,
 }
@@ -662,6 +675,7 @@ mod tests {
     use super::*;
     use crate::seed_index::{build_seed_index_ref, serial_index};
     use dht::DistMap;
+    use kmers::{KeyWidth, Kmer, Kmer32, Kmer64};
     use pgas::Team;
     use readstore::{PackedRead, ReadStore, ReadStoreParams};
     use seqio::alphabet::{revcomp, revcomp_in_place};
@@ -849,6 +863,19 @@ mod tests {
         out
     }
 
+    /// The seeds [`for_each_canonical`] cuts at key width `K`, as k-mers.
+    fn cut_as_kmers<K: KmerKey>(
+        view: &PackedReadView<'_>,
+        slen: usize,
+        stride: usize,
+    ) -> Vec<(Kmer, bool, usize)> {
+        let mut out = Vec::new();
+        for_each_canonical::<K>(view, slen, stride, |key, rc, at| {
+            out.push((key.to_kmer(slen), rc, at))
+        });
+        out
+    }
+
     // --- the three rewritten pieces against them -----------------------------
 
     #[test]
@@ -887,18 +914,31 @@ mod tests {
                 qual: vec![30; len],
             });
             for stride in 1..=9usize {
-                for slen in [3usize, 15, 21, 27, 28, 29, 31, 33, 127] {
+                for slen in [3usize, 15, 21, 27, 28, 29, 31, 33, 63, 65, 127] {
                     let expected = collect_seeds_oracle(&seq, slen, stride);
                     let mut from_packer = Vec::new();
-                    for_each_canonical(&packer.pack(&seq, &[]), slen, stride, |k, rc, at| {
-                        from_packer.push((k, rc, at))
-                    });
+                    for_each_canonical::<Kmer>(
+                        &packer.pack(&seq, &[]),
+                        slen,
+                        stride,
+                        |k, rc, at| from_packer.push((k, rc, at)),
+                    );
                     assert_eq!(
                         from_packer, expected,
                         "packer: len={len} stride={stride} slen={slen}"
                     );
+                    let view = stored.view();
+                    let keyed = match KeyWidth::of(slen) {
+                        KeyWidth::One => cut_as_kmers::<Kmer32>(&view, slen, stride),
+                        KeyWidth::Two => cut_as_kmers::<Kmer64>(&view, slen, stride),
+                        KeyWidth::Wide => cut_as_kmers::<Kmer>(&view, slen, stride),
+                    };
+                    assert_eq!(
+                        keyed, expected,
+                        "keys: len={len} stride={stride} slen={slen}"
+                    );
                     let mut from_store = Vec::new();
-                    for_each_canonical(&stored.view(), slen, stride, |k, rc, at| {
+                    for_each_canonical::<Kmer>(&stored.view(), slen, stride, |k, rc, at| {
                         from_store.push((k, rc, at))
                     });
                     assert_eq!(
@@ -1130,6 +1170,40 @@ mod tests {
             })
             .collect();
         (contigs, reads)
+    }
+
+    #[test]
+    fn alignments_equal_the_replaced_loop_at_every_seed_key_width() {
+        let (contigs, reads) = hard_case();
+        for seed_len in [31, 33, 63, 65] {
+            let params = AlignParams {
+                seed_len,
+                stride: 4,
+                min_aligned_len: 20,
+                min_identity: 0.8,
+                ..Default::default()
+            };
+            let expected = align_reads_oracle(&reads, &contigs, seed_len, &params);
+            assert!(expected.len() > 40, "seed {seed_len}: most reads align");
+            for ranks in [1usize, 3] {
+                let got: Vec<Alignment> = Team::single_node(ranks)
+                    .run(|ctx| {
+                        let index = build_seed_index_ref(ctx, (&contigs).into(), seed_len);
+                        let mine: Vec<(ReadId, Read)> = reads
+                            .iter()
+                            .filter(|(id, _)| *id as usize % ctx.ranks() == ctx.rank())
+                            .cloned()
+                            .collect();
+                        align_reads_ref(ctx, mine, (&contigs).into(), &index, &params).alignments
+                    })
+                    .into_iter()
+                    .flatten()
+                    .collect();
+                let mut got = got;
+                got.sort_by_key(|a| a.read_id);
+                assert_eq!(got, expected, "seed {seed_len}, {ranks} ranks");
+            }
+        }
     }
 
     #[test]

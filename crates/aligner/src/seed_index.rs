@@ -6,9 +6,12 @@
 //!
 //! * **Build** ([`build_seed_index_ref`]) — a global update-only phase. Every
 //!   rank cuts the seeds of the contigs it indexes straight from their 2-bit
-//!   codes ([`kmers::packed::for_each_canonical`] at stride 1) and ships one
-//!   fixed-size `(seed, hit)` record per contig position to the seed's owner
-//!   through a [`pgas::Aggregator`]. The owner then groups what it received *once* into
+//!   codes ([`kmers::packed::for_each_canonical`] at stride 1) and ships
+//!   one fixed-size `(seed, hit)` record per contig position to the seed's
+//!   owner through a [`pgas::Aggregator`]. A seed is a key as wide as the
+//!   seed length needs ([`kmers::KmerKey`]: one word up to 32 bases, two up
+//!   to 64), and its owner is its key's mixing hash modulo the rank count.
+//!   The owner then groups what it received *once* into
 //!   three flat arrays — `keys`, `offsets`, `hits` — behind an open-addressed
 //!   slot table, sorting each seed's run by `(contig, pos)` and capping it at
 //!   [`SeedIndex::MAX_HITS_PER_SEED`].
@@ -27,9 +30,8 @@
 //! maintain it on every arrival.
 
 use dbg::{ContigId, ContigsRef};
-use dht::fx_hash_one;
 use kmers::packed::for_each_canonical;
-use kmers::Kmer;
+use kmers::{KeyWidth, Kmer, Kmer32, Kmer64, KmerKey};
 use pgas::{Aggregator, Ctx, RpcAggregator};
 use seqio::{PackedReadView, ReadPacker};
 use std::sync::Arc;
@@ -83,8 +85,7 @@ impl RemoteHits {
     }
 }
 
-/// The owner rank of the seed with this [`fx_hash_one`] value — the
-/// assignment [`dht::HashPartitioner`] makes.
+/// The owner rank of the seed with this [`KmerKey::key_hash`] value.
 fn owner_of_hash(hash: u64, ranks: usize) -> usize {
     (hash % ranks as u64) as usize
 }
@@ -94,9 +95,72 @@ fn owner_of_hash(hash: u64, ranks: usize) -> usize {
 /// [`SeedIndex::MAX_HITS_PER_SEED`] times are truncated (they are repetitive
 /// and carry no placement information), the same defence merAligner uses
 /// against high-frequency seeds. See the module documentation for the layout.
+///
+/// The shard's keys are as wide as the seed length needs ([`KeyWidth::of`]):
+/// one word up to 32 bases, two up to 64, a [`Kmer`] beyond. The public
+/// methods take and return [`Kmer`]; alignment enters the shard at its key
+/// width once per call.
 pub struct SeedIndex {
     /// The seed length the index was built with.
     pub seed_len: usize,
+    keyed: Keyed,
+}
+
+/// A [`SeedIndex`]'s shard at its key width.
+pub(crate) enum Keyed {
+    One(SeedShard<Kmer32>),
+    Two(SeedShard<Kmer64>),
+    Wide(SeedShard<Kmer>),
+}
+
+/// Runs `$body` with `$shard` bound to the index's [`SeedShard`] at its key
+/// width.
+macro_rules! with_seed_keys {
+    ($index:expr, $shard:ident => $body:expr) => {
+        match $index.keyed() {
+            $crate::seed_index::Keyed::One($shard) => $body,
+            $crate::seed_index::Keyed::Two($shard) => $body,
+            $crate::seed_index::Keyed::Wide($shard) => $body,
+        }
+    };
+}
+pub(crate) use with_seed_keys;
+
+impl SeedIndex {
+    /// Hits beyond this per seed are dropped.
+    pub const MAX_HITS_PER_SEED: usize = 32;
+
+    pub(crate) fn keyed(&self) -> &Keyed {
+        &self.keyed
+    }
+
+    /// The owner rank of a canonical seed.
+    pub fn owner_of(&self, seed: &Kmer) -> usize {
+        with_seed_keys!(self, shard => shard.owner_of(&KmerKey::of_kmer(seed)))
+    }
+
+    /// The hits of a canonical seed this rank owns, by reference into its
+    /// shard and sorted by `(contig, pos)` (empty if the seed occurs in no
+    /// contig) — or `Err(owner)` for a seed another rank owns.
+    pub fn lookup(&self, seed: &Kmer) -> Result<&[SeedHit], usize> {
+        with_seed_keys!(self, shard => shard.lookup(&KmerKey::of_kmer(seed)))
+    }
+
+    /// Every seed of this rank's shard with its hits (unordered).
+    pub fn local_entries(&self) -> impl Iterator<Item = (Kmer, &[SeedHit])> {
+        let k = self.seed_len;
+        let entries: Vec<(Kmer, &[SeedHit])> = with_seed_keys!(self, shard => {
+            shard
+                .local_entries()
+                .map(|(key, hits)| (key.to_kmer(k), hits))
+                .collect()
+        });
+        entries.into_iter()
+    }
+}
+
+/// A [`SeedIndex`] shard keyed by `K`.
+pub(crate) struct SeedShard<K> {
     rank: usize,
     ranks: usize,
     /// Open-addressed, linearly probed: `1 + index into keys`, 0 = empty.
@@ -104,26 +168,23 @@ pub struct SeedIndex {
     /// `64 - slot_shift` bits (the owner is taken from its low bits).
     slots: Vec<u32>,
     slot_shift: u32,
-    keys: Vec<Kmer>,
+    keys: Vec<K>,
     /// The hits of `keys[i]` are `hits[offsets[i]..offsets[i + 1]]`.
     offsets: Vec<u32>,
     hits: Vec<SeedHit>,
 }
 
-impl SeedIndex {
-    /// Hits beyond this per seed are dropped.
-    pub const MAX_HITS_PER_SEED: usize = 32;
-
+impl<K: KmerKey> SeedShard<K> {
     /// The owner rank of a seed.
-    pub fn owner_of(&self, seed: &Kmer) -> usize {
-        owner_of_hash(fx_hash_one(seed), self.ranks)
+    fn owner_of(&self, seed: &K) -> usize {
+        owner_of_hash(seed.key_hash(), self.ranks)
     }
 
-    /// The hits of a seed this rank owns, by reference into its shard and
-    /// sorted by `(contig, pos)` (empty if the seed occurs in no contig) — or
-    /// `Err(owner)` for a seed another rank owns. One hash decides both.
-    pub fn lookup(&self, seed: &Kmer) -> Result<&[SeedHit], usize> {
-        let hash = fx_hash_one(seed);
+    /// [`SeedIndex::lookup`] at the shard's key width. One hash decides the
+    /// owner and the slot.
+    #[inline]
+    pub(crate) fn lookup(&self, seed: &K) -> Result<&[SeedHit], usize> {
+        let hash = seed.key_hash();
         let owner = owner_of_hash(hash, self.ranks);
         if owner != self.rank {
             return Err(owner);
@@ -145,8 +206,7 @@ impl SeedIndex {
         }
     }
 
-    /// Every seed of this rank's shard with its hits (unordered).
-    pub fn local_entries(&self) -> impl Iterator<Item = (&Kmer, &[SeedHit])> {
+    fn local_entries(&self) -> impl Iterator<Item = (&K, &[SeedHit])> {
         self.keys
             .iter()
             .zip(self.offsets.windows(2))
@@ -158,15 +218,14 @@ impl SeedIndex {
     }
 
     /// Groups the records this rank received into its shard.
-    fn from_records(ctx: &Ctx, seed_len: usize, records: Vec<(Kmer, SeedHit)>) -> SeedIndex {
+    fn from_records(ctx: &Ctx, records: Vec<(K, SeedHit)>) -> Self {
         assert!(
             records.len() < u32::MAX as usize / 2,
             "seed index shard of {} records overflows its 32-bit offsets",
             records.len()
         );
         let capacity = (2 * records.len()).next_power_of_two().max(2);
-        let mut index = SeedIndex {
-            seed_len,
+        let mut index = SeedShard {
             rank: ctx.rank(),
             ranks: ctx.ranks(),
             slots: vec![0; capacity],
@@ -180,7 +239,7 @@ impl SeedIndex {
         let mut key_of: Vec<u32> = Vec::with_capacity(records.len());
         let mut counts: Vec<u32> = Vec::new();
         for (seed, _) in &records {
-            let mut slot = index.slot_of(fx_hash_one(seed));
+            let mut slot = index.slot_of(seed.key_hash());
             let i = loop {
                 match index.slots[slot] {
                     0 => {
@@ -232,15 +291,15 @@ impl SeedIndex {
     }
 }
 
-impl dht::ReadTable<Kmer, RemoteHits> for SeedIndex {
-    fn owner_of(&self, seed: &Kmer) -> usize {
-        SeedIndex::owner_of(self, seed)
+impl<K: KmerKey> dht::ReadTable<K, RemoteHits> for SeedShard<K> {
+    fn owner_of(&self, seed: &K) -> usize {
+        SeedShard::owner_of(self, seed)
     }
 
     /// Every rank's requests are answered by the owner's own
-    /// [`SeedIndex::lookup`], run inside the RPC handler.
-    fn get_many(&self, ctx: &Ctx, seeds: &[Kmer], batch: usize) -> Vec<Option<RemoteHits>> {
-        let mut rpc: RpcAggregator<Kmer, Option<RemoteHits>> = RpcAggregator::new(ctx, batch);
+    /// [`SeedShard::lookup`], run inside the RPC handler.
+    fn get_many(&self, ctx: &Ctx, seeds: &[K], batch: usize) -> Vec<Option<RemoteHits>> {
+        let mut rpc: RpcAggregator<K, Option<RemoteHits>> = RpcAggregator::new(ctx, batch);
         for seed in seeds {
             rpc.push(self.owner_of(seed), *seed);
         }
@@ -265,18 +324,25 @@ pub fn build_seed_index_ref(ctx: &Ctx, contigs: ContigsRef<'_>, seed_len: usize)
         "seed length must be odd and in 3..={}, got {seed_len}",
         kmers::MAX_K
     );
-    let mut agg: Aggregator<(Kmer, SeedHit)> = Aggregator::new(ctx, 4096);
+    let keyed = match KeyWidth::of(seed_len) {
+        KeyWidth::One => Keyed::One(build_shard(ctx, contigs, seed_len)),
+        KeyWidth::Two => Keyed::Two(build_shard(ctx, contigs, seed_len)),
+        KeyWidth::Wide => Keyed::Wide(build_shard(ctx, contigs, seed_len)),
+    };
+    SeedIndex { seed_len, keyed }
+}
+
+/// [`build_seed_index_ref`] at key width `K`.
+fn build_shard<K: KmerKey>(ctx: &Ctx, contigs: ContigsRef<'_>, seed_len: usize) -> SeedShard<K> {
+    let mut agg: Aggregator<(K, SeedHit)> = Aggregator::new(ctx, 4096);
     let mut ship = |contig: ContigId, seq: &PackedReadView<'_>| {
-        for_each_canonical(seq, seed_len, 1, |canon, was_rc, pos| {
+        for_each_canonical::<K>(seq, seed_len, 1, |canon, was_rc, pos| {
             let hit = SeedHit {
                 contig,
                 pos: pos as u32,
                 forward: !was_rc,
             };
-            agg.push(
-                owner_of_hash(fx_hash_one(&canon), ctx.ranks()),
-                (canon, hit),
-            );
+            agg.push(owner_of_hash(canon.key_hash(), ctx.ranks()), (canon, hit));
         });
     };
     match contigs {
@@ -292,7 +358,7 @@ pub fn build_seed_index_ref(ctx: &Ctx, contigs: ContigsRef<'_>, seed_len: usize)
             .map()
             .for_each_local(ctx, |id, packed| ship(*id, &packed.view())),
     }
-    SeedIndex::from_records(ctx, seed_len, agg.finish())
+    SeedShard::from_records(ctx, agg.finish())
 }
 
 /// The serial oracle of the index content: every position of every contig,
@@ -327,6 +393,15 @@ mod tests {
     use dbg::ContigSet;
     use dht::ReadTable;
     use pgas::Team;
+
+    /// The collective batched lookup of canonical seeds, run at the index's
+    /// key width as alignment runs it.
+    fn get_many(ctx: &Ctx, index: &SeedIndex, seeds: &[Kmer]) -> Vec<Option<RemoteHits>> {
+        with_seed_keys!(index, shard => {
+            let keys: Vec<_> = seeds.iter().map(KmerKey::of_kmer).collect();
+            shard.get_many(ctx, &keys, 16)
+        })
+    }
 
     fn contig_set(seqs: &[&str], k: usize) -> ContigSet {
         ContigSet::from_sequences(
@@ -373,7 +448,7 @@ mod tests {
             }];
             // Every rank sees it through the collective lookup; the owner
             // also by reference, everyone else not at all.
-            let got = index.get_many(ctx, &[canon], 16);
+            let got = get_many(ctx, &index, &[canon]);
             assert_eq!(got[0].as_ref().expect("seed present").as_slice(), expected);
             let owner = index.owner_of(&canon);
             if owner == ctx.rank() {
@@ -388,7 +463,7 @@ mod tests {
     fn gathered(ctx: &Ctx, index: &SeedIndex) -> Vec<(Kmer, Vec<SeedHit>)> {
         let mine: Vec<(Kmer, Vec<SeedHit>)> = index
             .local_entries()
-            .map(|(k, v)| (*k, v.to_vec()))
+            .map(|(k, v)| (k, v.to_vec()))
             .collect();
         for (seed, _) in &mine {
             assert_eq!(
@@ -440,6 +515,39 @@ mod tests {
             for (from_store, from_set) in per_rank {
                 assert_eq!(from_store, expected, "store source, {ranks} ranks");
                 assert_eq!(from_set, expected, "replicated source, {ranks} ranks");
+            }
+        }
+    }
+
+    #[test]
+    fn every_key_width_holds_and_serves_what_the_kmer_keyed_oracle_does() {
+        let unit = "ACGGTCAGGTTCAAGGACT";
+        let shared = "TTGACCGATTACAGGACCGATACCGATTAGGACCAGTCCATGGCATTACGGATACCAG";
+        let repeat = unit.repeat(40);
+        let seqs = [
+            repeat.as_str(),
+            &format!("{shared}NNNN{unit}GATTACA{shared}{unit}"),
+            &format!("CCATG{shared}GGCATTACGGATACCAGGATC{unit}{shared}"),
+        ];
+        for seed_len in [31, 33, 63, 65] {
+            let contigs = contig_set(&seqs, seed_len);
+            let expected = oracle(&contigs, seed_len);
+            assert!(expected.len() > 60, "seed {seed_len}: too few seeds");
+            let queries: Vec<Kmer> = expected.iter().map(|(seed, _)| *seed).collect();
+            for ranks in [1usize, 3] {
+                let per_rank = Team::single_node(ranks).run(|ctx| {
+                    let index = build_seed_index_ref(ctx, (&contigs).into(), seed_len);
+                    let served: Vec<Vec<SeedHit>> = get_many(ctx, &index, &queries)
+                        .into_iter()
+                        .map(|hits| hits.map_or(Vec::new(), |h| h.as_slice().to_vec()))
+                        .collect();
+                    (gathered(ctx, &index), served)
+                });
+                for (held, served) in per_rank {
+                    assert_eq!(held, expected, "seed {seed_len}, {ranks} ranks: content");
+                    let want: Vec<Vec<SeedHit>> = expected.iter().map(|e| e.1.clone()).collect();
+                    assert_eq!(served, want, "seed {seed_len}, {ranks} ranks: lookups");
+                }
             }
         }
     }

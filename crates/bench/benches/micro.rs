@@ -344,20 +344,33 @@ fn bench_pipeline_stages(c: &mut Criterion) {
         ..Default::default()
     };
     // The table is the serial count of the bench reads cut at ε, and nothing
-    // else was ever inserted into it.
-    let serial = serial_table(&reads, &params);
-    let table: FxHashMap<Kmer, KmerCounts> = team
-        .run(|ctx| {
-            let range = ctx.block_range(reads.len());
-            kmer_analysis(ctx, &reads[range], &params)
-                .counts
-                .local_entries(ctx)
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    assert!(table == serial, "the counts table is not the serial count");
-    assert_eq!(team.stats_total().kmer_table_inserts, serial.len() as u64);
+    // else was ever inserted into it: at one k per key width (one word, two
+    // words, a whole `Kmer`).
+    for k in [21, 43, 71] {
+        let params = KmerAnalysisParams {
+            k,
+            ..Default::default()
+        };
+        let serial = serial_table(&reads, &params);
+        let before = team.stats_total();
+        let table: FxHashMap<Kmer, KmerCounts> = team
+            .run(|ctx| {
+                let range = ctx.block_range(reads.len());
+                kmer_analysis(ctx, &reads[range], &params)
+                    .counts
+                    .local_entries(ctx)
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        assert!(!serial.is_empty(), "no k = {k} k-mer survives ε");
+        assert!(
+            table == serial,
+            "the k = {k} counts table is not the serial count"
+        );
+        let inserts = team.stats_total().delta_from(&before).kmer_table_inserts;
+        assert_eq!(inserts, serial.len() as u64, "k = {k}");
+    }
     c.bench_function("dbg/kmer_analysis_k21", |b| {
         b.iter(|| {
             team.run(|ctx| {
@@ -435,10 +448,10 @@ fn bench_pipeline_stages(c: &mut Criterion) {
         let mut serial = serial_table(&reads, &params);
         for contig in &contigs.contigs {
             for obs in kmers_with_exts_iter(&contig.seq, &[], params.k, 0) {
-                let entry = serial.entry(obs.kmer).or_default();
-                for _ in 0..weight {
-                    entry.observe(obs.exts);
-                }
+                serial
+                    .entry(obs.kmer)
+                    .or_default()
+                    .observe_n(obs.exts, weight);
             }
         }
         let prepare = |ctx: &pgas::Ctx| {

@@ -14,7 +14,7 @@
 //!   arrive 2-bit packed ([`seqio::PackedReadView`], the read store's own
 //!   bytes); supermers are cut from the codes and each record is a bit copy
 //!   of its span of the read, so the send side never touches ASCII. The
-//!   counts table is partitioned by minimizer ([`MinimizerPartitioner`]), so
+//!   counts table is partitioned by minimizer ([`crate::table`]), so
 //!   every occurrence of a k-mer arrives at its owner in a *single*
 //!   exchange;
 //! * **minimizer-binned counting**: every occurrence of a canonical k-mer,
@@ -48,20 +48,20 @@
 //! `min_count >= 1`, at any rank count and whatever the number of bins — the
 //! `supermer_equivalence` test holds it to that.
 
-use dht::{DistMap, FxHashMap, Partitioner};
+use crate::table::{with_keys, KmerCountsMap, KmerTable};
+use dht::{DistMap, FxHashMap};
 use kmers::minimizer::{
-    cut_supermers, encode_packed_supermer, expand_supermer, kmer_minimizer, minimizer_shard,
+    cut_supermers, encode_packed_supermer, expand_supermer_keys, minimizer_shard,
     supermer_wire_bytes, SupermerBlobIter, MAX_MINIMIZER_LEN,
 };
-use kmers::{Kmer, KmerCounts};
+use kmers::{KmerCounts, KmerKey};
 use pgas::{BlobAggregator, Counter, Ctx};
 use seqio::{PackedReadView, Read, ReadSource};
-use std::any::Any;
-use std::sync::Arc;
 
 /// K-mer observations one counting bin is sized for. A bin's distinct k-mers
 /// are at most its observations, so the scratch table of a typical bin holds
-/// a few thousand 80-byte entries — inside the L2 cache, where the one
+/// a few thousand 48- to 80-byte entries (the key as wide as k needs, see
+/// [`crate::table`]) — inside the L2 cache, where the one
 /// table all observations used to probe was DRAM-bound. The bin count follows
 /// from the received volume, up to [`TAGS`]. Run time measured within noise
 /// of this from a quarter to sixteen times the value; one bin for everything
@@ -69,57 +69,17 @@ use std::sync::Arc;
 /// missing inserts.
 const BIN_OBSERVATIONS: usize = 4096;
 
+/// Bytes per unit of [`KmerAnalysisParams::batch`]: a supermer blob is cut
+/// at about `batch × SUPERMER_BATCH_UNIT` bytes. Forty bytes was the size of
+/// a packed k-mer when k-mers travelled one by one; the constant keeps every
+/// configured batch, and with it the exchange's message count, where it was
+/// whatever the k-mer types weigh.
+pub const SUPERMER_BATCH_UNIT: usize = 40;
+
 /// Distinct wire tags ([`kmers::minimizer_tag`] is one byte), hence the most
 /// bins a rank can count in: at [`BIN_OBSERVATIONS`] that is ~1M observations
 /// received per rank before bins grow past their budget.
 const TAGS: usize = 256;
-
-/// The distributed k-mer → counts table produced by analysis.
-pub type KmerCountsMap = Arc<DistMap<Kmer, KmerCounts>>;
-
-/// Routes a canonical k-mer to the shard of its canonical minimizer, so that
-/// table ownership agrees with supermer routing: every k-mer expanded from a
-/// supermer is owned by the rank the supermer was shipped to. Because the
-/// canonical minimizer is strand-invariant, the partitioner can be evaluated
-/// on canonical keys while senders route read-orientation supermers.
-#[derive(Debug, Clone, Copy)]
-pub struct MinimizerPartitioner {
-    m: usize,
-}
-
-impl MinimizerPartitioner {
-    /// Creates a partitioner for minimizer length `m`
-    /// (`1..=`[`MAX_MINIMIZER_LEN`]).
-    pub fn new(m: usize) -> Self {
-        assert!(
-            (1..=MAX_MINIMIZER_LEN).contains(&m),
-            "minimizer length must be in 1..={MAX_MINIMIZER_LEN}, got {m}"
-        );
-        MinimizerPartitioner { m }
-    }
-
-    /// The minimizer length.
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// The partitioner of a counts table made by [`kmer_analysis_from`].
-    ///
-    /// # Panics
-    /// Panics if `counts` routes its keys with another partitioner.
-    pub(crate) fn of(counts: &DistMap<Kmer, KmerCounts>) -> MinimizerPartitioner {
-        let partitioner = counts.partitioner();
-        let any: &dyn Any = &*partitioner;
-        *any.downcast_ref()
-            .expect("a k-mer counts table is partitioned by minimizer")
-    }
-}
-
-impl Partitioner<Kmer> for MinimizerPartitioner {
-    fn owner_of(&self, key: &Kmer, ranks: usize) -> usize {
-        minimizer_shard(kmer_minimizer(key, self.m.min(key.k())), ranks)
-    }
-}
 
 /// Parameters of k-mer analysis.
 #[derive(Debug, Clone)]
@@ -130,8 +90,8 @@ pub struct KmerAnalysisParams {
     pub min_count: u32,
     /// Phred threshold above which an extension base counts as high quality.
     pub hq_threshold: u8,
-    /// Aggregation batch size of the supermer exchange, in packed k-mers
-    /// (multiplied by the packed k-mer size to obtain the byte batch).
+    /// Aggregation batch size of the supermer exchange, in units of
+    /// [`SUPERMER_BATCH_UNIT`] bytes.
     pub batch: usize,
     /// Minimizer length m for supermer routing; clamped to
     /// `min(k, `[`MAX_MINIMIZER_LEN`]`)`.
@@ -196,8 +156,7 @@ pub fn kmer_analysis_from(
     let k = params.k;
     let m = params.effective_minimizer_len();
     let ranks = ctx.ranks();
-    let counts: KmerCountsMap =
-        ctx.share(|| DistMap::with_partitioner(ranks, Arc::new(MinimizerPartitioner::new(m))));
+    let counts: KmerCountsMap = ctx.share(|| KmerTable::new(ranks, k, m));
 
     let blobs = ship_supermers(
         ctx,
@@ -207,7 +166,7 @@ pub fn kmer_analysis_from(
         params.hq_threshold,
         params.batch,
     );
-    count_binned(ctx, blobs, &counts, params, BIN_OBSERVATIONS);
+    with_keys!(counts, map => count_binned(ctx, blobs, map, params, BIN_OBSERVATIONS));
     ctx.barrier();
 
     KmerAnalysis { counts }
@@ -216,8 +175,9 @@ pub fn kmer_analysis_from(
 /// The send side of both supermer stages, k-mer analysis and contig k-mer
 /// injection ([`crate::merge`]): cuts every sequence `for_each_seq` hands out
 /// into supermers of `k`-mers under minimizer length `m`, ships each record
-/// to the shard of its minimizer in blobs of about `batch` packed k-mers, and
-/// returns the blobs this rank was sent. Collective.
+/// to the shard of its minimizer in blobs of about `batch` units of
+/// [`SUPERMER_BATCH_UNIT`] bytes, and returns the blobs this rank was sent.
+/// Collective.
 pub(crate) fn ship_supermers(
     ctx: &Ctx,
     for_each_seq: impl FnOnce(&mut dyn FnMut(PackedReadView<'_>)),
@@ -227,7 +187,7 @@ pub(crate) fn ship_supermers(
     batch: usize,
 ) -> Vec<Vec<u8>> {
     let ranks = ctx.ranks();
-    let batch_bytes = batch.saturating_mul(std::mem::size_of::<Kmer>()).max(64);
+    let batch_bytes = batch.saturating_mul(SUPERMER_BATCH_UNIT).max(64);
     let mut agg = BlobAggregator::new(ctx, batch_bytes);
     let mut hq = Vec::new();
     let mut wrote = 0u64;
@@ -253,11 +213,13 @@ fn tag_bin(tag: u8, bins: usize) -> usize {
 /// rank was sent) one minimizer bin at a time, and inserts the k-mers that
 /// reach `params.min_count` into this rank's shard of `counts`. The number of
 /// bins is the received volume over `bin_observations`, capped at [`TAGS`];
-/// the table does not depend on it.
-fn count_binned(
+/// the table does not depend on it. The scratch is keyed like the table, so
+/// the two share one key hash and a bin's survivors drain into the table in
+/// its own bucket order.
+fn count_binned<K: KmerKey>(
     ctx: &Ctx,
     blobs: Vec<Vec<u8>>,
-    counts: &DistMap<Kmer, KmerCounts>,
+    counts: &DistMap<K, KmerCounts>,
     params: &KmerAnalysisParams,
     bin_observations: usize,
 ) {
@@ -297,31 +259,31 @@ fn count_binned(
         bin_ends[tag_bin(tag as u8, bins)] = starts[tag + 1];
     }
 
-    let mut scratch: FxHashMap<Kmer, KmerCounts> = FxHashMap::default();
+    let mut scratch: FxHashMap<K, KmerCounts> = FxHashMap::default();
     let mut bin_start = 0;
     for bin_end in bin_ends {
         let mut observed = 0u64;
         for record in SupermerBlobIter::new(&sorted[bin_start..bin_end]) {
-            // Pinned into the window loop of `expand_supermer` (itself always
+            // Pinned into the window loop of `expand_supermer_keys` (itself always
             // inlined): left to the optimiser, whether it is inlined there
             // turns on unrelated code, and is worth ~20% of the analysis.
-            expand_supermer(
+            expand_supermer_keys::<K>(
                 &record,
                 k,
                 #[inline(always)]
-                |obs| {
-                    debug_assert_eq!(counts.owner_of(&obs.kmer), ctx.rank(), "misrouted supermer");
+                |key, exts| {
+                    debug_assert_eq!(counts.owner_of(&key), ctx.rank(), "misrouted supermer");
                     observed += 1;
-                    scratch.entry(obs.kmer).or_default().observe(obs.exts);
+                    scratch.entry(key).or_default().observe(exts);
                 },
             );
         }
         // The bin's counts are final: its survivors enter the table, the
         // rest never do.
         let mut inserted = 0u64;
-        for (kmer, tally) in scratch.drain() {
+        for (key, tally) in scratch.drain() {
             if tally.count >= params.min_count {
-                let previous = counts.insert_local(ctx, kmer, tally);
+                let previous = counts.insert_local(ctx, key, tally);
                 debug_assert!(previous.is_none(), "one k-mer counted in two bins");
                 inserted += 1;
             }
@@ -335,6 +297,8 @@ fn count_binned(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kmers::minimizer::{expand_supermer, kmer_minimizer};
+    use kmers::Kmer;
     use pgas::Team;
     use seqio::Read;
 
@@ -639,13 +603,45 @@ mod tests {
         Team::single_node(1).run(|ctx| {
             // As many bins as tags … one bin for everything.
             for bin_observations in [1, 50, 1000, usize::MAX] {
-                let counts = DistMap::with_partitioner(1, Arc::new(MinimizerPartitioner::new(7)));
-                count_binned(ctx, blobs.clone(), &counts, &params, bin_observations);
+                let counts = KmerTable::new(1, params.k, 7);
+                with_keys!(counts, map => {
+                    count_binned(ctx, blobs.clone(), map, &params, bin_observations)
+                });
                 let mut got = counts.local_entries(ctx);
                 got.sort_by_key(|e| e.0);
                 assert_eq!(got, expect, "{bin_observations} observations per bin");
             }
         });
+    }
+
+    #[test]
+    fn every_key_width_counts_what_the_kmer_keyed_path_counts() {
+        let reads = overlapping_reads();
+        for k in [31, 33, 63, 65] {
+            let params = KmerAnalysisParams {
+                k,
+                min_count: 2,
+                ..Default::default()
+            };
+            let m = params.effective_minimizer_len();
+            let expect = serial_table(&reads, &params);
+            assert!(expect.len() > 100, "k = {k}: too few k-mers survive");
+            let blobs: Vec<Vec<u8>> = reads.iter().map(|r| records_of(r, k, m)).collect();
+            Team::single_node(1).run(|ctx| {
+                let table = KmerTable::new(1, k, m);
+                with_keys!(table, map => {
+                    count_binned(ctx, blobs.clone(), map, &params, BIN_OBSERVATIONS)
+                });
+                let mut got = table.local_entries(ctx);
+                got.sort_by_key(|e| e.0);
+                let wide: DistMap<Kmer, KmerCounts> = DistMap::new(1);
+                count_binned(ctx, blobs.clone(), &wide, &params, BIN_OBSERVATIONS);
+                let mut by_kmer = wide.local_entries(ctx);
+                by_kmer.sort_by_key(|e| e.0);
+                assert_eq!(by_kmer, expect, "k = {k}, Kmer keys");
+                assert_eq!(got, expect, "k = {k}, {:?} keys", kmers::KeyWidth::of(k));
+            });
+        }
     }
 
     #[test]

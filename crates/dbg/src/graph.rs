@@ -10,7 +10,7 @@
 //! depth so that both very-high-coverage and very-low-coverage organisms
 //! keep their unique extensions.
 
-use crate::analysis::KmerCountsMap;
+use crate::table::KmerCountsMap;
 use kmers::{Ext, Kmer, KmerCounts};
 use pgas::Ctx;
 use std::sync::Arc;

@@ -6,7 +6,8 @@
 //! 1. [`analysis`] — **k-mer analysis**: exact counting, one in-cache
 //!    minimizer bin at a time, into one minimizer-partitioned table that
 //!    singleton (mostly erroneous) k-mers below the ε cut never enter, with
-//!    high-quality extension counting (§II-B);
+//!    high-quality extension counting (§II-B); the table ([`table`]) is keyed
+//!    by one word up to k = 32, two up to k = 64, a whole k-mer beyond;
 //! 2. [`graph`] — the **distributed de Bruijn graph**: the counts table read
 //!    through a view that reduces extension counts to `[ACGT]/F/X` codes under
 //!    either the HipMer global threshold or the MetaHipMer depth-dependent
@@ -34,12 +35,12 @@ mod per_hop;
 pub mod pruning;
 mod segment;
 pub mod store;
+pub mod table;
 pub mod traversal;
 pub mod types;
 
 pub use analysis::{
-    kmer_analysis, kmer_analysis_from, KmerAnalysis, KmerAnalysisParams, KmerCountsMap,
-    MinimizerPartitioner,
+    kmer_analysis, kmer_analysis_from, KmerAnalysis, KmerAnalysisParams, SUPERMER_BATCH_UNIT,
 };
 pub use bubble::{merge_bubbles_and_remove_hair, BubbleParams, BubbleReport};
 pub use contig_graph::ContigAdjacency;
@@ -47,6 +48,7 @@ pub use graph::{build_graph, KmerGraph, KmerVertex, ThresholdPolicy};
 pub use merge::inject_contig_kmers_ref;
 pub use pruning::{prune_iteratively, PruningParams, PruningReport};
 pub use store::{ContigMeta, ContigReader, ContigStore, ContigStoreParams, ContigsRef, PackedSeq};
+pub use table::{KmerCountsMap, KmerTable};
 pub use traversal::{traverse_contigs, TraversalParams};
 pub use types::{Contig, ContigId, ContigSet};
 

@@ -11,10 +11,12 @@
 //! counts table, and duplicates (k-mers present in both sets) simply merge
 //! their counts there.
 
-use crate::analysis::{ship_supermers, KmerCountsMap, MinimizerPartitioner};
+use crate::analysis::ship_supermers;
 use crate::store::ContigsRef;
-use kmers::minimizer::{expand_supermer, SupermerBlobIter};
-use kmers::KmerCounts;
+use crate::table::{with_keys, KmerCountsMap};
+use dht::DistMap;
+use kmers::minimizer::{expand_supermer_keys, SupermerBlobIter};
+use kmers::{KmerCounts, KmerKey};
 use pgas::Ctx;
 use seqio::{PackedReadView, ReadPacker};
 
@@ -49,7 +51,8 @@ pub fn inject_contig_kmers_ref(
     weight: u32,
 ) -> usize {
     assert!(weight >= 1);
-    let m = MinimizerPartitioner::of(counts).m().min(new_k);
+    assert_eq!(counts.k(), new_k, "the counts table holds another k");
+    let m = counts.minimizer_len();
     let for_each_contig = |each: &mut dyn FnMut(PackedReadView<'_>)| match contigs {
         ContigsRef::Local(set) => {
             let mut packer = ReadPacker::default();
@@ -62,25 +65,36 @@ pub fn inject_contig_kmers_ref(
             .for_each_local(ctx, |_, packed| each(packed.view())),
     };
     let blobs = ship_supermers(ctx, for_each_contig, new_k, m, 0, 4096);
+    let injected = with_keys!(counts, map => merge_windows(ctx, map, blobs, new_k, weight));
+    ctx.barrier();
+    ctx.allreduce_sum_u64(injected as u64) as usize
+}
 
+/// The receive side of injection: expands the supermer records of `blobs`
+/// and merges `weight` observations of every window into this rank's shard.
+/// Returns the number of windows merged.
+fn merge_windows<K: KmerKey>(
+    ctx: &Ctx,
+    counts: &DistMap<K, KmerCounts>,
+    blobs: Vec<Vec<u8>>,
+    k: usize,
+    weight: u32,
+) -> usize {
     let mut injected = 0usize;
     for blob in blobs {
         let mut items = Vec::new();
         for record in SupermerBlobIter::new(&blob) {
-            expand_supermer(&record, new_k, |obs| {
-                debug_assert_eq!(counts.owner_of(&obs.kmer), ctx.rank(), "misrouted supermer");
+            expand_supermer_keys::<K>(&record, k, |key, exts| {
+                debug_assert_eq!(counts.owner_of(&key), ctx.rank(), "misrouted supermer");
                 let mut kc = KmerCounts::default();
-                for _ in 0..weight {
-                    kc.observe(obs.exts);
-                }
-                items.push((obs.kmer, kc));
+                kc.observe_n(exts, weight);
+                items.push((key, kc));
             });
         }
         injected += items.len();
         counts.apply_local_batch(ctx, items, |kc| kc, |a, b| a.merge(&b));
     }
-    ctx.barrier();
-    ctx.allreduce_sum_u64(injected as u64) as usize
+    injected
 }
 
 #[cfg(test)]
@@ -89,14 +103,14 @@ mod tests {
     use crate::analysis::{kmer_analysis, KmerAnalysisParams};
     use crate::graph::{build_graph, ThresholdPolicy};
     use crate::store::ContigStore;
+    use crate::table::KmerTable;
     use crate::traversal::{traverse_contigs, TraversalParams};
     use crate::types::ContigSet;
-    use dht::{DistMap, FxHashMap};
+    use dht::FxHashMap;
     use kmers::minimizer::MAX_SUPERMER_BASES;
     use kmers::{kmers_with_exts_iter, Kmer};
     use pgas::Team;
     use seqio::Read;
-    use std::sync::Arc;
 
     /// An empty counts table of k-mer analysis's shape at `k`.
     fn empty_table(ctx: &Ctx, k: usize) -> KmerCountsMap {
@@ -105,7 +119,7 @@ mod tests {
             ..Default::default()
         }
         .effective_minimizer_len();
-        ctx.share(|| DistMap::with_partitioner(ctx.ranks(), Arc::new(MinimizerPartitioner::new(m))))
+        ctx.share(|| KmerTable::new(ctx.ranks(), k, m))
     }
 
     #[test]
@@ -166,10 +180,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "partitioned by minimizer")]
-    fn a_hash_partitioned_table_is_refused() {
+    #[should_panic(expected = "holds another k")]
+    fn a_table_of_another_k_is_refused() {
         Team::single_node(1).run(|ctx| {
-            let counts: KmerCountsMap = DistMap::shared(ctx);
+            let counts = empty_table(ctx, 21);
             let contigs = ContigSet::from_sequences(15, vec![(b"ACGT".repeat(10), 1.0)]);
             inject_contig_kmers_ref(ctx, &counts, ContigsRef::Local(&contigs), 15, 1);
         });

@@ -25,7 +25,7 @@ const CLAIM_BATCH: usize = 4096;
 /// Claims a batch of vertices as `used` (idempotent; the aggregated form of
 /// the paper's §II-D atomic claim writes). Collective.
 fn claim_used(ctx: &Ctx, graph: &KmerGraph, keys: &[Kmer]) {
-    graph.counts.update_many(ctx, keys, CLAIM_BATCH, |_, c| {
+    graph.counts.update_many(ctx, keys, CLAIM_BATCH, |c| {
         if let Some(c) = c {
             c.used = true;
         }
@@ -213,10 +213,11 @@ pub(crate) mod tests {
     //! ranks, [`traverse_contigs`] must emit exactly the walker's contig set.
 
     use super::*;
-    use crate::analysis::{kmer_analysis, KmerAnalysisParams, KmerCountsMap};
+    use crate::analysis::{kmer_analysis, KmerAnalysisParams};
     use crate::graph::{build_graph, flip_ext, ThresholdPolicy};
+    use crate::table::{KmerCountsMap, KmerTable};
     use crate::traversal::traverse_contigs;
-    use dht::{DistMap, FxHashSet};
+    use dht::FxHashSet;
     use kmers::{ExtCounts, KmerCounts};
     use pgas::Team;
     use rand::rngs::StdRng;
@@ -391,13 +392,19 @@ pub(crate) mod tests {
     /// The graph of a counts table holding exactly `verts`, each inserted
     /// by its owner.
     pub(crate) fn graph_of(ctx: &Ctx, verts: &[(Kmer, KmerCounts)]) -> KmerGraph {
-        let counts: KmerCountsMap = DistMap::shared(ctx);
+        let k = verts.first().expect("a graph has vertices").0.k();
+        let m = KmerAnalysisParams {
+            k,
+            ..Default::default()
+        }
+        .effective_minimizer_len();
+        let counts: KmerCountsMap = ctx.share(|| KmerTable::new(ctx.ranks(), k, m));
         let mine: Vec<(Kmer, KmerCounts)> = verts
             .iter()
             .filter(|(key, _)| counts.owner_of(key) == ctx.rank())
             .copied()
             .collect();
-        counts.apply_local_batch(ctx, mine, |c| c, |slot, c| *slot = c);
+        counts.merge_local(ctx, mine);
         ctx.barrier();
         build_graph(ctx, &counts, ThresholdPolicy::metahipmer_default())
     }

@@ -70,9 +70,10 @@
 //! complement); [`crate::traversal::traverse_contigs`] refuses even k.
 
 use crate::graph::{orient, KmerGraph, OrientedVertex};
+use crate::table::with_keys;
 use crate::traversal::{eligible, push_contig, TraversalParams};
-use dht::FxHashMap;
-use kmers::{Ext, Kmer, KmerCounts};
+use dht::{DistMap, FxHashMap};
+use kmers::{Ext, Kmer, KmerCounts, KmerKey};
 use pgas::{Aggregator, Counter, Ctx};
 use seqio::alphabet::{decode_base, encode_base, revcomp};
 
@@ -264,10 +265,11 @@ fn segment_min(bases: &[u8], k: usize) -> (Kmer, bool, u32) {
     (min_vertex, min_is_canonical, min_offset)
 }
 
-/// This rank's own shard of the counts table, borrowed for Level 1: zero
-/// traffic, and the walks claim each vertex in its entry.
-struct LocalGraph<'a> {
-    view: dht::LocalShardView<'a, Kmer, KmerCounts>,
+/// This rank's own shard of the counts table, borrowed for Level 1 at the
+/// table's key width: zero traffic, and the walks claim each vertex in its
+/// entry.
+struct LocalGraph<'a, K> {
+    view: dht::LocalShardView<'a, K, KmerCounts>,
     graph: &'a KmerGraph,
     rank: usize,
     /// Safety bound on a walk's steps: every local (vertex, orientation)
@@ -288,7 +290,7 @@ struct WalkEnd {
     closed: bool,
 }
 
-impl LocalGraph<'_> {
+impl<K: KmerKey> LocalGraph<'_, K> {
     /// Walks right from `start` (eligible, oriented as `v0`) while the next
     /// vertex is local, eligible and mutually agreeing: the per-hop walker's
     /// continuation rule, with remote ownership as an extra stop (a segment
@@ -326,7 +328,7 @@ impl LocalGraph<'_> {
             // owner test; `owner_of` (a minimizer roll under the counts
             // table's partitioner) runs only on a miss.
             let (canon, was_rc) = next.canonical();
-            let Some(slot) = self.view.get_mut(&canon) else {
+            let Some(slot) = self.view.get_mut(&K::of_kmer(&canon)) else {
                 end.right_code = Some(c);
                 end.right_remote = self.graph.counts.owner_of(&canon) != self.rank;
                 break;
@@ -354,18 +356,21 @@ impl LocalGraph<'_> {
     }
 }
 
-/// Level 1: compacts this rank's shard into segments, indexed by their last
-/// vertex, and emits its fully-local cycles into `local`. Zero traffic. Every
-/// eligible vertex of the shard ends up claimed, and only those.
-fn compact_local(
+/// Level 1: compacts this rank's shard of `counts` (the graph's table at its
+/// key width) into segments, indexed by their last vertex, and emits its
+/// fully-local cycles into `local`. Zero traffic. Every eligible vertex of
+/// the shard ends up claimed, and only those.
+fn compact_local<K: KmerKey>(
     ctx: &Ctx,
     graph: &KmerGraph,
+    counts: &DistMap<K, KmerCounts>,
     params: &TraversalParams,
     local: &mut Vec<(Vec<u8>, f64)>,
 ) -> (Vec<Segment>, FxHashMap<Kmer, u32>) {
+    let k = graph.counts.k();
     let mut segs: Vec<Segment> = Vec::new();
     let mut by_last: FxHashMap<Kmer, u32> = FxHashMap::default();
-    let view = graph.counts.local_view(ctx);
+    let view = counts.local_view(ctx);
     let mut lg = LocalGraph {
         limit: 2 * view.len() + 2,
         view,
@@ -380,7 +385,10 @@ fn compact_local(
         // would be left over from an earlier traversal of the graph.
         starts.clear();
         for (key, c) in lg.view.sub_shard(sub) {
-            debug_assert!(sub > 0 || !c.used, "{key} was claimed before the traversal");
+            debug_assert!(
+                sub > 0 || !c.used,
+                "{key:?} was claimed before the traversal"
+            );
             let v = lg.graph.vertex(c);
             if !v.used && eligible(v.left, v.right) {
                 starts.push(*key);
@@ -394,17 +402,17 @@ fn compact_local(
                 }
                 _ => continue,
             };
-            let r = lg.walk(*key, &orient(v, *key, false), &mut right);
+            let kmer = key.to_kmer(k);
+            let r = lg.walk(kmer, &orient(v, kmer, false), &mut right);
             if r.closed {
-                push_local_cycle(local, &right, key.k(), r.depth_sum, params);
+                push_local_cycle(local, &right, k, r.depth_sum, params);
                 continue;
             }
-            let l = lg.walk(key.revcomp(), &orient(v, *key, true), &mut left);
+            let l = lg.walk(kmer.revcomp(), &orient(v, kmer, true), &mut left);
             debug_assert!(!l.closed, "the left walk closes only if the right one does");
             // The run reads revcomp(L) ++ R[k..] left to right, and its
             // mirror is the reverse complement. Both walks ending on one
             // oriented vertex make a self-mirror hairpin: one segment.
-            let k = key.k();
             let depth_sum = l.depth_sum + r.depth_sum - v.count as u64;
             let mut bases = revcomp(&left);
             bases.extend_from_slice(&right[k..]);
@@ -468,7 +476,8 @@ pub(crate) fn segment_contigs(
     let mut local: Vec<(Vec<u8>, f64)> = Vec::new();
     // ---- Level 1: owner-local compaction (zero communication) --------------
     // The shard view is dropped inside, before any cross-rank phase.
-    let (segs, by_last) = compact_local(ctx, graph, params, &mut local);
+    let (segs, by_last) =
+        with_keys!(graph.counts, map => compact_local(ctx, graph, map, params, &mut local));
 
     // ---- Level 2a: one aggregated round resolves every predecessor ---------
     let me = |idx: usize| SegId {
@@ -838,6 +847,16 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The oracle's copy of this rank's shard, keyed by `Kmer` whatever the
+    /// table's key width, in key order.
+    struct OracleShard<'a> {
+        entries: Vec<(Kmer, KmerCounts)>,
+        map: FxHashMap<Kmer, KmerCounts>,
+        graph: &'a KmerGraph,
+        rank: usize,
+        limit: usize,
+    }
+
     /// The replaced probe: owner test first, then the shard.
     enum Probe {
         Remote,
@@ -845,12 +864,12 @@ mod tests {
         Present(OrientedVertex),
     }
 
-    fn probe(lg: &LocalGraph, kmer: &Kmer) -> Probe {
+    fn probe(lg: &OracleShard, kmer: &Kmer) -> Probe {
         let (canon, was_rc) = kmer.canonical();
         if lg.graph.counts.owner_of(&canon) != lg.rank {
             return Probe::Remote;
         }
-        match lg.view.get(&canon) {
+        match lg.map.get(&canon) {
             None => Probe::Absent,
             Some(c) => Probe::Present(orient(lg.graph.vertex(c), canon, was_rc)),
         }
@@ -867,7 +886,7 @@ mod tests {
         closed: bool,
     }
 
-    fn walk_local(lg: &LocalGraph, start: Kmer, v0: &OrientedVertex) -> OracleWalk {
+    fn walk_local(lg: &OracleShard, start: Kmer, v0: &OrientedVertex) -> OracleWalk {
         let mut w = OracleWalk {
             bases: start.to_bytes(),
             depth_sum: v0.count as u64,
@@ -916,7 +935,7 @@ mod tests {
     }
 
     /// `None` when `kmer`'s left neighbour continues its run locally.
-    fn left_boundary(lg: &LocalGraph, kmer: &Kmer, v: &OrientedVertex) -> Option<LeftBoundary> {
+    fn left_boundary(lg: &OracleShard, kmer: &Kmer, v: &OrientedVertex) -> Option<LeftBoundary> {
         let Ext::Base(lc) = v.left else {
             return Some(LeftBoundary::Terminal);
         };
@@ -941,15 +960,17 @@ mod tests {
         graph: &KmerGraph,
         params: &TraversalParams,
     ) -> (Vec<Segment>, Vec<(Vec<u8>, f64)>) {
-        let view = graph.counts.local_view(ctx);
-        let lg = LocalGraph {
-            limit: 2 * view.len() + 2,
-            view,
+        let mut entries = graph.counts.local_entries(ctx);
+        entries.sort_by_key(|e| e.0);
+        let lg = OracleShard {
+            limit: 2 * entries.len() + 2,
+            map: entries.iter().copied().collect(),
+            entries,
             graph,
             rank: ctx.rank(),
         };
         let (mut segs, mut cycles) = (Vec::new(), Vec::new());
-        let shard = || (0..lg.view.sub_shards()).flat_map(|s| lg.view.sub_shard(s));
+        let shard = || lg.entries.iter().map(|(key, c)| (key, c));
         let mut covered: FxHashSet<Kmer> = FxHashSet::default();
         for (key, c) in shard() {
             let v = graph.vertex(c);
@@ -983,7 +1004,7 @@ mod tests {
             assert!(w.closed, "uncovered vertices must lie on local cycles");
             cycle_seen.extend(w.visited.iter().copied());
             let min = *w.visited.iter().min().expect("a walk visits its start");
-            let mv = graph.vertex(lg.view.get(&min).expect("cycle vertex is owned locally"));
+            let mv = graph.vertex(lg.map.get(&min).expect("cycle vertex is owned locally"));
             let w = walk_local(&lg, min, &orient(mv, min, false));
             push_contig(&mut cycles, w.bases, w.depth_sum as f64, w.vcount, params);
         }
@@ -1028,7 +1049,7 @@ mod tests {
         let traversal = TraversalParams::default();
         let (want_segs, want_cycles) = oracle_compact(ctx, graph, &traversal);
         let mut cycles = Vec::new();
-        let (segs, by_last) = compact_local(ctx, graph, &traversal, &mut cycles);
+        let (segs, by_last) = with_keys!(graph.counts, map => compact_local(ctx, graph, map, &traversal, &mut cycles));
         let at = format!("k={k} ranks={} rank={}", ctx.ranks(), ctx.rank());
         assert_eq!(sorted_keys(&segs), sorted_keys(&want_segs), "{at}");
         assert_eq!(
@@ -1102,12 +1123,15 @@ mod tests {
                     let graph = graph_of(ctx, &verts);
                     let mut first = [0u64; 2];
                     if ctx.ranks() == 1 {
-                        let view = graph.counts.local_view(ctx);
-                        let scan: FxHashMap<Kmer, usize> = (0..view.sub_shards())
-                            .flat_map(|s| view.sub_shard(s))
-                            .enumerate()
-                            .map(|(i, (key, _))| (*key, i))
-                            .collect();
+                        // The order Level 1's shard scan meets the vertices.
+                        let scan: FxHashMap<Kmer, usize> = with_keys!(graph.counts, map => {
+                            let view = map.local_view(ctx);
+                            (0..view.sub_shards())
+                                .flat_map(|s| view.sub_shard(s))
+                                .enumerate()
+                                .map(|(i, (key, _))| (key.to_kmer(k), i))
+                                .collect()
+                        });
                         for lasso in &lassos {
                             let (s, was_rc) = lasso.s.canonical();
                             if lasso.run.iter().all(|v| scan[&s] <= scan[v]) {

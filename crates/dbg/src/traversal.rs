@@ -303,7 +303,7 @@ mod tests {
         Team::single_node(1).run(|ctx| {
             let graph = build_graph(
                 ctx,
-                &dht::DistMap::shared(ctx),
+                &ctx.share(|| crate::table::KmerTable::new(1, 12, 7)),
                 ThresholdPolicy::metahipmer_default(),
             );
             traverse_contigs(ctx, &graph, 12, &TraversalParams::default())

@@ -81,13 +81,6 @@ where
         ctx.share(|| DistMap::new(ctx.ranks()))
     }
 
-    /// The partitioner this map routes keys with; a caller that routes its
-    /// own traffic to the map's owners reads it here (contig k-mer injection
-    /// cuts its supermers under the counts table's minimizer length).
-    pub fn partitioner(&self) -> Arc<dyn Partitioner<K>> {
-        Arc::clone(&self.partitioner)
-    }
-
     /// The owner rank of a key (deterministic across ranks).
     #[inline]
     pub fn owner_of(&self, key: &K) -> usize {
@@ -159,11 +152,30 @@ where
     where
         R: Send + Sync + 'static,
     {
-        let mut rpc: RpcAggregator<K, Option<R>> = RpcAggregator::new(ctx, batch);
-        for key in keys {
-            rpc.push(self.owner_of(key), key.clone());
+        self.get_many_as(ctx, keys, batch, K::clone, f)
+    }
+
+    /// [`DistMap::get_many_with`] for requests that travel as `Q`, not as the
+    /// key: `key` names the key a request reads, on both sides. The requests
+    /// are accounted at `Q`'s size, so a table can store narrower keys than
+    /// its callers send. Collective.
+    pub fn get_many_as<Q, R>(
+        &self,
+        ctx: &Ctx,
+        requests: &[Q],
+        batch: usize,
+        key: impl Fn(&Q) -> K,
+        f: impl Fn(&V) -> R,
+    ) -> Vec<Option<R>>
+    where
+        Q: Clone + Send + Sync + 'static,
+        R: Send + Sync + 'static,
+    {
+        let mut rpc: RpcAggregator<Q, Option<R>> = RpcAggregator::new(ctx, batch);
+        for request in requests {
+            rpc.push(self.owner_of(&key(request)), request.clone());
         }
-        rpc.finish(|key| self.probe(&key, &f))
+        rpc.finish(|request| self.probe(&key(&request), &f))
     }
 
     /// [`DistMap::get_many`] for a caller that reads the keys it owns from
@@ -734,12 +746,6 @@ mod tests {
                 assert_eq!(v, map.get_cloned(ctx, k));
                 // Every one of the 3 ranks contributed (k, k+1) once.
                 assert_eq!(v, (*k < 90).then_some(3 * (*k + 1)));
-            }
-            // The partitioner is inherited by derived maps.
-            let derived: Arc<DistMap<u64, u64>> =
-                ctx.share(|| DistMap::with_partitioner(ctx.ranks(), map.partitioner()));
-            for k in 0..90u64 {
-                assert_eq!(derived.owner_of(&k), map.owner_of(&k));
             }
         });
     }

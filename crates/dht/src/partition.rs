@@ -7,7 +7,7 @@
 //! analysis routes *supermers* (runs of overlapping k-mers sharing a
 //! minimizer) and needs every k-mer of a supermer to be owned by the same
 //! rank, so its counts table is built with a minimizer-based partitioner
-//! (see `dbg::MinimizerPartitioner`). Because every access path of `DistMap`
+//! (see `dbg::KmerTable`). Because every access path of `DistMap`
 //! goes through [`crate::DistMap::owner_of`], consumers of a table — graph
 //! construction, injection, batched lookups, cached views — keep working
 //! unchanged whatever the partitioner.
@@ -15,17 +15,13 @@
 //! Implementations must be **deterministic and identical on every rank**:
 //! ranks compute owners independently and the table is only consistent if
 //! they all agree. Sub-shard selection (lock striping within one owner) stays
-//! hash-based regardless of the partitioner. A partitioner is [`Any`], so a
-//! phase handed a table can recover the concrete partitioner it was built
-//! with (contig k-mer injection reads the minimizer length off the counts
-//! table's).
+//! hash-based regardless of the partitioner.
 
 use crate::fxhash::fx_hash_one;
-use std::any::Any;
 use std::hash::Hash;
 
 /// Deterministic key→owner assignment shared by all ranks of a team.
-pub trait Partitioner<K>: Any + Send + Sync {
+pub trait Partitioner<K>: Send + Sync {
     /// The owner rank of `key` among `ranks` ranks (must be `< ranks`).
     fn owner_of(&self, key: &K, ranks: usize) -> usize;
 

@@ -114,13 +114,21 @@ pub struct KmerCounts {
 
 impl KmerCounts {
     /// Records one canonical-orientation observation with its extensions.
+    #[inline]
     pub fn observe(&mut self, exts: ExtPair) {
-        self.count = self.count.saturating_add(1);
-        if let Some((c, hq)) = exts.left {
-            self.left.add(c, hq);
+        self.observe_n(exts, 1);
+    }
+
+    /// Records `n` observations with the same extensions: `n` calls of
+    /// [`KmerCounts::observe`] in one saturating add per counter.
+    #[inline]
+    pub fn observe_n(&mut self, exts: ExtPair, n: u32) {
+        self.count = self.count.saturating_add(n);
+        if let Some((c, true)) = exts.left {
+            self.left.hq[c as usize] = self.left.hq[c as usize].saturating_add(n);
         }
-        if let Some((c, hq)) = exts.right {
-            self.right.add(c, hq);
+        if let Some((c, true)) = exts.right {
+            self.right.hq[c as usize] = self.right.hq[c as usize].saturating_add(n);
         }
     }
 
@@ -222,12 +230,58 @@ mod tests {
         assert_eq!(k1.right.hq[2], 1);
     }
 
-    /// Every scratch and table entry is a `(Kmer, KmerCounts)`: a field added
-    /// here grows all of them.
+    #[test]
+    fn observe_n_is_n_observations() {
+        let exts = [
+            ExtPair {
+                left: Some((1, true)),
+                right: Some((3, false)),
+            },
+            ExtPair {
+                left: None,
+                right: Some((2, true)),
+            },
+            ExtPair::default(),
+        ];
+        for e in exts {
+            for n in [0u32, 1, 2, 7, 100] {
+                let mut one_by_one = KmerCounts::default();
+                for _ in 0..n {
+                    one_by_one.observe(e);
+                }
+                let mut at_once = KmerCounts::default();
+                at_once.observe_n(e, n);
+                assert_eq!(at_once, one_by_one, "{e:?} x {n}");
+            }
+            // Every counter saturates at `u32::MAX`, as repeated adds do.
+            let mut near = KmerCounts::default();
+            near.observe_n(e, u32::MAX - 1);
+            let mut stepped = near;
+            for _ in 0..3 {
+                stepped.observe(e);
+            }
+            near.observe_n(e, 3);
+            assert_eq!(near, stepped, "{e:?} saturating");
+            assert_eq!(near.count, u32::MAX);
+        }
+    }
+
+    /// Every scratch and table entry is a `(key, KmerCounts)`, the key one of
+    /// [`crate::KmerKey`]'s widths: a field added here grows all of them. The
+    /// two-word key is `[u64; 2]`, not `u128`: `u128` is 16-aligned on
+    /// x86-64 (checked with rustc 1.95), so its entry would pad to 64 bytes.
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn entry_layout_is_pinned() {
-        assert_eq!(std::mem::size_of::<KmerCounts>(), 40);
-        assert_eq!(std::mem::size_of::<(crate::Kmer, KmerCounts)>(), 80);
+        use crate::{Kmer, Kmer32, Kmer64};
+        use std::mem::size_of;
+        assert_eq!(size_of::<KmerCounts>(), 40);
+        assert_eq!(size_of::<(Kmer, KmerCounts)>(), 80);
+        assert_eq!(size_of::<(u64, KmerCounts)>(), 48);
+        assert_eq!(size_of::<([u64; 2], KmerCounts)>(), 56);
+        assert_eq!(size_of::<(Kmer32, KmerCounts)>(), 48);
+        assert_eq!(size_of::<(Kmer64, KmerCounts)>(), 56);
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(size_of::<(u128, KmerCounts)>(), 64);
     }
 }

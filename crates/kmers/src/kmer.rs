@@ -6,6 +6,8 @@
 //! that equality and hashing can operate directly on the words.
 
 use crate::kernels;
+use crate::key::KmerKey;
+use crate::packed::load_bases;
 use seqio::alphabet::decode_base;
 use std::cmp::Ordering;
 use std::fmt;
@@ -95,15 +97,12 @@ impl Kmer {
         km
     }
 
-    /// The k-mer whose `k ≤ 32` bases are the low `2k` bits of `word` (the
-    /// bits above them must be zero).
+    /// The k-mer of length `k` whose packed words are `words` (bits past
+    /// `2k` must be zero).
     #[inline]
-    pub(crate) fn from_word(word: u64, k: usize) -> Self {
-        debug_assert!(k <= 32 && (k == 32 || word >> (2 * k) == 0));
-        Kmer {
-            words: [word, 0, 0, 0],
-            k: k as u16,
-        }
+    pub(crate) fn from_words(words: [u64; 4], k: usize) -> Self {
+        debug_assert!(k > 0 && k <= MAX_K);
+        Kmer { words, k: k as u16 }
     }
 
     /// The k of this k-mer.
@@ -342,15 +341,32 @@ pub(crate) struct StrandPair<const N: usize> {
 }
 
 impl<const N: usize> StrandPair<N> {
-    /// Starts at `first`, whose k must need exactly `N` words.
-    pub(crate) fn new(first: &Kmer) -> Self {
-        debug_assert_eq!(first.k().div_ceil(32), N);
-        let rc = first.revcomp();
+    /// Starts at the `k`-mer at base `start` of the packed stream `codes`
+    /// (k must need exactly `N` words): `N` word loads, and the reverse
+    /// complement word by word — complement, reverse the 2-bit groups, and
+    /// shift the `N`-word value down past the complemented padding.
+    #[inline]
+    pub(crate) fn at(codes: &[u8], start: usize, k: usize) -> Self {
+        debug_assert_eq!(k.div_ceil(32), N);
+        let top_bases = k - 32 * (N - 1);
+        let mut fwd: [u64; N] = std::array::from_fn(|i| load_bases(codes, start + 32 * i));
+        if top_bases < 32 {
+            fwd[N - 1] &= (1u64 << (2 * top_bases)) - 1;
+        }
+        let rev: [u64; N] = std::array::from_fn(|i| kernels::rev2_u64(!fwd[N - 1 - i]));
+        let shift = 2 * (32 - top_bases) as u32;
+        let rc = std::array::from_fn(|i| {
+            let carry = match rev.get(i + 1) {
+                Some(&next) if shift > 0 => next << (64 - shift),
+                _ => 0,
+            };
+            (rev[i] >> shift) | carry
+        });
         StrandPair {
-            fwd: std::array::from_fn(|i| first.words[i]),
-            rc: std::array::from_fn(|i| rc.words[i]),
-            k: first.k,
-            top: (2 * (first.k() - 1) % 64) as u32,
+            fwd,
+            rc,
+            k: k as u16,
+            top: (2 * (k - 1) % 64) as u32,
         }
     }
 
@@ -371,11 +387,11 @@ impl<const N: usize> StrandPair<N> {
         self.rc[N - 1] &= u64::MAX >> (62 - self.top);
     }
 
-    /// The canonical k-mer — the lexicographically smaller strand — and
-    /// whether it is the reverse complement (the rule of
-    /// [`Kmer::canonical`]).
+    /// The canonical k-mer — the lexicographically smaller strand — as a
+    /// table key of any width that holds k, and whether it is the reverse
+    /// complement (the rule of [`Kmer::canonical`]).
     #[inline]
-    pub(crate) fn canonical(&self) -> (Kmer, bool) {
+    pub(crate) fn canonical_key<K: KmerKey>(&self) -> (K, bool) {
         let was_rc = self
             .fwd
             .iter()
@@ -386,9 +402,7 @@ impl<const N: usize> StrandPair<N> {
                 (r >> sh) & 3 < (f >> sh) & 3
             });
         let winner = if was_rc { &self.rc } else { &self.fwd };
-        let mut words = [0u64; 4];
-        words[..N].copy_from_slice(winner);
-        (Kmer { words, k: self.k }, was_rc)
+        (K::of_words(winner, self.k as usize), was_rc)
     }
 }
 

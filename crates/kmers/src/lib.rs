@@ -7,6 +7,8 @@
 //! * [`kmer::Kmer`] — a 2-bit-packed k-mer supporting k up to
 //!   [`kmer::MAX_K`] (127), with reverse complement, canonicalisation and O(1)
 //!   amortised rolling extension;
+//! * [`key`] — [`KmerKey`], the table key as wide as k needs (one word for
+//!   k ≤ 32, two for k ≤ 64, a [`Kmer`] beyond), with a mixing hash;
 //! * [`ext`] — extension codes and counters. Each k-mer observed in the reads
 //!   keeps counts of which base precedes and follows it; the counts are later
 //!   turned into the `[ACGT]`, `F`ork or e`X`tensionless codes that drive the
@@ -28,6 +30,7 @@
 pub mod ext;
 pub mod extract;
 pub mod kernels;
+pub mod key;
 pub mod kmer;
 pub mod minimizer;
 pub mod packed;
@@ -38,10 +41,11 @@ pub use extract::{
     canonical_kmers, kmer_positions, kmers_with_exts, kmers_with_exts_iter, CanonicalKmerExt,
     KmersWithExtsIter,
 };
+pub use key::{KeyWidth, Kmer32, Kmer64, KmerKey};
 pub use kmer::{Kmer, MAX_K};
 pub use minimizer::{
-    cut_supermers, encode_packed_supermer, encode_supermer, expand_supermer, kmer_minimizer,
-    minimizer_shard, minimizer_tag, supermer_wire_bytes, supermers, Supermer, SupermerBlobIter,
-    SupermerIter, SupermerRecord, MAX_MINIMIZER_LEN,
+    cut_supermers, encode_packed_supermer, encode_supermer, expand_supermer, expand_supermer_keys,
+    kmer_minimizer, minimizer_shard, minimizer_tag, supermer_wire_bytes, supermers, Supermer,
+    SupermerBlobIter, SupermerIter, SupermerRecord, MAX_MINIMIZER_LEN,
 };
 pub use packed_seq::PackedSeq;

@@ -47,6 +47,7 @@
 use crate::ext::ExtPair;
 use crate::extract::CanonicalKmerExt;
 use crate::kernels;
+use crate::key::KmerKey;
 use crate::kmer::{Kmer, StrandPair, MAX_K};
 use crate::packed_seq::PackedSeq;
 use seqio::alphabet::encode_base;
@@ -540,42 +541,62 @@ impl<'a> Iterator for SupermerBlobIter<'a> {
 /// Expands one supermer record into the canonical k-mer observations it
 /// encodes, calling `emit` once per window — exactly the observations
 /// [`crate::extract::kmers_with_exts_iter`] produces for the covered windows
-/// of the original read. The forward k-mer and its reverse complement roll
-/// along the record together, so the record costs one reverse complement,
-/// not one per window, and each window's canonical form is one comparison.
+/// of the original read. [`expand_supermer_keys`] with [`Kmer`] keys.
+#[inline(always)]
+pub fn expand_supermer(
+    record: &SupermerRecord<'_>,
+    k: usize,
+    mut emit: impl FnMut(CanonicalKmerExt),
+) {
+    expand_supermer_keys::<Kmer>(
+        record,
+        k,
+        #[inline(always)]
+        |kmer, exts| emit(CanonicalKmerExt { kmer, exts }),
+    );
+}
+
+/// [`expand_supermer`] with each canonical k-mer as a table key of width `K`
+/// (which must hold k), built straight from the rolled words. The forward
+/// k-mer and its reverse complement roll along the record together, so the
+/// record costs one reverse complement, not one per window, and each
+/// window's canonical form is one comparison.
 ///
 /// Always inlined, with `expand_words`, so that the window loop lands in
 /// its caller, where an `emit` marked `#[inline(always)]` — the per-window
 /// counting of k-mer analysis — is inlined into it whatever else the
 /// caller's crate holds.
 #[inline(always)]
-pub fn expand_supermer(record: &SupermerRecord<'_>, k: usize, emit: impl FnMut(CanonicalKmerExt)) {
+pub fn expand_supermer_keys<K: KmerKey>(
+    record: &SupermerRecord<'_>,
+    k: usize,
+    emit: impl FnMut(K, ExtPair),
+) {
+    assert!(k <= K::MAX_K, "a {k}-mer does not fit its key");
     match k.div_ceil(32) {
-        1 => expand_words::<1>(record, k, emit),
-        2 => expand_words::<2>(record, k, emit),
-        3 => expand_words::<3>(record, k, emit),
-        _ => expand_words::<4>(record, k, emit),
+        1 => expand_words::<1, K>(record, k, emit),
+        2 => expand_words::<2, K>(record, k, emit),
+        3 => expand_words::<3, K>(record, k, emit),
+        _ => expand_words::<4, K>(record, k, emit),
     }
 }
 
-/// [`expand_supermer`] for a k of `N` words.
+/// [`expand_supermer_keys`] for a k of `N` words.
 #[inline(always)]
-fn expand_words<const N: usize>(
+fn expand_words<const N: usize, K: KmerKey>(
     record: &SupermerRecord<'_>,
     k: usize,
-    mut emit: impl FnMut(CanonicalKmerExt),
+    mut emit: impl FnMut(K, ExtPair),
 ) {
-    let mut pair = StrandPair::<N>::new(&record.first_kmer(k));
+    assert!(record.len >= k, "supermer shorter than k");
+    let mut pair = StrandPair::<N>::at(record.packed, 0, k);
     for w in 0..=record.len - k {
         if w > 0 {
             pair.push(record.code_at(w + k - 1));
         }
         let exts = record.exts_at(w, k);
-        let (kmer, was_rc) = pair.canonical();
-        emit(CanonicalKmerExt {
-            kmer,
-            exts: if was_rc { exts.revcomp() } else { exts },
-        });
+        let (key, was_rc) = pair.canonical_key::<K>();
+        emit(key, if was_rc { exts.revcomp() } else { exts });
     }
 }
 

@@ -5,9 +5,10 @@
 //!   an unaligned `u64` load, a shift and one more byte;
 //! * [`revcomp_codes`] — the reverse complement of a whole packed sequence,
 //!   32 bases per complement-and-reverse word step;
-//! * [`for_each_canonical`] — the canonical k-mers at every `stride`-th
-//!   offset, skipping the windows that hold an exception. A k ≤ 32 is one
-//!   word load, a shift and a mask per window, with the reverse complement
+//! * [`for_each_canonical`] — the canonical k-mers, as table keys of any
+//!   width ([`crate::KmerKey`]), at every `stride`-th offset, skipping the windows
+//!   that hold an exception. A k ≤ 32 is one word load, a shift and a mask
+//!   per window, with the reverse complement
 //!   from `rev2(!w) >> (64 − 2k)` and the strand picked by the trailing-zeros
 //!   rule of [`crate::kernels::lex_cmp_words`]; a longer k rolls a
 //!   forward/reverse pair along each run of windows at stride 1 and loads each
@@ -18,7 +19,8 @@
 //! `Kmer::from_bytes` loops in the tests.
 
 use crate::kernels::rev2_u64;
-use crate::kmer::{Kmer, StrandPair, MAX_K};
+use crate::key::KmerKey;
+use crate::kmer::{Kmer, StrandPair};
 use seqio::PackedReadView;
 use std::ops::RangeInclusive;
 
@@ -84,14 +86,14 @@ pub fn revcomp_codes(codes: &[u8], len: usize, out: &mut Vec<u8>) {
 /// zero) and whether it is the reverse complement — [`Kmer::canonical`]'s
 /// rule, decided by the lowest differing base of the two strands.
 #[inline]
-fn canonical_word(w: u64, k: usize) -> (Kmer, bool) {
+fn canonical_word<K: KmerKey>(w: u64, k: usize) -> (K, bool) {
     let rc = rev2_u64(!w) >> (64 - 2 * k);
     let diff = w ^ rc;
     let was_rc = diff != 0 && {
         let sh = diff.trailing_zeros() & !1;
         (rc >> sh) & 3 < (w >> sh) & 3
     };
-    (Kmer::from_word(if was_rc { rc } else { w }, k), was_rc)
+    (K::of_words(&[if was_rc { rc } else { w }], k), was_rc)
 }
 
 /// Calls `emit(canonical k-mer, was reverse-complemented, offset)` for the
@@ -101,17 +103,22 @@ fn canonical_word(w: u64, k: usize) -> (Kmer, bool) {
 /// `Kmer::from_bytes(&seq[o..o + k]).map(Kmer::canonical)` per offset on the
 /// unpacked sequence.
 ///
+/// Each canonical k-mer is emitted as a table key of width `K`, which must
+/// hold k: a k ≤ 32 key is the masked window word itself, and `K = Kmer`
+/// gives the k-mers.
+///
 /// # Panics
-/// Panics if `k` is not in `1..=MAX_K` or `stride` is 0.
-pub fn for_each_canonical(
+/// Panics if `k` is not in `1..=K::MAX_K` or `stride` is 0.
+pub fn for_each_canonical<K: KmerKey>(
     view: &PackedReadView<'_>,
     k: usize,
     stride: usize,
-    mut emit: impl FnMut(Kmer, bool, usize),
+    mut emit: impl FnMut(K, bool, usize),
 ) {
     assert!(
-        (1..=MAX_K).contains(&k),
-        "k must be in 1..={MAX_K}, got {k}"
+        (1..=K::MAX_K).contains(&k),
+        "k must be in 1..={}, got {k}",
+        K::MAX_K
     );
     assert!(stride > 0, "stride must be positive");
     if view.len < k {
@@ -131,12 +138,12 @@ pub fn for_each_canonical(
 }
 
 /// [`for_each_canonical`] over the offsets of one run of valid bases.
-fn cut_run(
+fn cut_run<K: KmerKey>(
     codes: &[u8],
     k: usize,
     stride: usize,
     offsets: RangeInclusive<usize>,
-    emit: &mut impl FnMut(Kmer, bool, usize),
+    emit: &mut impl FnMut(K, bool, usize),
 ) {
     if offsets.is_empty() {
         return;
@@ -157,35 +164,35 @@ fn cut_run(
         }
     } else if stride == 1 {
         match k.div_ceil(32) {
-            2 => roll::<2>(codes, k, offsets, emit),
-            3 => roll::<3>(codes, k, offsets, emit),
-            _ => roll::<4>(codes, k, offsets, emit),
+            2 => roll::<2, K>(codes, k, offsets, emit),
+            3 => roll::<3, K>(codes, k, offsets, emit),
+            _ => roll::<4, K>(codes, k, offsets, emit),
         }
     } else {
         for offset in offsets.step_by(stride) {
             let (kmer, was_rc) = Kmer::from_packed(codes, offset, k).canonical();
-            emit(kmer, was_rc, offset);
+            emit(K::of_kmer(&kmer), was_rc, offset);
         }
     }
 }
 
 /// Every offset of a run at stride 1 for a k of `N` words: one reverse
 /// complement for the run, then a few word shifts per base.
-fn roll<const N: usize>(
+fn roll<const N: usize, K: KmerKey>(
     codes: &[u8],
     k: usize,
     offsets: RangeInclusive<usize>,
-    emit: &mut impl FnMut(Kmer, bool, usize),
+    emit: &mut impl FnMut(K, bool, usize),
 ) {
     let first = *offsets.start();
-    let mut pair = StrandPair::<N>::new(&Kmer::from_packed(codes, first, k));
+    let mut pair = StrandPair::<N>::at(codes, first, k);
     for offset in offsets {
         if offset > first {
             let at = offset + k - 1;
             pair.push((codes[at / 4] >> (2 * (at % 4))) & 3);
         }
-        let (kmer, was_rc) = pair.canonical();
-        emit(kmer, was_rc, offset);
+        let (key, was_rc) = pair.canonical_key::<K>();
+        emit(key, was_rc, offset);
     }
 }
 
