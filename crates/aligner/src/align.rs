@@ -30,10 +30,10 @@
 //! 4. **Verification.** The best candidates are compared, ungapped, against
 //!    their contig windows on the packed codes: XOR and popcount over 32
 //!    bases at a time, corrected at the exceptions of either side. Contigs
-//!    come from the replicated set (each window packed into a reused buffer)
-//!    or from a second aggregated round against the distributed store, read
-//!    in place; the read's reverse complement is derived on its codes only if
-//!    a reverse candidate is reached.
+//!    this rank owns are read in place from its store shard, and the others
+//!    arrive in a second aggregated round against the store; the read's
+//!    reverse complement is derived on its codes only if a reverse candidate
+//!    is reached.
 //!
 //! Alignment is therefore **collective**: every rank must call
 //! [`align_reads_ref`] in the same phase, even with no reads.
@@ -42,9 +42,8 @@
 //! on the cache capacity or the rank count.
 
 use crate::seed_index::{with_seed_keys, RemoteHits, SeedHit, SeedIndex, SeedShard};
-use dbg::{ContigId, ContigSet, ContigsRef, PackedSeq};
+use dbg::{ContigId, ContigsRef, PackedSeq};
 use dht::{CachedView, FxHashMap, LocalShardView};
-use kmers::kernels::pack_ascii;
 use kmers::packed::{for_each_canonical, load_bases, revcomp_codes};
 use kmers::KmerKey;
 use pgas::{Counter, Ctx};
@@ -151,25 +150,23 @@ impl AlignmentSet {
     }
 }
 
-/// Aligns the reads `(read_id, read)` of this rank against either a
-/// replicated contig set or the distributed contig store.
+/// Aligns the reads `(read_id, read)` of this rank against the distributed
+/// contig store.
 ///
 /// **Collective**: every rank must call it in the same phase (an empty read
 /// set is fine). Reads are processed in blocks whose foreign seeds are
 /// resolved together — cache hits locally, all misses of the block in one
-/// request–response round trip — and, against a distributed store, the contig
-/// windows named by the block's surviving candidates are fetched in a second
-/// aggregated round. Ranks with fewer reads keep participating in the
+/// request–response round trip — and the foreign contigs named by the block's
+/// surviving candidates are fetched in a second aggregated round. Ranks with fewer reads keep participating in the
 /// remaining rounds with empty batches.
 ///
-/// The alignments are byte-identical whichever contig source is used: seed
-/// voting never touches sequence bytes, and verification reads exactly the
-/// candidate windows whichever transport delivered them.
+/// The alignments do not depend on the rank count: seed voting never touches
+/// sequence bytes, and verification reads exactly the candidate windows
+/// whichever rank or transport delivered them.
 ///
 /// Reads arrive as anything [`AsPackedRead`]: the handles a read-store
 /// stream yields (read in place), or `Read` / `&Read` (packed once into a
-/// reused buffer), so neither the distributed read store nor the replicated
-/// baseline copies a sequence to align it.
+/// reused buffer), so no sequence is copied to align it.
 pub fn align_reads_ref<R: AsPackedRead>(
     ctx: &Ctx,
     reads: impl IntoIterator<Item = (ReadId, R)>,
@@ -194,7 +191,8 @@ fn align_keyed<K: KmerKey, R: AsPackedRead>(
 ) -> AlignmentSet {
     let mut view: CachedView<K, RemoteHits, SeedShard<K>> =
         CachedView::over(index, params.cache_capacity, params.lookup_batch);
-    let mut reader = contigs.store().map(|s| s.reader(ctx));
+    let ContigsRef::Store(store) = contigs;
+    let mut reader = store.reader(ctx);
     let mut out = AlignmentSet::default();
     // Everything below lives across blocks and is only ever cleared.
     let mut block: Vec<(ReadId, R)> = Vec::new();
@@ -273,31 +271,23 @@ fn align_keyed<K: KmerKey, R: AsPackedRead>(
             );
             cand_spans.push(lo..candidates.len());
         }
-        let windows = match contigs {
-            ContigsRef::Local(set) => Windows::Replicated(set),
-            ContigsRef::Store(store) => {
-                // One aggregated fetch for every contig named by a surviving
-                // candidate anywhere in the block (collective — ranks with an
-                // empty block fetch an empty id set). The contigs this rank
-                // owns are read in place from its shard, whose locks are held
-                // until the block is verified.
-                let reader = reader.as_mut().expect("reader exists for store sources");
-                contig_ids.clear();
-                contig_slots.clear();
-                for cand in &candidates {
-                    contig_slots.entry(cand.contig).or_insert_with(|| {
-                        contig_ids.push(cand.contig);
-                        contig_ids.len() - 1
-                    });
-                }
-                let values = reader.get_many_foreign(ctx, &contig_ids);
-                let owned = store.map().local_view(ctx);
-                Windows::Fetched {
-                    slots: &contig_slots,
-                    values,
-                    owned,
-                }
-            }
+        // One aggregated fetch for every contig named by a surviving
+        // candidate anywhere in the block (collective — ranks with an empty
+        // block fetch an empty id set). The contigs this rank owns are read
+        // in place from its shard, whose locks are held until the block is
+        // verified.
+        contig_ids.clear();
+        contig_slots.clear();
+        for cand in &candidates {
+            contig_slots.entry(cand.contig).or_insert_with(|| {
+                contig_ids.push(cand.contig);
+                contig_ids.len() - 1
+            });
+        }
+        let windows = Windows {
+            slots: &contig_slots,
+            values: reader.get_many_foreign(ctx, &contig_ids),
+            owned: store.map().local_view(ctx),
         };
         let mut verified = 0u64;
         for ((read_id, read), span) in block.iter().zip(&cand_spans) {
@@ -400,8 +390,7 @@ impl Votes {
     /// most votes first, ties by `(contig, contig_offset, forward)` — and
     /// returns how many hits voted. `slen` is the seed length the seeds were
     /// sampled with (the index's, not the params'). Voting never touches
-    /// contig sequence bytes, so it is shared verbatim by the replicated and
-    /// distributed-store paths.
+    /// contig sequence bytes.
     fn rank<'a>(
         &mut self,
         read_len: usize,
@@ -457,27 +446,29 @@ impl Votes {
     }
 }
 
-/// Where verification reads contig bases from.
-enum Windows<'a> {
-    /// The replicated set: each window is packed from the stored bytes.
-    Replicated(&'a ContigSet),
-    /// The distributed store: the packed contigs one block fetched from
-    /// other ranks, `values[slots[contig]]`, and this rank's own shard.
-    Fetched {
-        slots: &'a FxHashMap<ContigId, usize>,
-        values: Vec<Option<PackedSeq>>,
-        owned: LocalShardView<'a, ContigId, PackedSeq>,
-    },
+/// Where verification reads contig bases from: the packed contigs one block
+/// fetched from other ranks, `values[slots[contig]]`, and this rank's own
+/// store shard.
+struct Windows<'a> {
+    slots: &'a FxHashMap<ContigId, usize>,
+    values: Vec<Option<PackedSeq>>,
+    owned: LocalShardView<'a, ContigId, PackedSeq>,
+}
+
+impl Windows<'_> {
+    /// The packed contig `id`, if the store holds it.
+    fn get(&self, id: ContigId) -> Option<&PackedSeq> {
+        let fetched = self.slots.get(&id).and_then(|&i| self.values[i].as_ref());
+        fetched.or_else(|| self.owned.get(&id))
+    }
 }
 
 /// The buffers verification reuses from read to read: the current read's
-/// reverse complement and one packed window of a replicated contig.
+/// reverse complement.
 #[derive(Default)]
 struct Verifier {
     rc_codes: Vec<u8>,
     rc_exceptions: Vec<(u32, u8)>,
-    window_codes: Vec<u8>,
-    window_exceptions: Vec<(u32, u8)>,
 }
 
 impl Verifier {
@@ -498,8 +489,6 @@ impl Verifier {
         let Verifier {
             rc_codes,
             rc_exceptions,
-            window_codes,
-            window_exceptions,
         } = self;
         let first_of_read = out.alignments.len();
         let mut have_revcomp = false;
@@ -509,41 +498,8 @@ impl Verifier {
             if reported.iter().any(|a| a.contig == cand.contig) {
                 continue;
             }
-            let (contig, window_start, contig_len) = match windows {
-                Windows::Replicated(set) => {
-                    let Some(c) = set.get(cand.contig) else {
-                        continue;
-                    };
-                    // Pack only the window the placement can touch.
-                    let start = cand.contig_offset.clamp(0, c.len() as i64) as usize;
-                    let end =
-                        (cand.contig_offset + read.len as i64).clamp(start as i64, c.len() as i64);
-                    let bases = &c.seq[start..end as usize];
-                    window_codes.clear();
-                    window_codes.resize(bases.len().div_ceil(4), 0);
-                    window_exceptions.clear();
-                    pack_ascii(bases, window_codes, |at, b| {
-                        window_exceptions.push((at as u32, b))
-                    });
-                    let packed = PackedReadView {
-                        len: bases.len(),
-                        codes: window_codes,
-                        exceptions: window_exceptions,
-                        qual_runs: &[],
-                    };
-                    (packed, start as i64, c.len())
-                }
-                Windows::Fetched {
-                    slots,
-                    values,
-                    owned,
-                } => {
-                    let fetched = slots.get(&cand.contig).and_then(|&i| values[i].as_ref());
-                    let Some(packed) = fetched.or_else(|| owned.get(&cand.contig)) else {
-                        continue;
-                    };
-                    (packed.view(), 0, packed.len())
-                }
+            let Some(contig) = windows.get(cand.contig) else {
+                continue;
             };
             let oriented = if cand.forward {
                 *read
@@ -567,13 +523,8 @@ impl Verifier {
                 }
             };
             compared += 1;
-            let (aligned_len, matches) = verify_packed(
-                &oriented,
-                &contig,
-                window_start,
-                contig_len as i64,
-                cand.contig_offset,
-            );
+            let (aligned_len, matches) =
+                verify_packed(&oriented, &contig.view(), cand.contig_offset);
             if aligned_len >= params.min_aligned_len
                 && matches as f64 >= params.min_identity * aligned_len as f64
             {
@@ -592,9 +543,7 @@ impl Verifier {
 }
 
 /// Counts aligned/matching bases of the packed `oriented_read` placed at
-/// `offset` on a contig of length `contig_len`, reading contig bases from the
-/// packed `window` (which starts at contig coordinate `window_start` and must
-/// cover the overlap). Ungapped. An `N` never counts as a match — not even
+/// `offset` on the packed `contig`. Ungapped. An `N` never counts as a match — not even
 /// against another `N`: ambiguous bases carry no evidence, and letting `N`
 /// runs in low-quality read tails "match" contig `N`s would manufacture
 /// identity.
@@ -605,23 +554,21 @@ impl Verifier {
 /// its raw bytes are equal and not `N`.
 fn verify_packed(
     oriented_read: &PackedReadView<'_>,
-    window: &PackedReadView<'_>,
-    window_start: i64,
-    contig_len: i64,
+    contig: &PackedReadView<'_>,
     offset: i64,
 ) -> (usize, usize) {
     let start = offset.max(0);
-    let end = (offset + oriented_read.len as i64).min(contig_len);
+    let end = (offset + oriented_read.len as i64).min(contig.len as i64);
     if end <= start {
         return (0, 0);
     }
     let n = (end - start) as usize;
     let at_read = (start - offset) as usize;
-    let at_window = (start - window_start) as usize;
+    let at_contig = start as usize;
     let mut matches = 0usize;
     for i in (0..n).step_by(32) {
         let x =
-            load_bases(oriented_read.codes, at_read + i) ^ load_bases(window.codes, at_window + i);
+            load_bases(oriented_read.codes, at_read + i) ^ load_bases(contig.codes, at_contig + i);
         // One bit per base, set where both bits of the codes agree.
         let mut eq = !(x | (x >> 1)) & 0x5555_5555_5555_5555;
         if n - i < 32 {
@@ -632,26 +579,26 @@ fn verify_packed(
     // Exceptions of both sides, as overlap positions; a position that is one
     // on both sides is corrected once.
     let mut read_ex = exceptions_in(oriented_read.exceptions, at_read, n).peekable();
-    let mut window_ex = exceptions_in(window.exceptions, at_window, n).peekable();
+    let mut contig_ex = exceptions_in(contig.exceptions, at_contig, n).peekable();
     loop {
-        let t = match (read_ex.peek(), window_ex.peek()) {
+        let t = match (read_ex.peek(), contig_ex.peek()) {
             (None, None) => break,
             (Some(&(a, _)), None) => a,
             (None, Some(&(b, _))) => b,
             (Some(&(a, _)), Some(&(b, _))) => a.min(b),
         };
-        let (read_code, window_code) = (
+        let (read_code, contig_code) = (
             oriented_read.code_at(at_read + t),
-            window.code_at(at_window + t),
+            contig.code_at(at_contig + t),
         );
         let read_byte = read_ex
             .next_if(|&(p, _)| p == t)
             .map_or(decode_base(read_code), |(_, b)| b);
-        let window_byte = window_ex
+        let contig_byte = contig_ex
             .next_if(|&(p, _)| p == t)
-            .map_or(decode_base(window_code), |(_, b)| b);
-        let counted = read_code == window_code;
-        let is_match = read_byte == window_byte && read_byte != b'N';
+            .map_or(decode_base(contig_code), |(_, b)| b);
+        let counted = read_code == contig_code;
+        let is_match = read_byte == contig_byte && read_byte != b'N';
         matches = matches + usize::from(is_match) - usize::from(counted);
     }
     (n, matches)
@@ -674,6 +621,7 @@ fn exceptions_in(
 mod tests {
     use super::*;
     use crate::seed_index::{build_seed_index_ref, serial_index};
+    use dbg::{ContigSet, ContigStore};
     use dht::DistMap;
     use kmers::{KeyWidth, Kmer, Kmer32, Kmer64};
     use pgas::Team;
@@ -1069,13 +1017,12 @@ mod tests {
                 let shard: DistMap<ContigId, PackedSeq> = DistMap::new(1);
                 shard.insert(ctx, 0, contig.clone());
                 let sources = [
-                    Windows::Replicated(&contigs),
-                    Windows::Fetched {
+                    Windows {
                         slots: &slots,
                         values: vec![Some(contig.clone())],
                         owned: sent.local_view(ctx),
                     },
-                    Windows::Fetched {
+                    Windows {
                         slots: &slots,
                         values: vec![None],
                         owned: shard.local_view(ctx),
@@ -1188,13 +1135,15 @@ mod tests {
             for ranks in [1usize, 3] {
                 let got: Vec<Alignment> = Team::single_node(ranks)
                     .run(|ctx| {
-                        let index = build_seed_index_ref(ctx, (&contigs).into(), seed_len);
+                        let store = ContigStore::build(ctx, &contigs, &Default::default());
+                        let source = ContigsRef::Store(&store);
+                        let index = build_seed_index_ref(ctx, source, seed_len);
                         let mine: Vec<(ReadId, Read)> = reads
                             .iter()
                             .filter(|(id, _)| *id as usize % ctx.ranks() == ctx.rank())
                             .cloned()
                             .collect();
-                        align_reads_ref(ctx, mine, (&contigs).into(), &index, &params).alignments
+                        align_reads_ref(ctx, mine, source, &index, &params).alignments
                     })
                     .into_iter()
                     .flatten()
@@ -1238,8 +1187,8 @@ mod tests {
                         ..Default::default()
                     },
                 );
-                let from_store = build_seed_index_ref(ctx, ContigsRef::Store(&store), 15);
-                let from_set = build_seed_index_ref(ctx, (&contigs).into(), 15);
+                let source = ContigsRef::Store(&store);
+                let index = build_seed_index_ref(ctx, source, 15);
                 let read_store = ReadStore::build(
                     ctx,
                     &library,
@@ -1270,22 +1219,19 @@ mod tests {
                         };
                         let at =
                             format!("{ranks} ranks, batch {lookup_batch}, cache {cache_capacity}");
-                        let local =
-                            align_reads_ref(ctx, mine.clone(), (&contigs).into(), &from_set, &p);
-                        assert_eq!(local.alignments, expected_mine, "replicated, {at}");
                         let dist = align_reads_ref(
                             ctx,
                             mine.iter().map(|(id, read)| (*id, read)),
-                            ContigsRef::Store(&store),
-                            &from_store,
+                            source,
+                            &index,
                             &p,
                         );
                         assert_eq!(dist.alignments, expected_mine, "store, {at}");
                         let streamed = align_reads_ref(
                             ctx,
                             read_store.stream(ctx, mine_ids.clone()),
-                            ContigsRef::Store(&store),
-                            &from_store,
+                            source,
+                            &index,
                             &p,
                         );
                         assert_eq!(streamed.alignments, expected_mine, "read stream, {at}");
@@ -1306,13 +1252,15 @@ mod tests {
             .map(|ranks| {
                 let team = Team::single_node(ranks);
                 team.run(|ctx| {
-                    let index = build_seed_index_ref(ctx, (&contigs).into(), 15);
+                    let store = ContigStore::build(ctx, &contigs, &Default::default());
+                    let source = ContigsRef::Store(&store);
+                    let index = build_seed_index_ref(ctx, source, 15);
                     let mine: Vec<&(ReadId, Read)> = reads
                         .iter()
                         .filter(|(id, _)| *id as usize % ctx.ranks() == ctx.rank())
                         .collect();
                     let mine = mine.into_iter().map(|(id, read)| (*id, read));
-                    align_reads_ref(ctx, mine, (&contigs).into(), &index, &params());
+                    align_reads_ref(ctx, mine, source, &index, &params());
                 });
                 let total = team.stats_total();
                 [
@@ -1339,9 +1287,11 @@ mod tests {
         let contigs = contigs_of(&[GENOME]);
         let team = Team::single_node(2);
         team.run(|ctx| {
-            let index = build_seed_index_ref(ctx, (&contigs).into(), 15);
+            let store = ContigStore::build(ctx, &contigs, &Default::default());
+            let source = ContigsRef::Store(&store);
+            let index = build_seed_index_ref(ctx, source, 15);
             let read = Read::with_uniform_quality("r0", &GENOME.as_bytes()[30..80], 35);
-            let set = align_reads_ref(ctx, [(0u64, read)], (&contigs).into(), &index, &params());
+            let set = align_reads_ref(ctx, [(0u64, read)], source, &index, &params());
             assert_eq!(set.alignments.len(), 1);
             let a = &set.alignments[0];
             assert_eq!(a.contig, 0);
@@ -1358,10 +1308,12 @@ mod tests {
         let contigs = contigs_of(&[GENOME]);
         let team = Team::single_node(1);
         team.run(|ctx| {
-            let index = build_seed_index_ref(ctx, (&contigs).into(), 15);
+            let store = ContigStore::build(ctx, &contigs, &Default::default());
+            let source = ContigsRef::Store(&store);
+            let index = build_seed_index_ref(ctx, source, 15);
             let rc = revcomp(&GENOME.as_bytes()[20..70]);
             let read = Read::with_uniform_quality("r0", &rc, 35);
-            let set = align_reads_ref(ctx, [(0u64, read)], (&contigs).into(), &index, &params());
+            let set = align_reads_ref(ctx, [(0u64, read)], source, &index, &params());
             assert_eq!(set.alignments.len(), 1);
             let a = &set.alignments[0];
             assert!(!a.forward);
@@ -1376,12 +1328,14 @@ mod tests {
         let contigs = contigs_of(&[GENOME]);
         let team = Team::single_node(1);
         team.run(|ctx| {
-            let index = build_seed_index_ref(ctx, (&contigs).into(), 15);
+            let store = ContigStore::build(ctx, &contigs, &Default::default());
+            let source = ContigsRef::Store(&store);
+            let index = build_seed_index_ref(ctx, source, 15);
             let mut bases = GENOME.as_bytes()[10..90].to_vec();
             bases[40] = if bases[40] == b'A' { b'C' } else { b'A' };
             bases[60] = if bases[60] == b'G' { b'T' } else { b'G' };
             let read = Read::with_uniform_quality("r0", &bases, 35);
-            let set = align_reads_ref(ctx, [(0u64, read)], (&contigs).into(), &index, &params());
+            let set = align_reads_ref(ctx, [(0u64, read)], source, &index, &params());
             assert_eq!(set.alignments.len(), 1);
             let a = &set.alignments[0];
             assert_eq!(a.aligned_len, 80);
@@ -1399,9 +1353,11 @@ mod tests {
         let contigs = contigs_of(&[left, right]);
         let team = Team::single_node(1);
         team.run(|ctx| {
-            let index = build_seed_index_ref(ctx, (&contigs).into(), 15);
+            let store = ContigStore::build(ctx, &contigs, &Default::default());
+            let source = ContigsRef::Store(&store);
+            let index = build_seed_index_ref(ctx, source, 15);
             let read = Read::with_uniform_quality("r0", &GENOME.as_bytes()[26..76], 35);
-            let set = align_reads_ref(ctx, [(0u64, read)], (&contigs).into(), &index, &params());
+            let set = align_reads_ref(ctx, [(0u64, read)], source, &index, &params());
             assert_eq!(set.alignments.len(), 2, "got {:?}", set.alignments);
             let contigs_hit: Vec<ContigId> = set.alignments.iter().map(|a| a.contig).collect();
             assert!(contigs_hit.contains(&0));
@@ -1418,10 +1374,12 @@ mod tests {
         let contigs = contigs_of(&[GENOME]);
         let team = Team::single_node(1);
         team.run(|ctx| {
-            let index = build_seed_index_ref(ctx, (&contigs).into(), 15);
+            let store = ContigStore::build(ctx, &contigs, &Default::default());
+            let source = ContigsRef::Store(&store);
+            let index = build_seed_index_ref(ctx, source, 15);
             let read =
                 Read::with_uniform_quality("r0", b"TTTTTTTTTTGGGGGGGGGGCCCCCCCCCCAAAAAAAAAA", 35);
-            let set = align_reads_ref(ctx, [(0u64, read)], (&contigs).into(), &index, &params());
+            let set = align_reads_ref(ctx, [(0u64, read)], source, &index, &params());
             assert!(set.alignments.is_empty());
         });
     }
@@ -1438,32 +1396,39 @@ mod tests {
                 )
             })
             .collect();
+        // The contig reader caches nothing, so each of the ten blocks adds
+        // one miss, for contig 0, on every rank; the rest is the seed view's.
+        let no_cache = dbg::ContigStoreParams {
+            cache_bytes: 0,
+            ..Default::default()
+        };
+        const BLOCKS: u64 = 10;
         for ranks in [1usize, 2, 3] {
             Team::single_node(ranks).run(|ctx| {
-                let index = build_seed_index_ref(ctx, (&contigs).into(), 15);
+                let store = ContigStore::build(ctx, &contigs, &no_cache);
+                let source = ContigsRef::Store(&store);
+                let index = build_seed_index_ref(ctx, source, 15);
                 ctx.stats().reset();
                 // Every rank aligns all twenty reads, two per block.
                 let p = AlignParams {
                     lookup_batch: 16,
                     ..params()
                 };
-                let set = align_reads_ref(ctx, reads.clone(), (&contigs).into(), &index, &p);
+                let set = align_reads_ref(ctx, reads.clone(), source, &index, &p);
                 assert_eq!(set.alignments.len(), 20);
                 let stats = ctx.stats().snapshot();
                 assert_eq!(stats.seed_lookups, 20 * 9);
+                let (hits, misses) = (stats.cache_hits, stats.cache_misses - BLOCKS);
                 if ranks == 1 {
-                    assert_eq!((stats.cache_hits, stats.cache_misses), (0, 0), "{stats:?}");
+                    assert_eq!((hits, misses), (0, 0), "{stats:?}");
                     assert_eq!(stats.seed_lookups_remote, 0);
                     return;
                 }
                 // Each distinct foreign seed is fetched once — by the first
                 // block that needs it — and every later lookup is a hit.
-                assert_eq!(
-                    stats.cache_hits + stats.cache_misses,
-                    stats.seed_lookups_remote
-                );
-                assert_eq!(stats.cache_misses * 20, stats.seed_lookups_remote);
-                let foreign = ctx.allreduce_sum_u64(stats.cache_misses);
+                assert_eq!(hits + misses, stats.seed_lookups_remote);
+                assert_eq!(misses * 20, stats.seed_lookups_remote);
+                let foreign = ctx.allreduce_sum_u64(misses);
                 assert_eq!(
                     foreign,
                     9 * (ranks as u64 - 1),
@@ -1490,7 +1455,9 @@ mod tests {
         assert!(n_in_read >= 10, "test setup: read must contain the N run");
         let team = Team::single_node(1);
         team.run(|ctx| {
-            let index = build_seed_index_ref(ctx, (&contigs).into(), 15);
+            let store = ContigStore::build(ctx, &contigs, &Default::default());
+            let source = ContigsRef::Store(&store);
+            let index = build_seed_index_ref(ctx, source, 15);
             let read = Read::with_uniform_quality("r0", &read_bases, 35);
             // Drop the identity floor so the placement is reported and the
             // match count itself can be inspected.
@@ -1498,7 +1465,7 @@ mod tests {
                 min_identity: 0.5,
                 ..params()
             };
-            let set = align_reads_ref(ctx, [(0u64, read)], (&contigs).into(), &index, &p);
+            let set = align_reads_ref(ctx, [(0u64, read)], source, &index, &p);
             assert_eq!(set.alignments.len(), 1, "{:?}", set.alignments);
             let a = &set.alignments[0];
             assert_eq!(a.aligned_len, 50);

@@ -24,16 +24,16 @@
 //!
 //! The cap keeps the 32 *smallest* hits of a seed, not the first 32 to
 //! arrive, and a sorted run's prefix does not depend on the order the records
-//! came in. The index content is therefore the same for every rank count and
-//! for both contig sources (which index different contig subsets per rank) —
-//! a property of one sort, where a table merged incrementally would have to
-//! maintain it on every arrival.
+//! came in. The index content is therefore the same for every rank count
+//! (each of which indexes different contig subsets per rank) — a property of
+//! one sort, where a table merged incrementally would have to maintain it on
+//! every arrival.
 
 use dbg::{ContigId, ContigsRef};
 use kmers::packed::for_each_canonical;
 use kmers::{KeyWidth, Kmer, Kmer32, Kmer64, KmerKey};
 use pgas::{Aggregator, Ctx, RpcAggregator};
-use seqio::{PackedReadView, ReadPacker};
+use seqio::PackedReadView;
 use std::sync::Arc;
 
 /// One occurrence of a seed k-mer in a contig.
@@ -307,17 +307,15 @@ impl<K: KmerKey> dht::ReadTable<K, RemoteHits> for SeedShard<K> {
     }
 }
 
-/// Collectively builds the seed index for a contig source; every rank gets
+/// Collectively builds the seed index over the contig store; every rank gets
 /// its own shard.
 ///
-/// With a replicated set every rank indexes a block of the contigs, each
-/// packed in turn into one reused buffer; with a distributed
-/// [`dbg::ContigStore`] every rank indexes exactly the contigs it owns, read
-/// packed in place (an owner-local read pass — no sequence ever travels for
-/// indexing, and none is unpacked). Either way the seeds are cut from the
-/// 2-bit codes, one record per contig position reaches the seed's owner in
-/// aggregated messages (global update-only phase), and the owners group them
-/// into the same deterministic index.
+/// Every rank indexes exactly the contigs it owns, read packed in place (an
+/// owner-local read pass — no sequence ever travels for indexing, and none
+/// is unpacked). The seeds are cut from the 2-bit codes, one record per
+/// contig position reaches the seed's owner in aggregated messages (global
+/// update-only phase), and the owners group them into the same deterministic
+/// index at every rank count.
 pub fn build_seed_index_ref(ctx: &Ctx, contigs: ContigsRef<'_>, seed_len: usize) -> SeedIndex {
     assert!(
         seed_len >= 3 && seed_len % 2 == 1 && seed_len <= kmers::MAX_K,
@@ -345,19 +343,12 @@ fn build_shard<K: KmerKey>(ctx: &Ctx, contigs: ContigsRef<'_>, seed_len: usize) 
             agg.push(owner_of_hash(canon.key_hash(), ctx.ranks()), (canon, hit));
         });
     };
-    match contigs {
-        ContigsRef::Local(set) => {
-            let mut packer = ReadPacker::default();
-            for c in &set.contigs[ctx.block_range(set.len())] {
-                ship(c.id, &packer.pack(&c.seq, &[]));
-            }
-        }
-        // The records stream into the exchange straight from the shard's
-        // packed contigs.
-        ContigsRef::Store(store) => store
-            .map()
-            .for_each_local(ctx, |id, packed| ship(*id, &packed.view())),
-    }
+    // The records stream into the exchange straight from the shard's packed
+    // contigs.
+    let ContigsRef::Store(store) = contigs;
+    store
+        .map()
+        .for_each_local(ctx, |id, packed| ship(*id, &packed.view()));
     SeedShard::from_records(ctx, agg.finish())
 }
 
@@ -390,7 +381,7 @@ pub(crate) fn serial_index(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbg::ContigSet;
+    use dbg::{ContigSet, ContigStore};
     use dht::ReadTable;
     use pgas::Team;
 
@@ -401,6 +392,12 @@ mod tests {
             let keys: Vec<_> = seeds.iter().map(KmerKey::of_kmer).collect();
             shard.get_many(ctx, &keys, 16)
         })
+    }
+
+    /// The seed index of `contigs`, built from a store over them.
+    fn index_of(ctx: &Ctx, contigs: &ContigSet, seed_len: usize) -> SeedIndex {
+        let store = ContigStore::build(ctx, contigs, &Default::default());
+        build_seed_index_ref(ctx, ContigsRef::Store(&store), seed_len)
     }
 
     fn contig_set(seqs: &[&str], k: usize) -> ContigSet {
@@ -421,7 +418,7 @@ mod tests {
         );
         let team = Team::single_node(3);
         let totals = team.run(|ctx| {
-            let index = build_seed_index_ref(ctx, (&contigs).into(), 15);
+            let index = index_of(ctx, &contigs, 15);
             let hits: usize = index.local_entries().map(|(_, v)| v.len()).sum();
             ctx.allreduce_sum_u64(hits as u64)
         });
@@ -435,7 +432,7 @@ mod tests {
         let contigs = contig_set(&[seq], 15);
         let team = Team::single_node(2);
         team.run(|ctx| {
-            let index = build_seed_index_ref(ctx, (&contigs).into(), 15);
+            let index = index_of(ctx, &contigs, 15);
             // Look up the seed at position 5 of the contig (in storage
             // orientation the contig may be reverse-complemented).
             let stored = &contigs.contigs[0].seq;
@@ -482,7 +479,7 @@ mod tests {
     }
 
     #[test]
-    fn index_content_equals_the_serial_oracle_on_every_rank_count_and_source() {
+    fn index_content_equals_the_serial_oracle_on_every_rank_count() {
         // Shared stretches between contigs (multi-hit seeds across contigs),
         // an N run, a contig shorter than a seed and a tandem repeat far past
         // the cap.
@@ -506,15 +503,10 @@ mod tests {
             "test setup: some seed reaches the cap"
         );
         for ranks in [1usize, 2, 3, 5] {
-            let per_rank = Team::single_node(ranks).run(|ctx| {
-                let store = dbg::ContigStore::build(ctx, &contigs, &Default::default());
-                let from_store = build_seed_index_ref(ctx, ContigsRef::Store(&store), 15);
-                let from_set = build_seed_index_ref(ctx, (&contigs).into(), 15);
-                (gathered(ctx, &from_store), gathered(ctx, &from_set))
-            });
-            for (from_store, from_set) in per_rank {
-                assert_eq!(from_store, expected, "store source, {ranks} ranks");
-                assert_eq!(from_set, expected, "replicated source, {ranks} ranks");
+            let per_rank =
+                Team::single_node(ranks).run(|ctx| gathered(ctx, &index_of(ctx, &contigs, 15)));
+            for held in per_rank {
+                assert_eq!(held, expected, "{ranks} ranks");
             }
         }
     }
@@ -536,7 +528,7 @@ mod tests {
             let queries: Vec<Kmer> = expected.iter().map(|(seed, _)| *seed).collect();
             for ranks in [1usize, 3] {
                 let per_rank = Team::single_node(ranks).run(|ctx| {
-                    let index = build_seed_index_ref(ctx, (&contigs).into(), seed_len);
+                    let index = index_of(ctx, &contigs, seed_len);
                     let served: Vec<Vec<SeedHit>> = get_many(ctx, &index, &queries)
                         .into_iter()
                         .map(|hits| hits.map_or(Vec::new(), |h| h.as_slice().to_vec()))
@@ -562,7 +554,7 @@ mod tests {
         let contigs = contig_set(&[&repeat], 15);
         let team = Team::single_node(2);
         team.run(|ctx| {
-            let index = build_seed_index_ref(ctx, (&contigs).into(), 15);
+            let index = index_of(ctx, &contigs, 15);
             for (seed, hits) in index.local_entries() {
                 assert_eq!(hits.len(), SeedIndex::MAX_HITS_PER_SEED, "{seed}");
                 let first = hits[0].pos;
@@ -597,7 +589,7 @@ mod tests {
         let contigs = contig_set(&["ACGGTCAGGTTCAAGGACT"], 15);
         let team = Team::single_node(1);
         team.run(|ctx| {
-            let _ = build_seed_index_ref(ctx, (&contigs).into(), 16);
+            let _ = index_of(ctx, &contigs, 16);
         });
     }
 }

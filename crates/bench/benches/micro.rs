@@ -24,6 +24,18 @@ use rrna_hmm::RrnaDetector;
 use seqio::{Read, ReadPacker};
 use std::sync::Arc;
 
+// What the replicated contig set and read library, the reference of the
+// local-assembly and alignment set-ups, produced at commit b7c4a00 (the
+// parent of the change that removed them): the same at 1 and 4 ranks.
+// Properties of the bench inputs: change `community` or the bench reads and
+// they must be re-derived, not edited.
+
+/// [`mhm_bench::scaffold_digest`] of the 25 contigs local assembly extends.
+const LOCAL_ASSEMBLY_DIGEST: u64 = 0x9909_a3e7_66bc_9f0e;
+/// [`mhm_bench::scaffold_digest`] of the 2,228 alignments of the store set-up,
+/// each rendered by `Debug`.
+const ALIGNMENTS_DIGEST: u64 = 0xe1b4_3b13_c073_ac36;
+
 /// The bench community: three 5–6 kb genomes and paired 100 bp reads at 12×.
 fn community() -> (seqio::ReferenceSet, seqio::ReadLibrary) {
     let (refs, _) = mgsim::generate_community(&CommunityParams {
@@ -133,9 +145,10 @@ fn bench_local_assembly(c: &mut Criterion) {
     });
 
     // The stage as the pipeline runs it: contigs cut from the bench community
-    // with unassembled flanks between them, each rank's share of the reads
-    // aligned to them, and the pools fetched from a `ReadStore`. The set-up
-    // checks it against the replicated arm at each rank count.
+    // with unassembled flanks between them, served from a `ContigStore`, each
+    // rank's share of the reads aligned to them, and the pools fetched from a
+    // `ReadStore`. The set-up checks that every rank count extends the same
+    // contigs, the ones the replicated baseline extended.
     let (refs, library) = community();
     let contigs = dbg::ContigSet::from_sequences(
         31,
@@ -151,42 +164,42 @@ fn bench_local_assembly(c: &mut Criterion) {
         (4, "local_assembly/store_pools_4ranks"),
     ] {
         let team = Team::single_node(ranks);
+        let (contig_store, store) = team
+            .run(|ctx| {
+                (
+                    dbg::ContigStore::build(ctx, &contigs, &Default::default()),
+                    ReadStore::build(ctx, &library, &ReadStoreParams::default()),
+                )
+            })
+            .pop()
+            .expect("one pair of stores per rank");
+        let source = dbg::ContigsRef::Store(&contig_store);
         let alignments = team.run(|ctx| {
-            let index = build_seed_index_ref(ctx, (&contigs).into(), 21);
+            let index = build_seed_index_ref(ctx, source, 21);
             let mine = ctx
                 .block_range(library.num_reads())
                 .map(|i| (i as u64, &library.reads[i]));
-            align_reads_ref(
-                ctx,
-                mine,
-                (&contigs).into(),
-                &index,
-                &AlignParams::default(),
-            )
+            align_reads_ref(ctx, mine, source, &index, &AlignParams::default())
         });
-        let store = team
-            .run(|ctx| ReadStore::build(ctx, &library, &ReadStoreParams::default()))
-            .pop()
-            .expect("one store per rank");
-        let extend = |ctx: &pgas::Ctx, reads: ReadsRef<'_>| {
-            let source = dbg::ContigsRef::Local(&contigs);
+        let extend = |ctx: &pgas::Ctx| {
+            let reads = ReadsRef::Store(&store);
             extend_contigs_locally_ref(ctx, source, &alignments[ctx.rank()], reads, &params).0
         };
-        let replicated = team.run(|ctx| extend(ctx, ReadsRef::Local(&library)));
-        let grown = replicated[0]
+        let extended = team.run(extend);
+        assert!(extended.iter().all(|set| *set == extended[0]));
+        let grown = extended[0]
             .contigs
             .iter()
             .filter(|c| !contigs.contigs.iter().any(|d| d.seq == c.seq))
             .count();
         assert!(grown * 2 > contigs.len(), "set-up: most contigs grow");
+        let seqs: Vec<Vec<u8>> = extended[0].contigs.iter().map(|c| c.seq.clone()).collect();
         assert_eq!(
-            team.run(|ctx| extend(ctx, ReadsRef::Store(&store))),
-            replicated,
+            (seqs.len(), mhm_bench::scaffold_digest(&seqs)),
+            (25, LOCAL_ASSEMBLY_DIGEST),
             "store pools, {ranks} ranks"
         );
-        c.bench_function(id, |b| {
-            b.iter(|| team.run(|ctx| extend(ctx, ReadsRef::Store(&store)).len()))
-        });
+        c.bench_function(id, |b| b.iter(|| team.run(|ctx| extend(ctx).len())));
     }
 }
 
@@ -494,17 +507,22 @@ fn bench_pipeline_stages(c: &mut Criterion) {
             )
         });
     }
+    let contig_store = team
+        .run(|ctx| dbg::ContigStore::build(ctx, &contigs, &Default::default()))
+        .pop()
+        .expect("one store per rank");
     c.bench_function("aligner/align_2k_reads", |b| {
         b.iter(|| {
             team.run(|ctx| {
-                let index = build_seed_index_ref(ctx, (&contigs).into(), 15);
+                let source = dbg::ContigsRef::Store(&contig_store);
+                let index = build_seed_index_ref(ctx, source, 15);
                 ctx.barrier();
                 let range = ctx.block_range(reads.len().min(2000));
                 let my = range.map(|i| (i as u64, reads[i].clone()));
                 align_reads_ref(
                     ctx,
                     my,
-                    (&contigs).into(),
+                    source,
                     &index,
                     &AlignParams {
                         seed_len: 15,
@@ -517,8 +535,9 @@ fn bench_pipeline_stages(c: &mut Criterion) {
         })
     });
     // The path the pipeline runs: the same reads streamed packed out of a
-    // `ReadStore`, contigs read from a `ContigStore`. The set-up checks it
-    // against the replicated arm at each rank count.
+    // `ReadStore`, contigs read from a `ContigStore`. The set-up checks that
+    // every rank count aligns what 1 rank does, which is what the replicated
+    // baseline aligned.
     let library = {
         let mut lib = seqio::ReadLibrary::new_unpaired("bench");
         lib.reads = reads[..reads.len().min(2000)].to_vec();
@@ -547,23 +566,26 @@ fn bench_pipeline_stages(c: &mut Criterion) {
         ctx.barrier();
         set.alignments
     };
+    let one_rank: Vec<aligner::Alignment> = Team::single_node(1).run(align_store).concat();
+    let rendered: Vec<Vec<u8>> = one_rank
+        .iter()
+        .map(|a| format!("{a:?}").into_bytes())
+        .collect();
+    assert_eq!(
+        (one_rank.len(), mhm_bench::scaffold_digest(&rendered)),
+        (2228, ALIGNMENTS_DIGEST),
+        "store path, 1 rank"
+    );
     for (ranks, id) in [
         (1usize, "aligner/align_store_2k_reads_1rank"),
         (4, "aligner/align_store_2k_reads_4ranks"),
     ] {
         let team = Team::single_node(ranks);
-        let replicated = team.run(|ctx| {
-            let index = build_seed_index_ref(ctx, (&contigs).into(), params.seed_len);
-            let mine = my_ids(ctx).map(|id| (id, &library.reads[id as usize]));
-            align_reads_ref(ctx, mine, (&contigs).into(), &index, &params).alignments
-        });
-        assert!(
-            replicated.iter().map(Vec::len).sum::<usize>() > library.num_reads() / 2,
-            "set-up: most reads align"
-        );
+        // Each rank aligns a block of the reads in id order, so the ranks'
+        // alignments in rank order are the 1-rank list.
         assert_eq!(
-            team.run(align_store),
-            replicated,
+            team.run(align_store).concat(),
+            one_rank,
             "store path, {ranks} ranks"
         );
         c.bench_function(id, |b| b.iter(|| team.run(align_store).len()));

@@ -103,17 +103,34 @@ pub fn traversal() {
 /// shard, not the cache, dominates residency at every rank count).
 const CACHE_BYTES: usize = 32 << 10;
 
-/// One distributed store, as its guard row compares it with the replicated
-/// holder it replaces.
+/// The default configuration's `mg64_tiny` scaffold digest (615 scaffolds)
+/// at every rank count, which both store guards pin.
+const MG64_TINY_DIGEST: u64 = 0xac15_04b5_c8e9_3641;
+
+// The per-rank peak resident bytes of the replicated holders the stores
+// replaced, measured at commit b7c4a00 (the parent of the change that removed
+// them) on `mg64_tiny`: every rank held the whole replica, so each is the
+// same at 1, 2, 4 and 8 ranks. They are properties of that dataset: change
+// the dataset and they must be re-derived, not scaled.
+
+/// The replicated `ContigSet`: every raw contig base on every rank.
+const REPLICATED_CONTIG_BYTES: u64 = 263_032;
+/// The replicated `ReadLibrary`: every raw sequence, quality and name byte of
+/// the input on every rank.
+const REPLICATED_READ_BYTES: u64 = 7_248_276;
+
+/// One distributed store, as its guard row holds it against the replicated
+/// holder it replaced.
 struct Store {
     row: &'static str,
     /// `"contig"` or `"read"`.
     what: &'static str,
     file: &'static str,
-    /// Switches the store on (`true`) or off and sets its reader-cache bound.
-    configure: fn(&mut AssemblyConfig, bool),
-    /// The per-rank peak resident bytes (owned shard + reader caches, or the
-    /// full replica).
+    /// The replica's per-rank resident bytes.
+    replicated: u64,
+    /// Sets the store's reader-cache bound.
+    configure: fn(&mut AssemblyConfig),
+    /// The per-rank peak resident bytes (owned shard + reader caches).
     resident: fn(&StatsSnapshot) -> u64,
     /// Packed bytes fetched on cache misses, and their snapshot key.
     fetched: fn(&StatsSnapshot) -> u64,
@@ -129,10 +146,8 @@ pub fn contig_store() {
         row: "ablation_contig_store",
         what: "contig",
         file: "BENCH_contig_mem.json",
-        configure: |cfg, on| {
-            cfg.use_distributed_contigs = on;
-            cfg.contig_cache_bytes = CACHE_BYTES;
-        },
+        replicated: REPLICATED_CONTIG_BYTES,
+        configure: |cfg| cfg.contig_cache_bytes = CACHE_BYTES,
         resident: |s| s.contig_bytes_resident,
         fetched: |s| s.contig_fetch_bytes,
         fetch_key: "contig_fetch_bytes",
@@ -148,39 +163,39 @@ pub fn read_store() {
         row: "ablation_read_store",
         what: "read",
         file: "BENCH_read_mem.json",
-        configure: |cfg, on| {
-            cfg.use_distributed_reads = on;
-            cfg.read_cache_bytes = CACHE_BYTES;
-        },
+        replicated: REPLICATED_READ_BYTES,
+        configure: |cfg| cfg.read_cache_bytes = CACHE_BYTES,
         resident: |s| s.read_bytes_resident,
         fetched: |s| s.read_fetch_bytes,
         fetch_key: "read_fetch_bytes",
     })
 }
 
-/// Runs the assembly with the store off and on at 1, 2, 4 and 8 ranks and
-/// fails unless, at every rank count, the scaffolds are byte-identical, every
-/// rank's peak resident bytes stay within `replicated_total/ranks +
-/// cache_bytes` (the packing margin absorbs shard imbalance), and the
-/// peak-residency ratio replicated / distributed stays at or above
-/// `max(1.8, ranks/2)`: at one rank the win is pure 2-bit packing, at higher
-/// rank counts sharding compounds it, diluted on this tiny dataset by the
-/// fixed cache bound. The ratio assertion doubles as the drift guard on the
-/// snapshot's contents.
+/// Runs the assembly at 1, 2, 4 and 8 ranks and fails unless, at every rank
+/// count, the scaffolds are the default configuration's, every rank's peak
+/// resident bytes stay within `replicated/ranks + cache_bytes` (the packing
+/// margin absorbs shard imbalance), and the peak-residency ratio replicated /
+/// distributed stays at or above `max(1.8, ranks/2)`: at one rank the win is
+/// pure 2-bit packing, at higher rank counts sharding compounds it, diluted
+/// on this tiny dataset by the fixed cache bound. The ratio assertion doubles
+/// as the drift guard on the snapshot's contents.
 fn store(store: &Store) {
     let ds = datasets::mg64_tiny();
-    let points = RANKS.into_iter().flat_map(|r| [(r, false), (r, true)]);
-    let runs = sweep(&ds, points, |distributed| {
+    let runs = sweep(&ds, RANKS.map(|r| (r, ())), |()| {
         let mut cfg = AssemblyConfig::default();
-        (store.configure)(&mut cfg, distributed);
+        (store.configure)(&mut cfg);
         cfg
     });
     let mut records: Vec<Record> = Vec::new();
-    for pair in runs.chunks(2) {
-        let (replicated, distributed) = (&pair[0].1, &pair[1].1);
+    let rep_max = store.replicated;
+    for (_, distributed) in &runs {
         let ranks = distributed.ranks;
-        let peak = |run: &Run| run.per_rank.iter().map(store.resident).max().unwrap_or(0);
-        let (rep_max, dist_max) = (peak(replicated), peak(distributed));
+        let dist_max = distributed
+            .per_rank
+            .iter()
+            .map(store.resident)
+            .max()
+            .unwrap_or(0);
         let ratio = rep_max as f64 / dist_max.max(1) as f64;
         let bound = rep_max / ranks as u64 + CACHE_BYTES as u64;
         records.push(vec![
@@ -197,6 +212,10 @@ fn store(store: &Store) {
             ("scaffold_digest", digest_json(distributed.digest)),
             ("scaffolds", distributed.output.scaffolds.len().to_string()),
         ]);
+        assert_eq!(
+            distributed.digest, MG64_TINY_DIGEST,
+            "the scaffolds at {ranks} ranks are not the default configuration's"
+        );
         for (rank, snapshot) in distributed.per_rank.iter().enumerate() {
             let resident = (store.resident)(snapshot);
             assert!(

@@ -4,7 +4,7 @@
 //! host's, the shape is the paper's.
 
 use aligner::{align_reads_ref, build_seed_index_ref, AlignParams};
-use dbg::{ContigSet, ThresholdPolicy};
+use dbg::{ContigSet, ContigStore, ContigsRef, ThresholdPolicy};
 use mhm_bench::datasets::{self, Dataset};
 use mhm_bench::{efficiency, fmt, print_table, rank_sweep, ranks_up_to, sweep, Record};
 use mhm_core::{AssemblyConfig, AssemblyOutput, MetaHipMer};
@@ -208,14 +208,16 @@ fn fraction_mapping_back(ds: &Dataset, assembly: &[Vec<u8>], ranks: usize) -> f6
     let mapped: u64 = AssemblyConfig::default()
         .team(ranks)
         .run(|ctx| {
-            let index = build_seed_index_ref(ctx, (&contigs).into(), 15);
+            let store = ContigStore::build(ctx, &contigs, &Default::default());
+            let source = ContigsRef::Store(&store);
+            let index = build_seed_index_ref(ctx, source, 15);
             ctx.barrier();
             let range = ctx.block_range(library.num_reads());
             let reads = range.map(|i| (i as u64, library.read(i as u64).clone()));
             let aligned = align_reads_ref(
                 ctx,
                 reads,
-                (&contigs).into(),
+                source,
                 &index,
                 &AlignParams {
                     seed_len: 15,

@@ -2,8 +2,8 @@
 //! with elastic resume.
 //!
 //! At the end of every non-final k iteration, [`crate::MetaHipMer`] can
-//! serialise everything the next iteration needs — the current contig set
-//! (sharded or replicated), the read-store block map, the read-localisation
+//! serialise everything the next iteration needs — the current contig
+//! store's shards, the read-store block map, the read-localisation
 //! placement and the iteration position — into a versioned, checksummed
 //! on-disk checkpoint. A later run pointed at the same directory resumes
 //! from the newest checkpoint whose configuration fingerprint matches,
@@ -268,9 +268,9 @@ pub struct Manifest {
     /// Read-localisation placement in rank-count-independent form
     /// (`ReadDistribution::targets`); `None` means the block distribution.
     pub targets: Option<Vec<u64>>,
-    /// Read-store header when the run keeps reads distributed; `None` for
-    /// the replicated-reads baseline (whose reads are the caller's input
-    /// and need no checkpointing).
+    /// Read-store header. The format keeps it optional, as checkpoints
+    /// written by runs that held the reads replicated carry none; the
+    /// pipeline refuses to resume from such a checkpoint.
     pub read_header: Option<ReadStoreHeader>,
     /// Per-rank collective-conformance stamps `(ops, digest)` taken at the
     /// top of [`commit`]: the number of collective operations the rank had

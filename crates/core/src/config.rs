@@ -21,21 +21,20 @@ pub struct AssemblyConfig {
     /// Minimizer length m for supermer routing (clamped to each iteration's
     /// k and to `kmers::MAX_MINIMIZER_LEN`).
     pub minimizer_len: usize,
-    /// Serve contig sequences from the sharded `dbg::ContigStore` (2-bit
-    /// packed, owner-rank sharded, read through per-rank byte-bounded caches
-    /// with aggregated window fetches) instead of replicating the full
-    /// `ContigSet` on every rank. `false` keeps the replicated baseline —
-    /// byte-identical scaffolds, O(total assembly size) contig bytes per rank
-    /// — the `ablation_contig_store` row of `mhm_bench` compares the two.
+    /// Contig sequences are served from the sharded `dbg::ContigStore`
+    /// (2-bit packed, owner-rank sharded, read through per-rank byte-bounded
+    /// caches); there is no other contig path. Must be `true`
+    /// ([`AssemblyConfig::validate`] rejects `false`); removed with the
+    /// ledger's `staged.rs` by the ROADMAP's \[bench\] item.
     pub use_distributed_contigs: bool,
     /// Per-rank bound (packed bytes) of each contig reader's software cache.
     pub contig_cache_bytes: usize,
-    /// Serve read sequences from the sharded `readstore::ReadStore` (2-bit
-    /// packed with run-length-encoded qualities, block-sharded by owner rank,
-    /// streamed through per-rank byte-bounded caches) instead of replicating
-    /// the full `ReadLibrary` on every rank. `false` keeps the replicated
-    /// baseline — byte-identical scaffolds, O(total input) read bytes per
-    /// rank — the `ablation_read_store` row of `mhm_bench` compares the two.
+    /// Read sequences are served from the sharded `readstore::ReadStore`
+    /// (2-bit packed with run-length-encoded qualities, block-sharded by
+    /// owner rank, streamed through per-rank byte-bounded caches); there is
+    /// no other read path. Must be `true` ([`AssemblyConfig::validate`]
+    /// rejects `false`); removed with the ledger's `staged.rs` by the
+    /// ROADMAP's \[bench\] item.
     pub use_distributed_reads: bool,
     /// Per-rank bound (packed bytes) of each read reader's software cache.
     pub read_cache_bytes: usize,
@@ -148,6 +147,16 @@ impl AssemblyConfig {
     /// [`crate::MetaHipMer::new`], so a bad configuration fails at
     /// construction with a message naming the field, not mid-assembly.
     pub fn validate(&self) -> Result<(), String> {
+        for (field, on) in [
+            ("use_distributed_contigs", self.use_distributed_contigs),
+            ("use_distributed_reads", self.use_distributed_reads),
+        ] {
+            if !on {
+                return Err(format!(
+                    "{field} must be true, got false (the sharded stores are the only data path)"
+                ));
+            }
+        }
         if self.k_min < 3 || self.k_min.is_multiple_of(2) {
             return Err(format!(
                 "k_min must be odd and >= 3, got {} (even k makes a k-mer its own reverse complement)",
@@ -588,6 +597,14 @@ mod tests {
             (local(|l| l.min_mer = 0), "local.min_mer"),
             (local(|l| l.min_mer = l.mer_size + 1), "local.min_mer"),
             (local(|l| l.max_mer = l.mer_size - 1), "local.max_mer"),
+            (
+                edited(|cfg| cfg.use_distributed_contigs = false),
+                "use_distributed_contigs",
+            ),
+            (
+                edited(|cfg| cfg.use_distributed_reads = false),
+                "use_distributed_reads",
+            ),
         ];
         for (cfg, needle) in cases {
             let err = cfg.validate().expect_err(needle);

@@ -50,12 +50,12 @@
 
 use aligner::AlignmentSet;
 use dbg::packed::{load_bases, revcomp_codes};
-use dbg::{ContigSet, ContigsRef};
+use dbg::{ContigSet, ContigStore, ContigsRef};
 use dht::{bulk_merge, DistMap, FxHashSet};
 use pgas::{Ctx, DynamicBlocks};
-use readstore::ReadsRef;
+use readstore::{ReadStore, ReadsRef};
 use seqio::alphabet::{complement, decode_base};
-use seqio::{PackedReadView, ReadId, ReadPacker};
+use seqio::{PackedReadView, ReadId};
 use std::sync::Arc;
 
 /// Parameters of local assembly.
@@ -104,18 +104,17 @@ impl Default for LocalAssemblyParams {
 /// Returns the extended contig set (identical on every rank) and the per-rank
 /// number of contigs processed (the Figure-5 load-balance signal).
 ///
-/// Against the distributed contig store, a grabbed block's contig sequences
-/// travel in the same kind of *one-sided* aggregated batch as its read pools
+/// A grabbed block's contig sequences travel from the contig store in the
+/// same kind of *one-sided* aggregated batch as its read pools
 /// ([`dbg::ContigReader::get_many_onesided`]) — the steal loop cannot reach a
 /// collective in lockstep — so the walks themselves stay communication-free.
 ///
-/// Against the distributed *read* store, pool membership is decided from the
-/// replicated length table alone; the pool members (aligned reads near
-/// contig ends plus their projected mates) are then fetched in one collective
-/// aggregated round before the steal loop starts, as handles on their packed
-/// blocks, so the loop itself touches no read storage. Either way each pool
-/// is written as one [`PackedPool`], and no pool read is unpacked or
-/// allocated.
+/// Pool membership is decided from the read store's replicated length table
+/// alone; the pool members (aligned reads near contig ends plus their
+/// projected mates) are then fetched in one collective aggregated round
+/// before the steal loop starts, as handles on their packed blocks, so the
+/// loop itself touches no read storage. Each pool is written as one
+/// [`PackedPool`], and no pool read is unpacked or allocated.
 pub fn extend_contigs_locally_ref(
     ctx: &Ctx,
     contigs: ContigsRef<'_>,
@@ -123,39 +122,29 @@ pub fn extend_contigs_locally_ref(
     reads: ReadsRef<'_>,
     params: &LocalAssemblyParams,
 ) -> (ContigSet, usize) {
+    let (ContigsRef::Store(contigs), ReadsRef::Store(reads)) = (contigs, reads);
     let mut entries = pool_entries(contigs, alignments, reads, params);
     // Grouped by contig. The order of a pool's members is immaterial: a
     // vote is a count over the whole pool.
     entries.sort_unstable_by_key(|&(contig, _, _)| contig);
 
     // ---- Fetch pool members, then write the pools ---------------------------
-    // Distributed read store: one collective aggregated fetch for every pool
-    // member this rank named (block-deduplicated), each handed out as a handle
-    // on its packed block; the replicated baseline packs each member from the
-    // library into one reused packer. Collective — every rank reaches this
-    // point with its own (possibly empty) id set.
-    let fetched = match reads {
-        ReadsRef::Local(_) => Vec::new(),
-        ReadsRef::Store(store) => {
-            let ids: Vec<ReadId> = entries.iter().map(|&(_, id, _)| id).collect();
-            store.fetch_packed(ctx, &ids)
-        }
-    };
+    // One collective aggregated fetch for every pool member this rank named
+    // (block-deduplicated), each handed out as a handle on its packed block.
+    // Collective — every rank reaches this point with its own (possibly
+    // empty) id set.
+    let ids: Vec<ReadId> = entries.iter().map(|&(_, id, _)| id).collect();
+    let fetched = reads.fetch_packed(ctx, &ids);
     let mut handles = fetched.iter();
-    let mut packer = ReadPacker::default();
     let mut writer = PoolWriter::default();
     let mut pools: Vec<(u64, PackedPool)> = Vec::new();
     for members in entries.chunk_by(|a, b| a.0 == b.0) {
-        for &(_, id, forward) in members {
-            let read = match reads {
-                ReadsRef::Local(lib) => packer.pack(&lib.read(id).seq, &[]),
-                ReadsRef::Store(_) => handles
-                    .next()
-                    .and_then(Option::as_ref)
-                    .expect("pool read fetched")
-                    .view(),
-            };
-            writer.push(&read, forward);
+        for &(_, _, forward) in members {
+            let read = handles
+                .next()
+                .and_then(Option::as_ref)
+                .expect("pool read fetched");
+            writer.push(&read.view(), forward);
         }
         pools.push((members[0].0, writer.finish()));
     }
@@ -175,12 +164,11 @@ pub fn extend_contigs_locally_ref(
     // Once a contig's reads are extracted to local storage the walk itself
     // needs no communication; blocks of contigs are grabbed through the shared
     // atomic counter so ranks with cheap walks steal from slower ones. A
-    // grabbed block's read pools — and, with a distributed contig store, its
-    // contig sequences — are fetched with one *one-sided* aggregated batch
-    // per block (the steal loop cannot reach a collective in lockstep, so the
-    // two-sided `get_many` is not usable here).
+    // grabbed block's read pools and contig sequences are fetched with one
+    // *one-sided* aggregated batch each (the steal loop cannot reach a
+    // collective in lockstep, so the two-sided `get_many` is not usable here).
     let blocks = ctx.share(|| DynamicBlocks::new(contigs.num_contigs(), params.block_size));
-    let mut reader = contigs.store().map(|s| s.reader(ctx));
+    let mut reader = contigs.reader(ctx);
     let mut walker = MerWalker::new(params);
     let mut extended_local: Vec<(u64, Vec<u8>, f64)> = Vec::new();
     let mut processed = 0usize;
@@ -189,26 +177,14 @@ pub fn extend_contigs_locally_ref(
         first = false;
         // Contig ids are dense (`ContigSet::from_sequences` numbers them
         // 0..n in order), so the block range is the id range.
-        let ids: Vec<u64> = range.clone().map(|idx| idx as u64).collect();
+        let ids: Vec<u64> = range.map(|idx| idx as u64).collect();
         let pools = pool_table.get_many_onesided(ctx, &ids);
-        let block_seqs: Option<Vec<Vec<u8>>> = reader.as_mut().map(|reader| {
-            reader
-                .get_many_onesided(ctx, &ids)
-                .into_iter()
-                .map(|p| p.expect("contig present in store").unpack())
-                .collect()
-        });
-        for ((j, idx), pool) in range.enumerate().zip(pools) {
-            let id = idx as u64;
+        let seqs = reader.get_many_onesided(ctx, &ids);
+        for ((id, seq), pool) in ids.into_iter().zip(seqs).zip(pools) {
             processed += 1;
-            let pool = pool.unwrap_or_default();
-            let seq: &[u8] = match (&contigs, &block_seqs) {
-                (ContigsRef::Local(set), _) => &set.contigs[idx].seq,
-                (ContigsRef::Store(_), Some(seqs)) => &seqs[j],
-                (ContigsRef::Store(_), None) => unreachable!("store sources fetch blocks"),
-            };
-            let depth = contigs.depth_of(id).expect("contig exists");
-            let new_seq = walker.extend_one(seq, &pool);
+            let seq = seq.expect("contig present in store").unpack();
+            let depth = contigs.meta(id).expect("contig exists").depth;
+            let new_seq = walker.extend_one(&seq, &pool.unwrap_or_default());
             extended_local.push((id, new_seq, depth));
         }
     }
@@ -224,13 +200,12 @@ pub fn extend_contigs_locally_ref(
 }
 
 /// Decides pool membership from metadata only. Each entry is one pool push:
-/// (contig, read id, orientation). Pool order must be deterministic and
-/// identical to the replicated baseline's, so decisions are recorded in
-/// alignment order before any sequence bytes move.
+/// (contig, read id, orientation). Pool order must be deterministic, so
+/// decisions are recorded in alignment order before any sequence bytes move.
 fn pool_entries(
-    contigs: ContigsRef<'_>,
+    contigs: &ContigStore,
     alignments: &AlignmentSet,
-    reads: ReadsRef<'_>,
+    reads: &ReadStore,
     params: &LocalAssemblyParams,
 ) -> Vec<(u64, ReadId, bool)> {
     // Every (read, contig) pair this rank aligned: a mate in this set is
@@ -246,10 +221,12 @@ fn pool_entries(
     };
     let mut entries = Vec::new();
     for a in &alignments.alignments {
-        let Some(contig_len) = contigs.len_of(a.contig) else {
+        let Some(contig_len) = contigs.meta(a.contig).map(|m| m.len) else {
             continue;
         };
-        let read_len = reads.len_of(a.read_id);
+        let read_len = reads
+            .len_of(a.read_id)
+            .unwrap_or_else(|| panic!("read {} out of range", a.read_id));
         let near_head = a.contig_offset < params.end_window as i64;
         let near_tail =
             a.contig_offset + read_len as i64 > contig_len as i64 - params.end_window as i64;
@@ -742,7 +719,7 @@ mod tests {
     use aligner::Alignment;
     use pgas::Team;
     use seqio::alphabet::{encode_base, is_valid_base, normalize, revcomp};
-    use seqio::{Read, ReadLibrary};
+    use seqio::{Read, ReadLibrary, ReadPacker};
 
     fn genome(len: usize, seed: u64) -> Vec<u8> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -1221,37 +1198,31 @@ mod tests {
         (ContigSet::from_sequences(21, pieces.collect()), library)
     }
 
+    /// The extended set of [`community`] at commit b7c4a00, where the
+    /// replicated contig set and read library were the reference: 11
+    /// contigs. Re-derive it if `community` changes.
+    const COMMUNITY_EXTENDED_DIGEST: u64 = 0xaa9a_ba9f_1d0a_9a84;
+
     #[test]
-    fn the_store_arm_equals_the_local_arm() {
+    fn extension_does_not_depend_on_ranks_or_blocks() {
         let (contigs, library) = community();
+        let mut sets = Vec::new();
         for (block_reads, block_size) in [(4usize, 1usize), (64, 16)] {
             let params = LocalAssemblyParams {
                 block_size,
                 ..Default::default()
             };
-            let mut sets = Vec::new();
             for ranks in 1..=4usize {
-                let out = Team::single_node(ranks).run(|ctx| {
-                    let index = aligner::build_seed_index_ref(ctx, (&contigs).into(), 21);
+                sets.extend(Team::single_node(ranks).run(|ctx| {
+                    let store = ContigStore::build(ctx, &contigs, &Default::default());
+                    let source = ContigsRef::Store(&store);
+                    let index = aligner::build_seed_index_ref(ctx, source, 21);
                     let mine = ctx
                         .block_range(library.num_reads())
                         .map(|i| (i as ReadId, &library.reads[i]));
-                    let alignments = aligner::align_reads_ref(
-                        ctx,
-                        mine,
-                        (&contigs).into(),
-                        &index,
-                        &Default::default(),
-                    );
-                    let source = ContigsRef::Local(&contigs);
-                    let local = extend_contigs_locally_ref(
-                        ctx,
-                        source,
-                        &alignments,
-                        ReadsRef::Local(&library),
-                        &params,
-                    );
-                    let store = readstore::ReadStore::build(
+                    let alignments =
+                        aligner::align_reads_ref(ctx, mine, source, &index, &Default::default());
+                    let reads = ReadStore::build(
                         ctx,
                         &library,
                         &readstore::ReadStoreParams {
@@ -1259,34 +1230,25 @@ mod tests {
                             ..Default::default()
                         },
                     );
-                    let stored = extend_contigs_locally_ref(
-                        ctx,
-                        source,
-                        &alignments,
-                        ReadsRef::Store(&store),
-                        &params,
-                    );
-                    // The store is dropped only after the slowest rank's fetch.
-                    ctx.barrier();
-                    (local.0, stored.0)
-                });
-                for (local, stored) in out {
-                    assert_eq!(stored, local, "{ranks} ranks, blocks of {block_reads}");
-                    sets.push(local);
-                }
+                    let reads = ReadsRef::Store(&reads);
+                    extend_contigs_locally_ref(ctx, source, &alignments, reads, &params).0
+                }));
             }
-            assert!(sets.iter().all(|set| *set == sets[0]));
-            let grown = sets[0]
-                .contigs
-                .iter()
-                .filter(|c| !contigs.contigs.iter().any(|d| d.seq == c.seq))
-                .count();
-            assert!(
-                grown * 2 > contigs.len(),
-                "set-up: {grown} of {} contigs grew",
-                contigs.len()
-            );
         }
+        assert!(sets.iter().all(|set| *set == sets[0]));
+        let seqs: Vec<Vec<u8>> = sets[0].contigs.iter().map(|c| c.seq.clone()).collect();
+        assert_eq!(seqs.len(), 11);
+        assert_eq!(crate::sequence_digest(&seqs), COMMUNITY_EXTENDED_DIGEST);
+        let grown = sets[0]
+            .contigs
+            .iter()
+            .filter(|c| !contigs.contigs.iter().any(|d| d.seq == c.seq))
+            .count();
+        assert!(
+            grown * 2 > contigs.len(),
+            "set-up: {grown} of {} contigs grew",
+            contigs.len()
+        );
     }
 
     #[test]
@@ -1354,14 +1316,13 @@ mod tests {
             end_window: 100,
             ..Default::default()
         };
-        let entries = pool_entries(
-            ContigsRef::Local(&contigs),
-            &alignments,
-            ReadsRef::Local(&lib),
-            &params,
-        );
+        let entries = Team::single_node(1).run(|ctx| {
+            let store = ContigStore::build(ctx, &contigs, &Default::default());
+            let reads = ReadStore::build(ctx, &lib, &Default::default());
+            pool_entries(&store, &alignments, &reads, &params)
+        });
         assert_eq!(
-            entries,
+            entries[0],
             vec![
                 (0, 0, true),
                 (0, 1, false),
@@ -1478,11 +1439,13 @@ mod tests {
                     .copied()
                     .collect(),
             };
+            let store = ContigStore::build(ctx, &contigs, &Default::default());
+            let reads = ReadStore::build(ctx, &lib2, &Default::default());
             extend_contigs_locally_ref(
                 ctx,
-                (&contigs).into(),
+                ContigsRef::Store(&store),
                 &mine,
-                (&lib2).into(),
+                ReadsRef::Store(&reads),
                 &LocalAssemblyParams::default(),
             )
         });

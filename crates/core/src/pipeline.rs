@@ -9,122 +9,30 @@ use aligner::{
 };
 use dbg::{
     build_graph, inject_contig_kmers_ref, kmer_analysis_from, merge_bubbles_and_remove_hair,
-    prune_iteratively, traverse_contigs, ContigMeta, ContigSet, ContigStore, ContigsRef, PackedSeq,
+    prune_iteratively, traverse_contigs, ContigMeta, ContigSet, ContigStore, ContigsRef,
     ThresholdPolicy,
 };
-use pgas::{Counter, Ctx, RankFault, StatsSnapshot, Team};
+use pgas::{Ctx, RankFault, StatsSnapshot, Team};
 use readstore::{ReadStore, ReadsRef};
 use rrna_hmm::RrnaDetector;
 use scaffolding::{scaffold_ref, Scaffold, ScaffoldEntry, ScaffoldSet};
-use seqio::{LibraryReads, ReadId, ReadLibrary};
+use seqio::{ReadId, ReadLibrary};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// How the pipeline holds the current iteration's contigs between stages:
-/// the replicated baseline keeps the full set on every rank; distributed
-/// mode converts each freshly generated set into a sharded
-/// [`dbg::ContigStore`] and drops the replica, so the downstream stages only
-/// ever see O(total/ranks + cache) contig bytes per rank.
-enum ContigsHolder {
-    Local(ContigSet),
-    Store(Arc<ContigStore>),
-}
-
-impl ContigsHolder {
-    /// Collective: wraps a freshly produced (transiently replicated) contig
-    /// set according to the configuration, recording the per-rank contig
-    /// residency either way.
-    fn wrap(ctx: &Ctx, cfg: &AssemblyConfig, set: ContigSet) -> ContigsHolder {
-        if cfg.use_distributed_contigs {
-            let store = ContigStore::build(ctx, &set, &cfg.contig_store_params());
-            ContigsHolder::Store(store)
-        } else {
-            // The replicated baseline keeps every raw sequence byte resident
-            // on every rank.
-            ctx.record(Counter::contig_bytes_resident, set.total_bases() as u64);
-            ContigsHolder::Local(set)
-        }
-    }
-
-    fn as_ref(&self) -> ContigsRef<'_> {
-        match self {
-            ContigsHolder::Local(set) => ContigsRef::Local(set),
-            ContigsHolder::Store(store) => ContigsRef::Store(store),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.as_ref().is_empty()
-    }
-
-    /// Collective: the full contig set (cloned from the replica, or
-    /// regathered from the shards) for the pipeline's output.
-    fn materialize(&self, ctx: &Ctx) -> ContigSet {
-        match self {
-            ContigsHolder::Local(set) => set.clone(),
-            ContigsHolder::Store(store) => store.materialize(ctx),
-        }
-    }
-}
-
-/// How the pipeline holds the input reads for the whole run: the replicated
-/// baseline borrows the caller's full [`ReadLibrary`] on every rank; the
-/// distributed mode packs it once into a block-sharded
-/// [`readstore::ReadStore`] and every stage streams or fetches read blocks on
-/// demand, bounding per-rank read residency by O(total/ranks + cache).
-enum ReadsHolder<'a> {
-    Local(&'a ReadLibrary),
-    Store(Arc<ReadStore>),
-}
-
-impl<'a> ReadsHolder<'a> {
-    /// Collective: wraps the input library according to the configuration,
-    /// recording the per-rank read residency either way.
-    fn wrap(ctx: &Ctx, cfg: &AssemblyConfig, library: &'a ReadLibrary) -> ReadsHolder<'a> {
-        if cfg.use_distributed_reads {
-            ReadsHolder::Store(ReadStore::build(ctx, library, &cfg.read_store_params()))
-        } else {
-            // The replicated baseline keeps every raw sequence, quality and
-            // name byte of the input resident on every rank.
-            let bytes: usize = library
-                .reads
-                .iter()
-                .map(|r| r.seq.len() + r.qual.len() + r.name.len())
-                .sum();
-            ctx.record(Counter::read_bytes_resident, bytes as u64);
-            ReadsHolder::Local(library)
-        }
-    }
-
-    fn as_ref(&self) -> ReadsRef<'_> {
-        match self {
-            ReadsHolder::Local(lib) => ReadsRef::Local(lib),
-            ReadsHolder::Store(store) => ReadsRef::Store(store),
-        }
-    }
-
-    /// Aligns `ids` (in order) against the current contigs, reading sequences
-    /// by borrow from the replica or as a one-sided block stream from the
-    /// store — no per-read clone either way.
-    fn align(
-        &self,
-        ctx: &Ctx,
-        ids: Vec<ReadId>,
-        contigs: ContigsRef<'_>,
-        params: &aligner::AlignParams,
-    ) -> AlignmentSet {
-        let index = build_seed_index_ref(ctx, contigs, params.seed_len);
-        ctx.barrier();
-        match self {
-            ReadsHolder::Local(lib) => {
-                let reads = ids.into_iter().map(|id| (id, lib.read(id)));
-                align_reads_ref(ctx, reads, contigs, &index, params)
-            }
-            ReadsHolder::Store(store) => {
-                align_reads_ref(ctx, store.stream(ctx, ids), contigs, &index, params)
-            }
-        }
-    }
+/// Aligns `ids` (in order), streamed one-sided out of the read store with
+/// no per-read copy, against the current contigs.
+fn align(
+    ctx: &Ctx,
+    reads: &ReadStore,
+    ids: Vec<ReadId>,
+    contigs: &ContigStore,
+    params: &aligner::AlignParams,
+) -> AlignmentSet {
+    let contigs = ContigsRef::Store(contigs);
+    let index = build_seed_index_ref(ctx, contigs, params.seed_len);
+    ctx.barrier();
+    align_reads_ref(ctx, reads.stream(ctx, ids), contigs, &index, params)
 }
 
 /// Everything a MetaHipMer run produces.
@@ -253,7 +161,7 @@ impl MetaHipMer {
             library.num_reads()
         };
         let mut distribution = ReadDistribution::block(num_pairs, ctx.ranks());
-        let mut contigs: Option<ContigsHolder> = None;
+        let mut contigs: Option<Arc<ContigStore>> = None;
         let mut last_alignments = AlignmentSet::default();
         let mut local_work = 0usize;
         let mut start_iter = 0usize;
@@ -271,13 +179,12 @@ impl MetaHipMer {
         };
 
         // The input reads are materialised exactly once for the whole run:
-        // restored from checkpoint shards on resume, otherwise either packed
-        // into the block-sharded read store (dropping per-rank residency to
-        // O(total/ranks + cache)) or borrowed as the replicated baseline.
+        // restored from checkpoint shards on resume, otherwise packed into the
+        // block-sharded read store, O(total/ranks + cache) bytes per rank.
         let reads = if let Some((manifest, path)) = resume_from {
             let (reads, restored_contigs, restored_distribution) =
                 timings.time(ctx, "checkpoint_restore", || {
-                    self.restore_checkpoint(ctx, library, num_pairs, manifest, &path)
+                    self.restore_checkpoint(ctx, num_pairs, manifest, &path)
                 });
             start_iter = restored_contigs.1;
             contigs = Some(restored_contigs.0);
@@ -285,7 +192,7 @@ impl MetaHipMer {
             reads
         } else {
             timings.time(ctx, "read_ingestion", || {
-                ReadsHolder::wrap(ctx, cfg, library)
+                ReadStore::build(ctx, library, &cfg.read_store_params())
             })
         };
 
@@ -295,27 +202,20 @@ impl MetaHipMer {
 
             // --- 1. k-mer analysis ------------------------------------------
             // The store streams this rank's *owned* packed blocks (zero read
-            // communication); the baseline streams id-keyed borrows. Either
-            // partition yields the same global k-mer counts.
-            let analysis = timings.time(ctx, "kmer_analysis", || match &reads {
-                ReadsHolder::Local(lib) => {
-                    let mut source = LibraryReads::new(lib, &my_read_ids);
-                    kmer_analysis_from(ctx, &mut source, &cfg.analysis_params(k))
-                }
-                ReadsHolder::Store(store) => {
-                    let mut source = store.owned_reads(ctx);
-                    kmer_analysis_from(ctx, &mut source, &cfg.analysis_params(k))
-                }
+            // communication).
+            let analysis = timings.time(ctx, "kmer_analysis", || {
+                let mut source = reads.owned_reads(ctx);
+                kmer_analysis_from(ctx, &mut source, &cfg.analysis_params(k))
             });
 
             // --- 2. merge k-mers extracted from the previous iteration -------
-            // (an owner-local pass over the sharded store in distributed mode)
+            // (an owner-local pass over the sharded contig store)
             if let Some(prev) = &contigs {
                 timings.time(ctx, "kmer_merging", || {
                     inject_contig_kmers_ref(
                         ctx,
                         &analysis.counts,
-                        prev.as_ref(),
+                        ContigsRef::Store(prev),
                         k,
                         cfg.min_kmer_count,
                     )
@@ -331,8 +231,8 @@ impl MetaHipMer {
 
             // --- 4. bubble merging / hair removal + iterative pruning --------
             // The freshly traversed set is then sharded into the distributed
-            // contig store (or kept replicated in baseline mode): everything
-            // downstream reads contig sequences through that holder.
+            // contig store: everything downstream reads contig sequences
+            // through it.
             let cleaned = timings.time(ctx, "bubble_pruning", || {
                 let mut current = traversed;
                 if cfg.bubble_merging {
@@ -341,14 +241,14 @@ impl MetaHipMer {
                 if cfg.pruning {
                     current = prune_iteratively(ctx, &current, &graph, &cfg.prune).0;
                 }
-                ContigsHolder::wrap(ctx, cfg, current)
+                ContigStore::build(ctx, &current, &cfg.contig_store_params())
             });
             // Nothing reads the k-mer table after this stage.
             drop((analysis, graph));
 
             // --- 5. read-to-contig alignment ----------------------------------
             let alignments = timings.time(ctx, "alignment", || {
-                reads.align(ctx, my_read_ids, cleaned.as_ref(), &cfg.align)
+                align(ctx, &reads, my_read_ids, &cleaned, &cfg.align)
             });
 
             // --- 6. local assembly (mer-walking) -------------------------------
@@ -357,12 +257,15 @@ impl MetaHipMer {
                 let (set, work) = timings.time(ctx, "local_assembly", || {
                     let (set, work) = extend_contigs_locally_ref(
                         ctx,
-                        cleaned.as_ref(),
+                        ContigsRef::Store(&cleaned),
                         &alignments,
-                        reads.as_ref(),
+                        ReadsRef::Store(&reads),
                         &cfg.local,
                     );
-                    (ContigsHolder::wrap(ctx, cfg, set), work)
+                    (
+                        ContigStore::build(ctx, &set, &cfg.contig_store_params()),
+                        work,
+                    )
                 });
                 local_work += work;
                 set
@@ -399,8 +302,7 @@ impl MetaHipMer {
             }
         }
 
-        let final_contigs =
-            contigs.unwrap_or_else(|| ContigsHolder::Local(ContigSet::new(cfg.k_max)));
+        let final_contigs = contigs.expect("the k schedule has at least one iteration");
 
         // --- Scaffolding -------------------------------------------------------
         // (the full contig set the output contract owes callers is regathered
@@ -413,15 +315,15 @@ impl MetaHipMer {
                 // (otherwise the contigs changed and must be re-aligned).
                 let alignments = if cfg.local_assembly {
                     let ids = self.read_ids_of(ctx, library, &distribution);
-                    reads.align(ctx, ids, final_contigs.as_ref(), &cfg.align)
+                    align(ctx, &reads, ids, &final_contigs, &cfg.align)
                 } else {
                     last_alignments.clone()
                 };
                 scaffold_ref(
                     ctx,
-                    final_contigs.as_ref(),
+                    ContigsRef::Store(&final_contigs),
                     &alignments,
-                    reads.as_ref(),
+                    ReadsRef::Store(&reads),
                     rrna,
                     &cfg.scaffold,
                 )
@@ -472,10 +374,8 @@ impl MetaHipMer {
     }
 
     /// **Collective**: exports this rank's slice of the cross-iteration
-    /// state and commits checkpoint `ckpt_<next_iter>` atomically. Sharded
-    /// holders export their owned table entries; the replicated holders
-    /// export this rank's block slice (reads are not checkpointed at all in
-    /// replicated mode — they are the caller's input).
+    /// state — the owned entries of the contig and read stores — and commits
+    /// checkpoint `ckpt_<next_iter>` atomically.
     #[allow(clippy::too_many_arguments)]
     fn write_checkpoint(
         &self,
@@ -483,70 +383,45 @@ impl MetaHipMer {
         dir: &std::path::Path,
         next_iter: usize,
         num_pairs: usize,
-        reads: &ReadsHolder<'_>,
-        contigs: &ContigsHolder,
+        reads: &ReadStore,
+        contigs: &ContigStore,
         distribution: &ReadDistribution,
     ) {
         let cfg = &self.config;
-        let (contig_k, contig_meta, contig_entries) = match contigs {
-            ContigsHolder::Store(store) => {
-                let meta: Vec<ContigMeta> = (0..store.num_contigs() as u64)
-                    .map(|id| store.meta(id).expect("meta table covers every id"))
-                    .collect();
-                (store.k(), meta, store.map().local_entries(ctx))
-            }
-            ContigsHolder::Local(set) => {
-                let meta = set
-                    .contigs
-                    .iter()
-                    .map(|c| ContigMeta {
-                        len: c.len() as u32,
-                        depth: c.depth,
-                    })
-                    .collect();
-                let entries = set.contigs[ctx.block_range(set.contigs.len())]
-                    .iter()
-                    .map(|c| (c.id, PackedSeq::from_bytes(&c.seq)))
-                    .collect();
-                (set.k, meta, entries)
-            }
-        };
-        let (read_header, read_blocks) = match reads {
-            ReadsHolder::Store(store) => (Some(store.header()), store.map().local_entries(ctx)),
-            ReadsHolder::Local(_) => (None, Vec::new()),
-        };
+        let contig_meta: Vec<ContigMeta> = (0..contigs.num_contigs() as u64)
+            .map(|id| contigs.meta(id).expect("meta table covers every id"))
+            .collect();
         let manifest = checkpoint::Manifest {
             fingerprint: cfg.fingerprint(),
             ranks: ctx.ranks(),
             next_iter,
             num_pairs,
             barriers_at_commit: 0, // stamped by commit
-            contig_k,
+            contig_k: contigs.k(),
             contig_meta,
             targets: (!distribution.targets.is_empty()).then(|| distribution.targets.clone()),
-            read_header,
+            read_header: Some(reads.header()),
             conformance: Vec::new(), // stamped by commit
         };
         let shard = checkpoint::ShardData {
-            contigs: contig_entries,
-            read_blocks,
+            contigs: contigs.map().local_entries(ctx),
+            read_blocks: reads.map().local_entries(ctx),
         };
         checkpoint::commit(ctx, dir, manifest, &shard);
     }
 
     /// **Collective**: rebuilds the cross-iteration state from a committed
     /// checkpoint, re-partitioning every shard for this team's rank count.
-    /// Returns the reads holder, `(contigs, next_iter)` and the read
+    /// Returns the read store, `(contigs, next_iter)` and the read
     /// distribution — everything `assemble_rank`'s loop needs to continue
     /// exactly where the writer stopped.
-    fn restore_checkpoint<'a>(
+    fn restore_checkpoint(
         &self,
         ctx: &Ctx,
-        library: &'a ReadLibrary,
         num_pairs: usize,
         manifest: checkpoint::Manifest,
         path: &std::path::Path,
-    ) -> (ReadsHolder<'a>, (ContigsHolder, usize), ReadDistribution) {
+    ) -> (Arc<ReadStore>, (Arc<ContigStore>, usize), ReadDistribution) {
         let cfg = &self.config;
         assert_eq!(
             manifest.num_pairs,
@@ -557,40 +432,20 @@ impl MetaHipMer {
         let shard = checkpoint::load_shards_for_rank(path, ctx.rank(), ctx.ranks(), manifest.ranks)
             .unwrap_or_else(|e| panic!("checkpoint restore from {}: {e}", path.display()));
 
-        let reads = match manifest.read_header {
-            Some(header) => ReadsHolder::Store(ReadStore::restore(
-                ctx,
-                header,
-                &cfg.read_store_params(),
-                shard.read_blocks,
-            )),
-            // Replicated baseline: the reads are the caller's input.
-            None => ReadsHolder::wrap(ctx, cfg, library),
-        };
-
-        let contigs = if cfg.use_distributed_contigs {
-            ContigsHolder::Store(ContigStore::restore(
-                ctx,
-                manifest.contig_k,
-                manifest.contig_meta,
-                &cfg.contig_store_params(),
-                shard.contigs,
-            ))
-        } else {
-            // Replicated baseline: route the shard entries through a
-            // transient store, regather the full set on every rank, and
-            // drop the store.
-            let store = ContigStore::restore(
-                ctx,
-                manifest.contig_k,
-                manifest.contig_meta,
-                &cfg.contig_store_params(),
-                shard.contigs,
-            );
-            let set = store.materialize(ctx);
-            ctx.record(Counter::contig_bytes_resident, set.total_bases() as u64);
-            ContigsHolder::Local(set)
-        };
+        let header = manifest.read_header.unwrap_or_else(|| {
+            panic!(
+                "checkpoint at {} holds no read-store header",
+                path.display()
+            )
+        });
+        let reads = ReadStore::restore(ctx, header, &cfg.read_store_params(), shard.read_blocks);
+        let contigs = ContigStore::restore(
+            ctx,
+            manifest.contig_k,
+            manifest.contig_meta,
+            &cfg.contig_store_params(),
+            shard.contigs,
+        );
 
         let distribution = match manifest.targets {
             Some(targets) => ReadDistribution::from_targets(targets, ctx.ranks()),
@@ -734,42 +589,41 @@ mod tests {
         );
     }
 
+    /// The assembly of `small_dataset(61)` at commit b7c4a00 with the
+    /// replicated read library as the reference: 5 scaffolds, the same at 1
+    /// and 3 ranks. Re-derive it if `small_dataset` changes.
+    const READ_STORE_DIGEST: u64 = 0x3544_1519_71a4_2877;
+    /// The per-rank resident bytes of that library replicated on every rank
+    /// (sequence, quality and name bytes), the same at 1 and 3 ranks.
+    const REPLICATED_READ_BYTES: u64 = 418_984;
+
     #[test]
     fn distributed_read_store_does_not_change_the_assembly() {
         // The block-sharded read store is a pure memory optimisation: the
         // same reads reach every stage (streamed, fetched one-sided, or
-        // pooled collectively instead of borrowed from a replica), so the
-        // scaffolds must be byte-identical to the replicated baseline at any
-        // rank count.
+        // pooled collectively), so the scaffolds must be byte-identical to
+        // the replicated baseline's at any rank count.
         let (_refs, library, consensus) = small_dataset(61);
-        let on = AssemblyConfig::small_test();
-        assert!(on.use_distributed_reads, "store must be the default");
-        let mut off = on.clone();
-        off.use_distributed_reads = false;
+        let cfg = AssemblyConfig::small_test();
         for ranks in [1usize, 3] {
-            let team_on = Team::single_node(ranks);
-            let team_off = Team::single_node(ranks);
-            let out_on = MetaHipMer::new(on.clone()).assemble(&team_on, &library, Some(&consensus));
-            let out_off =
-                MetaHipMer::new(off.clone()).assemble(&team_off, &library, Some(&consensus));
-            let mut seqs_on = out_on.sequences();
-            let mut seqs_off = out_off.sequences();
-            seqs_on.sort();
-            seqs_off.sort();
+            let team = Team::single_node(ranks);
+            let out = MetaHipMer::new(cfg.clone()).assemble(&team, &library, Some(&consensus));
+            let seqs = out.sequences();
+            assert_eq!(seqs.len(), 5, "{ranks} ranks");
             assert_eq!(
-                seqs_on, seqs_off,
+                crate::sequence_digest(&seqs),
+                READ_STORE_DIGEST,
                 "read-store mode must not change the assembly at {ranks} ranks"
             );
-            // Residency is recorded in both modes; the store only ever holds
-            // packed bytes, so it must come in under the replica.
-            let stats_on = team_on.stats_total();
-            let stats_off = team_off.stats_total();
-            assert!(stats_on.read_bytes_resident > 0);
-            assert!(stats_off.read_bytes_resident > 0);
-            assert!(stats_on.read_bytes_resident < stats_off.read_bytes_resident);
+            // The store only ever holds packed bytes, so every rank comes in
+            // under the replica.
+            for stats in team.stats_per_rank() {
+                assert!(stats.read_bytes_resident > 0);
+                assert!(stats.read_bytes_resident < REPLICATED_READ_BYTES);
+            }
             if ranks > 1 {
                 assert!(
-                    stats_on.read_fetch_bytes > 0,
+                    team.stats_total().read_fetch_bytes > 0,
                     "a multi-rank store run must fetch foreign read blocks"
                 );
             }

@@ -140,38 +140,42 @@ fn kill_after_iteration_then_elastic_resume_is_byte_identical() {
 }
 
 #[test]
-fn resume_covers_the_replicated_holders_too() {
-    // The checkpoint subsystem must also cover the non-sharded (replicated)
-    // holders: contig entries are re-gathered on every rank, reads come from
-    // the caller's input instead of shard files.
+fn a_checkpoint_without_a_read_store_header_is_refused_by_its_path() {
+    // The format still carries the read-store header as an option, but the
+    // pipeline has no reads to resume from without it: such a checkpoint is
+    // refused by name instead of resumed.
     let (library, consensus) = small_dataset(73);
+    let dir = tempdir("headerless");
     let mut cfg = base_config();
-    cfg.use_distributed_contigs = false;
-    cfg.use_distributed_reads = false;
-    let golden = sorted_sequences(&MetaHipMer::new(cfg.clone()).assemble(
-        &Team::single_node(3),
-        &library,
-        Some(&consensus),
-    ));
-
-    let dir = tempdir("replicated");
     cfg.checkpoint_dir = Some(dir.clone());
-    let written =
-        MetaHipMer::new(cfg.clone()).assemble(&Team::single_node(3), &library, Some(&consensus));
-    assert_eq!(sorted_sequences(&written), golden);
-    let (manifest, path) =
-        checkpoint::find_latest(&dir, cfg.fingerprint()).expect("checkpoint committed");
-    assert!(
-        manifest.read_header.is_none(),
-        "replicated reads need no shard state"
-    );
-    let shard = checkpoint::load_shards_for_rank(&path, 0, 1, manifest.ranks).unwrap();
-    assert!(shard.read_blocks.is_empty());
-    assert!(!shard.contigs.is_empty());
-
     cfg.resume = true;
-    let resumed = MetaHipMer::new(cfg).assemble(&Team::single_node(2), &library, Some(&consensus));
-    assert_eq!(sorted_sequences(&resumed), golden);
+    let manifest = Manifest {
+        fingerprint: cfg.fingerprint(),
+        ranks: 1,
+        next_iter: 1,
+        num_pairs: library.num_pairs(),
+        barriers_at_commit: 0,
+        contig_k: 21,
+        contig_meta: Vec::new(),
+        targets: None,
+        read_header: None,
+        conformance: Vec::new(),
+    };
+    Team::single_node(1).run(|ctx| {
+        checkpoint::commit(ctx, &dir, manifest.clone(), &ShardData::default());
+    });
+    let (_, path) = checkpoint::find_latest(&dir, cfg.fingerprint()).expect("committed");
+    let refused = std::panic::catch_unwind(|| {
+        MetaHipMer::new(cfg).assemble(&Team::single_node(1), &library, Some(&consensus))
+    })
+    .expect_err("a headerless checkpoint must not resume");
+    let message = refused
+        .downcast_ref::<String>()
+        .expect("a formatted panic message");
+    assert!(
+        message.contains(&path.display().to_string()) && message.contains("read-store header"),
+        "{message}"
+    );
     fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -6,7 +6,7 @@
 //! process-wide.
 
 use aligner::{align_reads_ref, build_seed_index_ref, AlignParams};
-use dbg::{ContigSet, ContigsRef};
+use dbg::{ContigSet, ContigStore, ContigsRef};
 use mhm_core::local_assembly::{extend_contigs_locally_ref, LocalAssemblyParams};
 use pgas::Team;
 use readstore::{ReadStore, ReadStoreParams, ReadsRef};
@@ -65,6 +65,27 @@ const PER_CONTIG: u64 = 10;
 /// grow to the largest pool (about 120, measured).
 const CONSTANT: u64 = 300;
 
+/// The extended contigs of [`community`] at commit b7c4a00 (the parent of
+/// the change that removed the replicated contig set and read library, which
+/// were this test's reference): 46 contigs. A property of the dataset:
+/// change `community` and it must be re-derived, not edited.
+const EXTENDED_DIGEST: u64 = 0x4b34_1216_8a6d_ff1c;
+
+/// FNV-1a over the sorted sequences, each closed by a `0xFF` byte (the rule
+/// of the benchmark runner's scaffold digest).
+fn digest(seqs: &[Vec<u8>]) -> u64 {
+    let mut sorted: Vec<&Vec<u8>> = seqs.iter().collect();
+    sorted.sort();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for s in sorted {
+        for &b in s.iter().chain(&[0xFFu8]) {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    h
+}
+
 /// A simulated two-genome community at ~25× and contigs of 400 bases cut
 /// from it every 500, so that most alignments end near a contig end and the
 /// pools hold many reads per contig.
@@ -101,28 +122,22 @@ fn local_assembly_allocates_per_contig_not_per_pool_read() {
     let team = Team::single_node(1);
     team.set_conformance_checking(false);
     team.run(|ctx| {
-        let index = build_seed_index_ref(ctx, (&contigs).into(), 21);
+        let contig_store = ContigStore::build(ctx, &contigs, &Default::default());
+        let source = ContigsRef::Store(&contig_store);
+        let index = build_seed_index_ref(ctx, source, 21);
         let reads = (0..library.num_reads()).map(|i| (i as ReadId, &library.reads[i]));
-        let alignments = align_reads_ref(
-            ctx,
-            reads,
-            (&contigs).into(),
-            &index,
-            &AlignParams::default(),
-        );
-        let source = ContigsRef::Local(&contigs);
-        let (replicated, _) = extend_contigs_locally_ref(
-            ctx,
-            source,
-            &alignments,
-            ReadsRef::Local(&library),
-            &params,
-        );
+        let alignments = align_reads_ref(ctx, reads, source, &index, &AlignParams::default());
         let store = ReadStore::build(ctx, &library, &ReadStoreParams::default());
-        let ((stored, processed), allocations) = allocations_of(|| {
+        let ((extended, processed), allocations) = allocations_of(|| {
             extend_contigs_locally_ref(ctx, source, &alignments, ReadsRef::Store(&store), &params)
         });
-        assert_eq!(stored, replicated);
+        let seqs: Vec<Vec<u8>> = extended.contigs.iter().map(|c| c.seq.clone()).collect();
+        assert_eq!(seqs.len(), 46);
+        assert_eq!(
+            digest(&seqs),
+            EXTENDED_DIGEST,
+            "the extension moved from the replicated baseline's"
+        );
         assert_eq!(processed, contigs.len());
         let bound = contigs.len() as u64 * PER_CONTIG + CONSTANT;
         // A 400-base contig's end windows of 150 bases take nearly every

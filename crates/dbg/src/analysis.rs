@@ -140,8 +140,7 @@ pub fn kmer_analysis(ctx: &Ctx, reads: &[Read], params: &KmerAnalysisParams) -> 
 /// work on the receive side, where each minimizer bin is counted exactly and
 /// cut at `min_count` before anything enters the table. The result is
 /// independent of how reads are distributed over ranks (counts are global
-/// sums), which is what keeps distributed-read assemblies byte-identical to
-/// the replicated baseline.
+/// sums), which is what keeps assemblies byte-identical across rank counts.
 pub fn kmer_analysis_from(
     ctx: &Ctx,
     source: &mut dyn ReadSource,

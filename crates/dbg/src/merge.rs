@@ -18,7 +18,7 @@ use dht::DistMap;
 use kmers::minimizer::{expand_supermer_keys, SupermerBlobIter};
 use kmers::{KmerCounts, KmerKey};
 use pgas::Ctx;
-use seqio::{PackedReadView, ReadPacker};
+use seqio::PackedReadView;
 
 /// Collectively injects the (new_k)-mers of the previous iteration's contigs
 /// into `counts`, a table made by [`crate::kmer_analysis_from`] at `new_k`,
@@ -30,15 +30,14 @@ use seqio::{PackedReadView, ReadPacker};
 /// pipeline injects after analysis's ε cut, so the weight decides the depth
 /// an injected k-mer brings into graph construction, not whether it survives.
 ///
-/// With a replicated set every rank packs and cuts a block of the contigs;
-/// with the distributed store every rank cuts the contigs it owns in place —
-/// an owner-local read pass. The supermers are cut with the table's own
+/// Every rank cuts the contigs it owns in the store in place — an
+/// owner-local read pass. The supermers are cut with the table's own
 /// minimizer length, so each lands on its k-mers' owner, which expands it
-/// into its shard. The merged counts are identical either way because the
-/// per-k-mer merge is commutative.
+/// into its shard. The merged counts do not depend on the rank count because
+/// the per-k-mer merge is commutative.
 ///
-/// Both arms pack as the contig store does: lower case folds into its 2-bit
-/// code, every other byte but A/C/G/T becomes an exception, and windows
+/// The contigs are cut as the store packed them: lower case folds into its
+/// 2-bit code, every other byte but A/C/G/T is an exception, and windows
 /// holding an exception are skipped, as [`kmers::kmers_with_exts_iter`]
 /// skips them. Pipeline contigs are upper-case ACGT in any case: the
 /// traversal spells them from 2-bit k-mers, and local assembly extends them
@@ -53,16 +52,11 @@ pub fn inject_contig_kmers_ref(
     assert!(weight >= 1);
     assert_eq!(counts.k(), new_k, "the counts table holds another k");
     let m = counts.minimizer_len();
-    let for_each_contig = |each: &mut dyn FnMut(PackedReadView<'_>)| match contigs {
-        ContigsRef::Local(set) => {
-            let mut packer = ReadPacker::default();
-            for contig in &set.contigs[ctx.block_range(set.len())] {
-                each(packer.pack(&contig.seq, &[]));
-            }
-        }
-        ContigsRef::Store(store) => store
+    let ContigsRef::Store(store) = contigs;
+    let for_each_contig = |each: &mut dyn FnMut(PackedReadView<'_>)| {
+        store
             .map()
-            .for_each_local(ctx, |_, packed| each(packed.view())),
+            .for_each_local(ctx, |_, packed| each(packed.view()))
     };
     let blobs = ship_supermers(ctx, for_each_contig, new_k, m, 0, 4096);
     let injected = with_keys!(counts, map => merge_windows(ctx, map, blobs, new_k, weight));
@@ -147,8 +141,9 @@ mod tests {
 
             // Fresh, empty counts table for k=31 ("nothing admitted").
             let new_counts = empty_table(ctx, 31);
+            let store = ContigStore::build(ctx, &contigs, &Default::default());
             let injected =
-                inject_contig_kmers_ref(ctx, &new_counts, ContigsRef::Local(&contigs), 31, 2);
+                inject_contig_kmers_ref(ctx, &new_counts, ContigsRef::Store(&store), 31, 2);
             (injected, new_counts.len(), {
                 // Build a graph on the injected set: the sequence must
                 // re-assemble into the same single contig at k=31.
@@ -171,8 +166,9 @@ mod tests {
         team.run(|ctx| {
             let contigs = ContigSet::from_sequences(15, vec![(seq.as_bytes().to_vec(), 5.0)]);
             let counts = empty_table(ctx, 15);
-            inject_contig_kmers_ref(ctx, &counts, ContigsRef::Local(&contigs), 15, 2);
-            inject_contig_kmers_ref(ctx, &counts, ContigsRef::Local(&contigs), 15, 3);
+            let store = ContigStore::build(ctx, &contigs, &Default::default());
+            inject_contig_kmers_ref(ctx, &counts, ContigsRef::Store(&store), 15, 2);
+            inject_contig_kmers_ref(ctx, &counts, ContigsRef::Store(&store), 15, 3);
             // Every k-mer now has count 5 and there are no duplicates.
             assert_eq!(counts.len(), seq.len() - 15 + 1);
             counts.for_each_local(ctx, |_, v| assert_eq!(v.count, 5));
@@ -185,7 +181,8 @@ mod tests {
         Team::single_node(1).run(|ctx| {
             let counts = empty_table(ctx, 21);
             let contigs = ContigSet::from_sequences(15, vec![(b"ACGT".repeat(10), 1.0)]);
-            inject_contig_kmers_ref(ctx, &counts, ContigsRef::Local(&contigs), 15, 1);
+            let store = ContigStore::build(ctx, &contigs, &Default::default());
+            inject_contig_kmers_ref(ctx, &counts, ContigsRef::Store(&store), 15, 1);
         });
     }
 
@@ -232,16 +229,15 @@ mod tests {
         (all, windows)
     }
 
-    /// Injects `seqs` with `weight` at `ranks` ranks, from a replicated set or
-    /// from a store, into an empty table or into analysis's table of `reads`,
-    /// and holds the table and the returned count to [`serial_injection`].
+    /// Injects `seqs` from a store with `weight` at `ranks` ranks, into an
+    /// empty table or into analysis's table of `reads`, and holds the table
+    /// and the returned count to [`serial_injection`].
     fn check_injection(
         seqs: &[Vec<u8>],
         reads: &[Read],
         params: &KmerAnalysisParams,
         weight: u32,
         ranks: usize,
-        store: bool,
     ) {
         let (expect, windows) = serial_injection(reads, params, seqs, weight);
         let set =
@@ -252,26 +248,13 @@ mod tests {
             } else {
                 kmer_analysis(ctx, &reads[ctx.block_range(reads.len())], params).counts
             };
-            let injected = if store {
-                let store = ContigStore::build(ctx, &set, &Default::default());
-                let n = inject_contig_kmers_ref(
-                    ctx,
-                    &counts,
-                    ContigsRef::Store(&store),
-                    params.k,
-                    weight,
-                );
-                ctx.barrier();
-                n
-            } else {
-                inject_contig_kmers_ref(ctx, &counts, ContigsRef::Local(&set), params.k, weight)
-            };
+            let store = ContigStore::build(ctx, &set, &Default::default());
+            let injected =
+                inject_contig_kmers_ref(ctx, &counts, ContigsRef::Store(&store), params.k, weight);
+            ctx.barrier();
             (injected, counts.local_entries(ctx))
         });
-        let what = format!(
-            "weight {weight}, {} reads, {ranks} ranks, store {store}",
-            reads.len()
-        );
+        let what = format!("weight {weight}, {} reads, {ranks} ranks", reads.len());
         let mut got = Vec::new();
         for (injected, entries) in out {
             assert_eq!(injected, windows, "{what}");
@@ -324,9 +307,7 @@ mod tests {
         for weight in 1..=3 {
             for reads in [&[][..], &reads] {
                 for ranks in 1..=4 {
-                    for store in [false, true] {
-                        check_injection(&seqs, reads, &params, weight, ranks, store);
-                    }
+                    check_injection(&seqs, reads, &params, weight, ranks);
                 }
             }
         }
@@ -344,7 +325,7 @@ mod tests {
         };
         for ranks in 1..=4 {
             let weight = 1 + ranks as u32 % 3;
-            check_injection(&seqs, &[], &params, weight, ranks, ranks % 2 == 0);
+            check_injection(&seqs, &[], &params, weight, ranks);
         }
     }
 }

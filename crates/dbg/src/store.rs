@@ -22,8 +22,7 @@
 //!   miss-fill loop fetches through [`dht::DistMap::get_many`] on collective
 //!   paths and [`dht::DistMap::get_many_onesided`] inside dynamically
 //!   scheduled (work-stealing) loops;
-//! * [`ContigsRef`] — the handle consumers take: either a replicated
-//!   [`ContigSet`] (the ablation baseline) or a [`ContigStore`].
+//! * [`ContigsRef`] — the handle consumers take on a [`ContigStore`].
 //!
 //! Residency accounting: the store records each rank's peak resident contig
 //! bytes (owned shard + reader caches, packed) in
@@ -116,8 +115,8 @@ impl ContigStore {
     /// Collectively builds the store from a (transiently replicated) contig
     /// set: every rank packs and stores exactly the contigs it owns — an
     /// owner-local update phase with no wire traffic — then records its
-    /// owned packed bytes in the residency accounting. Callers in
-    /// distributed mode drop the replicated set right after this returns.
+    /// owned packed bytes in the residency accounting. The pipeline drops
+    /// the replicated set right after this returns.
     pub fn build(ctx: &Ctx, set: &ContigSet, params: &ContigStoreParams) -> Arc<ContigStore> {
         let map = balanced_map(ctx, set.contigs.iter().map(|c| c.len() as u32));
         let mine: Vec<(ContigId, PackedSeq)> = set
@@ -289,91 +288,14 @@ impl ContigStore {
 /// one per phase with [`ContigStore::reader`]; it is not shared between ranks.
 pub type ContigReader<'s> = CachedView<'s, ContigId, PackedSeq>;
 
-/// How a pipeline stage accesses contig sequences: a replicated [`ContigSet`]
-/// (the baseline, O(total) bytes on every rank) or the sharded
-/// [`ContigStore`] (O(total/ranks + cache) bytes per rank). Geometry queries
-/// (length, depth, count) are answered locally in both variants.
+/// The contig handle every pipeline stage takes: the sharded
+/// [`ContigStore`], O(total/ranks + cache) contig bytes per rank. Stages read
+/// geometry (length, depth, count) from the store's replicated metadata and
+/// sequences through a [`ContigReader`].
 #[derive(Clone, Copy)]
 pub enum ContigsRef<'a> {
-    /// Every rank holds the full set.
-    Local(&'a ContigSet),
     /// Sequences are sharded; reads go through a [`ContigReader`].
     Store(&'a ContigStore),
-}
-
-impl<'a> ContigsRef<'a> {
-    /// The k the contigs were assembled with.
-    pub fn k(&self) -> usize {
-        match self {
-            ContigsRef::Local(set) => set.k,
-            ContigsRef::Store(store) => store.k(),
-        }
-    }
-
-    /// Number of contigs.
-    pub fn num_contigs(&self) -> usize {
-        match self {
-            ContigsRef::Local(set) => set.len(),
-            ContigsRef::Store(store) => store.num_contigs(),
-        }
-    }
-
-    /// True if there are no contigs.
-    pub fn is_empty(&self) -> bool {
-        self.num_contigs() == 0
-    }
-
-    /// Length of one contig, if it exists.
-    pub fn len_of(&self, id: ContigId) -> Option<usize> {
-        match self {
-            ContigsRef::Local(set) => set.get(id).map(|c| c.len()),
-            ContigsRef::Store(store) => store.meta(id).map(|m| m.len as usize),
-        }
-    }
-
-    /// Mean k-mer depth of one contig, if it exists.
-    pub fn depth_of(&self, id: ContigId) -> Option<f64> {
-        match self {
-            ContigsRef::Local(set) => set.get(id).map(|c| c.depth),
-            ContigsRef::Store(store) => store.meta(id).map(|m| m.depth),
-        }
-    }
-
-    /// Total assembled bases.
-    pub fn total_bases(&self) -> usize {
-        match self {
-            ContigsRef::Local(set) => set.total_bases(),
-            ContigsRef::Store(store) => store.total_bases(),
-        }
-    }
-
-    /// The replicated set, when this is the baseline variant.
-    pub fn local(&self) -> Option<&'a ContigSet> {
-        match self {
-            ContigsRef::Local(set) => Some(set),
-            ContigsRef::Store(_) => None,
-        }
-    }
-
-    /// The distributed store, when this is the sharded variant.
-    pub fn store(&self) -> Option<&'a ContigStore> {
-        match self {
-            ContigsRef::Local(_) => None,
-            ContigsRef::Store(store) => Some(store),
-        }
-    }
-}
-
-impl<'a> From<&'a ContigSet> for ContigsRef<'a> {
-    fn from(set: &'a ContigSet) -> Self {
-        ContigsRef::Local(set)
-    }
-}
-
-impl<'a> From<&'a ContigStore> for ContigsRef<'a> {
-    fn from(store: &'a ContigStore) -> Self {
-        ContigsRef::Store(store)
-    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! must leave the surplus ranks owning nothing yet reading everything.
 
 use dbg::store::balanced_owners_from_lens;
-use dbg::{ContigSet, ContigStore, ContigStoreParams, ContigsRef, PackedSeq};
+use dbg::{ContigMeta, ContigSet, ContigStore, ContigStoreParams, PackedSeq};
 use pgas::Team;
 
 /// Deterministic xorshift sequence generator (avoids any RNG dependency).
@@ -132,14 +132,15 @@ fn store_metadata_matches_the_replicated_set() {
     let set2 = set.clone();
     team.run(|ctx| {
         let store = ContigStore::build(ctx, &set2, &ContigStoreParams::default());
-        let as_ref = ContigsRef::Store(&store);
-        let local = ContigsRef::Local(&set2);
-        assert_eq!(as_ref.k(), local.k());
-        assert_eq!(as_ref.num_contigs(), local.num_contigs());
-        assert_eq!(as_ref.total_bases(), local.total_bases());
+        assert_eq!(store.k(), set2.k);
+        assert_eq!(store.num_contigs(), set2.len());
+        assert_eq!(store.total_bases(), set2.total_bases());
         for id in 0..set2.len() as u64 + 3 {
-            assert_eq!(as_ref.len_of(id), local.len_of(id));
-            assert_eq!(as_ref.depth_of(id), local.depth_of(id));
+            let expect = set2.get(id).map(|c| ContigMeta {
+                len: c.len() as u32,
+                depth: c.depth,
+            });
+            assert_eq!(store.meta(id), expect, "id={id}");
         }
         // Packed size is close to a quarter of the raw bytes (plus the tiny
         // per-contig and per-N overheads).

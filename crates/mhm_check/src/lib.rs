@@ -31,7 +31,7 @@
 use pgas::{Counter, FaultPlan, RankFault, Team, Topology};
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 /// One scenario's verdict for one seed.
@@ -70,6 +70,14 @@ impl Default for Budget {
 /// Serializes scenarios: the scheduler shim is process-global.
 static SCENARIO_LOCK: Mutex<()> = Mutex::new(());
 
+/// Takes [`SCENARIO_LOCK`]; a scenario that panicked while holding it left
+/// nothing to repair, so a poisoned lock is taken as it is.
+fn serialize() -> MutexGuard<'static, ()> {
+    SCENARIO_LOCK
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -96,9 +104,17 @@ fn run_scenario(
     budget: Budget,
     body: fn(u64) -> Result<(), String>,
 ) -> ScenarioResult {
-    let _serial = SCENARIO_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let _serial = serialize();
+    run_serialized(name, seed, budget, body)
+}
+
+/// [`run_scenario`] for a caller that holds the scenario lock.
+fn run_serialized(
+    name: &'static str,
+    seed: u64,
+    budget: Budget,
+    body: fn(u64) -> Result<(), String>,
+) -> ScenarioResult {
     mhm_sched::enable(mhm_sched::Config {
         seed,
         max_perturbations: budget.max_perturbations,
@@ -586,7 +602,8 @@ mod tests {
             std::thread::sleep(Duration::from_secs(3600));
             Ok(())
         }
-        let r = run_scenario(
+        let serial = serialize();
+        let r = run_serialized(
             "hang_probe",
             1,
             Budget {
@@ -595,8 +612,12 @@ mod tests {
             },
             hangs,
         );
+        // Read while the lock is held: once it is released, a scenario of
+        // another test may enable the shim.
+        let left_enabled = mhm_sched::is_enabled();
+        drop(serial);
         let msg = r.outcome.unwrap_err();
         assert!(msg.contains("watchdog expired"), "got: {msg}");
-        assert!(!mhm_sched::is_enabled(), "shim left enabled after timeout");
+        assert!(!left_enabled, "shim left enabled after timeout");
     }
 }

@@ -37,8 +37,7 @@
 //! * [`OwnedReads`] — a [`seqio::ReadSource`] over the calling rank's owned
 //!   blocks that hands out each read's packed bytes as they lie (the k-mer
 //!   analysis ingest path);
-//! * [`ReadsRef`] — the handle consumers take: either a replicated
-//!   [`ReadLibrary`] (the ablation baseline) or a [`ReadStore`].
+//! * [`ReadsRef`] — the handle consumers take on a [`ReadStore`].
 //!
 //! Residency accounting: the store records each rank's peak resident read
 //! bytes (owned shard + reader caches, packed) in
@@ -274,9 +273,9 @@ impl ReadStore {
     /// Collectively builds the store from a (transiently replicated)
     /// library: every rank packs and stores exactly the blocks it owns — an
     /// owner-local update phase with no wire traffic — then records its
-    /// owned packed bytes in the residency accounting. Callers in
-    /// distributed mode drop the replicated library right after this
-    /// returns; [`ReadStore::ingest_fastq`] never materialises it at all.
+    /// owned packed bytes in the residency accounting. No pipeline stage
+    /// reads the library after this returns; [`ReadStore::ingest_fastq`]
+    /// never materialises it at all.
     pub fn build(ctx: &Ctx, library: &ReadLibrary, params: &ReadStoreParams) -> Arc<ReadStore> {
         let block_reads = effective_block_reads(params, library.paired);
         let map: Arc<DistMap<BlockId, PackedReadBlock>> = DistMap::shared(ctx);
@@ -638,8 +637,7 @@ impl ReadStore {
     /// Collectively regathers the full replicated [`ReadLibrary`] (rank 0
     /// collects the owned shards, orders by id, broadcast). Read names are
     /// gone — they were dropped at pack time — so the result carries empty
-    /// names. Tests and the replicated-holder ablations only; the hot paths
-    /// never call it.
+    /// names. Tests only; the hot paths never call it.
     pub fn materialize(&self, ctx: &Ctx) -> ReadLibrary {
         let mut local: Vec<(BlockId, PackedReadBlock)> = Vec::new();
         self.map
@@ -789,121 +787,14 @@ impl seqio::ReadSource for OwnedReads<'_, '_, '_> {
     }
 }
 
-/// How a pipeline stage accesses reads: a replicated [`ReadLibrary`] (the
-/// baseline, O(total) bytes on every rank) or the sharded [`ReadStore`]
-/// (O(total/ranks + cache) bytes per rank). Geometry queries (length, mate
-/// id, counts, insert-size model) are answered locally in both variants.
+/// The read handle every pipeline stage takes: the sharded [`ReadStore`],
+/// O(total/ranks + cache) read bytes per rank. Stages read geometry (length,
+/// mate id, counts, insert-size model) from the store's replicated tables and
+/// sequences through a [`ReadReader`].
 #[derive(Clone, Copy)]
 pub enum ReadsRef<'a> {
-    /// Every rank holds the full library.
-    Local(&'a ReadLibrary),
     /// Read blocks are sharded; sequence reads go through a [`ReadReader`].
     Store(&'a ReadStore),
-}
-
-impl<'a> ReadsRef<'a> {
-    /// Whether reads are pair-interleaved.
-    pub fn paired(&self) -> bool {
-        match self {
-            ReadsRef::Local(lib) => lib.paired,
-            ReadsRef::Store(store) => store.paired(),
-        }
-    }
-
-    /// Mean insert size of the library.
-    pub fn insert_size(&self) -> usize {
-        match self {
-            ReadsRef::Local(lib) => lib.insert_size,
-            ReadsRef::Store(store) => store.insert_size(),
-        }
-    }
-
-    /// Insert-size standard deviation.
-    pub fn insert_sd(&self) -> usize {
-        match self {
-            ReadsRef::Local(lib) => lib.insert_sd,
-            ReadsRef::Store(store) => store.insert_sd(),
-        }
-    }
-
-    /// Pair orientation.
-    pub fn orientation(&self) -> PairOrientation {
-        match self {
-            ReadsRef::Local(lib) => lib.orientation,
-            ReadsRef::Store(store) => store.orientation(),
-        }
-    }
-
-    /// Number of reads.
-    pub fn num_reads(&self) -> usize {
-        match self {
-            ReadsRef::Local(lib) => lib.num_reads(),
-            ReadsRef::Store(store) => store.num_reads(),
-        }
-    }
-
-    /// Number of pairs (0 for unpaired).
-    pub fn num_pairs(&self) -> usize {
-        match self {
-            ReadsRef::Local(lib) => lib.num_pairs(),
-            ReadsRef::Store(store) => store.num_pairs(),
-        }
-    }
-
-    /// Total bases across all reads.
-    pub fn total_bases(&self) -> usize {
-        match self {
-            ReadsRef::Local(lib) => lib.total_bases(),
-            ReadsRef::Store(store) => store.total_bases(),
-        }
-    }
-
-    /// Length of one read. Panics if the id is out of range (mirrors
-    /// [`ReadLibrary::read`]). Zero communication in both variants.
-    pub fn len_of(&self, id: ReadId) -> usize {
-        match self {
-            ReadsRef::Local(lib) => lib.read(id).len(),
-            ReadsRef::Store(store) => store
-                .len_of(id)
-                .unwrap_or_else(|| panic!("read {id} out of range")),
-        }
-    }
-
-    /// The mate's read id, or `None` for unpaired libraries.
-    pub fn mate_of(&self, id: ReadId) -> Option<ReadId> {
-        match self {
-            ReadsRef::Local(lib) => lib.mate_of(id),
-            ReadsRef::Store(store) => store.mate_of(id),
-        }
-    }
-
-    /// The replicated library, when this is the baseline variant.
-    pub fn local(&self) -> Option<&'a ReadLibrary> {
-        match self {
-            ReadsRef::Local(lib) => Some(lib),
-            ReadsRef::Store(_) => None,
-        }
-    }
-
-    /// The distributed store, when this is the sharded variant.
-    pub fn store(&self) -> Option<&'a ReadStore> {
-        match self {
-            ReadsRef::Local(_) => None,
-            ReadsRef::Store(store) => Some(store),
-        }
-    }
-}
-
-impl<'a> From<&'a ReadLibrary> for ReadsRef<'a> {
-    fn from(lib: &'a ReadLibrary) -> Self {
-        ReadsRef::Local(lib)
-    }
-}
-
-impl<'a> From<&'a ReadStore> for ReadsRef<'a> {
-    fn from(store: &'a ReadStore) -> Self {
-        ReadsRef::Store(store)
-    }
 }
 
 #[cfg(test)]

@@ -233,8 +233,8 @@ fn close_scaffold(
 /// sequences. Scaffolds are dealt round-robin over ranks; the finished set is
 /// identical on every rank.
 ///
-/// Against the distributed contig store, each rank fetches the contigs of
-/// one scaffold at a time with a *one-sided* aggregated batch
+/// Each rank fetches the contigs of one scaffold at a time from the contig
+/// store with a *one-sided* aggregated batch
 /// ([`dbg::ContigReader::get_many_onesided`]) — ranks close different
 /// scaffold counts, so the two-sided collective fetch cannot be kept in
 /// lockstep here.
@@ -247,39 +247,30 @@ pub fn close_gaps_ref(
 ) -> (ScaffoldSet, GapClosingReport) {
     let mut local_report = GapClosingReport::default();
     let mut my_done: Vec<Scaffold> = Vec::new();
-    let mut reader = contigs.store().map(|s| s.reader(ctx));
+    let ContigsRef::Store(store) = contigs;
+    let mut reader = store.reader(ctx);
     for (i, mut scaffold) in gapped.into_iter().enumerate() {
         if i % ctx.ranks() != ctx.rank() {
             continue;
         }
-        match contigs {
-            ContigsRef::Local(set) => {
-                let mut seq_of =
-                    |id: ContigId| -> Vec<u8> { set.get(id).expect("contig exists").seq.clone() };
-                close_scaffold(&mut scaffold, &mut seq_of, params, &mut local_report);
-            }
-            ContigsRef::Store(_) => {
-                let reader = reader.as_mut().expect("reader exists for store sources");
-                // All contigs this scaffold touches: entries plus suspended
-                // repeats, fetched in one aggregated batch.
-                let mut ids: Vec<ContigId> = Vec::new();
-                for e in &scaffold.entries {
-                    ids.push(e.contig);
-                    ids.extend(e.suspended_after);
-                }
-                ids.sort_unstable();
-                ids.dedup();
-                let fetched = reader.get_many_onesided(ctx, &ids);
-                let seqs: FxHashMap<ContigId, Vec<u8>> = ids
-                    .iter()
-                    .zip(fetched)
-                    .filter_map(|(id, p)| p.map(|p| (*id, p.unpack())))
-                    .collect();
-                let mut seq_of =
-                    |id: ContigId| -> Vec<u8> { seqs.get(&id).expect("contig exists").clone() };
-                close_scaffold(&mut scaffold, &mut seq_of, params, &mut local_report);
-            }
+        // All contigs this scaffold touches: entries plus suspended repeats,
+        // fetched in one aggregated batch.
+        let mut ids: Vec<ContigId> = Vec::new();
+        for e in &scaffold.entries {
+            ids.push(e.contig);
+            ids.extend(e.suspended_after);
         }
+        ids.sort_unstable();
+        ids.dedup();
+        let fetched = reader.get_many_onesided(ctx, &ids);
+        let seqs: FxHashMap<ContigId, Vec<u8>> = ids
+            .iter()
+            .zip(fetched)
+            .filter_map(|(id, p)| p.map(|p| (*id, p.unpack())))
+            .collect();
+        let mut seq_of =
+            |id: ContigId| -> Vec<u8> { seqs.get(&id).expect("contig exists").clone() };
+        close_scaffold(&mut scaffold, &mut seq_of, params, &mut local_report);
         my_done.push(scaffold);
     }
     // Gather the finished scaffolds and the report.
@@ -302,8 +293,20 @@ pub fn close_gaps_ref(
 mod tests {
     use super::*;
     use crate::types::ScaffoldEntry;
-    use dbg::ContigSet;
+    use dbg::{ContigSet, ContigStore};
     use pgas::Team;
+
+    /// Closes `gapped` over a store of `contigs` at the default parameters.
+    fn close(
+        ctx: &Ctx,
+        contigs: &ContigSet,
+        gapped: Vec<Scaffold>,
+    ) -> (ScaffoldSet, GapClosingReport) {
+        let store = ContigStore::build(ctx, contigs, &Default::default());
+        let links = LinkSet::default();
+        let params = GapClosingParams::default();
+        close_gaps_ref(ctx, ContigsRef::Store(&store), gapped, &links, &params)
+    }
 
     fn contigs_from(seqs: &[&Vec<u8>]) -> ContigSet {
         ContigSet::from_sequences(21, seqs.iter().map(|s| (s.to_vec(), 10.0)).collect())
@@ -338,16 +341,7 @@ mod tests {
             seq: Vec::new(),
         }];
         let team = Team::single_node(2);
-        let out = team.run(|ctx| {
-            let links = LinkSet::default();
-            close_gaps_ref(
-                ctx,
-                (&contigs).into(),
-                gapped.clone(),
-                &links,
-                &GapClosingParams::default(),
-            )
-        });
+        let out = team.run(|ctx| close(ctx, &contigs, gapped.clone()));
         let (set, report) = &out[0];
         assert_eq!(report.gaps_total, 1);
         assert_eq!(report.filled_with_n, 1);
@@ -390,16 +384,7 @@ mod tests {
             seq: Vec::new(),
         }];
         let team = Team::single_node(1);
-        let out = team.run(|ctx| {
-            let links = LinkSet::default();
-            close_gaps_ref(
-                ctx,
-                (&contigs).into(),
-                gapped.clone(),
-                &links,
-                &GapClosingParams::default(),
-            )
-        });
+        let out = team.run(|ctx| close(ctx, &contigs, gapped.clone()));
         let (set, report) = &out[0];
         assert_eq!(report.closed_by_overlap, 1);
         assert_eq!(set.scaffolds[0].seq.len(), 70 + 30 + 70);
@@ -452,16 +437,7 @@ mod tests {
             seq: Vec::new(),
         }];
         let team = Team::single_node(1);
-        let out = team.run(|ctx| {
-            let links = LinkSet::default();
-            close_gaps_ref(
-                ctx,
-                (&contigs).into(),
-                gapped.clone(),
-                &links,
-                &GapClosingParams::default(),
-            )
-        });
+        let out = team.run(|ctx| close(ctx, &contigs, gapped.clone()));
         let (set, report) = &out[0];
         assert_eq!(report.closed_by_suspended, 1);
         let seq = &set.scaffolds[0].seq;
@@ -488,16 +464,7 @@ mod tests {
         for ranks in [1, 2, 3] {
             let team = Team::single_node(ranks);
             let gapped2 = gapped.clone();
-            let out = team.run(|ctx| {
-                let links = LinkSet::default();
-                close_gaps_ref(
-                    ctx,
-                    (&contigs).into(),
-                    gapped2.clone(),
-                    &links,
-                    &GapClosingParams::default(),
-                )
-            });
+            let out = team.run(|ctx| close(ctx, &contigs, gapped2.clone()));
             results.push(out[0].clone());
         }
         assert_eq!(results[0].0, results[1].0);

@@ -44,7 +44,7 @@ pub struct ScaffoldParams {
     pub gap_closing: GapClosingParams,
 }
 
-/// Runs the full scaffolding stage against either contig source. Collective.
+/// Runs the full scaffolding stage against the stores. Collective.
 /// `alignments` are the calling rank's read-to-contig alignments (each rank
 /// aligned the reads it owns).
 pub fn scaffold_ref(

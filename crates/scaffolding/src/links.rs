@@ -183,10 +183,9 @@ fn orient(a: &Alignment, contig_len: usize, read_len: usize) -> OrientedAlignmen
 }
 
 /// Collectively builds the link set from this rank's alignments. Link
-/// geometry only needs contig and read *lengths*, which both contig sources
-/// and both read sources answer from replicated metadata — no sequence bytes
-/// are read here, so the distributed read store adds zero communication to
-/// this stage.
+/// geometry only needs contig and read *lengths*, which both stores answer
+/// from their replicated metadata — no sequence bytes are read here, so the
+/// distributed stores add no communication to this stage.
 pub fn build_links_ref(
     ctx: &Ctx,
     contigs: ContigsRef<'_>,
@@ -194,9 +193,14 @@ pub fn build_links_ref(
     reads: ReadsRef<'_>,
     params: &LinkParams,
 ) -> LinkSet {
+    let (ContigsRef::Store(contigs), ReadsRef::Store(reads)) = (contigs, reads);
     let insert = reads.insert_size().max(1);
-    let read_len_of = |id: seqio::ReadId| reads.len_of(id);
-    let contig_len_of = |id: ContigId| contigs.len_of(id).unwrap_or(0);
+    let read_len_of = |id: seqio::ReadId| {
+        reads
+            .len_of(id)
+            .unwrap_or_else(|| panic!("read {id} out of range"))
+    };
+    let contig_len_of = |id: ContigId| contigs.meta(id).map_or(0, |m| m.len as usize);
 
     let mut local: Vec<(LinkKey, LinkData)> = Vec::new();
     let by_read = alignments.by_read();
@@ -336,8 +340,9 @@ pub fn build_links_ref(
 mod tests {
     use super::*;
     use aligner::{align_reads_ref, build_seed_index_ref, AlignParams};
-    use dbg::ContigSet;
+    use dbg::{ContigSet, ContigStore};
     use pgas::Team;
+    use readstore::ReadStore;
     use seqio::alphabet::revcomp;
     use seqio::{Read, ReadLibrary};
 
@@ -384,8 +389,8 @@ mod tests {
         ContigSet::from_sequences(21, seqs)
     }
 
-    fn align_all(ctx: &pgas::Ctx, lib: &ReadLibrary, contigs: &ContigSet) -> AlignmentSet {
-        let index = build_seed_index_ref(ctx, contigs.into(), 15);
+    fn align_all(ctx: &pgas::Ctx, lib: &ReadLibrary, contigs: ContigsRef<'_>) -> AlignmentSet {
+        let index = build_seed_index_ref(ctx, contigs, 15);
         ctx.barrier();
         let range = ctx.block_range(lib.num_pairs());
         let reads = range.flat_map(|p| {
@@ -397,7 +402,7 @@ mod tests {
         align_reads_ref(
             ctx,
             reads,
-            contigs.into(),
+            contigs,
             &index,
             &AlignParams {
                 seed_len: 15,
@@ -408,22 +413,27 @@ mod tests {
         )
     }
 
+    /// The links of `lib` aligned to `contigs`, both read through stores.
+    fn links_of(ctx: &pgas::Ctx, lib: &ReadLibrary, contigs: &ContigSet) -> LinkSet {
+        let contigs = ContigStore::build(ctx, contigs, &Default::default());
+        let reads = ReadStore::build(ctx, lib, &Default::default());
+        let alignments = align_all(ctx, lib, ContigsRef::Store(&contigs));
+        build_links_ref(
+            ctx,
+            ContigsRef::Store(&contigs),
+            &alignments,
+            ReadsRef::Store(&reads),
+            &LinkParams::default(),
+        )
+    }
+
     #[test]
     fn adjacent_contigs_get_linked_with_small_gap() {
         let g = genome(1500, 3);
         let contigs = contigs_from_pieces(&g, &[500, 1000]);
         let lib = paired_library(&g, 80, 400, 7);
         let team = Team::single_node(2);
-        let sets = team.run(|ctx| {
-            let alignments = align_all(ctx, &lib, &contigs);
-            build_links_ref(
-                ctx,
-                (&contigs).into(),
-                &alignments,
-                (&lib).into(),
-                &LinkParams::default(),
-            )
-        });
+        let sets = team.run(|ctx| links_of(ctx, &lib, &contigs));
         for s in &sets[1..] {
             assert_eq!(s.links, sets[0].links);
         }
@@ -452,16 +462,7 @@ mod tests {
         // Insert 400 >> read length 70; step places reads away from the cut.
         let lib = paired_library(&g, 70, 400, 13);
         let team = Team::single_node(2);
-        let sets = team.run(|ctx| {
-            let alignments = align_all(ctx, &lib, &contigs);
-            build_links_ref(
-                ctx,
-                (&contigs).into(),
-                &alignments,
-                (&lib).into(),
-                &LinkParams::default(),
-            )
-        });
+        let sets = team.run(|ctx| links_of(ctx, &lib, &contigs));
         let links = &sets[0];
         let span_links: u32 = links.links.iter().map(|(_, d)| d.spans).sum();
         assert!(span_links >= 2, "expected span support, got {span_links}");
@@ -477,16 +478,7 @@ mod tests {
         // Reads only from genome 1.
         let lib = paired_library(&g1, 80, 300, 11);
         let team = Team::single_node(1);
-        let sets = team.run(|ctx| {
-            let alignments = align_all(ctx, &lib, &contigs);
-            build_links_ref(
-                ctx,
-                (&contigs).into(),
-                &alignments,
-                (&lib).into(),
-                &LinkParams::default(),
-            )
-        });
+        let sets = team.run(|ctx| links_of(ctx, &lib, &contigs));
         assert!(
             sets[0].links.is_empty(),
             "no cross-contig evidence should exist: {:?}",

@@ -37,4 +37,4 @@ pub use fastq::{parse_fastq, write_fastq, FastqBlockIter, FastqError, FastqRecor
 pub use packed::{push_quality_runs, AsPackedRead, PackedReadView, ReadPacker};
 pub use read::{PairOrientation, Read, ReadId, ReadLibrary, ReadPair};
 pub use reference::{ReferenceGenome, ReferenceSet};
-pub use source::{LibraryReads, ReadSource};
+pub use source::ReadSource;

@@ -4,12 +4,11 @@
 //! random access, only (possibly repeated) in-order passes over this rank's
 //! share of the input, and it works on base codes, not ASCII. [`ReadSource`]
 //! abstracts that contract. The distributed read store hands out views of its
-//! packed blocks as they lie; the ASCII sources here — a slice of [`Read`]s,
-//! or id-keyed borrows from a [`ReadLibrary`] — pack each read into one
-//! reused [`ReadPacker`] first.
+//! packed blocks as they lie; the ASCII source here, a slice of [`Read`]s,
+//! packs each read into one reused [`ReadPacker`] first.
 
 use crate::packed::{PackedReadView, ReadPacker};
-use crate::read::{Read, ReadId, ReadLibrary};
+use crate::read::Read;
 
 /// A multi-pass stream of this rank's reads as [`PackedReadView`]s.
 ///
@@ -20,7 +19,7 @@ pub trait ReadSource {
     fn for_each_read(&mut self, f: &mut dyn FnMut(PackedReadView<'_>));
 }
 
-/// The replicated baseline: a slice of reads already in memory.
+/// A slice of reads already in memory.
 impl ReadSource for &[Read] {
     fn for_each_read(&mut self, f: &mut dyn FnMut(PackedReadView<'_>)) {
         let mut packer = ReadPacker::default();
@@ -30,32 +29,10 @@ impl ReadSource for &[Read] {
     }
 }
 
-/// Id-keyed borrows from a replicated [`ReadLibrary`]: streams the reads
-/// named by `ids` without cloning them.
-pub struct LibraryReads<'a> {
-    lib: &'a ReadLibrary,
-    ids: &'a [ReadId],
-}
-
-impl<'a> LibraryReads<'a> {
-    pub fn new(lib: &'a ReadLibrary, ids: &'a [ReadId]) -> Self {
-        LibraryReads { lib, ids }
-    }
-}
-
-impl ReadSource for LibraryReads<'_> {
-    fn for_each_read(&mut self, f: &mut dyn FnMut(PackedReadView<'_>)) {
-        let mut packer = ReadPacker::default();
-        for &id in self.ids {
-            let read = self.lib.read(id);
-            f(packer.pack(&read.seq, &read.qual));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::read::ReadLibrary;
 
     type Owned = (usize, Vec<u8>, Vec<(u32, u8)>, Vec<(u8, u8)>);
 
@@ -97,16 +74,5 @@ mod tests {
         let mut again = Vec::new();
         src.for_each_read(&mut |r| again.push(owned(r)));
         assert_eq!(again, seen);
-    }
-
-    #[test]
-    fn library_ids_source_borrows_by_id() {
-        let lib = lib();
-        let ids = [2u64, 3, 0];
-        let mut src = LibraryReads::new(&lib, &ids);
-        let mut seen = Vec::new();
-        src.for_each_read(&mut |r| seen.push(owned(r)));
-        let expect: Vec<Owned> = ids.iter().map(|&id| packed(lib.read(id))).collect();
-        assert_eq!(seen, expect);
     }
 }
