@@ -6,7 +6,7 @@
 
 use kmers::kernels;
 use mhm_bench::datasets;
-use mhm_bench::{fmt, json_records, print_table, sweep, write_snapshot, Record, Run};
+use mhm_bench::{fmt, json_records, print_table, sweep, write_snapshot, Record};
 use mhm_core::{checkpoint, AssemblyConfig, MetaHipMer};
 use pgas::{FaultPlan, StatsSnapshot};
 use std::hint::black_box;
@@ -249,23 +249,52 @@ fn store(store: &Store) {
 /// messages are only partly routable, so they are held to "never grows".
 const ONE_SIDED_STAGES: [&str; 3] = ["alignment", "local_assembly", "scaffolding"];
 
+// The off-node traffic of the flat rank-to-rank exchange that node-leader
+// routing replaced, at 8 ranks / 2 per node, measured at commit 6297b1c (the
+// parent of the change that removed the flat path) on `mg64_tiny`. They are
+// properties of that dataset and topology: change either and they must be
+// re-derived, not scaled.
+
+/// Per stage: `(stage, off-node messages, off-node bytes)` of the flat path.
+/// `local_assembly`'s share moves between runs (work stealing decides which
+/// rank fetches a contig block).
+const FLAT_STAGE_OFF_NODE: [(&str, u64, u64); 9] = [
+    ("read_ingestion", 0, 0),
+    ("kmer_analysis", 98, 10_750_518),
+    ("graph_traversal", 2_069, 24_458_924),
+    ("bubble_pruning", 682, 1_312_064),
+    ("alignment", 12_884, 36_864_000),
+    ("local_assembly", 3_632, 584_776),
+    ("read_localization", 6, 195_232),
+    ("kmer_merging", 48, 284_484),
+    ("scaffolding", 10_032, 14_322_968),
+];
+/// The flat path's off-node messages over the stages outside
+/// [`ONE_SIDED_STAGES`], whose every off-node message is routable.
+const FLAT_ROUTED_STAGES_OFF_NODE_MSGS: u64 = 2_903;
+/// The flat path's off-node bytes over every stage but `local_assembly`.
+const FLAT_DETERMINISTIC_OFF_NODE_BYTES: u64 = 88_188_190;
+/// The flat path's off-node `(messages, bytes)` over the whole run.
+const FLAT_RUN_OFF_NODE: (u64, u64) = (29_463, 88_794_726);
+
 /// `ablation_topology`: two-level (node-leader) exchange routing against the
-/// flat all-to-all.
+/// flat all-to-all's frozen numbers.
 ///
 /// The paper packs 32 ranks onto each Cori node, so the expensive resource is
-/// the inter-node link. Hierarchical routing gathers each node's off-node
-/// batches at a node leader, ships one combined message per destination
-/// node and scatters on-node at the receiver: same payload bytes, up to
-/// `ranks_per_node`× fewer off-node messages per direction. Assembles at 1,
-/// 2, 4 and 8 ranks across `ranks_per_node` ∈ {1, 2, ranks}, both routing
-/// modes, and fails unless:
+/// the inter-node link. On every multi-node team the exchange gathers each
+/// node's off-node batches at a node leader, ships one combined message per
+/// destination node and scatters on-node at the receiver: the payload bytes
+/// of a rank-to-rank send, up to `ranks_per_node`× fewer off-node messages
+/// per direction. Assembles at 1, 2, 4 and 8 ranks across `ranks_per_node`
+/// ∈ {1, 2, ranks} and fails unless:
 ///
 /// * the scaffolds are byte-identical across the whole sweep;
 /// * at 8 ranks / 2 per node, no aggregated stage moves more off-node bytes
-///   or messages under hierarchical routing, and the deterministic stages'
-///   off-node payload is identical in both modes;
+///   or messages than the flat path did ([`FLAT_STAGE_OFF_NODE`]), and the
+///   deterministic stages' off-node payload equals the flat path's;
 /// * over the stages whose off-node messages all come from aggregated
-///   collectives, the off-node message count drops at least 2×.
+///   collectives, the off-node message count is at least 2× below the flat
+///   path's.
 ///
 /// The 2× holds over those stages and not over the run, because node
 /// leaders can only combine what passes a collective point: the
@@ -278,21 +307,18 @@ pub fn topology() {
         let mut rpns = vec![1, 2, ranks];
         rpns.sort_unstable();
         rpns.dedup();
-        rpns.into_iter()
-            .flat_map(move |rpn| [(ranks, (rpn, false)), (ranks, (rpn, true))])
+        rpns.into_iter().map(move |rpn| (ranks, rpn))
     });
-    let runs = sweep(&ds, points, |(rpn, hier)| AssemblyConfig {
+    let runs = sweep(&ds, points, |rpn| AssemblyConfig {
         ranks_per_node: rpn,
-        use_hierarchical_exchange: hier,
         ..Default::default()
     });
     let mut records: Vec<Record> = Vec::new();
-    for ((rpn, hier), run) in &runs {
+    for (rpn, run) in &runs {
         let t = run.total();
         records.push(vec![
             ("ranks", run.ranks.to_string()),
             ("ranks_per_node", rpn.to_string()),
-            ("hierarchical", hier.to_string()),
             ("off_node_msgs", t.off_node_msgs.to_string()),
             ("on_node_msgs", t.on_node_msgs.to_string()),
             ("off_node_bytes", t.off_node_bytes.to_string()),
@@ -305,24 +331,27 @@ pub fn topology() {
     print_table("Ablation — two-level (node-leader) exchange", &records);
 
     // ---- The hard claims at 8 ranks / 2 ranks-per-node ----------------------
-    let find = |hier: bool| -> &Run {
-        &runs
-            .iter()
-            .find(|(variant, run)| run.ranks == 8 && *variant == (2, hier))
-            .expect("run present")
-            .1
-    };
-    let (flat, hier) = (find(false), find(true));
-    let staged: Vec<(&str, StatsSnapshot, StatsSnapshot)> = flat
+    let routed = &runs
+        .iter()
+        .find(|(rpn, run)| run.ranks == 8 && *rpn == 2)
+        .expect("run present")
+        .1;
+    let staged: Vec<(&str, (u64, u64), StatsSnapshot)> = routed
         .output
         .stages
         .iter()
-        .map(|(name, _, fs)| (name.as_str(), *fs, hier.output.stage_stats(name)))
+        .map(|(name, _, hs)| {
+            let &(_, msgs, bytes) = FLAT_STAGE_OFF_NODE
+                .iter()
+                .find(|(stage, _, _)| stage == name)
+                .unwrap_or_else(|| panic!("stage {name} has no frozen flat numbers"));
+            (name.as_str(), (msgs, bytes), *hs)
+        })
         .collect();
     // The table first, so a failing assert below carries its numbers.
     let stage_records: Vec<Record> = staged
         .iter()
-        .map(|(name, fs, hs)| {
+        .map(|(name, (flat_msgs, flat_bytes), hs)| {
             let routing = if ONE_SIDED_STAGES.contains(name) {
                 "partly (one-sided gets)"
             } else {
@@ -331,82 +360,76 @@ pub fn topology() {
             vec![
                 ("Stage", name.to_string()),
                 ("Routed", routing.to_string()),
-                ("Off msgs flat", fs.off_node_msgs.to_string()),
+                ("Off msgs flat", flat_msgs.to_string()),
                 ("Off msgs 2-level", hs.off_node_msgs.to_string()),
-                ("Off bytes flat", fs.off_node_bytes.to_string()),
+                ("Off bytes flat", flat_bytes.to_string()),
                 ("Off bytes 2-level", hs.off_node_bytes.to_string()),
             ]
         })
         .collect();
     print_table(
-        "8 ranks / 2 per node, per stage: flat -> two-level",
+        "8 ranks / 2 per node, per stage: flat (frozen at 6297b1c) -> two-level",
         &stage_records,
     );
-    for (name, fs, hs) in &staged {
+    for (name, (flat_msgs, flat_bytes), hs) in &staged {
         // Nothing aggregated crossed the interconnect, or — local assembly —
         // dynamic work stealing decides which rank fetches a contig block,
         // and so whether its one-sided read crosses the node boundary: that
         // split is load-balancing noise, not routing.
-        if fs.off_node_msgs == 0 || *name == "local_assembly" {
+        if *flat_msgs == 0 || *name == "local_assembly" {
             continue;
         }
         assert!(
-            fs.off_node_bytes >= hs.off_node_bytes,
-            "stage {name}: off-node bytes grew: flat={} hier={}",
-            fs.off_node_bytes,
+            *flat_bytes >= hs.off_node_bytes,
+            "stage {name}: off-node bytes grew: flat={flat_bytes} routed={}",
             hs.off_node_bytes
         );
         assert!(
-            hs.off_node_msgs <= fs.off_node_msgs,
-            "stage {name}: off-node messages grew: flat={} hier={}",
-            fs.off_node_msgs,
+            hs.off_node_msgs <= *flat_msgs,
+            "stage {name}: off-node messages grew: flat={flat_msgs} routed={}",
             hs.off_node_msgs
         );
     }
-    let (routed_flat, routed_hier) = staged
+    let routed_msgs: u64 = staged
         .iter()
         .filter(|(name, _, _)| !ONE_SIDED_STAGES.contains(name))
-        .fold((0u64, 0u64), |(flat, hier), (_, fs, hs)| {
-            (flat + fs.off_node_msgs, hier + hs.off_node_msgs)
-        });
-    let routed_ratio = routed_flat as f64 / (routed_hier as f64).max(1.0);
+        .map(|(_, _, hs)| hs.off_node_msgs)
+        .sum();
+    let routed_flat = FLAT_ROUTED_STAGES_OFF_NODE_MSGS;
+    let routed_ratio = routed_flat as f64 / (routed_msgs as f64).max(1.0);
     assert!(
         routed_ratio >= 2.0,
         "expected >= 2x fewer off-node messages over the fully routed stages at 8 ranks / \
-         2 rpn, got {routed_ratio:.2}x ({routed_flat} -> {routed_hier})"
+         2 rpn, got {routed_ratio:.2}x ({routed_flat} -> {routed_msgs})"
     );
-    let (flat_total, hier_total) = (flat.total(), hier.total());
-    let msg_ratio = flat_total.off_node_msgs as f64 / (hier_total.off_node_msgs as f64).max(1.0);
+    let total = routed.total();
+    let (flat_msgs, flat_bytes) = FLAT_RUN_OFF_NODE;
+    let msg_ratio = flat_msgs as f64 / (total.off_node_msgs as f64).max(1.0);
     // Byte neutrality: node-leader routing repackages off-node traffic but
     // never grows it. Summed over the deterministic stages (work stealing
-    // excluded, as above) the off-node payload must be *identical* in both
-    // modes; over the whole run it must stay within the stealing jitter.
-    let det_off = |r: &Run| -> u64 {
-        r.output
-            .stages
-            .iter()
-            .filter(|(n, _, _)| n != "local_assembly")
-            .map(|(_, _, s)| s.off_node_bytes)
-            .sum()
-    };
+    // excluded, as above) the off-node payload must be *identical* to the
+    // flat path's; over the whole run it must stay within the stealing
+    // jitter.
+    let det_off: u64 = staged
+        .iter()
+        .filter(|(name, _, _)| *name != "local_assembly")
+        .map(|(_, _, hs)| hs.off_node_bytes)
+        .sum();
     assert_eq!(
-        det_off(flat),
-        det_off(hier),
-        "off-node payload bytes must be identical across routing modes \
-         in the deterministic stages"
+        det_off, FLAT_DETERMINISTIC_OFF_NODE_BYTES,
+        "off-node payload bytes must equal the flat path's in the deterministic stages"
     );
-    let (ft, ht) = (flat_total.off_node_bytes, hier_total.off_node_bytes);
+    let routed_bytes = total.off_node_bytes;
     assert!(
-        (ft.abs_diff(ht) as f64) < 0.01 * ft as f64,
-        "total off-node bytes diverged beyond stealing jitter: flat={ft} hier={ht}"
+        (flat_bytes.abs_diff(routed_bytes) as f64) < 0.01 * flat_bytes as f64,
+        "total off-node bytes diverged beyond stealing jitter: flat={flat_bytes} \
+         routed={routed_bytes}"
     );
     println!(
-        "8 ranks / 2 rpn: off-node messages {routed_flat} -> {routed_hier} ({routed_ratio:.1}x) \
-         over the fully routed stages, {} -> {} ({msg_ratio:.2}x) over the run; \
-         off-node bytes unchanged at {} (deterministic stages)",
-        flat_total.off_node_msgs,
-        hier_total.off_node_msgs,
-        det_off(hier)
+        "8 ranks / 2 rpn: off-node messages {routed_flat} -> {routed_msgs} ({routed_ratio:.1}x) \
+         over the fully routed stages, {flat_msgs} -> {} ({msg_ratio:.2}x) over the run; \
+         off-node bytes unchanged at {det_off} (deterministic stages)",
+        total.off_node_msgs,
     );
     write_snapshot(
         "BENCH_topology.json",

@@ -50,13 +50,12 @@ pub struct AssemblyConfig {
     /// rejects it up front instead of letting the topology layer panic.
     /// See [`AssemblyConfig::topology`].
     pub ranks_per_node: usize,
-    /// Route aggregated exchanges through node leaders (gather at the source
-    /// node's leader, one combined message per destination node, scatter
-    /// on-node): up to `ranks_per_node`× fewer off-node messages per
-    /// direction, byte-identical assembly. `false` keeps the flat
-    /// rank-to-rank all-to-all — the ablation baseline of the
-    /// `ablation_topology` row of `mhm_bench`. No effect on a single-node
-    /// topology.
+    /// Aggregated exchanges on a multi-node topology route through node
+    /// leaders (gather at the source node's leader, one combined message per
+    /// destination node, scatter on-node); there is no other multi-node
+    /// path, and a single-node team sends directly. Must be `true`
+    /// ([`AssemblyConfig::validate`] rejects `false`); removed with the
+    /// ledger's `staged.rs` by the ROADMAP's \[bench\] item.
     pub use_hierarchical_exchange: bool,
     /// Extension-threshold policy (dynamic for MetaHipMer, global for HipMer).
     pub threshold: ThresholdPolicy,
@@ -156,6 +155,13 @@ impl AssemblyConfig {
                     "{field} must be true, got false (the sharded stores are the only data path)"
                 ));
             }
+        }
+        if !self.use_hierarchical_exchange {
+            return Err(
+                "use_hierarchical_exchange must be true, got false (node-leader routing is the \
+                 only multi-node exchange path)"
+                    .to_string(),
+            );
         }
         if self.k_min < 3 || self.k_min.is_multiple_of(2) {
             return Err(format!(
@@ -335,12 +341,9 @@ impl AssemblyConfig {
         pgas::Topology::new(ranks, self.ranks_per_node.min(ranks).max(1))
     }
 
-    /// A team over [`AssemblyConfig::topology`] with the hierarchical-exchange
-    /// mode of this configuration already applied.
+    /// A team over [`AssemblyConfig::topology`].
     pub fn team(&self, ranks: usize) -> std::sync::Arc<pgas::Team> {
-        let team = pgas::Team::new(self.topology(ranks));
-        team.set_hierarchical_exchange(self.use_hierarchical_exchange);
-        team
+        pgas::Team::new(self.topology(ranks))
     }
 
     /// Parameters for the distributed contig store.
@@ -605,6 +608,10 @@ mod tests {
                 edited(|cfg| cfg.use_distributed_reads = false),
                 "use_distributed_reads",
             ),
+            (
+                edited(|cfg| cfg.use_hierarchical_exchange = false),
+                "use_hierarchical_exchange",
+            ),
         ];
         for (cfg, needle) in cases {
             let err = cfg.validate().expect_err(needle);
@@ -652,15 +659,10 @@ mod tests {
         };
         assert_eq!(multi.topology(8), pgas::Topology::new(8, 2));
         assert_eq!(multi.topology(8).nodes(), 4);
-        let team = multi.team(8);
-        assert_eq!(team.topology(), pgas::Topology::new(8, 2));
-        assert!(team.hierarchical_exchange());
-        let flat = AssemblyConfig {
-            ranks_per_node: 2,
-            use_hierarchical_exchange: false,
-            ..Default::default()
-        };
-        assert!(!flat.team(4).hierarchical_exchange());
+        assert_eq!(multi.team(8).topology(), pgas::Topology::new(8, 2));
+        // A rank count below `ranks_per_node` is one node, which never routes.
+        assert_eq!(multi.team(1).topology(), pgas::Topology::single_node(1));
+        assert_eq!(multi.team(2).topology().nodes(), 1);
     }
 
     #[test]

@@ -137,9 +137,6 @@ impl MetaHipMer {
         let detector = rrna_consensus
             .filter(|c| !c.is_empty())
             .map(RrnaDetector::from_consensus);
-        // The exchange-routing mode is per-team state, set outside the SPMD
-        // region so every rank constructs its aggregators under it.
-        team.set_hierarchical_exchange(self.config.use_hierarchical_exchange);
         let outputs = team.try_run(|ctx| self.assemble_rank(ctx, library, detector.as_ref()))?;
         Ok(outputs.into_iter().next().expect("at least one rank"))
     }
@@ -630,42 +627,51 @@ mod tests {
         }
     }
 
+    /// The flat rank-to-rank exchange's off-node `(messages, bytes)` for
+    /// `small_dataset(59)` on 4 ranks at 2 per node without local assembly,
+    /// measured at commit 6297b1c, the last with that path. Re-derive it if
+    /// `small_dataset` or the configuration changes.
+    const FLAT_OFF_NODE: (u64, u64) = (758, 2_635_100);
+
     #[test]
-    fn hierarchical_exchange_does_not_change_the_assembly() {
-        // Two-level routing is a pure transport optimisation: same scaffolds,
-        // same off-node payload bytes (every byte crosses the interconnect
-        // exactly once either way), fewer off-node messages.
+    fn node_leader_routing_does_not_change_the_assembly() {
+        // Two-level routing is a pure transport optimisation: the scaffolds
+        // of the direct single-node path, the flat path's off-node payload
+        // bytes (every byte crosses the interconnect exactly once), fewer
+        // off-node messages.
         let (_refs, library, consensus) = small_dataset(59);
         let mut cfg = AssemblyConfig::small_test();
         cfg.local_assembly = false; // keep the comparison fast
         cfg.ranks_per_node = 2;
-        cfg.use_hierarchical_exchange = true;
-        let mut flat_cfg = cfg.clone();
-        flat_cfg.use_hierarchical_exchange = false;
-        let hier_team = cfg.team(4);
-        let flat_team = flat_cfg.team(4);
-        let out_hier = MetaHipMer::new(cfg).assemble(&hier_team, &library, Some(&consensus));
-        let out_flat = MetaHipMer::new(flat_cfg).assemble(&flat_team, &library, Some(&consensus));
-        let mut seqs_hier = out_hier.sequences();
-        let mut seqs_flat = out_flat.sequences();
-        seqs_hier.sort();
-        seqs_flat.sort();
+        let routed_team = cfg.team(4);
+        assert_eq!(routed_team.topology().nodes(), 2);
+        let direct_team = Team::single_node(4);
+        let mhm = MetaHipMer::new(cfg);
+        let mut routed = mhm
+            .assemble(&routed_team, &library, Some(&consensus))
+            .sequences();
+        let mut direct = mhm
+            .assemble(&direct_team, &library, Some(&consensus))
+            .sequences();
+        routed.sort();
+        direct.sort();
+        assert_eq!(routed.len(), 10);
         assert_eq!(
-            seqs_hier, seqs_flat,
-            "node-leader routing must be byte-identical to the flat exchange"
+            routed, direct,
+            "node-leader routing must be byte-identical to the direct exchange"
         );
-        let hs = hier_team.stats_total();
-        let fs = flat_team.stats_total();
+        let s = routed_team.stats_total();
+        let (flat_msgs, flat_bytes) = FLAT_OFF_NODE;
         assert_eq!(
-            hs.off_node_bytes, fs.off_node_bytes,
-            "off-node payload bytes are mode-independent"
+            s.off_node_bytes, flat_bytes,
+            "off-node payload bytes are those of the flat path"
         );
         assert!(
-            hs.off_node_msgs < fs.off_node_msgs,
-            "expected fewer off-node messages: hier={} flat={}",
-            hs.off_node_msgs,
-            fs.off_node_msgs
+            s.off_node_msgs < flat_msgs,
+            "expected fewer off-node messages: routed={} flat={flat_msgs}",
+            s.off_node_msgs
         );
+        assert_eq!(direct_team.stats_total().off_node_msgs, 0);
     }
 
     #[test]

@@ -148,10 +148,11 @@ fn on_node_and_off_node_traffic_is_accounted_in_comm_stats() {
     assert!(single.stats_total().local_ops > 0);
 
     // The aggregated phases additionally split *bytes* and *messages* by the
-    // node boundary, in both exchange modes.
-    let run_bulk = |hier: bool| {
-        let team = Team::new(Topology::new(ranks, 2));
-        team.set_hierarchical_exchange(hier);
+    // node boundary. Every rank ships each of 1,000 keys to its owner in
+    // batches of 17; sent rank to rank, the off-node share would be the
+    // batches for owners on the other node.
+    let run_bulk = |topo: Topology| {
+        let team = Team::new(topo);
         team.run(|ctx| {
             let map: Arc<DistMap<u64, u64>> = DistMap::shared(ctx);
             bulk_merge(ctx, &map, (0..1000u64).map(|k| (k, 1u64)), 17, |a, b| {
@@ -163,29 +164,40 @@ fn on_node_and_off_node_traffic_is_accounted_in_comm_stats() {
         });
         team.stats_total()
     };
-    let flat = run_bulk(false);
-    let hier = run_bulk(true);
-    for s in [&flat, &hier] {
-        assert!(s.on_node_bytes > 0 && s.off_node_bytes > 0);
-        assert_eq!(s.on_node_bytes + s.off_node_bytes, s.bytes_sent);
-        assert_eq!(s.on_node_msgs + s.off_node_msgs, s.msgs_sent);
+    let (mut all_msgs, mut flat_msgs, mut flat_bytes) = (0u64, 0u64, 0u64);
+    for owner in 0..ranks {
+        let items = (0..1000u64).filter(|k| probe.owner_of(k) == owner).count() as u64;
+        for src in 0..ranks {
+            all_msgs += items.div_ceil(17);
+            if !topo.same_node(src, owner) {
+                flat_msgs += items.div_ceil(17);
+                flat_bytes += items * std::mem::size_of::<(u64, u64)>() as u64;
+            }
+        }
     }
+    // The direct single-node path sends exactly that pattern.
+    assert_eq!(run_bulk(Topology::single_node(ranks)).msgs_sent, all_msgs);
+    let routed = run_bulk(topo);
+    assert!(routed.on_node_bytes > 0 && routed.off_node_bytes > 0);
+    assert_eq!(
+        routed.on_node_bytes + routed.off_node_bytes,
+        routed.bytes_sent
+    );
+    assert_eq!(routed.on_node_msgs + routed.off_node_msgs, routed.msgs_sent);
     // Node-leader routing moves the same payload across the interconnect in
     // fewer, larger messages; it never changes the off-node byte volume.
-    assert_eq!(flat.off_node_bytes, hier.off_node_bytes);
+    assert_eq!(routed.off_node_bytes, flat_bytes);
     assert!(
-        hier.off_node_msgs < flat.off_node_msgs,
-        "expected fewer off-node messages: hier={} flat={}",
-        hier.off_node_msgs,
-        flat.off_node_msgs
+        routed.off_node_msgs < flat_msgs,
+        "expected fewer off-node messages: routed={} flat={flat_msgs}",
+        routed.off_node_msgs
     );
 }
 
 #[test]
 fn dist_map_results_are_invariant_on_non_uniform_topologies() {
     // Topologies where the last node is partial (ranks % ranks_per_node != 0)
-    // must produce the same map contents as the single-node baseline, in both
-    // exchange modes.
+    // must produce the same map contents as the single-node baseline.
     let ranks = 5;
     let reference = {
         let team = Team::single_node(ranks);
@@ -200,25 +212,22 @@ fn dist_map_results_are_invariant_on_non_uniform_topologies() {
         })
     };
     for ranks_per_node in [2, 3] {
-        for hier in [false, true] {
-            let team = Team::new(Topology::new(ranks, ranks_per_node));
-            team.set_hierarchical_exchange(hier);
-            let got = team.run(|ctx| {
-                let map: Arc<DistMap<u64, u64>> = DistMap::shared(ctx);
-                bulk_merge(ctx, &map, (0..600u64).map(|k| (k, 1u64)), 13, |a, b| {
-                    *a += b
-                });
-                (0..600u64)
-                    .map(|k| map.get_cloned(ctx, &k))
-                    .collect::<Vec<_>>()
+        let team = Team::new(Topology::new(ranks, ranks_per_node));
+        let got = team.run(|ctx| {
+            let map: Arc<DistMap<u64, u64>> = DistMap::shared(ctx);
+            bulk_merge(ctx, &map, (0..600u64).map(|k| (k, 1u64)), 13, |a, b| {
+                *a += b
             });
-            assert_eq!(
-                got, reference,
-                "topology ({ranks}, {ranks_per_node}) hier={hier} changed the map contents"
-            );
-            let s = team.stats_total();
-            assert_eq!(s.on_node_bytes + s.off_node_bytes, s.bytes_sent);
-            assert_eq!(s.on_node_msgs + s.off_node_msgs, s.msgs_sent);
-        }
+            (0..600u64)
+                .map(|k| map.get_cloned(ctx, &k))
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(
+            got, reference,
+            "topology ({ranks}, {ranks_per_node}) changed the map contents"
+        );
+        let s = team.stats_total();
+        assert_eq!(s.on_node_bytes + s.off_node_bytes, s.bytes_sent);
+        assert_eq!(s.on_node_msgs + s.off_node_msgs, s.msgs_sent);
     }
 }

@@ -270,7 +270,6 @@ fn same_typed_collectives(_seed: u64) -> Result<(), String> {
     const RANKS: usize = 4;
     const ITEMS: usize = 24;
     let team = Team::new(Topology::new(RANKS, 2));
-    team.set_hierarchical_exchange(true);
     let results = team.run(|ctx| {
         let (r, n) = (ctx.rank(), ctx.ranks());
         let rec = |tag: u8, phase: u8, dest: usize, i: usize| {

@@ -8,7 +8,7 @@
 //! the responses travel back in a second aggregated all-to-all.
 //!
 //! Every byte of that traffic ships through one private `Lane<T>`: a leased
-//! mailbox array plus, under two-level routing, a node-leader router.
+//! mailbox array plus, on a multi-node topology, a node-leader router.
 //! `Lane::send` is the only place that picks the routed or the direct path and
 //! the only place that accounts a message; `Lane::collect` delivers the routed
 //! batches, waits at a barrier and drains the calling rank's inbox. The five
@@ -32,10 +32,10 @@
 //! on-node and off-node transfers, and HipMer-style aggregation therefore
 //! routes hierarchically: instead of every rank sending one message per
 //! remote *rank*, the ranks of a node combine their traffic so that only one
-//! message per remote *node* crosses the interconnect. When
-//! [`Team::set_hierarchical_exchange`](crate::team::Team::set_hierarchical_exchange)
-//! is on, a lane routes its off-node batches through a node-leader router
-//! (`NodeRouter`):
+//! message per remote *node* crosses the interconnect. The topology is the
+//! only input: on a team of more than one node every lane routes its off-node
+//! batches through a node-leader router (`NodeRouter`), and on a single node
+//! every batch is deposited directly:
 //!
 //! 1. **gather** — a rank's flushed batch for an off-node destination is
 //!    deposited at its own node leader (accounted as an on-node message,
@@ -48,10 +48,10 @@
 //!    each packet into the final owner's ordinary inbox (an on-node message,
 //!    unless the owner is the leader itself).
 //!
-//! On-node destinations bypass the router entirely and use the same direct
-//! deposit as the flat path. Off-node *bytes* are identical in both modes
-//! (each payload crosses the interconnect exactly once either way); the win
-//! is the off-node *message* count, which drops by up to a factor of
+//! On-node destinations bypass the router entirely and use the direct
+//! deposit. Each payload crosses the interconnect exactly once, so the
+//! off-node *bytes* are those of a rank-to-rank send of the same batches; the
+//! win is the off-node *message* count, which drops by up to a factor of
 //! `ranks_per_node` per direction. The extra gather/scatter legs appear,
 //! correctly, as additional on-node traffic.
 
@@ -100,13 +100,13 @@ impl<T: Send> AllToAll<T> {
 struct NodePacket<T> {
     /// Final owner rank.
     dest: u32,
-    /// Accounted payload bytes of `items`, exactly what the flat path would
-    /// have recorded for the same batch.
+    /// Accounted payload bytes of `items`, exactly what a direct send of the
+    /// same batch records.
     bytes: usize,
     items: Vec<T>,
 }
 
-/// The two-level router of a lane when hierarchical exchange is enabled:
+/// The two-level router of a lane on a multi-node topology:
 /// gather at the source node's leader, ship one combined message per
 /// destination node, scatter on-node to the final owners. See the module docs
 /// for the protocol.
@@ -177,8 +177,8 @@ impl<T: Send + Sync + 'static> NodeRouter<T> {
     }
 }
 
-/// The one transport path: a leased mailbox array and, when the team routes
-/// through node leaders on a multi-node topology, the router in front of it.
+/// The one transport path: a leased mailbox array and, on a multi-node
+/// topology, the node-leader router in front of it.
 ///
 /// # Mailbox reuse
 ///
@@ -211,10 +211,9 @@ impl<T: Send + Sync + 'static> Lane<T> {
     fn new(ctx: &Ctx) -> Self {
         // Single-node teams never route: every destination is on-node, and
         // the router's extra barriers would buy nothing.
-        let routed = ctx.hierarchical_exchange() && ctx.topology().nodes() > 1;
         Lane {
             mailbox: ctx.mailboxes(),
-            router: routed.then(|| NodeRouter::new(ctx)),
+            router: (ctx.topology().nodes() > 1).then(|| NodeRouter::new(ctx)),
         }
     }
 
@@ -639,8 +638,8 @@ where
             });
         }
         for (dest, batch) in replies.into_iter().enumerate() {
-            // The owner produced the response payload either way, so
-            // `rpc_resp_bytes` is identical in flat and hierarchical mode.
+            // The owner produced the response payload whichever way it
+            // travels, so `rpc_resp_bytes` does not depend on the topology.
             let bytes = size_of_val(batch.as_slice());
             ctx.record(Counter::rpc_resp_bytes, bytes as u64);
             self.replies.send(ctx, dest, batch, bytes);
@@ -688,7 +687,6 @@ mod tests {
     #[test]
     fn gather_collects_every_rank_on_rank_zero_only() {
         let team = Team::new(Topology::new(5, 2));
-        team.set_hierarchical_exchange(true);
         let received = team.run(|ctx| {
             let mut got = ctx.gather(vec![ctx.rank() as u32; ctx.rank() + 1]);
             got.sort_unstable();
@@ -938,21 +936,82 @@ mod tests {
         );
     }
 
-    /// Runs `f` on a fresh team over `topo` with hierarchical exchange on or
-    /// off, returning the per-rank results and the team-summed statistics.
-    fn run_mode<R, F>(topo: Topology, hier: bool, f: F) -> (Vec<R>, crate::stats::StatsSnapshot)
+    /// Runs `f` on a fresh team over `topo`, returning the per-rank results
+    /// and the team-summed statistics.
+    fn run_on<R, F>(topo: Topology, f: F) -> (Vec<R>, crate::stats::StatsSnapshot)
     where
         R: Send,
         F: Fn(&Ctx) -> R + Send + Sync,
     {
         let team = Team::new(topo);
-        team.set_hierarchical_exchange(hier);
         let out = team.run(f);
         (out, team.stats_total())
     }
 
+    /// The accounting of a rank-to-rank send of a pattern over `topo`, the
+    /// reference the routed counts are held to: `batches(src, dest)` lists
+    /// the byte size of every batch `src` ships to `dest`. Returns
+    /// `(all, off_node)`, each as `(messages, bytes)`.
+    fn direct_sends(
+        topo: Topology,
+        batches: impl Fn(usize, usize) -> Vec<usize>,
+    ) -> ((u64, u64), (u64, u64)) {
+        let (mut all, mut off) = ((0, 0), (0, 0));
+        for src in 0..topo.ranks() {
+            for dest in 0..topo.ranks() {
+                for bytes in batches(src, dest) {
+                    all = (all.0 + 1, all.1 + bytes as u64);
+                    if !topo.same_node(src, dest) {
+                        off = (off.0 + 1, off.1 + bytes as u64);
+                    }
+                }
+            }
+        }
+        (all, off)
+    }
+
+    /// The byte sizes of the batches `count` items of `item_bytes` each fill
+    /// at `batch` items per batch: full batches, then the remainder.
+    fn batches_of(count: usize, batch: usize, item_bytes: usize) -> Vec<usize> {
+        (0..count)
+            .step_by(batch)
+            .map(|start| (count - start).min(batch) * item_bytes)
+            .collect()
+    }
+
+    /// Runs `body` on one node and on `topo`, checks that both deliver the
+    /// same results and that the one-node run sends exactly the pattern
+    /// `batches` describes (so the pattern is the direct path's own
+    /// accounting), and returns the routed statistics with the pattern's
+    /// off-node `(messages, bytes)` as it would travel rank to rank.
+    fn routed_against_direct<R, F>(
+        topo: Topology,
+        body: F,
+        batches: impl Fn(usize, usize) -> Vec<usize>,
+    ) -> (crate::stats::StatsSnapshot, (u64, u64))
+    where
+        R: Send + PartialEq + std::fmt::Debug,
+        F: Fn(&Ctx) -> R + Send + Sync,
+    {
+        let (direct, ds) = run_on(Topology::single_node(topo.ranks()), &body);
+        let (routed, rs) = run_on(topo, &body);
+        assert_eq!(
+            direct, routed,
+            "routing must not change what each rank receives on {topo:?}"
+        );
+        let (all, off) = direct_sends(topo, batches);
+        assert_eq!((ds.msgs_sent, ds.bytes_sent), all, "send pattern");
+        assert_eq!(ds.off_node_msgs, 0);
+        // The byte/message splits stay exhaustive under routing.
+        assert_eq!(rs.on_node_bytes + rs.off_node_bytes, rs.bytes_sent);
+        assert_eq!(rs.on_node_msgs + rs.off_node_msgs, rs.msgs_sent);
+        assert_eq!(rs.rpc_resp_bytes, ds.rpc_resp_bytes);
+        assert_eq!(rs.rpc_round_trips, ds.rpc_round_trips);
+        (rs, off)
+    }
+
     #[test]
-    fn hierarchical_exchange_delivers_identically_with_fewer_off_node_messages() {
+    fn routing_delivers_identically_with_fewer_off_node_messages() {
         let topo = Topology::new(8, 2);
         let body = |ctx: &Ctx| {
             let n = ctx.ranks();
@@ -967,31 +1026,23 @@ mod tests {
             got.sort_unstable();
             got
         };
-        let (flat, fs) = run_mode(topo, false, body);
-        let (hier, hs) = run_mode(topo, true, body);
-        assert_eq!(
-            flat, hier,
-            "routing must not change what each rank receives"
-        );
-        // The payload crosses the interconnect exactly once either way…
-        assert_eq!(fs.off_node_bytes, hs.off_node_bytes);
+        let (hs, (flat_msgs, flat_bytes)) = routed_against_direct(topo, body, |_, _| vec![5 * 8]);
+        // The payload crosses the interconnect exactly once…
+        assert_eq!(hs.off_node_bytes, flat_bytes);
         // …but as one combined message per (source node, destination node)
         // pair instead of one per (rank, rank) pair: 4 nodes × 3 remote nodes
         // versus 8 ranks × 6 remote ranks.
-        assert_eq!(fs.off_node_msgs, 8 * 6);
+        assert_eq!(flat_msgs, 8 * 6);
         assert_eq!(hs.off_node_msgs, 4 * 3);
-        // The byte/message splits stay exhaustive in both modes.
-        for s in [&fs, &hs] {
-            assert_eq!(s.on_node_bytes + s.off_node_bytes, s.bytes_sent);
-            assert_eq!(s.on_node_msgs + s.off_node_msgs, s.msgs_sent);
-        }
         // The gather/scatter legs surface as extra on-node traffic.
-        assert!(hs.on_node_bytes > fs.on_node_bytes);
+        let flat_on_node_bytes = 8 * 8 * 5 * 8 - flat_bytes;
+        assert!(hs.on_node_bytes > flat_on_node_bytes);
     }
 
     #[test]
-    fn hierarchical_aggregator_matches_flat_delivery() {
+    fn routed_aggregator_delivers_identically() {
         let topo = Topology::new(8, 2);
+        let n = topo.ranks();
         let body = |ctx: &Ctx| {
             let n = ctx.ranks();
             let mut agg: Aggregator<(usize, usize)> = Aggregator::new(ctx, 7);
@@ -1002,21 +1053,21 @@ mod tests {
             got.sort_unstable();
             got
         };
-        let (flat, fs) = run_mode(topo, false, body);
-        let (hier, hs) = run_mode(topo, true, body);
-        assert_eq!(flat, hier);
-        assert_eq!(fs.off_node_bytes, hs.off_node_bytes);
+        let items = |src: usize, dest: usize| (0..100).filter(|i| (src + i) % n == dest).count();
+        let (hs, (flat_msgs, flat_bytes)) =
+            routed_against_direct(topo, body, |s, d| batches_of(items(s, d), 7, 16));
+        assert_eq!(hs.off_node_bytes, flat_bytes);
         assert!(
-            hs.off_node_msgs * 2 <= fs.off_node_msgs,
-            "expected ≥2× fewer off-node messages at 2 ranks/node: flat={} hier={}",
-            fs.off_node_msgs,
+            hs.off_node_msgs * 2 <= flat_msgs,
+            "expected ≥2× fewer off-node messages at 2 ranks/node: flat={flat_msgs} routed={}",
             hs.off_node_msgs
         );
     }
 
     #[test]
-    fn hierarchical_blob_aggregator_keeps_exact_byte_accounting() {
+    fn routed_blob_aggregator_keeps_exact_byte_accounting() {
         let topo = Topology::new(4, 2);
+        let n = topo.ranks();
         let body = |ctx: &Ctx| {
             let n = ctx.ranks();
             let mut agg = BlobAggregator::new(ctx, 16);
@@ -1031,19 +1082,31 @@ mod tests {
             blobs.sort_unstable();
             blobs
         };
-        let (flat, fs) = run_mode(topo, false, body);
-        let (hier, hs) = run_mode(topo, true, body);
-        assert_eq!(flat, hier, "blobs must arrive whole and identical");
+        // Every rank sends `dest` the records `i ≡ dest (mod n)`, flushing
+        // once 16 bytes are buffered.
+        let blobs = |_: usize, dest: usize| {
+            let (mut out, mut buffered) = (Vec::new(), 0);
+            for i in (dest..30).step_by(n) {
+                buffered += 3 + i % 5;
+                if buffered >= 16 {
+                    out.push(std::mem::take(&mut buffered));
+                }
+            }
+            out.extend((buffered > 0).then_some(buffered));
+            out
+        };
+        let (hs, (flat_msgs, flat_bytes)) = routed_against_direct(topo, body, blobs);
         assert_eq!(
-            fs.off_node_bytes, hs.off_node_bytes,
-            "off-node payload bytes are mode-independent"
+            hs.off_node_bytes, flat_bytes,
+            "off-node payload bytes are those of the direct sends"
         );
-        assert!(hs.off_node_msgs < fs.off_node_msgs);
+        assert!(hs.off_node_msgs < flat_msgs);
     }
 
     #[test]
-    fn hierarchical_rpc_matches_flat_responses() {
+    fn routed_rpc_returns_the_direct_responses() {
         let topo = Topology::new(8, 2);
+        let n = topo.ranks();
         let body = |ctx: &Ctx| {
             let n = ctx.ranks();
             let mut rpc: RpcAggregator<u64, u64> = RpcAggregator::new(ctx, 3);
@@ -1060,17 +1123,22 @@ mod tests {
             }
             resps
         };
-        let (flat, fs) = run_mode(topo, false, body);
-        let (hier, hs) = run_mode(topo, true, body);
-        assert_eq!(flat, hier, "responses must be identical and in push order");
-        assert_eq!(fs.rpc_resp_bytes, hs.rpc_resp_bytes);
-        assert_eq!(fs.off_node_bytes, hs.off_node_bytes);
-        assert!(hs.off_node_msgs < fs.off_node_msgs);
-        assert_eq!(fs.rpc_round_trips, hs.rpc_round_trips);
+        let requests =
+            |src: usize, dest: usize| (0..50).filter(|i| (i * 7 + src) % n == dest).count();
+        // Requests in batches of 3, then one reply batch per requester.
+        let legs = |src: usize, dest: usize| {
+            let mut out = batches_of(requests(src, dest), 3, size_of::<RpcRequest<u64>>());
+            let answered = requests(dest, src);
+            out.extend((answered > 0).then(|| answered * size_of::<RpcReply<u64>>()));
+            out
+        };
+        let (hs, (flat_msgs, flat_bytes)) = routed_against_direct(topo, body, legs);
+        assert_eq!(hs.off_node_bytes, flat_bytes);
+        assert!(hs.off_node_msgs < flat_msgs);
     }
 
     #[test]
-    fn hierarchical_routing_on_non_uniform_topologies() {
+    fn routing_on_non_uniform_topologies() {
         // 5 ranks at 2 per node: nodes {0,1}, {2,3}, {4} — the last node is
         // partial and its leader is also its only member.
         for topo in [Topology::new(5, 2), Topology::new(7, 3)] {
@@ -1084,31 +1152,44 @@ mod tests {
                     ctx.exchange_map((0..n).map(|d| (d, ctx.rank() as u32)), 4, |r: u32| r + 1);
                 (got, resps)
             };
-            let (flat, fs) = run_mode(topo, false, body);
-            let (hier, hs) = run_mode(topo, true, body);
-            assert_eq!(flat, hier, "topology {topo:?}");
-            assert_eq!(fs.off_node_bytes, hs.off_node_bytes, "topology {topo:?}");
+            // One item each way per (rank, rank) pair: the exchange, one
+            // request, one reply.
+            let legs = |_, _| {
+                vec![
+                    size_of::<u32>(),
+                    size_of::<RpcRequest<u32>>(),
+                    size_of::<RpcReply<u32>>(),
+                ]
+            };
+            let (hs, (_, flat_bytes)) = routed_against_direct(topo, body, legs);
+            assert_eq!(hs.off_node_bytes, flat_bytes, "topology {topo:?}");
         }
     }
 
     #[test]
-    fn single_node_hierarchical_mode_is_byte_identical_to_flat() {
-        // With one node the router is bypassed entirely; the flag must not
-        // change any accounting (existing benchmarks rely on this).
+    fn single_node_teams_send_directly() {
+        // With one node the router is never built: exactly the pattern's
+        // messages, all on-node, and only the lane's own two barriers.
         let body = |ctx: &Ctx| {
             let n = ctx.ranks();
             let mut agg: Aggregator<u64> = Aggregator::new(ctx, 4);
             for i in 0..40u64 {
                 agg.push((i as usize) % n, i);
             }
-            let mut got = agg.finish();
-            got.sort_unstable();
-            got
+            let _ = agg.finish();
         };
-        let (flat, fs) = run_mode(Topology::single_node(4), false, body);
-        let (hier, hs) = run_mode(Topology::single_node(4), true, body);
-        assert_eq!(flat, hier);
-        assert_eq!(fs, hs);
+        let topo = Topology::single_node(4);
+        let team = Team::new(topo);
+        team.run(body);
+        let s = team.stats_total();
+        let (all, _) = direct_sends(topo, |_, _| batches_of(10, 4, 8));
+        assert_eq!((s.msgs_sent, s.bytes_sent), all);
+        assert_eq!((s.on_node_msgs, s.on_node_bytes), all);
+        assert!((0..4).all(|r| team.barriers_entered(r) == 2));
+        // Two nodes add the router's gather and ship barriers.
+        let routed = Team::new(Topology::new(4, 2));
+        routed.run(body);
+        assert!((0..4).all(|r| routed.barriers_entered(r) == 4));
     }
 
     #[test]

@@ -214,11 +214,6 @@ pub struct Team {
     /// The lease index distinguishes collectives of the same item type that
     /// are live simultaneously (see [`Team::reusable_slot`]).
     reusable_slots: Mutex<HashMap<(TypeId, usize), Arc<dyn Any + Send + Sync>>>,
-    /// Route aggregated exchanges through node leaders (two-level gather /
-    /// ship / scatter) instead of flat rank-to-rank all-to-alls. Set before
-    /// an SPMD region via [`Team::set_hierarchical_exchange`]; read by the
-    /// exchange primitives at construction time.
-    hierarchical_exchange: AtomicBool,
 }
 
 thread_local! {
@@ -276,24 +271,22 @@ impl Team {
             reduce_u64: (0..n).map(|_| AtomicU64::new(0)).collect(),
             reduce_f64: (0..n).map(|_| AtomicU64::new(0)).collect(),
             reusable_slots: Mutex::new(HashMap::new()),
-            hierarchical_exchange: AtomicBool::new(false),
         })
     }
 
-    /// Switches the exchange layer between the flat rank-to-rank all-to-all
-    /// (`false`, the default and ablation baseline) and two-level node-leader
-    /// routing (`true`). Must not be flipped from inside an SPMD region:
-    /// every rank of a collective phase has to construct its aggregators
-    /// under the same mode. On a single-node topology the two modes behave
-    /// identically (every destination is on-node, so no payload ever takes
-    /// the leader path).
+    /// Accepts only `true`, which changes nothing: routing follows the
+    /// topology alone (node leaders on a multi-node team, direct sends on a
+    /// single node). Kept for the staged ledger driver, which still passes
+    /// its configuration's `use_hierarchical_exchange` through here.
+    ///
+    /// # Panics
+    /// Panics on `false`: the flat rank-to-rank path for multi-node teams is
+    /// gone.
     pub fn set_hierarchical_exchange(&self, on: bool) {
-        self.hierarchical_exchange.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether aggregated exchanges currently route through node leaders.
-    pub fn hierarchical_exchange(&self) -> bool {
-        self.hierarchical_exchange.load(Ordering::Relaxed)
+        assert!(
+            on,
+            "the flat off-node exchange path is removed: multi-node teams always route              through node leaders"
+        );
     }
 
     /// Leases the team's reusable shared value of type `T`, creating it with
@@ -590,8 +583,9 @@ impl<'t> Ctx<'t> {
 
     /// Records an aggregated message of `bytes` payload to `dest`, splitting
     /// the payload into on-node and off-node bytes according to the topology.
-    /// Under hierarchical routing each leg (gather, ship, scatter) is a
-    /// message of its own, so the legs' byte classes add up correctly.
+    /// On a multi-node team each leg of a node-leader route (gather, ship,
+    /// scatter) is a message of its own, so the legs' byte classes add up
+    /// correctly.
     #[inline]
     pub fn record_message(&self, dest: usize, bytes: usize) {
         let s = self.stats();
@@ -606,13 +600,6 @@ impl<'t> Ctx<'t> {
         }
         // The message itself also counts as a (single) remote or local access.
         self.record_access(dest);
-    }
-
-    /// Whether this team routes aggregated exchanges through node leaders
-    /// (see [`Team::set_hierarchical_exchange`]).
-    #[inline]
-    pub fn hierarchical_exchange(&self) -> bool {
-        self.team.hierarchical_exchange()
     }
 
     /// Records the response leg of a *one-sided* aggregated read: the payload
@@ -1109,14 +1096,11 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_exchange_flag_defaults_off() {
+    #[should_panic(expected = "flat off-node exchange path is removed")]
+    fn asking_for_the_flat_exchange_panics() {
         let team = Team::new(Topology::new(4, 2));
-        assert!(!team.hierarchical_exchange());
         team.set_hierarchical_exchange(true);
-        assert!(team.hierarchical_exchange());
-        team.run(|ctx| assert!(ctx.hierarchical_exchange()));
         team.set_hierarchical_exchange(false);
-        assert!(!team.hierarchical_exchange());
     }
 
     #[test]

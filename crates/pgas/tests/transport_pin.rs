@@ -1,10 +1,11 @@
 //! Pins the traffic every transport face produces: messages, bytes (on- and
 //! off-node), RPC response bytes and round trips, barriers and the number of
-//! collective ops each rank records, for fixed inputs on every topology and
-//! routing mode the exchange layer distinguishes. The expected table
-//! (`transport_pin.expected`) was produced by the five hand-written transport
-//! paths before they became one lane; the lane must carry exactly the same
-//! traffic.
+//! collective ops each rank records, for fixed inputs on every kind of
+//! topology the exchange layer distinguishes: one rank, one node (direct
+//! sends) and several nodes (node-leader routing, marked `hier`), uniform and
+//! with a partial last node. The expected table (`transport_pin.expected`)
+//! was produced by the five hand-written transport paths before they became
+//! one lane; the lane must carry exactly the same traffic.
 
 use pgas::{Aggregator, BlobAggregator, Ctx, RpcAggregator, Team, Topology};
 
@@ -98,32 +99,23 @@ const FACES: &[(&str, Face)] = &[
     ("exchange_map", exchange_map),
 ];
 
-/// `(ranks, ranks per node, hierarchical routing)`.
-const TEAMS: &[(usize, usize, bool)] = &[
-    (1, 1, false),
-    (2, 2, false),
-    (4, 4, false),
-    (4, 2, false),
-    (4, 2, true),
-    (5, 5, false),
-    (5, 2, false),
-    (5, 2, true),
-];
+/// `(ranks, ranks per node)`.
+const TEAMS: &[(usize, usize)] = &[(1, 1), (2, 2), (4, 4), (4, 2), (5, 5), (5, 2)];
 
 /// One line per (face, team, rank) with every pinned counter.
 fn measure() -> String {
     let mut out = String::new();
     for &(face, body) in FACES {
-        for &(ranks, per_node, hier) in TEAMS {
+        for &(ranks, per_node) in TEAMS {
             let team = Team::new(Topology::new(ranks, per_node));
-            team.set_hierarchical_exchange(hier);
+            let routed = team.topology().nodes() > 1;
             let received = team.run(body);
             for (rank, recv) in received.into_iter().enumerate() {
                 let s = team.stats(rank).snapshot();
                 out += &format!(
                     "{face} {ranks}/{per_node}{} r{rank}: msgs={} bytes={} on={}/{} off={}/{} \
                      rpc_resp={} rtt={} barriers={} ops={} recv={recv}\n",
-                    if hier { " hier" } else { "" },
+                    if routed { " hier" } else { "" },
                     s.msgs_sent,
                     s.bytes_sent,
                     s.on_node_msgs,

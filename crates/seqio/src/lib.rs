@@ -10,9 +10,6 @@
 //! * [`fasta`] / [`fastq`] — parsing and writing of the standard text formats;
 //! * [`mod@reference`] — named reference genomes used by the simulator and the
 //!   quality-evaluation crate;
-//! * [`qc`] — light-weight quality trimming (the BBtools pre-processing step of
-//!   the paper is outside the evaluated pipeline; this is only used by tests
-//!   and examples that want slightly dirty data);
 //! * [`packed`] / [`source`] — the borrowed 2-bit view of a read and the
 //!   streaming [`ReadSource`] of such views that k-mer analysis consumes.
 //!
@@ -24,7 +21,6 @@ pub mod alphabet;
 pub mod fasta;
 pub mod fastq;
 pub mod packed;
-pub mod qc;
 pub mod read;
 pub mod reference;
 pub mod source;
