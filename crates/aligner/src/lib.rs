@@ -32,5 +32,5 @@ pub mod localize;
 pub mod seed_index;
 
 pub use align::{align_reads_ref, AlignParams, Alignment, AlignmentSet};
-pub use localize::{localize_pairs, ReadDistribution};
+pub use localize::{localize_pairs, localize_reads, ReadDistribution};
 pub use seed_index::{build_seed_index_ref, RemoteHits, SeedHit, SeedIndex};

@@ -13,9 +13,9 @@ use dht::fx_hash_one;
 use pgas::Ctx;
 use seqio::ReadId;
 
-/// Which rank owns which read pairs. `per_rank[r]` lists pair indices assigned
-/// to rank `r`; the distribution is identical on every rank after
-/// [`localize_pairs`] (it is broadcast).
+/// Which rank owns which read pairs (single reads, for an unpaired library).
+/// `per_rank[r]` lists the pair indices assigned to rank `r`; the distribution
+/// is identical on every rank after [`localize_reads`] (it is broadcast).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReadDistribution {
     pub per_rank: Vec<Vec<u64>>,
@@ -87,20 +87,34 @@ impl ReadDistribution {
     }
 }
 
-/// Collectively computes the localised distribution: each pair goes to rank
-/// `(contig of its best alignment) mod P`. `local_alignments` are the
-/// alignments this rank produced for the pairs it currently owns.
+/// Collectively computes the localised distribution of a paired library:
+/// [`localize_reads`] with pairs as the units.
 pub fn localize_pairs(
     ctx: &Ctx,
     num_pairs: usize,
     local_alignments: &[Alignment],
 ) -> ReadDistribution {
-    // For every locally known pair, pick the contig of the best alignment of
-    // either mate (deterministic: highest matches, ties to lower contig id).
+    localize_reads(ctx, num_pairs, local_alignments, true)
+}
+
+/// Collectively computes the localised distribution of a library's units —
+/// read pairs when `paired` (read `r` is in pair `r / 2`), single reads
+/// otherwise: each unit goes to rank `(contig of its best alignment) mod P`.
+/// `local_alignments` are the alignments this rank produced for the units it
+/// currently owns.
+pub fn localize_reads(
+    ctx: &Ctx,
+    num_units: usize,
+    local_alignments: &[Alignment],
+    paired: bool,
+) -> ReadDistribution {
+    // For every locally known unit, pick the contig of the best alignment of
+    // any of its reads (deterministic: highest matches, ties to lower contig
+    // id).
     let mut best: std::collections::HashMap<u64, (usize, u64)> = std::collections::HashMap::new();
     for a in local_alignments {
-        let pair = a.read_id / 2;
-        let entry = best.entry(pair).or_insert((0, u64::MAX));
+        let unit = if paired { a.read_id / 2 } else { a.read_id };
+        let entry = best.entry(unit).or_insert((0, u64::MAX));
         let key = (a.matches, u64::MAX - a.contig);
         let cur = (entry.0, u64::MAX - entry.1);
         if key > cur {
@@ -109,16 +123,16 @@ pub fn localize_pairs(
     }
     let assignments: Vec<(u64, u64)> = best
         .into_iter()
-        .map(|(pair, (_m, contig))| (pair, contig))
+        .map(|(unit, (_m, contig))| (unit, contig))
         .collect();
 
     // Gather all assignments on rank 0 and build the full distribution.
     let gathered = ctx.gather(assignments);
     ctx.broadcast(|| {
-        let mut targets = vec![u64::MAX; num_pairs];
-        for (pair, contig) in gathered {
-            if (pair as usize) < num_pairs {
-                targets[pair as usize] = contig;
+        let mut targets = vec![u64::MAX; num_units];
+        for (unit, contig) in gathered {
+            if (unit as usize) < num_units {
+                targets[unit as usize] = contig;
             }
         }
         ReadDistribution::from_targets(targets, ctx.ranks())

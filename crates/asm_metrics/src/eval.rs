@@ -289,38 +289,6 @@ fn nga(blocks_lens: &mut [usize], genome_len: usize, fraction: f64) -> usize {
     0
 }
 
-/// One anchored block of a sequence, for [`debug_blocks`]:
-/// `(genome, forward, asm_start, asm_end, ref_start, ref_end)`.
-pub type BlockView = (usize, bool, usize, usize, usize, usize);
-
-/// Debug view of the anchored blocks of each assembly sequence.
-#[doc(hidden)]
-pub fn debug_blocks(
-    assembly: &[Vec<u8>],
-    refs: &ReferenceSet,
-    params: &EvalParams,
-) -> Vec<Vec<BlockView>> {
-    let index = build_anchor_index(refs, params.anchor_k);
-    assembly
-        .iter()
-        .map(|seq| {
-            blocks_of_sequence(seq, &index, params)
-                .into_iter()
-                .map(|b| {
-                    (
-                        b.genome,
-                        b.forward,
-                        b.asm_start,
-                        b.asm_end,
-                        b.ref_start,
-                        b.ref_end,
-                    )
-                })
-                .collect()
-        })
-        .collect()
-}
-
 /// Evaluates an assembly (a set of scaffold/contig sequences) against the
 /// reference community.
 pub fn evaluate(assembly: &[Vec<u8>], refs: &ReferenceSet, params: &EvalParams) -> AssemblyReport {

@@ -1,5 +1,5 @@
-//! Criterion micro-benchmarks of the distributed substrates: the four
-//! hash-table phases, k-mer analysis, contig k-mer injection, the extraction
+//! Criterion micro-benchmarks of the distributed substrates: the update-only
+//! hash-table phase, k-mer analysis, contig k-mer injection, the extraction
 //! hot loops (rolling minimizer, supermer grouping), the graph traversal,
 //! alignment, the Bloom filter, local assembly (one mer-walk, and the whole
 //! stage on store-backed pools) and rRNA classification.
@@ -78,21 +78,6 @@ fn bench_dht_phases(c: &mut Criterion) {
                     2048,
                     |a, v| *a += v,
                 );
-            })
-        })
-    });
-    c.bench_function("dht/global_read_write_20k", |b| {
-        b.iter(|| {
-            team.run(|ctx| {
-                let map: Arc<DistMap<u64, u64>> = DistMap::shared(ctx);
-                for i in 0..5_000u64 {
-                    map.update(ctx, &(i % 1000), |v| {
-                        if let Some(v) = v {
-                            *v += 1
-                        }
-                    });
-                    map.upsert(ctx, i % 1000, || 0, |v| *v += 1);
-                }
             })
         })
     });

@@ -53,7 +53,7 @@ use std::path::{Path, PathBuf};
 /// File magic: every checkpoint file starts with these 8 bytes.
 pub const MAGIC: [u8; 8] = *b"MHMCKPT1";
 /// Format version; bumped on any incompatible layout change.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 const TAG_META: u32 = u32::from_be_bytes(*b"META");
 const TAG_CTGM: u32 = u32::from_be_bytes(*b"CTGM");
@@ -268,10 +268,9 @@ pub struct Manifest {
     /// Read-localisation placement in rank-count-independent form
     /// (`ReadDistribution::targets`); `None` means the block distribution.
     pub targets: Option<Vec<u64>>,
-    /// Read-store header. The format keeps it optional, as checkpoints
-    /// written by runs that held the reads replicated carry none; the
-    /// pipeline refuses to resume from such a checkpoint.
-    pub read_header: Option<ReadStoreHeader>,
+    /// Read-store header: the replicated half of the read store, whose
+    /// blocks the shard files carry.
+    pub read_header: ReadStoreHeader,
     /// Per-rank collective-conformance stamps `(ops, digest)` taken at the
     /// top of [`commit`]: the number of collective operations the rank had
     /// issued and the running digest over their descriptors. A conforming
@@ -316,24 +315,19 @@ fn encode_manifest(m: &Manifest) -> Vec<(u32, Vec<u8>)> {
     }
 
     let mut read = Enc::new();
-    match &m.read_header {
-        None => read.u8(0),
-        Some(h) => {
-            read.u8(1);
-            read.bytes(h.name.as_bytes());
-            read.u8(h.paired as u8);
-            read.u64(h.insert_size as u64);
-            read.u64(h.insert_sd as u64);
-            read.u8(match h.orientation {
-                PairOrientation::ForwardReverse => 0,
-                PairOrientation::ReverseForward => 1,
-            });
-            read.u64(h.block_reads as u64);
-            read.u64(h.lens.len() as u64);
-            for &l in &h.lens {
-                read.u32(l);
-            }
-        }
+    let h = &m.read_header;
+    read.bytes(h.name.as_bytes());
+    read.u8(h.paired as u8);
+    read.u64(h.insert_size as u64);
+    read.u64(h.insert_sd as u64);
+    read.u8(match h.orientation {
+        PairOrientation::ForwardReverse => 0,
+        PairOrientation::ReverseForward => 1,
+    });
+    read.u64(h.block_reads as u64);
+    read.u64(h.lens.len() as u64);
+    for &l in &h.lens {
+        read.u32(l);
     }
 
     vec![
@@ -415,36 +409,30 @@ fn decode_manifest(body: &[u8]) -> Result<Manifest, String> {
     d.done()?;
 
     let mut d = Dec::new(find(TAG_READ)?);
-    let read_header = match d.u8()? {
-        0 => None,
-        1 => {
-            let name = String::from_utf8(d.bytes()?.to_vec())
-                .map_err(|_| "library name is not UTF-8".to_string())?;
-            let paired = d.u8()? != 0;
-            let insert_size = d.u64()? as usize;
-            let insert_sd = d.u64()? as usize;
-            let orientation = match d.u8()? {
-                0 => PairOrientation::ForwardReverse,
-                1 => PairOrientation::ReverseForward,
-                other => return Err(format!("bad pair orientation {other}")),
-            };
-            let block_reads = d.u64()? as usize;
-            let n = d.u64()? as usize;
-            let mut lens = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                lens.push(d.u32()?);
-            }
-            Some(ReadStoreHeader {
-                name,
-                paired,
-                insert_size,
-                insert_sd,
-                orientation,
-                block_reads,
-                lens,
-            })
-        }
-        other => return Err(format!("bad read-header flag {other}")),
+    let name = String::from_utf8(d.bytes()?.to_vec())
+        .map_err(|_| "library name is not UTF-8".to_string())?;
+    let paired = d.u8()? != 0;
+    let insert_size = d.u64()? as usize;
+    let insert_sd = d.u64()? as usize;
+    let orientation = match d.u8()? {
+        0 => PairOrientation::ForwardReverse,
+        1 => PairOrientation::ReverseForward,
+        other => return Err(format!("bad pair orientation {other}")),
+    };
+    let block_reads = d.u64()? as usize;
+    let n = d.u64()? as usize;
+    let mut lens = Vec::with_capacity(n.min(1 << 20));
+    for _ in 0..n {
+        lens.push(d.u32()?);
+    }
+    let read_header = ReadStoreHeader {
+        name,
+        paired,
+        insert_size,
+        insert_sd,
+        orientation,
+        block_reads,
+        lens,
     };
     d.done()?;
 
@@ -771,7 +759,7 @@ mod tests {
                 },
             ],
             targets: Some(vec![0, u64::MAX, 5, 1]),
-            read_header: Some(ReadStoreHeader {
+            read_header: ReadStoreHeader {
                 name: "lib".to_string(),
                 paired: true,
                 insert_size: 280,
@@ -779,7 +767,7 @@ mod tests {
                 orientation: PairOrientation::ForwardReverse,
                 block_reads: 4,
                 lens: vec![90, 90, 88, 90],
-            }),
+            },
             conformance: vec![(321, 0xFEED_FACE); 3],
         }
     }
@@ -805,7 +793,15 @@ mod tests {
             sample_manifest(),
             Manifest {
                 targets: None,
-                read_header: None,
+                read_header: ReadStoreHeader {
+                    name: String::new(),
+                    paired: false,
+                    insert_size: 0,
+                    insert_sd: 0,
+                    orientation: PairOrientation::ReverseForward,
+                    block_reads: 1,
+                    lens: Vec::new(),
+                },
                 contig_meta: Vec::new(),
                 conformance: Vec::new(),
                 ..sample_manifest()

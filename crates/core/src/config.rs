@@ -209,17 +209,12 @@ impl AssemblyConfig {
                 dbg::MAX_K
             ));
         }
-        for (field, batch) in [
-            ("align.lookup_batch", self.align.lookup_batch),
-            ("bubble.lookup_batch", self.bubble.lookup_batch),
-            ("prune.lookup_batch", self.prune.lookup_batch),
-        ] {
-            if batch == 0 {
-                return Err(format!(
-                    "{field} must be >= 1, got 0 (it is how many lookups one aggregated message \
-                     carries)"
-                ));
-            }
+        if self.align.lookup_batch == 0 {
+            return Err(
+                "align.lookup_batch must be >= 1, got 0 (it is how many lookups one aggregated \
+                 message carries)"
+                    .to_string(),
+            );
         }
         if self.align.stride == 0 {
             return Err(
@@ -361,20 +356,6 @@ impl AssemblyConfig {
             cache_bytes: self.read_cache_bytes,
             ..Default::default()
         }
-    }
-
-    /// Sets the aggregated-lookup batch size on every stage that takes one:
-    /// alignment seed lookups and the contig-graph anchor lookups behind
-    /// bubble merging and pruning. It is a size, not a mode — every remote
-    /// table read is aggregated and cached whatever the value, `1` merely
-    /// puts one key in each message — and the result of an assembly is
-    /// byte-identical for every value.
-    pub fn with_lookup_batch(mut self, batch: usize) -> Self {
-        assert!(batch > 0, "lookup batch must be positive");
-        self.align.lookup_batch = batch;
-        self.bubble.lookup_batch = batch;
-        self.prune.lookup_batch = batch;
-        self
     }
 
     /// A configuration suitable for the small simulated communities used in
@@ -567,14 +548,6 @@ mod tests {
                 "align.min_identity",
             ),
             (
-                edited(|cfg| cfg.bubble.lookup_batch = 0),
-                "bubble.lookup_batch",
-            ),
-            (
-                edited(|cfg| cfg.prune.lookup_batch = 0),
-                "prune.lookup_batch",
-            ),
-            (
                 AssemblyConfig {
                     read_block_reads: 63,
                     ..Default::default()
@@ -636,16 +609,6 @@ mod tests {
         let mut other_eps = base.clone();
         other_eps.min_kmer_count = 3;
         assert_ne!(base.fingerprint(), other_eps.fingerprint());
-    }
-
-    #[test]
-    fn with_lookup_batch_threads_the_size_through_every_stage() {
-        let cfg = AssemblyConfig::default().with_lookup_batch(64);
-        assert_eq!(cfg.align.lookup_batch, 64);
-        assert_eq!(cfg.bubble.lookup_batch, 64);
-        assert_eq!(cfg.prune.lookup_batch, 64);
-        let fine = AssemblyConfig::default().with_lookup_batch(1);
-        assert_eq!(fine.align.lookup_batch, 1);
     }
 
     #[test]

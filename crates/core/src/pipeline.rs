@@ -5,7 +5,7 @@ use crate::config::AssemblyConfig;
 use crate::local_assembly::extend_contigs_locally_ref;
 use crate::timing::StageTimings;
 use aligner::{
-    align_reads_ref, build_seed_index_ref, localize_pairs, AlignmentSet, ReadDistribution,
+    align_reads_ref, build_seed_index_ref, localize_reads, AlignmentSet, ReadDistribution,
 };
 use dbg::{
     build_graph, inject_contig_kmers_ref, kmer_analysis_from, merge_bubbles_and_remove_hair,
@@ -273,7 +273,7 @@ impl MetaHipMer {
             // --- 7. read localisation for the next iteration -------------------
             if cfg.read_localization && !is_last {
                 distribution = timings.time(ctx, "read_localization", || {
-                    localize_pairs(ctx, num_pairs, &alignments.alignments)
+                    localize_reads(ctx, num_pairs, &alignments.alignments, library.paired)
                 });
             }
             last_alignments = alignments;
@@ -397,7 +397,7 @@ impl MetaHipMer {
             contig_k: contigs.k(),
             contig_meta,
             targets: (!distribution.targets.is_empty()).then(|| distribution.targets.clone()),
-            read_header: Some(reads.header()),
+            read_header: reads.header(),
             conformance: Vec::new(), // stamped by commit
         };
         let shard = checkpoint::ShardData {
@@ -429,13 +429,12 @@ impl MetaHipMer {
         let shard = checkpoint::load_shards_for_rank(path, ctx.rank(), ctx.ranks(), manifest.ranks)
             .unwrap_or_else(|e| panic!("checkpoint restore from {}: {e}", path.display()));
 
-        let header = manifest.read_header.unwrap_or_else(|| {
-            panic!(
-                "checkpoint at {} holds no read-store header",
-                path.display()
-            )
-        });
-        let reads = ReadStore::restore(ctx, header, &cfg.read_store_params(), shard.read_blocks);
+        let reads = ReadStore::restore(
+            ctx,
+            manifest.read_header,
+            &cfg.read_store_params(),
+            shard.read_blocks,
+        );
         let contigs = ContigStore::restore(
             ctx,
             manifest.contig_k,
@@ -541,6 +540,65 @@ mod tests {
         assert!(out.stage_seconds("scaffolding") > 0.0);
         assert!(out.total_seconds > 0.0);
         assert_eq!(out.local_assembly_work.len(), 4);
+    }
+
+    #[test]
+    fn unpaired_reads_are_localised_by_read_and_assemble_rank_invariantly() {
+        let (refs, paired, consensus) = small_dataset(47);
+        let mut library = ReadLibrary::new_unpaired("unpaired");
+        for read in paired.reads {
+            library.push_read(read);
+        }
+        let cfg = AssemblyConfig::small_test();
+        let mhm = MetaHipMer::new(cfg.clone());
+        // The pipeline's localisation step, on alignments to the genomes.
+        let ranks = 2;
+        let per_rank = Team::single_node(ranks).run(|ctx| {
+            let reads = ReadStore::build(ctx, &library, &cfg.read_store_params());
+            let genomes = ContigSet::from_sequences(
+                21,
+                refs.genomes.iter().map(|g| (g.seq.clone(), 1.0)).collect(),
+            );
+            let store = ContigStore::build(ctx, &genomes, &cfg.contig_store_params());
+            let block = ReadDistribution::block(library.num_reads(), ctx.ranks());
+            let ids = mhm.read_ids_of(ctx, &library, &block);
+            let alignments = align(ctx, &reads, ids, &store, &cfg.align).alignments;
+            let localised = localize_reads(ctx, library.num_reads(), &alignments, library.paired);
+            (alignments, mhm.read_ids_of(ctx, &library, &localised))
+        });
+        // Every read's best contig: most matches, ties to the lower id.
+        let mut best: std::collections::HashMap<ReadId, (usize, u64)> = Default::default();
+        for a in per_rank.iter().flat_map(|(alignments, _)| alignments) {
+            let entry = best.entry(a.read_id).or_insert((0, u64::MAX));
+            if (a.matches, u64::MAX - a.contig) > (entry.0, u64::MAX - entry.1) {
+                *entry = (a.matches, a.contig);
+            }
+        }
+        let n = library.num_reads() as ReadId;
+        assert!(
+            best.keys().any(|&r| r >= n / 2),
+            "reads past the first half align too"
+        );
+        let mut owned: Vec<ReadId> = Vec::new();
+        for (rank, (_, mine)) in per_rank.iter().enumerate() {
+            for r in mine {
+                if let Some(&(_, contig)) = best.get(r) {
+                    assert_eq!(
+                        contig % ranks as u64,
+                        rank as u64,
+                        "read {r} off its contig"
+                    );
+                }
+            }
+            owned.extend(mine);
+        }
+        owned.sort_unstable();
+        assert_eq!(owned, (0..n).collect::<Vec<_>>(), "every read owned once");
+
+        let out1 = mhm.assemble(&Team::single_node(1), &library, Some(&consensus));
+        let out2 = mhm.assemble(&Team::single_node(2), &library, Some(&consensus));
+        assert!(!out1.scaffolds.is_empty(), "the unpaired library assembled");
+        assert_eq!(out1.sequences(), out2.sequences(), "1 and 2 ranks differ");
     }
 
     #[test]

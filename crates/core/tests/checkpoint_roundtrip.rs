@@ -6,7 +6,8 @@
 use mhm_core::checkpoint::{self, Manifest, ShardData};
 use mhm_core::{AssemblyConfig, MetaHipMer};
 use pgas::{FaultPlan, Team};
-use seqio::ReadLibrary;
+use readstore::ReadStoreHeader;
+use seqio::{PairOrientation, ReadLibrary};
 use std::fs;
 use std::path::PathBuf;
 
@@ -140,46 +141,6 @@ fn kill_after_iteration_then_elastic_resume_is_byte_identical() {
 }
 
 #[test]
-fn a_checkpoint_without_a_read_store_header_is_refused_by_its_path() {
-    // The format still carries the read-store header as an option, but the
-    // pipeline has no reads to resume from without it: such a checkpoint is
-    // refused by name instead of resumed.
-    let (library, consensus) = small_dataset(73);
-    let dir = tempdir("headerless");
-    let mut cfg = base_config();
-    cfg.checkpoint_dir = Some(dir.clone());
-    cfg.resume = true;
-    let manifest = Manifest {
-        fingerprint: cfg.fingerprint(),
-        ranks: 1,
-        next_iter: 1,
-        num_pairs: library.num_pairs(),
-        barriers_at_commit: 0,
-        contig_k: 21,
-        contig_meta: Vec::new(),
-        targets: None,
-        read_header: None,
-        conformance: Vec::new(),
-    };
-    Team::single_node(1).run(|ctx| {
-        checkpoint::commit(ctx, &dir, manifest.clone(), &ShardData::default());
-    });
-    let (_, path) = checkpoint::find_latest(&dir, cfg.fingerprint()).expect("committed");
-    let refused = std::panic::catch_unwind(|| {
-        MetaHipMer::new(cfg).assemble(&Team::single_node(1), &library, Some(&consensus))
-    })
-    .expect_err("a headerless checkpoint must not resume");
-    let message = refused
-        .downcast_ref::<String>()
-        .expect("a formatted panic message");
-    assert!(
-        message.contains(&path.display().to_string()) && message.contains("read-store header"),
-        "{message}"
-    );
-    fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn committed_state_round_trips_across_any_rank_count() {
     // Format property: state committed by an R-rank team is recovered
     // entirely — every entry exactly once — by a team of any other size
@@ -210,7 +171,15 @@ fn committed_state_round_trips_across_any_rank_count() {
             contig_k: 21,
             contig_meta: Vec::new(),
             targets: None,
-            read_header: None,
+            read_header: ReadStoreHeader {
+                name: "lib".to_string(),
+                paired: true,
+                insert_size: 280,
+                insert_sd: 25,
+                orientation: PairOrientation::ForwardReverse,
+                block_reads: 4,
+                lens: Vec::new(),
+            },
             conformance: Vec::new(),
         };
         checkpoint::commit(

@@ -171,7 +171,10 @@ fn unit_batches_tiny_blocks_and_a_partial_node_assemble_the_default_scaffolds() 
     assert!(!default.is_empty(), "default produced no scaffolds");
     type Tweak = fn(AssemblyConfig) -> AssemblyConfig;
     let degenerate: [(&str, usize, Tweak); 3] = [
-        ("lookup_batch = 1", 2, |cfg| cfg.with_lookup_batch(1)),
+        ("align.lookup_batch = 1", 2, |mut cfg| {
+            cfg.align.lookup_batch = 1;
+            cfg
+        }),
         ("ranks_per_node = 2 on 3 ranks", 3, |mut cfg| {
             cfg.ranks_per_node = 2;
             cfg

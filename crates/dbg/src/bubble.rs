@@ -13,7 +13,7 @@
 //! adjacency (the decision pass is trivially cheap compared to building the
 //! anchors, which is the distributed part).
 
-use crate::contig_graph::{build_adjacency, ContigAdjacency};
+use crate::contig_graph::{build_adjacency, ContigAdjacency, ANCHOR_LOOKUP_BATCH};
 use crate::graph::KmerGraph;
 use crate::types::{ContigId, ContigSet};
 use kmers::Kmer;
@@ -32,9 +32,6 @@ pub struct BubbleParams {
     pub len_tolerance: f64,
     /// Remove dead-end dangling contigs ("hair") shorter than `2k`.
     pub remove_hair: bool,
-    /// Aggregation batch size for the anchor lookups behind the contig
-    /// graph: at most this many (> 0) travel in one message to an owner.
-    pub lookup_batch: usize,
 }
 
 impl Default for BubbleParams {
@@ -43,7 +40,6 @@ impl Default for BubbleParams {
             merge_long_bubbles: false,
             len_tolerance: 0.05,
             remove_hair: true,
-            lookup_batch: 4096,
         }
     }
 }
@@ -63,7 +59,7 @@ pub fn merge_bubbles_and_remove_hair(
     graph: &KmerGraph,
     params: &BubbleParams,
 ) -> (ContigSet, BubbleReport) {
-    let adjacency = build_adjacency(ctx, contigs, graph, params.lookup_batch);
+    let adjacency = build_adjacency(ctx, contigs, graph, ANCHOR_LOOKUP_BATCH);
     let (removed, extra_depth, report) = decide(contigs, &adjacency, params);
 
     // Apply the (identical) decisions: rebuild the contig set without the

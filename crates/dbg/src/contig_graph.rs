@@ -15,6 +15,11 @@ use kmers::{Ext, Kmer};
 use pgas::Ctx;
 use std::sync::Arc;
 
+/// Aggregation batch of the anchor lookups behind the contig graph that
+/// bubble merging and pruning build: at most this many travel in one message
+/// to an owner. The adjacency does not depend on it.
+pub(crate) const ANCHOR_LOOKUP_BATCH: usize = 4096;
+
 /// Which end of a contig an anchor belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Side {

@@ -5,31 +5,41 @@
 //! Each maximal path is discovered from both of its ends; the walker whose
 //! starting end has the lexicographically smaller canonical k-mer emits the
 //! contig. Vertices are claimed `used` — the paper's atomic claim writes — in
-//! aggregated batches through [`dht::DistMap::update_many`], and k-mers never
-//! touched by a path walk lie on cycles, walked in a second phase with the
-//! cycle's minimal canonical k-mer designating the emitter.
+//! batches: the claimed k-mers are exchanged to their owners, and each owner
+//! marks its own through [`dht::DistMap::local_view`]. K-mers never touched
+//! by a path walk lie on cycles, walked in a second phase with the cycle's
+//! minimal canonical k-mer designating the emitter.
 //!
 //! It is the only independent implementation that gets hairpin paths and
 //! Möbius cycles right, which is why it stays; it is compiled under
 //! `#[cfg(test)]` only, so no configuration can reach it.
 
 use crate::graph::{lookup_oriented, KmerGraph};
+use crate::table::with_keys;
 use crate::traversal::{eligible, push_contig, share_contig_set, TraversalParams};
 use crate::types::ContigSet;
-use kmers::{Ext, Kmer};
+use kmers::{Ext, Kmer, KmerKey};
 use pgas::Ctx;
 
-/// Per-owner batch size for the aggregated `used`-claim writes.
-const CLAIM_BATCH: usize = 4096;
-
-/// Claims a batch of vertices as `used` (idempotent; the aggregated form of
-/// the paper's §II-D atomic claim writes). Collective.
+/// Claims a batch of vertices as `used` (idempotent; the batched form of the
+/// paper's §II-D atomic claim writes): each k-mer travels to its owner, which
+/// marks it in its own shard. Collective; every claim is visible on return.
 fn claim_used(ctx: &Ctx, graph: &KmerGraph, keys: &[Kmer]) {
-    graph.counts.update_many(ctx, keys, CLAIM_BATCH, |c| {
-        if let Some(c) = c {
-            c.used = true;
+    let counts = &graph.counts;
+    let mut outgoing: Vec<Vec<Kmer>> = vec![Vec::new(); ctx.ranks()];
+    for kmer in keys {
+        outgoing[counts.owner_of(kmer)].push(*kmer);
+    }
+    let mine = ctx.exchange(outgoing);
+    with_keys!(counts, map => {
+        let mut view = map.local_view(ctx);
+        for kmer in &mine {
+            if let Some(c) = view.get_mut(&KmerKey::of_kmer(kmer)) {
+                c.used = true;
+            }
         }
     });
+    ctx.barrier();
 }
 
 /// True if `kmer` (in walk orientation) is an eligible vertex whose left

@@ -8,7 +8,7 @@
 //! detected with an all-reduce over a per-rank "pruned anything" flag, exactly
 //! as described in the paper.
 
-use crate::contig_graph::build_adjacency;
+use crate::contig_graph::{build_adjacency, ANCHOR_LOOKUP_BATCH};
 use crate::graph::KmerGraph;
 use crate::types::{ContigId, ContigSet};
 use pgas::Ctx;
@@ -24,9 +24,6 @@ pub struct PruningParams {
     /// Hard cap on the number of iterations (safety net; the geometric
     /// schedule normally terminates long before this).
     pub max_rounds: usize,
-    /// Aggregation batch size for the anchor lookups behind the contig
-    /// graph: at most this many (> 0) travel in one message to an owner.
-    pub lookup_batch: usize,
 }
 
 impl Default for PruningParams {
@@ -35,7 +32,6 @@ impl Default for PruningParams {
             alpha: 0.25,
             beta: 0.5,
             max_rounds: 200,
-            lookup_batch: 4096,
         }
     }
 }
@@ -58,7 +54,7 @@ pub fn prune_iteratively(
     params: &PruningParams,
 ) -> (ContigSet, PruningReport) {
     assert!(params.alpha > 0.0, "alpha must be positive");
-    let adjacency = build_adjacency(ctx, contigs, graph, params.lookup_batch);
+    let adjacency = build_adjacency(ctx, contigs, graph, ANCHOR_LOOKUP_BATCH);
     let n = contigs.len();
     let mut alive = vec![true; n];
     let mut report = PruningReport::default();

@@ -177,25 +177,6 @@ impl KmerTable {
         with_keys!(self, map => map.get_many_as(ctx, kmers, batch, KmerKey::of_kmer, &f))
     }
 
-    /// Collective batched entry update of canonical k-mers
-    /// ([`DistMap::update_many`]).
-    #[cfg(test)]
-    pub(crate) fn update_many<R>(
-        &self,
-        ctx: &Ctx,
-        kmers: &[Kmer],
-        batch: usize,
-        mut f: impl FnMut(Option<&mut KmerCounts>) -> R,
-    ) -> Vec<R>
-    where
-        R: Send + Sync + 'static,
-    {
-        with_keys!(self, map => {
-            let keys: Vec<_> = kmers.iter().map(KmerKey::of_kmer).collect();
-            map.update_many(ctx, &keys, batch, |_, c| f(c))
-        })
-    }
-
     /// Merges `(k-mer, counts)` items owned by the calling rank into its
     /// shard ([`DistMap::apply_local_batch`]).
     #[cfg(test)]

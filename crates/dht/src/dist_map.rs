@@ -200,33 +200,6 @@ where
         })
     }
 
-    /// Collective batched entry update: ships the keys to their owners in
-    /// aggregated messages, runs `f` under the owning sub-shard's lock (the
-    /// batched analogue of [`DistMap::update`]; one global atomic is recorded
-    /// per applied update, on the serving rank), and returns the closures'
-    /// results in key order. Every rank must call this in the same phase.
-    pub fn update_many<R>(
-        &self,
-        ctx: &Ctx,
-        keys: &[K],
-        batch: usize,
-        mut f: impl FnMut(&K, Option<&mut V>) -> R,
-    ) -> Vec<R>
-    where
-        R: Send + Sync + 'static,
-    {
-        let mut rpc: RpcAggregator<K, R> = RpcAggregator::new(ctx, batch);
-        for key in keys {
-            rpc.push(self.owner_of(key), key.clone());
-        }
-        rpc.finish(|key| {
-            ctx.record(Counter::atomic_ops, 1);
-            let (owner, sub) = self.slot(&key);
-            let mut guard = self.shards[owner].subs[sub].lock();
-            f(&key, guard.get_mut(&key))
-        })
-    }
-
     /// One-sided aggregated batched read: like [`DistMap::get_many`] but
     /// **not** collective — the calling rank groups the keys by owner,
     /// records one aggregated request and one aggregated response per
@@ -274,43 +247,6 @@ where
     /// is `Arc`-shared across the team.
     fn phase_token(&self) -> usize {
         self as *const Self as *const () as usize
-    }
-
-    /// Runs a closure with a mutable view of the entry (or `None` if absent)
-    /// while holding the entry's lock: the equivalent of UPC's
-    /// compare-and-swap / remote-atomic sequences on hash-table entries. The
-    /// closure's return value is passed through. Counts as one global atomic.
-    pub fn update<R>(&self, ctx: &Ctx, key: &K, f: impl FnOnce(Option<&mut V>) -> R) -> R {
-        let (owner, sub) = self.slot(key);
-        ctx.record_access(owner);
-        ctx.record(Counter::atomic_ops, 1);
-        let mut guard = self.shards[owner].subs[sub].lock();
-        f(guard.get_mut(key))
-    }
-
-    /// Inserts `default()` if the key is absent, then applies `merge` to the
-    /// stored value. Commutative upsert used by the update-only phases.
-    pub fn upsert(
-        &self,
-        ctx: &Ctx,
-        key: K,
-        default: impl FnOnce() -> V,
-        merge: impl FnOnce(&mut V),
-    ) {
-        let (owner, sub) = self.slot(&key);
-        ctx.record_access(owner);
-        let mut guard = self.shards[owner].subs[sub].lock();
-        let entry = guard.entry(key).or_insert_with(default);
-        merge(entry);
-    }
-
-    /// Removes a key, returning its value. Uses the same locking discipline as
-    /// [`DistMap::update`].
-    pub fn remove(&self, ctx: &Ctx, key: &K) -> Option<V> {
-        let (owner, sub) = self.slot(key);
-        ctx.record_access(owner);
-        ctx.record(Counter::atomic_ops, 1);
-        self.shards[owner].subs[sub].lock().remove(key)
     }
 
     /// Total number of entries across all shards. Not a collective; intended
@@ -516,7 +452,7 @@ mod tests {
     use pgas::Team;
 
     #[test]
-    fn insert_get_remove_roundtrip() {
+    fn insert_get_roundtrip() {
         let team = Team::single_node(4);
         team.run(|ctx| {
             let map: Arc<DistMap<u64, String>> = DistMap::shared(ctx);
@@ -532,58 +468,7 @@ mod tests {
                 assert_eq!(map.get_cloned(ctx, &i), Some(format!("v{i}")));
             }
             assert_eq!(map.get_cloned(ctx, &1000), None);
-            ctx.barrier();
-            if ctx.rank() == 0 {
-                assert_eq!(map.len(), 100);
-                assert_eq!(map.remove(ctx, &7), Some("v7".into()));
-                assert_eq!(map.remove(ctx, &7), None);
-            }
-            ctx.barrier();
-            assert_eq!(map.get_cloned(ctx, &7), None);
-        });
-    }
-
-    #[test]
-    fn upsert_accumulates() {
-        let team = Team::single_node(4);
-        team.run(|ctx| {
-            let map: Arc<DistMap<u32, u32>> = DistMap::shared(ctx);
-            // All ranks increment all keys.
-            for key in 0..50u32 {
-                map.upsert(ctx, key, || 0, |v| *v += 1);
-            }
-            ctx.barrier();
-            for key in 0..50u32 {
-                assert_eq!(map.get_cloned(ctx, &key), Some(ctx.ranks() as u32));
-            }
-        });
-    }
-
-    #[test]
-    fn update_sees_and_mutates_entry() {
-        let team = Team::single_node(2);
-        team.run(|ctx| {
-            let map: Arc<DistMap<u32, u32>> = DistMap::shared(ctx);
-            if ctx.rank() == 0 {
-                map.insert(ctx, 5, 10);
-            }
-            ctx.barrier();
-            let doubled = map.update(ctx, &5, |v| {
-                if ctx.rank() == 1 {
-                    if let Some(v) = v {
-                        *v *= 2;
-                        return true;
-                    }
-                }
-                false
-            });
-            ctx.barrier();
-            if ctx.rank() == 1 {
-                assert!(doubled);
-                assert_eq!(map.get_cloned(ctx, &5), Some(20));
-            }
-            let absent = map.update(ctx, &999, |v| v.is_none());
-            assert!(absent);
+            assert_eq!(map.len(), 100);
         });
     }
 
@@ -663,31 +548,6 @@ mod tests {
             team.stats_total().bytes_sent
         };
         assert!(bytes(true) < bytes(false));
-    }
-
-    #[test]
-    fn update_many_applies_once_per_request_on_the_owner() {
-        let team = Team::single_node(3);
-        team.run(|ctx| {
-            let map: Arc<DistMap<u64, u64>> = DistMap::shared(ctx);
-            bulk_merge(ctx, &map, (0..30u64).map(|k| (k, 0)), 8, |a, b| *a += b);
-            // Every rank increments every key once, batched.
-            let keys: Vec<u64> = (0..30u64).collect();
-            let seen = map.update_many(ctx, &keys, 4, |_, v| match v {
-                Some(v) => {
-                    *v += 1;
-                    true
-                }
-                None => false,
-            });
-            assert!(seen.iter().all(|&b| b));
-            let absent = map.update_many(ctx, &[999u64], 4, |_, v| v.is_none());
-            assert_eq!(absent, vec![true]);
-            ctx.barrier();
-            for k in 0..30u64 {
-                assert_eq!(map.get_cloned(ctx, &k), Some(ctx.ranks() as u64));
-            }
-        });
     }
 
     #[test]

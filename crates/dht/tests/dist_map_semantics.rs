@@ -56,25 +56,6 @@ fn concurrent_inserts_from_all_ranks_land_exactly_once() {
 }
 
 #[test]
-fn duplicate_inserts_under_contention_merge_exactly_once_per_observation() {
-    let ranks = 6;
-    let team = Team::single_node(ranks);
-    team.run(|ctx| {
-        let map: Arc<DistMap<u64, u64>> = DistMap::shared(ctx);
-        // Every rank upserts the *same* keys concurrently; the counts must
-        // add up to exactly one contribution per (rank, key) pair.
-        for k in 0..300u64 {
-            map.upsert(ctx, k, || 0, |v| *v += 1);
-        }
-        ctx.barrier();
-        assert_eq!(map.len(), 300);
-        for k in 0..300u64 {
-            assert_eq!(map.get_cloned(ctx, &k), Some(ranks as u64));
-        }
-    });
-}
-
-#[test]
 fn bulk_merge_applies_every_observation_exactly_once() {
     let ranks = 4;
     let team = Team::single_node(ranks);

@@ -59,41 +59,3 @@ fn batched_reads_match_fine_grained_reads_on_randomised_workloads() {
         });
     }
 }
-
-#[test]
-fn update_many_matches_a_loop_of_fine_grained_updates() {
-    let mut rng = StdRng::seed_from_u64(7_654_321);
-    for _trial in 0..6 {
-        let ranks = rng.gen_range(1..=8usize);
-        let keys: Vec<u64> = (0..rng.gen_range(1..=200u64)).collect();
-        let batch = rng.gen_range(1..=64usize);
-        let team = Team::single_node(ranks);
-        let keys = &keys;
-        team.run(move |ctx| {
-            let batched: Arc<DistMap<u64, u64>> = ctx.share(|| DistMap::new(ctx.ranks()));
-            let fine: Arc<DistMap<u64, u64>> = ctx.share(|| DistMap::new(ctx.ranks()));
-            bulk_merge(ctx, &batched, keys.iter().map(|&k| (k, 0)), 32, |a, b| {
-                *a += b
-            });
-            bulk_merge(ctx, &fine, keys.iter().map(|&k| (k, 0)), 32, |a, b| *a += b);
-            // Every rank increments every key once through both paths.
-            let _ = batched.update_many(ctx, keys, batch, |_, v| {
-                if let Some(v) = v {
-                    *v += 1;
-                }
-            });
-            for k in keys {
-                fine.update(ctx, k, |v| {
-                    if let Some(v) = v {
-                        *v += 1;
-                    }
-                });
-            }
-            ctx.barrier();
-            for k in keys {
-                assert_eq!(batched.get_cloned(ctx, k), fine.get_cloned(ctx, k));
-                assert_eq!(batched.get_cloned(ctx, k), Some(ctx.ranks() as u64));
-            }
-        });
-    }
-}

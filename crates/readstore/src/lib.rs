@@ -1,12 +1,13 @@
 //! The distributed read store (§II-B of the paper, memory side).
 //!
-//! MetaHipMer never holds the whole input on one node: reads are streamed
-//! from FASTQ in bounded blocks, packed, and cached in the PGAS global
-//! address space so that each rank's resident footprint is its fair share of
-//! the input plus a bounded cache — the property that lets the pipeline
-//! ingest datasets larger than any single node's memory. This crate is that
-//! layer, mirroring the distributed contig store (`dbg::store`) one level
-//! upstream:
+//! MetaHipMer never holds the whole input on one node: reads are packed and
+//! sharded in the PGAS global address space, and read through a bounded
+//! cache, so that each rank's resident footprint is its fair share of the
+//! input plus that cache. This crate is that layer, mirroring the
+//! distributed contig store (`dbg::store`) one level upstream. Reads enter
+//! it once, through [`ReadStore::build`] over a parsed [`ReadLibrary`]; no
+//! stage reads the library afterwards.
+//!
 //!
 //! * [`PackedRead`] — one read, 2-bit-packed sequence ([`kmers::PackedSeq`],
 //!   non-ACGT bytes in an exception list) plus run-length-encoded Phred
@@ -17,10 +18,6 @@
 //!   by a [`dht::DistMap`], plus a replicated O(#reads) length table that
 //!   answers every geometry query (read length, mate id, total bases)
 //!   without touching sequence bytes;
-//! * [`ReadStore::ingest_fastq`] — streaming ingestion through
-//!   [`seqio::FastqBlockIter`]: each rank scans the input in bounded chunks
-//!   and packs only the blocks it owns, so the full record set is never
-//!   materialised anywhere;
 //! * [`ReadReader`] — a rank's read-through view of the block table: the
 //!   typed face of a byte-weighted, foreign-only [`dht::CachedView`], whose
 //!   one miss-fill loop fetches collectively via [`dht::DistMap::get_many`]
@@ -48,16 +45,11 @@
 use dht::{CachedView, DistMap, FxHashMap, Residency};
 use kmers::PackedSeq;
 use pgas::{Counter, Ctx};
-use seqio::{FastqBlockIter, PackedReadView, PairOrientation, Read, ReadId, ReadLibrary};
+use seqio::{PackedReadView, PairOrientation, Read, ReadId, ReadLibrary};
 use std::sync::Arc;
 
 /// Identifier of a packed read block: `read_id / block_reads`.
 pub type BlockId = u64;
-
-/// In-memory byte bound of one streaming FASTQ parse chunk during ingestion
-/// (records materialised at once per rank, before packing; independent of the
-/// store's block size).
-const INGEST_CHUNK_BYTES: usize = 1 << 20;
 
 /// Construction parameters of a [`ReadStore`].
 #[derive(Debug, Clone, Copy)]
@@ -274,8 +266,9 @@ impl ReadStore {
     /// library: every rank packs and stores exactly the blocks it owns — an
     /// owner-local update phase with no wire traffic — then records its
     /// owned packed bytes in the residency accounting. No pipeline stage
-    /// reads the library after this returns; [`ReadStore::ingest_fastq`]
-    /// never materialises it at all.
+    /// reads the library after this returns. This is the one way reads
+    /// enter the store: FASTQ input is parsed into a [`ReadLibrary`] first
+    /// (`seqio::parse_fastq` / `seqio::fastq::library_from_fastq`).
     pub fn build(ctx: &Ctx, library: &ReadLibrary, params: &ReadStoreParams) -> Arc<ReadStore> {
         let block_reads = effective_block_reads(params, library.paired);
         let map: Arc<DistMap<BlockId, PackedReadBlock>> = DistMap::shared(ctx);
@@ -321,80 +314,6 @@ impl ReadStore {
         );
         ctx.barrier();
         store
-    }
-
-    /// Collectively ingests interleaved paired FASTQ text *streamingly*:
-    /// every rank scans the input through [`FastqBlockIter`] in bounded
-    /// chunks, appends to the replicated length table, and packs only the
-    /// blocks it owns — at no point does any rank hold more than one parse
-    /// chunk of unpacked records plus its own shard. Errors (malformed
-    /// records, odd record count) are deterministic and identical on every
-    /// rank, so the collective error path stays aligned.
-    pub fn ingest_fastq(
-        ctx: &Ctx,
-        name: &str,
-        text: &str,
-        insert_size: usize,
-        insert_sd: usize,
-        params: &ReadStoreParams,
-    ) -> Result<Arc<ReadStore>, String> {
-        let paired = true;
-        let block_reads = effective_block_reads(params, paired);
-        let map: Arc<DistMap<BlockId, PackedReadBlock>> = DistMap::shared(ctx);
-        let mut lens: Vec<u32> = Vec::new();
-        let mut mine: Vec<(BlockId, PackedReadBlock)> = Vec::new();
-        let mut cur: Vec<PackedRead> = Vec::new();
-        let mut cur_block: BlockId = 0;
-        let flush =
-            |mine: &mut Vec<(BlockId, PackedReadBlock)>, cur: &mut Vec<PackedRead>, b: BlockId| {
-                if !cur.is_empty() {
-                    let first_id = b * block_reads as u64;
-                    mine.push((b, PackedReadBlock::new(first_id, std::mem::take(cur))));
-                }
-            };
-        for chunk in FastqBlockIter::new(text, INGEST_CHUNK_BYTES, paired) {
-            let records = chunk?;
-            for rec in records {
-                let id = lens.len() as ReadId;
-                let b = id / block_reads as u64;
-                lens.push(rec.seq.len() as u32);
-                if b != cur_block {
-                    flush(&mut mine, &mut cur, cur_block);
-                    cur_block = b;
-                }
-                if map.owner_of(&b) == ctx.rank() {
-                    cur.push(PackedRead::from_read(&rec.into()));
-                }
-            }
-        }
-        flush(&mut mine, &mut cur, cur_block);
-        if !lens.len().is_multiple_of(2) {
-            return Err(format!(
-                "interleaved FASTQ must hold an even number of records, got {}",
-                lens.len()
-            ));
-        }
-        map.apply_local_batch(ctx, mine, |v| v, |a, b| *a = b);
-        ctx.barrier();
-        let name = name.to_string();
-        let store = ctx.share(|| ReadStore {
-            map: Arc::clone(&map),
-            lens,
-            name,
-            paired,
-            insert_size,
-            insert_sd,
-            orientation: PairOrientation::ForwardReverse,
-            block_reads,
-            cache_bytes: params.cache_bytes,
-            batch: params.batch,
-        });
-        ctx.record(
-            Counter::read_bytes_resident,
-            store.owned_packed_bytes(ctx) as u64,
-        );
-        ctx.barrier();
-        Ok(store)
     }
 
     /// Collectively rebuilds a store from checkpointed state: the replicated
@@ -1043,57 +962,6 @@ mod tests {
                 }
             });
         }
-    }
-
-    #[test]
-    fn ingest_fastq_matches_build_and_streams_in_blocks() {
-        let lib = library(30);
-        let text = seqio::fastq::library_to_fastq(&lib);
-        for ranks in [1usize, 4] {
-            let team = Team::single_node(ranks);
-            let lib2 = lib.clone();
-            let text2 = text.clone();
-            team.run(|ctx| {
-                let store = ReadStore::ingest_fastq(
-                    ctx,
-                    "t",
-                    &text2,
-                    200,
-                    20,
-                    &ReadStoreParams {
-                        block_reads: 8,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-                assert_eq!(store.num_reads(), lib2.num_reads());
-                assert!(store.paired());
-                assert_eq!(store.insert_size(), 200);
-                let back = store.materialize(ctx);
-                for (id, read) in lib2.iter() {
-                    assert_eq!(back.read(id).seq, read.seq);
-                    assert_eq!(back.read(id).qual, read.qual);
-                }
-            });
-        }
-    }
-
-    #[test]
-    fn ingest_fastq_rejects_odd_and_malformed_input() {
-        let team = Team::single_node(2);
-        team.run(|ctx| {
-            let odd = "@r1\nACGT\n+\nIIII\n";
-            assert!(
-                ReadStore::ingest_fastq(ctx, "t", odd, 200, 20, &ReadStoreParams::default())
-                    .is_err()
-            );
-            ctx.barrier();
-            let bad = "@r1\nACGT\n+\nII\n@r2\nAC\n+\nII\n";
-            assert!(
-                ReadStore::ingest_fastq(ctx, "t", bad, 200, 20, &ReadStoreParams::default())
-                    .is_err()
-            );
-        });
     }
 
     #[test]

@@ -67,16 +67,6 @@ pub fn revcomp_in_place(seq: &mut [u8]) {
     }
 }
 
-/// Counts the fraction of ambiguous (`N`) bases in a sequence; used by the
-/// simulator and QC to decide whether a read is usable.
-pub fn ambiguous_fraction(seq: &[u8]) -> f64 {
-    if seq.is_empty() {
-        return 0.0;
-    }
-    let n = seq.iter().filter(|&&b| !is_valid_base(b)).count();
-    n as f64 / seq.len() as f64
-}
-
 /// Normalises a sequence to upper-case, mapping every non-ACGT byte to `N`.
 pub fn normalize(seq: &[u8]) -> Vec<u8> {
     seq.iter()
@@ -171,11 +161,5 @@ mod tests {
         assert!((gc_content(b"AATT") - 0.0).abs() < 1e-12);
         assert!((gc_content(b"ACGT") - 0.5).abs() < 1e-12);
         assert!((gc_content(b"NNNN") - 0.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ambiguous_fraction_counts_n() {
-        assert!((ambiguous_fraction(b"ACGN") - 0.25).abs() < 1e-12);
-        assert_eq!(ambiguous_fraction(b""), 0.0);
     }
 }

@@ -21,9 +21,9 @@ pub struct FastqRecord {
 
 /// A structural defect in FASTQ input — truncated mid-record, malformed
 /// lines, quality/sequence disagreement. Typed so callers can match on the
-/// failure mode (a streaming ingester may want to distinguish "file cut off
-/// mid-record" from "corrupt record") instead of grepping a message; the
-/// `Display` form carries the 1-based record index for human consumption.
+/// failure mode ("file cut off mid-record" against "corrupt record") instead
+/// of grepping a message; the `Display` form carries the 1-based record
+/// index for human consumption.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FastqError {
     /// The header line does not start with `@`.
@@ -103,12 +103,6 @@ impl std::fmt::Display for FastqError {
 }
 
 impl std::error::Error for FastqError {}
-
-impl From<FastqError> for String {
-    fn from(e: FastqError) -> String {
-        e.to_string()
-    }
-}
 
 impl From<FastqRecord> for Read {
     fn from(r: FastqRecord) -> Self {
@@ -198,8 +192,7 @@ impl<'a> RecordParser<'a> {
 }
 
 /// Parses FASTQ text into records. Errors carry the 1-based record index.
-/// CRLF line endings and a missing trailing newline are accepted (see
-/// [`FastqBlockIter`] for the streaming, bounded-memory variant).
+/// CRLF line endings and a missing trailing newline are accepted.
 pub fn parse_fastq(text: &str) -> Result<Vec<FastqRecord>, FastqError> {
     let mut parser = RecordParser::new(text);
     let mut records = Vec::new();
@@ -207,68 +200,6 @@ pub fn parse_fastq(text: &str) -> Result<Vec<FastqRecord>, FastqError> {
         records.push(rec?);
     }
     Ok(records)
-}
-
-/// Streaming FASTQ block iterator: yields records in chunks whose in-memory
-/// size (name + seq + qual bytes) is bounded by `max_block_bytes`, without
-/// ever materialising the whole file's records at once. With `paired` set
-/// (interleaved pair files) a block never splits a read pair: the cut point
-/// is deferred to the next even record count, so a pair whose first mate
-/// lands exactly on the byte bound is kept whole. This is the ingestion path
-/// of the distributed read store: each block is packed and shipped to its
-/// owner rank, then dropped.
-pub struct FastqBlockIter<'a> {
-    parser: RecordParser<'a>,
-    max_block_bytes: usize,
-    paired: bool,
-    done: bool,
-}
-
-impl<'a> FastqBlockIter<'a> {
-    pub fn new(text: &'a str, max_block_bytes: usize, paired: bool) -> Self {
-        FastqBlockIter {
-            parser: RecordParser::new(text),
-            max_block_bytes,
-            paired,
-            done: false,
-        }
-    }
-}
-
-impl Iterator for FastqBlockIter<'_> {
-    type Item = Result<Vec<FastqRecord>, FastqError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        let mut block = Vec::new();
-        let mut bytes = 0usize;
-        loop {
-            match self.parser.next_record() {
-                None => {
-                    self.done = true;
-                    break;
-                }
-                Some(Err(e)) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-                Some(Ok(rec)) => {
-                    bytes += rec.name.len() + rec.seq.len() + rec.qual.len();
-                    block.push(rec);
-                }
-            }
-            if bytes >= self.max_block_bytes && (!self.paired || block.len() % 2 == 0) {
-                break;
-            }
-        }
-        if block.is_empty() {
-            None
-        } else {
-            Some(Ok(block))
-        }
-    }
 }
 
 /// Writes records as FASTQ text.
@@ -393,41 +324,14 @@ mod tests {
             library_from_fastq("l", "@only\nACGT\n+\nIIII\n", 1, 1).unwrap_err(),
             FastqError::OddRecordCount { records: 1 }
         );
-        // Display keeps the human-readable form (and the String bridge used
-        // by ingestion pipelines carries it verbatim).
-        let msg: String = FastqError::QualityLengthMismatch {
+        // Display keeps the human-readable form.
+        let msg = FastqError::QualityLengthMismatch {
             record: 7,
             qual: 3,
             seq: 4,
         }
-        .into();
+        .to_string();
         assert_eq!(msg, "record 7: quality length 3 != sequence length 4");
-    }
-
-    #[test]
-    fn block_iter_truncated_input_yields_typed_error() {
-        // The good leading records stream out as blocks; the truncated tail
-        // record surfaces as a typed error, then iteration stops.
-        let text = "@r0/1\nACGT\n+\nIIII\n@r0/2\nTTGG\n+\n!!II\n@r1/1\nACGT\n+\n";
-        let mut it = FastqBlockIter::new(text, 1, true);
-        assert_eq!(it.next().unwrap().unwrap().len(), 2);
-        assert_eq!(
-            it.next().unwrap(),
-            Err(FastqError::MissingQuality { record: 3 })
-        );
-        assert!(it.next().is_none());
-        // Bad quality-line length mid-stream, same shape.
-        let text = "@r0/1\nACGT\n+\nIIII\n@r0/2\nTTGG\n+\n!!I\n";
-        let mut it = FastqBlockIter::new(text, usize::MAX, true);
-        assert_eq!(
-            it.next().unwrap(),
-            Err(FastqError::QualityLengthMismatch {
-                record: 2,
-                qual: 3,
-                seq: 4
-            })
-        );
-        assert!(it.next().is_none());
     }
 
     #[test]
@@ -473,77 +377,5 @@ mod tests {
     fn odd_record_count_rejected_for_pairs() {
         let text = "@only\nACGT\n+\nIIII\n";
         assert!(library_from_fastq("l", text, 1, 1).is_err());
-    }
-
-    /// Builds interleaved FASTQ text for `n` records with distinct seqs.
-    fn interleaved(n: usize) -> String {
-        let mut text = String::new();
-        for i in 0..n {
-            let base = [b'A', b'C', b'G', b'T'][i % 4] as char;
-            let seq: String = std::iter::repeat_n(base, 10 + i % 3).collect();
-            let qual: String = std::iter::repeat_n('I', seq.len()).collect();
-            let _ = writeln!(text, "@r{}/{}\n{}\n+\n{}", i / 2, 1 + i % 2, seq, qual);
-        }
-        text
-    }
-
-    #[test]
-    fn block_iter_matches_whole_parse() {
-        let text = interleaved(14);
-        let whole = parse_fastq(&text).unwrap();
-        for max_bytes in [1, 40, 120, 10_000] {
-            let blocks: Vec<Vec<FastqRecord>> = FastqBlockIter::new(&text, max_bytes, true)
-                .collect::<Result<_, _>>()
-                .unwrap();
-            let flat: Vec<FastqRecord> = blocks.iter().flatten().cloned().collect();
-            assert_eq!(flat, whole, "max_bytes={max_bytes}");
-            for b in &blocks {
-                assert!(!b.is_empty());
-                assert_eq!(b.len() % 2, 0, "pair split at max_bytes={max_bytes}");
-            }
-            if max_bytes == 1 {
-                assert!(blocks.iter().all(|b| b.len() == 2));
-            }
-        }
-    }
-
-    #[test]
-    fn block_iter_defers_cut_to_pair_boundary() {
-        // Record 0 alone is ~24 bytes in memory, past a 20-byte bound; the
-        // block must still carry its mate before cutting.
-        let text = interleaved(6);
-        let blocks: Vec<Vec<FastqRecord>> = FastqBlockIter::new(&text, 20, true)
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert!(blocks.len() >= 2);
-        assert!(blocks.iter().all(|b| b.len() % 2 == 0));
-        // Unpaired mode cuts immediately after the bound instead.
-        let single: Vec<Vec<FastqRecord>> = FastqBlockIter::new(&text, 20, false)
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert!(single.iter().any(|b| b.len() % 2 == 1));
-        let flat: Vec<FastqRecord> = single.into_iter().flatten().collect();
-        assert_eq!(flat, parse_fastq(&text).unwrap());
-    }
-
-    #[test]
-    fn block_iter_crlf_and_missing_trailing_newline() {
-        let text = "@r0/1\r\nACGTACGT\r\n+\r\nIIIIIIII\r\n@r0/2\r\nTTGGTTGG\r\n+\r\n!!IIII!!";
-        let blocks: Vec<Vec<FastqRecord>> = FastqBlockIter::new(text, 4, true)
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(blocks.len(), 1);
-        assert_eq!(blocks[0].len(), 2);
-        assert_eq!(blocks[0], parse_fastq(text).unwrap());
-        assert_eq!(blocks[0][1].qual, vec![0, 0, 40, 40, 40, 40, 0, 0]);
-    }
-
-    #[test]
-    fn block_iter_propagates_errors_and_stops() {
-        let text = "@r0\nACGT\n+\nIIII\n@bad\nACGT\nplus\nIIII\n@r2\nACGT\n+\nIIII\n";
-        let mut it = FastqBlockIter::new(text, 1, false);
-        assert_eq!(it.next().unwrap().unwrap().len(), 1);
-        assert!(it.next().unwrap().is_err());
-        assert!(it.next().is_none());
     }
 }

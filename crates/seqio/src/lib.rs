@@ -29,7 +29,7 @@ pub use alphabet::{
     complement, decode_base, encode_base, is_valid_base, revcomp, revcomp_in_place,
 };
 pub use fasta::{parse_fasta, write_fasta, FastaRecord};
-pub use fastq::{parse_fastq, write_fastq, FastqBlockIter, FastqError, FastqRecord};
+pub use fastq::{parse_fastq, write_fastq, FastqError, FastqRecord};
 pub use packed::{push_quality_runs, AsPackedRead, PackedReadView, ReadPacker};
 pub use read::{PairOrientation, Read, ReadId, ReadLibrary, ReadPair};
 pub use reference::{ReferenceGenome, ReferenceSet};

@@ -83,22 +83,6 @@ impl ReferenceSet {
         }
         self.genomes.iter().map(|g| g.abundance / total).collect()
     }
-
-    /// Expected read coverage of each genome given a total number of sequenced
-    /// bases: coverage_i = total_bases * p_i / genome_len_i.
-    pub fn expected_coverages(&self, total_sequenced_bases: usize) -> Vec<f64> {
-        self.normalized_abundances()
-            .iter()
-            .zip(&self.genomes)
-            .map(|(p, g)| {
-                if g.is_empty() {
-                    0.0
-                } else {
-                    total_sequenced_bases as f64 * p / g.len() as f64
-                }
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -123,15 +107,6 @@ mod tests {
         assert!((p[0] - 0.75).abs() < 1e-12);
         assert!((p[1] - 0.25).abs() < 1e-12);
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn expected_coverage_scales_with_abundance_and_length() {
-        let s = set();
-        let cov = s.expected_coverages(10_000);
-        // genome a: 10000 * 0.75 / 1000 = 7.5x ; genome b: 10000 * 0.25 / 500 = 5x
-        assert!((cov[0] - 7.5).abs() < 1e-9);
-        assert!((cov[1] - 5.0).abs() < 1e-9);
     }
 
     #[test]

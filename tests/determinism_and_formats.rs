@@ -42,10 +42,10 @@ fn assembly_identical_for_one_two_and_four_ranks() {
 
 #[test]
 fn lookup_batching_on_or_off_yields_identical_scaffolds() {
-    // The lookup batch is a size, not a mode: the same seed must produce
-    // byte-identical scaffolds with one key per aggregated message (batch
-    // size 1), with a small batch, and with the default large batch — every
-    // one through the same aggregated, cached read path.
+    // Alignment's seed-lookup batch is a size, not a mode: the same seed
+    // must produce byte-identical scaffolds with one key per aggregated
+    // message (batch size 1), with a small batch, and with the default large
+    // batch — every one through the same aggregated, cached read path.
     let (refs, consensus) = mgsim::generate_community(&mgsim::CommunityParams {
         num_taxa: 2,
         genome_len_range: (4_000, 5_000),
@@ -63,7 +63,8 @@ fn lookup_batching_on_or_off_yields_identical_scaffolds() {
     );
     let mut baseline: Option<Vec<Vec<u8>>> = None;
     for batch in [1usize, 4, 4096] {
-        let cfg = AssemblyConfig::small_test().with_lookup_batch(batch);
+        let mut cfg = AssemblyConfig::small_test();
+        cfg.align.lookup_batch = batch;
         let out = MetaHipMer::new(cfg).assemble(&Team::single_node(3), &library, Some(&consensus));
         let seqs = out.sequences();
         match &baseline {

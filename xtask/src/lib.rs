@@ -137,6 +137,23 @@ fn defines_fn(line: &str, name: &str) -> bool {
         )
 }
 
+/// True for a file under a `tests/` or `benches/` directory (the top-level
+/// `tests/` included): test code as a whole.
+fn is_test_file(norm_path: &str) -> bool {
+    let path = format!("/{norm_path}");
+    path.contains("/tests/") || path.contains("/benches/")
+}
+
+/// Index of the first line whose code (comment stripped) holds
+/// `#[cfg(test)]`: from there on a file is test code, by the repo convention
+/// of a trailing `mod tests`. The lint rules and the line count share it.
+fn test_split(code_lines: &[&str]) -> usize {
+    code_lines
+        .iter()
+        .position(|code| code.contains("#[cfg(test)]"))
+        .unwrap_or(code_lines.len())
+}
+
 /// Lints one file's source text. `path` controls which rules apply (rules
 /// are keyed on repo-relative path prefixes) and is echoed into findings.
 pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
@@ -144,22 +161,20 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
     let in_simd_shim = norm.starts_with("crates/shims/simd");
     let in_pgas = norm.starts_with("crates/pgas");
     let in_hot_crate = in_pgas || norm.starts_with("crates/dht");
-    let in_test_file = norm.contains("/tests/") || norm.contains("/benches/");
+    let in_test_file = is_test_file(&norm);
 
     let raw_lines: Vec<&str> = src.lines().collect();
     let code_lines: Vec<&str> = raw_lines.iter().map(|l| strip_comment(l)).collect();
+    let tests_from = test_split(&code_lines);
     let mut findings = Vec::new();
 
-    let mut in_tests = false; // everything after `#[cfg(test)]`
     let mut depth: i64 = 0;
     // Open local_view phase: (binding name, brace depth at the `let`).
     let mut phase: Option<(String, i64)> = None;
 
     for (idx, &code) in code_lines.iter().enumerate() {
         let line_no = idx + 1;
-        if code.contains("#[cfg(test)]") {
-            in_tests = true;
-        }
+        let in_tests = idx >= tests_from;
         let opens = code.bytes().filter(|&b| b == b'{').count() as i64;
         let closes = code.bytes().filter(|&b| b == b'}').count() as i64;
 
@@ -282,6 +297,8 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
     findings
 }
 
+/// Every `.rs` file under `dir`, skipping build output (`target`) and
+/// hidden directories.
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
@@ -290,7 +307,8 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     paths.sort();
     for p in paths {
         if p.is_dir() {
-            if p.file_name().is_some_and(|n| n == "target") {
+            let name = p.file_name().map(|n| n.to_string_lossy().into_owned());
+            if name.is_some_and(|n| n == "target" || n.starts_with('.')) {
                 continue;
             }
             collect_rs_files(&p, out);
@@ -318,6 +336,48 @@ pub fn lint_tree(root: &Path) -> Vec<Finding> {
         findings.extend(lint_source(&rel, &src));
     }
     findings
+}
+
+/// Line totals of Rust sources, split into non-test and test code.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LineCount {
+    pub non_test: usize,
+    pub test: usize,
+}
+
+/// Counts one file's lines: all test under `tests/` or `benches/`,
+/// otherwise split at the first `#[cfg(test)]` outside a comment.
+pub fn count_source(path: &str, src: &str) -> LineCount {
+    let lines: Vec<&str> = src.lines().collect();
+    if is_test_file(&path.replace('\\', "/")) {
+        return LineCount {
+            non_test: 0,
+            test: lines.len(),
+        };
+    }
+    let code: Vec<&str> = lines.iter().map(|l| strip_comment(l)).collect();
+    let split = test_split(&code);
+    LineCount {
+        non_test: split,
+        test: lines.len() - split,
+    }
+}
+
+/// Counts every `.rs` file under `root` with [`count_source`].
+pub fn count_tree(root: &Path) -> LineCount {
+    let mut files = Vec::new();
+    collect_rs_files(root, &mut files);
+    let mut total = LineCount::default();
+    for file in files {
+        let rel = file.strip_prefix(root).unwrap_or(&file).to_string_lossy();
+        let Ok(src) = std::fs::read_to_string(&file) else {
+            continue;
+        };
+        let count = count_source(&rel, &src);
+        total.non_test += count.non_test;
+        total.test += count.test;
+    }
+    total
 }
 
 #[cfg(test)]
@@ -442,6 +502,22 @@ mod tests {
             rules("crates/pgas/src/exchange.rs", tagged),
             [] as [&str; 0]
         );
+    }
+
+    #[test]
+    fn line_count_splits_at_the_first_test_attribute_outside_comments() {
+        let src = "//! a `#[cfg(test)]` in a comment\nfn f() {}\n#[cfg(test)]\nmod tests {\n}\n";
+        let split = LineCount {
+            non_test: 2,
+            test: 3,
+        };
+        assert_eq!(count_source("crates/x/src/lib.rs", src), split);
+        let whole = LineCount {
+            non_test: 0,
+            test: 5,
+        };
+        assert_eq!(count_source("tests/e2e.rs", src), whole);
+        assert_eq!(count_source("crates/x/benches/b.rs", src), whole);
     }
 
     #[test]

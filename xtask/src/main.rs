@@ -1,11 +1,15 @@
-//! Workspace task runner. Currently one task:
+//! Workspace task runner. Two tasks:
 //!
 //! ```text
 //! cargo run -p xtask -- lint
+//! cargo run -p xtask -- loc
 //! ```
 //!
-//! runs the invariant lint pass over `crates/` and exits non-zero if any
-//! finding survives (CI runs it next to fmt and clippy).
+//! `lint` runs the invariant lint pass over `crates/` and exits non-zero if
+//! any finding survives (CI runs it next to fmt and clippy). `loc` prints the
+//! repo's non-test and test Rust line totals: a file under `tests/` or
+//! `benches/` is test code, any other is test code from its first
+//! `#[cfg(test)]` on (the lint pass's split).
 
 use std::path::PathBuf;
 
@@ -34,9 +38,14 @@ fn main() {
             eprintln!("xtask lint: {} finding(s)", findings.len());
             std::process::exit(1);
         }
+        Some("loc") => {
+            let count = xtask::count_tree(&workspace_root());
+            println!("non-test lines: {}", count.non_test);
+            println!("test lines: {}", count.test);
+        }
         other => {
             eprintln!(
-                "usage: cargo run -p xtask -- lint   (got {:?})",
+                "usage: cargo run -p xtask -- lint | loc   (got {:?})",
                 other.unwrap_or_default()
             );
             std::process::exit(2);
