@@ -13,7 +13,9 @@ use dbg::{
 };
 use dht::{bulk_merge, DistBloom, DistMap, FxHashMap};
 use kmers::{
-    cut_supermers, kmer_minimizer, kmers_with_exts_iter, Ext, Kmer, KmerCounts, SupermerIter,
+    cut_supermers, encode_packed_supermer, encode_supermer, expand_supermer, expand_supermer_keys,
+    kmer_minimizer, kmers_with_exts, kmers_with_exts_iter, Ext, Kmer, Kmer32, KmerCounts,
+    SupermerBlobIter, SupermerIter,
 };
 use mgsim::{CommunityParams, ReadSimParams};
 use mhm_core::local_assembly::extend_contigs_locally_ref;
@@ -229,6 +231,61 @@ fn bench_extraction_hot_loops(c: &mut Criterion) {
             let mut kmers = 0usize;
             cut_supermers(&packed.view(), 21, 15, |sm| kmers += sm.kmers);
             kmers
+        })
+    });
+
+    // The word kernels on either side of the exchange, on the records of the
+    // same sequence with an N every 5 kb and quality in runs of 37 bases
+    // either side of the threshold: the encoder writes what the ASCII encoder
+    // writes, and the expansion gives what the per-k-mer extraction gives.
+    let mut noisy = seq.clone();
+    for i in (2_500..noisy.len()).step_by(5_000) {
+        noisy[i] = b'N';
+    }
+    let qual: Vec<u8> = (0..noisy.len()).map(|i| [35, 12][i / 37 % 2]).collect();
+    let mut packer = ReadPacker::default();
+    let read = packer.pack(&noisy, &qual);
+    let mut hq = Vec::new();
+    read.hq_mask(20, &mut hq);
+    let mut cut = Vec::new();
+    cut_supermers(&read, 21, 15, |sm| cut.push(sm));
+    let (mut wire, mut ascii) = (Vec::new(), Vec::new());
+    for sm in &cut {
+        encode_packed_supermer(&mut wire, &read, &hq, sm);
+        encode_supermer(&mut ascii, &noisy, &qual, 20, sm);
+    }
+    assert!(
+        wire == ascii,
+        "the packed encoder and the ASCII encoder disagree"
+    );
+    let mut expanded = Vec::new();
+    for record in SupermerBlobIter::new(&wire) {
+        expand_supermer(&record, 21, |obs| expanded.push(obs));
+    }
+    assert!(
+        expanded == kmers_with_exts(&noisy, &qual, 21, 20),
+        "the expansion and the per-k-mer extraction disagree"
+    );
+    let mut out = Vec::with_capacity(wire.len());
+    c.bench_function("kmers/supermer_encode_packed_100kb", |b| {
+        b.iter(|| {
+            out.clear();
+            for sm in &cut {
+                encode_packed_supermer(&mut out, &read, &hq, sm);
+            }
+            out.len()
+        })
+    });
+    c.bench_function("kmers/supermer_expand_100kb", |b| {
+        b.iter(|| {
+            let mut windows = 0usize;
+            for record in SupermerBlobIter::new(&wire) {
+                expand_supermer_keys::<Kmer32>(&record, 21, |key, exts| {
+                    criterion::black_box((key, exts));
+                    windows += 1;
+                });
+            }
+            windows
         })
     });
 }

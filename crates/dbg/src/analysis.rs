@@ -13,21 +13,27 @@
 //!   quality/extension sidecar, ~(s+k−1)/4 bytes per s k-mers. The reads
 //!   arrive 2-bit packed ([`seqio::PackedReadView`], the read store's own
 //!   bytes); supermers are cut from the codes and each record is a bit copy
-//!   of its span of the read, so the send side never touches ASCII. The
-//!   counts table is partitioned by minimizer ([`crate::table`]), so
-//!   every occurrence of a k-mer arrives at its owner in a *single*
-//!   exchange;
+//!   of its span of the read, written a 64-bit word at a time, so the send
+//!   side never touches ASCII. The counts table is partitioned by minimizer
+//!   ([`crate::table`]), so every occurrence of a k-mer arrives at its owner
+//!   in a *single* exchange;
 //! * **minimizer-binned counting**: every occurrence of a canonical k-mer,
-//!   anywhere in the input, has the same minimizer, so the received records
-//!   fall into *bins* by minimizer whose counts are final. Each record
-//!   carries its minimizer's bin tag, so the owner files records into bins
-//!   without recomputing a minimizer, counts one bin at a time in a small
-//!   scratch table that stays in cache, moves the k-mers that reached ε into
-//!   its shard — one insert per surviving k-mer, none for the rest — and
-//!   reuses the scratch for the next bin (the disk-bin scheme of KMC 2, with
-//!   memory in the role of the disk). Bins span blobs, which is why
-//!   `agg.finish()` materialising everything a rank receives before the
-//!   first record is counted is a requirement here, not an oversight.
+//!   anywhere in the input, has the same minimizer, so the records fall into
+//!   *bins* by minimizer whose counts are final. Each record carries its
+//!   minimizer's bin tag, and records are filed into one byte run per tag
+//!   (`TagRuns`) without recomputing a minimizer: a record that stays on the
+//!   rank that cut it is written straight into its tag's run and never
+//!   enters the exchange, and the blobs the other ranks send are framed into
+//!   the same runs as they arrive. The owner then counts one bin (a run of
+//!   tags) at a time, in place, in a small scratch table that stays in
+//!   cache, moves the k-mers that reached ε into its shard — one insert per
+//!   surviving k-mer, none for the rest, all through one held
+//!   [`dht::DistMap::local_view`] — and reuses the scratch for the next bin
+//!   (the disk-bin scheme of KMC 2, with memory in the role of the disk). A
+//!   bin holds the rank's own records and every other rank's, which is why
+//!   counting starts only once `agg.finish()` has delivered every foreign
+//!   blob; the own share, at one rank everything, is written once and never
+//!   moved.
 //!
 //! This gives the paper's **Bloom-filter admission** its purpose without its
 //! mechanism: the filter exists so that singleton error k-mers — most of the
@@ -51,12 +57,13 @@
 use crate::table::{with_keys, KmerCountsMap, KmerTable};
 use dht::{DistMap, FxHashMap};
 use kmers::minimizer::{
-    cut_supermers, encode_packed_supermer, expand_supermer_keys, minimizer_shard,
-    supermer_wire_bytes, SupermerBlobIter, MAX_MINIMIZER_LEN,
+    cut_supermers, encode_packed_supermer, expand_supermer_keys, minimizer_shard, minimizer_tag,
+    Supermer, SupermerBlobIter, SupermerRecord, MAX_MINIMIZER_LEN,
 };
 use kmers::{KmerCounts, KmerKey};
 use pgas::{BlobAggregator, Counter, Ctx};
 use seqio::{PackedReadView, Read, ReadSource};
+use std::ops::Range;
 
 /// K-mer observations one counting bin is sized for. A bin's distinct k-mers
 /// are at most its observations, so the scratch table of a typical bin holds
@@ -79,7 +86,54 @@ pub const SUPERMER_BATCH_UNIT: usize = 40;
 /// Distinct wire tags ([`kmers::minimizer_tag`] is one byte), hence the most
 /// bins a rank can count in: at [`BIN_OBSERVATIONS`] that is ~1M observations
 /// received per rank before bins grow past their budget.
-const TAGS: usize = 256;
+pub(crate) const TAGS: usize = 256;
+
+/// The supermer records a rank counts, filed by bin tag: one byte run of
+/// whole records per tag. The send side writes the records it keeps straight
+/// into their runs and frames the blobs the other ranks send into the same
+/// runs, so the receive side reads a bin's records in place, tag by tag.
+pub(crate) struct TagRuns {
+    runs: Vec<Vec<u8>>,
+    /// K-mer windows the filed records hold.
+    observations: usize,
+}
+
+impl TagRuns {
+    fn new() -> Self {
+        TagRuns {
+            runs: vec![Vec::new(); TAGS],
+            observations: 0,
+        }
+    }
+
+    /// Encodes `sm`, a supermer cut from `read` whose owner is this rank,
+    /// straight into its tag's run; returns the bytes written.
+    #[inline]
+    fn file(&mut self, read: &PackedReadView<'_>, hq: &[u8], sm: &Supermer) -> usize {
+        self.observations += sm.kmers;
+        let run = &mut self.runs[minimizer_tag(sm.minimizer) as usize];
+        encode_packed_supermer(run, read, hq, sm)
+    }
+
+    /// Files every record of `blob`, a run of whole records of `k`-mer
+    /// supermers, under its tag.
+    fn file_blob(&mut self, blob: &[u8], k: usize) {
+        let mut records = SupermerBlobIter::new(blob);
+        loop {
+            let from = records.offset();
+            let Some(record) = records.next() else { break };
+            self.runs[record.tag as usize].extend_from_slice(&blob[from..records.offset()]);
+            self.observations += record.len - k + 1;
+        }
+    }
+
+    /// The records filed under the tags of `tags`, in tag order.
+    pub(crate) fn records(&self, tags: Range<usize>) -> impl Iterator<Item = SupermerRecord<'_>> {
+        self.runs[tags]
+            .iter()
+            .flat_map(|run| SupermerBlobIter::new(run))
+    }
+}
 
 /// Parameters of k-mer analysis.
 #[derive(Debug, Clone)]
@@ -157,7 +211,7 @@ pub fn kmer_analysis_from(
     let ranks = ctx.ranks();
     let counts: KmerCountsMap = ctx.share(|| KmerTable::new(ranks, k, m));
 
-    let blobs = ship_supermers(
+    let filed = ship_supermers(
         ctx,
         |each| source.for_each_read(each),
         k,
@@ -165,7 +219,7 @@ pub fn kmer_analysis_from(
         params.hq_threshold,
         params.batch,
     );
-    with_keys!(counts, map => count_binned(ctx, blobs, map, params, BIN_OBSERVATIONS));
+    with_keys!(counts, map => count_binned(ctx, &filed, map, params, BIN_OBSERVATIONS));
     ctx.barrier();
 
     KmerAnalysis { counts }
@@ -173,10 +227,12 @@ pub fn kmer_analysis_from(
 
 /// The send side of both supermer stages, k-mer analysis and contig k-mer
 /// injection ([`crate::merge`]): cuts every sequence `for_each_seq` hands out
-/// into supermers of `k`-mers under minimizer length `m`, ships each record
-/// to the shard of its minimizer in blobs of about `batch` units of
-/// [`SUPERMER_BATCH_UNIT`] bytes, and returns the blobs this rank was sent.
-/// Collective.
+/// into supermers of `k`-mers under minimizer length `m`, and files each
+/// record by tag on the shard of its minimizer. A record for this rank is
+/// written straight into its tag's run; one for another rank travels in
+/// blobs of about `batch` units of [`SUPERMER_BATCH_UNIT`] bytes, framed into
+/// the owner's runs on arrival. `supermer_bytes` counts every record either
+/// way. Returns this rank's runs. Collective.
 pub(crate) fn ship_supermers(
     ctx: &Ctx,
     for_each_seq: impl FnOnce(&mut dyn FnMut(PackedReadView<'_>)),
@@ -184,22 +240,44 @@ pub(crate) fn ship_supermers(
     m: usize,
     hq_threshold: u8,
     batch: usize,
-) -> Vec<Vec<u8>> {
-    let ranks = ctx.ranks();
+) -> TagRuns {
+    let (ranks, me) = (ctx.ranks(), ctx.rank());
     let batch_bytes = batch.saturating_mul(SUPERMER_BATCH_UNIT).max(64);
     let mut agg = BlobAggregator::new(ctx, batch_bytes);
+    let mut filed = TagRuns::new();
     let mut hq = Vec::new();
     let mut wrote = 0u64;
     for_each_seq(&mut |seq| {
         seq.hq_mask(hq_threshold, &mut hq);
         cut_supermers(&seq, k, m, |sm| {
             let dest = minimizer_shard(sm.minimizer, ranks);
-            let bytes = agg.push_with(dest, |buf| encode_packed_supermer(buf, &seq, &hq, &sm));
+            let bytes = if dest == me {
+                filed.file(&seq, &hq, &sm)
+            } else {
+                ship_foreign(&mut agg, dest, &seq, &hq, &sm)
+            };
             wrote += bytes as u64;
         });
     });
     ctx.record(Counter::supermer_bytes, wrote);
-    agg.finish()
+    for blob in agg.finish() {
+        filed.file_blob(&blob, k);
+    }
+    filed
+}
+
+/// Encodes `sm` into `agg`'s buffer for `dest`, another rank. Out of line,
+/// so that the cut's per-record loop, which files the own share (at one rank
+/// every record) inline, stays small.
+#[inline(never)]
+fn ship_foreign(
+    agg: &mut BlobAggregator<'_, '_>,
+    dest: usize,
+    seq: &PackedReadView<'_>,
+    hq: &[u8],
+    sm: &Supermer,
+) -> usize {
+    agg.push_with(dest, |buf| encode_packed_supermer(buf, seq, hq, sm))
 }
 
 /// The bin of a record's [`kmers::minimizer_tag`] among `bins` (at most
@@ -208,61 +286,32 @@ fn tag_bin(tag: u8, bins: usize) -> usize {
     (tag as usize * bins) / TAGS
 }
 
-/// The receive side: counts the supermer records of `blobs` (everything this
-/// rank was sent) one minimizer bin at a time, and inserts the k-mers that
-/// reach `params.min_count` into this rank's shard of `counts`. The number of
-/// bins is the received volume over `bin_observations`, capped at [`TAGS`];
-/// the table does not depend on it. The scratch is keyed like the table, so
-/// the two share one key hash and a bin's survivors drain into the table in
-/// its own bucket order.
+/// The receive side: counts the records `filed` holds (everything this rank
+/// counts) one minimizer bin at a time, and inserts the k-mers that reach
+/// `params.min_count` into this rank's shard of `counts`. The number of bins
+/// is the filed volume over `bin_observations`, capped at [`TAGS`]; the table
+/// does not depend on it. The scratch is keyed like the table, so the two
+/// share one key hash and a bin's survivors drain into the table in its own
+/// bucket order, through one view of the shard held for every bin.
 fn count_binned<K: KmerKey>(
     ctx: &Ctx,
-    blobs: Vec<Vec<u8>>,
+    filed: &TagRuns,
     counts: &DistMap<K, KmerCounts>,
     params: &KmerAnalysisParams,
     bin_observations: usize,
 ) {
     let k = params.k;
-
-    // One framing pass: the bytes each tag's records take, and the volume.
-    let mut starts = [0usize; TAGS + 1];
-    let mut observations = 0usize;
-    for record in blobs.iter().flat_map(|blob| SupermerBlobIter::new(blob)) {
-        starts[record.tag as usize + 1] += supermer_wire_bytes(record.len);
-        observations += record.len - k + 1;
-    }
-    for t in 0..TAGS {
-        starts[t + 1] += starts[t];
-    }
-    // Every record moves to its tag's run of one buffer, which orders the
-    // records by bin too, so each bin is read front to back; each blob is
-    // freed once it has been moved.
-    let mut sorted = vec![0u8; starts[TAGS]];
-    let mut next = starts;
-    for blob in blobs {
-        let mut records = SupermerBlobIter::new(&blob);
-        loop {
-            let from = records.offset();
-            let Some(record) = records.next() else { break };
-            let bytes = &blob[from..records.offset()];
-            let to = &mut next[record.tag as usize];
-            sorted[*to..*to + bytes.len()].copy_from_slice(bytes);
-            *to += bytes.len();
-        }
-    }
-
-    let bins = observations.div_ceil(bin_observations).clamp(1, TAGS);
-    // Bin b ends where its last tag does.
-    let mut bin_ends = vec![0usize; bins];
-    for tag in 0..TAGS {
-        bin_ends[tag_bin(tag as u8, bins)] = starts[tag + 1];
-    }
-
+    let bins = filed.observations.div_ceil(bin_observations).clamp(1, TAGS);
     let mut scratch: FxHashMap<K, KmerCounts> = FxHashMap::default();
-    let mut bin_start = 0;
-    for bin_end in bin_ends {
+    let mut shard = counts.local_view(ctx);
+    let mut first_tag = 0;
+    for bin in 0..bins {
+        // Bins are runs of consecutive tags.
+        let end_tag = (first_tag..TAGS)
+            .find(|&tag| tag_bin(tag as u8, bins) > bin)
+            .unwrap_or(TAGS);
         let mut observed = 0u64;
-        for record in SupermerBlobIter::new(&sorted[bin_start..bin_end]) {
+        for record in filed.records(first_tag..end_tag) {
             // Pinned into the window loop of `expand_supermer_keys` (itself always
             // inlined): left to the optimiser, whether it is inlined there
             // turns on unrelated code, and is worth ~20% of the analysis.
@@ -282,14 +331,14 @@ fn count_binned<K: KmerKey>(
         let mut inserted = 0u64;
         for (key, tally) in scratch.drain() {
             if tally.count >= params.min_count {
-                let previous = counts.insert_local(ctx, key, tally);
+                let previous = shard.insert(key, tally);
                 debug_assert!(previous.is_none(), "one k-mer counted in two bins");
                 inserted += 1;
             }
         }
         ctx.record(Counter::kmer_observations, observed);
         ctx.record(Counter::kmer_table_inserts, inserted);
-        bin_start = bin_end;
+        first_tag = end_tag;
     }
 }
 
@@ -556,6 +605,107 @@ mod tests {
         blob
     }
 
+    /// `blobs` framed into tag runs, as arriving blobs are.
+    fn filed_from(blobs: &[Vec<u8>], k: usize) -> TagRuns {
+        let mut filed = TagRuns::new();
+        for blob in blobs {
+            filed.file_blob(blob, k);
+        }
+        filed
+    }
+
+    /// The records of one tag run, each as its wire bytes, sorted.
+    fn sorted_records(run: &[u8]) -> Vec<&[u8]> {
+        let mut records = SupermerBlobIter::new(run);
+        let mut out = Vec::new();
+        loop {
+            let from = records.offset();
+            if records.next().is_none() {
+                break;
+            }
+            out.push(&run[from..records.offset()]);
+        }
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn the_filed_own_share_and_framed_blobs_count_what_the_blob_path_counts() {
+        let reads = overlapping_reads();
+        let params = KmerAnalysisParams {
+            k: 17,
+            min_count: 2,
+            minimizer_len: 7,
+            batch: 2,
+            ..Default::default()
+        };
+        let (k, m) = (params.k, params.effective_minimizer_len());
+        let expect = serial_table(&reads, &params);
+        for ranks in 1..=4 {
+            let out = Team::single_node(ranks).run(|ctx| {
+                let mine = my_slice(ctx, &reads);
+                let mut source: &[Read] = mine;
+                let filed = ship_supermers(
+                    ctx,
+                    |each| source.for_each_read(each),
+                    k,
+                    m,
+                    params.hq_threshold,
+                    params.batch,
+                );
+                // The blob path: every record, this rank's own too, through
+                // the exchange and framed on arrival.
+                let mut agg = BlobAggregator::new(ctx, 80);
+                let mut own = vec![0usize; TAGS];
+                for read in mine {
+                    let blob = records_of(read, k, m);
+                    let mut records = SupermerBlobIter::new(&blob);
+                    loop {
+                        let from = records.offset();
+                        let Some(record) = records.next() else { break };
+                        let bytes = &blob[from..records.offset()];
+                        let minimizer = kmer_minimizer(&record.first_kmer(k), m);
+                        let dest = minimizer_shard(minimizer, ranks);
+                        if dest == ctx.rank() {
+                            own[record.tag as usize] += bytes.len();
+                        }
+                        agg.push_record(dest, bytes);
+                    }
+                }
+                let blob_path = filed_from(&agg.finish(), k);
+                let runs = || filed.runs.iter().zip(&blob_path.runs).zip(&own);
+                let same_records =
+                    runs().all(|((run, framed), _)| sorted_records(run) == sorted_records(framed));
+                // Tags holding both this rank's records and another's.
+                let mixed_tags = runs()
+                    .filter(|((run, _), &own)| 0 < own && own < run.len())
+                    .count();
+                assert_eq!(filed.observations, blob_path.observations);
+                // Small bins, so that a bin holds own and foreign records.
+                let tables: Vec<_> = [&filed, &blob_path]
+                    .map(|runs| {
+                        let counts = ctx.share(|| KmerTable::new(ranks, k, m));
+                        with_keys!(counts, map => count_binned(ctx, runs, map, &params, 50));
+                        ctx.barrier();
+                        let mut entries = counts.local_entries(ctx);
+                        entries.sort_by_key(|e| e.0);
+                        entries
+                    })
+                    .into();
+                (same_records, mixed_tags, tables)
+            });
+            let mut got = Vec::new();
+            for (rank, (same_records, mixed_tags, tables)) in out.into_iter().enumerate() {
+                assert!(same_records, "{ranks} ranks, rank {rank}: the runs differ");
+                assert!(ranks == 1 || mixed_tags > 0, "{ranks} ranks: no bin mixes");
+                assert_eq!(tables[0], tables[1], "{ranks} ranks, rank {rank}");
+                got.extend(tables[0].iter().copied());
+            }
+            got.sort_by_key(|e| e.0);
+            assert_eq!(got, expect, "{ranks} ranks");
+        }
+    }
+
     #[test]
     fn bin_of_a_kmer_does_not_depend_on_the_record_it_arrived_in() {
         let (k, m, bins) = (21, 9, 64);
@@ -599,12 +749,13 @@ mod tests {
         for (i, read) in reads.iter().enumerate() {
             blobs[i % 3].extend(records_of(read, params.k, 7));
         }
+        let filed = filed_from(&blobs, params.k);
         Team::single_node(1).run(|ctx| {
             // As many bins as tags … one bin for everything.
             for bin_observations in [1, 50, 1000, usize::MAX] {
                 let counts = KmerTable::new(1, params.k, 7);
                 with_keys!(counts, map => {
-                    count_binned(ctx, blobs.clone(), map, &params, bin_observations)
+                    count_binned(ctx, &filed, map, &params, bin_observations)
                 });
                 let mut got = counts.local_entries(ctx);
                 got.sort_by_key(|e| e.0);
@@ -626,15 +777,16 @@ mod tests {
             let expect = serial_table(&reads, &params);
             assert!(expect.len() > 100, "k = {k}: too few k-mers survive");
             let blobs: Vec<Vec<u8>> = reads.iter().map(|r| records_of(r, k, m)).collect();
+            let filed = filed_from(&blobs, k);
             Team::single_node(1).run(|ctx| {
                 let table = KmerTable::new(1, k, m);
                 with_keys!(table, map => {
-                    count_binned(ctx, blobs.clone(), map, &params, BIN_OBSERVATIONS)
+                    count_binned(ctx, &filed, map, &params, BIN_OBSERVATIONS)
                 });
                 let mut got = table.local_entries(ctx);
                 got.sort_by_key(|e| e.0);
                 let wide: DistMap<Kmer, KmerCounts> = DistMap::new(1);
-                count_binned(ctx, blobs.clone(), &wide, &params, BIN_OBSERVATIONS);
+                count_binned(ctx, &filed, &wide, &params, BIN_OBSERVATIONS);
                 let mut by_kmer = wide.local_entries(ctx);
                 by_kmer.sort_by_key(|e| e.0);
                 assert_eq!(by_kmer, expect, "k = {k}, Kmer keys");

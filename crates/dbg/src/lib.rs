@@ -30,8 +30,6 @@ pub mod bubble;
 pub mod contig_graph;
 pub mod graph;
 pub mod merge;
-#[cfg(test)]
-mod per_hop;
 pub mod pruning;
 mod segment;
 pub mod store;
@@ -57,3 +55,6 @@ pub use kmers::MAX_K;
 
 /// Word-level access to 2-bit packed sequences ([`PackedSeq`]'s code layout).
 pub use kmers::packed;
+
+#[cfg(test)]
+mod per_hop;

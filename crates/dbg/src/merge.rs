@@ -11,11 +11,11 @@
 //! counts table, and duplicates (k-mers present in both sets) simply merge
 //! their counts there.
 
-use crate::analysis::ship_supermers;
+use crate::analysis::{ship_supermers, TagRuns, TAGS};
 use crate::store::ContigsRef;
 use crate::table::{with_keys, KmerCountsMap};
 use dht::DistMap;
-use kmers::minimizer::{expand_supermer_keys, SupermerBlobIter};
+use kmers::minimizer::expand_supermer_keys;
 use kmers::{KmerCounts, KmerKey};
 use pgas::Ctx;
 use seqio::PackedReadView;
@@ -58,35 +58,31 @@ pub fn inject_contig_kmers_ref(
             .map()
             .for_each_local(ctx, |_, packed| each(packed.view()))
     };
-    let blobs = ship_supermers(ctx, for_each_contig, new_k, m, 0, 4096);
-    let injected = with_keys!(counts, map => merge_windows(ctx, map, blobs, new_k, weight));
+    let filed = ship_supermers(ctx, for_each_contig, new_k, m, 0, 4096);
+    let injected = with_keys!(counts, map => merge_windows(ctx, map, &filed, new_k, weight));
     ctx.barrier();
     ctx.allreduce_sum_u64(injected as u64) as usize
 }
 
-/// The receive side of injection: expands the supermer records of `blobs`
-/// and merges `weight` observations of every window into this rank's shard.
-/// Returns the number of windows merged.
+/// The receive side of injection: expands the supermer records `filed`
+/// holds, in place, and merges `weight` observations of every window into
+/// this rank's shard through one held view of it. Returns the number of
+/// windows merged.
 fn merge_windows<K: KmerKey>(
     ctx: &Ctx,
     counts: &DistMap<K, KmerCounts>,
-    blobs: Vec<Vec<u8>>,
+    filed: &TagRuns,
     k: usize,
     weight: u32,
 ) -> usize {
+    let mut shard = counts.local_view(ctx);
     let mut injected = 0usize;
-    for blob in blobs {
-        let mut items = Vec::new();
-        for record in SupermerBlobIter::new(&blob) {
-            expand_supermer_keys::<K>(&record, k, |key, exts| {
-                debug_assert_eq!(counts.owner_of(&key), ctx.rank(), "misrouted supermer");
-                let mut kc = KmerCounts::default();
-                kc.observe_n(exts, weight);
-                items.push((key, kc));
-            });
-        }
-        injected += items.len();
-        counts.apply_local_batch(ctx, items, |kc| kc, |a, b| a.merge(&b));
+    for record in filed.records(0..TAGS) {
+        expand_supermer_keys::<K>(&record, k, |key, exts| {
+            debug_assert_eq!(counts.owner_of(&key), ctx.rank(), "misrouted supermer");
+            shard.entry(key).or_default().observe_n(exts, weight);
+            injected += 1;
+        });
     }
     injected
 }

@@ -14,6 +14,8 @@
 //! Möbius cycles right, which is why it stays; it is compiled under
 //! `#[cfg(test)]` only, so no configuration can reach it.
 
+#![cfg(test)]
+
 use crate::graph::{lookup_oriented, KmerGraph};
 use crate::table::with_keys;
 use crate::traversal::{eligible, push_contig, share_contig_set, TraversalParams};

@@ -328,25 +328,11 @@ where
             .sum()
     }
 
-    /// Inserts one `(key, value)` known to be owned by the calling rank into
-    /// its local shard, returning the previous value if any — the receive
-    /// side of a routed exchange that has already combined what it received
-    /// (k-mer analysis inserts each surviving k-mer once). No traffic is
-    /// recorded: the shipment that delivered the key was already accounted by
-    /// its exchange.
-    pub fn insert_local(&self, ctx: &Ctx, key: K, value: V) -> Option<V> {
-        debug_assert_eq!(
-            self.owner_of(&key),
-            ctx.rank(),
-            "insert_local on a key this rank does not own"
-        );
-        let sub = sub_of(&key);
-        self.shards[ctx.rank()].subs[sub].lock().insert(key, value)
-    }
-
     /// Applies a batch of `(key, value)` items that are already known to be
-    /// owned by the calling rank, merging duplicates with `merge`. This is the
-    /// receive side of the update-only phase.
+    /// owned by the calling rank, merging duplicates with `merge`, in item
+    /// order. This is the receive side of the update-only phase. Each
+    /// sub-shard is locked once for the whole batch (in index order, as
+    /// [`DistMap::local_view`] locks them), not once per item.
     pub fn apply_local_batch(
         &self,
         ctx: &Ctx,
@@ -354,14 +340,20 @@ where
         default: impl Fn(V) -> V,
         merge: impl Fn(&mut V, V),
     ) {
-        let shard = &self.shards[ctx.rank()];
+        if items.is_empty() {
+            return;
+        }
+        let mut subs: Vec<_> = self.shards[ctx.rank()]
+            .subs
+            .iter()
+            .map(|m| m.lock())
+            .collect();
         for (key, value) in items {
-            let sub = sub_of(&key);
-            let mut guard = shard.subs[sub].lock();
-            match guard.get_mut(&key) {
+            let sub = &mut subs[sub_of(&key)];
+            match sub.get_mut(&key) {
                 Some(existing) => merge(existing, value),
                 None => {
-                    guard.insert(key, default(value));
+                    sub.insert(key, default(value));
                 }
             }
         }
@@ -393,6 +385,23 @@ where
     #[inline]
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
         self.subs[sub_of(key)].get_mut(key)
+    }
+
+    /// Inserts a key owned by the viewing rank into the viewed shard,
+    /// returning the previous value if any: the receive side of a routed
+    /// exchange that has already combined what it received (k-mer analysis
+    /// inserts each surviving k-mer once). No lock is taken and no traffic
+    /// recorded — the exchange that delivered the key accounted it.
+    #[inline]
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        self.subs[sub_of(&key)].insert(key, value)
+    }
+
+    /// The entry of a key owned by the viewing rank, for an in-place upsert
+    /// (contig k-mer injection merges its windows this way).
+    #[inline]
+    pub fn entry(&mut self, key: K) -> std::collections::hash_map::Entry<'_, K, V> {
+        self.subs[sub_of(&key)].entry(key)
     }
 
     /// Number of sub-shards (lock stripes) the view holds.
@@ -625,19 +634,24 @@ mod tests {
     }
 
     #[test]
-    fn insert_local_is_traffic_free_and_visible_to_every_rank() {
+    fn view_inserts_are_traffic_free_and_visible_to_every_rank() {
         let team = Team::single_node(3);
         team.run(|ctx| {
             let map: Arc<DistMap<u64, u64>> = DistMap::shared(ctx);
             // Every rank inserts the keys it owns, without any traffic.
             ctx.stats().reset();
+            let mut view = map.local_view(ctx);
             for k in (0..90u64).filter(|k| map.owner_of(k) == ctx.rank()) {
-                assert_eq!(map.insert_local(ctx, k, k), None);
+                assert_eq!(view.insert(k, k), None);
             }
             if map.owner_of(&1000) == ctx.rank() {
-                assert_eq!(map.insert_local(ctx, 1000, 7), None);
-                assert_eq!(map.insert_local(ctx, 1000, 8), Some(7));
+                assert_eq!(view.insert(1000, 7), None);
+                assert_eq!(view.insert(1000, 8), Some(7));
+                *view.entry(1000).or_insert(0) += 1;
+                assert_eq!(view.get(&1000), Some(&9));
+                assert_eq!(view.insert(1000, 1000), Some(9));
             }
+            drop(view);
             assert_eq!(ctx.stats().snapshot(), pgas::StatsSnapshot::default());
             ctx.barrier();
             for k in 0..90u64 {

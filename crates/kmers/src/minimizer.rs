@@ -19,19 +19,22 @@
 //! bytes), and nothing on the way to the counts table goes back to ASCII —
 //! the super-k-mer layout of KMC 3. The pieces, in pipeline order:
 //!
-//! * [`cut_supermers`] — cuts one read's supermers from its codes: a rolling
-//!   canonical m-mer and a window minimum kept in a ring of the last k−m+1
-//!   m-mer values, rescanned only when the minimum leaves the window (O(1)
-//!   amortised per base);
+//! * [`cut_supermers`] — cuts one read's supermers from its codes, read 32
+//!   bases per 64-bit load: a rolling canonical m-mer and a window minimum
+//!   kept in a ring of the last k−m+1 m-mer values, rescanned only when the
+//!   minimum leaves the window (O(1) amortised per base). Each [`Supermer`]
+//!   carries the codes of its boundary bases, which the cutter has in hand;
 //! * [`encode_packed_supermer`] — appends one supermer's wire record to a
-//!   byte buffer (the per-owner aggregation buffers of the exchange): a
-//!   shifted copy of the read's packed bits and of its high-quality mask,
-//!   and the minimizer's bin tag ([`minimizer_tag`]);
+//!   byte buffer (an exchange buffer, or the run of its bin tag when the
+//!   record stays on the rank that cut it): the read's packed bits and its
+//!   high-quality mask, each written as shifted, masked 64-bit words, and the
+//!   minimizer's bin tag ([`minimizer_tag`]);
 //! * [`SupermerBlobIter`] / [`expand_supermer`] — the receive side: frames
-//!   records out of an aggregated blob and expands each back into exactly the
+//!   records out of a byte run and expands each back into exactly the
 //!   [`CanonicalKmerExt`] observations the per-k-mer extraction
 //!   ([`crate::extract::kmers_with_exts_iter`]) would have produced, rolling
-//!   the forward and the reverse-complement k-mer in lockstep;
+//!   the forward and the reverse-complement k-mer in lockstep and the
+//!   extension bases and quality bits out of sliding 64-bit words;
 //! * [`kmer_minimizer`] / [`minimizer_shard`] — the canonical minimizer of a
 //!   single (canonical) k-mer and its deterministic shard assignment, used by
 //!   the minimizer-based `dht` partitioner so that table ownership agrees
@@ -49,6 +52,7 @@ use crate::extract::CanonicalKmerExt;
 use crate::kernels;
 use crate::key::KmerKey;
 use crate::kmer::{Kmer, StrandPair, MAX_K};
+use crate::packed::{load_bases, load_bits};
 use crate::packed_seq::PackedSeq;
 use seqio::alphabet::encode_base;
 use seqio::PackedReadView;
@@ -127,10 +131,53 @@ impl MmerRoller {
     /// `m` bases have been consumed.
     #[inline]
     fn push(&mut self, code: u8) -> Option<u64> {
+        let value = self.roll(code);
+        self.filled = (self.filled + 1).min(self.m);
+        (self.filled == self.m).then_some(value)
+    }
+
+    /// Rolls one 2-bit base code in and returns the canonical value of the
+    /// last `m` bases, for a caller that counts the first `m − 1` itself.
+    #[inline(always)]
+    fn roll(&mut self, code: u8) -> u64 {
         self.fwd = ((self.fwd << 2) | code as u64) & self.mask;
         self.rc = (self.rc >> 2) | (((3 - code) as u64) << (2 * (self.m - 1)));
-        self.filled = (self.filled + 1).min(self.m);
-        (self.filled == self.m).then(|| self.fwd.min(self.rc))
+        self.fwd.min(self.rc)
+    }
+}
+
+/// The 2-bit codes of a packed sequence from a given base on, one per
+/// [`BaseStream::next`], out of one 64-bit word loaded per 32 bases.
+struct BaseStream<'a> {
+    codes: &'a [u8],
+    /// Base offset of the next load.
+    next: usize,
+    word: u64,
+    /// Codes of `word` not yet read.
+    left: u32,
+}
+
+impl<'a> BaseStream<'a> {
+    fn new(codes: &'a [u8], from: usize) -> Self {
+        BaseStream {
+            codes,
+            next: from,
+            word: 0,
+            left: 0,
+        }
+    }
+
+    #[inline(always)]
+    fn next(&mut self) -> u8 {
+        if self.left == 0 {
+            self.word = load_bases(self.codes, self.next);
+            self.next += 32;
+            self.left = 32;
+        }
+        let code = (self.word & 0b11) as u8;
+        self.word >>= 2;
+        self.left -= 1;
+        code
     }
 }
 
@@ -179,13 +226,19 @@ pub struct Supermer {
     pub kmers: usize,
     /// The shared canonical minimizer value (routing key).
     pub minimizer: u64,
+    /// 2-bit code of the read base just before the supermer; `None` at the
+    /// read's start and next to an exception.
+    pub left: Option<u8>,
+    /// 2-bit code of the read base just after the supermer; `None` at the
+    /// read's end and next to an exception.
+    pub right: Option<u8>,
 }
 
 /// Cuts the supermers of one packed read and calls `emit` with each, in read
 /// order. The windows are those of [`crate::extract::kmer_positions`]
 /// (windows holding an exception are skipped), grouped into maximal
 /// same-minimizer runs of at most [`MAX_SUPERMER_BASES`] bases. O(len)
-/// amortised time; no allocation.
+/// amortised time, the codes read 32 bases per word; no allocation.
 ///
 /// # Panics
 /// Panics unless `1 <= m <= k <= MAX_K` and `m <= MAX_MINIMIZER_LEN`.
@@ -211,11 +264,14 @@ pub fn cut_supermers(
     }
 }
 
-/// Cuts one ambiguity-free stretch of at least `k` bases. `ring[p % RING]`
-/// holds the canonical value of the m-mer at `p` for the current window's
-/// k−m+1 m-mers; `min` is the smallest of them and `min_pos` the rightmost
-/// position holding it, so the ring is rescanned only once that position
-/// leaves the window.
+/// Cuts one ambiguity-free stretch of at least `k` bases, its codes read 32
+/// bases per word load. `ring[p % RING]` holds the canonical value of the
+/// m-mer at `p` for the current window's k−m+1 m-mers; `min` is the smallest
+/// of them and `min_pos` the rightmost position holding it, so the ring is
+/// rescanned only once that position leaves the window. The first window's
+/// m-mers are rolled in before the window loop, which then handles one
+/// window per base. A supermer's right boundary base is the one whose window
+/// starts the next; at the stretch's ends there is none.
 fn cut_stretch(
     read: &PackedReadView<'_>,
     stretch: Range<usize>,
@@ -225,20 +281,34 @@ fn cut_stretch(
     emit: &mut impl FnMut(Supermer),
 ) {
     let max_kmers = MAX_SUPERMER_BASES.saturating_sub(k - 1).max(1);
+    let mut codes = BaseStream::new(read.codes, stretch.start);
     let mut roller = MmerRoller::new(m);
+    for _ in 1..m {
+        roller.roll(codes.next());
+    }
     let (mut min, mut min_pos) = (u64::MAX, 0usize);
-    let mut run: Option<Supermer> = None;
-    for pos in stretch.clone() {
-        let Some(value) = roller.push(read.code_at(pos)) else {
-            continue;
-        };
-        let mpos = pos + 1 - m;
+    for mpos in stretch.start..=stretch.start + k - m {
+        let value = roller.roll(codes.next());
         ring[mpos % RING] = value;
         if value <= min {
             (min, min_pos) = (value, mpos);
         }
-        if pos + 1 < stretch.start + k {
-            continue;
+    }
+    let mut run = Supermer {
+        start: stretch.start,
+        len: k,
+        kmers: 1,
+        minimizer: min,
+        left: None,
+        right: None,
+    };
+    for pos in stretch.start + k..stretch.end {
+        let code = codes.next();
+        let value = roller.roll(code);
+        let mpos = pos + 1 - m;
+        ring[mpos % RING] = value;
+        if value <= min {
+            (min, min_pos) = (value, mpos);
         }
         let window = pos + 1 - k;
         if min_pos < window {
@@ -249,27 +319,26 @@ fn cut_stretch(
                 }
             }
         }
-        match &mut run {
-            Some(sm) if sm.minimizer == min && sm.kmers < max_kmers => {
-                sm.kmers += 1;
-                sm.len += 1;
-            }
-            _ => {
-                let next = Supermer {
-                    start: window,
-                    len: k,
-                    kmers: 1,
-                    minimizer: min,
-                };
-                if let Some(done) = run.replace(next) {
-                    emit(done);
-                }
-            }
+        if run.minimizer == min && run.kmers < max_kmers {
+            run.kmers += 1;
+            run.len += 1;
+        } else {
+            let next = Supermer {
+                start: window,
+                len: k,
+                kmers: 1,
+                minimizer: min,
+                left: Some(read.code_at(window - 1)),
+                right: None,
+            };
+            let done = std::mem::replace(&mut run, next);
+            emit(Supermer {
+                right: Some(code),
+                ..done
+            });
         }
     }
-    if let Some(done) = run {
-        emit(done);
-    }
+    emit(run);
 }
 
 /// The supermers of an ASCII read, collected: packs `seq` (non-ACGT bytes
@@ -315,7 +384,12 @@ impl Iterator for SupermerIter {
 // (absent at read ends and next to ambiguous bases), so the receive side can
 // reconstruct the first window's left extension and the last window's right
 // extension; interior extensions are implicit in the packed sequence. Bits
-// past L in the last packed byte and the last hq byte are zero.
+// past L in the last packed byte and the last hq byte are zero. The packed
+// bases and the hq bits are the read's own bit streams from the record's
+// first base on, so the packed encoder writes each as whole 64-bit words
+// (one load, shift and mask per word) and trims the last one. Records are
+// self-delimiting and carry their bin tag, so a byte run of them can be
+// filed by tag and read in place by the receive side.
 
 /// Number of wire bytes one supermer of `len` bases occupies.
 #[inline]
@@ -323,19 +397,15 @@ pub fn supermer_wire_bytes(len: usize) -> usize {
     4 + len.div_ceil(4) + len.div_ceil(8)
 }
 
-/// Appends the record header of `sm` with the given boundary bases
-/// (`(code, high quality)`), then its zeroed body, and returns the body split
-/// into the packed bases and the hq bits.
-fn push_record<'o>(
-    out: &'o mut Vec<u8>,
-    sm: &Supermer,
+/// The four header bytes of a record of `len` bases under `minimizer`, with
+/// the given boundary bases (`(code, high quality)`).
+fn record_header(
+    len: usize,
+    minimizer: u64,
     left: Option<(u8, bool)>,
     right: Option<(u8, bool)>,
-) -> (&'o mut [u8], &'o mut [u8]) {
-    assert!(
-        sm.len <= MAX_SUPERMER_BASES,
-        "supermer too long for the wire"
-    );
+) -> [u8; 4] {
+    assert!(len <= MAX_SUPERMER_BASES, "supermer too long for the wire");
     let mut ends = 0u8;
     if let Some((code, hq)) = left {
         ends |= 1 | (u8::from(hq) << 1) | (code << 4);
@@ -343,60 +413,65 @@ fn push_record<'o>(
     if let Some((code, hq)) = right {
         ends |= (1 << 2) | (u8::from(hq) << 3) | (code << 6);
     }
-    out.extend_from_slice(&(sm.len as u16).to_le_bytes());
-    out.push(ends);
-    out.push(minimizer_tag(sm.minimizer));
+    let [lo, hi] = (len as u16).to_le_bytes();
+    [lo, hi, ends, minimizer_tag(minimizer)]
+}
+
+/// Appends the record header of `sm` with the given boundary bases, then its
+/// zeroed body, and returns the body split into the packed bases and the hq
+/// bits.
+fn push_record<'o>(
+    out: &'o mut Vec<u8>,
+    sm: &Supermer,
+    left: Option<(u8, bool)>,
+    right: Option<(u8, bool)>,
+) -> (&'o mut [u8], &'o mut [u8]) {
+    out.extend_from_slice(&record_header(sm.len, sm.minimizer, left, right));
     let base = out.len();
     out.resize(base + sm.len.div_ceil(4) + sm.len.div_ceil(8), 0);
     out[base..].split_at_mut(sm.len.div_ceil(4))
 }
 
-/// Copies bits `from..from + n` of the little-endian bit stream `src` to the
-/// start of `dst` (`n.div_ceil(8)` bytes) and zeroes `dst`'s bits past `n`:
-/// eight bytes per step with one unaligned load and a shift.
-fn copy_bits(src: &[u8], from: usize, n: usize, dst: &mut [u8]) {
-    debug_assert_eq!(dst.len(), n.div_ceil(8));
-    let (src, shift) = (&src[from / 8..], from % 8);
-    let mut j = 0;
-    while j + 8 < src.len() && j + 8 <= dst.len() {
-        let word = u64::from_le_bytes(src[j..j + 8].try_into().expect("8-byte chunk"));
-        let carry = (u64::from(src[j + 8]) << 1) << (63 - shift);
-        dst[j..j + 8].copy_from_slice(&((word >> shift) | carry).to_le_bytes());
-        j += 8;
+/// Appends bits `from..from + n` of the little-endian bit stream `src` to
+/// `out` as `n.div_ceil(8)` bytes whose bits past `n` are zero: one load,
+/// shift and mask and one 8-byte store per 64 bits, then the overshoot of the
+/// last store trimmed. `out` needs 7 bytes of spare capacity to never grow
+/// for the overshoot.
+#[inline]
+fn append_bits(out: &mut Vec<u8>, src: &[u8], from: usize, n: usize) {
+    let end = out.len() + n.div_ceil(8);
+    for done in (0..n).step_by(64) {
+        let mut word = load_bits(src, from + done);
+        if n - done < 64 {
+            word &= (1u64 << (n - done)) - 1;
+        }
+        out.extend_from_slice(&word.to_le_bytes());
     }
-    for (i, d) in dst.iter_mut().enumerate().skip(j) {
-        let carry = src
-            .get(i + 1)
-            .map_or(0, |&b| (u16::from(b) << 8 >> shift) as u8);
-        *d = (src[i] >> shift) | carry;
-    }
-    if !n.is_multiple_of(8) {
-        *dst.last_mut().expect("n > 0") &= (1u8 << (n % 8)) - 1;
-    }
+    out.truncate(end);
 }
 
 /// Appends the wire record of `sm`, a supermer [`cut_supermers`] cut from
 /// `read`, to `out` and returns the number of bytes written. `hq` is the
 /// read's high-quality mask ([`PackedReadView::hq_mask`]), so the receive
-/// side never needs the Phred scores themselves. The bases and the mask are
-/// bit copies of the read's, shifted to the record's first base.
+/// side never needs the Phred scores themselves. The boundary bases come
+/// with `sm`, their quality bits from `hq`; the bases and the mask are the
+/// read's bit streams shifted to the record's first base, written a 64-bit
+/// word at a time.
 pub fn encode_packed_supermer(
     out: &mut Vec<u8>,
     read: &PackedReadView<'_>,
     hq: &[u8],
     sm: &Supermer,
 ) -> usize {
-    let before = out.len();
-    let boundary = |i: Option<usize>| {
-        i.filter(|&i| read.is_acgt(i))
-            .map(|i| (read.code_at(i), (hq[i / 8] >> (i % 8)) & 1 == 1))
-    };
-    let left = boundary(sm.start.checked_sub(1));
-    let right = boundary(Some(sm.start + sm.len));
-    let (packed, hq_bits) = push_record(out, sm, left, right);
-    copy_bits(read.codes, 2 * sm.start, 2 * sm.len, packed);
-    copy_bits(hq, sm.start, sm.len, hq_bits);
-    out.len() - before
+    let hq_at = |i: usize| (hq[i / 8] >> (i % 8)) & 1 == 1;
+    let left = sm.left.map(|code| (code, hq_at(sm.start - 1)));
+    let right = sm.right.map(|code| (code, hq_at(sm.start + sm.len)));
+    let bytes = supermer_wire_bytes(sm.len);
+    out.reserve(bytes + 7);
+    out.extend_from_slice(&record_header(sm.len, sm.minimizer, left, right));
+    append_bits(out, read.codes, 2 * sm.start, 2 * sm.len);
+    append_bits(out, hq, sm.start, sm.len);
+    bytes
 }
 
 /// The ASCII form of [`encode_packed_supermer`]: appends the wire record of
@@ -445,6 +520,11 @@ pub struct SupermerRecord<'a> {
     pub tag: u8,
     packed: &'a [u8],
     hq: &'a [u8],
+    /// The record's body and whatever follows it in the buffer: word loads
+    /// of the bases and the hq bits read from here, so that they take the
+    /// one-load path of a long slice. What they pick up past the record is
+    /// never used.
+    body: &'a [u8],
 }
 
 impl SupermerRecord<'_> {
@@ -470,26 +550,10 @@ impl SupermerRecord<'_> {
         assert!(self.len >= k, "supermer shorter than k");
         Kmer::from_packed(self.packed, 0, k)
     }
-
-    /// The extensions of the window at `w`: the bases either side of it,
-    /// from the record or, at its ends, from the boundary bases.
-    #[inline]
-    fn exts_at(&self, w: usize, k: usize) -> ExtPair {
-        let left = if w > 0 {
-            Some((self.code_at(w - 1), self.hq_at(w - 1)))
-        } else {
-            self.left
-        };
-        let right = if w + k < self.len {
-            Some((self.code_at(w + k), self.hq_at(w + k)))
-        } else {
-            self.right
-        };
-        ExtPair { left, right }
-    }
 }
 
-/// Frames [`SupermerRecord`]s out of one aggregated wire blob.
+/// Frames [`SupermerRecord`]s out of a byte run of whole records: an
+/// aggregated wire blob, or one tag's run on the rank that counts it.
 pub struct SupermerBlobIter<'a> {
     buf: &'a [u8],
     off: usize,
@@ -532,6 +596,7 @@ impl<'a> Iterator for SupermerBlobIter<'a> {
             tag: rest[3],
             packed: &rest[4..4 + packed_len],
             hq: &rest[4 + packed_len..4 + packed_len + hq_len],
+            body: &rest[4..],
         };
         self.off += supermer_wire_bytes(len);
         Some(record)
@@ -581,7 +646,12 @@ pub fn expand_supermer_keys<K: KmerKey>(
     }
 }
 
-/// [`expand_supermer_keys`] for a k of `N` words.
+/// [`expand_supermer_keys`] for a k of `N` words. Window `w`'s left
+/// extension is base `w − 1`, the base it rolls in is `w + k − 1` and its
+/// right extension is `w + k`; the three base streams and the two quality
+/// streams are each loaded as one 64-bit word per 32 windows and shifted
+/// along, so the window loop reads no memory. The first and the last window
+/// take a boundary base from the header, so they are handled outside it.
 #[inline(always)]
 fn expand_words<const N: usize, K: KmerKey>(
     record: &SupermerRecord<'_>,
@@ -589,15 +659,51 @@ fn expand_words<const N: usize, K: KmerKey>(
     mut emit: impl FnMut(K, ExtPair),
 ) {
     assert!(record.len >= k, "supermer shorter than k");
-    let mut pair = StrandPair::<N>::at(record.packed, 0, k);
-    for w in 0..=record.len - k {
-        if w > 0 {
-            pair.push(record.code_at(w + k - 1));
-        }
-        let exts = record.exts_at(w, k);
-        let (key, was_rc) = pair.canonical_key::<K>();
-        emit(key, if was_rc { exts.revcomp() } else { exts });
+    let (body, hq) = (record.body, 8 * record.packed.len());
+    let mut pair = StrandPair::<N>::at(body, 0, k);
+    let base = |i: usize| (record.code_at(i), record.hq_at(i));
+    let last = record.len - k;
+    if last == 0 {
+        emit_window(&pair, record.left, record.right, &mut emit);
+        return;
     }
+    emit_window(&pair, record.left, Some(base(k)), &mut emit);
+    let mut w = 1;
+    while w < last {
+        let n = (last - w).min(32);
+        let mut lefts = load_bases(body, w - 1);
+        let mut left_hq = load_bits(body, hq + w - 1);
+        let mut incoming = load_bases(body, w + k - 1);
+        let mut rights = load_bases(body, w + k);
+        let mut right_hq = load_bits(body, hq + w + k);
+        for _ in 0..n {
+            pair.push((incoming & 0b11) as u8);
+            let left = ((lefts & 0b11) as u8, left_hq & 1 == 1);
+            let right = ((rights & 0b11) as u8, right_hq & 1 == 1);
+            emit_window(&pair, Some(left), Some(right), &mut emit);
+            (lefts, incoming, rights) = (lefts >> 2, incoming >> 2, rights >> 2);
+            (left_hq, right_hq) = (left_hq >> 1, right_hq >> 1);
+        }
+        w += n;
+    }
+    pair.push(record.code_at(record.len - 1));
+    emit_window(&pair, Some(base(last - 1)), record.right, &mut emit);
+}
+
+/// Emits the window `pair` holds, with extensions `left` and `right` in read
+/// orientation, as its canonical key and the extensions seen from it. The
+/// strand is a coin flip per window, so both orientations of the extensions
+/// are made and one is picked by index, not by a branch.
+#[inline(always)]
+fn emit_window<const N: usize, K: KmerKey>(
+    pair: &StrandPair<N>,
+    left: Option<(u8, bool)>,
+    right: Option<(u8, bool)>,
+    emit: &mut impl FnMut(K, ExtPair),
+) {
+    let exts = ExtPair { left, right };
+    let (key, was_rc) = pair.canonical_key::<K>();
+    emit(key, [exts, exts.revcomp()][usize::from(was_rc)]);
 }
 
 #[cfg(test)]
@@ -608,9 +714,11 @@ mod tests {
 
     /// The supermers of `seq` by definition: every window's minimizer
     /// recomputed from scratch, consecutive windows with equal minimizers
-    /// grouped, runs capped at [`MAX_SUPERMER_BASES`].
+    /// grouped, runs capped at [`MAX_SUPERMER_BASES`], and the boundary bases
+    /// read off the ASCII.
     fn oracle_supermers(seq: &[u8], k: usize, m: usize) -> Vec<Supermer> {
         let max_kmers = MAX_SUPERMER_BASES - (k - 1);
+        let boundary = |i: Option<usize>| encode_base(*seq.get(i?)?);
         let mut out: Vec<Supermer> = Vec::new();
         for (pos, km) in kmer_positions(seq, k) {
             let minimizer = kmer_minimizer(&km, m);
@@ -628,10 +736,182 @@ mod tests {
                     len: k,
                     kmers: 1,
                     minimizer,
+                    left: None,
+                    right: None,
                 }),
             }
         }
+        for sm in &mut out {
+            sm.left = boundary(sm.start.checked_sub(1));
+            sm.right = boundary(Some(sm.start + sm.len));
+        }
         out
+    }
+
+    // --- The byte-wise kernels the word kernels replaced (oracles) ---------
+
+    /// The cut one `code_at` per base, with the boundary bases looked up in
+    /// the read afterwards.
+    fn cut_bytewise(read: &PackedReadView<'_>, k: usize, m: usize) -> Vec<Supermer> {
+        let mut ring = [0u64; RING];
+        let mut out = Vec::new();
+        let mut stretch_start = 0usize;
+        let exceptions = read.exceptions.iter().map(|&(pos, _)| pos as usize);
+        for stretch_end in exceptions.chain(std::iter::once(read.len)) {
+            if stretch_end >= stretch_start + k {
+                cut_stretch_bytewise(read, stretch_start..stretch_end, k, m, &mut ring, &mut out);
+            }
+            stretch_start = stretch_end + 1;
+        }
+        let boundary = |i: Option<usize>| i.filter(|&i| read.is_acgt(i)).map(|i| read.code_at(i));
+        for sm in &mut out {
+            sm.left = boundary(sm.start.checked_sub(1));
+            sm.right = boundary(Some(sm.start + sm.len));
+        }
+        out
+    }
+
+    fn cut_stretch_bytewise(
+        read: &PackedReadView<'_>,
+        stretch: Range<usize>,
+        k: usize,
+        m: usize,
+        ring: &mut [u64; RING],
+        out: &mut Vec<Supermer>,
+    ) {
+        let max_kmers = MAX_SUPERMER_BASES.saturating_sub(k - 1).max(1);
+        let mut roller = MmerRoller::new(m);
+        let (mut min, mut min_pos) = (u64::MAX, 0usize);
+        let mut run: Option<Supermer> = None;
+        for pos in stretch.clone() {
+            let Some(value) = roller.push(read.code_at(pos)) else {
+                continue;
+            };
+            let mpos = pos + 1 - m;
+            ring[mpos % RING] = value;
+            if value <= min {
+                (min, min_pos) = (value, mpos);
+            }
+            if pos + 1 < stretch.start + k {
+                continue;
+            }
+            let window = pos + 1 - k;
+            if min_pos < window {
+                min = u64::MAX;
+                for p in window..=mpos {
+                    if ring[p % RING] <= min {
+                        (min, min_pos) = (ring[p % RING], p);
+                    }
+                }
+            }
+            match &mut run {
+                Some(sm) if sm.minimizer == min && sm.kmers < max_kmers => {
+                    sm.kmers += 1;
+                    sm.len += 1;
+                }
+                _ => {
+                    let next = Supermer {
+                        start: window,
+                        len: k,
+                        kmers: 1,
+                        minimizer: min,
+                        left: None,
+                        right: None,
+                    };
+                    out.extend(run.replace(next));
+                }
+            }
+        }
+        out.extend(run);
+    }
+
+    /// Copies bits `from..from + n` of the little-endian bit stream `src` to
+    /// the start of `dst` (`n.div_ceil(8)` bytes) and zeroes `dst`'s bits
+    /// past `n`: eight bytes per step while eight fit, then byte by byte with
+    /// a carry.
+    fn copy_bits(src: &[u8], from: usize, n: usize, dst: &mut [u8]) {
+        debug_assert_eq!(dst.len(), n.div_ceil(8));
+        let (src, shift) = (&src[from / 8..], from % 8);
+        let mut j = 0;
+        while j + 8 < src.len() && j + 8 <= dst.len() {
+            let word = u64::from_le_bytes(src[j..j + 8].try_into().expect("8-byte chunk"));
+            let carry = (u64::from(src[j + 8]) << 1) << (63 - shift);
+            dst[j..j + 8].copy_from_slice(&((word >> shift) | carry).to_le_bytes());
+            j += 8;
+        }
+        for (i, d) in dst.iter_mut().enumerate().skip(j) {
+            let carry = src
+                .get(i + 1)
+                .map_or(0, |&b| (u16::from(b) << 8 >> shift) as u8);
+            *d = (src[i] >> shift) | carry;
+        }
+        if !n.is_multiple_of(8) {
+            *dst.last_mut().expect("n > 0") &= (1u8 << (n % 8)) - 1;
+        }
+    }
+
+    /// The encoder with the boundary bases looked up in the read (a binary
+    /// search of its exceptions each) and the body written by [`copy_bits`].
+    fn encode_bytewise(
+        out: &mut Vec<u8>,
+        read: &PackedReadView<'_>,
+        hq: &[u8],
+        sm: &Supermer,
+    ) -> usize {
+        let before = out.len();
+        let boundary = |i: Option<usize>| {
+            i.filter(|&i| read.is_acgt(i))
+                .map(|i| (read.code_at(i), (hq[i / 8] >> (i % 8)) & 1 == 1))
+        };
+        let left = boundary(sm.start.checked_sub(1));
+        let right = boundary(Some(sm.start + sm.len));
+        let (packed, hq_bits) = push_record(out, sm, left, right);
+        copy_bits(read.codes, 2 * sm.start, 2 * sm.len, packed);
+        copy_bits(hq, sm.start, sm.len, hq_bits);
+        out.len() - before
+    }
+
+    /// The extensions of the window at `w`, base by base: the bases either
+    /// side of it, from the record or, at its ends, from the boundary bases.
+    fn exts_at(record: &SupermerRecord<'_>, w: usize, k: usize) -> ExtPair {
+        let left = if w > 0 {
+            Some((record.code_at(w - 1), record.hq_at(w - 1)))
+        } else {
+            record.left
+        };
+        let right = if w + k < record.len {
+            Some((record.code_at(w + k), record.hq_at(w + k)))
+        } else {
+            record.right
+        };
+        ExtPair { left, right }
+    }
+
+    /// The expansion with one `code_at` per rolled base and [`exts_at`]'s
+    /// four lookups per window.
+    fn expand_bytewise<K: KmerKey>(record: &SupermerRecord<'_>, k: usize) -> Vec<(K, ExtPair)> {
+        fn words<const N: usize, K: KmerKey>(
+            record: &SupermerRecord<'_>,
+            k: usize,
+        ) -> Vec<(K, ExtPair)> {
+            let mut pair = StrandPair::<N>::at(record.packed, 0, k);
+            (0..=record.len - k)
+                .map(|w| {
+                    if w > 0 {
+                        pair.push(record.code_at(w + k - 1));
+                    }
+                    let exts = exts_at(record, w, k);
+                    let (key, was_rc) = pair.canonical_key::<K>();
+                    (key, if was_rc { exts.revcomp() } else { exts })
+                })
+                .collect()
+        }
+        match k.div_ceil(32) {
+            1 => words::<1, K>(record, k),
+            2 => words::<2, K>(record, k),
+            3 => words::<3, K>(record, k),
+            _ => words::<4, K>(record, k),
+        }
     }
 
     /// The expansion this module shipped before the rolling one: a fresh
@@ -644,7 +924,7 @@ mod tests {
                     km = km.extended_right(record.code_at(w + k - 1));
                 }
                 let (kmer, was_rc) = km.canonical();
-                let exts = record.exts_at(w, k);
+                let exts = exts_at(record, w, k);
                 CanonicalKmerExt {
                     kmer,
                     exts: if was_rc { exts.revcomp() } else { exts },
@@ -741,12 +1021,113 @@ mod tests {
         }
     }
 
+    /// The word kernels — cut, encoder, expander — each equal their
+    /// byte-wise oracle on `(seq, qual)`. Returns the supermers cut.
+    fn check_word_kernels(seq: &[u8], qual: &[u8], k: usize, m: usize) -> Vec<Supermer> {
+        let what = format!("len={} k={k} m={m}", seq.len());
+        let mut packer = ReadPacker::default();
+        let read = packer.pack(seq, qual);
+        let mut cut = Vec::new();
+        cut_supermers(&read, k, m, |sm| cut.push(sm));
+        assert_eq!(cut, cut_bytewise(&read, k, m), "cut, {what}");
+
+        let mut hq = Vec::new();
+        read.hq_mask(20, &mut hq);
+        let (mut words, mut bytewise) = (Vec::new(), Vec::new());
+        for sm in &cut {
+            let wrote = encode_packed_supermer(&mut words, &read, &hq, sm);
+            assert_eq!(
+                wrote,
+                encode_bytewise(&mut bytewise, &read, &hq, sm),
+                "{what}"
+            );
+        }
+        assert_eq!(words, bytewise, "wire bytes, {what}");
+
+        for record in SupermerBlobIter::new(&words) {
+            let mut rolled = Vec::new();
+            expand_supermer_keys::<Kmer>(&record, k, |key, exts| rolled.push((key, exts)));
+            assert_eq!(
+                rolled,
+                expand_bytewise::<Kmer>(&record, k),
+                "expansion, {what}"
+            );
+        }
+        cut
+    }
+
+    /// Scores in runs of 1–40 bases, each run high or low quality at a
+    /// threshold of 20, some on the threshold itself.
+    fn quality_runs(len: usize, mut state: u64) -> Vec<u8> {
+        let mut qual = Vec::with_capacity(len);
+        while qual.len() < len {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let run = 1 + (state >> 40) as usize % 40;
+            let score = [35, 20, 19, 5][(state >> 33) as usize % 4];
+            qual.extend(std::iter::repeat_n(score, run.min(len - qual.len())));
+        }
+        qual
+    }
+
+    #[test]
+    fn word_kernels_equal_their_byte_wise_oracles() {
+        for k in [3, 15, 21, 31, 33, 43, 63, 65, MAX_K] {
+            let m = k.min(15);
+            let (mut starts_mod8, mut ends_mod8) = ([false; 8], [false; 8]);
+            let (mut at_read_start, mut at_read_end) = (false, false);
+            for offset in 0..32 {
+                // An exception at `offset` mod 32 past a stretch of at least
+                // k bases, a second one beside it, and at least k clean
+                // bases on to the read's end.
+                let first = 32 * (k / 32 + 1) + offset;
+                let len = first + 2 + k + 40 + 3 * offset;
+                let mut seq = random_bases(len, (k * 32 + offset) as u64);
+                seq[first] = b'N';
+                seq[first + 1] = b'R';
+                let qual = quality_runs(len, (k * 32 + offset) as u64);
+                for sm in check_word_kernels(&seq, &qual, k, m) {
+                    starts_mod8[sm.start % 8] = true;
+                    ends_mod8[(sm.start + sm.len) % 8] = true;
+                    at_read_start |= sm.start == 0 && sm.left.is_none();
+                    at_read_end |= sm.start + sm.len == len && sm.right.is_none();
+                }
+                check_word_kernels(&seq, &[], k, m);
+            }
+            assert!(
+                starts_mod8.iter().all(|&s| s),
+                "k={k}: starts {starts_mod8:?}"
+            );
+            assert!(ends_mod8.iter().all(|&s| s), "k={k}: ends {ends_mod8:?}");
+            assert!(
+                at_read_start && at_read_end,
+                "k={k}: no record at a read end"
+            );
+        }
+    }
+
+    #[test]
+    fn append_bits_equals_copy_bits_at_every_span() {
+        let src: Vec<u8> = (0..40u32).map(|i| (i * 37 + 11) as u8).collect();
+        for from in 0..24 {
+            for n in 1..=200usize {
+                let mut dst = vec![0xA5; n.div_ceil(8)];
+                copy_bits(&src, from, n, &mut dst);
+                let mut out = vec![0x5A; from % 3];
+                append_bits(&mut out, &src, from, n);
+                assert_eq!(out[from % 3..], dst[..], "from={from} n={n}");
+            }
+        }
+    }
+
     #[test]
     fn a_70kb_homopolymer_splits_at_the_wire_limit_on_both_paths() {
         let seq = vec![b'A'; 70_000];
         let qual: Vec<u8> = (0..seq.len()).map(|i| [35, 5][i / 300 % 2]).collect();
         for (k, m) in [(21, 15), (127, 31)] {
             check_packed_equals_ascii(&seq, &qual, k, m);
+            check_word_kernels(&seq, &qual, k, m);
             let cut = supermers(&seq, k, m);
             assert_eq!(cut.len(), 2, "k={k}");
             assert_eq!(cut[0].len, MAX_SUPERMER_BASES);

@@ -25,31 +25,45 @@ use seqio::PackedReadView;
 use std::ops::RangeInclusive;
 
 /// The eight code bytes at `byte` as a little-endian word; bytes past the end
-/// of `codes` read as 0.
+/// of `codes` read as 0. Within the last eight bytes of a slice of at least
+/// eight, the word is the slice's last eight bytes shifted down: one load, as
+/// everywhere else. Reads and supermer records are short slices, so their
+/// last words take this path often.
 #[inline]
 fn load_u64(codes: &[u8], byte: usize) -> u64 {
-    match codes.get(byte..byte + 8) {
-        Some(bytes) => u64::from_le_bytes(bytes.try_into().expect("eight-byte slice")),
-        None => {
-            let rest = codes.get(byte..).unwrap_or_default();
-            let mut padded = [0u8; 8];
-            padded[..rest.len()].copy_from_slice(rest);
-            u64::from_le_bytes(padded)
-        }
+    if let Some(bytes) = codes.get(byte..byte + 8) {
+        return u64::from_le_bytes(bytes.try_into().expect("eight-byte slice"));
     }
+    let len = codes.len();
+    if len >= 8 && byte < len {
+        let last = u64::from_le_bytes(codes[len - 8..].try_into().expect("eight-byte slice"));
+        return last >> (8 * (byte + 8 - len));
+    }
+    let rest = codes.get(byte..).unwrap_or_default();
+    rest.iter()
+        .enumerate()
+        .fold(0, |word, (i, &b)| word | u64::from(b) << (8 * i))
 }
 
 /// Bases `pos..pos + 32` of a packed stream as one word, base `pos` in the low
 /// bits; bases past the end of `codes` read as 0 (`A`).
 #[inline]
 pub fn load_bases(codes: &[u8], pos: usize) -> u64 {
-    let byte = pos / 4;
-    let shift = 2 * (pos % 4);
-    let lo = load_u64(codes, byte);
+    load_bits(codes, 2 * pos)
+}
+
+/// Bits `bit..bit + 64` of the little-endian bit stream `bytes` as one word,
+/// bit `bit` in the low bit; bits past the end of `bytes` read as 0. An
+/// unaligned `u64` load, a shift and one more byte.
+#[inline]
+pub(crate) fn load_bits(bytes: &[u8], bit: usize) -> u64 {
+    let byte = bit / 8;
+    let shift = bit % 8;
+    let lo = load_u64(bytes, byte);
     if shift == 0 {
         lo
     } else {
-        let next = codes.get(byte + 8).copied().unwrap_or(0);
+        let next = bytes.get(byte + 8).copied().unwrap_or(0);
         (lo >> shift) | (u64::from(next) << (64 - shift))
     }
 }

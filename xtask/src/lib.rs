@@ -31,7 +31,8 @@
 //! workspace vendors nothing): it strips `//` comments, tracks
 //! string-literal state only where a rule needs it, and treats everything
 //! after a `#[cfg(test)]` attribute in a file as test code (the repo
-//! convention keeps unit tests in a trailing `mod tests`). False-positive
+//! convention keeps unit tests in a trailing `mod tests`), and a whole file
+//! that opens with `#![cfg(test)]` likewise. False-positive
 //! escapes are explicit `// lint: allow(<rule>)` comments, so every
 //! exception is visible and greppable.
 
@@ -146,8 +147,17 @@ fn is_test_file(norm_path: &str) -> bool {
 
 /// Index of the first line whose code (comment stripped) holds
 /// `#[cfg(test)]`: from there on a file is test code, by the repo convention
-/// of a trailing `mod tests`. The lint rules and the line count share it.
+/// of a trailing `mod tests`. A file whose first code is `#![cfg(test)]` (a
+/// test-only module) is test code from its first line. The lint rules and
+/// the line count share it.
 fn test_split(code_lines: &[&str]) -> usize {
+    let first_code = code_lines
+        .iter()
+        .map(|code| code.trim())
+        .find(|code| !code.is_empty());
+    if first_code == Some("#![cfg(test)]") {
+        return 0;
+    }
     code_lines
         .iter()
         .position(|code| code.contains("#[cfg(test)]"))
@@ -518,6 +528,29 @@ mod tests {
         };
         assert_eq!(count_source("tests/e2e.rs", src), whole);
         assert_eq!(count_source("crates/x/benches/b.rs", src), whole);
+    }
+
+    #[test]
+    fn a_file_opening_with_an_inner_test_attribute_is_test_from_line_one() {
+        let module = "//! A test-only module.\n\n#![cfg(test)]\n\nuse super::*;\nfn f() {}\n";
+        let all_test = LineCount {
+            non_test: 0,
+            test: 6,
+        };
+        assert_eq!(count_source("crates/x/src/oracle.rs", module), all_test);
+        // Only as the first code: later, or in a comment, it splits nothing.
+        let late = "fn f() {}\n#![cfg(test)]\n";
+        let all_code = LineCount {
+            non_test: 2,
+            test: 0,
+        };
+        assert_eq!(count_source("crates/x/src/lib.rs", late), all_code);
+        let commented = "// #![cfg(test)]\nfn f() {}\n";
+        assert_eq!(count_source("crates/x/src/lib.rs", commented), all_code);
+        // The lint treats it as test code too: a naked unwrap in a hot crate
+        // passes there.
+        let hot = "#![cfg(test)]\nfn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
+        assert_eq!(rules("crates/dht/src/oracle.rs", hot), [] as [&str; 0]);
     }
 
     #[test]
