@@ -1,15 +1,16 @@
 //! Criterion micro-benchmarks of the distributed substrates: the update-only
 //! hash-table phase, k-mer analysis, contig k-mer injection, the extraction
 //! hot loops (rolling minimizer, supermer grouping), the graph traversal,
-//! alignment, the Bloom filter, local assembly (one mer-walk, and the whole
+//! the contig clean-up pass, alignment, the Bloom filter, local assembly (one mer-walk, and the whole
 //! stage on store-backed pools) and rRNA classification.
 //! `cargo bench -p mhm_bench` runs them all.
 
 use aligner::{align_reads_ref, build_seed_index_ref, AlignParams};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dbg::{
-    build_graph, inject_contig_kmers_ref, kmer_analysis, traverse_contigs, KmerAnalysisParams,
-    ThresholdPolicy, TraversalParams,
+    build_graph, clean_contigs, inject_contig_kmers_ref, kmer_analysis,
+    merge_bubbles_and_remove_hair, prune_iteratively, traverse_contigs, BubbleParams,
+    KmerAnalysisParams, PruningParams, ThresholdPolicy, TraversalParams,
 };
 use dht::{bulk_merge, DistBloom, DistMap, FxHashMap};
 use kmers::{
@@ -434,6 +435,56 @@ fn bench_pipeline_stages(c: &mut Criterion) {
             })
         })
     });
+    // Bubble merging, hair removal and pruning as the pipeline runs them: one
+    // `clean_contigs` pass over one contig adjacency, at 4 ranks. The set-up
+    // holds the pass, at 1 and 4 ranks, to bubble merging followed by pruning
+    // of its output, set and report, and requires bubbles and pruning to act
+    // (the bench reads grow no hair at k = 21).
+    {
+        let (bubble, prune) = (BubbleParams::default(), PruningParams::default());
+        let prepare = |team: &Arc<Team>| {
+            team.run(|ctx| {
+                let range = ctx.block_range(reads.len());
+                let counts = kmer_analysis(ctx, &reads[range], &params).counts;
+                let graph = build_graph(ctx, &counts, ThresholdPolicy::metahipmer_default());
+                let set = traverse_contigs(ctx, &graph, 21, &TraversalParams::default());
+                (counts, set)
+            })
+            .pop()
+            .unwrap()
+        };
+        let clean = |ctx: &pgas::Ctx, (counts, set): &(dbg::KmerCountsMap, dbg::ContigSet)| {
+            let graph = build_graph(ctx, counts, ThresholdPolicy::metahipmer_default());
+            clean_contigs(ctx, set, &graph, Some(&bubble), Some(&prune))
+        };
+        for team in [Team::single_node(1), Arc::clone(&team)] {
+            let prepared = prepare(&team);
+            for ((one, report), (two, bubbles, pruning)) in team.run(|ctx| {
+                let (counts, set) = &prepared;
+                let graph = build_graph(ctx, counts, ThresholdPolicy::metahipmer_default());
+                let (merged, b) = merge_bubbles_and_remove_hair(ctx, set, &graph, &bubble);
+                let (pruned, p) = prune_iteratively(ctx, &merged, &graph, &prune);
+                (clean(ctx, &prepared), (pruned, b, p))
+            }) {
+                assert!(
+                    one == two && report.bubble == bubbles && report.pruning == pruning,
+                    "the one clean-up pass differs from bubble merging then pruning"
+                );
+                assert!(
+                    bubbles.bubbles_merged > 0 && pruning.removed > 0,
+                    "bubble merging or pruning had nothing to do: {bubbles:?} {pruning:?}"
+                );
+            }
+        }
+        let team = Arc::clone(&team);
+        c.bench_function("dbg/contig_cleanup", move |b| {
+            b.iter_batched(
+                || prepare(&team),
+                |prepared| team.run(|ctx| clean(ctx, &prepared).0.len()),
+                BatchSize::LargeInput,
+            )
+        });
+    }
     // The contig traversal alone over a prebuilt counts table, so hot-loop
     // regressions in it show up without running the full pipeline. The set-up
     // holds the 4-rank contig set to the 1-rank one and checks that the

@@ -49,7 +49,7 @@
 //! blocks through the shared atomic counter of [`pgas::DynamicBlocks`].
 
 use aligner::AlignmentSet;
-use dbg::packed::{load_bases, revcomp_codes};
+use dbg::packed::{load_bases, load_u64, revcomp_codes};
 use dbg::{ContigSet, ContigStore, ContigsRef};
 use dht::{bulk_merge, DistMap, FxHashSet};
 use pgas::{Ctx, DynamicBlocks};
@@ -355,27 +355,12 @@ fn gap_free(gaps: &[u8], from: usize, n: usize) -> bool {
     while at < end {
         // At least 57 of the word's bits lie at or after `at`.
         let take = (end - at).min(56);
-        if (word_at(gaps, at / 8) >> (at % 8)) & ((1u64 << take) - 1) != 0 {
+        if (load_u64(gaps, at / 8) >> (at % 8)) & ((1u64 << take) - 1) != 0 {
             return false;
         }
         at += take;
     }
     true
-}
-
-/// The eight bytes at `byte` as a little-endian word; bytes past the end read
-/// as 0.
-#[inline]
-fn word_at(bytes: &[u8], byte: usize) -> u64 {
-    match bytes.get(byte..byte + 8) {
-        Some(eight) => u64::from_le_bytes(eight.try_into().expect("eight-byte slice")),
-        None => {
-            let rest = bytes.get(byte..).unwrap_or_default();
-            let mut padded = [0u8; 8];
-            padded[..rest.len()].copy_from_slice(rest);
-            u64::from_le_bytes(padded)
-        }
-    }
 }
 
 /// The 2-bit code of an upper-case `A`, `C`, `G` or `T`; 4 for any other byte.
@@ -512,9 +497,9 @@ impl PoolIndex {
                 let Some(start) = at.checked_sub(first) else {
                     continue;
                 };
-                let word = word_at(codes, start / 4) >> (2 * (start % 4));
+                let word = load_u64(codes, start / 4) >> (2 * (start % 4));
                 if (word ^ want) & mask != 0
-                    || (word_at(gaps, start / 8) >> (start % 8)) & span_bits != 0
+                    || (load_u64(gaps, start / 8) >> (start % 8)) & span_bits != 0
                 {
                     continue;
                 }

@@ -8,17 +8,15 @@
 //! removed.
 //!
 //! The bubble-contig graph is the [`crate::contig_graph::ContigAdjacency`]
-//! structure: it is orders of magnitude smaller than the k-mer graph, and the
-//! merge decisions are computed redundantly by every rank from the replicated
-//! adjacency (the decision pass is trivially cheap compared to building the
-//! anchors, which is the distributed part).
+//! structure. The contig set and the adjacency are replicated, so every rank
+//! makes the same decisions from them alone; this pass runs inside
+//! [`crate::contig_graph::clean_contigs`], before pruning.
 
-use crate::contig_graph::{build_adjacency, ContigAdjacency, ANCHOR_LOOKUP_BATCH};
+use crate::contig_graph::{clean_contigs, ContigAdjacency};
 use crate::graph::KmerGraph;
 use crate::types::{ContigId, ContigSet};
 use kmers::Kmer;
 use pgas::Ctx;
-use std::collections::{HashMap, HashSet};
 
 /// Parameters of bubble merging and hair removal.
 #[derive(Debug, Clone, Copy)]
@@ -52,62 +50,52 @@ pub struct BubbleReport {
 }
 
 /// Collectively merges bubbles and removes hair, returning the cleaned contig
-/// set (identical on every rank) and a report.
+/// set (identical on every rank) and a report: [`clean_contigs`] without
+/// pruning. The pipeline runs the one pass; this entry point stays for the
+/// staged benchmark (`perfbench/src/staged.rs`), which times the two steps
+/// apart.
 pub fn merge_bubbles_and_remove_hair(
     ctx: &Ctx,
     contigs: &ContigSet,
     graph: &KmerGraph,
     params: &BubbleParams,
 ) -> (ContigSet, BubbleReport) {
-    let adjacency = build_adjacency(ctx, contigs, graph, ANCHOR_LOOKUP_BATCH);
-    let (removed, extra_depth, report) = decide(contigs, &adjacency, params);
-
-    // Apply the (identical) decisions: rebuild the contig set without the
-    // removed contigs, folding the absorbed depth into the surviving branch.
-    let seqs: Vec<(Vec<u8>, f64)> = contigs
-        .contigs
-        .iter()
-        .filter(|c| !removed.contains(&c.id))
-        .map(|c| {
-            let bonus = extra_depth.get(&c.id).copied().unwrap_or(0.0);
-            (c.seq.clone(), c.depth + bonus)
-        })
-        .collect();
-    let cleaned = ContigSet::from_sequences(contigs.k, seqs);
-    ctx.barrier();
-    (cleaned, report)
+    let (cleaned, report) = clean_contigs(ctx, contigs, graph, Some(params), None);
+    (cleaned, report.bubble)
 }
 
-/// The sequential decision pass (runs identically on every rank).
-fn decide(
+/// The decision pass, the same on every rank: clears `alive` for every
+/// merged or removed contig and adds each bubble winner's absorbed depth to
+/// its entry of `depths`.
+pub(crate) fn decide(
     contigs: &ContigSet,
     adjacency: &ContigAdjacency,
     params: &BubbleParams,
-) -> (HashSet<ContigId>, HashMap<ContigId, f64>, BubbleReport) {
+    alive: &mut [bool],
+    depths: &mut [f64],
+) -> BubbleReport {
     let k = contigs.k;
-    let mut removed: HashSet<ContigId> = HashSet::new();
-    let mut extra_depth: HashMap<ContigId, f64> = HashMap::new();
+    let mut absorbed = vec![0.0f64; contigs.len()];
     let mut report = BubbleReport::default();
 
     // ---- Bubbles: group contigs by their unordered anchor pair --------------
-    let mut groups: HashMap<(Kmer, Kmer), Vec<ContigId>> = HashMap::new();
-    for c in &contigs.contigs {
-        let ends = &adjacency.ends[c.id as usize];
-        if let (Some(l), Some(r)) = (ends.left_anchor, ends.right_anchor) {
-            let key = if l <= r { (l, r) } else { (r, l) };
-            groups.entry(key).or_default().push(c.id);
-        }
-    }
-    let mut keys: Vec<(Kmer, Kmer)> = groups.keys().copied().collect();
-    keys.sort();
-    for key in keys {
-        let members = &groups[&key];
-        if members.len() < 2 {
+    let mut keyed: Vec<((Kmer, Kmer), ContigId)> = contigs
+        .contigs
+        .iter()
+        .filter_map(|c| {
+            let ends = &adjacency.ends[c.id as usize];
+            let (l, r) = (ends.left_anchor?, ends.right_anchor?);
+            Some((if l <= r { (l, r) } else { (r, l) }, c.id))
+        })
+        .collect();
+    keyed.sort_unstable();
+    for group in keyed.chunk_by(|a, b| a.0 == b.0) {
+        if group.len() < 2 {
             continue;
         }
         // Candidates sorted deepest first; the deepest surviving branch absorbs
         // similar-length shallower branches.
-        let mut sorted: Vec<ContigId> = members.clone();
+        let mut sorted: Vec<ContigId> = group.iter().map(|&(_, id)| id).collect();
         sorted.sort_by(|&a, &b| {
             let (ca, cb) = (&contigs.contigs[a as usize], &contigs.contigs[b as usize]);
             cb.depth
@@ -118,9 +106,6 @@ fn decide(
         let winner = sorted[0];
         let winner_len = contigs.contigs[winner as usize].len();
         for &loser in &sorted[1..] {
-            if removed.contains(&loser) {
-                continue;
-            }
             let loser_c = &contigs.contigs[loser as usize];
             let long = loser_c.len() > 2 * k || winner_len > 2 * k;
             if long && !params.merge_long_bubbles {
@@ -129,8 +114,8 @@ fn decide(
             let len_diff =
                 (loser_c.len() as f64 - winner_len as f64).abs() / winner_len.max(1) as f64;
             if len_diff <= params.len_tolerance {
-                removed.insert(loser);
-                *extra_depth.entry(winner).or_default() += loser_c.depth;
+                alive[loser as usize] = false;
+                absorbed[winner as usize] += loser_c.depth;
                 report.bubbles_merged += 1;
             }
         }
@@ -139,17 +124,17 @@ fn decide(
     // ---- Hair: short dead-end contigs dangling off one anchor ----------------
     if params.remove_hair {
         for c in &contigs.contigs {
-            if removed.contains(&c.id) {
-                continue;
-            }
-            if c.len() < 2 * k && adjacency.anchor_count(c.id) == 1 {
-                removed.insert(c.id);
+            if alive[c.id as usize] && c.len() < 2 * k && adjacency.anchor_count(c.id) == 1 {
+                alive[c.id as usize] = false;
                 report.hair_removed += 1;
             }
         }
     }
 
-    (removed, extra_depth, report)
+    for (depth, extra) in depths.iter_mut().zip(absorbed) {
+        *depth += extra;
+    }
+    report
 }
 
 #[cfg(test)]

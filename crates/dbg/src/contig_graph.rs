@@ -1,31 +1,31 @@
-//! Contig-end anchors and contig adjacency.
+//! Contig-end anchors, contig adjacency and the one clean-up pass over them.
 //!
 //! Several stages (bubble merging, hair removal, iterative pruning) need to
 //! know how contigs connect to each other through the fork k-mers that
 //! terminated the traversal. For a contig's end we call the k-mer *just
 //! outside* the contig (reached through the end k-mer's extension) the end's
 //! **anchor**; two contigs that share an anchor are neighbours in the contig
-//! graph. The anchor index is a distributed hash table keyed by anchor k-mer,
-//! exactly the "bubble-contig graph" construction of §II-D.
+//! graph, the "bubble-contig graph" of §II-D.
+//!
+//! The paper keeps that graph in a distributed hash table because its contigs
+//! are distributed. Here the contig set is replicated on every rank, so only
+//! the anchors are distributed work: each rank resolves the end k-mers of its
+//! block of contigs against the k-mer graph, and the ends are gathered and
+//! shared. Every rank then groups the anchors into neighbours itself, and
+//! [`clean_contigs`] decides bubbles, hair and pruning redundantly on every
+//! rank with no further communication.
 
+use crate::bubble::{self, BubbleParams, BubbleReport};
 use crate::graph::{lookup_oriented_many, KmerGraph, OrientedVertex};
-use crate::types::{ContigId, ContigSet};
-use dht::{bulk_merge, DistMap};
+use crate::pruning::{self, PruningParams, PruningReport};
+use crate::types::{Contig, ContigId, ContigSet};
 use kmers::{Ext, Kmer};
 use pgas::Ctx;
-use std::sync::Arc;
 
-/// Aggregation batch of the anchor lookups behind the contig graph that
-/// bubble merging and pruning build: at most this many travel in one message
-/// to an owner. The adjacency does not depend on it.
-pub(crate) const ANCHOR_LOOKUP_BATCH: usize = 4096;
-
-/// Which end of a contig an anchor belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Side {
-    Left,
-    Right,
-}
+/// Aggregation batch of the anchor lookups behind the contig graph: at most
+/// this many travel in one message to an owner. The adjacency does not
+/// depend on it.
+const ANCHOR_LOOKUP_BATCH: usize = 4096;
 
 /// The anchors of one contig (in the contig's stored orientation).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -40,19 +40,21 @@ pub struct ContigEnds {
 pub struct ContigAdjacency {
     /// Indexed by contig id.
     pub ends: Vec<ContigEnds>,
-    /// For every contig, the ids of contigs sharing at least one anchor k-mer.
+    /// For every contig, the ids of the other contigs sharing at least one
+    /// anchor k-mer with it, in ascending order.
     pub neighbors: Vec<Vec<ContigId>>,
 }
 
 impl ContigAdjacency {
-    /// Mean depth of a contig's (alive) neighbours; 0 when it has none.
-    pub fn neighbor_mean_depth(&self, contigs: &ContigSet, id: ContigId, alive: &[bool]) -> f64 {
+    /// Mean of `depths` over a contig's (alive) neighbours; 0 when it has
+    /// none.
+    pub fn neighbor_mean_depth(&self, depths: &[f64], id: ContigId, alive: &[bool]) -> f64 {
         let ns = &self.neighbors[id as usize];
         let mut sum = 0.0;
         let mut n = 0usize;
         for &other in ns {
             if alive[other as usize] {
-                sum += contigs.contigs[other as usize].depth;
+                sum += depths[other as usize];
                 n += 1;
             }
         }
@@ -142,6 +144,8 @@ fn block_ends(
 /// The anchor k-mers of the rank's whole block are read from the graph in a
 /// single aggregated request–response round trip of messages of at most
 /// `lookup_batch` (> 0) lookups; the adjacency does not depend on the size.
+/// The ends are gathered and shared, and every rank groups them into
+/// neighbours locally.
 pub fn build_adjacency(
     ctx: &Ctx,
     contigs: &ContigSet,
@@ -149,66 +153,111 @@ pub fn build_adjacency(
     lookup_batch: usize,
 ) -> ContigAdjacency {
     let n = contigs.len();
-    let my_range = ctx.block_range(n);
-
-    // --- Anchors for this rank's block of contigs ----------------------------
-    let my_ends = block_ends(ctx, graph, contigs, my_range, lookup_batch);
-
-    // --- Distributed anchor index: anchor k-mer -> [(contig, side)] ----------
-    let index: Arc<DistMap<Kmer, Vec<(ContigId, Side)>>> = DistMap::shared(ctx);
-    let items = my_ends.iter().flat_map(|(id, ends)| {
-        let mut v = Vec::new();
-        if let Some(a) = ends.left_anchor {
-            v.push((a, vec![(*id, Side::Left)]));
-        }
-        if let Some(a) = ends.right_anchor {
-            v.push((a, vec![(*id, Side::Right)]));
-        }
-        v
-    });
-    bulk_merge(ctx, &index, items, 1024, |a, mut b| a.append(&mut b));
-
-    // --- Neighbour pairs from locally owned anchor buckets -------------------
-    let mut my_pairs: Vec<(ContigId, ContigId)> = Vec::new();
-    index.for_each_local(ctx, |_, members| {
-        for i in 0..members.len() {
-            for j in i + 1..members.len() {
-                let (a, b) = (members[i].0, members[j].0);
-                if a != b {
-                    my_pairs.push((a, b));
-                }
-            }
-        }
-    });
-
-    // --- Gather ends and pairs on rank 0, broadcast the result ----------------
+    let my_ends = block_ends(ctx, graph, contigs, ctx.block_range(n), lookup_batch);
     let all_ends = ctx.gather(my_ends);
-    let all_pairs = ctx.gather(my_pairs);
-    ctx.broadcast(|| {
+    let ends = ctx.broadcast(|| {
         let mut ends = vec![ContigEnds::default(); n];
         for (id, e) in all_ends {
             ends[id as usize] = e;
         }
-        let mut neighbors: Vec<Vec<ContigId>> = vec![Vec::new(); n];
-        for (a, b) in all_pairs {
-            neighbors[a as usize].push(b);
-            neighbors[b as usize].push(a);
+        ends
+    });
+    let neighbors = neighbors_of(&ends);
+    ContigAdjacency { ends, neighbors }
+}
+
+/// Every contig's neighbours: the other contigs with an anchor equal to one
+/// of its own, found by sorting all anchors.
+fn neighbors_of(ends: &[ContigEnds]) -> Vec<Vec<ContigId>> {
+    let mut anchors: Vec<(Kmer, ContigId)> = ends
+        .iter()
+        .zip(0..)
+        .flat_map(|(e, id)| {
+            [e.left_anchor, e.right_anchor]
+                .into_iter()
+                .flatten()
+                .map(move |a| (a, id))
+        })
+        .collect();
+    anchors.sort_unstable();
+    let mut neighbors: Vec<Vec<ContigId>> = vec![Vec::new(); ends.len()];
+    for group in anchors.chunk_by(|a, b| a.0 == b.0) {
+        for &(_, a) in group {
+            neighbors[a as usize].extend(group.iter().map(|&(_, b)| b).filter(|&b| b != a));
         }
-        for ns in &mut neighbors {
-            ns.sort_unstable();
-            ns.dedup();
-        }
-        ContigAdjacency { ends, neighbors }
-    })
+    }
+    for ns in &mut neighbors {
+        ns.sort_unstable();
+        ns.dedup();
+    }
+    neighbors
+}
+
+/// What one [`clean_contigs`] pass did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CleanReport {
+    pub bubble: BubbleReport,
+    pub pruning: PruningReport,
+}
+
+/// Collectively cleans a contig set with one [`ContigAdjacency`]: merges
+/// bubbles and removes hair when `bubble` is given (§II-D), then prunes
+/// iteratively when `pruning` is given (§II-E), reading the depths that
+/// bubble winners absorbed. Only the anchors cross ranks; every decision is
+/// made by every rank from the replicated set and adjacency, so the result
+/// is identical on every rank.
+///
+/// Survivors keep their order and are renumbered from 0, so a set in
+/// [`ContigSet::from_sequences`] order stays in that order.
+pub fn clean_contigs(
+    ctx: &Ctx,
+    contigs: &ContigSet,
+    graph: &KmerGraph,
+    bubble: Option<&BubbleParams>,
+    pruning: Option<&PruningParams>,
+) -> (ContigSet, CleanReport) {
+    let adjacency = build_adjacency(ctx, contigs, graph, ANCHOR_LOOKUP_BATCH);
+    let mut alive = vec![true; contigs.len()];
+    let mut depths: Vec<f64> = contigs.contigs.iter().map(|c| c.depth).collect();
+    let mut report = CleanReport::default();
+    if let Some(params) = bubble {
+        report.bubble = bubble::decide(contigs, &adjacency, params, &mut alive, &mut depths);
+    }
+    if let Some(params) = pruning {
+        report.pruning = pruning::prune(contigs, &adjacency, params, &mut alive, &depths);
+    }
+    let survivors = contigs
+        .contigs
+        .iter()
+        .zip(depths)
+        .zip(alive)
+        .filter(|&(_, alive)| alive)
+        .zip(0..)
+        .map(|(((c, depth), _), id)| Contig {
+            id,
+            seq: c.seq.clone(),
+            depth,
+        })
+        .collect();
+    let cleaned = ContigSet {
+        contigs: survivors,
+        k: contigs.k,
+    };
+    (cleaned, report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analysis::{kmer_analysis, KmerAnalysisParams};
+    use crate::bubble::merge_bubbles_and_remove_hair;
     use crate::graph::{build_graph, lookup_oriented, ThresholdPolicy};
+    use crate::per_hop::tests::{graph_of, lasso_vertices, stress_reads};
+    use crate::pruning::prune_iteratively;
     use crate::traversal::{traverse_contigs, TraversalParams};
     use pgas::Team;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use seqio::Read;
 
     /// The end anchors of one contig from two per-key graph reads: the oracle
@@ -378,13 +427,167 @@ mod tests {
         if contigs.len() < 2 {
             return;
         }
+        let depths: Vec<f64> = contigs.contigs.iter().map(|c| c.depth).collect();
         let alive_all = vec![true; contigs.len()];
         let alive_none = vec![false; contigs.len()];
         for c in &contigs.contigs {
-            let with = adj.neighbor_mean_depth(&contigs, c.id, &alive_all);
-            let without = adj.neighbor_mean_depth(&contigs, c.id, &alive_none);
+            let with = adj.neighbor_mean_depth(&depths, c.id, &alive_all);
+            let without = adj.neighbor_mean_depth(&depths, c.id, &alive_none);
             assert!(with >= 0.0);
             assert_eq!(without, 0.0);
         }
+    }
+
+    /// The graph of `reads` counted at `k` (kept at two observations, with a
+    /// short minimizer so consecutive k-mers often change owner).
+    fn graph_of_reads(ctx: &Ctx, reads: &[Read], k: usize) -> KmerGraph {
+        let params = KmerAnalysisParams {
+            k,
+            min_count: 2,
+            minimizer_len: 7,
+            ..Default::default()
+        };
+        let range = ctx.block_range(reads.len());
+        let res = kmer_analysis(ctx, &reads[range], &params);
+        build_graph(ctx, &res.counts, ThresholdPolicy::metahipmer_default())
+    }
+
+    fn covered(seqs: &[(String, usize)]) -> Vec<Read> {
+        seqs.iter()
+            .flat_map(|(s, copies)| {
+                (0..*copies)
+                    .map(move |i| Read::with_uniform_quality(format!("r{i}"), s.as_bytes(), 35))
+            })
+            .collect()
+    }
+
+    /// At 1–4 ranks, one [`clean_contigs`] pass equals bubble merging
+    /// followed by pruning of its output (each with its own adjacency), set
+    /// and report, on every rank; and the survivors are in
+    /// [`ContigSet::from_sequences`] order. Returns the summed reports.
+    fn one_pass_equals_bubble_then_prune(
+        k: usize,
+        graph: impl Fn(&Ctx) -> KmerGraph + Sync,
+        bubble: &BubbleParams,
+        prune: &PruningParams,
+    ) -> CleanReport {
+        let mut sum = CleanReport::default();
+        for ranks in 1..=4 {
+            let out = Team::single_node(ranks).run(|ctx| {
+                let graph = graph(ctx);
+                let set = traverse_contigs(ctx, &graph, k, &TraversalParams::default());
+                let one = clean_contigs(ctx, &set, &graph, Some(bubble), Some(prune));
+                let (merged, b) = merge_bubbles_and_remove_hair(ctx, &set, &graph, bubble);
+                let (pruned, p) = prune_iteratively(ctx, &merged, &graph, prune);
+                let two = (
+                    pruned,
+                    CleanReport {
+                        bubble: b,
+                        pruning: p,
+                    },
+                );
+                (one, two)
+            });
+            for (one, two) in &out {
+                assert_eq!(one, two, "k={k} ranks={ranks}");
+                assert_eq!(one, &out[0].0, "k={k} ranks={ranks}: ranks disagree");
+                let resorted = ContigSet::from_sequences(
+                    k,
+                    one.0
+                        .contigs
+                        .iter()
+                        .map(|c| (c.seq.clone(), c.depth))
+                        .collect(),
+                );
+                assert_eq!(
+                    resorted, one.0,
+                    "k={k} ranks={ranks}: survivors out of order"
+                );
+            }
+            let r = out[0].0 .1;
+            sum.bubble.bubbles_merged += r.bubble.bubbles_merged;
+            sum.bubble.hair_removed += r.bubble.hair_removed;
+            sum.pruning.removed += r.pruning.removed;
+        }
+        sum
+    }
+
+    #[test]
+    fn one_clean_up_pass_equals_bubble_merging_then_pruning() {
+        let bubbles = [
+            BubbleParams::default(),
+            BubbleParams {
+                merge_long_bubbles: true,
+                len_tolerance: 0.3,
+                remove_hair: true,
+            },
+        ];
+        let prunes = [
+            PruningParams::default(),
+            PruningParams {
+                alpha: 0.5,
+                beta: 1.0,
+                max_rounds: 200,
+            },
+        ];
+        let left = "ACGGTCAGGTTCAAGGACTCCGTA";
+        let right = "TCAGCATTAGCGTAGGACCTTGAC";
+        let common = "GGCATTACGGATACCAGGATCCAG";
+        let main = format!("{left}{common}{right}");
+        let forked = covered(&[
+            (format!("ACGGTCAGGTTCAAGGACT{common}TACCGGTTAACCGGTATTC"), 3),
+            (format!("TTTTGAGGCCACAAAATTT{common}CTCTCGAGAGAGGCGCGAT"), 3),
+        ]);
+        // A SNP bubble, a hair and a shallow branch on one deep path.
+        let planted = covered(&[
+            (main.clone(), 20),
+            (format!("{left}GGCATTACGGATGCCAGGATCCAG{right}"), 8),
+            (format!("{}TTTTTTAAAAAT", &main[..20]), 4),
+            (format!("{}ACAGATTTACAGG", &main[..30]), 4),
+        ]);
+        let mut rng = StdRng::seed_from_u64(20261019);
+        let mut sum = CleanReport::default();
+        for bubble in &bubbles {
+            for prune in &prunes {
+                let mut runs = Vec::new();
+                runs.push(one_pass_equals_bubble_then_prune(
+                    15,
+                    |ctx| graph_of_reads(ctx, &forked, 15),
+                    bubble,
+                    prune,
+                ));
+                runs.push(one_pass_equals_bubble_then_prune(
+                    15,
+                    |ctx| graph_of_reads(ctx, &planted, 15),
+                    bubble,
+                    prune,
+                ));
+                for k in [11, 15, 21] {
+                    let stress = stress_reads(&mut rng, k);
+                    runs.push(one_pass_equals_bubble_then_prune(
+                        k,
+                        |ctx| graph_of_reads(ctx, &stress, k),
+                        bubble,
+                        prune,
+                    ));
+                    let (verts, _) = lasso_vertices(&mut rng, k, 20);
+                    runs.push(one_pass_equals_bubble_then_prune(
+                        k,
+                        |ctx| graph_of(ctx, &verts),
+                        bubble,
+                        prune,
+                    ));
+                }
+                for r in runs {
+                    sum.bubble.bubbles_merged += r.bubble.bubbles_merged;
+                    sum.bubble.hair_removed += r.bubble.hair_removed;
+                    sum.pruning.removed += r.pruning.removed;
+                }
+            }
+        }
+        // Each step had work to do somewhere.
+        assert!(sum.bubble.bubbles_merged > 0, "{sum:?}");
+        assert!(sum.bubble.hair_removed > 0, "{sum:?}");
+        assert!(sum.pruning.removed > 0, "{sum:?}");
     }
 }

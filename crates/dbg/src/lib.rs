@@ -17,6 +17,8 @@
 //! 4. [`bubble`] — **bubble merging and hair removal** on the contig graph
 //!    (§II-D);
 //! 5. [`pruning`] — the **iterative graph pruning** of Algorithm 2 (§II-E);
+//!    [`contig_graph::clean_contigs`] runs 4 and 5 as one pass over one
+//!    contig adjacency, decided redundantly on every rank;
 //! 6. [`merge`] — **k-mer set merging** across iterations: the previous
 //!    iteration's contigs are cut into (k+s)-mer supermers, shipped through
 //!    k-mer analysis's send loop and merged into the next iteration's k-mer
@@ -41,7 +43,7 @@ pub use analysis::{
     kmer_analysis, kmer_analysis_from, KmerAnalysis, KmerAnalysisParams, SUPERMER_BATCH_UNIT,
 };
 pub use bubble::{merge_bubbles_and_remove_hair, BubbleParams, BubbleReport};
-pub use contig_graph::ContigAdjacency;
+pub use contig_graph::{clean_contigs, CleanReport, ContigAdjacency};
 pub use graph::{build_graph, KmerGraph, KmerVertex, ThresholdPolicy};
 pub use merge::inject_contig_kmers_ref;
 pub use pruning::{prune_iteratively, PruningParams, PruningReport};

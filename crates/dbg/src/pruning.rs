@@ -4,15 +4,18 @@
 //! probably artefacts of erroneous edges and are removed. The depth cutoff τ
 //! starts at 1 and grows geometrically (τ ← τ·(1+α)) until it exceeds the
 //! maximum contig depth; a contig is removed when it is short (≤ 2k) **and**
-//! its depth is at most min(τ, β × neighbourhood depth). Convergence is
-//! detected with an all-reduce over a per-rank "pruned anything" flag, exactly
-//! as described in the paper.
+//! its depth is at most min(τ, β × neighbourhood depth).
+//!
+//! The paper's contigs are distributed, so it detects convergence with an
+//! all-reduce over a per-rank "pruned anything" flag. Here the contig set and
+//! its adjacency are replicated: every rank evaluates every live contig each
+//! round and reaches the same removals with no communication. The rounds run
+//! inside [`crate::contig_graph::clean_contigs`], after bubble merging.
 
-use crate::contig_graph::{build_adjacency, ANCHOR_LOOKUP_BATCH};
+use crate::contig_graph::{clean_contigs, ContigAdjacency};
 use crate::graph::KmerGraph;
 use crate::types::{ContigId, ContigSet};
 use pgas::Ctx;
-use std::collections::HashSet;
 
 /// Parameters of iterative pruning.
 #[derive(Debug, Clone, Copy)]
@@ -46,77 +49,66 @@ pub struct PruningReport {
 }
 
 /// Collectively prunes the contig set, returning the surviving contigs
-/// (identical on every rank) and a report.
+/// (identical on every rank) and a report: [`clean_contigs`] without bubble
+/// merging. The pipeline runs the one pass; this entry point stays for the
+/// staged benchmark (`perfbench/src/staged.rs`), which times the two steps
+/// apart.
 pub fn prune_iteratively(
     ctx: &Ctx,
     contigs: &ContigSet,
     graph: &KmerGraph,
     params: &PruningParams,
 ) -> (ContigSet, PruningReport) {
-    assert!(params.alpha > 0.0, "alpha must be positive");
-    let adjacency = build_adjacency(ctx, contigs, graph, ANCHOR_LOOKUP_BATCH);
-    let n = contigs.len();
-    let mut alive = vec![true; n];
-    let mut report = PruningReport::default();
-    let k = contigs.k;
+    let (pruned, report) = clean_contigs(ctx, contigs, graph, None, Some(params));
+    (pruned, report.pruning)
+}
 
-    let max_depth = contigs.max_depth();
+/// The pruning rounds over the live contigs (`alive`) at their `depths`, the
+/// same on every rank: clears the mask of every pruned contig. Each round
+/// judges every live contig against the mask as it stood when the round
+/// began.
+pub(crate) fn prune(
+    contigs: &ContigSet,
+    adjacency: &ContigAdjacency,
+    params: &PruningParams,
+    alive: &mut [bool],
+    depths: &[f64],
+) -> PruningReport {
+    assert!(params.alpha > 0.0, "alpha must be positive");
+    let k = contigs.k;
+    let short = |i: usize| contigs.contigs[i].len() <= 2 * k;
+    let max_live_depth = |alive: &[bool], only_short: bool| {
+        (0..alive.len())
+            .filter(|&i| alive[i] && (!only_short || short(i)))
+            .map(|i| depths[i])
+            .fold(0.0, f64::max)
+    };
+    let mut report = PruningReport::default();
+
+    let max_depth = max_live_depth(alive, false);
     let mut tau = 1.0f64;
     while tau < max_depth && report.rounds < params.max_rounds {
         report.rounds += 1;
-        // Each rank evaluates its block of contigs against the current τ.
-        let my_range = ctx.block_range(n);
-        let mut my_removals: Vec<ContigId> = Vec::new();
-        for idx in my_range {
-            if !alive[idx] {
-                continue;
-            }
-            let c = &contigs.contigs[idx];
-            if c.len() > 2 * k {
-                continue;
-            }
-            let neighborhood = adjacency.neighbor_mean_depth(contigs, c.id, &alive);
-            let cutoff = tau.min(params.beta * neighborhood);
-            if c.depth <= cutoff {
-                my_removals.push(c.id);
-            }
+        let removals: Vec<usize> = (0..alive.len())
+            .filter(|&i| alive[i] && short(i))
+            .filter(|&i| {
+                let neighborhood = adjacency.neighbor_mean_depth(depths, i as ContigId, alive);
+                depths[i] <= tau.min(params.beta * neighborhood)
+            })
+            .collect();
+        for &i in &removals {
+            alive[i] = false;
         }
-        let pruned_any = ctx.allreduce_any(!my_removals.is_empty());
-        // Share removals so every rank updates the same alive mask.
-        let gathered = ctx.gather(my_removals);
-        let all_removals = ctx.broadcast(|| gathered);
-        for id in &all_removals {
-            if alive[*id as usize] {
-                alive[*id as usize] = false;
-                report.removed += 1;
-            }
-        }
-        if !pruned_any {
-            // Converged at the current cutoff; the remaining rounds with larger
-            // τ can still prune, so only stop early once τ has passed every
-            // surviving short contig's depth.
-            let max_short_depth = contigs
-                .contigs
-                .iter()
-                .filter(|c| alive[c.id as usize] && c.len() <= 2 * k)
-                .map(|c| c.depth)
-                .fold(0.0, f64::max);
-            if tau > max_short_depth {
-                break;
-            }
+        report.removed += removals.len();
+        // Converged at the current cutoff; the remaining rounds with larger τ
+        // can still prune, so only stop early once τ has passed every
+        // surviving short contig's depth.
+        if removals.is_empty() && tau > max_live_depth(alive, true) {
+            break;
         }
         tau *= 1.0 + params.alpha;
     }
-
-    let removed_set: HashSet<ContigId> = contigs
-        .contigs
-        .iter()
-        .filter(|c| !alive[c.id as usize])
-        .map(|c| c.id)
-        .collect();
-    let pruned = contigs.without(&removed_set);
-    ctx.barrier();
-    (pruned, report)
+    report
 }
 
 #[cfg(test)]

@@ -89,11 +89,6 @@ impl ContigSet {
         self.contigs.get(id as usize)
     }
 
-    /// The maximum contig depth (0 for an empty set).
-    pub fn max_depth(&self) -> f64 {
-        self.contigs.iter().map(|c| c.depth).fold(0.0, f64::max)
-    }
-
     /// N50: the length L such that contigs of length ≥ L cover at least half
     /// the total assembled bases. Returns 0 for an empty set.
     pub fn n50(&self) -> usize {
@@ -112,24 +107,11 @@ impl ContigSet {
         }
         0
     }
-
-    /// Removes the contigs whose ids are in `remove` (a sorted or unsorted
-    /// list), renumbering the survivors deterministically.
-    pub fn without(&self, remove: &std::collections::HashSet<ContigId>) -> ContigSet {
-        let seqs = self
-            .contigs
-            .iter()
-            .filter(|c| !remove.contains(&c.id))
-            .map(|c| (c.seq.clone(), c.depth))
-            .collect();
-        ContigSet::from_sequences(self.k, seqs)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
     #[test]
     fn contig_canonical_orientation() {
@@ -188,30 +170,9 @@ mod tests {
     }
 
     #[test]
-    fn without_removes_and_renumbers() {
-        let set = ContigSet::from_sequences(
-            21,
-            vec![
-                (vec![b'A'; 30], 1.0),
-                (vec![b'C'; 20], 1.0),
-                (vec![b'G'; 10], 1.0),
-            ],
-        );
-        let mut remove = HashSet::new();
-        remove.insert(1 as ContigId);
-        let pruned = set.without(&remove);
-        assert_eq!(pruned.len(), 2);
-        assert_eq!(pruned.contigs[0].len(), 30);
-        assert_eq!(pruned.contigs[1].len(), 10);
-        assert_eq!(pruned.contigs[1].id, 1);
-        assert_eq!(set.len(), 3, "original untouched");
-    }
-
-    #[test]
     fn stats_helpers() {
         let set = ContigSet::from_sequences(21, vec![(vec![b'A'; 30], 2.0), (vec![b'C'; 20], 8.0)]);
         assert_eq!(set.total_bases(), 50);
-        assert!((set.max_depth() - 8.0).abs() < 1e-12);
         assert!(set.get(0).is_some());
         assert!(set.get(5).is_none());
     }

@@ -24,13 +24,13 @@ use crate::kmer::{Kmer, StrandPair};
 use seqio::PackedReadView;
 use std::ops::RangeInclusive;
 
-/// The eight code bytes at `byte` as a little-endian word; bytes past the end
-/// of `codes` read as 0. Within the last eight bytes of a slice of at least
+/// The eight bytes at `byte` of `codes` as a little-endian word; bytes past
+/// the end read as 0. Within the last eight bytes of a slice of at least
 /// eight, the word is the slice's last eight bytes shifted down: one load, as
 /// everywhere else. Reads and supermer records are short slices, so their
 /// last words take this path often.
 #[inline]
-fn load_u64(codes: &[u8], byte: usize) -> u64 {
+pub fn load_u64(codes: &[u8], byte: usize) -> u64 {
     if let Some(bytes) = codes.get(byte..byte + 8) {
         return u64::from_le_bytes(bytes.try_into().expect("eight-byte slice"));
     }

@@ -285,7 +285,8 @@ impl Team {
     pub fn set_hierarchical_exchange(&self, on: bool) {
         assert!(
             on,
-            "the flat off-node exchange path is removed: multi-node teams always route              through node leaders"
+            "the flat off-node exchange path is removed: multi-node teams always route \
+             through node leaders"
         );
     }
 
@@ -1096,7 +1097,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "flat off-node exchange path is removed")]
+    #[should_panic(
+        expected = "the flat off-node exchange path is removed: multi-node teams always route through node leaders"
+    )]
     fn asking_for_the_flat_exchange_panics() {
         let team = Team::new(Topology::new(4, 2));
         team.set_hierarchical_exchange(true);

@@ -40,51 +40,27 @@ impl Default for ScaffoldTraversalParams {
     }
 }
 
-/// Computes connected components of the contig graph by parallel label
-/// propagation (a simplified Shiloach–Vishkin: every rank relaxes its block of
-/// edges against the current labels until no label changes anywhere).
-/// Returns one component label per contig, identical on every rank.
-pub fn connected_components(
-    ctx: &Ctx,
-    num_contigs: usize,
-    edges: &[(ContigId, ContigId)],
-) -> Vec<ContigId> {
-    let mut labels: Vec<ContigId> = (0..num_contigs as ContigId).collect();
-    loop {
-        let my_edges = ctx.block_range(edges.len());
-        let mut updates: Vec<(ContigId, ContigId)> = Vec::new();
-        for &(a, b) in &edges[my_edges] {
-            let (la, lb) = (labels[a as usize], labels[b as usize]);
-            if la < lb {
-                updates.push((b, la));
-            } else if lb < la {
-                updates.push((a, lb));
-            }
+/// Connected components of the contig graph: one label per contig, the
+/// smallest contig id of its component. The link edges are replicated, so
+/// every rank computes the same labels alone, with a union-find whose every
+/// root is the smallest id of its tree.
+pub fn connected_components(num_contigs: usize, edges: &[(ContigId, ContigId)]) -> Vec<ContigId> {
+    fn root(parent: &mut [ContigId], mut x: ContigId) -> ContigId {
+        while parent[x as usize] != x {
+            // Path halving: point at the grandparent, then step there.
+            parent[x as usize] = parent[parent[x as usize] as usize];
+            x = parent[x as usize];
         }
-        let changed_local = !updates.is_empty();
-        let gathered = ctx.gather(updates);
-        labels = ctx.broadcast(|| {
-            let mut l = labels.clone();
-            for (node, label) in gathered {
-                if label < l[node as usize] {
-                    l[node as usize] = label;
-                }
-            }
-            // Pointer-jumping step: compress label chains.
-            for i in 0..l.len() {
-                let mut root = l[i];
-                while l[root as usize] != root {
-                    root = l[root as usize];
-                }
-                l[i] = root;
-            }
-            l
-        });
-        if !ctx.allreduce_any(changed_local) {
-            break;
-        }
+        x
     }
-    labels
+    let mut parent: Vec<ContigId> = (0..num_contigs as ContigId).collect();
+    for &(a, b) in edges {
+        let (ra, rb) = (root(&mut parent, a), root(&mut parent, b));
+        parent[ra.max(rb) as usize] = ra.min(rb);
+    }
+    (0..num_contigs as ContigId)
+        .map(|x| root(&mut parent, x))
+        .collect()
 }
 
 /// Every link at each contig end, in [`LinkSet`] order: one slice per end,
@@ -334,8 +310,8 @@ fn walk(
 /// the walk reads it — the fork's own contig if a candidate has a similar
 /// depth, then, if that is a hit, those candidates — once, on the rank that
 /// walks the component. The foreign ones among those contigs are fetched
-/// one-sided; nothing else crosses ranks here but the components' labels and
-/// the gathered scaffolds.
+/// one-sided; nothing else crosses ranks here but the gathered scaffolds:
+/// the components come from the replicated links on every rank.
 pub fn traverse_contig_graph_ref(
     ctx: &Ctx,
     contigs: ContigsRef<'_>,
@@ -369,7 +345,7 @@ fn traverse(
         .filter(|(_, d)| d.support() >= params.min_link_support)
         .map(|(k, _)| (k.a.contig, k.b.contig))
         .collect();
-    let labels = connected_components(ctx, contigs.num_contigs(), &edges);
+    let labels = connected_components(contigs.num_contigs(), &edges);
     let adjacency = Adjacency::new(links, contigs.num_contigs());
 
     // Each rank traverses the components assigned to it (component mod
@@ -434,7 +410,7 @@ fn traverse(
                 gap_after: None,
                 suspended_after: None,
             });
-            for (i, (contig, forward, gap, suspended)) in right.iter().enumerate() {
+            for (contig, forward, gap, suspended) in &right {
                 // The gap belongs to the junction before this contig.
                 let prev = entries.len() - 1;
                 entries[prev].gap_after = Some(*gap);
@@ -445,7 +421,6 @@ fn traverse(
                     gap_after: None,
                     suspended_after: None,
                 });
-                let _ = i;
             }
             local_scaffolds.push(entries);
         }
@@ -527,17 +502,68 @@ mod tests {
 
     #[test]
     fn connected_components_identify_chains() {
-        let team = Team::single_node(3);
-        let labels = team.run(|ctx| connected_components(ctx, 6, &[(0, 1), (1, 2), (4, 5)]));
-        for l in &labels[1..] {
-            assert_eq!(l, &labels[0]);
+        let l = connected_components(6, &[(0, 1), (1, 2), (4, 5)]);
+        assert_eq!(l, vec![0, 0, 0, 3, 4, 4]);
+    }
+
+    /// The smallest id reachable from each contig, by breadth-first search.
+    fn bfs_labels(num_contigs: usize, edges: &[(ContigId, ContigId)]) -> Vec<ContigId> {
+        let mut adjacent: Vec<Vec<usize>> = vec![Vec::new(); num_contigs];
+        for &(a, b) in edges {
+            adjacent[a as usize].push(b as usize);
+            adjacent[b as usize].push(a as usize);
         }
-        let l = &labels[0];
-        assert_eq!(l[0], l[1]);
-        assert_eq!(l[1], l[2]);
-        assert_eq!(l[4], l[5]);
-        assert_ne!(l[0], l[3]);
-        assert_ne!(l[0], l[4]);
+        let mut labels: Vec<Option<ContigId>> = vec![None; num_contigs];
+        for start in 0..num_contigs {
+            if labels[start].is_some() {
+                continue;
+            }
+            // Ids are visited in ascending order, so `start` is its
+            // component's smallest.
+            labels[start] = Some(start as ContigId);
+            let mut queue = std::collections::VecDeque::from([start]);
+            while let Some(x) = queue.pop_front() {
+                for &y in &adjacent[x] {
+                    if labels[y].is_none() {
+                        labels[y] = Some(start as ContigId);
+                        queue.push_back(y);
+                    }
+                }
+            }
+        }
+        labels.into_iter().map(|l| l.expect("visited")).collect()
+    }
+
+    #[test]
+    fn union_find_components_equal_a_bfs_oracle() {
+        let mut rng = StdRng::seed_from_u64(43);
+        for trial in 0..200 {
+            let n = rng.gen_range(1..60usize);
+            // Sparse to dense; self-loops, duplicates (in either direction)
+            // and isolated contigs all occur.
+            let m = rng.gen_range(0..2 * n);
+            let mut edges: Vec<(ContigId, ContigId)> = (0..m)
+                .map(|_| {
+                    let a = rng.gen_range(0..n) as ContigId;
+                    let b = if rng.gen_bool(0.1) {
+                        a
+                    } else {
+                        rng.gen_range(0..n) as ContigId
+                    };
+                    (a, b)
+                })
+                .collect();
+            for i in 0..m / 4 {
+                let (a, b) = edges[i];
+                edges.push(if i % 2 == 0 { (a, b) } else { (b, a) });
+            }
+            assert_eq!(
+                connected_components(n, &edges),
+                bfs_labels(n, &edges),
+                "trial {trial}: n={n} edges={edges:?}"
+            );
+        }
+        assert!(connected_components(0, &[]).is_empty());
     }
 
     #[test]
