@@ -31,10 +31,11 @@ fn digest_json(digest: u64) -> String {
 /// A fifth of the per-hop walker's `graph_traversal` traffic (1,943,757
 /// events at 1 rank): the ≥5× claim of the segment traversal.
 const TRAVERSAL_TRAFFIC_BOUND: u64 = 388_751;
-/// The per-hop walker's `graph_traversal` bytes. The stitch rounds only
-/// re-ship still-unresolved chain heads, so the segment path has to move
-/// fewer bytes than that at every rank count (at 2+ ranks it once blew up to
-/// 36.9–86.5 MB because cross-rank cycles chased until the round cap).
+/// The per-hop walker's `graph_traversal` bytes. Stitching moves each
+/// cross-rank segment a fixed number of times (its predecessor query, its
+/// link to rank 0 and back, its bases to the assembly site) whatever the
+/// chain lengths, so the segment path has to move fewer bytes than that at
+/// every rank count.
 const TRAVERSAL_BYTES_BOUND: u64 = 33_775_560;
 /// A quarter of the per-k-mer analysis's `kmer_analysis` bytes (682,852,704
 /// at 1 rank): the ≥4× claim of supermer routing.
@@ -52,7 +53,9 @@ const KMER_ANALYSIS_BYTES_BOUND: u64 = 170_713_176;
 /// 4 and 8 ranks and fails unless the graph-traversal traffic (fine-grained
 /// accesses plus aggregated messages, each one network message on real
 /// hardware), the graph-traversal bytes and the k-mer-analysis bytes stay
-/// under the retired paths' frozen numbers. Snapshot: `BENCH_traversal.json`.
+/// under the retired paths' frozen numbers, and unless the 1-rank run
+/// stitches nothing (every path there is fully local and finishes where it
+/// is walked). Snapshot: `BENCH_traversal.json`.
 pub fn traversal() {
     let ds = datasets::mg64_tiny();
     let runs = sweep(&ds, RANKS.map(|r| (r, ())), |()| AssemblyConfig::default());
@@ -72,6 +75,11 @@ pub fn traversal() {
             ("scaffold_digest", digest_json(run.digest)),
             ("scaffolds", run.output.scaffolds.len().to_string()),
         ]);
+        assert!(
+            ranks > 1 || traversal.stitch_bytes == 0,
+            "a 1-rank traversal must stitch nothing, got {} stitch bytes",
+            traversal.stitch_bytes
+        );
         assert!(
             traffic <= TRAVERSAL_TRAFFIC_BOUND,
             "graph_traversal traffic must stay <= {TRAVERSAL_TRAFFIC_BOUND} at {ranks} ranks, \
@@ -269,11 +277,13 @@ const ONE_SIDED_STAGES: [&str; 3] = ["alignment", "local_assembly", "scaffolding
 /// rank fetches a contig block). The bytes of `bubble_pruning` and
 /// `scaffolding` are re-derived by the rule above: both stages now decide
 /// their replicated graphs on every rank, with no anchor hash table or
-/// collective rounds.
+/// collective rounds. So are those of `graph_traversal`, whose stitching
+/// ranks cross-rank chains once from one gathered link table and ships no
+/// fully-local path.
 const FLAT_STAGE_OFF_NODE: [(&str, u64, u64); 9] = [
     ("read_ingestion", 0, 0),
     ("kmer_analysis", 98, 10_750_518),
-    ("graph_traversal", 2_069, 24_458_924),
+    ("graph_traversal", 2_069, 11_804_140),
     ("bubble_pruning", 682, 435_216),
     ("alignment", 12_884, 36_864_000),
     ("local_assembly", 3_632, 584_776),
@@ -285,9 +295,9 @@ const FLAT_STAGE_OFF_NODE: [(&str, u64, u64); 9] = [
 /// [`ONE_SIDED_STAGES`], whose every off-node message is routable.
 const FLAT_ROUTED_STAGES_OFF_NODE_MSGS: u64 = 2_903;
 /// The flat path's off-node bytes over every stage but `local_assembly`.
-const FLAT_DETERMINISTIC_OFF_NODE_BYTES: u64 = 87_302_270;
+const FLAT_DETERMINISTIC_OFF_NODE_BYTES: u64 = 74_647_486;
 /// The flat path's off-node `(messages, bytes)` over the whole run.
-const FLAT_RUN_OFF_NODE: (u64, u64) = (29_463, 87_908_806);
+const FLAT_RUN_OFF_NODE: (u64, u64) = (29_463, 75_254_022);
 
 /// `ablation_topology`: two-level (node-leader) exchange routing against the
 /// flat all-to-all's frozen numbers.

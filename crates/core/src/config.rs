@@ -70,7 +70,10 @@ pub struct AssemblyConfig {
     /// Run scaffolding after contig generation (otherwise contigs are emitted
     /// as single-contig scaffolds).
     pub scaffolding: bool,
-    /// Drop final contigs shorter than this before scaffolding.
+    /// Drop contigs shorter than this from every k iteration's traversal
+    /// output ([`TraversalParams::min_contig_len`]): they take no part in
+    /// that iteration's clean-up and local assembly, the next iteration's
+    /// k-mer injection, or scaffolding.
     pub min_contig_len: usize,
     /// Alignment parameters (shared by the local-assembly and scaffolding
     /// alignment rounds).

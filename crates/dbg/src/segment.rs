@@ -21,38 +21,27 @@
 //!   bases and, at each end, either a terminal or the unresolved neighbour
 //!   k-mer owned by another rank. A self-mirror hairpin (a run ending on the
 //!   reverse complement of its first vertex) is one segment. A path that
-//!   never crosses an ownership boundary finishes here, and a right walk
-//!   that steps mutually back into its start is a fully-local cycle,
-//!   emitted here too.
+//!   never crosses an ownership boundary (a segment terminal on the left
+//!   that stops at no remote vertex on the right) finishes here, and a
+//!   right walk that steps mutually back into its start is a fully-local
+//!   cycle, emitted here too.
 //! * **Level 2 — stitching.** Segments of one direction form a linked list
-//!   across ranks. One aggregated request–response round resolves every
-//!   segment's predecessor (by asking the dangling left-neighbour's owner
-//!   which of its segments *ends* with that oriented k-mer and extends back
-//!   mutually); then iterated pointer-jumping rounds over
-//!   [`pgas::Ctx::exchange_map`] double each segment's known distance to its
-//!   chain head every round, so any chain of `m` segments resolves in
-//!   `O(log m)` aggregated rounds. The byte volume of those rounds is kept
-//!   under the per-hop walker's by three measures the bench snapshots
-//!   forced:
-//!   - **Only still-unresolved chains probe**, and between probe rounds each
-//!     rank *compresses owner-local sub-chains in memory* (chase targets on
-//!     the probing rank are merged link-by-link with zero traffic), so only
-//!     cross-rank hops ever reach the wire.
-//!   - **Cycles self-terminate** instead of probing until the round cap
-//!     (which is exactly the multi-rank stitch-byte blowup the bench
-//!     snapshots caught): a chase window on a path contains no segment
-//!     twice, so a jump distance exceeding the global segment count proves
-//!     the chase wrapped a cycle. Such segments go dormant, and a dedicated
-//!     follow-up chase over just those few segments — carrying a
-//!     minimum-`SegId` accumulator whose overlap certificate identifies
-//!     each cycle's global minimum — picks every cycle's assembly site.
-//!   - **Wire structs stay minimal**: the jump reply is three words, and the
-//!     final shipping record carries no k-mer the receiver can recompute
-//!     from the shipped bases.
-//!
-//!   A final aggregated exchange ships every segment to its assembly site —
-//!   the chain head's rank for paths, the minimal segment's rank for cycles
-//!   — which splices the bases and emits.
+//!   across ranks. Level 2 runs only when some rank holds a segment that
+//!   crosses an ownership boundary, so never at one rank, and costs three
+//!   collective rounds whatever the chain lengths:
+//!   - one aggregated request–response round resolves every segment's
+//!     predecessor, by asking the dangling left-neighbour's owner which of
+//!     its segments *ends* with that oriented k-mer and extends back
+//!     mutually;
+//!   - every rank sends its (segment, predecessor) links to rank 0 in one
+//!     gather. Rank 0 walks each chain forward from its head, numbering the
+//!     positions, and each cross-rank cycle (what those walks leave
+//!     unreached) to its minimal segment id, then returns each rank's answers
+//!     in one scatter;
+//!   - a final aggregated exchange ships every segment to its assembly site
+//!     — the chain head's rank for paths, the minimal segment's rank for
+//!     cycles — which splices the bases and emits. The shipping record
+//!     carries no k-mer the receiver can recompute from the shipped bases.
 //!
 //! **Determinism / byte-identity.** The emitter rules reproduce the per-hop
 //! walker's output exactly, at any rank count:
@@ -77,75 +66,30 @@ use kmers::{Ext, Kmer, KmerCounts, KmerKey};
 use pgas::{Aggregator, Counter, Ctx};
 use seqio::alphabet::{decode_base, encode_base, revcomp};
 
-/// Per-owner batch size of the stitching request–response rounds.
+/// Per-owner batch size of the predecessor-resolution round.
 const STITCH_BATCH: usize = 4096;
 /// Per-owner batch size of the final segment-shipping exchange.
 const ASSEMBLE_BATCH: usize = 1024;
 
 /// Global identity of a segment: the rank that compacted it + its index in
-/// that rank's segment vector. The derived `(rank, idx)` order is the total
-/// order the cycle-detection accumulator minimises over — any total order
+/// that rank's segment vector. The derived `(rank, idx)` order picks each
+/// cross-rank cycle's assembly site, its minimal `SegId`: any total order
 /// works, because a `SegId` occurs exactly once per directed chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct SegId {
     rank: u32,
     idx: u32,
 }
 
-/// Pointer-jumping state of one segment. Kept deliberately small (16 bytes —
-/// no accumulator rides along): a `RpcReply<Link>` is shipped per
-/// still-chasing segment per round, so its size is the dominant factor of
-/// the stitch phase's byte volume.
-#[derive(Debug, Clone, Copy)]
+/// Where a cross-rank segment is assembled, as rank 0 ranks it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Link {
-    /// Resolved: the chain head is `head` and this segment sits `pos` segments
-    /// after it.
+    /// On a path: the chain head is `head` and this segment sits `pos`
+    /// segments after it.
     Done { head: SegId, pos: u32 },
-    /// Resolved as a cross-rank cycle whose minimal `SegId` is `minseg` (the
-    /// cycle's assembly site is that segment's rank).
+    /// On a cross-rank cycle whose minimal `SegId` is `minseg` (the cycle's
+    /// assembly site is that segment's rank).
     Cycle { minseg: SegId },
-    /// Unresolved: the chain head is somewhere at or before `to`, which is
-    /// `d` predecessor hops away. The window of `d` segments starting at this
-    /// one contains no segment twice while the chase stays on a path, so `d`
-    /// can only exceed the *global* segment count by wrapping a cycle —
-    /// which is how cycles are detected without shipping any accumulator:
-    /// a segment whose `d` overflows that bound goes dormant and resolves
-    /// its cycle minimum in the dedicated (tiny) chase of level 2b'.
-    Chase { to: SegId, d: u32 },
-}
-
-/// Merges a chasing segment's state (`d` hops covered) with the link of its
-/// current target — the single step both the remote probe rounds and the
-/// owner-local compression apply:
-///
-/// * target resolved → we sit `d` segments further down the same chain;
-/// * target on a known cycle → we are on that cycle;
-/// * target still chasing → jump over it: the target's window starts exactly
-///   where ours ends, so the windows concatenate and the distances add.
-fn merge_link(d: u32, target: Link) -> Link {
-    match target {
-        Link::Done { head, pos } => Link::Done { head, pos: pos + d },
-        Link::Cycle { minseg } => Link::Cycle { minseg },
-        Link::Chase { to: to2, d: d2 } => Link::Chase { to: to2, d: d + d2 },
-    }
-}
-
-/// Level 2b' state of one dormant (proven on-cycle) segment: the minimum-
-/// `SegId` chase that finds each cycle's canonical assembly site. `amin` is
-/// the minimal `SegId` over the `d` segments starting at the owner
-/// (exclusive of `to`); since every `SegId` occurs exactly once per directed
-/// chain, two jump windows reporting the *same* minimum must overlap, which
-/// for adjacent windows only happens once they wrap the cycle — and the
-/// shared minimum is then the cycle's global minimum. Only the handful of
-/// cross-rank cycle segments ever exchange this 24-byte state, so the
-/// accumulator's cost is negligible here, unlike on the hot path-resolution
-/// rounds.
-#[derive(Debug, Clone, Copy)]
-enum MiniLink {
-    /// Cycle minimum found.
-    Min { minseg: SegId },
-    /// Still chasing around the cycle.
-    Chase { to: SegId, d: u32, amin: SegId },
 }
 
 /// What lies beyond a segment's left (chain-predecessor) end.
@@ -187,6 +131,14 @@ struct Segment {
     right_remote: bool,
     bases: Vec<u8>,
     depth_sum: u64,
+}
+
+impl Segment {
+    /// Terminal on the left and stopped at no remote vertex on the right: a
+    /// whole path, which no segment precedes or follows.
+    fn is_whole_path(&self) -> bool {
+        matches!(self.left, LeftBoundary::Terminal) && !self.right_remote
+    }
 }
 
 /// The request of the predecessor-resolution round: "which of your segments
@@ -357,9 +309,10 @@ impl<K: KmerKey> LocalGraph<'_, K> {
 }
 
 /// Level 1: compacts this rank's shard of `counts` (the graph's table at its
-/// key width) into segments, indexed by their last vertex, and emits its
-/// fully-local cycles into `local`. Zero traffic. Every eligible vertex of
-/// the shard ends up claimed, and only those.
+/// key width) into segments, emits its whole paths and fully-local cycles
+/// into `local`, and returns the rest (the segments that cross an ownership
+/// boundary) indexed by their last vertex. Zero traffic. Every eligible
+/// vertex of the shard ends up claimed, and only those.
 fn compact_local<K: KmerKey>(
     ctx: &Ctx,
     graph: &KmerGraph,
@@ -416,25 +369,32 @@ fn compact_local<K: KmerKey>(
             let depth_sum = l.depth_sum + r.depth_sum - v.count as u64;
             let mut bases = revcomp(&left);
             bases.extend_from_slice(&right[k..]);
-            by_last.insert(r.last, segs.len() as u32);
-            segs.push(Segment {
+            let fwd = Segment {
                 left: LeftBoundary::facing(&l),
                 right_code: r.right_code,
                 right_remote: r.right_remote,
                 bases,
                 depth_sum,
-            });
-            if l.last != r.last {
+            };
+            let rev = (l.last != r.last).then(|| {
                 let mut bases = revcomp(&right);
                 bases.extend_from_slice(&left[k..]);
-                by_last.insert(l.last, segs.len() as u32);
-                segs.push(Segment {
+                let seg = Segment {
                     left: LeftBoundary::facing(&r),
                     right_code: l.right_code,
                     right_remote: l.right_remote,
                     bases,
                     depth_sum,
-                });
+                };
+                (l.last, seg)
+            });
+            for (last, seg) in std::iter::once((r.last, fwd)).chain(rev) {
+                if seg.is_whole_path() {
+                    push_path(local, seg.bases, seg.depth_sum, k, params);
+                } else {
+                    by_last.insert(last, segs.len() as u32);
+                    segs.push(seg);
+                }
             }
         }
     }
@@ -464,6 +424,31 @@ fn push_local_cycle(
     push_contig(local, out, depth_sum as f64, n, params);
 }
 
+/// Emits a whole path, walked as `bases` in one of its two directions, if
+/// that direction is the path's emitter: the one whose first vertex has the
+/// smaller canonical k-mer. Mirror directions see the two endpoint
+/// canonicals swapped, so exactly one emits. Equal endpoints happen in two
+/// self-mirror shapes: a single-vertex path (both mirrors see it identically
+/// — only the canonical-orientation one emits) and a palindromic hairpin
+/// path, which ends on the reverse complement of its first vertex and *is*
+/// its own mirror (exactly one direction exists — always emit). Level 1
+/// emits its whole paths here and the assembly sites their spliced chains.
+fn push_path(
+    local: &mut Vec<(Vec<u8>, f64)>,
+    bases: Vec<u8>,
+    depth_sum: u64,
+    k: usize,
+    params: &TraversalParams,
+) {
+    let n = bases.len() + 1 - k;
+    let end = |at: usize| Kmer::from_bytes(&bases[at..at + k]).expect("path bases are ACGT");
+    let (fc, f_was_rc) = end(0).canonical();
+    let (lc, _) = end(bases.len() - k).canonical();
+    if fc < lc || (fc == lc && (n > 1 || !f_was_rc)) {
+        push_contig(local, bases, depth_sum as f64, n, params);
+    }
+}
+
 /// Runs the segment-compaction traversal and returns this rank's emitted
 /// contigs. Collective; byte-identical to the per-hop walker's output.
 pub(crate) fn segment_contigs(
@@ -472,18 +457,93 @@ pub(crate) fn segment_contigs(
     k: usize,
     params: &TraversalParams,
 ) -> Vec<(Vec<u8>, f64)> {
-    let rank = ctx.rank();
     let mut local: Vec<(Vec<u8>, f64)> = Vec::new();
     // ---- Level 1: owner-local compaction (zero communication) --------------
     // The shard view is dropped inside, before any cross-rank phase.
     let (segs, by_last) =
         with_keys!(graph.counts, map => compact_local(ctx, graph, map, params, &mut local));
+    if ctx.allreduce_any(!segs.is_empty()) {
+        stitch(ctx, graph, k, params, segs, &by_last, &mut local);
+    }
+    local
+}
 
-    // ---- Level 2a: one aggregated round resolves every predecessor ---------
+/// Rank 0's half of Level 2: places every segment of the gathered link
+/// table, whose entries are the team's `(segment, predecessor)` pairs. A
+/// chain head has no predecessor and so no entry; each chain is walked
+/// forward from its head, numbering positions, and what those walks leave
+/// unreached lies on a cross-rank cycle, walked once to its minimal `SegId`.
+/// Returns each rank's answers, one per entry of that rank, in ascending
+/// segment index: the order the rank sent its entries in.
+fn rank_chains(table: &[(SegId, SegId)], ranks: usize) -> Vec<Vec<Link>> {
+    let pred_of: FxHashMap<SegId, SegId> = table.iter().copied().collect();
+    let succ: FxHashMap<SegId, SegId> = table.iter().map(|&(seg, pred)| (pred, seg)).collect();
+    debug_assert_eq!(succ.len(), table.len(), "a segment has two successors");
+    let mut place: FxHashMap<SegId, Link> = FxHashMap::default();
+    // A head is the predecessor of exactly one entry, so each chain is
+    // walked once.
+    for &(_, head) in table {
+        if pred_of.contains_key(&head) {
+            continue;
+        }
+        let (mut at, mut pos) = (head, 0);
+        while let Some(&next) = succ.get(&at) {
+            pos += 1;
+            place.insert(next, Link::Done { head, pos });
+            at = next;
+        }
+    }
+    for &(seg, _) in table {
+        if place.contains_key(&seg) {
+            continue;
+        }
+        let mut cycle = vec![seg];
+        let mut at = pred_of[&seg];
+        while at != seg {
+            cycle.push(at);
+            at = pred_of[&at];
+        }
+        let minseg = *cycle.iter().min().expect("a cycle has a segment");
+        for s in cycle {
+            place.insert(s, Link::Cycle { minseg });
+        }
+    }
+    let mut out: Vec<Vec<(u32, Link)>> = vec![Vec::new(); ranks];
+    for (seg, link) in place {
+        out[seg.rank as usize].push((seg.idx, link));
+    }
+    out.into_iter()
+        .map(|mut answers| {
+            answers.sort_unstable_by_key(|a| a.0);
+            answers.into_iter().map(|a| a.1).collect()
+        })
+        .collect()
+}
+
+/// Level 2: stitches the segments that cross an ownership boundary (this
+/// rank's are `segs`, indexed by `by_last`) and emits the contigs assembled
+/// here into `local`. Collective.
+fn stitch(
+    ctx: &Ctx,
+    graph: &KmerGraph,
+    k: usize,
+    params: &TraversalParams,
+    segs: Vec<Segment>,
+    by_last: &FxHashMap<Kmer, u32>,
+    local: &mut Vec<(Vec<u8>, f64)>,
+) {
+    let rank = ctx.rank();
     let me = |idx: usize| SegId {
         rank: rank as u32,
         idx: idx as u32,
     };
+    let round = || {
+        if rank == 0 {
+            ctx.record(Counter::traversal_rounds, 1);
+        }
+    };
+
+    // ---- Level 2a: one aggregated round resolves every predecessor ---------
     let mut pending: Vec<(usize, u32)> = Vec::new(); // (seg idx, dest rank)
     let mut reqs: Vec<(usize, PredQuery)> = Vec::new();
     for (i, seg) in segs.iter().enumerate() {
@@ -499,9 +559,7 @@ pub(crate) fn segment_contigs(
             );
         }
     }
-    if rank == 0 {
-        ctx.record(Counter::traversal_rounds, 1);
-    }
+    round();
     let pred_resps = ctx.exchange_map(reqs, STITCH_BATCH, |q: PredQuery| -> Option<u32> {
         by_last.get(&q.last).copied().filter(|&i| {
             let p = &segs[i as usize];
@@ -509,195 +567,48 @@ pub(crate) fn segment_contigs(
             p.right_code == Some(q.agree)
         })
     });
-    let mut links: Vec<Link> = segs
-        .iter()
-        .enumerate()
-        .map(|(i, _)| Link::Done {
+    // (seg idx, predecessor) in ascending index: the entries this rank
+    // contributes to the link table.
+    let mut linked: Vec<(usize, SegId)> = Vec::new();
+    for (&(i, dest), resp) in pending.iter().zip(pred_resps) {
+        if let Some(idx) = resp {
+            linked.push((i, SegId { rank: dest, idx }));
+        }
+    }
+
+    // ---- Level 2b: rank 0 ranks the chains from one gathered link table ----
+    round();
+    ctx.record(
+        Counter::stitch_bytes,
+        (linked.len() * std::mem::size_of::<(SegId, SegId)>()) as u64,
+    );
+    let table = ctx.gather(linked.iter().map(|&(i, pred)| (me(i), pred)).collect());
+    let answers = if rank == 0 {
+        ctx.record(
+            Counter::stitch_bytes,
+            (table.len() * std::mem::size_of::<Link>()) as u64,
+        );
+        rank_chains(&table, ctx.ranks())
+    } else {
+        vec![Vec::new(); ctx.ranks()]
+    };
+    let answers = ctx.exchange(answers);
+    debug_assert_eq!(answers.len(), linked.len());
+    let mut links: Vec<Link> = (0..segs.len())
+        .map(|i| Link::Done {
             head: me(i),
             pos: 0,
         })
         .collect();
-    // Direct predecessors are remembered past the jumping: the cycle chase of
-    // level 2b' restarts from them.
-    let mut pred_of: Vec<Option<SegId>> = vec![None; links.len()];
-    for ((i, dest), resp) in pending.iter().zip(pred_resps) {
-        if let Some(p_idx) = resp {
-            let pred = SegId {
-                rank: *dest,
-                idx: p_idx,
-            };
-            pred_of[*i] = Some(pred);
-            links[*i] = Link::Chase { to: pred, d: 1 };
-        }
-    }
-
-    // ---- Level 2b: pointer-jumping rounds (chain length halves per round) ---
-    let total_segs = ctx.allreduce_sum_u64(segs.len() as u64);
-    let max_rounds = (u64::BITS - total_segs.leading_zeros()) as usize + 2;
-    let dormant = |d: u32| d as u64 > total_segs;
-    let mut rounds = 0usize;
-    loop {
-        // Owner-local path compression: follow chase targets that live on
-        // this rank entirely in memory, repeatedly merging with their links,
-        // until the target is remote or the chase resolves. This is free
-        // (zero traffic) pointer jumping: only cross-rank hops go on the
-        // wire, which collapses both the round count and the probe volume —
-        // at 2 ranks a chain's even-position sub-chain links up locally
-        // after the first remote round and the whole chain resolves without
-        // further probes. The loop terminates: every merge either resolves
-        // the link or strictly grows `d`, and a `d` past the dormancy bound
-        // stops the walk (a self-targeting link doubles itself past any
-        // bound in logarithmically many merges).
-        for i in 0..links.len() {
-            while let Link::Chase { to, d } = links[i] {
-                if dormant(d) || to.rank as usize != rank {
-                    break;
-                }
-                links[i] = merge_link(d, links[to.idx as usize]);
-            }
-        }
-        let chasing: Vec<usize> = links
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| matches!(l, Link::Chase { d, .. } if !dormant(*d)))
-            .map(|(i, _)| i)
-            .collect();
-        let any = ctx.allreduce_any(!chasing.is_empty());
-        if !any || rounds >= max_rounds {
-            break;
-        }
-        rounds += 1;
-        if rank == 0 {
-            ctx.record(Counter::traversal_rounds, 1);
-        }
-        let jump_reqs: Vec<(usize, u32)> = chasing
-            .iter()
-            .map(|&i| {
-                let Link::Chase { to, .. } = links[i] else {
-                    unreachable!()
-                };
-                ctx.record(
-                    Counter::stitch_bytes,
-                    (std::mem::size_of::<u32>() + std::mem::size_of::<Link>()) as u64,
-                );
-                (to.rank as usize, to.idx)
-            })
-            .collect();
-        let resps = ctx.exchange_map(jump_reqs, STITCH_BATCH, |idx: u32| links[idx as usize]);
-        for (&i, resp) in chasing.iter().zip(resps) {
-            let Link::Chase { d, .. } = links[i] else {
-                unreachable!()
-            };
-            links[i] = merge_link(d, resp);
-        }
-    }
-
-    // ---- Level 2b': cycle minima for the dormant (proven on-cycle) segments --
-    // Paths are all resolved by now; what is left chasing proved itself to be
-    // on a cross-rank cycle by overflowing the path-length bound. These are
-    // rare (a handful of circular replicons crossing rank boundaries), so a
-    // dedicated chase restarted from the direct predecessors — carrying the
-    // minimum-`SegId` accumulator the hot rounds deliberately do not ship —
-    // finds each cycle's global minimum in a few tiny exchange rounds.
-    let cycset: Vec<usize> = links
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| matches!(l, Link::Chase { .. }))
-        .map(|(i, _)| i)
-        .collect();
-    if ctx.allreduce_any(!cycset.is_empty()) {
-        let mut mini: FxHashMap<u32, MiniLink> = cycset
-            .iter()
-            .map(|&i| {
-                let pred = pred_of[i].expect("an on-cycle segment has a remote predecessor");
-                (
-                    i as u32,
-                    MiniLink::Chase {
-                        to: pred,
-                        d: 1,
-                        amin: me(i),
-                    },
-                )
-            })
-            .collect();
-        let mut rounds2 = 0usize;
-        loop {
-            let chasing: Vec<u32> = cycset
-                .iter()
-                .filter(|&&i| matches!(mini[&(i as u32)], MiniLink::Chase { .. }))
-                .map(|&i| i as u32)
-                .collect();
-            let any = ctx.allreduce_any(!chasing.is_empty());
-            if !any || rounds2 >= max_rounds {
-                break;
-            }
-            rounds2 += 1;
-            if rank == 0 {
-                ctx.record(Counter::traversal_rounds, 1);
-            }
-            let reqs: Vec<(usize, u32)> = chasing
-                .iter()
-                .map(|&i| {
-                    let MiniLink::Chase { to, .. } = mini[&i] else {
-                        unreachable!()
-                    };
-                    ctx.record(
-                        Counter::stitch_bytes,
-                        (std::mem::size_of::<u32>() + std::mem::size_of::<MiniLink>()) as u64,
-                    );
-                    (to.rank as usize, to.idx)
-                })
-                .collect();
-            let resps = ctx.exchange_map(reqs, STITCH_BATCH, |idx: u32| {
-                *mini.get(&idx).expect("cycle chase targets stay on cycles")
-            });
-            for (&i, resp) in chasing.iter().zip(resps) {
-                let MiniLink::Chase { d, amin, .. } = mini[&i] else {
-                    unreachable!()
-                };
-                let merged = match resp {
-                    // The target already knows the cycle minimum.
-                    MiniLink::Min { minseg } => MiniLink::Min { minseg },
-                    MiniLink::Chase {
-                        to: to2,
-                        d: d2,
-                        amin: amin2,
-                    } => {
-                        if amin == amin2 {
-                            // The certificate: adjacent windows sharing their
-                            // minimal `SegId` overlap, so they wrap the cycle
-                            // and the shared minimum is its global minimum.
-                            MiniLink::Min { minseg: amin }
-                        } else {
-                            MiniLink::Chase {
-                                to: to2,
-                                d: d + d2,
-                                amin: amin.min(amin2),
-                            }
-                        }
-                    }
-                };
-                mini.insert(i, merged);
-            }
-        }
-        for &i in &cycset {
-            links[i] = match mini[&(i as u32)] {
-                MiniLink::Min { minseg } => Link::Cycle { minseg },
-                // Safety net at the round cap (the certificate normally fires
-                // well before it): by then the window has wrapped the whole
-                // cycle, so `amin` is its global minimum.
-                MiniLink::Chase { amin, .. } => Link::Cycle { minseg: amin },
-            };
-        }
+    for (&(i, _), link) in linked.iter().zip(answers) {
+        links[i] = link;
     }
 
     // ---- Level 2c: ship every segment to its assembly site ------------------
-    if rank == 0 {
-        ctx.record(Counter::traversal_rounds, 1);
-    }
+    round();
     let mut agg: Aggregator<AsmRecord> = Aggregator::new(ctx, ASSEMBLE_BATCH);
-    for (i, seg) in segs.into_iter().enumerate() {
-        let (dest, chain) = match links[i] {
+    for (seg, link) in segs.into_iter().zip(links) {
+        let (dest, chain) = match link {
             Link::Done { head, pos } => (
                 head.rank as usize,
                 Chain::Path {
@@ -711,10 +622,6 @@ pub(crate) fn segment_contigs(
                     min_idx: minseg.idx,
                 },
             ),
-            // Levels 2b/2b' resolve every link: paths learn their head within
-            // the round cap, and everything else went dormant and was
-            // assigned its cycle minimum.
-            Link::Chase { .. } => unreachable!("stitch chase left unresolved"),
         };
         ctx.record(
             Counter::stitch_bytes,
@@ -750,25 +657,13 @@ pub(crate) fn segment_contigs(
             .iter()
             .enumerate()
             .all(|(i, r)| matches!(r.chain, Chain::Path { pos, .. } if pos == i as u32)));
-        let first = recs[0].first(k);
-        let (fc, f_was_rc) = first.canonical();
-        let (lc, _) = recs[recs.len() - 1].last(k).canonical();
-        let vtotal: usize = recs.iter().map(|r| r.vcount(k) as usize).sum();
-        // Mirror chains see (fc, lc) swapped: the smaller-first chain emits.
-        // Equal endpoints happens in two self-mirror shapes: a single-vertex
-        // path (both mirrors see it identically — only the canonical-
-        // orientation chain emits) and a palindromic hairpin path, which
-        // ends on the reverse complement of its first vertex and *is* its
-        // own mirror (exactly one chain exists — always emit).
-        if fc < lc || (fc == lc && (vtotal > 1 || !f_was_rc)) {
-            let mut bases = std::mem::take(&mut recs[0].bases);
-            let mut depth_sum = recs[0].depth_sum;
-            for r in &recs[1..] {
-                bases.extend_from_slice(&r.bases[k - 1..]);
-                depth_sum += r.depth_sum;
-            }
-            push_contig(&mut local, bases, depth_sum as f64, vtotal, params);
+        let mut bases = std::mem::take(&mut recs[0].bases);
+        let mut depth_sum = recs[0].depth_sum;
+        for r in &recs[1..] {
+            bases.extend_from_slice(&r.bases[k - 1..]);
+            depth_sum += r.depth_sum;
         }
+        push_path(local, bases, depth_sum, k, params);
     }
     for (_, recs) in cycles {
         // One full directed cycle lands here (its mirror assembles at its own
@@ -820,11 +715,8 @@ pub(crate) fn segment_contigs(
             .map(|i| circle[(p + i) % total])
             .collect();
         let depth_sum: u64 = order.iter().map(|&j| recs[j].depth_sum).sum();
-        push_contig(&mut local, out, depth_sum as f64, total, params);
+        push_contig(local, out, depth_sum as f64, total, params);
     }
-
-    ctx.barrier();
-    local
 }
 
 #[cfg(test)]
@@ -836,7 +728,8 @@ mod tests {
     //! remote flag, depth) pin the stitch traffic, which the contig-level
     //! per-hop oracle cannot see. The graphs are the per-hop tests' stress
     //! reads and hand-built lassos, whose loop re-enters the run at a
-    //! vertex against its left extension.
+    //! vertex against its left extension. Level 2's chain ranking is held to
+    //! hand-built link tables, and its round count to chains of any length.
 
     use super::*;
     use crate::analysis::{kmer_analysis, KmerAnalysisParams};
@@ -845,7 +738,7 @@ mod tests {
     use dht::FxHashSet;
     use pgas::Team;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// The oracle's copy of this rank's shard, keyed by `Kmer` whatever the
     /// table's key width, in key order.
@@ -1043,34 +936,43 @@ mod tests {
         out
     }
 
-    /// Holds this rank's Level 1 to the oracle on `graph` and returns its
+    /// Holds this rank's Level 1 to the oracle on `graph`, the oracle's whole
+    /// paths compared as the contigs they emit, and returns the oracle's
     /// (self-mirror segments, pending boundaries, local cycles) counts.
     fn check_level1(ctx: &Ctx, graph: &KmerGraph, k: usize) -> (u64, u64, u64) {
         let traversal = TraversalParams::default();
-        let (want_segs, want_cycles) = oracle_compact(ctx, graph, &traversal);
-        let mut cycles = Vec::new();
-        let (segs, by_last) = with_keys!(graph.counts, map => compact_local(ctx, graph, map, &traversal, &mut cycles));
+        let (oracle_segs, mut want_local) = oracle_compact(ctx, graph, &traversal);
+        let counts = (
+            oracle_segs
+                .iter()
+                .filter(|s| s.bases == revcomp(&s.bases))
+                .count() as u64,
+            oracle_segs
+                .iter()
+                .filter(|s| matches!(s.left, LeftBoundary::Pending { .. }))
+                .count() as u64,
+            want_local.len() as u64,
+        );
+        let mut want_segs = Vec::new();
+        for seg in oracle_segs {
+            if seg.is_whole_path() {
+                push_path(&mut want_local, seg.bases, seg.depth_sum, k, &traversal);
+            } else {
+                want_segs.push(seg);
+            }
+        }
+        let mut local = Vec::new();
+        let (segs, by_last) =
+            with_keys!(graph.counts, map => compact_local(ctx, graph, map, &traversal, &mut local));
         let at = format!("k={k} ranks={} rank={}", ctx.ranks(), ctx.rank());
         assert_eq!(sorted_keys(&segs), sorted_keys(&want_segs), "{at}");
-        assert_eq!(
-            sorted_contigs(&cycles),
-            sorted_contigs(&want_cycles),
-            "{at}"
-        );
+        assert_eq!(sorted_contigs(&local), sorted_contigs(&want_local), "{at}");
         assert_eq!(by_last.len(), segs.len(), "{at}");
         for (i, s) in segs.iter().enumerate() {
             let last = Kmer::from_bytes(&s.bases[s.bases.len() - k..]);
             assert_eq!(by_last.get(&last.unwrap()), Some(&(i as u32)), "{at}");
         }
-        let mirrors = segs.iter().filter(|s| s.bases == revcomp(&s.bases));
-        let pending = segs
-            .iter()
-            .filter(|s| matches!(s.left, LeftBoundary::Pending { .. }));
-        (
-            mirrors.count() as u64,
-            pending.count() as u64,
-            cycles.len() as u64,
-        )
+        counts
     }
 
     #[test]
@@ -1153,5 +1055,120 @@ mod tests {
             "no lasso scanned from s first, forward and reverse: {reentry_first:?}"
         );
         assert!(pending > 0, "no pending boundary on the lasso graphs");
+    }
+
+    fn seg(rank: u32, idx: u32) -> SegId {
+        SegId { rank, idx }
+    }
+
+    /// The link of every segment in `preds` (each cross-rank segment and its
+    /// predecessor, `None` at a chain head) as `stitch` sets it: a segment
+    /// with a predecessor sends that pair to rank 0 and gets back its answer,
+    /// in the order `rank_chains` returns them; a head keeps `Done` at 0.
+    fn places(preds: &[(SegId, Option<SegId>)], ranks: usize) -> FxHashMap<SegId, Link> {
+        let table: Vec<(SegId, SegId)> = preds.iter().filter_map(|&(s, p)| Some((s, p?))).collect();
+        let answers = rank_chains(&table, ranks);
+        let mut out: FxHashMap<SegId, Link> = preds
+            .iter()
+            .map(|&(s, _)| (s, Link::Done { head: s, pos: 0 }))
+            .collect();
+        for (r, answers) in answers.into_iter().enumerate() {
+            let mut mine: Vec<SegId> = table
+                .iter()
+                .map(|e| e.0)
+                .filter(|s| s.rank as usize == r)
+                .collect();
+            mine.sort_unstable();
+            assert_eq!(mine.len(), answers.len(), "rank {r}'s answers");
+            out.extend(mine.into_iter().zip(answers));
+        }
+        out
+    }
+
+    #[test]
+    fn rank_zero_ranks_paths_and_cycles_from_the_link_table() {
+        let path = [seg(0, 3), seg(1, 0), seg(2, 5), seg(0, 1), seg(1, 2)];
+        let two = [seg(1, 4), seg(0, 7)];
+        let three = [seg(2, 0), seg(1, 1), seg(0, 9)];
+        let lone = seg(1, 3);
+        // Each cycle is listed (and so walked) from a segment that is not
+        // its minimum, the path from its tail.
+        let mut preds: Vec<(SegId, Option<SegId>)> = Vec::new();
+        preds.extend((1..path.len()).rev().map(|i| (path[i], Some(path[i - 1]))));
+        preds.push((path[0], None));
+        for cycle in [&two[..], &three[..]] {
+            let n = cycle.len();
+            preds.extend((0..n).map(|i| (cycle[i], Some(cycle[(i + n - 1) % n]))));
+        }
+        preds.push((lone, None));
+        let got = places(&preds, 3);
+        assert_eq!(got.len(), preds.len());
+        for (pos, s) in path.iter().enumerate() {
+            let want = Link::Done {
+                head: path[0],
+                pos: pos as u32,
+            };
+            assert_eq!(got[s], want, "path segment {s:?}");
+        }
+        for (cycle, minseg) in [(&two[..], seg(0, 7)), (&three[..], seg(0, 9))] {
+            assert_ne!(cycle[0], minseg, "the walk starts off the minimum");
+            for s in cycle {
+                assert_eq!(got[s], Link::Cycle { minseg }, "cycle segment {s:?}");
+            }
+        }
+        assert_eq!(got[&lone], Link::Done { head: lone, pos: 0 });
+        // A lone head sends nothing; a team of lone heads ranks nothing.
+        assert_eq!(rank_chains(&[], 3), vec![Vec::<Link>::new(); 3]);
+    }
+
+    #[test]
+    fn stitching_takes_three_rounds_at_any_chain_length_and_none_at_one_rank() {
+        let mut rng = StdRng::seed_from_u64(20261019);
+        for k in [11usize, 21] {
+            let params = KmerAnalysisParams {
+                k,
+                min_count: 2,
+                minimizer_len: 7,
+                ..Default::default()
+            };
+            // One linear template, 200 or 4,000 bases long: the longest
+            // chain is then 15–59 or 243–489 segments over 2–8 ranks.
+            for long in [200usize, 4000] {
+                let mut reads = stress_reads(&mut rng, k);
+                let template: Vec<u8> = (0..long).map(|_| b"ACGT"[rng.gen_range(0..4)]).collect();
+                for c in 0..3 {
+                    reads.push(seqio::Read::with_uniform_quality(
+                        format!("long{c}"),
+                        &template,
+                        35,
+                    ));
+                }
+                for ranks in [1usize, 2, 3, 5, 8] {
+                    let team = Team::single_node(ranks);
+                    let sets = team.run(|ctx| {
+                        let range = ctx.block_range(reads.len());
+                        let res = kmer_analysis(ctx, &reads[range], &params);
+                        let graph =
+                            build_graph(ctx, &res.counts, ThresholdPolicy::metahipmer_default());
+                        crate::traversal::traverse_contigs(
+                            ctx,
+                            &graph,
+                            k,
+                            &TraversalParams::default(),
+                        )
+                    });
+                    assert!(!sets[0].is_empty());
+                    let stats = team.stats_total();
+                    let at = format!("k={k} long={long} ranks={ranks}");
+                    if ranks == 1 {
+                        assert_eq!(stats.traversal_rounds, 0, "{at}");
+                        assert_eq!(stats.stitch_bytes, 0, "{at}");
+                    } else {
+                        assert_eq!(stats.traversal_rounds, 3, "{at}");
+                        assert!(stats.stitch_bytes > 0, "{at}");
+                    }
+                }
+            }
+        }
     }
 }

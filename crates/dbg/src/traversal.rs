@@ -4,12 +4,16 @@
 //! extension on both sides (§II-C). [`traverse_contigs`] generates them by
 //! **segment compaction + stitching** (the `segment` module): each rank first
 //! compacts its *owned* shard entirely in memory through a direct
-//! [`dht::DistMap::local_view`], emitting maximal owner-local segments, then
-//! segments are stitched across ranks with one aggregated
-//! predecessor-resolution round plus `O(log chains)` pointer-jumping rounds
-//! over [`pgas::Ctx::exchange_map`] and a final aggregated segment-shipping
-//! exchange. Communication is `O(owner crossings)` aggregated messages, not
-//! the `O(contig length)` fine-grained lookups of the paper's §II-D walker.
+//! [`dht::DistMap::local_view`], emitting maximal owner-local segments and
+//! finishing there every path that never crosses an ownership boundary.
+//! The segments left are stitched across ranks in three collective rounds,
+//! whatever the chain lengths: one aggregated predecessor-resolution round
+//! over [`pgas::Ctx::exchange_map`], one gather of the (segment,
+//! predecessor) links to rank 0, which ranks every chain and scatters the
+//! answers back, and a final aggregated segment-shipping exchange. At one
+//! rank nothing is stitched. Communication is `O(owner crossings)`
+//! aggregated messages, not the `O(contig length)` fine-grained lookups of
+//! the paper's §II-D walker.
 //!
 //! Ownership of each path is decided *deterministically*, so the contig set
 //! is identical for any rank count (which both simplifies testing and removes

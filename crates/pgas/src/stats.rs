@@ -188,25 +188,23 @@ counters! {
     /// Entries k-mer analysis inserted into its shard of the counts table:
     /// one per k-mer that reached the ε cut-off, none for the rest.
     kmer_table_inserts: Sum,
-    /// Collective endpoint-exchange rounds performed by the segment-stitching
-    /// contig traversal (pred resolution + pointer-jumping + assembly).
-    /// Recorded on rank 0 only, so a summed snapshot reads as "rounds".
+    /// Collective rounds performed by the segment-stitching contig traversal:
+    /// predecessor resolution, chain ranking on rank 0 (one gather and one
+    /// scatter) and segment shipping, three per call, none when no segment
+    /// crosses an ownership boundary (at one rank). Recorded on rank 0 only,
+    /// so a summed snapshot reads as "rounds".
     traversal_rounds: Sum,
     /// Payload bytes of segment-stitching exchanges during traversal (a
     /// subset of `bytes_sent`, recorded on the sender).
     stitch_bytes: Sum,
     /// Peak contig bytes resident on this rank: the owned shard of the
-    /// distributed contig store plus the rank's reader cache (packed bytes),
-    /// or the full replicated `ContigSet` (raw bytes) when the distributed
-    /// store is disabled.
+    /// distributed contig store plus the rank's reader cache (packed bytes).
     contig_bytes_resident: Max,
     /// Packed contig bytes fetched from remote shards of the distributed
     /// contig store (cache-miss fills; a measure of contig read traffic).
     contig_fetch_bytes: Sum,
     /// Peak read bytes resident on this rank: the owned shard of the
-    /// distributed read store plus the rank's reader cache (packed bytes), or
-    /// the full replicated `ReadLibrary` (raw seq+qual bytes) when the
-    /// distributed store is disabled.
+    /// distributed read store plus the rank's reader cache (packed bytes).
     read_bytes_resident: Max,
     /// Packed read-block bytes fetched from remote shards of the distributed
     /// read store (cache-miss fills; a measure of read fetch traffic).

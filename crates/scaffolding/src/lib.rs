@@ -8,9 +8,10 @@
 //!    different contigs); both are aggregated into links between *contig ends*
 //!    in a distributed hash table keyed by the contig-end pair (§III-B);
 //! 2. [`traversal`] — the contig graph defined by those links is partitioned
-//!    into connected components (a Shiloach–Vishkin-style label-propagation
-//!    pass, §III-C), components are dealt to ranks, and each component is
-//!    walked by decreasing contig length with the paper's heuristics:
+//!    into connected components (§III-C; the links are replicated, so every
+//!    rank labels them alone with a union-find), components are dealt to
+//!    ranks, and each component is walked by decreasing contig length with
+//!    the paper's heuristics:
 //!    extendable-end checks, suspension of short repeat contigs that spans
 //!    jump over, and aggressive extension through contigs recognised as
 //!    ribosomal by the profile HMM;
