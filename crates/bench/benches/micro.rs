@@ -174,7 +174,12 @@ fn bench_local_assembly(c: &mut Criterion) {
             extend_contigs_locally_ref(ctx, source, &alignments[ctx.rank()], reads, &params).0
         };
         let extended = team.run(extend);
-        assert!(extended.iter().all(|set| *set == extended[0]));
+        assert!(
+            extended[1..]
+                .iter()
+                .all(|set| *set == dbg::ContigSet::new(contigs.k)),
+            "a rank other than 0 holds extended contigs"
+        );
         let grown = extended[0]
             .contigs
             .iter()
@@ -436,10 +441,12 @@ fn bench_pipeline_stages(c: &mut Criterion) {
         })
     });
     // Bubble merging, hair removal and pruning as the pipeline runs them: one
-    // `clean_contigs` pass over one contig adjacency, at 4 ranks. The set-up
-    // holds the pass, at 1 and 4 ranks, to bubble merging followed by pruning
-    // of its output, set and report, and requires bubbles and pruning to act
-    // (the bench reads grow no hair at k = 21).
+    // `clean_contigs` pass over one contig adjacency, at 4 ranks, each rank
+    // cleaning the set traversal left it (all of it on rank 0, none
+    // elsewhere). The set-up holds the pass, at 1 and 4 ranks, to bubble
+    // merging followed by pruning of its output, set and report, requires
+    // bubbles and pruning to act on rank 0 (the bench reads grow no hair at
+    // k = 21) and the other ranks to hold nothing.
     {
         let (bubble, prune) = (BubbleParams::default(), PruningParams::default());
         let prepare = |team: &Arc<Team>| {
@@ -450,30 +457,33 @@ fn bench_pipeline_stages(c: &mut Criterion) {
                 let set = traverse_contigs(ctx, &graph, 21, &TraversalParams::default());
                 (counts, set)
             })
-            .pop()
-            .unwrap()
         };
-        let clean = |ctx: &pgas::Ctx, (counts, set): &(dbg::KmerCountsMap, dbg::ContigSet)| {
+        let clean = |ctx: &pgas::Ctx, prepared: &[(dbg::KmerCountsMap, dbg::ContigSet)]| {
+            let (counts, set) = &prepared[ctx.rank()];
             let graph = build_graph(ctx, counts, ThresholdPolicy::metahipmer_default());
             clean_contigs(ctx, set, &graph, Some(&bubble), Some(&prune))
         };
         for team in [Team::single_node(1), Arc::clone(&team)] {
             let prepared = prepare(&team);
-            for ((one, report), (two, bubbles, pruning)) in team.run(|ctx| {
-                let (counts, set) = &prepared;
+            let out = team.run(|ctx| {
+                let (counts, set) = &prepared[ctx.rank()];
                 let graph = build_graph(ctx, counts, ThresholdPolicy::metahipmer_default());
                 let (merged, b) = merge_bubbles_and_remove_hair(ctx, set, &graph, &bubble);
                 let (pruned, p) = prune_iteratively(ctx, &merged, &graph, &prune);
                 (clean(ctx, &prepared), (pruned, b, p))
-            }) {
+            });
+            for (rank, ((one, report), (two, bubbles, pruning))) in out.into_iter().enumerate() {
                 assert!(
                     one == two && report.bubble == bubbles && report.pruning == pruning,
                     "the one clean-up pass differs from bubble merging then pruning"
                 );
-                assert!(
+                assert_eq!(
                     bubbles.bubbles_merged > 0 && pruning.removed > 0,
-                    "bubble merging or pruning had nothing to do: {bubbles:?} {pruning:?}"
+                    rank == 0,
+                    "rank {rank}: bubble merging or pruning had nothing to do, or acted off \
+                     rank 0: {bubbles:?} {pruning:?}"
                 );
+                assert_eq!(one.is_empty(), rank > 0, "rank {rank} holds the wrong set");
             }
         }
         let team = Arc::clone(&team);
@@ -487,8 +497,9 @@ fn bench_pipeline_stages(c: &mut Criterion) {
     }
     // The contig traversal alone over a prebuilt counts table, so hot-loop
     // regressions in it show up without running the full pipeline. The set-up
-    // holds the 4-rank contig set to the 1-rank one and checks that the
-    // traversal claims exactly the eligible (fork-free) vertices.
+    // holds rank 0's 4-rank contig set to the 1-rank one, requires the other
+    // ranks to hold none, and checks that the traversal claims exactly the
+    // eligible (fork-free) vertices.
     {
         let traverse_checked = |team: &Arc<Team>| {
             team.run(|ctx| {
@@ -503,17 +514,22 @@ fn bench_pipeline_stages(c: &mut Criterion) {
                 });
                 set
             })
-            .pop()
-            .unwrap()
         };
-        let one = traverse_checked(&Team::single_node(1));
+        let one = traverse_checked(&Team::single_node(1)).remove(0);
         assert!(
             !one.is_empty(),
             "the traversal bench graph yields no contigs"
         );
+        let four = traverse_checked(&team);
         assert!(
-            traverse_checked(&team) == one,
-            "the 4-rank contig set differs from the 1-rank one"
+            four[0] == one,
+            "rank 0's 4-rank contig set differs from the 1-rank one"
+        );
+        assert!(
+            four[1..]
+                .iter()
+                .all(|set| *set == dbg::ContigSet::new(one.k)),
+            "a rank other than 0 holds contigs after traversal"
         );
         let reads = reads.clone();
         let team = Arc::clone(&team);

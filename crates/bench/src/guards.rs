@@ -275,16 +275,17 @@ const ONE_SIDED_STAGES: [&str; 3] = ["alignment", "local_assembly", "scaffolding
 /// Per stage: `(stage, off-node messages, off-node bytes)` of the flat path.
 /// `local_assembly`'s share moves between runs (work stealing decides which
 /// rank fetches a contig block). The bytes of `bubble_pruning` and
-/// `scaffolding` are re-derived by the rule above: both stages now decide
-/// their replicated graphs on every rank, with no anchor hash table or
-/// collective rounds. So are those of `graph_traversal`, whose stitching
-/// ranks cross-rank chains once from one gathered link table and ships no
-/// fully-local path.
+/// `scaffolding` are re-derived by the rule above: both stages decide their
+/// graphs with no anchor hash table or collective rounds, and
+/// `bubble_pruning` cleans the traversed set on rank 0, which holds it, with
+/// no gather of contig ends, then sends each store owner its share. So are
+/// those of `graph_traversal`, whose stitching ranks cross-rank chains once
+/// from one gathered link table and ships no fully-local path.
 const FLAT_STAGE_OFF_NODE: [(&str, u64, u64); 9] = [
     ("read_ingestion", 0, 0),
     ("kmer_analysis", 98, 10_750_518),
     ("graph_traversal", 2_069, 11_804_140),
-    ("bubble_pruning", 682, 435_216),
+    ("bubble_pruning", 682, 356_096),
     ("alignment", 12_884, 36_864_000),
     ("local_assembly", 3_632, 584_776),
     ("read_localization", 6, 195_232),
@@ -295,9 +296,9 @@ const FLAT_STAGE_OFF_NODE: [(&str, u64, u64); 9] = [
 /// [`ONE_SIDED_STAGES`], whose every off-node message is routable.
 const FLAT_ROUTED_STAGES_OFF_NODE_MSGS: u64 = 2_903;
 /// The flat path's off-node bytes over every stage but `local_assembly`.
-const FLAT_DETERMINISTIC_OFF_NODE_BYTES: u64 = 74_647_486;
+const FLAT_DETERMINISTIC_OFF_NODE_BYTES: u64 = 74_568_366;
 /// The flat path's off-node `(messages, bytes)` over the whole run.
-const FLAT_RUN_OFF_NODE: (u64, u64) = (29_463, 75_254_022);
+const FLAT_RUN_OFF_NODE: (u64, u64) = (29_463, 75_174_902);
 
 /// `ablation_topology`: two-level (node-leader) exchange routing against the
 /// flat all-to-all's frozen numbers.

@@ -101,8 +101,9 @@ impl Default for LocalAssemblyParams {
 }
 
 /// Extends every contig at both ends using locally gathered reads. Collective.
-/// Returns the extended contig set (identical on every rank) and the per-rank
-/// number of contigs processed (the Figure-5 load-balance signal).
+/// Returns the extended contig set on rank 0 (an empty set with the same k
+/// on every other rank) and the per-rank number of contigs processed (the
+/// Figure-5 load-balance signal).
 ///
 /// A grabbed block's contig sequences travel from the contig store in the
 /// same kind of *one-sided* aggregated batch as its read pools
@@ -170,7 +171,7 @@ pub fn extend_contigs_locally_ref(
     let blocks = ctx.share(|| DynamicBlocks::new(contigs.num_contigs(), params.block_size));
     let mut reader = contigs.reader(ctx);
     let mut walker = MerWalker::new(params);
-    let mut extended_local: Vec<(u64, Vec<u8>, f64)> = Vec::new();
+    let mut extended_local: Vec<(Vec<u8>, f64)> = Vec::new();
     let mut processed = 0usize;
     let mut first = true;
     while let Some(range) = blocks.next_block(ctx, first) {
@@ -185,17 +186,14 @@ pub fn extend_contigs_locally_ref(
             let seq = seq.expect("contig present in store").unpack();
             let depth = contigs.meta(id).expect("contig exists").depth;
             let new_seq = walker.extend_one(&seq, &pool.unwrap_or_default());
-            extended_local.push((id, new_seq, depth));
+            extended_local.push((new_seq, depth));
         }
     }
     ctx.barrier();
 
     // ---- Gather the extended contigs into a new deterministic set ------------
-    let gathered = ctx.gather(extended_local);
-    let set = ctx.broadcast(|| {
-        let seqs = gathered.into_iter().map(|(_, seq, depth)| (seq, depth));
-        ContigSet::from_sequences(contigs.k(), seqs.collect())
-    });
+    // (`from_sequences` renumbers them, so their old ids stay behind)
+    let set = ContigSet::from_sequences(contigs.k(), ctx.gather(extended_local));
     (set, processed)
 }
 
@@ -1188,6 +1186,8 @@ mod tests {
     /// contigs. Re-derive it if `community` changes.
     const COMMUNITY_EXTENDED_DIGEST: u64 = 0xaa9a_ba9f_1d0a_9a84;
 
+    /// At 1–4 ranks and two block shapes, rank 0 returns the same extended
+    /// set and every other rank an empty set with the same k.
     #[test]
     fn extension_does_not_depend_on_ranks_or_blocks() {
         let (contigs, library) = community();
@@ -1198,7 +1198,7 @@ mod tests {
                 ..Default::default()
             };
             for ranks in 1..=4usize {
-                sets.extend(Team::single_node(ranks).run(|ctx| {
+                let out = Team::single_node(ranks).run(|ctx| {
                     let store = ContigStore::build(ctx, &contigs, &Default::default());
                     let source = ContigsRef::Store(&store);
                     let index = aligner::build_seed_index_ref(ctx, source, 21);
@@ -1217,7 +1217,16 @@ mod tests {
                     );
                     let reads = ReadsRef::Store(&reads);
                     extend_contigs_locally_ref(ctx, source, &alignments, reads, &params).0
-                }));
+                });
+                let mut out = out.into_iter();
+                sets.extend(out.next());
+                for set in out {
+                    assert_eq!(
+                        set,
+                        ContigSet::new(21),
+                        "{ranks} ranks: a rank > 0 holds contigs"
+                    );
+                }
             }
         }
         assert!(sets.iter().all(|set| *set == sets[0]));
@@ -1435,7 +1444,7 @@ mod tests {
             )
         });
         for (set, _) in &out[1..] {
-            assert_eq!(set, &out[0].0);
+            assert_eq!(set, &ContigSet::new(21));
         }
         let extended = &out[0].0;
         assert_eq!(extended.len(), 1);

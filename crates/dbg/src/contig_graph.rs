@@ -8,12 +8,12 @@
 //! graph, the "bubble-contig graph" of §II-D.
 //!
 //! The paper keeps that graph in a distributed hash table because its contigs
-//! are distributed. Here the contig set is replicated on every rank, so only
-//! the anchors are distributed work: each rank resolves the end k-mers of its
-//! block of contigs against the k-mer graph, and the ends are gathered and
-//! shared. Every rank then groups the anchors into neighbours itself, and
-//! [`clean_contigs`] decides bubbles, hair and pruning redundantly on every
-//! rank with no further communication.
+//! are distributed. Here the traversed contig set lives on rank 0 (where
+//! [`crate::traverse_contigs`] gathers it), so the graph is built there: rank
+//! 0 resolves the end k-mers of every contig against the k-mer graph in one
+//! collective lookup that the other ranks serve, groups the anchors into
+//! neighbours, and [`clean_contigs`] decides bubbles, hair and pruning there
+//! with no further communication.
 
 use crate::bubble::{self, BubbleParams, BubbleReport};
 use crate::graph::{lookup_oriented_many, KmerGraph, OrientedVertex};
@@ -34,8 +34,7 @@ pub struct ContigEnds {
     pub right_anchor: Option<Kmer>,
 }
 
-/// Anchor information and adjacency for a whole contig set. Identical on every
-/// rank after construction.
+/// Anchor information and adjacency for the contig set a rank holds.
 #[derive(Debug, Clone, Default)]
 pub struct ContigAdjacency {
     /// Indexed by contig id.
@@ -86,28 +85,25 @@ fn right_anchor_of(last: &Kmer, v: &OrientedVertex) -> Option<Kmer> {
     }
 }
 
-/// A contig's slots in the batched anchor lookup: its id plus, for each end
-/// that has a query, the index of that query and the end k-mer itself.
-type EndQuerySlots = (ContigId, Option<(usize, Kmer)>, Option<(usize, Kmer)>);
+/// A contig's slots in the batched anchor lookup: for each end that has a
+/// query, the index of that query and the end k-mer itself.
+type EndQuerySlots = (Option<(usize, Kmer)>, Option<(usize, Kmer)>);
 
-/// Anchor computation: the end k-mers of the rank's whole contig block are
-/// resolved in one aggregated round trip.
-fn block_ends(
+/// Anchor computation: the end k-mers of every contig the rank holds are
+/// resolved in one aggregated round trip, in id order.
+fn resolve_ends(
     ctx: &Ctx,
     graph: &KmerGraph,
     contigs: &ContigSet,
-    my_range: std::ops::Range<usize>,
     lookup_batch: usize,
-) -> Vec<(ContigId, ContigEnds)> {
+) -> Vec<ContigEnds> {
     let k = contigs.k;
-    // queries[2 * i] is contig i's first k-mer, queries[2 * i + 1] its last
-    // (when present) — `positions` maps each contig to its query slots.
-    let mut queries: Vec<Kmer> = Vec::with_capacity(2 * my_range.len());
-    let mut positions: Vec<EndQuerySlots> = Vec::with_capacity(my_range.len());
-    for idx in my_range {
-        let c = &contigs.contigs[idx];
+    // `positions` maps each contig to its query slots in `queries`.
+    let mut queries: Vec<Kmer> = Vec::with_capacity(2 * contigs.len());
+    let mut positions: Vec<EndQuerySlots> = Vec::with_capacity(contigs.len());
+    for c in &contigs.contigs {
         if c.seq.len() < k {
-            positions.push((c.id, None, None));
+            positions.push((None, None));
             continue;
         }
         let first = Kmer::from_bytes(&c.seq[..k]).map(|f| {
@@ -118,50 +114,35 @@ fn block_ends(
             queries.push(l);
             (queries.len() - 1, l)
         });
-        positions.push((c.id, first, last));
+        positions.push((first, last));
     }
     let vertices = lookup_oriented_many(ctx, graph, &queries, lookup_batch);
     positions
         .into_iter()
-        .map(|(id, first, last)| {
-            let left_anchor = first
-                .and_then(|(slot, f)| vertices[slot].as_ref().and_then(|v| left_anchor_of(&f, v)));
-            let right_anchor = last
-                .and_then(|(slot, l)| vertices[slot].as_ref().and_then(|v| right_anchor_of(&l, v)));
-            (
-                id,
-                ContigEnds {
-                    left_anchor,
-                    right_anchor,
-                },
-            )
+        .map(|(first, last)| ContigEnds {
+            left_anchor: first
+                .and_then(|(slot, f)| vertices[slot].as_ref().and_then(|v| left_anchor_of(&f, v))),
+            right_anchor: last
+                .and_then(|(slot, l)| vertices[slot].as_ref().and_then(|v| right_anchor_of(&l, v))),
         })
         .collect()
 }
 
-/// Collectively builds anchors and adjacency for a contig set.
+/// Collectively builds anchors and adjacency for the contig set the calling
+/// rank holds (in the pipeline, rank 0 holds them all and the other ranks
+/// hold none and only serve the lookup).
 ///
-/// The anchor k-mers of the rank's whole block are read from the graph in a
-/// single aggregated request–response round trip of messages of at most
-/// `lookup_batch` (> 0) lookups; the adjacency does not depend on the size.
-/// The ends are gathered and shared, and every rank groups them into
-/// neighbours locally.
+/// The anchor k-mers are read from the graph in a single aggregated
+/// request–response round trip of messages of at most `lookup_batch` (> 0)
+/// lookups; the adjacency does not depend on the size. The rank then groups
+/// the anchors into neighbours locally.
 pub fn build_adjacency(
     ctx: &Ctx,
     contigs: &ContigSet,
     graph: &KmerGraph,
     lookup_batch: usize,
 ) -> ContigAdjacency {
-    let n = contigs.len();
-    let my_ends = block_ends(ctx, graph, contigs, ctx.block_range(n), lookup_batch);
-    let all_ends = ctx.gather(my_ends);
-    let ends = ctx.broadcast(|| {
-        let mut ends = vec![ContigEnds::default(); n];
-        for (id, e) in all_ends {
-            ends[id as usize] = e;
-        }
-        ends
-    });
+    let ends = resolve_ends(ctx, graph, contigs, lookup_batch);
     let neighbors = neighbors_of(&ends);
     ContigAdjacency { ends, neighbors }
 }
@@ -200,12 +181,14 @@ pub struct CleanReport {
     pub pruning: PruningReport,
 }
 
-/// Collectively cleans a contig set with one [`ContigAdjacency`]: merges
-/// bubbles and removes hair when `bubble` is given (§II-D), then prunes
-/// iteratively when `pruning` is given (§II-E), reading the depths that
-/// bubble winners absorbed. Only the anchors cross ranks; every decision is
-/// made by every rank from the replicated set and adjacency, so the result
-/// is identical on every rank.
+/// Collectively cleans the contig set the calling rank holds with one
+/// [`ContigAdjacency`]: merges bubbles and removes hair when `bubble` is
+/// given (§II-D), then prunes iteratively when `pruning` is given (§II-E),
+/// reading the depths that bubble winners absorbed. Only the anchor lookups
+/// cross ranks; every decision is made by the holding rank alone. In the
+/// pipeline rank 0 holds the traversed set, so rank 0 returns the cleaned
+/// set and its report, and every other rank an empty set and an empty
+/// report.
 ///
 /// Survivors keep their order and are renumbered from 0, so a set in
 /// [`ContigSet::from_sequences`] order stays in that order.
@@ -254,7 +237,9 @@ mod tests {
     use crate::graph::{build_graph, lookup_oriented, ThresholdPolicy};
     use crate::per_hop::tests::{graph_of, lasso_vertices, stress_reads};
     use crate::pruning::prune_iteratively;
+    use crate::store::ContigStore;
     use crate::traversal::{traverse_contigs, TraversalParams};
+    use crate::types::tests::rank_zero_set;
     use pgas::Team;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -304,11 +289,11 @@ mod tests {
             let adj = build_adjacency(ctx, &contigs, &graph, 4096);
             (contigs, adj)
         });
-        // All ranks agree.
+        // Rank 0 holds the contigs and builds their adjacency; the other
+        // ranks hold none and only serve the anchor lookups.
         for (c, a2) in &out[1..] {
-            assert_eq!(c, &out[0].0);
-            assert_eq!(a2.ends, out[0].1.ends);
-            assert_eq!(a2.neighbors, out[0].1.neighbors);
+            assert_eq!(c, &ContigSet::new(15));
+            assert!(a2.ends.is_empty() && a2.neighbors.is_empty());
         }
         out[0].clone()
     }
@@ -374,9 +359,13 @@ mod tests {
                 .iter()
                 .map(|c| contig_ends(ctx, &graph, &c.seq, contigs.k))
                 .collect();
-            assert!(fine_ends
-                .iter()
-                .any(|e| e.left_anchor.is_some() || e.right_anchor.is_some()));
+            assert_eq!(
+                fine_ends
+                    .iter()
+                    .any(|e| e.left_anchor.is_some() || e.right_anchor.is_some()),
+                ctx.rank() == 0,
+                "only rank 0 holds contigs, and some of them have anchors"
+            );
             let one = build_adjacency(ctx, &contigs, &graph, 1);
             assert_eq!(one.ends, fine_ends);
             for batch in [2usize, 3, 4096] {
@@ -463,8 +452,9 @@ mod tests {
 
     /// At 1–4 ranks, one [`clean_contigs`] pass equals bubble merging
     /// followed by pruning of its output (each with its own adjacency), set
-    /// and report, on every rank; and the survivors are in
-    /// [`ContigSet::from_sequences`] order. Returns the summed reports.
+    /// and report, on rank 0, and both leave the other ranks empty-handed;
+    /// and the survivors are in [`ContigSet::from_sequences`] order. Returns
+    /// the summed reports.
     fn one_pass_equals_bubble_then_prune(
         k: usize,
         graph: impl Fn(&Ctx) -> KmerGraph + Sync,
@@ -488,28 +478,82 @@ mod tests {
                 );
                 (one, two)
             });
-            for (one, two) in &out {
-                assert_eq!(one, two, "k={k} ranks={ranks}");
-                assert_eq!(one, &out[0].0, "k={k} ranks={ranks}: ranks disagree");
-                let resorted = ContigSet::from_sequences(
-                    k,
-                    one.0
-                        .contigs
-                        .iter()
-                        .map(|c| (c.seq.clone(), c.depth))
-                        .collect(),
-                );
-                assert_eq!(
-                    resorted, one.0,
-                    "k={k} ranks={ranks}: survivors out of order"
-                );
+            let nothing = (ContigSet::new(k), CleanReport::default());
+            for (one, two) in &out[1..] {
+                assert_eq!((one, two), (&nothing, &nothing), "k={k} ranks={ranks}");
             }
-            let r = out[0].0 .1;
+            let (one, two) = &out[0];
+            assert_eq!(one, two, "k={k} ranks={ranks}");
+            let resorted = ContigSet::from_sequences(
+                k,
+                one.0
+                    .contigs
+                    .iter()
+                    .map(|c| (c.seq.clone(), c.depth))
+                    .collect(),
+            );
+            assert_eq!(
+                resorted, one.0,
+                "k={k} ranks={ranks}: survivors out of order"
+            );
+            let r = one.1;
             sum.bubble.bubbles_merged += r.bubble.bubbles_merged;
             sum.bubble.hair_removed += r.bubble.hair_removed;
             sum.pruning.removed += r.pruning.removed;
         }
         sum
+    }
+
+    /// A SNP bubble, a hair and a shallow branch on one deep path.
+    fn planted_reads() -> Vec<Read> {
+        let left = "ACGGTCAGGTTCAAGGACTCCGTA";
+        let right = "TCAGCATTAGCGTAGGACCTTGAC";
+        let main = format!("{left}GGCATTACGGATACCAGGATCCAG{right}");
+        covered(&[
+            (main.clone(), 20),
+            (format!("{left}GGCATTACGGATGCCAGGATCCAG{right}"), 8),
+            (format!("{}TTTTTTAAAAAT", &main[..20]), 4),
+            (format!("{}ACAGATTTACAGG", &main[..30]), 4),
+        ])
+    }
+
+    /// Between collectives only rank 0 holds a contig set: at 1–4 ranks the
+    /// traversal, the clean-up pass and the store's materialisation each
+    /// return the 1-rank set on rank 0 and an empty set with the same k on
+    /// every other rank.
+    #[test]
+    fn contig_sets_are_held_on_rank_zero_only() {
+        let reads = planted_reads();
+        let run = |ranks: usize| {
+            let out = Team::single_node(ranks).run(|ctx| {
+                let graph = graph_of_reads(ctx, &reads, 15);
+                let traversed = traverse_contigs(ctx, &graph, 15, &TraversalParams::default());
+                let bubble = BubbleParams::default();
+                let prune = PruningParams::default();
+                let (cleaned, _) =
+                    clean_contigs(ctx, &traversed, &graph, Some(&bubble), Some(&prune));
+                let store = ContigStore::build(ctx, &cleaned, &Default::default());
+                let materialized = store.materialize(ctx);
+                [traversed, cleaned, materialized]
+            });
+            let mut stages: [Vec<ContigSet>; 3] = Default::default();
+            for sets in out {
+                for (stage, set) in stages.iter_mut().zip(sets) {
+                    stage.push(set);
+                }
+            }
+            stages.map(rank_zero_set)
+        };
+        let one = run(1);
+        let [traversed, cleaned, materialized] = &one;
+        assert!(
+            cleaned.len() < traversed.len(),
+            "the clean-up pass did nothing"
+        );
+        assert_eq!(materialized, cleaned);
+        for ranks in 2..=4 {
+            assert_eq!(run(ranks), one, "{ranks} ranks");
+        }
     }
 
     #[test]
@@ -530,21 +574,12 @@ mod tests {
                 max_rounds: 200,
             },
         ];
-        let left = "ACGGTCAGGTTCAAGGACTCCGTA";
-        let right = "TCAGCATTAGCGTAGGACCTTGAC";
         let common = "GGCATTACGGATACCAGGATCCAG";
-        let main = format!("{left}{common}{right}");
         let forked = covered(&[
             (format!("ACGGTCAGGTTCAAGGACT{common}TACCGGTTAACCGGTATTC"), 3),
             (format!("TTTTGAGGCCACAAAATTT{common}CTCTCGAGAGAGGCGCGAT"), 3),
         ]);
-        // A SNP bubble, a hair and a shallow branch on one deep path.
-        let planted = covered(&[
-            (main.clone(), 20),
-            (format!("{left}GGCATTACGGATGCCAGGATCCAG{right}"), 8),
-            (format!("{}TTTTTTAAAAAT", &main[..20]), 4),
-            (format!("{}ACAGATTTACAGG", &main[..30]), 4),
-        ]);
+        let planted = planted_reads();
         let mut rng = StdRng::seed_from_u64(20261019);
         let mut sum = CleanReport::default();
         for bubble in &bubbles {

@@ -18,7 +18,7 @@
 //!    (§II-D);
 //! 5. [`pruning`] — the **iterative graph pruning** of Algorithm 2 (§II-E);
 //!    [`contig_graph::clean_contigs`] runs 4 and 5 as one pass over one
-//!    contig adjacency, decided redundantly on every rank;
+//!    contig adjacency, decided on rank 0, which holds the traversed set;
 //! 6. [`merge`] — **k-mer set merging** across iterations: the previous
 //!    iteration's contigs are cut into (k+s)-mer supermers, shipped through
 //!    k-mer analysis's send loop and merged into the next iteration's k-mer

@@ -133,7 +133,8 @@ mod tests {
             let res = kmer_analysis(ctx, &reads[range], &params);
             let graph = build_graph(ctx, &res.counts, ThresholdPolicy::metahipmer_default());
             let contigs = traverse_contigs(ctx, &graph, 21, &TraversalParams::default());
-            assert_eq!(contigs.len(), 1);
+            // Rank 0 holds the traversed set; the store build reads it there.
+            assert_eq!(contigs.len(), usize::from(ctx.rank() == 0));
 
             // Fresh, empty counts table for k=31 ("nothing admitted").
             let new_counts = empty_table(ctx, 31);

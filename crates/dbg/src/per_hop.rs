@@ -18,7 +18,7 @@
 
 use crate::graph::{lookup_oriented, KmerGraph};
 use crate::table::with_keys;
-use crate::traversal::{eligible, push_contig, share_contig_set, TraversalParams};
+use crate::traversal::{eligible, push_contig, TraversalParams};
 use crate::types::ContigSet;
 use kmers::{Ext, Kmer, KmerKey};
 use pgas::Ctx;
@@ -205,8 +205,8 @@ fn per_hop_contigs(ctx: &Ctx, graph: &KmerGraph, params: &TraversalParams) -> Ve
     local
 }
 
-/// The reference traversal: the walker's contigs gathered into the shared
-/// set exactly as [`crate::traversal::traverse_contigs`] gathers its own.
+/// The reference traversal: the walker's contigs gathered into one set on
+/// rank 0 exactly as [`crate::traversal::traverse_contigs`] gathers its own.
 /// Collective.
 pub(crate) fn per_hop_contig_set(
     ctx: &Ctx,
@@ -215,7 +215,7 @@ pub(crate) fn per_hop_contig_set(
     params: &TraversalParams,
 ) -> ContigSet {
     let local = per_hop_contigs(ctx, graph, params);
-    share_contig_set(ctx, k, local)
+    ContigSet::from_sequences(k, ctx.gather(local))
 }
 
 #[cfg(test)]
@@ -229,6 +229,7 @@ pub(crate) mod tests {
     use crate::graph::{build_graph, flip_ext, ThresholdPolicy};
     use crate::table::{KmerCountsMap, KmerTable};
     use crate::traversal::traverse_contigs;
+    use crate::types::tests::rank_zero_set;
     use dht::FxHashSet;
     use kmers::{ExtCounts, KmerCounts};
     use pgas::Team;
@@ -451,10 +452,7 @@ pub(crate) mod tests {
                 per_hop_contig_set(ctx, &graph, k, &traversal)
             }
         });
-        for s in &sets[1..] {
-            assert_eq!(s, &sets[0], "contig set must be identical on every rank");
-        }
-        sets.into_iter().next().unwrap()
+        rank_zero_set(sets)
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! its depth is at most min(τ, β × neighbourhood depth).
 //!
 //! The paper's contigs are distributed, so it detects convergence with an
-//! all-reduce over a per-rank "pruned anything" flag. Here the contig set and
-//! its adjacency are replicated: every rank evaluates every live contig each
-//! round and reaches the same removals with no communication. The rounds run
-//! inside [`crate::contig_graph::clean_contigs`], after bubble merging.
+//! all-reduce over a per-rank "pruned anything" flag. Here one rank (rank 0
+//! in the pipeline) holds the contig set and its adjacency, evaluates every
+//! live contig each round and reaches the removals with no communication.
+//! The rounds run inside [`crate::contig_graph::clean_contigs`], after bubble
+//! merging.
 
 use crate::contig_graph::{clean_contigs, ContigAdjacency};
 use crate::graph::KmerGraph;
@@ -48,8 +49,8 @@ pub struct PruningReport {
     pub rounds: usize,
 }
 
-/// Collectively prunes the contig set, returning the surviving contigs
-/// (identical on every rank) and a report: [`clean_contigs`] without bubble
+/// Collectively prunes the contig set the calling rank holds, returning the
+/// surviving contigs and a report: [`clean_contigs`] without bubble
 /// merging. The pipeline runs the one pass; this entry point stays for the
 /// staged benchmark (`perfbench/src/staged.rs`), which times the two steps
 /// apart.
@@ -63,8 +64,8 @@ pub fn prune_iteratively(
     (pruned, report.pruning)
 }
 
-/// The pruning rounds over the live contigs (`alive`) at their `depths`, the
-/// same on every rank: clears the mask of every pruned contig. Each round
+/// The pruning rounds over the live contigs (`alive`) at their `depths`, on
+/// the holding rank alone: clears the mask of every pruned contig. Each round
 /// judges every live contig against the mask as it stood when the round
 /// began.
 pub(crate) fn prune(
@@ -117,6 +118,7 @@ mod tests {
     use crate::analysis::{kmer_analysis, KmerAnalysisParams};
     use crate::graph::{build_graph, ThresholdPolicy};
     use crate::traversal::{traverse_contigs, TraversalParams};
+    use crate::types::tests::rank_zero_set;
     use pgas::Team;
     use seqio::Read;
 
@@ -149,11 +151,13 @@ mod tests {
                 prune_iteratively(ctx, &contigs, &graph, &PruningParams::default());
             (contigs, pruned, report)
         });
-        for o in &out[1..] {
-            assert_eq!(o.1, out[0].1);
-            assert_eq!(o.2, out[0].2);
+        let (contigs, (pruned, reports)): (Vec<_>, (Vec<_>, Vec<_>)) =
+            out.into_iter().map(|(a, b, c)| (a, (b, c))).unzip();
+        // Rank 0 prunes the set it holds; the other ranks only serve lookups.
+        for report in &reports[1..] {
+            assert_eq!(*report, PruningReport::default());
         }
-        out[0].clone()
+        (rank_zero_set(contigs), rank_zero_set(pruned), reports[0])
     }
 
     const LEFT: &str = "ACGGTCAGGTTCAAGGACTCCGTA";

@@ -16,7 +16,10 @@
 //!   [`dht::DistMap`] (size-balanced owner table, so no rank holds more than
 //!   its fair share plus one contig), plus a small *replicated*
 //!   per-contig metadata table (length and depth — O(#contigs), not
-//!   O(bases)) that answers the geometry queries every stage makes;
+//!   O(bases)) that answers the geometry queries every stage makes. It is
+//!   built from the contig set rank 0 holds (a set lives on rank 0 between
+//!   collectives), which sends each other owner its share in one exchange,
+//!   and [`ContigStore::materialize`] gathers the set back there;
 //! * [`ContigReader`] — a rank's read-through view of the store: the typed
 //!   face of a byte-weighted, foreign-only [`dht::CachedView`], whose one
 //!   miss-fill loop fetches through [`dht::DistMap::get_many`] on collective
@@ -112,19 +115,23 @@ pub struct ContigStore {
 }
 
 impl ContigStore {
-    /// Collectively builds the store from a (transiently replicated) contig
-    /// set: every rank packs and stores exactly the contigs it owns — an
-    /// owner-local update phase with no wire traffic — then records its
-    /// owned packed bytes in the residency accounting. The pipeline drops
-    /// the replicated set right after this returns.
+    /// Collectively builds the store from the contig set on rank 0 (the
+    /// other ranks' `set` is not read): rank 0 computes the owner table and
+    /// the metadata, packs every contig, keeps its own share and sends every
+    /// other owner its share in one exchange, so a 1-rank build moves
+    /// nothing. Each rank then records its owned packed bytes in the
+    /// residency accounting. The pipeline drops the set right after this
+    /// returns.
     pub fn build(ctx: &Ctx, set: &ContigSet, params: &ContigStoreParams) -> Arc<ContigStore> {
         let map = balanced_map(ctx, set.contigs.iter().map(|c| c.len() as u32));
-        let mine: Vec<(ContigId, PackedSeq)> = set
-            .contigs
-            .iter()
-            .filter(|c| map.owner_of(&c.id) == ctx.rank())
-            .map(|c| (c.id, PackedSeq::from_bytes(&c.seq)))
-            .collect();
+        let mut shares: Vec<Vec<(ContigId, PackedSeq)>> = vec![Vec::new(); ctx.ranks()];
+        if ctx.rank() == 0 {
+            for c in &set.contigs {
+                shares[map.owner_of(&c.id)].push((c.id, PackedSeq::from_bytes(&c.seq)));
+            }
+        }
+        let mut mine = std::mem::take(&mut shares[ctx.rank()]);
+        mine.extend(ctx.exchange(shares));
         map.apply_local_batch(ctx, mine, |v| v, |a, b| *a = b);
         ctx.barrier();
         let store = ctx.share(|| ContigStore {
@@ -252,28 +259,27 @@ impl ContigStore {
         )
     }
 
-    /// Collectively regathers the full replicated [`ContigSet`] (rank 0
-    /// collects the owned shards, orders by id, broadcast). Used to
-    /// materialise the pipeline's final output; the hot paths never call it.
+    /// Collectively regathers the whole [`ContigSet`] on rank 0 (every rank
+    /// sends its owned shard, rank 0 orders by id); every other rank gets an
+    /// empty set with the store's k. Used to materialise the pipeline's
+    /// final output; the hot paths never call it.
     pub fn materialize(&self, ctx: &Ctx) -> ContigSet {
         let mut local: Vec<(ContigId, Vec<u8>)> = Vec::new();
         self.map
             .for_each_local(ctx, |id, v| local.push((*id, v.unpack())));
         let mut gathered = ctx.gather(local);
-        ctx.broadcast(|| {
-            gathered.sort_by_key(|(id, _)| *id);
-            ContigSet {
-                contigs: gathered
-                    .into_iter()
-                    .map(|(id, seq)| Contig {
-                        id,
-                        seq,
-                        depth: self.meta[id as usize].depth,
-                    })
-                    .collect(),
-                k: self.k,
-            }
-        })
+        gathered.sort_by_key(|(id, _)| *id);
+        ContigSet {
+            contigs: gathered
+                .into_iter()
+                .map(|(id, seq)| Contig {
+                    id,
+                    seq,
+                    depth: self.meta[id as usize].depth,
+                })
+                .collect(),
+            k: self.k,
+        }
     }
 }
 
@@ -383,10 +389,57 @@ mod tests {
                 let one = reader.get_many_onesided(ctx, &ids);
                 assert_eq!(one, got);
                 ctx.barrier();
-                // Materialise reproduces the original set exactly.
+                // Materialise reproduces the original set exactly, on rank 0.
                 let back = store.materialize(ctx);
-                assert_eq!(back, set2);
+                if ctx.rank() == 0 {
+                    assert_eq!(back, set2);
+                } else {
+                    assert_eq!(back, ContigSet::new(21));
+                }
             });
+        }
+    }
+
+    /// The build reads the set on rank 0 only, keeps rank 0's own share
+    /// local and sends each other owner its share in one message.
+    #[test]
+    fn build_stores_rank_zeros_set_and_sends_each_owner_its_share() {
+        let set = |seed: u64| {
+            ContigSet::from_sequences(
+                21,
+                (0..10)
+                    .map(|i| (seq(40 + i * 9, seed + i as u64), 1.0))
+                    .collect(),
+            )
+        };
+        let (zero, other) = (set(300), set(700));
+        let entry = std::mem::size_of::<(ContigId, PackedSeq)>() as u64;
+        for ranks in 1..=3usize {
+            let team = Team::single_node(ranks);
+            let out = team.run(|ctx| {
+                let mine = if ctx.rank() == 0 { &zero } else { &other };
+                let before = ctx.stats().snapshot();
+                let store = ContigStore::build(ctx, mine, &Default::default());
+                let after = ctx.stats().snapshot();
+                let owned = store.map().local_len(ctx) as u64;
+                let back = store.materialize(ctx);
+                (
+                    after.msgs_sent - before.msgs_sent,
+                    after.bytes_sent - before.bytes_sent,
+                    owned,
+                    back,
+                )
+            });
+            assert_eq!(out[0].3, zero, "{ranks} ranks");
+            // Rank 0 sends one message to every other owner; nobody else
+            // sends anything.
+            assert_eq!(out[0].0, ranks as u64 - 1, "{ranks} ranks");
+            let shipped: u64 = out[1..].iter().map(|o| o.2 * entry).sum();
+            assert_eq!(out[0].1, shipped, "{ranks} ranks");
+            for o in &out[1..] {
+                assert_eq!((o.0, o.1), (0, 0), "{ranks} ranks");
+                assert!(o.2 > 0, "{ranks} ranks: an owner got nothing");
+            }
         }
     }
 
@@ -437,7 +490,15 @@ mod tests {
                     fresh.owned_packed_bytes(ctx)
                 );
                 // ...and the same sequences.
-                assert_eq!(restored.materialize(ctx), *set);
+                let back = restored.materialize(ctx);
+                assert_eq!(
+                    back,
+                    if ctx.rank() == 0 {
+                        set.clone()
+                    } else {
+                        ContigSet::new(21)
+                    }
+                );
             });
         }
     }

@@ -286,8 +286,11 @@ mod tests {
                     (contigs, claims(ctx, &narrow), claims(ctx, &wide))
                 });
                 let mut claimed = [0usize; 2];
-                for ((narrow, wide), narrow_claims, wide_claims) in out {
-                    assert!(!narrow.is_empty(), "k = {k}: no contigs");
+                for (rank, ((narrow, wide), narrow_claims, wide_claims)) in
+                    out.into_iter().enumerate()
+                {
+                    // Only rank 0 holds the contigs.
+                    assert_eq!(narrow.is_empty(), rank > 0, "k = {k}, rank {rank}");
                     assert!(narrow == wide, "k = {k}, {ranks} ranks: contigs differ");
                     assert_eq!(narrow_claims, wide_claims, "k = {k}, {ranks} ranks");
                     for (_, used) in narrow_claims {

@@ -42,8 +42,8 @@ pub(crate) fn eligible(left: Ext, right: Ext) -> bool {
     left != Ext::Fork && right != Ext::Fork
 }
 
-/// Traverses the graph and returns the contig set (identical on every rank).
-/// Collective. The traversal claims every eligible vertex `used` in its
+/// Traverses the graph and returns the contig set on rank 0, and an empty
+/// set with the same k on every other rank. Collective. The traversal claims every eligible vertex `used` in its
 /// counts entry and takes a claimed vertex as already walked, so it needs a
 /// counts table whose claims are clear, as k-mer analysis leaves them.
 ///
@@ -62,14 +62,7 @@ pub fn traverse_contigs(
          complement), got k = {k}"
     );
     let local = crate::segment::segment_contigs(ctx, graph, k, params);
-    share_contig_set(ctx, k, local)
-}
-
-/// Gathers every rank's emitted contigs into one deterministic set shared by
-/// all ranks. Collective.
-pub(crate) fn share_contig_set(ctx: &Ctx, k: usize, local: Vec<(Vec<u8>, f64)>) -> ContigSet {
-    let gathered = ctx.gather(local);
-    ctx.broadcast(|| ContigSet::from_sequences(k, gathered))
+    ContigSet::from_sequences(k, ctx.gather(local))
 }
 
 pub(crate) fn push_contig(
@@ -96,6 +89,7 @@ mod tests {
     use crate::analysis::{kmer_analysis, KmerAnalysisParams};
     use crate::graph::{build_graph, ThresholdPolicy};
     use crate::per_hop::per_hop_contig_set;
+    use crate::types::tests::rank_zero_set;
     use pgas::Team;
     use seqio::alphabet::revcomp;
     use seqio::Read;
@@ -135,10 +129,7 @@ mod tests {
             let graph = build_graph(ctx, &res.counts, ThresholdPolicy::metahipmer_default());
             traverse(ctx, &graph, k, &TraversalParams::default(), segment)
         });
-        for s in &sets[1..] {
-            assert_eq!(s, &sets[0], "contig set must be identical on every rank");
-        }
-        sets[0].clone()
+        rank_zero_set(sets)
     }
 
     /// Runs the traversal and its reference walker, asserts they agree,

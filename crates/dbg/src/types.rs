@@ -110,8 +110,20 @@ impl ContigSet {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Rank 0's set out of one returned set per rank, asserting that every
+    /// other rank holds an empty set with rank 0's k: the contract of every
+    /// collective stage that returns a contig set.
+    pub(crate) fn rank_zero_set(sets: Vec<ContigSet>) -> ContigSet {
+        let mut sets = sets.into_iter();
+        let first = sets.next().expect("at least one rank");
+        for (r, s) in sets.enumerate() {
+            assert_eq!(s, ContigSet::new(first.k), "rank {} holds contigs", r + 1);
+        }
+        first
+    }
 
     #[test]
     fn contig_canonical_orientation() {

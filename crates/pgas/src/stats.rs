@@ -178,9 +178,10 @@ counters! {
     rpc_resp_bytes: Sum,
     /// Software-cache evictions (entries displaced by the capacity bound).
     cache_evictions: Sum,
-    /// Payload bytes of packed supermer records shipped by supermer-routed
-    /// k-mer analysis and contig k-mer injection (a subset of `bytes_sent`,
-    /// recorded on the sender).
+    /// Bytes of the packed supermer records cut by supermer-routed k-mer
+    /// analysis and contig k-mer injection, recorded on the cutting rank:
+    /// the records it files in its own shard as well as those it ships, so
+    /// not a subset of `bytes_sent` (a rank's own records never travel).
     supermer_bytes: Sum,
     /// Canonical k-mer observations (one per k-mer window of a received
     /// supermer) counted by k-mer analysis, recorded on the owning rank.
@@ -194,8 +195,9 @@ counters! {
     /// crosses an ownership boundary (at one rank). Recorded on rank 0 only,
     /// so a summed snapshot reads as "rounds".
     traversal_rounds: Sum,
-    /// Payload bytes of segment-stitching exchanges during traversal (a
-    /// subset of `bytes_sent`, recorded on the sender).
+    /// Bytes of the segment-stitching records of traversal, recorded on the
+    /// sender: each record's `size_of`, plus the bases a shipped segment
+    /// carries, whatever its destination. Not a subset of `bytes_sent`.
     stitch_bytes: Sum,
     /// Peak contig bytes resident on this rank: the owned shard of the
     /// distributed contig store plus the rank's reader cache (packed bytes).

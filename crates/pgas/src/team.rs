@@ -771,14 +771,16 @@ impl<'t> Ctx<'t> {
         out
     }
 
-    /// Collective broadcast of a cloneable value from rank 0.
+    /// Collective broadcast of a cloneable value from rank 0: every rank but
+    /// the last to let go of the shared value receives a clone, and that one
+    /// takes the value itself (at one rank, nothing is copied).
     #[track_caller]
     pub fn broadcast<T, F>(&self, make: F) -> T
     where
         T: Clone + Send + Sync + 'static,
         F: FnOnce() -> T,
     {
-        (*self.share(make)).clone()
+        Arc::unwrap_or_clone(self.share(make))
     }
 
     #[track_caller]
@@ -938,6 +940,23 @@ mod tests {
         let team = Team::single_node(3);
         let vals = team.run(|ctx| ctx.broadcast(|| String::from("hello")));
         assert!(vals.iter().all(|v| v == "hello"));
+    }
+
+    #[test]
+    fn broadcast_at_one_rank_returns_the_value_built() {
+        let team = Team::single_node(1);
+        let out = team.run(|ctx| {
+            let mut built = 0usize;
+            let v = ctx.broadcast(|| {
+                let v = vec![7u64; 1000];
+                built = v.as_ptr() as usize;
+                v
+            });
+            (built, v.as_ptr() as usize)
+        });
+        assert_eq!(out[0].0, out[0].1, "the one rank's value was copied");
+        let vals = Team::single_node(3).run(|ctx| ctx.broadcast(|| vec![7u64; 1000]));
+        assert!(vals.iter().all(|v| *v == vec![7u64; 1000]));
     }
 
     #[test]
