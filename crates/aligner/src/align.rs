@@ -25,8 +25,11 @@
 //!    of §II-A) in front of merAligner's software cache, which holds only
 //!    what crossed a rank boundary.
 //! 3. **Votes.** A read's hits become one `u128` key per placement, ordered
-//!    as `(contig, offset, strand)`; sorting the keys and counting runs ranks
-//!    the candidates.
+//!    as `(contig, offset, strand)`, and each key is counted in an
+//!    open-addressed tally that lives across reads: a generation counter
+//!    empties it for the next read, so no read clears or allocates it. The
+//!    read's few distinct keys are then ranked, most votes first and ties by
+//!    key.
 //! 4. **Verification.** The best candidates are compared, ungapped, against
 //!    their contig windows on the packed codes: XOR and popcount over 32
 //!    bases at a time, corrected at the exceptions of either side. Contigs
@@ -157,8 +160,8 @@ impl AlignmentSet {
 /// set is fine). Reads are processed in blocks whose foreign seeds are
 /// resolved together — cache hits locally, all misses of the block in one
 /// request–response round trip — and the foreign contigs named by the block's
-/// surviving candidates are fetched in a second aggregated round. Ranks with fewer reads keep participating in the
-/// remaining rounds with empty batches.
+/// surviving candidates are fetched in a second aggregated round. Ranks with
+/// fewer reads keep participating in the remaining rounds with empty batches.
 ///
 /// The alignments do not depend on the rank count: seed voting never touches
 /// sequence bytes, and verification reads exactly the candidate windows
@@ -377,12 +380,31 @@ impl<'i> Seed<'i> {
 }
 
 /// Ranks one read's candidate placements by seed votes.
-#[derive(Default)]
 struct Votes {
-    /// One [`Candidate::key`] per (seed, hit) of the read.
-    placements: Vec<u128>,
-    /// `(votes, key)` per distinct placement.
+    /// Open-addressed, linearly probed over [`Candidate::key`]s:
+    /// `(generation, index into tally)`, a slot of another generation than
+    /// the current read's being empty. A power-of-two length at least twice
+    /// the tally's, addressed by the key hash's top `64 - slot_shift` bits.
+    slots: Vec<(u32, u32)>,
+    slot_shift: u32,
+    /// The current read's generation, counted from 1 (0 marks a slot no
+    /// read has used): advancing it empties every slot.
+    generation: u32,
+    /// `(votes, key)` per distinct placement of the read, in first-seen
+    /// order.
     tally: Vec<(u32, u128)>,
+}
+
+impl Default for Votes {
+    /// Room for 512 distinct placements before the slots first grow.
+    fn default() -> Self {
+        Votes {
+            slots: vec![(0, 0); 1024],
+            slot_shift: 64 - 10,
+            generation: 0,
+            tally: Vec::new(),
+        }
+    }
 }
 
 impl Votes {
@@ -399,33 +421,32 @@ impl Votes {
         max_candidates: usize,
         out: &mut Vec<Candidate>,
     ) -> u64 {
-        self.placements.clear();
+        self.tally.clear();
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.slots.fill((0, 0));
+            self.generation = 1;
+        }
+        let mut voted = 0u64;
         for (seed, hits) in seeds {
             // The seed's start in the reverse-complemented read.
             let rc_offset = (read_len - slen - seed.offset) as i64;
-            for hit in hits {
+            for &hit in hits {
                 // forward placement: the read (as given) matches the contig
                 // strand iff the seed orientations agree.
-                let forward = hit.forward != seed.read_rc;
+                let forward = hit.forward() != seed.read_rc;
                 let seed_at = if forward {
                     seed.offset as i64
                 } else {
                     rc_offset
                 };
-                self.placements.push(Candidate::key(
-                    hit.contig,
-                    hit.pos as i64 - seed_at,
+                self.vote(Candidate::key(
+                    hit.contig(),
+                    hit.pos() as i64 - seed_at,
                     forward,
                 ));
             }
-        }
-        self.placements.sort_unstable();
-        self.tally.clear();
-        for &key in &self.placements {
-            match self.tally.last_mut() {
-                Some((votes, last)) if *last == key => *votes += 1,
-                _ => self.tally.push((1, key)),
-            }
+            voted += hits.len() as u64;
         }
         // Distinct keys, so the order is total and unstable selection and
         // sorting are deterministic.
@@ -442,7 +463,52 @@ impl Votes {
                 .take(max_candidates)
                 .map(|&(_, key)| Candidate::of_key(key)),
         );
-        self.placements.len() as u64
+        voted
+    }
+
+    /// Counts one vote for the placement `key`.
+    #[inline]
+    fn vote(&mut self, key: u128) {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.slot_of(key);
+        loop {
+            let (generation, at) = self.slots[slot];
+            if generation != self.generation {
+                self.slots[slot] = (self.generation, self.tally.len() as u32);
+                self.tally.push((1, key));
+                if 2 * self.tally.len() > self.slots.len() {
+                    self.grow();
+                }
+                return;
+            }
+            let entry = &mut self.tally[at as usize];
+            if entry.1 == key {
+                entry.0 += 1;
+                return;
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    fn slot_of(&self, key: u128) -> usize {
+        let mixed = ((key >> 64) as u64 ^ key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (mixed >> self.slot_shift) as usize
+    }
+
+    /// Doubles the slots and re-enters the current read's tally.
+    fn grow(&mut self) {
+        let len = 2 * self.slots.len();
+        self.slots.clear();
+        self.slots.resize(len, (0, 0));
+        self.slot_shift -= 1;
+        let mask = len - 1;
+        for (i, &(_, key)) in self.tally.iter().enumerate() {
+            let mut slot = self.slot_of(key);
+            while self.slots[slot].0 == self.generation {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = (self.generation, i as u32);
+        }
     }
 }
 
@@ -721,14 +787,14 @@ mod tests {
         let mut votes: FxHashMap<Candidate, usize> = FxHashMap::default();
         for (&(read_rc, offset), hit_list) in seeds.iter().zip(hits) {
             for hit in *hit_list {
-                let forward = hit.forward != read_rc;
+                let forward = hit.forward() != read_rc;
                 let contig_offset = if forward {
-                    hit.pos as i64 - offset as i64
+                    hit.pos() as i64 - offset as i64
                 } else {
-                    hit.pos as i64 - (read_len - slen - offset) as i64
+                    hit.pos() as i64 - (read_len - slen - offset) as i64
                 };
                 let cand = Candidate {
-                    contig: hit.contig,
+                    contig: hit.contig(),
                     forward,
                     contig_offset,
                 };
@@ -900,8 +966,38 @@ mod tests {
         assert!(with_seeds > 12_000, "test setup: most cases yield seeds");
     }
 
+    /// Checks one read's votes against the hash-map oracle for several
+    /// candidate limits, through one `Votes` reused across reads; returns
+    /// the oracle's full ranking.
+    fn check_votes(
+        votes: &mut Votes,
+        read_len: usize,
+        slen: usize,
+        seeds: &[Seed],
+        hits: &[Vec<SeedHit>],
+        at: &str,
+    ) -> Vec<Candidate> {
+        let placed: Vec<(bool, usize)> = seeds.iter().map(|s| (s.read_rc, s.offset)).collect();
+        let hit_slices: Vec<&[SeedHit]> = hits.iter().map(Vec::as_slice).collect();
+        let expected = vote_candidates_oracle(read_len, slen, &placed, &hit_slices);
+        for max_candidates in [0usize, 1, 4, 1000] {
+            let mut got = vec![];
+            let voted = votes.rank(
+                read_len,
+                slen,
+                seeds.iter().zip(hit_slices.iter().copied()),
+                max_candidates,
+                &mut got,
+            );
+            assert_eq!(voted as usize, hits.iter().map(Vec::len).sum::<usize>());
+            let keep = expected.len().min(max_candidates);
+            assert_eq!(got, expected[..keep], "{at}, top {max_candidates}");
+        }
+        expected
+    }
+
     #[test]
-    fn sorted_run_votes_equal_the_hash_map_votes() {
+    fn tally_votes_equal_the_hash_map_votes() {
         let mut rng = Rng(0xB0A7_0002);
         let mut votes = Votes::default();
         let (mut negative, mut wide) = (0usize, 0usize);
@@ -918,48 +1014,101 @@ mod tests {
                     hits: Err(0),
                 })
                 .collect();
-            // Contig ids past 32 bits, and hits left of the seed's offset in
-            // the read: placements with negative offsets.
-            let contig_ids: [ContigId; 3] = [0, 1 << 32, u64::MAX - 1];
+            // The largest contig ids a hit holds, and hits left of the seed's
+            // offset in the read: placements with negative offsets.
+            let max_id = ContigId::from(u32::MAX);
+            let contig_ids: [ContigId; 3] = [0, max_id - 1, max_id];
             let hits: Vec<Vec<SeedHit>> = seeds
                 .iter()
                 .map(|seed| {
                     (0..rng.below(6))
-                        .map(|_| SeedHit {
-                            contig: contig_ids[rng.below(3)],
-                            pos: (seed.offset + 7 * rng.below(4)).saturating_sub(7 * rng.below(3))
-                                as u32,
-                            forward: rng.below(2) == 0,
+                        .map(|_| {
+                            SeedHit::new(
+                                contig_ids[rng.below(3)],
+                                (seed.offset + 7 * rng.below(4)).saturating_sub(7 * rng.below(3)),
+                                rng.below(2) == 0,
+                            )
                         })
                         .collect()
                 })
                 .collect();
-            let placed: Vec<(bool, usize)> = seeds.iter().map(|s| (s.read_rc, s.offset)).collect();
-            let hit_slices: Vec<&[SeedHit]> = hits.iter().map(Vec::as_slice).collect();
-            let expected = vote_candidates_oracle(read_len, slen, &placed, &hit_slices);
+            let at = format!("case {case}");
+            let expected = check_votes(&mut votes, read_len, slen, &seeds, &hits, &at);
             negative += expected.iter().filter(|c| c.contig_offset < 0).count();
             wide += expected
                 .iter()
-                .filter(|c| c.contig > u32::MAX as u64)
+                .filter(|c| c.contig > ContigId::from(i32::MAX as u32))
                 .count();
-            for max_candidates in [0usize, 1, 4, 1000] {
-                let mut got = vec![];
-                let voted = votes.rank(
-                    read_len,
-                    slen,
-                    seeds.iter().zip(hit_slices.iter().copied()),
-                    max_candidates,
-                    &mut got,
-                );
-                assert_eq!(voted as usize, hits.iter().map(Vec::len).sum::<usize>());
-                let keep = expected.len().min(max_candidates);
-                assert_eq!(got, expected[..keep], "case {case}, top {max_candidates}");
-            }
         }
         assert!(
             negative > 100 && wide > 1000,
             "test setup: {negative} / {wide}"
         );
+    }
+
+    #[test]
+    fn tally_grows_past_512_placements_and_splits_ties_at_the_limit() {
+        let (read_len, slen) = (1000usize, 21usize);
+        let seeds: Vec<Seed> = (0..=(read_len - slen) / 4)
+            .map(|i| Seed {
+                read_rc: false,
+                offset: 4 * i,
+                hits: Err(0),
+            })
+            .collect();
+        // The forward hit that puts the read at `diagonal` on `contig`.
+        let at = |contig: ContigId, diagonal: usize, seed: &Seed| {
+            SeedHit::new(contig, diagonal + seed.offset, true)
+        };
+        // Every seed votes for three placements of its own (735 keys, so the
+        // slots grow mid-read). Seeds 0..10 also vote for one placement on
+        // contig 1, and seeds 10..30 for four more, five votes each: the
+        // second to fifth best tie across a limit of four.
+        let shared = [(1, 50), (2, 0), (2, 8), (3, 0)];
+        let hits: Vec<Vec<SeedHit>> = seeds
+            .iter()
+            .enumerate()
+            .map(|(i, seed)| {
+                let mut list: Vec<SeedHit> = (10..13)
+                    .map(|contig| at(contig, 100_000 + 1000 * i, seed))
+                    .collect();
+                if i < 10 {
+                    list.push(at(1, 0, seed));
+                } else if i < 30 {
+                    let (contig, diagonal) = shared[(i - 10) / 5];
+                    list.push(at(contig, diagonal, seed));
+                }
+                list
+            })
+            .collect();
+        let mut votes = Votes::default();
+        // A small read before and after, so the grown tally is reused.
+        let small = (60, &seeds[..3], &hits[..3]);
+        for (read, (len, seeds, hits)) in [small, (read_len, &seeds[..], &hits[..]), small]
+            .into_iter()
+            .enumerate()
+        {
+            let expected = check_votes(&mut votes, len, slen, seeds, hits, &format!("read {read}"));
+            if read == 1 {
+                assert_eq!(expected.len(), 3 * seeds.len() + 5);
+                assert!(expected.len() > 512 && votes.slots.len() > 1024);
+                let top: Vec<(ContigId, i64)> = expected[..5]
+                    .iter()
+                    .map(|c| (c.contig, c.contig_offset))
+                    .collect();
+                assert_eq!(top, [(1, 0), (1, 50), (2, 0), (2, 8), (3, 0)]);
+            }
+        }
+        // A fresh tally's first read, then the same read once the generation
+        // wraps: the slots the first left behind are emptied, not taken for
+        // the second's.
+        let mut votes = Votes::default();
+        let (len, seeds, hits) = small;
+        let slices: Vec<&[SeedHit]> = hits.iter().map(Vec::as_slice).collect();
+        let seeds_and_hits = seeds.iter().zip(slices.iter().copied());
+        votes.rank(len, slen, seeds_and_hits, 4, &mut Vec::new());
+        votes.generation = u32::MAX;
+        check_votes(&mut votes, len, slen, seeds, hits, "after the wrap");
     }
 
     /// Random bases in either case, with `N` runs and single IUPAC codes or

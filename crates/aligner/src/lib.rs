@@ -17,8 +17,8 @@
 //!   through one [`dht::CachedView`] over the index: cache hits locally, all
 //!   misses of the block to their owners in one aggregated request–response
 //!   round trip — the paper's batched lookups, the only lookup path there
-//!   is), candidate voting by diagonal as a sort of integer placement keys
-//!   and a run-length count, and ungapped verification on the packed codes
+//!   is), candidate voting by diagonal as a count of integer placement keys
+//!   in an open-addressed tally, and ungapped verification on the packed codes
 //!   producing [`align::Alignment`] records (`mgsim`'s reads carry
 //!   substitution errors only, like WGSim's default model, so ungapped
 //!   verification loses nothing);

@@ -28,6 +28,13 @@
 //! (each of which indexes different contig subsets per rank) — a property of
 //! one sort, where a table merged incrementally would have to maintain it on
 //! every arrival.
+//!
+//! A [`SeedHit`] is 8 bytes: the contig id as a `u32`, and a `u32` holding
+//! `pos << 1 | forward`. So contig ids must stay below 2³² and positions
+//! below 2³¹. The build refuses a contig past either limit, naming it, as it
+//! refuses a shard whose 32-bit offsets would overflow. The index holds one
+//! hit per contig position (up to the cap) and ships one 16-byte record per
+//! contig position (24 bytes with a two-word seed) while it is built.
 
 use dbg::{ContigId, ContigsRef};
 use kmers::packed::for_each_canonical;
@@ -36,16 +43,59 @@ use pgas::{Aggregator, Ctx, RpcAggregator};
 use seqio::PackedReadView;
 use std::sync::Arc;
 
-/// One occurrence of a seed k-mer in a contig.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One occurrence of a seed k-mer in a contig: the contig's id and
+/// `pos << 1 | forward`, two `u32`s. The order is `(contig, pos)`: one contig
+/// position holds one seed, so no two hits differ only in the strand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SeedHit {
+    contig: u32,
+    pos_strand: u32,
+}
+
+// An index hit is 8 bytes, not the 16 of a `ContigId`, a `u32` and a `bool`:
+// the index holds one per contig position.
+const _: () = assert!(std::mem::size_of::<SeedHit>() == 8);
+// A build record of a one-word seed is 16 bytes, not 24: the build ships and
+// buffers one per contig position.
+const _: () = assert!(std::mem::size_of::<(Kmer32, SeedHit)>() == 16);
+// A cached or remote answer is 24 bytes, not 40: the software cache holds one
+// per foreign seed, and a lookup's reply carries one per seed.
+const _: () = assert!(std::mem::size_of::<Option<RemoteHits>>() == 24);
+
+impl SeedHit {
+    /// The occurrence of a seed at `pos` of `contig`; `forward` is true if
+    /// the canonical seed appears there in the contig's orientation, false
+    /// if the contig holds its reverse complement.
+    ///
+    /// # Panics
+    /// If `contig` ≥ 2³² or `pos` ≥ 2³¹, naming both: a hit holds neither.
+    pub fn new(contig: ContigId, pos: usize, forward: bool) -> Self {
+        assert!(
+            contig <= u64::from(u32::MAX) && pos < 1 << 31,
+            "seed index: contig {contig} at position {pos} does not fit a seed hit \
+             (contig ids below 2^32, positions below 2^31)"
+        );
+        SeedHit {
+            contig: contig as u32,
+            pos_strand: (pos as u32) << 1 | u32::from(forward),
+        }
+    }
+
     /// The contig containing the seed.
-    pub contig: ContigId,
+    pub fn contig(self) -> ContigId {
+        ContigId::from(self.contig)
+    }
+
     /// Position of the seed's first base in the contig.
-    pub pos: u32,
-    /// True if the canonical seed k-mer appears in the contig in forward
-    /// orientation at `pos`; false if the contig holds its reverse complement.
-    pub forward: bool,
+    pub fn pos(self) -> u32 {
+        self.pos_strand >> 1
+    }
+
+    /// True if the canonical seed appears in the contig in forward
+    /// orientation at [`SeedHit::pos`].
+    pub fn forward(self) -> bool {
+        self.pos_strand & 1 == 1
+    }
 }
 
 /// The hit list of a seed as it crosses a rank boundary and sits in the
@@ -277,7 +327,7 @@ impl<K: KmerKey> SeedShard<K> {
         let (mut lo, mut kept) = (0usize, 0usize);
         for &count in &counts {
             let hi = lo + count as usize;
-            hits[lo..hi].sort_unstable_by_key(|h| (h.contig, h.pos));
+            hits[lo..hi].sort_unstable();
             let keep = (hi - lo).min(SeedIndex::MAX_HITS_PER_SEED);
             hits.copy_within(lo..lo + keep, kept);
             kept += keep;
@@ -335,11 +385,7 @@ fn build_shard<K: KmerKey>(ctx: &Ctx, contigs: ContigsRef<'_>, seed_len: usize) 
     let mut agg: Aggregator<(K, SeedHit)> = Aggregator::new(ctx, 4096);
     let mut ship = |contig: ContigId, seq: &PackedReadView<'_>| {
         for_each_canonical::<K>(seq, seed_len, 1, |canon, was_rc, pos| {
-            let hit = SeedHit {
-                contig,
-                pos: pos as u32,
-                forward: !was_rc,
-            };
+            let hit = SeedHit::new(contig, pos, !was_rc);
             agg.push(owner_of_hash(canon.key_hash(), ctx.ranks()), (canon, hit));
         });
     };
@@ -364,15 +410,13 @@ pub(crate) fn serial_index(
     for c in &contigs.contigs {
         for (pos, km) in kmers::kmer_positions(&c.seq, seed_len) {
             let (canon, was_rc) = km.canonical();
-            map.entry(canon).or_default().push(SeedHit {
-                contig: c.id,
-                pos: pos as u32,
-                forward: !was_rc,
-            });
+            map.entry(canon)
+                .or_default()
+                .push(SeedHit::new(c.id, pos, !was_rc));
         }
     }
     for hits in map.values_mut() {
-        hits.sort_unstable_by_key(|h| (h.contig, h.pos));
+        hits.sort_unstable_by_key(|h| (h.contig(), h.pos()));
         hits.truncate(SeedIndex::MAX_HITS_PER_SEED);
     }
     map
@@ -438,11 +482,7 @@ mod tests {
             let stored = &contigs.contigs[0].seq;
             let seed = Kmer::from_bytes(&stored[5..20]).unwrap();
             let (canon, was_rc) = seed.canonical();
-            let expected = [SeedHit {
-                contig: 0,
-                pos: 5,
-                forward: !was_rc,
-            }];
+            let expected = [SeedHit::new(0, 5, !was_rc)];
             // Every rank sees it through the collective lookup; the owner
             // also by reference, everyone else not at all.
             let got = get_many(ctx, &index, &[canon]);
@@ -557,10 +597,14 @@ mod tests {
             let index = index_of(ctx, &contigs, 15);
             for (seed, hits) in index.local_entries() {
                 assert_eq!(hits.len(), SeedIndex::MAX_HITS_PER_SEED, "{seed}");
-                let first = hits[0].pos;
+                let first = hits[0].pos();
                 assert!((first as usize) < unit.len(), "{seed}: leftmost copy kept");
                 for (i, hit) in hits.iter().enumerate() {
-                    assert_eq!(hit.pos as usize, first as usize + i * unit.len(), "{seed}");
+                    assert_eq!(
+                        hit.pos() as usize,
+                        first as usize + i * unit.len(),
+                        "{seed}"
+                    );
                 }
             }
             let seeds = ctx.allreduce_sum_u64(index.local_entries().count() as u64);
@@ -570,17 +614,34 @@ mod tests {
 
     #[test]
     fn remote_hits_round_trip_every_length() {
-        let hit = |pos| SeedHit {
-            contig: 7,
-            pos,
-            forward: pos % 2 == 0,
-        };
+        let hit = |pos| SeedHit::new(7, pos, pos % 2 == 0);
         assert!(RemoteHits::of(&[]).is_none());
-        for len in 1..=5u32 {
+        for len in 1..=5usize {
             let hits: Vec<SeedHit> = (0..len).map(hit).collect();
             let remote = RemoteHits::of(&hits).expect("non-empty");
             assert_eq!(remote.clone().as_slice(), hits);
         }
+    }
+
+    #[test]
+    fn a_hit_holds_the_largest_contig_id_and_position() {
+        let hit = SeedHit::new(u64::from(u32::MAX), (1 << 31) - 1, true);
+        assert_eq!(hit.contig(), u64::from(u32::MAX));
+        assert_eq!(hit.pos(), (1 << 31) - 1);
+        assert!(hit.forward());
+        assert!(!SeedHit::new(0, 0, false).forward());
+    }
+
+    #[test]
+    #[should_panic(expected = "seed index: contig 4294967296 at position 0 does not fit")]
+    fn a_contig_id_of_two_to_the_32_is_refused() {
+        SeedHit::new(1 << 32, 0, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "seed index: contig 3 at position 2147483648 does not fit")]
+    fn a_position_of_two_to_the_31_is_refused() {
+        SeedHit::new(3, 1 << 31, false);
     }
 
     #[test]

@@ -280,25 +280,27 @@ const ONE_SIDED_STAGES: [&str; 3] = ["alignment", "local_assembly", "scaffolding
 /// `bubble_pruning` cleans the traversed set on rank 0, which holds it, with
 /// no gather of contig ends, then sends each store owner its share. So are
 /// those of `graph_traversal`, whose stitching ranks cross-rank chains once
-/// from one gathered link table and ships no fully-local path.
+/// from one gathered link table and ships no fully-local path, and those of
+/// `alignment` and `scaffolding`, whose alignment rounds ship 16-byte seed
+/// index records and 24-byte lookup answers since a seed hit takes 8 bytes.
 const FLAT_STAGE_OFF_NODE: [(&str, u64, u64); 9] = [
     ("read_ingestion", 0, 0),
     ("kmer_analysis", 98, 10_750_518),
     ("graph_traversal", 2_069, 11_804_140),
     ("bubble_pruning", 682, 356_096),
-    ("alignment", 12_884, 36_864_000),
+    ("alignment", 12_884, 27_299_512),
     ("local_assembly", 3_632, 584_776),
     ("read_localization", 6, 195_232),
     ("kmer_merging", 48, 284_484),
-    ("scaffolding", 10_032, 14_313_896),
+    ("scaffolding", 10_032, 10_475_304),
 ];
 /// The flat path's off-node messages over the stages outside
 /// [`ONE_SIDED_STAGES`], whose every off-node message is routable.
 const FLAT_ROUTED_STAGES_OFF_NODE_MSGS: u64 = 2_903;
 /// The flat path's off-node bytes over every stage but `local_assembly`.
-const FLAT_DETERMINISTIC_OFF_NODE_BYTES: u64 = 74_568_366;
+const FLAT_DETERMINISTIC_OFF_NODE_BYTES: u64 = 61_165_286;
 /// The flat path's off-node `(messages, bytes)` over the whole run.
-const FLAT_RUN_OFF_NODE: (u64, u64) = (29_463, 75_174_902);
+const FLAT_RUN_OFF_NODE: (u64, u64) = (29_463, 61_771_822);
 
 /// `ablation_topology`: two-level (node-leader) exchange routing against the
 /// flat all-to-all's frozen numbers.

@@ -578,17 +578,21 @@ fn stitch(
 
     // ---- Level 2b: rank 0 ranks the chains from one gathered link table ----
     round();
-    ctx.record(
-        Counter::stitch_bytes,
-        (linked.len() * std::mem::size_of::<(SegId, SegId)>()) as u64,
-    );
-    let table = ctx.gather(linked.iter().map(|&(i, pred)| (me(i), pred)).collect());
-    let answers = if rank == 0 {
+    if rank != 0 {
         ctx.record(
             Counter::stitch_bytes,
-            (table.len() * std::mem::size_of::<Link>()) as u64,
+            (linked.len() * std::mem::size_of::<(SegId, SegId)>()) as u64,
         );
-        rank_chains(&table, ctx.ranks())
+    }
+    let table = ctx.gather(linked.iter().map(|&(i, pred)| (me(i), pred)).collect());
+    let answers = if rank == 0 {
+        let answers = rank_chains(&table, ctx.ranks());
+        let sent: usize = answers[1..].iter().map(Vec::len).sum();
+        ctx.record(
+            Counter::stitch_bytes,
+            (sent * std::mem::size_of::<Link>()) as u64,
+        );
+        answers
     } else {
         vec![Vec::new(); ctx.ranks()]
     };
@@ -623,10 +627,12 @@ fn stitch(
                 },
             ),
         };
-        ctx.record(
-            Counter::stitch_bytes,
-            (seg.bases.len() + std::mem::size_of::<AsmRecord>()) as u64,
-        );
+        if dest != rank {
+            ctx.record(
+                Counter::stitch_bytes,
+                (seg.bases.len() + std::mem::size_of::<AsmRecord>()) as u64,
+            );
+        }
         agg.push(
             dest,
             AsmRecord {

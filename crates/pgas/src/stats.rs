@@ -195,9 +195,11 @@ counters! {
     /// crosses an ownership boundary (at one rank). Recorded on rank 0 only,
     /// so a summed snapshot reads as "rounds".
     traversal_rounds: Sum,
-    /// Bytes of the segment-stitching records of traversal, recorded on the
-    /// sender: each record's `size_of`, plus the bases a shipped segment
-    /// carries, whatever its destination. Not a subset of `bytes_sent`.
+    /// Bytes of the segment-stitching records of traversal that leave their
+    /// rank, recorded on the sender: each record's `size_of`, plus the bases
+    /// a shipped segment carries. Rank 0's own link entries and answers, and
+    /// the segments a rank ships to a chain head (or cycle minimum) on its
+    /// own rank, are not counted. Not a subset of `bytes_sent`.
     stitch_bytes: Sum,
     /// Peak contig bytes resident on this rank: the owned shard of the
     /// distributed contig store plus the rank's reader cache (packed bytes).
