@@ -13,8 +13,8 @@
 //!   to 64), and its owner is its key's mixing hash modulo the rank count.
 //!   The owner then groups what it received *once* into
 //!   three flat arrays — `keys`, `offsets`, `hits` — behind an open-addressed
-//!   slot table, sorting each seed's run by `(contig, pos)` and capping it at
-//!   [`SeedIndex::MAX_HITS_PER_SEED`].
+//!   slot table sized to the distinct seeds, sorting each seed's run by
+//!   `(contig, pos)` and capping it at [`SeedIndex::MAX_HITS_PER_SEED`].
 //! * **Read** — the index is immutable. A rank holds **only its own shard**:
 //!   a seed it owns resolves to `&[SeedHit]` straight out of `hits`
 //!   ([`SeedIndex::lookup`]); a seed another rank owns is probed *on the
@@ -267,6 +267,26 @@ impl<K: KmerKey> SeedShard<K> {
         (hash >> self.slot_shift) as usize
     }
 
+    /// The slot count that keeps a table of `keys` keys at most half full.
+    fn slot_count(keys: usize) -> usize {
+        (2 * keys).next_power_of_two().max(2)
+    }
+
+    /// Replaces the slot table with an empty one of `capacity` slots (a
+    /// power of two) and files every key in it.
+    fn set_slots(&mut self, capacity: usize) {
+        self.slots = vec![0; capacity];
+        self.slot_shift = 64 - capacity.trailing_zeros();
+        let mask = capacity - 1;
+        for (i, key) in self.keys.iter().enumerate() {
+            let mut slot = self.slot_of(key.key_hash());
+            while self.slots[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = i as u32 + 1;
+        }
+    }
+
     /// Groups the records this rank received into its shard.
     fn from_records(ctx: &Ctx, records: Vec<(K, SeedHit)>) -> Self {
         assert!(
@@ -274,17 +294,19 @@ impl<K: KmerKey> SeedShard<K> {
             "seed index shard of {} records overflows its 32-bit offsets",
             records.len()
         );
-        let capacity = (2 * records.len()).next_power_of_two().max(2);
         let mut index = SeedShard {
             rank: ctx.rank(),
             ranks: ctx.ranks(),
-            slots: vec![0; capacity],
-            slot_shift: 64 - capacity.trailing_zeros(),
+            slots: Vec::new(),
+            slot_shift: 0,
             keys: Vec::new(),
             offsets: Vec::new(),
             hits: Vec::new(),
         };
-        // Pass 1: name each record's key and count the records per key.
+        // Pass 1: name each record's key and count the records per key, in a
+        // table with room for every record to be a distinct key.
+        let capacity = Self::slot_count(records.len());
+        index.set_slots(capacity);
         let mask = capacity - 1;
         let mut key_of: Vec<u32> = Vec::with_capacity(records.len());
         let mut counts: Vec<u32> = Vec::new();
@@ -305,6 +327,8 @@ impl<K: KmerKey> SeedShard<K> {
             counts[i] += 1;
             key_of.push(i as u32);
         }
+        // The keys are known now: lookups get a table sized to them.
+        index.set_slots(Self::slot_count(index.keys.len()));
         // Pass 2: scatter the hits into one run per key.
         let mut next: Vec<u32> = Vec::with_capacity(counts.len());
         let mut total = 0u32;
@@ -548,6 +572,50 @@ mod tests {
             for held in per_rank {
                 assert_eq!(held, expected, "{ranks} ranks");
             }
+        }
+    }
+
+    #[test]
+    fn slot_table_is_sized_to_the_distinct_keys_not_the_records() {
+        // A tandem repeat of 404 positions over 19 distinct seeds, and a
+        // contig of 16: at 1 rank 420 records over 35 keys, which a table
+        // sized to the records would give 1,024 slots and one sized to the
+        // keys 128.
+        let unit = "ACGGTCAGGTTCAAGGACT";
+        let repeat = unit.repeat(22);
+        let contigs = contig_set(&[&repeat, "TTGACCGATTACAGGACCGATACCGATTAG"], 15);
+        let expected = serial_index(&contigs, 15);
+        for ranks in [1usize, 2, 3] {
+            Team::single_node(ranks).run(|ctx| {
+                let index = index_of(ctx, &contigs, 15);
+                let (keys, slots) =
+                    with_seed_keys!(index, shard => (shard.keys.len(), shard.slots.len()));
+                let records = contigs
+                    .contigs
+                    .iter()
+                    .flat_map(|c| kmers::kmer_positions(&c.seq, 15))
+                    .filter(|(_, km)| index.owner_of(&km.canonical().0) == ctx.rank())
+                    .count();
+                assert_eq!(
+                    slots,
+                    (2 * keys).next_power_of_two().max(2),
+                    "{ranks} ranks"
+                );
+                if ranks == 1 {
+                    assert_eq!((keys, records), (35, 420));
+                    assert_eq!((slots, (2 * records).next_power_of_two()), (128, 1024));
+                }
+                for (seed, hits) in &expected {
+                    match index.lookup(seed) {
+                        Ok(got) => assert_eq!(got, &hits[..], "{seed} at {ranks} ranks"),
+                        Err(owner) => assert_ne!(owner, ctx.rank()),
+                    }
+                }
+                let absent = Kmer::from_bytes(b"AAAAAAAAAAAAAAA").unwrap();
+                if index.owner_of(&absent) == ctx.rank() {
+                    assert_eq!(index.lookup(&absent), Ok(&[][..]));
+                }
+            });
         }
     }
 

@@ -32,10 +32,9 @@ fn digest_json(digest: u64) -> String {
 /// events at 1 rank): the ≥5× claim of the segment traversal.
 const TRAVERSAL_TRAFFIC_BOUND: u64 = 388_751;
 /// The per-hop walker's `graph_traversal` bytes. Stitching moves each
-/// cross-rank segment a fixed number of times (its predecessor query, its
-/// link to rank 0 and back, its bases to the assembly site) whatever the
-/// chain lengths, so the segment path has to move fewer bytes than that at
-/// every rank count.
+/// cross-rank segment once, to rank 0 in one gather, whatever the chain
+/// lengths, so the segment path has to move fewer bytes than that at every
+/// rank count.
 const TRAVERSAL_BYTES_BOUND: u64 = 33_775_560;
 /// A quarter of the per-k-mer analysis's `kmer_analysis` bytes (682,852,704
 /// at 1 rank): the ≥4× claim of supermer routing.
@@ -46,19 +45,21 @@ const KMER_ANALYSIS_BYTES_BOUND: u64 = 170_713_176;
 /// Contig generation is the latency-bound stage of the paper's pipeline: the
 /// §II-D per-hop walker touches one remote vertex per k-mer per walk. The
 /// segment traversal compacts each rank's owned shard in memory and stitches
-/// the owner-local segments with a handful of aggregated rounds, so its
-/// traffic is `O(owner crossings)` aggregated messages instead of
+/// the owner-local segments on rank 0 after one gather, so its
+/// traffic is `O(owner crossings)` aggregated records instead of
 /// `O(contig length)` fine-grained lookups; k-mer analysis likewise ships
 /// packed supermers, not one packed k-mer per observation. Assembles at 1, 2,
 /// 4 and 8 ranks and fails unless the graph-traversal traffic (fine-grained
 /// accesses plus aggregated messages, each one network message on real
 /// hardware), the graph-traversal bytes and the k-mer-analysis bytes stay
-/// under the retired paths' frozen numbers, and unless the 1-rank run
-/// stitches nothing (every path there is fully local and finishes where it
-/// is walked). Snapshot: `BENCH_traversal.json`.
+/// under the retired paths' frozen numbers, unless the 1-rank run stitches
+/// nothing (every path there is fully local and finishes where it is
+/// walked), and unless stitching takes at most one round per k (its gather)
+/// at any rank count. Snapshot: `BENCH_traversal.json`.
 pub fn traversal() {
     let ds = datasets::mg64_tiny();
     let runs = sweep(&ds, RANKS.map(|r| (r, ())), |()| AssemblyConfig::default());
+    let k_count = AssemblyConfig::default().k_values().len() as u64;
     let mut records: Vec<Record> = Vec::new();
     for (_, run) in &runs {
         let ranks = run.ranks;
@@ -76,9 +77,16 @@ pub fn traversal() {
             ("scaffolds", run.output.scaffolds.len().to_string()),
         ]);
         assert!(
-            ranks > 1 || traversal.stitch_bytes == 0,
-            "a 1-rank traversal must stitch nothing, got {} stitch bytes",
-            traversal.stitch_bytes
+            ranks > 1 || (traversal.stitch_bytes == 0 && traversal.traversal_rounds == 0),
+            "a 1-rank traversal must stitch nothing, got {} stitch bytes in {} rounds",
+            traversal.stitch_bytes,
+            traversal.traversal_rounds
+        );
+        assert!(
+            traversal.traversal_rounds <= k_count,
+            "stitching must take at most one round per k ({k_count} k values) at {ranks} ranks, \
+             got {}",
+            traversal.traversal_rounds
         );
         assert!(
             traffic <= TRAVERSAL_TRAFFIC_BOUND,
@@ -279,14 +287,15 @@ const ONE_SIDED_STAGES: [&str; 3] = ["alignment", "local_assembly", "scaffolding
 /// graphs with no anchor hash table or collective rounds, and
 /// `bubble_pruning` cleans the traversed set on rank 0, which holds it, with
 /// no gather of contig ends, then sends each store owner its share. So are
-/// those of `graph_traversal`, whose stitching ranks cross-rank chains once
-/// from one gathered link table and ships no fully-local path, and those of
-/// `alignment` and `scaffolding`, whose alignment rounds ship 16-byte seed
-/// index records and 24-byte lookup answers since a seed hit takes 8 bytes.
+/// those of `graph_traversal`, whose stitching is one gather of the
+/// cross-rank segments to rank 0, which splices them where the contigs land,
+/// and those of `alignment` and `scaffolding`, whose alignment rounds ship
+/// 16-byte seed index records and 24-byte lookup answers since a seed hit
+/// takes 8 bytes.
 const FLAT_STAGE_OFF_NODE: [(&str, u64, u64); 9] = [
     ("read_ingestion", 0, 0),
     ("kmer_analysis", 98, 10_750_518),
-    ("graph_traversal", 2_069, 11_804_140),
+    ("graph_traversal", 2_069, 3_102_384),
     ("bubble_pruning", 682, 356_096),
     ("alignment", 12_884, 27_299_512),
     ("local_assembly", 3_632, 584_776),
@@ -298,9 +307,9 @@ const FLAT_STAGE_OFF_NODE: [(&str, u64, u64); 9] = [
 /// [`ONE_SIDED_STAGES`], whose every off-node message is routable.
 const FLAT_ROUTED_STAGES_OFF_NODE_MSGS: u64 = 2_903;
 /// The flat path's off-node bytes over every stage but `local_assembly`.
-const FLAT_DETERMINISTIC_OFF_NODE_BYTES: u64 = 61_165_286;
+const FLAT_DETERMINISTIC_OFF_NODE_BYTES: u64 = 52_463_530;
 /// The flat path's off-node `(messages, bytes)` over the whole run.
-const FLAT_RUN_OFF_NODE: (u64, u64) = (29_463, 61_771_822);
+const FLAT_RUN_OFF_NODE: (u64, u64) = (29_463, 53_070_066);
 
 /// `ablation_topology`: two-level (node-leader) exchange routing against the
 /// flat all-to-all's frozen numbers.

@@ -708,11 +708,12 @@ mod tests {
     /// `small_dataset` or the configuration changes. The bytes are
     /// re-derived by the rule beside `mhm_bench`'s `FLAT_STAGE_OFF_NODE`
     /// (bubble merging, pruning and the scaffold components send no
-    /// collective traffic; traversal stitching ranks its chains from one
-    /// gathered link table; rank 0 cleans the traversed set it holds, with
-    /// no gather of contig ends, and sends each store owner its share;
-    /// alignment ships 8-byte seed hits); the messages stay an upper bound.
-    const FLAT_OFF_NODE: (u64, u64) = (758, 1_835_580);
+    /// collective traffic; traversal stitching is one gather of the
+    /// cross-rank segments to rank 0; rank 0 cleans the traversed set it
+    /// holds, with no gather of contig ends, and sends each store owner its
+    /// share; alignment ships 8-byte seed hits); the messages stay an upper
+    /// bound.
+    const FLAT_OFF_NODE: (u64, u64) = (758, 1_516_720);
 
     #[test]
     fn node_leader_routing_does_not_change_the_assembly() {

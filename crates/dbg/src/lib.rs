@@ -13,7 +13,8 @@
 //!    either the HipMer global threshold or the MetaHipMer depth-dependent
 //!    threshold `thq = max(t_base, e·d)` (§II-C);
 //! 3. [`traversal`] — the **parallel contig traversal**: owner-local segment
-//!    compaction, then aggregated stitching rounds across ranks (§II-C/D);
+//!    compaction, then one gather of the cross-rank segments, stitched on
+//!    rank 0 (§II-C/D);
 //! 4. [`bubble`] — **bubble merging and hair removal** on the contig graph
 //!    (§II-D);
 //! 5. [`pruning`] — the **iterative graph pruning** of Algorithm 2 (§II-E);

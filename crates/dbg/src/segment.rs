@@ -1,10 +1,10 @@
-//! Owner-local segment compaction + cross-rank stitching: the aggregated
+//! Owner-local segment compaction + stitching on rank 0: the aggregated
 //! contig-generation algorithm behind [`crate::traversal::traverse_contigs`].
 //!
 //! The paper's §II-D per-hop walker (kept as the test-only reference,
 //! `per_hop.rs`) pays one fine-grained remote lookup per k-mer per walk. This
-//! module replaces it with a two-level algorithm whose communication is
-//! *aggregated exchange rounds* instead:
+//! module replaces it with a two-level algorithm whose only communication is
+//! one gather:
 //!
 //! * **Level 1 — local compaction.** Each rank opens a
 //!   [`dht::DistMap::local_view`] over its own shard of the counts table
@@ -18,33 +18,28 @@
 //!   the visited mark, so no side table exists), and the two stops give both
 //!   *mirror segments* of the run, one per direction — the pair the per-hop
 //!   walker finds by walking every path from both ends. A segment carries its
-//!   bases and, at each end, either a terminal or the unresolved neighbour
-//!   k-mer owned by another rank. A self-mirror hairpin (a run ending on the
-//!   reverse complement of its first vertex) is one segment. A path that
-//!   never crosses an ownership boundary (a segment terminal on the left
-//!   that stops at no remote vertex on the right) finishes here, and a
+//!   bases and, at each end, the extension code beyond it: on the left only
+//!   when that neighbour is owned by another rank (a *pending* boundary), on
+//!   the right whenever the side is no dead end. A self-mirror hairpin (a run
+//!   ending on the reverse complement of its first vertex) is one segment. A
+//!   path that never crosses an ownership boundary (a segment terminal on the
+//!   left that stops at no remote vertex on the right) finishes here, and a
 //!   right walk that steps mutually back into its start is a fully-local
 //!   cycle, emitted here too.
-//! * **Level 2 — stitching.** Segments of one direction form a linked list
-//!   across ranks. Level 2 runs only when some rank holds a segment that
-//!   crosses an ownership boundary, so never at one rank, and costs three
-//!   collective rounds whatever the chain lengths:
-//!   - one aggregated request–response round resolves every segment's
-//!     predecessor, by asking the dangling left-neighbour's owner which of
-//!     its segments *ends* with that oriented k-mer and extends back
-//!     mutually;
-//!   - every rank sends its (segment, predecessor) links to rank 0 in one
-//!     gather. Rank 0 walks each chain forward from its head, numbering the
-//!     positions, and each cross-rank cycle (what those walks leave
-//!     unreached) to its minimal segment id, then returns each rank's answers
-//!     in one scatter;
-//!   - a final aggregated exchange ships every segment to its assembly site
-//!     — the chain head's rank for paths, the minimal segment's rank for
-//!     cycles — which splices the bases and emits. The shipping record
-//!     carries no k-mer the receiver can recompute from the shipped bases.
+//! * **Level 2 — stitching on rank 0.** Segments of one direction form a
+//!   linked list across ranks. Every rank sends its cross-rank segments to
+//!   rank 0 in one gather (never at one rank, where Level 1 finishes every
+//!   path). The record is the segment itself: its bases, both boundary codes
+//!   and its depth sum; rank 0 recomputes every k-mer it needs from the
+//!   bases. It indexes the segments by their last vertex, resolves each
+//!   pending left boundary to the segment that ends on that neighbour and
+//!   extends back mutually, splices each chain from its head, and walks each
+//!   cross-rank cycle (what the chain walks leave unreached) once. The
+//!   contigs it emits are rank 0's already, where `traverse_contigs` gathers
+//!   the set.
 //!
 //! **Determinism / byte-identity.** The emitter rules reproduce the per-hop
-//! walker's output exactly, at any rank count:
+//! walker's output exactly, at any rank count and in any gather order:
 //! * a path is emitted by the chain whose *first* terminal vertex has the
 //!   lexicographically smaller canonical k-mer (mirror chains see the two
 //!   endpoint canonicals in swapped order, so exactly one emits; a
@@ -63,132 +58,48 @@ use crate::table::with_keys;
 use crate::traversal::{eligible, push_contig, TraversalParams};
 use dht::{DistMap, FxHashMap};
 use kmers::{Ext, Kmer, KmerCounts, KmerKey};
-use pgas::{Aggregator, Counter, Ctx};
+use pgas::{Counter, Ctx};
 use seqio::alphabet::{decode_base, encode_base, revcomp};
 
-/// Per-owner batch size of the predecessor-resolution round.
-const STITCH_BATCH: usize = 4096;
-/// Per-owner batch size of the final segment-shipping exchange.
-const ASSEMBLE_BATCH: usize = 1024;
-
-/// Global identity of a segment: the rank that compacted it + its index in
-/// that rank's segment vector. The derived `(rank, idx)` order picks each
-/// cross-rank cycle's assembly site, its minimal `SegId`: any total order
-/// works, because a `SegId` occurs exactly once per directed chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-struct SegId {
-    rank: u32,
-    idx: u32,
-}
-
-/// Where a cross-rank segment is assembled, as rank 0 ranks it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Link {
-    /// On a path: the chain head is `head` and this segment sits `pos`
-    /// segments after it.
-    Done { head: SegId, pos: u32 },
-    /// On a cross-rank cycle whose minimal `SegId` is `minseg` (the cycle's
-    /// assembly site is that segment's rank).
-    Cycle { minseg: SegId },
-}
-
-/// What lies beyond a segment's left (chain-predecessor) end.
-#[derive(Debug, Clone, Copy)]
-enum LeftBoundary {
-    /// Resolved locally: the path starts here.
-    Terminal,
-    /// The continuing predecessor vertex `nbr` (in walk orientation) is owned
-    /// by another rank; `agree` is this segment's first-vertex last base code,
-    /// which the owner uses to verify the predecessor extends back mutually.
-    Pending { nbr: Kmer, agree: u8 },
-}
-
-impl LeftBoundary {
-    /// The left boundary of the segment that starts on the reverse complement
-    /// of `end.last`: the opposite walk's stop, seen from the other strand. A
-    /// remote stop is pending; a dead end or an absent, ineligible or
-    /// non-mutual vertex is terminal.
-    fn facing(end: &WalkEnd) -> Self {
-        match end.right_code {
-            Some(c) if end.right_remote => LeftBoundary::Pending {
-                nbr: end.last.extended_right(c).revcomp(),
-                agree: 3 - end.last.first_code(),
-            },
-            _ => LeftBoundary::Terminal,
-        }
-    }
-}
-
-/// One owner-local maximal run, in a fixed walk direction. (The endpoint
-/// k-mers are not stored: the last vertex is the `by_last` index key, and
-/// everything else the stitcher ships is derivable from `bases`.)
+/// One owner-local maximal run in a fixed walk direction, as Level 1 keeps it
+/// and as the gather ships it to rank 0. The endpoint k-mers are not stored:
+/// rank 0 recomputes them from `bases`.
+#[derive(Debug, Clone)]
 struct Segment {
-    left: LeftBoundary,
+    /// The left-extension base code of the first vertex, when that
+    /// neighbour is owned by another rank (a pending boundary); `None` when
+    /// the path starts here.
+    left_code: Option<u8>,
     /// The right-extension base code of the last vertex (`None` when that
     /// side is a dead end).
     right_code: Option<u8>,
-    /// True when `right_code` points at a vertex owned by another rank.
-    right_remote: bool,
     bases: Vec<u8>,
     depth_sum: u64,
 }
 
 impl Segment {
-    /// Terminal on the left and stopped at no remote vertex on the right: a
-    /// whole path, which no segment precedes or follows.
-    fn is_whole_path(&self) -> bool {
-        matches!(self.left, LeftBoundary::Terminal) && !self.right_remote
+    /// The segment read as `bases`, which runs from the reverse complement of
+    /// `back.last` to `fwd.last`. Its left boundary is the `back` walk's stop
+    /// seen from the other strand: a remote stop with code c leaves the
+    /// first vertex pending on the complement of c; a dead end or an absent,
+    /// ineligible or non-mutual vertex is terminal.
+    fn between(back: &WalkEnd, fwd: &WalkEnd, bases: Vec<u8>, depth_sum: u64) -> Self {
+        Segment {
+            left_code: back.right_code.filter(|_| back.right_remote).map(|c| 3 - c),
+            right_code: fwd.right_code,
+            bases,
+            depth_sum,
+        }
     }
-}
 
-/// The request of the predecessor-resolution round: "which of your segments
-/// ends with `last` and extends right with base code `agree`?"
-#[derive(Debug, Clone, Copy)]
-struct PredQuery {
-    last: Kmer,
-    agree: u8,
-}
+    /// The vertex starting at base `at`, recomputed from the bases.
+    fn kmer_at(&self, at: usize, k: usize) -> Kmer {
+        Kmer::from_bytes(&self.bases[at..at + k]).expect("segment bases are ACGT")
+    }
 
-/// One segment shipped to its assembly site (chain head's rank for paths,
-/// minimal segment's rank for cycles). Everything the splicer needs that is
-/// derivable from `bases` — the endpoint k-mers, their canonical forms, the
-/// vertex count — is *recomputed at the receiver* instead of shipped: the
-/// wire struct carries five fewer `Kmer`s (40 bytes each) than the obvious
-/// encoding, which is most of the final exchange's byte volume.
-struct AsmRecord {
-    chain: Chain,
-    right_code: u8,
-    bases: Vec<u8>,
-    depth_sum: u64,
-}
-
-enum Chain {
-    Path {
-        head_idx: u32,
-        pos: u32,
-    },
-    /// `min_idx` is the cycle's minimal `SegId`'s index on the assembly rank
-    /// (which is that `SegId`'s rank, so the index alone identifies it).
-    Cycle {
-        min_idx: u32,
-    },
-}
-
-impl AsmRecord {
     /// Number of graph vertices the segment covers.
-    fn vcount(&self, k: usize) -> u32 {
-        (self.bases.len() + 1 - k) as u32
-    }
-
-    /// First vertex in walk orientation, recomputed from the bases.
-    fn first(&self, k: usize) -> Kmer {
-        Kmer::from_bytes(&self.bases[..k]).expect("segment bases start with a k-mer")
-    }
-
-    /// Last vertex in walk orientation, recomputed from the bases.
-    fn last(&self, k: usize) -> Kmer {
-        Kmer::from_bytes(&self.bases[self.bases.len() - k..])
-            .expect("segment bases end with a k-mer")
+    fn vcount(&self, k: usize) -> usize {
+        self.bases.len() + 1 - k
     }
 }
 
@@ -197,9 +108,8 @@ impl AsmRecord {
 /// occurrence wins, upgraded only by a canonical-orientation visit of the
 /// same vertex. A cycle is emitted from that vertex in canonical orientation
 /// (the per-hop walker's cycle seed), so only the cycle emitters need this
-/// triple: Level 1's for fully-local cycles, and the assembly site's, which
-/// recomputes it from the shipped bases instead of shipping it with every
-/// record.
+/// triple: Level 1's for fully-local cycles, and rank 0's, which recomputes
+/// it from each gathered segment's bases.
 fn segment_min(bases: &[u8], k: usize) -> (Kmer, bool, u32) {
     let mut kmer = Kmer::from_bytes(&bases[..k]).expect("segment bases start with a k-mer");
     let (canon, was_rc) = kmer.canonical();
@@ -310,19 +220,18 @@ impl<K: KmerKey> LocalGraph<'_, K> {
 
 /// Level 1: compacts this rank's shard of `counts` (the graph's table at its
 /// key width) into segments, emits its whole paths and fully-local cycles
-/// into `local`, and returns the rest (the segments that cross an ownership
-/// boundary) indexed by their last vertex. Zero traffic. Every eligible
-/// vertex of the shard ends up claimed, and only those.
+/// into `local`, and returns the rest: the segments that cross an ownership
+/// boundary. Zero traffic. Every eligible vertex of the shard ends up
+/// claimed, and only those.
 fn compact_local<K: KmerKey>(
     ctx: &Ctx,
     graph: &KmerGraph,
     counts: &DistMap<K, KmerCounts>,
     params: &TraversalParams,
     local: &mut Vec<(Vec<u8>, f64)>,
-) -> (Vec<Segment>, FxHashMap<Kmer, u32>) {
+) -> Vec<Segment> {
     let k = graph.counts.k();
     let mut segs: Vec<Segment> = Vec::new();
-    let mut by_last: FxHashMap<Kmer, u32> = FxHashMap::default();
     let view = counts.local_view(ctx);
     let mut lg = LocalGraph {
         limit: 2 * view.len() + 2,
@@ -369,36 +278,22 @@ fn compact_local<K: KmerKey>(
             let depth_sum = l.depth_sum + r.depth_sum - v.count as u64;
             let mut bases = revcomp(&left);
             bases.extend_from_slice(&right[k..]);
-            let fwd = Segment {
-                left: LeftBoundary::facing(&l),
-                right_code: r.right_code,
-                right_remote: r.right_remote,
-                bases,
-                depth_sum,
-            };
+            let fwd = Segment::between(&l, &r, bases, depth_sum);
             let rev = (l.last != r.last).then(|| {
                 let mut bases = revcomp(&right);
                 bases.extend_from_slice(&left[k..]);
-                let seg = Segment {
-                    left: LeftBoundary::facing(&r),
-                    right_code: l.right_code,
-                    right_remote: l.right_remote,
-                    bases,
-                    depth_sum,
-                };
-                (l.last, seg)
+                (&l, Segment::between(&r, &l, bases, depth_sum))
             });
-            for (last, seg) in std::iter::once((r.last, fwd)).chain(rev) {
-                if seg.is_whole_path() {
+            for (end, seg) in std::iter::once((&r, fwd)).chain(rev) {
+                if seg.left_code.is_none() && !end.right_remote {
                     push_path(local, seg.bases, seg.depth_sum, k, params);
                 } else {
-                    by_last.insert(last, segs.len() as u32);
                     segs.push(seg);
                 }
             }
         }
     }
-    (segs, by_last)
+    segs
 }
 
 /// Emits a fully-local cycle, walked as `bases` (its `n` vertices unrolled
@@ -432,7 +327,7 @@ fn push_local_cycle(
 /// — only the canonical-orientation one emits) and a palindromic hairpin
 /// path, which ends on the reverse complement of its first vertex and *is*
 /// its own mirror (exactly one direction exists — always emit). Level 1
-/// emits its whole paths here and the assembly sites their spliced chains.
+/// emits its whole paths here and rank 0 its placed chains.
 fn push_path(
     local: &mut Vec<(Vec<u8>, f64)>,
     bases: Vec<u8>,
@@ -450,7 +345,8 @@ fn push_path(
 }
 
 /// Runs the segment-compaction traversal and returns this rank's emitted
-/// contigs. Collective; byte-identical to the per-hop walker's output.
+/// contigs: every contig of a cross-rank chain is rank 0's. Collective;
+/// byte-identical to the per-hop walker's output.
 pub(crate) fn segment_contigs(
     ctx: &Ctx,
     graph: &KmerGraph,
@@ -459,270 +355,137 @@ pub(crate) fn segment_contigs(
 ) -> Vec<(Vec<u8>, f64)> {
     let mut local: Vec<(Vec<u8>, f64)> = Vec::new();
     // ---- Level 1: owner-local compaction (zero communication) --------------
-    // The shard view is dropped inside, before any cross-rank phase.
-    let (segs, by_last) =
-        with_keys!(graph.counts, map => compact_local(ctx, graph, map, params, &mut local));
-    if ctx.allreduce_any(!segs.is_empty()) {
-        stitch(ctx, graph, k, params, segs, &by_last, &mut local);
+    // The shard view is dropped inside, before the gather.
+    let segs = with_keys!(graph.counts, map => compact_local(ctx, graph, map, params, &mut local));
+    // ---- Level 2: one gather, then rank 0 stitches -------------------------
+    // At one rank every vertex is local, so no segment crosses a boundary.
+    if ctx.ranks() == 1 {
+        debug_assert!(segs.is_empty(), "a 1-rank segment crosses a boundary");
+        return local;
+    }
+    if ctx.rank() == 0 {
+        ctx.record(Counter::traversal_rounds, 1);
+    } else {
+        let bytes: usize = segs.iter().map(|s| s.bases.len()).sum();
+        ctx.record(
+            Counter::stitch_bytes,
+            (bytes + segs.len() * std::mem::size_of::<Segment>()) as u64,
+        );
+    }
+    let segs = ctx.gather(segs);
+    if ctx.rank() == 0 {
+        stitch(segs, k, params, &mut local);
     }
     local
 }
 
-/// Rank 0's half of Level 2: places every segment of the gathered link
-/// table, whose entries are the team's `(segment, predecessor)` pairs. A
-/// chain head has no predecessor and so no entry; each chain is walked
-/// forward from its head, numbering positions, and what those walks leave
-/// unreached lies on a cross-rank cycle, walked once to its minimal `SegId`.
-/// Returns each rank's answers, one per entry of that rank, in ascending
-/// segment index: the order the rank sent its entries in.
-fn rank_chains(table: &[(SegId, SegId)], ranks: usize) -> Vec<Vec<Link>> {
-    let pred_of: FxHashMap<SegId, SegId> = table.iter().copied().collect();
-    let succ: FxHashMap<SegId, SegId> = table.iter().map(|&(seg, pred)| (pred, seg)).collect();
-    debug_assert_eq!(succ.len(), table.len(), "a segment has two successors");
-    let mut place: FxHashMap<SegId, Link> = FxHashMap::default();
-    // A head is the predecessor of exactly one entry, so each chain is
-    // walked once.
-    for &(_, head) in table {
-        if pred_of.contains_key(&head) {
-            continue;
-        }
-        let (mut at, mut pos) = (head, 0);
-        while let Some(&next) = succ.get(&at) {
-            pos += 1;
-            place.insert(next, Link::Done { head, pos });
-            at = next;
-        }
-    }
-    for &(seg, _) in table {
-        if place.contains_key(&seg) {
-            continue;
-        }
-        let mut cycle = vec![seg];
-        let mut at = pred_of[&seg];
-        while at != seg {
-            cycle.push(at);
-            at = pred_of[&at];
-        }
-        let minseg = *cycle.iter().min().expect("a cycle has a segment");
-        for s in cycle {
-            place.insert(s, Link::Cycle { minseg });
-        }
-    }
-    let mut out: Vec<Vec<(u32, Link)>> = vec![Vec::new(); ranks];
-    for (seg, link) in place {
-        out[seg.rank as usize].push((seg.idx, link));
-    }
-    out.into_iter()
-        .map(|mut answers| {
-            answers.sort_unstable_by_key(|a| a.0);
-            answers.into_iter().map(|a| a.1).collect()
-        })
-        .collect()
-}
-
-/// Level 2: stitches the segments that cross an ownership boundary (this
-/// rank's are `segs`, indexed by `by_last`) and emits the contigs assembled
-/// here into `local`. Collective.
+/// Level 2, rank 0's pass: stitches the team's cross-rank segments, in any
+/// order, into their paths and cycles and emits them into `local`.
+///
+/// A segment's predecessor ends on the oriented vertex its pending left
+/// boundary names and extends right into the segment's first vertex: the
+/// mutual check of the per-hop walker. The oriented last vertex is unique
+/// across the team, so each segment has at most one predecessor and one
+/// successor. A segment without a predecessor heads a path, spliced forward
+/// from it; what those walks leave unplaced lies on cross-rank cycles, each
+/// walked once.
 fn stitch(
-    ctx: &Ctx,
-    graph: &KmerGraph,
+    mut segs: Vec<Segment>,
     k: usize,
     params: &TraversalParams,
-    segs: Vec<Segment>,
-    by_last: &FxHashMap<Kmer, u32>,
     local: &mut Vec<(Vec<u8>, f64)>,
 ) {
-    let rank = ctx.rank();
-    let me = |idx: usize| SegId {
-        rank: rank as u32,
-        idx: idx as u32,
-    };
-    let round = || {
-        if rank == 0 {
-            ctx.record(Counter::traversal_rounds, 1);
-        }
-    };
-
-    // ---- Level 2a: one aggregated round resolves every predecessor ---------
-    let mut pending: Vec<(usize, u32)> = Vec::new(); // (seg idx, dest rank)
-    let mut reqs: Vec<(usize, PredQuery)> = Vec::new();
-    for (i, seg) in segs.iter().enumerate() {
-        if let LeftBoundary::Pending { nbr, agree } = seg.left {
-            let (canon, _) = nbr.canonical();
-            let dest = graph.counts.owner_of(&canon);
-            debug_assert_ne!(dest, rank, "a pending neighbour is remote by construction");
-            pending.push((i, dest as u32));
-            reqs.push((dest, PredQuery { last: nbr, agree }));
-            ctx.record(
-                Counter::stitch_bytes,
-                (std::mem::size_of::<PredQuery>() + std::mem::size_of::<Option<u32>>()) as u64,
-            );
-        }
-    }
-    round();
-    let pred_resps = ctx.exchange_map(reqs, STITCH_BATCH, |q: PredQuery| -> Option<u32> {
-        by_last.get(&q.last).copied().filter(|&i| {
-            let p = &segs[i as usize];
-            debug_assert!(p.right_remote || p.right_code != Some(q.agree));
-            p.right_code == Some(q.agree)
-        })
-    });
-    // (seg idx, predecessor) in ascending index: the entries this rank
-    // contributes to the link table.
-    let mut linked: Vec<(usize, SegId)> = Vec::new();
-    for (&(i, dest), resp) in pending.iter().zip(pred_resps) {
-        if let Some(idx) = resp {
-            linked.push((i, SegId { rank: dest, idx }));
-        }
-    }
-
-    // ---- Level 2b: rank 0 ranks the chains from one gathered link table ----
-    round();
-    if rank != 0 {
-        ctx.record(
-            Counter::stitch_bytes,
-            (linked.len() * std::mem::size_of::<(SegId, SegId)>()) as u64,
-        );
-    }
-    let table = ctx.gather(linked.iter().map(|&(i, pred)| (me(i), pred)).collect());
-    let answers = if rank == 0 {
-        let answers = rank_chains(&table, ctx.ranks());
-        let sent: usize = answers[1..].iter().map(Vec::len).sum();
-        ctx.record(
-            Counter::stitch_bytes,
-            (sent * std::mem::size_of::<Link>()) as u64,
-        );
-        answers
-    } else {
-        vec![Vec::new(); ctx.ranks()]
-    };
-    let answers = ctx.exchange(answers);
-    debug_assert_eq!(answers.len(), linked.len());
-    let mut links: Vec<Link> = (0..segs.len())
-        .map(|i| Link::Done {
-            head: me(i),
-            pos: 0,
-        })
+    let by_last: FxHashMap<Kmer, usize> = segs
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (s.kmer_at(s.bases.len() - k, k), i))
         .collect();
-    for (&(i, _), link) in linked.iter().zip(answers) {
-        links[i] = link;
-    }
-
-    // ---- Level 2c: ship every segment to its assembly site ------------------
-    round();
-    let mut agg: Aggregator<AsmRecord> = Aggregator::new(ctx, ASSEMBLE_BATCH);
-    for (seg, link) in segs.into_iter().zip(links) {
-        let (dest, chain) = match link {
-            Link::Done { head, pos } => (
-                head.rank as usize,
-                Chain::Path {
-                    head_idx: head.idx,
-                    pos,
-                },
-            ),
-            Link::Cycle { minseg } => (
-                minseg.rank as usize,
-                Chain::Cycle {
-                    min_idx: minseg.idx,
-                },
-            ),
-        };
-        if dest != rank {
-            ctx.record(
-                Counter::stitch_bytes,
-                (seg.bases.len() + std::mem::size_of::<AsmRecord>()) as u64,
-            );
-        }
-        agg.push(
-            dest,
-            AsmRecord {
-                chain,
-                right_code: seg.right_code.unwrap_or(0),
-                bases: seg.bases,
-                depth_sum: seg.depth_sum,
-            },
-        );
-    }
-    let records = agg.finish();
-
-    // ---- Assembly: splice chains, apply the emitter rules -------------------
-    let mut paths: FxHashMap<u32, Vec<AsmRecord>> = FxHashMap::default();
-    let mut cycles: FxHashMap<u32, Vec<AsmRecord>> = FxHashMap::default();
-    for rec in records {
-        match rec.chain {
-            Chain::Path { head_idx, .. } => paths.entry(head_idx).or_default().push(rec),
-            Chain::Cycle { min_idx } => cycles.entry(min_idx).or_default().push(rec),
+    debug_assert_eq!(by_last.len(), segs.len(), "two segments end on one vertex");
+    let mut succ: Vec<Option<usize>> = vec![None; segs.len()];
+    let mut has_pred = vec![false; segs.len()];
+    for (i, s) in segs.iter().enumerate() {
+        let Some(code) = s.left_code else { continue };
+        let first = s.kmer_at(0, k);
+        let pred = by_last
+            .get(&first.extended_left(code))
+            .copied()
+            .filter(|&p| segs[p].right_code == Some(first.last_code()));
+        if let Some(p) = pred {
+            debug_assert!(succ[p].is_none(), "a segment has two successors");
+            succ[p] = Some(i);
+            has_pred[i] = true;
         }
     }
-    for (_, mut recs) in paths {
-        recs.sort_unstable_by_key(|r| match r.chain {
-            Chain::Path { pos, .. } => pos,
-            Chain::Cycle { .. } => 0,
-        });
-        debug_assert!(recs
-            .iter()
-            .enumerate()
-            .all(|(i, r)| matches!(r.chain, Chain::Path { pos, .. } if pos == i as u32)));
-        let mut bases = std::mem::take(&mut recs[0].bases);
-        let mut depth_sum = recs[0].depth_sum;
-        for r in &recs[1..] {
-            bases.extend_from_slice(&r.bases[k - 1..]);
-            depth_sum += r.depth_sum;
+    let mut placed = vec![false; segs.len()];
+    for head in (0..segs.len()).filter(|&i| !has_pred[i]) {
+        placed[head] = true;
+        let mut bases = std::mem::take(&mut segs[head].bases);
+        let mut depth_sum = segs[head].depth_sum;
+        let mut at = head;
+        while let Some(next) = succ[at] {
+            bases.extend_from_slice(&segs[next].bases[k - 1..]);
+            depth_sum += segs[next].depth_sum;
+            placed[next] = true;
+            at = next;
         }
         push_path(local, bases, depth_sum, k, params);
     }
-    for (_, recs) in cycles {
-        // One full directed cycle lands here (its mirror assembles at its own
-        // minimal segment's rank). The group's minimal canonical vertex is
-        // the cycle's global minimum; emit only if this direction visits it
-        // in canonical orientation — exactly one of the two mirror directions
-        // does (for odd k each (vertex, orientation) pair occurs at most once
-        // per directed chain), so the cycle is emitted exactly once, by the
-        // same rule the per-hop walker applies from its canonical seed. A
-        // self-mirror cycle contains both directions in one chain and lands
-        // here whole, with a unique canonical-min record — it also emits
-        // exactly once.
-        let mins: Vec<(Kmer, bool, u32)> = recs.iter().map(|r| segment_min(&r.bases, k)).collect();
-        let Some(e) = (0..recs.len()).min_by_key(|&i| (mins[i].0, !mins[i].1)) else {
-            debug_assert!(false, "empty cycle group");
+    for start in 0..segs.len() {
+        if placed[start] {
             continue;
-        };
-        if !mins[e].1 {
-            continue; // the mirror direction sees the minimum canonically
         }
-        let by_first: FxHashMap<Kmer, usize> = recs
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.first(k), i))
-            .collect();
-        let mut order = vec![e];
-        loop {
-            let r = &recs[*order.last().expect("order is non-empty")];
-            let next_first = r.last(k).extended_right(r.right_code);
-            let Some(&j) = by_first.get(&next_first) else {
-                debug_assert!(false, "broken cycle chain");
-                break;
-            };
-            if j == e || order.len() > recs.len() {
-                break;
-            }
-            order.push(j);
+        let mut cycle = vec![start];
+        let mut at = start;
+        while let Some(next) = succ[at].filter(|&next| next != start) {
+            placed[next] = true;
+            cycle.push(next);
+            at = next;
         }
-        let total: usize = order.iter().map(|&j| recs[j].vcount(k) as usize).sum();
-        let mut circle = recs[e].bases.clone();
-        for &j in &order[1..] {
-            circle.extend_from_slice(&recs[j].bases[k - 1..]);
-        }
-        debug_assert_eq!(circle.len(), total + k - 1);
-        // Rotate so the contig starts at the minimal vertex: base i of the
-        // output is base (min_offset + i) of the underlying base cycle.
-        let p = mins[e].2 as usize;
-        let out: Vec<u8> = (0..total + k - 1)
-            .map(|i| circle[(p + i) % total])
-            .collect();
-        let depth_sum: u64 = order.iter().map(|&j| recs[j].depth_sum).sum();
-        push_contig(local, out, depth_sum as f64, total, params);
+        debug_assert_eq!(succ[at], Some(start), "an unplaced segment lies on a cycle");
+        push_cycle(local, &segs, &cycle, k, params);
     }
+}
+
+/// Emits the cross-rank cycle whose segments, in chain order, are `cycle`,
+/// if this direction visits its minimal canonical vertex in canonical
+/// orientation. Exactly one of the two mirror directions does (for odd k
+/// each (vertex, orientation) pair occurs at most once per directed chain),
+/// so the cycle is emitted once, by the rule the per-hop walker applies from
+/// its canonical seed. A self-mirror cycle holds both directions in one
+/// chain, and exactly one canonical-orientation visit of its minimum.
+fn push_cycle(
+    local: &mut Vec<(Vec<u8>, f64)>,
+    segs: &[Segment],
+    cycle: &[usize],
+    k: usize,
+    params: &TraversalParams,
+) {
+    let mins: Vec<(Kmer, bool, u32)> = cycle
+        .iter()
+        .map(|&i| segment_min(&segs[i].bases, k))
+        .collect();
+    let e = (0..cycle.len())
+        .min_by_key(|&j| (mins[j].0, !mins[j].1))
+        .expect("a cycle has a segment");
+    if !mins[e].1 {
+        return; // the mirror direction sees the minimum canonically
+    }
+    let order = || cycle[e..].iter().chain(&cycle[..e]).map(|&i| &segs[i]);
+    let total: usize = order().map(|s| s.vcount(k)).sum();
+    let mut circle: Vec<u8> = Vec::with_capacity(total + k - 1);
+    circle.extend_from_slice(&segs[cycle[e]].bases[..k - 1]);
+    for s in order() {
+        circle.extend_from_slice(&s.bases[k - 1..]);
+    }
+    debug_assert_eq!(circle.len(), total + k - 1);
+    // Rotate so the contig starts at the minimal vertex: base i of the
+    // output is base (min_offset + i) of the underlying base cycle.
+    let p = mins[e].2 as usize;
+    let out: Vec<u8> = (0..total + k - 1)
+        .map(|i| circle[(p + i) % total])
+        .collect();
+    let depth_sum: u64 = order().map(|s| s.depth_sum).sum();
+    push_contig(local, out, depth_sum as f64, total, params);
 }
 
 #[cfg(test)]
@@ -730,12 +493,13 @@ mod tests {
     //! Level 1 against the discovery it replaced: every eligible vertex
     //! probed as a segment start in both orientations, every run walked from
     //! both of its ends, and fully-local cycles found as the eligible vertices
-    //! no segment covered. Equal segments (bases, left boundary, right code,
-    //! remote flag, depth) pin the stitch traffic, which the contig-level
-    //! per-hop oracle cannot see. The graphs are the per-hop tests' stress
-    //! reads and hand-built lassos, whose loop re-enters the run at a
-    //! vertex against its left extension. Level 2's chain ranking is held to
-    //! hand-built link tables, and its round count to chains of any length.
+    //! no segment covered. Equal segments (bases, boundary codes, depth) pin
+    //! the gathered records, which the contig-level per-hop oracle cannot
+    //! see. The graphs are the per-hop tests' stress reads and hand-built
+    //! lassos, whose loop re-enters the run at a vertex against its left
+    //! extension. Rank 0's pass is held to the whole-sequence emitters on
+    //! hand-cut paths and cycles, in any gather order, and its round count to
+    //! chains of any length.
 
     use super::*;
     use crate::analysis::{kmer_analysis, KmerAnalysisParams};
@@ -833,32 +597,33 @@ mod tests {
         w
     }
 
-    /// `None` when `kmer`'s left neighbour continues its run locally.
-    fn left_boundary(lg: &OracleShard, kmer: &Kmer, v: &OrientedVertex) -> Option<LeftBoundary> {
+    /// `None` when `kmer`'s left neighbour continues its run locally, else
+    /// the segment's left code: the neighbour's code when another rank owns
+    /// it, `None` when the path starts here.
+    fn left_boundary(lg: &OracleShard, kmer: &Kmer, v: &OrientedVertex) -> Option<Option<u8>> {
         let Ext::Base(lc) = v.left else {
-            return Some(LeftBoundary::Terminal);
+            return Some(None);
         };
-        let nbr = kmer.extended_left(lc);
-        match probe(lg, &nbr) {
-            Probe::Remote => Some(LeftBoundary::Pending {
-                nbr,
-                agree: kmer.last_code(),
-            }),
+        match probe(lg, &kmer.extended_left(lc)) {
+            Probe::Remote => Some(Some(lc)),
             Probe::Present(lv)
                 if eligible(lv.left, lv.right) && lv.right == Ext::Base(kmer.last_code()) =>
             {
                 None
             }
-            _ => Some(LeftBoundary::Terminal),
+            _ => Some(None),
         }
     }
 
-    /// The replaced Level 1; reads the shard and claims nothing.
+    /// The replaced Level 1; reads the shard and claims nothing. Emits the
+    /// local cycles into `cycles` and returns every segment with its walk's
+    /// remote flag.
     fn oracle_compact(
         ctx: &Ctx,
         graph: &KmerGraph,
         params: &TraversalParams,
-    ) -> (Vec<Segment>, Vec<(Vec<u8>, f64)>) {
+        cycles: &mut Vec<(Vec<u8>, f64)>,
+    ) -> Vec<(Segment, bool)> {
         let mut entries = graph.counts.local_entries(ctx);
         entries.sort_by_key(|e| e.0);
         let lg = OracleShard {
@@ -868,7 +633,7 @@ mod tests {
             graph,
             rank: ctx.rank(),
         };
-        let (mut segs, mut cycles) = (Vec::new(), Vec::new());
+        let mut segs = Vec::new();
         let shard = || lg.entries.iter().map(|(key, c)| (key, c));
         let mut covered: FxHashSet<Kmer> = FxHashSet::default();
         for (key, c) in shard() {
@@ -878,19 +643,19 @@ mod tests {
             }
             for okmer in [*key, key.revcomp()] {
                 let ov = orient(v, *key, okmer != *key);
-                let Some(left) = left_boundary(&lg, &okmer, &ov) else {
+                let Some(left_code) = left_boundary(&lg, &okmer, &ov) else {
                     continue;
                 };
                 let w = walk_local(&lg, okmer, &ov);
                 assert!(!w.closed, "a segment start cannot close a cycle");
                 covered.extend(w.visited.iter().copied());
-                segs.push(Segment {
-                    left,
+                let seg = Segment {
+                    left_code,
                     right_code: w.right_code,
-                    right_remote: w.right_remote,
                     bases: w.bases,
                     depth_sum: w.depth_sum,
-                });
+                };
+                segs.push((seg, w.right_remote));
             }
         }
         let mut cycle_seen: FxHashSet<Kmer> = FxHashSet::default();
@@ -905,29 +670,17 @@ mod tests {
             let min = *w.visited.iter().min().expect("a walk visits its start");
             let mv = graph.vertex(lg.map.get(&min).expect("cycle vertex is owned locally"));
             let w = walk_local(&lg, min, &orient(mv, min, false));
-            push_contig(&mut cycles, w.bases, w.depth_sum as f64, w.vcount, params);
+            push_contig(cycles, w.bases, w.depth_sum as f64, w.vcount, params);
         }
-        (segs, cycles)
+        segs
     }
 
-    type SegKey = (Vec<u8>, Option<(Kmer, u8)>, Option<u8>, bool, u64);
+    type SegKey = (Vec<u8>, Option<u8>, Option<u8>, u64);
 
     fn sorted_keys(segs: &[Segment]) -> Vec<SegKey> {
         let mut keys: Vec<SegKey> = segs
             .iter()
-            .map(|s| {
-                let left = match s.left {
-                    LeftBoundary::Terminal => None,
-                    LeftBoundary::Pending { nbr, agree } => Some((nbr, agree)),
-                };
-                (
-                    s.bases.clone(),
-                    left,
-                    s.right_code,
-                    s.right_remote,
-                    s.depth_sum,
-                )
-            })
+            .map(|s| (s.bases.clone(), s.left_code, s.right_code, s.depth_sum))
             .collect();
         keys.sort();
         keys
@@ -947,37 +700,39 @@ mod tests {
     /// (self-mirror segments, pending boundaries, local cycles) counts.
     fn check_level1(ctx: &Ctx, graph: &KmerGraph, k: usize) -> (u64, u64, u64) {
         let traversal = TraversalParams::default();
-        let (oracle_segs, mut want_local) = oracle_compact(ctx, graph, &traversal);
+        let mut want_local = Vec::new();
+        let oracle_segs = oracle_compact(ctx, graph, &traversal, &mut want_local);
         let counts = (
             oracle_segs
                 .iter()
-                .filter(|s| s.bases == revcomp(&s.bases))
+                .filter(|(s, _)| s.bases == revcomp(&s.bases))
                 .count() as u64,
             oracle_segs
                 .iter()
-                .filter(|s| matches!(s.left, LeftBoundary::Pending { .. }))
+                .filter(|(s, _)| s.left_code.is_some())
                 .count() as u64,
             want_local.len() as u64,
         );
         let mut want_segs = Vec::new();
-        for seg in oracle_segs {
-            if seg.is_whole_path() {
+        for (seg, right_remote) in oracle_segs {
+            if seg.left_code.is_none() && !right_remote {
                 push_path(&mut want_local, seg.bases, seg.depth_sum, k, &traversal);
             } else {
                 want_segs.push(seg);
             }
         }
         let mut local = Vec::new();
-        let (segs, by_last) =
+        let segs =
             with_keys!(graph.counts, map => compact_local(ctx, graph, map, &traversal, &mut local));
         let at = format!("k={k} ranks={} rank={}", ctx.ranks(), ctx.rank());
         assert_eq!(sorted_keys(&segs), sorted_keys(&want_segs), "{at}");
         assert_eq!(sorted_contigs(&local), sorted_contigs(&want_local), "{at}");
-        assert_eq!(by_last.len(), segs.len(), "{at}");
-        for (i, s) in segs.iter().enumerate() {
-            let last = Kmer::from_bytes(&s.bases[s.bases.len() - k..]);
-            assert_eq!(by_last.get(&last.unwrap()), Some(&(i as u32)), "{at}");
-        }
+        // Rank 0 indexes the segments by their last vertex.
+        let lasts: FxHashSet<Kmer> = segs
+            .iter()
+            .map(|s| s.kmer_at(s.bases.len() - k, k))
+            .collect();
+        assert_eq!(lasts.len(), segs.len(), "{at}");
         counts
     }
 
@@ -1063,72 +818,143 @@ mod tests {
         assert!(pending > 0, "no pending boundary on the lasso graphs");
     }
 
-    fn seg(rank: u32, idx: u32) -> SegId {
-        SegId { rank, idx }
+    const K: usize = 15;
+
+    /// `seq`, read as a path of n = len − k + 1 vertices or, with `circular`,
+    /// as a cycle of `seq.len()` vertices, cut into one segment per start in
+    /// `starts` (ascending vertex indices; a path's first start is 0). Each
+    /// segment gets the codes of the bases beyond it and a depth sum of
+    /// `depth` per vertex; a path's ends are dead ends.
+    fn cut(seq: &[u8], starts: &[usize], circular: bool, depth: u64) -> Vec<Segment> {
+        let n = if circular {
+            seq.len()
+        } else {
+            seq.len() + 1 - K
+        };
+        let base = |i: usize| if circular { seq[i % n] } else { seq[i] };
+        let code = |i: usize| encode_base(base(i)).expect("test bases are ACGT");
+        (0..starts.len())
+            .map(|j| {
+                let (a, c) = (
+                    starts[j],
+                    starts.get(j + 1).copied().unwrap_or(starts[0] + n),
+                );
+                let last = c == n && !circular;
+                Segment {
+                    left_code: (a > 0 || circular).then(|| code((a + n - 1) % n)),
+                    right_code: (!last).then(|| code(c + K - 1)),
+                    bases: (a..c + K - 1).map(base).collect(),
+                    depth_sum: depth * (c - a) as u64,
+                }
+            })
+            .collect()
     }
 
-    /// The link of every segment in `preds` (each cross-rank segment and its
-    /// predecessor, `None` at a chain head) as `stitch` sets it: a segment
-    /// with a predecessor sends that pair to rank 0 and gets back its answer,
-    /// in the order `rank_chains` returns them; a head keeps `Done` at 0.
-    fn places(preds: &[(SegId, Option<SegId>)], ranks: usize) -> FxHashMap<SegId, Link> {
-        let table: Vec<(SegId, SegId)> = preds.iter().filter_map(|&(s, p)| Some((s, p?))).collect();
-        let answers = rank_chains(&table, ranks);
-        let mut out: FxHashMap<SegId, Link> = preds
-            .iter()
-            .map(|&(s, _)| (s, Link::Done { head: s, pos: 0 }))
-            .collect();
-        for (r, answers) in answers.into_iter().enumerate() {
-            let mut mine: Vec<SegId> = table
-                .iter()
-                .map(|e| e.0)
-                .filter(|s| s.rank as usize == r)
-                .collect();
-            mine.sort_unstable();
-            assert_eq!(mine.len(), answers.len(), "rank {r}'s answers");
-            out.extend(mine.into_iter().zip(answers));
+    /// The segment the other strand walks: its codes swap ends, complemented.
+    fn mirror(s: &Segment) -> Segment {
+        Segment {
+            left_code: s.right_code.map(|c| 3 - c),
+            right_code: s.left_code.map(|c| 3 - c),
+            bases: revcomp(&s.bases),
+            depth_sum: s.depth_sum,
         }
-        out
+    }
+
+    fn random_seq(rng: &mut StdRng, len: usize) -> Vec<u8> {
+        (0..len).map(|_| b"ACGT"[rng.gen_range(0..4)]).collect()
+    }
+
+    /// Hand-cut cross-rank segments, both strands of each chain, and the
+    /// contigs the whole-sequence emitters make of them: a 5-segment path,
+    /// 2- and 3-segment cycles, a lone head whose right neighbour resolves to
+    /// nothing, a head whose pending left neighbour ends a segment that
+    /// extends elsewhere (no mutual link), and a self-mirror palindromic
+    /// path whose middle segment is its own mirror.
+    fn hand_cut(rng: &mut StdRng) -> (Vec<Segment>, Vec<(Vec<u8>, f64)>) {
+        let params = TraversalParams::default();
+        let (mut segs, mut want) = (Vec::new(), Vec::new());
+        let both_strands = |cut: Vec<Segment>, segs: &mut Vec<Segment>| {
+            segs.extend(cut.iter().map(mirror));
+            segs.extend(cut);
+        };
+        // The path's contig, emitted by one of its two directions.
+        let path_contig = |seq: &[u8], depth: u64, want: &mut Vec<(Vec<u8>, f64)>| {
+            let depth_sum = depth * (seq.len() + 1 - K) as u64;
+            push_path(want, seq.to_vec(), depth_sum, K, &params);
+            push_path(want, revcomp(seq), depth_sum, K, &params);
+        };
+        let path = random_seq(rng, 90);
+        both_strands(cut(&path, &[0, 7, 20, 21, 50], false, 3), &mut segs);
+        path_contig(&path, 3, &mut want);
+        for (len, starts) in [(40usize, &[3usize, 25][..]), (60, &[0, 11, 30][..])] {
+            let circle = random_seq(rng, len);
+            both_strands(cut(&circle, starts, true, 2), &mut segs);
+            let unrolled: Vec<u8> = (0..len + K - 1).map(|i| circle[i % len]).collect();
+            push_local_cycle(&mut want, &unrolled, K, 2 * len as u64, &params);
+        }
+        let lone = random_seq(rng, 30);
+        let mut head = cut(&lone, &[0], false, 5);
+        head[0].right_code = Some(1);
+        both_strands(head, &mut segs);
+        path_contig(&lone, 5, &mut want);
+        // `stub` ends on the left neighbour (base A) of `tail`'s first vertex
+        // but extends right to another base than `tail`'s k-th. It starts
+        // with A's, so a chain it heads is emitted in its direction: linked
+        // to `tail`, the two would come out as one contig.
+        let tail = random_seq(rng, 25);
+        let mut stub = b"AAAAAAAAAA".to_vec();
+        stub.extend_from_slice(&tail[..K - 1]);
+        let (mut from, mut to) = (cut(&stub, &[0], false, 6), cut(&tail, &[0], false, 6));
+        from[0].right_code = Some((encode_base(tail[K - 1]).unwrap() + 1) % 4);
+        to[0].left_code = Some(0);
+        both_strands(from, &mut segs);
+        both_strands(to, &mut segs);
+        path_contig(&stub, 6, &mut want);
+        path_contig(&tail, 6, &mut want);
+        // A palindrome of 2 × 35 bases: 56 vertices, cut at 20 and 36 so the
+        // outer segments mirror each other. Its one chain is both strands.
+        let mut palindrome = random_seq(rng, 35);
+        palindrome.extend(revcomp(&palindrome));
+        let chain = cut(&palindrome, &[0, 20, 36], false, 4);
+        assert_eq!(chain[1].bases, revcomp(&chain[1].bases));
+        assert_eq!(mirror(&chain[0]).bases, chain[2].bases);
+        segs.extend(chain);
+        push_path(&mut want, palindrome, 4 * 56, K, &params);
+        (segs, want)
+    }
+
+    /// Rank 0's pass on `segs`, as a sorted contig list.
+    fn stitched(segs: Vec<Segment>) -> Vec<(Vec<u8>, u64)> {
+        let mut local = Vec::new();
+        stitch(segs, K, &TraversalParams::default(), &mut local);
+        sorted_contigs(&local)
     }
 
     #[test]
-    fn rank_zero_ranks_paths_and_cycles_from_the_link_table() {
-        let path = [seg(0, 3), seg(1, 0), seg(2, 5), seg(0, 1), seg(1, 2)];
-        let two = [seg(1, 4), seg(0, 7)];
-        let three = [seg(2, 0), seg(1, 1), seg(0, 9)];
-        let lone = seg(1, 3);
-        // Each cycle is listed (and so walked) from a segment that is not
-        // its minimum, the path from its tail.
-        let mut preds: Vec<(SegId, Option<SegId>)> = Vec::new();
-        preds.extend((1..path.len()).rev().map(|i| (path[i], Some(path[i - 1]))));
-        preds.push((path[0], None));
-        for cycle in [&two[..], &three[..]] {
-            let n = cycle.len();
-            preds.extend((0..n).map(|i| (cycle[i], Some(cycle[(i + n - 1) % n]))));
-        }
-        preds.push((lone, None));
-        let got = places(&preds, 3);
-        assert_eq!(got.len(), preds.len());
-        for (pos, s) in path.iter().enumerate() {
-            let want = Link::Done {
-                head: path[0],
-                pos: pos as u32,
-            };
-            assert_eq!(got[s], want, "path segment {s:?}");
-        }
-        for (cycle, minseg) in [(&two[..], seg(0, 7)), (&three[..], seg(0, 9))] {
-            assert_ne!(cycle[0], minseg, "the walk starts off the minimum");
-            for s in cycle {
-                assert_eq!(got[s], Link::Cycle { minseg }, "cycle segment {s:?}");
+    fn rank_zero_stitches_paths_cycles_lone_heads_and_self_mirrors() {
+        let mut rng = StdRng::seed_from_u64(20261020);
+        let (segs, want) = hand_cut(&mut rng);
+        assert_eq!(want.len(), 7, "one contig per chain");
+        assert_eq!(stitched(segs), sorted_contigs(&want));
+        assert!(stitched(Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn rank_zero_output_does_not_depend_on_gather_order() {
+        let mut rng = StdRng::seed_from_u64(20261021);
+        let (mut segs, want) = hand_cut(&mut rng);
+        let want = sorted_contigs(&want);
+        for _ in 0..20 {
+            // Fisher–Yates: one uniform permutation per round.
+            for i in (1..segs.len()).rev() {
+                segs.swap(i, rng.gen_range(0..i + 1));
             }
+            assert_eq!(stitched(segs.clone()), want);
         }
-        assert_eq!(got[&lone], Link::Done { head: lone, pos: 0 });
-        // A lone head sends nothing; a team of lone heads ranks nothing.
-        assert_eq!(rank_chains(&[], 3), vec![Vec::<Link>::new(); 3]);
     }
 
     #[test]
-    fn stitching_takes_three_rounds_at_any_chain_length_and_none_at_one_rank() {
+    fn stitching_takes_one_round_at_any_chain_length_and_none_at_one_rank() {
         let mut rng = StdRng::seed_from_u64(20261019);
         for k in [11usize, 21] {
             let params = KmerAnalysisParams {
@@ -1170,7 +996,7 @@ mod tests {
                         assert_eq!(stats.traversal_rounds, 0, "{at}");
                         assert_eq!(stats.stitch_bytes, 0, "{at}");
                     } else {
-                        assert_eq!(stats.traversal_rounds, 3, "{at}");
+                        assert_eq!(stats.traversal_rounds, 1, "{at}");
                         assert!(stats.stitch_bytes > 0, "{at}");
                     }
                 }

@@ -163,9 +163,9 @@ impl ContigStore {
     /// (`bulk_merge`), so the rank count may differ from the writer's — the
     /// resulting store is identical to one `build` would have produced on
     /// this team, because the balanced owner table depends only on the
-    /// lengths in id order. Each rank then verifies its restored shard
-    /// against the metadata and clears the verification reader's cache so
-    /// the resumed run starts as cold as a fresh build.
+    /// lengths in id order. Each rank then verifies its restored shard in
+    /// place: every entry against the metadata, and every contig it owns
+    /// present. No contig travels for the check.
     pub fn restore(
         ctx: &Ctx,
         k: usize,
@@ -182,22 +182,25 @@ impl ContigStore {
             cache_bytes: params.cache_bytes,
             batch: params.batch,
         });
-        // Verify the restored shards: every contig must be present with the
-        // length the manifest promised (a shard file swapped between
-        // checkpoints would pass its own CRC but fail here).
-        let mut reader = store.reader(ctx);
-        let my = ctx.block_range(store.num_contigs());
-        let ids: Vec<ContigId> = (my.start as u64..my.end as u64).collect();
-        let got = reader.get_many(ctx, &ids);
-        for (id, p) in ids.iter().zip(&got) {
-            let expect = store.meta(*id).map(|m| m.len as usize);
+        // Verify the restored shard: every entry must have the length the
+        // manifest promised (a shard file swapped between checkpoints would
+        // pass its own CRC but fail here), and every contig this rank owns
+        // must be among them.
+        let mut held: Vec<ContigId> = Vec::new();
+        store.map.for_each_local(ctx, |&id, packed| {
             assert_eq!(
-                p.as_ref().map(|p| p.len()),
-                expect,
+                Some(packed.len() as u32),
+                store.meta(id).map(|m| m.len),
                 "restored contig {id} does not match checkpoint metadata"
             );
+            held.push(id);
+        });
+        held.sort_unstable();
+        let mut owned =
+            (0..store.num_contigs() as ContigId).filter(|id| map.owner_of(id) == ctx.rank());
+        if let Some(id) = owned.find(|id| held.binary_search(id).is_err()) {
+            panic!("checkpoint restore lost contig {id}");
         }
-        reader.clear_cache();
         ctx.record(
             Counter::contig_bytes_resident,
             store.owned_packed_bytes(ctx) as u64,
@@ -501,6 +504,55 @@ mod tests {
                 );
             });
         }
+    }
+
+    /// Writes 15 contigs at 3 ranks, lets `tamper` edit the exported
+    /// entries (in id order), and restores them at 2.
+    fn restore_tampered(tamper: impl Fn(&mut Vec<(ContigId, PackedSeq)>)) {
+        let set = ContigSet::from_sequences(
+            21,
+            (0..15)
+                .map(|i| (seq(50 + i * 17, 900 + i as u64), 1.5))
+                .collect(),
+        );
+        let params = ContigStoreParams::default();
+        let mut entries: Vec<(ContigId, PackedSeq)> = Team::single_node(3)
+            .run(|ctx| {
+                ContigStore::build(ctx, &set, &params)
+                    .map()
+                    .local_entries(ctx)
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        entries.sort_by_key(|e| e.0);
+        tamper(&mut entries);
+        let meta: Vec<ContigMeta> = set
+            .contigs
+            .iter()
+            .map(|c| ContigMeta {
+                len: c.len() as u32,
+                depth: c.depth,
+            })
+            .collect();
+        Team::single_node(2).run(|ctx| {
+            let mine = entries[ctx.block_range(entries.len())].to_vec();
+            ContigStore::restore(ctx, 21, meta.clone(), &params, mine);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "restored contig 7 does not match checkpoint metadata")]
+    fn restore_rejects_a_contig_of_the_wrong_length() {
+        restore_tampered(|entries| entries[7].1 = PackedSeq::from_bytes(b"ACGT"));
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint restore lost contig 7")]
+    fn restore_rejects_a_lost_contig() {
+        restore_tampered(|entries| {
+            entries.remove(7);
+        });
     }
 
     #[test]

@@ -6,14 +6,11 @@
 //! compacts its *owned* shard entirely in memory through a direct
 //! [`dht::DistMap::local_view`], emitting maximal owner-local segments and
 //! finishing there every path that never crosses an ownership boundary.
-//! The segments left are stitched across ranks in three collective rounds,
-//! whatever the chain lengths: one aggregated predecessor-resolution round
-//! over [`pgas::Ctx::exchange_map`], one gather of the (segment,
-//! predecessor) links to rank 0, which ranks every chain and scatters the
-//! answers back, and a final aggregated segment-shipping exchange. At one
-//! rank nothing is stitched. Communication is `O(owner crossings)`
-//! aggregated messages, not the `O(contig length)` fine-grained lookups of
-//! the paper's §II-D walker.
+//! The segments left go to rank 0 in one gather, whatever the chain
+//! lengths, and rank 0 stitches them into their paths and cycles, where the
+//! contig set is gathered anyway. At one rank nothing is stitched.
+//! Communication is `O(owner crossings)` aggregated records, not the
+//! `O(contig length)` fine-grained lookups of the paper's §II-D walker.
 //!
 //! Ownership of each path is decided *deterministically*, so the contig set
 //! is identical for any rank count (which both simplifies testing and removes

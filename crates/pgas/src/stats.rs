@@ -190,16 +190,15 @@ counters! {
     /// one per k-mer that reached the ε cut-off, none for the rest.
     kmer_table_inserts: Sum,
     /// Collective rounds performed by the segment-stitching contig traversal:
-    /// predecessor resolution, chain ranking on rank 0 (one gather and one
-    /// scatter) and segment shipping, three per call, none when no segment
-    /// crosses an ownership boundary (at one rank). Recorded on rank 0 only,
-    /// so a summed snapshot reads as "rounds".
+    /// one per call on a multi-rank team (the gather of the cross-rank
+    /// segments to rank 0), none at one rank, where no segment crosses an
+    /// ownership boundary. Recorded on rank 0 only, so a summed snapshot
+    /// reads as "rounds".
     traversal_rounds: Sum,
-    /// Bytes of the segment-stitching records of traversal that leave their
-    /// rank, recorded on the sender: each record's `size_of`, plus the bases
-    /// a shipped segment carries. Rank 0's own link entries and answers, and
-    /// the segments a rank ships to a chain head (or cycle minimum) on its
-    /// own rank, are not counted. Not a subset of `bytes_sent`.
+    /// Bytes of the cross-rank segments traversal gathers to rank 0,
+    /// recorded on the sender: each record's `size_of` plus the bases it
+    /// carries. Rank 0's own segments are not counted. Not a subset of
+    /// `bytes_sent`, which counts a record's `size_of` but not its bases.
     stitch_bytes: Sum,
     /// Peak contig bytes resident on this rank: the owned shard of the
     /// distributed contig store plus the rank's reader cache (packed bytes).

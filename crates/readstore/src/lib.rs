@@ -323,8 +323,8 @@ impl ReadStore {
     /// rank count may differ from the writer's — block ownership depends
     /// only on the block id and the rank count, making the restored store
     /// identical to one `build` would have produced on this team. Each rank
-    /// then verifies its shard against the length table, and the team checks
-    /// that no block went missing in transit.
+    /// then verifies its shard in place: every block against the length
+    /// table, and every block it owns present.
     pub fn restore(
         ctx: &Ctx,
         header: ReadStoreHeader,
@@ -347,12 +347,24 @@ impl ReadStore {
         });
         // Verify the restored shard: block geometry and every read length
         // must match the replicated table (a shard file swapped between
-        // checkpoints would pass its own CRC but fail here).
-        store.map.for_each_local(ctx, |b, block| {
+        // checkpoints would pass its own CRC but fail here), and every block
+        // this rank owns must be among them.
+        let mut held: Vec<BlockId> = Vec::new();
+        store.map.for_each_local(ctx, |&b, block| {
+            held.push(b);
             assert_eq!(
                 block.first_id,
                 b * store.block_reads as u64,
                 "restored block {b} starts at the wrong read id"
+            );
+            let reads = store
+                .block_reads
+                .min(store.lens.len() - block.first_id as usize);
+            assert_eq!(
+                block.reads.len(),
+                reads,
+                "restored block {b} holds {} reads, not {reads}",
+                block.reads.len()
             );
             for (i, read) in block.reads.iter().enumerate() {
                 let id = block.first_id + i as u64;
@@ -363,12 +375,11 @@ impl ReadStore {
                 );
             }
         });
-        let total_blocks = ctx.allreduce_sum_u64(store.map.local_len(ctx) as u64);
-        assert_eq!(
-            total_blocks as usize,
-            store.num_blocks(),
-            "checkpoint restore lost read blocks"
-        );
+        held.sort_unstable();
+        let owned = store.owned_block_ids(ctx);
+        if let Some(b) = owned.into_iter().find(|b| held.binary_search(b).is_err()) {
+            panic!("checkpoint restore lost read block {b}");
+        }
         ctx.record(
             Counter::read_bytes_resident,
             store.owned_packed_bytes(ctx) as u64,
@@ -915,6 +926,59 @@ mod tests {
                 }
             });
         }
+    }
+
+    /// Writes `library(30)` at 3 ranks in blocks of 6 reads, lets `tamper`
+    /// edit the exported entries (in block order), and restores them at 2.
+    fn restore_tampered(tamper: impl Fn(&mut Vec<(BlockId, PackedReadBlock)>)) {
+        let lib = library(30);
+        let params = ReadStoreParams {
+            block_reads: 6,
+            cache_bytes: 1 << 16,
+            batch: 64,
+        };
+        let exported = Team::single_node(3).run(|ctx| {
+            let store = ReadStore::build(ctx, &lib, &params);
+            (store.header(), store.map().local_entries(ctx))
+        });
+        let header = exported[0].0.clone();
+        let mut entries: Vec<(BlockId, PackedReadBlock)> =
+            exported.into_iter().flat_map(|(_, s)| s).collect();
+        entries.sort_by_key(|e| e.0);
+        tamper(&mut entries);
+        Team::single_node(2).run(|ctx| {
+            let mine = entries[ctx.block_range(entries.len())].to_vec();
+            ReadStore::restore(ctx, header.clone(), &params, mine);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "restored read 13 does not match checkpoint metadata")]
+    fn restore_rejects_a_read_of_the_wrong_length() {
+        restore_tampered(|entries| {
+            let block = &mut entries[2].1;
+            let mut reads = block.reads().to_vec();
+            reads[1] = PackedRead::from_read(&Read::new("short", b"ACGT", b"IIII"));
+            *block = PackedReadBlock::new(block.first_id(), reads);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "restored block 2 holds 5 reads, not 6")]
+    fn restore_rejects_a_block_short_of_a_read() {
+        restore_tampered(|entries| {
+            let block = &mut entries[2].1;
+            let reads = block.reads()[..5].to_vec();
+            *block = PackedReadBlock::new(block.first_id(), reads);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint restore lost read block 3")]
+    fn restore_rejects_a_lost_block() {
+        restore_tampered(|entries| {
+            entries.remove(3);
+        });
     }
 
     #[test]
