@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks of the distributed substrates: the update-only
-//! hash-table phase, k-mer analysis, contig k-mer injection, the extraction
+//! hash-table phase, k-mer analysis, contig k-mer injection, counting reads
+//! and contigs straight into the graph, the extraction
 //! hot loops (rolling minimizer, supermer grouping), the graph traversal,
 //! the contig clean-up pass, alignment, the Bloom filter, local assembly (one mer-walk, and the whole
 //! stage on store-backed pools) and rRNA classification.
@@ -8,9 +9,9 @@
 use aligner::{align_reads_ref, build_seed_index_ref, AlignParams};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dbg::{
-    build_graph, clean_contigs, inject_contig_kmers_ref, kmer_analysis,
-    merge_bubbles_and_remove_hair, prune_iteratively, traverse_contigs, BubbleParams,
-    KmerAnalysisParams, PruningParams, ThresholdPolicy, TraversalParams,
+    build_graph, clean_contigs, inject_contig_kmers_ref, kmer_analysis, kmer_analysis_from,
+    kmer_graph_from, merge_bubbles_and_remove_hair, prune_iteratively, traverse_contigs,
+    BubbleParams, KmerAnalysisParams, PruningParams, ThresholdPolicy, TraversalParams,
 };
 use dht::{bulk_merge, DistBloom, DistMap, FxHashMap};
 use kmers::{
@@ -495,7 +496,7 @@ fn bench_pipeline_stages(c: &mut Criterion) {
             )
         });
     }
-    // The contig traversal alone over a prebuilt counts table, so hot-loop
+    // The contig traversal alone over a prebuilt graph, so hot-loop
     // regressions in it show up without running the full pipeline. The set-up
     // holds rank 0's 4-rank contig set to the 1-rank one, requires the other
     // ranks to hold none, and checks that the traversal claims exactly the
@@ -509,8 +510,8 @@ fn bench_pipeline_stages(c: &mut Criterion) {
                     build_graph(ctx, &analysis.counts, ThresholdPolicy::metahipmer_default());
                 let set = traverse_contigs(ctx, &graph, 21, &TraversalParams::default());
                 graph.for_each_local(ctx, |kmer, v| {
-                    let eligible = v.left != Ext::Fork && v.right != Ext::Fork;
-                    assert_eq!(v.used, eligible, "{kmer}: claim differs from eligibility");
+                    let eligible = v.left() != Ext::Fork && v.right() != Ext::Fork;
+                    assert_eq!(v.used(), eligible, "{kmer}: claim differs from eligibility");
                 });
                 set
             })
@@ -538,18 +539,14 @@ fn bench_pipeline_stages(c: &mut Criterion) {
                 || {
                     team.run(|ctx| {
                         let range = ctx.block_range(reads.len());
-                        kmer_analysis(ctx, &reads[range], &params)
+                        let analysis = kmer_analysis(ctx, &reads[range], &params);
+                        build_graph(ctx, &analysis.counts, ThresholdPolicy::metahipmer_default())
                     })
                     .pop()
                     .unwrap()
                 },
-                |analysis| {
+                |graph| {
                     team.run(|ctx| {
-                        let graph = build_graph(
-                            ctx,
-                            &analysis.counts,
-                            ThresholdPolicy::metahipmer_default(),
-                        );
                         traverse_contigs(ctx, &graph, 21, &TraversalParams::default()).len()
                     })
                 },
@@ -614,6 +611,56 @@ fn bench_pipeline_stages(c: &mut Criterion) {
                 |prepared| team.run(|ctx| inject(ctx, &prepared)),
                 BatchSize::LargeInput,
             )
+        });
+    }
+    // The pipeline's k-mer stage at k = 43: the bench reads and a contig
+    // store counted together straight into the graph, at 4 ranks. The
+    // set-up holds the graph to the staged calls' (analysis, injection,
+    // then `build_graph`), vertex for vertex.
+    {
+        let params = KmerAnalysisParams {
+            k: 43,
+            ..Default::default()
+        };
+        let (weight, policy) = (params.min_count, ThresholdPolicy::metahipmer_default());
+        let stores = team.run(|ctx| dbg::ContigStore::build(ctx, &contigs, &Default::default()));
+        let graph = |staged: bool| {
+            let mut all: Vec<(Kmer, dbg::KmerVertex)> = team
+                .run(|ctx| {
+                    let mut source = &reads[ctx.block_range(reads.len())];
+                    let store = dbg::ContigsRef::Store(&stores[ctx.rank()]);
+                    let graph = if staged {
+                        let counts = kmer_analysis_from(ctx, &mut source, &params).counts;
+                        inject_contig_kmers_ref(ctx, &counts, store, params.k, weight);
+                        build_graph(ctx, &counts, policy)
+                    } else {
+                        kmer_graph_from(ctx, &mut source, Some(store), &params, weight, policy)
+                    };
+                    let mut mine = Vec::new();
+                    graph.for_each_local(ctx, |kmer, v| mine.push((*kmer, v)));
+                    mine
+                })
+                .into_iter()
+                .flatten()
+                .collect();
+            all.sort_by_key(|e| e.0);
+            all
+        };
+        let direct = graph(false);
+        assert!(!direct.is_empty(), "no k = 43 vertex");
+        assert!(
+            direct == graph(true),
+            "the k = 43 graph is not what analysis, injection and build_graph make"
+        );
+        let (reads, team) = (reads.clone(), Arc::clone(&team));
+        c.bench_function("dbg/kmer_graph_k43", move |b| {
+            b.iter(|| {
+                team.run(|ctx| {
+                    let mut source = &reads[ctx.block_range(reads.len())];
+                    let store = dbg::ContigsRef::Store(&stores[ctx.rank()]);
+                    kmer_graph_from(ctx, &mut source, Some(store), &params, weight, policy);
+                })
+            })
         });
     }
     let contig_store = team

@@ -291,25 +291,28 @@ const ONE_SIDED_STAGES: [&str; 3] = ["alignment", "local_assembly", "scaffolding
 /// cross-rank segments to rank 0, which splices them where the contigs land,
 /// and those of `alignment` and `scaffolding`, whose alignment rounds ship
 /// 16-byte seed index records and 24-byte lookup answers since a seed hit
-/// takes 8 bytes.
-const FLAT_STAGE_OFF_NODE: [(&str, u64, u64); 9] = [
+/// takes 8 bytes. `bubble_pruning`'s were re-derived once more when the
+/// graph came to answer its contig-end lookups with 8-byte vertices.
+/// `kmer_analysis` counts the previous contigs' k-mers in its own bins since
+/// the `kmer_merging` stage folded into it: its row is the sum of the two
+/// stages' rows, exact in bytes and an upper bound in messages.
+const FLAT_STAGE_OFF_NODE: [(&str, u64, u64); 8] = [
     ("read_ingestion", 0, 0),
-    ("kmer_analysis", 98, 10_750_518),
+    ("kmer_analysis", 146, 11_035_002),
     ("graph_traversal", 2_069, 3_102_384),
-    ("bubble_pruning", 682, 356_096),
+    ("bubble_pruning", 682, 340_492),
     ("alignment", 12_884, 27_299_512),
     ("local_assembly", 3_632, 584_776),
     ("read_localization", 6, 195_232),
-    ("kmer_merging", 48, 284_484),
     ("scaffolding", 10_032, 10_475_304),
 ];
 /// The flat path's off-node messages over the stages outside
 /// [`ONE_SIDED_STAGES`], whose every off-node message is routable.
 const FLAT_ROUTED_STAGES_OFF_NODE_MSGS: u64 = 2_903;
 /// The flat path's off-node bytes over every stage but `local_assembly`.
-const FLAT_DETERMINISTIC_OFF_NODE_BYTES: u64 = 52_463_530;
+const FLAT_DETERMINISTIC_OFF_NODE_BYTES: u64 = 52_447_926;
 /// The flat path's off-node `(messages, bytes)` over the whole run.
-const FLAT_RUN_OFF_NODE: (u64, u64) = (29_463, 53_070_066);
+const FLAT_RUN_OFF_NODE: (u64, u64) = (29_463, 53_054_462);
 
 /// `ablation_topology`: two-level (node-leader) exchange routing against the
 /// flat all-to-all's frozen numbers.

@@ -57,9 +57,8 @@ pub fn fig3_read_localization() {
 }
 
 /// The stages Figure 5 splits the runtime into.
-const FIG5_STAGES: [&str; 8] = [
+const FIG5_STAGES: [&str; 7] = [
     "kmer_analysis",
-    "kmer_merging",
     "graph_traversal",
     "bubble_pruning",
     "alignment",

@@ -8,8 +8,8 @@ use aligner::{
     align_reads_ref, build_seed_index_ref, localize_reads, AlignmentSet, ReadDistribution,
 };
 use dbg::{
-    build_graph, clean_contigs, inject_contig_kmers_ref, kmer_analysis_from, traverse_contigs,
-    ContigMeta, ContigSet, ContigStore, ContigsRef, ThresholdPolicy,
+    clean_contigs, kmer_graph_from, traverse_contigs, ContigMeta, ContigSet, ContigStore,
+    ContigsRef, ThresholdPolicy,
 };
 use pgas::{Ctx, RankFault, StatsSnapshot, Team};
 use readstore::{ReadStore, ReadsRef};
@@ -206,36 +206,29 @@ impl MetaHipMer {
         for (iter, &k) in k_values.iter().enumerate().skip(start_iter) {
             let my_read_ids: Vec<ReadId> = self.read_ids_of(ctx, library, &distribution);
 
-            // --- 1. k-mer analysis ------------------------------------------
+            // --- 1. k-mer analysis, merged with the previous contigs' k-mers --
             // The store streams this rank's *owned* packed blocks (zero read
-            // communication).
-            let analysis = timings.time(ctx, "kmer_analysis", || {
+            // communication); the previous iteration's contigs are cut where
+            // the contig store keeps them. Both are counted in the same bins,
+            // straight into the graph's reduced vertices.
+            let graph = timings.time(ctx, "kmer_analysis", || {
                 let mut source = reads.owned_reads(ctx);
-                kmer_analysis_from(ctx, &mut source, &cfg.analysis_params(k))
+                kmer_graph_from(
+                    ctx,
+                    &mut source,
+                    contigs.as_deref().map(ContigsRef::Store),
+                    &cfg.analysis_params(k),
+                    cfg.min_kmer_count,
+                    cfg.threshold,
+                )
             });
 
-            // --- 2. merge k-mers extracted from the previous iteration -------
-            // (an owner-local pass over the sharded contig store)
-            if let Some(prev) = &contigs {
-                timings.time(ctx, "kmer_merging", || {
-                    inject_contig_kmers_ref(
-                        ctx,
-                        &analysis.counts,
-                        ContigsRef::Store(prev),
-                        k,
-                        cfg.min_kmer_count,
-                    )
-                });
-            }
-
-            // --- 3. de Bruijn graph traversal --------------------------------
-            let (graph, traversed) = timings.time(ctx, "graph_traversal", || {
-                let graph = build_graph(ctx, &analysis.counts, cfg.threshold);
-                let set = traverse_contigs(ctx, &graph, k, &cfg.traversal_params());
-                (graph, set)
+            // --- 2. de Bruijn graph traversal --------------------------------
+            let traversed = timings.time(ctx, "graph_traversal", || {
+                traverse_contigs(ctx, &graph, k, &cfg.traversal_params())
             });
 
-            // --- 4. bubble merging / hair removal + iterative pruning --------
+            // --- 3. bubble merging / hair removal + iterative pruning --------
             // One pass over one contig adjacency, decided on rank 0, which
             // holds the traversed set. Rank 0 then sends every owner its
             // share of the distributed contig store: everything downstream
@@ -252,15 +245,15 @@ impl MetaHipMer {
                 };
                 ContigStore::build(ctx, &current, &cfg.contig_store_params())
             });
-            // Nothing reads the k-mer table after this stage.
-            drop((analysis, graph));
+            // Nothing reads the graph after this stage.
+            drop(graph);
 
-            // --- 5. read-to-contig alignment ----------------------------------
+            // --- 4. read-to-contig alignment ----------------------------------
             let alignments = timings.time(ctx, "alignment", || {
                 align(ctx, &reads, my_read_ids, &cleaned, &cfg.align)
             });
 
-            // --- 6. local assembly (mer-walking) -------------------------------
+            // --- 5. local assembly (mer-walking) -------------------------------
             let is_last = iter + 1 == k_values.len();
             let extended = if cfg.local_assembly {
                 let (set, work) = timings.time(ctx, "local_assembly", || {
@@ -282,7 +275,7 @@ impl MetaHipMer {
                 cleaned
             };
 
-            // --- 7. read localisation for the next iteration -------------------
+            // --- 6. read localisation for the next iteration -------------------
             if cfg.read_localization && !is_last {
                 distribution = timings.time(ctx, "read_localization", || {
                     localize_reads(ctx, num_pairs, &alignments.alignments, library.paired)
@@ -295,7 +288,7 @@ impl MetaHipMer {
             }
             contigs = Some(extended);
 
-            // --- 8. checkpoint at the k-iteration boundary ---------------------
+            // --- 7. checkpoint at the k-iteration boundary ---------------------
             // Everything the next iteration consumes is on disk after this:
             // a kill any time later loses at most the current iteration.
             if !is_last {
@@ -711,9 +704,10 @@ mod tests {
     /// collective traffic; traversal stitching is one gather of the
     /// cross-rank segments to rank 0; rank 0 cleans the traversed set it
     /// holds, with no gather of contig ends, and sends each store owner its
-    /// share; alignment ships 8-byte seed hits); the messages stay an upper
+    /// share; alignment ships 8-byte seed hits; the contig-end lookups are
+    /// answered with 8-byte graph vertices); the messages stay an upper
     /// bound.
-    const FLAT_OFF_NODE: (u64, u64) = (758, 1_516_720);
+    const FLAT_OFF_NODE: (u64, u64) = (758, 1_516_532);
 
     #[test]
     fn node_leader_routing_does_not_change_the_assembly() {

@@ -53,8 +53,24 @@
 //! [`kmers::kmers_with_exts_iter`] filtered at `min_count` gives, for every
 //! `min_count >= 1`, at any rank count and whatever the number of bins — the
 //! `supermer_equivalence` test holds it to that.
+//!
+//! **Counting straight into the graph.** The pipeline does not keep that
+//! table. [`kmer_graph_from`] ships the previous iteration's contigs
+//! ([`crate::merge`], §II-H) next to the reads, so a bin holds every
+//! observation of its k-mers from both, and drains each bin into the de
+//! Bruijn graph ([`crate::graph`]): a k-mer's read counts if they reach ε,
+//! plus its weighted contig windows, reduced once under the threshold policy
+//! and stored as an 8-byte vertex. A full 36-byte [`KmerCounts`] lives only
+//! in the bin's scratch, so the table the k = 21 count fills is a third of
+//! what [`kmer_analysis_from`]'s would be. That entry, and
+//! [`crate::inject_contig_kmers_ref`] and [`crate::build_graph`] after it,
+//! remain for callers that drive the three steps apart; they build the same
+//! graph.
 
-use crate::table::{with_keys, KmerCountsMap, KmerTable};
+use crate::graph::{KmerGraph, KmerVertex, ThresholdPolicy};
+use crate::merge::ship_contig_supermers;
+use crate::store::ContigsRef;
+use crate::table::{with_keys, KmerCountsMap, KmerTable, VertexTable};
 use dht::{DistMap, FxHashMap};
 use kmers::minimizer::{
     cut_supermers, encode_packed_supermer, expand_supermer_keys, minimizer_shard, minimizer_tag,
@@ -64,11 +80,13 @@ use kmers::{KmerCounts, KmerKey};
 use pgas::{BlobAggregator, Counter, Ctx};
 use seqio::{PackedReadView, Read, ReadSource};
 use std::ops::Range;
+use std::sync::Arc;
 
-/// K-mer observations one counting bin is sized for. A bin's distinct k-mers
-/// are at most its observations, so the scratch table of a typical bin holds
-/// a few thousand 48- to 80-byte entries (the key as wide as k needs, see
-/// [`crate::table`]) — inside the L2 cache, where the one
+/// K-mer observations one counting bin is sized for (read and contig windows
+/// alike). A bin's distinct k-mers are at most its observations, so the
+/// scratch table of a typical bin holds a few thousand 48- to 80-byte
+/// entries (the key as wide as k needs, see [`crate::table`]) — inside the
+/// L2 cache, where the one
 /// table all observations used to probe was DRAM-bound. The bin count follows
 /// from the received volume, up to [`TAGS`]. Run time measured within noise
 /// of this from a quarter to sixteen times the value; one bin for everything
@@ -200,12 +218,7 @@ pub fn kmer_analysis_from(
     source: &mut dyn ReadSource,
     params: &KmerAnalysisParams,
 ) -> KmerAnalysis {
-    assert!(params.k >= 3, "k must be at least 3");
-    assert!(
-        params.k % 2 == 1,
-        "k must be odd so canonical k-mers are unambiguous"
-    );
-    assert!(params.min_count >= 1);
+    check_params(params);
     let k = params.k;
     let m = params.effective_minimizer_len();
     let ranks = ctx.ranks();
@@ -219,10 +232,71 @@ pub fn kmer_analysis_from(
         params.hq_threshold,
         params.batch,
     );
-    with_keys!(counts, map => count_binned(ctx, &filed, map, params, BIN_OBSERVATIONS));
+    with_keys!(counts, map => {
+        count_binned(ctx, &filed, None, map, params, BIN_OBSERVATIONS, |c| *c)
+    });
     ctx.barrier();
 
     KmerAnalysis { counts }
+}
+
+/// Counts this rank's reads and, from the second k on, the previous
+/// iteration's contigs straight into the de Bruijn graph: the pipeline's
+/// k-mer stage. Collective: every rank calls with its own source.
+///
+/// The reads' supermers and the contigs' ([`crate::merge`]) are filed in the
+/// same minimizer bins, so a bin holds every observation of its k-mers from
+/// both. Draining a bin decides each k-mer as [`kmer_analysis_from`], then
+/// [`crate::inject_contig_kmers_ref`] at `weight`, then [`crate::build_graph`]
+/// under `policy` would: its read counts if they reach `params.min_count`,
+/// plus `weight` observations per contig window; a k-mer with neither part
+/// is dropped, and the rest are reduced once and stored as 8-byte
+/// [`KmerVertex`]es. No [`kmers::KmerCounts`] outlives its bin. The counters
+/// are the staged calls': `kmer_observations` counts read windows,
+/// `kmer_table_inserts` the k-mers whose read counts reach ε, and
+/// `supermer_bytes` both shipments.
+pub fn kmer_graph_from(
+    ctx: &Ctx,
+    source: &mut dyn ReadSource,
+    contigs: Option<ContigsRef<'_>>,
+    params: &KmerAnalysisParams,
+    weight: u32,
+    policy: ThresholdPolicy,
+) -> KmerGraph {
+    check_params(params);
+    assert!(weight >= 1);
+    let (k, m) = (params.k, params.effective_minimizer_len());
+    let vertices: Arc<VertexTable> = ctx.share(|| KmerTable::new(ctx.ranks(), k, m));
+    let reads = ship_supermers(
+        ctx,
+        |each| source.for_each_read(each),
+        k,
+        m,
+        params.hq_threshold,
+        params.batch,
+    );
+    let contigs = contigs.map(|contigs| ship_contig_supermers(ctx, contigs, k, m));
+    let contigs = contigs.as_ref().map(|filed| (filed, weight));
+    with_keys!(vertices, map => count_binned(
+        ctx,
+        &reads,
+        contigs,
+        map,
+        params,
+        BIN_OBSERVATIONS,
+        |c| KmerVertex::reduced(c, policy),
+    ));
+    ctx.barrier();
+    KmerGraph { vertices }
+}
+
+fn check_params(params: &KmerAnalysisParams) {
+    assert!(params.k >= 3, "k must be at least 3");
+    assert!(
+        params.k % 2 == 1,
+        "k must be odd so canonical k-mers are unambiguous"
+    );
+    assert!(params.min_count >= 1);
 }
 
 /// The send side of both supermer stages, k-mer analysis and contig k-mer
@@ -286,24 +360,30 @@ fn tag_bin(tag: u8, bins: usize) -> usize {
     (tag as usize * bins) / TAGS
 }
 
-/// The receive side: counts the records `filed` holds (everything this rank
-/// counts) one minimizer bin at a time, and inserts the k-mers that reach
-/// `params.min_count` into this rank's shard of `counts`. The number of bins
-/// is the filed volume over `bin_observations`, capped at [`TAGS`]; the table
-/// does not depend on it. The scratch is keyed like the table, so the two
-/// share one key hash and a bin's survivors drain into the table in its own
-/// bucket order, through one view of the shard held for every bin.
-fn count_binned<K: KmerKey>(
+/// The receive side: counts the read records `reads` holds (everything this
+/// rank counts) one minimizer bin at a time, and stores `store` of every
+/// k-mer that reaches `params.min_count` in this rank's shard of `table`.
+/// With `contigs`, the contig records of the bin's tags then add `weight`
+/// observations per window to the survivors, and contig-only k-mers enter
+/// too. The number of bins is the filed volume over `bin_observations`,
+/// capped at [`TAGS`]; the table does not depend on it. The scratch is keyed
+/// like the table, so the two share one key hash and a bin's survivors drain
+/// into the table in its own bucket order, through one view of the shard
+/// held for every bin.
+fn count_binned<K: KmerKey, V: Send + Sync + 'static>(
     ctx: &Ctx,
-    filed: &TagRuns,
-    counts: &DistMap<K, KmerCounts>,
+    reads: &TagRuns,
+    contigs: Option<(&TagRuns, u32)>,
+    table: &DistMap<K, V>,
     params: &KmerAnalysisParams,
     bin_observations: usize,
+    store: impl Fn(&KmerCounts) -> V,
 ) {
-    let k = params.k;
-    let bins = filed.observations.div_ceil(bin_observations).clamp(1, TAGS);
+    let (k, min_count) = (params.k, params.min_count);
+    let filed = reads.observations + contigs.map_or(0, |(c, _)| c.observations);
+    let bins = filed.div_ceil(bin_observations).clamp(1, TAGS);
     let mut scratch: FxHashMap<K, KmerCounts> = FxHashMap::default();
-    let mut shard = counts.local_view(ctx);
+    let mut shard = table.local_view(ctx);
     let mut first_tag = 0;
     for bin in 0..bins {
         // Bins are runs of consecutive tags.
@@ -311,7 +391,7 @@ fn count_binned<K: KmerKey>(
             .find(|&tag| tag_bin(tag as u8, bins) > bin)
             .unwrap_or(TAGS);
         let mut observed = 0u64;
-        for record in filed.records(first_tag..end_tag) {
+        for record in reads.records(first_tag..end_tag) {
             // Pinned into the window loop of `expand_supermer_keys` (itself always
             // inlined): left to the optimiser, whether it is inlined there
             // turns on unrelated code, and is worth ~20% of the analysis.
@@ -320,20 +400,35 @@ fn count_binned<K: KmerKey>(
                 k,
                 #[inline(always)]
                 |key, exts| {
-                    debug_assert_eq!(counts.owner_of(&key), ctx.rank(), "misrouted supermer");
+                    debug_assert_eq!(table.owner_of(&key), ctx.rank(), "misrouted supermer");
                     observed += 1;
                     scratch.entry(key).or_default().observe(exts);
                 },
             );
         }
-        // The bin's counts are final: its survivors enter the table, the
-        // rest never do.
+        // The bin's read counts are final: their survivors enter the table,
+        // the rest never do (unless a contig holds them).
         let mut inserted = 0u64;
-        for (key, tally) in scratch.drain() {
-            if tally.count >= params.min_count {
-                let previous = shard.insert(key, tally);
+        if let Some((contigs, weight)) = contigs {
+            scratch.retain(|_, tally| tally.count >= min_count);
+            inserted = scratch.len() as u64;
+            for record in contigs.records(first_tag..end_tag) {
+                expand_supermer_keys::<K>(&record, k, |key, exts| {
+                    debug_assert_eq!(table.owner_of(&key), ctx.rank(), "misrouted supermer");
+                    scratch.entry(key).or_default().observe_n(exts, weight);
+                });
+            }
+            for (key, tally) in scratch.drain() {
+                let previous = shard.insert(key, store(&tally));
                 debug_assert!(previous.is_none(), "one k-mer counted in two bins");
-                inserted += 1;
+            }
+        } else {
+            for (key, tally) in scratch.drain() {
+                if tally.count >= min_count {
+                    let previous = shard.insert(key, store(&tally));
+                    debug_assert!(previous.is_none(), "one k-mer counted in two bins");
+                    inserted += 1;
+                }
             }
         }
         ctx.record(Counter::kmer_observations, observed);
@@ -685,7 +780,7 @@ mod tests {
                 let tables: Vec<_> = [&filed, &blob_path]
                     .map(|runs| {
                         let counts = ctx.share(|| KmerTable::new(ranks, k, m));
-                        with_keys!(counts, map => count_binned(ctx, runs, map, &params, 50));
+                        with_keys!(counts, map => count_binned(ctx, runs, None, map, &params, 50, |c| *c));
                         ctx.barrier();
                         let mut entries = counts.local_entries(ctx);
                         entries.sort_by_key(|e| e.0);
@@ -755,7 +850,7 @@ mod tests {
             for bin_observations in [1, 50, 1000, usize::MAX] {
                 let counts = KmerTable::new(1, params.k, 7);
                 with_keys!(counts, map => {
-                    count_binned(ctx, &filed, map, &params, bin_observations)
+                    count_binned(ctx, &filed, None, map, &params, bin_observations, |c| *c)
                 });
                 let mut got = counts.local_entries(ctx);
                 got.sort_by_key(|e| e.0);
@@ -781,12 +876,12 @@ mod tests {
             Team::single_node(1).run(|ctx| {
                 let table = KmerTable::new(1, k, m);
                 with_keys!(table, map => {
-                    count_binned(ctx, &filed, map, &params, BIN_OBSERVATIONS)
+                    count_binned(ctx, &filed, None, map, &params, BIN_OBSERVATIONS, |c| *c)
                 });
                 let mut got = table.local_entries(ctx);
                 got.sort_by_key(|e| e.0);
                 let wide: DistMap<Kmer, KmerCounts> = DistMap::new(1);
-                count_binned(ctx, &filed, &wide, &params, BIN_OBSERVATIONS);
+                count_binned(ctx, &filed, None, &wide, &params, BIN_OBSERVATIONS, |c| *c);
                 let mut by_kmer = wide.local_entries(ctx);
                 by_kmer.sort_by_key(|e| e.0);
                 assert_eq!(by_kmer, expect, "k = {k}, Kmer keys");

@@ -3,14 +3,20 @@
 //! Vertices are canonical k-mers; edges are implicit in the per-side extension
 //! codes, exactly as in the UPC implementation ("a two-letter code
 //! `[ACGT][ACGT]` that indicates the unique bases that immediately precede and
-//! follow the k-mer"). As in the paper, the graph is the k-mer counts table
-//! itself, read through a [`ThresholdPolicy`]. The difference between HipMer
-//! and MetaHipMer lives in the policy: HipMer applies one global limit on
-//! contradicting extensions, MetaHipMer scales the limit with the k-mer's
-//! depth so that both very-high-coverage and very-low-coverage organisms
-//! keep their unique extensions.
+//! follow the k-mer"). As in the paper, a vertex keeps only that code, its
+//! depth and the traversal's claim: a [`KmerVertex`] is 8 bytes, so a graph
+//! entry takes 16 bytes at k ≤ 32 and 24 at k ≤ 64 ([`crate::table`]).
+//!
+//! The pipeline counts straight into the graph ([`crate::kmer_graph_from`]):
+//! each k-mer's extension counts are reduced once, when its counting bin is
+//! drained, and never stored. [`build_graph`] reduces a whole counts table
+//! the same way, for callers that hold one. The difference between HipMer
+//! and MetaHipMer lives in the reduction's [`ThresholdPolicy`]: HipMer
+//! applies one global limit on contradicting extensions, MetaHipMer scales
+//! the limit with the k-mer's depth so that both very-high-coverage and
+//! very-low-coverage organisms keep their unique extensions.
 
-use crate::table::KmerCountsMap;
+use crate::table::{KmerCountsMap, VertexTable};
 use kmers::{Ext, Kmer, KmerCounts};
 use pgas::Ctx;
 use std::sync::Arc;
@@ -51,53 +57,115 @@ impl ThresholdPolicy {
     }
 }
 
-/// A de Bruijn graph vertex as readers see it: depth, reduced extensions,
-/// and the traversal claim flag (`used`).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// A reduced extension in one byte is a base's 2-bit code, `FORK` or `NONE`.
+const FORK: u8 = 4;
+const NONE: u8 = 5;
+
+fn ext_code(e: Ext) -> u8 {
+    match e {
+        Ext::Base(c) => c,
+        Ext::Fork => FORK,
+        Ext::None => NONE,
+    }
+}
+
+fn ext_of(code: u8) -> Ext {
+    match code {
+        FORK => Ext::Fork,
+        NONE => Ext::None,
+        c => Ext::Base(c),
+    }
+}
+
+/// A de Bruijn graph vertex as the graph stores it: the k-mer's depth, its
+/// reduced extension on each side, and the traversal's claim, in 8 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KmerVertex {
-    pub count: u32,
-    pub left: Ext,
-    pub right: Ext,
-    /// Set by the traversal when the vertex has been claimed into a contig.
-    pub used: bool,
+    count: u32,
+    left: u8,
+    right: u8,
+    used: bool,
 }
 
-/// The distributed de Bruijn graph: a view of the k-mer counts table that
-/// reduces an entry's extension counts under the policy when its vertex is
-/// read. The traversal's claims live in the entries ([`KmerCounts::used`]).
-pub struct KmerGraph {
-    pub(crate) counts: KmerCountsMap,
-    pub(crate) policy: ThresholdPolicy,
-}
-
-impl KmerGraph {
-    /// The vertex a counts entry reduces to under the graph's policy.
+impl KmerVertex {
+    /// The unclaimed vertex a k-mer's counts reduce to under `policy`.
     #[inline]
-    pub(crate) fn vertex(&self, c: &KmerCounts) -> KmerVertex {
-        let budget = self.policy.max_contradictions(c.count);
+    pub(crate) fn reduced(c: &KmerCounts, policy: ThresholdPolicy) -> Self {
+        let budget = policy.max_contradictions(c.count);
         KmerVertex {
             count: c.count,
-            left: c.left.reduce(budget),
-            right: c.right.reduce(budget),
-            used: c.used,
+            left: ext_code(c.left.reduce(budget)),
+            right: ext_code(c.right.reduce(budget)),
+            used: false,
         }
     }
 
-    /// Visits every vertex owned by the calling rank, under the caveat of
-    /// [`dht::DistMap::for_each_local`].
-    pub fn for_each_local(&self, ctx: &Ctx, mut f: impl FnMut(&Kmer, KmerVertex)) {
-        self.counts
-            .for_each_local(ctx, |kmer, c| f(kmer, self.vertex(c)));
+    /// The k-mer's depth: its occurrences in the reads, plus the weighted
+    /// windows of the previous iteration's contigs.
+    #[inline]
+    pub fn count(&self) -> u32 {
+        self.count
+    }
+
+    /// The reduced left extension, in canonical orientation.
+    #[inline]
+    pub fn left(&self) -> Ext {
+        ext_of(self.left)
+    }
+
+    /// The reduced right extension, in canonical orientation.
+    #[inline]
+    pub fn right(&self) -> Ext {
+        ext_of(self.right)
+    }
+
+    /// True once the traversal has claimed the vertex into a contig.
+    #[inline]
+    pub fn used(&self) -> bool {
+        self.used
+    }
+
+    /// Claims the vertex into a contig.
+    #[inline]
+    pub(crate) fn claim(&mut self) {
+        self.used = true;
+    }
+
+    /// The left and right extensions seen from the walk orientation: as
+    /// stored, or, if the walk reads the reverse complement, swapped and
+    /// complemented.
+    #[inline]
+    pub(crate) fn exts_oriented(&self, was_rc: bool) -> (Ext, Ext) {
+        if was_rc {
+            (flip_ext(self.right()), flip_ext(self.left()))
+        } else {
+            (self.left(), self.right())
+        }
     }
 }
 
-/// The de Bruijn graph of a k-mer counts table under the given threshold
-/// policy: a view sharing the table, so nothing is inserted, copied or sent.
-/// Traversal claims vertices in the table's entries, so traverse it once.
-pub fn build_graph(_ctx: &Ctx, counts: &KmerCountsMap, policy: ThresholdPolicy) -> KmerGraph {
+/// The distributed de Bruijn graph: one table of reduced vertices, which the
+/// traversal claims in place. Traverse it once.
+pub struct KmerGraph {
+    pub(crate) vertices: Arc<VertexTable>,
+}
+
+impl KmerGraph {
+    /// Visits every vertex owned by the calling rank, under the caveat of
+    /// [`dht::DistMap::for_each_local`].
+    pub fn for_each_local(&self, ctx: &Ctx, mut f: impl FnMut(&Kmer, KmerVertex)) {
+        self.vertices.for_each_local(ctx, |kmer, v| f(kmer, *v));
+    }
+}
+
+/// The de Bruijn graph of a full k-mer counts table under the given
+/// threshold policy: every rank reduces each entry it owns, in one pass over
+/// its shard, into a vertex table shaped like `counts`. Collective; no
+/// traffic. The pipeline counts straight into the graph
+/// ([`crate::kmer_graph_from`]) instead, which stores the same vertices.
+pub fn build_graph(ctx: &Ctx, counts: &KmerCountsMap, policy: ThresholdPolicy) -> KmerGraph {
     KmerGraph {
-        counts: Arc::clone(counts),
-        policy,
+        vertices: counts.map(ctx, |c| KmerVertex::reduced(c, policy)),
     }
 }
 
@@ -118,9 +186,7 @@ pub fn lookup_oriented_many(
 ) -> Vec<Option<OrientedVertex>> {
     let canon: Vec<(Kmer, bool)> = kmers.iter().map(|k| k.canonical()).collect();
     let keys: Vec<Kmer> = canon.iter().map(|&(c, _)| c).collect();
-    let fetched = graph
-        .counts
-        .get_many_with(ctx, &keys, batch, |c| graph.vertex(c));
+    let fetched = graph.vertices.get_many_with(ctx, &keys, batch, |v| *v);
     fetched
         .into_iter()
         .zip(canon)
@@ -146,14 +212,10 @@ pub(crate) fn flip_ext(e: Ext) -> Ext {
 }
 
 pub(crate) fn orient(v: KmerVertex, canonical: Kmer, was_rc: bool) -> OrientedVertex {
-    let (left, right) = if was_rc {
-        (flip_ext(v.right), flip_ext(v.left))
-    } else {
-        (v.left, v.right)
-    };
+    let (left, right) = v.exts_oriented(was_rc);
     OrientedVertex {
         canonical,
-        count: v.count,
+        count: v.count(),
         left,
         right,
     }
@@ -168,8 +230,8 @@ pub(crate) fn orient(v: KmerVertex, canonical: Kmer, was_rc: bool) -> OrientedVe
 #[cfg(test)]
 pub(crate) fn lookup_oriented(ctx: &Ctx, graph: &KmerGraph, kmer: &Kmer) -> Option<OrientedVertex> {
     let (canon, was_rc) = kmer.canonical();
-    let c = graph.counts.get_cloned(ctx, &canon)?;
-    Some(orient(graph.vertex(&c), canon, was_rc))
+    let v = graph.vertices.get_cloned(ctx, &canon)?;
+    Some(orient(v, canon, was_rc))
 }
 
 #[cfg(test)]
@@ -178,6 +240,50 @@ mod tests {
     use crate::analysis::{kmer_analysis, KmerAnalysisParams};
     use pgas::Team;
     use seqio::Read;
+
+    /// A vertex is the paper's two-letter code plus depth and claim: a
+    /// field added here grows every graph entry.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_vertex_takes_eight_bytes() {
+        use kmers::{Kmer32, Kmer64};
+        use std::mem::size_of;
+        assert_eq!(size_of::<KmerVertex>(), 8);
+        assert_eq!(size_of::<Option<KmerVertex>>(), 8);
+        assert_eq!(size_of::<(Kmer32, KmerVertex)>(), 16);
+        assert_eq!(size_of::<(Kmer64, KmerVertex)>(), 24);
+        assert_eq!(size_of::<(Kmer, KmerVertex)>(), 48);
+    }
+
+    #[test]
+    fn a_vertex_keeps_what_its_counts_reduce_to() {
+        let policy = ThresholdPolicy::Global { thq: 1 };
+        let sides = [
+            [0, 0, 0, 0],
+            [0, 0, 5, 0],
+            [3, 0, 0, 1],
+            [2, 2, 0, 0],
+            [0, 9, 1, 0],
+        ];
+        for left in sides {
+            for right in sides {
+                let c = KmerCounts {
+                    count: 11,
+                    left: kmers::ExtCounts { hq: left },
+                    right: kmers::ExtCounts { hq: right },
+                };
+                let mut v = KmerVertex::reduced(&c, policy);
+                assert_eq!((v.count(), v.used()), (11, false));
+                assert_eq!(v.left(), c.left.reduce(1), "{left:?}");
+                assert_eq!(v.right(), c.right.reduce(1), "{right:?}");
+                let (l, r) = v.exts_oriented(true);
+                assert_eq!((l, r), (flip_ext(v.right()), flip_ext(v.left())));
+                v.claim();
+                assert!(v.used());
+                assert_eq!((v.left(), v.right()), (c.left.reduce(1), c.right.reduce(1)));
+            }
+        }
+    }
 
     #[test]
     fn threshold_policies() {
@@ -214,7 +320,7 @@ mod tests {
             let mut total = 0usize;
             graph.for_each_local(ctx, |_, v| {
                 total += 1;
-                if v.left.is_extendable() && v.right.is_extendable() {
+                if v.left().is_extendable() && v.right().is_extendable() {
                     uu += 1;
                 }
             });

@@ -4,13 +4,14 @@
 //! generation (Figure 1 of the paper):
 //!
 //! 1. [`analysis`] — **k-mer analysis**: exact counting, one in-cache
-//!    minimizer bin at a time, into one minimizer-partitioned table that
-//!    singleton (mostly erroneous) k-mers below the ε cut never enter, with
-//!    high-quality extension counting (§II-B); the table ([`table`]) is keyed
-//!    by one word up to k = 32, two up to k = 64, a whole k-mer beyond;
-//! 2. [`graph`] — the **distributed de Bruijn graph**: the counts table read
-//!    through a view that reduces extension counts to `[ACGT]/F/X` codes under
-//!    either the HipMer global threshold or the MetaHipMer depth-dependent
+//!    minimizer bin at a time, with high-quality extension counting (§II-B),
+//!    straight into the graph: singleton (mostly erroneous) k-mers below the
+//!    ε cut never enter it, and each survivor is stored reduced. The
+//!    minimizer-partitioned tables ([`table`]) are keyed by one word up to
+//!    k = 32, two up to k = 64, a whole k-mer beyond;
+//! 2. [`graph`] — the **distributed de Bruijn graph**: one 8-byte vertex per
+//!    k-mer, its extension counts reduced to `[ACGT]/F/X` codes under either
+//!    the HipMer global threshold or the MetaHipMer depth-dependent
 //!    threshold `thq = max(t_base, e·d)` (§II-C);
 //! 3. [`traversal`] — the **parallel contig traversal**: owner-local segment
 //!    compaction, then one gather of the cross-rank segments, stitched on
@@ -22,8 +23,8 @@
 //!    contig adjacency, decided on rank 0, which holds the traversed set;
 //! 6. [`merge`] — **k-mer set merging** across iterations: the previous
 //!    iteration's contigs are cut into (k+s)-mer supermers, shipped through
-//!    k-mer analysis's send loop and merged into the next iteration's k-mer
-//!    set as confident k-mers after its ε cut (§II-H).
+//!    k-mer analysis's send loop and counted in its bins as confident k-mers,
+//!    after the reads' ε cut (§II-H).
 //!
 //! The shared [`types::Contig`] / [`types::ContigSet`] types produced here are
 //! consumed by the aligner, the scaffolder and the evaluation crates.
@@ -41,7 +42,8 @@ pub mod traversal;
 pub mod types;
 
 pub use analysis::{
-    kmer_analysis, kmer_analysis_from, KmerAnalysis, KmerAnalysisParams, SUPERMER_BATCH_UNIT,
+    kmer_analysis, kmer_analysis_from, kmer_graph_from, KmerAnalysis, KmerAnalysisParams,
+    SUPERMER_BATCH_UNIT,
 };
 pub use bubble::{merge_bubbles_and_remove_hair, BubbleParams, BubbleReport};
 pub use contig_graph::{clean_contigs, CleanReport, ContigAdjacency};

@@ -7,9 +7,15 @@
 //! new k-mer set as error-free, high-quality-extension k-mers. Injection uses
 //! the same aggregated update-only phase as k-mer analysis: the contigs are
 //! cut into 2-bit supermers and shipped by minimizer through analysis's send
-//! loop, so every injected k-mer arrives at the rank that owns it in the
-//! counts table, and duplicates (k-mers present in both sets) simply merge
-//! their counts there.
+//! loop (`ship_contig_supermers`), so every injected k-mer arrives at the
+//! rank that owns it in the k-mer table.
+//!
+//! The pipeline merges while it counts: [`crate::kmer_graph_from`] ships the
+//! contigs' supermers next to the reads' and counts both in the same
+//! minimizer bins, so a k-mer's contig windows join its read count (when
+//! that reached ε) before the bin is reduced into the graph.
+//! [`inject_contig_kmers_ref`] merges into a full counts table after the
+//! fact, for callers that hold one; the two give the same vertices.
 
 use crate::analysis::{ship_supermers, TagRuns, TAGS};
 use crate::store::ContigsRef;
@@ -51,17 +57,29 @@ pub fn inject_contig_kmers_ref(
 ) -> usize {
     assert!(weight >= 1);
     assert_eq!(counts.k(), new_k, "the counts table holds another k");
-    let m = counts.minimizer_len();
+    let filed = ship_contig_supermers(ctx, contigs, new_k, counts.minimizer_len());
+    let injected = with_keys!(counts, map => merge_windows(ctx, map, &filed, new_k, weight));
+    ctx.barrier();
+    ctx.allreduce_sum_u64(injected as u64) as usize
+}
+
+/// The send side of injection, shared with [`crate::kmer_graph_from`]:
+/// every rank cuts the contigs it owns in the store into supermers of
+/// `k`-mers under minimizer length `m`, every base high quality, and files
+/// them on their owners. Returns this rank's runs. Collective.
+pub(crate) fn ship_contig_supermers(
+    ctx: &Ctx,
+    contigs: ContigsRef<'_>,
+    k: usize,
+    m: usize,
+) -> TagRuns {
     let ContigsRef::Store(store) = contigs;
     let for_each_contig = |each: &mut dyn FnMut(PackedReadView<'_>)| {
         store
             .map()
             .for_each_local(ctx, |_, packed| each(packed.view()))
     };
-    let filed = ship_supermers(ctx, for_each_contig, new_k, m, 0, 4096);
-    let injected = with_keys!(counts, map => merge_windows(ctx, map, &filed, new_k, weight));
-    ctx.barrier();
-    ctx.allreduce_sum_u64(injected as u64) as usize
+    ship_supermers(ctx, for_each_contig, k, m, 0, 4096)
 }
 
 /// The receive side of injection: expands the supermer records `filed`
@@ -90,8 +108,8 @@ fn merge_windows<K: KmerKey>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{kmer_analysis, KmerAnalysisParams};
-    use crate::graph::{build_graph, ThresholdPolicy};
+    use crate::analysis::{kmer_analysis, kmer_analysis_from, kmer_graph_from, KmerAnalysisParams};
+    use crate::graph::{build_graph, KmerGraph, KmerVertex, ThresholdPolicy};
     use crate::store::ContigStore;
     use crate::table::KmerTable;
     use crate::traversal::{traverse_contigs, TraversalParams};
@@ -323,6 +341,140 @@ mod tests {
         for ranks in 1..=4 {
             let weight = 1 + ranks as u32 % 3;
             check_injection(&seqs, &[], &params, weight, ranks);
+        }
+    }
+
+    /// Every vertex of `graph` this rank owns, sorted.
+    fn vertices_of(ctx: &Ctx, graph: &KmerGraph) -> Vec<(Kmer, KmerVertex)> {
+        let mut out = graph.vertices.local_entries(ctx);
+        out.sort_by_key(|e| e.0);
+        out
+    }
+
+    /// The whole graph of a `ranks`-rank team, sorted, and the team's
+    /// counters: counted straight into the graph, or through the staged
+    /// calls (analysis, injection, `build_graph`).
+    fn team_graph(
+        reads: &[Read],
+        contigs: &ContigSet,
+        params: &KmerAnalysisParams,
+        weight: u32,
+        ranks: usize,
+        staged: bool,
+    ) -> (Vec<(Kmer, KmerVertex)>, pgas::StatsSnapshot) {
+        let policy = ThresholdPolicy::metahipmer_default();
+        let team = Team::single_node(ranks);
+        let stores = team.run(|ctx| ContigStore::build(ctx, contigs, &Default::default()));
+        let before = team.stats_total();
+        let mut all: Vec<_> = team
+            .run(|ctx| {
+                let mut source = &reads[ctx.block_range(reads.len())];
+                let store = ContigsRef::Store(&stores[ctx.rank()]);
+                let graph = if staged {
+                    let counts = kmer_analysis_from(ctx, &mut source, params).counts;
+                    inject_contig_kmers_ref(ctx, &counts, store, params.k, weight);
+                    build_graph(ctx, &counts, policy)
+                } else {
+                    kmer_graph_from(ctx, &mut source, Some(store), params, weight, policy)
+                };
+                vertices_of(ctx, &graph)
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        all.sort_by_key(|e| e.0);
+        (all, team.stats_total().delta_from(&before))
+    }
+
+    #[test]
+    fn counting_into_the_graph_equals_analysis_then_injection_then_reduction() {
+        let genome = random_bases(2_400, 43);
+        // Reads off the first 1,600 bases at uneven depth (a stretch read
+        // once, so its k-mers sit below ε), on both strands, with errors and
+        // low-quality bases; contigs over both ends of the read-covered
+        // stretch and beyond it (contig-only k-mers), on both strands, one
+        // with an N.
+        let mut state = 7u64;
+        let mut next = |n: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % n
+        };
+        let mut reads = Vec::new();
+        for i in 0..70 {
+            let start = if i % 10 == 0 { 1_300 } else { next(1_200) };
+            let mut seq = genome[start..start + 100].to_vec();
+            if i % 6 == 1 {
+                let at = next(100);
+                seq[at] = if seq[at] == b'A' { b'C' } else { b'A' };
+            }
+            if i % 2 == 1 {
+                seq = seqio::alphabet::revcomp(&seq);
+            }
+            let qual: Vec<u8> = (0..seq.len())
+                .map(|j| if j % 17 == 3 { 10 } else { 35 })
+                .collect();
+            reads.push(Read::new(format!("r{i}"), &seq, &qual));
+        }
+        let mut with_n = genome[600..900].to_vec();
+        with_n[150] = b'N';
+        let seqs = vec![
+            genome[1_250..2_100].to_vec(),
+            seqio::alphabet::revcomp(&genome[100..500]),
+            with_n,
+            genome[2_200..2_400].to_vec(),
+        ];
+        for k in [21, 33, 65] {
+            let contigs =
+                ContigSet::from_sequences(k, seqs.iter().map(|s| (s.clone(), 1.0)).collect());
+            // Contig windows without a read observation, and with fewer
+            // than ε (2 or 3).
+            let mut read_counts: FxHashMap<Kmer, u32> = FxHashMap::default();
+            for read in &reads {
+                for obs in kmers_with_exts_iter(&read.seq, &read.qual, k, 20) {
+                    *read_counts.entry(obs.kmer).or_default() += 1;
+                }
+            }
+            let (mut contig_only, mut thin) = (0, [0; 4]);
+            for seq in &seqs {
+                for obs in kmers_with_exts_iter(seq, &[], k, 0) {
+                    match read_counts.get(&obs.kmer) {
+                        None => contig_only += 1,
+                        Some(&n) if n < 3 => thin[n as usize] += 1,
+                        Some(_) => {}
+                    }
+                }
+            }
+            assert!(
+                contig_only > 0 && thin[1] > 0 && thin[2] > 0,
+                "k = {k}: {thin:?}"
+            );
+            for min_count in 1..=3 {
+                let params = KmerAnalysisParams {
+                    k,
+                    min_count,
+                    ..Default::default()
+                };
+                for weight in 1..=3 {
+                    for ranks in 1..=4 {
+                        let what =
+                            format!("k = {k}, ε = {min_count}, weight {weight}, {ranks} ranks");
+                        let (want, staged) =
+                            team_graph(&reads, &contigs, &params, weight, ranks, true);
+                        let (got, direct) =
+                            team_graph(&reads, &contigs, &params, weight, ranks, false);
+                        assert!(got == want, "{what}: the graphs differ");
+                        assert_eq!(direct.kmer_observations, staged.kmer_observations, "{what}");
+                        assert_eq!(
+                            direct.kmer_table_inserts, staged.kmer_table_inserts,
+                            "{what}"
+                        );
+                        assert_eq!(direct.supermer_bytes, staged.supermer_bytes, "{what}");
+                        assert!(got.len() > direct.kmer_table_inserts as usize, "{what}");
+                    }
+                }
+            }
         }
     }
 }

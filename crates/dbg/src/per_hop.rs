@@ -27,17 +27,17 @@ use pgas::Ctx;
 /// paper's §II-D atomic claim writes): each k-mer travels to its owner, which
 /// marks it in its own shard. Collective; every claim is visible on return.
 fn claim_used(ctx: &Ctx, graph: &KmerGraph, keys: &[Kmer]) {
-    let counts = &graph.counts;
+    let vertices = &graph.vertices;
     let mut outgoing: Vec<Vec<Kmer>> = vec![Vec::new(); ctx.ranks()];
     for kmer in keys {
-        outgoing[counts.owner_of(kmer)].push(*kmer);
+        outgoing[vertices.owner_of(kmer)].push(*kmer);
     }
     let mine = ctx.exchange(outgoing);
-    with_keys!(counts, map => {
+    with_keys!(vertices, map => {
         let mut view = map.local_view(ctx);
         for kmer in &mine {
-            if let Some(c) = view.get_mut(&KmerKey::of_kmer(kmer)) {
-                c.used = true;
+            if let Some(v) = view.get_mut(&KmerKey::of_kmer(kmer)) {
+                v.claim();
             }
         }
     });
@@ -143,7 +143,7 @@ fn per_hop_contigs(ctx: &Ctx, graph: &KmerGraph, params: &TraversalParams) -> Ve
     // pair at most once, and Möbius-shaped structures (a walk crossing a
     // palindromic junction into its own reverse complement) legitimately
     // visit both orientations — so the bound is twice the vertex count.
-    let limit = 2 * graph.counts.len() + 2;
+    let limit = 2 * graph.vertices.len() + 2;
 
     let mut local: Vec<(Vec<u8>, f64)> = Vec::new();
 
@@ -151,7 +151,7 @@ fn per_hop_contigs(ctx: &Ctx, graph: &KmerGraph, params: &TraversalParams) -> Ve
     let seeds: Vec<Kmer> = {
         let mut s = Vec::new();
         graph.for_each_local(ctx, |kmer, v| {
-            if eligible(v.left, v.right) {
+            if eligible(v.left(), v.right()) {
                 s.push(*kmer);
             }
         });
@@ -183,7 +183,7 @@ fn per_hop_contigs(ctx: &Ctx, graph: &KmerGraph, params: &TraversalParams) -> Ve
     let leftovers: Vec<Kmer> = {
         let mut s = Vec::new();
         graph.for_each_local(ctx, |kmer, v| {
-            if eligible(v.left, v.right) && !v.used {
+            if eligible(v.left(), v.right()) && !v.used() {
                 s.push(*kmer);
             }
         });
@@ -384,15 +384,7 @@ pub(crate) mod tests {
                     side
                 };
                 let (left, right) = (side(left), side(right));
-                verts.push((
-                    key,
-                    KmerCounts {
-                        count,
-                        left,
-                        right,
-                        used: false,
-                    },
-                ));
+                verts.push((key, KmerCounts { count, left, right }));
             }
             lassos.push(Lasso {
                 s: run[1].0,

@@ -53,11 +53,11 @@
 //! directed chain, which holds for odd k (no k-mer equals its own reverse
 //! complement); [`crate::traversal::traverse_contigs`] refuses even k.
 
-use crate::graph::{orient, KmerGraph, OrientedVertex};
+use crate::graph::{KmerGraph, KmerVertex};
 use crate::table::with_keys;
 use crate::traversal::{eligible, push_contig, TraversalParams};
 use dht::{DistMap, FxHashMap};
-use kmers::{Ext, Kmer, KmerCounts, KmerKey};
+use kmers::{Ext, Kmer, KmerKey, StrandPair};
 use pgas::{Counter, Ctx};
 use seqio::alphabet::{decode_base, encode_base, revcomp};
 
@@ -127,11 +127,10 @@ fn segment_min(bases: &[u8], k: usize) -> (Kmer, bool, u32) {
     (min_vertex, min_is_canonical, min_offset)
 }
 
-/// This rank's own shard of the counts table, borrowed for Level 1 at the
-/// table's key width: zero traffic, and the walks claim each vertex in its
-/// entry.
+/// This rank's own shard of the graph, borrowed for Level 1 at the table's
+/// key width: zero traffic, and the walks claim each vertex in place.
 struct LocalGraph<'a, K> {
-    view: dht::LocalShardView<'a, K, KmerCounts>,
+    view: dht::LocalShardView<'a, K, KmerVertex>,
     graph: &'a KmerGraph,
     rank: usize,
     /// Safety bound on a walk's steps: every local (vertex, orientation)
@@ -153,24 +152,39 @@ struct WalkEnd {
 }
 
 impl<K: KmerKey> LocalGraph<'_, K> {
-    /// Walks right from `start` (eligible, oriented as `v0`) while the next
-    /// vertex is local, eligible and mutually agreeing: the per-hop walker's
+    /// Walks right from `start`, an eligible vertex of depth `count` whose
+    /// right extension in walk orientation is `right`, while the next vertex
+    /// is local, eligible and mutually agreeing: the per-hop walker's
     /// continuation rule, with remote ownership as an extra stop (a segment
     /// boundary). Writes the walk's bases into `bases` and claims every
     /// vertex it steps onto. Only a mutual step back into `start` itself
     /// closes the walk; it runs on through `start`'s reverse complement, as
     /// a self-mirror hairpin does.
-    fn walk(&mut self, start: Kmer, v0: &OrientedVertex, bases: &mut Vec<u8>) -> WalkEnd {
+    ///
+    /// The walk rolls the k-mer and its reverse complement as the `N` words
+    /// k needs ([`StrandPair`]) and looks the canonical one up by the key
+    /// built from those words: it builds a [`Kmer`] only on a miss and at
+    /// its end.
+    fn walk<const N: usize>(
+        &mut self,
+        start: Kmer,
+        right: Ext,
+        count: u32,
+        bases: &mut Vec<u8>,
+    ) -> WalkEnd {
+        let k = start.k();
         bases.clear();
-        bases.extend((0..start.k()).map(|i| start.base_at(i)));
+        bases.extend((0..k).map(|i| start.base_at(i)));
+        let first = StrandPair::<N>::of_kmer(&start);
+        let mut last = first;
         let mut end = WalkEnd {
             last: start,
             right_code: None,
             right_remote: false,
-            depth_sum: v0.count as u64,
+            depth_sum: count as u64,
             closed: false,
         };
-        let mut right = v0.right;
+        let mut right = right;
         let mut steps = 0usize;
         while let Ext::Base(c) = right {
             steps += 1;
@@ -179,60 +193,77 @@ impl<K: KmerKey> LocalGraph<'_, K> {
                 // predecessor unique, so a walk stops or closes at its start.
                 debug_assert!(
                     false,
-                    "walk from {start} (k = {}) ran past its {}-step bound",
-                    start.k(),
+                    "walk from {start} (k = {k}) ran past its {}-step bound",
                     self.limit
                 );
                 break;
             }
-            let next = end.last.extended_right(c);
+            let mut next = last;
+            next.push(c);
             // The view holds only keys this rank owns, so a hit needs no
-            // owner test; `owner_of` (a minimizer roll under the counts
-            // table's partitioner) runs only on a miss.
-            let (canon, was_rc) = next.canonical();
-            let Some(slot) = self.view.get_mut(&K::of_kmer(&canon)) else {
+            // owner test; `owner_of` (a minimizer roll under the table's
+            // partitioner) runs only on a miss.
+            let (key, was_rc) = next.canonical_key::<K>();
+            let Some(slot) = self.view.get_mut(&key) else {
                 end.right_code = Some(c);
-                end.right_remote = self.graph.counts.owner_of(&canon) != self.rank;
+                end.right_remote = self.graph.vertices.owner_of(&key.to_kmer(k)) != self.rank;
                 break;
             };
-            let nv = orient(self.graph.vertex(slot), canon, was_rc);
+            let (next_left, next_right) = slot.exts_oriented(was_rc);
             // The next vertex must agree that its left neighbour is `last`
             // (the per-hop walker's mutual check, as a base-code comparison).
-            if !eligible(nv.left, nv.right) || nv.left != Ext::Base(end.last.first_code()) {
+            if !eligible(next_left, next_right) || next_left != Ext::Base(last.first_code()) {
                 end.right_code = Some(c);
                 break;
             }
             // Only a mutual step closes a cycle: a lasso, whose loop enters
             // `start` against its left extension, stopped just above.
-            if next == start {
+            if next == first {
                 end.closed = true;
                 break;
             }
-            slot.used = true;
+            slot.claim();
             bases.push(decode_base(c));
-            end.depth_sum += nv.count as u64;
-            end.last = next;
-            right = nv.right;
+            end.depth_sum += slot.count() as u64;
+            last = next;
+            right = next_right;
         }
+        end.last = last.to_kmer();
         end
     }
 }
 
-/// Level 1: compacts this rank's shard of `counts` (the graph's table at its
-/// key width) into segments, emits its whole paths and fully-local cycles
-/// into `local`, and returns the rest: the segments that cross an ownership
-/// boundary. Zero traffic. Every eligible vertex of the shard ends up
-/// claimed, and only those.
+/// Level 1: compacts this rank's shard of `vertices` (the graph's table at
+/// its key width) into segments, emits its whole paths and fully-local
+/// cycles into `local`, and returns the rest: the segments that cross an
+/// ownership boundary. Zero traffic. Every eligible vertex of the shard ends
+/// up claimed, and only those.
 fn compact_local<K: KmerKey>(
     ctx: &Ctx,
     graph: &KmerGraph,
-    counts: &DistMap<K, KmerCounts>,
+    vertices: &DistMap<K, KmerVertex>,
     params: &TraversalParams,
     local: &mut Vec<(Vec<u8>, f64)>,
 ) -> Vec<Segment> {
-    let k = graph.counts.k();
+    match graph.vertices.k().div_ceil(32) {
+        1 => compact_words::<1, K>(ctx, graph, vertices, params, local),
+        2 => compact_words::<2, K>(ctx, graph, vertices, params, local),
+        3 => compact_words::<3, K>(ctx, graph, vertices, params, local),
+        _ => compact_words::<4, K>(ctx, graph, vertices, params, local),
+    }
+}
+
+/// [`compact_local`] for a k of `N` words.
+fn compact_words<const N: usize, K: KmerKey>(
+    ctx: &Ctx,
+    graph: &KmerGraph,
+    vertices: &DistMap<K, KmerVertex>,
+    params: &TraversalParams,
+    local: &mut Vec<(Vec<u8>, f64)>,
+) -> Vec<Segment> {
+    let k = graph.vertices.k();
     let mut segs: Vec<Segment> = Vec::new();
-    let view = counts.local_view(ctx);
+    let view = vertices.local_view(ctx);
     let mut lg = LocalGraph {
         limit: 2 * view.len() + 2,
         view,
@@ -246,36 +277,40 @@ fn compact_local<K: KmerKey>(
         // re-checked before each walk. A claim seen before the first walk
         // would be left over from an earlier traversal of the graph.
         starts.clear();
-        for (key, c) in lg.view.sub_shard(sub) {
+        for (key, v) in lg.view.sub_shard(sub) {
             debug_assert!(
-                sub > 0 || !c.used,
+                sub > 0 || !v.used(),
                 "{key:?} was claimed before the traversal"
             );
-            let v = lg.graph.vertex(c);
-            if !v.used && eligible(v.left, v.right) {
+            if !v.used() && eligible(v.left(), v.right()) {
                 starts.push(*key);
             }
         }
         for key in &starts {
             let v = match lg.view.get_mut(key) {
-                Some(slot) if !slot.used => {
-                    slot.used = true;
-                    lg.graph.vertex(slot)
+                Some(slot) if !slot.used() => {
+                    slot.claim();
+                    *slot
                 }
                 _ => continue,
             };
             let kmer = key.to_kmer(k);
-            let r = lg.walk(kmer, &orient(v, kmer, false), &mut right);
+            let r = lg.walk::<N>(kmer, v.right(), v.count(), &mut right);
             if r.closed {
                 push_local_cycle(local, &right, k, r.depth_sum, params);
                 continue;
             }
-            let l = lg.walk(kmer.revcomp(), &orient(v, kmer, true), &mut left);
+            let l = lg.walk::<N>(
+                kmer.revcomp(),
+                v.exts_oriented(true).1,
+                v.count(),
+                &mut left,
+            );
             debug_assert!(!l.closed, "the left walk closes only if the right one does");
             // The run reads revcomp(L) ++ R[k..] left to right, and its
             // mirror is the reverse complement. Both walks ending on one
             // oriented vertex make a self-mirror hairpin: one segment.
-            let depth_sum = l.depth_sum + r.depth_sum - v.count as u64;
+            let depth_sum = l.depth_sum + r.depth_sum - v.count() as u64;
             let mut bases = revcomp(&left);
             bases.extend_from_slice(&right[k..]);
             let fwd = Segment::between(&l, &r, bases, depth_sum);
@@ -356,7 +391,8 @@ pub(crate) fn segment_contigs(
     let mut local: Vec<(Vec<u8>, f64)> = Vec::new();
     // ---- Level 1: owner-local compaction (zero communication) --------------
     // The shard view is dropped inside, before the gather.
-    let segs = with_keys!(graph.counts, map => compact_local(ctx, graph, map, params, &mut local));
+    let segs =
+        with_keys!(graph.vertices, map => compact_local(ctx, graph, map, params, &mut local));
     // ---- Level 2: one gather, then rank 0 stitches -------------------------
     // At one rank every vertex is local, so no segment crosses a boundary.
     if ctx.ranks() == 1 {
@@ -503,7 +539,7 @@ mod tests {
 
     use super::*;
     use crate::analysis::{kmer_analysis, KmerAnalysisParams};
-    use crate::graph::{build_graph, ThresholdPolicy};
+    use crate::graph::{build_graph, orient, OrientedVertex, ThresholdPolicy};
     use crate::per_hop::tests::{graph_of, lasso_vertices, stress_reads};
     use dht::FxHashSet;
     use pgas::Team;
@@ -513,8 +549,8 @@ mod tests {
     /// The oracle's copy of this rank's shard, keyed by `Kmer` whatever the
     /// table's key width, in key order.
     struct OracleShard<'a> {
-        entries: Vec<(Kmer, KmerCounts)>,
-        map: FxHashMap<Kmer, KmerCounts>,
+        entries: Vec<(Kmer, KmerVertex)>,
+        map: FxHashMap<Kmer, KmerVertex>,
         graph: &'a KmerGraph,
         rank: usize,
         limit: usize,
@@ -529,12 +565,12 @@ mod tests {
 
     fn probe(lg: &OracleShard, kmer: &Kmer) -> Probe {
         let (canon, was_rc) = kmer.canonical();
-        if lg.graph.counts.owner_of(&canon) != lg.rank {
+        if lg.graph.vertices.owner_of(&canon) != lg.rank {
             return Probe::Remote;
         }
         match lg.map.get(&canon) {
             None => Probe::Absent,
-            Some(c) => Probe::Present(orient(lg.graph.vertex(c), canon, was_rc)),
+            Some(v) => Probe::Present(orient(*v, canon, was_rc)),
         }
     }
 
@@ -624,7 +660,7 @@ mod tests {
         params: &TraversalParams,
         cycles: &mut Vec<(Vec<u8>, f64)>,
     ) -> Vec<(Segment, bool)> {
-        let mut entries = graph.counts.local_entries(ctx);
+        let mut entries = graph.vertices.local_entries(ctx);
         entries.sort_by_key(|e| e.0);
         let lg = OracleShard {
             limit: 2 * entries.len() + 2,
@@ -636,9 +672,8 @@ mod tests {
         let mut segs = Vec::new();
         let shard = || lg.entries.iter().map(|(key, c)| (key, c));
         let mut covered: FxHashSet<Kmer> = FxHashSet::default();
-        for (key, c) in shard() {
-            let v = graph.vertex(c);
-            if !eligible(v.left, v.right) {
+        for (key, &v) in shard() {
+            if !eligible(v.left(), v.right()) {
                 continue;
             }
             for okmer in [*key, key.revcomp()] {
@@ -659,16 +694,15 @@ mod tests {
             }
         }
         let mut cycle_seen: FxHashSet<Kmer> = FxHashSet::default();
-        for (key, c) in shard() {
-            let v = graph.vertex(c);
-            if !eligible(v.left, v.right) || covered.contains(key) || cycle_seen.contains(key) {
+        for (key, &v) in shard() {
+            if !eligible(v.left(), v.right()) || covered.contains(key) || cycle_seen.contains(key) {
                 continue;
             }
             let w = walk_local(&lg, *key, &orient(v, *key, false));
             assert!(w.closed, "uncovered vertices must lie on local cycles");
             cycle_seen.extend(w.visited.iter().copied());
             let min = *w.visited.iter().min().expect("a walk visits its start");
-            let mv = graph.vertex(lg.map.get(&min).expect("cycle vertex is owned locally"));
+            let mv = *lg.map.get(&min).expect("cycle vertex is owned locally");
             let w = walk_local(&lg, min, &orient(mv, min, false));
             push_contig(cycles, w.bases, w.depth_sum as f64, w.vcount, params);
         }
@@ -722,8 +756,7 @@ mod tests {
             }
         }
         let mut local = Vec::new();
-        let segs =
-            with_keys!(graph.counts, map => compact_local(ctx, graph, map, &traversal, &mut local));
+        let segs = with_keys!(graph.vertices, map => compact_local(ctx, graph, map, &traversal, &mut local));
         let at = format!("k={k} ranks={} rank={}", ctx.ranks(), ctx.rank());
         assert_eq!(sorted_keys(&segs), sorted_keys(&want_segs), "{at}");
         assert_eq!(sorted_contigs(&local), sorted_contigs(&want_local), "{at}");
@@ -787,7 +820,7 @@ mod tests {
                     let mut first = [0u64; 2];
                     if ctx.ranks() == 1 {
                         // The order Level 1's shard scan meets the vertices.
-                        let scan: FxHashMap<Kmer, usize> = with_keys!(graph.counts, map => {
+                        let scan: FxHashMap<Kmer, usize> = with_keys!(graph.vertices, map => {
                             let view = map.local_view(ctx);
                             (0..view.sub_shards())
                                 .flat_map(|s| view.sub_shard(s))

@@ -1,12 +1,15 @@
-//! The k-mer counts table, keyed as wide as k needs.
+//! The k-mer tables of one k, keyed as wide as k needs.
 //!
-//! K-mer analysis fills one table per k iteration, and the de Bruijn graph
-//! reads it in place ([`crate::graph`]). The table is a [`DistMap`] whose key
-//! is the narrowest [`KmerKey`] that holds k — one word up to k = 32, two up
-//! to 64, a whole [`Kmer`] beyond ([`KeyWidth::of`]) — so an entry is 48, 56
-//! or 80 bytes. The width is chosen once, when the table is made; the stage
-//! code that touches entries (counting, injection, Level 1 of the traversal)
-//! is generic over the key and is entered through one `match` on the table
+//! A [`KmerTable`] maps canonical k-mers to a value: [`KmerCounts`] in the
+//! table [`crate::kmer_analysis_from`] fills, the 8-byte reduced vertex
+//! ([`KmerVertex`]) in the de Bruijn graph ([`crate::graph`]), which the
+//! pipeline counts straight into ([`crate::kmer_graph_from`]). The table is a
+//! [`DistMap`] whose key is the narrowest [`KmerKey`] that holds k — one word
+//! up to k = 32, two up to 64, a whole [`Kmer`] beyond ([`KeyWidth::of`]) —
+//! so a graph entry takes 16, 24 or 48 bytes and a counts entry 48, 56 or 80.
+//! The width is chosen once, when the table is made; the stage code that
+//! touches entries (counting, injection, Level 1 of the traversal) is
+//! generic over the key and is entered through one `match` on the table
 //! (`with_keys!`). Every public method takes and returns [`Kmer`], and
 //! batched lookups travel as [`Kmer`] requests, so neither a caller nor the
 //! graph's traffic sees the width.
@@ -14,6 +17,7 @@
 //! The table is partitioned by minimizer, so table ownership agrees with
 //! supermer routing whatever the key width.
 
+use crate::graph::KmerVertex;
 use dht::{DistMap, Partitioner};
 use kmers::minimizer::{kmer_minimizer, minimizer_shard, MAX_MINIMIZER_LEN};
 use kmers::{KeyWidth, Kmer, Kmer32, Kmer64, KmerCounts, KmerKey};
@@ -21,7 +25,7 @@ use pgas::Ctx;
 use std::sync::Arc;
 
 /// The distributed k-mer → counts table produced by analysis.
-pub type KmerCountsMap = Arc<KmerTable>;
+pub type KmerCountsMap = Arc<KmerTable<KmerCounts>>;
 
 /// Routes a canonical k-mer to the shard of its canonical minimizer, so that
 /// table ownership agrees with supermer routing: every k-mer expanded from a
@@ -47,10 +51,10 @@ impl<K: KmerKey> Partitioner<K> for MinimizerPartitioner {
 }
 
 /// The table's shards under its key width.
-pub(crate) enum Keyed {
-    One(DistMap<Kmer32, KmerCounts>),
-    Two(DistMap<Kmer64, KmerCounts>),
-    Wide(DistMap<Kmer, KmerCounts>),
+pub(crate) enum Keyed<V> {
+    One(DistMap<Kmer32, V>),
+    Two(DistMap<Kmer64, V>),
+    Wide(DistMap<Kmer, V>),
 }
 
 /// Runs `$body` with `$map` bound to the table's [`DistMap`] at its key
@@ -66,16 +70,17 @@ macro_rules! with_keys {
 }
 pub(crate) use with_keys;
 
-/// The k-mer counts table of one k: canonical k-mer → [`KmerCounts`],
-/// distributed over the ranks by minimizer. See the module documentation.
-pub struct KmerTable {
+/// A table of one k: canonical k-mer → `V`, distributed over the ranks by
+/// minimizer. See the module documentation.
+pub struct KmerTable<V> {
     k: usize,
     ranks: usize,
     partitioner: MinimizerPartitioner,
-    keyed: Keyed,
+    width: KeyWidth,
+    keyed: Keyed<V>,
 }
 
-impl KmerTable {
+impl<V: Copy + Send + Sync + 'static> KmerTable<V> {
     /// An empty table of `k`-mers over `ranks` shards, partitioned by
     /// minimizers of length `m` (`1..=min(k, MAX_MINIMIZER_LEN)`). Typically
     /// built collectively via `ctx.share(|| KmerTable::new(ctx.ranks(), k, m))`.
@@ -101,11 +106,12 @@ impl KmerTable {
             k,
             ranks,
             partitioner,
+            width,
             keyed,
         }
     }
 
-    pub(crate) fn keyed(&self) -> &Keyed {
+    pub(crate) fn keyed(&self) -> &Keyed<V> {
         &self.keyed
     }
 
@@ -142,34 +148,34 @@ impl KmerTable {
         with_keys!(self, map => map.local_len(ctx))
     }
 
-    /// The counts of a canonical k-mer, if present. Fine-grained global read.
-    pub fn get_cloned(&self, ctx: &Ctx, kmer: &Kmer) -> Option<KmerCounts> {
+    /// The value of a canonical k-mer, if present. Fine-grained global read.
+    pub fn get_cloned(&self, ctx: &Ctx, kmer: &Kmer) -> Option<V> {
         with_keys!(self, map => map.get_cloned(ctx, &KmerKey::of_kmer(kmer)))
     }
 
     /// Visits every entry owned by the calling rank, under the caveat of
     /// [`DistMap::for_each_local`].
-    pub fn for_each_local(&self, ctx: &Ctx, mut f: impl FnMut(&Kmer, &KmerCounts)) {
+    pub fn for_each_local(&self, ctx: &Ctx, mut f: impl FnMut(&Kmer, &V)) {
         let k = self.k;
-        with_keys!(self, map => map.for_each_local(ctx, |key, c| f(&key.to_kmer(k), c)))
+        with_keys!(self, map => map.for_each_local(ctx, |key, v| f(&key.to_kmer(k), v)))
     }
 
     /// Clones every entry owned by the calling rank into a vector.
-    pub fn local_entries(&self, ctx: &Ctx) -> Vec<(Kmer, KmerCounts)> {
+    pub fn local_entries(&self, ctx: &Ctx) -> Vec<(Kmer, V)> {
         let mut out = Vec::with_capacity(self.local_len(ctx));
-        self.for_each_local(ctx, |kmer, c| out.push((*kmer, *c)));
+        self.for_each_local(ctx, |kmer, v| out.push((*kmer, *v)));
         out
     }
 
     /// Collective batched read of canonical k-mers, each owner replying with
-    /// `f` of the counts ([`DistMap::get_many_with`]). The requests travel,
+    /// `f` of the value ([`DistMap::get_many_with`]). The requests travel,
     /// and are accounted, as [`Kmer`]s whatever the key width.
     pub fn get_many_with<R>(
         &self,
         ctx: &Ctx,
         kmers: &[Kmer],
         batch: usize,
-        f: impl Fn(&KmerCounts) -> R,
+        f: impl Fn(&V) -> R,
     ) -> Vec<Option<R>>
     where
         R: Send + Sync + 'static,
@@ -177,6 +183,42 @@ impl KmerTable {
         with_keys!(self, map => map.get_many_as(ctx, kmers, batch, KmerKey::of_kmer, &f))
     }
 
+    /// A table shaped like this one (k, minimizer length, key width) that
+    /// holds `f` of every entry: each rank maps the entries it owns into its
+    /// own shard, with no traffic. Collective.
+    pub(crate) fn map<W: Copy + Send + Sync + 'static>(
+        &self,
+        ctx: &Ctx,
+        f: impl Fn(&V) -> W,
+    ) -> Arc<KmerTable<W>> {
+        fn copy<K: KmerKey, V, W>(
+            ctx: &Ctx,
+            from: &DistMap<K, V>,
+            to: &DistMap<K, W>,
+            f: impl Fn(&V) -> W,
+        ) where
+            V: Send + Sync + 'static,
+            W: Send + Sync + 'static,
+        {
+            let mut shard = to.local_view(ctx);
+            from.for_each_local(ctx, |key, v| {
+                shard.insert(*key, f(v));
+            });
+        }
+        let out: Arc<KmerTable<W>> =
+            ctx.share(|| KmerTable::with_width(self.ranks, self.k, self.partitioner.m, self.width));
+        match (&self.keyed, &out.keyed) {
+            (Keyed::One(from), Keyed::One(to)) => copy(ctx, from, to, f),
+            (Keyed::Two(from), Keyed::Two(to)) => copy(ctx, from, to, f),
+            (Keyed::Wide(from), Keyed::Wide(to)) => copy(ctx, from, to, f),
+            _ => unreachable!("a table and its map share a key width"),
+        }
+        ctx.barrier();
+        out
+    }
+}
+
+impl KmerTable<KmerCounts> {
     /// Merges `(k-mer, counts)` items owned by the calling rank into its
     /// shard ([`DistMap::apply_local_batch`]).
     #[cfg(test)]
@@ -189,6 +231,9 @@ impl KmerTable {
         ))
     }
 }
+
+/// The graph's vertex table: canonical k-mer → reduced vertex.
+pub(crate) type VertexTable = KmerTable<KmerVertex>;
 
 #[cfg(test)]
 mod tests {
@@ -236,7 +281,7 @@ mod tests {
 
     fn claims(ctx: &Ctx, graph: &KmerGraph) -> Vec<(Kmer, bool)> {
         let mut out = Vec::new();
-        graph.for_each_local(ctx, |kmer, v| out.push((*kmer, v.used)));
+        graph.for_each_local(ctx, |kmer, v| out.push((*kmer, v.used())));
         out.sort();
         out
     }

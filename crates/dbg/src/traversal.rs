@@ -40,9 +40,10 @@ pub(crate) fn eligible(left: Ext, right: Ext) -> bool {
 }
 
 /// Traverses the graph and returns the contig set on rank 0, and an empty
-/// set with the same k on every other rank. Collective. The traversal claims every eligible vertex `used` in its
-/// counts entry and takes a claimed vertex as already walked, so it needs a
-/// counts table whose claims are clear, as k-mer analysis leaves them.
+/// set with the same k on every other rank. Collective. The traversal claims
+/// every eligible vertex in the graph and takes a claimed vertex as already
+/// walked, so it needs a graph whose claims are clear, as building it leaves
+/// them.
 ///
 /// # Panics
 /// Panics if `k` is even: an even-length k-mer can be its own reverse
@@ -275,8 +276,13 @@ mod tests {
                     traverse(ctx, &graph, 15, &TraversalParams::default(), segment);
                     let mut forks = 0u64;
                     graph.for_each_local(ctx, |kmer, v| {
-                        let ok = eligible(v.left, v.right);
-                        assert_eq!(v.used, ok, "{kmer} (eligible: {ok}) has used = {}", v.used);
+                        let ok = eligible(v.left(), v.right());
+                        assert_eq!(
+                            v.used(),
+                            ok,
+                            "{kmer} (eligible: {ok}) has used = {}",
+                            v.used()
+                        );
                         forks += u64::from(!ok);
                     });
                     ctx.allreduce_sum_u64(forks)

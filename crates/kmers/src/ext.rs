@@ -98,18 +98,16 @@ impl ExtCounts {
 }
 
 /// The full per-k-mer record accumulated by k-mer analysis: an occurrence
-/// count plus left and right extension counters. The counts table holding
-/// these records is also the de Bruijn graph, so the record carries the
-/// traversal's claim too.
+/// count plus left and right extension counters. The de Bruijn graph keeps
+/// only what the record reduces to (the count and one extension code per
+/// side), so a record lives in counting scratch and in the tables of the
+/// staged stage calls.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KmerCounts {
     /// Number of (canonical) occurrences of the k-mer across the reads.
     pub count: u32,
     pub left: ExtCounts,
     pub right: ExtCounts,
-    /// Set by the contig traversal once the k-mer's vertex is claimed into a
-    /// contig; counting leaves it clear, and [`KmerCounts::merge`] ignores it.
-    pub used: bool,
 }
 
 impl KmerCounts {
@@ -266,7 +264,7 @@ mod tests {
         }
     }
 
-    /// Every scratch and table entry is a `(key, KmerCounts)`, the key one of
+    /// Every counting scratch entry is a `(key, KmerCounts)`, the key one of
     /// [`crate::KmerKey`]'s widths: a field added here grows all of them. The
     /// two-word key is `[u64; 2]`, not `u128`: `u128` is 16-aligned on
     /// x86-64 (checked with rustc 1.95), so its entry would pad to 64 bytes.
@@ -275,7 +273,7 @@ mod tests {
     fn entry_layout_is_pinned() {
         use crate::{Kmer, Kmer32, Kmer64};
         use std::mem::size_of;
-        assert_eq!(size_of::<KmerCounts>(), 40);
+        assert_eq!(size_of::<KmerCounts>(), 36);
         assert_eq!(size_of::<(Kmer, KmerCounts)>(), 80);
         assert_eq!(size_of::<(u64, KmerCounts)>(), 48);
         assert_eq!(size_of::<([u64; 2], KmerCounts)>(), 56);

@@ -331,8 +331,13 @@ impl Kmer {
 /// comparison to pick the canonical strand. `N` is the number of words k
 /// needs (`k.div_ceil(32)`), so a k ≤ 32 rolls in single registers. Pure word
 /// arithmetic, like [`kernels::shift_right_bases`]: it has no scalar twin.
-#[derive(Clone, Copy)]
-pub(crate) struct StrandPair<const N: usize> {
+///
+/// Supermer expansion and the aligner's seed cut roll it along packed
+/// sequence; the traversal rolls it along a graph walk
+/// ([`StrandPair::of_kmer`], [`StrandPair::push`]), building a [`Kmer`] only
+/// where it needs one.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct StrandPair<const N: usize> {
     fwd: [u64; N],
     rc: [u64; N],
     k: u16,
@@ -370,10 +375,37 @@ impl<const N: usize> StrandPair<N> {
         }
     }
 
+    /// The pair of `kmer`, whose k must need exactly `N` words.
+    #[inline]
+    pub fn of_kmer(kmer: &Kmer) -> Self {
+        let k = kmer.k();
+        debug_assert_eq!(k.div_ceil(32), N);
+        let rc = kmer.revcomp();
+        StrandPair {
+            fwd: std::array::from_fn(|i| kmer.words[i]),
+            rc: std::array::from_fn(|i| rc.words[i]),
+            k: k as u16,
+            top: (2 * (k - 1) % 64) as u32,
+        }
+    }
+
+    /// The forward k-mer.
+    pub fn to_kmer(&self) -> Kmer {
+        let mut words = [0u64; 4];
+        words[..N].copy_from_slice(&self.fwd);
+        Kmer::from_words(words, self.k as usize)
+    }
+
+    /// The 2-bit code of the forward k-mer's first base.
+    #[inline]
+    pub fn first_code(&self) -> u8 {
+        (self.fwd[0] & 3) as u8
+    }
+
     /// Slides one base right: `code` enters the forward k-mer at its right
     /// end and, complemented, the reverse complement at its left end.
     #[inline]
-    pub(crate) fn push(&mut self, code: u8) {
+    pub fn push(&mut self, code: u8) {
         for i in 0..N {
             let carry = if i + 1 < N { self.fwd[i + 1] << 62 } else { 0 };
             self.fwd[i] = (self.fwd[i] >> 2) | carry;
@@ -391,7 +423,7 @@ impl<const N: usize> StrandPair<N> {
     /// table key of any width that holds k, and whether it is the reverse
     /// complement (the rule of [`Kmer::canonical`]).
     #[inline]
-    pub(crate) fn canonical_key<K: KmerKey>(&self) -> (K, bool) {
+    pub fn canonical_key<K: KmerKey>(&self) -> (K, bool) {
         let was_rc = self
             .fwd
             .iter()
@@ -460,6 +492,44 @@ mod tests {
         assert!(Kmer::from_bytes(b"ACGN").is_none());
         assert!(Kmer::from_bytes(&[b'A'; MAX_K + 1]).is_none());
         assert!(Kmer::from_bytes(&[b'A'; MAX_K]).is_some());
+    }
+
+    /// A pair started from a `Kmer` and rolled base by base reads, at every
+    /// step, what `Kmer::extended_right` and `Kmer::canonical` give, at each
+    /// word count.
+    #[test]
+    fn a_pair_rolled_from_a_kmer_walks_like_the_kmer() {
+        fn roll<const N: usize>(seq: &[u8], k: usize) {
+            let mut km = Kmer::from_bytes(&seq[..k]).expect("ACGT");
+            let mut pair = StrandPair::<N>::of_kmer(&km);
+            for &b in &seq[k..] {
+                assert_eq!(pair.to_kmer(), km, "k = {k}");
+                assert_eq!(pair.first_code(), km.first_code(), "k = {k}");
+                let (canon, was_rc) = km.canonical();
+                assert_eq!(pair.canonical_key::<Kmer>(), (canon, was_rc), "k = {k}");
+                let code = encode_base(b).expect("ACGT");
+                km = km.extended_right(code);
+                pair.push(code);
+                assert!(pair == StrandPair::<N>::of_kmer(&km), "k = {k}");
+            }
+        }
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let seq: Vec<u8> = (0..MAX_K + 40)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                b"ACGT"[(state >> 40) as usize % 4]
+            })
+            .collect();
+        for k in [1, 21, 32, 33, 64, 65, 96, 97, MAX_K] {
+            match k.div_ceil(32) {
+                1 => roll::<1>(&seq, k),
+                2 => roll::<2>(&seq, k),
+                3 => roll::<3>(&seq, k),
+                _ => roll::<4>(&seq, k),
+            }
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub use extract::{
     KmersWithExtsIter,
 };
 pub use key::{KeyWidth, Kmer32, Kmer64, KmerKey};
-pub use kmer::{Kmer, MAX_K};
+pub use kmer::{Kmer, StrandPair, MAX_K};
 pub use minimizer::{
     cut_supermers, encode_packed_supermer, encode_supermer, expand_supermer, expand_supermer_keys,
     kmer_minimizer, minimizer_shard, minimizer_tag, supermer_wire_bytes, supermers, Supermer,
