@@ -199,13 +199,15 @@ fn bench_local_assembly(c: &mut Criterion) {
 
 fn bench_extraction_hot_loops(c: &mut Criterion) {
     // A 100 kb pseudo-random sequence: long enough that the rolling minimum
-    // and the supermer run-grouping dominate, not setup.
+    // and the supermer run-grouping dominate, not setup. k = 21 and the
+    // pipeline's minimizer length.
     let seq = random_bases(100_000, 0x9E3779B97F4A7C15);
+    let m = KmerAnalysisParams::default().minimizer_len;
     c.bench_function("kmers/rolling_minimizer_100kb", |b| {
         // The ASCII adapter: one packing of the read, then one O(len) pass
         // that keeps every window's canonical minimizer in a rescanned ring.
         b.iter(|| {
-            SupermerIter::new(&seq, 21, 15)
+            SupermerIter::new(&seq, 21, m)
                 .map(|s| s.minimizer)
                 .sum::<u64>()
         })
@@ -215,11 +217,11 @@ fn bench_extraction_hot_loops(c: &mut Criterion) {
         let kmers: Vec<Kmer> = (0..1000)
             .map(|i| Kmer::from_bytes(&seq[i..i + 21]).unwrap())
             .collect();
-        b.iter(|| kmers.iter().map(|km| kmer_minimizer(km, 15)).sum::<u64>())
+        b.iter(|| kmers.iter().map(|km| kmer_minimizer(km, m)).sum::<u64>())
     });
     c.bench_function("kmers/supermer_iter_100kb", |b| {
         b.iter(|| {
-            SupermerIter::new(&seq, 21, 15)
+            SupermerIter::new(&seq, 21, m)
                 .map(|s| s.kmers)
                 .sum::<usize>()
         })
@@ -228,15 +230,15 @@ fn bench_extraction_hot_loops(c: &mut Criterion) {
     // store holds it, with nothing to pack first.
     let packed = dbg::PackedSeq::from_bytes(&seq);
     let mut cut = Vec::new();
-    cut_supermers(&packed.view(), 21, 15, |sm| cut.push(sm));
+    cut_supermers(&packed.view(), 21, m, |sm| cut.push(sm));
     assert!(
-        cut == SupermerIter::new(&seq, 21, 15).collect::<Vec<_>>(),
+        cut == SupermerIter::new(&seq, 21, m).collect::<Vec<_>>(),
         "the packed cut and the ASCII adapter disagree"
     );
     c.bench_function("kmers/supermer_cut_packed_100kb", |b| {
         b.iter(|| {
             let mut kmers = 0usize;
-            cut_supermers(&packed.view(), 21, 15, |sm| kmers += sm.kmers);
+            cut_supermers(&packed.view(), 21, m, |sm| kmers += sm.kmers);
             kmers
         })
     });
@@ -255,7 +257,7 @@ fn bench_extraction_hot_loops(c: &mut Criterion) {
     let mut hq = Vec::new();
     read.hq_mask(20, &mut hq);
     let mut cut = Vec::new();
-    cut_supermers(&read, 21, 15, |sm| cut.push(sm));
+    cut_supermers(&read, 21, m, |sm| cut.push(sm));
     let (mut wire, mut ascii) = (Vec::new(), Vec::new());
     for sm in &cut {
         encode_packed_supermer(&mut wire, &read, &hq, sm);

@@ -295,12 +295,16 @@ const ONE_SIDED_STAGES: [&str; 3] = ["alignment", "local_assembly", "scaffolding
 /// graph came to answer its contig-end lookups with 8-byte vertices.
 /// `kmer_analysis` counts the previous contigs' k-mers in its own bins since
 /// the `kmer_merging` stage folded into it: its row is the sum of the two
-/// stages' rows, exact in bytes and an upper bound in messages.
+/// stages' rows, exact in bytes and an upper bound in messages. The bytes of
+/// `kmer_analysis`, `graph_traversal` and `bubble_pruning` were re-derived
+/// again when minimizers came to be ordered by a hash of the m-mer at
+/// m = 12: longer supermers ship fewer record bytes and keep more
+/// neighbouring k-mers on one rank, so fewer traversal segments cross ranks.
 const FLAT_STAGE_OFF_NODE: [(&str, u64, u64); 8] = [
     ("read_ingestion", 0, 0),
-    ("kmer_analysis", 146, 11_035_002),
-    ("graph_traversal", 2_069, 3_102_384),
-    ("bubble_pruning", 682, 340_492),
+    ("kmer_analysis", 146, 8_422_710),
+    ("graph_traversal", 2_069, 2_201_760),
+    ("bubble_pruning", 682, 332_032),
     ("alignment", 12_884, 27_299_512),
     ("local_assembly", 3_632, 584_776),
     ("read_localization", 6, 195_232),
@@ -310,9 +314,9 @@ const FLAT_STAGE_OFF_NODE: [(&str, u64, u64); 8] = [
 /// [`ONE_SIDED_STAGES`], whose every off-node message is routable.
 const FLAT_ROUTED_STAGES_OFF_NODE_MSGS: u64 = 2_903;
 /// The flat path's off-node bytes over every stage but `local_assembly`.
-const FLAT_DETERMINISTIC_OFF_NODE_BYTES: u64 = 52_447_926;
+const FLAT_DETERMINISTIC_OFF_NODE_BYTES: u64 = 48_926_550;
 /// The flat path's off-node `(messages, bytes)` over the whole run.
-const FLAT_RUN_OFF_NODE: (u64, u64) = (29_463, 53_054_462);
+const FLAT_RUN_OFF_NODE: (u64, u64) = (29_463, 49_533_086);
 
 /// `ablation_topology`: two-level (node-leader) exchange routing against the
 /// flat all-to-all's frozen numbers.

@@ -19,7 +19,11 @@ pub struct AssemblyConfig {
     /// Minimum k-mer count ε.
     pub min_kmer_count: u32,
     /// Minimizer length m for supermer routing (clamped to each iteration's
-    /// k and to `kmers::MAX_MINIMIZER_LEN`).
+    /// k and to `kmers::MAX_MINIMIZER_LEN`). The default is
+    /// `KmerAnalysisParams::default()`'s, 12: short enough that a k = 21
+    /// k-mer's hash-ordered minimizer ranges over w = 10 m-mers, so supermers
+    /// run long, and long enough that the m-mers spread the bins and ranks
+    /// evenly (`KmerAnalysisParams::minimizer_len` has the measurements).
     pub minimizer_len: usize,
     /// Contig sequences are served from the sharded `dbg::ContigStore`
     /// (2-bit packed, owner-rank sharded, read through per-rank byte-bounded
@@ -108,7 +112,7 @@ impl Default for AssemblyConfig {
             k_max: 43,
             k_step: 22,
             min_kmer_count: 2,
-            minimizer_len: 15,
+            minimizer_len: KmerAnalysisParams::default().minimizer_len,
             use_distributed_contigs: true,
             contig_cache_bytes: 1 << 20,
             use_distributed_reads: true,
@@ -656,6 +660,6 @@ mod tests {
         assert_eq!(p.min_count, 3);
         assert_eq!(p.minimizer_len, 11);
         let default_params = AssemblyConfig::default().analysis_params(21);
-        assert_eq!(default_params.effective_minimizer_len(), 15);
+        assert_eq!(default_params.effective_minimizer_len(), 12);
     }
 }

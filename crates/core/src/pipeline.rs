@@ -705,9 +705,9 @@ mod tests {
     /// cross-rank segments to rank 0; rank 0 cleans the traversed set it
     /// holds, with no gather of contig ends, and sends each store owner its
     /// share; alignment ships 8-byte seed hits; the contig-end lookups are
-    /// answered with 8-byte graph vertices); the messages stay an upper
-    /// bound.
-    const FLAT_OFF_NODE: (u64, u64) = (758, 1_516_532);
+    /// answered with 8-byte graph vertices; minimizers are hash-ordered
+    /// m-mers at m = 12); the messages stay an upper bound.
+    const FLAT_OFF_NODE: (u64, u64) = (758, 1_357_167);
 
     #[test]
     fn node_leader_routing_does_not_change_the_assembly() {

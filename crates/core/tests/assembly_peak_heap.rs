@@ -75,8 +75,11 @@ const SKEWED_PEAK_HEAP_BYTES: usize = 5_047_752;
 /// surviving k-mer as an 8-byte vertex. Before that change, which kept every
 /// survivor's full counts until the contig clean-up and merged the previous
 /// contigs' k-mers into that table after counting, the figure was
-/// 5,801,955. A property of [`uniform`] and the default configuration.
-const UNIFORM_PEAK_HEAP_BYTES: usize = 3_835_883;
+/// 5,801,955. Ordering minimizers by a hash of the m-mer at m = 12 took it
+/// from 3,835,883 to this: longer supermers mean fewer, smaller wire records
+/// in the k = 21 count's tag runs, where this community's peak sits. A
+/// property of [`uniform`] and the default configuration.
+const UNIFORM_PEAK_HEAP_BYTES: usize = 3_305_292;
 
 /// `pinned` + 2%.
 fn bound(pinned: usize) -> usize {

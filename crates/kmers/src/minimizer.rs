@@ -4,8 +4,8 @@
 //! Shipping every canonical k-mer of every read to its owner rank costs
 //! ~32 bytes per k-mer occurrence. Consecutive k-mers of a read overlap in
 //! k−1 bases, so almost all of those bytes are redundant. A *minimizer*
-//! scheme removes the redundancy: the minimizer of a k-mer is its
-//! lexicographically smallest canonical m-mer (m ≤ k), and a **supermer** is
+//! scheme removes the redundancy: the minimizer of a k-mer is its smallest
+//! canonical m-mer (m ≤ k) in a pseudo-random order, and a **supermer** is
 //! a maximal run of consecutive k-mers of a read that share the same
 //! minimizer. A supermer of s k-mers spans s+k−1 bases and is shipped as
 //! packed 2-bit sequence plus a one-bit-per-base quality sidecar and the two
@@ -21,7 +21,7 @@
 //!
 //! * [`cut_supermers`] — cuts one read's supermers from its codes, read 32
 //!   bases per 64-bit load: a rolling canonical m-mer and a window minimum
-//!   kept in a ring of the last k−m+1 m-mer values, rescanned only when the
+//!   kept in a ring of the last k−m+1 m-mer ranks, rescanned only when the
 //!   minimum leaves the window (O(1) amortised per base). Each [`Supermer`]
 //!   carries the codes of its boundary bases, which the cutter has in hand;
 //! * [`encode_packed_supermer`] — appends one supermer's wire record to a
@@ -43,9 +43,18 @@
 //! [`SupermerIter`] and [`encode_supermer`] are the same cut and the same
 //! record for a caller holding an ASCII read.
 //!
+//! M-mers are ranked by a bijective mix of the canonical m-mer's packed
+//! value (a multiply by an odd constant, then an xor-shift), not in
+//! lexicographic order. Under a random order the minimizer changes at about
+//! 2/(w+1) of the window steps, w = k−m+1 m-mers per k-mer; the
+//! lexicographic order does worse, because small m-mers (runs of `A`, `AC`
+//! repeats) crowd together and end supermers early (Marçais et al.,
+//! *Bioinformatics* 2017; KMC 2 orders its signatures for the same reason).
+//! Fewer, longer supermers mean fewer wire records, fewer header bytes and
+//! fewer per-record costs on both sides of the exchange.
+//!
 //! Minimizer length is capped at [`MAX_MINIMIZER_LEN`] so an m-mer fits one
-//! `u64` (2 bits per base, base 0 in the high bits so that integer order
-//! equals lexicographic order).
+//! `u64` (2 bits per base, base 0 in the high bits).
 
 use crate::ext::ExtPair;
 use crate::extract::CanonicalKmerExt;
@@ -67,7 +76,7 @@ pub const MAX_MINIMIZER_LEN: usize = 31;
 /// supermers, which expand to identical observations.
 pub const MAX_SUPERMER_BASES: usize = u16::MAX as usize;
 
-/// Slots of the cutter's ring of m-mer values: a power of two above the
+/// Slots of the cutter's ring of m-mer ranks: a power of two above the
 /// largest window, k − m + 1 ≤ [`MAX_K`].
 const RING: usize = MAX_K + 1;
 
@@ -99,9 +108,19 @@ pub fn minimizer_tag(value: u64) -> u8 {
     (mix_minimizer(value) >> 56) as u8
 }
 
-/// Packed-m-mer helper: rolls a forward value (base 0 in the high bits, so
-/// integer comparison is lexicographic comparison) and the reverse-complement
-/// value in lockstep.
+/// The rank of a canonical m-mer's packed value in the minimizer order: a
+/// multiply by an odd constant then an xor-shift, each a bijection of `u64`,
+/// so distinct m-mers never tie and the minimum of a window is one m-mer.
+/// A homopolymer of `A` (value 0) keeps rank 0.
+#[inline(always)]
+fn mmer_order(canonical: u64) -> u64 {
+    let y = canonical.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    y ^ (y >> 29)
+}
+
+/// Packed-m-mer helper: rolls a forward value (base 0 in the high bits) and
+/// the reverse-complement value in lockstep, and ranks the smaller of the
+/// two — the canonical m-mer — by [`mmer_order`].
 #[derive(Clone, Copy)]
 struct MmerRoller {
     m: usize,
@@ -127,7 +146,7 @@ impl MmerRoller {
         }
     }
 
-    /// Rolls one 2-bit base code in; returns the canonical m-mer value once
+    /// Rolls one 2-bit base code in; returns the canonical m-mer's rank once
     /// `m` bases have been consumed.
     #[inline]
     fn push(&mut self, code: u8) -> Option<u64> {
@@ -136,13 +155,14 @@ impl MmerRoller {
         (self.filled == self.m).then_some(value)
     }
 
-    /// Rolls one 2-bit base code in and returns the canonical value of the
-    /// last `m` bases, for a caller that counts the first `m − 1` itself.
+    /// Rolls one 2-bit base code in and returns the [`mmer_order`] rank of
+    /// the last `m` bases' canonical m-mer, for a caller that counts the
+    /// first `m − 1` itself.
     #[inline(always)]
     fn roll(&mut self, code: u8) -> u64 {
         self.fwd = ((self.fwd << 2) | code as u64) & self.mask;
         self.rc = (self.rc >> 2) | (((3 - code) as u64) << (2 * (self.m - 1)));
-        self.fwd.min(self.rc)
+        mmer_order(self.fwd.min(self.rc))
     }
 }
 
@@ -181,10 +201,11 @@ impl<'a> BaseStream<'a> {
     }
 }
 
-/// The canonical minimizer value of a single k-mer: the minimum canonical
-/// m-mer value over its k−m+1 windows. Strand-invariant, so it can be
-/// computed on the canonical key and still agree with the read-orientation
-/// routing of [`cut_supermers`].
+/// The canonical minimizer value of a single k-mer: the smallest rank of a
+/// canonical m-mer over its k−m+1 windows, in the module's hash order (not
+/// the lexicographic one). Strand-invariant, so it can be computed on the
+/// canonical key and still agree with the read-orientation routing of
+/// [`cut_supermers`], which ranks m-mers with the same roller.
 ///
 /// # Panics
 /// Panics if `m` is 0, larger than [`MAX_MINIMIZER_LEN`], or larger than the
@@ -224,7 +245,9 @@ pub struct Supermer {
     pub len: usize,
     /// Number of k-mer windows covered.
     pub kmers: usize,
-    /// The shared canonical minimizer value (routing key).
+    /// The shared minimizer: the smallest hash-order rank of the windows'
+    /// canonical m-mers (the routing key, as [`kmer_minimizer`] computes
+    /// it).
     pub minimizer: u64,
     /// 2-bit code of the read base just before the supermer; `None` at the
     /// read's start and next to an exception.
@@ -265,7 +288,7 @@ pub fn cut_supermers(
 }
 
 /// Cuts one ambiguity-free stretch of at least `k` bases, its codes read 32
-/// bases per word load. `ring[p % RING]` holds the canonical value of the
+/// bases per word load. `ring[p % RING]` holds the rank of the canonical
 /// m-mer at `p` for the current window's k−m+1 m-mers; `min` is the smallest
 /// of them and `min_pos` the rightmost position holding it, so the ring is
 /// rescanned only once that position leaves the window. The first window's
@@ -1201,6 +1224,30 @@ mod tests {
         assert!(
             wire * 4 < kmer_count * 32,
             "supermer encoding should be at least 4x smaller: {wire} bytes for {kmer_count} kmers"
+        );
+    }
+
+    #[test]
+    fn hash_ordered_minimizers_change_at_the_random_order_density() {
+        // LCG-random 150 bp reads at k = 21, m = 12: w = 10 m-mers per
+        // window, and a random order moves the minimizer at about 2/(w+1)
+        // of the window steps (Marçais et al. 2017). Each read's first
+        // window starts a record too.
+        let (k, m, len) = (21usize, 12usize, 150usize);
+        let w = k - m + 1;
+        let (mut records, mut steps) = (0usize, 0usize);
+        for read in 0..2_000u64 {
+            let cut = supermers(&random_bases(len, 0x5EED + 7_919 * read), k, m);
+            assert_eq!(cut.iter().map(|sm| sm.kmers).sum::<usize>(), len - k + 1);
+            records += cut.len() - 1;
+            steps += len - k;
+        }
+        let density = records as f64 / steps as f64;
+        let random = 2.0 / (w + 1) as f64;
+        println!("{records} records in {steps} window steps: {density:.4} (2/(w+1) = {random:.4})");
+        assert!(
+            (density - random).abs() < 0.05 * random,
+            "records per window step {density:.4}, a random order's {random:.4}"
         );
     }
 
