@@ -6,8 +6,8 @@
 //! cargo run --release -p mhm_bench -- guards     # every guard row (CI)
 //! ```
 //!
-//! Each row runs inside [`harness_exit_code`], so a panic on any rank thread
-//! fails it. The runner runs every requested row, names the ones that
+//! Each row runs inside [`harness_exit_code`], so a panic on any rank fails
+//! it. The runner runs every requested row, names the ones that
 //! failed, and exits non-zero if any did. Guard rows live in `guards.rs`,
 //! report rows in `reports.rs`.
 

@@ -5,7 +5,8 @@
 //! linearizable, back-to-back aggregators never alias each other's leases,
 //! live collectives that share a mailbox type (blobs and `Vec<u8>` items)
 //! never see each other's deposits, a killed rank's poison reaches every
-//! survivor (nobody deadlocks), cached reads agree with the authoritative table, and the alignment collective
+//! survivor (nobody deadlocks) — rank 0, which runs on the caller's thread,
+//! included — cached reads agree with the authoritative table, and the alignment collective
 //! gives the one-rank answer when some ranks run out of reads long before
 //! others. The harness runs each
 //! scenario with the [`mhm_sched`] shim enabled, which injects seeded
@@ -315,14 +316,15 @@ fn same_typed_collectives(_seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// Poison propagation: a planned kill must end the whole team with an
-/// orderly `RankFault`; any survivor blocking forever trips the watchdog.
-fn poison_propagation(_seed: u64) -> Result<(), String> {
+/// A planned kill of `rank` at barrier `after_barriers + 1` of a 4-rank,
+/// 2-node team looping over routed exchanges must end the whole team with
+/// that rank's `RankFault`; any survivor blocking forever trips the watchdog.
+fn kill_during_exchanges(rank: usize, after_barriers: u64) -> Result<(), String> {
     const RANKS: usize = 4;
     let team = Team::new(Topology::new(RANKS, 2));
     team.set_fault_plans(&[FaultPlan {
-        rank: 2,
-        after_barriers: 3,
+        rank,
+        after_barriers,
     }]);
     let result = team.try_run(|ctx| {
         for _ in 0..16 {
@@ -332,10 +334,25 @@ fn poison_propagation(_seed: u64) -> Result<(), String> {
         }
     });
     match result {
-        Err(RankFault { rank: 2, .. }) => Ok(()),
+        Err(fault) if fault.rank == rank => Ok(()),
         Err(other) => Err(format!("wrong fault surfaced: {other:?}")),
-        Ok(_) => Err("planned kill of rank 2 never fired".to_string()),
+        Ok(_) => Err(format!("planned kill of rank {rank} never fired")),
     }
+}
+
+/// Poison propagation: a planned kill must end the whole team with an
+/// orderly `RankFault`.
+fn poison_propagation(_seed: u64) -> Result<(), String> {
+    kill_during_exchanges(2, 3)
+}
+
+/// Rank 0 runs on the thread that called `try_run`: a kill planted on it in
+/// the middle of a routed exchange (its sixth barrier is the first of the
+/// second exchange) must unwind the caller's frame into an orderly
+/// `RankFault { rank: 0, .. }`, and poison must reach every survivor on both
+/// nodes.
+fn rank_zero_kill(_seed: u64) -> Result<(), String> {
+    kill_during_exchanges(0, 5)
 }
 
 /// Multi-kill poison propagation: two ranks die at different barriers; the
@@ -551,6 +568,7 @@ pub const SCENARIOS: &[(&str, ScenarioFn)] = &[
     ("aggregator_slot_reuse", aggregator_slot_reuse),
     ("same_typed_collectives", same_typed_collectives),
     ("poison_propagation", poison_propagation),
+    ("rank_zero_kill", rank_zero_kill),
     (
         "poison_propagation_multi_kill",
         poison_propagation_multi_kill,

@@ -289,7 +289,8 @@ impl<'t> Ctx<'t> {
     /// [`Lane`] for the reuse protocol).
     fn mailboxes<T: Send + Sync + 'static>(&self) -> SlotLease<AllToAll<T>> {
         let ranks = self.ranks();
-        self.team().reusable_slot(|| AllToAll::<T>::new(ranks))
+        self.team()
+            .reusable_slot(self.rank(), || AllToAll::<T>::new(ranks))
     }
 
     /// Collective all-to-all exchange: `outgoing[d]` is the batch destined for

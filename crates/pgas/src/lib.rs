@@ -8,9 +8,10 @@
 //! * a [`Topology`] groups P *ranks* into simulated *nodes* (so that on-node
 //!   vs off-node traffic can be distinguished, exactly the quantity the
 //!   paper's read-localisation optimisation targets);
-//! * a [`Team`] runs an SPMD closure on one OS thread per rank and provides
-//!   the collectives the pipeline needs: barrier, broadcast/share and
-//!   all-reduce;
+//! * a [`Team`] runs an SPMD closure on every rank — rank 0 on the calling
+//!   thread and its stack, as UPC's launched program is `MYTHREAD == 0`, and
+//!   ranks 1.. on an OS thread each — and provides the collectives the
+//!   pipeline needs: barrier, broadcast/share and all-reduce;
 //! * one aggregated transport ([`exchange`]): every exchange ships through a
 //!   single routed lane (direct deposit, or node-leader routing on a
 //!   multi-node topology) behind five faces — [`Ctx::exchange`] and its

@@ -1,9 +1,11 @@
 //! SPMD teams, rank contexts and collectives.
 //!
 //! A [`Team`] owns everything the ranks share: the topology, the barrier, the
-//! statistics and the scratch slots used by collectives. `Team::run` spawns
-//! one thread per rank and executes the same closure on each, mirroring UPC's
-//! SPMD execution of `main` across `THREADS` ranks. Inside the closure, the
+//! statistics and the scratch slots used by collectives. `Team::run` executes
+//! the same closure on every rank, mirroring UPC's SPMD execution of `main`
+//! across `THREADS` ranks: as in UPC, where the launched program is itself
+//! `MYTHREAD == 0`, rank 0 runs on the calling thread (and on its stack), and
+//! ranks 1.. each run on a thread of their own. Inside the closure, the
 //! per-rank [`Ctx`] exposes the collectives and the accounting hooks.
 
 use crate::conformance::{ConformanceState, OpKind, OpRecord};
@@ -214,26 +216,24 @@ pub struct Team {
     /// The lease index distinguishes collectives of the same item type that
     /// are live simultaneously (see [`Team::reusable_slot`]).
     reusable_slots: Mutex<HashMap<(TypeId, usize), Arc<dyn Any + Send + Sync>>>,
-}
-
-thread_local! {
-    /// Per-rank (per SPMD thread) lease table: for each slot type, which
-    /// pooled instances this rank currently holds. Ranks execute the same
-    /// program in the same order, so every rank computes the same lease index
-    /// for the same collective and all of them resolve to the same pooled
-    /// instance — without any cross-rank synchronisation.
-    static SLOT_LEASES: std::cell::RefCell<HashMap<TypeId, Vec<bool>>> =
-        std::cell::RefCell::new(HashMap::new());
+    /// Per-rank lease tables: for each slot type, which pooled instances the
+    /// rank currently holds. Ranks execute the same program in the same
+    /// order, so every rank computes the same lease index for the same
+    /// collective and all of them resolve to the same pooled instance —
+    /// without any cross-rank synchronisation. Keyed by rank, not by thread:
+    /// rank 0 shares its thread with the caller and with any team the caller
+    /// runs, whose leases are no business of this team's.
+    slot_leases: Vec<Mutex<HashMap<TypeId, Vec<bool>>>>,
 }
 
 /// A leased reusable team slot (see [`Team::reusable_slot`]). Dereferences to
-/// the shared value; dropping the lease returns the instance to the pool for
-/// the rank's next acquisition. Not `Send`: the lease must be dropped on the
-/// rank thread that acquired it (which SPMD code does naturally).
+/// the shared value; dropping the lease returns the instance to its rank's
+/// pool for the rank's next acquisition.
 pub(crate) struct SlotLease<T: Send + Sync + 'static> {
     value: Arc<T>,
+    team: Arc<Team>,
+    rank: usize,
     index: usize,
-    _not_send: std::marker::PhantomData<*const ()>,
 }
 
 impl<T: Send + Sync + 'static> std::ops::Deref for SlotLease<T> {
@@ -245,13 +245,13 @@ impl<T: Send + Sync + 'static> std::ops::Deref for SlotLease<T> {
 
 impl<T: Send + Sync + 'static> Drop for SlotLease<T> {
     fn drop(&mut self) {
-        SLOT_LEASES.with(|leases| {
-            if let Some(held) = leases.borrow_mut().get_mut(&TypeId::of::<T>()) {
-                if let Some(flag) = held.get_mut(self.index) {
-                    *flag = false;
-                }
-            }
-        });
+        let mut leases = self.team.slot_leases[self.rank].lock();
+        if let Some(flag) = leases
+            .get_mut(&TypeId::of::<T>())
+            .and_then(|held| held.get_mut(self.index))
+        {
+            *flag = false;
+        }
     }
 }
 
@@ -271,6 +271,7 @@ impl Team {
             reduce_u64: (0..n).map(|_| AtomicU64::new(0)).collect(),
             reduce_f64: (0..n).map(|_| AtomicU64::new(0)).collect(),
             reusable_slots: Mutex::new(HashMap::new()),
+            slot_leases: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
         })
     }
 
@@ -290,26 +291,26 @@ impl Team {
         );
     }
 
-    /// Leases the team's reusable shared value of type `T`, creating it with
-    /// `make` on first use. Unlike [`Ctx::share`] this performs no barriers:
-    /// whichever rank arrives first creates the value under the slot lock, so
-    /// `make` must be deterministic given the team (all current uses are
-    /// empty per-rank mailbox arrays). Two collectives of the same type that
-    /// are live at the same time receive *distinct* pooled instances: each
-    /// rank tracks which lease indices it currently holds (thread-locally)
-    /// and takes the lowest free one, and because SPMD ranks acquire and
-    /// release leases in identical program order, every rank of a collective
-    /// agrees on the instance. The caller must leave the value in a neutral
-    /// state when its collective phase ends, since the same instance is
-    /// handed out again for the next phase.
-    pub(crate) fn reusable_slot<T, F>(&self, make: F) -> SlotLease<T>
+    /// Leases, for `rank`, the team's reusable shared value of type `T`,
+    /// creating it with `make` on first use. Unlike [`Ctx::share`] this
+    /// performs no barriers: whichever rank arrives first creates the value
+    /// under the slot lock, so `make` must be deterministic given the team
+    /// (all current uses are empty per-rank mailbox arrays). Two collectives
+    /// of the same type that are live at the same time receive *distinct*
+    /// pooled instances: each rank tracks which lease indices it currently
+    /// holds (in its own table on the team) and takes the lowest free one,
+    /// and because SPMD ranks acquire and release leases in identical program
+    /// order, every rank of a collective agrees on the instance. The caller
+    /// must leave the value in a neutral state when its collective phase
+    /// ends, since the same instance is handed out again for the next phase.
+    pub(crate) fn reusable_slot<T, F>(self: &Arc<Self>, rank: usize, make: F) -> SlotLease<T>
     where
         T: Send + Sync + 'static,
         F: FnOnce() -> T,
     {
-        let index = SLOT_LEASES.with(|leases| {
-            let mut map = leases.borrow_mut();
-            let held = map.entry(TypeId::of::<T>()).or_default();
+        let index = {
+            let mut leases = self.slot_leases[rank].lock();
+            let held = leases.entry(TypeId::of::<T>()).or_default();
             match held.iter().position(|h| !h) {
                 Some(i) => {
                     held[i] = true;
@@ -320,7 +321,7 @@ impl Team {
                     held.len() - 1
                 }
             }
-        });
+        };
         let mut slots = self.reusable_slots.lock();
         let entry = slots
             .entry((TypeId::of::<T>(), index))
@@ -331,8 +332,9 @@ impl Team {
             .expect("reusable slot keyed by TypeId");
         SlotLease {
             value,
+            team: Arc::clone(self),
+            rank,
             index,
-            _not_send: std::marker::PhantomData,
         }
     }
 
@@ -426,9 +428,12 @@ impl Team {
         self.barrier_counts[rank].load(Ordering::Relaxed)
     }
 
-    /// Runs `f` SPMD-style: one thread per rank, all executing the same
-    /// closure with their own [`Ctx`]. Returns the per-rank results in rank
-    /// order. Panics in any rank propagate (including injected faults).
+    /// Runs `f` SPMD-style, every rank executing the same closure with its own
+    /// [`Ctx`]: rank 0 on the calling thread, each other rank on a scoped
+    /// thread of its own. So a 1-rank team spawns no thread, and rank 0 runs
+    /// on the caller's stack and allocates from the caller's arena. Returns
+    /// the per-rank results in rank order. Panics in any rank propagate
+    /// (including injected faults).
     pub fn run<R, F>(self: &Arc<Self>, f: F) -> Vec<R>
     where
         R: Send,
@@ -454,25 +459,24 @@ impl Team {
     {
         install_fault_panic_hook();
         let n = self.ranks();
-        let f = &f;
-        let results: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for rank in 0..n {
-                let team = Arc::clone(self);
-                handles.push(scope.spawn(move || {
-                    let ctx = Ctx { rank, team: &team };
-                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&ctx)));
-                    match out {
-                        Ok(v) => v,
-                        Err(payload) => {
-                            // Unblock everyone stuck waiting for this rank.
-                            team.barrier.poison();
-                            std::panic::resume_unwind(payload);
-                        }
-                    }
-                }));
+        let rank_body = |rank: usize| {
+            let ctx = Ctx { rank, team: self };
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&ctx)));
+            if out.is_err() {
+                // Unblock everyone stuck waiting for this rank.
+                self.barrier.poison();
             }
-            handles.into_iter().map(|h| h.join()).collect()
+            out
+        };
+        let results: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
+            // Ranks 1.. must be spawned before rank 0 blocks in its first barrier.
+            let others: Vec<_> = (1..n)
+                .map(|rank| scope.spawn(move || rank_body(rank)))
+                .collect();
+            let first = rank_body(0);
+            std::iter::once(first)
+                .chain(others.into_iter().map(|h| h.join().and_then(|out| out)))
+                .collect()
         });
         let mut fault: Option<RankFault> = None;
         let mut other: Option<Box<dyn Any + Send>> = None;
@@ -865,18 +869,18 @@ mod tests {
     fn reusable_slots_reuse_sequentially_and_split_concurrently() {
         let team = Team::single_node(2);
         team.run(|ctx| {
-            let t = ctx.team();
+            let (t, r) = (ctx.team(), ctx.rank());
             let p1 = {
-                let lease = t.reusable_slot(|| vec![1u8]);
+                let lease = t.reusable_slot(r, || vec![1u8]);
                 &*lease as *const Vec<u8> as usize
             };
             let p2 = {
-                let lease = t.reusable_slot(|| vec![1u8]);
+                let lease = t.reusable_slot(r, || vec![1u8]);
                 &*lease as *const Vec<u8> as usize
             };
             assert_eq!(p1, p2, "sequential leases must reuse the instance");
-            let a = t.reusable_slot(|| vec![1u8]);
-            let b = t.reusable_slot(|| vec![1u8]);
+            let a = t.reusable_slot(r, || vec![1u8]);
+            let b = t.reusable_slot(r, || vec![1u8]);
             assert_ne!(
                 &*a as *const Vec<u8>, &*b as *const Vec<u8>,
                 "concurrent same-typed leases must not alias"
@@ -884,11 +888,150 @@ mod tests {
             drop(b);
             drop(a);
             let p3 = {
-                let lease = t.reusable_slot(|| vec![1u8]);
+                let lease = t.reusable_slot(r, || vec![1u8]);
                 &*lease as *const Vec<u8> as usize
             };
             assert_eq!(p1, p3, "released leases return to the pool");
         });
+    }
+
+    /// Every rank sends `10 · rank + dest` to every `dest` over `team`;
+    /// asserts that each inbox holds exactly what was sent to it.
+    fn exchange_checked(team: &Arc<Team>) {
+        let inboxes = team.run(|ctx| {
+            let outgoing = (0..ctx.ranks()).map(|d| vec![(10 * ctx.rank() + d) as u64]);
+            let mut got = ctx.exchange(outgoing.collect());
+            got.sort_unstable();
+            got
+        });
+        for (rank, got) in inboxes.iter().enumerate() {
+            let want: Vec<u64> = (0..team.ranks()).map(|s| (10 * s + rank) as u64).collect();
+            assert_eq!(*got, want, "rank {rank}'s inbox");
+        }
+    }
+
+    /// Leases a `u64` slot on every rank of `team` and returns its address:
+    /// the ranks must agree on the instance.
+    fn slot_address(team: &Arc<Team>) -> usize {
+        let addrs =
+            team.run(|ctx| &*ctx.team().reusable_slot(ctx.rank(), || 0u64) as *const u64 as usize);
+        assert!(addrs.windows(2).all(|w| w[0] == w[1]), "{addrs:x?}");
+        addrs[0]
+    }
+
+    /// Whether any rank of `team` holds a lease.
+    fn holds_a_lease(team: &Team) -> bool {
+        team.slot_leases
+            .iter()
+            .any(|t| t.lock().values().flatten().any(|&held| held))
+    }
+
+    #[test]
+    fn rank_zero_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for ranks in [1, 2, 4] {
+            let ids = Team::single_node(ranks).run(|_| std::thread::current().id());
+            assert_eq!(ids[0], caller, "{ranks} ranks: rank 0 left the caller");
+            for (rank, id) in ids.iter().enumerate().skip(1) {
+                assert_ne!(*id, caller, "{ranks} ranks: rank {rank} ran on the caller");
+                assert!(
+                    !ids[..rank].contains(id),
+                    "{ranks} ranks: rank {rank} shares a lower rank's thread"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_rank_fault_comes_back_as_err() {
+        let team = Team::single_node(1);
+        team.set_fault_plan(Some(FaultPlan {
+            rank: 0,
+            after_barriers: 2,
+        }));
+        let out = team.try_run(|ctx| {
+            for _ in 0..5 {
+                ctx.barrier();
+            }
+        });
+        assert_eq!(
+            out,
+            Err(RankFault {
+                rank: 0,
+                barriers_entered: 2
+            })
+        );
+    }
+
+    #[test]
+    fn one_rank_genuine_panic_is_reraised_with_its_payload() {
+        let team = Team::single_node(1);
+        let before = unexpected_panics();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            team.try_run(|_| std::panic::panic_any(0xBAD_u32))
+        }));
+        let payload = caught.expect_err("the panic was swallowed");
+        assert_eq!(payload.downcast_ref::<u32>(), Some(&0xBAD));
+        assert!(unexpected_panics() > before, "the panic went uncounted");
+    }
+
+    #[test]
+    fn a_team_run_inside_rank_zero_leases_its_own_slots() {
+        // Rank 0 holds a live `u64` lane while it runs a second team on its
+        // own thread, whose rank 0 must lease the same instance as its rank 1.
+        let outer = Team::single_node(2);
+        outer.run(|ctx| {
+            let mut agg = crate::Aggregator::<u64>::new(ctx, 4);
+            agg.push(1 - ctx.rank(), ctx.rank() as u64);
+            if ctx.rank() == 0 {
+                let inner = Team::single_node(2);
+                exchange_checked(&inner);
+                assert_eq!(slot_address(&inner), slot_address(&inner));
+            }
+            assert_eq!(agg.finish(), vec![1 - ctx.rank() as u64]);
+        });
+    }
+
+    #[test]
+    fn teams_run_back_to_back_on_one_thread_reuse_their_slots() {
+        for _ in 0..2 {
+            let team = Team::single_node(2);
+            exchange_checked(&team);
+            let first = slot_address(&team);
+            exchange_checked(&team);
+            assert_eq!(
+                slot_address(&team),
+                first,
+                "released leases return to the pool"
+            );
+            assert!(!holds_a_lease(&team));
+        }
+    }
+
+    #[test]
+    fn a_rank_zero_fault_mid_exchange_releases_its_leases() {
+        let faulted = Team::single_node(2);
+        // The third barrier is the first of the second exchange, its lane live.
+        faulted.set_fault_plan(Some(FaultPlan {
+            rank: 0,
+            after_barriers: 2,
+        }));
+        let out = faulted.try_run(|ctx| {
+            for _ in 0..4 {
+                ctx.exchange(vec![vec![ctx.rank() as u64]; ctx.ranks()]);
+            }
+        });
+        assert_eq!(
+            out,
+            Err(RankFault {
+                rank: 0,
+                barriers_entered: 2
+            })
+        );
+        assert!(!holds_a_lease(&faulted), "an unwound rank kept a lease");
+        let next = Team::single_node(2);
+        exchange_checked(&next);
+        assert_eq!(slot_address(&next), slot_address(&next));
     }
 
     #[test]
