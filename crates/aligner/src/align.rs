@@ -1164,7 +1164,7 @@ mod tests {
                 let slots: FxHashMap<ContigId, usize> = [(0, 0)].into_iter().collect();
                 let sent: DistMap<ContigId, PackedSeq> = DistMap::new(1);
                 let shard: DistMap<ContigId, PackedSeq> = DistMap::new(1);
-                shard.insert(ctx, 0, contig.clone());
+                shard.local_view(ctx).insert(0, contig.clone());
                 let sources = [
                     Windows {
                         slots: &slots,

@@ -172,7 +172,7 @@ pub fn build_graph(ctx: &Ctx, counts: &KmerCountsMap, policy: ThresholdPolicy) -
 /// Looks up k-mers *in the orientation the caller is walking in*:
 /// canonicalises every queried k-mer, resolves all of them in a single
 /// aggregated request–response round trip in which each owner replies with
-/// the reduced vertex ([`dht::DistMap::get_many_with`]), and re-orients each
+/// the reduced vertex ([`crate::KmerTable::get_many_with`]), and re-orients each
 /// result into its caller's walk orientation (if the canonical form is the
 /// reverse complement, the left/right extensions are swapped and
 /// complemented). Collective: every rank must call this in the same phase (an

@@ -168,7 +168,7 @@ impl<V: Copy + Send + Sync + 'static> KmerTable<V> {
     }
 
     /// Collective batched read of canonical k-mers, each owner replying with
-    /// `f` of the value ([`DistMap::get_many_with`]). The requests travel,
+    /// `f` of the value ([`DistMap::get_many_as`]). The requests travel,
     /// and are accounted, as [`Kmer`]s whatever the key width.
     pub fn get_many_with<R>(
         &self,

@@ -479,6 +479,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist_map::bulk_merge;
     use pgas::Team;
     use std::sync::Arc;
 
@@ -493,9 +494,7 @@ mod tests {
         let team = Team::single_node(1);
         team.run(|ctx| {
             let map: Arc<DistMap<u64, u64>> = DistMap::shared(ctx);
-            for i in 0..100u64 {
-                map.insert(ctx, i, i);
-            }
+            bulk_merge(ctx, &map, (0..100u64).map(|i| (i, i)), 64, |a, b| *a = b);
             ctx.stats().reset();
             let mut view = CachedView::new(&map, 10, 16);
             for i in 0..100u64 {
@@ -650,12 +649,8 @@ mod tests {
         let team = Team::single_node(4);
         team.run(|ctx| {
             let map: Arc<DistMap<u64, u64>> = DistMap::shared(ctx);
-            if ctx.rank() == 0 {
-                for i in 0..50u64 {
-                    map.insert(ctx, i, i + 1);
-                }
-            }
-            ctx.barrier();
+            let seed = (0..50u64).filter(|_| ctx.rank() == 0).map(|i| (i, i + 1));
+            bulk_merge(ctx, &map, seed, 64, |a, b| *a = b);
             team_reset_guard(ctx);
             let mut view = CachedView::new(&map, 1024, 16);
             // Batch with duplicates and absent keys.
@@ -693,12 +688,8 @@ mod tests {
     /// per-key reads of the table.
     fn check_view(ctx: &Ctx, what: &str, weighted: bool, capacity: usize, onesided: bool) {
         let map: Arc<DistMap<u64, u64>> = DistMap::shared(ctx);
-        if ctx.rank() == 0 {
-            for k in 0..PRESENT {
-                map.insert(ctx, k, k * 3);
-            }
-        }
-        ctx.barrier();
+        let seed = (0..PRESENT).filter(|_| ctx.rank() == 0).map(|k| (k, k * 3));
+        bulk_merge(ctx, &map, seed, 64, |a, b| *a = b);
         ctx.stats().reset();
         let residency = Residency {
             owned: OWNED,
@@ -813,12 +804,10 @@ mod tests {
         // Rank 0 reads one-sided, so every probe clones on its own thread.
         Team::single_node(2).run(|ctx| {
             let map: Arc<DistMap<u64, Counted>> = DistMap::shared(ctx);
-            if ctx.rank() == 0 {
-                for k in 0..40u64 {
-                    map.insert(ctx, k, Counted(k));
-                }
-            }
-            ctx.barrier();
+            let seed = (0..40u64)
+                .filter(|_| ctx.rank() == 0)
+                .map(|k| (k, Counted(k)));
+            bulk_merge(ctx, &map, seed, 64, |a, b| *a = b);
             if ctx.rank() == 0 {
                 let foreign: Vec<u64> = (0..40).filter(|k| map.owner_of(k) == 1).collect();
                 let owned = (0..40)
@@ -852,12 +841,8 @@ mod tests {
         for ranks in 1..=3usize {
             Team::single_node(ranks).run(|ctx| {
                 let map: Arc<DistMap<u64, u64>> = DistMap::shared(ctx);
-                if ctx.rank() == 0 {
-                    for k in 0..PRESENT {
-                        map.insert(ctx, k, k * 3);
-                    }
-                }
-                ctx.barrier();
+                let seed = (0..PRESENT).filter(|_| ctx.rank() == 0).map(|k| (k, k * 3));
+                bulk_merge(ctx, &map, seed, 64, |a, b| *a = b);
                 let keys: Vec<u64> = (0..120u64)
                     .map(|i| (i * 7 + ctx.rank() as u64) % (PRESENT + 20))
                     .collect();

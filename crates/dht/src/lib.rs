@@ -9,7 +9,7 @@
 //! | 1. Global update-only (commutative inserts, batched) | [`DistMap`] + [`bulk_merge`] (aggregated per-owner batches applied locally) |
 //! | 2. Global reads & writes (atomics instead of locks) | None: no stage writes remote entries one at a time. Contig traversal is owner-local segment compaction, which claims vertices in place through [`DistMap::local_view`] (use case 4) |
 //! | 3. Global read-only with reuse | [`CachedView`] ([`SoftwareCache`] + batched miss fill) and the bulk read API [`DistMap::get_many`] over the `pgas` request–response layer |
-//! | 4. Local reads & writes after deterministic routing | [`bulk_merge`] / [`DistMap::for_each_local`] / [`DistMap::local_view`] (whose [`LocalShardView::insert`] / [`LocalShardView::entry`] write the owner's shard under one held lock set) |
+//! | 4. Local reads & writes after deterministic routing | [`bulk_merge`] / [`DistMap::for_each_local`] / [`DistMap::local_view`] (whose [`LocalShardView::insert`] / [`LocalShardView::entry`] write the owner's shard under its one held lock) |
 //!
 //! The read side mirrors the write side's aggregation: just as `bulk_merge`
 //! buffers inserts per owner and ships them in large messages, `get_many`

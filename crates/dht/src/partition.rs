@@ -14,7 +14,7 @@
 //!
 //! Implementations must be **deterministic and identical on every rank**:
 //! ranks compute owners independently and the table is only consistent if
-//! they all agree. Sub-shard selection (lock striping within one owner) stays
+//! they all agree. The sub-map a key takes within its owner's shard stays
 //! hash-based regardless of the partitioner.
 
 use crate::fxhash::fx_hash_one;
@@ -24,16 +24,6 @@ use std::hash::Hash;
 pub trait Partitioner<K>: Send + Sync {
     /// The owner rank of `key` among `ranks` ranks (must be `< ranks`).
     fn owner_of(&self, key: &K, ranks: usize) -> usize;
-
-    /// [`Partitioner::owner_of`] with the key's [`fx_hash_one`] value already
-    /// computed by the caller. `DistMap` hashes every key once anyway to pick
-    /// the sub-shard, so hash-derived partitioners override this to reuse the
-    /// hash instead of recomputing it on the fine-grained hot path; the
-    /// default ignores the hint. Must return the same owner as `owner_of`.
-    #[inline]
-    fn owner_of_hashed(&self, key: &K, _hash: u64, ranks: usize) -> usize {
-        self.owner_of(key, ranks)
-    }
 }
 
 /// The default partitioner: owner = `fx_hash(key) % ranks`.
@@ -44,11 +34,6 @@ impl<K: Hash> Partitioner<K> for HashPartitioner {
     #[inline]
     fn owner_of(&self, key: &K, ranks: usize) -> usize {
         (fx_hash_one(key) % ranks as u64) as usize
-    }
-
-    #[inline]
-    fn owner_of_hashed(&self, _key: &K, hash: u64, ranks: usize) -> usize {
-        (hash % ranks as u64) as usize
     }
 }
 
@@ -103,17 +88,6 @@ mod tests {
             counts[owner] += 1;
         }
         assert!(counts.iter().all(|&c| c > 500), "skewed: {counts:?}");
-    }
-
-    #[test]
-    fn hashed_fast_path_agrees_with_owner_of() {
-        let p = HashPartitioner;
-        for key in 0..2_000u64 {
-            let h = fx_hash_one(&key);
-            for ranks in [1usize, 2, 3, 7, 16] {
-                assert_eq!(p.owner_of(&key, ranks), p.owner_of_hashed(&key, h, ranks));
-            }
-        }
     }
 
     #[test]

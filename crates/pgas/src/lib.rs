@@ -23,7 +23,10 @@
 //!   case 3), with round trips and response bytes accounted;
 //! * per-rank [`stats::CommStats`] account for every simulated remote access,
 //!   message, atomic and software-cache hit so experiments can report
-//!   communication volumes alongside wall-clock times;
+//!   communication volumes alongside wall-clock times. Each rank's counters
+//!   are written by that rank only — a one-sided read is booked by its
+//!   reader — so a stage's counts do not depend on which rank happened to
+//!   be in which stage when another rank's read landed;
 //! * [`work::DynamicBlocks`] implements the single-global-atomic dynamic
 //!   work-stealing scheme of §II-G.
 //!

@@ -10,9 +10,9 @@
 //! and its [`Reduction`]. The row yields the [`CommStats`] cell, the
 //! [`StatsSnapshot`] field and the [`Counter`] key, and code records into it
 //! with [`Ctx::record`], which applies the row's reduction. The traffic
-//! counters split by topology or credited to a serving rank are written by
-//! [`Ctx::record_message`], [`Ctx::record_access`] and
-//! [`Ctx::record_rpc_response_from`].
+//! counters split by topology are written by [`Ctx::record_message`] and
+//! [`Ctx::record_access`]. Every path writes the calling rank's own
+//! counters, so each rank's counters are written by that rank only.
 
 use crate::Ctx;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -174,7 +174,9 @@ counters! {
     /// Completed aggregated request–response round trips (batched lookups).
     rpc_round_trips: Sum,
     /// Payload bytes of the response legs of aggregated request–response
-    /// exchanges (a subset of `bytes_sent`, recorded on the serving rank).
+    /// exchanges (a subset of `bytes_sent`), booked by the rank whose thread
+    /// moved them: the owner for a collective answer, the reader for a
+    /// one-sided one.
     rpc_resp_bytes: Sum,
     /// Software-cache evictions (entries displaced by the capacity bound).
     cache_evictions: Sum,

@@ -607,27 +607,6 @@ impl<'t> Ctx<'t> {
         self.record_access(dest);
     }
 
-    /// Records the response leg of a *one-sided* aggregated read: the payload
-    /// travels from `src` to this rank, but this rank's thread performs the
-    /// transfer the owner's network interface would. The message (and its
-    /// response bytes) are therefore attributed to the serving rank `src`,
-    /// keeping per-rank traffic breakdowns faithful.
-    pub fn record_rpc_response_from(&self, src: usize, bytes: usize) {
-        let s = &self.team.stats[src];
-        s.msgs_sent.fetch_add(1, Ordering::Relaxed);
-        s.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
-        s.rpc_resp_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        if self.team.topo.same_node(src, self.rank) {
-            s.on_node_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-            s.on_node_msgs.fetch_add(1, Ordering::Relaxed);
-            s.local_ops.fetch_add(1, Ordering::Relaxed);
-        } else {
-            s.off_node_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-            s.off_node_msgs.fetch_add(1, Ordering::Relaxed);
-            s.remote_ops.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Records one collective entry for this rank: folds the descriptor into
     /// the rank's schedule digest (always) and appends it to the conformance
     /// trace (when checking is enabled). Collective entry points call this
@@ -1163,18 +1142,19 @@ mod tests {
                 ctx.record_message(2, 10); // crosses nodes
             }
             if ctx.rank() == 3 {
-                // One-sided response leg served by rank 1 (off-node from 3).
-                ctx.record_rpc_response_from(1, 7);
+                ctx.record_message(1, 7); // crosses nodes
+                ctx.record_message(2, 1); // same node
             }
         });
         let t = team.stats_total();
-        assert_eq!(t.bytes_sent, 117);
-        assert_eq!(t.on_node_bytes, 100);
+        assert_eq!(t.bytes_sent, 118);
+        assert_eq!(t.on_node_bytes, 101);
         assert_eq!(t.off_node_bytes, 17);
-        // The response leg is charged to the serving rank.
-        let serving = team.stats(1).snapshot();
-        assert_eq!(serving.off_node_bytes, 7);
-        assert_eq!(serving.rpc_resp_bytes, 7);
+        // Each message is booked on the rank that sent it, and only there.
+        let sender = team.stats(3).snapshot();
+        assert_eq!((sender.on_node_bytes, sender.off_node_bytes), (1, 7));
+        assert_eq!((sender.on_node_msgs, sender.off_node_msgs), (1, 1));
+        assert_eq!(team.stats(1).snapshot(), StatsSnapshot::default());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!    place and the word-parallel body stays the portable path.
 //! 2. **local-view-phase** — while a `local_view` binding is live, no
 //!    communication may run: a collective (or one-sided bulk get) inside
-//!    the phase either deadlocks on the held shard locks or reads state
+//!    the phase either deadlocks on the held shard lock or reads state
 //!    mid-mutation. The runtime catches this dynamically; the lint catches
 //!    it before a test has to.
 //! 3. **stats-accessor** — `CommStats` counters outside `crates/pgas` are
@@ -119,7 +119,12 @@ const PHASE_BANNED_CALLS: &[&str] = &[
     ".exchange(",
     ".exchange_map(",
     ".get_many(",
+    ".get_many_foreign(",
+    ".get_many_as(",
+    ".get_many_with(",
     ".get_many_onesided(",
+    ".gather(",
+    ".broadcast(",
     ".allreduce_",
     ".share(",
 ];
@@ -218,7 +223,7 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
                         rule: "local-view-phase",
                         message: format!(
                             "communication call `{}` while local_view binding `{name}` is live \
-                             (phase opened holds the shard locks)",
+                             (phase opened holds the shard lock)",
                             banned.trim_start_matches('.').trim_end_matches('('),
                         ),
                     });
@@ -421,6 +426,15 @@ mod tests {
         assert_eq!(f[0].rule, "local-view-phase");
         assert_eq!(f[0].line, 3);
         assert!(f[0].message.contains("`view`"));
+        // A batched read of the viewed map's own shard under its write lock.
+        let projected = "fn f(ctx: &Ctx, map: &DistMap<u64, u64>, keys: &[u64]) {\n\
+                             let mut shard = map.local_view(ctx);\n\
+                             let got = map.get_many_as(ctx, keys, 64, u64::clone, |v| *v);\n\
+                         }\n";
+        let f = lint_source("crates/dbg/src/x.rs", projected);
+        assert_eq!(f.len(), 1);
+        assert_eq!((f[0].rule, f[0].line), ("local-view-phase", 3));
+        assert!(f[0].message.contains("`get_many_as`"), "{}", f[0].message);
     }
 
     #[test]
